@@ -1,6 +1,8 @@
 // Fixture: registry-complete reactor shard.  Every `blocking-in-reactor`
 // and `alloc` root exists; the handler chain uses only non-blocking
-// primitives and caller-owned scratch.  The accept/registration path
+// primitives and caller-owned scratch — including the reply path's write
+// critical section, whose leaf lock is justified on both sides (the
+// shard's `flush_conn`, the producers' `deliver`).  The accept/registration path
 // (an `alloc` barrier) allocates its per-connection state — that is
 // setup, amortized over the connection lifetime, and must not be
 // reported.
@@ -19,11 +21,22 @@ impl Shard {
     }
 
     fn drive_read(&mut self, token: u64) {
+        let n = self.io.read(&mut self.read_scratch);
+        self.feed(token, n);
         self.flush_conn(token);
     }
 
+    fn feed(&mut self, token: u64, n: usize) {
+        let _ = self.events.try_send((token, n));
+    }
+
     fn flush_conn(&mut self, token: u64) {
-        let _ = self.outbound.try_send(token);
+        // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a try_send
+        let mut in_flight = self.shared.in_flight.lock();
+        if let Some(buf) = in_flight.take() {
+            let _ = self.io.write(&buf);
+        }
+        let _ = token;
     }
 
     fn accept_tcp(&mut self) {
@@ -59,5 +72,18 @@ impl Shard {
     fn start_stream(&mut self, token: u64) {
         let head = format!("ICY 200 OK token {token}");
         self.headers.push(head.to_string());
+    }
+}
+
+impl ConnNotify {
+    fn deliver(&self, queue: &Sender<Buf>, buf: Buf) {
+        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a try_send
+        let mut in_flight = self.shared.in_flight.lock();
+        if in_flight.is_none() && queue.is_empty() && self.sock.write(&buf) == buf.len() {
+            return;
+        }
+        let _ = queue.try_send(buf);
+        drop(in_flight);
+        self.wake();
     }
 }

@@ -24,6 +24,14 @@ impl Shard {
         let _ = self.inbox.recv();
     }
 
+    fn feed(&mut self, token: u64) {
+        let _ = self.events.try_send(token);
+    }
+
+    fn deliver(&self, token: u64) {
+        let _ = self.outbound.try_send(token);
+    }
+
     fn flush_conn(&mut self, token: u64) {
         let _ = self.outbound.try_send(token);
     }

@@ -29,6 +29,14 @@ impl Shard {
         let _ = now;
     }
 
+    fn feed(&mut self, conn: &mut ConnState, data: &[u8]) {
+        let _ = (conn, data);
+    }
+
+    fn deliver(&self, buf: PooledBuf) {
+        let _ = buf;
+    }
+
     fn read_bcast(&mut self, token: usize) {
         let _ = token;
         self.pump_bcast(token, false);

@@ -55,6 +55,8 @@ const ROOTS: &[(&str, &[&str])] = &[
             "flush_conn",
             "read_conn",
             "drive_read",
+            "feed",
+            "deliver",
             "read_bcast",
             "pump_bcast",
         ],

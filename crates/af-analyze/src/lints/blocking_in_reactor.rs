@@ -33,6 +33,8 @@ const ROOTS: &[(&str, &[&str])] = &[
             "flush_conn",
             "read_conn",
             "drive_read",
+            "feed",
+            "deliver",
         ],
     ),
     (

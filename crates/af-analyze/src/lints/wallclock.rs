@@ -53,6 +53,8 @@ const HOT_PATHS: &[(&str, &[&str])] = &[
             "flush_conn",
             "read_conn",
             "drive_read",
+            "feed",
+            "deliver",
             "read_bcast",
             "pump_bcast",
         ],

@@ -139,6 +139,70 @@ impl Ac {
     }
 }
 
+/// Initial size of a connection's input buffer: room for one full
+/// [`CHUNK_BYTES`] record reply plus whatever small message follows it,
+/// so the common reply arrives in one `read`.
+const IN_BUF_BYTES: usize = CHUNK_BYTES + 4096;
+
+/// Bytes received from the server and not yet parsed.  `read`s land
+/// directly in the spare tail of `buf`; parsed messages are consumed by
+/// advancing `start`, never by shifting the buffer.
+struct InBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl InBuf {
+    fn new() -> InBuf {
+        InBuf {
+            buf: vec![0u8; IN_BUF_BYTES],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Consumes the next complete message, returning its header and where
+    /// its payload sits in `buf` (valid until the next [`InBuf::fill_from`]).
+    fn next_message(
+        &mut self,
+        order: ByteOrder,
+    ) -> AfResult<Option<(MessageHeader, std::ops::Range<usize>)>> {
+        let have = &self.buf[self.start..self.end];
+        if have.len() < MessageHeader::SIZE {
+            return Ok(None);
+        }
+        let header = MessageHeader::decode(order, &have[..MessageHeader::SIZE])
+            .map_err(AfError::Protocol)?;
+        let total = MessageHeader::SIZE + header.payload_len();
+        if have.len() < total {
+            return Ok(None);
+        }
+        let payload = self.start + MessageHeader::SIZE..self.start + total;
+        self.start += total;
+        Ok(Some((header, payload)))
+    }
+
+    /// One `read` from `src` into the free tail; returns its byte count
+    /// (0 is end of stream).  Called only when the buffered bytes are an
+    /// incomplete message: that fragment moves to the front, and the
+    /// buffer doubles only once real data has filled it (a length claimed
+    /// by the peer never sizes an allocation).
+    fn fill_from<R: Read + ?Sized>(&mut self, src: &mut R) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+}
+
 /// Callback invoked for asynchronous server errors (`AFSetErrorHandler`).
 pub type ErrorHandler = Box<dyn FnMut(&WireError) + Send>;
 
@@ -151,7 +215,7 @@ pub struct AudioConn {
     devices: Vec<DeviceDesc>,
     seq_sent: u16,
     out: Vec<u8>,
-    inbuf: Vec<u8>,
+    inbuf: InBuf,
     events: VecDeque<Event>,
     async_errors: Vec<WireError>,
     synchronous: bool,
@@ -225,7 +289,7 @@ impl AudioConn {
             devices: Vec::new(),
             seq_sent: 0,
             out: Vec::new(),
-            inbuf: Vec::new(),
+            inbuf: InBuf::new(),
             events: VecDeque::new(),
             async_errors: Vec::new(),
             synchronous: false,
@@ -380,8 +444,12 @@ impl AudioConn {
     /// Flushes buffered requests to the server (`AFFlush`).
     pub fn flush(&mut self) -> AfResult<()> {
         if !self.out.is_empty() {
-            let out = std::mem::take(&mut self.out);
-            self.stream.write_all(&out)?;
+            // Cleared before the result is inspected (a failed write must
+            // not be re-sent), and cleared rather than taken so the
+            // allocation serves the next request.
+            let written = self.stream.write_all(&self.out);
+            self.out.clear();
+            written?;
             self.stream.flush()?;
         }
         Ok(())
@@ -395,11 +463,12 @@ impl AudioConn {
 
     fn wait_reply(&mut self, seq: u16) -> AfResult<Reply> {
         loop {
-            let (header, payload) = self.read_message_blocking()?;
+            let (header, range) = self.read_message_blocking()?;
+            let payload = &self.inbuf.buf[range];
             match header.kind {
                 MessageKind::Reply => {
                     let reply =
-                        Reply::decode(self.order, &header, &payload).map_err(AfError::Protocol)?;
+                        Reply::decode(self.order, &header, payload).map_err(AfError::Protocol)?;
                     if header.sequence == seq {
                         return Ok(reply);
                     }
@@ -407,11 +476,11 @@ impl AudioConn {
                 }
                 MessageKind::Event => {
                     let ev =
-                        Event::decode(self.order, &header, &payload).map_err(AfError::Protocol)?;
+                        Event::decode(self.order, &header, payload).map_err(AfError::Protocol)?;
                     self.events.push_back(ev);
                 }
                 MessageKind::Error => {
-                    let err = message::decode_error(self.order, &header, &payload)
+                    let err = message::decode_error(self.order, &header, payload)
                         .map_err(AfError::Protocol)?;
                     if header.sequence == seq {
                         return Err(AfError::Server(err));
@@ -422,33 +491,17 @@ impl AudioConn {
         }
     }
 
-    fn read_message_blocking(&mut self) -> AfResult<(MessageHeader, Vec<u8>)> {
+    /// Blocks until one complete message is buffered; returns its header
+    /// and its payload's place in `self.inbuf.buf`.
+    fn read_message_blocking(&mut self) -> AfResult<(MessageHeader, std::ops::Range<usize>)> {
         loop {
-            if let Some(msg) = self.try_parse_message()? {
+            if let Some(msg) = self.inbuf.next_message(self.order)? {
                 return Ok(msg);
             }
-            let mut tmp = [0u8; 4096];
-            let n = self.stream.read(&mut tmp)?;
-            if n == 0 {
+            if self.inbuf.fill_from(&mut *self.stream)? == 0 {
                 return Err(AfError::ConnectionClosed);
             }
-            self.inbuf.extend_from_slice(&tmp[..n]);
         }
-    }
-
-    fn try_parse_message(&mut self) -> AfResult<Option<(MessageHeader, Vec<u8>)>> {
-        if self.inbuf.len() < MessageHeader::SIZE {
-            return Ok(None);
-        }
-        let header = MessageHeader::decode(self.order, &self.inbuf[..MessageHeader::SIZE])
-            .map_err(AfError::Protocol)?;
-        let total = MessageHeader::SIZE + header.payload_len();
-        if self.inbuf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.inbuf[MessageHeader::SIZE..total].to_vec();
-        self.inbuf.drain(..total);
-        Ok(Some((header, payload)))
     }
 
     /// Pulls any bytes already available without blocking and queues the
@@ -456,25 +509,34 @@ impl AudioConn {
     fn pump_nonblocking(&mut self) -> AfResult<()> {
         self.stream.set_nonblocking(true)?;
         let result = loop {
-            let mut tmp = [0u8; 4096];
-            match self.stream.read(&mut tmp) {
+            // Parse as we go: `fill_from` expects at most a fragment.
+            if let Err(e) = self.drain_buffered() {
+                break Err(e);
+            }
+            match self.inbuf.fill_from(&mut *self.stream) {
                 Ok(0) => break Err(AfError::ConnectionClosed),
-                Ok(n) => self.inbuf.extend_from_slice(&tmp[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(()),
                 Err(e) => break Err(AfError::Io(e)),
             }
         };
         self.stream.set_nonblocking(false)?;
-        result?;
-        while let Some((header, payload)) = self.try_parse_message()? {
+        result
+    }
+
+    /// Handles every complete message already buffered: events queue,
+    /// errors go to the handler, stale replies drop.
+    fn drain_buffered(&mut self) -> AfResult<()> {
+        while let Some((header, range)) = self.inbuf.next_message(self.order)? {
+            let payload = &self.inbuf.buf[range];
             match header.kind {
                 MessageKind::Event => {
                     let ev =
-                        Event::decode(self.order, &header, &payload).map_err(AfError::Protocol)?;
+                        Event::decode(self.order, &header, payload).map_err(AfError::Protocol)?;
                     self.events.push_back(ev);
                 }
                 MessageKind::Error => {
-                    let err = message::decode_error(self.order, &header, &payload)
+                    let err = message::decode_error(self.order, &header, payload)
                         .map_err(AfError::Protocol)?;
                     self.note_async_error(err);
                 }
@@ -694,13 +756,14 @@ impl AudioConn {
         }
         self.flush()?;
         loop {
-            let (header, payload) = self.read_message_blocking()?;
+            let (header, range) = self.read_message_blocking()?;
+            let payload = &self.inbuf.buf[range];
             match header.kind {
                 MessageKind::Event => {
-                    return Event::decode(self.order, &header, &payload).map_err(AfError::Protocol)
+                    return Event::decode(self.order, &header, payload).map_err(AfError::Protocol)
                 }
                 MessageKind::Error => {
-                    let err = message::decode_error(self.order, &header, &payload)
+                    let err = message::decode_error(self.order, &header, payload)
                         .map_err(AfError::Protocol)?;
                     self.note_async_error(err);
                 }
@@ -997,6 +1060,53 @@ fn unexpected_reply(r: &Reply) -> AfError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Feeds `wire` to an [`InBuf`] in `step`-byte reads and returns every
+    /// message's (sequence, payload) in order.
+    fn reassemble(wire: &[u8], step: usize) -> Vec<(u16, Vec<u8>)> {
+        let order = ByteOrder::Little;
+        let mut inbuf = InBuf::new();
+        let mut got = Vec::new();
+        for mut piece in wire.chunks(step) {
+            // A slice is a `Read` that hands out what it has left.
+            while !piece.is_empty() {
+                while let Some((header, range)) = inbuf.next_message(order).unwrap() {
+                    got.push((header.sequence, inbuf.buf[range].to_vec()));
+                }
+                inbuf.fill_from(&mut piece).unwrap();
+            }
+        }
+        while let Some((header, range)) = inbuf.next_message(order).unwrap() {
+            got.push((header.sequence, inbuf.buf[range].to_vec()));
+        }
+        assert_eq!(inbuf.start, inbuf.end, "no bytes left over");
+        got
+    }
+
+    #[test]
+    fn inbuf_reassembles_messages_across_any_read_boundaries() {
+        // Small, empty, chunk-sized and larger-than-the-buffer payloads,
+        // back to back: the cursor, the compaction of a trailing fragment
+        // and the doubling on a full buffer must all keep every byte.
+        let sizes = [8usize, 0, CHUNK_BYTES, 4, 3 * IN_BUF_BYTES, 12];
+        let mut wire = Vec::new();
+        let mut want = Vec::new();
+        for (i, &len) in sizes.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+            let header = MessageHeader {
+                kind: MessageKind::Reply,
+                detail: 0,
+                sequence: i as u16,
+                extra_words: (len / 4) as u32,
+            };
+            wire.extend_from_slice(&header.encode(ByteOrder::Little));
+            wire.extend_from_slice(&payload);
+            want.push((i as u16, payload));
+        }
+        for step in [1, 7, 4096, IN_BUF_BYTES, wire.len()] {
+            assert_eq!(reassemble(&wire, step), want, "step {step}");
+        }
+    }
 
     #[test]
     fn server_name_resolution() {

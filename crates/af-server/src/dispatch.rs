@@ -9,7 +9,7 @@
 use crate::pool::BufferPool;
 use crate::state::{
     AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, ConnKick, ControlMsg,
-    Device, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
+    Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
 };
 use crate::task::{TaskKind, TaskQueue};
 use crate::worker::{AudioJob, WorkerHandle};
@@ -22,6 +22,7 @@ use af_proto::{
 use af_time::ATime;
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -130,6 +131,9 @@ pub struct Dispatcher {
     /// Data-plane workers (sharded mode): joined at shutdown, fanned out
     /// to on explicit `RunUpdate` so the handle stays a full barrier.
     workers: Vec<WorkerHandle>,
+    /// Raised with any client's [`OverflowFlag`]; gates the eviction scan
+    /// so an event that overflowed nobody costs one atomic swap.
+    any_overflowed: Arc<AtomicBool>,
 }
 
 /// Milliseconds since the Unix epoch (the "host clock time" in events).
@@ -152,6 +156,7 @@ impl Dispatcher {
             shutdown: false,
             conv_buf: Vec::new(),
             workers: Vec::new(),
+            any_overflowed: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -213,21 +218,15 @@ impl Dispatcher {
                 kick,
             } => self.handle_new_client(id, &setup, peer, tx, kick),
             ServerEvent::Request { id, raw } => {
+                // Unknown ids (never admitted, or already evicted) drop
+                // the request.
                 if let Some(c) = self.core.clients.get_mut(&id) {
                     c.last_activity = Instant::now();
-                }
-                let blocked = self
-                    .core
-                    .clients
-                    .get(&id)
-                    .map(|c| c.blocked.is_some() || c.awaiting_worker)
-                    .unwrap_or(true);
-                if blocked {
-                    if let Some(c) = self.core.clients.get_mut(&id) {
+                    if c.blocked.is_some() || c.awaiting_worker {
                         c.queue.push_back(raw);
+                    } else {
+                        self.process_request(id, raw);
                     }
-                } else {
-                    self.process_request(id, raw);
                 }
             }
             ServerEvent::ProtocolError { id, error: _ } => {
@@ -300,9 +299,10 @@ impl Dispatcher {
             devices: self.core.devices.iter().map(|d| d.desc).collect(),
         };
         tx.send_blocking(reply.encode(order).into());
+        let overflowed = OverflowFlag::new(&self.any_overflowed);
         self.core
             .clients
-            .insert(id, ClientState::new(id, order, tx, kick));
+            .insert(id, ClientState::new(id, order, tx, kick, overflowed));
         ServerStats::bump(&self.core.stats.clients_total);
         ServerStats::set(
             &self.core.stats.clients_current,
@@ -355,13 +355,18 @@ impl Dispatcher {
         self.remove_client(id);
     }
 
-    /// Evicts every client whose outbound queue overflowed.
+    /// Evicts every client whose outbound queue overflowed.  The hint is
+    /// swapped before the scan, so a flag raised during it is found on the
+    /// next event at the latest.
     fn evict_overflowed(&mut self) {
+        if !self.any_overflowed.swap(false, Ordering::AcqRel) {
+            return;
+        }
         let ids: Vec<ClientId> = self
             .core
             .clients
             .iter()
-            .filter(|(_, c)| c.overflowed.load(std::sync::atomic::Ordering::Acquire))
+            .filter(|(_, c)| c.overflowed.is_raised())
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
@@ -1843,5 +1848,65 @@ impl Dispatcher {
                 },
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::OutboundTx;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn worker_side_overflow_is_evicted_on_the_next_dispatcher_event() {
+        let core = ServerCore {
+            vendor: "test".into(),
+            devices: Vec::new(),
+            clients: HashMap::new(),
+            atoms: AtomRegistry::new(),
+            access: AccessControl::new(),
+            stats: Arc::new(ServerStats::default()),
+            pool: BufferPool::shared(),
+        };
+        let (_events_tx, events_rx) = crossbeam_channel::unbounded();
+        let mut dispatcher = Dispatcher::new(core, events_rx, Duration::from_secs(3600));
+
+        // One admitted client whose outbound queue holds a single message
+        // and is never drained: the setup reply fills it.
+        let (tx, _outbound) = crossbeam_channel::bounded(1);
+        let kicks = Arc::new(AtomicUsize::new(0));
+        let kick: ConnKick = {
+            let kicks = Arc::clone(&kicks);
+            Arc::new(move || {
+                kicks.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        dispatcher.handle_event(ServerEvent::NewClient {
+            id: 7,
+            setup: af_proto::ConnSetup::new().encode(),
+            peer: None,
+            tx: OutboundTx::classic(tx),
+            kick,
+        });
+        assert!(dispatcher.core.clients.contains_key(&7));
+
+        // A worker-side reply hits the bound: nothing runs on the
+        // dispatcher, so the client is still there, flagged.
+        let sink = dispatcher.core.clients[&7].reply_sink(&dispatcher.core.pool);
+        sink.send_reply(1, &Reply::Sync);
+        assert!(dispatcher.core.clients[&7].overflowed.is_raised());
+        assert_eq!(kicks.load(Ordering::SeqCst), 0);
+
+        // Any later event — here one that has nothing to do with the
+        // client — runs the scan, which the hint now lets through.
+        let (ack, _acked) = crossbeam_channel::bounded(1);
+        dispatcher.handle_event(ServerEvent::Control(ControlMsg::Barrier { ack }));
+        assert!(dispatcher.core.clients.is_empty(), "flagged client evicted");
+        assert_eq!(kicks.load(Ordering::SeqCst), 1, "its socket was kicked");
+        assert_eq!(ServerStats::get(&dispatcher.core.stats.evicted_slow), 1);
+        assert!(
+            !dispatcher.any_overflowed.load(Ordering::SeqCst),
+            "hint consumed"
+        );
     }
 }

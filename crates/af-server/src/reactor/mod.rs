@@ -10,27 +10,40 @@
 //!
 //! Each shard owns its connections outright: the per-connection read state
 //! machine (setup header → setup tail → frame header → payload, resumable
-//! at any byte boundary across partial reads), and the bounded outbound
-//! queue drained on write readiness.  Framed requests feed the existing
+//! at any byte boundary) is fed from **one `read` per readiness event**
+//! into a per-shard scratch buffer, and the bounded outbound queue is
+//! drained on write readiness.  Framed requests feed the existing
 //! dispatcher event channel, so single-threaded control semantics,
 //! slow-client overflow/eviction, idle timeout, and chaos fault injection
 //! are preserved unchanged from the classic transport.
 //!
-//! Dispatcher→reactor wakeup protocol (modeled in `loom_models.rs`): a
-//! producer enqueues a reply on the connection's bounded queue, then
-//! atomically swaps the connection's `notified` flag; only the first
+//! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): whoever
+//! produces a reply — the dispatcher or an audio worker — first tries one
+//! nonblocking `write` on the connection's socket itself.  That *direct
+//! write* is allowed only when nothing is ahead of the message (no message
+//! mid-write, empty outbound queue); the test, the write and any enqueue
+//! happen inside the connection's write lock, which the shard's
+//! `flush_conn` also takes for every message it drains, so bytes leave in
+//! issue order.
+//! A short write parks the remainder in the shared in-flight slot; a
+//! would-block, an error, or a message with others ahead of it goes on the
+//! bounded queue.  Either way the producer then runs the wakeup protocol:
+//! atomically swap the connection's `notified` flag; only the first
 //! producer to set it pushes the connection token onto the shard's pending
 //! queue and writes the self-pipe.  The shard clears `notified` *before*
 //! draining, so a producer racing with the drain re-arms the notification
 //! — no lost wakeup — while the flag keeps redundant tokens (and redundant
-//! drains) bounded at one per drain cycle.
+//! drains) bounded at one per drain cycle.  In the steady state the socket
+//! takes every reply whole and the shard is never woken for output.
 //!
 //! Backpressure parity: a shard blocks on the bounded dispatcher channel
 //! exactly where a classic reader thread would, which stops reading that
 //! shard's sockets — TCP backpressure to the clients.  Fault injection
 //! note: `ChaosStream` delays sleep on the shard thread, stalling that
 //! shard's connections collectively; chaos plans are a test-only feature
-//! and the tests account for it.
+//! and the tests account for it.  Chaos-wrapped connections never take the
+//! direct write — every reply goes through the queue, so the faults keep
+//! landing on the shard and never on a producer.
 
 pub mod poller;
 pub mod sys;
@@ -41,7 +54,8 @@ use crate::state::{ClientId, ConnKick, RawRequest, ServerEvent};
 use crate::transport::{decode_frame_header, OutboundTx, TransportShared, OUTBOUND_QUEUE_CAPACITY};
 use af_chaos::ChaosStream;
 use af_proto::{ByteOrder, ConnSetup};
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::{Receiver, Sender, TrySendError};
+use parking_lot::Mutex;
 use poller::{Interest, PollEvent, Poller, MAX_EVENTS};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -69,8 +83,19 @@ const UNASSIGNED_TOKEN: u64 = u64::MAX;
 
 /// Frames decoded per readiness event per connection before yielding, so
 /// one firehose client cannot starve its shard siblings (level-triggered
-/// polling re-reports the fd immediately).
+/// polling re-reports the fd immediately).  Checked between reads only:
+/// bytes already read are always framed, so a turn can overshoot by at
+/// most one scratch-full of frames.
 const FRAME_BUDGET: u32 = 64;
+
+/// Size of each shard's read scratch: one `read` per readiness event lands
+/// here and is fed through the connection's framing state machine.  Per
+/// shard, not per connection, so idle connections cost no memory.
+const READ_SCRATCH_BYTES: usize = 16 * 1024;
+
+/// A payload remainder at least this large is read straight into its
+/// pooled buffer instead of through the scratch (no second copy).
+const DIRECT_READ_MIN: usize = 2048;
 
 /// Chunks gathered into one vectored write on a broadcast listener.
 const BCAST_BATCH: usize = 8;
@@ -111,10 +136,18 @@ pub struct ReactorShardStats {
     pub wakeups: AtomicU64,
     /// Reads that advanced a frame without completing it.
     pub partial_reads: AtomicU64,
+    /// `read` calls issued on connection sockets (including ones that
+    /// found nothing).
+    pub read_calls: AtomicU64,
     /// Complete request frames delivered to the dispatcher.
     pub frames: AtomicU64,
     /// Outbound messages fully written to sockets.
     pub replies: AtomicU64,
+    /// Outbound messages a producer wrote whole, straight to the socket.
+    pub direct_writes: AtomicU64,
+    /// Outbound messages handed to the shard (queued, or the remainder
+    /// of a short direct write).
+    pub queued_writes: AtomicU64,
     /// Connections this shard registered.
     pub accepted: AtomicU64,
     /// Connections this shard closed (any reason).
@@ -131,8 +164,11 @@ impl ReactorShardStats {
             readiness_events: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             partial_reads: AtomicU64::new(0),
+            read_calls: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             replies: AtomicU64::new(0),
+            direct_writes: AtomicU64::new(0),
+            queued_writes: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             closed: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -148,8 +184,11 @@ impl ReactorShardStats {
             readiness_events: get(&self.readiness_events),
             wakeups: get(&self.wakeups),
             partial_reads: get(&self.partial_reads),
+            read_calls: get(&self.read_calls),
             frames: get(&self.frames),
             replies: get(&self.replies),
+            direct_writes: get(&self.direct_writes),
+            queued_writes: get(&self.queued_writes),
             accepted: get(&self.accepted),
             closed: get(&self.closed),
             evictions: get(&self.evictions),
@@ -170,10 +209,16 @@ pub struct ReactorShardSnapshot {
     pub wakeups: u64,
     /// Reads that advanced a frame without completing it.
     pub partial_reads: u64,
+    /// `read` calls issued on connection sockets.
+    pub read_calls: u64,
     /// Complete request frames delivered.
     pub frames: u64,
     /// Outbound messages fully written.
     pub replies: u64,
+    /// Outbound messages written whole by their producer.
+    pub direct_writes: u64,
+    /// Outbound messages handed to the shard.
+    pub queued_writes: u64,
     /// Connections registered.
     pub accepted: u64,
     /// Connections closed.
@@ -203,31 +248,160 @@ impl Waker {
     }
 }
 
-/// The producer half of the dispatcher→reactor wakeup protocol, cloned
-/// into every [`OutboundTx`] targeting a reactor-owned connection.
+/// The one owning handle to a reactor connection's socket, shared by the
+/// owning shard (reads, flushes), reply producers (direct writes) and the
+/// dispatcher's [`ConnKick`] closure.  One descriptor per connection; a
+/// producer that outlives the connection keeps the *socket* alive, so it
+/// can never write to a recycled descriptor number.
 #[derive(Clone)]
-pub struct ConnNotify {
-    token: Arc<AtomicU64>,
-    notified: Arc<AtomicBool>,
+enum SharedSock {
+    Tcp(Arc<TcpStream>),
+    Unix(Arc<UnixStream>),
+}
+
+impl SharedSock {
+    fn shutdown(&self) {
+        let _ = match self {
+            SharedSock::Tcp(s) => s.shutdown(Shutdown::Both),
+            SharedSock::Unix(s) => s.shutdown(Shutdown::Both),
+        };
+    }
+
+    /// `write` through a shared reference (`Write` is implemented for
+    /// `&TcpStream`/`&UnixStream`), for producers that hold no `&mut`.
+    fn write_shared(&self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            SharedSock::Tcp(s) => (&**s).write(buf),
+            SharedSock::Unix(s) => (&**s).write(buf),
+        }
+    }
+}
+
+impl AsRawFd for SharedSock {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            SharedSock::Tcp(s) => s.as_raw_fd(),
+            SharedSock::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+impl Read for SharedSock {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            SharedSock::Tcp(s) => (&**s).read(buf),
+            SharedSock::Unix(s) => (&**s).read(buf),
+        }
+    }
+}
+
+impl Write for SharedSock {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_shared(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(()) // Sockets have no userspace buffer.
+    }
+}
+
+/// What a reactor connection's shard and its reply producers share.
+struct ConnShared {
+    /// Poller token of the connection's slot ([`UNASSIGNED_TOKEN`] until
+    /// the shard registers it).
+    token: AtomicU64,
+    /// Wakeup-protocol flag: a flush token for this connection is pending.
+    notified: AtomicBool,
     pending: Sender<u64>,
     sweep: Arc<AtomicBool>,
     waker: Waker,
+    stats: Arc<ReactorShardStats>,
+    /// The socket, for direct writes.  `None` on chaos-wrapped
+    /// connections: their faults must land on the shard, so every reply
+    /// takes the queue.
+    sock: Option<SharedSock>,
+    /// The outbound message mid-write: `(buffer, bytes already written)`.
+    /// The lock is the connection's write critical section — whoever holds
+    /// it is the only thread writing the socket or moving messages between
+    /// the queue and this slot.
+    in_flight: Mutex<Option<(PooledBuf, usize)>>,
 }
 
+/// The producer half of a reactor connection's reply path, cloned into
+/// every [`OutboundTx`] targeting it: the direct write, and the
+/// dispatcher→reactor wakeup protocol behind it.
+#[derive(Clone)]
+pub struct ConnNotify(Arc<ConnShared>);
+
 impl ConnNotify {
-    /// Signals the owning shard that the connection's outbound queue has
-    /// new data.  Must be called *after* the queue push (the shard clears
-    /// `notified` before draining, so this ordering is what makes a
+    /// Sends one message toward the connection without blocking: straight
+    /// to the socket when nothing is ahead of it, otherwise (or for the
+    /// unwritten remainder) through `queue` and a shard wakeup.  `Full` is
+    /// the slow-client signal, exactly as on a bare queue.
+    pub(crate) fn deliver(
+        &self,
+        queue: &Sender<PooledBuf>,
+        buf: PooledBuf,
+    ) -> Result<(), TrySendError<PooledBuf>> {
+        let conn = &*self.0;
+        let Some(sock) = &conn.sock else {
+            queue.try_send(buf)?;
+            self.queued();
+            return Ok(());
+        };
+        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a try_send; contended only while the shard flushes this same connection
+        let mut in_flight = conn.in_flight.lock();
+        if in_flight.is_none() && queue.is_empty() {
+            match sock.write_shared(&buf) {
+                Ok(n) if n == buf.len() => {
+                    drop(in_flight); // `buf` recycles (pool lock) unlocked.
+                    conn.stats.replies.fetch_add(1, Ordering::Relaxed);
+                    conn.stats.direct_writes.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Ok(n) if n > 0 => {
+                    // Short write: the shard finishes the message and
+                    // arms write interest, exactly as for a queued one.
+                    *in_flight = Some((buf, n));
+                    drop(in_flight);
+                    self.queued();
+                    return Ok(());
+                }
+                // Would block, wrote nothing, or an error: queue it, so
+                // the shard's flush meets the same condition and handles
+                // it on the one close path.
+                _ => {}
+            }
+        }
+        // af-analyze: allow(lock-across-send): try_send never blocks; holding the write lock across it is what orders this message behind the ones already queued
+        let queued = queue.try_send(buf);
+        drop(in_flight);
+        if queued.is_ok() {
+            self.queued();
+        }
+        queued
+    }
+
+    /// Accounts one message handed to the shard and wakes it.
+    pub(crate) fn queued(&self) {
+        self.0.stats.queued_writes.fetch_add(1, Ordering::Relaxed);
+        self.wake();
+    }
+
+    /// Signals the owning shard that the connection has outbound data it
+    /// must write.  Must be called *after* the queue push (the shard
+    /// clears `notified` before draining, so this ordering is what makes a
     /// racing push visible — see the module docs and the loom model).
     pub fn wake(&self) {
-        if !self.notified.swap(true, Ordering::AcqRel) {
-            let token = self.token.load(Ordering::Acquire);
-            if token == UNASSIGNED_TOKEN || self.pending.try_send(token).is_err() {
+        let conn = &*self.0;
+        if !conn.notified.swap(true, Ordering::AcqRel) {
+            let token = conn.token.load(Ordering::Acquire);
+            if token == UNASSIGNED_TOKEN || conn.pending.try_send(token).is_err() {
                 // Not yet registered, or the token queue is saturated:
                 // degrade to a full sweep of the shard's connections.
-                self.sweep.store(true, Ordering::Release);
+                conn.sweep.store(true, Ordering::Release);
             }
-            self.waker.wake();
+            conn.waker.wake();
         }
     }
 }
@@ -245,8 +419,7 @@ struct NewConn {
     outbound: Receiver<PooledBuf>,
     otx: OutboundTx,
     kick: ConnKick,
-    token_cell: Arc<AtomicU64>,
-    notified: Arc<AtomicBool>,
+    shared: Arc<ConnShared>,
 }
 
 /// A broadcast listener socket handed to its owning shard.
@@ -308,9 +481,9 @@ struct ConnState {
     /// The dispatcher's half of the connection, consumed into the
     /// `NewClient` event once setup completes.
     pending_hello: Option<(OutboundTx, ConnKick)>,
-    /// An outbound message mid-write: `(buffer, bytes already written)`.
-    wr: Option<(PooledBuf, usize)>,
-    notified: Arc<AtomicBool>,
+    /// Token cell, `notified` flag and the in-flight outbound message,
+    /// shared with the connection's reply producers.
+    shared: Arc<ConnShared>,
     want_write: bool,
 }
 
@@ -373,11 +546,6 @@ enum Slot {
     Bcast(Box<BcastConn>),
 }
 
-enum RawStream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
 /// Why `drive_read` stopped.
 enum ReadOutcome {
     /// Would block: state saved, wait for the next readiness event.
@@ -392,63 +560,44 @@ enum ReadOutcome {
 fn build_conn(
     transport: &Arc<TransportShared>,
     shared: &ReactorShared,
-    stream: RawStream,
+    sock: SharedSock,
     peer: Option<IpAddr>,
-) -> Option<(usize, Box<NewConn>)> {
+) -> (usize, Box<NewConn>) {
     let id = transport.next_id.fetch_add(1, Ordering::Relaxed);
     let target = shared.rr.fetch_add(1, Ordering::Relaxed) % shared.links.len();
     let link = &shared.links[target];
-    let fd = match &stream {
-        RawStream::Tcp(s) => s.as_raw_fd(),
-        RawStream::Unix(s) => s.as_raw_fd(),
-    };
+    let fd = sock.as_raw_fd();
     let kick: ConnKick = {
         let stats = Arc::clone(&link.stats);
-        match &stream {
-            RawStream::Tcp(s) => {
-                let clone = s.try_clone().ok()?;
-                Arc::new(move || {
-                    stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    let _ = clone.shutdown(Shutdown::Both);
-                })
-            }
-            RawStream::Unix(s) => {
-                let clone = s.try_clone().ok()?;
-                Arc::new(move || {
-                    stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    let _ = clone.shutdown(Shutdown::Both);
-                })
-            }
-        }
+        let sock = sock.clone();
+        Arc::new(move || {
+            stats.evictions.fetch_add(1, Ordering::Relaxed);
+            sock.shutdown();
+        })
     };
-    let io: Box<dyn ShardIo> = match &transport.chaos {
+    let (io, direct): (Box<dyn ShardIo>, Option<SharedSock>) = match &transport.chaos {
         Some(plan) => {
             // Same per-connection fault derivation as the classic
             // transport: fork the plan seed by the connection id.
             let mut plan = plan.clone();
             plan.seed = af_chaos::ChaosRng::new(plan.seed).fork(id).next_u64();
-            match stream {
-                RawStream::Tcp(s) => Box::new(ChaosStream::new(s, plan)),
-                RawStream::Unix(s) => Box::new(ChaosStream::new(s, plan)),
-            }
+            (Box::new(ChaosStream::new(sock, plan)), None)
         }
-        None => match stream {
-            RawStream::Tcp(s) => Box::new(s),
-            RawStream::Unix(s) => Box::new(s),
-        },
+        None => (Box::new(sock.clone()), Some(sock)),
     };
     let (tx, rx) = crossbeam_channel::bounded::<PooledBuf>(OUTBOUND_QUEUE_CAPACITY);
-    let token_cell = Arc::new(AtomicU64::new(UNASSIGNED_TOKEN));
-    let notified = Arc::new(AtomicBool::new(false));
-    let notify = ConnNotify {
-        token: Arc::clone(&token_cell),
-        notified: Arc::clone(&notified),
+    let shared = Arc::new(ConnShared {
+        token: AtomicU64::new(UNASSIGNED_TOKEN),
+        notified: AtomicBool::new(false),
         pending: link.pending.clone(),
         sweep: Arc::clone(&link.sweep),
         waker: link.waker.clone(),
-    };
-    let otx = OutboundTx::reactor(tx, notify);
-    Some((
+        stats: Arc::clone(&link.stats),
+        sock: direct,
+        in_flight: Mutex::new(None),
+    });
+    let otx = OutboundTx::reactor(tx, ConnNotify(Arc::clone(&shared)));
+    (
         target,
         Box::new(NewConn {
             io,
@@ -458,10 +607,9 @@ fn build_conn(
             outbound: rx,
             otx,
             kick,
-            token_cell,
-            notified,
+            shared,
         }),
-    ))
+    )
 }
 
 struct Shard {
@@ -483,6 +631,9 @@ struct Shard {
     /// Reusable scratch for the wake-time flush-token drain; lives on the
     /// shard so a busy wake does not allocate.
     wake_scratch: Vec<u64>,
+    /// Where each readiness event's one `read` lands
+    /// ([`READ_SCRATCH_BYTES`]); shared by all of the shard's connections.
+    read_scratch: Vec<u8>,
     /// Broadcast bus + listener roster, when this reactor serves fan-out.
     broadcast: Option<ShardBroadcast>,
     /// Reusable scratch for the broadcast dirty pass (same rationale as
@@ -539,8 +690,10 @@ impl Shard {
         let mut sink = [0u8; 64];
         loop {
             match (&self.wake_rx).read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => continue,
+                // A full sink may leave bytes behind; anything less has
+                // drained the pipe, so no second read just to see EAGAIN.
+                Ok(n) if n == sink.len() => continue,
+                Ok(_) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // WouldBlock: pipe drained.
             }
@@ -632,7 +785,7 @@ impl Shard {
             return; // Dropping the conn closes the socket; the dispatcher
                     // never learned of it, so no event is owed.
         }
-        conn.token_cell.store(token as u64, Ordering::Release);
+        conn.shared.token.store(token as u64, Ordering::Release);
         self.stats.accepted.fetch_add(1, Ordering::Relaxed);
         self.stats.fd_count.fetch_add(1, Ordering::Relaxed);
         self.slots[token] = Some(Slot::Conn(Box::new(ConnState {
@@ -647,8 +800,7 @@ impl Shard {
             },
             outbound: conn.outbound,
             pending_hello: Some((conn.otx, conn.kick)),
-            wr: None,
-            notified: conn.notified,
+            shared: conn.shared,
             want_write: false,
         })));
     }
@@ -691,7 +843,7 @@ impl Shard {
                     if s.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    self.route_conn(RawStream::Tcp(s), Some(addr.ip()));
+                    self.route_conn(SharedSock::Tcp(Arc::new(s)), Some(addr.ip()));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return, // WouldBlock or transient accept failure.
@@ -710,7 +862,7 @@ impl Shard {
                     if s.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    self.route_conn(RawStream::Unix(s), None);
+                    self.route_conn(SharedSock::Unix(Arc::new(s)), None);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
@@ -803,10 +955,8 @@ impl Shard {
         }
     }
 
-    fn route_conn(&mut self, stream: RawStream, peer: Option<IpAddr>) {
-        let Some((target, conn)) = build_conn(&self.transport, &self.shared, stream, peer) else {
-            return;
-        };
+    fn route_conn(&mut self, sock: SharedSock, peer: Option<IpAddr>) {
+        let (target, conn) = build_conn(&self.transport, &self.shared, sock, peer);
         if target == self.index {
             self.register_conn(*conn);
         } else {
@@ -824,14 +974,18 @@ impl Shard {
     fn flush_token(&mut self, token: u64) {
         let token = token as usize;
         if let Some(Some(Slot::Conn(c))) = self.slots.get(token) {
-            c.notified.store(false, Ordering::Release);
+            c.shared.notified.store(false, Ordering::Release);
             self.flush_conn(token, true);
         }
     }
 
     /// Drains the connection's outbound queue as far as the socket allows,
     /// tracking write interest so the poller only watches writability
-    /// while a message is actually stalled.
+    /// while a message is actually stalled.  Each message moves from the
+    /// queue to the in-flight slot to the socket under the connection's
+    /// write lock, so no producer writes the socket while anything is
+    /// ahead of it; the lock is dropped between messages so a finished
+    /// buffer goes back to the pool (another lock) outside it.
     fn flush_conn(&mut self, token: usize, from_notify: bool) {
         let Some(slot) = self.slots.get_mut(token) else {
             return;
@@ -840,42 +994,45 @@ impl Shard {
             return;
         };
         let mut dead = false;
-        loop {
-            if conn.wr.is_none() {
+        let want = loop {
+            // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a try_send
+            let mut in_flight = conn.shared.in_flight.lock();
+            if in_flight.is_none() {
                 match conn.outbound.try_recv() {
-                    Ok(buf) => conn.wr = Some((buf, 0)),
-                    Err(_) => break, // Queue empty (or dispatcher gone with
-                                     // nothing queued): nothing to write.
+                    Ok(buf) => *in_flight = Some((buf, 0)),
+                    Err(_) => break false, // Queue empty (or dispatcher gone
+                                           // with nothing queued).
                 }
             }
-            let Some((buf, off)) = conn.wr.as_mut() else {
-                break;
+            let Some((buf, off)) = in_flight.as_mut() else {
+                break false;
             };
             match conn.io.write(&buf[*off..]) {
                 Ok(0) => {
                     dead = true;
-                    break;
+                    break true;
                 }
                 Ok(n) => {
                     *off += n;
                     if *off == buf.len() {
-                        conn.wr = None; // Drop recycles the pooled buffer.
                         self.stats.replies.fetch_add(1, Ordering::Relaxed);
+                        let sent = in_flight.take();
+                        drop(in_flight);
+                        drop(sent); // Recycles the pooled buffer, unlocked.
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     dead = true;
-                    break;
+                    break true;
                 }
             }
-        }
+        };
         if dead {
             self.close_conn(token, conn, None);
             return;
         }
-        let want = conn.wr.is_some();
         if want != conn.want_write {
             let interest = if want {
                 Interest::ReadWrite
@@ -1161,39 +1318,88 @@ impl Shard {
         }
     }
 
-    /// Advances the connection's read state machine until the socket
-    /// would block, the frame budget is spent, or the connection dies.
+    /// Reads the connection once per readiness event into the shard's
+    /// scratch and frames whatever arrived.  A short read means the socket
+    /// is drained — park without probing for `EAGAIN` (level-triggered
+    /// polling re-reports anything that arrives later); only a read that
+    /// filled its buffer is followed by another, frame budget permitting.
     fn drive_read(&mut self, conn: &mut ConnState) -> ReadOutcome {
         let mut budget = FRAME_BUDGET;
+        let mut scratch = std::mem::take(&mut self.read_scratch);
+        let outcome = loop {
+            if budget == 0 {
+                // Level-triggered polling re-reports unread data, so
+                // parking here just rotates to the next fd.
+                break ReadOutcome::Park;
+            }
+            // A large payload remainder goes straight into its pooled
+            // buffer; everything else lands in the scratch.
+            self.stats.read_calls.fetch_add(1, Ordering::Relaxed);
+            let (read, room, direct) = match &mut conn.phase {
+                ReadPhase::Payload { buf, have, .. } if buf.len() - *have >= DIRECT_READ_MIN => {
+                    let dst = &mut buf[*have..];
+                    (conn.io.read(dst), dst.len(), true)
+                }
+                _ => (conn.io.read(&mut scratch), scratch.len(), false),
+            };
+            let n = match read {
+                Ok(0) => break ReadOutcome::Close, // EOF.
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break ReadOutcome::Park,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break ReadOutcome::Close,
+            };
+            let data: &[u8] = match &mut conn.phase {
+                ReadPhase::Payload { have, .. } if direct => {
+                    *have += n;
+                    &[]
+                }
+                _ => &scratch[..n],
+            };
+            if let Err(outcome) = self.feed(conn, data, &mut budget) {
+                break outcome;
+            }
+            if n < room {
+                break ReadOutcome::Park;
+            }
+        };
+        self.read_scratch = scratch;
+        outcome
+    }
+
+    /// Feeds `data` through the connection's read state machine, which
+    /// resumes at any byte boundary.  All of `data` is consumed: complete
+    /// frames go to the dispatcher, a trailing fragment stays in the
+    /// connection's phase buffer.  `budget` is decremented per frame and
+    /// may be exhausted mid-buffer; the caller checks it between reads.
+    fn feed(
+        &mut self,
+        conn: &mut ConnState,
+        mut data: &[u8],
+        budget: &mut u32,
+    ) -> Result<(), ReadOutcome> {
         loop {
-            // Fill the current phase's buffer with one read call.
-            let complete = {
+            // Move what the current phase still needs out of `data`.  (A
+            // zero-length payload needs nothing and is complete at once.)
+            {
                 let (dst, have): (&mut [u8], &mut usize) = match &mut conn.phase {
                     ReadPhase::SetupHeader { buf, have } => (&mut buf[..], have),
                     ReadPhase::SetupTail { buf, have } => (&mut buf[..], have),
                     ReadPhase::Header { buf, have } => (&mut buf[..], have),
                     ReadPhase::Payload { buf, have, .. } => (&mut buf[..], have),
                 };
+                let n = (dst.len() - *have).min(data.len());
+                dst[*have..*have + n].copy_from_slice(&data[..n]);
+                *have += n;
+                data = &data[n..];
                 if *have < dst.len() {
-                    match conn.io.read(&mut dst[*have..]) {
-                        Ok(0) => return ReadOutcome::Close, // EOF.
-                        Ok(n) => {
-                            *have += n;
-                            *have == dst.len()
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return ReadOutcome::Park;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => return ReadOutcome::Close,
+                    // Out of bytes mid-phase; an untouched frame header
+                    // is a clean frame boundary, anything else a partial.
+                    if *have > 0 || !matches!(conn.phase, ReadPhase::Header { .. }) {
+                        self.stats.partial_reads.fetch_add(1, Ordering::Relaxed);
                     }
-                } else {
-                    true // Zero-length payload: complete without reading.
+                    return Ok(());
                 }
-            };
-            if !complete {
-                self.stats.partial_reads.fetch_add(1, Ordering::Relaxed);
-                continue;
             }
             // Phase complete: advance the state machine.
             let done = std::mem::replace(
@@ -1206,13 +1412,11 @@ impl Shard {
             match done {
                 ReadPhase::SetupHeader { buf, .. } => {
                     let Ok(tail_len) = ConnSetup::tail_len(&buf) else {
-                        return ReadOutcome::Close; // Garbage setup.
+                        return Err(ReadOutcome::Close); // Garbage setup.
                     };
                     if tail_len == 0 {
                         // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
-                        if let Err(out) = self.finish_setup(conn, buf.to_vec()) {
-                            return out;
-                        }
+                        self.finish_setup(conn, buf.to_vec())?;
                     } else {
                         // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
                         let mut setup = buf.to_vec();
@@ -1223,11 +1427,7 @@ impl Shard {
                         };
                     }
                 }
-                ReadPhase::SetupTail { buf, .. } => {
-                    if let Err(out) = self.finish_setup(conn, buf) {
-                        return out;
-                    }
-                }
+                ReadPhase::SetupTail { buf, .. } => self.finish_setup(conn, buf)?,
                 ReadPhase::Header { buf, .. } => match decode_frame_header(conn.order, buf) {
                     Ok((opcode, payload_len)) => {
                         conn.phase = ReadPhase::Payload {
@@ -1236,7 +1436,7 @@ impl Shard {
                             have: 0,
                         };
                     }
-                    Err(error) => return ReadOutcome::Protocol(error),
+                    Err(error) => return Err(ReadOutcome::Protocol(error)),
                 },
                 ReadPhase::Payload { opcode, buf, .. } => {
                     self.stats.frames.fetch_add(1, Ordering::Relaxed);
@@ -1253,14 +1453,9 @@ impl Shard {
                         .send(ServerEvent::Request { id: conn.id, raw })
                         .is_err()
                     {
-                        return ReadOutcome::Close; // Dispatcher gone.
+                        return Err(ReadOutcome::Close); // Dispatcher gone.
                     }
-                    budget -= 1;
-                    if budget == 0 {
-                        // Level-triggered polling re-reports unread data,
-                        // so parking here just rotates to the next fd.
-                        return ReadOutcome::Park;
-                    }
+                    *budget = budget.saturating_sub(1);
                 }
             }
         }
@@ -1299,6 +1494,8 @@ impl Shard {
         Ok(())
     }
 
+    // Takes the box so the shard's half of the connection is dropped here.
+    #[allow(clippy::boxed_local)]
     fn close_conn(
         &mut self,
         token: usize,
@@ -1430,6 +1627,7 @@ impl Reactor {
                 shared: Arc::clone(&shared),
                 stop: false,
                 wake_scratch: Vec::new(),
+                read_scratch: vec![0u8; READ_SCRATCH_BYTES],
                 broadcast: shard_broadcast,
                 bcast_scratch: Vec::new(),
             };
@@ -1532,9 +1730,23 @@ mod tests {
     use std::time::Duration;
 
     fn start(force_poll: bool) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let shared = TransportShared::new(tx);
-        let reactor = Reactor::spawn(shared, 2, force_poll).unwrap();
+        start_with(2, None, force_poll, None)
+    }
+
+    /// A reactor on loopback TCP, optionally fault-wrapped and with a
+    /// bounded event queue.
+    fn start_with(
+        shards: usize,
+        chaos: Option<af_chaos::StreamFaultPlan>,
+        force_poll: bool,
+        event_capacity: Option<usize>,
+    ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
+        let (tx, rx) = match event_capacity {
+            Some(cap) => crossbeam_channel::bounded(cap),
+            None => crossbeam_channel::unbounded(),
+        };
+        let shared = TransportShared::with_chaos(tx, chaos);
+        let reactor = Reactor::spawn(shared, shards, force_poll).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         (reactor, rx, addr)
     }
@@ -1728,6 +1940,299 @@ mod tests {
             .sum();
         assert_eq!(evictions, 1);
         reactor.shutdown();
+    }
+
+    /// The read/write chunk-limit plan `tests/chaos.rs` uses; wrapped
+    /// connections never take the direct write, so running a test under
+    /// it proves the queue-only fallback path on its own.
+    fn chunk_limit_plan() -> af_chaos::StreamFaultPlan {
+        af_chaos::StreamFaultPlan::new(0x5EED)
+            .partial_reads(3)
+            .partial_writes(5)
+    }
+
+    /// One shard, so every connection of a test shares it.  (Loopback TCP
+    /// has byte-granular socket buffers: a reader that pauses forces short
+    /// writes, which all-or-nothing Unix-socket writes never are.)
+    fn start_one_shard(
+        chaos: Option<af_chaos::StreamFaultPlan>,
+        force_poll: bool,
+        event_capacity: Option<usize>,
+    ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
+        start_with(1, chaos, force_poll, event_capacity)
+    }
+
+    fn totals(reactor: &Reactor) -> ReactorShardSnapshot {
+        let mut sum = reactor.shard_stats()[0].snapshot();
+        for s in &reactor.shard_stats()[1..] {
+            let s = s.snapshot();
+            sum.read_calls += s.read_calls;
+            sum.frames += s.frames;
+            sum.replies += s.replies;
+            sum.direct_writes += s.direct_writes;
+            sum.queued_writes += s.queued_writes;
+            sum.wakeups += s.wakeups;
+        }
+        sum
+    }
+
+    /// Message `seq` of the ordering tests: 12 bytes or 8 KB, every byte
+    /// derived from `seq` so any reordering, interleaving or loss shows.
+    fn ordered_message(seq: u32) -> Vec<u8> {
+        let len = if seq % 4 == 3 { 8192 } else { 12 };
+        let mut msg: Vec<u8> = (0..len).map(|i| (seq as usize * 31 + i) as u8).collect();
+        msg[..4].copy_from_slice(&seq.to_le_bytes());
+        msg
+    }
+
+    /// Two producer threads share one connection's `OutboundTx` and issue
+    /// `messages` mixed-size messages in a global order (fixed by a mutex
+    /// held across number-assignment and send, as the dispatcher→worker
+    /// handoff orders real producers); the reader drains in bursts so the
+    /// socket fills and writes go short.  The received stream must be the
+    /// exact concatenation in issue order.
+    fn ordered_delivery(chaos: Option<af_chaos::StreamFaultPlan>, force_poll: bool, messages: u32) {
+        let wrapped = chaos.is_some();
+        let (mut reactor, rx, addr) = start_one_shard(chaos, force_poll, None);
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        let otx = match recv(&rx) {
+            ServerEvent::NewClient { tx, .. } => tx,
+            _ => panic!("expected NewClient"),
+        };
+        let next = Arc::new(std::sync::Mutex::new(0u32));
+        let producers: Vec<_> = (0..2)
+            .map(|_| {
+                let (otx, next) = (otx.clone(), Arc::clone(&next));
+                std::thread::spawn(move || loop {
+                    let mut seq = next.lock().unwrap();
+                    if *seq == messages {
+                        return;
+                    }
+                    match otx.try_send(ordered_message(*seq).into()) {
+                        Ok(()) => *seq += 1,
+                        Err(TrySendError::Full(_)) => {
+                            // Slow reader: the same message is re-issued.
+                            drop(seq);
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Err(TrySendError::Disconnected(_)) => panic!("connection died"),
+                    }
+                })
+            })
+            .collect();
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        for seq in 0..messages {
+            let want = ordered_message(seq);
+            let mut got = vec![0u8; want.len()];
+            sock.read_exact(&mut got).unwrap();
+            assert!(got == want, "stream diverged at message {seq}");
+            if seq % 16 == 15 {
+                std::thread::sleep(Duration::from_millis(2)); // Burst boundary.
+            }
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        // The shard bumps `replies` after the write the reader just saw.
+        for _ in 0..500 {
+            if totals(&reactor).replies == u64::from(messages) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let t = totals(&reactor);
+        assert_eq!(t.replies, u64::from(messages), "every message counted once");
+        assert!(t.queued_writes > 0, "the fallback path never ran");
+        if wrapped {
+            assert_eq!(
+                t.direct_writes, 0,
+                "fault-wrapped connections never write directly"
+            );
+        } else {
+            assert!(t.direct_writes > 0, "the direct path never ran");
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn two_producers_partial_writes_keep_issue_order_on_both_backends() {
+        for force_poll in [false, true] {
+            ordered_delivery(None, force_poll, 8000);
+        }
+    }
+
+    #[test]
+    fn two_producers_keep_issue_order_on_the_chaos_fallback_path() {
+        ordered_delivery(Some(chunk_limit_plan()), false, 300);
+    }
+
+    /// The 100 request payloads of the coalescing tests, sent right after
+    /// a `setup_len`-byte setup message: header-only frames, small ones,
+    /// one 40 KB payload (larger than the scratch itself) and one 8 KB
+    /// payload placed to start inside the first scratch-full and leave at
+    /// least `DIRECT_READ_MIN` beyond it — an undivided arrival frames
+    /// its head from the scratch and reads its tail straight into the
+    /// pooled buffer.
+    fn burst_payloads(setup_len: usize) -> Vec<Vec<u8>> {
+        let mut offset = setup_len;
+        let mut straddler_placed = false;
+        let payloads: Vec<Vec<u8>> = (0..100usize)
+            .map(|i| {
+                let len = if !straddler_placed && offset >= READ_SCRATCH_BYTES - 4096 {
+                    assert!(offset < READ_SCRATCH_BYTES);
+                    assert!(offset + 4 + 8192 >= READ_SCRATCH_BYTES + DIRECT_READ_MIN);
+                    straddler_placed = true;
+                    8192
+                } else if i % 10 == 0 {
+                    0
+                } else if i == 85 {
+                    40 * 1024
+                } else {
+                    64 * (1 + i % 9)
+                };
+                offset += 4 + len;
+                (0..len).map(|b| (i * 13 + b) as u8).collect()
+            })
+            .collect();
+        assert!(straddler_placed);
+        payloads
+    }
+
+    fn push_frame(wire: &mut Vec<u8>, opcode: u8, payload: &[u8]) {
+        let words = (payload.len() / 4 + 1) as u16;
+        wire.extend_from_slice(&words.to_le_bytes());
+        wire.extend_from_slice(&[opcode, 0]);
+        wire.extend_from_slice(payload);
+    }
+
+    /// Setup message and 100 requests in one `write_all`: everything
+    /// arrives, in order.  With `poison_after`, a zero-length frame
+    /// header follows that many requests: those are delivered, then
+    /// `ProtocolError`, then `Disconnect`, and nothing after.
+    fn coalesced_burst(
+        chaos: Option<af_chaos::StreamFaultPlan>,
+        force_poll: bool,
+        poison_after: Option<usize>,
+    ) {
+        let (mut reactor, rx, addr) = start_one_shard(chaos, force_poll, None);
+        let mut wire = ConnSetup::new().encode();
+        let payloads = burst_payloads(wire.len());
+        for (i, payload) in payloads.iter().enumerate() {
+            if poison_after == Some(i) {
+                wire.extend_from_slice(&[0, 0, 33, 0]);
+            }
+            push_frame(&mut wire, 1 + i as u8, payload);
+        }
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&wire).unwrap();
+        match recv(&rx) {
+            ServerEvent::NewClient { .. } => {}
+            _ => panic!("expected NewClient"),
+        }
+        for (i, payload) in payloads
+            .iter()
+            .enumerate()
+            .take(poison_after.unwrap_or(100))
+        {
+            match recv(&rx) {
+                ServerEvent::Request { raw, .. } => {
+                    assert_eq!(raw.opcode, 1 + i as u8, "request {i}");
+                    assert!(*raw.payload == payload[..], "payload of request {i}");
+                }
+                _ => panic!("expected Request {i}"),
+            }
+        }
+        if poison_after.is_some() {
+            match recv(&rx) {
+                ServerEvent::ProtocolError { error, .. } => {
+                    assert_eq!(error, crate::transport::FrameError::ZeroLength);
+                }
+                _ => panic!("expected ProtocolError"),
+            }
+        } else {
+            assert_eq!(totals(&reactor).frames, 100);
+            drop(sock);
+        }
+        match recv(&rx) {
+            ServerEvent::Disconnect { .. } => {}
+            _ => panic!("expected Disconnect"),
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn coalesced_setup_and_hundred_requests_arrive_in_order() {
+        for force_poll in [false, true] {
+            coalesced_burst(None, force_poll, None);
+            coalesced_burst(None, force_poll, Some(50));
+        }
+        coalesced_burst(Some(chunk_limit_plan()), false, None);
+        coalesced_burst(Some(chunk_limit_plan()), false, Some(50));
+    }
+
+    #[test]
+    fn firehose_connection_cannot_starve_its_shard_sibling() {
+        // One shard, a small event queue the test drains itself, and a
+        // connection that keeps its socket full of 8-byte frames.  Once
+        // the firehose is in full flow a sibling sends one frame: it must
+        // come through within a few of the firehose's FRAME_BUDGET turns
+        // (each turn ends at the first read boundary past the budget, so
+        // at most one scratch-full of frames).
+        let (mut reactor, rx, addr) = start_one_shard(None, false, Some(16));
+        let connect = || {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            match recv(&rx) {
+                ServerEvent::NewClient { id, .. } => (sock, id),
+                _ => panic!("expected NewClient"),
+            }
+        };
+        let (mut hose, hose_id) = connect();
+        let (mut sibling, sibling_id) = connect();
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let stop = Arc::clone(&stop);
+            let mut block = Vec::new();
+            for _ in 0..8192 {
+                push_frame(&mut block, 33, &[1, 2, 3, 4]);
+            }
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) && hose.write_all(&block).is_ok() {}
+            })
+        };
+        let per_turn = (READ_SCRATCH_BYTES / 8) as u64 + u64::from(FRAME_BUDGET);
+        let mut hose_frames = 0u64;
+        let mut sent_at = None;
+        loop {
+            match recv(&rx) {
+                ServerEvent::Request { id, .. } if id == hose_id => hose_frames += 1,
+                ServerEvent::Request { id, raw } if id == sibling_id => {
+                    assert_eq!(&*raw.payload, &[9, 9, 9, 9]);
+                    break;
+                }
+                _ => panic!("unexpected event"),
+            }
+            match sent_at {
+                None if hose_frames == 20 * per_turn => {
+                    let mut frame = Vec::new();
+                    push_frame(&mut frame, 34, &[9, 9, 9, 9]);
+                    sibling.write_all(&frame).unwrap();
+                    sent_at = Some(hose_frames);
+                }
+                Some(at) => assert!(
+                    hose_frames - at <= 4 * per_turn,
+                    "sibling starved for {} firehose frames",
+                    hose_frames - at
+                ),
+                None => {}
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        drop(rx); // Unblocks the shard's backpressured send.
+        reactor.shutdown(); // Closes the firehose socket: the writer ends.
+        writer.join().unwrap();
     }
 
     use crate::broadcast::{BroadcastConfig, BroadcastStats};

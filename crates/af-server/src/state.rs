@@ -406,6 +406,41 @@ impl BlockedOp {
     }
 }
 
+/// One client's "outbound queue overflowed" flag, paired with the
+/// dispatcher-wide hint that *some* client's flag is up.
+///
+/// Producers (the dispatcher's [`ClientState::send`] and audio-worker
+/// [`crate::transport::ReplySink`]s) raise both; the dispatcher swaps the
+/// hint after every event and walks its clients only when it was set, so
+/// the common no-overflow case costs one atomic, not one per connection.
+#[derive(Clone)]
+pub struct OverflowFlag {
+    client: Arc<AtomicBool>,
+    any: Arc<AtomicBool>,
+}
+
+impl OverflowFlag {
+    /// A lowered flag reporting into the dispatcher-wide hint `any`.
+    pub fn new(any: &Arc<AtomicBool>) -> OverflowFlag {
+        OverflowFlag {
+            client: Arc::new(AtomicBool::new(false)),
+            any: Arc::clone(any),
+        }
+    }
+
+    /// Marks the client for eviction.  The client flag is stored first so
+    /// a dispatcher that sees the hint also sees the flag.
+    pub fn raise(&self) {
+        self.client.store(true, Ordering::Release);
+        self.any.store(true, Ordering::Release);
+    }
+
+    /// Whether the client has been marked for eviction.
+    pub fn is_raised(&self) -> bool {
+        self.client.load(Ordering::Acquire)
+    }
+}
+
 /// A suspended request plus its sequence number (for the eventual reply).
 pub struct Blocked {
     /// Sequence number the reply must carry.
@@ -441,7 +476,7 @@ pub struct ClientState {
     /// the client must be evicted (checked after every event).  Shared
     /// (atomically) with audio-worker reply sinks, which can also hit the
     /// bound.
-    pub overflowed: Arc<AtomicBool>,
+    pub overflowed: OverflowFlag,
     /// When the client last sent a request (for idle-connection eviction).
     pub last_activity: Instant,
     /// A sample job for this client is in flight on an audio worker;
@@ -450,8 +485,15 @@ pub struct ClientState {
 }
 
 impl ClientState {
-    /// Creates state for a newly accepted connection.
-    pub fn new(id: ClientId, order: ByteOrder, tx: OutboundTx, kick: ConnKick) -> ClientState {
+    /// Creates state for a newly accepted connection.  `overflowed` is the
+    /// client's eviction flag, reporting into its dispatcher's hint.
+    pub fn new(
+        id: ClientId,
+        order: ByteOrder,
+        tx: OutboundTx,
+        kick: ConnKick,
+        overflowed: OverflowFlag,
+    ) -> ClientState {
         ClientState {
             id,
             order,
@@ -462,7 +504,7 @@ impl ClientState {
             blocked: None,
             queue: VecDeque::new(),
             kick,
-            overflowed: Arc::new(AtomicBool::new(false)),
+            overflowed,
             last_activity: Instant::now(),
             awaiting_worker: false,
         }
@@ -473,7 +515,8 @@ impl ClientState {
         self.event_masks.get(&device).copied().unwrap_or_default()
     }
 
-    /// Queues encoded bytes for this client's writer thread.
+    /// Sends encoded bytes toward this client: straight to its socket or
+    /// onto its outbound queue (see [`OutboundTx`]).
     ///
     /// The queue is bounded
     /// ([`crate::transport::OUTBOUND_QUEUE_CAPACITY`]); a full queue means
@@ -484,9 +527,7 @@ impl ClientState {
     pub fn send<B: Into<PooledBuf>>(&self, bytes: B) {
         match self.tx.try_send(bytes.into()) {
             Ok(()) => {}
-            Err(crossbeam_channel::TrySendError::Full(_)) => {
-                self.overflowed.store(true, Ordering::Release)
-            }
+            Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
     }
@@ -498,7 +539,8 @@ impl ClientState {
             // af-analyze: allow(alloc): channel-sender clone is a refcount bump, not a heap allocation
             self.tx.clone(),
             self.order,
-            Arc::clone(&self.overflowed),
+            // af-analyze: allow(alloc): two refcount bumps, not a heap allocation
+            self.overflowed.clone(),
             Arc::clone(pool),
         )
     }
@@ -611,26 +653,42 @@ mod tests {
         assert!(ac.allows(Some(remote)));
     }
 
+    fn client(tx: crossbeam_channel::Sender<PooledBuf>, any: &Arc<AtomicBool>) -> ClientState {
+        ClientState::new(
+            1,
+            ByteOrder::Little,
+            OutboundTx::classic(tx),
+            Arc::new(|| {}),
+            OverflowFlag::new(any),
+        )
+    }
+
     #[test]
     fn client_state_defaults() {
         let (tx, _rx) = crossbeam_channel::unbounded();
-        let c = ClientState::new(1, ByteOrder::Little, OutboundTx::classic(tx), Arc::new(|| {}));
+        let c = client(tx, &Arc::new(AtomicBool::new(false)));
         assert_eq!(c.mask_for(0), EventMask::NONE);
         assert!(c.blocked.is_none());
         assert!(c.queue.is_empty());
-        assert!(!c.overflowed.load(Ordering::Acquire));
+        assert!(!c.overflowed.is_raised());
         assert!(!c.awaiting_worker);
     }
 
     #[test]
     fn bounded_send_flags_overflow_instead_of_growing() {
         let (tx, rx) = crossbeam_channel::bounded(2);
-        let c = ClientState::new(1, ByteOrder::Little, OutboundTx::classic(tx), Arc::new(|| {}));
+        let any = Arc::new(AtomicBool::new(false));
+        let c = client(tx, &any);
         c.send(vec![1]);
         c.send(vec![2]);
-        assert!(!c.overflowed.load(Ordering::Acquire));
+        assert!(!c.overflowed.is_raised());
+        assert!(!any.load(Ordering::Acquire));
         c.send(vec![3]); // Queue full: flagged, not grown.
-        assert!(c.overflowed.load(Ordering::Acquire));
+        assert!(c.overflowed.is_raised());
+        assert!(
+            any.load(Ordering::Acquire),
+            "dispatcher-wide hint raised too"
+        );
         assert_eq!(rx.len(), 2, "queue never exceeds its bound");
     }
 }

@@ -9,7 +9,10 @@
 //! drains a **bounded** outbound queue).  Either way the transport feeds
 //! the dispatcher's single event channel, preserving single-threaded
 //! semantics over all server state; [`OutboundTx`] abstracts the reply
-//! route so the dispatcher and audio workers are transport-agnostic.
+//! route so the dispatcher and audio workers are transport-agnostic.  On
+//! the reactor that route is a nonblocking `write` on the socket itself,
+//! made by whoever produced the reply, with the bounded queue behind it
+//! for bytes the socket cannot take yet.
 //!
 //! Failure model: a malformed or oversized frame header is a protocol
 //! error that disconnects only the offending client; a client that stops
@@ -20,7 +23,7 @@
 //! TCP and Unix-domain sockets are supported, matching §5.1.
 
 use crate::pool::{BufferPool, PooledBuf};
-use crate::state::{ClientId, ConnKick, RawRequest, ServerEvent};
+use crate::state::{ClientId, ConnKick, OverflowFlag, RawRequest, ServerEvent};
 use af_chaos::{ChaosStream, StreamFaultPlan};
 use af_proto::{message, ByteOrder, ConnSetup, ErrorCode, Reply, WireError, MAX_REQUEST_BYTES};
 use crossbeam_channel::Sender;
@@ -37,12 +40,16 @@ use std::sync::Arc;
 pub const OUTBOUND_QUEUE_CAPACITY: usize = 256;
 
 /// The outbound route to one connection: its bounded queue plus, for
-/// reactor-owned connections, the wakeup handle that tells the owning
-/// shard new data is queued.
+/// reactor-owned connections, the handle that writes the socket directly
+/// when it can and wakes the owning shard when it cannot.
 ///
-/// The classic transport needs no notifier — its writer thread blocks on
-/// the queue — so [`OutboundTx::classic`] carries `None`.  Producers
-/// (dispatcher and audio workers) queue first, then wake; the ordering is
+/// The classic transport needs neither — its writer thread blocks on the
+/// queue — so [`OutboundTx::classic`] carries `None`.  On a reactor
+/// connection a producer (dispatcher or audio worker) first attempts the
+/// *direct write* ([`crate::reactor::ConnNotify::deliver`]): one nonblocking
+/// `write` on the socket, allowed only when no earlier message is still
+/// queued or mid-write.  The queue is the fallback for whatever the socket
+/// would not take; producers queue first, then wake, and that ordering is
 /// what makes the reactor's clear-before-drain protocol lossless.
 #[derive(Clone)]
 pub struct OutboundTx {
@@ -56,7 +63,8 @@ impl OutboundTx {
         OutboundTx { tx, notify: None }
     }
 
-    /// A route to a reactor shard, woken through `notify` after pushes.
+    /// A route to a reactor connection: direct write, else `tx` and a
+    /// shard wakeup through `notify`.
     pub(crate) fn reactor(tx: Sender<PooledBuf>, notify: crate::reactor::ConnNotify) -> OutboundTx {
         OutboundTx {
             tx,
@@ -64,28 +72,34 @@ impl OutboundTx {
         }
     }
 
-    /// Queues a message without blocking; the caller maps `Full` onto the
+    /// Sends a message without blocking; the caller maps `Full` onto the
     /// slow-client overflow policy.
     pub fn try_send(
         &self,
         buf: PooledBuf,
     ) -> Result<(), crossbeam_channel::TrySendError<PooledBuf>> {
-        self.tx.try_send(buf)?;
-        if let Some(notify) = &self.notify {
-            notify.wake();
+        match &self.notify {
+            Some(notify) => notify.deliver(&self.tx, buf),
+            None => self.tx.try_send(buf),
         }
-        Ok(())
     }
 
-    /// Queues a message, blocking if the queue is full.  Only for paths
+    /// Sends a message, blocking if the queue is full.  Only for paths
     /// where the queue is provably near-empty (connection setup replies);
     /// steady-state producers must use [`Self::try_send`] so a slow
     /// client back-pressures into eviction rather than into the caller.
     pub fn send_blocking(&self, buf: PooledBuf) {
-        if self.tx.send(buf).is_ok() {
-            if let Some(notify) = &self.notify {
-                notify.wake();
+        match self.try_send(buf) {
+            // The blocking send runs outside the connection's write lock
+            // (the shard needs that lock to make room).
+            Err(crossbeam_channel::TrySendError::Full(buf)) => {
+                if self.tx.send(buf).is_ok() {
+                    if let Some(notify) = &self.notify {
+                        notify.queued();
+                    }
+                }
             }
+            Ok(()) | Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
     }
 }
@@ -101,7 +115,7 @@ impl OutboundTx {
 pub struct ReplySink {
     tx: OutboundTx,
     order: ByteOrder,
-    overflowed: Arc<AtomicBool>,
+    overflowed: OverflowFlag,
     pool: Arc<BufferPool>,
 }
 
@@ -110,7 +124,7 @@ impl ReplySink {
     pub fn new(
         tx: OutboundTx,
         order: ByteOrder,
-        overflowed: Arc<AtomicBool>,
+        overflowed: OverflowFlag,
         pool: Arc<BufferPool>,
     ) -> ReplySink {
         ReplySink {
@@ -147,9 +161,7 @@ impl ReplySink {
     fn push(&self, buf: PooledBuf) {
         match self.tx.try_send(buf) {
             Ok(()) => {}
-            Err(crossbeam_channel::TrySendError::Full(_)) => {
-                self.overflowed.store(true, Ordering::Release);
-            }
+            Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
     }

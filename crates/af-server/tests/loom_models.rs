@@ -22,9 +22,15 @@
 //!    the shard clears the flag *before* draining.  Invariant: no push is
 //!    ever stranded without a visible wake (no lost wakeup), and a drain
 //!    pass only runs when a wake was actually written (no double-drain).
+//! 6. direct reply write: producers write the connection's socket
+//!    themselves when nothing is ahead of their message, under the same
+//!    per-connection write lock the shard's flush takes per message, and
+//!    fall back to scenario 5's queue + wakeup otherwise.  Invariants:
+//!    bytes leave in issue order, the remainder of a short direct write
+//!    is never stranded, and `notified` still bounds redundant drains.
 //!
-//! Models must stay tiny (two threads, a handful of operations): the
-//! schedule space is explored exhaustively.
+//! Models must stay tiny (two or three threads, a handful of operations):
+//! the schedule space is explored exhaustively.
 
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use loom::sync::{Arc, Mutex};
@@ -289,6 +295,188 @@ fn shim_catches_notify_before_push_bug() {
     }))
     .is_err();
     assert!(failed, "the seeded notify-before-push bug must be detected");
+}
+
+/// One connection's shared write state as scenario 6 models it: the
+/// in-flight slot and the outbound queue sit behind the write lock, and
+/// so does the socket, which only a lock holder ever writes.
+///
+/// A message is two wire units `(id, 0)` and `(id, 1)`.  The socket takes
+/// one unit of any *direct* write (so every direct write goes short and
+/// hands its remainder to the shard) and everything the shard writes.
+#[derive(Default)]
+struct ModelConn {
+    in_flight: Option<(u8, u8)>,
+    queue: VecDeque<u8>,
+    wire: Vec<(u8, u8)>,
+    /// Message ids in the order their sends took the write lock.
+    issued: Vec<u8>,
+}
+
+/// The locked part of `ConnNotify::deliver` for one message; either way
+/// the message ends up handed to the shard, so the caller wakes it.  With
+/// `check_queue` false it is the seeded bug: a direct write that only
+/// looks at the in-flight slot.
+fn model_deliver(conn: &Mutex<ModelConn>, id: u8, check_queue: bool) {
+    let mut c = conn.lock().unwrap();
+    c.issued.push(id);
+    if c.in_flight.is_none() && (c.queue.is_empty() || !check_queue) {
+        c.wire.push((id, 0));
+        c.in_flight = Some((id, 1)); // Short write: remainder to the shard.
+    } else {
+        c.queue.push_back(id);
+    }
+}
+
+/// `ConnNotify::wake`: only the false→true edge writes the pipe.  Returns
+/// whether it did.
+fn model_wake(notified: &AtomicBool, pipe: &AtomicUsize) -> bool {
+    let first = !notified.swap(true, Ordering::SeqCst);
+    if first {
+        pipe.fetch_add(1, Ordering::SeqCst);
+    }
+    first
+}
+
+/// `Shard::flush_conn`: one message per lock hold, so between messages a
+/// producer can find the slot empty while the queue is not.
+fn model_flush(conn: &Mutex<ModelConn>) {
+    loop {
+        let mut c = conn.lock().unwrap();
+        if c.in_flight.is_none() {
+            match c.queue.pop_front() {
+                Some(id) => c.in_flight = Some((id, 0)),
+                None => return,
+            }
+        }
+        if let Some((id, from)) = c.in_flight.take() {
+            for unit in from..2 {
+                c.wire.push((id, unit));
+            }
+        }
+    }
+}
+
+/// One poll-loop round of the shard: honor a pending pipe byte with a
+/// clear-before-drain flush.  Returns whether a drain pass ran.
+fn model_shard_round(conn: &Mutex<ModelConn>, notified: &AtomicBool, pipe: &AtomicUsize) -> bool {
+    if pipe.swap(0, Ordering::SeqCst) == 0 {
+        return false;
+    }
+    notified.store(false, Ordering::SeqCst);
+    model_flush(conn);
+    true
+}
+
+/// Asserts the wire carries exactly the issued messages, whole and in
+/// issue order.
+fn assert_wire_in_issue_order(c: &ModelConn) {
+    let want: Vec<(u8, u8)> = c.issued.iter().flat_map(|&id| [(id, 0), (id, 1)]).collect();
+    assert_eq!(c.wire, want, "bytes left the connection out of issue order");
+}
+
+/// Scenario 6 — two producers and the shard over one connection's shared
+/// write state.
+///
+/// The dispatcher has already sent message 1 (a short direct write, wake
+/// written); now it sends message 3 while a worker sends message 2 and
+/// the shard runs the poll round that wake earned — so sends land before,
+/// between the messages of, and after the shard's flush.  Every schedule
+/// must deliver all six wire units in issue order; when the producers are
+/// done, anything not yet on the wire must have a wake pending (a short
+/// direct write that raced the finishing flush re-armed `notified`); and
+/// drain passes never exceed pipe writes.
+#[test]
+fn direct_write_keeps_issue_order_and_strands_nothing() {
+    use std::sync::atomic::AtomicUsize as Tally; // Bookkeeping, not a sync op.
+    loom::model(|| {
+        let conn = Arc::new(Mutex::new(ModelConn::default()));
+        let notified = Arc::new(AtomicBool::new(false));
+        let pipe = Arc::new(AtomicUsize::new(0));
+        let pipe_writes = Arc::new(Tally::new(0));
+
+        let send = |id: u8| {
+            let (conn, notified, pipe, pipe_writes) = (
+                conn.clone(),
+                notified.clone(),
+                pipe.clone(),
+                pipe_writes.clone(),
+            );
+            move || {
+                model_deliver(&conn, id, true);
+                if model_wake(&notified, &pipe) {
+                    pipe_writes.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        };
+        send(1)();
+        let dispatcher = loom::thread::spawn(send(3));
+        let worker = loom::thread::spawn(send(2));
+
+        let mut drains = 0;
+        drains += usize::from(model_shard_round(&conn, &notified, &pipe));
+        dispatcher.join().expect("dispatcher");
+        worker.join().expect("worker");
+        {
+            let c = conn.lock().unwrap();
+            let unwritten = c.in_flight.is_some() || !c.queue.is_empty();
+            assert!(
+                !unwritten || pipe.load(Ordering::SeqCst) > 0,
+                "message stranded: handed to the shard with no wake pending"
+            );
+        }
+        // An unconsumed pipe byte keeps the wake fd readable: the real
+        // shard gets these trailing rounds for free.
+        drains += usize::from(model_shard_round(&conn, &notified, &pipe));
+        drains += usize::from(model_shard_round(&conn, &notified, &pipe));
+
+        let c = conn.lock().unwrap();
+        assert_eq!(c.issued.len(), 3);
+        assert!(c.in_flight.is_none() && c.queue.is_empty(), "undrained");
+        assert_wire_in_issue_order(&c);
+        let wakes = pipe_writes.load(Ordering::SeqCst);
+        assert!(
+            drains <= wakes,
+            "double-drain: {drains} passes for {wakes} wakes"
+        );
+    });
+}
+
+/// The inverse of scenario 6 — a direct write that ignores the outbound
+/// queue.  The shard is between two messages of its flush (slot empty,
+/// message 1 still queued) when a producer sends message 2: jumping the
+/// queue must be caught as a reorder under some interleaving.
+#[test]
+fn shim_catches_direct_write_past_a_nonempty_queue() {
+    let failed = catch_unwind(AssertUnwindSafe(|| {
+        loom::model(|| {
+            let conn = Arc::new(Mutex::new(ModelConn::default()));
+            let notified = Arc::new(AtomicBool::new(true));
+            let pipe = Arc::new(AtomicUsize::new(1));
+            {
+                let mut c = conn.lock().unwrap();
+                c.issued.push(1);
+                c.queue.push_back(1);
+            }
+            let producer = {
+                let (conn, notified, pipe) = (conn.clone(), notified.clone(), pipe.clone());
+                loom::thread::spawn(move || {
+                    // BUG: only the in-flight slot is checked.
+                    model_deliver(&conn, 2, false);
+                    model_wake(&notified, &pipe);
+                })
+            };
+            model_shard_round(&conn, &notified, &pipe);
+            producer.join().expect("producer thread");
+            model_shard_round(&conn, &notified, &pipe);
+            assert_wire_in_issue_order(&conn.lock().unwrap());
+        });
+    }))
+    .is_err();
+    assert!(
+        failed,
+        "the seeded queue-jumping direct write must be detected"
+    );
 }
 
 /// The shim really explores more than one interleaving: a two-thread model

@@ -70,6 +70,20 @@ struct LevelResult {
     readiness_events: u64,
     wakeups: u64,
     partial_reads: u64,
+    /// Reactor transport cost per request, from the shard counters
+    /// (`None` on the classic transport, which has no shards).
+    syscalls: Option<SyscallsPerRequest>,
+}
+
+/// The three ratios `crates/af-server/tests/transport_budget.rs` gates,
+/// observed under load (ungated here: they move with coalescing).
+struct SyscallsPerRequest {
+    /// `read` calls on connection sockets ÷ request frames.
+    reads_per_frame: f64,
+    /// Replies written whole by their producer ÷ replies.
+    direct_write_share: f64,
+    /// Self-pipe wakeups ÷ replies.
+    wakeups_per_reply: f64,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -245,11 +259,22 @@ fn run_level(classic: bool, n: usize, duration: Duration) -> LevelResult {
     let protocol_errors = ServerStats::get(&stats.protocol_errors);
     let evictions = ServerStats::get(&stats.evicted_slow);
     let (mut readiness_events, mut wakeups, mut partial_reads) = (0u64, 0u64, 0u64);
+    let (mut read_calls, mut frames, mut direct_writes, mut shard_replies) =
+        (0u64, 0u64, 0u64, 0u64);
     for shard in stats.reactor_snapshots() {
         readiness_events += shard.readiness_events;
         wakeups += shard.wakeups;
         partial_reads += shard.partial_reads;
+        read_calls += shard.read_calls;
+        frames += shard.frames;
+        direct_writes += shard.direct_writes;
+        shard_replies += shard.replies;
     }
+    let syscalls = (frames > 0 && shard_replies > 0).then(|| SyscallsPerRequest {
+        reads_per_frame: read_calls as f64 / frames as f64,
+        direct_write_share: direct_writes as f64 / shard_replies as f64,
+        wakeups_per_reply: wakeups as f64 / shard_replies as f64,
+    });
     let sustained = protocol_errors == 0
         && evictions == 0
         && disconnects == 0
@@ -275,6 +300,7 @@ fn run_level(classic: bool, n: usize, duration: Duration) -> LevelResult {
         readiness_events,
         wakeups,
         partial_reads,
+        syscalls,
     }
 }
 
@@ -287,7 +313,7 @@ fn render_row(r: &LevelResult) -> String {
          \"protocol_errors\": {protocol_errors}, \"evictions\": {evictions}, \
          \"disconnects\": {disconnects}, \"sustained\": {sustained}, \
          \"readiness_events\": {readiness_events}, \"wakeups\": {wakeups}, \
-         \"partial_reads\": {partial_reads}}}",
+         \"partial_reads\": {partial_reads}, \"syscalls_per_request\": {syscalls}}}",
         transport = r.transport,
         connections = r.connections,
         active = r.active,
@@ -304,6 +330,14 @@ fn render_row(r: &LevelResult) -> String {
         readiness_events = r.readiness_events,
         wakeups = r.wakeups,
         partial_reads = r.partial_reads,
+        syscalls = match &r.syscalls {
+            Some(s) => format!(
+                "{{\"reads_per_frame\": {:.3}, \"direct_write_share\": {:.3}, \
+                 \"wakeups_per_reply\": {:.4}}}",
+                s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply
+            ),
+            None => "null".to_owned(),
+        },
     )
 }
 
@@ -357,7 +391,7 @@ fn main() {
         let r = run_level(classic, n, duration);
         eprintln!(
             "  {:.0}/{:.0} rps ({} replies), p50 {:.0} µs, p99 {:.0} µs, \
-             errors {}, evictions {}, disconnects {} → {}",
+             errors {}, evictions {}, disconnects {}, syscalls/request {} → {}",
             r.achieved_rps,
             r.target_rps,
             r.replies,
@@ -366,6 +400,13 @@ fn main() {
             r.protocol_errors,
             r.evictions,
             r.disconnects,
+            match &r.syscalls {
+                Some(s) => format!(
+                    "{:.2} reads/frame {:.3} direct {:.4} wakeups/reply",
+                    s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply
+                ),
+                None => "n/a".to_owned(),
+            },
             if r.sustained { "sustained" } else { "NOT SUSTAINED" },
         );
         rows.push(r);

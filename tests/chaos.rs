@@ -305,6 +305,115 @@ fn one_byte_at_a_time_handshake_and_frames_survive_both_transports() {
 }
 
 #[test]
+fn chunk_limited_server_streams_keep_a_pipelined_burst_in_order() {
+    // Server-side fault plan: every accepted connection reads ≤ 3 and
+    // writes ≤ 5 bytes per call.  On the reactor such connections never
+    // take the direct reply write — every reply goes through the outbound
+    // queue and the shard — so this is the fallback path on its own: a
+    // hundred pipelined requests, small and 4 KB replies interleaved,
+    // must come back whole, once each, in request order.
+    use audiofile::proto::message::{MessageHeader, MessageKind};
+    use audiofile::proto::request::record_flags;
+    use audiofile::proto::{AcAttributes, AcMask, Reply};
+    use audiofile::time::ATime;
+
+    let order = ByteOrder::native();
+    let clock = Arc::new(VirtualClock::new(8000));
+    let mut builder = ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .chaos(
+            StreamFaultPlan::new(0x5EED)
+                .partial_reads(3)
+                .partial_writes(5),
+        );
+    builder.add_codec(
+        clock.clone(),
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    );
+    let server = builder.spawn().unwrap();
+    let mut raw = raw_handshake(&server);
+    raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+
+    let read_reply = |raw: &mut TcpStream, seq: u16| -> Reply {
+        let mut head = [0u8; MessageHeader::SIZE];
+        raw.read_exact(&mut head).unwrap();
+        let header = MessageHeader::decode(order, &head).unwrap();
+        assert_eq!(header.kind, MessageKind::Reply, "request {seq}");
+        assert_eq!(header.sequence, seq, "replies out of request order");
+        let mut payload = vec![0u8; header.payload_len()];
+        raw.read_exact(&mut payload).unwrap();
+        Reply::decode(order, &header, &payload).unwrap()
+    };
+
+    // Requests 1–2: an audio context, and the record that primes it.
+    let mut wire = Request::CreateAc {
+        id: 1,
+        device: 0,
+        mask: AcMask::default(),
+        attrs: AcAttributes::default(),
+    }
+    .encode(order);
+    wire.extend(
+        Request::RecordSamples {
+            ac: 1,
+            start_time: ATime::new(0),
+            nbytes: 0,
+            flags: 0,
+        }
+        .encode(order),
+    );
+    raw.write_all(&wire).unwrap();
+    let Reply::Record { time: t0, .. } = read_reply(&mut raw, 2) else {
+        panic!("expected a Record reply");
+    };
+    for _ in 0..10 {
+        clock.advance(800);
+        server.handle().run_update();
+    }
+
+    // Requests 3–102 in one write: GetTime and 4000-byte records of the
+    // second just recorded, alternating.
+    let mut wire = Vec::new();
+    for i in 0..100 {
+        let req = if i % 2 == 0 {
+            Request::GetTime { device: 0 }
+        } else {
+            Request::RecordSamples {
+                ac: 1,
+                start_time: t0 + 800u32,
+                nbytes: 4000,
+                flags: record_flags::BLOCK,
+            }
+        };
+        wire.extend(req.encode(order));
+    }
+    raw.write_all(&wire).unwrap();
+    for i in 0..100u16 {
+        match read_reply(&mut raw, 3 + i) {
+            Reply::Time { .. } => assert_eq!(i % 2, 0),
+            Reply::Record { data, .. } => {
+                assert_eq!(i % 2, 1);
+                assert_eq!(data.len(), 4000);
+                assert!(data.iter().all(|&b| b == 0xFF), "recorded silence, intact");
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    let direct: u64 = server
+        .stats()
+        .reactor_snapshots()
+        .iter()
+        .map(|s| s.direct_writes)
+        .sum();
+    assert_eq!(
+        direct, 0,
+        "fault-wrapped connections must not write directly"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn flapping_connection_reconnects() {
     // Phase 1: a server dies under a connected client.
     let server = codec_server();
