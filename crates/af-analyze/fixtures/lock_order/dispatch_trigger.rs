@@ -1,0 +1,46 @@
+// Fixture: must trigger `lock-order` — `flush_conn` reports the dead
+// connection through `submit` (which takes the dispatch lock) while it
+// still holds the connection's write lock, against the handlers' order
+// (dispatch lock, then `deliver`'s write lock).  Two shards doing this to
+// each other's connections deadlock.
+
+struct DispatchShared {
+    dispatch_lock: Mutex<Dispatcher>,
+}
+
+struct ConnShared {
+    in_flight: Mutex<Option<Buf>>,
+}
+
+impl DispatchHandle {
+    fn submit(&self, ev: Event) {
+        let mut dispatcher = self.shared.dispatch_lock.lock();
+        dispatcher.handle_event(ev);
+    }
+}
+
+impl Dispatcher {
+    fn handle_event(&mut self, ev: Event) {
+        self.reply.deliver(ev.into());
+    }
+}
+
+impl ConnNotify {
+    fn deliver(&self, buf: Buf) {
+        let mut in_flight = self.shared.in_flight.lock();
+        *in_flight = Some(buf);
+    }
+}
+
+impl Shard {
+    fn flush_conn(&mut self, token: u64) {
+        let mut in_flight = self.shared.in_flight.lock();
+        if in_flight.take().is_none() {
+            self.close_conn(token);
+        }
+    }
+
+    fn close_conn(&mut self, token: u64) {
+        self.transport.dispatch.submit(token);
+    }
+}

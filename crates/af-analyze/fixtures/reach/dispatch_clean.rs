@@ -1,9 +1,31 @@
 // Fixture: registry-complete dispatcher.  The data-plane arms (the
 // `alloc` roots) are allocation-free; `process_request` and `dispatch`
 // are control-plane *barriers* and allocate freely — the lint must not
-// follow `drain_queue` through them.
+// follow `drain_queue` through them.  `submit` is the shipped way in: a
+// transport thread takes the dispatch lock (justified: it is the
+// single-thread guarantee) and runs `handle_event` itself; `handle_event`
+// is the barrier the reactor-rooted scans stop at, so the blocking send
+// and the allocations behind it are the dispatcher's business.
+
+struct DispatchShared {
+    dispatch_lock: Mutex<Dispatcher>,
+}
+
+impl DispatchHandle {
+    fn submit(&self, ev: Event) {
+        // af-analyze: allow(blocking-in-reactor): the dispatch lock is the single-thread guarantee; bounded by one request's handling
+        let mut dispatcher = self.shared.dispatch_lock.lock();
+        dispatcher.handle_event(ev);
+    }
+}
 
 impl Dispatcher {
+    fn handle_event(&mut self, ev: Event) {
+        let label = format!("event {ev:?}");
+        let _ = self.worker.send(label.clone());
+        self.process_request(0);
+    }
+
     fn h_play(&mut self, req: Request) {
         self.queue.push_back(req.id);
     }

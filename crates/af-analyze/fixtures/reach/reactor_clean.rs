@@ -2,7 +2,9 @@
 // and `alloc` root exists; the handler chain uses only non-blocking
 // primitives and caller-owned scratch — including the reply path's write
 // critical section, whose leaf lock is justified on both sides (the
-// shard's `flush_conn`, the producers' `deliver`).  The accept/registration path
+// shard's `flush_conn`, the producers' `deliver`) — and `feed` hands each
+// framed event to the dispatcher's `submit`, which handles it on this
+// thread under the dispatch lock.  The accept/registration path
 // (an `alloc` barrier) allocates its per-connection state — that is
 // setup, amortized over the connection lifetime, and must not be
 // reported.
@@ -27,7 +29,7 @@ impl Shard {
     }
 
     fn feed(&mut self, token: u64, n: usize) {
-        let _ = self.events.try_send((token, n));
+        self.transport.dispatch.submit((token, n));
     }
 
     fn flush_conn(&mut self, token: u64) {

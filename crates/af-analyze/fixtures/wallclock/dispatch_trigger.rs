@@ -6,6 +6,10 @@ use std::time::Instant;
 pub struct Dispatcher;
 
 impl Dispatcher {
+    pub fn run_inline(&mut self) {
+        self.process_request();
+    }
+
     pub fn process_request(&mut self) {
         self.dispatch();
     }

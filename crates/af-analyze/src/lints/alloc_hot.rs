@@ -86,6 +86,10 @@ const PATTERNS: &[&str] = &[
 
 /// Control-plane cuts:
 ///
+/// * `handle_event` is where a reactor shard enters the dispatcher (it
+///   runs request handlers itself, under the dispatch lock): the
+///   reactor-rooted scan stops there, and the dispatcher's own data-plane
+///   arms are covered as roots in their own right.
 /// * `drain_queue`/`retry_blocked` replay queued requests through the
 ///   full dispatcher, whose control arms (open, close, configure,
 ///   properties) legitimately allocate; the data-plane dispatch arms are
@@ -103,7 +107,7 @@ const PATTERNS: &[&str] = &[
 const BARRIERS: &[(&str, &[&str])] = &[
     (
         "crates/af-server/src/dispatch.rs",
-        &["process_request", "dispatch"],
+        &["handle_event", "process_request", "dispatch"],
     ),
     (
         "crates/af-server/src/reactor/mod.rs",

@@ -12,15 +12,27 @@
 //! follows the approximate call graph: a helper three calls away from
 //! `handle_wake` is as much inside the loop as the loop body itself.
 //! Each finding reports the call path it was reached through.  Designed
-//! blocking — e.g. the reactor's bounded event-queue send, which *is*
-//! the backpressure mechanism — is justified per site with
+//! blocking — e.g. the dispatch-lock acquisition behind `submit`, which *is*
+//! the single-thread guarantee and the backpressure mechanism — is
+//! justified per site with
 //! `// af-analyze: allow(blocking-in-reactor): reason`.
+//!
+//! A shard runs request handlers itself, under the dispatch lock, so the
+//! reactor-rooted scan stops at the dispatcher's `handle_event`: what a
+//! handler may do while holding the lock is the dispatcher's business
+//! (`lock-order`, `lock-across-send`, `alloc`).  The reverse direction is
+//! a rule of its own: a *worker* must never reach `submit`, because the
+//! dispatch lock's holder may be blocked on that worker's job queue —
+//! workers post `WorkerDone` through the task thread's channel instead.
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;
 use crate::lints::{run_reach_scan, ReachScan};
 use crate::source::SourceFile;
 use crate::Finding;
+
+const WORKER: &str = "crates/af-server/src/worker.rs";
+const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
 
 /// The event-loop roots: the reactor shard handlers and the worker
 /// hot-loop bodies.
@@ -38,7 +50,7 @@ const ROOTS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "crates/af-server/src/worker.rs",
+        WORKER,
         &[
             "handle",
             "handle_play",
@@ -75,7 +87,7 @@ const PATTERNS: &[&str] = &[
 const SCAN: ReachScan = ReachScan {
     lint: "blocking-in-reactor",
     roots: ROOTS,
-    barriers: &[],
+    barriers: &[(DISPATCH, &["handle_event"])],
     patterns: PATTERNS,
     rationale: "event loops must stay non-blocking (try_send, atomics, \
                 nonblocking I/O); a block here stalls every connection on \
@@ -84,5 +96,41 @@ const SCAN: ReachScan = ReachScan {
 
 /// Runs the lint.
 pub fn run(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<Finding> {
-    run_reach_scan(&SCAN, files, index, graph)
+    let mut findings = run_reach_scan(&SCAN, files, index, graph);
+    findings.extend(worker_reaches_dispatch_lock(files, index, graph));
+    findings
+}
+
+/// The worker roots must not reach the dispatcher's `submit` at all: the
+/// allow on its lock acquisition speaks for transport threads only.  (A
+/// stale root or a missing `submit` is already reported by the scan
+/// above and by `wallclock`'s registry.)
+fn worker_reaches_dispatch_lock(
+    files: &[SourceFile],
+    index: &Index,
+    graph: &CallGraph,
+) -> Vec<Finding> {
+    let Some(submit) = index.find(files, DISPATCH, "submit") else {
+        return Vec::new();
+    };
+    let roots: Vec<usize> = ROOTS
+        .iter()
+        .filter(|(path, _)| *path == WORKER)
+        .flat_map(|(path, fns)| fns.iter().filter_map(|name| index.find(files, path, name)))
+        .collect();
+    let reach = graph.reach(&roots);
+    let Some((caller, site)) = reach.via[submit] else {
+        return Vec::new();
+    };
+    let info = &index.fns[caller];
+    vec![Finding::at(
+        "blocking-in-reactor",
+        &files[info.file],
+        info.calls[site].line,
+        format!(
+            "worker thread waits on the dispatch lock ({}); its holder may be blocked \
+             on this worker's job queue — post through the task thread's channel",
+            reach.path_to(index, submit)
+        ),
+    )]
 }

@@ -38,8 +38,18 @@ struct Edge {
     second_site: Site,
 }
 
-/// Runs the lint.
-pub fn run(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<Finding> {
+/// The lock-order graph's edges, `(held, then acquired)`, sorted — what
+/// the cycle check runs over, exposed so a test can pin the order a
+/// design promises (dispatch lock before any connection's write lock).
+pub fn edges(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<(String, String)> {
+    collect_edges(files, index, graph).into_keys().collect()
+}
+
+fn collect_edges(
+    files: &[SourceFile],
+    index: &Index,
+    graph: &CallGraph,
+) -> BTreeMap<(String, String), Edge> {
     // Transitive acquire sets: lock name -> representative site, per fn,
     // to a fixpoint over call edges.
     let n = index.fns.len();
@@ -133,6 +143,12 @@ pub fn run(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<Findin
         }
     }
 
+    edges
+}
+
+/// Runs the lint.
+pub fn run(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<Finding> {
+    let edges = collect_edges(files, index, graph);
     // Cycle detection: for each edge a->b, is a reachable back from b?
     let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (a, b) in edges.keys() {

@@ -23,6 +23,7 @@ const HOT_PATHS: &[(&str, &[&str])] = &[
     (
         "crates/af-server/src/dispatch.rs",
         &[
+            "run_inline",
             "process_request",
             "dispatch",
             "h_play",

@@ -510,6 +510,43 @@ fn lock_order_stays_quiet_on_global_order() {
     assert_eq!(run_graph_lint(&files, lints::lock_order::run), vec![]);
 }
 
+#[test]
+fn lock_order_accepts_dispatch_lock_before_connection_write_lock() {
+    // The shipped shape: handlers run under the dispatch lock and their
+    // replies take the connection's write lock; nobody goes the other way.
+    let files = [fx(
+        SERVER,
+        include_str!("../fixtures/lock_order/dispatch_clean.rs"),
+    )];
+    assert_eq!(run_graph_lint(&files, lints::lock_order::run), vec![]);
+    let index = Index::build(&files);
+    let graph = CallGraph::build(&index, &files);
+    assert_eq!(
+        lints::lock_order::edges(&files, &index, &graph),
+        [("dispatch_lock".to_owned(), "in_flight".to_owned())]
+    );
+}
+
+#[test]
+fn lock_order_catches_dispatch_lock_taken_under_a_connection_write_lock() {
+    // `flush_conn` reports a dead connection through `submit` without
+    // releasing the write lock first: the inversion is two calls deep on
+    // both sides and must name both.
+    let files = [fx(
+        SERVER,
+        include_str!("../fixtures/lock_order/dispatch_trigger.rs"),
+    )];
+    let found = run_graph_lint(&files, lints::lock_order::run);
+    assert_eq!(found.len(), 1, "{found:?}");
+    let msg = &found[0].message;
+    assert!(
+        msg.contains("`dispatch_lock`") && msg.contains("`in_flight`"),
+        "{msg}"
+    );
+    assert!(msg.contains("in `flush_conn`"), "{msg}");
+    assert!(msg.contains("in `submit`"), "{msg}");
+}
+
 // ---- blocking-in-reactor -----------------------------------------------
 
 /// The registry-complete hot-path tree shared by the reachability lints.
@@ -547,8 +584,10 @@ fn blocking_in_reactor_triggers_through_call_graph() {
 #[test]
 fn blocking_in_reactor_stays_quiet() {
     // Through the full pipeline: the clean shard's reply path takes the
-    // connection's write lock on both sides (`flush_conn`, `deliver`),
-    // each under a justified marker, and nothing else may be reported.
+    // connection's write lock on both sides (`flush_conn`, `deliver`) and
+    // `feed` takes the dispatch lock in `submit`, each under a justified
+    // marker; the blocking `send` in the dispatcher's `handle_event` sits
+    // behind the barrier.  Nothing else may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -558,6 +597,35 @@ fn blocking_in_reactor_stays_quiet() {
         .filter(|f| f.lint == "blocking-in-reactor" || f.lint == "allow-marker")
         .collect();
     assert_eq!(found, vec![]);
+}
+
+#[test]
+fn blocking_in_reactor_catches_a_worker_waiting_on_the_dispatch_lock() {
+    // The worker's `done` calls the dispatcher's `submit`.  The `.lock()`
+    // inside `submit` carries a justified allow (for transport threads),
+    // so the pattern scan is silent — the worker rule must speak up, with
+    // the path, at the call that crosses over.
+    let mut files = reach_tree(
+        include_str!("../fixtures/reach/reactor_clean.rs"),
+        include_str!("../fixtures/reach/fec_clean.rs"),
+    );
+    files[1] = fx(WORKER, include_str!("../fixtures/reach/worker_trigger.rs"));
+    let found: Vec<_> = analyze_files(&files)
+        .into_iter()
+        .filter(|f| f.lint == "blocking-in-reactor")
+        .collect();
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].file, WORKER);
+    assert!(
+        found[0]
+            .message
+            .contains("worker thread waits on the dispatch lock"),
+        "{found:?}"
+    );
+    assert!(
+        found[0].message.contains("handle_play -> done -> submit"),
+        "{found:?}"
+    );
 }
 
 #[test]
@@ -600,7 +668,9 @@ fn alloc_barriers_cut_the_control_plane() {
     // from `decode`) builds its matrices with `Vec::new` + `format!`; the
     // reactor's `register_conn` boxes per-connection state and its
     // `start_stream` (reached from the `read_bcast` root) formats the
-    // one-shot broadcast response head.  None of it may be reported.
+    // one-shot broadcast response head; the dispatcher's `handle_event`
+    // (reached from the reactor's `feed` root through `submit`) formats
+    // and clones.  None of it may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -751,4 +821,32 @@ fn workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn workspace_orders_the_dispatch_lock_before_connection_write_locks() {
+    // DESIGN.md §9.1: handlers run under the dispatch lock and write their
+    // replies under the connection's write lock; nothing is ever held
+    // when the dispatch lock is taken.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(std::path::Path::parent)
+        .expect("workspace root");
+    let files = af_analyze::load_tree(root).expect("walk workspace");
+    let index = Index::build(&files);
+    let graph = CallGraph::build(&index, &files);
+    let mut under = Vec::new();
+    for (held, then) in lints::lock_order::edges(&files, &index, &graph) {
+        assert_ne!(
+            then, "dispatch_lock",
+            "`{held}` held when the dispatch lock is taken"
+        );
+        if held == "dispatch_lock" {
+            under.push(then);
+        }
+    }
+    // The connection write lock (replies) and the buffer pool's free list
+    // (request and reply buffers): both leaves.  A new lock under the
+    // dispatch lock is a design change — extend DESIGN.md §9.1 with it.
+    assert_eq!(under, ["idle", "in_flight"]);
 }

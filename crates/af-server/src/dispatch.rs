@@ -1,17 +1,30 @@
-//! The device-independent dispatcher: the server's main loop (§7.3.1).
+//! The device-independent dispatcher (§7.3.1), one thread deep.
 //!
-//! One thread owns all server state.  It multiplexes three input sources —
-//! framed client requests, connection lifecycle, and control messages —
-//! over a single channel (the `select()` of the original), runs due tasks
-//! (the periodic update, wake-ups for suspended clients), and calls into
-//! the device-dependent layer through [`crate::buffer::DeviceBuffers`].
+//! The paper's server is "a single logical thread of control": one loop
+//! waits in `select()`, reads a request, dispatches it and writes the
+//! reply.  Here the [`Dispatcher`] — all server state, the task queue and
+//! the request handlers — sits behind one **dispatch lock**, and whichever
+//! thread frames a transport event (a reactor shard, a classic reader)
+//! hands it to [`DispatchHandle::submit`], which takes the lock and runs
+//! the handler on that same thread.  The lock *is* the single-thread
+//! guarantee: events are handled one at a time, atomically, in
+//! per-connection arrival order (a connection lives on one thread).
+//!
+//! What still travels by channel ([`TaskMsg`]) goes to the task thread,
+//! `af-dispatcher` ([`DispatchHandle::run_task_thread`]): it sleeps until
+//! the task queue's earliest deadline or a message, then takes the lock to
+//! run due tasks (the periodic update, wake-ups for suspended clients),
+//! the audio workers' `WorkerDone` completions and control messages.
+//! Workers post through the channel and never wait on the lock — its
+//! holder may be blocked on a worker's bounded job queue.  Lock order is
+//! dispatch lock → per-connection write lock, never the reverse.
 
 use crate::pool::BufferPool;
 use crate::state::{
     AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, ConnKick, ControlMsg,
-    Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
+    Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats, TaskMsg,
 };
-use crate::task::{TaskKind, TaskQueue};
+use crate::task::{next_period, TaskKind, TaskQueue};
 use crate::worker::{AudioJob, WorkerHandle};
 use af_dsp::convert::Converter;
 use af_proto::request::{play_flags, record_flags, PropertyMode};
@@ -20,13 +33,14 @@ use af_proto::{
     Opcode, Reply, Request, SetupReply, WireError, MAX_REQUEST_BYTES,
 };
 use af_time::ATime;
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-/// All state owned by the dispatcher thread.
+/// All server state, owned by the dispatcher (behind the dispatch lock).
 pub struct ServerCore {
     /// Vendor string reported at setup.
     pub vendor: String,
@@ -114,10 +128,10 @@ impl ServerCore {
     }
 }
 
-/// The dispatcher: event loop plus request handlers.
+/// The dispatcher: server state, task queue and request handlers.  Only
+/// ever touched under the dispatch lock ([`DispatchHandle`]).
 pub struct Dispatcher {
     core: ServerCore,
-    rx: Receiver<ServerEvent>,
     tasks: TaskQueue,
     update_interval: Duration,
     /// Evict clients that send nothing for this long (checked during the
@@ -144,13 +158,154 @@ fn host_time_ms() -> u64 {
         .unwrap_or(0)
 }
 
+/// Returned by [`DispatchHandle::submit`] once the server has shut down:
+/// the caller closes its connection.
+#[derive(Debug)]
+pub struct DispatcherGone;
+
+/// The one way into the dispatcher for transport events.
+///
+/// Cloned into every transport thread.  [`DispatchHandle::submit`] runs
+/// the event's handler on the calling thread under the dispatch lock, so a
+/// request costs no thread hop, and a thread waiting for the lock is not
+/// reading its sockets (TCP backpressure to its clients).
+#[derive(Clone)]
+pub struct DispatchHandle(Route);
+
+#[derive(Clone)]
+enum Route {
+    Live(Arc<DispatchShared>),
+    /// Test double: events go to a channel the test inspects.
+    #[cfg(test)]
+    Capture {
+        events: Sender<ServerEvent>,
+    },
+}
+
+struct DispatchShared {
+    /// The dispatch lock.  Held per event, never across two; acquired
+    /// before any per-connection write lock, never while holding one.
+    dispatch_lock: Mutex<Dispatcher>,
+    /// Wakes the task thread when a handler moved its deadline earlier.
+    task_tx: Sender<TaskMsg>,
+}
+
+impl DispatchHandle {
+    /// Puts `dispatcher` behind the dispatch lock.  `task_tx` feeds the
+    /// channel the dispatcher's task thread receives from.
+    pub fn new(dispatcher: Dispatcher, task_tx: Sender<TaskMsg>) -> DispatchHandle {
+        DispatchHandle(Route::Live(Arc::new(DispatchShared {
+            dispatch_lock: Mutex::new(dispatcher),
+            task_tx,
+        })))
+    }
+
+    /// A handle whose events land on `events` instead of a dispatcher.
+    #[cfg(test)]
+    pub(crate) fn capture(events: Sender<ServerEvent>) -> DispatchHandle {
+        DispatchHandle(Route::Capture { events })
+    }
+
+    /// Handles `ev` on the calling thread, under the dispatch lock.
+    pub fn submit(&self, ev: ServerEvent) -> Result<(), DispatcherGone> {
+        match &self.0 {
+            Route::Live(shared) => shared.run_inline(ev),
+            #[cfg(test)]
+            Route::Capture { events } => events.send(ev).map_err(|_| DispatcherGone),
+        }
+    }
+
+    /// The task thread (`af-dispatcher`): sleeps until the earliest task
+    /// deadline or a channel message, then takes the dispatch lock to run
+    /// what is due.  Returns after `ControlMsg::Shutdown`, having drained
+    /// and joined the audio workers.
+    pub fn run_task_thread(&self, rx: Receiver<TaskMsg>) {
+        match &self.0 {
+            Route::Live(shared) => shared.task_loop(rx),
+            #[cfg(test)]
+            Route::Capture { .. } => {}
+        }
+    }
+}
+
+impl DispatchShared {
+    fn run_inline(&self, ev: ServerEvent) -> Result<(), DispatcherGone> {
+        let earlier = {
+            // af-analyze: allow(blocking-in-reactor): the dispatch lock is the single-thread guarantee; its holder runs one event's handler, so the wait is bounded by one request
+            let mut dispatcher = self.dispatch_lock.lock();
+            if dispatcher.shutdown {
+                return Err(DispatcherGone);
+            }
+            // Never `None`: the periodic update is always in the queue.
+            let armed = dispatcher.tasks.next_deadline();
+            dispatcher.handle_event(ev);
+            ServerStats::bump(&dispatcher.core.stats.inline_events);
+            dispatcher.tasks.next_deadline() < armed
+        };
+        if earlier {
+            // The task thread may already be asleep until the old
+            // deadline.  The new one is published (scheduled under the
+            // lock) before this nudge; a full channel already guarantees
+            // the task thread another pass, so the nudge may be dropped.
+            let _ = self.task_tx.try_send(TaskMsg::Control(ControlMsg::Rearm));
+        }
+        Ok(())
+    }
+
+    fn task_loop(&self, rx: Receiver<TaskMsg>) {
+        let mut woken_by = Err(RecvTimeoutError::Timeout);
+        let workers = loop {
+            // One lock hold per wake-up: the message, whatever is due, and
+            // the timeout to sleep on next.
+            let timeout = {
+                let mut dispatcher = self.dispatch_lock.lock();
+                match woken_by {
+                    Ok(msg) => {
+                        ServerStats::bump(&dispatcher.core.stats.channel_events);
+                        dispatcher.handle_task_msg(msg);
+                    }
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => dispatcher.shutdown = true,
+                }
+                dispatcher.run_due_tasks(Instant::now());
+                if dispatcher.shutdown {
+                    // Later `submit`s report `DispatcherGone`.  Drop the
+                    // clients (their outbound routes close) and take the
+                    // workers out: they drain with the lock released.
+                    dispatcher.core.clients.clear();
+                    break std::mem::take(&mut dispatcher.workers);
+                }
+                dispatcher
+                    .tasks
+                    .next_deadline()
+                    .map(|d| d.saturating_duration_since(Instant::now()))
+                    .unwrap_or(Duration::from_secs(1))
+            };
+            // Asleep, unlocked.  A handler that schedules an earlier
+            // deadline from here on sends `Rearm`, which ends this wait.
+            woken_by = rx.recv_timeout(timeout);
+        };
+        // A worker blocked posting `WorkerDone` must not outlive its
+        // consumer.
+        drop(rx);
+        for w in &workers {
+            let _ = w.tx.send(AudioJob::Shutdown);
+        }
+        for w in workers {
+            let _ = w.join.join();
+        }
+    }
+}
+
 impl Dispatcher {
-    /// Creates a dispatcher over `core`, fed by `rx`.
-    pub fn new(core: ServerCore, rx: Receiver<ServerEvent>, update_interval: Duration) -> Self {
+    /// Creates a dispatcher over `core`, its first periodic update one
+    /// `update_interval` away.
+    pub fn new(core: ServerCore, update_interval: Duration) -> Self {
+        let mut tasks = TaskQueue::new();
+        tasks.schedule(Instant::now() + update_interval, TaskKind::Update);
         Dispatcher {
             core,
-            rx,
-            tasks: TaskQueue::new(),
+            tasks,
             update_interval,
             idle_timeout: None,
             shutdown: false,
@@ -172,42 +327,23 @@ impl Dispatcher {
         self
     }
 
-    /// Runs until shutdown (the `WaitForSomething` loop).
-    pub fn run(mut self) {
-        self.tasks
-            .schedule(Instant::now() + self.update_interval, TaskKind::Update);
-        while !self.shutdown {
-            let timeout = self
-                .tasks
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_secs(1));
-            match self.rx.recv_timeout(timeout) {
-                Ok(ev) => self.handle_event(ev),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            let now = Instant::now();
-            for kind in self.tasks.pop_due(now) {
-                match kind {
-                    TaskKind::Update => {
-                        self.run_update();
-                        self.tasks
-                            .schedule(now + self.update_interval, TaskKind::Update);
-                    }
-                    TaskKind::WakeBlocked(device) => self.retry_blocked_device(device),
+    /// Runs every task due at `now`.  The periodic update re-arms from the
+    /// deadline it was due at, so neither a late wake-up nor a wait for
+    /// the dispatch lock stretches the cadence.
+    fn run_due_tasks(&mut self, now: Instant) {
+        for (deadline, kind) in self.tasks.pop_due(now) {
+            match kind {
+                TaskKind::Update => {
+                    self.run_update();
+                    let next = next_period(deadline, self.update_interval, now);
+                    self.tasks.schedule(next, TaskKind::Update);
                 }
+                TaskKind::WakeBlocked(device) => self.retry_blocked_device(device),
             }
-        }
-        // Drain the data plane: each worker exits after its queued jobs.
-        for w in &self.workers {
-            let _ = w.tx.send(AudioJob::Shutdown);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join.join();
         }
     }
 
+    /// One transport event, on the thread that framed it.
     fn handle_event(&mut self, ev: ServerEvent) {
         match ev {
             ServerEvent::NewClient {
@@ -236,26 +372,33 @@ impl Dispatcher {
                 self.evict(id);
             }
             ServerEvent::Disconnect { id } => self.remove_client(id),
-            ServerEvent::WorkerDone { id } => {
+        }
+        // Any event may have queued outbound data; evict clients whose
+        // bounded queue overflowed rather than buffering without limit.
+        self.evict_overflowed();
+    }
+
+    /// One message from the task thread's channel.
+    fn handle_task_msg(&mut self, msg: TaskMsg) {
+        match msg {
+            TaskMsg::WorkerDone { id } => {
                 if let Some(c) = self.core.clients.get_mut(&id) {
                     c.awaiting_worker = false;
                 }
                 self.drain_queue(id);
             }
-            ServerEvent::Control(msg) => match msg {
-                ControlMsg::RunUpdate { ack } => {
-                    self.run_update();
-                    self.run_worker_updates();
-                    let _ = ack.send(());
-                }
-                ControlMsg::Barrier { ack } => {
-                    let _ = ack.send(());
-                }
-                ControlMsg::Shutdown => self.shutdown = true,
-            },
+            TaskMsg::Control(ControlMsg::RunUpdate { ack }) => {
+                self.run_update();
+                self.run_worker_updates();
+                let _ = ack.send(());
+            }
+            TaskMsg::Control(ControlMsg::Barrier { ack }) => {
+                let _ = ack.send(());
+            }
+            TaskMsg::Control(ControlMsg::Shutdown) => self.shutdown = true,
+            // Nothing to do: the caller recomputes its deadline next.
+            TaskMsg::Control(ControlMsg::Rearm) => {}
         }
-        // Any event may have queued outbound data; evict clients whose
-        // bounded queue overflowed rather than buffering without limit.
         self.evict_overflowed();
     }
 
@@ -272,11 +415,13 @@ impl Dispatcher {
             Err(_) => return, // Garbage setup: drop the connection.
         };
         let order = setup.byte_order;
+        // Whichever reply goes out is the first message on a fresh
+        // connection: its outbound queue cannot be full.
         if !self.core.access.allows(peer) {
             let reply = SetupReply::Failed {
                 reason: "host not authorized".to_string(),
             };
-            tx.send_blocking(reply.encode(order).into());
+            let _ = tx.try_send_buf(reply.encode(order).into());
             return;
         }
         if setup.major != af_proto::PROTOCOL_MAJOR {
@@ -289,7 +434,7 @@ impl Dispatcher {
                     af_proto::PROTOCOL_MINOR
                 ),
             };
-            tx.send_blocking(reply.encode(order).into());
+            let _ = tx.try_send_buf(reply.encode(order).into());
             return;
         }
         let reply = SetupReply::Success {
@@ -298,7 +443,7 @@ impl Dispatcher {
             vendor: self.core.vendor.clone(),
             devices: self.core.devices.iter().map(|d| d.desc).collect(),
         };
-        tx.send_blocking(reply.encode(order).into());
+        let _ = tx.try_send_buf(reply.encode(order).into());
         let overflowed = OverflowFlag::new(&self.any_overflowed);
         self.core
             .clients
@@ -520,7 +665,7 @@ impl Dispatcher {
         let kind = event.detail.kind();
         for client in self.core.clients.values() {
             if client.mask_for(device).selects(kind) {
-                client.send(event.encode(client.order, client.seq));
+                client.send_bytes(event.encode(client.order, client.seq));
             }
         }
     }
@@ -1824,7 +1969,7 @@ impl Dispatcher {
             // writer thread's drop recycles the storage.
             let mut buf = self.core.pool.take_empty();
             reply.encode_into(order, seq, buf.vec_mut());
-            c.send(buf);
+            c.send_bytes(buf);
         }
     }
 
@@ -1838,7 +1983,7 @@ impl Dispatcher {
         opcode: u8,
     ) {
         if let Some(c) = self.core.clients.get(&id) {
-            c.send(message::encode_error(
+            c.send_bytes(message::encode_error(
                 order,
                 &WireError {
                     code,
@@ -1868,8 +2013,7 @@ mod tests {
             stats: Arc::new(ServerStats::default()),
             pool: BufferPool::shared(),
         };
-        let (_events_tx, events_rx) = crossbeam_channel::unbounded();
-        let mut dispatcher = Dispatcher::new(core, events_rx, Duration::from_secs(3600));
+        let mut dispatcher = Dispatcher::new(core, Duration::from_secs(3600));
 
         // One admitted client whose outbound queue holds a single message
         // and is never drained: the setup reply fills it.
@@ -1900,7 +2044,7 @@ mod tests {
         // Any later event — here one that has nothing to do with the
         // client — runs the scan, which the hint now lets through.
         let (ack, _acked) = crossbeam_channel::bounded(1);
-        dispatcher.handle_event(ServerEvent::Control(ControlMsg::Barrier { ack }));
+        dispatcher.handle_task_msg(TaskMsg::Control(ControlMsg::Barrier { ack }));
         assert!(dispatcher.core.clients.is_empty(), "flagged client evicted");
         assert_eq!(kicks.load(Ordering::SeqCst), 1, "its socket was kicked");
         assert_eq!(ServerStats::get(&dispatcher.core.stats.evicted_slow), 1);

@@ -12,13 +12,17 @@
 //! machine (setup header → setup tail → frame header → payload, resumable
 //! at any byte boundary) is fed from **one `read` per readiness event**
 //! into a per-shard scratch buffer, and the bounded outbound queue is
-//! drained on write readiness.  Framed requests feed the existing
-//! dispatcher event channel, so single-threaded control semantics,
-//! slow-client overflow/eviction, idle timeout, and chaos fault injection
-//! are preserved unchanged from the classic transport.
+//! drained on write readiness.  The shard hands each framed event to the
+//! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
+//! its handler itself, under the dispatch lock — so a `GetTime` is
+//! `epoll_wait`, `read`, `write` on one thread — while single-threaded
+//! control semantics, slow-client overflow/eviction, idle timeout, and
+//! chaos fault injection are preserved unchanged from the classic
+//! transport.
 //!
 //! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): whoever
-//! produces a reply — the dispatcher or an audio worker — first tries one
+//! produces a reply — a request handler (on this shard or another
+//! transport thread), the task thread or an audio worker — first tries one
 //! nonblocking `write` on the connection's socket itself.  That *direct
 //! write* is allowed only when nothing is ahead of the message (no message
 //! mid-write, empty outbound queue); the test, the write and any enqueue
@@ -36,8 +40,10 @@
 //! drains) bounded at one per drain cycle.  In the steady state the socket
 //! takes every reply whole and the shard is never woken for output.
 //!
-//! Backpressure parity: a shard blocks on the bounded dispatcher channel
-//! exactly where a classic reader thread would, which stops reading that
+//! Backpressure: the lock is taken per framed event, never per readiness
+//! batch, so `FRAME_BUDGET` fairness holds and the update task waits
+//! behind at most one request.  A shard waits for the dispatch lock
+//! exactly where a classic reader thread does, which stops reading that
 //! shard's sockets — TCP backpressure to the clients.  Fault injection
 //! note: `ChaosStream` delays sleep on the shard thread, stalling that
 //! shard's connections collectively; chaos plans are a test-only feature
@@ -383,7 +389,7 @@ impl ConnNotify {
     }
 
     /// Accounts one message handed to the shard and wakes it.
-    pub(crate) fn queued(&self) {
+    fn queued(&self) {
         self.0.stats.queued_writes.fetch_add(1, Ordering::Relaxed);
         self.wake();
     }
@@ -1444,13 +1450,11 @@ impl Shard {
                         opcode,
                         payload: buf,
                     };
-                    // Blocking send: backpressure parity with the classic
-                    // reader thread (stalls this shard's socket reads).
+                    // Handled here and now, under the dispatch lock.
                     if self
                         .transport
-                        .events
-                        // af-analyze: allow(blocking-in-reactor): designed backpressure; a full dispatcher queue must stall this shard's reads
-                        .send(ServerEvent::Request { id: conn.id, raw })
+                        .dispatch
+                        .submit(ServerEvent::Request { id: conn.id, raw })
                         .is_err()
                     {
                         return Err(ReadOutcome::Close); // Dispatcher gone.
@@ -1474,9 +1478,8 @@ impl Shard {
         conn.order = order;
         if self
             .transport
-            .events
-            // af-analyze: allow(blocking-in-reactor): admission backpressure; setup completes only when the dispatcher accepts the client
-            .send(ServerEvent::NewClient {
+            .dispatch
+            .submit(ServerEvent::NewClient {
                 id: conn.id,
                 setup,
                 peer: conn.peer,
@@ -1506,17 +1509,15 @@ impl Shard {
         if let Some(error) = protocol {
             let _ = self
                 .transport
-                .events
-                // af-analyze: allow(blocking-in-reactor): teardown event; queue is bounded and the dispatcher drains it
-                .send(ServerEvent::ProtocolError { id: conn.id, error });
+                .dispatch
+                .submit(ServerEvent::ProtocolError { id: conn.id, error });
         }
         // Always sent, even pre-setup — matching the classic reader
         // thread; the dispatcher ignores ids it never admitted.
         let _ = self
             .transport
-            .events
-            // af-analyze: allow(blocking-in-reactor): teardown event; queue is bounded and the dispatcher drains it
-            .send(ServerEvent::Disconnect { id: conn.id });
+            .dispatch
+            .submit(ServerEvent::Disconnect { id: conn.id });
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         self.stats.fd_count.fetch_sub(1, Ordering::Relaxed);
         self.deferred_free.push(token);
@@ -1530,8 +1531,8 @@ impl Shard {
                     let _ = self.poller.deregister(conn.fd);
                     let _ = self
                         .transport
-                        .events
-                        .send(ServerEvent::Disconnect { id: conn.id });
+                        .dispatch
+                        .submit(ServerEvent::Disconnect { id: conn.id });
                 }
                 Some(Slot::Bcast(conn)) => {
                     let _ = self.poller.deregister(conn.fd);
@@ -1552,7 +1553,7 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Spawns `shards` reactor threads feeding `transport.events`.
+    /// Spawns `shards` reactor threads submitting to `transport.dispatch`.
     ///
     /// `force_poll` selects the `poll(2)` backend (otherwise epoll with
     /// automatic fallback).  Fails on targets without a syscall backend —
@@ -1726,6 +1727,7 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::DispatchHandle;
     use af_time::ATime;
     use std::time::Duration;
 
@@ -1745,7 +1747,11 @@ mod tests {
             Some(cap) => crossbeam_channel::bounded(cap),
             None => crossbeam_channel::unbounded(),
         };
-        let shared = TransportShared::with_chaos(tx, chaos);
+        let shared = TransportShared::with_pool(
+            DispatchHandle::capture(tx),
+            chaos,
+            crate::pool::BufferPool::shared(),
+        );
         let reactor = Reactor::spawn(shared, shards, force_poll).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         (reactor, rx, addr)
@@ -1796,7 +1802,7 @@ mod tests {
             // check they arrive — this exercises the wakeup protocol and
             // the write-readiness drain end to end.
             let payload = vec![0xA5u8; 600];
-            assert!(otx.try_send(payload.clone().into()).is_ok());
+            assert!(otx.try_send_buf(payload.clone().into()).is_ok());
             let mut got = vec![0u8; payload.len()];
             sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             sock.read_exact(&mut got).unwrap();
@@ -1886,7 +1892,7 @@ mod tests {
     #[test]
     fn unix_socket_connects_and_disconnects() {
         let (tx, rx) = crossbeam_channel::unbounded();
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let mut reactor = Reactor::spawn(shared, 1, false).unwrap();
         let dir = std::env::temp_dir().join(format!("af-reactor-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
@@ -1922,7 +1928,7 @@ mod tests {
         };
         let mut overflowed = false;
         for _ in 0..(OUTBOUND_QUEUE_CAPACITY * 4) {
-            if otx.try_send(vec![0u8; 64 * 1024].into()).is_err() {
+            if otx.try_send_buf(vec![0u8; 64 * 1024].into()).is_err() {
                 overflowed = true;
                 break;
             }
@@ -2009,7 +2015,7 @@ mod tests {
                     if *seq == messages {
                         return;
                     }
-                    match otx.try_send(ordered_message(*seq).into()) {
+                    match otx.try_send_buf(ordered_message(*seq).into()) {
                         Ok(()) => *seq += 1,
                         Err(TrySendError::Full(_)) => {
                             // Slow reader: the same message is re-issued.
@@ -2243,7 +2249,7 @@ mod tests {
     ) -> (Reactor, Arc<BroadcastBus>, SocketAddr) {
         let (tx, rx) = crossbeam_channel::unbounded();
         std::mem::forget(rx); // No dispatcher: keep the channel open.
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let bus = BroadcastBus::new(cfg, frame_bytes, BroadcastStats::new("test"));
         let reactor =
             Reactor::spawn_with_broadcast(shared, 2, false, Some(Arc::clone(&bus))).unwrap();

@@ -37,6 +37,12 @@ pub struct ServerStats {
     pub protocol_errors: AtomicU64,
     /// Connections that ended for any reason.
     pub disconnects: AtomicU64,
+    /// Transport events handled by the thread that framed them, under the
+    /// dispatch lock (no thread hop).
+    pub inline_events: AtomicU64,
+    /// Messages the task thread took from its channel (`WorkerDone`,
+    /// control, re-arm nudges): each one is a thread hop.
+    pub channel_events: AtomicU64,
     /// Per-worker data-plane counters (sharded servers only).
     pub workers: Mutex<Vec<Arc<crate::worker::WorkerStats>>>,
     /// Per-LineServer-link health counters (WAN deployments): jitter
@@ -409,7 +415,7 @@ impl BlockedOp {
 /// One client's "outbound queue overflowed" flag, paired with the
 /// dispatcher-wide hint that *some* client's flag is up.
 ///
-/// Producers (the dispatcher's [`ClientState::send`] and audio-worker
+/// Producers (the dispatcher's [`ClientState::send_bytes`] and audio-worker
 /// [`crate::transport::ReplySink`]s) raise both; the dispatcher swaps the
 /// hint after every event and walks its clients only when it was set, so
 /// the common no-overflow case costs one atomic, not one per connection.
@@ -524,8 +530,8 @@ impl ClientState {
     /// instead of buffering without limit (the seed behavior) the client
     /// is flagged for eviction.  A vanished writer is ignored — the
     /// reader's disconnect event is already in flight.
-    pub fn send<B: Into<PooledBuf>>(&self, bytes: B) {
-        match self.tx.try_send(bytes.into()) {
+    pub fn send_bytes<B: Into<PooledBuf>>(&self, bytes: B) {
+        match self.tx.try_send_buf(bytes.into()) {
             Ok(()) => {}
             Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
@@ -546,7 +552,9 @@ impl ClientState {
     }
 }
 
-/// Messages that flow into the dispatcher (the server's `select()` sources).
+/// What a transport frames and hands to the dispatcher through
+/// [`crate::dispatch::DispatchHandle::submit`] — handled by the framing
+/// thread itself, under the dispatch lock.  Never sent through a channel.
 pub enum ServerEvent {
     /// A transport accepted a connection and read its setup message.
     NewClient {
@@ -581,6 +589,12 @@ pub enum ServerEvent {
         /// The connection that went away.
         id: ClientId,
     },
+}
+
+/// What still reaches the dispatcher by channel, taken by the task thread
+/// (`af-dispatcher`).  Its senders must never wait on the dispatch lock:
+/// the lock holder may be blocked on an audio worker's bounded job queue.
+pub enum TaskMsg {
     /// An audio worker finished (or failed) the client's in-flight sample
     /// job; the dispatcher may release the client's queued requests.
     WorkerDone {
@@ -591,7 +605,7 @@ pub enum ServerEvent {
     Control(ControlMsg),
 }
 
-/// Control operations, used by tests, handles and shutdown.
+/// Control operations, used by tests, handles, shutdown and the timer.
 pub enum ControlMsg {
     /// Run the update task immediately and acknowledge.
     RunUpdate {
@@ -605,6 +619,11 @@ pub enum ControlMsg {
     },
     /// Stop the server.
     Shutdown,
+    /// A handler scheduled a task earlier than the task thread's current
+    /// sleep: wake up and recompute the deadline.  Carries nothing — the
+    /// deadline was published under the dispatch lock before this was
+    /// sent.
+    Rearm,
 }
 
 /// Validates that a request opcode byte decodes, for error reporting.
@@ -679,11 +698,11 @@ mod tests {
         let (tx, rx) = crossbeam_channel::bounded(2);
         let any = Arc::new(AtomicBool::new(false));
         let c = client(tx, &any);
-        c.send(vec![1]);
-        c.send(vec![2]);
+        c.send_bytes(vec![1]);
+        c.send_bytes(vec![2]);
         assert!(!c.overflowed.is_raised());
         assert!(!any.load(Ordering::Acquire));
-        c.send(vec![3]); // Queue full: flagged, not grown.
+        c.send_bytes(vec![3]); // Queue full: flagged, not grown.
         assert!(c.overflowed.is_raised());
         assert!(
             any.load(Ordering::Acquire),

@@ -2,13 +2,17 @@
 //!
 //! "Instead of using threads, we implemented a simple task mechanism which
 //! allows procedures to be scheduled for execution at future times, outside
-//! the main flow of control."  The dispatcher's main loop sleeps until the
-//! earliest due task (its `select()` timeout) and then runs everything due:
-//! the periodic update, and wake-ups for suspended clients.
+//! the main flow of control."  The queue lives inside the dispatcher, behind
+//! the dispatch lock.  Request handlers — on whichever transport thread
+//! framed the request — schedule into it; the task thread (`af-dispatcher`)
+//! sleeps until the earliest deadline (the `select()` timeout of the
+//! original), then takes the lock and runs everything due: the periodic
+//! update, and wake-ups for suspended clients.  A handler that schedules
+//! ahead of that sleep nudges the task thread (`ControlMsg::Rearm`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What a due task does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,15 +50,17 @@ impl TaskQueue {
         self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
-    /// Pops every task due at or before `now`.
-    pub fn pop_due(&mut self, now: Instant) -> Vec<TaskKind> {
+    /// Pops every task due at or before `now`, each with the deadline it
+    /// was scheduled for (a periodic task re-arms from that, not from
+    /// `now`, so a late pop does not stretch the period).
+    pub fn pop_due(&mut self, now: Instant) -> Vec<(Instant, TaskKind)> {
         let mut due = Vec::new();
         while let Some(Reverse((at, _, _))) = self.heap.peek() {
             if *at > now {
                 break;
             }
-            if let Some(Reverse((_, _, kind))) = self.heap.pop() {
-                due.push(kind);
+            if let Some(Reverse((at, _, kind))) = self.heap.pop() {
+                due.push((at, kind));
             }
         }
         due
@@ -71,10 +77,23 @@ impl TaskQueue {
     }
 }
 
+/// When a periodic task that was due at `deadline` fires next: one
+/// `interval` after that deadline, or — if the pop came so late that this
+/// is already past — the first later multiple still ahead of `now`, so a
+/// stall is followed by one run, not a burst of catch-up runs.
+pub fn next_period(deadline: Instant, interval: Duration, now: Instant) -> Instant {
+    let next = deadline + interval;
+    if next > now {
+        return next;
+    }
+    let behind = now.duration_since(deadline).as_nanos();
+    let periods = behind / interval.as_nanos().max(1) + 1;
+    deadline + interval * u32::try_from(periods).unwrap_or(u32::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -89,10 +108,16 @@ mod tests {
         assert_eq!(q.len(), 2);
 
         let due = q.pop_due(t0 + Duration::from_millis(15));
-        assert_eq!(due, vec![TaskKind::Update]);
+        assert_eq!(
+            due,
+            vec![(t0 + Duration::from_millis(10), TaskKind::Update)]
+        );
 
         let due = q.pop_due(t0 + Duration::from_millis(25));
-        assert_eq!(due, vec![TaskKind::WakeBlocked(0)]);
+        assert_eq!(
+            due,
+            vec![(t0 + Duration::from_millis(20), TaskKind::WakeBlocked(0))]
+        );
         assert!(q.is_empty());
         assert_eq!(q.next_deadline(), None);
     }
@@ -104,7 +129,10 @@ mod tests {
         q.schedule(t, TaskKind::WakeBlocked(3));
         q.schedule(t, TaskKind::Update);
         let due = q.pop_due(t);
-        assert_eq!(due, vec![TaskKind::WakeBlocked(3), TaskKind::Update]);
+        assert_eq!(
+            due,
+            vec![(t, TaskKind::WakeBlocked(3)), (t, TaskKind::Update)]
+        );
     }
 
     #[test]
@@ -114,6 +142,45 @@ mod tests {
         q.schedule(t, TaskKind::WakeBlocked(1));
         q.schedule(t, TaskKind::WakeBlocked(2));
         let due = q.pop_due(t);
-        assert_eq!(due, vec![TaskKind::WakeBlocked(1), TaskKind::WakeBlocked(2)]);
+        assert_eq!(
+            due,
+            vec![(t, TaskKind::WakeBlocked(1)), (t, TaskKind::WakeBlocked(2))]
+        );
+    }
+
+    #[test]
+    fn late_pops_do_not_stretch_the_period() {
+        // 1,000 periods, each popped 30 % of an interval late: re-arming
+        // from the popped deadline keeps the cadence; re-arming from the
+        // pop time (the old behaviour) would end 300 intervals late.
+        let interval = Duration::from_millis(100);
+        let start = Instant::now();
+        let mut q = TaskQueue::new();
+        q.schedule(start + interval, TaskKind::Update);
+        let mut last = start;
+        for _ in 0..1000 {
+            let now = q.next_deadline().unwrap() + interval * 3 / 10;
+            let due = q.pop_due(now);
+            assert_eq!(due.len(), 1);
+            last = due[0].0;
+            q.schedule(next_period(last, interval, now), TaskKind::Update);
+        }
+        assert_eq!(last, start + interval * 1000);
+    }
+
+    #[test]
+    fn a_stall_skips_to_the_next_future_period_without_a_burst() {
+        let interval = Duration::from_millis(100);
+        let t0 = Instant::now();
+        // Popped 3.5 intervals late: the next firing is the 4th multiple,
+        // still on the original grid, and strictly in the future.
+        let now = t0 + interval * 7 / 2;
+        assert_eq!(next_period(t0, interval, now), t0 + interval * 4);
+        // Exactly on a grid point counts as past.
+        assert_eq!(
+            next_period(t0, interval, t0 + interval * 2),
+            t0 + interval * 3
+        );
+        assert_eq!(next_period(t0, interval, t0), t0 + interval);
     }
 }

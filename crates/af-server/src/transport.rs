@@ -6,13 +6,14 @@
 //! readiness-driven shards, and the **classic** transport here gives each
 //! accepted connection a reader thread (which performs the framing:
 //! 4-byte header, length-derived payload) and a writer thread (which
-//! drains a **bounded** outbound queue).  Either way the transport feeds
-//! the dispatcher's single event channel, preserving single-threaded
-//! semantics over all server state; [`OutboundTx`] abstracts the reply
-//! route so the dispatcher and audio workers are transport-agnostic.  On
-//! the reactor that route is a nonblocking `write` on the socket itself,
-//! made by whoever produced the reply, with the bounded queue behind it
-//! for bytes the socket cannot take yet.
+//! drains a **bounded** outbound queue).  Either way the thread that
+//! frames an event hands it to the one [`DispatchHandle`] and runs its
+//! handler there and then, under the dispatch lock — single-threaded
+//! semantics over all server state with no thread hop; [`OutboundTx`]
+//! abstracts the reply route so the dispatcher and audio workers are
+//! transport-agnostic.  On the reactor that route is a nonblocking
+//! `write` on the socket itself, made by whoever produced the reply, with
+//! the bounded queue behind it for bytes the socket cannot take yet.
 //!
 //! Failure model: a malformed or oversized frame header is a protocol
 //! error that disconnects only the offending client; a client that stops
@@ -22,6 +23,7 @@
 //!
 //! TCP and Unix-domain sockets are supported, matching §5.1.
 
+use crate::dispatch::DispatchHandle;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::state::{ClientId, ConnKick, OverflowFlag, RawRequest, ServerEvent};
 use af_chaos::{ChaosStream, StreamFaultPlan};
@@ -74,32 +76,13 @@ impl OutboundTx {
 
     /// Sends a message without blocking; the caller maps `Full` onto the
     /// slow-client overflow policy.
-    pub fn try_send(
+    pub fn try_send_buf(
         &self,
         buf: PooledBuf,
     ) -> Result<(), crossbeam_channel::TrySendError<PooledBuf>> {
         match &self.notify {
             Some(notify) => notify.deliver(&self.tx, buf),
             None => self.tx.try_send(buf),
-        }
-    }
-
-    /// Sends a message, blocking if the queue is full.  Only for paths
-    /// where the queue is provably near-empty (connection setup replies);
-    /// steady-state producers must use [`Self::try_send`] so a slow
-    /// client back-pressures into eviction rather than into the caller.
-    pub fn send_blocking(&self, buf: PooledBuf) {
-        match self.try_send(buf) {
-            // The blocking send runs outside the connection's write lock
-            // (the shard needs that lock to make room).
-            Err(crossbeam_channel::TrySendError::Full(buf)) => {
-                if self.tx.send(buf).is_ok() {
-                    if let Some(notify) = &self.notify {
-                        notify.queued();
-                    }
-                }
-            }
-            Ok(()) | Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
     }
 }
@@ -159,7 +142,7 @@ impl ReplySink {
     }
 
     fn push(&self, buf: PooledBuf) {
-        match self.tx.try_send(buf) {
+        match self.tx.try_send_buf(buf) {
             Ok(()) => {}
             Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
@@ -222,8 +205,8 @@ pub fn decode_frame_header(order: ByteOrder, header: [u8; 4]) -> Result<(u8, usi
 
 /// Shared transport bookkeeping.
 pub struct TransportShared {
-    /// Dispatcher event channel.
-    pub events: Sender<ServerEvent>,
+    /// The way into the dispatcher: every framed event goes through it.
+    pub dispatch: DispatchHandle,
     /// Client id allocator.
     pub next_id: AtomicU64,
     /// Set to stop accept loops.
@@ -235,29 +218,23 @@ pub struct TransportShared {
 }
 
 impl TransportShared {
-    /// Creates shared state feeding `events`.
-    pub fn new(events: Sender<ServerEvent>) -> Arc<TransportShared> {
-        Self::with_chaos(events, None)
+    /// Creates shared state submitting to `dispatch`, over the default
+    /// buffer pool.
+    pub fn new(dispatch: DispatchHandle) -> Arc<TransportShared> {
+        Self::with_pool(dispatch, None, BufferPool::shared())
     }
 
-    /// Creates shared state with an optional per-connection fault plan.
-    pub fn with_chaos(
-        events: Sender<ServerEvent>,
-        chaos: Option<StreamFaultPlan>,
-    ) -> Arc<TransportShared> {
-        Self::with_pool(events, chaos, BufferPool::shared())
-    }
-
-    /// Creates shared state over an explicitly sized buffer pool — the
-    /// hook for reactor-mode servers, whose partial-frame accumulation
-    /// wants a deeper free list than the classic default.
+    /// Creates shared state with an optional per-connection fault plan
+    /// over an explicitly sized buffer pool — reactor-mode servers want a
+    /// deeper free list for partial-frame accumulation than the classic
+    /// default.
     pub fn with_pool(
-        events: Sender<ServerEvent>,
+        dispatch: DispatchHandle,
         chaos: Option<StreamFaultPlan>,
         pool: Arc<BufferPool>,
     ) -> Arc<TransportShared> {
         Arc::new(TransportShared {
-            events,
+            dispatch,
             next_id: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             chaos,
@@ -411,7 +388,7 @@ pub fn spawn_connection<S: Conn>(shared: Arc<TransportShared>, stream: S, peer: 
             if let Some(order) = read_setup(&mut stream, &shared, id, peer, tx, kick) {
                 read_requests(&mut stream, &shared, id, order);
             }
-            let _ = shared.events.send(ServerEvent::Disconnect { id });
+            let _ = shared.dispatch.submit(ServerEvent::Disconnect { id });
         });
 }
 
@@ -433,8 +410,8 @@ fn read_setup<S: Read>(
         .ok()?;
     let order = ByteOrder::from_marker(setup[0]).ok()?;
     shared
-        .events
-        .send(ServerEvent::NewClient {
+        .dispatch
+        .submit(ServerEvent::NewClient {
             id,
             setup,
             peer,
@@ -461,7 +438,9 @@ fn read_requests<S: Read>(
             Err(error) => {
                 // Protocol violation: report it so the dispatcher can
                 // account for it, then drop only this connection.
-                let _ = shared.events.send(ServerEvent::ProtocolError { id, error });
+                let _ = shared
+                    .dispatch
+                    .submit(ServerEvent::ProtocolError { id, error });
                 return;
             }
         };
@@ -473,8 +452,8 @@ fn read_requests<S: Read>(
         }
         let raw = RawRequest { opcode, payload };
         if shared
-            .events
-            .send(ServerEvent::Request { id, raw })
+            .dispatch
+            .submit(ServerEvent::Request { id, raw })
             .is_err()
         {
             return;
@@ -500,7 +479,7 @@ mod tests {
     #[test]
     fn framing_round_trip_over_tcp() {
         let (tx, rx) = crossbeam_channel::unbounded();
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let addr = spawn_tcp(Arc::clone(&shared), "127.0.0.1:0".parse().unwrap()).unwrap();
 
         // Handshake + one request from a raw socket.
@@ -550,7 +529,7 @@ mod tests {
     #[test]
     fn zero_length_frame_drops_connection() {
         let (tx, rx) = crossbeam_channel::unbounded();
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let addr = spawn_tcp(Arc::clone(&shared), "127.0.0.1:0".parse().unwrap()).unwrap();
 
         let mut sock = TcpStream::connect(addr).unwrap();
@@ -576,7 +555,7 @@ mod tests {
     #[test]
     fn truncated_max_length_frame_disconnects_without_desync() {
         let (tx, rx) = crossbeam_channel::unbounded();
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let addr = spawn_tcp(Arc::clone(&shared), "127.0.0.1:0".parse().unwrap()).unwrap();
 
         let mut sock = TcpStream::connect(addr).unwrap();
@@ -647,7 +626,7 @@ mod tests {
         // most a few buffers are ever in flight; after 100 frames the pool
         // must have satisfied nearly all takes from its free list.
         let (tx, rx) = crossbeam_channel::bounded(1);
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let pool = Arc::clone(&shared.pool);
 
         let mut wire = Vec::new();
@@ -684,7 +663,7 @@ mod tests {
     #[test]
     fn unix_socket_round_trip() {
         let (tx, rx) = crossbeam_channel::unbounded();
-        let shared = TransportShared::new(tx);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let dir = std::env::temp_dir().join(format!("af-test-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("af-unix-test.sock");

@@ -3,7 +3,8 @@
 //! The paper's server is single-threaded (§7.3.1) because LoFi hung five
 //! devices off one select() loop.  That remains true here for the *control
 //! plane*: every request is still parsed, validated and sequenced by the
-//! one dispatcher thread, so §7.1's ordering guarantees are untouched.
+//! one dispatcher, under its dispatch lock, so §7.1's ordering guarantees
+//! are untouched.
 //! What moves out is the sample-touching work — byte-swapping, sample-type
 //! conversion, gain scaling, ring mixing, the per-device update task —
 //! which lands on a worker thread per device *group* (a buffer owner plus
@@ -25,7 +26,7 @@
 //!   `(client, ac)` and drops it on `FreeAc`/disconnect.
 //! * A client has at most one job in flight; its other requests wait in
 //!   the dispatcher's per-client queue until the worker posts
-//!   [`ServerEvent::WorkerDone`], so per-client reply order is preserved.
+//!   [`TaskMsg::WorkerDone`], so per-client reply order is preserved.
 //!
 //! Device time is published after every job and update through an
 //! `AtomicU64` snapshot, so `GetTime` (and event stamping) on the
@@ -34,7 +35,7 @@
 
 use crate::buffer::DeviceBuffers;
 use crate::pool::BufferPool;
-use crate::state::{ClientId, ServerEvent};
+use crate::state::{ClientId, TaskMsg};
 use crate::transport::ReplySink;
 use af_dsp::convert::Converter;
 use af_dsp::Encoding;
@@ -365,8 +366,9 @@ pub struct AudioWorker {
     by_index: HashMap<usize, usize>,
     update_interval: Duration,
     stats: Arc<WorkerStats>,
-    /// Completion notifications back into the dispatcher.
-    events: Sender<ServerEvent>,
+    /// Completion notifications to the task thread.  Always this channel,
+    /// never the dispatch lock: its holder may be blocked on `rx`'s queue.
+    events: Sender<TaskMsg>,
     /// Shared buffer pool: drained play payloads are recycled into it so
     /// a steady stream re-uses request storage across the thread boundary.
     pool: Arc<BufferPool>,
@@ -387,7 +389,7 @@ impl AudioWorker {
         devices: Vec<WorkerDevice>,
         update_interval: Duration,
         stats: Arc<WorkerStats>,
-        events: Sender<ServerEvent>,
+        events: Sender<TaskMsg>,
         pool: Arc<BufferPool>,
     ) -> AudioWorker {
         let by_index = devices
@@ -591,8 +593,8 @@ impl AudioWorker {
     /// Posts the per-client completion event so the dispatcher releases
     /// the client's request queue.
     fn done(&self, client: ClientId) {
-        // af-analyze: allow(blocking-in-reactor): worker-done event; the queue is sized for the worker count and drained every dispatch turn
-        let _ = self.events.send(ServerEvent::WorkerDone { id: client });
+        // af-analyze: allow(blocking-in-reactor): worker-done event; the queue holds at most one per client in flight and the task thread drains it
+        let _ = self.events.send(TaskMsg::WorkerDone { id: client });
     }
 
     /// Fetches (or rebuilds, if the AC was retyped) the cached converter

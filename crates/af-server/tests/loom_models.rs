@@ -1,7 +1,8 @@
-//! Loom-style model checks for the sharded data plane's handoff protocols.
+//! Loom-style model checks for the server's cross-thread handoff protocols.
 //!
-//! The dispatcher/worker split (src/worker.rs, src/dispatch.rs) rests on a
-//! few cross-thread protocols that ordinary tests exercise under only one
+//! The dispatcher/worker split (src/worker.rs, src/dispatch.rs), the
+//! reactor's reply path and the dispatch lock's timer re-arm rest on a few
+//! cross-thread protocols that ordinary tests exercise under only one
 //! interleaving.  Each model below re-states one protocol with the same
 //! atomics/queue shapes as the server and asserts its invariant under
 //! *every* interleaving of the synchronization operations, via the `loom`
@@ -28,6 +29,13 @@
 //!    fall back to scenario 5's queue + wakeup otherwise.  Invariants:
 //!    bytes leave in issue order, the remainder of a short direct write
 //!    is never stranded, and `notified` still bounds redundant drains.
+//! 7. timer re-arm: a request handler on a transport thread schedules a
+//!    task earlier than the deadline the task thread computed its sleep
+//!    from.  It publishes the deadline under the dispatch lock *then*
+//!    posts a `Rearm` nudge; the task thread re-reads the deadline after
+//!    every message.  Invariant: when both are done the task thread is
+//!    armed for the new deadline or has a nudge pending — a suspended
+//!    client is never left to the old, later wake-up.
 //!
 //! Models must stay tiny (two or three threads, a handful of operations):
 //! the schedule space is explored exhaustively.
@@ -476,6 +484,92 @@ fn shim_catches_direct_write_past_a_nonempty_queue() {
     assert!(
         failed,
         "the seeded queue-jumping direct write must be detected"
+    );
+}
+
+/// The task thread's side of scenario 7: arm from the deadline under the
+/// dispatch lock, sleep, and re-arm after any message.  Returns the
+/// deadline it is finally asleep on.
+fn model_task_thread(deadline: &Mutex<u32>, channel: &AtomicUsize) -> u32 {
+    let mut armed = *deadline.lock().unwrap();
+    // "Asleep" in `recv_timeout(armed)`: a pending message ends the wait,
+    // and every pass recomputes the timeout under the lock.
+    if channel.swap(0, Ordering::SeqCst) > 0 {
+        armed = *deadline.lock().unwrap();
+    }
+    armed
+}
+
+/// Scenario 7 — re-arming the task thread's timer from a transport thread.
+///
+/// The task thread computed its timeout from the periodic update's
+/// deadline (100) and may be anywhere between "read the deadline" and
+/// "asleep" when a shard, handling a blocking record under the dispatch
+/// lock, schedules `WakeBlocked` at 50.  `DispatchHandle::submit`
+/// publishes first (the schedule happens under the lock), nudges second.
+/// Every schedule must end with the task thread armed for 50 or with the
+/// nudge still in its channel.
+#[test]
+fn earlier_deadline_from_a_shard_always_rearms_the_task_thread() {
+    loom::model(|| {
+        let deadline = Arc::new(Mutex::new(100u32));
+        let channel = Arc::new(AtomicUsize::new(0));
+
+        let shard = {
+            let (deadline, channel) = (deadline.clone(), channel.clone());
+            loom::thread::spawn(move || {
+                let moved_earlier = {
+                    let mut d = deadline.lock().unwrap();
+                    let before = *d;
+                    *d = 50;
+                    *d < before
+                };
+                if moved_earlier {
+                    channel.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+
+        let armed = model_task_thread(&deadline, &channel);
+        shard.join().expect("shard thread");
+        assert!(
+            armed == 50 || channel.load(Ordering::SeqCst) > 0,
+            "lost nudge: asleep until {armed} with no message pending"
+        );
+    });
+}
+
+/// The inverse of scenario 7 — nudging *before* the deadline is published
+/// lets the task thread consume the nudge, re-read the old deadline and go
+/// back to sleep on it: a client suspended up to an update period too long.
+#[test]
+fn shim_catches_nudge_before_deadline_is_published() {
+    let failed = catch_unwind(AssertUnwindSafe(|| {
+        loom::model(|| {
+            let deadline = Arc::new(Mutex::new(100u32));
+            let channel = Arc::new(AtomicUsize::new(0));
+
+            let shard = {
+                let (deadline, channel) = (deadline.clone(), channel.clone());
+                loom::thread::spawn(move || {
+                    // BUG: the nudge overtakes the schedule it announces.
+                    channel.fetch_add(1, Ordering::SeqCst);
+                    *deadline.lock().unwrap() = 50;
+                })
+            };
+
+            let armed = model_task_thread(&deadline, &channel);
+            shard.join().expect("shard thread");
+            assert!(
+                armed == 50 || channel.load(Ordering::SeqCst) > 0,
+                "lost nudge"
+            );
+        });
+    }))
+    .is_err();
+    assert!(
+        failed,
+        "the seeded nudge-before-publish bug must be detected"
     );
 }
 

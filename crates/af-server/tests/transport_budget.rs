@@ -1,15 +1,17 @@
 //! The reactor's per-request transport budget, gated without a stopwatch.
 //!
 //! A closed-loop `GetTime` round trip should cost the server one `read`
-//! (the request, whole), one `write` (the reply, made by the dispatcher
-//! straight on the socket) and no self-pipe wakeup.  The shard counters
+//! (the request, whole), one `write` (the reply, made by the request's
+//! handler straight on the socket), no self-pipe wakeup and no thread hop:
+//! the shard that framed the request handles it, under the dispatch lock.
+//! The shard counters and the server's `inline_events`/`channel_events`
 //! count exactly those, and in a closed loop over one connection they
-//! repeat exactly from run to run — so the syscalls-per-request figure is
-//! asserted as counts, not inferred from timings.
+//! repeat exactly from run to run — so the syscalls- and hops-per-request
+//! figures are asserted as counts, not inferred from timings.
 
 use af_device::{NullSink, SilenceSource, VirtualClock};
 use af_proto::{ByteOrder, ConnSetup, Request};
-use af_server::ServerBuilder;
+use af_server::{ServerBuilder, ServerStats};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -21,6 +23,10 @@ const ROUND_TRIPS: u64 = 2_000;
 /// listener's registration, the accept hand-off to another shard, and the
 /// setup reply if it raced the shard's registration of the connection.
 const SETUP_WAKEUPS: f64 = 8.0;
+
+/// Channel messages outside the request loop: the barrier below, plus a
+/// periodic-update `Rearm` or two should the run straddle one.
+const SETUP_HOPS: f64 = 4.0;
 
 #[test]
 fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
@@ -55,8 +61,9 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
         sock.read_exact(&mut reply).unwrap();
     }
 
-    // The dispatcher counts a direct write just after making it; a barrier
-    // event queues behind that, so the counters below are final.
+    // A handler counts its direct write and itself before it releases the
+    // dispatch lock; the barrier takes that lock, so the counters below
+    // are final.
     server.handle().barrier();
     let (mut read_calls, mut frames, mut replies) = (0u64, 0u64, 0u64);
     let (mut direct_writes, mut queued_writes, mut wakeups) = (0u64, 0u64, 0u64);
@@ -68,9 +75,13 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
         queued_writes += shard.queued_writes;
         wakeups += shard.wakeups;
     }
+    let stats = server.stats();
+    let inline_events = ServerStats::get(&stats.inline_events);
+    let channel_events = ServerStats::get(&stats.channel_events);
     eprintln!(
         "transport budget: {read_calls} reads / {frames} frames, {direct_writes} direct + \
-         {queued_writes} queued / {replies} replies, {wakeups} wakeups"
+         {queued_writes} queued / {replies} replies, {wakeups} wakeups, \
+         {inline_events} inline + {channel_events} channel events"
     );
     assert_eq!(frames, ROUND_TRIPS);
     assert_eq!(
@@ -89,6 +100,15 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
     assert!(
         wakeups as f64 <= 0.01 * replies as f64 + SETUP_WAKEUPS,
         "{wakeups} shard wakeups for {replies} replies"
+    );
+
+    assert!(
+        inline_events > ROUND_TRIPS,
+        "only {inline_events} events handled inline for {ROUND_TRIPS} requests and a setup"
+    );
+    assert!(
+        channel_events as f64 <= 0.01 * ROUND_TRIPS as f64 + SETUP_HOPS,
+        "{channel_events} thread hops for {ROUND_TRIPS} requests"
     );
 
     drop(sock);

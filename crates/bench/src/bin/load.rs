@@ -75,7 +75,7 @@ struct LevelResult {
     syscalls: Option<SyscallsPerRequest>,
 }
 
-/// The three ratios `crates/af-server/tests/transport_budget.rs` gates,
+/// The four ratios `crates/af-server/tests/transport_budget.rs` gates,
 /// observed under load (ungated here: they move with coalescing).
 struct SyscallsPerRequest {
     /// `read` calls on connection sockets ÷ request frames.
@@ -84,6 +84,9 @@ struct SyscallsPerRequest {
     direct_write_share: f64,
     /// Self-pipe wakeups ÷ replies.
     wakeups_per_reply: f64,
+    /// Messages the task thread took from its channel ÷ request frames:
+    /// thread hops per request (requests themselves hop nowhere).
+    hops_per_request: f64,
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -274,6 +277,7 @@ fn run_level(classic: bool, n: usize, duration: Duration) -> LevelResult {
         reads_per_frame: read_calls as f64 / frames as f64,
         direct_write_share: direct_writes as f64 / shard_replies as f64,
         wakeups_per_reply: wakeups as f64 / shard_replies as f64,
+        hops_per_request: ServerStats::get(&stats.channel_events) as f64 / frames as f64,
     });
     let sustained = protocol_errors == 0
         && evictions == 0
@@ -333,8 +337,8 @@ fn render_row(r: &LevelResult) -> String {
         syscalls = match &r.syscalls {
             Some(s) => format!(
                 "{{\"reads_per_frame\": {:.3}, \"direct_write_share\": {:.3}, \
-                 \"wakeups_per_reply\": {:.4}}}",
-                s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply
+                 \"wakeups_per_reply\": {:.4}, \"hops_per_request\": {:.4}}}",
+                s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply, s.hops_per_request
             ),
             None => "null".to_owned(),
         },
@@ -402,8 +406,11 @@ fn main() {
             r.disconnects,
             match &r.syscalls {
                 Some(s) => format!(
-                    "{:.2} reads/frame {:.3} direct {:.4} wakeups/reply",
-                    s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply
+                    "{:.2} reads/frame {:.3} direct {:.4} wakeups/reply {:.4} hops/request",
+                    s.reads_per_frame,
+                    s.direct_write_share,
+                    s.wakeups_per_reply,
+                    s.hops_per_request
                 ),
                 None => "n/a".to_owned(),
             },

@@ -465,3 +465,201 @@ fn flapping_connection_reconnects() {
     );
     revived.shutdown();
 }
+
+// ---- §7.3.1 across shards: one dispatch lock, many framing threads. ----
+
+/// A real-time codec server on two reactor shards.  Consecutive
+/// connections land on alternating shards (accept round-robin), so the
+/// first two connections of a test are handled by different threads.
+fn two_shard_server(
+    update_interval: Duration,
+    sink: Box<dyn audiofile::device::SampleSink>,
+) -> RunningServer {
+    let mut builder = ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .reactor_shards(2)
+        .update_interval(update_interval);
+    builder.add_codec(
+        Arc::new(SystemClock::new(8000)),
+        sink,
+        Box::new(SilenceSource::new(0xFF)),
+    );
+    builder.spawn().unwrap()
+}
+
+/// Asserts the test's two connections really sit on different shards.
+fn assert_one_connection_per_shard(server: &RunningServer) {
+    let accepted: Vec<u64> = server
+        .stats()
+        .reactor_snapshots()
+        .iter()
+        .map(|s| s.accepted)
+        .collect();
+    assert_eq!(accepted, [1, 1], "connections per shard");
+}
+
+/// Keeps one shard inside the dispatch lock: pipelined `GetTime` bursts
+/// over a raw connection until `stop`, so the shard frames and handles
+/// request after request without returning to its poll loop in between.
+fn saturate_with_get_time(
+    server: &RunningServer,
+    stop: Arc<std::sync::atomic::AtomicBool>,
+) -> std::thread::JoinHandle<u64> {
+    const BURST: usize = 256;
+    let mut raw = raw_handshake(server);
+    raw.set_nodelay(true).unwrap();
+    let burst: Vec<u8> = Request::GetTime { device: 0 }
+        .encode(ByteOrder::native())
+        .repeat(BURST);
+    std::thread::spawn(move || {
+        let mut replies = vec![0u8; BURST * 12];
+        let mut round_trips = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            raw.write_all(&burst).unwrap();
+            raw.read_exact(&mut replies).unwrap();
+            round_trips += BURST as u64;
+        }
+        round_trips
+    })
+}
+
+#[test]
+fn property_appends_from_two_shards_read_back_in_one_serial_order() {
+    // Two clients on different shards append 8-byte records to one device
+    // property and read it back, as fast as they can.  Handlers run on
+    // two threads now; the dispatch lock must still make every request
+    // atomic: each read is a whole number of whole records, each client's
+    // records appear in the order it sent them, and what a client read
+    // before is a prefix of what it reads next.
+    use audiofile::proto::atoms::ATOM_STRING;
+    use audiofile::proto::request::PropertyMode;
+
+    const RECORDS: u32 = 300;
+    let server = two_shard_server(Duration::from_millis(100), Box::new(NullSink));
+    let addr = server.tcp_addr().unwrap().to_string();
+    let mut conns: Vec<AudioConn> = (0..2).map(|_| AudioConn::open(&addr).unwrap()).collect();
+    let property = conns[0].intern_atom("SHARD_LEDGER", false).unwrap();
+    assert_one_connection_per_shard(&server);
+
+    let check = |data: &[u8]| {
+        assert_eq!(data.len() % 8, 0, "torn record: {} bytes", data.len());
+        let mut next = [0u32; 2];
+        for record in data.chunks_exact(8) {
+            let tag = record[0];
+            assert!(
+                tag < 2 && record[..4] == [tag; 4],
+                "mixed record {record:?}"
+            );
+            let n = u32::from_le_bytes(record[4..].try_into().unwrap());
+            assert_eq!(n, next[tag as usize], "client {tag}'s records reordered");
+            next[tag as usize] += 1;
+        }
+    };
+    let gate = Arc::new(std::sync::Barrier::new(2));
+    let clients: Vec<_> = conns
+        .drain(..)
+        .enumerate()
+        .map(|(tag, mut conn)| {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                gate.wait();
+                let mut seen = Vec::new();
+                for n in 0..RECORDS {
+                    let mut record = [tag as u8; 8];
+                    record[4..].copy_from_slice(&n.to_le_bytes());
+                    conn.change_property(0, PropertyMode::Append, property, ATOM_STRING, &record)
+                        .unwrap();
+                    let (_, data) = conn.get_property(0, false, property, ATOM_STRING).unwrap();
+                    check(&data);
+                    assert!(data.starts_with(&seen), "history rewritten");
+                    seen = data;
+                }
+                conn
+            })
+        })
+        .collect();
+    let mut conns: Vec<AudioConn> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    let (_, all) = conns[0]
+        .get_property(0, false, property, ATOM_STRING)
+        .unwrap();
+    check(&all);
+    assert_eq!(all.len(), 2 * RECORDS as usize * 8, "appends lost");
+    server.shutdown();
+}
+
+#[test]
+fn timed_work_keeps_its_schedule_while_another_shard_saturates_the_lock() {
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+
+    // The speaker is serviced once per update (GetTime never touches the
+    // hardware), so its sink counts runs of the update task.
+    struct UpdateCounter(Arc<AtomicU64>);
+    impl audiofile::device::SampleSink for UpdateCounter {
+        fn consume(&mut self, _time: audiofile::time::ATime, _data: &[u8]) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    const UPDATE: Duration = Duration::from_millis(100);
+    let updates = Arc::new(AtomicU64::new(0));
+    let server = two_shard_server(UPDATE, Box::new(UpdateCounter(Arc::clone(&updates))));
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let hammer = saturate_with_get_time(&server, Arc::clone(&stop));
+    assert_one_connection_per_shard(&server);
+
+    // Two seconds of saturation: the task thread has to win the dispatch
+    // lock from a shard that re-takes it per request, twenty times.
+    std::thread::sleep(UPDATE); // Let the hammer reach full flow.
+    let before = updates.load(Ordering::Relaxed);
+    std::thread::sleep(Duration::from_secs(2));
+    let ran = updates.load(Ordering::Relaxed) - before;
+    assert!(
+        (18..=22).contains(&ran),
+        "{ran} updates in 2 s at a 100 ms period"
+    );
+
+    // A record whose last frame is 150 ms away suspends its client (on
+    // the other shard) and resumes at the first update at or after that:
+    // on time, give or take one update period.
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    let now = conn.get_time(0).unwrap();
+    conn.record_samples(&ac, now, 0, false).unwrap(); // Arms the recorder.
+    let started = Instant::now();
+    let (_, data) = conn.record_samples(&ac, now, 1200, true).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(data.len(), 1200);
+    assert!(
+        waited >= Duration::from_millis(130) && waited <= Duration::from_millis(150) + 2 * UPDATE,
+        "blocked record resumed after {waited:?}"
+    );
+
+    stop.store(true, Ordering::Relaxed);
+    let round_trips = hammer.join().unwrap();
+    assert!(round_trips > 10_000, "the hammer barely ran: {round_trips}");
+    server.shutdown();
+}
+
+#[test]
+fn play_suspended_past_the_horizon_resumes_on_its_own_deadline() {
+    // With a 5 s update period the task thread is asleep until the next
+    // update when a play lands 100 ms beyond the buffer horizon.  The
+    // handler runs on a shard; it must re-arm the task thread for the
+    // play's wake-up, or the client waits out the whole update period.
+    let server = two_shard_server(Duration::from_secs(5), Box::new(NullSink));
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    let now = conn.get_time(0).unwrap();
+    let started = Instant::now();
+    conn.play_samples(&ac, now + 32_768u32, &[0x31u8; 800])
+        .unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited >= Duration::from_millis(80) && waited <= Duration::from_secs(1),
+        "suspended play resumed after {waited:?}"
+    );
+    server.shutdown();
+}

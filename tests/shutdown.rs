@@ -1,0 +1,83 @@
+//! Shutdown with requests in flight (DESIGN.md §9).
+//!
+//! Request handlers run on the transport threads, under the dispatch lock,
+//! so stopping the server has to refuse new events, get every shard out of
+//! the lock and closed, and drain the task thread — while clients keep
+//! sending.  This file holds one test and so runs in a process of its own:
+//! the census of `af-*` threads it takes is exact.
+
+use audiofile::client::AudioConn;
+use audiofile::device::{NullSink, SilenceSource, SystemClock};
+use audiofile::server::ServerBuilder;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Names of this process's live server threads (`af-dispatcher`,
+/// `af-reactor-N`, `af-audio-N`, classic `af-reader-N`…).
+fn server_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_owned())
+        .filter(|comm| comm.starts_with("af-"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_thread() {
+    assert_eq!(server_threads(), Vec::<String>::new());
+    let mut builder = ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .reactor_shards(2)
+        .sharded_data_plane(true);
+    builder.add_codec(
+        Arc::new(SystemClock::new(8000)),
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    );
+    let server = builder.spawn().unwrap();
+    let addr = server.tcp_addr().unwrap().to_string();
+
+    // Four clients, two per shard, in closed GetTime loops until their
+    // connection dies under them.
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let mut conn = AudioConn::open(&addr).unwrap();
+            std::thread::spawn(move || {
+                let mut round_trips = 0u64;
+                while conn.get_time(0).is_ok() {
+                    round_trips += 1;
+                }
+                round_trips
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    let running = server_threads();
+    assert!(
+        running.len() >= 4,
+        "task thread, two shards and an audio worker: {running:?}"
+    );
+
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    // Every client's loop ends: its next request meets EOF or a reset.
+    for client in clients {
+        let round_trips = client.join().unwrap();
+        assert!(round_trips > 100, "client barely ran: {round_trips}");
+    }
+    // `shutdown` joined every thread it started; comm lingers for an
+    // instant after a join returns, so allow the kernel a moment.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !server_threads().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server_threads(), Vec::<String>::new(), "leaked threads");
+}
