@@ -2,8 +2,7 @@
 // transport thread takes the dispatch lock, and the handler's reply takes
 // the connection's write lock under it (dispatch → connection-write).
 // The shard's flush takes only the write lock and has released it by the
-// time it reports the dead connection through `submit`; workers take only
-// the write lock.
+// time it reports the dead connection through `submit`.
 
 struct DispatchShared {
     dispatch_lock: Mutex<Dispatcher>,
@@ -46,11 +45,5 @@ impl Shard {
 
     fn close_conn(&mut self, token: u64) {
         self.transport.dispatch.submit(token);
-    }
-}
-
-impl Worker {
-    fn reply(&self, buf: Buf) {
-        self.sink.deliver(buf);
     }
 }

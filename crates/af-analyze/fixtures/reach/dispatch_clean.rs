@@ -22,7 +22,7 @@ impl DispatchHandle {
 impl Dispatcher {
     fn handle_event(&mut self, ev: Event) {
         let label = format!("event {ev:?}");
-        let _ = self.worker.send(label.clone());
+        let _ = self.trace.send(label.clone());
         self.process_request(0);
     }
 

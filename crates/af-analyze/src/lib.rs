@@ -6,7 +6,7 @@
 //! | lint | invariant |
 //! |------|-----------|
 //! | `opcode-tables`    | the 37-request/5-event space derives from the one spec table and is covered by encode/decode/dispatch |
-//! | `wallclock`        | no wall-clock reads inside dispatcher/worker hot paths (device time only) |
+//! | `wallclock`        | no wall-clock reads inside dispatcher/reactor hot paths (device time only) |
 //! | `no-panics`        | no `unwrap`/`expect`/`panic!` on server request-handling paths |
 //! | `lock-across-send` | no lock guard held across a channel send |
 //! | `tick-arith`       | no bare `+`/`-`/`as` on device-time tick values (wrapping ops only) |
@@ -14,7 +14,7 @@
 //! | `unsafe-audit`     | every crate gates `unsafe_code`; zero-unsafe crates `forbid` it |
 //! | `unsafe-blocks`    | every `unsafe` site carries its own `// SAFETY:` audit; no dead or over-broad `allow(unsafe_code)` |
 //! | `lock-order`       | all lock pairs are acquired in one global order (no deadlock cycles), checked through the call graph |
-//! | `blocking-in-reactor` | nothing reachable from the reactor/worker event loops blocks |
+//! | `blocking-in-reactor` | nothing reachable from the reactor event loops blocks |
 //! | `alloc`            | nothing reachable from the per-tick data plane allocates |
 //!
 //! The first seven are line-oriented and run over the stripped view (now

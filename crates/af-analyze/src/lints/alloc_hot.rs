@@ -7,10 +7,9 @@
 //! (`clear()` + `extend_from_slice`, scratch fields, fixed arrays).
 //!
 //! Roots are the *data-plane* subset of the hot-path registry: the
-//! request-handling arms of the dispatcher, the worker pump bodies, the
-//! reactor shard handlers (including the broadcast listener read/pump
-//! paths), the broadcast seal/fetch entry points, and the FEC/jitter
-//! per-frame entry points.
+//! request-handling arms of the dispatcher, the reactor shard handlers
+//! (including the broadcast listener read/pump paths), the broadcast
+//! seal/fetch entry points, and the FEC/jitter per-frame entry points.
 //! The dispatcher's control arms (open/close/configure) may allocate —
 //! they run once per session, not once per tick — and are deliberately
 //! not roots.  Follows the call graph like `blocking-in-reactor`; a
@@ -33,18 +32,6 @@ const ROOTS: &[(&str, &[&str])] = &[
             "finish_record",
             "drain_queue",
             "retry_blocked",
-        ],
-    ),
-    (
-        "crates/af-server/src/worker.rs",
-        &[
-            "handle_play",
-            "handle_record",
-            "finish_record",
-            "retry_one",
-            "run_group_update",
-            "run_passthrough",
-            "publish_snapshots",
         ],
     ),
     (

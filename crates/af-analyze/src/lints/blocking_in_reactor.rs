@@ -3,9 +3,8 @@
 //! The reactor owns every connection on its shard; one blocked call —
 //! a sleep, a bounded-channel `send`/`recv`, a contended `lock`, a
 //! blocking read — stalls *all* of them, which on a WAN link shows up as
-//! a burst of late frames and concealment on every session at once.  The
-//! same holds for the worker hot loops: they run the per-tick sample
-//! pump and may only use non-blocking primitives (`try_send`, atomics,
+//! a burst of late frames and concealment on every session at once.  A
+//! shard may only use non-blocking primitives (`try_send`, atomics,
 //! pre-sized scratch).
 //!
 //! Unlike `wallclock` (which checks the named functions only), this lint
@@ -20,10 +19,7 @@
 //! A shard runs request handlers itself, under the dispatch lock, so the
 //! reactor-rooted scan stops at the dispatcher's `handle_event`: what a
 //! handler may do while holding the lock is the dispatcher's business
-//! (`lock-order`, `lock-across-send`, `alloc`).  The reverse direction is
-//! a rule of its own: a *worker* must never reach `submit`, because the
-//! dispatch lock's holder may be blocked on that worker's job queue —
-//! workers post `WorkerDone` through the task thread's channel instead.
+//! (`lock-order`, `lock-across-send`, `alloc`).
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;
@@ -31,38 +27,21 @@ use crate::lints::{run_reach_scan, ReachScan};
 use crate::source::SourceFile;
 use crate::Finding;
 
-const WORKER: &str = "crates/af-server/src/worker.rs";
 const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
 
-/// The event-loop roots: the reactor shard handlers and the worker
-/// hot-loop bodies.
-const ROOTS: &[(&str, &[&str])] = &[
-    (
-        "crates/af-server/src/reactor/mod.rs",
-        &[
-            "handle_wake",
-            "handle_token",
-            "flush_conn",
-            "read_conn",
-            "drive_read",
-            "feed",
-            "deliver",
-        ],
-    ),
-    (
-        WORKER,
-        &[
-            "handle",
-            "handle_play",
-            "handle_record",
-            "finish_record",
-            "retry_one",
-            "run_group_update",
-            "run_passthrough",
-            "publish_snapshots",
-        ],
-    ),
-];
+/// The event-loop roots: the reactor shard handlers.
+const ROOTS: &[(&str, &[&str])] = &[(
+    "crates/af-server/src/reactor/mod.rs",
+    &[
+        "handle_wake",
+        "handle_token",
+        "flush_conn",
+        "read_conn",
+        "drive_read",
+        "feed",
+        "deliver",
+    ],
+)];
 
 /// Blocking call patterns.  `.send(` does not match `.try_send(`; `.recv()`
 /// etc. are the blocking channel reads; `.lock()` blocks on contention;
@@ -96,41 +75,5 @@ const SCAN: ReachScan = ReachScan {
 
 /// Runs the lint.
 pub fn run(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<Finding> {
-    let mut findings = run_reach_scan(&SCAN, files, index, graph);
-    findings.extend(worker_reaches_dispatch_lock(files, index, graph));
-    findings
-}
-
-/// The worker roots must not reach the dispatcher's `submit` at all: the
-/// allow on its lock acquisition speaks for transport threads only.  (A
-/// stale root or a missing `submit` is already reported by the scan
-/// above and by `wallclock`'s registry.)
-fn worker_reaches_dispatch_lock(
-    files: &[SourceFile],
-    index: &Index,
-    graph: &CallGraph,
-) -> Vec<Finding> {
-    let Some(submit) = index.find(files, DISPATCH, "submit") else {
-        return Vec::new();
-    };
-    let roots: Vec<usize> = ROOTS
-        .iter()
-        .filter(|(path, _)| *path == WORKER)
-        .flat_map(|(path, fns)| fns.iter().filter_map(|name| index.find(files, path, name)))
-        .collect();
-    let reach = graph.reach(&roots);
-    let Some((caller, site)) = reach.via[submit] else {
-        return Vec::new();
-    };
-    let info = &index.fns[caller];
-    vec![Finding::at(
-        "blocking-in-reactor",
-        &files[info.file],
-        info.calls[site].line,
-        format!(
-            "worker thread waits on the dispatch lock ({}); its holder may be blocked \
-             on this worker's job queue — post through the task thread's channel",
-            reach.path_to(index, submit)
-        ),
-    )]
+    run_reach_scan(&SCAN, files, index, graph)
 }

@@ -1,6 +1,6 @@
 //! `no-panics`: server request-handling paths must not be able to panic.
 //!
-//! A panic in the dispatcher or a worker kills the whole server for every
+//! A panic in the dispatcher or a shard kills the whole server for every
 //! connected client (§7.3.1 has exactly one flow of control).  Fallible
 //! cases must surface as protocol errors, disconnects, or degraded audio —
 //! never as process death.  Production `af-server` code therefore bans

@@ -2,12 +2,11 @@
 //!
 //! Device time (the 32-bit per-device sample counter, §2.1) is the only
 //! clock the data plane may consult: it is what play/record requests are
-//! timed against, it advances even when the host clock steps, and in the
-//! sharded plane it is read from a lock-free `AtomicU64` snapshot.
+//! timed against, and it advances even when the host clock steps.
 //! Wall-clock reads (`Instant::now`, `SystemTime::now`, `.elapsed()`)
-//! belong to the *scheduling* layer — the dispatcher's select loop, the
-//! task queue, and the designated wake helpers (`wake_instant`,
-//! `play_wake_instant`) that convert a device-time deficit into a sleep.
+//! belong to the *scheduling* layer — the task thread's loop, the task
+//! queue, and the designated wake helper (`play_wake_instant`) that
+//! converts a device-time deficit into a sleep.
 //!
 //! The registry below names every hot function; a function that is renamed
 //! or removed makes the lint fail loudly (stale registry) instead of
@@ -31,19 +30,6 @@ const HOT_PATHS: &[(&str, &[&str])] = &[
             "finish_record",
             "drain_queue",
             "retry_blocked",
-        ],
-    ),
-    (
-        "crates/af-server/src/worker.rs",
-        &[
-            "handle",
-            "handle_play",
-            "handle_record",
-            "finish_record",
-            "retry_one",
-            "run_group_update",
-            "run_passthrough",
-            "publish_snapshots",
         ],
     ),
     (

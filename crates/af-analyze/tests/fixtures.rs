@@ -136,16 +136,14 @@ fn bounded_channels_covers_reactor_subdirectory() {
 // ---- wallclock ---------------------------------------------------------
 
 const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
-const WORKER: &str = "crates/af-server/src/worker.rs";
 const FEC: &str = "crates/af-device/src/fec.rs";
 const JITTER: &str = "crates/af-device/src/jitter.rs";
 const REACTOR: &str = "crates/af-server/src/reactor/mod.rs";
 const BROADCAST: &str = "crates/af-server/src/broadcast.rs";
 
 /// The registry-complete clean tail shared by every wallclock fixture set.
-fn wallclock_rest() -> [SourceFile; 5] {
+fn wallclock_rest() -> [SourceFile; 4] {
     [
-        fx(WORKER, include_str!("../fixtures/wallclock/worker_clean.rs")),
         fx(FEC, include_str!("../fixtures/wallclock/fec_clean.rs")),
         fx(JITTER, include_str!("../fixtures/wallclock/jitter_clean.rs")),
         fx(REACTOR, include_str!("../fixtures/wallclock/reactor_clean.rs")),
@@ -189,7 +187,7 @@ fn wallclock_triggers_in_jitter_concealer() {
         include_str!("../fixtures/wallclock/dispatch_clean.rs"),
     )];
     files.extend(wallclock_rest());
-    files[3] = fx(JITTER, include_str!("../fixtures/wallclock/jitter_trigger.rs"));
+    files[2] = fx(JITTER, include_str!("../fixtures/wallclock/jitter_trigger.rs"));
     let found = lints::wallclock::run(&files);
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(found[0].message.contains("conceal_sample"), "{found:?}");
@@ -205,7 +203,7 @@ fn wallclock_triggers_in_reactor_framing_loop() {
         include_str!("../fixtures/wallclock/dispatch_clean.rs"),
     )];
     files.extend(wallclock_rest());
-    files[4] = fx(
+    files[3] = fx(
         REACTOR,
         include_str!("../fixtures/wallclock/reactor_trigger.rs"),
     );
@@ -225,7 +223,7 @@ fn wallclock_triggers_in_broadcast_seal() {
         include_str!("../fixtures/wallclock/dispatch_clean.rs"),
     )];
     files.extend(wallclock_rest());
-    files[5] = fx(
+    files[4] = fx(
         BROADCAST,
         include_str!("../fixtures/wallclock/broadcast_trigger.rs"),
     );
@@ -550,10 +548,9 @@ fn lock_order_catches_dispatch_lock_taken_under_a_connection_write_lock() {
 // ---- blocking-in-reactor -----------------------------------------------
 
 /// The registry-complete hot-path tree shared by the reachability lints.
-fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 6] {
+fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 5] {
     [
         fx(REACTOR, reactor),
-        fx(WORKER, include_str!("../fixtures/reach/worker_clean.rs")),
         fx(DISPATCH, include_str!("../fixtures/reach/dispatch_clean.rs")),
         fx(FEC, fec),
         fx(JITTER, include_str!("../fixtures/reach/jitter_clean.rs")),
@@ -597,35 +594,6 @@ fn blocking_in_reactor_stays_quiet() {
         .filter(|f| f.lint == "blocking-in-reactor" || f.lint == "allow-marker")
         .collect();
     assert_eq!(found, vec![]);
-}
-
-#[test]
-fn blocking_in_reactor_catches_a_worker_waiting_on_the_dispatch_lock() {
-    // The worker's `done` calls the dispatcher's `submit`.  The `.lock()`
-    // inside `submit` carries a justified allow (for transport threads),
-    // so the pattern scan is silent — the worker rule must speak up, with
-    // the path, at the call that crosses over.
-    let mut files = reach_tree(
-        include_str!("../fixtures/reach/reactor_clean.rs"),
-        include_str!("../fixtures/reach/fec_clean.rs"),
-    );
-    files[1] = fx(WORKER, include_str!("../fixtures/reach/worker_trigger.rs"));
-    let found: Vec<_> = analyze_files(&files)
-        .into_iter()
-        .filter(|f| f.lint == "blocking-in-reactor")
-        .collect();
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].file, WORKER);
-    assert!(
-        found[0]
-            .message
-            .contains("worker thread waits on the dispatch lock"),
-        "{found:?}"
-    );
-    assert!(
-        found[0].message.contains("handle_play -> done -> submit"),
-        "{found:?}"
-    );
 }
 
 #[test]
@@ -687,7 +655,7 @@ fn alloc_triggers_in_broadcast_seal() {
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
     );
-    files[5] = fx(
+    files[4] = fx(
         BROADCAST,
         include_str!("../fixtures/reach/broadcast_trigger.rs"),
     );

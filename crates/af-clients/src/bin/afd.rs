@@ -11,14 +11,13 @@
 //! Options: `-tcp host:port` (default 127.0.0.1:7000), `-unix path`,
 //! `-update ms`, `-loopback` (wire local speaker to microphone, useful for
 //! `apass` experiments), `-noaccess` (disable access control),
-//! `-sharded` (run the per-device audio-worker data plane, DESIGN.md §9),
-//! `-classic-transport` (thread-per-connection instead of the event-driven
-//! reactor, DESIGN.md §12), `-shards n` (reactor shard count; default
-//! `min(4, cores)`), `-broadcast port` (stream device 0's speaker bus to
+//! `-shards n` (reactor shard count; default `min(4, cores)`, DESIGN.md
+//! §12), `-broadcast port` (stream device 0's speaker bus to
 //! HTTP/ICY listeners on that port — encode-once fan-out, DESIGN.md §13),
 //! and `-ring-every secs` (LoFi shape only: a scripted caller rings the
 //! simulated line periodically, for exercising `aevents`/answering-machine
-//! scripts).
+//! scripts).  Any other `-name` is refused: a mistyped or retired option
+//! must not silently swallow the next one.
 //!
 //! Codec-shape endpoints: `-capture path` writes everything played to a
 //! raw µ-law file (the speaker as a tape deck); `-mic path` feeds the
@@ -31,19 +30,24 @@ use af_util::aod;
 use std::sync::Arc;
 
 fn main() {
-    let args = Args::from_env(&[
-        "-lofi",
-        "-codec",
-        "-lineserver",
-        "-loopback",
-        "-noaccess",
-        "-sharded",
-        "-classic-transport",
-    ])
-        .unwrap_or_else(|e| {
-            eprintln!("afd: {e}");
-            std::process::exit(1);
-        });
+    let args = Args::parse_known(
+        std::env::args(),
+        &["-lofi", "-codec", "-lineserver", "-loopback", "-noaccess"],
+        &[
+            "-tcp",
+            "-unix",
+            "-update",
+            "-shards",
+            "-broadcast",
+            "-ring-every",
+            "-capture",
+            "-mic",
+        ],
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("afd: {e}");
+        std::process::exit(1);
+    });
 
     let tcp: std::net::SocketAddr = args
         .get_str("-tcp")
@@ -130,9 +134,7 @@ fn main() {
     builder = builder
         .listen_tcp(tcp)
         .update_interval(std::time::Duration::from_millis(update_ms))
-        .access_control(!args.has_flag("-noaccess"))
-        .sharded_data_plane(args.has_flag("-sharded"))
-        .classic_transport(args.has_flag("-classic-transport"));
+        .access_control(!args.has_flag("-noaccess"));
     if let Some(shards) = args.get_num::<usize>("-shards") {
         builder = builder.reactor_shards(shards);
     }
@@ -144,12 +146,10 @@ fn main() {
         let addr = std::net::SocketAddr::new(tcp.ip(), port);
         builder = builder.broadcast(0, addr);
     }
-    // Reactor mode serves thousands of sockets from a handful of threads;
+    // The reactor serves thousands of sockets from a handful of threads;
     // lift the fd rlimit so the kernel doesn't cap us at the soft default.
-    if !args.has_flag("-classic-transport") && af_server::reactor_supported() {
-        if let Err(e) = af_server::raise_nofile_limit() {
-            eprintln!("afd: cannot raise open-file limit: {e}");
-        }
+    if let Err(e) = af_server::raise_nofile_limit() {
+        eprintln!("afd: cannot raise open-file limit: {e}");
     }
 
     let server = builder.spawn().unwrap_or_else(|e| {

@@ -23,6 +23,25 @@ impl Args {
         argv: I,
         flag_names: &[&str],
     ) -> Result<Args, String> {
+        Self::parse_inner(argv, flag_names, None)
+    }
+
+    /// [`Args::parse`] for programs that know every option they take: a
+    /// `-name` that is neither in `flag_names` nor in `option_names` is an
+    /// error instead of an option that swallows the next token.
+    pub fn parse_known<I: IntoIterator<Item = String>>(
+        argv: I,
+        flag_names: &[&str],
+        option_names: &[&str],
+    ) -> Result<Args, String> {
+        Self::parse_inner(argv, flag_names, Some(option_names))
+    }
+
+    fn parse_inner<I: IntoIterator<Item = String>>(
+        argv: I,
+        flag_names: &[&str],
+        option_names: Option<&[&str]>,
+    ) -> Result<Args, String> {
         let mut it = argv.into_iter();
         let program = it.next().unwrap_or_default();
         let flags_set: HashSet<&str> = flag_names.iter().copied().collect();
@@ -40,6 +59,8 @@ impl Args {
             if is_option {
                 if flags_set.contains(tok.as_str()) {
                     args.flags.insert(tok);
+                } else if option_names.is_some_and(|known| !known.contains(&tok.as_str())) {
+                    return Err(format!("unknown option {tok}"));
                 } else {
                     pending = Some(tok);
                 }
@@ -114,6 +135,19 @@ mod tests {
         let a = Args::parse(argv("-silentlevel -60 -t -2.5"), &[]).unwrap();
         assert_eq!(a.get_num::<f64>("-silentlevel"), Some(-60.0));
         assert_eq!(a.get_num::<f64>("-t"), Some(-2.5));
+    }
+
+    #[test]
+    fn unknown_names_are_errors_when_the_options_are_known() {
+        let known = |s: &str| Args::parse_known(argv(s), &["-f"], &["-d"]);
+        let a = known("-d 2 -f file").unwrap();
+        assert_eq!(a.get_str("-d").as_deref(), Some("2"));
+        assert!(a.has_flag("-f"));
+        // Not an option that swallows `-d` as its value.
+        assert_eq!(known("-g -d 2").unwrap_err(), "unknown option -g");
+        assert_eq!(known("-d 2 -typo").unwrap_err(), "unknown option -typo");
+        // A value may still look like an option.
+        assert_eq!(known("-d -g").unwrap().get_str("-d").as_deref(), Some("-g"));
     }
 
     #[test]

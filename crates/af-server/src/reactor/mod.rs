@@ -1,10 +1,8 @@
 //! Event-driven transport: N reactor shards multiplexing all connections.
 //!
 //! The paper's server multiplexed every client socket with one `select()`
-//! loop (§5.1, §7.3.1).  The classic transport replaced that with a
-//! reader+writer thread pair per connection, which caps concurrency at a
-//! few hundred clients.  This module restores the paper's shape at scale:
-//! a small set of reactor shards (default `min(4, cores)`) each run a
+//! loop (§5.1, §7.3.1).  This module keeps the paper's shape at scale: a
+//! small set of reactor shards (default `min(4, cores)`) each run a
 //! level-triggered readiness loop ([`poller::Poller`]: raw `epoll` via the
 //! audited [`sys`] shim, or `poll(2)` fallback) over nonblocking sockets.
 //!
@@ -15,15 +13,13 @@
 //! drained on write readiness.  The shard hands each framed event to the
 //! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
 //! its handler itself, under the dispatch lock — so a `GetTime` is
-//! `epoll_wait`, `read`, `write` on one thread — while single-threaded
+//! `epoll_wait`, `read`, `write` on one thread — with single-threaded
 //! control semantics, slow-client overflow/eviction, idle timeout, and
-//! chaos fault injection are preserved unchanged from the classic
-//! transport.
+//! chaos fault injection.
 //!
 //! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): whoever
-//! produces a reply — a request handler (on this shard or another
-//! transport thread), the task thread or an audio worker — first tries one
-//! nonblocking `write` on the connection's socket itself.  That *direct
+//! produces a reply — a request handler (on this shard or another) or the
+//! task thread — first tries one nonblocking `write` on the connection's socket itself.  That *direct
 //! write* is allowed only when nothing is ahead of the message (no message
 //! mid-write, empty outbound queue); the test, the write and any enqueue
 //! happen inside the connection's write lock, which the shard's
@@ -42,9 +38,8 @@
 //!
 //! Backpressure: the lock is taken per framed event, never per readiness
 //! batch, so `FRAME_BUDGET` fairness holds and the update task waits
-//! behind at most one request.  A shard waits for the dispatch lock
-//! exactly where a classic reader thread does, which stops reading that
-//! shard's sockets — TCP backpressure to the clients.  Fault injection
+//! behind at most one request.  A shard waiting for the dispatch lock is
+//! not reading its sockets — TCP backpressure to the clients.  Fault injection
 //! note: `ChaosStream` delays sleep on the shard thread, stalling that
 //! shard's connections collectively; chaos plans are a test-only feature
 //! and the tests account for it.  Chaos-wrapped connections never take the
@@ -116,11 +111,6 @@ pub fn default_shards() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(4)
-}
-
-/// Whether this build can run the reactor transport at all.
-pub fn reactor_supported() -> bool {
-    sys::supported()
 }
 
 /// Raises the process's open-file soft limit to the hard limit (load
@@ -412,6 +402,26 @@ impl ConnNotify {
     }
 }
 
+#[cfg(test)]
+impl ConnNotify {
+    /// The producer half of a connection no shard owns: no socket, so
+    /// every message takes the caller's queue, and the wakeup goes nowhere.
+    pub(crate) fn detached() -> ConnNotify {
+        let (waker, _wake_rx) = Waker::pair().expect("socketpair");
+        let (pending, _pending_rx) = crossbeam_channel::bounded(1);
+        ConnNotify(Arc::new(ConnShared {
+            token: AtomicU64::new(UNASSIGNED_TOKEN),
+            notified: AtomicBool::new(false),
+            pending,
+            sweep: Arc::new(AtomicBool::new(false)),
+            waker,
+            stats: Arc::new(ReactorShardStats::new(0)),
+            sock: None,
+            in_flight: Mutex::new(None),
+        }))
+    }
+}
+
 /// Byte streams a shard can own: anything readable/writable off-thread.
 pub trait ShardIo: Read + Write + Send {}
 impl<T: Read + Write + Send> ShardIo for T {}
@@ -583,8 +593,8 @@ fn build_conn(
     };
     let (io, direct): (Box<dyn ShardIo>, Option<SharedSock>) = match &transport.chaos {
         Some(plan) => {
-            // Same per-connection fault derivation as the classic
-            // transport: fork the plan seed by the connection id.
+            // Each connection gets its own fault schedule, derived
+            // deterministically from the plan seed and the connection id.
             let mut plan = plan.clone();
             plan.seed = af_chaos::ChaosRng::new(plan.seed).fork(id).next_u64();
             (Box::new(ChaosStream::new(sock, plan)), None)
@@ -602,7 +612,7 @@ fn build_conn(
         sock: direct,
         in_flight: Mutex::new(None),
     });
-    let otx = OutboundTx::reactor(tx, ConnNotify(Arc::clone(&shared)));
+    let otx = OutboundTx::new(tx, ConnNotify(Arc::clone(&shared)));
     (
         target,
         Box::new(NewConn {
@@ -1512,8 +1522,8 @@ impl Shard {
                 .dispatch
                 .submit(ServerEvent::ProtocolError { id: conn.id, error });
         }
-        // Always sent, even pre-setup — matching the classic reader
-        // thread; the dispatcher ignores ids it never admitted.
+        // Always sent, even pre-setup: the dispatcher ignores ids it
+        // never admitted.
         let _ = self
             .transport
             .dispatch
@@ -1556,9 +1566,8 @@ impl Reactor {
     /// Spawns `shards` reactor threads submitting to `transport.dispatch`.
     ///
     /// `force_poll` selects the `poll(2)` backend (otherwise epoll with
-    /// automatic fallback).  Fails on targets without a syscall backend —
-    /// callers should consult [`reactor_supported`] and fall back to the
-    /// classic transport.
+    /// automatic fallback).  Fails with `ErrorKind::Unsupported` on targets
+    /// without a syscall backend (see [`sys`] for the supported list).
     pub fn spawn(
         transport: Arc<TransportShared>,
         shards: usize,
@@ -1841,6 +1850,71 @@ mod tests {
     }
 
     #[test]
+    fn truncated_max_length_frame_disconnects_without_a_partial_request() {
+        let (mut reactor, rx, addr) = start(false);
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        match recv(&rx) {
+            ServerEvent::NewClient { .. } => {}
+            _ => panic!("expected NewClient"),
+        }
+        // Claim the maximum expressible frame length (0xffff words, which
+        // reads the same in either byte order), then hang up without
+        // sending the payload.  The shard must not emit a partial request.
+        sock.write_all(&[0xff, 0xff, 33, 0]).unwrap();
+        drop(sock);
+        match recv(&rx) {
+            ServerEvent::Disconnect { .. } => {}
+            _ => panic!("expected Disconnect for truncated frame"),
+        }
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn steady_state_framing_recycles_frame_buffers() {
+        // The acceptance property for the buffer pool: on the steady-state
+        // request path, the shard does NOT allocate a Vec per frame.  A
+        // bounded(1) event channel forces lock-step with the consumer, so at
+        // most a few buffers are ever in flight; after 100 frames the pool
+        // must have satisfied nearly all takes from its free list.
+        let (tx, rx) = crossbeam_channel::bounded(1);
+        let pool = crate::pool::BufferPool::shared();
+        let shared =
+            TransportShared::with_pool(DispatchHandle::capture(tx), None, Arc::clone(&pool));
+        let mut reactor = Reactor::spawn(shared, 1, false).unwrap();
+        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
+
+        let mut wire = ConnSetup::new().encode();
+        for _ in 0..100 {
+            wire.extend_from_slice(&[2, 0, 33, 0]); // 2 words: header + 4 bytes.
+            wire.extend_from_slice(&[1, 2, 3, 4]);
+        }
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&wire).unwrap();
+        match recv(&rx) {
+            ServerEvent::NewClient { .. } => {}
+            _ => panic!("expected NewClient"),
+        }
+        for _ in 0..100 {
+            match recv(&rx) {
+                ServerEvent::Request { raw, .. } => {
+                    assert_eq!(&*raw.payload, &[1, 2, 3, 4]);
+                    // Dropping `raw` returns its buffer to the pool, exactly
+                    // as the dispatcher does after handling a request.
+                }
+                _ => panic!("expected Request"),
+            }
+        }
+        assert!(
+            pool.allocs() <= 4,
+            "steady-state framing allocated per frame: {} allocs",
+            pool.allocs()
+        );
+        assert!(pool.reuses() >= 96, "only {} reuses", pool.reuses());
+        reactor.shutdown();
+    }
+
+    #[test]
     fn partial_frames_one_byte_per_readiness_event() {
         // The torture case: every byte of the setup message and of several
         // request frames arrives in its own segment, so the state machine
@@ -1993,8 +2067,8 @@ mod tests {
 
     /// Two producer threads share one connection's `OutboundTx` and issue
     /// `messages` mixed-size messages in a global order (fixed by a mutex
-    /// held across number-assignment and send, as the dispatcher→worker
-    /// handoff orders real producers); the reader drains in bursts so the
+    /// held across number-assignment and send, as the dispatch lock orders
+    /// real producers); the reader drains in bursts so the
     /// socket fills and writes go short.  The received stream must be the
     /// exact concatenation in issue order.
     fn ordered_delivery(chaos: Option<af_chaos::StreamFaultPlan>, force_poll: bool, messages: u32) {

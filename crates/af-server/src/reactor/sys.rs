@@ -9,9 +9,10 @@
 //! convention, and [`EpollFd`] owns its descriptor through [`OwnedFd`] so
 //! the close path stays in std.
 //!
-//! Only x86_64 and aarch64 Linux are wired; [`supported`] reports `false`
-//! elsewhere and the transport builder falls back to the classic
-//! thread-per-connection path.
+//! Supported targets: Linux on x86_64 and on aarch64.  These are the only
+//! syscall tables wired, and the reactor is the server's only transport,
+//! so elsewhere [`supported`] reports `false` and
+//! `ServerBuilder::spawn` fails with `ErrorKind::Unsupported`.
 
 // The asm blocks pass kernel-ABI scratch registers and pointers into
 // caller-owned buffers whose lifetimes span the call; nothing here

@@ -17,8 +17,8 @@ use std::time::Instant;
 /// Server-assigned client connection identifier.
 pub type ClientId = u64;
 
-/// Forcibly closes a connection's underlying socket, unblocking its
-/// reader thread (used to evict slow or idle clients).
+/// Forcibly closes a connection's underlying socket, so its shard sees
+/// the hang-up and drops it (used to evict slow or idle clients).
 pub type ConnKick = Arc<dyn Fn() + Send + Sync>;
 
 /// Failure counters for a running server, shared with test harnesses and
@@ -40,16 +40,14 @@ pub struct ServerStats {
     /// Transport events handled by the thread that framed them, under the
     /// dispatch lock (no thread hop).
     pub inline_events: AtomicU64,
-    /// Messages the task thread took from its channel (`WorkerDone`,
-    /// control, re-arm nudges): each one is a thread hop.
+    /// Messages the task thread took from its channel (control, re-arm
+    /// nudges): each one is a thread hop.
     pub channel_events: AtomicU64,
-    /// Per-worker data-plane counters (sharded servers only).
-    pub workers: Mutex<Vec<Arc<crate::worker::WorkerStats>>>,
     /// Per-LineServer-link health counters (WAN deployments): jitter
     /// buffer depth, concealments, reorders, FEC recoveries.
     pub links: Mutex<Vec<Arc<af_device::jitter::LinkStats>>>,
-    /// Per-reactor-shard transport counters (reactor transport only):
-    /// fd count, readiness events, partial reads, wakeups, evictions.
+    /// Per-reactor-shard transport counters: fd count, readiness events,
+    /// partial reads, wakeups, evictions.
     pub reactors: Mutex<Vec<Arc<crate::reactor::ReactorShardStats>>>,
     /// Per-broadcast-bus fan-out counters (broadcast servers only):
     /// listeners, chunks sealed, lag histogram, evictions, bytes fanned
@@ -63,29 +61,11 @@ impl ServerStats {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Registers an audio worker's counters for snapshotting.
-    pub fn register_worker(&self, stats: Arc<crate::worker::WorkerStats>) {
+    /// Registers a LineServer link's counters for snapshotting.
+    pub fn register_link(&self, stats: Arc<af_device::jitter::LinkStats>) {
         // Leaf lock over a plain Vec: a poisoning panic elsewhere cannot
         // leave it structurally broken, so recover instead of spreading
         // the panic into the server.
-        self.workers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(stats);
-    }
-
-    /// Copies out every registered worker's counters.
-    pub fn worker_snapshots(&self) -> Vec<crate::worker::WorkerStatsSnapshot> {
-        self.workers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|w| w.snapshot())
-            .collect()
-    }
-
-    /// Registers a LineServer link's counters for snapshotting.
-    pub fn register_link(&self, stats: Arc<af_device::jitter::LinkStats>) {
         self.links
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -300,9 +280,6 @@ pub struct PropertyValue {
 pub struct Device {
     /// The advertised attributes (sent at connection setup).
     pub desc: DeviceDesc,
-    /// In sharded mode, the handle to the audio worker that owns this
-    /// device's buffers (buffer owners only; `buffers` is then `None`).
-    pub worker: Option<crate::worker::WorkerLink>,
     /// The buffering engine over the hardware backend (owners only).
     pub buffers: Option<DeviceBuffers>,
     /// For mono views: `(parent device index, channel lane)`.
@@ -415,11 +392,9 @@ impl BlockedOp {
 /// One client's "outbound queue overflowed" flag, paired with the
 /// dispatcher-wide hint that *some* client's flag is up.
 ///
-/// Producers (the dispatcher's [`ClientState::send_bytes`] and audio-worker
-/// [`crate::transport::ReplySink`]s) raise both; the dispatcher swaps the
-/// hint after every event and walks its clients only when it was set, so
-/// the common no-overflow case costs one atomic, not one per connection.
-#[derive(Clone)]
+/// [`ClientState::send_bytes`] raises both; the dispatcher swaps the hint
+/// after every event and walks its clients only when it was set, so the
+/// common no-overflow case costs one atomic, not one per connection.
 pub struct OverflowFlag {
     client: Arc<AtomicBool>,
     any: Arc<AtomicBool>,
@@ -461,8 +436,7 @@ pub struct ClientState {
     pub id: ClientId,
     /// The client's declared byte order.
     pub order: ByteOrder,
-    /// Outbound route to the connection's writer (classic writer thread
-    /// or reactor shard).
+    /// Outbound route to the connection: its socket, else its shard.
     pub tx: OutboundTx,
     /// Requests processed on this connection (low 16 bits are the wire
     /// sequence number).
@@ -475,19 +449,14 @@ pub struct ClientState {
     pub blocked: Option<Blocked>,
     /// Requests received while suspended, in arrival order.
     pub queue: VecDeque<RawRequest>,
-    /// Closes the connection's socket to unblock its reader thread.
+    /// Closes the connection's socket (for forced eviction).
     pub kick: ConnKick,
-    /// Set when the bounded outbound queue rejected a message: the writer
-    /// cannot keep up and the protocol stream is no longer coherent, so
-    /// the client must be evicted (checked after every event).  Shared
-    /// (atomically) with audio-worker reply sinks, which can also hit the
-    /// bound.
+    /// Set when the bounded outbound queue rejected a message: the client
+    /// is not keeping up and the protocol stream is no longer coherent, so
+    /// the client must be evicted (checked after every event).
     pub overflowed: OverflowFlag,
     /// When the client last sent a request (for idle-connection eviction).
     pub last_activity: Instant,
-    /// A sample job for this client is in flight on an audio worker;
-    /// further requests wait in `queue` so per-client reply order holds.
-    pub awaiting_worker: bool,
 }
 
 impl ClientState {
@@ -512,7 +481,6 @@ impl ClientState {
             kick,
             overflowed,
             last_activity: Instant::now(),
-            awaiting_worker: false,
         }
     }
 
@@ -528,27 +496,14 @@ impl ClientState {
     /// ([`crate::transport::OUTBOUND_QUEUE_CAPACITY`]); a full queue means
     /// the client is reading more slowly than the server is producing, so
     /// instead of buffering without limit (the seed behavior) the client
-    /// is flagged for eviction.  A vanished writer is ignored — the
-    /// reader's disconnect event is already in flight.
+    /// is flagged for eviction.  A closed connection is ignored — its
+    /// shard's disconnect event is already in flight.
     pub fn send_bytes<B: Into<PooledBuf>>(&self, bytes: B) {
         match self.tx.try_send_buf(bytes.into()) {
             Ok(()) => {}
             Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
         }
-    }
-
-    /// A detached reply route for audio workers: same queue, same
-    /// overflow policy, no dispatcher involvement.
-    pub fn reply_sink(&self, pool: &Arc<crate::pool::BufferPool>) -> crate::transport::ReplySink {
-        crate::transport::ReplySink::new(
-            // af-analyze: allow(alloc): channel-sender clone is a refcount bump, not a heap allocation
-            self.tx.clone(),
-            self.order,
-            // af-analyze: allow(alloc): two refcount bumps, not a heap allocation
-            self.overflowed.clone(),
-            Arc::clone(pool),
-        )
     }
 }
 
@@ -564,7 +519,7 @@ pub enum ServerEvent {
         setup: Vec<u8>,
         /// Peer address for access control (`None` for local transports).
         peer: Option<IpAddr>,
-        /// Outbound route to the connection's writer.
+        /// Outbound route to the connection.
         tx: OutboundTx,
         /// Closes the connection's socket (for forced eviction).
         kick: ConnKick,
@@ -592,20 +547,8 @@ pub enum ServerEvent {
 }
 
 /// What still reaches the dispatcher by channel, taken by the task thread
-/// (`af-dispatcher`).  Its senders must never wait on the dispatch lock:
-/// the lock holder may be blocked on an audio worker's bounded job queue.
-pub enum TaskMsg {
-    /// An audio worker finished (or failed) the client's in-flight sample
-    /// job; the dispatcher may release the client's queued requests.
-    WorkerDone {
-        /// The client whose job completed.
-        id: ClientId,
-    },
-    /// An out-of-band control message.
-    Control(ControlMsg),
-}
-
-/// Control operations, used by tests, handles, shutdown and the timer.
+/// (`af-dispatcher`): control operations, used by tests, handles, shutdown
+/// and the timer.
 pub enum ControlMsg {
     /// Run the update task immediately and acknowledge.
     RunUpdate {
@@ -676,7 +619,7 @@ mod tests {
         ClientState::new(
             1,
             ByteOrder::Little,
-            OutboundTx::classic(tx),
+            OutboundTx::queue_only(tx),
             Arc::new(|| {}),
             OverflowFlag::new(any),
         )
@@ -690,7 +633,6 @@ mod tests {
         assert!(c.blocked.is_none());
         assert!(c.queue.is_empty());
         assert!(!c.overflowed.is_raised());
-        assert!(!c.awaiting_worker);
     }
 
     #[test]

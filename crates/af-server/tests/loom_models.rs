@@ -1,26 +1,16 @@
 //! Loom-style model checks for the server's cross-thread handoff protocols.
 //!
-//! The dispatcher/worker split (src/worker.rs, src/dispatch.rs), the
-//! reactor's reply path and the dispatch lock's timer re-arm rest on a few
-//! cross-thread protocols that ordinary tests exercise under only one
+//! The reactor's reply path and the dispatch lock's timer re-arm rest on a
+//! few cross-thread protocols that ordinary tests exercise under only one
 //! interleaving.  Each model below re-states one protocol with the same
 //! atomics/queue shapes as the server and asserts its invariant under
 //! *every* interleaving of the synchronization operations, via the `loom`
-//! shim's exhaustive schedule exploration:
+//! shim's exhaustive schedule exploration.  (The numbering starts at 5:
+//! DESIGN.md §10.2 and the reactor's module docs cite these numbers.)
 //!
-//! 1. job-queue handoff: the `awaiting_worker` flag admits at most one
-//!    in-flight job per client, and a completion is never lost.
-//! 2. device-time publication: `GetTime` snapshots published through an
-//!    `AtomicU64` are monotonic from the dispatcher's point of view.
-//! 3. `DeviceControl` mirroring: control stores precede job enqueue, so a
-//!    worker processing a job always sees the settings that were current
-//!    when the job was submitted.
-//! 4. per-device `WakeBlocked`: a wake event enqueued after freeing space
-//!    can never be observed before the space is visible (no lost wakeup),
-//!    and it stays scoped to its own device.
-//! 5. dispatcher→reactor wakeup: the reply path pushes to the outbound
-//!    queue and then arms a notify flag that gates the wake-pipe write;
-//!    the shard clears the flag *before* draining.  Invariant: no push is
+//! 5. producer→shard wakeup: the reply path pushes to the outbound queue
+//!    and then arms a notify flag that gates the wake-pipe write; the
+//!    shard clears the flag *before* draining.  Invariant: no push is
 //!    ever stranded without a visible wake (no lost wakeup), and a drain
 //!    pass only runs when a wake was actually written (no double-drain).
 //! 6. direct reply write: producers write the connection's socket
@@ -45,172 +35,9 @@ use loom::sync::{Arc, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Scenario 1 — SPSC job-queue handoff with the `awaiting_worker` gate.
+/// Scenario 5 — the reactor's producer→shard wakeup protocol.
 ///
-/// The dispatcher enqueues a job only after winning `awaiting_worker`
-/// (false → true); the worker drains the job and clears the flag *after*
-/// recording the completion.  Invariant: the queue never holds more than
-/// one job for the client, and a second submission either queues (it saw
-/// the flag already cleared) or is counted blocked — never silently lost.
-#[test]
-fn job_queue_admits_one_in_flight_job_per_client() {
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let awaiting = Arc::new(AtomicBool::new(false));
-        let completions = Arc::new(AtomicUsize::new(0));
-
-        // Dispatcher submits the first job: gate, then enqueue.
-        assert!(!awaiting.swap(true, Ordering::SeqCst));
-        queue.lock().unwrap().push_back(1u32);
-
-        let worker = {
-            let (queue, awaiting, completions) =
-                (queue.clone(), awaiting.clone(), completions.clone());
-            loom::thread::spawn(move || {
-                let job = queue.lock().unwrap().pop_front();
-                assert_eq!(job, Some(1), "job enqueued before spawn must be visible");
-                // Completion recorded before the gate opens, mirroring the
-                // worker sending WorkerDone before the dispatcher clears
-                // `awaiting_worker`.
-                completions.fetch_add(1, Ordering::SeqCst);
-                awaiting.store(false, Ordering::SeqCst);
-            })
-        };
-
-        // Dispatcher attempts a second submission concurrently.
-        let second_blocked = awaiting.swap(true, Ordering::SeqCst);
-        if !second_blocked {
-            queue.lock().unwrap().push_back(2u32);
-        }
-        assert!(
-            queue.lock().unwrap().len() <= 1,
-            "gate must keep at most one job in flight"
-        );
-
-        worker.join().expect("worker thread");
-        assert_eq!(completions.load(Ordering::SeqCst), 1, "completion lost");
-        if second_blocked {
-            // The submission was suspended; the queue drained to empty.
-            assert!(queue.lock().unwrap().is_empty());
-        } else {
-            // It was admitted after the worker finished job 1.
-            assert_eq!(queue.lock().unwrap().pop_front(), Some(2));
-        }
-    });
-}
-
-/// Scenario 2 — device-time snapshot publication (`GetTime` fast path).
-///
-/// The worker publishes successive tick snapshots into an `AtomicU64`; the
-/// dispatcher answers `GetTime` from loads of the same cell.  Invariant:
-/// reads are monotonic and only ever values the worker actually published.
-#[test]
-fn device_time_snapshots_read_monotonically() {
-    loom::model(|| {
-        let ticks = Arc::new(AtomicU64::new(0));
-
-        let worker = {
-            let ticks = ticks.clone();
-            loom::thread::spawn(move || {
-                ticks.store(1, Ordering::SeqCst);
-                ticks.store(2, Ordering::SeqCst);
-            })
-        };
-
-        let a = ticks.load(Ordering::SeqCst);
-        let b = ticks.load(Ordering::SeqCst);
-        assert!(a <= b, "GetTime went backwards: {a} then {b}");
-        assert!(a <= 2 && b <= 2, "read a value never published");
-
-        worker.join().expect("worker thread");
-        assert_eq!(ticks.load(Ordering::SeqCst), 2);
-    });
-}
-
-/// Scenario 3 — `DeviceControl` mirroring: store settings, then enqueue.
-///
-/// The dispatcher mirrors gain/enable into atomics *before* pushing the
-/// job (dispatch happens-before the worker's pop through the queue lock).
-/// Invariant: a worker that sees the job also sees the settings; a worker
-/// that races ahead of the enqueue simply finds no job — it never processes
-/// one with stale settings.
-#[test]
-fn worker_sees_control_settings_stored_before_enqueue() {
-    loom::model(|| {
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let gain_db = Arc::new(AtomicU64::new(0));
-        let enabled = Arc::new(AtomicBool::new(false));
-
-        let worker = {
-            let (queue, gain_db, enabled) = (queue.clone(), gain_db.clone(), enabled.clone());
-            loom::thread::spawn(move || {
-                let job = queue.lock().unwrap().pop_front();
-                if let Some(j) = job {
-                    assert_eq!(j, 7u32, "unexpected job");
-                    assert_eq!(
-                        gain_db.load(Ordering::SeqCst),
-                        12,
-                        "job visible but its control settings are not"
-                    );
-                    assert!(enabled.load(Ordering::SeqCst), "enable bit not mirrored");
-                }
-            })
-        };
-
-        // Dispatcher: mirror control state first, enqueue last.
-        gain_db.store(12, Ordering::SeqCst);
-        enabled.store(true, Ordering::SeqCst);
-        queue.lock().unwrap().push_back(7u32);
-
-        worker.join().expect("worker thread");
-    });
-}
-
-/// Scenario 4 — per-device `WakeBlocked` carries no lost wakeups.
-///
-/// The worker frees ring space (`space_a`) and *then* enqueues the wake
-/// event for device A.  Invariant: whenever the dispatcher observes the
-/// wake event, the freed space is already visible, and device B's blocked
-/// state is untouched by A's wakeup.
-#[test]
-fn wake_blocked_is_ordered_after_space_free_and_device_scoped() {
-    loom::model(|| {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let space_a = Arc::new(AtomicBool::new(false));
-        let blocked_b = Arc::new(AtomicBool::new(true));
-
-        let worker = {
-            let (events, space_a) = (events.clone(), space_a.clone());
-            loom::thread::spawn(move || {
-                space_a.store(true, Ordering::SeqCst);
-                events.lock().unwrap().push(0u8); // WakeBlocked(device A)
-            })
-        };
-
-        // Dispatcher polls the event queue once, concurrently.
-        let polled = events.lock().unwrap().pop();
-        if let Some(device) = polled {
-            assert_eq!(device, 0, "wake scoped to device A");
-            assert!(
-                space_a.load(Ordering::SeqCst),
-                "wake observed before the space that justified it"
-            );
-        }
-
-        worker.join().expect("worker thread");
-        assert!(
-            blocked_b.load(Ordering::SeqCst),
-            "device B woken by device A's event"
-        );
-        // Exactly one wake total: either the poll got it or it is queued.
-        let queued = events.lock().unwrap().len();
-        assert_eq!(queued + usize::from(polled.is_some()), 1);
-    });
-}
-
-/// Scenario 5 — the reactor's dispatcher→shard wakeup protocol.
-///
-/// Producer (the dispatcher's `OutboundTx`): push the reply, then
+/// Producer (a handler's or the task thread's `OutboundTx`): push the reply, then
 /// `notified.swap(true)`; only a false→true transition writes the wake
 /// pipe, so an already-armed flag costs no syscall.  Consumer (the shard's
 /// `handle_wake`): consume the pipe, clear `notified` *before* draining
@@ -386,9 +213,9 @@ fn assert_wire_in_issue_order(c: &ModelConn) {
 /// Scenario 6 — two producers and the shard over one connection's shared
 /// write state.
 ///
-/// The dispatcher has already sent message 1 (a short direct write, wake
-/// written); now it sends message 3 while a worker sends message 2 and
-/// the shard runs the poll round that wake earned — so sends land before,
+/// A handler has already sent message 1 (a short direct write, wake
+/// written); now it sends message 3 while the task thread sends message 2
+/// and the shard runs the poll round that wake earned — so sends land before,
 /// between the messages of, and after the shard's flush.  Every schedule
 /// must deliver all six wire units in issue order; when the producers are
 /// done, anything not yet on the wire must have a wake pending (a short
@@ -418,13 +245,13 @@ fn direct_write_keeps_issue_order_and_strands_nothing() {
             }
         };
         send(1)();
-        let dispatcher = loom::thread::spawn(send(3));
-        let worker = loom::thread::spawn(send(2));
+        let handler = loom::thread::spawn(send(3));
+        let task_thread = loom::thread::spawn(send(2));
 
         let mut drains = 0;
         drains += usize::from(model_shard_round(&conn, &notified, &pipe));
-        dispatcher.join().expect("dispatcher");
-        worker.join().expect("worker");
+        handler.join().expect("handler");
+        task_thread.join().expect("task thread");
         {
             let c = conn.lock().unwrap();
             let unwritten = c.in_flight.is_some() || !c.queue.is_empty();
@@ -598,9 +425,9 @@ fn shim_explores_multiple_schedules() {
     );
 }
 
-/// The checker actually catches ordering bugs: enqueueing the wake event
-/// *before* freeing the space (the inverse of scenario 4) must fail under
-/// some interleaving.
+/// The checker actually catches ordering bugs: enqueueing a wake event
+/// *before* publishing the state that justifies it must fail under some
+/// interleaving.
 #[test]
 fn shim_catches_publication_order_bug() {
     let failed = catch_unwind(AssertUnwindSafe(|| {
@@ -608,7 +435,7 @@ fn shim_catches_publication_order_bug() {
             let events = Arc::new(Mutex::new(Vec::new()));
             let space = Arc::new(AtomicBool::new(false));
 
-            let worker = {
+            let publisher = {
                 let (events, space) = (events.clone(), space.clone());
                 loom::thread::spawn(move || {
                     events.lock().unwrap().push(0u8); // BUG: wake before free
@@ -620,7 +447,7 @@ fn shim_catches_publication_order_bug() {
             if polled.is_some() {
                 assert!(space.load(Ordering::SeqCst), "lost wakeup");
             }
-            worker.join().expect("worker thread");
+            publisher.join().expect("publisher thread");
         });
     }))
     .is_err();

@@ -30,9 +30,6 @@ const SETUP_HOPS: f64 = 4.0;
 
 #[test]
 fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
-    if !af_server::reactor_supported() {
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("af-budget-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("budget.sock");

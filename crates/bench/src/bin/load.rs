@@ -1,9 +1,9 @@
-//! `load` — connections-vs-throughput/latency curve for the transports.
+//! `load` — connections-vs-throughput/latency curve for the reactor.
 //!
 //! Stands up an in-process codec server and drives N concurrent TCP
 //! clients from a single-threaded readiness loop (the same
 //! `af_server::reactor::poller::Poller` the server shards use, so the
-//! harness itself scales past the thread-per-client wall it measures).
+//! harness itself scales with the server it measures).
 //! 70% of connections are idle — they cost the server an fd and a poller
 //! registration but no traffic — and 30% are paced `GetTime` pingers,
 //! one request in flight each, a fresh ping every [`PING_INTERVAL`].
@@ -17,7 +17,7 @@
 //!
 //! Results merge into `BENCH_report.json` under `"reactor_scaling"`,
 //! preserving every other key.  Exit is nonzero if the final (largest)
-//! reactor level is not sustained — the scaling claim is the whole point.
+//! level is not sustained — the scaling claim is the whole point.
 
 use af_proto::{ByteOrder, ConnSetup, Request};
 use af_server::reactor::poller::{Interest, PollEvent, Poller};
@@ -54,7 +54,6 @@ struct Conn {
 }
 
 struct LevelResult {
-    transport: &'static str,
     connections: usize,
     active: usize,
     duration_s: f64,
@@ -70,8 +69,8 @@ struct LevelResult {
     readiness_events: u64,
     wakeups: u64,
     partial_reads: u64,
-    /// Reactor transport cost per request, from the shard counters
-    /// (`None` on the classic transport, which has no shards).
+    /// Transport cost per request, from the shard counters (`None` if the
+    /// level completed no request: the ratios have no denominator).
     syscalls: Option<SyscallsPerRequest>,
 }
 
@@ -97,11 +96,9 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn codec_server(classic: bool) -> RunningServer {
+fn codec_server() -> RunningServer {
     let clock = Arc::new(af_device::SystemClock::new(8000));
-    let mut builder = ServerBuilder::new()
-        .listen_tcp("127.0.0.1:0".parse().expect("addr"))
-        .classic_transport(classic);
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().expect("addr"));
     builder.add_codec(
         clock,
         Box::new(af_device::NullSink),
@@ -124,9 +121,8 @@ fn handshake(addr: std::net::SocketAddr) -> std::io::Result<TcpStream> {
     Ok(raw)
 }
 
-fn run_level(classic: bool, n: usize, duration: Duration) -> LevelResult {
-    let transport = if classic { "classic" } else { "reactor" };
-    let server = codec_server(classic);
+fn run_level(n: usize, duration: Duration) -> LevelResult {
+    let server = codec_server();
     let stats = server.stats();
     let addr = server.tcp_addr().expect("tcp addr");
 
@@ -288,7 +284,6 @@ fn run_level(classic: bool, n: usize, duration: Duration) -> LevelResult {
     server.shutdown();
 
     LevelResult {
-        transport,
         connections: n,
         active,
         duration_s: measured,
@@ -310,7 +305,7 @@ fn run_level(classic: bool, n: usize, duration: Duration) -> LevelResult {
 
 fn render_row(r: &LevelResult) -> String {
     format!(
-        "{{\"transport\": \"{transport}\", \"connections\": {connections}, \
+        "{{\"transport\": \"reactor\", \"connections\": {connections}, \
          \"active\": {active}, \"duration_s\": {duration_s:.3}, \
          \"target_rps\": {target_rps:.1}, \"achieved_rps\": {achieved_rps:.1}, \
          \"replies\": {replies}, \"p50_us\": {p50:.1}, \"p99_us\": {p99:.1}, \
@@ -318,7 +313,6 @@ fn render_row(r: &LevelResult) -> String {
          \"disconnects\": {disconnects}, \"sustained\": {sustained}, \
          \"readiness_events\": {readiness_events}, \"wakeups\": {wakeups}, \
          \"partial_reads\": {partial_reads}, \"syscalls_per_request\": {syscalls}}}",
-        transport = r.transport,
         connections = r.connections,
         active = r.active,
         duration_s = r.duration_s,
@@ -359,28 +353,10 @@ fn main() {
         Err(e) => eprintln!("load: cannot raise open-file limit: {e}"),
     }
 
-    // (classic?, connections) — the reactor curve plus two classic
-    // comparison points; classic costs 2 OS threads per connection, so
-    // its levels stay small by design.
-    let levels: &[(bool, usize)] = if smoke {
-        &[
-            (false, 100),
-            (false, 250),
-            (false, 500),
-            (false, 1000),
-            (true, 100),
-            (true, 500),
-        ]
+    let levels: &[usize] = if smoke {
+        &[100, 250, 500, 1000]
     } else {
-        &[
-            (false, 500),
-            (false, 1000),
-            (false, 2000),
-            (false, 3500),
-            (false, 5000),
-            (true, 100),
-            (true, 1000),
-        ]
+        &[500, 1000, 2000, 3500, 5000]
     };
     let duration = if smoke {
         Duration::from_secs(2)
@@ -389,10 +365,9 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    for &(classic, n) in levels {
-        let transport = if classic { "classic" } else { "reactor" };
-        eprintln!("load: {transport} × {n} connections, {duration:?} ...");
-        let r = run_level(classic, n, duration);
+    for &n in levels {
+        eprintln!("load: {n} connections, {duration:?} ...");
+        let r = run_level(n, duration);
         eprintln!(
             "  {:.0}/{:.0} rps ({} replies), p50 {:.0} µs, p99 {:.0} µs, \
              errors {}, evictions {}, disconnects {}, syscalls/request {} → {}",
@@ -421,11 +396,8 @@ fn main() {
 
     let sustained_fraction =
         rows.iter().filter(|r| r.sustained).count() as f64 / rows.len() as f64;
-    // The scaling claim rides on the largest reactor level.
-    let final_reactor_ok = rows
-        .iter()
-        .rfind(|r| r.transport == "reactor")
-        .is_some_and(|r| r.sustained);
+    // The scaling claim rides on the largest level.
+    let final_level_ok = rows.last().is_some_and(|r| r.sustained);
 
     let mode = if smoke { "smoke" } else { "full" };
     let rendered: Vec<String> = rows.iter().map(render_row).collect();
@@ -438,8 +410,8 @@ fn main() {
     let merged = bench::jsonmerge::set_key(&existing, "reactor_scaling", &section);
     std::fs::write(&out_path, merged).expect("write report");
     eprintln!("load: wrote {out_path}");
-    if !final_reactor_ok {
-        eprintln!("load: FAIL — largest reactor level not sustained");
+    if !final_level_ok {
+        eprintln!("load: FAIL — largest level not sustained");
         std::process::exit(1);
     }
 }

@@ -67,22 +67,16 @@ struct Report {
     /// Table 7: decoded / total DTMF pairs.
     dtmf_ok: u32,
     dtmf_total: u32,
-    /// Multi-device aggregate play throughput, classic vs sharded.
+    /// Multi-device aggregate play throughput.
     multi_device: Vec<MultiDeviceRow>,
 }
 
 /// One multi-device throughput measurement.
 struct MultiDeviceRow {
     devices: usize,
-    mode: &'static str,
-    /// Wall-clock aggregate — recorded for context, no longer gated: on a
+    /// Wall-clock aggregate — recorded for context, not gated: on a
     /// 1-core host it measures scheduler interleaving, not kernel work.
     aggregate_mb_s: f64,
-    /// Data-plane cycles per byte summed over the audio workers.  `None`
-    /// for classic rows: with no worker threads the DSP runs inside the
-    /// dispatcher, inseparable from I/O, and the in-process bench clients
-    /// contaminate any process-wide cycle reading.
-    cycles_per_byte: Option<f64>,
 }
 
 /// Concurrent clients in the multi-device benchmark.
@@ -428,73 +422,54 @@ fn table7() -> (u32, u32) {
 }
 
 /// Aggregate play throughput with 8 concurrent clients spread round-robin
-/// over 1 and 4 devices, classic single-threaded path vs sharded per-device
-/// audio workers.
+/// over 1 and 4 devices.
 ///
 /// Every client loops `get_time` + mixing `play_samples` of 8 KB, so each
-/// iteration crosses the dispatcher once for control and lands one chunk of
-/// DSP work on the data plane.  On a multi-core host the 4-device sharded
-/// row can scale with the worker threads; the report records `cpu_cores`
-/// so single-core runs (where no parallel speedup is physically possible)
-/// are read as what they are: a check that sharding costs nothing.
+/// iteration takes the dispatch lock twice and does one chunk of DSP work
+/// under it.  The report records `cpu_cores`: handlers on different shards
+/// contend for the one lock, so the figure depends on how many run at once.
 fn multi_device_section(settings: Settings) -> Vec<MultiDeviceRow> {
     println!(
         "## Multi-device throughput — {MULTI_CLIENTS} clients, {MULTI_CHUNK} B mixing plays \
          (cpu_cores = {})\n",
         cpu_cores()
     );
-    println!("| devices | data plane | aggregate (MB/s) | cycles/byte |");
-    println!("|---|---|---|---|");
+    println!("| devices | aggregate (MB/s) |");
+    println!("|---|---|");
     let iters: u32 = if settings.smoke { 50 } else { 600 };
     let mut rows = Vec::new();
     for &devices in &[1usize, 4] {
-        for &(sharded, mode) in &[(false, "classic"), (true, "sharded")] {
-            let rig = Rig::start_multi(Transport::Tcp, devices, sharded, false);
-            let stats = rig.server.stats();
-            let start = std::time::Instant::now();
-            let handles: Vec<_> = (0..MULTI_CLIENTS)
-                .map(|i| {
-                    let name = rig.conn_name.clone();
-                    let device = (i % devices) as u8;
-                    std::thread::spawn(move || {
-                        let mut conn = AudioConn::open(&name).expect("connect");
-                        let ac = conn
-                            .create_ac(device, AcMask::default(), &AcAttributes::default())
-                            .expect("create ac");
-                        let data = vec![0x31u8; MULTI_CHUNK];
-                        for _ in 0..iters {
-                            let now = conn.get_time(device).expect("get_time");
-                            conn.play_samples(&ac, now + 8000u32, &data).expect("play");
-                        }
-                    })
+        let rig = Rig::start_multi(Transport::Tcp, devices, false);
+        let start = std::time::Instant::now();
+        let handles: Vec<_> = (0..MULTI_CLIENTS)
+            .map(|i| {
+                let name = rig.conn_name.clone();
+                let device = (i % devices) as u8;
+                std::thread::spawn(move || {
+                    let mut conn = AudioConn::open(&name).expect("connect");
+                    let ac = conn
+                        .create_ac(device, AcMask::default(), &AcAttributes::default())
+                        .expect("create ac");
+                    let data = vec![0x31u8; MULTI_CHUNK];
+                    for _ in 0..iters {
+                        let now = conn.get_time(device).expect("get_time");
+                        conn.play_samples(&ac, now + 8000u32, &data).expect("play");
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().expect("client thread");
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            let bytes = MULTI_CLIENTS * iters as usize * MULTI_CHUNK;
-            let mb_s = bytes as f64 / elapsed / 1e6;
-            // Per-plane CPU work: cycles the audio workers consumed per
-            // sample byte they processed.  Only sharded rows have workers.
-            let cycles_per_byte = {
-                let snaps = stats.worker_snapshots();
-                let cycles: u64 = snaps.iter().map(|s| s.busy_cycles).sum();
-                let worked: u64 = snaps.iter().map(|s| s.bytes_processed).sum();
-                (worked > 0).then(|| cycles as f64 / worked as f64)
-            };
-            match cycles_per_byte {
-                Some(cpb) => println!("| {devices} | {mode} | {mb_s:.1} | {cpb:.3} |"),
-                None => println!("| {devices} | {mode} | {mb_s:.1} | – |"),
-            }
-            rows.push(MultiDeviceRow {
-                devices,
-                mode,
-                aggregate_mb_s: mb_s,
-                cycles_per_byte,
-            });
-            rig.server.shutdown();
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("client thread");
         }
+        let elapsed = start.elapsed().as_secs_f64();
+        let bytes = MULTI_CLIENTS * iters as usize * MULTI_CHUNK;
+        let mb_s = bytes as f64 / elapsed / 1e6;
+        println!("| {devices} | {mb_s:.1} |");
+        rows.push(MultiDeviceRow {
+            devices,
+            aggregate_mb_s: mb_s,
+        });
+        rig.server.shutdown();
     }
     println!();
     rows
@@ -604,16 +579,10 @@ fn render_json(r: &Report) -> String {
         .multi_device
         .iter()
         .map(|row| {
-            let cpb = match row.cycles_per_byte {
-                Some(v) => jnum(v),
-                None => "null".to_string(),
-            };
             format!(
-                "      {{\"devices\": {}, \"mode\": {}, \"aggregate_mb_s\": {}, \"cycles_per_byte\": {}}}",
+                "      {{\"devices\": {}, \"aggregate_mb_s\": {}}}",
                 row.devices,
-                jstr(row.mode),
-                jnum(row.aggregate_mb_s),
-                cpb
+                jnum(row.aggregate_mb_s)
             )
         })
         .collect();

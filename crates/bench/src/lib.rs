@@ -66,12 +66,11 @@ impl Rig {
     /// `mic_tone` selects a 440 Hz microphone (for record benches) instead
     /// of silence.
     pub fn start(transport: Transport, mic_tone: bool) -> Rig {
-        Rig::start_multi(transport, 1, false, mic_tone)
+        Rig::start_multi(transport, 1, mic_tone)
     }
 
-    /// Starts a server with `devices` independent codec devices, optionally
-    /// with the sharded data plane (one audio worker thread per device).
-    pub fn start_multi(transport: Transport, devices: usize, sharded: bool, mic_tone: bool) -> Rig {
+    /// Starts a server with `devices` independent codec devices.
+    pub fn start_multi(transport: Transport, devices: usize, mic_tone: bool) -> Rig {
         let mut builder = ServerBuilder::new();
         for _ in 0..devices {
             let clock = Arc::new(SystemClock::new(8000));
@@ -87,7 +86,6 @@ impl Rig {
                 BENCH_BUFFER_FRAMES,
             );
         }
-        let builder = builder.sharded_data_plane(sharded);
         match transport {
             Transport::Unix => {
                 let path = std::env::temp_dir().join(format!(
@@ -158,9 +156,8 @@ impl Rig {
 }
 
 /// Number of CPU cores the benchmark process can use.  Recorded in the
-/// report so multi-device speedups are interpreted honestly: on a 1-core
-/// machine the sharded data plane cannot run workers in parallel, it can
-/// only overlap DSP with dispatcher I/O.
+/// report because every result that involves several threads (reactor
+/// shards, concurrent bench clients) depends on it.
 pub fn cpu_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

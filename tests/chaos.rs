@@ -16,16 +16,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn codec_server() -> RunningServer {
-    codec_server_with(false)
-}
-
-/// Codec server on either transport: the reactor (default) or the classic
-/// thread-per-connection path, so every fault scenario runs against both.
-fn codec_server_with(classic: bool) -> RunningServer {
     let clock = Arc::new(VirtualClock::new(8000));
-    let mut builder = ServerBuilder::new()
-        .listen_tcp("127.0.0.1:0".parse().unwrap())
-        .classic_transport(classic);
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
     builder.add_codec(
         clock,
         Box::new(NullSink),
@@ -47,16 +39,7 @@ fn raw_handshake(server: &RunningServer) -> TcpStream {
 
 #[test]
 fn slow_client_is_evicted_not_fatal() {
-    slow_client_is_evicted(false);
-}
-
-#[test]
-fn slow_client_is_evicted_not_fatal_classic_transport() {
-    slow_client_is_evicted(true);
-}
-
-fn slow_client_is_evicted(classic: bool) {
-    let server = codec_server_with(classic);
+    let server = codec_server();
     let stats = server.stats();
 
     // A well-behaved client, connected before the abuse starts.
@@ -182,16 +165,7 @@ fn lossy_lineserver_degrades_to_silence_not_stall() {
 
 #[test]
 fn corrupting_stream_disconnects_only_that_client() {
-    corrupting_stream_is_contained(false);
-}
-
-#[test]
-fn corrupting_stream_disconnects_only_that_client_classic_transport() {
-    corrupting_stream_is_contained(true);
-}
-
-fn corrupting_stream_is_contained(classic: bool) {
-    let server = codec_server_with(classic);
+    let server = codec_server();
     let stats = server.stats();
 
     let mut healthy = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
@@ -263,52 +237,49 @@ fn corrupting_stream_is_contained(classic: bool) {
 }
 
 #[test]
-fn one_byte_at_a_time_handshake_and_frames_survive_both_transports() {
+fn one_byte_at_a_time_handshake_and_frames_survive() {
     // Partial-frame torture: the setup header, setup tail, and every
     // request frame header arrive one byte per write, with a pause that
-    // makes each byte a separate readiness event on the reactor (and a
-    // separate short read on the classic reader).  Framing must
-    // reassemble them all; nothing may be misparsed or dropped.
-    for classic in [false, true] {
-        let server = codec_server_with(classic);
-        let mut raw = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
-        raw.set_nodelay(true).unwrap();
+    // makes each byte a separate readiness event on its shard.  Framing
+    // must reassemble them all; nothing may be misparsed or dropped.
+    let server = codec_server();
+    let mut raw = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+    raw.set_nodelay(true).unwrap();
 
-        let dribble = |bytes: &[u8], raw: &mut TcpStream| {
-            for b in bytes {
-                raw.write_all(std::slice::from_ref(b)).unwrap();
-                raw.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        };
-
-        dribble(&ConnSetup::new().encode(), &mut raw);
-        let mut len_buf = [0u8; 4];
-        raw.read_exact(&mut len_buf).unwrap();
-        let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
-        raw.read_exact(&mut body).unwrap();
-
-        for _ in 0..3 {
-            let get_time = Request::GetTime { device: 0 }.encode(ByteOrder::native());
-            dribble(&get_time, &mut raw);
-            // A Time reply is exactly 12 bytes: 8-byte message header plus
-            // the 4-byte tick count.
-            let mut reply = [0u8; 12];
-            raw.read_exact(&mut reply).unwrap();
+    let dribble = |bytes: &[u8], raw: &mut TcpStream| {
+        for b in bytes {
+            raw.write_all(std::slice::from_ref(b)).unwrap();
+            raw.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
         }
+    };
 
-        // The abuse left the server fully functional for everyone else.
-        let mut fresh = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
-        assert!(fresh.get_time(0).is_ok(), "classic={classic}");
-        server.shutdown();
+    dribble(&ConnSetup::new().encode(), &mut raw);
+    let mut len_buf = [0u8; 4];
+    raw.read_exact(&mut len_buf).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
+    raw.read_exact(&mut body).unwrap();
+
+    for _ in 0..3 {
+        let get_time = Request::GetTime { device: 0 }.encode(ByteOrder::native());
+        dribble(&get_time, &mut raw);
+        // A Time reply is exactly 12 bytes: 8-byte message header plus
+        // the 4-byte tick count.
+        let mut reply = [0u8; 12];
+        raw.read_exact(&mut reply).unwrap();
     }
+
+    // The abuse left the server fully functional for everyone else.
+    let mut fresh = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    assert!(fresh.get_time(0).is_ok());
+    server.shutdown();
 }
 
 #[test]
 fn chunk_limited_server_streams_keep_a_pipelined_burst_in_order() {
     // Server-side fault plan: every accepted connection reads ≤ 3 and
-    // writes ≤ 5 bytes per call.  On the reactor such connections never
-    // take the direct reply write — every reply goes through the outbound
+    // writes ≤ 5 bytes per call.  Such connections never take the direct
+    // reply write — every reply goes through the outbound
     // queue and the shard — so this is the fallback path on its own: a
     // hundred pipelined requests, small and 4 KB replies interleaved,
     // must come back whole, once each, in request order.
@@ -464,6 +435,104 @@ fn flapping_connection_reconnects() {
         "reconnect took {elapsed:?}; backoff must stay bounded"
     );
     revived.shutdown();
+}
+
+/// 32 concurrent connections streaming into 4 devices on a real clock,
+/// every server-side stream chunk-limited and jittered, plus one client
+/// that floods reply-bearing requests and never reads.  Past the point one
+/// client can be served the server must degrade by evicting it — not by
+/// deadlocking behind its full queue: every stream runs to completion in
+/// bounded time and device times keep advancing.
+#[test]
+fn soak_many_clients_four_devices_evicts_the_flooder_without_deadlock() {
+    let clock = Arc::new(SystemClock::new(8000));
+    let mut builder = ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .chaos(
+            StreamFaultPlan::new(0x5047)
+                .partial_reads(9)
+                .partial_writes(9)
+                .latency(0.002, Duration::from_micros(200)),
+        );
+    for _ in 0..4 {
+        builder.add_codec(
+            clock.clone(),
+            Box::new(NullSink),
+            Box::new(SilenceSource::new(0xFF)),
+        );
+    }
+    let server = builder.spawn().unwrap();
+    let addr = server.tcp_addr().unwrap().to_string();
+    let stats = server.stats();
+
+    let mut flooder = raw_handshake(&server);
+    let slow = std::thread::spawn(move || {
+        let get_time = Request::GetTime { device: 0 }.encode(ByteOrder::native());
+        let batch = get_time.repeat(1024);
+        for _ in 0..4096 {
+            if flooder.write_all(&batch).is_err() {
+                return; // Kicked.
+            }
+        }
+    });
+
+    let streams: Vec<_> = (0..32)
+        .map(|i| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let device = (i % 4) as u8;
+                let mut conn = AudioConn::open(&addr).unwrap();
+                let ac = conn
+                    .create_ac(device, AcMask::default(), &AcAttributes::default())
+                    .unwrap();
+                let noise = vec![0x21u8; 4000];
+                let mut last = conn.get_time(device).unwrap();
+                for round in 0..30 {
+                    let now = conn.get_time(device).unwrap();
+                    assert!(
+                        !last.is_after(now),
+                        "device {device} time went backwards: {last:?} -> {now:?}"
+                    );
+                    last = now;
+                    // Anchor half a second ahead so the stream never blocks.
+                    conn.play_samples(&ac, now + 4000u32, &noise).unwrap();
+                    if round % 10 == 0 {
+                        conn.record_samples(&ac, now, 0, false).unwrap();
+                    }
+                }
+                conn.sync().unwrap();
+            })
+        })
+        .collect();
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for stream in streams {
+        assert!(Instant::now() < deadline, "soak exceeded bounded time");
+        stream.join().expect("streaming client panicked");
+    }
+    slow.join().expect("flooding client thread panicked");
+
+    let evict_deadline = Instant::now() + Duration::from_secs(10);
+    while ServerStats::get(&stats.evicted_slow) == 0 && Instant::now() < evict_deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        ServerStats::get(&stats.evicted_slow) >= 1,
+        "flooding client must be evicted"
+    );
+
+    // Device times still advance after the abuse.
+    let mut conn = AudioConn::open(&addr).unwrap();
+    for device in 0..4u8 {
+        let t1 = conn.get_time(device).unwrap();
+        std::thread::sleep(Duration::from_millis(120));
+        let t2 = conn.get_time(device).unwrap();
+        assert!(
+            t2.is_after(t1),
+            "device {device} time stalled: {t1:?} -> {t2:?}"
+        );
+    }
+    server.shutdown();
 }
 
 // ---- §7.3.1 across shards: one dispatch lock, many framing threads. ----

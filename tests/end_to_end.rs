@@ -5,8 +5,9 @@
 //! clocks so timing assertions are exact.
 
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
+use audiofile::device::hardware::HwConfig;
 use audiofile::device::{CaptureSink, SilenceSource, ToneSource, VirtualClock, Wire};
-use audiofile::dsp::g711;
+use audiofile::dsp::{g711, reference, Encoding};
 use audiofile::server::{RunningServer, ServerBuilder, ServerHandle};
 use audiofile::time::ATime;
 use std::sync::Arc;
@@ -512,4 +513,238 @@ fn oversized_frame_drops_connection_only() {
     }
     let mut conn = fx.connect();
     assert!(conn.get_time(0).is_ok(), "server hurt by oversized frame");
+}
+
+// ---- Sample arithmetic, end to end, against `af_dsp::reference`. ----
+
+/// What the loudspeaker must emit, computed with the frozen reference
+/// kernels: silence, each play merged in by the `timeLastValid` rule
+/// (§7.4.1 — mixed up to it, copied beyond it; a preempting play is copied
+/// throughout), then the device output gain over whatever the hardware
+/// consumed while that gain was set.
+struct SpeakerModel {
+    bytes: Vec<u8>,
+    last_valid: usize,
+}
+
+impl SpeakerModel {
+    fn new(frames: usize) -> SpeakerModel {
+        SpeakerModel {
+            bytes: vec![SIL; frames],
+            last_valid: 0,
+        }
+    }
+
+    fn play(&mut self, at: usize, data: &[u8], preempt: bool) {
+        let end = at + data.len();
+        let mix_end = if preempt {
+            at
+        } else {
+            self.last_valid.clamp(at, end)
+        };
+        reference::mix_bytes_scalar(
+            Encoding::Mu255,
+            &mut self.bytes[at..mix_end],
+            &data[..mix_end - at],
+        );
+        self.bytes[mix_end..end].copy_from_slice(&data[mix_end - at..]);
+        self.last_valid = self.last_valid.max(end);
+    }
+
+    fn output_gain(&mut self, consumed: std::ops::Range<usize>, db: i32) {
+        reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut self.bytes[consumed], db);
+    }
+}
+
+/// Asserts the captured speaker output is exactly `want`, naming the first
+/// frame that is not (a byte dump of seconds of audio helps nobody).
+fn assert_speaker_emitted(fx: &Fixture, want: &[u8]) {
+    let cap = fx.speaker.lock();
+    assert_eq!(cap.len(), want.len(), "frames captured");
+    if let Some(at) = (0..cap.len()).find(|&i| cap[i] != want[i]) {
+        panic!(
+            "speaker diverged from the reference at frame {at}: {:#04x}, expected {:#04x}",
+            cap[at], want[at]
+        );
+    }
+}
+
+#[test]
+fn mixed_preempted_converted_and_gained_plays_match_the_reference_kernels() {
+    // Every play below starts at least one hardware lead ahead of "now", so
+    // none is written through: the update task alone moves (and gains) it.
+    const LEAD: usize = 1024;
+    assert_eq!(HwConfig::codec().ring_frames as usize, LEAD);
+
+    let fx = Fixture::new();
+    let handle = fx.server.handle();
+    let mut c1 = fx.connect();
+    let mut c2 = fx.connect();
+    assert_eq!(c1.get_time(0).unwrap(), ATime::new(0));
+    let mut model = SpeakerModel::new(4000);
+
+    let mixing = AcAttributes::default();
+    let ac1 = c1.create_ac(0, AcMask::default(), &mixing).unwrap();
+    let ac2 = c2.create_ac(0, AcMask::default(), &mixing).unwrap();
+    let preempting = AcAttributes {
+        preempt: true,
+        ..AcAttributes::default()
+    };
+    let ac2p = c2.create_ac(0, AcMask::PREEMPTION, &preempting).unwrap();
+    let quieter = AcAttributes {
+        play_gain_db: -3,
+        ..AcAttributes::default()
+    };
+    let ac2q = c2.create_ac(0, AcMask::PLAY_GAIN, &quieter).unwrap();
+    let lin16 = AcAttributes {
+        encoding: Encoding::Lin16,
+        ..AcAttributes::default()
+    };
+    let ac1l = c1.create_ac(0, AcMask::ENCODING, &lin16).unwrap();
+
+    // Two clients overlap on 1400..1600; a preempting write replaces
+    // 1500..1600 of the mix.
+    let a = [g711::linear_to_ulaw(4000); 400];
+    let b = [g711::linear_to_ulaw(2000); 400];
+    let p = [g711::linear_to_ulaw(-1500); 100];
+    c1.play_samples(&ac1, ATime::new(1200), &a).unwrap();
+    model.play(1200, &a, false);
+    c2.play_samples(&ac2, ATime::new(1400), &b).unwrap();
+    model.play(1400, &b, false);
+    c2.play_samples(&ac2p, ATime::new(1500), &p).unwrap();
+    model.play(1500, &p, true);
+
+    // A LIN16 client on the µ-law device: its ramp goes through the AC's
+    // conversion module, and a play under a −3 dB context mixes into it.
+    let ramp: Vec<i16> = (0..300).map(|i| i * 40).collect();
+    let ramp_bytes: Vec<u8> = ramp.iter().flat_map(|s| s.to_le_bytes()).collect();
+    c1.play_samples(&ac1l, ATime::new(2000), &ramp_bytes)
+        .unwrap();
+    model.play(
+        2000,
+        &reference::encode_from_lin16_scalar(Encoding::Mu255, &ramp),
+        false,
+    );
+    let mut quiet = b[..100].to_vec();
+    c2.play_samples(&ac2q, ATime::new(2100), &quiet).unwrap();
+    reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut quiet, -3);
+    model.play(2100, &quiet, false);
+
+    // The output gain changes twice while one play streams out: the
+    // hardware runs a lead ahead of the clock, so what it consumes between
+    // two clock readings is that interval shifted by the lead.
+    fx.run(&handle, 1600);
+    c1.set_output_gain(0, -6).unwrap();
+    c1.sync().unwrap();
+    c1.play_samples(&ac1, ATime::new(3000), &[a[0]; 800])
+        .unwrap();
+    model.play(3000, &[a[0]; 800], false);
+    fx.run(&handle, 800);
+    c1.set_output_gain(0, 0).unwrap();
+    c1.sync().unwrap();
+    model.output_gain(1600 + LEAD..2400 + LEAD, -6);
+    fx.run(&handle, 1600);
+
+    assert_speaker_emitted(&fx, &model.bytes);
+}
+
+#[test]
+fn record_gain_and_conversion_match_the_reference_kernels() {
+    let clock = Arc::new(VirtualClock::new(8000));
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
+    builder.add_codec(
+        clock.clone(),
+        Box::new(audiofile::device::NullSink),
+        Box::new(ToneSource::ulaw(440.0, 8000.0, 10_000.0)),
+    );
+    let server = builder.spawn().unwrap();
+    let handle = server.handle();
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    let louder = AcAttributes {
+        record_gain_db: 3,
+        ..AcAttributes::default()
+    };
+    let ac_louder = conn.create_ac(0, AcMask::RECORD_GAIN, &louder).unwrap();
+    let lin16 = AcAttributes {
+        encoding: Encoding::Lin16,
+        ..AcAttributes::default()
+    };
+    let ac_lin16 = conn.create_ac(0, AcMask::ENCODING, &lin16).unwrap();
+
+    let t0 = conn.get_time(0).unwrap();
+    conn.record_samples(&ac, t0, 0, false).unwrap(); // Arm the recorder.
+    for _ in 0..3 {
+        clock.advance(800);
+        handle.run_update();
+    }
+    // The same 800 recorded frames, read back under different settings.
+    let from = t0 + 800u32;
+    let (_, tone) = conn.record_samples(&ac, from, 800, false).unwrap();
+    assert!(audiofile::dsp::power::power_dbm_ulaw(&tone) > -15.0);
+    let gained = |db: i32| {
+        let mut want = tone.clone();
+        reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut want, db);
+        want
+    };
+
+    // Device input gain, then the AC's record gain on top of it.
+    conn.set_input_gain(0, 6).unwrap();
+    let (_, data) = conn.record_samples(&ac, from, 800, false).unwrap();
+    assert_eq!(data, gained(6), "input gain");
+    let (_, data) = conn.record_samples(&ac_louder, from, 800, false).unwrap();
+    assert_eq!(data, gained(9), "input gain plus AC record gain");
+    conn.set_input_gain(0, 0).unwrap();
+
+    // A LIN16 client hears the tone through the AC's conversion module.
+    let (_, data) = conn.record_samples(&ac_lin16, from, 1600, false).unwrap();
+    let want: Vec<u8> = reference::decode_to_lin16_scalar(Encoding::Mu255, &tone)
+        .iter()
+        .flat_map(|s| s.to_le_bytes())
+        .collect();
+    assert_eq!(data, want, "µ-law to LIN16 conversion");
+    server.shutdown();
+}
+
+#[test]
+fn play_suspended_past_the_horizon_lands_every_frame_exactly_once() {
+    // 40,000 frames from device time 2000 do not fit the four-second
+    // buffer: the tail is suspended and written as time advances (§2.2),
+    // over as many wake-ups as it takes.  What reaches the speaker must be
+    // the request's bytes, each at its own device time, none twice.
+    let fx = Fixture::new();
+    let handle = fx.server.handle();
+    let mut conn = fx.connect();
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    assert_eq!(conn.get_time(0).unwrap(), ATime::new(0));
+    let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let driver = {
+        let (clock, handle, done) = (fx.clock.clone(), handle.clone(), done.clone());
+        std::thread::spawn(move || {
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                clock.advance(800);
+                handle.run_update();
+            }
+        })
+    };
+    conn.play_samples(&ac, ATime::new(2000), &data).unwrap();
+    done.store(true, std::sync::atomic::Ordering::Release);
+    driver.join().unwrap();
+    let now = conn.get_time(0).unwrap().ticks();
+    assert!(
+        now > 42_000 - 32_768,
+        "play returned before its tail fit the buffer: device time {now}"
+    );
+    fx.run(&handle, 44_000 - now);
+
+    let mut want = vec![SIL; 44_000];
+    want[2000..42_000].copy_from_slice(&data);
+    assert_speaker_emitted(&fx, &want);
 }

@@ -453,3 +453,77 @@ fn record_returns_big_endian_when_asked() {
     assert!(audiofile::dsp::power::power_dbm_lin16(&pcm) > -20.0);
     server.shutdown();
 }
+
+#[test]
+fn stereo_and_mono_view_plays_mix_per_lane_as_the_reference_kernel_computes() {
+    // A left-view play, a right-view play and a stereo play overlap: each
+    // lane of the captured speaker output must be the reference mix of
+    // what was played into it, over the whole capture.
+    use audiofile::dsp::reference;
+    use audiofile::time::ATime;
+
+    let clock = Arc::new(VirtualClock::new(44_100));
+    let (sink, speaker) = CaptureSink::new(1 << 24);
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
+    let (stereo, left, right) = builder.add_hifi_with_mono(
+        clock.clone(),
+        Box::new(sink),
+        Box::new(SilenceSource::new(0)),
+    );
+    let server = builder.spawn().unwrap();
+    let handle = server.handle();
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let mut ac_on = |device: usize| {
+        conn.create_ac(device as u8, AcMask::default(), &AcAttributes::default())
+            .unwrap()
+    };
+    let (ac_l, ac_r, ac_s) = (ac_on(left), ac_on(right), ac_on(stereo));
+
+    const FRAMES: usize = 22_050;
+    let mut want = vec![0u8; FRAMES * 4];
+    let mut mix_into = |at: usize, frames: &[u8]| {
+        let bytes = at * 4..at * 4 + frames.len();
+        reference::mix_bytes_scalar(Encoding::Lin16, &mut want[bytes], frames);
+    };
+    let mono = |v: i16, n: usize| -> Vec<u8> { v.to_le_bytes().repeat(n) };
+
+    conn.play_samples(&ac_l, ATime::new(4410), &mono(30_000, 500))
+        .unwrap();
+    mix_into(4410, &stereo_frames(30_000, 0, 500));
+    conn.play_samples(&ac_r, ATime::new(4410), &mono(-2000, 500))
+        .unwrap();
+    mix_into(4410, &stereo_frames(0, -2000, 500));
+    // Loud enough that the left lane saturates where all three overlap.
+    conn.play_samples(&ac_s, ATime::new(4600), &stereo_frames(5000, 500, 250))
+        .unwrap();
+    mix_into(4600, &stereo_frames(5000, 500, 250));
+
+    // A mono view tells its owner's time.
+    let before = conn.get_time(left as u8).unwrap();
+    for _ in 0..10 {
+        clock.advance(2205);
+        handle.run_update();
+    }
+    assert_eq!(conn.get_time(left as u8).unwrap() - before, FRAMES as i32);
+    assert_eq!(
+        conn.get_time(left as u8).unwrap(),
+        conn.get_time(stereo as u8).unwrap()
+    );
+
+    let cap = speaker.lock();
+    assert_eq!(cap.len(), want.len());
+    if let Some(at) = (0..cap.len()).find(|&i| cap[i] != want[i]) {
+        panic!(
+            "speaker diverged from the reference at byte {at} (frame {})",
+            at / 4
+        );
+    }
+    let saturated = 4700 * 4;
+    assert_eq!(
+        i16::from_le_bytes([cap[saturated], cap[saturated + 1]]),
+        i16::MAX,
+        "left lane saturates"
+    );
+    drop(cap);
+    server.shutdown();
+}

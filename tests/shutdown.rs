@@ -12,26 +12,15 @@ use audiofile::server::ServerBuilder;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Names of this process's live server threads (`af-dispatcher`,
-/// `af-reactor-N`, `af-audio-N`, classic `af-reader-N`…).
-fn server_threads() -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|comm| comm.trim().to_owned())
-        .filter(|comm| comm.starts_with("af-"))
-        .collect();
-    names.sort();
-    names
-}
+mod common;
+use common::{assert_no_server_threads, server_threads};
 
 #[test]
 fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_thread() {
     assert_eq!(server_threads(), Vec::<String>::new());
     let mut builder = ServerBuilder::new()
         .listen_tcp("127.0.0.1:0".parse().unwrap())
-        .reactor_shards(2)
-        .sharded_data_plane(true);
+        .reactor_shards(2);
     builder.add_codec(
         Arc::new(SystemClock::new(8000)),
         Box::new(NullSink),
@@ -56,9 +45,10 @@ fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_
         .collect();
     std::thread::sleep(Duration::from_millis(200));
     let running = server_threads();
-    assert!(
-        running.len() >= 4,
-        "task thread, two shards and an audio worker: {running:?}"
+    assert_eq!(
+        running,
+        ["af-dispatcher", "af-reactor-0", "af-reactor-1"],
+        "task thread and two shards"
     );
 
     let started = Instant::now();
@@ -73,11 +63,6 @@ fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_
         let round_trips = client.join().unwrap();
         assert!(round_trips > 100, "client barely ran: {round_trips}");
     }
-    // `shutdown` joined every thread it started; comm lingers for an
-    // instant after a join returns, so allow the kernel a moment.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while !server_threads().is_empty() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(server_threads(), Vec::<String>::new(), "leaked threads");
+    // `shutdown` joined every thread it started.
+    assert_no_server_threads();
 }
