@@ -24,8 +24,8 @@
 
 use af_client::{AcAttributes, AcMask, AudioConn};
 use af_clients::cli::Args;
+use af_dsp::kernels;
 use af_dsp::resample::Resampler;
-use af_dsp::tables;
 
 /// Number of recent delay observations averaged into "slip" (§8.3.2).
 const SLIPHIST: usize = 4;
@@ -97,6 +97,8 @@ fn main() {
     // -resample state: current ratio correction in ppm of the receive rate.
     let mut ratio_ppm: f64 = 0.0;
     let mut resampler = Resampler::new(f64::from(fsrate), f64::from(fsrate));
+    // Linear staging for the resampled path, reused across blocks.
+    let (mut pcm, mut resampled) = (Vec::new(), Vec::new());
 
     for _ in 0..max_blocks {
         // Record from the source server (pacing flow control comes from
@@ -107,12 +109,13 @@ fn main() {
         if resample {
             // Interpolate at the adjusted rate: µ-law → linear → resample
             // → µ-law.  The ratio is steered below from the measured slip.
-            let pcm: Vec<i16> = data.iter().map(|&b| tables::exp_u()[b as usize]).collect();
-            let out = resampler.process(&pcm);
-            data = out
-                .iter()
-                .map(|&s| tables::comp_u()[tables::comp_index(s)])
-                .collect();
+            let k = kernels::active();
+            pcm.resize(data.len(), 0);
+            (k.decode_ulaw)(&data, &mut pcm);
+            resampled.clear();
+            resampler.process_into(&pcm, &mut resampled);
+            data.resize(resampled.len(), 0);
+            (k.encode_ulaw)(&resampled, &mut data);
         }
         // Play on the sink server.
         let tactt = taud.play_samples(&tac, tt, &data).unwrap_or_else(die);
@@ -130,8 +133,10 @@ fn main() {
             // for real crystal tolerances with margin.
             let err = f64::from(slip - delay_in_samples);
             ratio_ppm = (ratio_ppm - 0.05 * err).clamp(-2000.0, 2000.0);
+            // Retune in place: the fractional phase and the boundary
+            // sample carry over, so the new ratio starts without a seam.
             let to_rate = f64::from(fsrate) * (1.0 + ratio_ppm * 1e-6);
-            resampler = Resampler::new(f64::from(fsrate), to_rate);
+            resampler.set_rates(f64::from(fsrate), to_rate);
             tt += data.len() as u32;
             ft += samples_bufsize;
             // Hard resync only as a last resort (controller saturated).

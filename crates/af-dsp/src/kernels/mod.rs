@@ -1,9 +1,9 @@
 //! Runtime-dispatched batch kernels (SWAR round 2).
 //!
-//! PR 2 batched the per-sample loops; this module vectorizes the three
-//! dominant kernels — companded↔linear conversion, saturating mix, and the
-//! resampler inner loop — behind one function-pointer vtable selected once
-//! at startup:
+//! PR 2 batched the per-sample loops; this module vectorizes the two
+//! dominant kernel families — companded↔linear conversion and saturating
+//! mix — behind one function-pointer vtable selected once at startup (the
+//! resampler has a single implementation, [`crate::resample`]):
 //!
 //! * [`scalar`] — the batched loops the seed grew into; always available
 //!   and the semantic definition of every entry point.
@@ -17,11 +17,11 @@
 //! Every path is pinned bit-exact against `crate::reference` by the
 //! differential property tests, so selection is purely a throughput choice.
 //!
-//! No whole table wins every entry point (BENCH_report.json `kernels_v2`:
-//! SIMD wins convert and mix, but its gather-bound resampler trails the
-//! SWAR carry chain; SWAR's lane-masked mix loses ~6× to the
-//! autovectorized scalar loop).  The default is therefore [`composed`]: a
-//! per-entry-point best-of table assembled once at startup.
+//! The default is [`composed`], a per-entry-point best-of table assembled
+//! once at startup (BENCH_report.json `kernels_v2`): the SIMD table where
+//! the target has one, and otherwise SWAR decode beside the scalar encode
+//! and mix (SWAR's lane-masked mix loses ~6× to the autovectorized scalar
+//! loop).
 //!
 //! Selection order: the `AF_DSP_FORCE=scalar|swar|simd|composed`
 //! environment variable (read once) pins a whole table, else the composed
@@ -40,19 +40,8 @@ pub mod neon;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Streaming resampler state threaded through [`Kernels::resample_lin16`].
-///
-/// Same fields as the seed `Resampler`: input samples per output sample,
-/// fractional position of the next output, and the carried boundary sample.
-#[derive(Clone, Debug)]
-pub struct ResampleState {
-    /// Input samples consumed per output sample.
-    pub step: f64,
-    /// Position of the next output sample, relative to `prev`.
-    pub pos: f64,
-    /// Last input sample of the previous block; `None` until data arrives.
-    pub prev: Option<i16>,
-}
+// The frozen `reference` module names the state by this path.
+pub(crate) use crate::resample::ResampleState;
 
 /// The kernel vtable: one set of function pointers per implementation path.
 ///
@@ -63,8 +52,6 @@ pub struct ResampleState {
 /// * `mix_*_le` mix little-endian sample bytes of `src` into `dst`,
 ///   saturating, over the whole samples both slices hold; the caller
 ///   truncates to a sample boundary.  Alignment is irrelevant.
-/// * `resample_lin16` appends this block's output samples to `out` and
-///   advances the state exactly as `reference::resample_block_scalar`.
 #[derive(Clone, Copy)]
 pub struct Kernels {
     /// Path name for reports: `"scalar"`, `"swar"`, `"simd-sse2"`, ….
@@ -81,8 +68,6 @@ pub struct Kernels {
     pub mix_lin16_le: fn(&mut [u8], &[u8]),
     /// Saturating mix of LIN32 little-endian bytes.
     pub mix_lin32_le: fn(&mut [u8], &[u8]),
-    /// Linear-interpolation resample of one mono LIN16 block.
-    pub resample_lin16: fn(&mut ResampleState, &[i16], &mut Vec<i16>),
 }
 
 /// A selectable implementation path.
@@ -132,27 +117,21 @@ fn simd_kernels() -> Option<&'static Kernels> {
 /// path that measured fastest for that kernel (BENCH_report.json
 /// `kernels_v2`, re-checked by the bench gate in `bench::kernels`):
 ///
-/// * convert and mix from the SIMD table — AVX2 decode runs ~2× scalar and
-///   AVX2 mix ~1.6×, while the SWAR mix's lane-masked carries lose ~6× to
-///   the autovectorized scalar loop;
-/// * the resampler from SWAR — its integer carry chain beats the
-///   gather-bound AVX2 resampler at codec block sizes (134 vs 88 MB/s at
-///   4 KiB) and edges out scalar at every size;
-/// * hosts with no `core::arch` table keep SWAR convert (still ~2× scalar)
-///   but take the scalar encode and mix, which SWAR loses.
+/// * where the target has a `core::arch` table, all of it — AVX2 decode
+///   runs ~2× scalar and AVX2 mix ~1.6×, and SWAR wins no entry point;
+/// * hosts with none keep SWAR convert (still ~2× scalar) but take the
+///   scalar encode and mix, which SWAR loses.
 pub fn composed() -> &'static Kernels {
     static COMPOSED: OnceLock<Kernels> = OnceLock::new();
     COMPOSED.get_or_init(|| match simd_kernels() {
         Some(simd) => Kernels {
             name: "composed",
-            resample_lin16: swar::KERNELS.resample_lin16,
             ..*simd
         },
         None => Kernels {
             name: "composed",
             decode_ulaw: swar::KERNELS.decode_ulaw,
             decode_alaw: swar::KERNELS.decode_alaw,
-            resample_lin16: swar::KERNELS.resample_lin16,
             ..scalar::KERNELS
         },
     })
@@ -249,13 +228,13 @@ mod tests {
     fn composed_picks_per_kernel_winners() {
         let c = composed();
         assert_eq!(c.name, "composed");
-        // The resampler always comes from SWAR: the carry chain beats both
-        // the gather-bound SIMD path and scalar at codec block sizes.
-        assert!(std::ptr::fn_addr_eq(c.resample_lin16, swar::KERNELS.resample_lin16));
         match simd_kernels() {
+            // Where a SIMD table exists the composition is that table.
             Some(simd) => {
                 assert!(std::ptr::fn_addr_eq(c.decode_ulaw, simd.decode_ulaw));
+                assert!(std::ptr::fn_addr_eq(c.encode_ulaw, simd.encode_ulaw));
                 assert!(std::ptr::fn_addr_eq(c.mix_lin16_le, simd.mix_lin16_le));
+                assert!(std::ptr::fn_addr_eq(c.mix_lin32_le, simd.mix_lin32_le));
             }
             None => {
                 assert!(std::ptr::fn_addr_eq(c.decode_ulaw, swar::KERNELS.decode_ulaw));

@@ -13,7 +13,7 @@
 
 use core::arch::aarch64::*;
 
-use super::{swar, Kernels, ResampleState};
+use super::{swar, Kernels};
 use crate::tables;
 
 /// The NEON vtable.
@@ -26,7 +26,6 @@ pub fn kernels() -> &'static Kernels {
         encode_alaw,
         mix_lin16_le,
         mix_lin32_le,
-        resample_lin16,
     };
     &K
 }
@@ -37,10 +36,6 @@ fn encode_ulaw(pcm: &[i16], out: &mut [u8]) {
 
 fn encode_alaw(pcm: &[i16], out: &mut [u8]) {
     swar::encode_tab(tables::comp_a(), pcm, out);
-}
-
-fn resample_lin16(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    swar::resample_lin16(st, input, out);
 }
 
 fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {

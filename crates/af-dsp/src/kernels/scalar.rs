@@ -1,10 +1,10 @@
 //! The batched scalar path: the loops PR 2 left on the hot path, now one
 //! selectable vtable among three.  This is the semantic definition every
 //! other path is pinned against — table lookups per sample, typed slice
-//! views where alignment permits, the frozen resampler loop.
+//! views where alignment permits.
 
-use super::{Kernels, ResampleState};
-use crate::{reference, sample, tables};
+use super::Kernels;
+use crate::{sample, tables};
 
 /// The scalar vtable.
 pub static KERNELS: Kernels = Kernels {
@@ -15,7 +15,6 @@ pub static KERNELS: Kernels = Kernels {
     encode_alaw,
     mix_lin16_le,
     mix_lin32_le,
-    resample_lin16,
 };
 
 fn decode_ulaw(data: &[u8], out: &mut [i16]) {
@@ -84,8 +83,4 @@ fn mix_lin32_le(dst: &mut [u8], src: &[u8]) {
             }
         }
     }
-}
-
-fn resample_lin16(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    reference::resample_block_scalar(st, input, out);
 }

@@ -17,7 +17,7 @@
 //! *stores*: eight table hits pack into two `u64` writes, and the fused
 //! `Converter` path writes them straight into the output byte buffer.
 
-use super::{Kernels, ResampleState};
+use super::Kernels;
 use crate::{sample, tables};
 
 /// The SWAR vtable.
@@ -29,7 +29,6 @@ pub static KERNELS: Kernels = Kernels {
     encode_alaw,
     mix_lin16_le,
     mix_lin32_le,
-    resample_lin16,
 };
 
 const H16: u64 = 0x8000_8000_8000_8000;
@@ -179,51 +178,6 @@ pub(super) fn encode_tab(t: &[u8; 16_384], pcm: &[i16], out: &mut [u8]) {
     for (&s, o) in pr.iter().zip(or_.iter_mut()) {
         *o = t[tables::comp_index(s)];
     }
-}
-
-/// The seed resampler loop with the per-output closure and boundary branch
-/// hoisted out: a head loop interpolates from the carried sample, the
-/// interior loop reads both taps straight from `input`, and the tail emits
-/// the exact-last-sample outputs.  The float arithmetic — sequential
-/// `pos += step`, `a*(1-frac) + b*frac`, `round().clamp()` — is kept in the
-/// reference's exact expression order so results stay bit-identical.
-pub(super) fn resample_lin16(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    if input.is_empty() {
-        return;
-    }
-    let step = st.step;
-    let mut pos = st.pos;
-    let offset = usize::from(st.prev.is_some());
-    let last_index = (input.len() - 1 + offset) as f64;
-    out.reserve((input.len() as f64 / step) as usize + 2);
-    if offset == 1 {
-        // Head: base index 0 means the first tap is the carried sample.
-        let a = f64::from(st.prev.unwrap_or(0));
-        let b = f64::from(input[0]);
-        while pos < 1.0 && pos < last_index {
-            let frac = pos; // base == 0, so frac == pos.
-            let v = a * (1.0 - frac) + b * frac;
-            out.push(v.round().clamp(-32_768.0, 32_767.0) as i16);
-            pos += step;
-        }
-    }
-    // Interior: base index >= offset, both taps come from `input`.
-    while pos < last_index {
-        let base = pos.floor();
-        let frac = pos - base;
-        let i = base as usize - offset;
-        let v = f64::from(input[i]) * (1.0 - frac) + f64::from(input[i + 1]) * frac;
-        out.push(v.round().clamp(-32_768.0, 32_767.0) as i16);
-        pos += step;
-    }
-    // Tail: positions that land exactly on the last virtual sample.
-    let last = input[input.len() - 1];
-    while pos <= last_index {
-        out.push(last);
-        pos += step;
-    }
-    st.pos = pos - last_index;
-    st.prev = Some(last);
 }
 
 #[cfg(test)]

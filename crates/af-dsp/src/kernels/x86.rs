@@ -19,7 +19,7 @@
 use core::arch::x86_64::*;
 use std::sync::OnceLock;
 
-use super::{swar, Kernels, ResampleState};
+use super::{swar, Kernels};
 use crate::tables;
 
 /// The best SIMD vtable this host supports (built once).
@@ -35,7 +35,6 @@ pub fn kernels() -> &'static Kernels {
                 encode_alaw: encode_alaw_avx2_entry,
                 mix_lin16_le: mix_lin16_le_avx2_entry,
                 mix_lin32_le: mix_lin32_le_sse2,
-                resample_lin16,
             }
         } else {
             Kernels {
@@ -46,7 +45,6 @@ pub fn kernels() -> &'static Kernels {
                 encode_alaw: encode_alaw_swar,
                 mix_lin16_le: mix_lin16_le_sse2,
                 mix_lin32_le: mix_lin32_le_sse2,
-                resample_lin16,
             }
         }
     })
@@ -58,13 +56,6 @@ fn encode_ulaw_swar(pcm: &[i16], out: &mut [u8]) {
 
 fn encode_alaw_swar(pcm: &[i16], out: &mut [u8]) {
     swar::encode_tab(tables::comp_a(), pcm, out);
-}
-
-/// The resampler is tap-gather and `f64::round` bound; the de-branched SWAR
-/// loop is the fast form (SSE2 lacks round-half-away-from-zero, and the
-/// sequential `pos += step` chain pins the dependency either way).
-fn resample_lin16(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    swar::resample_lin16(st, input, out);
 }
 
 // ---- mixing -----------------------------------------------------------

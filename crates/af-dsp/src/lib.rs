@@ -20,7 +20,9 @@
 //! * [`adpcm`] — IMA ADPCM coding (the `SAMPLE_ADPCM32` type),
 //! * [`convert`] — conversion between any two supported encodings,
 //! * [`kernels`] — the runtime-dispatched scalar/SWAR/SIMD batch kernels
-//!   behind [`convert`], [`mix`] and [`resample`],
+//!   behind [`convert`] and [`mix`],
+//! * [`resample`] — the streaming linear-interpolation resampler (§2.2's
+//!   unfinished sample-rate conversion; what `apass -resample` runs),
 //! * [`silence`] — per-encoding silence fill,
 //! * [`sample`] — byte↔sample slice views for the batched kernels,
 //! * [`reference`] — the frozen scalar seed kernels (test/bench baseline).

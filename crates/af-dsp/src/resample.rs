@@ -5,19 +5,41 @@
 //! (§2.2).  We complete it with a linear-interpolation resampler — adequate
 //! for the telephone-quality material the paper's applications move between
 //! 8 kHz devices, and usable by `apass`-style clients to absorb clock drift.
+//!
+//! There is one implementation, [`resample_block`], and it is bit-exact
+//! with the frozen seed loop `reference::resample_block_scalar` by
+//! construction rather than by tolerance (DESIGN.md §8.2): the position
+//! still accumulates by sequential `pos += step`, every floating-point
+//! operation of the reference is performed on the same operands in the same
+//! order, and only the two library calls — `floor` and `round`, software
+//! routines on baseline x86-64 — are replaced, by exact arithmetic.
 
-use crate::kernels::{self, ResampleState};
+use crate::reference;
+
+/// Streaming resampler state, advanced by [`resample_block`].
+#[derive(Clone, Debug)]
+pub struct ResampleState {
+    /// Input samples consumed per output sample.
+    pub step: f64,
+    /// Position of the next output sample, relative to `prev`.
+    pub pos: f64,
+    /// Last input sample of the previous block; `None` until data arrives.
+    pub prev: Option<i16>,
+}
 
 /// A streaming linear-interpolation resampler for mono 16-bit audio.
 ///
 /// Maintains fractional position across blocks so a continuous stream can be
-/// resampled incrementally without seams.  The inner loop runs on the
-/// runtime-selected kernel path ([`crate::kernels`]); every path reproduces
-/// the frozen reference loop (`reference::resample_block_scalar`) bit for
-/// bit, so path selection never changes output.
+/// resampled incrementally without seams.
 #[derive(Clone, Debug)]
 pub struct Resampler {
     state: ResampleState,
+}
+
+/// Input samples per output sample for a rate pair.
+fn step_for(from_rate: f64, to_rate: f64) -> f64 {
+    assert!(from_rate > 0.0 && to_rate > 0.0, "rates must be positive");
+    from_rate / to_rate
 }
 
 impl Resampler {
@@ -27,14 +49,24 @@ impl Resampler {
     ///
     /// Panics unless both rates are positive.
     pub fn new(from_rate: f64, to_rate: f64) -> Resampler {
-        assert!(from_rate > 0.0 && to_rate > 0.0, "rates must be positive");
         Resampler {
             state: ResampleState {
-                step: from_rate / to_rate,
+                step: step_for(from_rate, to_rate),
                 pos: 0.0,
                 prev: None,
             },
         }
+    }
+
+    /// Retunes a running stream: later output is produced at the new ratio,
+    /// while the fractional position and the carried boundary sample stay,
+    /// so a block boundary where the ratio changes has no seam.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both rates are positive.
+    pub fn set_rates(&mut self, from_rate: f64, to_rate: f64) {
+        self.state.step = step_for(from_rate, to_rate);
     }
 
     /// The conversion ratio (output samples per input sample).
@@ -51,8 +83,142 @@ impl Resampler {
 
     /// Resamples one block, appending the output samples to `out`.
     pub fn process_into(&mut self, input: &[i16], out: &mut Vec<i16>) {
-        (kernels::active().resample_lin16)(&mut self.state, input, out);
+        resample_block(&mut self.state, input, out);
     }
+}
+
+/// Outputs per pass of the blocked loop.  Small enough that the serial
+/// position chain of the next block overlaps the independent work of this
+/// one in an out-of-order window; 16 and 64 measured within 10 % of it.
+const BLOCK: usize = 32;
+
+/// 1.5 × 2⁵²: in `[2⁵², 2⁵³)` doubles are the integers, so adding it rounds
+/// `x` to the nearest integer in the one IEEE rounding of the addition.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// The integer nearest `x` (ties to even) as a double and as an `i32`.
+/// Exact for `|x| < 2³¹`: the sum's low mantissa bits are that integer in
+/// two's complement, and subtracting the constant back is exact.
+#[inline(always)]
+fn nearest(x: f64) -> (f64, i32) {
+    let y = x + ROUND_MAGIC;
+    (y - ROUND_MAGIC, y.to_bits() as u32 as i32)
+}
+
+/// `x.floor()` for `0 ≤ x < 2³¹`, with its integer value.
+#[inline(always)]
+fn floor_exact(x: f64) -> (f64, i32) {
+    let (r, ri) = nearest(x);
+    let over = r > x;
+    (r - if over { 1.0 } else { 0.0 }, ri - i32::from(over))
+}
+
+/// `v.round().clamp(-32768, 32767) as i16` for `|v| < 2³¹`.
+///
+/// `f64::round` rounds half away from zero and [`nearest`] half to even, so
+/// the two differ only on exact ties, which `d` detects without error:
+/// `v - r` is exact because `r` is within 0.5 of `v`.  On a tie the even
+/// neighbour was chosen; step to the one farther from zero if that is the
+/// other.  (`trunc(v + copysign(0.5, v))` is *not* equivalent:
+/// 0.49999999999999994 + 0.5 rounds to 1.0.)
+#[inline(always)]
+fn round_exact(v: f64) -> i16 {
+    let (r, ri) = nearest(v);
+    let d = v - r;
+    let away = i32::from((d == 0.5) & (v > 0.0)) - i32::from((d == -0.5) & (v < 0.0));
+    (ri + away).clamp(-32_768, 32_767) as i16
+}
+
+/// One output: the reference's `a*(1-frac) + b*frac`, rounded.
+#[inline(always)]
+fn lerp(a: i16, b: i16, frac: f64) -> i16 {
+    round_exact(f64::from(a) * (1.0 - frac) + f64::from(b) * frac)
+}
+
+/// Resamples one mono LIN16 block: appends this block's output to `out` and
+/// advances `st`, both exactly as `reference::resample_block_scalar` does.
+///
+/// The interior runs [`BLOCK`] outputs at a time in four passes over fixed
+/// arrays — the serial `pos += step` chain, exact floor and fraction, tap
+/// gather, interpolate and round — so everything but the chain is
+/// independent, branch-free work a compiler can run two to four lanes wide
+/// on baseline SSE2 or NEON.  Outputs interpolated from the carried sample
+/// (the head) and the last partial block take the same arithmetic one at a
+/// time.
+pub fn resample_block(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    let Some(&last) = input.last() else {
+        return;
+    };
+    // The exact floor wants 0 ≤ pos < 2³¹ (so a tap index fits its `i32`)
+    // and a chain that only grows.  `Resampler` never leaves that range
+    // short of a 2³⁰-sample block; anything else a caller builds gets the
+    // reference's behaviour from the reference itself.
+    if !(st.pos >= 0.0 && st.step > 0.0 && input.len() < 1 << 30) {
+        return reference::resample_block_scalar(st, input, out);
+    }
+    let step = st.step;
+    let mut pos = st.pos;
+    // Virtual stream for this block: [prev?, input...].
+    let offset = usize::from(st.prev.is_some());
+    let last_index = (input.len() - 1 + offset) as f64;
+    out.reserve((input.len() as f64 / step) as usize + 2);
+
+    // Head: base index 0 is the carried sample, and `frac == pos`.
+    if let Some(prev) = st.prev {
+        while pos < 1.0 && pos < last_index {
+            out.push(lerp(prev, input[0], pos));
+            pos += step;
+        }
+    }
+
+    // Interior, whole blocks: both taps come from `input`.
+    let mut p = [0.0f64; BLOCK + 1];
+    let mut frac = [0.0f64; BLOCK];
+    let mut idx = [0i32; BLOCK];
+    let mut taps = [0u32; BLOCK];
+    let mut res = [0i16; BLOCK];
+    loop {
+        p[0] = pos;
+        for k in 0..BLOCK {
+            p[k + 1] = p[k] + step;
+        }
+        // Sums of non-negative terms: never NaN and non-decreasing, so if
+        // the last position interpolates, all of them do.
+        if p[BLOCK - 1] >= last_index {
+            break;
+        }
+        for k in 0..BLOCK {
+            let (base, bi) = floor_exact(p[k]);
+            frac[k] = p[k] - base;
+            idx[k] = bi - offset as i32;
+        }
+        for k in 0..BLOCK {
+            let i = idx[k] as usize;
+            let (a, b) = (input[i], input[i + 1]);
+            // Both taps in one word: adjacent loads the compiler merges.
+            taps[k] = u32::from(a as u16) | u32::from(b as u16) << 16;
+        }
+        for k in 0..BLOCK {
+            res[k] = lerp(taps[k] as i16, (taps[k] >> 16) as i16, frac[k]);
+        }
+        out.extend_from_slice(&res);
+        pos = p[BLOCK];
+    }
+    // Interior, last partial block.
+    while pos < last_index {
+        let (base, bi) = floor_exact(pos);
+        let i = bi as usize - offset;
+        out.push(lerp(input[i], input[i + 1], pos - base));
+        pos += step;
+    }
+    // Tail: positions that land exactly on the last virtual sample.
+    while pos <= last_index {
+        out.push(last);
+        pos += step;
+    }
+    // Rebase so the next block's `prev` is `last`.
+    st.pos = pos - last_index;
+    st.prev = Some(last);
 }
 
 #[cfg(test)]
@@ -103,6 +269,100 @@ mod tests {
             pieces.extend(stream.process(chunk));
         }
         assert_eq!(whole, pieces);
+    }
+
+    #[test]
+    fn retuning_every_chunk_keeps_phase_and_boundary_sample() {
+        // What `apass -resample` does between blocks.  At a constant ratio
+        // the retune must be invisible; rebuilding the resampler instead
+        // restarts `pos` and drops `prev`, a seam per chunk.
+        let input = sine(4000, 300.0, 8000.0);
+        let whole = Resampler::new(8000.0, 8000.8).process(&input);
+
+        let mut stream = Resampler::new(8000.0, 8000.8);
+        let mut pieces = Vec::new();
+        for chunk in input.chunks(160) {
+            stream.process_into(chunk, &mut pieces);
+            stream.set_rates(8000.0, 8000.8);
+        }
+        assert_eq!(whole, pieces);
+    }
+
+    #[test]
+    fn set_rates_changes_the_ratio_from_the_next_output_on() {
+        let mut r = Resampler::new(8000.0, 8000.0);
+        let first = r.process(&sine(800, 440.0, 8000.0));
+        r.set_rates(8000.0, 16_000.0);
+        assert_eq!(r.ratio(), 2.0);
+        let second = r.process(&sine(800, 440.0, 8000.0));
+        assert!((first.len() as i64 - 800).abs() <= 1, "len={}", first.len());
+        assert!(
+            (second.len() as i64 - 1600).abs() <= 2,
+            "len={}",
+            second.len()
+        );
+    }
+
+    #[test]
+    fn round_exact_is_f64_round_on_every_tie_and_near_tie() {
+        // Every integer the interpolation can reach, nudged to each side of
+        // the rounding boundary.  Where the integer is large the tiny
+        // nudges collapse onto the tie itself, which is the case that
+        // matters most.
+        let nudges = [
+            0.0,
+            0.25,
+            0.499_999_999_999_999_94,
+            0.5,
+            0.500_000_000_000_000_1,
+            0.75,
+        ];
+        for k in -32_768i32..=32_768 {
+            for nudge in nudges {
+                for v in [f64::from(k) + nudge, f64::from(k) - nudge] {
+                    let want = v.round().clamp(-32_768.0, 32_767.0) as i16;
+                    assert_eq!(round_exact(v), want, "v = {v:e}");
+                }
+            }
+        }
+        assert_eq!(round_exact(-0.0), 0);
+    }
+
+    #[test]
+    fn floor_exact_is_f64_floor_around_every_kind_of_position() {
+        let mut xs = vec![0.0, 0.499_999_999_999_999_94, 0.5, 1.0 - f64::EPSILON / 2.0];
+        for k in [1.0f64, 2.0, 3.0, 4095.0, 8191.0, 65_536.0, 1_073_741_823.0] {
+            xs.extend([
+                k.next_down(),
+                k,
+                k.next_up(),
+                k + 0.5,
+                k + 0.5f64.next_down(),
+            ]);
+        }
+        for x in xs {
+            let (f, i) = floor_exact(x);
+            assert_eq!(f, x.floor(), "x = {x:e}");
+            assert_eq!(f64::from(i), x.floor(), "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn state_outside_the_kernel_range_takes_the_reference() {
+        // A hand-built negative position is not something `Resampler`
+        // produces; the kernel must still do what the reference does.
+        let input = sine(100, 440.0, 8000.0);
+        let mut st = ResampleState {
+            step: 0.75,
+            pos: -0.5,
+            prev: Some(7),
+        };
+        let mut want_st = st.clone();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        resample_block(&mut st, &input, &mut got);
+        reference::resample_block_scalar(&mut want_st, &input, &mut want);
+        assert_eq!(got, want);
+        assert_eq!(st.pos.to_bits(), want_st.pos.to_bits());
     }
 
     #[test]

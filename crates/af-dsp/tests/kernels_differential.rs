@@ -1,12 +1,16 @@
-//! Differential property tests for the kernel vtable paths.
+//! Differential property tests for the kernel vtable paths and the
+//! resampler.
 //!
 //! Every path available on this host — scalar, SWAR, and the detected SIMD
 //! table — must be bit-exact against the frozen reference (`af_dsp::
 //! reference` and the per-sample G.711 algorithms) on randomized lengths,
 //! byte alignments, encodings, gains and chunkings.  Path selection must
-//! never be observable in output, only in throughput.
+//! never be observable in output, only in throughput.  The resampler has
+//! one implementation; its output *and* carried state must equal the
+//! reference loop's bit for bit.
 
-use af_dsp::kernels::{self, Kernels, ResampleState};
+use af_dsp::kernels::{self, Kernels};
+use af_dsp::resample::{resample_block, ResampleState};
 use af_dsp::{g711, gain, reference, Encoding};
 use proptest::prelude::*;
 
@@ -113,30 +117,6 @@ proptest! {
         }
     }
 
-    /// Resample: every path reproduces the reference output stream and the
-    /// carried state bit for bit across random rates and chunk splits.
-    #[test]
-    fn resample_paths_bit_exact(
-        from in 4000u32..48_000,
-        to in 4000u32..48_000,
-        chunks in prop::collection::vec(prop::collection::vec(any::<i16>(), 0..120), 1..5),
-    ) {
-        let step = f64::from(from) / f64::from(to);
-        for (name, k) in paths() {
-            let mut st = ResampleState { step, pos: 0.0, prev: None };
-            let mut ref_st = ResampleState { step, pos: 0.0, prev: None };
-            let mut got = Vec::new();
-            let mut want = Vec::new();
-            for c in &chunks {
-                (k.resample_lin16)(&mut st, c, &mut got);
-                reference::resample_block_scalar(&mut ref_st, c, &mut want);
-            }
-            prop_assert_eq!(&got, &want, "{} {}->{}", name, from, to);
-            prop_assert_eq!(st.pos.to_bits(), ref_st.pos.to_bits(), "{} carried pos", name);
-            prop_assert_eq!(st.prev, ref_st.prev, "{} carried prev", name);
-        }
-    }
-
     /// Decode → Q16 gain (−30…+30 dB) → encode composes identically on
     /// every path: the linear staging a gained conversion goes through is
     /// path-invariant.
@@ -161,6 +141,113 @@ proptest! {
             let f = if to_alaw { k.encode_alaw } else { k.encode_ulaw };
             f(&pcm, &mut got);
             prop_assert_eq!(&got, &want, "{} {} dB -> {}", name, db, enc);
+        }
+    }
+}
+
+/// Feeds `chunks` through the kernel and through the reference from the
+/// same fresh state: the output stream, the carried `pos` (by bits) and the
+/// carried `prev` must agree after every chunk.
+fn assert_resample_matches<'a>(step: f64, chunks: impl IntoIterator<Item = &'a [i16]>) {
+    let mut st = ResampleState {
+        step,
+        pos: 0.0,
+        prev: None,
+    };
+    let mut ref_st = st.clone();
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    for (n, c) in chunks.into_iter().enumerate() {
+        // Both append; only what this chunk added needs comparing.
+        let done = want.len();
+        resample_block(&mut st, c, &mut got);
+        reference::resample_block_scalar(&mut ref_st, c, &mut want);
+        assert_eq!(
+            got[done..],
+            want[done..],
+            "step {step}, chunk {n} of {} samples",
+            c.len()
+        );
+        assert_eq!(
+            st.pos.to_bits(),
+            ref_st.pos.to_bits(),
+            "step {step}, chunk {n}: carried pos"
+        );
+        assert_eq!(st.prev, ref_st.prev, "step {step}, chunk {n}: carried prev");
+    }
+}
+
+/// Miri interprets the kernel ~100× slower than it runs; the same cases
+/// then cover a few kernel blocks instead of thousands.
+const LONG_BLOCK: usize = if cfg!(miri) { 150 } else { 16 * 1024 };
+const RESAMPLE_CASES: u32 = if cfg!(miri) { 6 } else { 192 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(RESAMPLE_CASES))]
+
+    /// Random rate pairs over short chunks: heads, tails and partial
+    /// kernel blocks dominate.
+    #[test]
+    fn resample_matches_reference_on_random_ratios(
+        from in 4000u32..48_000,
+        to in 4000u32..48_000,
+        chunks in prop::collection::vec(prop::collection::vec(any::<i16>(), 0..120), 1..5),
+    ) {
+        let step = f64::from(from) / f64::from(to);
+        assert_resample_matches(step, chunks.iter().map(Vec::as_slice));
+    }
+
+    /// The `apass` controller's authority: ratios `1/(1 ± p·10⁻⁶)`,
+    /// p ≤ 2000, where `pos` stays within a hair of an integer for
+    /// thousands of outputs and the exact floor earns its name.
+    #[test]
+    fn resample_matches_reference_on_drift_ratios(
+        ppm in 0u32..=2000,
+        fast in any::<bool>(),
+        lens in prop::collection::vec(0usize..LONG_BLOCK / 4, 1..6),
+        data in prop::collection::vec(any::<i16>(), LONG_BLOCK..=LONG_BLOCK),
+    ) {
+        let drift = f64::from(ppm) * 1e-6;
+        let step = 1.0 / if fast { 1.0 + drift } else { 1.0 - drift };
+        let mut rest = &data[..];
+        let chunks = lens.iter().map(|&n| {
+            let (c, r) = rest.split_at(n.min(rest.len()));
+            rest = r;
+            c
+        });
+        assert_resample_matches(step, chunks.collect::<Vec<_>>());
+    }
+}
+
+/// The rate pairs the device shapes produce, over blocks of up to 16 K
+/// samples cut at lengths that are not multiples of the kernel's block,
+/// on random data and on alternating full-scale taps.
+#[test]
+fn resample_matches_reference_on_device_rates_and_long_blocks() {
+    let mut x = 0x9E37_79B9u32;
+    let noise: Vec<i16> = (0..LONG_BLOCK)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x >> 16) as i16
+        })
+        .collect();
+    // Full-scale taps of alternating sign: every interpolated value
+    // crosses the whole range, and ties land on both sides of zero.
+    let extremes: Vec<i16> = (0..LONG_BLOCK)
+        .map(|i| if i % 2 == 0 { i16::MIN } else { i16::MAX })
+        .collect();
+    let rates = [8000.0, 44_100.0, 48_000.0];
+    for from in rates {
+        for to in rates {
+            for data in [&noise, &extremes] {
+                // One whole block, then the same data in ragged pieces.
+                assert_resample_matches(from / to, [&data[..]]);
+                for piece in [1, 31, 33, 97, 1000] {
+                    assert_resample_matches(from / to, data.chunks(piece.min(LONG_BLOCK - 1)));
+                }
+            }
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BroadcastStats, BusTap};
 use crate::buffer::DeviceBuffers;
 use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
-use crate::state::{AccessControl, AtomRegistry, ControlMsg, Device, ServerStats};
+use crate::state::{connector_mask, AccessControl, AtomRegistry, ControlMsg, Device, ServerStats};
 use crate::transport::TransportShared;
 use af_chaos::StreamFaultPlan;
 use af_device::hardware::{HwConfig, VirtualAudioHw};
@@ -403,6 +403,8 @@ impl ServerBuilder {
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
             setup.desc.index = i as u8;
+            let inputs_enabled = connector_mask(setup.desc.number_of_inputs);
+            let outputs_enabled = connector_mask(setup.desc.number_of_outputs);
             devices.push(Device {
                 desc: setup.desc,
                 buffers: setup.buffers,
@@ -411,8 +413,8 @@ impl ServerBuilder {
                 input_gain_db: 0,
                 output_gain_db: 0,
                 gain_range: (-30, 30),
-                inputs_enabled: u32::MAX,
-                outputs_enabled: u32::MAX,
+                inputs_enabled,
+                outputs_enabled,
                 passthrough: false,
                 passthrough_peer: setup.passthrough_peer,
                 properties: HashMap::new(),

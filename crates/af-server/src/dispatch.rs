@@ -19,8 +19,9 @@
 
 use crate::pool::BufferPool;
 use crate::state::{
-    AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, ConnKick, ControlMsg,
-    Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
+    connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState,
+    ConnKick, ControlMsg, Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent,
+    ServerStats,
 };
 use crate::task::{next_period, TaskKind, TaskQueue};
 use af_dsp::convert::Converter;
@@ -1531,12 +1532,7 @@ impl Dispatcher {
         } else {
             dev.desc.number_of_outputs
         };
-        let valid = if count >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << count) - 1
-        };
-        if mask & !valid != 0 {
+        if mask & !connector_mask(count) != 0 {
             return Err((ErrorCode::BadValue, mask));
         }
         let target = if input {

@@ -310,6 +310,17 @@ pub struct Device {
     pub pt_out: ATime,
 }
 
+/// One bit per connector of a device with `count` of them: the masks the
+/// I/O-control requests accept, and the all-enabled state a device starts
+/// in — so clearing every valid bit leaves zero, which is what mutes.
+pub fn connector_mask(count: u8) -> u32 {
+    if count >= 32 {
+        u32::MAX
+    } else {
+        (1u32 << count) - 1
+    }
+}
+
 impl Device {
     /// Whether any output connector is enabled.
     pub fn output_enabled(&self) -> bool {

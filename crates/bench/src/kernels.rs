@@ -23,7 +23,11 @@
 //! semantics.
 
 use af_dsp::convert::Converter;
+use af_dsp::resample::{resample_block, ResampleState};
 use af_dsp::{mix, reference, Encoding};
+
+/// The shape `resample_block` and its frozen reference share.
+type ResampleFn = fn(&mut ResampleState, &[i16], &mut Vec<i16>);
 
 /// Block sizes for the kernel sweep: 1 KB to 64 KB, matching the request
 /// sizes of Figures 11–13.
@@ -164,7 +168,8 @@ pub fn run_kernels(smoke: bool) -> Vec<KernelMeasurement> {
 pub struct KernelV2Measurement {
     /// Entry point: `convert_decode`, `convert_encode`, `mix`, `resample`.
     pub kernel: &'static str,
-    /// Implementation path name: `scalar`, `swar`, `simd-sse2`, ….
+    /// Implementation path name: `scalar`, `swar`, `simd-sse2`, …; for
+    /// `resample`, which has one implementation, `kernel` or `reference`.
     pub path: &'static str,
     /// Block size in bytes (companded bytes for converts, LIN16 bytes for
     /// mix and resample input).
@@ -192,15 +197,15 @@ fn throughput_cycles<F: FnMut()>(bytes: usize, iters: u32, mut f: F) -> (f64, f6
 }
 
 /// Measures every vtable entry point on every path available on this
-/// host, at the top two sweep sizes.  The paths are driven through their
-/// function pointers directly (not the global `AF_DSP_FORCE` override),
-/// so rows stay comparable even when the process default is SIMD.
+/// host, at the top two sweep sizes, and the resampler against its frozen
+/// reference loop.  The paths are driven through their function pointers
+/// directly (not the global `AF_DSP_FORCE` override), so rows stay
+/// comparable even when the process default is SIMD.
 pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
     let mut results = Vec::new();
     for &bytes in &[KERNEL_SIZES[1], KERNEL_SIZES[3]] {
+        let iters = iters_for(bytes, smoke);
         for (_, k) in af_dsp::kernels::available() {
-            let iters = iters_for(bytes, smoke);
-
             let ulaw: Vec<u8> = (0..bytes).map(|i| (i % 255) as u8).collect();
             let mut pcm = vec![0i16; bytes];
             let (mb_s, cpb) = throughput_cycles(bytes, iters, || {
@@ -241,12 +246,18 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
                 mb_s,
                 cycles_per_byte: cpb,
             });
+        }
 
-            let input: Vec<i16> = lin16_block(bytes)
-                .chunks_exact(2)
-                .map(|c| i16::from_le_bytes([c[0], c[1]]))
-                .collect();
-            let mut st = af_dsp::kernels::ResampleState {
+        let input: Vec<i16> = lin16_block(bytes)
+            .chunks_exact(2)
+            .map(|c| i16::from_le_bytes([c[0], c[1]]))
+            .collect();
+        let paths: [(&'static str, ResampleFn); 2] = [
+            ("reference", reference::resample_block_scalar),
+            ("kernel", resample_block),
+        ];
+        for (path, f) in paths {
+            let mut st = ResampleState {
                 step: 8000.0 / 11_025.0,
                 pos: 0.0,
                 prev: None,
@@ -254,12 +265,12 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
             let mut resampled = Vec::new();
             let (mb_s, cpb) = throughput_cycles(bytes, iters, || {
                 resampled.clear();
-                (k.resample_lin16)(&mut st, &input, &mut resampled);
+                f(&mut st, &input, &mut resampled);
                 std::hint::black_box(&resampled);
             });
             results.push(KernelV2Measurement {
                 kernel: "resample",
-                path: k.name,
+                path,
                 bytes,
                 mb_s,
                 cycles_per_byte: cpb,
@@ -273,36 +284,47 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
 /// the composed table may measure before it counts as a regression.  Wide
 /// enough to absorb timer noise on a loaded CI host, narrow enough to catch
 /// the class of bug it exists for — a composition that picks a losing path
-/// (the SWAR mix trails scalar ~6×, the SIMD resampler ~1.45×).
+/// (the SWAR mix trails scalar ~6×).
 pub const DISPATCH_GATE_TOLERANCE: f64 = 1.25;
+
+/// The resampler's share of the gate: the kernel must cost at most this
+/// fraction of the reference loop's cycles/byte at every size.  It measures
+/// ~0.27; the old loop, with its two libm calls per output, ~0.85.
+pub const RESAMPLE_GATE_RATIO: f64 = 0.5;
 
 /// The dispatch invariant behind `af_dsp::kernels::composed`: the shipping
 /// default must never be slower than the scalar baseline on any entry
-/// point at any size.  Returns one message per violated (kernel, size)
-/// pair, empty when the invariant holds.
+/// point at any size — and the resampler, which has no table to pick from,
+/// must hold [`RESAMPLE_GATE_RATIO`] against its reference.  Returns one
+/// message per violated (kernel, size) pair, empty when both hold.
 pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
-    for base in rows.iter().filter(|r| r.path == "scalar") {
-        let Some(active) = rows
-            .iter()
-            .find(|r| r.path == "composed" && r.kernel == base.kernel && r.bytes == base.bytes)
-        else {
-            violations.push(format!(
-                "no composed row for {}/{} — dispatch gate cannot run",
-                base.kernel, base.bytes
-            ));
-            continue;
-        };
-        if active.cycles_per_byte > base.cycles_per_byte * tolerance {
-            violations.push(format!(
-                "{}/{}: composed {:.3} cycles/byte vs scalar {:.3} ({:.2}x, tolerance {:.2}x)",
-                base.kernel,
-                base.bytes,
-                active.cycles_per_byte,
-                base.cycles_per_byte,
-                active.cycles_per_byte / base.cycles_per_byte,
-                tolerance
-            ));
+    let gates = [
+        ("scalar", "composed", tolerance),
+        ("reference", "kernel", RESAMPLE_GATE_RATIO),
+    ];
+    for (base_path, subject_path, limit) in gates {
+        for base in rows.iter().filter(|r| r.path == base_path) {
+            let Some(subject) = rows.iter().find(|r| {
+                r.path == subject_path && r.kernel == base.kernel && r.bytes == base.bytes
+            }) else {
+                violations.push(format!(
+                    "no {subject_path} row for {}/{} — dispatch gate cannot run",
+                    base.kernel, base.bytes
+                ));
+                continue;
+            };
+            if subject.cycles_per_byte > base.cycles_per_byte * limit {
+                violations.push(format!(
+                    "{}/{}: {subject_path} {:.3} cycles/byte vs {base_path} {:.3} ({:.2}x, limit {:.2}x)",
+                    base.kernel,
+                    base.bytes,
+                    subject.cycles_per_byte,
+                    base.cycles_per_byte,
+                    subject.cycles_per_byte / base.cycles_per_byte,
+                    limit
+                ));
+            }
         }
     }
     violations
@@ -324,8 +346,9 @@ mod tests {
     fn kernels_v2_cover_every_path_with_positive_metrics() {
         let rows = run_kernels_v2(true);
         let paths = af_dsp::kernels::available().len();
-        // 4 entry points x available paths x 2 sizes.
-        assert_eq!(rows.len(), 4 * paths * 2);
+        // (3 vtable entry points x available paths + resample kernel and
+        // reference) x 2 sizes.
+        assert_eq!(rows.len(), (3 * paths + 2) * 2);
         for m in &rows {
             assert!(m.mb_s > 0.0, "{}/{}/{}", m.kernel, m.path, m.bytes);
             assert!(
@@ -367,5 +390,22 @@ mod tests {
         // Missing composed row: the gate reports rather than silently passing.
         let missing = vec![row("scalar", 0.1)];
         assert_eq!(dispatch_regressions(&missing, DISPATCH_GATE_TOLERANCE).len(), 1);
+    }
+
+    #[test]
+    fn resample_gate_wants_half_the_reference_cost() {
+        let row = |path, cpb: f64| KernelV2Measurement {
+            kernel: "resample",
+            path,
+            bytes: 4096,
+            mb_s: 1.0,
+            cycles_per_byte: cpb,
+        };
+        let gate = |rows: &[KernelV2Measurement]| dispatch_regressions(rows, 1.0).len();
+        // The old loop's shape (0.85x of the reference): must trigger.
+        assert_eq!(gate(&[row("reference", 14.0), row("kernel", 12.0)]), 1);
+        assert_eq!(gate(&[row("reference", 14.0), row("kernel", 4.0)]), 0);
+        // Missing kernel row: reported, not silently passed.
+        assert_eq!(gate(&[row("reference", 14.0)]), 1);
     }
 }

@@ -554,6 +554,12 @@ impl SpeakerModel {
     fn output_gain(&mut self, consumed: std::ops::Range<usize>, db: i32) {
         reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut self.bytes[consumed], db);
     }
+
+    /// The only output connector was disabled while the hardware consumed
+    /// this range: nothing reached it, and it back-fills silence.
+    fn muted(&mut self, consumed: std::ops::Range<usize>) {
+        self.bytes[consumed].fill(SIL);
+    }
 }
 
 /// Asserts the captured speaker output is exactly `want`, naming the first
@@ -646,6 +652,50 @@ fn mixed_preempted_converted_and_gained_plays_match_the_reference_kernels() {
     fx.run(&handle, 1600);
 
     assert_speaker_emitted(&fx, &model.bytes);
+}
+
+#[test]
+fn disabled_output_mutes_the_speaker_until_it_is_enabled_again() {
+    const LEAD: usize = 1024;
+    assert_eq!(HwConfig::codec().ring_frames as usize, LEAD);
+
+    let fx = Fixture::new();
+    let handle = fx.server.handle();
+    let mut conn = fx.connect();
+    assert_eq!(conn.get_time(0).unwrap(), ATime::new(0));
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    let mut model = SpeakerModel::new(3200);
+
+    // The codec has one output connector; clearing its bit mutes.
+    conn.disable_output(0, 1).unwrap();
+    conn.sync().unwrap();
+    // One play the update task moves, partly while muted, and one that
+    // starts inside the hardware's lead and is written through.
+    let tone = [g711::linear_to_ulaw(4000); 1600];
+    conn.play_samples(&ac, ATime::new(1200), &tone).unwrap();
+    model.play(1200, &tone, false);
+    fx.run(&handle, 800);
+    let blip = [g711::linear_to_ulaw(-3000); 100];
+    conn.play_samples(&ac, ATime::new(900), &blip).unwrap();
+    model.play(900, &blip, false);
+    model.muted(0..800 + LEAD);
+
+    conn.enable_output(0, 1).unwrap();
+    conn.sync().unwrap();
+    conn.play_samples(&ac, ATime::new(1000), &blip).unwrap();
+    model.play(1000, &blip, false);
+    fx.run(&handle, 2400);
+    assert_speaker_emitted(&fx, &model.bytes);
+    assert!(model.bytes[800 + LEAD..2800] == tone[800 + LEAD - 1200..]);
+
+    // A connector the device does not have is still refused.
+    conn.disable_output(0, 2).unwrap();
+    conn.sync().unwrap();
+    let errs = conn.take_async_errors();
+    assert_eq!(errs.len(), 1);
+    assert_eq!(errs[0].code, audiofile::proto::ErrorCode::BadValue);
 }
 
 #[test]
