@@ -1,35 +1,24 @@
-//! Runtime-dispatched batch kernels (SWAR round 2).
+//! Runtime-dispatched batch kernels.
 //!
-//! PR 2 batched the per-sample loops; this module vectorizes the two
-//! dominant kernel families — companded↔linear conversion and saturating
-//! mix — behind one function-pointer vtable selected once at startup (the
-//! resampler has a single implementation, [`crate::resample`]):
+//! The two dominant kernel families — companded↔linear conversion and
+//! saturating mix — sit behind one function-pointer vtable selected once
+//! at startup (the resampler has a single implementation,
+//! [`crate::resample`]).  There are two kinds of table:
 //!
-//! * [`scalar`] — the batched loops the seed grew into; always available
-//!   and the semantic definition of every entry point.
-//! * [`swar`] — SIMD-within-a-register over `u64` lanes (four 16-bit or two
-//!   32-bit samples per word); portable to every target, alignment-free
-//!   because it moves lanes with `from_le_bytes`/`to_le_bytes`.
-//! * `simd` — `core::arch` kernels behind runtime feature detection:
-//!   SSE2 baseline and AVX2 when detected on x86_64 ([`x86`]), NEON on
-//!   aarch64 ([`neon`]); other targets fall back to SWAR.
+//! * [`scalar`] — batched table-lookup loops; always available, the
+//!   semantic definition of every entry point, and what the SIMD tables
+//!   call for their tails.
+//! * SIMD — `core::arch` kernels: SSE2 baseline and AVX2 when detected on
+//!   x86_64 ([`x86`]), NEON on aarch64 ([`neon`]).
 //!
-//! Every path is pinned bit-exact against `crate::reference` by the
-//! differential property tests, so selection is purely a throughput choice.
-//!
-//! The default is [`composed`], a per-entry-point best-of table assembled
-//! once at startup (BENCH_report.json `kernels_v2`): the SIMD table where
-//! the target has one, and otherwise SWAR decode beside the scalar encode
-//! and mix (SWAR's lane-masked mix loses ~6× to the autovectorized scalar
-//! loop).
-//!
-//! Selection order: the `AF_DSP_FORCE=scalar|swar|simd|composed`
-//! environment variable (read once) pins a whole table, else the composed
-//! table.  [`set_force`] overrides selection at runtime for benches.
+//! Every table is pinned bit-exact against `crate::reference` by the
+//! differential property tests, so selection is purely a throughput choice
+//! and nothing the user sets: [`active`] is the best SIMD table the host
+//! can execute, and the scalar table under Miri (the interpreter stays on
+//! portable code) or on a target with no `core::arch` table.
 
 pub mod cycles;
 pub mod scalar;
-pub mod swar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
@@ -37,13 +26,12 @@ pub mod x86;
 #[cfg(target_arch = "aarch64")]
 pub mod neon;
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 // The frozen `reference` module names the state by this path.
 pub(crate) use crate::resample::ResampleState;
 
-/// The kernel vtable: one set of function pointers per implementation path.
+/// The kernel vtable: one set of function pointers per implementation.
 ///
 /// Contracts shared by every implementation:
 ///
@@ -54,7 +42,7 @@ pub(crate) use crate::resample::ResampleState;
 ///   truncates to a sample boundary.  Alignment is irrelevant.
 #[derive(Clone, Copy)]
 pub struct Kernels {
-    /// Path name for reports: `"scalar"`, `"swar"`, `"simd-sse2"`, ….
+    /// Table name for reports: `"scalar"`, `"simd-sse2"`, `"simd-avx2"`, ….
     pub name: &'static str,
     /// µ-law bytes → 16-bit linear.
     pub decode_ulaw: fn(&[u8], &mut [i16]),
@@ -70,187 +58,61 @@ pub struct Kernels {
     pub mix_lin32_le: fn(&mut [u8], &[u8]),
 }
 
-/// A selectable implementation path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelPath {
-    /// Batched scalar loops (the PR 2 state of the art).
-    Scalar,
-    /// Portable `u64`-lane SWAR.
-    Swar,
-    /// `core::arch` SIMD; resolves to the best table the host supports and
-    /// falls back to SWAR where there is none.
-    Simd,
-    /// Per-entry-point best-of table (the startup default); see [`composed`].
-    Composed,
-}
-
-impl KernelPath {
-    /// Parses the `AF_DSP_FORCE` spelling.
-    pub fn parse(s: &str) -> Option<KernelPath> {
-        match s {
-            "scalar" => Some(KernelPath::Scalar),
-            "swar" => Some(KernelPath::Swar),
-            "simd" => Some(KernelPath::Simd),
-            "composed" => Some(KernelPath::Composed),
-            _ => None,
-        }
-    }
-}
-
-/// The best `core::arch` table this host supports, if any.
-fn simd_kernels() -> Option<&'static Kernels> {
+/// The `core::arch` tables this host can execute, best last; empty where
+/// the target has none.
+fn simd_tables() -> &'static [Kernels] {
     #[cfg(target_arch = "x86_64")]
     {
-        Some(x86::kernels())
+        x86::available()
     }
     #[cfg(target_arch = "aarch64")]
     {
-        Some(neon::kernels())
+        std::slice::from_ref(&neon::KERNELS)
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
-        None
+        &[]
     }
 }
 
-/// The per-entry-point best-of table: each function pointer comes from the
-/// path that measured fastest for that kernel (BENCH_report.json
-/// `kernels_v2`, re-checked by the bench gate in `bench::kernels`):
-///
-/// * where the target has a `core::arch` table, all of it — AVX2 decode
-///   runs ~2× scalar and AVX2 mix ~1.6×, and SWAR wins no entry point;
-/// * hosts with none keep SWAR convert (still ~2× scalar) but take the
-///   scalar encode and mix, which SWAR loses.
-pub fn composed() -> &'static Kernels {
-    static COMPOSED: OnceLock<Kernels> = OnceLock::new();
-    COMPOSED.get_or_init(|| match simd_kernels() {
-        Some(simd) => Kernels {
-            name: "composed",
-            ..*simd
-        },
-        None => Kernels {
-            name: "composed",
-            decode_ulaw: swar::KERNELS.decode_ulaw,
-            decode_alaw: swar::KERNELS.decode_alaw,
-            ..scalar::KERNELS
-        },
-    })
+/// Every table this host can execute — scalar, then each SIMD table, best
+/// last — for differential tests and per-table bench rows.
+pub fn available() -> Vec<&'static Kernels> {
+    std::iter::once(&scalar::KERNELS)
+        .chain(simd_tables())
+        .collect()
 }
 
-/// Resolves a path to its vtable (`Simd` falls back to SWAR when the host
-/// has no `core::arch` table).
-pub fn for_path(path: KernelPath) -> &'static Kernels {
-    match path {
-        KernelPath::Scalar => &scalar::KERNELS,
-        KernelPath::Swar => &swar::KERNELS,
-        KernelPath::Simd => simd_kernels().unwrap_or(&swar::KERNELS),
-        KernelPath::Composed => composed(),
-    }
-}
-
-/// Every distinct implementation available on this host, for differential
-/// tests and per-path bench rows.  The SIMD entry is omitted when it would
-/// merely alias SWAR.  The composed table is always last, so differential
-/// tests pin the shipping default against the same references.
-pub fn available() -> Vec<(KernelPath, &'static Kernels)> {
-    let mut v = vec![
-        (KernelPath::Scalar, &scalar::KERNELS),
-        (KernelPath::Swar, &swar::KERNELS),
-    ];
-    if let Some(simd) = simd_kernels() {
-        v.push((KernelPath::Simd, simd));
-    }
-    v.push((KernelPath::Composed, composed()));
-    v
-}
-
-/// Runtime override for benches/tests: `set_force(Some(path))` pins every
-/// subsequent [`active`] call to that path; `None` restores startup
-/// selection.  Not intended for production code, which selects once.
-pub fn set_force(path: Option<KernelPath>) {
-    let v = match path {
-        None => 0,
-        Some(KernelPath::Scalar) => 1,
-        Some(KernelPath::Swar) => 2,
-        Some(KernelPath::Simd) => 3,
-        Some(KernelPath::Composed) => 4,
-    };
-    FORCE.store(v, Ordering::Relaxed);
-}
-
-static FORCE: AtomicU8 = AtomicU8::new(0);
-
-/// The vtable every production call site uses.
-///
-/// Selection happens once (honoring `AF_DSP_FORCE`); afterwards this is an
-/// atomic load plus a pointer chase.
+/// The vtable every production call site uses: selected on first use,
+/// afterwards an atomic load plus a pointer chase.
 #[inline]
 pub fn active() -> &'static Kernels {
-    match FORCE.load(Ordering::Relaxed) {
-        1 => &scalar::KERNELS,
-        2 => &swar::KERNELS,
-        3 => for_path(KernelPath::Simd),
-        4 => composed(),
-        _ => DEFAULT.get_or_init(|| {
-            match std::env::var("AF_DSP_FORCE").ok().as_deref().and_then(KernelPath::parse) {
-                Some(p) => for_path(p),
-                None => composed(),
-            }
-        }),
-    }
+    static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
+    ACTIVE.get_or_init(|| {
+        if cfg!(miri) {
+            return &scalar::KERNELS;
+        }
+        simd_tables().last().unwrap_or(&scalar::KERNELS)
+    })
 }
-
-static DEFAULT: OnceLock<&'static Kernels> = OnceLock::new();
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn force_overrides_selection() {
-        set_force(Some(KernelPath::Scalar));
-        assert_eq!(active().name, "scalar");
-        set_force(Some(KernelPath::Swar));
-        assert_eq!(active().name, "swar");
-        set_force(Some(KernelPath::Composed));
-        assert_eq!(active().name, "composed");
-        set_force(None);
+    fn active_is_the_best_table_the_host_can_execute() {
+        let tables = available();
+        assert_eq!(tables[0].name, "scalar");
+        let best = tables[if cfg!(miri) { 0 } else { tables.len() - 1 }];
+        assert_eq!(active().name, best.name);
     }
 
     #[test]
-    fn parse_rejects_unknown() {
-        assert_eq!(KernelPath::parse("swar"), Some(KernelPath::Swar));
-        assert_eq!(KernelPath::parse("composed"), Some(KernelPath::Composed));
-        assert_eq!(KernelPath::parse("avx512"), None);
-    }
-
-    #[test]
-    fn composed_picks_per_kernel_winners() {
-        let c = composed();
-        assert_eq!(c.name, "composed");
-        match simd_kernels() {
-            // Where a SIMD table exists the composition is that table.
-            Some(simd) => {
-                assert!(std::ptr::fn_addr_eq(c.decode_ulaw, simd.decode_ulaw));
-                assert!(std::ptr::fn_addr_eq(c.encode_ulaw, simd.encode_ulaw));
-                assert!(std::ptr::fn_addr_eq(c.mix_lin16_le, simd.mix_lin16_le));
-                assert!(std::ptr::fn_addr_eq(c.mix_lin32_le, simd.mix_lin32_le));
-            }
-            None => {
-                assert!(std::ptr::fn_addr_eq(c.decode_ulaw, swar::KERNELS.decode_ulaw));
-                // SWAR's lane-masked mix loses to the autovectorized scalar
-                // loop, so the fallback composition must not take it.
-                assert!(std::ptr::fn_addr_eq(c.mix_lin16_le, scalar::KERNELS.mix_lin16_le));
-            }
-        }
-    }
-
-    #[test]
-    fn available_paths_are_distinct() {
-        let paths = available();
-        assert!(paths.len() >= 2);
-        for w in paths.windows(2) {
-            assert_ne!(w[0].1.name, w[1].1.name);
+    fn available_tables_are_distinct() {
+        let names: Vec<_> = available().iter().map(|k| k.name).collect();
+        for (i, n) in names.iter().enumerate() {
+            assert!(!names[..i].contains(n), "{n} listed twice");
         }
     }
 

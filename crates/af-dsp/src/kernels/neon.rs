@@ -3,9 +3,10 @@
 //! NEON is baseline on aarch64, so no runtime detection is needed.  The
 //! decode kernels use the per-lane variable shift (`vshlq_u16`) that x86
 //! has to emulate with conditional doubling; mixing maps onto the native
-//! saturating adds.  This module cannot run in the x86 CI leg, so it keeps
-//! to the simplest intrinsic forms and the differential property tests pin
-//! it against the scalar oracle on aarch64 hosts.
+//! saturating adds; tails go to the scalar loop of the same entry point.
+//! This module cannot run in the x86 CI leg, so it keeps to the simplest
+//! intrinsic forms and the differential property tests pin it against the
+//! frozen reference on aarch64 hosts.
 
 // All intrinsics operate on unaligned loads/stores within caller-checked
 // bounds; NEON is statically available on aarch64.
@@ -13,34 +14,23 @@
 
 use core::arch::aarch64::*;
 
-use super::{swar, Kernels};
+use super::{scalar, Kernels};
 use crate::tables;
 
-/// The NEON vtable.
-pub fn kernels() -> &'static Kernels {
-    static K: Kernels = Kernels {
-        name: "simd-neon",
-        decode_ulaw,
-        decode_alaw,
-        encode_ulaw,
-        encode_alaw,
-        mix_lin16_le,
-        mix_lin32_le,
-    };
-    &K
-}
-
-fn encode_ulaw(pcm: &[i16], out: &mut [u8]) {
-    swar::encode_tab(tables::comp_u(), pcm, out);
-}
-
-fn encode_alaw(pcm: &[i16], out: &mut [u8]) {
-    swar::encode_tab(tables::comp_a(), pcm, out);
-}
+/// The NEON table; encode is the scalar table loop.
+pub(super) static KERNELS: Kernels = Kernels {
+    name: "simd-neon",
+    decode_ulaw,
+    decode_alaw,
+    encode_ulaw: scalar::encode_ulaw,
+    encode_alaw: scalar::encode_alaw,
+    mix_lin16_le,
+    mix_lin32_le,
+};
 
 fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
     if !cfg!(target_endian = "little") {
-        return swar::mix_lin16_le(dst, src);
+        return scalar::mix_lin16_le(dst, src);
     }
     let n = dst.len().min(src.len()) & !1;
     let mut i = 0;
@@ -55,12 +45,12 @@ fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
             i += 16;
         }
     }
-    swar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
+    scalar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
 }
 
 fn mix_lin32_le(dst: &mut [u8], src: &[u8]) {
     if !cfg!(target_endian = "little") {
-        return swar::mix_lin32_le(dst, src);
+        return scalar::mix_lin32_le(dst, src);
     }
     let n = dst.len().min(src.len()) & !3;
     let mut i = 0;
@@ -73,7 +63,7 @@ fn mix_lin32_le(dst: &mut [u8], src: &[u8]) {
             i += 16;
         }
     }
-    swar::mix_lin32_le(&mut dst[i..n], &src[i..n]);
+    scalar::mix_lin32_le(&mut dst[i..n], &src[i..n]);
 }
 
 fn decode_ulaw(data: &[u8], out: &mut [i16]) {

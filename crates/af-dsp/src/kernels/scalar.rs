@@ -1,7 +1,8 @@
-//! The batched scalar path: the loops PR 2 left on the hot path, now one
-//! selectable vtable among three.  This is the semantic definition every
-//! other path is pinned against — table lookups per sample, typed slice
-//! views where alignment permits.
+//! The batched scalar table: table lookups per sample, typed slice views
+//! where alignment permits.  It is the semantic definition the SIMD tables
+//! are pinned against, what they call for their tails and (on SSE2 and
+//! NEON) for encode, and what runs under Miri or on a target with no
+//! `core::arch` table.
 
 use super::Kernels;
 use crate::{sample, tables};
@@ -32,11 +33,11 @@ fn decode_tab(t: &[i16; 256], data: &[u8], out: &mut [i16]) {
     }
 }
 
-fn encode_ulaw(pcm: &[i16], out: &mut [u8]) {
+pub(super) fn encode_ulaw(pcm: &[i16], out: &mut [u8]) {
     encode_tab(tables::comp_u(), pcm, out);
 }
 
-fn encode_alaw(pcm: &[i16], out: &mut [u8]) {
+pub(super) fn encode_alaw(pcm: &[i16], out: &mut [u8]) {
     encode_tab(tables::comp_a(), pcm, out);
 }
 
@@ -47,7 +48,7 @@ fn encode_tab(t: &[u8; 16_384], pcm: &[i16], out: &mut [u8]) {
     }
 }
 
-fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
+pub(super) fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
     let n = dst.len().min(src.len()) & !1;
     let (dst, src) = (&mut dst[..n], &src[..n]);
     match (sample::as_lin16_mut(dst), sample::as_lin16(src)) {
@@ -66,7 +67,7 @@ fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-fn mix_lin32_le(dst: &mut [u8], src: &[u8]) {
+pub(super) fn mix_lin32_le(dst: &mut [u8], src: &[u8]) {
     let n = dst.len().min(src.len()) & !3;
     let (dst, src) = (&mut dst[..n], &src[..n]);
     match (sample::as_lin32_mut(dst), sample::as_lin32(src)) {

@@ -2,14 +2,15 @@
 //!
 //! SSE2 is part of the x86_64 baseline, so those paths need no runtime
 //! check; AVX2 entry points are `#[target_feature]` functions reached only
-//! through the vtable built after `is_x86_feature_detected!("avx2")`.
+//! through the table handed out after `is_x86_feature_detected!("avx2")`.
 //!
 //! Companded decode is *algorithmic* here, not a table gather: G.711's
 //! `((m << 3) + 0x84) << e - 0x84` maps onto 16-bit lanes with the variable
 //! shift done as three conditional doublings (compare-mask + shift +
 //! blend), and the conditional negate as `(x ^ mask) - mask`, which is
-//! lane-isolated in real SIMD.  Encode stays on the SWAR table path — a
-//! 16 K gather has no good SIMD form without AVX-512.
+//! lane-isolated in real SIMD.  SSE2 encode is the scalar table loop — a
+//! 16 K gather has no good SIMD form without AVX-512 — and every vector
+//! body hands its tail to the scalar loop of the same entry point.
 
 // All intrinsics in this module operate on unaligned loads/stores within
 // caller-checked bounds; AVX2 functions are reached only after runtime
@@ -17,45 +18,39 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
-use std::sync::OnceLock;
 
-use super::{swar, Kernels};
+use super::{scalar, Kernels};
 use crate::tables;
 
-/// The best SIMD vtable this host supports (built once).
-pub fn kernels() -> &'static Kernels {
-    static K: OnceLock<Kernels> = OnceLock::new();
-    K.get_or_init(|| {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Kernels {
-                name: "simd-avx2",
-                decode_ulaw: decode_ulaw_avx2_entry,
-                decode_alaw: decode_alaw_avx2_entry,
-                encode_ulaw: encode_ulaw_avx2_entry,
-                encode_alaw: encode_alaw_avx2_entry,
-                mix_lin16_le: mix_lin16_le_avx2_entry,
-                mix_lin32_le: mix_lin32_le_sse2,
-            }
-        } else {
-            Kernels {
-                name: "simd-sse2",
-                decode_ulaw: decode_ulaw_sse2,
-                decode_alaw: decode_alaw_sse2,
-                encode_ulaw: encode_ulaw_swar,
-                encode_alaw: encode_alaw_swar,
-                mix_lin16_le: mix_lin16_le_sse2,
-                mix_lin32_le: mix_lin32_le_sse2,
-            }
-        }
-    })
-}
+// SSE2 first, AVX2 last.  Private: the `_entry` functions are sound only
+// on a host with AVX2, so the tables leave this module through
+// `available` alone.
+static TABLES: [Kernels; 2] = [
+    Kernels {
+        name: "simd-sse2",
+        decode_ulaw: decode_ulaw_sse2,
+        decode_alaw: decode_alaw_sse2,
+        encode_ulaw: scalar::encode_ulaw,
+        encode_alaw: scalar::encode_alaw,
+        mix_lin16_le: mix_lin16_le_sse2,
+        mix_lin32_le: mix_lin32_le_sse2,
+    },
+    Kernels {
+        name: "simd-avx2",
+        decode_ulaw: decode_ulaw_avx2_entry,
+        decode_alaw: decode_alaw_avx2_entry,
+        encode_ulaw: encode_ulaw_avx2_entry,
+        encode_alaw: encode_alaw_avx2_entry,
+        mix_lin16_le: mix_lin16_le_avx2_entry,
+        mix_lin32_le: mix_lin32_le_sse2,
+    },
+];
 
-fn encode_ulaw_swar(pcm: &[i16], out: &mut [u8]) {
-    swar::encode_tab(tables::comp_u(), pcm, out);
-}
-
-fn encode_alaw_swar(pcm: &[i16], out: &mut [u8]) {
-    swar::encode_tab(tables::comp_a(), pcm, out);
+/// Every table this host can execute, best last: SSE2 always, AVX2 when
+/// detected.
+pub(super) fn available() -> &'static [Kernels] {
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    &TABLES[..1 + usize::from(avx2)]
 }
 
 // ---- mixing -----------------------------------------------------------
@@ -73,12 +68,12 @@ fn mix_lin16_le_sse2(dst: &mut [u8], src: &[u8]) {
             i += 16;
         }
     }
-    swar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
+    scalar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
 }
 
 fn mix_lin16_le_avx2_entry(dst: &mut [u8], src: &[u8]) {
-    // SAFETY: this entry point is installed in the vtable only after
-    // `is_x86_feature_detected!("avx2")` returned true.
+    // SAFETY: reachable only through the AVX2 table, which `available`
+    // hands out only after `is_x86_feature_detected!("avx2")` returned true.
     unsafe { mix_lin16_le_avx2(dst, src) }
 }
 
@@ -119,7 +114,7 @@ unsafe fn mix_lin16_le_avx2(dst: &mut [u8], src: &[u8]) {
         _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_adds_epi16(a, b));
         i += 32;
     }
-    swar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
+    scalar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
 }
 
 fn mix_lin32_le_sse2(dst: &mut [u8], src: &[u8]) {
@@ -143,7 +138,7 @@ fn mix_lin32_le_sse2(dst: &mut [u8], src: &[u8]) {
             i += 16;
         }
     }
-    swar::mix_lin32_le(&mut dst[i..n], &src[i..n]);
+    scalar::mix_lin32_le(&mut dst[i..n], &src[i..n]);
 }
 
 // ---- companded decode -------------------------------------------------
@@ -261,12 +256,12 @@ unsafe fn pow2_epi16(e: __m256i) -> __m256i {
 }
 
 fn decode_ulaw_avx2_entry(data: &[u8], out: &mut [i16]) {
-    // SAFETY: installed in the vtable only when AVX2 was detected.
+    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
     unsafe { decode_ulaw_avx2(data, out) }
 }
 
 fn decode_alaw_avx2_entry(data: &[u8], out: &mut [i16]) {
-    // SAFETY: installed in the vtable only when AVX2 was detected.
+    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
     unsafe { decode_alaw_avx2(data, out) }
 }
 
@@ -386,12 +381,12 @@ unsafe fn store_packed_bytes(dst: *mut u8, lo: __m256i, hi: __m256i) {
 }
 
 fn encode_ulaw_avx2_entry(pcm: &[i16], out: &mut [u8]) {
-    // SAFETY: installed in the vtable only when AVX2 was detected.
+    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
     unsafe { encode_ulaw_avx2(pcm, out) }
 }
 
 fn encode_alaw_avx2_entry(pcm: &[i16], out: &mut [u8]) {
-    // SAFETY: installed in the vtable only when AVX2 was detected.
+    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
     unsafe { encode_alaw_avx2(pcm, out) }
 }
 
@@ -434,7 +429,7 @@ unsafe fn encode_ulaw_avx2(pcm: &[i16], out: &mut [u8]) {
         store_packed_bytes(out.as_mut_ptr().add(i), lo, hi);
         i += 32;
     }
-    swar::encode_tab(tables::comp_u(), &pcm[i..], &mut out[i..]);
+    scalar::encode_ulaw(&pcm[i..], &mut out[i..]);
 }
 
 // SAFETY: callers must guarantee the CPU supports AVX2.
@@ -474,7 +469,7 @@ unsafe fn encode_alaw_avx2(pcm: &[i16], out: &mut [u8]) {
         store_packed_bytes(out.as_mut_ptr().add(i), lo, hi);
         i += 32;
     }
-    swar::encode_tab(tables::comp_a(), &pcm[i..], &mut out[i..]);
+    scalar::encode_alaw(&pcm[i..], &mut out[i..]);
 }
 
 #[cfg(test)]
@@ -482,68 +477,60 @@ mod tests {
     use super::*;
     use crate::g711;
 
-    #[test]
-    fn sse2_decodes_every_code_exactly() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        let mut out = vec![0i16; 256];
-        decode_ulaw_sse2(&data, &mut out);
-        for (b, &v) in data.iter().zip(&out) {
-            assert_eq!(v, g711::ulaw_to_linear(*b), "ulaw {b:#04x}");
-        }
-        decode_alaw_sse2(&data, &mut out);
-        for (b, &v) in data.iter().zip(&out) {
-            assert_eq!(v, g711::alaw_to_linear(*b), "alaw {b:#04x}");
-        }
-    }
+    // Each test runs every table the host can execute: SSE2 always, AVX2
+    // when detected.
 
     #[test]
     fn vtable_decodes_every_code_exactly() {
-        // Exercises AVX2 when the host has it, SSE2 otherwise.
-        let k = kernels();
         let data: Vec<u8> = (0..=255u8).rev().collect();
         let mut out = vec![0i16; 256];
-        (k.decode_ulaw)(&data, &mut out);
-        for (b, &v) in data.iter().zip(&out) {
-            assert_eq!(v, g711::ulaw_to_linear(*b), "{} ulaw {b:#04x}", k.name);
-        }
-        (k.decode_alaw)(&data, &mut out);
-        for (b, &v) in data.iter().zip(&out) {
-            assert_eq!(v, g711::alaw_to_linear(*b), "{} alaw {b:#04x}", k.name);
+        for k in available() {
+            (k.decode_ulaw)(&data, &mut out);
+            for (b, &v) in data.iter().zip(&out) {
+                assert_eq!(v, g711::ulaw_to_linear(*b), "{} ulaw {b:#04x}", k.name);
+            }
+            (k.decode_alaw)(&data, &mut out);
+            for (b, &v) in data.iter().zip(&out) {
+                assert_eq!(v, g711::alaw_to_linear(*b), "{} alaw {b:#04x}", k.name);
+            }
         }
     }
 
     #[test]
     fn vtable_encodes_every_sample_exactly() {
-        // All 65536 inputs through the SIMD encode, against the comp-table
-        // path (the seed's semantics, with its 14-bit quantization) —
-        // covers both the vector body and the tail fallback.
-        let k = kernels();
+        // All 65536 inputs through each table's encode, against the
+        // comp-table path (the seed's semantics, with its 14-bit
+        // quantization).
         let pcm: Vec<i16> = (i16::MIN..=i16::MAX).collect();
         let mut out = vec![0u8; pcm.len()];
-        (k.encode_ulaw)(&pcm, &mut out);
-        for (&s, &b) in pcm.iter().zip(&out) {
-            assert_eq!(b, tables::ulaw_encode_fast(s), "{} ulaw {s}", k.name);
-        }
-        (k.encode_alaw)(&pcm, &mut out);
-        for (&s, &b) in pcm.iter().zip(&out) {
-            assert_eq!(b, tables::alaw_encode_fast(s), "{} alaw {s}", k.name);
+        for k in available() {
+            (k.encode_ulaw)(&pcm, &mut out);
+            for (&s, &b) in pcm.iter().zip(&out) {
+                assert_eq!(b, tables::ulaw_encode_fast(s), "{} ulaw {s}", k.name);
+            }
+            (k.encode_alaw)(&pcm, &mut out);
+            for (&s, &b) in pcm.iter().zip(&out) {
+                assert_eq!(b, tables::alaw_encode_fast(s), "{} alaw {s}", k.name);
+            }
         }
     }
 
     #[test]
     fn simd_mix_saturates_like_scalar() {
-        let k = kernels();
         let a: Vec<i16> = (0..500).map(|i| (i * 131 % 65_536) as u16 as i16).collect();
         let b: Vec<i16> = (0..500).map(|i| (i * 7_919 % 65_536) as u16 as i16).collect();
-        let mut dst: Vec<u8> = a.iter().flat_map(|v| v.to_le_bytes()).collect();
         let src: Vec<u8> = b.iter().flat_map(|v| v.to_le_bytes()).collect();
-        (k.mix_lin16_le)(&mut dst, &src);
-        for (i, c) in dst.chunks_exact(2).enumerate() {
-            assert_eq!(
-                i16::from_le_bytes([c[0], c[1]]),
-                a[i].saturating_add(b[i]),
-                "lane {i}"
-            );
+        for k in available() {
+            let mut dst: Vec<u8> = a.iter().flat_map(|v| v.to_le_bytes()).collect();
+            (k.mix_lin16_le)(&mut dst, &src);
+            for (i, c) in dst.chunks_exact(2).enumerate() {
+                assert_eq!(
+                    i16::from_le_bytes([c[0], c[1]]),
+                    a[i].saturating_add(b[i]),
+                    "{} lane {i}",
+                    k.name
+                );
+            }
         }
     }
 }

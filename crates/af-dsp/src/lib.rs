@@ -19,7 +19,7 @@
 //! * [`fft`] — radix-2 FFT and window functions (the core of `afft`),
 //! * [`adpcm`] — IMA ADPCM coding (the `SAMPLE_ADPCM32` type),
 //! * [`convert`] — conversion between any two supported encodings,
-//! * [`kernels`] — the runtime-dispatched scalar/SWAR/SIMD batch kernels
+//! * [`kernels`] — the runtime-dispatched scalar/SIMD batch kernels
 //!   behind [`convert`] and [`mix`],
 //! * [`resample`] — the streaming linear-interpolation resampler (§2.2's
 //!   unfinished sample-rate conversion; what `apass -resample` runs),

@@ -44,8 +44,8 @@ pub fn mix_lin32(dst: &mut [i32], src: &[i32]) {
 /// truncated to a sample boundary — and leaves any trailing bytes of `dst`
 /// untouched, so a malformed client length cannot abort the server's update
 /// task.  Linear formats go through the runtime-selected kernel vtable
-/// ([`crate::kernels`]): SWAR `u64` lanes or `core::arch` SIMD, both
-/// alignment-free, with the scalar path available via `AF_DSP_FORCE`.
+/// ([`crate::kernels`]): `core::arch` SIMD where the host has it, the
+/// scalar loop otherwise, alignment-free either way.
 ///
 /// # Panics
 ///

@@ -1,25 +1,17 @@
-//! Differential property tests for the kernel vtable paths and the
-//! resampler.
+//! Differential property tests for the kernel vtables and the resampler.
 //!
-//! Every path available on this host — scalar, SWAR, and the detected SIMD
-//! table — must be bit-exact against the frozen reference (`af_dsp::
-//! reference` and the per-sample G.711 algorithms) on randomized lengths,
-//! byte alignments, encodings, gains and chunkings.  Path selection must
-//! never be observable in output, only in throughput.  The resampler has
+//! Every table this host can execute — scalar, SSE2 and (when detected)
+//! AVX2 on x86_64, NEON on aarch64 — must be bit-exact against the frozen
+//! reference (`af_dsp::reference` and the per-sample G.711 algorithms) on
+//! randomized lengths, byte alignments, encodings, gains and chunkings.
+//! Table selection must never be observable in output, only in throughput.  The resampler has
 //! one implementation; its output *and* carried state must equal the
 //! reference loop's bit for bit.
 
-use af_dsp::kernels::{self, Kernels};
+use af_dsp::kernels;
 use af_dsp::resample::{resample_block, ResampleState};
 use af_dsp::{g711, gain, reference, Encoding};
 use proptest::prelude::*;
-
-fn paths() -> Vec<(&'static str, &'static Kernels)> {
-    kernels::available()
-        .into_iter()
-        .map(|(_, k)| (k.name, k))
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -28,16 +20,16 @@ proptest! {
     /// length — odd lengths exercise each path's scalar remainder loop.
     #[test]
     fn decode_paths_bit_exact(data in prop::collection::vec(any::<u8>(), 0..200)) {
-        for (name, k) in paths() {
+        for k in kernels::available() {
             let mut out = vec![0i16; data.len()];
             (k.decode_ulaw)(&data, &mut out);
             for (b, v) in data.iter().zip(&out) {
-                prop_assert_eq!(*v, g711::ulaw_to_linear(*b), "{} ulaw {:#04x}", name, b);
+                prop_assert_eq!(*v, g711::ulaw_to_linear(*b), "{} ulaw {:#04x}", k.name, b);
             }
             let mut out = vec![0i16; data.len()];
             (k.decode_alaw)(&data, &mut out);
             for (b, v) in data.iter().zip(&out) {
-                prop_assert_eq!(*v, g711::alaw_to_linear(*b), "{} alaw {:#04x}", name, b);
+                prop_assert_eq!(*v, g711::alaw_to_linear(*b), "{} alaw {:#04x}", k.name, b);
             }
         }
     }
@@ -46,12 +38,12 @@ proptest! {
     /// 16 K compression-table quantization, not the raw algorithm).
     #[test]
     fn encode_paths_bit_exact(pcm in prop::collection::vec(any::<i16>(), 0..200)) {
-        for (name, k) in paths() {
+        for k in kernels::available() {
             for (enc, f) in [(Encoding::Mu255, k.encode_ulaw), (Encoding::Alaw, k.encode_alaw)] {
                 let want = reference::encode_from_lin16_scalar(enc, &pcm);
                 let mut got = vec![0u8; pcm.len()];
                 f(&pcm, &mut got);
-                prop_assert_eq!(&got, &want, "{} {}", name, enc);
+                prop_assert_eq!(&got, &want, "{} {}", k.name, enc);
             }
         }
     }
@@ -77,11 +69,11 @@ proptest! {
         let mut want = bytes.clone();
         reference::mix_bytes_scalar(enc, &mut want[..n], &src_bytes[..n]);
 
-        for (name, k) in paths() {
+        for k in kernels::available() {
             let mut d = dst_store.clone();
             let f = if wide { k.mix_lin32_le } else { k.mix_lin16_le };
             f(&mut d[off..], &src_store[off + 1..]);
-            prop_assert_eq!(&d[off..], &want[..], "{} {}", name, enc);
+            prop_assert_eq!(&d[off..], &want[..], "{} {}", k.name, enc);
         }
     }
 
@@ -98,7 +90,7 @@ proptest! {
         };
         let inter_dst = pack(frames.iter().flat_map(|f| [f[0], f[1]]).collect());
         let inter_src = pack(frames.iter().flat_map(|f| [f[2], f[3]]).collect());
-        for (name, k) in paths() {
+        for k in kernels::available() {
             let mut mixed = inter_dst.clone();
             (k.mix_lin16_le)(&mut mixed, &inter_src);
             for ch in 0..2usize {
@@ -110,7 +102,7 @@ proptest! {
                     prop_assert_eq!(
                         [mixed[j], mixed[j + 1]],
                         [c[0], c[1]],
-                        "{} channel {} frame {}", name, ch, i
+                        "{} channel {} frame {}", k.name, ch, i
                     );
                 }
             }
@@ -133,14 +125,14 @@ proptest! {
             *s = gain::q16_gain_i16(*s, factor);
         }
         let want = reference::encode_from_lin16_scalar(enc, &want);
-        for (name, k) in paths() {
+        for k in kernels::available() {
             let mut pcm = vec![0i16; data.len()];
             (k.decode_ulaw)(&data, &mut pcm);
             gain::apply_gain_lin16_q16(&mut pcm, factor);
             let mut got = vec![0u8; pcm.len()];
             let f = if to_alaw { k.encode_alaw } else { k.encode_ulaw };
             f(&pcm, &mut got);
-            prop_assert_eq!(&got, &want, "{} {} dB -> {}", name, db, enc);
+            prop_assert_eq!(&got, &want, "{} {} dB -> {}", k.name, db, enc);
         }
     }
 }

@@ -396,8 +396,9 @@ impl ServerBuilder {
     /// The reactor is the only transport, so this fails with
     /// `ErrorKind::Unsupported` on targets it has no syscall backend for
     /// (supported: Linux on x86_64 and aarch64 — see
-    /// [`crate::reactor::sys`]).  On any error every thread started so far
-    /// has been joined by the time it is returned.
+    /// [`crate::reactor::sys`]), and with `epoll_create1`'s own error when
+    /// a shard cannot get its epoll instance.  On any error every thread
+    /// started so far has been joined by the time it is returned.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
         let (tx, rx) = crossbeam_channel::bounded::<ControlMsg>(EVENT_QUEUE_CAPACITY);
         let mut devices = Vec::with_capacity(self.devices.len());
@@ -473,20 +474,14 @@ impl ServerBuilder {
         let dispatch = DispatchHandle::new(dispatcher, tx.clone());
         let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, pool);
 
-        // `AF_REACTOR_FORCE=poll` pins the reactor onto its `poll(2)`
-        // fallback for differential testing.
-        let force_poll = std::env::var("AF_REACTOR_FORCE").as_deref() == Ok("poll");
-        // Every step from here to the task thread can fail (no backend, an
-        // address in use, a bad socket path).  Dropping the reactor joins
-        // its shards, and the task thread starts only once nothing can
-        // fail any more, so an `Err` leaves no thread behind.  The Unix
-        // socket is bound last: it is the one listener that leaves a file.
-        let reactor = crate::reactor::Reactor::spawn_with_broadcast(
-            Arc::clone(&shared),
-            reactor_shards,
-            force_poll,
-            broadcast_bus,
-        )?;
+        // Every step from here to the task thread can fail (no epoll
+        // instance, an address in use, a bad socket path).  Dropping the
+        // reactor joins its shards, and the task thread starts only once
+        // nothing can fail any more, so an `Err` leaves no thread behind.
+        // The Unix socket is bound last: it is the one listener that
+        // leaves a file.
+        let reactor =
+            crate::reactor::Reactor::spawn(Arc::clone(&shared), reactor_shards, broadcast_bus)?;
         for s in reactor.shard_stats() {
             stats.register_reactor_shard(Arc::clone(s));
         }

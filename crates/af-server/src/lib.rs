@@ -11,8 +11,8 @@
 //! Concurrency model: the paper's server is a single-threaded process
 //! multiplexed by `select()`.  The Rust equivalent keeps **all server state
 //! behind one dispatch lock**.  The [`reactor`] registers every nonblocking
-//! socket with a small set of readiness-driven shards (raw `epoll`/`poll(2)`
-//! — the modern form of the paper's `select()` loop), scaling to tens of
+//! socket with a small set of readiness-driven shards (raw `epoll` — the
+//! modern form of the paper's `select()` loop), scaling to tens of
 //! thousands of connections; the shard that frames a request runs its
 //! handler under the lock and writes the reply, one thread deep.  A slow
 //! client overflows its bounded outbound queue and is evicted — preserving

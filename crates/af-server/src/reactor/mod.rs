@@ -4,7 +4,7 @@
 //! loop (§5.1, §7.3.1).  This module keeps the paper's shape at scale: a
 //! small set of reactor shards (default `min(4, cores)`) each run a
 //! level-triggered readiness loop ([`poller::Poller`]: raw `epoll` via the
-//! audited [`sys`] shim, or `poll(2)` fallback) over nonblocking sockets.
+//! audited [`sys`] shim) over nonblocking sockets.
 //!
 //! Each shard owns its connections outright: the per-connection read state
 //! machine (setup header → setup tail → frame header → payload, resumable
@@ -1565,31 +1565,21 @@ pub struct Reactor {
 impl Reactor {
     /// Spawns `shards` reactor threads submitting to `transport.dispatch`.
     ///
-    /// `force_poll` selects the `poll(2)` backend (otherwise epoll with
-    /// automatic fallback).  Fails with `ErrorKind::Unsupported` on targets
-    /// without a syscall backend (see [`sys`] for the supported list).
+    /// With a [`BroadcastBus`], every shard registers an edge-triggered
+    /// dirty flag with it, so sealing a chunk wakes exactly the shards
+    /// that own listeners.  Fails when a shard's poller cannot be created:
+    /// `ErrorKind::Unsupported` on targets without a syscall backend (see
+    /// [`sys`] for the supported list), else `epoll_create1`'s own error.
     pub fn spawn(
         transport: Arc<TransportShared>,
         shards: usize,
-        force_poll: bool,
-    ) -> io::Result<Reactor> {
-        Reactor::spawn_with_broadcast(transport, shards, force_poll, None)
-    }
-
-    /// [`Reactor::spawn`] plus an optional [`BroadcastBus`]: every shard
-    /// registers an edge-triggered dirty flag with the bus, so sealing a
-    /// chunk wakes exactly the shards that own listeners.
-    pub fn spawn_with_broadcast(
-        transport: Arc<TransportShared>,
-        shards: usize,
-        force_poll: bool,
         broadcast: Option<Arc<BroadcastBus>>,
     ) -> io::Result<Reactor> {
         let shards = shards.max(1);
         let mut links = Vec::with_capacity(shards);
         let mut parts = Vec::with_capacity(shards);
         for i in 0..shards {
-            let poller = Poller::new(force_poll)?;
+            let poller = Poller::new()?;
             let (waker, wake_rx) = Waker::pair()?;
             let (inbox_tx, inbox_rx) = crossbeam_channel::bounded(REACTOR_INBOX_CAPACITY);
             let (pending_tx, pending_rx) = crossbeam_channel::bounded(PENDING_TOKEN_CAPACITY);
@@ -1679,7 +1669,7 @@ impl Reactor {
 
     /// Binds a nonblocking TCP listener for broadcast (HTTP/ICY) clients
     /// and hands it to shard 0; accepted listeners are spread round-robin
-    /// across all shards.  Requires [`Reactor::spawn_with_broadcast`].
+    /// across all shards.  Requires a bus at [`Reactor::spawn`].
     pub fn add_broadcast_tcp(&self, addr: SocketAddr) -> io::Result<SocketAddr> {
         if !self.has_broadcast {
             return Err(io::Error::new(
@@ -1740,8 +1730,8 @@ mod tests {
     use af_time::ATime;
     use std::time::Duration;
 
-    fn start(force_poll: bool) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
-        start_with(2, None, force_poll, None)
+    fn start() -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
+        start_with(2, None, None)
     }
 
     /// A reactor on loopback TCP, optionally fault-wrapped and with a
@@ -1749,7 +1739,6 @@ mod tests {
     fn start_with(
         shards: usize,
         chaos: Option<af_chaos::StreamFaultPlan>,
-        force_poll: bool,
         event_capacity: Option<usize>,
     ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
         let (tx, rx) = match event_capacity {
@@ -1761,7 +1750,7 @@ mod tests {
             chaos,
             crate::pool::BufferPool::shared(),
         );
-        let reactor = Reactor::spawn(shared, shards, force_poll).unwrap();
+        let reactor = Reactor::spawn(shared, shards, None).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         (reactor, rx, addr)
     }
@@ -1771,64 +1760,62 @@ mod tests {
     }
 
     #[test]
-    fn framing_round_trip_and_reply_over_both_backends() {
-        for force_poll in [false, true] {
-            let (mut reactor, rx, addr) = start(force_poll);
-            let mut sock = TcpStream::connect(addr).unwrap();
-            let setup = ConnSetup::new();
-            sock.write_all(&setup.encode()).unwrap();
-            let req = af_proto::Request::PlaySamples {
-                ac: 3,
-                start_time: ATime::new(99),
-                flags: 0,
-                data: vec![1, 2, 3, 4, 5, 6, 7],
-            };
-            sock.write_all(&req.encode(ByteOrder::native())).unwrap();
+    fn framing_round_trip_and_reply() {
+        let (mut reactor, rx, addr) = start();
+        let mut sock = TcpStream::connect(addr).unwrap();
+        let setup = ConnSetup::new();
+        sock.write_all(&setup.encode()).unwrap();
+        let req = af_proto::Request::PlaySamples {
+            ac: 3,
+            start_time: ATime::new(99),
+            flags: 0,
+            data: vec![1, 2, 3, 4, 5, 6, 7],
+        };
+        sock.write_all(&req.encode(ByteOrder::native())).unwrap();
 
-            let otx = match recv(&rx) {
-                ServerEvent::NewClient { setup: s, peer, tx, .. } => {
-                    assert_eq!(ConnSetup::decode(&s).unwrap(), setup);
-                    assert!(peer.unwrap().is_loopback());
-                    tx
-                }
-                _ => panic!("expected NewClient"),
-            };
-            match recv(&rx) {
-                ServerEvent::Request { raw, .. } => {
-                    assert_eq!(raw.opcode, af_proto::Opcode::PlaySamples.to_wire());
-                    let decoded = af_proto::Request::decode(
-                        ByteOrder::native(),
-                        af_proto::Opcode::PlaySamples,
-                        &raw.payload,
-                    )
-                    .unwrap();
-                    assert_eq!(decoded, req);
-                }
-                _ => panic!("expected Request"),
+        let otx = match recv(&rx) {
+            ServerEvent::NewClient { setup: s, peer, tx, .. } => {
+                assert_eq!(ConnSetup::decode(&s).unwrap(), setup);
+                assert!(peer.unwrap().is_loopback());
+                tx
             }
-
-            // Reply path: queue bytes the way the dispatcher does and
-            // check they arrive — this exercises the wakeup protocol and
-            // the write-readiness drain end to end.
-            let payload = vec![0xA5u8; 600];
-            assert!(otx.try_send_buf(payload.clone().into()).is_ok());
-            let mut got = vec![0u8; payload.len()];
-            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            sock.read_exact(&mut got).unwrap();
-            assert_eq!(got, payload);
-
-            drop(sock);
-            match recv(&rx) {
-                ServerEvent::Disconnect { .. } => {}
-                _ => panic!("expected Disconnect"),
+            _ => panic!("expected NewClient"),
+        };
+        match recv(&rx) {
+            ServerEvent::Request { raw, .. } => {
+                assert_eq!(raw.opcode, af_proto::Opcode::PlaySamples.to_wire());
+                let decoded = af_proto::Request::decode(
+                    ByteOrder::native(),
+                    af_proto::Opcode::PlaySamples,
+                    &raw.payload,
+                )
+                .unwrap();
+                assert_eq!(decoded, req);
             }
-            reactor.shutdown();
+            _ => panic!("expected Request"),
         }
+
+        // Reply path: queue bytes the way the dispatcher does and
+        // check they arrive — this exercises the wakeup protocol and
+        // the write-readiness drain end to end.
+        let payload = vec![0xA5u8; 600];
+        assert!(otx.try_send_buf(payload.clone().into()).is_ok());
+        let mut got = vec![0u8; payload.len()];
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        sock.read_exact(&mut got).unwrap();
+        assert_eq!(got, payload);
+
+        drop(sock);
+        match recv(&rx) {
+            ServerEvent::Disconnect { .. } => {}
+            _ => panic!("expected Disconnect"),
+        }
+        reactor.shutdown();
     }
 
     #[test]
     fn zero_length_frame_reports_protocol_error_then_disconnects() {
-        let (mut reactor, rx, addr) = start(false);
+        let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         match recv(&rx) {
@@ -1851,7 +1838,7 @@ mod tests {
 
     #[test]
     fn truncated_max_length_frame_disconnects_without_a_partial_request() {
-        let (mut reactor, rx, addr) = start(false);
+        let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         match recv(&rx) {
@@ -1881,7 +1868,7 @@ mod tests {
         let pool = crate::pool::BufferPool::shared();
         let shared =
             TransportShared::with_pool(DispatchHandle::capture(tx), None, Arc::clone(&pool));
-        let mut reactor = Reactor::spawn(shared, 1, false).unwrap();
+        let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
 
         let mut wire = ConnSetup::new().encode();
@@ -1919,7 +1906,7 @@ mod tests {
         // The torture case: every byte of the setup message and of several
         // request frames arrives in its own segment, so the state machine
         // must resume mid-header and mid-payload dozens of times.
-        let (mut reactor, rx, addr) = start(false);
+        let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_nodelay(true).unwrap();
 
@@ -1967,7 +1954,7 @@ mod tests {
     fn unix_socket_connects_and_disconnects() {
         let (tx, rx) = crossbeam_channel::unbounded();
         let shared = TransportShared::new(DispatchHandle::capture(tx));
-        let mut reactor = Reactor::spawn(shared, 1, false).unwrap();
+        let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
         let dir = std::env::temp_dir().join(format!("af-reactor-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("reactor.sock");
@@ -1993,7 +1980,7 @@ mod tests {
         // Fill the bounded outbound queue far past the socket buffer, then
         // use the kick (as the dispatcher's eviction does) and check the
         // shard tears the connection down.
-        let (mut reactor, rx, addr) = start(false);
+        let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let (otx, kick) = match recv(&rx) {
@@ -2036,10 +2023,9 @@ mod tests {
     /// writes, which all-or-nothing Unix-socket writes never are.)
     fn start_one_shard(
         chaos: Option<af_chaos::StreamFaultPlan>,
-        force_poll: bool,
         event_capacity: Option<usize>,
     ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
-        start_with(1, chaos, force_poll, event_capacity)
+        start_with(1, chaos, event_capacity)
     }
 
     fn totals(reactor: &Reactor) -> ReactorShardSnapshot {
@@ -2071,9 +2057,9 @@ mod tests {
     /// real producers); the reader drains in bursts so the
     /// socket fills and writes go short.  The received stream must be the
     /// exact concatenation in issue order.
-    fn ordered_delivery(chaos: Option<af_chaos::StreamFaultPlan>, force_poll: bool, messages: u32) {
+    fn ordered_delivery(chaos: Option<af_chaos::StreamFaultPlan>, messages: u32) {
         let wrapped = chaos.is_some();
-        let (mut reactor, rx, addr) = start_one_shard(chaos, force_poll, None);
+        let (mut reactor, rx, addr) = start_one_shard(chaos, None);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let otx = match recv(&rx) {
@@ -2137,15 +2123,13 @@ mod tests {
     }
 
     #[test]
-    fn two_producers_partial_writes_keep_issue_order_on_both_backends() {
-        for force_poll in [false, true] {
-            ordered_delivery(None, force_poll, 8000);
-        }
+    fn two_producers_partial_writes_keep_issue_order() {
+        ordered_delivery(None, 8000);
     }
 
     #[test]
     fn two_producers_keep_issue_order_on_the_chaos_fallback_path() {
-        ordered_delivery(Some(chunk_limit_plan()), false, 300);
+        ordered_delivery(Some(chunk_limit_plan()), 300);
     }
 
     /// The 100 request payloads of the coalescing tests, sent right after
@@ -2193,10 +2177,9 @@ mod tests {
     /// `ProtocolError`, then `Disconnect`, and nothing after.
     fn coalesced_burst(
         chaos: Option<af_chaos::StreamFaultPlan>,
-        force_poll: bool,
         poison_after: Option<usize>,
     ) {
-        let (mut reactor, rx, addr) = start_one_shard(chaos, force_poll, None);
+        let (mut reactor, rx, addr) = start_one_shard(chaos, None);
         let mut wire = ConnSetup::new().encode();
         let payloads = burst_payloads(wire.len());
         for (i, payload) in payloads.iter().enumerate() {
@@ -2244,12 +2227,10 @@ mod tests {
 
     #[test]
     fn coalesced_setup_and_hundred_requests_arrive_in_order() {
-        for force_poll in [false, true] {
-            coalesced_burst(None, force_poll, None);
-            coalesced_burst(None, force_poll, Some(50));
-        }
-        coalesced_burst(Some(chunk_limit_plan()), false, None);
-        coalesced_burst(Some(chunk_limit_plan()), false, Some(50));
+        coalesced_burst(None, None);
+        coalesced_burst(None, Some(50));
+        coalesced_burst(Some(chunk_limit_plan()), None);
+        coalesced_burst(Some(chunk_limit_plan()), Some(50));
     }
 
     #[test]
@@ -2260,7 +2241,7 @@ mod tests {
         // come through within a few of the firehose's FRAME_BUDGET turns
         // (each turn ends at the first read boundary past the budget, so
         // at most one scratch-full of frames).
-        let (mut reactor, rx, addr) = start_one_shard(None, false, Some(16));
+        let (mut reactor, rx, addr) = start_one_shard(None, Some(16));
         let connect = || {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();
@@ -2325,8 +2306,7 @@ mod tests {
         std::mem::forget(rx); // No dispatcher: keep the channel open.
         let shared = TransportShared::new(DispatchHandle::capture(tx));
         let bus = BroadcastBus::new(cfg, frame_bytes, BroadcastStats::new("test"));
-        let reactor =
-            Reactor::spawn_with_broadcast(shared, 2, false, Some(Arc::clone(&bus))).unwrap();
+        let reactor = Reactor::spawn(shared, 2, Some(Arc::clone(&bus))).unwrap();
         let addr = reactor
             .add_broadcast_tcp("127.0.0.1:0".parse().unwrap())
             .unwrap();

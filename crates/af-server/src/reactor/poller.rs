@@ -1,18 +1,16 @@
-//! Readiness multiplexer: `epoll` with a `poll(2)` fallback.
+//! Readiness multiplexer over `epoll`.
 //!
 //! [`Poller`] gives each reactor shard one level-triggered wait loop over
-//! its fds.  The epoll backend is O(ready) per wakeup; the ppoll backend
-//! rebuilds a `pollfd` array per call (O(registered)) but needs only the
-//! oldest portable primitive — it is selected when epoll creation fails
-//! or when `AF_REACTOR_FORCE=poll` asks for it (the differential tests
-//! drive both).  Both backends report the same [`PollEvent`] shape keyed
-//! by caller-chosen tokens.
+//! its fds, O(ready) per wakeup, reporting [`PollEvent`]s keyed by
+//! caller-chosen tokens.  Both supported targets (`sys`) have epoll; a
+//! failed `epoll_create1` (descriptor or memory exhaustion) is an error
+//! the caller sees, not a reason to degrade.
 
 use super::sys;
 use std::io;
 use std::os::fd::RawFd;
 
-/// Maximum readiness events drained per `wait` on the epoll backend.
+/// Maximum readiness events drained per `wait`.
 pub const MAX_EVENTS: usize = 256;
 
 /// One fd's readiness, as reported by [`Poller::wait`].
@@ -42,159 +40,57 @@ impl Interest {
             Interest::ReadWrite => sys::EPOLLIN | sys::EPOLLOUT,
         }
     }
-
-    fn poll_bits(self) -> i16 {
-        match self {
-            Interest::Read => sys::POLLIN,
-            Interest::ReadWrite => sys::POLLIN | sys::POLLOUT,
-        }
-    }
-}
-
-enum Backend {
-    Epoll {
-        ep: sys::EpollFd,
-        buf: Vec<sys::EpollEvent>,
-    },
-    Poll {
-        // Parallel arrays: pollfds is rebuilt in place per wait call.
-        fds: Vec<(RawFd, u64, Interest)>,
-        pollfds: Vec<sys::PollFd>,
-    },
 }
 
 /// A level-triggered readiness multiplexer over raw fds.
 pub struct Poller {
-    backend: Backend,
+    ep: sys::EpollFd,
+    buf: Vec<sys::EpollEvent>,
 }
 
 impl Poller {
-    /// Creates a poller, preferring epoll unless `force_poll` (or an
-    /// epoll-less kernel) selects the `poll(2)` backend.
-    pub fn new(force_poll: bool) -> io::Result<Poller> {
-        if !sys::supported() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "no readiness backend on this target",
-            ));
-        }
-        if !force_poll {
-            if let Ok(ep) = sys::EpollFd::create() {
-                return Ok(Poller {
-                    backend: Backend::Epoll {
-                        ep,
-                        buf: vec![sys::EpollEvent::default(); MAX_EVENTS],
-                    },
-                });
-            }
-        }
+    /// Creates a poller; `ErrorKind::Unsupported` off the supported targets.
+    pub fn new() -> io::Result<Poller> {
         Ok(Poller {
-            backend: Backend::Poll {
-                fds: Vec::new(),
-                pollfds: Vec::new(),
-            },
+            ep: sys::EpollFd::create()?,
+            buf: vec![sys::EpollEvent::default(); MAX_EVENTS],
         })
-    }
-
-    /// Whether the epoll backend is active (false: `poll(2)` fallback).
-    pub fn is_epoll(&self) -> bool {
-        matches!(self.backend, Backend::Epoll { .. })
     }
 
     /// Registers `fd` under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, .. } => ep.add(fd, interest.epoll_bits(), token),
-            Backend::Poll { fds, .. } => {
-                fds.push((fd, token, interest));
-                Ok(())
-            }
-        }
+        self.ep.add(fd, interest.epoll_bits(), token)
     }
 
     /// Updates a registered fd's interest set.
     pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, .. } => ep.modify(fd, interest.epoll_bits(), token),
-            Backend::Poll { fds, .. } => {
-                for entry in fds.iter_mut() {
-                    if entry.0 == fd {
-                        entry.1 = token;
-                        entry.2 = interest;
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "fd not registered",
-                ))
-            }
-        }
+        self.ep.modify(fd, interest.epoll_bits(), token)
     }
 
     /// Removes a registered fd.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, .. } => ep.delete(fd),
-            Backend::Poll { fds, .. } => {
-                fds.retain(|entry| entry.0 != fd);
-                Ok(())
-            }
-        }
+        self.ep.delete(fd)
     }
 
     /// Blocks until readiness (or `timeout_ms >= 0` elapses), appending
     /// events to `out`.  `EINTR` is swallowed (reported as zero events).
     pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { ep, buf } => {
-                let n = match ep.wait(buf, timeout_ms) {
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                    Err(e) => return Err(e),
-                };
-                for ev in &buf[..n] {
-                    let bits = { ev.events };
-                    out.push(PollEvent {
-                        token: { ev.token },
-                        // Errors and hangups surface through the read path,
-                        // where `read` returns the error or EOF.
-                        readable: bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                        writable: bits & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
-            }
-            Backend::Poll { fds, pollfds } => {
-                pollfds.clear();
-                pollfds.extend(fds.iter().map(|&(fd, _, interest)| sys::PollFd {
-                    fd,
-                    events: interest.poll_bits(),
-                    revents: 0,
-                }));
-                let n = match sys::poll(pollfds, timeout_ms) {
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-                    Err(e) => return Err(e),
-                };
-                if n == 0 {
-                    return Ok(());
-                }
-                for (pfd, &(_, token, _)) in pollfds.iter().zip(fds.iter()) {
-                    let bits = pfd.revents;
-                    if bits == 0 {
-                        continue;
-                    }
-                    let fault = sys::POLLERR | sys::POLLHUP | sys::POLLNVAL;
-                    out.push(PollEvent {
-                        token,
-                        readable: bits & (sys::POLLIN | fault) != 0,
-                        writable: bits & (sys::POLLOUT | fault) != 0,
-                    });
-                }
-                Ok(())
-            }
+        let n = match self.ep.wait(&mut self.buf, timeout_ms) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        for ev in &self.buf[..n] {
+            let bits = { ev.events };
+            out.push(PollEvent {
+                token: { ev.token },
+                // Errors and hangups surface through the read path,
+                // where `read` returns the error or EOF.
+                readable: bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                writable: bits & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
 
@@ -205,59 +101,53 @@ mod tests {
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn backends() -> Vec<Poller> {
-        vec![Poller::new(false).unwrap(), Poller::new(true).unwrap()]
-    }
-
     #[test]
-    fn both_backends_report_read_then_write_readiness() {
-        for mut p in backends() {
-            let (a, b) = UnixStream::pair().unwrap();
-            p.register(b.as_raw_fd(), 42, Interest::Read).unwrap();
+    fn reports_read_then_write_readiness() {
+        let mut p = Poller::new().unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        p.register(b.as_raw_fd(), 42, Interest::Read).unwrap();
 
-            let mut out = Vec::new();
-            p.wait(&mut out, 0).unwrap();
-            assert!(out.is_empty(), "nothing written yet (epoll={})", p.is_epoll());
+        let mut out = Vec::new();
+        p.wait(&mut out, 0).unwrap();
+        assert!(out.is_empty(), "nothing written yet");
 
-            (&a).write_all(&[1, 2, 3]).unwrap();
-            p.wait(&mut out, 1000).unwrap();
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].token, 42);
-            assert!(out[0].readable);
+        (&a).write_all(&[1, 2, 3]).unwrap();
+        p.wait(&mut out, 1000).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].token, 42);
+        assert!(out[0].readable);
 
-            // Level-triggered: unread data keeps reporting readable.
-            out.clear();
-            p.wait(&mut out, 1000).unwrap();
-            assert_eq!(out.len(), 1, "level-triggered re-report");
+        // Level-triggered: unread data keeps reporting readable.
+        out.clear();
+        p.wait(&mut out, 1000).unwrap();
+        assert_eq!(out.len(), 1, "level-triggered re-report");
 
-            let mut sink = [0u8; 8];
-            let n = (&b).read(&mut sink).unwrap();
-            assert_eq!(n, 3);
+        let mut sink = [0u8; 8];
+        let n = (&b).read(&mut sink).unwrap();
+        assert_eq!(n, 3);
 
-            p.reregister(b.as_raw_fd(), 42, Interest::ReadWrite).unwrap();
-            out.clear();
-            p.wait(&mut out, 1000).unwrap();
-            assert_eq!(out.len(), 1);
-            assert!(out[0].writable, "buffer space means writable");
-            assert!(!out[0].readable, "drained means not readable");
+        p.reregister(b.as_raw_fd(), 42, Interest::ReadWrite).unwrap();
+        out.clear();
+        p.wait(&mut out, 1000).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(out[0].writable, "buffer space means writable");
+        assert!(!out[0].readable, "drained means not readable");
 
-            p.deregister(b.as_raw_fd()).unwrap();
-            out.clear();
-            p.wait(&mut out, 0).unwrap();
-            assert!(out.is_empty());
-        }
+        p.deregister(b.as_raw_fd()).unwrap();
+        out.clear();
+        p.wait(&mut out, 0).unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]
     fn hangup_surfaces_as_readable() {
-        for mut p in backends() {
-            let (a, b) = UnixStream::pair().unwrap();
-            p.register(b.as_raw_fd(), 7, Interest::Read).unwrap();
-            drop(a);
-            let mut out = Vec::new();
-            p.wait(&mut out, 1000).unwrap();
-            assert_eq!(out.len(), 1);
-            assert!(out[0].readable, "peer hangup must wake the read path");
-        }
+        let mut p = Poller::new().unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        p.register(b.as_raw_fd(), 7, Interest::Read).unwrap();
+        drop(a);
+        let mut out = Vec::new();
+        p.wait(&mut out, 1000).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(out[0].readable, "peer hangup must wake the read path");
     }
 }

@@ -1,4 +1,4 @@
-//! Thin audited syscall shim: `epoll`, `ppoll`, and `prlimit64`.
+//! Thin audited syscall shim: `epoll` and `prlimit64`.
 //!
 //! The workspace carries no libc binding (every external dependency is a
 //! vendored shim), so the reactor's readiness primitives are raw Linux
@@ -11,8 +11,8 @@
 //!
 //! Supported targets: Linux on x86_64 and on aarch64.  These are the only
 //! syscall tables wired, and the reactor is the server's only transport,
-//! so elsewhere [`supported`] reports `false` and
-//! `ServerBuilder::spawn` fails with `ErrorKind::Unsupported`.
+//! so elsewhere [`EpollFd::create`] — and with it
+//! `ServerBuilder::spawn` — fails with `ErrorKind::Unsupported`.
 
 // The asm blocks pass kernel-ABI scratch registers and pointers into
 // caller-owned buffers whose lifetimes span the call; nothing here
@@ -22,18 +22,9 @@
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
-/// Whether this build has a syscall backend for the reactor.
-pub fn supported() -> bool {
-    cfg!(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-}
-
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod nr {
     pub const EPOLL_CTL: usize = 233;
-    pub const PPOLL: usize = 271;
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
     pub const PRLIMIT64: usize = 302;
@@ -44,7 +35,6 @@ mod nr {
     pub const EPOLL_CREATE1: usize = 20;
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
-    pub const PPOLL: usize = 73;
     pub const PRLIMIT64: usize = 261;
 }
 
@@ -221,59 +211,6 @@ impl EpollFd {
     }
 }
 
-pub const POLLIN: i16 = 0x001;
-pub const POLLOUT: i16 = 0x004;
-pub const POLLERR: i16 = 0x008;
-pub const POLLHUP: i16 = 0x010;
-pub const POLLNVAL: i16 = 0x020;
-
-/// The kernel's `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// The descriptor to poll (negative entries are skipped).
-    pub fd: RawFd,
-    /// Requested readiness bits.
-    pub events: i16,
-    /// Kernel-reported readiness bits.
-    pub revents: i16,
-}
-
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
-/// Waits for readiness on `fds` via `ppoll(2)`; `timeout_ms < 0` blocks.
-///
-/// Returns how many entries have nonzero `revents`.
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    let ts = Timespec {
-        tv_sec: i64::from(timeout_ms.max(0)) / 1000,
-        tv_nsec: i64::from(timeout_ms.max(0)) % 1000 * 1_000_000,
-    };
-    let ts_ptr = if timeout_ms < 0 {
-        0
-    } else {
-        std::ptr::addr_of!(ts) as usize
-    };
-    // SAFETY: `fds` is a live, writable slice whose length is passed as
-    // nfds; `ts` (when used) is a live stack value for the call; the null
-    // sigmask (size 0) makes ppoll behave as poll.
-    check(unsafe {
-        syscall5(
-            nr::PPOLL,
-            fds.as_mut_ptr() as usize,
-            fds.len(),
-            ts_ptr,
-            0,
-            0,
-        )
-    })
-}
-
 #[repr(C)]
 struct Rlimit64 {
     rlim_cur: u64,
@@ -328,8 +265,8 @@ pub fn raise_nofile_limit() -> io::Result<u64> {
     Ok(raised.rlim_cur)
 }
 
-// Unsupported-target stubs keep the crate compiling everywhere; the
-// builder consults `supported()` and never reaches these at runtime.
+// Unsupported-target stubs keep the crate compiling everywhere; `create`
+// fails, so the rest are never reached at runtime.
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 mod stubs {
     use super::*;
@@ -369,17 +306,12 @@ mod stubs {
     }
 
     /// Unsupported on this target.
-    pub fn poll(_fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
-        unsupported()
-    }
-
-    /// Unsupported on this target.
     pub fn raise_nofile_limit() -> io::Result<u64> {
         unsupported()
     }
 }
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub use stubs::{poll, raise_nofile_limit};
+pub use stubs::raise_nofile_limit;
 
 #[cfg(test)]
 mod tests {
@@ -412,28 +344,6 @@ mod tests {
 
         ep.delete(b.as_raw_fd()).unwrap();
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn poll_reports_readable_and_skips_negative_fds() {
-        let (a, b) = UnixStream::pair().unwrap();
-        let mut fds = [
-            PollFd {
-                fd: b.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
-            },
-            PollFd {
-                fd: -1,
-                events: POLLIN,
-                revents: 0,
-            },
-        ];
-        assert_eq!(poll(&mut fds, 0).unwrap(), 0);
-        (&a).write_all(&[1]).unwrap();
-        assert_eq!(poll(&mut fds, 1000).unwrap(), 1);
-        assert_ne!(fds[0].revents & POLLIN, 0);
-        assert_eq!(fds[1].revents, 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! cargo run --release -p bench --bin compare -- BASELINE.json CANDIDATE.json [--tolerance 15]
 //! ```
 //!
-//! Metrics where higher is better: kernel `after_mb_s`, per-path
-//! `kernels_v2` `mb_s`, `throughput_kbs`.  Metrics where lower is better:
+//! Metrics where higher is better: per-path `kernels_v2` `mb_s`,
+//! `throughput_kbs`.  Metrics where lower is better:
 //! per-path `kernels_v2` `cycles_per_byte`, Figure 10 `get_time_us`, the
 //! Figure 11/12/13 latency sweeps (compared by series mean, which resists
 //! per-point timer noise), and Table 12 `loop_ms`.  The `multi_device`
@@ -295,22 +295,6 @@ enum Better {
 fn metrics(report: &Json) -> BTreeMap<String, (f64, Better)> {
     let mut out = BTreeMap::new();
 
-    if let Some(kernels) = report.get("kernels").and_then(Json::as_arr) {
-        for k in kernels {
-            let (Some(name), Some(bytes), Some(after)) = (
-                k.get("kernel").and_then(Json::as_str),
-                k.get("bytes").and_then(Json::as_f64),
-                k.get("after_mb_s").and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            out.insert(
-                format!("kernel/{name}/{bytes}B after_mb_s"),
-                (after, Better::Higher),
-            );
-        }
-    }
-
     if let Some(rows) = report.get("kernels_v2").and_then(Json::as_arr) {
         for k in rows {
             let (Some(name), Some(path), Some(bytes)) = (
@@ -546,8 +530,7 @@ mod tests {
     fn parses_report_shapes() {
         let v = parse(
             r#"{"schema": "audiofile-bench-report/1", "mode": "full",
-                "kernels": [{"kernel": "mix", "bytes": 1024, "after_mb_s": 100.5}],
-                "kernels_v2": [{"kernel": "convert_decode", "path": "swar", "bytes": 65536,
+                "kernels_v2": [{"kernel": "convert_decode", "path": "simd-sse2", "bytes": 65536,
                                 "mb_s": 7000.0, "cycles_per_byte": 0.4}],
                 "throughput_kbs": {"tcp": {"record_kbs": 5.0}},
                 "figure10_get_time_us": {"tcp": 10.0},
@@ -557,9 +540,8 @@ mod tests {
         )
         .unwrap();
         let m = metrics(&v);
-        assert_eq!(m["kernel/mix/1024B after_mb_s"].0, 100.5);
-        assert_eq!(m["kernel_v2/convert_decode/swar/65536B mb_s"].0, 7000.0);
-        assert!(m["kernel_v2/convert_decode/swar/65536B cycles_per_byte"].1 == Better::Lower);
+        assert_eq!(m["kernel_v2/convert_decode/simd-sse2/65536B mb_s"].0, 7000.0);
+        assert!(m["kernel_v2/convert_decode/simd-sse2/65536B cycles_per_byte"].1 == Better::Lower);
         assert_eq!(m["throughput/tcp/record_kbs"].0, 5.0);
         assert_eq!(m["figure11/record_us/tcp/mean"].0, 2.0);
         // Wall-clock multi-device MB/s is reported, not gated.

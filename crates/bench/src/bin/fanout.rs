@@ -136,7 +136,7 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
 
     // Connect every listener before sealing anything, so all cursors start
     // at sequence 0 and the full stream is deliverable to each.
-    let mut poller = Poller::new(false).expect("client poller");
+    let mut poller = Poller::new().expect("client poller");
     let mut listeners: Vec<Listener> = Vec::with_capacity(n);
     for i in 0..n {
         let mut sock = TcpStream::connect(baddr)

@@ -127,7 +127,7 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
     let addr = server.tcp_addr().expect("tcp addr");
 
     let mut conns: Vec<Conn> = Vec::with_capacity(n);
-    let mut poller = Poller::new(false).expect("client poller");
+    let mut poller = Poller::new().expect("client poller");
     let active_every = (1.0 / ACTIVE_FRACTION) as usize;
     for i in 0..n {
         let stream = handshake(addr).unwrap_or_else(|e| {

@@ -16,7 +16,7 @@
 //! to the paper's numbers.
 
 use af_client::{Ac, AcAttributes, AcMask, AudioConn};
-use bench::kernels::{run_kernels, run_kernels_v2, KernelMeasurement, KernelV2Measurement};
+use bench::kernels::{run_kernels_v2, KernelV2Measurement};
 use bench::{cpu_cores, jsonmerge, sweep_sizes, time_per_iter, Rig, Transport};
 
 /// Per-run measurement settings.
@@ -51,8 +51,7 @@ impl Settings {
 struct Report {
     mode: &'static str,
     labels: Vec<&'static str>,
-    kernels: Vec<KernelMeasurement>,
-    /// Round 2: every vtable entry point on every available path, with the
+    /// Every kernel on every implementation the host can execute, with the
     /// cycles-per-byte metric the gate compares on.
     kernels_v2: Vec<KernelV2Measurement>,
     /// Figure 10: mean AFGetTime() seconds per configuration.
@@ -102,7 +101,6 @@ fn main() {
     }
     println!("configurations: unix socket (local), loopback TCP, TCP + 0.5 ms wire\n");
 
-    let kernels = kernel_section(settings);
     let kernels_v2 = kernel_v2_section(settings);
     let get_time = figure10(&configs, settings);
     let record = figure11(&configs, settings);
@@ -117,7 +115,6 @@ fn main() {
     let report = Report {
         mode: if smoke { "smoke" } else { "full" },
         labels: configs.iter().map(|&(_, l)| l).collect(),
-        kernels,
         kernels_v2,
         get_time,
         sizes: sweep_sizes(),
@@ -130,8 +127,9 @@ fn main() {
         multi_device,
     };
     let json = render_json(&report);
-    // Preserve sections owned by sibling binaries (chaos_soak) across the
-    // rewrite, so repeated runs in any order converge on one report.
+    // Preserve sections owned by sibling binaries (chaos_soak, load,
+    // fanout) across the rewrite, so repeated runs in any order converge
+    // on one report.
     let merged = match std::fs::read_to_string(&out_path) {
         Ok(existing) => jsonmerge::preserve_missing(&json, &existing),
         Err(_) => json,
@@ -140,27 +138,8 @@ fn main() {
     println!("machine-readable report written to {out_path}");
 }
 
-fn kernel_section(settings: Settings) -> Vec<KernelMeasurement> {
-    println!("## Kernel throughput — seed scalar path vs batched path\n");
-    println!("| kernel | bytes | before (MB/s) | after (MB/s) | speedup |");
-    println!("|---|---|---|---|---|");
-    let results = run_kernels(settings.smoke);
-    for m in &results {
-        println!(
-            "| {} | {} | {:.0} | {:.0} | {:.2}x |",
-            m.kernel,
-            m.bytes,
-            m.before_mb_s,
-            m.after_mb_s,
-            m.speedup()
-        );
-    }
-    println!();
-    results
-}
-
 fn kernel_v2_section(settings: Settings) -> Vec<KernelV2Measurement> {
-    println!("## Kernel paths — scalar vs SWAR vs SIMD vs composed (cycle-accounted)\n");
+    println!("## Kernels — scalar and SIMD tables, resampler, gain (cycle-accounted)\n");
     println!("| kernel | path | bytes | MB/s | cycles/byte |");
     println!("|---|---|---|---|---|");
     let results = run_kernels_v2(settings.smoke);
@@ -171,12 +150,15 @@ fn kernel_v2_section(settings: Settings) -> Vec<KernelV2Measurement> {
         );
     }
     println!();
-    // Dispatch gate: the shipping composed table must never lose to scalar
-    // on any entry point — the regression this PR exists to prevent.
+    // Dispatch gate: the table `active()` ships must never lose to scalar
+    // on any entry point.
     let violations =
         bench::kernels::dispatch_regressions(&results, bench::kernels::DISPATCH_GATE_TOLERANCE);
     if violations.is_empty() {
-        println!("Dispatch gate: composed ≤ scalar cycles/byte on every entry point.\n");
+        println!(
+            "Dispatch gate: {} ≤ scalar cycles/byte on every entry point.\n",
+            af_dsp::kernels::active().name
+        );
     } else {
         for v in &violations {
             eprintln!("report: dispatch regression: {v}");
@@ -531,20 +513,6 @@ fn jscalars(labels: &[&str], vals: &[f64], scale: f64) -> String {
 fn render_json(r: &Report) -> String {
     let sizes = &r.sizes;
     let labels = &r.labels;
-    let kernels: Vec<String> = r
-        .kernels
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"kernel\": {}, \"bytes\": {}, \"before_mb_s\": {}, \"after_mb_s\": {}, \"speedup\": {}}}",
-                jstr(m.kernel),
-                m.bytes,
-                jnum(m.before_mb_s),
-                jnum(m.after_mb_s),
-                jnum(m.speedup())
-            )
-        })
-        .collect();
     let sizes_json: Vec<String> = sizes.iter().map(|s| s.to_string()).collect();
     let throughput_rows: Vec<String> = labels
         .iter()
@@ -590,7 +558,7 @@ fn render_json(r: &Report) -> String {
     format!(
         "{{\n  \"schema\": \"audiofile-bench-report/1\",\n  \"mode\": {mode},\n  \
          \"cpu_cores\": {cores},\n  \
-         \"configurations\": [{configs}],\n  \"kernels\": [\n{kernels}\n  ],\n  \
+         \"configurations\": [{configs}],\n  \
          \"kernels_v2\": [\n{kernels_v2}\n  ],\n  \
          \"figure10_get_time_us\": {get_time},\n  \"sweep_sizes_bytes\": [{sizes}],\n  \
          \"figure11_record_us\": {record},\n  \"figure12_preempt_play_us\": {preempt},\n  \
@@ -608,7 +576,6 @@ fn render_json(r: &Report) -> String {
             .map(|l| jstr(l))
             .collect::<Vec<_>>()
             .join(", "),
-        kernels = kernels.join(",\n"),
         kernels_v2 = kernels_v2.join(",\n"),
         get_time = jscalars(labels, &r.get_time, 1e6),
         sizes = sizes_json.join(", "),

@@ -1,12 +1,12 @@
 //! Top-level key surgery on the report JSON.
 //!
 //! `BENCH_report.json` is written by several independent binaries —
-//! `report` owns the kernel and transport sections, `chaos_soak` owns
-//! `"chaos_soak"` — and each must be re-runnable without duplicating or
-//! clobbering the keys the others wrote.  The workspace has no serde, so
-//! this module implements the one operation both need: replace or insert
-//! a single top-level key in a JSON object document, leaving every other
-//! key byte-for-byte untouched.
+//! `report` owns the kernel and transport sections, `chaos_soak`, `load`
+//! and `fanout` one section each (`SIBLING_SECTIONS`) — and each must be
+//! re-runnable without duplicating or clobbering the keys the others
+//! wrote.  The workspace has no serde, so this module implements the one
+//! operation they all need: replace or insert a single top-level key in a
+//! JSON object document, leaving every other key byte-for-byte untouched.
 //!
 //! Unlike the brace-counting merge it replaces, the scanner here is
 //! string-aware (braces inside string values don't confuse it) and
@@ -140,19 +140,20 @@ pub fn set_key(doc: &str, key: &str, value: &str) -> String {
     }
 }
 
-/// Carries every top-level key of `existing` that `new_doc` does not
-/// produce into `new_doc` — how `report` preserves `chaos_soak` (and any
-/// future sibling section) across full rewrites.
+/// The sections sibling binaries own: what `chaos_soak`, `load` and
+/// `fanout` each `set_key` into the report.
+const SIBLING_SECTIONS: [&str; 3] = ["chaos_soak", "reactor_scaling", "fanout_scaling"];
+
+/// Carries the [`SIBLING_SECTIONS`] of `existing` that `new_doc` does not
+/// produce into `new_doc` — how `report` keeps them across its full
+/// rewrites.  Every other key of `existing` is dropped: a section `report`
+/// stopped writing must not come back from the old file.
 pub fn preserve_missing(new_doc: &str, existing: &str) -> String {
-    let have: Vec<String> = top_level_entries(new_doc)
-        .into_iter()
-        .map(|(k, _, _)| k)
-        .collect();
     let mut out = new_doc.to_string();
-    for (key, _, _) in top_level_entries(existing) {
-        if !have.contains(&key) {
-            if let Some(value) = get_key(existing, &key) {
-                out = set_key(&out, &key, value);
+    for key in SIBLING_SECTIONS {
+        if get_key(new_doc, key).is_none() {
+            if let Some(value) = get_key(existing, key) {
+                out = set_key(&out, key, value);
             }
         }
     }
@@ -206,11 +207,16 @@ mod tests {
     #[test]
     fn preserve_missing_carries_foreign_sections() {
         let old = set_key(DOC, "chaos_soak", "{\"levels\": [1, 2]}");
+        let old = set_key(&old, "fanout_scaling", "{\"rows\": []}");
         let new_doc = "{\n  \"mode\": \"smoke\",\n  \"n\": 9\n}\n";
         let merged = preserve_missing(new_doc, &old);
         assert_eq!(get_key(&merged, "mode"), Some("\"smoke\""));
         assert_eq!(get_key(&merged, "n"), Some("9"));
         assert_eq!(get_key(&merged, "chaos_soak"), Some("{\"levels\": [1, 2]}"));
-        assert_eq!(get_key(&merged, "arr"), Some("[1, {\"x\": \"}]\"}]"));
+        assert_eq!(get_key(&merged, "fanout_scaling"), Some("{\"rows\": []}"));
+        // `arr` stands for a section `report` once wrote and retired: the
+        // old file must not bring it back.
+        assert_eq!(get_key(&merged, "arr"), None);
+        assert_eq!(get_key(&merged, "obj"), None);
     }
 }
