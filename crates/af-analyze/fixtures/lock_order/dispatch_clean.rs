@@ -1,15 +1,21 @@
 // Fixture: must NOT trigger `lock-order` — the shipped shape.  A
 // transport thread takes the dispatch lock, and the handler's reply takes
-// the connection's write lock under it (dispatch → connection-write).
-// The shard's flush takes only the write lock and has released it by the
-// time it reports the dead connection through `submit`.
+// the connection's outbound lock under it, then — with that released —
+// the shard's mailbox lock to leave a flush token (dispatch → outbound,
+// dispatch → mailbox, both leaves).  The shard's flush takes only the
+// outbound lock and has released it by the time it reports the dead
+// connection through `submit`.
 
 struct DispatchShared {
     dispatch_lock: Mutex<Dispatcher>,
 }
 
 struct ConnShared {
-    in_flight: Mutex<Option<Buf>>,
+    outbound: Mutex<Outbound>,
+}
+
+struct ShardLink {
+    mailbox: Mutex<Mailbox>,
 }
 
 impl DispatchHandle {
@@ -25,18 +31,24 @@ impl Dispatcher {
     }
 }
 
-impl ConnNotify {
+impl ConnShared {
     fn deliver(&self, buf: Buf) {
-        let mut in_flight = self.shared.in_flight.lock();
-        *in_flight = Some(buf);
+        let mut out = self.outbound.lock();
+        out.queue.push_back(buf);
+        drop(out);
+        self.wake();
+    }
+
+    fn wake(&self) {
+        self.link.mailbox.lock().flush.push(self.token);
     }
 }
 
 impl Shard {
     fn flush_conn(&mut self, token: u64) {
         let dead = {
-            let mut in_flight = self.shared.in_flight.lock();
-            in_flight.take().is_none()
+            let mut out = self.shared.outbound.lock();
+            out.queue.pop_front().is_none()
         };
         if dead {
             self.close_conn(token);

@@ -1,15 +1,15 @@
 // Fixture: must trigger `lock-order` — `flush_conn` reports the dead
 // connection through `submit` (which takes the dispatch lock) while it
-// still holds the connection's write lock, against the handlers' order
-// (dispatch lock, then `deliver`'s write lock).  Two shards doing this to
-// each other's connections deadlock.
+// still holds the connection's outbound lock, against the handlers' order
+// (dispatch lock, then `deliver`'s outbound lock).  Two shards doing this
+// to each other's connections deadlock.
 
 struct DispatchShared {
     dispatch_lock: Mutex<Dispatcher>,
 }
 
 struct ConnShared {
-    in_flight: Mutex<Option<Buf>>,
+    outbound: Mutex<Outbound>,
 }
 
 impl DispatchHandle {
@@ -25,17 +25,17 @@ impl Dispatcher {
     }
 }
 
-impl ConnNotify {
+impl ConnShared {
     fn deliver(&self, buf: Buf) {
-        let mut in_flight = self.shared.in_flight.lock();
-        *in_flight = Some(buf);
+        let mut out = self.outbound.lock();
+        out.queue.push_back(buf);
     }
 }
 
 impl Shard {
     fn flush_conn(&mut self, token: u64) {
-        let mut in_flight = self.shared.in_flight.lock();
-        if in_flight.take().is_none() {
+        let mut out = self.shared.outbound.lock();
+        if out.queue.pop_front().is_none() {
             self.close_conn(token);
         }
     }

@@ -4,7 +4,7 @@
 // follow `drain_queue` through them.  `submit` is the shipped way in: a
 // transport thread takes the dispatch lock (justified: it is the
 // single-thread guarantee) and runs `handle_event` itself; `handle_event`
-// is the barrier the reactor-rooted scans stop at, so the blocking send
+// is the barrier the reactor-rooted scans stop at, so the blocking wait
 // and the allocations behind it are the dispatcher's business.
 
 struct DispatchShared {
@@ -22,16 +22,25 @@ impl DispatchHandle {
 impl Dispatcher {
     fn handle_event(&mut self, ev: Event) {
         let label = format!("event {ev:?}");
-        let _ = self.trace.send(label.clone());
+        let _ = self.trace.lock().push(label.clone());
         self.process_request(0);
     }
 
     fn h_play(&mut self, req: Request) {
-        self.queue.push_back(req.id);
+        self.advance_play(req.id, 0);
+    }
+
+    fn advance_play(&mut self, id: u64, offset: usize) {
+        let _ = offset;
+        self.suspend(id);
+    }
+
+    fn suspend(&mut self, id: u64) {
+        self.blocked.push_back(id);
     }
 
     fn h_record(&mut self, req: Request) {
-        let _ = self.out.try_send(req.id);
+        self.suspend(req.id);
     }
 
     fn finish_record(&mut self) {}

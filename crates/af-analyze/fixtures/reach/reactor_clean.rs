@@ -1,16 +1,22 @@
 // Fixture: registry-complete reactor shard.  Every `blocking-in-reactor`
 // and `alloc` root exists; the handler chain uses only non-blocking
-// primitives and caller-owned scratch — including the reply path's write
-// critical section, whose leaf lock is justified on both sides (the
-// shard's `flush_conn`, the producers' `deliver`) — and `feed` hands each
-// framed event to the dispatcher's `submit`, which handles it on this
-// thread under the dispatch lock.  The accept/registration path
-// (an `alloc` barrier) allocates its per-connection state — that is
-// setup, amortized over the connection lifetime, and must not be
-// reported.
+// primitives and caller-owned scratch — including the reply path's two
+// leaf locks, each justified at every site: the connection's outbound
+// deque (the shard's `flush_conn`, the producers' `deliver`) and the
+// shard's mailbox (one push in `wake`, one swap in `handle_wake`) — and
+// `feed` hands each framed event to the dispatcher's `submit`, which
+// handles it on this thread under the dispatch lock.  The
+// accept/registration path (an `alloc` barrier) allocates its
+// per-connection state — that is setup, amortized over the connection
+// lifetime, and must not be reported.
 
 impl Shard {
     fn handle_wake(&mut self) {
+        {
+            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one swap; a producer holds it for one push
+            let mut mailbox = self.link.mailbox.lock();
+            std::mem::swap(&mut *mailbox, &mut self.spare_mailbox);
+        }
         self.handle_token(1);
     }
 
@@ -33,10 +39,10 @@ impl Shard {
     }
 
     fn flush_conn(&mut self, token: u64) {
-        // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a try_send
-        let mut in_flight = self.shared.in_flight.lock();
-        if let Some(buf) = in_flight.take() {
-            let _ = self.io.write(&buf);
+        // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a push
+        let mut out = self.shared.outbound.lock();
+        if let Some(buf) = out.queue.front() {
+            let _ = self.io.write(&buf[out.written..]);
         }
         let _ = token;
     }
@@ -77,15 +83,23 @@ impl Shard {
     }
 }
 
-impl ConnNotify {
-    fn deliver(&self, queue: &Sender<Buf>, buf: Buf) {
-        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a try_send
-        let mut in_flight = self.shared.in_flight.lock();
-        if in_flight.is_none() && queue.is_empty() && self.sock.write(&buf) == buf.len() {
+impl ConnShared {
+    fn deliver(&self, buf: Buf) {
+        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push
+        let mut out = self.outbound.lock();
+        if out.queue.is_empty() && self.sock.write(&buf) == buf.len() {
             return;
         }
-        let _ = queue.try_send(buf);
-        drop(in_flight);
+        out.queue.push_back(buf);
+        drop(out);
         self.wake();
+    }
+
+    fn wake(&self) {
+        if !self.notified.swap(true) {
+            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
+            self.link.mailbox.lock().flush.push(self.token);
+            self.link.waker.wake();
+        }
     }
 }

@@ -25,15 +25,15 @@ impl Shard {
     }
 
     fn feed(&mut self, token: u64) {
-        let _ = self.events.try_send(token);
+        self.frames += token;
     }
 
     fn deliver(&self, token: u64) {
-        let _ = self.outbound.try_send(token);
+        let _ = self.sock.write(&token.to_le_bytes());
     }
 
     fn flush_conn(&mut self, token: u64) {
-        let _ = self.outbound.try_send(token);
+        let _ = self.io.write(&token.to_le_bytes());
     }
 
     fn accept_tcp(&mut self) {

@@ -21,7 +21,17 @@ impl Dispatcher {
     }
 
     fn h_play(&mut self) {
+        self.advance_play();
         self.drain_queue();
+    }
+
+    fn advance_play(&mut self) {
+        self.suspend();
+    }
+
+    fn suspend(&mut self) {
+        // The deadline comes from the scheduling helper, not from here.
+        let _wake = self.wake_instant();
     }
 
     fn h_record(&mut self) {

@@ -21,7 +21,16 @@ impl Dispatcher {
 
     fn h_play(&mut self) {
         let _deadline = Instant::now();
+        self.advance_play();
         self.drain_queue();
+    }
+
+    fn advance_play(&mut self) {
+        self.suspend();
+    }
+
+    fn suspend(&mut self) {
+        let _blocked = 1u32;
     }
 
     fn h_record(&mut self) {

@@ -3,7 +3,7 @@
 // its wall-clock read is permitted.
 impl Shard {
     fn handle_wake(&mut self) {
-        while self.inbox.try_recv().is_ok() {}
+        std::mem::swap(&mut *self.link.mailbox.lock(), &mut self.spare_mailbox);
     }
 
     fn handle_token(&mut self, ev: PollEvent) {

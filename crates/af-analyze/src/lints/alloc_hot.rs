@@ -28,6 +28,8 @@ const ROOTS: &[(&str, &[&str])] = &[
         "crates/af-server/src/dispatch.rs",
         &[
             "h_play",
+            "advance_play",
+            "suspend",
             "h_record",
             "finish_record",
             "drain_queue",
@@ -82,7 +84,7 @@ const PATTERNS: &[&str] = &[
 ///   properties) legitimately allocate; the data-plane dispatch arms are
 ///   covered directly as roots.
 /// * the reactor's accept/registration path runs per *connection*, not
-///   per tick — boxing the conn state and cloning its channel handles
+///   per tick — boxing the conn state and building its shared half
 ///   there is setup, amortized over the connection lifetime.  The same
 ///   holds for the broadcast listener plane: `accept_bcast`/
 ///   `register_bcast` box the listener slot and `start_stream` builds

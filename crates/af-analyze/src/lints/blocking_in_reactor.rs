@@ -1,11 +1,11 @@
 //! `blocking-in-reactor`: nothing reachable from an event-loop may block.
 //!
 //! The reactor owns every connection on its shard; one blocked call —
-//! a sleep, a bounded-channel `send`/`recv`, a contended `lock`, a
-//! blocking read — stalls *all* of them, which on a WAN link shows up as
-//! a burst of late frames and concealment on every session at once.  A
-//! shard may only use non-blocking primitives (`try_send`, atomics,
-//! pre-sized scratch).
+//! a sleep, a channel `send`/`recv`, a contended `lock`, a blocking read
+//! — stalls *all* of them, which on a WAN link shows up as a burst of
+//! late frames and concealment on every session at once.  A shard may
+//! only use non-blocking primitives (atomics, pre-sized scratch, leaf
+//! locks held for a push or a swap and justified per site).
 //!
 //! Unlike `wallclock` (which checks the named functions only), this lint
 //! follows the approximate call graph: a helper three calls away from
@@ -68,9 +68,8 @@ const SCAN: ReachScan = ReachScan {
     roots: ROOTS,
     barriers: &[(DISPATCH, &["handle_event"])],
     patterns: PATTERNS,
-    rationale: "event loops must stay non-blocking (try_send, atomics, \
-                nonblocking I/O); a block here stalls every connection on \
-                the shard",
+    rationale: "event loops must stay non-blocking (atomics, nonblocking \
+                I/O); a block here stalls every connection on the shard",
 };
 
 /// Runs the lint.

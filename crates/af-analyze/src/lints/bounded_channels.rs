@@ -1,11 +1,11 @@
 //! `bounded-channels`: every channel in af-server must have a capacity.
 //!
-//! Backpressure is part of the design: client outbound queues are bounded
-//! with slow-client eviction, the shard inboxes and the task thread's
-//! channel are bounded, and a full queue must stall the *producer*, not
-//! grow the heap until the process dies.  An unbounded channel anywhere in
-//! the server silently removes that guarantee, so constructing one is a
-//! finding.
+//! Backpressure is part of the design: client outbound deques are bounded
+//! with slow-client eviction, the shard mailboxes shed past their bound,
+//! and a full queue must stall or shed the *producer*, not grow the heap
+//! until the process dies.  The server has no channel today; an unbounded
+//! one anywhere in it would silently remove that guarantee, so
+//! constructing one is a finding.
 
 use crate::lints::{is_link_hot_src, is_server_src, prod_lines};
 use crate::source::SourceFile;

@@ -26,6 +26,8 @@ const HOT_PATHS: &[(&str, &[&str])] = &[
             "process_request",
             "dispatch",
             "h_play",
+            "advance_play",
+            "suspend",
             "h_record",
             "finish_record",
             "drain_queue",

@@ -123,7 +123,7 @@ fn bounded_channels_stays_quiet() {
 
 #[test]
 fn bounded_channels_covers_reactor_subdirectory() {
-    // Shard inboxes and per-connection outbound queues must stay bounded;
+    // A channel that finds its way back into the reactor must be bounded;
     // the scope must reach the reactor subdirectory.
     let files = [fx(
         "crates/af-server/src/reactor/mod.rs",
@@ -268,38 +268,6 @@ fn lock_across_send_stays_quiet() {
         include_str!("../fixtures/lock_across_send/clean.rs"),
     )];
     assert_eq!(lints::lock_across_send::run(&files), vec![]);
-}
-
-#[test]
-fn lock_across_send_flags_blocking_send_under_the_write_lock() {
-    // The reactor's direct-write critical section may hold its lock
-    // across a justified `try_send`; a blocking `send` under the same
-    // guard is still a finding.
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_across_send/write_lock_trigger.rs"),
-    )];
-    let found: Vec<_> = analyze_files(&files)
-        .into_iter()
-        .filter(|f| f.lint == "lock-across-send")
-        .collect();
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("`slot`"), "{found:?}");
-}
-
-#[test]
-fn lock_across_send_accepts_the_direct_write_shape() {
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_across_send/write_lock_clean.rs"),
-    )];
-    let found = analyze_files(&files);
-    assert!(
-        found
-            .iter()
-            .all(|f| f.lint != "lock-across-send" && f.lint != "allow-marker"),
-        "{found:?}"
-    );
 }
 
 // ---- tick-arith --------------------------------------------------------
@@ -511,7 +479,9 @@ fn lock_order_stays_quiet_on_global_order() {
 #[test]
 fn lock_order_accepts_dispatch_lock_before_connection_write_lock() {
     // The shipped shape: handlers run under the dispatch lock and their
-    // replies take the connection's write lock; nobody goes the other way.
+    // replies take the connection's outbound lock, then the shard's
+    // mailbox lock; nobody goes the other way, and neither leaf is held
+    // when the other is taken.
     let files = [fx(
         SERVER,
         include_str!("../fixtures/lock_order/dispatch_clean.rs"),
@@ -521,7 +491,10 @@ fn lock_order_accepts_dispatch_lock_before_connection_write_lock() {
     let graph = CallGraph::build(&index, &files);
     assert_eq!(
         lints::lock_order::edges(&files, &index, &graph),
-        [("dispatch_lock".to_owned(), "in_flight".to_owned())]
+        [
+            ("dispatch_lock".to_owned(), "mailbox".to_owned()),
+            ("dispatch_lock".to_owned(), "outbound".to_owned())
+        ]
     );
 }
 
@@ -538,7 +511,7 @@ fn lock_order_catches_dispatch_lock_taken_under_a_connection_write_lock() {
     assert_eq!(found.len(), 1, "{found:?}");
     let msg = &found[0].message;
     assert!(
-        msg.contains("`dispatch_lock`") && msg.contains("`in_flight`"),
+        msg.contains("`dispatch_lock`") && msg.contains("`outbound`"),
         "{msg}"
     );
     assert!(msg.contains("in `flush_conn`"), "{msg}");
@@ -581,9 +554,10 @@ fn blocking_in_reactor_triggers_through_call_graph() {
 #[test]
 fn blocking_in_reactor_stays_quiet() {
     // Through the full pipeline: the clean shard's reply path takes the
-    // connection's write lock on both sides (`flush_conn`, `deliver`) and
+    // connection's outbound lock on both sides (`flush_conn`, `deliver`)
+    // and the mailbox lock on both sides (`wake`, `handle_wake`), and
     // `feed` takes the dispatch lock in `submit`, each under a justified
-    // marker; the blocking `send` in the dispatcher's `handle_event` sits
+    // marker; the blocking `lock` in the dispatcher's `handle_event` sits
     // behind the barrier.  Nothing else may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
@@ -794,7 +768,7 @@ fn workspace_is_clean() {
 #[test]
 fn workspace_orders_the_dispatch_lock_before_connection_write_locks() {
     // DESIGN.md §9.1: handlers run under the dispatch lock and write their
-    // replies under the connection's write lock; nothing is ever held
+    // replies under the connection's outbound lock; nothing is ever held
     // when the dispatch lock is taken.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -813,8 +787,17 @@ fn workspace_orders_the_dispatch_lock_before_connection_write_locks() {
             under.push(then);
         }
     }
-    // The connection write lock (replies) and the buffer pool's free list
-    // (request and reply buffers): both leaves.  A new lock under the
-    // dispatch lock is a design change — extend DESIGN.md §9.1 with it.
-    assert_eq!(under, ["idle", "in_flight"]);
+    // The buffer pool's free list (request and reply buffers), a shard's
+    // mailbox (the flush token of a queued reply) and a connection's
+    // outbound lock (replies): all leaves.  A new lock under the dispatch
+    // lock is a design change — extend DESIGN.md §9.1 with it.
+    assert_eq!(under, ["idle", "mailbox", "outbound"]);
+    // The two reply-path leaves really are leaves — in particular the
+    // mailbox is only taken once the outbound lock is released.
+    for (held, then) in lints::lock_order::edges(&files, &index, &graph) {
+        assert!(
+            held != "outbound" && held != "mailbox",
+            "`{then}` taken while holding the leaf `{held}`"
+        );
+    }
 }

@@ -397,8 +397,8 @@ impl BroadcastBus {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         for (dirty, wake) in shards.iter() {
-            // Edge-triggered like ConnNotify: only the false→true edge
-            // pays for a wakeup write.
+            // Edge-triggered like a connection's `notified` flag: only
+            // the false→true edge pays for a wakeup write.
             if !dirty.swap(true, Ordering::AcqRel) {
                 wake();
             }

@@ -12,7 +12,7 @@ use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BroadcastStats, BusTap};
 use crate::buffer::DeviceBuffers;
 use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
-use crate::state::{connector_mask, AccessControl, AtomRegistry, ControlMsg, Device, ServerStats};
+use crate::state::{connector_mask, AccessControl, AtomRegistry, Device, ServerStats};
 use crate::transport::TransportShared;
 use af_chaos::StreamFaultPlan;
 use af_device::hardware::{HwConfig, VirtualAudioHw};
@@ -22,27 +22,11 @@ use af_device::{PhoneLine, SharedClock};
 use af_dsp::Encoding;
 use af_proto::{DeviceDesc, DeviceKind};
 use af_time::ATime;
-use crossbeam_channel::Sender;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Capacity of the task thread's channel.
-///
-/// Transport events do not pass through it: the shard that frames one runs
-/// its handler under the dispatch lock.  The channel carries only control
-/// messages (`RunUpdate`, `Barrier`, `Shutdown`) and `Rearm` nudges.
-///
-/// No-deadlock argument.  The task thread is the channel's only consumer
-/// and takes the dispatch lock to handle a message, so a deadlock would
-/// need a lock holder blocked sending here.  There is none: a `Rearm` is
-/// sent after the lock is released, with `try_send` — it never blocks, and
-/// dropping it on a full channel is safe because every queued message
-/// already earns the task thread a pass that recomputes its deadline.
-/// Control senders block only their own (test or shutdown) thread.
-pub const EVENT_QUEUE_CAPACITY: usize = 4096;
 
 /// Ingredients for one abstract audio device.
 pub struct DeviceSetup {
@@ -400,7 +384,6 @@ impl ServerBuilder {
     /// a shard cannot get its epoll instance.  On any error every thread
     /// started so far has been joined by the time it is returned.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
-        let (tx, rx) = crossbeam_channel::bounded::<ControlMsg>(EVENT_QUEUE_CAPACITY);
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
             setup.desc.index = i as u8;
@@ -471,7 +454,7 @@ impl ServerBuilder {
         };
         let dispatcher =
             Dispatcher::new(core, self.update_interval).with_idle_timeout(self.idle_timeout);
-        let dispatch = DispatchHandle::new(dispatcher, tx.clone());
+        let dispatch = DispatchHandle::new(dispatcher);
         let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, pool);
 
         // Every step from here to the task thread can fail (no epoll
@@ -480,8 +463,7 @@ impl ServerBuilder {
         // nothing can fail any more, so an `Err` leaves no thread behind.
         // The Unix socket is bound last: it is the one listener that
         // leaves a file.
-        let reactor =
-            crate::reactor::Reactor::spawn(Arc::clone(&shared), reactor_shards, broadcast_bus)?;
+        let reactor = crate::reactor::Reactor::spawn(shared, reactor_shards, broadcast_bus)?;
         for s in reactor.shard_stats() {
             stats.register_reactor_shard(Arc::clone(s));
         }
@@ -496,12 +478,14 @@ impl ServerBuilder {
         if let Some(path) = &self.unix {
             reactor.add_unix(path)?;
         }
+        let handle = ServerHandle {
+            dispatch: dispatch.clone(),
+        };
         let join = std::thread::Builder::new()
             .name("af-dispatcher".into())
-            .spawn(move || dispatch.run_task_thread(rx))?;
+            .spawn(move || dispatch.run_task_thread())?;
         Ok(RunningServer {
-            handle: ServerHandle { events: tx },
-            shared,
+            handle,
             stats,
             reactor: Some(reactor),
             tcp_addr,
@@ -518,46 +502,37 @@ impl Default for ServerBuilder {
     }
 }
 
-/// A control handle into a running server's dispatcher, by way of its
-/// task thread.
+/// A control handle into a running server's dispatcher.  Every call takes
+/// the dispatch lock on the calling thread and returns when it is done.
 #[derive(Clone)]
 pub struct ServerHandle {
-    events: Sender<ControlMsg>,
+    dispatch: DispatchHandle,
 }
 
 impl ServerHandle {
-    /// Runs the update task immediately and waits for it to finish.
+    /// Runs the update task now, on the calling thread.
     ///
     /// Tests that drive a [`af_device::VirtualClock`] call this after
     /// advancing the clock, standing in for the periodic task firing.
     pub fn run_update(&self) {
-        let (ack, done) = crossbeam_channel::bounded(1);
-        if self.events.send(ControlMsg::RunUpdate { ack }).is_ok() {
-            let _ = done.recv_timeout(Duration::from_secs(10));
-        }
+        self.dispatch.run_update();
     }
 
-    /// Waits until everything submitted before the call has been handled:
-    /// transport events are handled by the time `submit` returns, and the
-    /// barrier queues behind every earlier channel message.
+    /// Returns once everything submitted before the call has been handled.
     pub fn barrier(&self) {
-        let (ack, done) = crossbeam_channel::bounded(1);
-        if self.events.send(ControlMsg::Barrier { ack }).is_ok() {
-            let _ = done.recv_timeout(Duration::from_secs(10));
-        }
+        self.dispatch.barrier();
     }
 
-    /// Requests shutdown (the task thread exits after earlier messages;
-    /// later transport events are refused).
+    /// Shuts the dispatcher down: the task thread exits, and later
+    /// transport events are refused.
     pub fn shutdown(&self) {
-        let _ = self.events.send(ControlMsg::Shutdown);
+        self.dispatch.shutdown();
     }
 }
 
 /// A running server: task thread, reactor, and control handle.
 pub struct RunningServer {
     handle: ServerHandle,
-    shared: Arc<TransportShared>,
     stats: Arc<ServerStats>,
     reactor: Option<crate::reactor::Reactor>,
     tcp_addr: Option<SocketAddr>,
@@ -599,11 +574,8 @@ impl RunningServer {
 
     fn stop(&mut self) {
         self.handle.shutdown();
-        self.shared
-            .stop
-            .store(true, std::sync::atomic::Ordering::Relaxed);
         if let Some(mut reactor) = self.reactor.take() {
-            // Wakes every shard; they observe the stop flag and exit.
+            // Raises the stop flag and wakes every shard to see it.
             reactor.shutdown();
         }
         if let Some(path) = &self.unix_path {

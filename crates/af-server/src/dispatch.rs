@@ -10,18 +10,20 @@
 //! guarantee: events are handled one at a time, atomically, in
 //! per-connection arrival order (a connection lives on one thread).
 //!
-//! What still travels by channel ([`ControlMsg`]) goes to the task thread,
-//! `af-dispatcher` ([`DispatchHandle::run_task_thread`]): it sleeps until
-//! the task queue's earliest deadline or a message, then takes the lock to
-//! run due tasks (the periodic update, wake-ups for suspended clients) and
-//! control messages.  Lock order is dispatch lock → per-connection write
-//! lock, never the reverse.
+//! The task thread, `af-dispatcher` ([`DispatchHandle::run_task_thread`]),
+//! is the `select()` timeout of the original: it waits on a condition
+//! variable paired with the dispatch lock until the task queue's earliest
+//! deadline, then runs what is due (the periodic update, wake-ups for
+//! suspended clients) under the lock.  A handler that schedules ahead of
+//! that deadline signals the condition variable once it has unlocked.
+//! Everything else that wants the dispatcher — [`DispatchHandle::run_update`],
+//! `barrier`, `shutdown` — takes the lock on its own thread.  Lock order is
+//! dispatch lock → per-connection outbound lock, never the reverse.
 
 use crate::pool::BufferPool;
 use crate::state::{
-    connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState,
-    ConnKick, ControlMsg, Device, OverflowFlag, PropertyValue, RawRequest, ServerAc, ServerEvent,
-    ServerStats,
+    connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, Device,
+    PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
 };
 use crate::task::{next_period, TaskKind, TaskQueue};
 use af_dsp::convert::Converter;
@@ -31,11 +33,8 @@ use af_proto::{
     Opcode, Reply, Request, SetupReply, WireError, MAX_REQUEST_BYTES,
 };
 use af_time::ATime;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// All server state, owned by the dispatcher (behind the dispatch lock).
@@ -131,9 +130,9 @@ pub struct Dispatcher {
     /// Scratch for AC sample-type conversion, reused across requests so a
     /// steady play/record stream converts without allocating.
     conv_buf: Vec<u8>,
-    /// Raised with any client's [`OverflowFlag`]; gates the eviction scan
-    /// so an event that overflowed nobody costs one atomic swap.
-    any_overflowed: Arc<AtomicBool>,
+    /// Clients whose bounded outbound deque refused a message since the
+    /// last eviction pass (which follows every event).
+    overflowed: Vec<ClientId>,
 }
 
 /// Milliseconds since the Unix epoch (the "host clock time" in events).
@@ -149,12 +148,13 @@ fn host_time_ms() -> u64 {
 #[derive(Debug)]
 pub struct DispatcherGone;
 
-/// The one way into the dispatcher for transport events.
+/// The one way into the dispatcher.
 ///
-/// Cloned into every transport thread.  [`DispatchHandle::submit`] runs
-/// the event's handler on the calling thread under the dispatch lock, so a
-/// request costs no thread hop, and a thread waiting for the lock is not
-/// reading its sockets (TCP backpressure to its clients).
+/// Cloned into every transport thread and the server's control handle.
+/// [`DispatchHandle::submit`] runs a transport event's handler on the
+/// calling thread under the dispatch lock, so a request costs no thread
+/// hop, and a thread waiting for the lock is not reading its sockets (TCP
+/// backpressure to its clients).
 #[derive(Clone)]
 pub struct DispatchHandle(Route);
 
@@ -164,31 +164,35 @@ enum Route {
     /// Test double: events go to a channel the test inspects.
     #[cfg(test)]
     Capture {
-        events: Sender<ServerEvent>,
+        events: std::sync::mpsc::SyncSender<ServerEvent>,
     },
 }
 
 struct DispatchShared {
     /// The dispatch lock.  Held per event, never across two; acquired
-    /// before any per-connection write lock, never while holding one.
+    /// before any per-connection outbound lock, never while holding one.
     dispatch_lock: Mutex<Dispatcher>,
-    /// Wakes the task thread when a handler moved its deadline earlier.
-    task_tx: Sender<ControlMsg>,
+    /// What the task thread sleeps on, paired with `dispatch_lock`.  A
+    /// holder that scheduled a task ahead of the deadline it found, or
+    /// shut the server down, signals it once it has unlocked: the task
+    /// thread may be asleep until that old deadline.  The change was
+    /// published under the paired mutex, so the wake-up can be neither
+    /// lost nor early.
+    task_wake: Condvar,
 }
 
 impl DispatchHandle {
-    /// Puts `dispatcher` behind the dispatch lock.  `task_tx` feeds the
-    /// channel the dispatcher's task thread receives from.
-    pub fn new(dispatcher: Dispatcher, task_tx: Sender<ControlMsg>) -> DispatchHandle {
+    /// Puts `dispatcher` behind the dispatch lock.
+    pub fn new(dispatcher: Dispatcher) -> DispatchHandle {
         DispatchHandle(Route::Live(Arc::new(DispatchShared {
             dispatch_lock: Mutex::new(dispatcher),
-            task_tx,
+            task_wake: Condvar::new(),
         })))
     }
 
     /// A handle whose events land on `events` instead of a dispatcher.
     #[cfg(test)]
-    pub(crate) fn capture(events: Sender<ServerEvent>) -> DispatchHandle {
+    pub(crate) fn capture(events: std::sync::mpsc::SyncSender<ServerEvent>) -> DispatchHandle {
         DispatchHandle(Route::Capture { events })
     }
 
@@ -201,73 +205,112 @@ impl DispatchHandle {
         }
     }
 
-    /// The task thread (`af-dispatcher`): sleeps until the earliest task
-    /// deadline or a channel message, then takes the dispatch lock to run
-    /// what is due.  Returns after `ControlMsg::Shutdown`.
-    pub fn run_task_thread(&self, rx: Receiver<ControlMsg>) {
+    /// Runs the update task now, on the calling thread.
+    pub fn run_update(&self) {
+        if let Some(shared) = self.live() {
+            shared.run_update();
+        }
+    }
+
+    /// Returns once every event submitted before the call has been
+    /// handled: each is handled under the lock this takes.
+    pub fn barrier(&self) {
+        if let Some(shared) = self.live() {
+            drop(shared.dispatch_lock.lock());
+        }
+    }
+
+    /// Shuts the dispatcher down: later events are refused, and the task
+    /// thread exits.
+    pub fn shutdown(&self) {
+        if let Some(shared) = self.live() {
+            shared.shutdown();
+        }
+    }
+
+    /// The task thread (`af-dispatcher`): runs what is due under the
+    /// dispatch lock, then waits — unlocked — until the earliest task
+    /// deadline or a signal.  Returns after [`DispatchHandle::shutdown`].
+    pub fn run_task_thread(&self) {
+        if let Some(shared) = self.live() {
+            shared.task_loop();
+        }
+    }
+
+    fn live(&self) -> Option<&DispatchShared> {
         match &self.0 {
-            Route::Live(shared) => shared.task_loop(rx),
+            Route::Live(shared) => Some(shared),
             #[cfg(test)]
-            Route::Capture { .. } => {}
+            Route::Capture { .. } => None,
         }
     }
 }
 
+// A handler that panicked poisons the dispatch lock on its way out; what it
+// left behind is one half-handled event, which the server outlives, so
+// every acquisition below recovers the guard.
 impl DispatchShared {
     fn run_inline(&self, ev: ServerEvent) -> Result<(), DispatcherGone> {
         let earlier = {
             // af-analyze: allow(blocking-in-reactor): the dispatch lock is the single-thread guarantee; its holder runs one event's handler, so the wait is bounded by one request
-            let mut dispatcher = self.dispatch_lock.lock();
+            let locked = self.dispatch_lock.lock();
+            let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
             if dispatcher.shutdown {
                 return Err(DispatcherGone);
             }
-            // Never `None`: the periodic update is always in the queue.
             let armed = dispatcher.tasks.next_deadline();
             dispatcher.handle_event(ev);
             ServerStats::bump(&dispatcher.core.stats.inline_events);
-            dispatcher.tasks.next_deadline() < armed
+            dispatcher.scheduled_ahead_of(armed)
         };
         if earlier {
-            // The task thread may already be asleep until the old
-            // deadline.  The new one is published (scheduled under the
-            // lock) before this nudge; a full channel already guarantees
-            // the task thread another pass, so the nudge may be dropped.
-            let _ = self.task_tx.try_send(ControlMsg::Rearm);
+            self.task_wake.notify_one();
         }
         Ok(())
     }
 
-    fn task_loop(&self, rx: Receiver<ControlMsg>) {
-        let mut woken_by = Err(RecvTimeoutError::Timeout);
+    fn run_update(&self) {
+        let earlier = {
+            let locked = self.dispatch_lock.lock();
+            let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
+            let armed = dispatcher.tasks.next_deadline();
+            dispatcher.run_update();
+            dispatcher.scheduled_ahead_of(armed)
+        };
+        if earlier {
+            self.task_wake.notify_one();
+        }
+    }
+
+    fn shutdown(&self) {
+        self.dispatch_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.task_wake.notify_one();
+    }
+
+    fn task_loop(&self) {
+        let locked = self.dispatch_lock.lock();
+        let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
         loop {
-            // One lock hold per wake-up: the message, whatever is due, and
-            // the timeout to sleep on next.
-            let timeout = {
-                let mut dispatcher = self.dispatch_lock.lock();
-                match woken_by {
-                    Ok(msg) => {
-                        ServerStats::bump(&dispatcher.core.stats.channel_events);
-                        dispatcher.handle_control(msg);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => dispatcher.shutdown = true,
-                }
-                dispatcher.run_due_tasks(Instant::now());
-                if dispatcher.shutdown {
-                    // Later `submit`s report `DispatcherGone`.  Drop the
-                    // clients (their outbound routes close).
-                    dispatcher.core.clients.clear();
-                    return;
-                }
-                dispatcher
-                    .tasks
-                    .next_deadline()
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_secs(1))
-            };
-            // Asleep, unlocked.  A handler that schedules an earlier
-            // deadline from here on sends `Rearm`, which ends this wait.
-            woken_by = rx.recv_timeout(timeout);
+            dispatcher.run_due_tasks(Instant::now());
+            if dispatcher.shutdown {
+                // Drop the clients (their connections' handles with them).
+                dispatcher.core.clients.clear();
+                return;
+            }
+            let timeout = dispatcher
+                .tasks
+                .next_deadline()
+                .map(|d| d.saturating_duration_since(Instant::now()))
+                .unwrap_or(Duration::from_secs(1));
+            // Asleep, unlocked.  A spurious wake-up only recomputes.
+            dispatcher = self
+                .task_wake
+                .wait_timeout(dispatcher, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
@@ -285,7 +328,7 @@ impl Dispatcher {
             idle_timeout: None,
             shutdown: false,
             conv_buf: Vec::new(),
-            any_overflowed: Arc::new(AtomicBool::new(false)),
+            overflowed: Vec::new(),
         }
     }
 
@@ -293,6 +336,18 @@ impl Dispatcher {
     pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.idle_timeout = timeout;
         self
+    }
+
+    /// Whether the earliest task deadline now lies ahead of `armed`, what
+    /// it was when the lock was taken (never `None`: the periodic update
+    /// is always in the queue) — counted, as it costs the task thread a
+    /// wake-up.
+    fn scheduled_ahead_of(&self, armed: Option<Instant>) -> bool {
+        let earlier = self.tasks.next_deadline() < armed;
+        if earlier {
+            ServerStats::bump(&self.core.stats.task_nudges);
+        }
+        earlier
     }
 
     /// Runs every task due at `now`.  The periodic update re-arms from the
@@ -319,8 +374,7 @@ impl Dispatcher {
                 setup,
                 peer,
                 tx,
-                kick,
-            } => self.handle_new_client(id, &setup, peer, tx, kick),
+            } => self.handle_new_client(id, &setup, peer, tx),
             ServerEvent::Request { id, raw } => {
                 // Unknown ids (never admitted, or already evicted) drop
                 // the request.
@@ -342,24 +396,7 @@ impl Dispatcher {
             ServerEvent::Disconnect { id } => self.remove_client(id),
         }
         // Any event may have queued outbound data; evict clients whose
-        // bounded queue overflowed rather than buffering without limit.
-        self.evict_overflowed();
-    }
-
-    /// One message from the task thread's channel.
-    fn handle_control(&mut self, msg: ControlMsg) {
-        match msg {
-            ControlMsg::RunUpdate { ack } => {
-                self.run_update();
-                let _ = ack.send(());
-            }
-            ControlMsg::Barrier { ack } => {
-                let _ = ack.send(());
-            }
-            ControlMsg::Shutdown => self.shutdown = true,
-            // Nothing to do: the caller recomputes its deadline next.
-            ControlMsg::Rearm => {}
-        }
+        // bounded deque overflowed rather than buffering without limit.
         self.evict_overflowed();
     }
 
@@ -368,34 +405,36 @@ impl Dispatcher {
         id: ClientId,
         setup: &[u8],
         peer: Option<std::net::IpAddr>,
-        tx: crate::transport::OutboundTx,
-        kick: ConnKick,
+        tx: crate::reactor::OutboundTx,
     ) {
+        // A refused connection is closed from this side: `hang_up` lets
+        // the refusal leave, whole, before the socket goes.
         let setup = match af_proto::ConnSetup::decode(setup) {
             Ok(s) => s,
-            Err(_) => return, // Garbage setup: drop the connection.
+            Err(_) => {
+                tx.hang_up(); // Garbage setup.
+                return;
+            }
         };
         let order = setup.byte_order;
         // Whichever reply goes out is the first message on a fresh
-        // connection: its outbound queue cannot be full.
-        if !self.core.access.allows(peer) {
-            let reply = SetupReply::Failed {
-                reason: "host not authorized".to_string(),
-            };
-            let _ = tx.try_send_buf(reply.encode(order).into());
-            return;
-        }
-        if setup.major != af_proto::PROTOCOL_MAJOR {
-            let reply = SetupReply::Failed {
-                reason: format!(
-                    "protocol version mismatch: client {}.{}, server {}.{}",
-                    setup.major,
-                    setup.minor,
-                    af_proto::PROTOCOL_MAJOR,
-                    af_proto::PROTOCOL_MINOR
-                ),
-            };
-            let _ = tx.try_send_buf(reply.encode(order).into());
+        // connection: its outbound deque cannot be full.
+        let refusal = if !self.core.access.allows(peer) {
+            Some("host not authorized".to_string())
+        } else if setup.major != af_proto::PROTOCOL_MAJOR {
+            Some(format!(
+                "protocol version mismatch: client {}.{}, server {}.{}",
+                setup.major,
+                setup.minor,
+                af_proto::PROTOCOL_MAJOR,
+                af_proto::PROTOCOL_MINOR
+            ))
+        } else {
+            None
+        };
+        if let Some(reason) = refusal {
+            let _ = tx.try_send_buf(SetupReply::Failed { reason }.encode(order).into());
+            tx.hang_up();
             return;
         }
         let reply = SetupReply::Success {
@@ -405,10 +444,9 @@ impl Dispatcher {
             devices: self.core.devices.iter().map(|d| d.desc).collect(),
         };
         let _ = tx.try_send_buf(reply.encode(order).into());
-        let overflowed = OverflowFlag::new(&self.any_overflowed);
         self.core
             .clients
-            .insert(id, ClientState::new(id, order, tx, kick, overflowed));
+            .insert(id, ClientState::new(id, order, tx));
         ServerStats::bump(&self.core.stats.clients_total);
         ServerStats::set(
             &self.core.stats.clients_current,
@@ -435,32 +473,23 @@ impl Dispatcher {
     }
 
     /// Forcibly disconnects `id`: closes its socket (its shard sees the
-    /// hang-up) and drops its state (closing the outbound queue).  The
-    /// shard's eventual `Disconnect` event finds nothing and is a no-op.
+    /// hang-up) and drops its state.  The shard's eventual `Disconnect`
+    /// event finds nothing and is a no-op.
     fn evict(&mut self, id: ClientId) {
         if let Some(c) = self.core.clients.get(&id) {
-            (c.kick)();
+            c.tx.kick();
         }
         self.remove_client(id);
     }
 
-    /// Evicts every client whose outbound queue overflowed.  The hint is
-    /// swapped before the scan, so a flag raised during it is found on the
-    /// next event at the latest.
+    /// Evicts every client whose outbound deque refused a message.  (A
+    /// client listed twice, or gone since, is evicted once.)
     fn evict_overflowed(&mut self) {
-        if !self.any_overflowed.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let ids: Vec<ClientId> = self
-            .core
-            .clients
-            .iter()
-            .filter(|(_, c)| c.overflowed.is_raised())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ids {
-            ServerStats::bump(&self.core.stats.evicted_slow);
-            self.evict(id);
+        while let Some(id) = self.overflowed.pop() {
+            if self.core.clients.contains_key(&id) {
+                ServerStats::bump(&self.core.stats.evicted_slow);
+                self.evict(id);
+            }
         }
     }
 
@@ -582,8 +611,10 @@ impl Dispatcher {
     fn broadcast_event(&mut self, device: DeviceId, event: &Event) {
         let kind = event.detail.kind();
         for client in self.core.clients.values() {
-            if client.mask_for(device).selects(kind) {
-                client.send_bytes(event.encode(client.order, client.seq));
+            if client.mask_for(device).selects(kind)
+                && !client.send_bytes(event.encode(client.order, client.seq))
+            {
+                self.overflowed.push(client.id);
             }
         }
     }
@@ -658,45 +689,19 @@ impl Dispatcher {
                 offset,
                 suppress_reply,
             } => {
-                let (gain, enabled) = self.core.output_state(device);
-                let Some((buffers, lane, channels)) = self.core.buffers_mut(device) else {
-                    return;
-                };
-                let fb = match lane {
-                    Some(_) => buffers.frame_bytes() / channels.max(1) as usize,
-                    None => buffers.frame_bytes(),
-                };
-                let pending = &frames[offset..];
-                let outcome = match lane {
-                    Some(ch) => buffers
-                        .write_play_channel(start, pending, ch, channels, preempt, gain, enabled),
-                    None => buffers.write_play(start, pending, preempt, gain, enabled),
-                };
-                let consumed = (outcome.dropped_past + outcome.written) as usize * fb;
-                if outcome.beyond_horizon > 0 {
-                    // Advance the cursor instead of re-copying the tail: the
-                    // request bytes are written exactly once no matter how
-                    // many wake-ups it takes to drain them.
-                    let new_start = start + (outcome.dropped_past + outcome.written);
-                    let wake = self.play_wake_instant(device, outcome.beyond_horizon);
-                    let Some(client) = self.core.clients.get_mut(&id) else {
-                        return; // disconnected mid-retry; drop the blocked op
-                    };
-                    client.blocked = Some(Blocked {
-                        seq,
-                        op: BlockedOp::Play {
-                            device,
-                            preempt,
-                            start: new_start,
-                            frames,
-                            offset: offset + consumed,
-                            suppress_reply,
-                        },
-                    });
-                    self.tasks.schedule(wake, TaskKind::WakeBlocked(device));
-                } else if !suppress_reply {
-                    let now = self.core.dev_now(device);
-                    self.send_reply_to(id, order, seq, &Reply::Time { time: now });
+                // Cannot fail: the request passed these checks when it
+                // arrived, and devices do not go away.
+                if let Ok(Some(reply)) = self.advance_play(
+                    id,
+                    seq,
+                    device,
+                    preempt,
+                    start,
+                    frames,
+                    offset,
+                    suppress_reply,
+                ) {
+                    self.send_reply_to(id, order, seq, &reply);
                 }
             }
             BlockedOp::Record {
@@ -706,40 +711,28 @@ impl Dispatcher {
                 nframes,
                 big_endian,
             } => {
-                let ready = {
-                    let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
-                        return;
-                    };
-                    let end = start + nframes;
-                    !end.is_after(buffers.recorded_until())
+                let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
+                    return;
                 };
-                if ready {
-                    self.finish_record(id, order, seq, ac, device, start, nframes, big_endian);
+                let missing = (start + nframes) - buffers.recorded_until();
+                if missing > 0 {
+                    self.suspend(id, seq, blocked.op, missing as u32);
                 } else {
-                    let remaining = {
-                        let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
-                            return; // device vanished since the check above
-                        };
-                        let end = start + nframes;
-                        (end - buffers.recorded_until()).max(1) as u32
-                    };
-                    let wake = self.play_wake_instant(device, remaining);
-                    let Some(client) = self.core.clients.get_mut(&id) else {
-                        return; // disconnected mid-retry; drop the blocked op
-                    };
-                    client.blocked = Some(Blocked {
-                        seq,
-                        op: BlockedOp::Record {
-                            ac,
-                            device,
-                            start,
-                            nframes,
-                            big_endian,
-                        },
-                    });
-                    self.tasks.schedule(wake, TaskKind::WakeBlocked(device));
+                    self.finish_record(id, order, seq, ac, device, start, nframes, big_endian);
                 }
             }
+        }
+    }
+
+    /// Suspends `id` on `op` until about `frames` more frames have elapsed
+    /// on the op's device: the request waits in `client.blocked`, and a
+    /// `WakeBlocked` task retries it then.
+    fn suspend(&mut self, id: ClientId, seq: u16, op: BlockedOp, frames: u32) {
+        let device = op.device();
+        let wake = self.play_wake_instant(device, frames);
+        if let Some(client) = self.core.clients.get_mut(&id) {
+            client.blocked = Some(Blocked { seq, op });
+            self.tasks.schedule(wake, TaskKind::WakeBlocked(device));
         }
     }
 
@@ -818,20 +811,13 @@ impl Dispatcher {
                 start_time,
                 flags,
                 data,
-            } => {
-                // Play may suspend the client; it handles its own reply.
-                self.h_play(id, order, seq, ac, start_time, flags, data);
-                return;
-            }
+            } => self.h_play(id, seq, ac, start_time, flags, data),
             R::RecordSamples {
                 ac,
                 start_time,
                 nbytes,
                 flags,
-            } => {
-                self.h_record(id, order, seq, ac, start_time, nbytes, flags);
-                return;
-            }
+            } => self.h_record(id, order, seq, ac, start_time, nbytes, flags),
             R::GetTime { device } => match self.core.try_dev_now(device) {
                 Some(now) => Ok(Some(Reply::Time { time: now })),
                 None => Err((ErrorCode::BadDevice, u32::from(device))),
@@ -1061,33 +1047,26 @@ impl Dispatcher {
         Ok(None)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn h_play(
         &mut self,
         id: ClientId,
-        order: af_proto::ByteOrder,
         seq: u16,
         ac_id: AcId,
         start_time: ATime,
         flags: u8,
         mut data: Vec<u8>,
-    ) {
+    ) -> Result<Option<Reply>, (ErrorCode, u32)> {
         // Convert through the AC pipeline to device frames.
-        let (device, preempt, suppress) = {
-            let Some(client) = self.core.clients.get_mut(&id) else {
-                return;
-            };
-            let Some(ac) = client.acs.get_mut(&ac_id) else {
-                self.send_error_to(
-                    id,
-                    order,
-                    seq,
-                    ErrorCode::BadAc,
-                    ac_id,
-                    Opcode::PlaySamples.to_wire(),
-                );
-                return;
-            };
+        let (device, preempt, suppress, play_gain) = {
+            let client = self
+                .core
+                .clients
+                .get_mut(&id)
+                .ok_or((ErrorCode::BadAccess, 0))?;
+            let ac = client
+                .acs
+                .get_mut(&ac_id)
+                .ok_or((ErrorCode::BadAc, ac_id))?;
             let big = ac.attrs.big_endian_data || flags & play_flags::BIG_ENDIAN_DATA != 0;
             if big {
                 crate::gain::swap_sample_bytes(ac.attrs.encoding, &mut data);
@@ -1096,111 +1075,89 @@ impl Dispatcher {
             // pipelines convert into the dispatcher's reusable scratch.
             if !ac.play_conv.is_identity() {
                 let mut converted = std::mem::take(&mut self.conv_buf);
-                match ac.play_conv.convert_into(&data, &mut converted) {
-                    Ok(()) => {
-                        std::mem::swap(&mut data, &mut converted);
-                        self.conv_buf = converted;
-                    }
-                    Err(_) => {
-                        self.conv_buf = converted;
-                        self.send_error_to(
-                            id,
-                            order,
-                            seq,
-                            ErrorCode::BadLength,
-                            data.len() as u32,
-                            Opcode::PlaySamples.to_wire(),
-                        );
-                        return;
-                    }
+                let done = ac.play_conv.convert_into(&data, &mut converted);
+                if done.is_ok() {
+                    std::mem::swap(&mut data, &mut converted);
+                }
+                self.conv_buf = converted;
+                if done.is_err() {
+                    return Err((ErrorCode::BadLength, data.len() as u32));
                 }
             }
             (
                 ac.device,
                 ac.attrs.preempt || flags & play_flags::PREEMPT != 0,
                 flags & play_flags::SUPPRESS_REPLY != 0,
+                i32::from(ac.attrs.play_gain_db),
             )
         };
         // Apply the AC's play gain in the owner's native encoding.
-        let (play_gain, dev_enc) = {
-            let Some(client) = self.core.clients.get(&id) else {
-                return;
-            };
-            let Some(ac) = client.acs.get(&ac_id) else {
-                return;
-            };
-            let enc = match self.core.resolve(device) {
-                Some((owner, _)) => self.core.devices[owner]
-                    .buffers
-                    .as_ref()
-                    .map(|b| b.encoding())
-                    .unwrap_or(af_dsp::Encoding::Mu255),
-                None => af_dsp::Encoding::Mu255,
-            };
-            (i32::from(ac.attrs.play_gain_db), enc)
-        };
+        let dev_enc = self
+            .core
+            .resolve(device)
+            .and_then(|(owner, _)| self.core.owner_encoding(owner))
+            .unwrap_or(af_dsp::Encoding::Mu255);
         crate::gain::apply_gain_bytes(dev_enc, &mut data, play_gain);
+        self.advance_play(id, seq, device, preempt, start_time, data, 0, suppress)
+    }
+
+    /// Writes what is left of a play — `frames[offset..]`, in the device
+    /// encoding with the AC's gain applied — at `start`, and returns the
+    /// reply a finished play is owed.  A play that still reaches beyond
+    /// the buffer horizon suspends the client until time advances (§2.2:
+    /// "requests that fall beyond the four-second buffer are suspended")
+    /// and owes nothing yet: the whole buffer moves into the blocked op
+    /// with a consumed-bytes cursor, so the request's bytes are written
+    /// exactly once however many wake-ups it takes, and never re-copied.
+    #[allow(clippy::too_many_arguments)]
+    fn advance_play(
+        &mut self,
+        id: ClientId,
+        seq: u16,
+        device: DeviceId,
+        preempt: bool,
+        start: ATime,
+        frames: Vec<u8>,
+        offset: usize,
+        suppress_reply: bool,
+    ) -> Result<Option<Reply>, (ErrorCode, u32)> {
         let (gain, enabled) = self.core.output_state(device);
-        let Some((buffers, lane, channels)) = self.core.buffers_mut(device) else {
-            self.send_error_to(
-                id,
-                order,
-                seq,
-                ErrorCode::BadDevice,
-                u32::from(device),
-                Opcode::PlaySamples.to_wire(),
-            );
-            return;
-        };
+        let (buffers, lane, channels) = self
+            .core
+            .buffers_mut(device)
+            .ok_or((ErrorCode::BadDevice, u32::from(device)))?;
         let fb = match lane {
             Some(_) => buffers.frame_bytes() / channels.max(1) as usize,
             None => buffers.frame_bytes(),
         };
-        if !data.len().is_multiple_of(fb) {
-            self.send_error_to(
-                id,
-                order,
-                seq,
-                ErrorCode::BadLength,
-                data.len() as u32,
-                Opcode::PlaySamples.to_wire(),
-            );
-            return;
+        let pending = &frames[offset..];
+        if !pending.len().is_multiple_of(fb) {
+            return Err((ErrorCode::BadLength, pending.len() as u32));
         }
         let outcome = match lane {
             Some(ch) => {
-                buffers.write_play_channel(start_time, &data, ch, channels, preempt, gain, enabled)
+                buffers.write_play_channel(start, pending, ch, channels, preempt, gain, enabled)
             }
-            None => buffers.write_play(start_time, &data, preempt, gain, enabled),
+            None => buffers.write_play(start, pending, preempt, gain, enabled),
         };
         if outcome.beyond_horizon > 0 {
-            // Suspend until time advances (§2.2: "requests that fall beyond
-            // the four-second buffer are suspended").  The whole buffer moves
-            // into the blocked op with a consumed-bytes cursor — no tail copy
-            // here or on any retry.
-            let consumed = (outcome.dropped_past + outcome.written) as usize * fb;
-            let new_start = start_time + (outcome.dropped_past + outcome.written);
-            let wake = self.play_wake_instant(device, outcome.beyond_horizon);
-            if let Some(client) = self.core.clients.get_mut(&id) {
-                client.blocked = Some(Blocked {
-                    seq,
-                    op: BlockedOp::Play {
-                        device,
-                        preempt,
-                        start: new_start,
-                        frames: data,
-                        offset: consumed,
-                        suppress_reply: suppress,
-                    },
-                });
-            }
-            self.tasks.schedule(wake, TaskKind::WakeBlocked(device));
-            return;
+            let done = outcome.dropped_past + outcome.written;
+            let op = BlockedOp::Play {
+                device,
+                preempt,
+                start: start + done,
+                frames,
+                offset: offset + done as usize * fb,
+                suppress_reply,
+            };
+            self.suspend(id, seq, op, outcome.beyond_horizon);
+            return Ok(None);
         }
-        if !suppress {
-            let now = self.core.dev_now(device);
-            self.send_reply_to(id, order, seq, &Reply::Time { time: now });
+        if suppress_reply {
+            return Ok(None);
         }
+        let time = self.core.dev_now(device);
+        Ok(Some(Reply::Time { time }))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1213,33 +1170,20 @@ impl Dispatcher {
         start_time: ATime,
         nbytes: u32,
         flags: u8,
-    ) {
+    ) -> Result<Option<Reply>, (ErrorCode, u32)> {
         if nbytes as usize > MAX_REQUEST_BYTES {
-            self.send_error_to(
-                id,
-                order,
-                seq,
-                ErrorCode::BadValue,
-                nbytes,
-                Opcode::RecordSamples.to_wire(),
-            );
-            return;
+            return Err((ErrorCode::BadValue, nbytes));
         }
         let (device, nframes, big_endian, newly_recording) = {
-            let Some(client) = self.core.clients.get_mut(&id) else {
-                return;
-            };
-            let Some(ac) = client.acs.get_mut(&ac_id) else {
-                self.send_error_to(
-                    id,
-                    order,
-                    seq,
-                    ErrorCode::BadAc,
-                    ac_id,
-                    Opcode::RecordSamples.to_wire(),
-                );
-                return;
-            };
+            let client = self
+                .core
+                .clients
+                .get_mut(&id)
+                .ok_or((ErrorCode::BadAccess, 0))?;
+            let ac = client
+                .acs
+                .get_mut(&ac_id)
+                .ok_or((ErrorCode::BadAc, ac_id))?;
             let samples = ac.attrs.encoding.samples_in_bytes(nbytes as usize);
             let nframes = (samples / ac.attrs.channels.max(1) as usize) as u32;
             let big = ac.attrs.big_endian_data || flags & record_flags::BIG_ENDIAN_DATA != 0;
@@ -1252,17 +1196,10 @@ impl Dispatcher {
             (ac.device, nframes, big, newly)
         };
         let (gain, enabled) = self.core.output_state(device);
-        let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
-            self.send_error_to(
-                id,
-                order,
-                seq,
-                ErrorCode::BadDevice,
-                u32::from(device),
-                Opcode::RecordSamples.to_wire(),
-            );
-            return;
-        };
+        let (buffers, _, _) = self
+            .core
+            .buffers_mut(device)
+            .ok_or((ErrorCode::BadDevice, u32::from(device)))?;
         if newly_recording {
             buffers.add_recorder();
         }
@@ -1272,37 +1209,30 @@ impl Dispatcher {
         if end.is_after(buffers.recorded_until()) {
             buffers.update(gain, enabled);
         }
-        let block = flags & record_flags::BLOCK != 0;
-        if end.is_after(buffers.recorded_until()) {
-            if block {
-                let remaining = (end - buffers.recorded_until()).max(1) as u32;
-                let wake = self.play_wake_instant(device, remaining);
-                if let Some(client) = self.core.clients.get_mut(&id) {
-                    client.blocked = Some(Blocked {
-                        seq,
-                        op: BlockedOp::Record {
-                            ac: ac_id,
-                            device,
-                            start: start_time,
-                            nframes,
-                            big_endian,
-                        },
-                    });
-                }
-                self.tasks.schedule(wake, TaskKind::WakeBlocked(device));
-                return;
+        let recorded_until = buffers.recorded_until();
+        let mut nframes = nframes;
+        let missing = end - recorded_until;
+        if missing > 0 {
+            if flags & record_flags::BLOCK != 0 {
+                let op = BlockedOp::Record {
+                    ac: ac_id,
+                    device,
+                    start: start_time,
+                    nframes,
+                    big_endian,
+                };
+                self.suspend(id, seq, op, missing as u32);
+                return Ok(None);
             }
             // Non-blocking: return whatever is available now.
-            let available = (buffers.recorded_until() - start_time).max(0) as u32;
-            let nframes = available.min(nframes);
-            self.finish_record(
-                id, order, seq, ac_id, device, start_time, nframes, big_endian,
-            );
-            return;
+            nframes = nframes.min((recorded_until - start_time).max(0) as u32);
         }
+        // The reply goes out from `finish_record`, which takes its sample
+        // scratch back from it afterwards.
         self.finish_record(
             id, order, seq, ac_id, device, start_time, nframes, big_endian,
         );
+        Ok(None)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1674,19 +1604,21 @@ impl Dispatcher {
 
     // ---- Outbound helpers. ----
 
-    fn send_reply_to(&self, id: ClientId, order: af_proto::ByteOrder, seq: u16, reply: &Reply) {
+    fn send_reply_to(&mut self, id: ClientId, order: af_proto::ByteOrder, seq: u16, reply: &Reply) {
         if let Some(c) = self.core.clients.get(&id) {
             // Header and payload are encoded into one pooled buffer: one
             // allocation-free encode, one `write` on the transport, and
             // dropping the written buffer recycles the storage.
             let mut buf = self.core.pool.take_empty();
             reply.encode_into(order, seq, buf.vec_mut());
-            c.send_bytes(buf);
+            if !c.send_bytes(buf) {
+                self.overflowed.push(id);
+            }
         }
     }
 
     fn send_error_to(
-        &self,
+        &mut self,
         id: ClientId,
         order: af_proto::ByteOrder,
         seq: u16,
@@ -1695,15 +1627,15 @@ impl Dispatcher {
         opcode: u8,
     ) {
         if let Some(c) = self.core.clients.get(&id) {
-            c.send_bytes(message::encode_error(
-                order,
-                &WireError {
-                    code,
-                    sequence: seq,
-                    bad_value,
-                    opcode,
-                },
-            ));
+            let error = WireError {
+                code,
+                sequence: seq,
+                bad_value,
+                opcode,
+            };
+            if !c.send_bytes(message::encode_error(order, &error)) {
+                self.overflowed.push(id);
+            }
         }
     }
 }
@@ -1711,8 +1643,8 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::OutboundTx;
-    use std::sync::atomic::AtomicUsize;
+    use crate::reactor::OutboundTx;
+    use crate::transport::OUTBOUND_QUEUE_CAPACITY;
 
     #[test]
     fn overflow_raised_between_events_is_evicted_by_the_next_one() {
@@ -1727,41 +1659,34 @@ mod tests {
         };
         let mut dispatcher = Dispatcher::new(core, Duration::from_secs(3600));
 
-        // One admitted client whose outbound queue holds a single message
-        // and is never drained: the setup reply fills it.
-        let (tx, _outbound) = crossbeam_channel::bounded(1);
-        let kicks = Arc::new(AtomicUsize::new(0));
-        let kick: ConnKick = {
-            let kicks = Arc::clone(&kicks);
-            Arc::new(move || {
-                kicks.fetch_add(1, Ordering::SeqCst);
-            })
-        };
+        // One admitted client on a connection nothing drains: the setup
+        // reply is its first waiting message.
+        let tx = OutboundTx::detached();
         dispatcher.handle_event(ServerEvent::NewClient {
             id: 7,
             setup: af_proto::ConnSetup::new().encode(),
             peer: None,
-            tx: OutboundTx::queue_only(tx),
-            kick,
+            tx: tx.clone(),
         });
         assert!(dispatcher.core.clients.contains_key(&7));
 
-        // A message hits the bound outside any event's eviction scan: the
-        // client is still there, flagged.
+        // Messages hit the bound outside any event's eviction pass: the
+        // client is still there, listed.
+        for _ in 1..OUTBOUND_QUEUE_CAPACITY {
+            dispatcher.send_reply_to(7, af_proto::ByteOrder::Little, 1, &Reply::Sync);
+        }
+        assert_eq!(dispatcher.overflowed, []);
         dispatcher.send_reply_to(7, af_proto::ByteOrder::Little, 1, &Reply::Sync);
-        assert!(dispatcher.core.clients[&7].overflowed.is_raised());
-        assert_eq!(kicks.load(Ordering::SeqCst), 0);
+        assert_eq!(dispatcher.overflowed, [7]);
+        assert_eq!(tx.queued(), OUTBOUND_QUEUE_CAPACITY, "bound never exceeded");
+        assert_eq!(tx.kicks(), 0);
 
         // Any later event — here one that has nothing to do with the
-        // client — runs the scan, which the hint now lets through.
-        let (ack, _acked) = crossbeam_channel::bounded(1);
-        dispatcher.handle_control(ControlMsg::Barrier { ack });
-        assert!(dispatcher.core.clients.is_empty(), "flagged client evicted");
-        assert_eq!(kicks.load(Ordering::SeqCst), 1, "its socket was kicked");
+        // client — runs the pass.
+        dispatcher.handle_event(ServerEvent::Disconnect { id: 99 });
+        assert!(dispatcher.core.clients.is_empty(), "listed client evicted");
+        assert_eq!(tx.kicks(), 1, "its connection was kicked, once");
         assert_eq!(ServerStats::get(&dispatcher.core.stats.evicted_slow), 1);
-        assert!(
-            !dispatcher.any_overflowed.load(Ordering::SeqCst),
-            "hint consumed"
-        );
+        assert_eq!(dispatcher.overflowed, [], "list consumed");
     }
 }

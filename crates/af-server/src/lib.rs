@@ -15,7 +15,7 @@
 //! modern form of the paper's `select()` loop), scaling to tens of
 //! thousands of connections; the shard that frames a request runs its
 //! handler under the lock and writes the reply, one thread deep.  A slow
-//! client overflows its bounded outbound queue and is evicted — preserving
+//! client overflows its bounded outbound deque and is evicted — preserving
 //! the paper's fairness and "no rocket science" properties.  There is one
 //! configuration: no alternate transport and no separate audio threads
 //! (DESIGN.md §9.2 records why).
@@ -45,10 +45,11 @@ pub use buffer::{DeviceBuffers, PlayOutcome};
 pub use builder::{DeviceSetup, RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
 pub use reactor::{
-    default_shards, raise_nofile_limit, Reactor, ReactorShardSnapshot, ReactorShardStats,
+    default_shards, raise_nofile_limit, OutboundTx, Reactor, ReactorShardSnapshot,
+    ReactorShardStats,
 };
 pub use state::ServerStats;
-pub use transport::{FrameError, OutboundTx, OUTBOUND_QUEUE_CAPACITY};
+pub use transport::{FrameError, OUTBOUND_QUEUE_CAPACITY};
 
 /// The paper's `MSUPDATE`: the update task period, in milliseconds.
 pub const MSUPDATE: u64 = 100;

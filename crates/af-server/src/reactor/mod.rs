@@ -9,7 +9,7 @@
 //! Each shard owns its connections outright: the per-connection read state
 //! machine (setup header → setup tail → frame header → payload, resumable
 //! at any byte boundary) is fed from **one `read` per readiness event**
-//! into a per-shard scratch buffer, and the bounded outbound queue is
+//! into a per-shard scratch buffer, and the connection's outbound deque is
 //! drained on write readiness.  The shard hands each framed event to the
 //! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
 //! its handler itself, under the dispatch lock — so a `GetTime` is
@@ -17,24 +17,29 @@
 //! control semantics, slow-client overflow/eviction, idle timeout, and
 //! chaos fault injection.
 //!
-//! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): whoever
-//! produces a reply — a request handler (on this shard or another) or the
-//! task thread — first tries one nonblocking `write` on the connection's socket itself.  That *direct
-//! write* is allowed only when nothing is ahead of the message (no message
-//! mid-write, empty outbound queue); the test, the write and any enqueue
-//! happen inside the connection's write lock, which the shard's
-//! `flush_conn` also takes for every message it drains, so bytes leave in
-//! issue order.
-//! A short write parks the remainder in the shared in-flight slot; a
-//! would-block, an error, or a message with others ahead of it goes on the
-//! bounded queue.  Either way the producer then runs the wakeup protocol:
-//! atomically swap the connection's `notified` flag; only the first
-//! producer to set it pushes the connection token onto the shard's pending
-//! queue and writes the self-pipe.  The shard clears `notified` *before*
-//! draining, so a producer racing with the drain re-arms the notification
-//! — no lost wakeup — while the flag keeps redundant tokens (and redundant
-//! drains) bounded at one per drain cycle.  In the steady state the socket
-//! takes every reply whole and the shard is never woken for output.
+//! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): every
+//! connection has one deque of unwritten messages behind one lock
+//! ([`ConnShared`]); the front is the message mid-write.  Whoever produces
+//! a reply — a request handler (on this shard or another) or the task
+//! thread — takes the lock and, when the deque is empty, tries one
+//! nonblocking `write` on the connection's socket itself.  A message the
+//! socket takes whole never touches the deque; a short write, a
+//! would-block, an error, or a message with others ahead of it is pushed
+//! on the back (at most [`OUTBOUND_QUEUE_CAPACITY`] wait there).  The
+//! shard's `flush_conn` writes from the front under the same lock, one
+//! message per hold, so bytes leave in issue order.  After a push the
+//! producer runs the wakeup protocol: atomically swap the connection's
+//! `notified` flag; only the first producer to set it leaves the
+//! connection's token in the shard's mailbox and writes the self-pipe.
+//! The shard clears `notified` *before* draining, so a producer racing
+//! with the drain re-arms the notification — no lost wakeup — while the
+//! flag keeps redundant tokens (and redundant drains) bounded at one per
+//! drain cycle.  In the steady state the socket takes every reply whole
+//! and the shard is never woken for output.
+//!
+//! The mailbox is everything other threads leave for a shard — new
+//! connections and listeners, flush tokens — behind one leaf lock; the
+//! shard swaps it out whole when its self-pipe fires.
 //!
 //! Backpressure: the lock is taken per framed event, never per readiness
 //! batch, so `FRAME_BUDGET` fairness holds and the update task waits
@@ -43,7 +48,7 @@
 //! note: `ChaosStream` delays sleep on the shard thread, stalling that
 //! shard's connections collectively; chaos plans are a test-only feature
 //! and the tests account for it.  Chaos-wrapped connections never take the
-//! direct write — every reply goes through the queue, so the faults keep
+//! direct write — every reply goes through the deque, so the faults keep
 //! landing on the shard and never on a producer.
 
 pub mod poller;
@@ -51,11 +56,10 @@ pub mod sys;
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
 use crate::pool::PooledBuf;
-use crate::state::{ClientId, ConnKick, RawRequest, ServerEvent};
-use crate::transport::{decode_frame_header, OutboundTx, TransportShared, OUTBOUND_QUEUE_CAPACITY};
+use crate::state::{ClientId, RawRequest, ServerEvent};
+use crate::transport::{decode_frame_header, Refused, TransportShared, OUTBOUND_QUEUE_CAPACITY};
 use af_chaos::ChaosStream;
 use af_proto::{ByteOrder, ConnSetup};
-use crossbeam_channel::{Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use poller::{Interest, PollEvent, Poller, MAX_EVENTS};
 use std::collections::VecDeque;
@@ -67,20 +71,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Bound on each shard's control inbox (new connections, listeners).
+/// Bound on the messages (new connections, listeners) waiting in a
+/// shard's mailbox; past it the sender sheds.  Flush tokens need no bound
+/// of their own: `notified` admits one per connection.
 pub const REACTOR_INBOX_CAPACITY: usize = 1024;
-
-/// Bound on each shard's pending-flush token queue.  The `notified` flag
-/// admits at most one outstanding token per connection, so this only
-/// overflows past ~64k simultaneous connections per shard — and overflow
-/// degrades to a full sweep, never a lost wakeup.
-pub const PENDING_TOKEN_CAPACITY: usize = 1 << 16;
 
 /// Poller token reserved for the shard's self-pipe wake fd.
 const WAKE_TOKEN: u64 = u64::MAX;
-
-/// Sentinel in a connection's token cell before shard registration.
-const UNASSIGNED_TOKEN: u64 = u64::MAX;
 
 /// Frames decoded per readiness event per connection before yielding, so
 /// one firehose client cannot starve its shard siblings (level-triggered
@@ -224,9 +221,8 @@ pub struct ReactorShardSnapshot {
 }
 
 /// Wakes a shard's poll loop by writing one byte to its self-pipe.
-#[derive(Clone)]
 struct Waker {
-    tx: Arc<UnixStream>,
+    tx: UnixStream,
 }
 
 impl Waker {
@@ -234,21 +230,21 @@ impl Waker {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok((Waker { tx: Arc::new(tx) }, rx))
+        Ok((Waker { tx }, rx))
     }
 
     fn wake(&self) {
         // A full pipe means a wake is already pending: dropping the byte
         // is correct, not a lost wakeup.
-        let _ = (&*self.tx).write(&[1]);
+        let _ = (&self.tx).write(&[1]);
     }
 }
 
 /// The one owning handle to a reactor connection's socket, shared by the
-/// owning shard (reads, flushes), reply producers (direct writes) and the
-/// dispatcher's [`ConnKick`] closure.  One descriptor per connection; a
-/// producer that outlives the connection keeps the *socket* alive, so it
-/// can never write to a recycled descriptor number.
+/// owning shard (reads, flushes) and the dispatcher's [`OutboundTx`]
+/// (direct writes, eviction).  One descriptor per connection; a producer
+/// that outlives the connection keeps the *socket* alive, so it can never
+/// write to a recycled descriptor number.
 #[derive(Clone)]
 enum SharedSock {
     Tcp(Arc<TcpStream>),
@@ -301,124 +297,179 @@ impl Write for SharedSock {
     }
 }
 
-/// What a reactor connection's shard and its reply producers share.
-struct ConnShared {
-    /// Poller token of the connection's slot ([`UNASSIGNED_TOKEN`] until
-    /// the shard registers it).
-    token: AtomicU64,
-    /// Wakeup-protocol flag: a flush token for this connection is pending.
-    notified: AtomicBool,
-    pending: Sender<u64>,
-    sweep: Arc<AtomicBool>,
-    waker: Waker,
-    stats: Arc<ReactorShardStats>,
-    /// The socket, for direct writes.  `None` on chaos-wrapped
-    /// connections: their faults must land on the shard, so every reply
-    /// takes the queue.
-    sock: Option<SharedSock>,
-    /// The outbound message mid-write: `(buffer, bytes already written)`.
-    /// The lock is the connection's write critical section — whoever holds
-    /// it is the only thread writing the socket or moving messages between
-    /// the queue and this slot.
-    in_flight: Mutex<Option<(PooledBuf, usize)>>,
+/// A connection's unwritten outbound messages, oldest first.
+#[derive(Default)]
+struct Outbound {
+    /// The front is the message mid-write.
+    queue: VecDeque<PooledBuf>,
+    /// Bytes of the front message already on the socket.
+    written: usize,
+    /// No further message is taken.  Set by the shard when it closes the
+    /// connection, and by [`OutboundTx::hang_up`], after which the shard
+    /// closes the connection once `queue` has drained.
+    closed: bool,
 }
 
-/// The producer half of a reactor connection's reply path, cloned into
-/// every [`OutboundTx`] targeting it: the direct write, and the
-/// dispatcher→reactor wakeup protocol behind it.
-#[derive(Clone)]
-pub struct ConnNotify(Arc<ConnShared>);
+/// What a reactor connection's shard and the dispatcher's [`OutboundTx`]
+/// share: the socket, the unwritten messages, and the way to wake the
+/// shard for them.  Built by the owning shard when it registers the
+/// connection.
+struct ConnShared {
+    /// Poller token of the connection's slot on its shard.
+    token: u64,
+    /// Wakeup-protocol flag: a flush token for this connection is pending.
+    notified: AtomicBool,
+    /// The owning shard's mailbox, waker and counters.
+    link: Arc<ShardLink>,
+    sock: SharedSock,
+    /// Whether producers may write `sock` themselves.  False on
+    /// chaos-wrapped connections: their faults must land on the shard, so
+    /// every reply takes the deque.
+    direct: bool,
+    /// The lock is the connection's write critical section — whoever holds
+    /// it is the only thread writing the socket or touching the deque.
+    outbound: Mutex<Outbound>,
+}
 
-impl ConnNotify {
+impl ConnShared {
     /// Sends one message toward the connection without blocking: straight
     /// to the socket when nothing is ahead of it, otherwise (or for the
-    /// unwritten remainder) through `queue` and a shard wakeup.  `Full` is
-    /// the slow-client signal, exactly as on a bare queue.
-    pub(crate) fn deliver(
-        &self,
-        queue: &Sender<PooledBuf>,
-        buf: PooledBuf,
-    ) -> Result<(), TrySendError<PooledBuf>> {
-        let conn = &*self.0;
-        let Some(sock) = &conn.sock else {
-            queue.try_send(buf)?;
-            self.queued();
-            return Ok(());
-        };
-        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a try_send; contended only while the shard flushes this same connection
-        let mut in_flight = conn.in_flight.lock();
-        if in_flight.is_none() && queue.is_empty() {
-            match sock.write_shared(&buf) {
+    /// unwritten remainder) onto the deque with a shard wakeup.
+    fn deliver(&self, buf: PooledBuf) -> Result<(), Refused> {
+        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push; contended only while the shard flushes this same connection
+        let mut out = self.outbound.lock();
+        // A refused `buf` recycles (pool lock) at the return, unlocked.
+        if out.closed {
+            drop(out);
+            return Err(Refused::Closed);
+        }
+        if out.queue.len() >= OUTBOUND_QUEUE_CAPACITY {
+            drop(out);
+            return Err(Refused::Full);
+        }
+        if self.direct && out.queue.is_empty() {
+            match self.sock.write_shared(&buf) {
                 Ok(n) if n == buf.len() => {
-                    drop(in_flight); // `buf` recycles (pool lock) unlocked.
-                    conn.stats.replies.fetch_add(1, Ordering::Relaxed);
-                    conn.stats.direct_writes.fetch_add(1, Ordering::Relaxed);
+                    drop(out);
+                    let stats = &self.link.stats;
+                    stats.replies.fetch_add(1, Ordering::Relaxed);
+                    stats.direct_writes.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
-                Ok(n) if n > 0 => {
-                    // Short write: the shard finishes the message and
-                    // arms write interest, exactly as for a queued one.
-                    *in_flight = Some((buf, n));
-                    drop(in_flight);
-                    self.queued();
-                    return Ok(());
-                }
-                // Would block, wrote nothing, or an error: queue it, so
-                // the shard's flush meets the same condition and handles
-                // it on the one close path.
-                _ => {}
+                // Short write: the shard finishes the message and arms
+                // write interest, exactly as for a queued one.
+                Ok(n) => out.written = n,
+                // Would block or an error: queue it, so the shard's flush
+                // meets the same condition and handles it on the one
+                // close path.
+                Err(_) => {}
             }
         }
-        // af-analyze: allow(lock-across-send): try_send never blocks; holding the write lock across it is what orders this message behind the ones already queued
-        let queued = queue.try_send(buf);
-        drop(in_flight);
-        if queued.is_ok() {
-            self.queued();
-        }
-        queued
-    }
-
-    /// Accounts one message handed to the shard and wakes it.
-    fn queued(&self) {
-        self.0.stats.queued_writes.fetch_add(1, Ordering::Relaxed);
+        out.queue.push_back(buf);
+        drop(out);
+        let stats = &self.link.stats;
+        stats.queued_writes.fetch_add(1, Ordering::Relaxed);
         self.wake();
+        Ok(())
     }
 
     /// Signals the owning shard that the connection has outbound data it
-    /// must write.  Must be called *after* the queue push (the shard
-    /// clears `notified` before draining, so this ordering is what makes a
-    /// racing push visible — see the module docs and the loom model).
-    pub fn wake(&self) {
-        let conn = &*self.0;
-        if !conn.notified.swap(true, Ordering::AcqRel) {
-            let token = conn.token.load(Ordering::Acquire);
-            if token == UNASSIGNED_TOKEN || conn.pending.try_send(token).is_err() {
-                // Not yet registered, or the token queue is saturated:
-                // degrade to a full sweep of the shard's connections.
-                conn.sweep.store(true, Ordering::Release);
-            }
-            conn.waker.wake();
+    /// must write.  Must be called *after* the push, with the outbound
+    /// lock released (the shard clears `notified` before draining, so this
+    /// ordering is what makes a racing push visible — see the module docs
+    /// and the loom model).
+    fn wake(&self) {
+        if !self.notified.swap(true, Ordering::AcqRel) {
+            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
+            self.link.mailbox.lock().flush.push(self.token);
+            self.link.waker.wake();
+        }
+    }
+
+    /// The shard's half of closing: refuses later messages and hands back
+    /// the unwritten ones, so they recycle outside the lock.
+    fn close(&self) -> VecDeque<PooledBuf> {
+        // af-analyze: allow(blocking-in-reactor): leaf lock, held for a flag store and a take
+        let mut out = self.outbound.lock();
+        out.closed = true;
+        std::mem::take(&mut out.queue)
+    }
+}
+
+/// The dispatcher's handle on one connection: the way replies reach it
+/// and the way it is evicted.
+///
+/// A producer (a request handler or the task thread) first attempts the
+/// *direct write*: one nonblocking `write` on the socket, allowed only
+/// when no earlier message is still waiting.  Whatever the socket would
+/// not take goes on the connection's bounded deque, which its shard
+/// drains; producers push first, then wake, and that ordering is what
+/// makes the clear-before-drain protocol lossless.
+#[derive(Clone)]
+pub struct OutboundTx(Arc<ConnShared>);
+
+impl OutboundTx {
+    /// Sends a message without blocking; the caller maps
+    /// [`Refused::Full`] onto the slow-client overflow policy.
+    pub fn try_send_buf(&self, buf: PooledBuf) -> Result<(), Refused> {
+        self.0.deliver(buf)
+    }
+
+    /// Forcibly closes the connection's socket, so its shard sees the
+    /// hang-up and drops it (slow and idle clients are evicted this way).
+    pub fn kick(&self) {
+        self.0.link.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        self.0.sock.shutdown();
+    }
+
+    /// Closes the connection from the server side once everything sent so
+    /// far has left: no later message is taken, and the peer reads what
+    /// was sent, whole, and then end-of-file.
+    pub fn hang_up(&self) {
+        let mut out = self.0.outbound.lock();
+        out.closed = true;
+        let drained = out.queue.is_empty();
+        drop(out);
+        if drained {
+            self.kick();
+        } else {
+            // The shard closes the connection when its flush drains the
+            // deque; the token makes sure a flush comes.
+            self.0.wake();
         }
     }
 }
 
 #[cfg(test)]
-impl ConnNotify {
-    /// The producer half of a connection no shard owns: no socket, so
-    /// every message takes the caller's queue, and the wakeup goes nowhere.
-    pub(crate) fn detached() -> ConnNotify {
+impl OutboundTx {
+    /// A handle on a connection no shard owns: every message waits on the
+    /// deque, which nothing drains, and wakeups go nowhere.
+    pub(crate) fn detached() -> OutboundTx {
         let (waker, _wake_rx) = Waker::pair().expect("socketpair");
-        let (pending, _pending_rx) = crossbeam_channel::bounded(1);
-        ConnNotify(Arc::new(ConnShared {
-            token: AtomicU64::new(UNASSIGNED_TOKEN),
+        let (sock, _peer) = UnixStream::pair().expect("socketpair");
+        OutboundTx(Arc::new(ConnShared {
+            token: 0,
             notified: AtomicBool::new(false),
-            pending,
-            sweep: Arc::new(AtomicBool::new(false)),
-            waker,
-            stats: Arc::new(ReactorShardStats::new(0)),
-            sock: None,
-            in_flight: Mutex::new(None),
+            link: Arc::new(ShardLink {
+                mailbox: Mutex::new(Mailbox::default()),
+                waker,
+                stats: Arc::new(ReactorShardStats::new(0)),
+            }),
+            sock: SharedSock::Unix(Arc::new(sock)),
+            direct: false,
+            outbound: Mutex::new(Outbound::default()),
         }))
+    }
+
+    /// Messages waiting on the deque.
+    pub(crate) fn queued(&self) -> usize {
+        self.0.outbound.lock().queue.len()
+    }
+
+    /// Times the handle was kicked (a detached connection's shard counters
+    /// are its own).
+    pub(crate) fn kicks(&self) -> u64 {
+        self.0.link.stats.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -429,13 +480,9 @@ impl<T: Read + Write + Send> ShardIo for T {}
 /// A connection handed to its owning shard for registration.
 struct NewConn {
     io: Box<dyn ShardIo>,
-    fd: RawFd,
+    sock: SharedSock,
     id: ClientId,
     peer: Option<IpAddr>,
-    outbound: Receiver<PooledBuf>,
-    otx: OutboundTx,
-    kick: ConnKick,
-    shared: Arc<ConnShared>,
 }
 
 /// A broadcast listener socket handed to its owning shard.
@@ -450,19 +497,44 @@ enum ShardMsg {
     UnixL(UnixListener),
     BcastL(TcpListener),
     Bcast(Box<NewBcast>),
-    Shutdown,
 }
 
+/// What other threads have left for a shard since its last wake-up.
+#[derive(Default)]
+struct Mailbox {
+    msgs: Vec<ShardMsg>,
+    /// Tokens of connections with freshly queued outbound data.
+    flush: Vec<u64>,
+}
+
+/// The way to reach a shard from another thread.
 struct ShardLink {
-    inbox: Sender<ShardMsg>,
+    /// A leaf lock: held for one push, or for the shard's one swap.
+    mailbox: Mutex<Mailbox>,
     waker: Waker,
-    pending: Sender<u64>,
-    sweep: Arc<AtomicBool>,
     stats: Arc<ReactorShardStats>,
 }
 
+impl ShardLink {
+    /// Leaves `msg` for the shard and wakes it.  A full mailbox is
+    /// overload: the message comes back, and dropping it (closing its
+    /// socket) is how the caller sheds.
+    fn post(&self, msg: ShardMsg) -> Result<(), ShardMsg> {
+        {
+            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
+            let mut mailbox = self.mailbox.lock();
+            if mailbox.msgs.len() >= REACTOR_INBOX_CAPACITY {
+                return Err(msg);
+            }
+            mailbox.msgs.push(msg);
+        }
+        self.waker.wake();
+        Ok(())
+    }
+}
+
 struct ReactorShared {
-    links: Vec<ShardLink>,
+    links: Vec<Arc<ShardLink>>,
     rr: AtomicUsize,
 }
 
@@ -493,12 +565,8 @@ struct ConnState {
     peer: Option<IpAddr>,
     order: ByteOrder,
     phase: ReadPhase,
-    outbound: Receiver<PooledBuf>,
-    /// The dispatcher's half of the connection, consumed into the
-    /// `NewClient` event once setup completes.
-    pending_hello: Option<(OutboundTx, ConnKick)>,
-    /// Token cell, `notified` flag and the in-flight outbound message,
-    /// shared with the connection's reply producers.
+    /// The socket, the unwritten outbound messages and the `notified`
+    /// flag, shared with the dispatcher's [`OutboundTx`].
     shared: Arc<ConnShared>,
     want_write: bool,
 }
@@ -547,8 +615,8 @@ fn find_head_end(req: &[u8]) -> Option<usize> {
 struct ShardBroadcast {
     bus: Arc<BroadcastBus>,
     /// Set by [`BroadcastBus::publish`]; cleared (then acted on) by the
-    /// shard's wake handler — the same edge-triggered shape as
-    /// [`ConnNotify`].
+    /// shard's wake handler — the same edge-triggered shape as a
+    /// connection's `notified` flag.
     dirty: Arc<AtomicBool>,
     /// Tokens of this shard's broadcast listener slots.
     tokens: Vec<usize>,
@@ -572,60 +640,27 @@ enum ReadOutcome {
     Protocol(crate::transport::FrameError),
 }
 
-/// Builds the per-connection plumbing and picks the owning shard.
+/// Names the connection, wraps it in the transport's fault plan if there
+/// is one, and picks the owning shard.
 fn build_conn(
-    transport: &Arc<TransportShared>,
+    transport: &TransportShared,
     shared: &ReactorShared,
     sock: SharedSock,
     peer: Option<IpAddr>,
 ) -> (usize, Box<NewConn>) {
     let id = transport.next_id.fetch_add(1, Ordering::Relaxed);
     let target = shared.rr.fetch_add(1, Ordering::Relaxed) % shared.links.len();
-    let link = &shared.links[target];
-    let fd = sock.as_raw_fd();
-    let kick: ConnKick = {
-        let stats = Arc::clone(&link.stats);
-        let sock = sock.clone();
-        Arc::new(move || {
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-            sock.shutdown();
-        })
-    };
-    let (io, direct): (Box<dyn ShardIo>, Option<SharedSock>) = match &transport.chaos {
+    let io: Box<dyn ShardIo> = match &transport.chaos {
         Some(plan) => {
             // Each connection gets its own fault schedule, derived
             // deterministically from the plan seed and the connection id.
             let mut plan = plan.clone();
             plan.seed = af_chaos::ChaosRng::new(plan.seed).fork(id).next_u64();
-            (Box::new(ChaosStream::new(sock, plan)), None)
+            Box::new(ChaosStream::new(sock.clone(), plan))
         }
-        None => (Box::new(sock.clone()), Some(sock)),
+        None => Box::new(sock.clone()),
     };
-    let (tx, rx) = crossbeam_channel::bounded::<PooledBuf>(OUTBOUND_QUEUE_CAPACITY);
-    let shared = Arc::new(ConnShared {
-        token: AtomicU64::new(UNASSIGNED_TOKEN),
-        notified: AtomicBool::new(false),
-        pending: link.pending.clone(),
-        sweep: Arc::clone(&link.sweep),
-        waker: link.waker.clone(),
-        stats: Arc::clone(&link.stats),
-        sock: direct,
-        in_flight: Mutex::new(None),
-    });
-    let otx = OutboundTx::new(tx, ConnNotify(Arc::clone(&shared)));
-    (
-        target,
-        Box::new(NewConn {
-            io,
-            fd,
-            id,
-            peer,
-            outbound: rx,
-            otx,
-            kick,
-            shared,
-        }),
-    )
+    (target, Box::new(NewConn { io, sock, id, peer }))
 }
 
 struct Shard {
@@ -637,23 +672,20 @@ struct Shard {
     /// the batch so a stale readiness event cannot alias a fresh conn.
     deferred_free: Vec<usize>,
     wake_rx: UnixStream,
-    inbox: Receiver<ShardMsg>,
-    pending: Receiver<u64>,
-    sweep: Arc<AtomicBool>,
     stats: Arc<ReactorShardStats>,
     transport: Arc<TransportShared>,
     shared: Arc<ReactorShared>,
-    stop: bool,
-    /// Reusable scratch for the wake-time flush-token drain; lives on the
-    /// shard so a busy wake does not allocate.
-    wake_scratch: Vec<u64>,
+    /// The empty half of the mailbox swap: a wake trades it for the full
+    /// mailbox and keeps what it got, cleared, for the next trade, so the
+    /// vectors' capacity circulates and a busy wake does not allocate.
+    spare_mailbox: Mailbox,
     /// Where each readiness event's one `read` lands
     /// ([`READ_SCRATCH_BYTES`]); shared by all of the shard's connections.
     read_scratch: Vec<u8>,
     /// Broadcast bus + listener roster, when this reactor serves fan-out.
     broadcast: Option<ShardBroadcast>,
     /// Reusable scratch for the broadcast dirty pass (same rationale as
-    /// `wake_scratch`).
+    /// `spare_mailbox`).
     bcast_scratch: Vec<usize>,
 }
 
@@ -668,7 +700,7 @@ impl Shard {
         }
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
         loop {
-            if self.stop || self.transport.stop.load(Ordering::Relaxed) {
+            if self.transport.stop.load(Ordering::Relaxed) {
                 break;
             }
             events.clear();
@@ -681,9 +713,6 @@ impl Shard {
                     self.handle_wake();
                 } else {
                     self.handle_token(*ev);
-                }
-                if self.stop {
-                    break;
                 }
             }
             self.free.append(&mut self.deferred_free);
@@ -714,7 +743,15 @@ impl Shard {
                 Err(_) => break, // WouldBlock: pipe drained.
             }
         }
-        while let Ok(msg) = self.inbox.try_recv() {
+        // Everything left for this shard since the last wake, swapped out
+        // whole for the empty spare.
+        let mut inbox = std::mem::take(&mut self.spare_mailbox);
+        {
+            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one swap; a producer holds it for one push
+            let mut mailbox = self.shared.links[self.index].mailbox.lock();
+            std::mem::swap(&mut *mailbox, &mut inbox);
+        }
+        for msg in inbox.msgs.drain(..) {
             match msg {
                 ShardMsg::Conn(conn) => self.register_conn(*conn),
                 ShardMsg::TcpL(l) => {
@@ -730,31 +767,14 @@ impl Shard {
                     self.register_listener(Slot::BcastL(l), fd);
                 }
                 ShardMsg::Bcast(b) => self.register_bcast(*b),
-                ShardMsg::Shutdown => {
-                    self.stop = true;
-                    return;
-                }
             }
         }
-        // Flush connections with freshly queued outbound data.  Tokens are
-        // drained even when the sweep flag forces a full pass, so stale
-        // entries never accumulate.  The scratch buffer is taken off the
-        // shard and put back so a busy wake never allocates.
-        let mut tokens = std::mem::take(&mut self.wake_scratch);
-        tokens.clear();
-        while let Ok(t) = self.pending.try_recv() {
-            tokens.push(t);
-        }
-        if self.sweep.swap(false, Ordering::AcqRel) {
-            tokens.clear();
-            tokens.extend((0..self.slots.len() as u64).filter(|&t| {
-                matches!(self.slots.get(t as usize), Some(Some(Slot::Conn(_))))
-            }));
-        }
-        for &t in &tokens {
+        // Flush connections with freshly queued outbound data.
+        for &t in &inbox.flush {
             self.flush_token(t);
         }
-        self.wake_scratch = tokens;
+        inbox.flush.clear();
+        self.spare_mailbox = inbox;
         // Broadcast dirty pass: a sealed chunk set this shard's flag, so
         // pump every listener we own.  Strikes are counted here (and only
         // here): a listener with pending bytes that makes no progress
@@ -792,21 +812,21 @@ impl Shard {
 
     fn register_conn(&mut self, conn: NewConn) {
         let token = self.alloc_slot();
+        let fd = conn.sock.as_raw_fd();
         if self
             .poller
-            .register(conn.fd, token as u64, Interest::Read)
+            .register(fd, token as u64, Interest::Read)
             .is_err()
         {
             self.free.push(token);
             return; // Dropping the conn closes the socket; the dispatcher
                     // never learned of it, so no event is owed.
         }
-        conn.shared.token.store(token as u64, Ordering::Release);
         self.stats.accepted.fetch_add(1, Ordering::Relaxed);
         self.stats.fd_count.fetch_add(1, Ordering::Relaxed);
         self.slots[token] = Some(Slot::Conn(Box::new(ConnState {
             io: conn.io,
-            fd: conn.fd,
+            fd,
             id: conn.id,
             peer: conn.peer,
             order: ByteOrder::Little, // Overwritten when setup completes.
@@ -814,9 +834,14 @@ impl Shard {
                 buf: [0u8; ConnSetup::HEADER_SIZE],
                 have: 0,
             },
-            outbound: conn.outbound,
-            pending_hello: Some((conn.otx, conn.kick)),
-            shared: conn.shared,
+            shared: Arc::new(ConnShared {
+                token: token as u64,
+                notified: AtomicBool::new(false),
+                link: Arc::clone(&self.shared.links[self.index]),
+                sock: conn.sock,
+                direct: self.transport.chaos.is_none(),
+                outbound: Mutex::new(Outbound::default()),
+            }),
             want_write: false,
         })));
     }
@@ -920,11 +945,8 @@ impl Shard {
                     if target == self.index {
                         self.register_bcast(*msg);
                     } else {
-                        let link = &self.shared.links[target];
-                        // Full inbox is overload: shed the listener.
-                        if link.inbox.try_send(ShardMsg::Bcast(msg)).is_ok() {
-                            link.waker.wake();
-                        }
+                        // A full mailbox is overload: shed the listener.
+                        let _ = self.shared.links[target].post(ShardMsg::Bcast(msg));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -976,12 +998,9 @@ impl Shard {
         if target == self.index {
             self.register_conn(*conn);
         } else {
-            let link = &self.shared.links[target];
-            // A full inbox is overload: shed the connection (dropping it
+            // A full mailbox is overload: shed the connection (dropping it
             // closes the socket) rather than blocking the accept path.
-            if link.inbox.try_send(ShardMsg::Conn(conn)).is_ok() {
-                link.waker.wake();
-            }
+            let _ = self.shared.links[target].post(ShardMsg::Conn(conn));
         }
     }
 
@@ -995,13 +1014,14 @@ impl Shard {
         }
     }
 
-    /// Drains the connection's outbound queue as far as the socket allows,
-    /// tracking write interest so the poller only watches writability
-    /// while a message is actually stalled.  Each message moves from the
-    /// queue to the in-flight slot to the socket under the connection's
-    /// write lock, so no producer writes the socket while anything is
-    /// ahead of it; the lock is dropped between messages so a finished
-    /// buffer goes back to the pool (another lock) outside it.
+    /// Writes the connection's outbound deque out as far as the socket
+    /// allows, tracking write interest so the poller only watches
+    /// writability while a message is actually stalled.  Each message is
+    /// written from the front under the connection's outbound lock, so no
+    /// producer writes the socket while anything is ahead of it; the lock
+    /// is dropped between messages so a finished buffer goes back to the
+    /// pool (another lock) outside it.  A deque that drains after
+    /// `hang_up` closes the connection.
     fn flush_conn(&mut self, token: usize, from_notify: bool) {
         let Some(slot) = self.slots.get_mut(token) else {
             return;
@@ -1011,29 +1031,25 @@ impl Shard {
         };
         let mut dead = false;
         let want = loop {
-            // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a try_send
-            let mut in_flight = conn.shared.in_flight.lock();
-            if in_flight.is_none() {
-                match conn.outbound.try_recv() {
-                    Ok(buf) => *in_flight = Some((buf, 0)),
-                    Err(_) => break false, // Queue empty (or dispatcher gone
-                                           // with nothing queued).
-                }
-            }
-            let Some((buf, off)) = in_flight.as_mut() else {
+            // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a push
+            let mut locked = conn.shared.outbound.lock();
+            let out = &mut *locked;
+            let Some(buf) = out.queue.front() else {
+                dead = out.closed;
                 break false;
             };
-            match conn.io.write(&buf[*off..]) {
+            match conn.io.write(&buf[out.written..]) {
                 Ok(0) => {
                     dead = true;
                     break true;
                 }
                 Ok(n) => {
-                    *off += n;
-                    if *off == buf.len() {
+                    out.written += n;
+                    if out.written == buf.len() {
+                        out.written = 0;
+                        let sent = out.queue.pop_front();
+                        drop(locked);
                         self.stats.replies.fetch_add(1, Ordering::Relaxed);
-                        let sent = in_flight.take();
-                        drop(in_flight);
                         drop(sent); // Recycles the pooled buffer, unlocked.
                     }
                 }
@@ -1482,9 +1498,6 @@ impl Shard {
         let Ok(order) = ByteOrder::from_marker(marker) else {
             return Err(ReadOutcome::Close);
         };
-        let Some((otx, kick)) = conn.pending_hello.take() else {
-            return Err(ReadOutcome::Close);
-        };
         conn.order = order;
         if self
             .transport
@@ -1493,8 +1506,7 @@ impl Shard {
                 id: conn.id,
                 setup,
                 peer: conn.peer,
-                tx: otx,
-                kick,
+                tx: OutboundTx(Arc::clone(&conn.shared)),
             })
             .is_err()
         {
@@ -1531,7 +1543,9 @@ impl Shard {
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         self.stats.fd_count.fetch_sub(1, Ordering::Relaxed);
         self.deferred_free.push(token);
-        // Dropping `conn` closes the fd and recycles pooled buffers.
+        // A handle the dispatcher still holds now reports closed and keeps
+        // no buffer; dropping `conn` closes the shard's half.
+        drop(conn.shared.close());
     }
 
     fn close_all(&mut self) {
@@ -1543,6 +1557,7 @@ impl Shard {
                         .transport
                         .dispatch
                         .submit(ServerEvent::Disconnect { id: conn.id });
+                    drop(conn.shared.close());
                 }
                 Some(Slot::Bcast(conn)) => {
                     let _ = self.poller.deregister(conn.fd);
@@ -1581,18 +1596,12 @@ impl Reactor {
         for i in 0..shards {
             let poller = Poller::new()?;
             let (waker, wake_rx) = Waker::pair()?;
-            let (inbox_tx, inbox_rx) = crossbeam_channel::bounded(REACTOR_INBOX_CAPACITY);
-            let (pending_tx, pending_rx) = crossbeam_channel::bounded(PENDING_TOKEN_CAPACITY);
-            let sweep = Arc::new(AtomicBool::new(false));
-            let stats = Arc::new(ReactorShardStats::new(i));
-            links.push(ShardLink {
-                inbox: inbox_tx,
+            links.push(Arc::new(ShardLink {
+                mailbox: Mutex::new(Mailbox::default()),
                 waker,
-                pending: pending_tx,
-                sweep: Arc::clone(&sweep),
-                stats: Arc::clone(&stats),
-            });
-            parts.push((poller, wake_rx, inbox_rx, pending_rx, sweep, stats));
+                stats: Arc::new(ReactorShardStats::new(i)),
+            }));
+            parts.push((poller, wake_rx));
         }
         let shared = Arc::new(ReactorShared {
             links,
@@ -1600,12 +1609,13 @@ impl Reactor {
         });
         let mut joins = Vec::with_capacity(shards);
         let mut stats_list = Vec::with_capacity(shards);
-        for (i, (poller, wake_rx, inbox, pending, sweep, stats)) in parts.into_iter().enumerate() {
+        for (i, (poller, wake_rx)) in parts.into_iter().enumerate() {
+            let stats = Arc::clone(&shared.links[i].stats);
             stats_list.push(Arc::clone(&stats));
             let shard_broadcast = broadcast.as_ref().map(|bus| {
                 let dirty = Arc::new(AtomicBool::new(false));
-                let waker = shared.links[i].waker.clone();
-                bus.register_shard(Arc::clone(&dirty), Box::new(move || waker.wake()));
+                let link = Arc::clone(&shared.links[i]);
+                bus.register_shard(Arc::clone(&dirty), Box::new(move || link.waker.wake()));
                 ShardBroadcast {
                     bus: Arc::clone(bus),
                     dirty,
@@ -1619,14 +1629,10 @@ impl Reactor {
                 free: Vec::new(),
                 deferred_free: Vec::new(),
                 wake_rx,
-                inbox,
-                pending,
-                sweep,
                 stats,
                 transport: Arc::clone(&transport),
                 shared: Arc::clone(&shared),
-                stop: false,
-                wake_scratch: Vec::new(),
+                spare_mailbox: Mailbox::default(),
                 read_scratch: vec![0u8; READ_SCRATCH_BYTES],
                 broadcast: shard_broadcast,
                 bcast_scratch: Vec::new(),
@@ -1650,11 +1656,8 @@ impl Reactor {
         let Some(link) = self.shared.links.get(shard) else {
             return Err(io::Error::new(io::ErrorKind::NotFound, "no such shard"));
         };
-        link.inbox
-            .try_send(msg)
-            .map_err(|_| io::Error::new(io::ErrorKind::WouldBlock, "reactor inbox full"))?;
-        link.waker.wake();
-        Ok(())
+        link.post(msg)
+            .map_err(|_| io::Error::new(io::ErrorKind::WouldBlock, "reactor inbox full"))
     }
 
     /// Binds a nonblocking TCP listener and hands it to shard 0; accepted
@@ -1703,11 +1706,10 @@ impl Reactor {
         if self.joins.is_empty() {
             return;
         }
-        // Belt and braces: the stop flag alone terminates shards even if
-        // an inbox is saturated and the Shutdown message is shed.
-        self.transport.stop.store(true, Ordering::Relaxed);
+        // Stored before the wake-up's `write`, so the shard that wakes
+        // finds it at the top of its loop.
+        self.transport.stop.store(true, Ordering::SeqCst);
         for link in &self.shared.links {
-            let _ = link.inbox.try_send(ShardMsg::Shutdown);
             link.waker.wake();
         }
         for join in self.joins.drain(..) {
@@ -1728,7 +1730,11 @@ mod tests {
     use super::*;
     use crate::dispatch::DispatchHandle;
     use af_time::ATime;
+    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
+
+    /// Room for every event of a test that does not bound its own queue.
+    const EVENT_ROOM: usize = 1024;
 
     fn start() -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
         start_with(2, None, None)
@@ -1741,10 +1747,7 @@ mod tests {
         chaos: Option<af_chaos::StreamFaultPlan>,
         event_capacity: Option<usize>,
     ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
-        let (tx, rx) = match event_capacity {
-            Some(cap) => crossbeam_channel::bounded(cap),
-            None => crossbeam_channel::unbounded(),
-        };
+        let (tx, rx) = sync_channel(event_capacity.unwrap_or(EVENT_ROOM));
         let shared = TransportShared::with_pool(
             DispatchHandle::capture(tx),
             chaos,
@@ -1864,7 +1867,7 @@ mod tests {
         // bounded(1) event channel forces lock-step with the consumer, so at
         // most a few buffers are ever in flight; after 100 frames the pool
         // must have satisfied nearly all takes from its free list.
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = sync_channel(1);
         let pool = crate::pool::BufferPool::shared();
         let shared =
             TransportShared::with_pool(DispatchHandle::capture(tx), None, Arc::clone(&pool));
@@ -1952,7 +1955,7 @@ mod tests {
 
     #[test]
     fn unix_socket_connects_and_disconnects() {
-        let (tx, rx) = crossbeam_channel::unbounded();
+        let (tx, rx) = sync_channel(EVENT_ROOM);
         let shared = TransportShared::new(DispatchHandle::capture(tx));
         let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
         let dir = std::env::temp_dir().join(format!("af-reactor-{}", std::process::id()));
@@ -1977,41 +1980,74 @@ mod tests {
 
     #[test]
     fn slow_reader_overflow_then_kick_closes_socket() {
-        // Fill the bounded outbound queue far past the socket buffer, then
-        // use the kick (as the dispatcher's eviction does) and check the
-        // shard tears the connection down.
-        let (mut reactor, rx, addr) = start();
+        // A peer that never reads: the socket fills, then the deque, and
+        // the flood is refused exactly at the bound.  Then the kick (as
+        // the dispatcher's eviction does): the shard tears the connection
+        // down, and the handle the dispatcher may still hold reports
+        // closed and keeps no buffer.
+        let (tx, rx) = sync_channel(EVENT_ROOM);
+        let pool = crate::pool::BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY);
+        let shared =
+            TransportShared::with_pool(DispatchHandle::capture(tx), None, Arc::clone(&pool));
+        let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
+        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        let (otx, kick) = match recv(&rx) {
-            ServerEvent::NewClient { tx, kick, .. } => (tx, kick),
+        let otx = match recv(&rx) {
+            ServerEvent::NewClient { tx, .. } => tx,
             _ => panic!("expected NewClient"),
         };
-        let mut overflowed = false;
-        for _ in 0..(OUTBOUND_QUEUE_CAPACITY * 4) {
-            if otx.try_send_buf(vec![0u8; 64 * 1024].into()).is_err() {
-                overflowed = true;
+        let mut taken = 0u64;
+        loop {
+            match otx.try_send_buf(pool.take_filled(64 * 1024)) {
+                Ok(()) => taken += 1,
+                Err(refused) => {
+                    assert_eq!(refused, Refused::Full);
+                    break;
+                }
+            }
+            assert!(otx.queued() <= OUTBOUND_QUEUE_CAPACITY, "bound exceeded");
+        }
+        // Refused with the bound's worth unwritten, not one more or less:
+        // every message taken is either fully on the socket or waiting.
+        assert_eq!(otx.queued(), OUTBOUND_QUEUE_CAPACITY);
+        let written = taken - OUTBOUND_QUEUE_CAPACITY as u64;
+        for _ in 0..500 {
+            // The shard counts a message just after it pops it.
+            if totals(&reactor).replies == written {
                 break;
             }
+            std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(overflowed, "bounded queue must reject a flood");
-        kick();
+        assert_eq!(totals(&reactor).replies, written);
+        let idle_while_held = pool.idle_len();
+
+        otx.kick();
         match recv(&rx) {
             ServerEvent::Disconnect { .. } => {}
             _ => panic!("expected Disconnect after kick"),
         }
-        let evictions: u64 = reactor
-            .shard_stats()
-            .iter()
-            .map(|s| s.snapshot().evictions)
-            .sum();
-        assert_eq!(evictions, 1);
+        assert_eq!(totals(&reactor).evictions, 1);
+        // The shard empties the deque right after it reports the close.
+        for _ in 0..500 {
+            if pool.idle_len() == idle_while_held + OUTBOUND_QUEUE_CAPACITY {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            pool.idle_len(),
+            idle_while_held + OUTBOUND_QUEUE_CAPACITY,
+            "the closed connection's handle still holds buffers"
+        );
+        assert_eq!(otx.queued(), 0);
+        assert_eq!(otx.try_send_buf(pool.take_filled(16)), Err(Refused::Closed));
         reactor.shutdown();
     }
 
     /// The read/write chunk-limit plan `tests/chaos.rs` uses; wrapped
     /// connections never take the direct write, so running a test under
-    /// it proves the queue-only fallback path on its own.
+    /// it proves the deque-only fallback path on its own.
     fn chunk_limit_plan() -> af_chaos::StreamFaultPlan {
         af_chaos::StreamFaultPlan::new(0x5EED)
             .partial_reads(3)
@@ -2038,6 +2074,7 @@ mod tests {
             sum.direct_writes += s.direct_writes;
             sum.queued_writes += s.queued_writes;
             sum.wakeups += s.wakeups;
+            sum.evictions += s.evictions;
         }
         sum
     }
@@ -2077,12 +2114,12 @@ mod tests {
                     }
                     match otx.try_send_buf(ordered_message(*seq).into()) {
                         Ok(()) => *seq += 1,
-                        Err(TrySendError::Full(_)) => {
+                        Err(Refused::Full) => {
                             // Slow reader: the same message is re-issued.
                             drop(seq);
                             std::thread::sleep(Duration::from_millis(1));
                         }
-                        Err(TrySendError::Disconnected(_)) => panic!("connection died"),
+                        Err(Refused::Closed) => panic!("connection died"),
                     }
                 })
             })
@@ -2302,7 +2339,7 @@ mod tests {
         cfg: BroadcastConfig,
         frame_bytes: usize,
     ) -> (Reactor, Arc<BroadcastBus>, SocketAddr) {
-        let (tx, rx) = crossbeam_channel::unbounded();
+        let (tx, rx) = sync_channel(EVENT_ROOM);
         std::mem::forget(rx); // No dispatcher: keep the channel open.
         let shared = TransportShared::new(DispatchHandle::capture(tx));
         let bus = BroadcastBus::new(cfg, frame_bytes, BroadcastStats::new("test"));

@@ -3,23 +3,19 @@
 
 use crate::buffer::DeviceBuffers;
 use crate::pool::PooledBuf;
-use crate::transport::{FrameError, OutboundTx};
+use crate::reactor::OutboundTx;
+use crate::transport::{FrameError, Refused};
 use af_dsp::convert::Converter;
 use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask, Opcode};
 use af_time::ATime;
-use crossbeam_channel::Sender;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Server-assigned client connection identifier.
 pub type ClientId = u64;
-
-/// Forcibly closes a connection's underlying socket, so its shard sees
-/// the hang-up and drops it (used to evict slow or idle clients).
-pub type ConnKick = Arc<dyn Fn() + Send + Sync>;
 
 /// Failure counters for a running server, shared with test harnesses and
 /// operators.  All counters are monotonic except `clients_current`.
@@ -40,9 +36,10 @@ pub struct ServerStats {
     /// Transport events handled by the thread that framed them, under the
     /// dispatch lock (no thread hop).
     pub inline_events: AtomicU64,
-    /// Messages the task thread took from its channel (control, re-arm
-    /// nudges): each one is a thread hop.
-    pub channel_events: AtomicU64,
+    /// Times a handler woke the task thread because it scheduled a task
+    /// ahead of the deadline that thread was asleep on: the one thread hop
+    /// left.
+    pub task_nudges: AtomicU64,
     /// Per-LineServer-link health counters (WAN deployments): jitter
     /// buffer depth, concealments, reorders, FEC recoveries.
     pub links: Mutex<Vec<Arc<af_device::jitter::LinkStats>>>,
@@ -400,39 +397,6 @@ impl BlockedOp {
     }
 }
 
-/// One client's "outbound queue overflowed" flag, paired with the
-/// dispatcher-wide hint that *some* client's flag is up.
-///
-/// [`ClientState::send_bytes`] raises both; the dispatcher swaps the hint
-/// after every event and walks its clients only when it was set, so the
-/// common no-overflow case costs one atomic, not one per connection.
-pub struct OverflowFlag {
-    client: Arc<AtomicBool>,
-    any: Arc<AtomicBool>,
-}
-
-impl OverflowFlag {
-    /// A lowered flag reporting into the dispatcher-wide hint `any`.
-    pub fn new(any: &Arc<AtomicBool>) -> OverflowFlag {
-        OverflowFlag {
-            client: Arc::new(AtomicBool::new(false)),
-            any: Arc::clone(any),
-        }
-    }
-
-    /// Marks the client for eviction.  The client flag is stored first so
-    /// a dispatcher that sees the hint also sees the flag.
-    pub fn raise(&self) {
-        self.client.store(true, Ordering::Release);
-        self.any.store(true, Ordering::Release);
-    }
-
-    /// Whether the client has been marked for eviction.
-    pub fn is_raised(&self) -> bool {
-        self.client.load(Ordering::Acquire)
-    }
-}
-
 /// A suspended request plus its sequence number (for the eventual reply).
 pub struct Blocked {
     /// Sequence number the reply must carry.
@@ -447,7 +411,7 @@ pub struct ClientState {
     pub id: ClientId,
     /// The client's declared byte order.
     pub order: ByteOrder,
-    /// Outbound route to the connection: its socket, else its shard.
+    /// The connection: where replies go, and what an eviction kicks.
     pub tx: OutboundTx,
     /// Requests processed on this connection (low 16 bits are the wire
     /// sequence number).
@@ -460,26 +424,13 @@ pub struct ClientState {
     pub blocked: Option<Blocked>,
     /// Requests received while suspended, in arrival order.
     pub queue: VecDeque<RawRequest>,
-    /// Closes the connection's socket (for forced eviction).
-    pub kick: ConnKick,
-    /// Set when the bounded outbound queue rejected a message: the client
-    /// is not keeping up and the protocol stream is no longer coherent, so
-    /// the client must be evicted (checked after every event).
-    pub overflowed: OverflowFlag,
     /// When the client last sent a request (for idle-connection eviction).
     pub last_activity: Instant,
 }
 
 impl ClientState {
-    /// Creates state for a newly accepted connection.  `overflowed` is the
-    /// client's eviction flag, reporting into its dispatcher's hint.
-    pub fn new(
-        id: ClientId,
-        order: ByteOrder,
-        tx: OutboundTx,
-        kick: ConnKick,
-        overflowed: OverflowFlag,
-    ) -> ClientState {
+    /// Creates state for a newly accepted connection.
+    pub fn new(id: ClientId, order: ByteOrder, tx: OutboundTx) -> ClientState {
         ClientState {
             id,
             order,
@@ -489,8 +440,6 @@ impl ClientState {
             event_masks: HashMap::new(),
             blocked: None,
             queue: VecDeque::new(),
-            kick,
-            overflowed,
             last_activity: Instant::now(),
         }
     }
@@ -501,26 +450,25 @@ impl ClientState {
     }
 
     /// Sends encoded bytes toward this client: straight to its socket or
-    /// onto its outbound queue (see [`OutboundTx`]).
+    /// onto its outbound deque (see [`OutboundTx`]).
     ///
-    /// The queue is bounded
-    /// ([`crate::transport::OUTBOUND_QUEUE_CAPACITY`]); a full queue means
+    /// The deque is bounded
+    /// ([`crate::transport::OUTBOUND_QUEUE_CAPACITY`]); a full one means
     /// the client is reading more slowly than the server is producing, so
-    /// instead of buffering without limit (the seed behavior) the client
-    /// is flagged for eviction.  A closed connection is ignored — its
-    /// shard's disconnect event is already in flight.
-    pub fn send_bytes<B: Into<PooledBuf>>(&self, bytes: B) {
-        match self.tx.try_send_buf(bytes.into()) {
-            Ok(()) => {}
-            Err(crossbeam_channel::TrySendError::Full(_)) => self.overflowed.raise(),
-            Err(crossbeam_channel::TrySendError::Disconnected(_)) => {}
-        }
+    /// instead of buffering without limit (the seed behavior) the message
+    /// is dropped and `false` returned: the protocol stream is no longer
+    /// coherent and the caller must have the client evicted.  A closed
+    /// connection is ignored — its shard's disconnect event is already in
+    /// flight.
+    #[must_use]
+    pub fn send_bytes<B: Into<PooledBuf>>(&self, bytes: B) -> bool {
+        self.tx.try_send_buf(bytes.into()) != Err(Refused::Full)
     }
 }
 
 /// What a transport frames and hands to the dispatcher through
 /// [`crate::dispatch::DispatchHandle::submit`] — handled by the framing
-/// thread itself, under the dispatch lock.  Never sent through a channel.
+/// thread itself, under the dispatch lock.
 pub enum ServerEvent {
     /// A transport accepted a connection and read its setup message.
     NewClient {
@@ -530,10 +478,8 @@ pub enum ServerEvent {
         setup: Vec<u8>,
         /// Peer address for access control (`None` for local transports).
         peer: Option<IpAddr>,
-        /// Outbound route to the connection.
+        /// The dispatcher's handle on the connection.
         tx: OutboundTx,
-        /// Closes the connection's socket (for forced eviction).
-        kick: ConnKick,
     },
     /// A framed request arrived.
     Request {
@@ -555,29 +501,6 @@ pub enum ServerEvent {
         /// The connection that went away.
         id: ClientId,
     },
-}
-
-/// What still reaches the dispatcher by channel, taken by the task thread
-/// (`af-dispatcher`): control operations, used by tests, handles, shutdown
-/// and the timer.
-pub enum ControlMsg {
-    /// Run the update task immediately and acknowledge.
-    RunUpdate {
-        /// Ack channel.
-        ack: Sender<()>,
-    },
-    /// Round-trip the dispatcher (all prior events processed).
-    Barrier {
-        /// Ack channel.
-        ack: Sender<()>,
-    },
-    /// Stop the server.
-    Shutdown,
-    /// A handler scheduled a task earlier than the task thread's current
-    /// sleep: wake up and recompute the deadline.  Carries nothing — the
-    /// deadline was published under the dispatch lock before this was
-    /// sent.
-    Rearm,
 }
 
 /// Validates that a request opcode byte decodes, for error reporting.
@@ -626,41 +549,34 @@ mod tests {
         assert!(ac.allows(Some(remote)));
     }
 
-    fn client(tx: crossbeam_channel::Sender<PooledBuf>, any: &Arc<AtomicBool>) -> ClientState {
-        ClientState::new(
-            1,
-            ByteOrder::Little,
-            OutboundTx::queue_only(tx),
-            Arc::new(|| {}),
-            OverflowFlag::new(any),
-        )
+    fn client() -> ClientState {
+        ClientState::new(1, ByteOrder::Little, OutboundTx::detached())
     }
 
     #[test]
     fn client_state_defaults() {
-        let (tx, _rx) = crossbeam_channel::unbounded();
-        let c = client(tx, &Arc::new(AtomicBool::new(false)));
+        let c = client();
         assert_eq!(c.mask_for(0), EventMask::NONE);
         assert!(c.blocked.is_none());
         assert!(c.queue.is_empty());
-        assert!(!c.overflowed.is_raised());
     }
 
     #[test]
     fn bounded_send_flags_overflow_instead_of_growing() {
-        let (tx, rx) = crossbeam_channel::bounded(2);
-        let any = Arc::new(AtomicBool::new(false));
-        let c = client(tx, &any);
-        c.send_bytes(vec![1]);
-        c.send_bytes(vec![2]);
-        assert!(!c.overflowed.is_raised());
-        assert!(!any.load(Ordering::Acquire));
-        c.send_bytes(vec![3]); // Queue full: flagged, not grown.
-        assert!(c.overflowed.is_raised());
-        assert!(
-            any.load(Ordering::Acquire),
-            "dispatcher-wide hint raised too"
+        use crate::transport::OUTBOUND_QUEUE_CAPACITY;
+        let c = client(); // Nothing drains a detached connection.
+        for _ in 0..OUTBOUND_QUEUE_CAPACITY {
+            assert!(c.send_bytes(vec![1]));
+        }
+        assert!(!c.send_bytes(vec![2]), "deque full: flagged, not grown");
+        assert_eq!(
+            c.tx.queued(),
+            OUTBOUND_QUEUE_CAPACITY,
+            "deque never exceeds its bound"
         );
-        assert_eq!(rx.len(), 2, "queue never exceeds its bound");
+        // A closed connection is not a slow one.
+        c.tx.hang_up();
+        assert!(c.send_bytes(vec![3]));
+        assert_eq!(c.tx.queued(), OUTBOUND_QUEUE_CAPACITY);
     }
 }

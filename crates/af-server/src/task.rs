@@ -5,10 +5,11 @@
 //! the main flow of control."  The queue lives inside the dispatcher, behind
 //! the dispatch lock.  Request handlers — on whichever transport thread
 //! framed the request — schedule into it; the task thread (`af-dispatcher`)
-//! sleeps until the earliest deadline (the `select()` timeout of the
-//! original), then takes the lock and runs everything due: the periodic
-//! update, and wake-ups for suspended clients.  A handler that schedules
-//! ahead of that sleep nudges the task thread (`ControlMsg::Rearm`).
+//! waits on a condition variable paired with that lock until the earliest
+//! deadline (the `select()` timeout of the original), then runs everything
+//! due under it: the periodic update, and wake-ups for suspended clients.
+//! A handler that schedules ahead of that deadline signals the condition
+//! variable once it has unlocked.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,4 +1,4 @@
-//! The OS layer's shared pieces: frame headers, the outbound route, and
+//! The OS layer's shared pieces: frame headers, the outbound bound, and
 //! the bookkeeping every connection shares.
 //!
 //! The paper's server multiplexed client sockets with `select()`; the
@@ -7,69 +7,39 @@
 //! (4-byte header, length-derived payload) hands it to the one
 //! [`DispatchHandle`] and runs its handler there and then, under the
 //! dispatch lock — single-threaded semantics over all server state with no
-//! thread hop.  [`OutboundTx`] is the reply route: a nonblocking `write` on
-//! the socket itself, made by whoever produced the reply, with a
-//! **bounded** queue behind it for bytes the socket cannot take yet.
+//! thread hop.  [`crate::reactor::OutboundTx`] is the one handle the
+//! dispatcher holds on a connection: replies go through it — a nonblocking `write` on the socket
+//! itself, made by whoever produced the reply, with a **bounded** deque
+//! behind it for bytes the socket cannot take yet — and so does eviction.
 //!
 //! Failure model: a malformed or oversized frame header is a protocol
 //! error that disconnects only the offending client; a client that stops
-//! reading fills its bounded queue and is evicted instead of growing
+//! reading fills its bounded deque and is evicted instead of growing
 //! server memory; a [`StreamFaultPlan`] on the transport injects faults
 //! into every accepted connection for chaos testing.
 //!
 //! TCP and Unix-domain sockets are supported, matching §5.1.
 
 use crate::dispatch::DispatchHandle;
-use crate::pool::{BufferPool, PooledBuf};
+use crate::pool::BufferPool;
 use af_chaos::StreamFaultPlan;
 use af_proto::{ByteOrder, MAX_REQUEST_BYTES};
-use crossbeam_channel::Sender;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 
-/// Bound on each connection's outbound (server → client) queue, in
-/// messages.  A slow client hits this bound and is evicted; the seed's
-/// unbounded queue grew without limit instead.
+/// Bound on the messages a connection may have waiting for its socket
+/// (the one mid-write included).  A slow client hits this bound and is
+/// evicted; the seed's unbounded queue grew without limit instead.
 pub const OUTBOUND_QUEUE_CAPACITY: usize = 256;
 
-/// The outbound route to one connection: its bounded queue plus the handle
-/// that writes the socket directly when it can and wakes the owning shard
-/// when it cannot.
-///
-/// A producer (a request handler or the task thread) first attempts the
-/// *direct write* ([`crate::reactor::ConnNotify::deliver`]): one nonblocking
-/// `write` on the socket, allowed only when no earlier message is still
-/// queued or mid-write.  The queue is the fallback for whatever the socket
-/// would not take; producers queue first, then wake, and that ordering is
-/// what makes the reactor's clear-before-drain protocol lossless.
-#[derive(Clone)]
-pub struct OutboundTx {
-    tx: Sender<PooledBuf>,
-    notify: crate::reactor::ConnNotify,
-}
-
-impl OutboundTx {
-    /// A route to a reactor connection: direct write, else `tx` and a
-    /// shard wakeup through `notify`.
-    pub(crate) fn new(tx: Sender<PooledBuf>, notify: crate::reactor::ConnNotify) -> OutboundTx {
-        OutboundTx { tx, notify }
-    }
-
-    /// A route with no socket and no shard behind it: every message lands
-    /// on the queue whose receiver the test holds.
-    #[cfg(test)]
-    pub(crate) fn queue_only(tx: Sender<PooledBuf>) -> OutboundTx {
-        OutboundTx::new(tx, crate::reactor::ConnNotify::detached())
-    }
-
-    /// Sends a message without blocking; the caller maps `Full` onto the
-    /// slow-client overflow policy.
-    pub fn try_send_buf(
-        &self,
-        buf: PooledBuf,
-    ) -> Result<(), crossbeam_channel::TrySendError<PooledBuf>> {
-        self.notify.deliver(&self.tx, buf)
-    }
+/// Why [`crate::reactor::OutboundTx::try_send_buf`] did not take a message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refused {
+    /// [`OUTBOUND_QUEUE_CAPACITY`] messages are already waiting: the
+    /// client is not keeping up.
+    Full,
+    /// The connection is closed, or closing once what it holds has left.
+    Closed,
 }
 
 /// Why the framing layer rejected an inbound frame.
@@ -122,7 +92,7 @@ pub struct TransportShared {
     pub dispatch: DispatchHandle,
     /// Client id allocator.
     pub next_id: AtomicU64,
-    /// Set to stop accept loops.
+    /// Set by `Reactor::shutdown`; a woken shard that finds it exits.
     pub stop: AtomicBool,
     /// Faults injected into every accepted connection (chaos testing).
     pub chaos: Option<StreamFaultPlan>,

@@ -1,31 +1,26 @@
 //! Loom-style model checks for the server's cross-thread handoff protocols.
 //!
-//! The reactor's reply path and the dispatch lock's timer re-arm rest on a
-//! few cross-thread protocols that ordinary tests exercise under only one
-//! interleaving.  Each model below re-states one protocol with the same
-//! atomics/queue shapes as the server and asserts its invariant under
-//! *every* interleaving of the synchronization operations, via the `loom`
-//! shim's exhaustive schedule exploration.  (The numbering starts at 5:
-//! DESIGN.md §10.2 and the reactor's module docs cite these numbers.)
+//! The reactor's reply path rests on two cross-thread protocols that
+//! ordinary tests exercise under only one interleaving.  Each model below
+//! re-states one protocol with the same atomics/deque shapes as the server
+//! and asserts its invariant under *every* interleaving of the
+//! synchronization operations, via the `loom` shim's exhaustive schedule
+//! exploration.  (The numbering starts at 5: DESIGN.md §10.2 and the
+//! reactor's module docs cite these numbers.  The task thread needs no
+//! model: it waits on a condition variable paired with the dispatch lock,
+//! and deadlines are only ever published under that lock.)
 //!
-//! 5. producer→shard wakeup: the reply path pushes to the outbound queue
+//! 5. producer→shard wakeup: the reply path pushes to the outbound deque
 //!    and then arms a notify flag that gates the wake-pipe write; the
 //!    shard clears the flag *before* draining.  Invariant: no push is
 //!    ever stranded without a visible wake (no lost wakeup), and a drain
 //!    pass only runs when a wake was actually written (no double-drain).
 //! 6. direct reply write: producers write the connection's socket
-//!    themselves when nothing is ahead of their message, under the same
-//!    per-connection write lock the shard's flush takes per message, and
-//!    fall back to scenario 5's queue + wakeup otherwise.  Invariants:
-//!    bytes leave in issue order, the remainder of a short direct write
-//!    is never stranded, and `notified` still bounds redundant drains.
-//! 7. timer re-arm: a request handler on a transport thread schedules a
-//!    task earlier than the deadline the task thread computed its sleep
-//!    from.  It publishes the deadline under the dispatch lock *then*
-//!    posts a `Rearm` nudge; the task thread re-reads the deadline after
-//!    every message.  Invariant: when both are done the task thread is
-//!    armed for the new deadline or has a nudge pending — a suspended
-//!    client is never left to the old, later wake-up.
+//!    themselves when the deque is empty, under the same per-connection
+//!    lock the shard's flush takes per message, and fall back to scenario
+//!    5's push + wakeup otherwise.  Invariants: bytes leave in issue
+//!    order, the remainder of a short direct write is never stranded, and
+//!    `notified` still bounds redundant drains.
 //!
 //! Models must stay tiny (two or three threads, a handful of operations):
 //! the schedule space is explored exhaustively.
@@ -132,38 +127,39 @@ fn shim_catches_notify_before_push_bug() {
     assert!(failed, "the seeded notify-before-push bug must be detected");
 }
 
-/// One connection's shared write state as scenario 6 models it: the
-/// in-flight slot and the outbound queue sit behind the write lock, and
-/// so does the socket, which only a lock holder ever writes.
+/// One connection's shared write state as scenario 6 models it — the
+/// shape of the reactor's `Outbound`: one deque whose front is the message
+/// mid-write, behind the one lock, and so is the socket, which only a lock
+/// holder ever writes.
 ///
 /// A message is two wire units `(id, 0)` and `(id, 1)`.  The socket takes
 /// one unit of any *direct* write (so every direct write goes short and
 /// hands its remainder to the shard) and everything the shard writes.
 #[derive(Default)]
 struct ModelConn {
-    in_flight: Option<(u8, u8)>,
     queue: VecDeque<u8>,
+    /// Units of the front message already on the wire.
+    written: u8,
     wire: Vec<(u8, u8)>,
-    /// Message ids in the order their sends took the write lock.
+    /// Message ids in the order their sends took the lock.
     issued: Vec<u8>,
 }
 
-/// The locked part of `ConnNotify::deliver` for one message; either way
-/// the message ends up handed to the shard, so the caller wakes it.  With
-/// `check_queue` false it is the seeded bug: a direct write that only
-/// looks at the in-flight slot.
-fn model_deliver(conn: &Mutex<ModelConn>, id: u8, check_queue: bool) {
+/// The locked part of `ConnShared::deliver` for one message; either way
+/// the message ends up on the deque, so the caller wakes the shard.  With
+/// `check_empty` false it is the seeded bug: a direct write that does not
+/// look at what is already waiting.
+fn model_deliver(conn: &Mutex<ModelConn>, id: u8, check_empty: bool) {
     let mut c = conn.lock().unwrap();
     c.issued.push(id);
-    if c.in_flight.is_none() && (c.queue.is_empty() || !check_queue) {
+    if c.queue.is_empty() || !check_empty {
         c.wire.push((id, 0));
-        c.in_flight = Some((id, 1)); // Short write: remainder to the shard.
-    } else {
-        c.queue.push_back(id);
+        c.written = 1; // Short write: the remainder waits at the front.
     }
+    c.queue.push_back(id);
 }
 
-/// `ConnNotify::wake`: only the false→true edge writes the pipe.  Returns
+/// `ConnShared::wake`: only the false→true edge writes the pipe.  Returns
 /// whether it did.
 fn model_wake(notified: &AtomicBool, pipe: &AtomicUsize) -> bool {
     let first = !notified.swap(true, Ordering::SeqCst);
@@ -173,22 +169,19 @@ fn model_wake(notified: &AtomicBool, pipe: &AtomicUsize) -> bool {
     first
 }
 
-/// `Shard::flush_conn`: one message per lock hold, so between messages a
-/// producer can find the slot empty while the queue is not.
+/// `Shard::flush_conn`: one message per lock hold, so a producer can find
+/// the deque non-empty between two messages of a flush.
 fn model_flush(conn: &Mutex<ModelConn>) {
     loop {
         let mut c = conn.lock().unwrap();
-        if c.in_flight.is_none() {
-            match c.queue.pop_front() {
-                Some(id) => c.in_flight = Some((id, 0)),
-                None => return,
-            }
+        let Some(&id) = c.queue.front() else {
+            return;
+        };
+        for unit in c.written..2 {
+            c.wire.push((id, unit));
         }
-        if let Some((id, from)) = c.in_flight.take() {
-            for unit in from..2 {
-                c.wire.push((id, unit));
-            }
-        }
+        c.written = 0;
+        c.queue.pop_front();
     }
 }
 
@@ -254,9 +247,8 @@ fn direct_write_keeps_issue_order_and_strands_nothing() {
         task_thread.join().expect("task thread");
         {
             let c = conn.lock().unwrap();
-            let unwritten = c.in_flight.is_some() || !c.queue.is_empty();
             assert!(
-                !unwritten || pipe.load(Ordering::SeqCst) > 0,
+                c.queue.is_empty() || pipe.load(Ordering::SeqCst) > 0,
                 "message stranded: handed to the shard with no wake pending"
             );
         }
@@ -267,7 +259,7 @@ fn direct_write_keeps_issue_order_and_strands_nothing() {
 
         let c = conn.lock().unwrap();
         assert_eq!(c.issued.len(), 3);
-        assert!(c.in_flight.is_none() && c.queue.is_empty(), "undrained");
+        assert!(c.queue.is_empty(), "undrained");
         assert_wire_in_issue_order(&c);
         let wakes = pipe_writes.load(Ordering::SeqCst);
         assert!(
@@ -277,12 +269,12 @@ fn direct_write_keeps_issue_order_and_strands_nothing() {
     });
 }
 
-/// The inverse of scenario 6 — a direct write that ignores the outbound
-/// queue.  The shard is between two messages of its flush (slot empty,
-/// message 1 still queued) when a producer sends message 2: jumping the
-/// queue must be caught as a reorder under some interleaving.
+/// The inverse of scenario 6 — a direct write without the emptiness check.
+/// The shard is about to flush message 1, still whole on the deque, when a
+/// producer sends message 2: writing past what is waiting must be caught
+/// as a reorder under some interleaving.
 #[test]
-fn shim_catches_direct_write_past_a_nonempty_queue() {
+fn shim_catches_direct_write_without_the_emptiness_check() {
     let failed = catch_unwind(AssertUnwindSafe(|| {
         loom::model(|| {
             let conn = Arc::new(Mutex::new(ModelConn::default()));
@@ -296,7 +288,7 @@ fn shim_catches_direct_write_past_a_nonempty_queue() {
             let producer = {
                 let (conn, notified, pipe) = (conn.clone(), notified.clone(), pipe.clone());
                 loom::thread::spawn(move || {
-                    // BUG: only the in-flight slot is checked.
+                    // BUG: the deque is not consulted.
                     model_deliver(&conn, 2, false);
                     model_wake(&notified, &pipe);
                 })
@@ -310,93 +302,7 @@ fn shim_catches_direct_write_past_a_nonempty_queue() {
     .is_err();
     assert!(
         failed,
-        "the seeded queue-jumping direct write must be detected"
-    );
-}
-
-/// The task thread's side of scenario 7: arm from the deadline under the
-/// dispatch lock, sleep, and re-arm after any message.  Returns the
-/// deadline it is finally asleep on.
-fn model_task_thread(deadline: &Mutex<u32>, channel: &AtomicUsize) -> u32 {
-    let mut armed = *deadline.lock().unwrap();
-    // "Asleep" in `recv_timeout(armed)`: a pending message ends the wait,
-    // and every pass recomputes the timeout under the lock.
-    if channel.swap(0, Ordering::SeqCst) > 0 {
-        armed = *deadline.lock().unwrap();
-    }
-    armed
-}
-
-/// Scenario 7 — re-arming the task thread's timer from a transport thread.
-///
-/// The task thread computed its timeout from the periodic update's
-/// deadline (100) and may be anywhere between "read the deadline" and
-/// "asleep" when a shard, handling a blocking record under the dispatch
-/// lock, schedules `WakeBlocked` at 50.  `DispatchHandle::submit`
-/// publishes first (the schedule happens under the lock), nudges second.
-/// Every schedule must end with the task thread armed for 50 or with the
-/// nudge still in its channel.
-#[test]
-fn earlier_deadline_from_a_shard_always_rearms_the_task_thread() {
-    loom::model(|| {
-        let deadline = Arc::new(Mutex::new(100u32));
-        let channel = Arc::new(AtomicUsize::new(0));
-
-        let shard = {
-            let (deadline, channel) = (deadline.clone(), channel.clone());
-            loom::thread::spawn(move || {
-                let moved_earlier = {
-                    let mut d = deadline.lock().unwrap();
-                    let before = *d;
-                    *d = 50;
-                    *d < before
-                };
-                if moved_earlier {
-                    channel.fetch_add(1, Ordering::SeqCst);
-                }
-            })
-        };
-
-        let armed = model_task_thread(&deadline, &channel);
-        shard.join().expect("shard thread");
-        assert!(
-            armed == 50 || channel.load(Ordering::SeqCst) > 0,
-            "lost nudge: asleep until {armed} with no message pending"
-        );
-    });
-}
-
-/// The inverse of scenario 7 — nudging *before* the deadline is published
-/// lets the task thread consume the nudge, re-read the old deadline and go
-/// back to sleep on it: a client suspended up to an update period too long.
-#[test]
-fn shim_catches_nudge_before_deadline_is_published() {
-    let failed = catch_unwind(AssertUnwindSafe(|| {
-        loom::model(|| {
-            let deadline = Arc::new(Mutex::new(100u32));
-            let channel = Arc::new(AtomicUsize::new(0));
-
-            let shard = {
-                let (deadline, channel) = (deadline.clone(), channel.clone());
-                loom::thread::spawn(move || {
-                    // BUG: the nudge overtakes the schedule it announces.
-                    channel.fetch_add(1, Ordering::SeqCst);
-                    *deadline.lock().unwrap() = 50;
-                })
-            };
-
-            let armed = model_task_thread(&deadline, &channel);
-            shard.join().expect("shard thread");
-            assert!(
-                armed == 50 || channel.load(Ordering::SeqCst) > 0,
-                "lost nudge"
-            );
-        });
-    }))
-    .is_err();
-    assert!(
-        failed,
-        "the seeded nudge-before-publish bug must be detected"
+        "the seeded direct write past a waiting message must be detected"
     );
 }
 

@@ -3,8 +3,9 @@
 //! A closed-loop `GetTime` round trip should cost the server one `read`
 //! (the request, whole), one `write` (the reply, made by the request's
 //! handler straight on the socket), no self-pipe wakeup and no thread hop:
-//! the shard that framed the request handles it, under the dispatch lock.
-//! The shard counters and the server's `inline_events`/`channel_events`
+//! the shard that framed the request handles it, under the dispatch lock,
+//! and a `GetTime` gives it no reason to wake the task thread.
+//! The shard counters and the server's `inline_events`/`task_nudges`
 //! count exactly those, and in a closed loop over one connection they
 //! repeat exactly from run to run — so the syscalls- and hops-per-request
 //! figures are asserted as counts, not inferred from timings.
@@ -23,10 +24,6 @@ const ROUND_TRIPS: u64 = 2_000;
 /// listener's registration, the accept hand-off to another shard, and the
 /// setup reply if it raced the shard's registration of the connection.
 const SETUP_WAKEUPS: f64 = 8.0;
-
-/// Channel messages outside the request loop: the barrier below, plus a
-/// periodic-update `Rearm` or two should the run straddle one.
-const SETUP_HOPS: f64 = 4.0;
 
 #[test]
 fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
@@ -74,11 +71,11 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
     }
     let stats = server.stats();
     let inline_events = ServerStats::get(&stats.inline_events);
-    let channel_events = ServerStats::get(&stats.channel_events);
+    let task_nudges = ServerStats::get(&stats.task_nudges);
     eprintln!(
         "transport budget: {read_calls} reads / {frames} frames, {direct_writes} direct + \
          {queued_writes} queued / {replies} replies, {wakeups} wakeups, \
-         {inline_events} inline + {channel_events} channel events"
+         {inline_events} inline events, {task_nudges} task-thread nudges"
     );
     assert_eq!(frames, ROUND_TRIPS);
     assert_eq!(
@@ -104,8 +101,8 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
         "only {inline_events} events handled inline for {ROUND_TRIPS} requests and a setup"
     );
     assert!(
-        channel_events as f64 <= 0.01 * ROUND_TRIPS as f64 + SETUP_HOPS,
-        "{channel_events} thread hops for {ROUND_TRIPS} requests"
+        task_nudges as f64 <= 0.01 * ROUND_TRIPS as f64,
+        "{task_nudges} thread hops for {ROUND_TRIPS} requests"
     );
 
     drop(sock);

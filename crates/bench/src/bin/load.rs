@@ -83,8 +83,8 @@ struct SyscallsPerRequest {
     direct_write_share: f64,
     /// Self-pipe wakeups ÷ replies.
     wakeups_per_reply: f64,
-    /// Messages the task thread took from its channel ÷ request frames:
-    /// thread hops per request (requests themselves hop nowhere).
+    /// Times a handler woke the task thread ÷ request frames: thread
+    /// hops per request (requests themselves hop nowhere).
     hops_per_request: f64,
 }
 
@@ -273,7 +273,7 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
         reads_per_frame: read_calls as f64 / frames as f64,
         direct_write_share: direct_writes as f64 / shard_replies as f64,
         wakeups_per_reply: wakeups as f64 / shard_replies as f64,
-        hops_per_request: ServerStats::get(&stats.channel_events) as f64 / frames as f64,
+        hops_per_request: ServerStats::get(&stats.task_nudges) as f64 / frames as f64,
     });
     let sustained = protocol_errors == 0
         && evictions == 0

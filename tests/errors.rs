@@ -11,8 +11,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 fn server() -> RunningServer {
+    spawn(ServerBuilder::new())
+}
+
+/// `builder` with one silent codec, listening on an ephemeral TCP port.
+fn spawn(builder: ServerBuilder) -> RunningServer {
     let clock = Arc::new(VirtualClock::new(8000));
-    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
+    let mut builder = builder.listen_tcp("127.0.0.1:0".parse().unwrap());
     builder.add_codec(
         clock,
         Box::new(audiofile::device::NullSink),
@@ -211,25 +216,75 @@ fn garbage_setup_is_ignored_by_server() {
     assert!(conn.get_time(0).is_ok());
 }
 
+/// Descriptors the server's shards have registered, summed.
+fn fd_count(s: &RunningServer) -> u64 {
+    let shards = s.stats().reactor_snapshots();
+    shards.iter().map(|shard| shard.fd_count).sum()
+}
+
+/// Sends `setup` on a fresh connection, reads the `Failed` reply if one is
+/// `expected`, and checks the server then closes the connection itself:
+/// end-of-file within the read timeout, and the descriptor given up.
+fn assert_refused_and_closed(s: &RunningServer, setup: &[u8], expected: Option<&str>) {
+    // An admitted client first: once it has an answer the listener is
+    // registered, so the gauge holds still until the refused one connects.
+    let mut admitted = connect(s);
+    admitted.get_time(0).unwrap();
+    let fds_before = fd_count(s);
+
+    let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+        .unwrap();
+    raw.write_all(setup).unwrap();
+    if let Some(expected) = expected {
+        let mut len_buf = [0u8; 4];
+        raw.read_exact(&mut len_buf).unwrap();
+        let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
+        raw.read_exact(&mut body).unwrap();
+        match audiofile::proto::SetupReply::decode(ByteOrder::native(), &body).unwrap() {
+            audiofile::proto::SetupReply::Failed { reason } => {
+                assert!(reason.contains(expected), "reason: {reason}")
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+    let mut rest = [0u8; 16];
+    match raw.read(&mut rest) {
+        Ok(0) => {}
+        other => panic!("expected end-of-file after the refusal, got {other:?}"),
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while fd_count(s) != fds_before && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(
+        fd_count(s),
+        fds_before,
+        "refused connection still registered"
+    );
+    admitted.get_time(0).unwrap();
+}
+
 #[test]
 fn version_mismatch_refused() {
-    let s = server();
-    let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
-    let setup = ConnSetup {
-        major: 99,
-        ..ConnSetup::new()
-    };
-    raw.write_all(&setup.encode()).unwrap();
-    let mut len_buf = [0u8; 4];
-    raw.read_exact(&mut len_buf).unwrap();
-    let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
-    raw.read_exact(&mut body).unwrap();
-    let reply = audiofile::proto::SetupReply::decode(ByteOrder::native(), &body).unwrap();
-    match reply {
-        audiofile::proto::SetupReply::Failed { reason } => {
-            assert!(reason.contains("version"), "reason: {reason}")
+    // The second server writes at most five bytes at a time, so the reply
+    // leaves through the connection's deque, not in one direct write.
+    let chunked = audiofile::chaos::StreamFaultPlan::new(7).partial_writes(5);
+    for s in [server(), spawn(ServerBuilder::new().chaos(chunked))] {
+        let wrong_version = ConnSetup {
+            major: 99,
+            ..ConnSetup::new()
+        };
+        assert_refused_and_closed(&s, &wrong_version.encode(), Some("version"));
+        // A setup that frames but does not decode (its authorization name
+        // is not UTF-8) gets no reply, only the close.
+        let mut undecodable = ConnSetup {
+            auth_name: "name".into(),
+            ..ConnSetup::new()
         }
-        other => panic!("expected Failed, got {other:?}"),
+        .encode();
+        undecodable[ConnSetup::HEADER_SIZE..][..4].copy_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
+        assert_refused_and_closed(&s, &undecodable, None);
     }
 }
 
