@@ -1,11 +1,16 @@
 // Fixture: registry-complete dispatcher.  The data-plane arms (the
 // `alloc` roots) are allocation-free; `process_request` and `dispatch`
 // are control-plane *barriers* and allocate freely — the lint must not
-// follow `drain_queue` through them.  `submit` is the shipped way in: a
-// transport thread takes the dispatch lock (justified: it is the
-// single-thread guarantee) and runs `handle_event` itself; `handle_event`
-// is the barrier the reactor-rooted scans stop at, so the blocking wait
-// and the allocations behind it are the dispatcher's business.
+// follow `drain_queue` or `handle_request` through them.  `submit` and
+// `request` are the shipped ways in: a transport thread takes the
+// dispatch lock (justified: it is the single-thread guarantee) and runs
+// `handle_event` — or, for a framed request lent to it, `handle_request`
+// — itself.  `handle_event` is the barrier the reactor-rooted scans stop
+// at, so the blocking wait and the allocations behind it are the
+// dispatcher's business; `handle_request` is the same barrier for
+// `blocking-in-reactor` (its `lock` must not be reported) and for `alloc`
+// a root in its own right: it queues a suspended client's request in a
+// pooled copy and allocates nothing.
 
 struct DispatchShared {
     dispatch_lock: Mutex<Dispatcher>,
@@ -19,7 +24,26 @@ impl DispatchHandle {
     }
 }
 
+impl DispatchHandle {
+    fn request(&self, id: u64, opcode: u8, payload: &[u8]) {
+        // af-analyze: allow(blocking-in-reactor): the dispatch lock, as in `submit`
+        let mut dispatcher = self.shared.dispatch_lock.lock();
+        dispatcher.handle_request(id, opcode, payload);
+    }
+}
+
 impl Dispatcher {
+    fn handle_request(&mut self, id: u64, opcode: u8, payload: &[u8]) {
+        self.trace.lock().count += 1;
+        if self.suspended(id) {
+            let mut copy = self.pool.take_empty();
+            copy.extend_from_slice(payload);
+            self.queue.push_back((opcode, copy));
+        } else {
+            self.process_request(u16::from(opcode));
+        }
+    }
+
     fn handle_event(&mut self, ev: Event) {
         let label = format!("event {ev:?}");
         let _ = self.trace.lock().push(label.clone());

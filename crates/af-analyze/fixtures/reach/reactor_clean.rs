@@ -4,7 +4,8 @@
 // leaf locks, each justified at every site: the connection's outbound
 // deque (the shard's `flush_conn`, the producers' `deliver`) and the
 // shard's mailbox (one push in `wake`, one swap in `handle_wake`) — and
-// `feed` hands each framed event to the dispatcher's `submit`, which
+// `feed` hands each framed event to the dispatcher's `submit` — a
+// request, lent from the read scratch, to its `request` — which
 // handles it on this thread under the dispatch lock.  The
 // accept/registration path (an `alloc` barrier) allocates its
 // per-connection state — that is setup, amortized over the connection
@@ -35,7 +36,12 @@ impl Shard {
     }
 
     fn feed(&mut self, token: u64, n: usize) {
-        self.transport.dispatch.submit((token, n));
+        if token == 0 {
+            self.transport.dispatch.submit((token, n));
+        } else {
+            let dispatch = &self.transport.dispatch;
+            dispatch.request(token, 1, &self.read_scratch[..n]);
+        }
     }
 
     fn flush_conn(&mut self, token: u64) {

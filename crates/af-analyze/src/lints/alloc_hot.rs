@@ -7,9 +7,14 @@
 //! (`clear()` + `extend_from_slice`, scratch fields, fixed arrays).
 //!
 //! Roots are the *data-plane* subset of the hot-path registry: the
-//! request-handling arms of the dispatcher, the reactor shard handlers
-//! (including the broadcast listener read/pump paths), the broadcast
-//! seal/fetch entry points, and the FEC/jitter per-frame entry points.
+//! dispatcher's borrowed request entry and its request-handling arms, the
+//! borrowed `PlaySamples` parser and the append-form record read they
+//! lean on (each named outright: the call graph does not follow a
+//! `parse`/`decode` across crates, which is how an 8 KB `.to_vec()` per
+//! play chunk once sat on the data plane unseen), the reactor shard
+//! handlers (including the broadcast listener read/pump paths), the
+//! broadcast seal/fetch entry points, and the FEC/jitter per-frame entry
+//! points.
 //! The dispatcher's control arms (open/close/configure) may allocate —
 //! they run once per session, not once per tick — and are deliberately
 //! not roots.  Follows the call graph like `blocking-in-reactor`; a
@@ -27,6 +32,7 @@ const ROOTS: &[(&str, &[&str])] = &[
     (
         "crates/af-server/src/dispatch.rs",
         &[
+            "handle_request",
             "h_play",
             "advance_play",
             "suspend",
@@ -50,6 +56,8 @@ const ROOTS: &[(&str, &[&str])] = &[
             "pump_bcast",
         ],
     ),
+    ("crates/af-server/src/buffer.rs", &["read_rec_into"]),
+    ("crates/af-proto/src/request.rs", &["parse"]),
     (
         "crates/af-server/src/broadcast.rs",
         &["publish", "fetch_batch", "absorb"],
@@ -75,14 +83,15 @@ const PATTERNS: &[&str] = &[
 
 /// Control-plane cuts:
 ///
-/// * `handle_event` is where a reactor shard enters the dispatcher (it
-///   runs request handlers itself, under the dispatch lock): the
-///   reactor-rooted scan stops there, and the dispatcher's own data-plane
-///   arms are covered as roots in their own right.
-/// * `drain_queue`/`retry_blocked` replay queued requests through the
-///   full dispatcher, whose control arms (open, close, configure,
-///   properties) legitimately allocate; the data-plane dispatch arms are
-///   covered directly as roots.
+/// * `handle_event` is where a reactor shard enters the dispatcher with
+///   anything but a request (setup, protocol error, disconnect — per
+///   connection, not per tick): the reactor-rooted scan stops there.
+/// * `handle_request`, the borrowed request entry, is scanned, and so are
+///   `drain_queue`/`retry_blocked`, which replay a suspended client's
+///   requests; all three go on through `process_request`/`dispatch`,
+///   whose control arms (open, close, configure, properties) legitimately
+///   allocate, so the scan stops at those two and the data-plane arms
+///   behind them are covered directly as roots.
 /// * the reactor's accept/registration path runs per *connection*, not
 ///   per tick — boxing the conn state and building its shared half
 ///   there is setup, amortized over the connection lifetime.  The same

@@ -17,9 +17,10 @@
 //! `// af-analyze: allow(blocking-in-reactor): reason`.
 //!
 //! A shard runs request handlers itself, under the dispatch lock, so the
-//! reactor-rooted scan stops at the dispatcher's `handle_event`: what a
-//! handler may do while holding the lock is the dispatcher's business
-//! (`lock-order`, `lock-across-send`, `alloc`).
+//! reactor-rooted scan stops at the dispatcher's two entries,
+//! `handle_request` and `handle_event`: what a handler may do while
+//! holding the lock is the dispatcher's business (`lock-order`,
+//! `lock-across-send`, `alloc`).
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;
@@ -66,7 +67,7 @@ const PATTERNS: &[&str] = &[
 const SCAN: ReachScan = ReachScan {
     lint: "blocking-in-reactor",
     roots: ROOTS,
-    barriers: &[(DISPATCH, &["handle_event"])],
+    barriers: &[(DISPATCH, &["handle_request", "handle_event"])],
     patterns: PATTERNS,
     rationale: "event loops must stay non-blocking (atomics, nonblocking \
                 I/O); a block here stalls every connection on the shard",

@@ -140,6 +140,7 @@ const FEC: &str = "crates/af-device/src/fec.rs";
 const JITTER: &str = "crates/af-device/src/jitter.rs";
 const REACTOR: &str = "crates/af-server/src/reactor/mod.rs";
 const BROADCAST: &str = "crates/af-server/src/broadcast.rs";
+const BUFFER: &str = "crates/af-server/src/buffer.rs";
 
 /// The registry-complete clean tail shared by every wallclock fixture set.
 fn wallclock_rest() -> [SourceFile; 4] {
@@ -521,7 +522,7 @@ fn lock_order_catches_dispatch_lock_taken_under_a_connection_write_lock() {
 // ---- blocking-in-reactor -----------------------------------------------
 
 /// The registry-complete hot-path tree shared by the reachability lints.
-fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 5] {
+fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 7] {
     [
         fx(REACTOR, reactor),
         fx(DISPATCH, include_str!("../fixtures/reach/dispatch_clean.rs")),
@@ -530,6 +531,11 @@ fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 5] {
         fx(
             BROADCAST,
             include_str!("../fixtures/reach/broadcast_clean.rs"),
+        ),
+        fx(BUFFER, include_str!("../fixtures/reach/buffer_clean.rs")),
+        fx(
+            REQUEST,
+            include_str!("../fixtures/reach/proto_request_clean.rs"),
         ),
     ]
 }
@@ -556,9 +562,10 @@ fn blocking_in_reactor_stays_quiet() {
     // Through the full pipeline: the clean shard's reply path takes the
     // connection's outbound lock on both sides (`flush_conn`, `deliver`)
     // and the mailbox lock on both sides (`wake`, `handle_wake`), and
-    // `feed` takes the dispatch lock in `submit`, each under a justified
-    // marker; the blocking `lock` in the dispatcher's `handle_event` sits
-    // behind the barrier.  Nothing else may be reported.
+    // `feed` takes the dispatch lock in `submit` and in `request`, each
+    // under a justified marker; the blocking `lock`s in the dispatcher's
+    // `handle_event` and `handle_request` sit behind the barrier.  Nothing
+    // else may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -612,7 +619,10 @@ fn alloc_barriers_cut_the_control_plane() {
     // `start_stream` (reached from the `read_bcast` root) formats the
     // one-shot broadcast response head; the dispatcher's `handle_event`
     // (reached from the reactor's `feed` root through `submit`) formats
-    // and clones.  None of it may be reported.
+    // and clones; the owned `Request::decode` copies the samples the
+    // borrowed `parse` root found, and `read_rec` builds the `Vec` the
+    // `read_rec_into` root appends to, each outside its root.  None of it
+    // may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -637,6 +647,52 @@ fn alloc_triggers_in_broadcast_seal() {
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(found[0].message.contains(".to_vec()"), "{found:?}");
     assert!(found[0].message.contains("publish -> seal"), "{found:?}");
+}
+
+#[test]
+fn alloc_triggers_on_the_borrowed_request_path() {
+    // The borrowed request entry, which the reactor-rooted scan reaches
+    // only through the dispatch lock, and the two roots below it that the
+    // call graph cannot reach by itself (`parse` is a cross-crate call into
+    // a name too common to follow; `read_rec_into` hangs off a struct
+    // field): a copy in any of them is a per-chunk allocation and must be
+    // found from the root named in the registry.
+    let mut files = reach_tree(
+        include_str!("../fixtures/reach/reactor_clean.rs"),
+        include_str!("../fixtures/reach/fec_clean.rs"),
+    );
+    let pooled_copy = "let mut copy = self.pool.take_empty();";
+    let dispatch = include_str!("../fixtures/reach/dispatch_clean.rs");
+    assert!(dispatch.contains(pooled_copy));
+    files[1] = fx(
+        DISPATCH,
+        &dispatch.replace(pooled_copy, "let mut copy = payload.to_vec();"),
+    );
+    files[5] = fx(BUFFER, include_str!("../fixtures/reach/buffer_trigger.rs"));
+    files[6] = fx(
+        REQUEST,
+        include_str!("../fixtures/reach/proto_request_trigger.rs"),
+    );
+    let found = run_graph_lint(&files, lints::alloc_hot::run);
+    assert_eq!(found.len(), 3, "{found:?}");
+    assert!(
+        found
+            .iter()
+            .any(|f| f.file == DISPATCH && f.message.contains("(handle_request)")),
+        "{found:?}"
+    );
+    assert!(
+        found.iter().any(|f| f.file == BUFFER
+            && f.message.contains("Vec::new")
+            && f.message.contains("read_rec_into -> stage")),
+        "{found:?}"
+    );
+    assert!(
+        found
+            .iter()
+            .any(|f| f.file == REQUEST && f.message.contains(".to_vec()")),
+        "{found:?}"
+    );
 }
 
 // ---- opcode-tables -----------------------------------------------------

@@ -6,7 +6,7 @@ use af_proto::message::{self, MessageHeader, MessageKind};
 use af_proto::request::{play_flags, record_flags, PropertyMode};
 use af_proto::{
     AcAttributes, AcId, AcMask, Atom, ByteOrder, ConnSetup, DeviceDesc, DeviceId, Event, EventMask,
-    Reply, Request, SetupReply, WireError, CHUNK_BYTES,
+    ProtoError, RecordView, Reply, Request, SetupReply, WireError, CHUNK_BYTES,
 };
 use af_chaos::StreamFaultPlan;
 use af_time::ATime;
@@ -467,17 +467,26 @@ impl AudioConn {
     }
 
     fn wait_reply(&mut self, seq: u16) -> AfResult<Reply> {
+        self.wait_reply_with(seq, Reply::decode)
+    }
+
+    /// Waits for the reply to request `seq` and returns what `decode`
+    /// makes of it, straight from the input buffer.
+    fn wait_reply_with<T>(
+        &mut self,
+        seq: u16,
+        mut decode: impl FnMut(ByteOrder, &MessageHeader, &[u8]) -> Result<T, ProtoError>,
+    ) -> AfResult<T> {
         loop {
             let (header, range) = self.read_message_blocking()?;
             let payload = &self.inbuf.buf[range];
             match header.kind {
                 MessageKind::Reply => {
-                    let reply =
-                        Reply::decode(self.order, &header, payload).map_err(AfError::Protocol)?;
                     if header.sequence == seq {
-                        return Ok(reply);
+                        return decode(self.order, &header, payload).map_err(AfError::Protocol);
                     }
                     // A reply for some other sequence: stale; drop it.
+                    Reply::decode(self.order, &header, payload).map_err(AfError::Protocol)?;
                 }
                 MessageKind::Event => {
                     let ev =
@@ -644,12 +653,11 @@ impl AudioConn {
         let mut collected = Vec::with_capacity(nbytes);
         let mut time = start_time;
         let mut remaining = nbytes;
-        let mut last_time;
         let mut flags = 0u8;
         if block {
             flags |= record_flags::BLOCK;
         }
-        loop {
+        let last_time = loop {
             let ask = remaining.min(chunk_bytes);
             // A zero-byte request is still sent: the first record operation
             // under a context marks it as recording on the server (§7.4.1),
@@ -660,21 +668,22 @@ impl AudioConn {
                 nbytes: ask as u32,
                 flags,
             };
-            match self.round_trip(&req)? {
-                Reply::Record { time: now, data } => {
-                    last_time = now;
-                    let got = data.len();
-                    collected.extend_from_slice(&data);
-                    time += ac.bytes_to_frames(got);
-                    remaining -= got.min(remaining);
-                    if got < ask || remaining == 0 {
-                        // Done, or a non-blocking record ran out of data.
-                        break;
-                    }
-                }
-                other => return Err(unexpected_reply(&other)),
+            let seq = self.push_request(&req)?;
+            self.flush()?;
+            // The reply's bytes go from the input buffer to `collected`,
+            // copied once.
+            let (now, got) = self.wait_reply_with(seq, |order, header, payload| {
+                let reply = RecordView::parse(order, header, payload)?;
+                collected.extend_from_slice(reply.data);
+                Ok((reply.time, reply.data.len()))
+            })?;
+            time += ac.bytes_to_frames(got);
+            remaining -= got.min(remaining);
+            if got < ask || remaining == 0 {
+                // Done, or a non-blocking record ran out of data.
+                break now;
             }
-        }
+        };
         Ok((last_time, collected))
     }
 

@@ -99,6 +99,20 @@ impl HwRing {
         }
     }
 
+    /// Appends `nframes` frames starting at device time `time` to `out`:
+    /// [`HwRing::read_at`] for a caller that has not made room yet, so the
+    /// bytes are written once.
+    pub fn append_to(&self, time: ATime, nframes: u32, out: &mut Vec<u8>) {
+        let mut off = self.offset(time);
+        let mut remaining = nframes as usize * self.frame_bytes;
+        while remaining > 0 {
+            let run = (self.data.len() - off).min(remaining);
+            out.extend_from_slice(&self.data[off..off + run]);
+            remaining -= run;
+            off = 0;
+        }
+    }
+
     /// Fills `nframes` frames starting at `time` with the byte `fill`.
     pub fn fill_at(&mut self, time: ATime, nframes: u32, fill: u8) {
         let nframes = nframes.min(self.frames);
@@ -150,6 +164,11 @@ mod tests {
         let mut out = vec![0u8; 12];
         r.read_at(ATime::new(6), &mut out);
         assert_eq!(out, data);
+        // The append form reads the same bytes, after what is there.
+        let mut appended = vec![0xEE];
+        r.append_to(ATime::new(6), 6, &mut appended);
+        assert_eq!(appended[0], 0xEE);
+        assert_eq!(appended[1..], data);
         // Frame 6 sits at offset 12, frame 8 wrapped to offset 0.
         let mut head = vec![0u8; 2];
         r.read_at(ATime::new(8), &mut head);

@@ -1,8 +1,8 @@
 //! The batched scalar table: table lookups per sample, typed slice views
 //! where alignment permits.  It is the semantic definition the SIMD tables
-//! are pinned against, what they call for their tails and (on SSE2 and
-//! NEON) for encode, and what runs under Miri or on a target with no
-//! `core::arch` table.
+//! are pinned against, what they call for their tails, (on SSE2 and
+//! NEON) for encode and (on SSE2) for decode, and what runs under Miri or
+//! on a target with no `core::arch` table.
 
 use super::Kernels;
 use crate::{sample, tables};
@@ -18,11 +18,11 @@ pub static KERNELS: Kernels = Kernels {
     mix_lin32_le,
 };
 
-fn decode_ulaw(data: &[u8], out: &mut [i16]) {
+pub(super) fn decode_ulaw(data: &[u8], out: &mut [i16]) {
     decode_tab(tables::exp_u(), data, out);
 }
 
-fn decode_alaw(data: &[u8], out: &mut [i16]) {
+pub(super) fn decode_alaw(data: &[u8], out: &mut [i16]) {
     decode_tab(tables::exp_a(), data, out);
 }
 

@@ -4,12 +4,14 @@
 //! check; AVX2 entry points are `#[target_feature]` functions reached only
 //! through the table handed out after `is_x86_feature_detected!("avx2")`.
 //!
-//! Companded decode is *algorithmic* here, not a table gather: G.711's
+//! AVX2 companded decode is *algorithmic*, not a table gather: G.711's
 //! `((m << 3) + 0x84) << e - 0x84` maps onto 16-bit lanes with the variable
-//! shift done as three conditional doublings (compare-mask + shift +
-//! blend), and the conditional negate as `(x ^ mask) - mask`, which is
-//! lane-isolated in real SIMD.  SSE2 encode is the scalar table loop — a
-//! 16 K gather has no good SIMD form without AVX-512 — and every vector
+//! shift done as a multiply by an in-register `2^e` gather, and the
+//! conditional negate as `(x ^ mask) - mask`, which is lane-isolated in
+//! real SIMD.  SSE2 has no such gather — its decode by conditional
+//! doublings measured 4× slower than the 256-entry table loop — so the
+//! SSE2 table's decode and encode are the scalar table loops (a 16 K
+//! encode gather has no good SIMD form without AVX-512), and every vector
 //! body hands its tail to the scalar loop of the same entry point.
 
 // All intrinsics in this module operate on unaligned loads/stores within
@@ -20,7 +22,6 @@
 use core::arch::x86_64::*;
 
 use super::{scalar, Kernels};
-use crate::tables;
 
 // SSE2 first, AVX2 last.  Private: the `_entry` functions are sound only
 // on a host with AVX2, so the tables leave this module through
@@ -28,8 +29,8 @@ use crate::tables;
 static TABLES: [Kernels; 2] = [
     Kernels {
         name: "simd-sse2",
-        decode_ulaw: decode_ulaw_sse2,
-        decode_alaw: decode_alaw_sse2,
+        decode_ulaw: scalar::decode_ulaw,
+        decode_alaw: scalar::decode_alaw,
         encode_ulaw: scalar::encode_ulaw,
         encode_alaw: scalar::encode_alaw,
         mix_lin16_le: mix_lin16_le_sse2,
@@ -141,104 +142,6 @@ fn mix_lin32_le_sse2(dst: &mut [u8], src: &[u8]) {
     scalar::mix_lin32_le(&mut dst[i..n], &src[i..n]);
 }
 
-// ---- companded decode -------------------------------------------------
-
-/// One conditional-doubling step: lanes of `mag` whose bit `k` of `e` is
-/// set are shifted left by `1 << k`.
-macro_rules! double_if {
-    ($mag:ident, $e:ident, $bit:expr, $shift:expr) => {{
-        let bit = _mm_set1_epi16($bit);
-        let sel = _mm_cmpeq_epi16(_mm_and_si128($e, bit), bit);
-        $mag = _mm_or_si128(
-            _mm_and_si128(sel, _mm_slli_epi16($mag, $shift)),
-            _mm_andnot_si128(sel, $mag),
-        );
-    }};
-}
-
-fn decode_ulaw_sse2(data: &[u8], out: &mut [i16]) {
-    assert_eq!(data.len(), out.len(), "decode buffer length mismatch");
-    let n = data.len();
-    let mut i = 0;
-    // SAFETY: SSE2 baseline; each iteration reads 8 bytes of `data` and
-    // writes 8 i16 of `out`, both bounded by `i + 8 <= n`.
-    unsafe {
-        let zero = _mm_setzero_si128();
-        let inv = _mm_set1_epi16(0x00FF);
-        let bias = _mm_set1_epi16(0x84);
-        let m07 = _mm_set1_epi16(0x07);
-        let m0f = _mm_set1_epi16(0x0F);
-        let sbit = _mm_set1_epi16(0x80);
-        while i + 8 <= n {
-            let raw = _mm_loadl_epi64(data.as_ptr().add(i).cast());
-            // µ-law stores the complement; widen to 16-bit lanes and flip.
-            let u = _mm_xor_si128(_mm_unpacklo_epi8(raw, zero), inv);
-            let e = _mm_and_si128(_mm_srli_epi16(u, 4), m07);
-            let m = _mm_and_si128(u, m0f);
-            // magnitude = ((m << 3) + 0x84) << e - 0x84, max 32124.
-            let mut mag = _mm_add_epi16(_mm_slli_epi16(m, 3), bias);
-            double_if!(mag, e, 1, 1);
-            double_if!(mag, e, 2, 2);
-            double_if!(mag, e, 4, 4);
-            mag = _mm_sub_epi16(mag, bias);
-            // Sign bit set (in the complemented domain) means negative:
-            // (mag ^ -1) - (-1) = -mag, lane-isolated.
-            let neg = _mm_cmpeq_epi16(_mm_and_si128(u, sbit), sbit);
-            let res = _mm_sub_epi16(_mm_xor_si128(mag, neg), neg);
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), res);
-            i += 8;
-        }
-    }
-    let t = tables::exp_u();
-    for j in i..n {
-        out[j] = t[data[j] as usize];
-    }
-}
-
-fn decode_alaw_sse2(data: &[u8], out: &mut [i16]) {
-    assert_eq!(data.len(), out.len(), "decode buffer length mismatch");
-    let n = data.len();
-    let mut i = 0;
-    // SAFETY: SSE2 baseline; bounds as in `decode_ulaw_sse2`.
-    unsafe {
-        let zero = _mm_setzero_si128();
-        let toggle = _mm_set1_epi16(0x55);
-        let m07 = _mm_set1_epi16(0x07);
-        let m0f = _mm_set1_epi16(0x0F);
-        let sbit = _mm_set1_epi16(0x80);
-        let one = _mm_set1_epi16(1);
-        let seg0add = _mm_set1_epi16(8);
-        let segnadd = _mm_set1_epi16(0x108);
-        while i + 8 <= n {
-            let raw = _mm_loadl_epi64(data.as_ptr().add(i).cast());
-            let a = _mm_xor_si128(_mm_unpacklo_epi8(raw, zero), toggle);
-            let m4 = _mm_slli_epi16(_mm_and_si128(a, m0f), 4);
-            let seg = _mm_and_si128(_mm_srli_epi16(a, 4), m07);
-            let segz = _mm_cmpeq_epi16(seg, zero);
-            // seg 0: +8; seg >= 1: +0x108 then << (seg - 1), max 32256.
-            let addend = _mm_or_si128(
-                _mm_and_si128(segz, seg0add),
-                _mm_andnot_si128(segz, segnadd),
-            );
-            let mut mag = _mm_add_epi16(m4, addend);
-            let e = _mm_andnot_si128(segz, _mm_sub_epi16(seg, one));
-            double_if!(mag, e, 1, 1);
-            double_if!(mag, e, 2, 2);
-            double_if!(mag, e, 4, 4);
-            // A-law sign bit (unaffected by the 0x55 toggle) set means
-            // non-negative; clear means negate.
-            let neg = _mm_cmpeq_epi16(_mm_and_si128(a, sbit), zero);
-            let res = _mm_sub_epi16(_mm_xor_si128(mag, neg), neg);
-            _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), res);
-            i += 8;
-        }
-    }
-    let t = tables::exp_a();
-    for j in i..n {
-        out[j] = t[data[j] as usize];
-    }
-}
-
 // ---- AVX2 decode (16 lanes per iteration) -----------------------------
 
 /// `2^e` per 16-bit lane, for `e` in `0..=7`: a `vpshufb` gather from an
@@ -293,7 +196,7 @@ unsafe fn decode_ulaw_avx2(data: &[u8], out: &mut [i16]) {
         _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), res);
         i += 16;
     }
-    decode_ulaw_sse2(&data[i..], &mut out[i..]);
+    scalar::decode_ulaw(&data[i..], &mut out[i..]);
 }
 
 // SAFETY: callers must guarantee the CPU supports AVX2.
@@ -329,7 +232,7 @@ unsafe fn decode_alaw_avx2(data: &[u8], out: &mut [i16]) {
         _mm256_storeu_si256(out.as_mut_ptr().add(i).cast(), res);
         i += 16;
     }
-    decode_alaw_sse2(&data[i..], &mut out[i..]);
+    scalar::decode_alaw(&data[i..], &mut out[i..]);
 }
 
 // ---- AVX2 encode (32 lanes per iteration) -----------------------------
@@ -475,7 +378,7 @@ unsafe fn encode_alaw_avx2(pcm: &[i16], out: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::g711;
+    use crate::{g711, tables};
 
     // Each test runs every table the host can execute: SSE2 always, AVX2
     // when detected.

@@ -37,8 +37,8 @@ pub use atoms::Atom;
 pub use error::{ErrorCode, ProtoError, WireError};
 pub use event::{Event, EventDetail, EventKind, EventMask};
 pub use opcode::Opcode;
-pub use reply::Reply;
-pub use request::Request;
+pub use reply::{RecordView, Reply};
+pub use request::{PlayView, Request};
 pub use setup::{ConnSetup, DeviceDesc, DeviceKind, SetupReply, SetupStatus};
 pub use wire::ByteOrder;
 

@@ -55,12 +55,9 @@ impl MessageHeader {
 
     /// Encodes the header.
     pub fn encode(&self, order: ByteOrder) -> [u8; 8] {
-        let mut w = WireWriter::with_capacity(order, 8);
-        w.u8(self.kind as u8)
-            .u8(self.detail)
-            .u16(self.sequence)
-            .u32(self.extra_words);
-        w.finish().try_into().expect("header is 8 bytes")
+        let [s0, s1] = order.u16_bytes(self.sequence);
+        let [w0, w1, w2, w3] = order.u32_bytes(self.extra_words);
+        [self.kind as u8, self.detail, s0, s1, w0, w1, w2, w3]
     }
 
     /// Decodes a header from exactly 8 bytes.

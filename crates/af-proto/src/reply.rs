@@ -89,6 +89,43 @@ pub enum Reply {
     },
 }
 
+/// A `Record` reply's fields, its sample bytes still where they were
+/// received: the borrowed form of [`Reply::Record`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// The device time when the reply was generated.
+    pub time: ATime,
+    /// The recorded bytes.
+    pub data: &'a [u8],
+}
+
+impl<'a> RecordView<'a> {
+    /// Parses, without copying it, a reply payload that `header` must mark
+    /// as a `Record`.
+    pub fn parse(
+        order: ByteOrder,
+        header: &MessageHeader,
+        payload: &'a [u8],
+    ) -> Result<RecordView<'a>, ProtoError> {
+        if header.detail != tag::RECORD {
+            return Err(ProtoError::BadEnum {
+                field: "reply kind",
+                value: u32::from(header.detail),
+            });
+        }
+        let mut r = WireReader::new(order, payload);
+        let time = ATime::new(r.u32()?);
+        let len = r.u32()? as usize;
+        if len > r.remaining() {
+            return Err(ProtoError::BadLength(len));
+        }
+        Ok(RecordView {
+            time,
+            data: r.bytes(len)?,
+        })
+    }
+}
+
 /// Reply-kind tags carried in the message header's detail byte.
 mod tag {
     pub const TIME: u8 = 1;
@@ -138,6 +175,11 @@ impl Reply {
     /// costs one buffer and one `write` on the transport, and `out` can come
     /// from a reuse pool.
     pub fn encode_into(&self, order: ByteOrder, sequence: u16, out: &mut Vec<u8>) {
+        if let Reply::Record { time, data } = self {
+            Self::open_record(out);
+            out.extend_from_slice(data);
+            return Self::close_record(order, sequence, *time, out);
+        }
         out.clear();
         let mut body = WireWriter::over(order, std::mem::take(out));
         body.pad(MessageHeader::SIZE); // Header placeholder, patched below.
@@ -145,11 +187,7 @@ impl Reply {
             Reply::Time { time } => {
                 body.u32(time.ticks());
             }
-            Reply::Record { time, data } => {
-                body.u32(time.ticks());
-                body.u32(data.len() as u32);
-                body.bytes(data);
-            }
+            Reply::Record { .. } => {} // Framed above, around its bytes.
             Reply::Phone {
                 off_hook,
                 loop_current,
@@ -203,17 +241,31 @@ impl Reply {
                 }
             }
         }
-        body.pad_to_word();
-        let payload_len = body.len() - MessageHeader::SIZE;
-        debug_assert_eq!(payload_len, pad4(payload_len));
-        let header = MessageHeader {
-            kind: MessageKind::Reply,
-            detail: self.tag(),
-            sequence,
-            extra_words: (payload_len / 4) as u32,
-        };
-        body.patch(0, &header.encode(order));
         *out = body.finish();
+        seal(order, sequence, self.tag(), out);
+    }
+
+    /// Where a `Record` reply's sample bytes start: after the message
+    /// header, the time and the length.
+    pub const RECORD_DATA_AT: usize = MessageHeader::SIZE + 8;
+
+    /// Starts a framed `Record` reply in `out` (cleared first), leaving
+    /// [`Reply::RECORD_DATA_AT`] bytes for what comes before the samples.
+    /// The caller appends the sample bytes — reads, gains, converts them
+    /// there — and then calls [`Reply::close_record`], so a record's bytes
+    /// are written once, where the transport's `write` takes them.
+    pub fn open_record(out: &mut Vec<u8>) {
+        out.clear();
+        out.resize(Self::RECORD_DATA_AT, 0);
+    }
+
+    /// Completes a reply begun with [`Reply::open_record`]: everything
+    /// past [`Reply::RECORD_DATA_AT`] is the recorded data.
+    pub fn close_record(order: ByteOrder, sequence: u16, time: ATime, out: &mut Vec<u8>) {
+        let len = (out.len() - Self::RECORD_DATA_AT) as u32;
+        out[MessageHeader::SIZE..][..4].copy_from_slice(&order.u32_bytes(time.ticks()));
+        out[MessageHeader::SIZE + 4..][..4].copy_from_slice(&order.u32_bytes(len));
+        seal(order, sequence, tag::RECORD, out);
     }
 
     /// Decodes a reply payload given its parsed header.
@@ -228,14 +280,10 @@ impl Reply {
                 time: ATime::new(r.u32()?),
             },
             tag::RECORD => {
-                let time = ATime::new(r.u32()?);
-                let len = r.u32()? as usize;
-                if len > r.remaining() {
-                    return Err(ProtoError::BadLength(len));
-                }
+                let view = RecordView::parse(order, header, payload)?;
                 Reply::Record {
-                    time,
-                    data: r.bytes(len)?.to_vec(),
+                    time: view.time,
+                    data: view.data.to_vec(),
                 }
             }
             tag::PHONE => Reply::Phone {
@@ -305,6 +353,21 @@ impl Reply {
         };
         Ok(reply)
     }
+}
+
+/// Pads the message in `out` to a word and writes its header over the
+/// placeholder at the front.
+fn seal(order: ByteOrder, sequence: u16, tag: u8, out: &mut Vec<u8>) {
+    out.resize(pad4(out.len()), 0);
+    let header = MessageHeader {
+        kind: MessageKind::Reply,
+        detail: tag,
+        sequence,
+        extra_words: ((out.len() - MessageHeader::SIZE) / 4) as u32,
+    };
+    // (Spelled as a path so that af-analyze's textual call graph binds it
+    // to the header's `encode`, not to `Reply::encode` next door.)
+    out[..MessageHeader::SIZE].copy_from_slice(&MessageHeader::encode(&header, order));
 }
 
 #[cfg(test)]

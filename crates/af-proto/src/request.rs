@@ -396,12 +396,7 @@ impl Request {
         w.pad_to_word();
         let total = w.len() - start;
         assert!(total <= MAX_REQUEST_BYTES, "request too long: {total}");
-        let words = (total / 4) as u16;
-        let len_bytes = match order {
-            ByteOrder::Little => words.to_le_bytes(),
-            ByteOrder::Big => words.to_be_bytes(),
-        };
-        w.patch(start, &len_bytes);
+        w.patch(start, &order.u16_bytes((total / 4) as u16));
         *out = w.finish();
     }
 
@@ -598,20 +593,12 @@ impl Request {
             }
             Opcode::FreeAc => Request::FreeAc { id: r.u32()? },
             Opcode::PlaySamples => {
-                let ac = r.u32()?;
-                let start_time = ATime::new(r.u32()?);
-                let flags = r.u8()?;
-                r.skip(3)?;
-                let nbytes = r.u32()? as usize;
-                if nbytes > r.remaining() {
-                    return Err(ProtoError::BadLength(nbytes));
-                }
-                let data = r.bytes(nbytes)?.to_vec();
+                let play = PlayView::parse(order, payload)?;
                 Request::PlaySamples {
-                    ac,
-                    start_time,
-                    flags,
-                    data,
+                    ac: play.ac,
+                    start_time: play.start_time,
+                    flags: play.flags,
+                    data: play.data.to_vec(),
                 }
             }
             Opcode::RecordSamples => {
@@ -793,6 +780,43 @@ impl Request {
             }
             _ => self.encode(order).len(),
         }
+    }
+}
+
+/// A `PlaySamples` request's fields, its sample bytes still where they
+/// were received: the borrowed form of [`Request::PlaySamples`], for a
+/// server that only reads them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlayView<'a> {
+    /// The audio context.
+    pub ac: AcId,
+    /// Device time of the first sample.
+    pub start_time: ATime,
+    /// [`play_flags`] bits.
+    pub flags: u8,
+    /// The sample bytes.
+    pub data: &'a [u8],
+}
+
+impl<'a> PlayView<'a> {
+    /// Parses a `PlaySamples` payload (the bytes following the 4-byte
+    /// header) without copying it.
+    pub fn parse(order: ByteOrder, payload: &'a [u8]) -> Result<PlayView<'a>, ProtoError> {
+        let mut r = WireReader::new(order, payload);
+        let ac = r.u32()?;
+        let start_time = ATime::new(r.u32()?);
+        let flags = r.u8()?;
+        r.skip(3)?;
+        let nbytes = r.u32()? as usize;
+        if nbytes > r.remaining() {
+            return Err(ProtoError::BadLength(nbytes));
+        }
+        Ok(PlayView {
+            ac,
+            start_time,
+            flags,
+            data: r.bytes(nbytes)?,
+        })
     }
 }
 

@@ -41,6 +41,22 @@ impl ByteOrder {
             other => Err(ProtoError::BadByteOrderMarker(other)),
         }
     }
+
+    /// A 16-bit value as it goes on the wire in this order.
+    pub const fn u16_bytes(self, v: u16) -> [u8; 2] {
+        match self {
+            ByteOrder::Little => v.to_le_bytes(),
+            ByteOrder::Big => v.to_be_bytes(),
+        }
+    }
+
+    /// A 32-bit value as it goes on the wire in this order.
+    pub const fn u32_bytes(self, v: u32) -> [u8; 4] {
+        match self {
+            ByteOrder::Little => v.to_le_bytes(),
+            ByteOrder::Big => v.to_be_bytes(),
+        }
+    }
 }
 
 /// Rounds a byte length up to a whole number of 32-bit words.
@@ -122,11 +138,7 @@ impl WireWriter {
 
     /// Appends a 16-bit value in the connection order.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        let b = match self.order {
-            ByteOrder::Little => v.to_le_bytes(),
-            ByteOrder::Big => v.to_be_bytes(),
-        };
-        self.buf.extend_from_slice(&b);
+        self.buf.extend_from_slice(&self.order.u16_bytes(v));
         self
     }
 
@@ -137,11 +149,7 @@ impl WireWriter {
 
     /// Appends a 32-bit value in the connection order.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        let b = match self.order {
-            ByteOrder::Little => v.to_le_bytes(),
-            ByteOrder::Big => v.to_be_bytes(),
-        };
-        self.buf.extend_from_slice(&b);
+        self.buf.extend_from_slice(&self.order.u32_bytes(v));
         self
     }
 

@@ -6,7 +6,8 @@ use af_dsp::Encoding;
 use af_proto::message::MessageHeader;
 use af_proto::request::PropertyMode;
 use af_proto::{
-    AcAttributes, AcMask, Atom, ByteOrder, Event, EventDetail, EventMask, Opcode, Reply, Request,
+    AcAttributes, AcMask, Atom, ByteOrder, Event, EventDetail, EventMask, Opcode, PlayView,
+    RecordView, Reply, Request,
 };
 use af_time::ATime;
 use proptest::prelude::*;
@@ -285,6 +286,86 @@ proptest! {
         let _ = af_proto::ConnSetup::decode(&bytes);
         if bytes.len() >= 12 {
             let _ = af_proto::ConnSetup::tail_len(&bytes[..12]);
+        }
+    }
+}
+
+// ---- Borrowed views against the owned decoders. ----
+
+const VIEW_CASES: u32 = if cfg!(miri) { 16 } else { 1024 };
+
+/// A data-carrying payload as a peer might get it wrong: two leading
+/// words, then a length word — the data's true length, or some other —
+/// then the data and trailing bytes, cut short anywhere.  (`lead` is the
+/// two words of a `Record` reply; a `PlaySamples` has a third before the
+/// length.)
+fn data_payload(lead_words: usize) -> impl Strategy<Value = (ByteOrder, Vec<u8>)> {
+    (
+        order_strategy(),
+        prop::collection::vec(any::<u8>(), lead_words * 4),
+        prop::collection::vec(any::<u8>(), 0..48),
+        prop_oneof![
+            Just(None),
+            (0u32..64).prop_map(Some),
+            any::<u32>().prop_map(Some)
+        ],
+        prop::collection::vec(any::<u8>(), 0..8),
+        prop_oneof![Just(usize::MAX), 0usize..80],
+    )
+        .prop_map(|(order, lead, data, claimed, trailing, cut)| {
+            let mut payload = lead;
+            let nbytes = claimed.unwrap_or(data.len() as u32);
+            payload.extend_from_slice(&order.u32_bytes(nbytes));
+            payload.extend_from_slice(&data);
+            payload.extend_from_slice(&trailing);
+            payload.truncate(cut);
+            (order, payload)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(VIEW_CASES))]
+
+    /// The borrowed play view is `Request::decode`, minus the copy: the
+    /// same fields, the same bytes, the same error, on any payload.
+    #[test]
+    fn play_view_agrees_with_request_decode(case in data_payload(3)) {
+        let (order, payload) = case;
+        let owned = Request::decode(order, Opcode::PlaySamples, &payload);
+        match (PlayView::parse(order, &payload), owned) {
+            (Ok(view), Ok(Request::PlaySamples { ac, start_time, flags, data })) => {
+                prop_assert_eq!((view.ac, view.start_time, view.flags), (ac, start_time, flags));
+                prop_assert_eq!(view.data, &data[..]);
+            }
+            (Err(view), Err(owned)) => prop_assert_eq!(view, owned),
+            (view, owned) => prop_assert!(false, "view {view:?}, owned {owned:?}"),
+        }
+    }
+
+    /// The borrowed record view is `Reply::decode`'s `Record` arm, minus
+    /// the copy; any other reply tag it refuses.
+    #[test]
+    fn record_view_agrees_with_reply_decode(
+        case in data_payload(1),
+        tag in prop_oneof![Just(2u8), any::<u8>()],
+        sequence in any::<u16>(),
+    ) {
+        let (order, payload) = case;
+        let header = MessageHeader {
+            kind: af_proto::message::MessageKind::Reply,
+            detail: tag,
+            sequence,
+            extra_words: (payload.len() / 4) as u32,
+        };
+        let owned = Reply::decode(order, &header, &payload);
+        match (RecordView::parse(order, &header, &payload), owned) {
+            (Ok(view), Ok(Reply::Record { time, data })) => {
+                prop_assert_eq!(view.time, time);
+                prop_assert_eq!(view.data, &data[..]);
+            }
+            (Err(view), Err(owned)) if tag == 2 => prop_assert_eq!(view, owned),
+            (Err(_), _) if tag != 2 => {}
+            (view, owned) => prop_assert!(false, "view {view:?}, owned {owned:?}"),
         }
     }
 }

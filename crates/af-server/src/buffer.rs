@@ -455,25 +455,25 @@ impl DeviceBuffers {
         }
     }
 
-    /// Reads one channel of recorded frames: "a record request simply
-    /// reads from the appropriate channel" (§7.4.1).
-    pub fn read_rec_channel(
+    /// Appends one channel of recorded frames to `out`: "a record request
+    /// simply reads from the appropriate channel" (§7.4.1).
+    pub fn read_rec_channel_into(
         &mut self,
         start_time: ATime,
         nframes: u32,
         channel: u8,
         channels: u8,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         let sample_bytes = self.frame_bytes / channels.max(1) as usize;
-        let frames = self.read_rec(start_time, nframes);
         let lane_off = channel as usize * sample_bytes;
-        let mut out = vec![0u8; nframes as usize * sample_bytes];
-        for i in 0..nframes as usize {
-            let src = i * self.frame_bytes + lane_off;
-            out[i * sample_bytes..(i + 1) * sample_bytes]
-                .copy_from_slice(&frames[src..src + sample_bytes]);
+        let mut frames = std::mem::take(&mut self.scratch);
+        frames.clear();
+        self.read_rec_into(start_time, nframes, &mut frames);
+        for frame in frames.chunks_exact(self.frame_bytes) {
+            out.extend_from_slice(&frame[lane_off..lane_off + sample_bytes]);
         }
-        out
+        self.scratch = frames;
     }
 
     /// Mixes or copies `data` into the play ring at `start` using the
@@ -528,17 +528,25 @@ impl DeviceBuffers {
     }
 
     /// Reads `nframes` recorded frames starting at `start_time` into a new
-    /// buffer, handling the input model's regions (§2.3): silence for the
-    /// distant past, buffered data for the recent past.
+    /// buffer: [`DeviceBuffers::read_rec_into`] for a caller with nowhere
+    /// to put them yet.
+    pub fn read_rec(&mut self, start_time: ATime, nframes: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(nframes as usize * self.frame_bytes);
+        self.read_rec_into(start_time, nframes, &mut out);
+        out
+    }
+
+    /// Appends `nframes` recorded frames starting at `start_time` to `out`,
+    /// handling the input model's regions (§2.3): silence for the distant
+    /// past, buffered data for the recent past.  Each byte is written once:
+    /// ring data is copied straight to its place, silence goes only where
+    /// the request reaches outside the buffered window.
     ///
     /// The caller must ensure the request does not extend beyond
     /// [`DeviceBuffers::recorded_until`]; run [`DeviceBuffers::update`] (a
     /// "record update") first if it does.
-    pub fn read_rec(&mut self, start_time: ATime, nframes: u32) -> Vec<u8> {
-        let mut out = vec![self.fill(); nframes as usize * self.frame_bytes];
-        if nframes == 0 {
-            return out;
-        }
+    pub fn read_rec_into(&mut self, start_time: ATime, nframes: u32, out: &mut Vec<u8>) {
+        let end = out.len() + nframes as usize * self.frame_bytes;
         let consistent_end = self.time_rec_last_updated;
         let oldest = consistent_end - self.frames;
 
@@ -554,14 +562,13 @@ impl DeviceBuffers {
         } else {
             req_end
         };
-        if !copy_end.is_after(copy_start) {
-            return out; // Entirely outside the window: silence.
+        if copy_end.is_after(copy_start) {
+            let before = (copy_start - start_time).max(0) as usize * self.frame_bytes;
+            out.resize(out.len() + before, self.fill());
+            self.rec
+                .append_to(copy_start, (copy_end - copy_start) as u32, out);
         }
-        let frames = (copy_end - copy_start) as u32;
-        let off = (copy_start - start_time).max(0) as usize * self.frame_bytes;
-        let nbytes = frames as usize * self.frame_bytes;
-        self.rec.read_at(copy_start, &mut out[off..off + nbytes]);
-        out
+        out.resize(end, self.fill());
     }
 }
 

@@ -455,7 +455,7 @@ impl ServerBuilder {
         let dispatcher =
             Dispatcher::new(core, self.update_interval).with_idle_timeout(self.idle_timeout);
         let dispatch = DispatchHandle::new(dispatcher);
-        let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, pool);
+        let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, Arc::clone(&pool));
 
         // Every step from here to the task thread can fail (no epoll
         // instance, an address in use, a bad socket path).  Dropping the
@@ -487,6 +487,7 @@ impl ServerBuilder {
         Ok(RunningServer {
             handle,
             stats,
+            pool,
             reactor: Some(reactor),
             tcp_addr,
             broadcast_addr,
@@ -534,6 +535,7 @@ impl ServerHandle {
 pub struct RunningServer {
     handle: ServerHandle,
     stats: Arc<ServerStats>,
+    pool: Arc<crate::pool::BufferPool>,
     reactor: Option<crate::reactor::Reactor>,
     tcp_addr: Option<SocketAddr>,
     broadcast_addr: Option<SocketAddr>,
@@ -555,6 +557,12 @@ impl RunningServer {
     /// Failure counters (evictions, protocol errors, disconnects).
     pub fn stats(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
+    }
+
+    /// The pool the transport stages split frames in and the dispatcher
+    /// builds replies in (its `allocs`/`reuses` count the traffic).
+    pub fn pool(&self) -> &crate::pool::BufferPool {
+        &self.pool
     }
 
     /// The Unix-domain socket path, if configured.

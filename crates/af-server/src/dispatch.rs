@@ -5,8 +5,9 @@
 //! reply.  Here the [`Dispatcher`] — all server state, the task queue and
 //! the request handlers — sits behind one **dispatch lock**, and the reactor
 //! shard that frames a transport event hands it to
-//! [`DispatchHandle::submit`], which takes the lock and runs the handler on
-//! that same thread.  The lock *is* the single-thread
+//! [`DispatchHandle::submit`] — a request, still in the buffer `read` left
+//! it in, to [`DispatchHandle::request`] — which takes the lock and runs
+//! the handler on that same thread.  The lock *is* the single-thread
 //! guarantee: events are handled one at a time, atomically, in
 //! per-connection arrival order (a connection lives on one thread).
 //!
@@ -30,7 +31,7 @@ use af_dsp::convert::Converter;
 use af_proto::request::{play_flags, record_flags, PropertyMode};
 use af_proto::{
     message, AcAttributes, AcId, AcMask, Atom, DeviceId, ErrorCode, Event, EventDetail, EventMask,
-    Opcode, Reply, Request, SetupReply, WireError, MAX_REQUEST_BYTES,
+    Opcode, PlayView, Reply, Request, SetupReply, WireError, MAX_REQUEST_BYTES,
 };
 use af_time::ATime;
 use std::collections::HashMap;
@@ -135,6 +136,15 @@ pub struct Dispatcher {
     overflowed: Vec<ClientId>,
 }
 
+/// Where [`Dispatcher::advance_play`] had to stop: the first `consumed`
+/// bytes are in the device buffer (or were dropped as past), and `frames`
+/// more frames, the first due at `next`, lie beyond the buffer horizon.
+struct Beyond {
+    consumed: usize,
+    next: ATime,
+    frames: u32,
+}
+
 /// Milliseconds since the Unix epoch (the "host clock time" in events).
 fn host_time_ms() -> u64 {
     SystemTime::now()
@@ -161,11 +171,19 @@ pub struct DispatchHandle(Route);
 #[derive(Clone)]
 enum Route {
     Live(Arc<DispatchShared>),
-    /// Test double: events go to a channel the test inspects.
+    /// Test double: what comes in goes to a channel the test inspects.
     #[cfg(test)]
     Capture {
-        events: std::sync::mpsc::SyncSender<ServerEvent>,
+        events: std::sync::mpsc::SyncSender<Captured>,
     },
+}
+
+/// What a capturing handle saw: a submitted event, or a request — id,
+/// opcode and a copy of the payload it was lent.
+#[cfg(test)]
+pub(crate) enum Captured {
+    Event(ServerEvent),
+    Request(ClientId, u8, Vec<u8>),
 }
 
 struct DispatchShared {
@@ -192,7 +210,7 @@ impl DispatchHandle {
 
     /// A handle whose events land on `events` instead of a dispatcher.
     #[cfg(test)]
-    pub(crate) fn capture(events: std::sync::mpsc::SyncSender<ServerEvent>) -> DispatchHandle {
+    pub(crate) fn capture(events: std::sync::mpsc::SyncSender<Captured>) -> DispatchHandle {
         DispatchHandle(Route::Capture { events })
     }
 
@@ -201,7 +219,24 @@ impl DispatchHandle {
         match &self.0 {
             Route::Live(shared) => shared.run_inline(ev),
             #[cfg(test)]
-            Route::Capture { events } => events.send(ev).map_err(|_| DispatcherGone),
+            Route::Capture { events } => {
+                events.send(Captured::Event(ev)).map_err(|_| DispatcherGone)
+            }
+        }
+    }
+
+    /// Handles one framed request of connection `id` on the calling
+    /// thread, under the dispatch lock.  `payload` (the bytes after the
+    /// 4-byte header) is only read: the caller lends it from where its
+    /// `read` left it, and nothing keeps it past the call.
+    pub fn request(&self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone> {
+        match &self.0 {
+            Route::Live(shared) => shared.run_request(id, opcode, payload),
+            #[cfg(test)]
+            Route::Capture { events } => {
+                let request = Captured::Request(id, opcode, payload.to_vec());
+                events.send(request).map_err(|_| DispatcherGone)
+            }
         }
     }
 
@@ -260,6 +295,25 @@ impl DispatchShared {
             }
             let armed = dispatcher.tasks.next_deadline();
             dispatcher.handle_event(ev);
+            ServerStats::bump(&dispatcher.core.stats.inline_events);
+            dispatcher.scheduled_ahead_of(armed)
+        };
+        if earlier {
+            self.task_wake.notify_one();
+        }
+        Ok(())
+    }
+
+    fn run_request(&self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone> {
+        let earlier = {
+            // af-analyze: allow(blocking-in-reactor): the dispatch lock, as in `run_inline`
+            let locked = self.dispatch_lock.lock();
+            let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
+            if dispatcher.shutdown {
+                return Err(DispatcherGone);
+            }
+            let armed = dispatcher.tasks.next_deadline();
+            dispatcher.handle_request(id, opcode, payload);
             ServerStats::bump(&dispatcher.core.stats.inline_events);
             dispatcher.scheduled_ahead_of(armed)
         };
@@ -375,18 +429,6 @@ impl Dispatcher {
                 peer,
                 tx,
             } => self.handle_new_client(id, &setup, peer, tx),
-            ServerEvent::Request { id, raw } => {
-                // Unknown ids (never admitted, or already evicted) drop
-                // the request.
-                if let Some(c) = self.core.clients.get_mut(&id) {
-                    c.last_activity = Instant::now();
-                    if c.blocked.is_some() {
-                        c.queue.push_back(raw);
-                    } else {
-                        self.process_request(id, raw);
-                    }
-                }
-            }
             ServerEvent::ProtocolError { id, error: _ } => {
                 // A framing violation poisons only the offending
                 // connection; other clients are untouched.
@@ -397,6 +439,28 @@ impl Dispatcher {
         }
         // Any event may have queued outbound data; evict clients whose
         // bounded deque overflowed rather than buffering without limit.
+        self.evict_overflowed();
+    }
+
+    /// One framed request, on the thread that framed it and in the buffer
+    /// it was framed in.  Unknown ids (never admitted, or already evicted)
+    /// drop the request.
+    fn handle_request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
+        if let Some(c) = self.core.clients.get_mut(&id) {
+            c.last_activity = Instant::now();
+            if c.blocked.is_some() {
+                // The one place a request's bytes must outlive the call:
+                // a suspended client's requests wait in pooled copies.
+                let mut copy = self.core.pool.take_empty();
+                copy.vec_mut().extend_from_slice(payload);
+                c.queue.push_back(RawRequest {
+                    opcode,
+                    payload: copy,
+                });
+            } else {
+                self.process_request(id, opcode, payload);
+            }
+        }
         self.evict_overflowed();
     }
 
@@ -667,7 +731,7 @@ impl Dispatcher {
                     None => return,
                 }
             };
-            self.process_request(id, raw);
+            self.process_request(id, raw.opcode, &raw.payload);
         }
     }
 
@@ -691,17 +755,26 @@ impl Dispatcher {
             } => {
                 // Cannot fail: the request passed these checks when it
                 // arrived, and devices do not go away.
-                if let Ok(Some(reply)) = self.advance_play(
-                    id,
-                    seq,
-                    device,
-                    preempt,
-                    start,
-                    frames,
-                    offset,
-                    suppress_reply,
-                ) {
-                    self.send_reply_to(id, order, seq, &reply);
+                match self.advance_play(device, preempt, start, &frames[offset..]) {
+                    Ok(None) => {
+                        if let Some(reply) = self.play_reply(device, suppress_reply) {
+                            self.send_reply_to(id, order, seq, &reply);
+                        }
+                    }
+                    Ok(Some(beyond)) => {
+                        // The same buffer, its cursor moved on: the tail
+                        // is never copied again.
+                        let op = BlockedOp::Play {
+                            device,
+                            preempt,
+                            start: beyond.next,
+                            frames,
+                            offset: offset + beyond.consumed,
+                            suppress_reply,
+                        };
+                        self.suspend(id, seq, op, beyond.frames);
+                    }
+                    Err(_) => {}
                 }
             }
             BlockedOp::Record {
@@ -751,7 +824,7 @@ impl Dispatcher {
 
     // ---- Request processing. ----
 
-    fn process_request(&mut self, id: ClientId, raw: RawRequest) {
+    fn process_request(&mut self, id: ClientId, raw_opcode: u8, payload: &[u8]) {
         let Some(client) = self.core.clients.get_mut(&id) else {
             return;
         };
@@ -759,7 +832,7 @@ impl Dispatcher {
         let seq = client.seq;
         let order = client.order;
 
-        let opcode = match Opcode::from_wire(raw.opcode) {
+        let opcode = match Opcode::from_wire(raw_opcode) {
             Ok(op) => op,
             Err(_) => {
                 self.send_error_to(
@@ -767,20 +840,32 @@ impl Dispatcher {
                     order,
                     seq,
                     ErrorCode::BadRequest,
-                    u32::from(raw.opcode),
-                    raw.opcode,
+                    u32::from(raw_opcode),
+                    raw_opcode,
                 );
                 return;
             }
         };
-        let request = match Request::decode(order, opcode, &raw.payload) {
-            Ok(r) => r,
-            Err(_) => {
-                self.send_error_to(id, order, seq, ErrorCode::BadLength, 0, opcode.to_wire());
-                return;
-            }
+        // A play's samples are only read on their way to the device buffer:
+        // it is handled from the borrowed payload; every other request is
+        // small and decodes to its owned form.
+        let bad_length = |_| (ErrorCode::BadLength, 0);
+        let result = if opcode == Opcode::PlaySamples {
+            PlayView::parse(order, payload)
+                .map_err(bad_length)
+                .and_then(|p| self.h_play(id, seq, p.ac, p.start_time, p.flags, p.data))
+        } else {
+            Request::decode(order, opcode, payload)
+                .map_err(bad_length)
+                .and_then(|request| self.dispatch(id, order, seq, request))
         };
-        self.dispatch(id, order, seq, opcode, request);
+        match result {
+            Ok(Some(reply)) => self.send_reply_to(id, order, seq, &reply),
+            Ok(None) => {}
+            Err((code, bad_value)) => {
+                self.send_error_to(id, order, seq, code, bad_value, opcode.to_wire())
+            }
+        }
     }
 
     fn dispatch(
@@ -788,11 +873,10 @@ impl Dispatcher {
         id: ClientId,
         order: af_proto::ByteOrder,
         seq: u16,
-        opcode: Opcode,
         request: Request,
-    ) {
+    ) -> Result<Option<Reply>, (ErrorCode, u32)> {
         use Request as R;
-        let result: Result<Option<Reply>, (ErrorCode, u32)> = match request {
+        match request {
             R::SelectEvents { device, mask } => self.h_select_events(id, device, mask),
             R::CreateAc {
                 id: ac_id,
@@ -811,7 +895,7 @@ impl Dispatcher {
                 start_time,
                 flags,
                 data,
-            } => self.h_play(id, seq, ac, start_time, flags, data),
+            } => self.h_play(id, seq, ac, start_time, flags, &data),
             R::RecordSamples {
                 ac,
                 start_time,
@@ -899,13 +983,6 @@ impl Dispatcher {
             R::QueryExtension { .. } => Ok(Some(Reply::Extension { present: false })),
             R::ListExtensions => Ok(Some(Reply::Extensions { names: Vec::new() })),
             R::KillClient { .. } => Err((ErrorCode::BadImplementation, 0)),
-        };
-        match result {
-            Ok(Some(reply)) => self.send_reply_to(id, order, seq, &reply),
-            Ok(None) => {}
-            Err((code, bad_value)) => {
-                self.send_error_to(id, order, seq, code, bad_value, opcode.to_wire())
-            }
         }
     }
 
@@ -1054,73 +1131,100 @@ impl Dispatcher {
         ac_id: AcId,
         start_time: ATime,
         flags: u8,
-        mut data: Vec<u8>,
+        data: &[u8],
     ) -> Result<Option<Reply>, (ErrorCode, u32)> {
-        // Convert through the AC pipeline to device frames.
-        let (device, preempt, suppress, play_gain) = {
-            let client = self
-                .core
-                .clients
-                .get_mut(&id)
-                .ok_or((ErrorCode::BadAccess, 0))?;
-            let ac = client
-                .acs
-                .get_mut(&ac_id)
-                .ok_or((ErrorCode::BadAc, ac_id))?;
-            let big = ac.attrs.big_endian_data || flags & play_flags::BIG_ENDIAN_DATA != 0;
-            if big {
-                crate::gain::swap_sample_bytes(ac.attrs.encoding, &mut data);
-            }
-            // Identity ACs skip conversion (and its copy) outright; other
-            // pipelines convert into the dispatcher's reusable scratch.
-            if !ac.play_conv.is_identity() {
-                let mut converted = std::mem::take(&mut self.conv_buf);
-                let done = ac.play_conv.convert_into(&data, &mut converted);
-                if done.is_ok() {
-                    std::mem::swap(&mut data, &mut converted);
-                }
-                self.conv_buf = converted;
-                if done.is_err() {
-                    return Err((ErrorCode::BadLength, data.len() as u32));
-                }
-            }
-            (
-                ac.device,
-                ac.attrs.preempt || flags & play_flags::PREEMPT != 0,
-                flags & play_flags::SUPPRESS_REPLY != 0,
-                i32::from(ac.attrs.play_gain_db),
-            )
-        };
-        // Apply the AC's play gain in the owner's native encoding.
-        let dev_enc = self
+        let client = self
             .core
-            .resolve(device)
-            .and_then(|(owner, _)| self.core.owner_encoding(owner))
-            .unwrap_or(af_dsp::Encoding::Mu255);
-        crate::gain::apply_gain_bytes(dev_enc, &mut data, play_gain);
-        self.advance_play(id, seq, device, preempt, start_time, data, 0, suppress)
+            .clients
+            .get_mut(&id)
+            .ok_or((ErrorCode::BadAccess, 0))?;
+        let ac = client
+            .acs
+            .get_mut(&ac_id)
+            .ok_or((ErrorCode::BadAc, ac_id))?;
+        let device = ac.device;
+        let preempt = ac.attrs.preempt || flags & play_flags::PREEMPT != 0;
+        let suppress_reply = flags & play_flags::SUPPRESS_REPLY != 0;
+        let play_gain = i32::from(ac.attrs.play_gain_db);
+        // The request's bytes are borrowed and only read.  Big-endian
+        // samples (rare) are put in buffer order in a pooled copy first.
+        let big = ac.attrs.big_endian_data || flags & play_flags::BIG_ENDIAN_DATA != 0;
+        let swapped;
+        let data: &[u8] = if big {
+            let mut copy = self.core.pool.take_empty();
+            copy.vec_mut().extend_from_slice(data);
+            crate::gain::swap_sample_bytes(ac.attrs.encoding, &mut copy);
+            swapped = copy;
+            &swapped
+        } else {
+            data
+        };
+        // Convert through the AC pipeline to device frames, in the
+        // dispatcher's reusable scratch, and gain them there.  An identity
+        // AC at 0 dB changes nothing: its bytes go to the device buffer
+        // from where they are.
+        let mut staged = std::mem::take(&mut self.conv_buf);
+        let in_scratch = if !ac.play_conv.is_identity() {
+            if ac.play_conv.convert_into(data, &mut staged).is_err() {
+                self.conv_buf = staged;
+                return Err((ErrorCode::BadLength, data.len() as u32));
+            }
+            true
+        } else if play_gain != 0 {
+            staged.clear();
+            staged.extend_from_slice(data);
+            true
+        } else {
+            false
+        };
+        let frames: &[u8] = if in_scratch {
+            // Apply the AC's play gain in the owner's native encoding.
+            crate::gain::apply_gain_bytes(ac.play_conv.to_encoding(), &mut staged, play_gain);
+            &staged
+        } else {
+            data
+        };
+        let beyond = match self.advance_play(device, preempt, start_time, frames) {
+            Ok(Some(beyond)) => beyond,
+            done => {
+                self.conv_buf = staged;
+                return done.map(|_| self.play_reply(device, suppress_reply));
+            }
+        };
+        // Only a suspended play owns its frames: the scratch itself when
+        // they are in it, else a copy of what is left.
+        let (frames, offset) = if in_scratch {
+            (staged, beyond.consumed)
+        } else {
+            // af-analyze: allow(alloc): copy-on-suspend, once per play that reaches past the buffer horizon
+            (frames[beyond.consumed..].to_vec(), 0)
+        };
+        let op = BlockedOp::Play {
+            device,
+            preempt,
+            start: beyond.next,
+            frames,
+            offset,
+            suppress_reply,
+        };
+        self.suspend(id, seq, op, beyond.frames);
+        Ok(None)
     }
 
-    /// Writes what is left of a play — `frames[offset..]`, in the device
-    /// encoding with the AC's gain applied — at `start`, and returns the
-    /// reply a finished play is owed.  A play that still reaches beyond
-    /// the buffer horizon suspends the client until time advances (§2.2:
-    /// "requests that fall beyond the four-second buffer are suspended")
-    /// and owes nothing yet: the whole buffer moves into the blocked op
-    /// with a consumed-bytes cursor, so the request's bytes are written
-    /// exactly once however many wake-ups it takes, and never re-copied.
-    #[allow(clippy::too_many_arguments)]
+    /// Writes what is left of a play — `pending`, in the device encoding
+    /// with the AC's gain applied — at `start`.  A play that still reaches
+    /// beyond the buffer horizon is to be suspended until time advances
+    /// (§2.2: "requests that fall beyond the four-second buffer are
+    /// suspended") by the caller, which knows who owns the bytes: told how
+    /// far this got, it keeps a consumed-bytes cursor, so the request's
+    /// bytes are written exactly once however many wake-ups it takes.
     fn advance_play(
         &mut self,
-        id: ClientId,
-        seq: u16,
         device: DeviceId,
         preempt: bool,
         start: ATime,
-        frames: Vec<u8>,
-        offset: usize,
-        suppress_reply: bool,
-    ) -> Result<Option<Reply>, (ErrorCode, u32)> {
+        pending: &[u8],
+    ) -> Result<Option<Beyond>, (ErrorCode, u32)> {
         let (gain, enabled) = self.core.output_state(device);
         let (buffers, lane, channels) = self
             .core
@@ -1130,7 +1234,6 @@ impl Dispatcher {
             Some(_) => buffers.frame_bytes() / channels.max(1) as usize,
             None => buffers.frame_bytes(),
         };
-        let pending = &frames[offset..];
         if !pending.len().is_multiple_of(fb) {
             return Err((ErrorCode::BadLength, pending.len() as u32));
         }
@@ -1140,24 +1243,19 @@ impl Dispatcher {
             }
             None => buffers.write_play(start, pending, preempt, gain, enabled),
         };
-        if outcome.beyond_horizon > 0 {
-            let done = outcome.dropped_past + outcome.written;
-            let op = BlockedOp::Play {
-                device,
-                preempt,
-                start: start + done,
-                frames,
-                offset: offset + done as usize * fb,
-                suppress_reply,
-            };
-            self.suspend(id, seq, op, outcome.beyond_horizon);
-            return Ok(None);
-        }
-        if suppress_reply {
-            return Ok(None);
-        }
-        let time = self.core.dev_now(device);
-        Ok(Some(Reply::Time { time }))
+        let done = outcome.dropped_past + outcome.written;
+        Ok((outcome.beyond_horizon > 0).then_some(Beyond {
+            consumed: done as usize * fb,
+            next: start + done,
+            frames: outcome.beyond_horizon,
+        }))
+    }
+
+    /// The reply a finished play is owed.
+    fn play_reply(&mut self, device: DeviceId, suppress_reply: bool) -> Option<Reply> {
+        (!suppress_reply).then(|| Reply::Time {
+            time: self.core.dev_now(device),
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1227,8 +1325,7 @@ impl Dispatcher {
             // Non-blocking: return whatever is available now.
             nframes = nframes.min((recorded_until - start_time).max(0) as u32);
         }
-        // The reply goes out from `finish_record`, which takes its sample
-        // scratch back from it afterwards.
+        // The reply goes out from `finish_record`, built in place.
         self.finish_record(
             id, order, seq, ac_id, device, start_time, nframes, big_endian,
         );
@@ -1254,15 +1351,21 @@ impl Dispatcher {
             }
             None => return,
         };
-        let (raw, now) = {
+        // The reply is built where the transport's `write` takes it from:
+        // the ring is read straight into the pooled reply buffer, and
+        // gained there.
+        let mut buf = self.core.pool.take_empty();
+        let out = buf.vec_mut();
+        Reply::open_record(out);
+        let now = {
             let Some((buffers, lane, channels)) = self.core.buffers_mut(device) else {
                 return;
             };
-            let raw = match lane {
-                Some(ch) => buffers.read_rec_channel(start, nframes, ch, channels),
-                None => buffers.read_rec(start, nframes),
-            };
-            (raw, buffers.now())
+            match lane {
+                Some(ch) => buffers.read_rec_channel_into(start, nframes, ch, channels, out),
+                None => buffers.read_rec_into(start, nframes, out),
+            }
+            buffers.now()
         };
         let Some(client) = self.core.clients.get_mut(&id) else {
             return;
@@ -1271,29 +1374,31 @@ impl Dispatcher {
             return;
         };
         let dev_enc = ac.rec_conv.from_encoding();
-        let mut raw = raw;
+        let samples = &mut out[Reply::RECORD_DATA_AT..];
         if !input_enabled {
-            af_dsp::silence::fill_silence(dev_enc, &mut raw);
+            af_dsp::silence::fill_silence(dev_enc, samples);
         } else {
             let total_gain = input_gain + i32::from(ac.attrs.record_gain_db);
-            crate::gain::apply_gain_bytes(dev_enc, &mut raw, total_gain);
+            crate::gain::apply_gain_bytes(dev_enc, samples, total_gain);
         }
-        // Convert through the dispatcher's reusable scratch, and reclaim it
-        // from the reply afterwards so steady recording never allocates here.
-        let mut out = std::mem::take(&mut self.conv_buf);
-        if ac.rec_conv.convert_into(&raw, &mut out).is_err() {
-            out.clear();
+        // Only an AC in another encoding goes through the dispatcher's
+        // reusable scratch.
+        if !ac.rec_conv.is_identity() {
+            let mut converted = std::mem::take(&mut self.conv_buf);
+            if ac.rec_conv.convert_into(samples, &mut converted).is_err() {
+                converted.clear();
+            }
+            out.truncate(Reply::RECORD_DATA_AT);
+            out.extend_from_slice(&converted);
+            self.conv_buf = converted;
         }
         if big_endian {
-            crate::gain::swap_sample_bytes(ac.attrs.encoding, &mut out);
+            let samples = &mut out[Reply::RECORD_DATA_AT..];
+            crate::gain::swap_sample_bytes(ac.attrs.encoding, samples);
         }
-        let reply = Reply::Record {
-            time: now,
-            data: out,
-        };
-        self.send_reply_to(id, order, seq, &reply);
-        if let Reply::Record { data, .. } = reply {
-            self.conv_buf = data;
+        Reply::close_record(order, seq, now, out);
+        if !client.send_bytes(buf) {
+            self.overflowed.push(id);
         }
     }
 

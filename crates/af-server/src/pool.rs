@@ -1,11 +1,12 @@
-//! A reuse pool for frame and reply buffers.
+//! A reuse pool for reply and staging buffers.
 //!
-//! The transport reader allocated a fresh `Vec<u8>` per request frame and
-//! the dispatcher another per reply; at paper §10 request rates that is two
-//! heap round trips per request.  [`BufferPool`] keeps a small free list so
-//! steady-state traffic recycles the same few buffers: the reader takes one
-//! per frame, the dispatcher reuses it (or takes another for the reply),
-//! and whoever writes the bytes to the socket returns it.
+//! A request that arrives whole is handled in the buffer `read` left it
+//! in and takes nothing from here.  What must be owned is: the reply (the
+//! dispatcher encodes it into a pooled buffer, and whoever writes the
+//! bytes to the socket returns it), a frame split across reads (its shard
+//! stages it in one), and a request held for a suspended client.
+//! [`BufferPool`] keeps a small free list so steady-state traffic recycles
+//! the same few buffers and allocates nothing.
 //!
 //! [`PooledBuf`] is the RAII handle — dropping it gives the buffer back.
 //! Buffers can also be detached from any pool (`PooledBuf::from(vec)`) for
@@ -159,16 +160,6 @@ impl From<Vec<u8>> for PooledBuf {
     /// Wraps a plain vector as a pool-less buffer (cold paths).
     fn from(buf: Vec<u8>) -> PooledBuf {
         PooledBuf { buf, pool: None }
-    }
-}
-
-impl Clone for PooledBuf {
-    /// Clones the contents into a detached (pool-less) buffer.
-    fn clone(&self) -> PooledBuf {
-        PooledBuf {
-            buf: self.buf.clone(),
-            pool: None,
-        }
     }
 }
 

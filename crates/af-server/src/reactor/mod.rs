@@ -10,7 +10,10 @@
 //! machine (setup header → setup tail → frame header → payload, resumable
 //! at any byte boundary) is fed from **one `read` per readiness event**
 //! into a per-shard scratch buffer, and the connection's outbound deque is
-//! drained on write readiness.  The shard hands each framed event to the
+//! drained on write readiness.  A request frame that arrived whole is
+//! lent to the dispatcher where it lies in the scratch; only one split
+//! across reads (or larger than the scratch) is put together in a pooled
+//! staging buffer first.  The shard hands each framed event to the
 //! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
 //! its handler itself, under the dispatch lock — so a `GetTime` is
 //! `epoll_wait`, `read`, `write` on one thread — with single-threaded
@@ -56,7 +59,7 @@ pub mod sys;
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
 use crate::pool::PooledBuf;
-use crate::state::{ClientId, RawRequest, ServerEvent};
+use crate::state::{ClientId, ServerEvent};
 use crate::transport::{decode_frame_header, Refused, TransportShared, OUTBOUND_QUEUE_CAPACITY};
 use af_chaos::ChaosStream;
 use af_proto::{ByteOrder, ConnSetup};
@@ -87,12 +90,15 @@ const WAKE_TOKEN: u64 = u64::MAX;
 const FRAME_BUDGET: u32 = 64;
 
 /// Size of each shard's read scratch: one `read` per readiness event lands
-/// here and is fed through the connection's framing state machine.  Per
-/// shard, not per connection, so idle connections cost no memory.
-const READ_SCRATCH_BYTES: usize = 16 * 1024;
+/// here, and a request frame that lies whole in it is handled where it
+/// lies.  Holds a client library's whole pipelined burst (a 32 KB play is
+/// four 8,212-byte frames in two `write`s) so that none straddles the end;
+/// at 32 KB the fourth would whenever both writes are queued.  Per shard,
+/// not per connection, so idle connections cost no memory.
+const READ_SCRATCH_BYTES: usize = 64 * 1024;
 
-/// A payload remainder at least this large is read straight into its
-/// pooled buffer instead of through the scratch (no second copy).
+/// A staged payload's remainder at least this large is read straight into
+/// its pooled buffer instead of through the scratch (no second copy).
 const DIRECT_READ_MIN: usize = 2048;
 
 /// Chunks gathered into one vectored write on a broadcast listener.
@@ -134,6 +140,9 @@ pub struct ReactorShardStats {
     pub read_calls: AtomicU64,
     /// Complete request frames delivered to the dispatcher.
     pub frames: AtomicU64,
+    /// Of those, the ones that did not arrive whole in one `read` and were
+    /// put together in a pooled staging buffer first.
+    pub staged_frames: AtomicU64,
     /// Outbound messages fully written to sockets.
     pub replies: AtomicU64,
     /// Outbound messages a producer wrote whole, straight to the socket.
@@ -159,6 +168,7 @@ impl ReactorShardStats {
             partial_reads: AtomicU64::new(0),
             read_calls: AtomicU64::new(0),
             frames: AtomicU64::new(0),
+            staged_frames: AtomicU64::new(0),
             replies: AtomicU64::new(0),
             direct_writes: AtomicU64::new(0),
             queued_writes: AtomicU64::new(0),
@@ -179,6 +189,7 @@ impl ReactorShardStats {
             partial_reads: get(&self.partial_reads),
             read_calls: get(&self.read_calls),
             frames: get(&self.frames),
+            staged_frames: get(&self.staged_frames),
             replies: get(&self.replies),
             direct_writes: get(&self.direct_writes),
             queued_writes: get(&self.queued_writes),
@@ -206,6 +217,8 @@ pub struct ReactorShardSnapshot {
     pub read_calls: u64,
     /// Complete request frames delivered.
     pub frames: u64,
+    /// Frames put together in a staging buffer first.
+    pub staged_frames: u64,
     /// Outbound messages fully written.
     pub replies: u64,
     /// Outbound messages written whole by their producer.
@@ -547,14 +560,33 @@ enum ReadPhase {
     },
     /// Collecting the setup tail (`buf` holds header + zeroed tail).
     SetupTail { buf: Vec<u8>, have: usize },
-    /// Collecting a 4-byte request frame header.
+    /// Between request frames, or collecting a 4-byte frame header that
+    /// did not arrive whole.
     Header { buf: [u8; 4], have: usize },
-    /// Collecting a frame payload into a pooled buffer.
+    /// Staging, in a pooled buffer, a frame payload that did not arrive
+    /// whole: split across reads, or larger than the read scratch.
     Payload {
         opcode: u8,
         buf: PooledBuf,
         have: usize,
     },
+}
+
+impl ReadPhase {
+    const BETWEEN_FRAMES: ReadPhase = ReadPhase::Header {
+        buf: [0u8; 4],
+        have: 0,
+    };
+}
+
+/// Moves what `dst` still needs (it has `have` bytes) out of `data`;
+/// whether that completed it.
+fn fill(dst: &mut [u8], have: &mut usize, data: &mut &[u8]) -> bool {
+    let n = (dst.len() - *have).min(data.len());
+    dst[*have..*have + n].copy_from_slice(&data[..n]);
+    *have += n;
+    *data = &data[n..];
+    *have == dst.len()
 }
 
 /// One registered connection, owned by exactly one shard.
@@ -1364,8 +1396,8 @@ impl Shard {
                 // parking here just rotates to the next fd.
                 break ReadOutcome::Park;
             }
-            // A large payload remainder goes straight into its pooled
-            // buffer; everything else lands in the scratch.
+            // A staged payload's large remainder goes straight into its
+            // pooled buffer; everything else lands in the scratch.
             self.stats.read_calls.fetch_add(1, Ordering::Relaxed);
             let (read, room, direct) = match &mut conn.phase {
                 ReadPhase::Payload { buf, have, .. } if buf.len() - *have >= DIRECT_READ_MIN => {
@@ -1400,10 +1432,12 @@ impl Shard {
     }
 
     /// Feeds `data` through the connection's read state machine, which
-    /// resumes at any byte boundary.  All of `data` is consumed: complete
-    /// frames go to the dispatcher, a trailing fragment stays in the
-    /// connection's phase buffer.  `budget` is decremented per frame and
-    /// may be exhausted mid-buffer; the caller checks it between reads.
+    /// resumes at any byte boundary.  All of `data` is consumed: a request
+    /// frame that lies whole in it goes to the dispatcher from where it
+    /// lies, one that does not is staged in the connection's phase buffer
+    /// and goes from there once complete — the same call either way.
+    /// `budget` is decremented per frame and may be exhausted mid-buffer;
+    /// the caller checks it between reads.
     fn feed(
         &mut self,
         conn: &mut ConnState,
@@ -1411,47 +1445,22 @@ impl Shard {
         budget: &mut u32,
     ) -> Result<(), ReadOutcome> {
         loop {
-            // Move what the current phase still needs out of `data`.  (A
-            // zero-length payload needs nothing and is complete at once.)
-            {
-                let (dst, have): (&mut [u8], &mut usize) = match &mut conn.phase {
-                    ReadPhase::SetupHeader { buf, have } => (&mut buf[..], have),
-                    ReadPhase::SetupTail { buf, have } => (&mut buf[..], have),
-                    ReadPhase::Header { buf, have } => (&mut buf[..], have),
-                    ReadPhase::Payload { buf, have, .. } => (&mut buf[..], have),
-                };
-                let n = (dst.len() - *have).min(data.len());
-                dst[*have..*have + n].copy_from_slice(&data[..n]);
-                *have += n;
-                data = &data[n..];
-                if *have < dst.len() {
-                    // Out of bytes mid-phase; an untouched frame header
-                    // is a clean frame boundary, anything else a partial.
-                    if *have > 0 || !matches!(conn.phase, ReadPhase::Header { .. }) {
-                        self.stats.partial_reads.fetch_add(1, Ordering::Relaxed);
+            // Each arm moves what its phase still needs out of `data`; a
+            // phase left incomplete has run out of bytes, and that is a
+            // partial read unless it stopped cleanly between two frames.
+            match &mut conn.phase {
+                ReadPhase::SetupHeader { buf, have } => {
+                    if !fill(buf, have, &mut data) {
+                        break;
                     }
-                    return Ok(());
-                }
-            }
-            // Phase complete: advance the state machine.
-            let done = std::mem::replace(
-                &mut conn.phase,
-                ReadPhase::Header {
-                    buf: [0u8; 4],
-                    have: 0,
-                },
-            );
-            match done {
-                ReadPhase::SetupHeader { buf, .. } => {
-                    let Ok(tail_len) = ConnSetup::tail_len(&buf) else {
+                    let Ok(tail_len) = ConnSetup::tail_len(buf) else {
                         return Err(ReadOutcome::Close); // Garbage setup.
                     };
+                    // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
+                    let mut setup = buf.to_vec();
                     if tail_len == 0 {
-                        // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
-                        self.finish_setup(conn, buf.to_vec())?;
+                        self.finish_setup(conn, setup)?;
                     } else {
-                        // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
-                        let mut setup = buf.to_vec();
                         setup.resize(ConnSetup::HEADER_SIZE + tail_len, 0);
                         conn.phase = ReadPhase::SetupTail {
                             buf: setup,
@@ -1459,36 +1468,72 @@ impl Shard {
                         };
                     }
                 }
-                ReadPhase::SetupTail { buf, .. } => self.finish_setup(conn, buf)?,
-                ReadPhase::Header { buf, .. } => match decode_frame_header(conn.order, buf) {
-                    Ok((opcode, payload_len)) => {
+                ReadPhase::SetupTail { buf, have } => {
+                    if !fill(buf, have, &mut data) {
+                        break;
+                    }
+                    let setup = std::mem::take(buf);
+                    self.finish_setup(conn, setup)?;
+                }
+                ReadPhase::Header { buf, have } => {
+                    let header = match data.split_first_chunk() {
+                        Some((header, rest)) if *have == 0 => {
+                            data = rest;
+                            *header
+                        }
+                        _ if fill(buf, have, &mut data) => {
+                            *have = 0;
+                            *buf
+                        }
+                        _ if *have == 0 => return Ok(()), // A clean frame boundary.
+                        _ => break,
+                    };
+                    let (opcode, payload_len) =
+                        decode_frame_header(conn.order, header).map_err(ReadOutcome::Protocol)?;
+                    if data.len() >= payload_len {
+                        let (payload, rest) = data.split_at(payload_len);
+                        data = rest;
+                        self.dispatch_frame(conn.id, opcode, payload, budget)?;
+                    } else {
                         conn.phase = ReadPhase::Payload {
                             opcode,
                             buf: self.transport.pool.take_filled(payload_len),
                             have: 0,
                         };
                     }
-                    Err(error) => return Err(ReadOutcome::Protocol(error)),
-                },
-                ReadPhase::Payload { opcode, buf, .. } => {
-                    self.stats.frames.fetch_add(1, Ordering::Relaxed);
-                    let raw = RawRequest {
-                        opcode,
-                        payload: buf,
-                    };
-                    // Handled here and now, under the dispatch lock.
-                    if self
-                        .transport
-                        .dispatch
-                        .submit(ServerEvent::Request { id: conn.id, raw })
-                        .is_err()
-                    {
-                        return Err(ReadOutcome::Close); // Dispatcher gone.
+                }
+                ReadPhase::Payload { buf, have, .. } => {
+                    if !fill(buf, have, &mut data) {
+                        break;
                     }
-                    *budget = budget.saturating_sub(1);
+                    let staged = std::mem::replace(&mut conn.phase, ReadPhase::BETWEEN_FRAMES);
+                    if let ReadPhase::Payload { opcode, buf, .. } = staged {
+                        self.stats.staged_frames.fetch_add(1, Ordering::Relaxed);
+                        self.dispatch_frame(conn.id, opcode, &buf, budget)?;
+                    }
                 }
             }
         }
+        self.stats.partial_reads.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Lends one complete request frame to the dispatcher, which handles
+    /// it here and now, under the dispatch lock.
+    fn dispatch_frame(
+        &self,
+        id: ClientId,
+        opcode: u8,
+        payload: &[u8],
+        budget: &mut u32,
+    ) -> Result<(), ReadOutcome> {
+        self.stats.frames.fetch_add(1, Ordering::Relaxed);
+        let dispatch = &self.transport.dispatch;
+        if dispatch.request(id, opcode, payload).is_err() {
+            return Err(ReadOutcome::Close); // Dispatcher gone.
+        }
+        *budget = budget.saturating_sub(1);
+        Ok(())
     }
 
     fn finish_setup(&self, conn: &mut ConnState, setup: Vec<u8>) -> Result<(), ReadOutcome> {
@@ -1512,10 +1557,7 @@ impl Shard {
         {
             return Err(ReadOutcome::Close);
         }
-        conn.phase = ReadPhase::Header {
-            buf: [0u8; 4],
-            have: 0,
-        };
+        conn.phase = ReadPhase::BETWEEN_FRAMES;
         Ok(())
     }
 
@@ -1728,7 +1770,8 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::DispatchHandle;
+    use crate::dispatch::{Captured, DispatchHandle};
+    use crate::transport::FrameError;
     use af_time::ATime;
     use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
@@ -1736,7 +1779,7 @@ mod tests {
     /// Room for every event of a test that does not bound its own queue.
     const EVENT_ROOM: usize = 1024;
 
-    fn start() -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
+    fn start() -> (Reactor, Receiver<Captured>, SocketAddr) {
         start_with(2, None, None)
     }
 
@@ -1746,7 +1789,7 @@ mod tests {
         shards: usize,
         chaos: Option<af_chaos::StreamFaultPlan>,
         event_capacity: Option<usize>,
-    ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
+    ) -> (Reactor, Receiver<Captured>, SocketAddr) {
         let (tx, rx) = sync_channel(event_capacity.unwrap_or(EVENT_ROOM));
         let shared = TransportShared::with_pool(
             DispatchHandle::capture(tx),
@@ -1758,8 +1801,58 @@ mod tests {
         (reactor, rx, addr)
     }
 
-    fn recv(rx: &Receiver<ServerEvent>) -> ServerEvent {
+    fn recv(rx: &Receiver<Captured>) -> Captured {
         rx.recv_timeout(Duration::from_secs(5)).unwrap()
+    }
+
+    /// The next thing the shard handed over, which must be a connection's
+    /// setup: `(id, setup, peer, tx)`.
+    fn new_client(rx: &Receiver<Captured>) -> (ClientId, Vec<u8>, Option<IpAddr>, OutboundTx) {
+        match recv(rx) {
+            Captured::Event(ServerEvent::NewClient {
+                id,
+                setup,
+                peer,
+                tx,
+            }) => (id, setup, peer, tx),
+            _ => panic!("expected NewClient"),
+        }
+    }
+
+    /// … a framed request: `(id, opcode, payload)`.
+    fn request(rx: &Receiver<Captured>) -> (ClientId, u8, Vec<u8>) {
+        match recv(rx) {
+            Captured::Request(id, opcode, payload) => (id, opcode, payload),
+            _ => panic!("expected a request"),
+        }
+    }
+
+    /// … a framing violation.
+    fn protocol_error(rx: &Receiver<Captured>) -> FrameError {
+        match recv(rx) {
+            Captured::Event(ServerEvent::ProtocolError { error, .. }) => error,
+            _ => panic!("expected ProtocolError"),
+        }
+    }
+
+    /// … the connection's end.
+    fn disconnect(rx: &Receiver<Captured>) {
+        match recv(rx) {
+            Captured::Event(ServerEvent::Disconnect { .. }) => {}
+            _ => panic!("expected Disconnect"),
+        }
+    }
+
+    /// Polls until `done` holds (the shard bumps its counters a beat after
+    /// the effect a test can observe).
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        panic!("timed out waiting for {what}");
     }
 
     #[test]
@@ -1776,27 +1869,15 @@ mod tests {
         };
         sock.write_all(&req.encode(ByteOrder::native())).unwrap();
 
-        let otx = match recv(&rx) {
-            ServerEvent::NewClient { setup: s, peer, tx, .. } => {
-                assert_eq!(ConnSetup::decode(&s).unwrap(), setup);
-                assert!(peer.unwrap().is_loopback());
-                tx
-            }
-            _ => panic!("expected NewClient"),
-        };
-        match recv(&rx) {
-            ServerEvent::Request { raw, .. } => {
-                assert_eq!(raw.opcode, af_proto::Opcode::PlaySamples.to_wire());
-                let decoded = af_proto::Request::decode(
-                    ByteOrder::native(),
-                    af_proto::Opcode::PlaySamples,
-                    &raw.payload,
-                )
+        let (_, s, peer, otx) = new_client(&rx);
+        assert_eq!(ConnSetup::decode(&s).unwrap(), setup);
+        assert!(peer.unwrap().is_loopback());
+        let (_, opcode, payload) = request(&rx);
+        assert_eq!(opcode, af_proto::Opcode::PlaySamples.to_wire());
+        let decoded =
+            af_proto::Request::decode(ByteOrder::native(), af_proto::Opcode::PlaySamples, &payload)
                 .unwrap();
-                assert_eq!(decoded, req);
-            }
-            _ => panic!("expected Request"),
-        }
+        assert_eq!(decoded, req);
 
         // Reply path: queue bytes the way the dispatcher does and
         // check they arrive — this exercises the wakeup protocol and
@@ -1809,10 +1890,7 @@ mod tests {
         assert_eq!(got, payload);
 
         drop(sock);
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect"),
-        }
+        disconnect(&rx);
         reactor.shutdown();
     }
 
@@ -1821,21 +1899,10 @@ mod tests {
         let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        match recv(&rx) {
-            ServerEvent::NewClient { .. } => {}
-            _ => panic!("expected NewClient"),
-        }
+        new_client(&rx);
         sock.write_all(&[0, 0, 33, 0]).unwrap();
-        match recv(&rx) {
-            ServerEvent::ProtocolError { error, .. } => {
-                assert_eq!(error, crate::transport::FrameError::ZeroLength);
-            }
-            _ => panic!("expected ProtocolError"),
-        }
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect"),
-        }
+        assert_eq!(protocol_error(&rx), FrameError::ZeroLength);
+        disconnect(&rx);
         reactor.shutdown();
     }
 
@@ -1844,29 +1911,23 @@ mod tests {
         let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        match recv(&rx) {
-            ServerEvent::NewClient { .. } => {}
-            _ => panic!("expected NewClient"),
-        }
+        new_client(&rx);
         // Claim the maximum expressible frame length (0xffff words, which
         // reads the same in either byte order), then hang up without
         // sending the payload.  The shard must not emit a partial request.
         sock.write_all(&[0xff, 0xff, 33, 0]).unwrap();
         drop(sock);
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect for truncated frame"),
-        }
+        disconnect(&rx);
         reactor.shutdown();
     }
 
     #[test]
     fn steady_state_framing_recycles_frame_buffers() {
-        // The acceptance property for the buffer pool: on the steady-state
-        // request path, the shard does NOT allocate a Vec per frame.  A
-        // bounded(1) event channel forces lock-step with the consumer, so at
-        // most a few buffers are ever in flight; after 100 frames the pool
-        // must have satisfied nearly all takes from its free list.
+        // The acceptance property for the buffer pool.  Frames that arrive
+        // whole are handled where `read` left them: no buffer is taken
+        // from the pool at all.  Frames split across reads are staged in
+        // a pooled buffer, and that one buffer goes round: the shard does
+        // NOT allocate a Vec per frame.
         let (tx, rx) = sync_channel(1);
         let pool = crate::pool::BufferPool::shared();
         let shared =
@@ -1880,27 +1941,37 @@ mod tests {
             wire.extend_from_slice(&[1, 2, 3, 4]);
         }
         let mut sock = TcpStream::connect(addr).unwrap();
+        sock.set_nodelay(true).unwrap();
         sock.write_all(&wire).unwrap();
-        match recv(&rx) {
-            ServerEvent::NewClient { .. } => {}
-            _ => panic!("expected NewClient"),
-        }
+        new_client(&rx);
         for _ in 0..100 {
-            match recv(&rx) {
-                ServerEvent::Request { raw, .. } => {
-                    assert_eq!(&*raw.payload, &[1, 2, 3, 4]);
-                    // Dropping `raw` returns its buffer to the pool, exactly
-                    // as the dispatcher does after handling a request.
-                }
-                _ => panic!("expected Request"),
-            }
+            assert_eq!(request(&rx).2, [1, 2, 3, 4]);
         }
-        assert!(
-            pool.allocs() <= 4,
-            "steady-state framing allocated per frame: {} allocs",
-            pool.allocs()
+        assert_eq!(
+            (pool.allocs(), pool.reuses()),
+            (0, 0),
+            "whole frames took buffers from the pool"
         );
-        assert!(pool.reuses() >= 96, "only {} reuses", pool.reuses());
+        assert_eq!(totals(&reactor).staged_frames, 0);
+
+        // The same frames, each cut after its sixth byte; the second piece
+        // is sent once the shard has parked on the first.
+        for i in 0..100u64 {
+            let parked = totals(&reactor).partial_reads;
+            sock.write_all(&[2, 0, 33, 0, 1, 2]).unwrap();
+            wait_until("the first piece to be read", || {
+                totals(&reactor).partial_reads > parked
+            });
+            sock.write_all(&[3, 4]).unwrap();
+            assert_eq!(request(&rx).2, [1, 2, 3, 4]);
+            assert_eq!(totals(&reactor).staged_frames, i + 1);
+        }
+        assert_eq!(totals(&reactor).frames, 200);
+        assert_eq!(
+            (pool.allocs(), pool.reuses()),
+            (1, 99),
+            "split frames must stage in one recycled buffer"
+        );
         reactor.shutdown();
     }
 
@@ -1923,18 +1994,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        match recv(&rx) {
-            ServerEvent::NewClient { .. } => {}
-            _ => panic!("expected NewClient"),
-        }
+        new_client(&rx);
         for _ in 0..3 {
-            match recv(&rx) {
-                ServerEvent::Request { raw, .. } => {
-                    assert_eq!(raw.opcode, 33);
-                    assert_eq!(&*raw.payload, &[9, 8, 7, 6, 5, 4, 3, 2]);
-                }
-                _ => panic!("expected Request"),
-            }
+            let (_, opcode, payload) = request(&rx);
+            assert_eq!(opcode, 33);
+            assert_eq!(payload, [9, 8, 7, 6, 5, 4, 3, 2]);
         }
         let partials: u64 = reactor
             .shard_stats()
@@ -1946,10 +2010,7 @@ mod tests {
             "one-byte delivery must exercise partial reads: {partials}"
         );
         drop(sock);
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect"),
-        }
+        disconnect(&rx);
         reactor.shutdown();
     }
 
@@ -1965,15 +2026,9 @@ mod tests {
 
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        match recv(&rx) {
-            ServerEvent::NewClient { peer, .. } => assert!(peer.is_none()),
-            _ => panic!("expected NewClient"),
-        }
+        assert!(new_client(&rx).2.is_none());
         drop(sock);
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect"),
-        }
+        disconnect(&rx);
         reactor.shutdown();
         let _ = std::fs::remove_file(&path);
     }
@@ -1993,10 +2048,7 @@ mod tests {
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        let otx = match recv(&rx) {
-            ServerEvent::NewClient { tx, .. } => tx,
-            _ => panic!("expected NewClient"),
-        };
+        let otx = new_client(&rx).3;
         let mut taken = 0u64;
         loop {
             match otx.try_send_buf(pool.take_filled(64 * 1024)) {
@@ -2023,10 +2075,7 @@ mod tests {
         let idle_while_held = pool.idle_len();
 
         otx.kick();
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect after kick"),
-        }
+        disconnect(&rx);
         assert_eq!(totals(&reactor).evictions, 1);
         // The shard empties the deque right after it reports the close.
         for _ in 0..500 {
@@ -2060,7 +2109,7 @@ mod tests {
     fn start_one_shard(
         chaos: Option<af_chaos::StreamFaultPlan>,
         event_capacity: Option<usize>,
-    ) -> (Reactor, Receiver<ServerEvent>, SocketAddr) {
+    ) -> (Reactor, Receiver<Captured>, SocketAddr) {
         start_with(1, chaos, event_capacity)
     }
 
@@ -2069,7 +2118,9 @@ mod tests {
         for s in &reactor.shard_stats()[1..] {
             let s = s.snapshot();
             sum.read_calls += s.read_calls;
+            sum.partial_reads += s.partial_reads;
             sum.frames += s.frames;
+            sum.staged_frames += s.staged_frames;
             sum.replies += s.replies;
             sum.direct_writes += s.direct_writes;
             sum.queued_writes += s.queued_writes;
@@ -2099,10 +2150,7 @@ mod tests {
         let (mut reactor, rx, addr) = start_one_shard(chaos, None);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        let otx = match recv(&rx) {
-            ServerEvent::NewClient { tx, .. } => tx,
-            _ => panic!("expected NewClient"),
-        };
+        let otx = new_client(&rx).3;
         let next = Arc::new(std::sync::Mutex::new(0u32));
         let producers: Vec<_> = (0..2)
             .map(|_| {
@@ -2171,9 +2219,9 @@ mod tests {
 
     /// The 100 request payloads of the coalescing tests, sent right after
     /// a `setup_len`-byte setup message: header-only frames, small ones,
-    /// one 40 KB payload (larger than the scratch itself) and one 8 KB
+    /// one payload larger than the scratch itself and one 8 KB
     /// payload placed to start inside the first scratch-full and leave at
-    /// least `DIRECT_READ_MIN` beyond it — an undivided arrival frames
+    /// least `DIRECT_READ_MIN` beyond it — an undivided arrival stages
     /// its head from the scratch and reads its tail straight into the
     /// pooled buffer.
     fn burst_payloads(setup_len: usize) -> Vec<Vec<u8>> {
@@ -2189,9 +2237,9 @@ mod tests {
                 } else if i % 10 == 0 {
                     0
                 } else if i == 85 {
-                    40 * 1024
+                    READ_SCRATCH_BYTES + 8192
                 } else {
-                    64 * (1 + i % 9)
+                    256 * (1 + i % 9)
                 };
                 offset += 4 + len;
                 (0..len).map(|b| (i * 13 + b) as u8).collect()
@@ -2227,38 +2275,23 @@ mod tests {
         }
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&wire).unwrap();
-        match recv(&rx) {
-            ServerEvent::NewClient { .. } => {}
-            _ => panic!("expected NewClient"),
-        }
+        new_client(&rx);
         for (i, payload) in payloads
             .iter()
             .enumerate()
             .take(poison_after.unwrap_or(100))
         {
-            match recv(&rx) {
-                ServerEvent::Request { raw, .. } => {
-                    assert_eq!(raw.opcode, 1 + i as u8, "request {i}");
-                    assert!(*raw.payload == payload[..], "payload of request {i}");
-                }
-                _ => panic!("expected Request {i}"),
-            }
+            let (_, opcode, got) = request(&rx);
+            assert_eq!(opcode, 1 + i as u8, "request {i}");
+            assert!(got == *payload, "payload of request {i}");
         }
         if poison_after.is_some() {
-            match recv(&rx) {
-                ServerEvent::ProtocolError { error, .. } => {
-                    assert_eq!(error, crate::transport::FrameError::ZeroLength);
-                }
-                _ => panic!("expected ProtocolError"),
-            }
+            assert_eq!(protocol_error(&rx), FrameError::ZeroLength);
         } else {
             assert_eq!(totals(&reactor).frames, 100);
             drop(sock);
         }
-        match recv(&rx) {
-            ServerEvent::Disconnect { .. } => {}
-            _ => panic!("expected Disconnect"),
-        }
+        disconnect(&rx);
         reactor.shutdown();
     }
 
@@ -2268,6 +2301,76 @@ mod tests {
         coalesced_burst(None, Some(50));
         coalesced_burst(Some(chunk_limit_plan()), None);
         coalesced_burst(Some(chunk_limit_plan()), Some(50));
+    }
+
+    #[test]
+    fn frames_cut_at_every_byte_arrive_the_same_whole_or_staged() {
+        // One byte stream of mixed frames from a seeded generator, sent to
+        // a fresh connection once per split point: everything before the
+        // cut, then — once the shard has parked on that — the rest.  The
+        // frame the cut falls in is put together across two reads, every
+        // other one arrives whole; the dispatcher must see the identical
+        // (opcode, payload) sequence every time, and the shard's counters
+        // must say which way each frame came.
+        let mut rng = af_chaos::ChaosRng::new(0x0F2A_3E11);
+        let frames: Vec<(u8, Vec<u8>)> = [12usize, 0, 28, 4, 0, 8]
+            .iter()
+            .map(|&len| {
+                let opcode = 1 + (rng.next_u64() % 37) as u8;
+                (opcode, (0..len).map(|_| rng.next_u64() as u8).collect())
+            })
+            .collect();
+        let mut wire = Vec::new();
+        let mut starts = Vec::new();
+        for (opcode, payload) in &frames {
+            starts.push(wire.len());
+            push_frame(&mut wire, *opcode, payload);
+        }
+        let (mut reactor, rx, addr) = start_one_shard(None, None);
+        for cut in 1..wire.len() {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.set_nodelay(true).unwrap();
+            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            new_client(&rx);
+            // The frame the cut falls in, and how far into it.
+            let split = starts.iter().rposition(|&start| start < cut).unwrap();
+            let into = cut - starts[split];
+            let whole_first = if into == 4 + frames[split].1.len() {
+                split + 1 // The cut is a clean frame boundary.
+            } else {
+                split
+            };
+            // A frame is staged when its payload is not all there with the
+            // end of its header; a split header alone stages nothing.
+            let staged = u64::from(whole_first == split && into >= 4);
+
+            let before = totals(&reactor);
+            sock.write_all(&wire[..cut]).unwrap();
+            wait_until("the shard to park on the first piece", || {
+                let now = totals(&reactor);
+                now.frames - before.frames == whole_first as u64
+                    && now.partial_reads - before.partial_reads == u64::from(whole_first == split)
+            });
+            sock.write_all(&wire[cut..]).unwrap();
+            for (i, (opcode, payload)) in frames.iter().enumerate() {
+                let (_, got_opcode, got) = request(&rx);
+                assert_eq!(
+                    (got_opcode, &got),
+                    (*opcode, payload),
+                    "cut {cut}, frame {i}"
+                );
+            }
+            drop(sock);
+            disconnect(&rx);
+            let after = totals(&reactor);
+            assert_eq!(after.frames - before.frames, frames.len() as u64);
+            assert_eq!(
+                after.staged_frames - before.staged_frames,
+                staged,
+                "cut {cut}: {into} bytes into frame {split}"
+            );
+        }
+        reactor.shutdown();
     }
 
     #[test]
@@ -2282,10 +2385,7 @@ mod tests {
         let connect = || {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();
-            match recv(&rx) {
-                ServerEvent::NewClient { id, .. } => (sock, id),
-                _ => panic!("expected NewClient"),
-            }
+            (sock, new_client(&rx).0)
         };
         let (mut hose, hose_id) = connect();
         let (mut sibling, sibling_id) = connect();
@@ -2304,13 +2404,13 @@ mod tests {
         let mut hose_frames = 0u64;
         let mut sent_at = None;
         loop {
-            match recv(&rx) {
-                ServerEvent::Request { id, .. } if id == hose_id => hose_frames += 1,
-                ServerEvent::Request { id, raw } if id == sibling_id => {
-                    assert_eq!(&*raw.payload, &[9, 9, 9, 9]);
-                    break;
-                }
-                _ => panic!("unexpected event"),
+            let (id, _, payload) = request(&rx);
+            if id == hose_id {
+                hose_frames += 1;
+            } else {
+                assert_eq!(id, sibling_id);
+                assert_eq!(payload, [9, 9, 9, 9]);
+                break;
             }
             match sent_at {
                 None if hose_frames == 20 * per_turn => {

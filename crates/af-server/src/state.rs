@@ -6,7 +6,7 @@ use crate::pool::PooledBuf;
 use crate::reactor::OutboundTx;
 use crate::transport::{FrameError, Refused};
 use af_dsp::convert::Converter;
-use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask, Opcode};
+use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask};
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
@@ -344,13 +344,14 @@ pub struct ServerAc {
     pub recording: bool,
 }
 
-/// A request as read off the wire, before decoding.
-#[derive(Clone, Debug)]
+/// A request held for a suspended client, as read off the wire: the one
+/// owned form of a request's bytes.
+#[derive(Debug)]
 pub struct RawRequest {
     /// The raw opcode byte (may be invalid; the dispatcher validates).
     pub opcode: u8,
-    /// The payload after the 4-byte header, in a pooled frame buffer that
-    /// recycles once the request is processed.
+    /// A copy of the payload after the 4-byte header, in a pooled buffer
+    /// that recycles once the request is replayed.
     pub payload: PooledBuf,
 }
 
@@ -365,8 +366,9 @@ pub enum BlockedOp {
         preempt: bool,
         /// Device time of the first remaining frame.
         start: ATime,
-        /// The full request in device encoding; `offset` marks how much has
-        /// been consumed (a cursor, so retries never re-copy the tail).
+        /// What was left of the request when it was suspended, in device
+        /// encoding; `offset` marks how much has been consumed since (a
+        /// cursor, so retries never re-copy the tail).
         frames: Vec<u8>,
         /// Bytes of `frames` already written into the device buffer.
         offset: usize,
@@ -466,9 +468,11 @@ impl ClientState {
     }
 }
 
-/// What a transport frames and hands to the dispatcher through
+/// What a transport hands to the dispatcher through
 /// [`crate::dispatch::DispatchHandle::submit`] — handled by the framing
-/// thread itself, under the dispatch lock.
+/// thread itself, under the dispatch lock.  Framed requests are not among
+/// them: they go in borrowed, through
+/// [`crate::dispatch::DispatchHandle::request`].
 pub enum ServerEvent {
     /// A transport accepted a connection and read its setup message.
     NewClient {
@@ -480,13 +484,6 @@ pub enum ServerEvent {
         peer: Option<IpAddr>,
         /// The dispatcher's handle on the connection.
         tx: OutboundTx,
-    },
-    /// A framed request arrived.
-    Request {
-        /// The connection it arrived on.
-        id: ClientId,
-        /// The request bytes.
-        raw: RawRequest,
     },
     /// The connection sent an unrecoverable malformed frame; only this
     /// client is disconnected.
@@ -501,11 +498,6 @@ pub enum ServerEvent {
         /// The connection that went away.
         id: ClientId,
     },
-}
-
-/// Validates that a request opcode byte decodes, for error reporting.
-pub fn decode_opcode(raw: u8) -> Option<Opcode> {
-    Opcode::from_wire(raw).ok()
 }
 
 #[cfg(test)]

@@ -148,12 +148,13 @@ proptest! {
     }
 
     /// The record path returns exactly what the source produced for any
-    /// in-window interval, and silence outside it.
+    /// in-window interval, and silence outside it — in both its forms.
     #[test]
     fn record_window_semantics(
         advances in prop::collection::vec(1u16..900, 1..20),
         probe_offset in -6000i32..1000,
         probe_len in 1u32..500,
+        already in 0usize..24,
     ) {
         let clock = Arc::new(VirtualClock::new(8000));
         // Source: a counter pattern so every tick is identifiable.
@@ -188,6 +189,12 @@ proptest! {
         let start = now.offset(probe_offset);
         let data = bufs.read_rec(start, probe_len);
         prop_assert_eq!(data.len(), probe_len as usize);
+        // The append form (a record reply is built with it) puts the same
+        // bytes after whatever its caller's buffer already holds.
+        let mut reply = vec![0xA5; already];
+        bufs.read_rec_into(start, probe_len, &mut reply);
+        prop_assert!(reply[..already].iter().all(|&b| b == 0xA5), "prefix overwritten");
+        prop_assert_eq!(&reply[already..], &data[..]);
         for (i, &b) in data.iter().enumerate() {
             let t = start + (i as u32);
             let age = now - t;

@@ -9,10 +9,19 @@
 //! count exactly those, and in a closed loop over one connection they
 //! repeat exactly from run to run — so the syscalls- and hops-per-request
 //! figures are asserted as counts, not inferred from timings.
+//!
+//! The data plane is gated the same way: a pipelined 32 KB play (four
+//! chunk frames in two `write`s, as the client library sends it) is framed
+//! where `read` left it — no frame staged, at most two `read`s — and
+//! neither it nor an 8 KB record grows the buffer pool once the first op
+//! has warmed it.
 
 use af_device::{NullSink, SilenceSource, VirtualClock};
-use af_proto::{ByteOrder, ConnSetup, Request};
-use af_server::{ServerBuilder, ServerStats};
+use af_dsp::Encoding;
+use af_proto::{AcAttributes, AcMask, ByteOrder, ConnSetup, Request};
+use af_server::reactor::ReactorShardSnapshot;
+use af_server::{RunningServer, ServerBuilder, ServerStats};
+use af_time::ATime;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -25,14 +34,16 @@ const ROUND_TRIPS: u64 = 2_000;
 /// setup reply if it raced the shard's registration of the connection.
 const SETUP_WAKEUPS: f64 = 8.0;
 
-#[test]
-fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
+/// A server with one codec on a virtual clock, listening on a Unix
+/// socket of its own, and one connection past its setup exchange.
+fn serve(name: &str) -> (RunningServer, Arc<VirtualClock>, UnixStream) {
     let dir = std::env::temp_dir().join(format!("af-budget-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("budget.sock");
+    let path = dir.join(format!("{name}.sock"));
+    let clock = Arc::new(VirtualClock::new(8000));
     let mut builder = ServerBuilder::new().listen_unix(path.clone());
     builder.add_codec(
-        Arc::new(VirtualClock::new(8000)),
+        clock.clone(),
         Box::new(NullSink),
         Box::new(SilenceSource::new(0xFF)),
     );
@@ -46,6 +57,31 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
     sock.read_exact(&mut len).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
     sock.read_exact(&mut body).unwrap();
+    (server, clock, sock)
+}
+
+/// The shards' counters, summed.  A handler counts its direct write and
+/// itself before it releases the dispatch lock; the barrier takes that
+/// lock, so after a reply has been read the counters are final.
+fn shard_totals(server: &RunningServer) -> ReactorShardSnapshot {
+    server.handle().barrier();
+    let mut shards = server.stats().reactor_snapshots().into_iter();
+    let mut sum = shards.next().unwrap();
+    for shard in shards {
+        sum.read_calls += shard.read_calls;
+        sum.frames += shard.frames;
+        sum.staged_frames += shard.staged_frames;
+        sum.replies += shard.replies;
+        sum.direct_writes += shard.direct_writes;
+        sum.queued_writes += shard.queued_writes;
+        sum.wakeups += shard.wakeups;
+    }
+    sum
+}
+
+#[test]
+fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
+    let (server, _clock, mut sock) = serve("ping");
 
     let get_time = Request::GetTime { device: 0 }.encode(ByteOrder::Little);
     for _ in 0..ROUND_TRIPS {
@@ -55,20 +91,15 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
         sock.read_exact(&mut reply).unwrap();
     }
 
-    // A handler counts its direct write and itself before it releases the
-    // dispatch lock; the barrier takes that lock, so the counters below
-    // are final.
-    server.handle().barrier();
-    let (mut read_calls, mut frames, mut replies) = (0u64, 0u64, 0u64);
-    let (mut direct_writes, mut queued_writes, mut wakeups) = (0u64, 0u64, 0u64);
-    for shard in server.stats().reactor_snapshots() {
-        read_calls += shard.read_calls;
-        frames += shard.frames;
-        replies += shard.replies;
-        direct_writes += shard.direct_writes;
-        queued_writes += shard.queued_writes;
-        wakeups += shard.wakeups;
-    }
+    let ReactorShardSnapshot {
+        read_calls,
+        frames,
+        replies,
+        direct_writes,
+        queued_writes,
+        wakeups,
+        ..
+    } = shard_totals(&server);
     let stats = server.stats();
     let inline_events = ServerStats::get(&stats.inline_events);
     let task_nudges = ServerStats::get(&stats.task_nudges);
@@ -107,5 +138,129 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
 
     drop(sock);
     server.shutdown();
-    let _ = std::fs::remove_file(&path);
+}
+
+const DATA_OPS: u64 = 500;
+
+#[test]
+fn pipelined_32k_play_is_framed_in_place_and_takes_one_pooled_buffer() {
+    let (server, _clock, mut sock) = serve("play");
+    let order = ByteOrder::Little;
+    // The benchmark's context: LIN16 on the µ-law codec, mixed at -6 dB.
+    let attrs = AcAttributes {
+        encoding: Encoding::Lin16,
+        play_gain_db: -6,
+        ..AcAttributes::default()
+    };
+    let mut hello = Request::CreateAc {
+        id: 1,
+        device: 0,
+        mask: AcMask::ENCODING | AcMask::PLAY_GAIN,
+        attrs,
+    }
+    .encode(order);
+    hello.extend_from_slice(&Request::SyncConnection.encode(order));
+    sock.write_all(&hello).unwrap();
+    let mut sync_reply = [0u8; 8];
+    sock.read_exact(&mut sync_reply).unwrap();
+
+    // Four 8,212-byte chunk frames, 4,096 frames of LIN16 each, the reply
+    // suppressed on all but the last; flushed two at a time.
+    let mut flushes = [Vec::new(), Vec::new()];
+    for chunk in 0..4u32 {
+        let data: Vec<u8> = (0..8192u32).map(|i| (i * 7 + chunk) as u8).collect();
+        let flags = if chunk < 3 {
+            af_proto::request::play_flags::SUPPRESS_REPLY
+        } else {
+            0
+        };
+        let out = &mut flushes[chunk as usize / 2];
+        Request::encode_play_into(order, out, 1, ATime::new(1000 + chunk * 4096), flags, &data);
+    }
+    assert!(flushes.iter().all(|f| f.len() == 16_424));
+
+    let play = |sock: &mut UnixStream| {
+        for flush in &flushes {
+            sock.write_all(flush).unwrap();
+        }
+        let mut reply = [0u8; 12];
+        sock.read_exact(&mut reply).unwrap();
+    };
+    play(&mut sock);
+    let before = shard_totals(&server);
+    let warm = server.pool().allocs();
+    for _ in 0..DATA_OPS {
+        play(&mut sock);
+    }
+    let after = shard_totals(&server);
+    let (frames, staged, reads) = (
+        after.frames - before.frames,
+        after.staged_frames - before.staged_frames,
+        after.read_calls - before.read_calls,
+    );
+    eprintln!(
+        "32 KB play budget: {reads} reads / {frames} frames, {staged} staged, \
+         {warm} pool allocations"
+    );
+    assert_eq!(frames, 4 * DATA_OPS);
+    assert_eq!(staged, 0, "a whole frame went through the staging buffer");
+    assert!(reads <= 2 * DATA_OPS, "{reads} reads for {DATA_OPS} plays");
+    assert_eq!(after.direct_writes - before.direct_writes, DATA_OPS);
+    assert_eq!(
+        server.pool().allocs(),
+        warm,
+        "the pool grew after the first play"
+    );
+
+    drop(sock);
+    server.shutdown();
+}
+
+#[test]
+fn record_8k_reply_takes_one_pooled_buffer() {
+    let (server, clock, mut sock) = serve("record");
+    let order = ByteOrder::Little;
+    let record = |sock: &mut UnixStream, start: u32, nbytes: u32| {
+        let request = Request::RecordSamples {
+            ac: 1,
+            start_time: ATime::new(start),
+            nbytes,
+            flags: 0,
+        };
+        sock.write_all(&request.encode(order)).unwrap();
+        // Message header, time, length, then the samples.
+        let mut reply = vec![0u8; 16 + nbytes as usize];
+        sock.read_exact(&mut reply).unwrap();
+        assert_eq!(reply[12..16], nbytes.to_le_bytes());
+    };
+    let create = Request::CreateAc {
+        id: 1,
+        device: 0,
+        mask: AcMask::default(),
+        attrs: AcAttributes::default(),
+    };
+    sock.write_all(&create.encode(order)).unwrap();
+    // An empty record arms the recorder; then four seconds pass.
+    record(&mut sock, 0, 0);
+    clock.advance(20_000);
+    server.handle().run_update();
+
+    record(&mut sock, 10_000, 8192);
+    let (warm, reused) = (server.pool().allocs(), server.pool().reuses());
+    for _ in 0..DATA_OPS {
+        record(&mut sock, 10_000, 8192);
+    }
+    assert_eq!(
+        server.pool().allocs(),
+        warm,
+        "the pool grew after the first record"
+    );
+    assert_eq!(
+        server.pool().reuses() - reused,
+        DATA_OPS,
+        "one pooled buffer per reply"
+    );
+
+    drop(sock);
+    server.shutdown();
 }

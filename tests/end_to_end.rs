@@ -798,3 +798,106 @@ fn play_suspended_past_the_horizon_lands_every_frame_exactly_once() {
     want[2000..42_000].copy_from_slice(&data);
     assert_speaker_emitted(&fx, &want);
 }
+
+#[test]
+fn requests_queued_behind_a_suspended_play_replay_in_order_bit_exact() {
+    // One client, the wire driven by hand so that nothing waits for a
+    // reply: a play that reaches past the horizon, then — while it is
+    // suspended — two more that overlap it.  The server must hold those
+    // (it owns copies; the bytes they arrived in are long reused), replay
+    // them in arrival order once the first is through, and the speaker
+    // must emit what the reference kernels compute for that order.  The
+    // suspended play is big-endian LIN16 under a −6 dB context, so it is
+    // the converted frames — the dispatcher's scratch — that wait.
+    use audiofile::device::Clock;
+    use audiofile::proto::request::play_flags;
+    use audiofile::proto::{ByteOrder, ConnSetup, Request};
+    use std::io::{Read, Write};
+
+    let fx = Fixture::new();
+    let handle = fx.server.handle();
+    let order = ByteOrder::Little;
+    let mut sock = std::net::TcpStream::connect(fx.server.tcp_addr().unwrap()).unwrap();
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    sock.write_all(&ConnSetup::new().encode()).unwrap();
+    let mut len = [0u8; 4];
+    sock.read_exact(&mut len).unwrap();
+    let mut setup_reply = vec![0u8; u32::from_le_bytes(len) as usize];
+    sock.read_exact(&mut setup_reply).unwrap();
+
+    let mut model = SpeakerModel::new(40_000);
+    let mut wire = Vec::new();
+    let contexts = [
+        (
+            1,
+            AcMask::ENCODING | AcMask::PLAY_GAIN,
+            AcAttributes {
+                encoding: Encoding::Lin16,
+                play_gain_db: -6,
+                ..AcAttributes::default()
+            },
+        ),
+        (2, AcMask::default(), AcAttributes::default()),
+    ];
+    for (id, mask, attrs) in contexts {
+        let create = Request::CreateAc {
+            id,
+            device: 0,
+            mask,
+            attrs,
+        };
+        wire.extend_from_slice(&create.encode(order));
+    }
+    // 8,000 frames from 30,000: the horizon (device time 0 + 32,768) cuts
+    // it after 2,768.
+    let ramp: Vec<i16> = (0..8000)
+        .map(|i| (i * 13 % 20_000 - 10_000) as i16)
+        .collect();
+    let ramp_be: Vec<u8> = ramp.iter().flat_map(|s| s.to_be_bytes()).collect();
+    let mut long = reference::encode_from_lin16_scalar(Encoding::Mu255, &ramp);
+    reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut long, -6);
+    let mixed = [g711::linear_to_ulaw(3000); 400];
+    let preempting = [g711::linear_to_ulaw(-700); 100];
+    for (ac, start, flags, data) in [
+        (1, 30_000, play_flags::BIG_ENDIAN_DATA, &ramp_be[..]),
+        (2, 31_000, 0, &mixed[..]),
+        (2, 31_100, play_flags::PREEMPT, &preempting[..]),
+    ] {
+        Request::encode_play_into(order, &mut wire, ac, ATime::new(start), flags, data);
+    }
+    model.play(30_000, &long, false);
+    model.play(31_000, &mixed, false);
+    model.play(31_100, &preempting, true);
+    sock.write_all(&wire).unwrap();
+
+    // Time advances until the three replies (12 bytes each) have come.
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let driver = {
+        let (clock, handle, done) = (fx.clock.clone(), handle.clone(), done.clone());
+        std::thread::spawn(move || {
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                clock.advance(800);
+                handle.run_update();
+            }
+        })
+    };
+    let mut replies = [0u8; 36];
+    sock.read_exact(&mut replies).unwrap();
+    done.store(true, std::sync::atomic::Ordering::Release);
+    driver.join().unwrap();
+    for (i, reply) in replies.chunks_exact(12).enumerate() {
+        // A reply (kind 1) to request 3, 4, 5: the plays, in order.
+        assert_eq!(reply[0], 1);
+        assert_eq!(u16::from_le_bytes([reply[2], reply[3]]), 3 + i as u16);
+    }
+    let now = u32::from_le_bytes(replies[8..12].try_into().unwrap());
+    assert!(
+        (38_000 - 32_768..30_000).contains(&now),
+        "first play answered at device time {now}"
+    );
+    fx.run(&handle, 40_000 - fx.clock.now().ticks());
+
+    assert_speaker_emitted(&fx, &model.bytes);
+}
