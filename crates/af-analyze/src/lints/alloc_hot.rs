@@ -8,10 +8,11 @@
 //!
 //! Roots are the *data-plane* subset of the hot-path registry: the
 //! dispatcher's borrowed request entry and its request-handling arms, the
-//! borrowed `PlaySamples` parser and the append-form record read they
-//! lean on (each named outright: the call graph does not follow a
-//! `parse`/`decode` across crates, which is how an 8 KB `.to_vec()` per
-//! play chunk once sat on the data plane unseen), the reactor shard
+//! borrowed `PlaySamples` parser, the append-form record read and the
+//! merge loop behind every play they lean on (each named outright: the
+//! call graph does not follow a `parse`/`decode` across crates, which is
+//! how an 8 KB `.to_vec()` per play chunk once sat on the data plane
+//! unseen), the reactor shard
 //! handlers (including the broadcast listener read/pump paths), the
 //! broadcast seal/fetch entry points, and the FEC/jitter per-frame entry
 //! points.
@@ -56,7 +57,10 @@ const ROOTS: &[(&str, &[&str])] = &[
             "pump_bcast",
         ],
     ),
-    ("crates/af-server/src/buffer.rs", &["read_rec_into"]),
+    (
+        "crates/af-server/src/buffer.rs",
+        &["read_rec_into", "merge_play"],
+    ),
     ("crates/af-proto/src/request.rs", &["parse"]),
     (
         "crates/af-server/src/broadcast.rs",

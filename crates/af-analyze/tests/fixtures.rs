@@ -654,9 +654,10 @@ fn alloc_triggers_on_the_borrowed_request_path() {
     // The borrowed request entry, which the reactor-rooted scan reaches
     // only through the dispatch lock, and the two roots below it that the
     // call graph cannot reach by itself (`parse` is a cross-crate call into
-    // a name too common to follow; `read_rec_into` hangs off a struct
-    // field): a copy in any of them is a per-chunk allocation and must be
-    // found from the root named in the registry.
+    // a name too common to follow; `read_rec_into` and `merge_play`, the
+    // loop behind every play, hang off a struct field): a copy in any of
+    // them is a per-chunk allocation and must be found from the root named
+    // in the registry.
     let mut files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -674,11 +675,17 @@ fn alloc_triggers_on_the_borrowed_request_path() {
         include_str!("../fixtures/reach/proto_request_trigger.rs"),
     );
     let found = run_graph_lint(&files, lints::alloc_hot::run);
-    assert_eq!(found.len(), 3, "{found:?}");
+    assert_eq!(found.len(), 4, "{found:?}");
     assert!(
         found
             .iter()
             .any(|f| f.file == DISPATCH && f.message.contains("(handle_request)")),
+        "{found:?}"
+    );
+    assert!(
+        found.iter().any(|f| f.file == BUFFER
+            && f.message.contains(".to_owned()")
+            && f.message.contains("(merge_play)")),
         "{found:?}"
     );
     assert!(
@@ -844,10 +851,13 @@ fn workspace_orders_the_dispatch_lock_before_connection_write_locks() {
         }
     }
     // The buffer pool's free list (request and reply buffers), a shard's
-    // mailbox (the flush token of a queued reply) and a connection's
-    // outbound lock (replies): all leaves.  A new lock under the dispatch
-    // lock is a design change — extend DESIGN.md §9.1 with it.
-    assert_eq!(under, ["idle", "mailbox", "outbound"]);
+    // mailbox (the flush token of a queued reply), a connection's
+    // outbound lock (replies), and the broadcast bus's chunk ring and
+    // shard list (the update publishing the speaker bus — seen since a
+    // play can run the update itself, `DeviceBuffers::merge_play`): all
+    // leaves.  A new lock under the dispatch lock is a design change —
+    // extend DESIGN.md §9.1 with it.
+    assert_eq!(under, ["idle", "mailbox", "outbound", "ring", "shards"]);
     // The two reply-path leaves really are leaves — in particular the
     // mailbox is only taken once the outbound lock is released.
     for (held, then) in lints::lock_order::edges(&files, &index, &graph) {

@@ -1,8 +1,8 @@
 //! The batched scalar table: table lookups per sample, typed slice views
 //! where alignment permits.  It is the semantic definition the SIMD tables
-//! are pinned against, what they call for their tails, (on SSE2 and
-//! NEON) for encode and (on SSE2) for decode, and what runs under Miri or
-//! on a target with no `core::arch` table.
+//! are pinned against, what they call for their tails, for encode and
+//! (on SSE2) for decode, and what runs under Miri or on a target with no
+//! `core::arch` table.
 
 use super::Kernels;
 use crate::{sample, tables};

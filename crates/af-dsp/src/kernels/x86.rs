@@ -10,8 +10,10 @@
 //! conditional negate as `(x ^ mask) - mask`, which is lane-isolated in
 //! real SIMD.  SSE2 has no such gather — its decode by conditional
 //! doublings measured 4× slower than the 256-entry table loop — so the
-//! SSE2 table's decode and encode are the scalar table loops (a 16 K
-//! encode gather has no good SIMD form without AVX-512), and every vector
+//! SSE2 table's decode is the scalar table loop.  Encode is the scalar
+//! 16 K table loop in both tables: a 30-operation AVX2 segment search
+//! measured 8 % faster than it at 4 KB, and no server play runs an encode
+//! pass any more (the play map, `crate::tables::PlayMap`).  Every vector
 //! body hands its tail to the scalar loop of the same entry point.
 
 // All intrinsics in this module operate on unaligned loads/stores within
@@ -40,8 +42,8 @@ static TABLES: [Kernels; 2] = [
         name: "simd-avx2",
         decode_ulaw: decode_ulaw_avx2_entry,
         decode_alaw: decode_alaw_avx2_entry,
-        encode_ulaw: encode_ulaw_avx2_entry,
-        encode_alaw: encode_alaw_avx2_entry,
+        encode_ulaw: scalar::encode_ulaw,
+        encode_alaw: scalar::encode_alaw,
         mix_lin16_le: mix_lin16_le_avx2_entry,
         mix_lin32_le: mix_lin32_le_sse2,
     },
@@ -233,146 +235,6 @@ unsafe fn decode_alaw_avx2(data: &[u8], out: &mut [i16]) {
         i += 16;
     }
     scalar::decode_alaw(&data[i..], &mut out[i..]);
-}
-
-// ---- AVX2 encode (32 lanes per iteration) -----------------------------
-
-/// Segment finder: counts how many of the seven thresholds `v` clears.
-/// Each `cmpgt` mask is −1 per lane, so subtracting the masks accumulates
-/// the segment number in `0..=7`.  `v` must be non-negative (≤ 0x7FFF),
-/// which the callers' clip establishes, so signed compares are exact.
-// SAFETY: callers must guarantee the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn segment_epi16(v: __m256i, first: i16) -> __m256i {
-    let mut seg = _mm256_setzero_si256();
-    let mut t = i32::from(first);
-    for _ in 0..7 {
-        seg = _mm256_sub_epi16(seg, _mm256_cmpgt_epi16(v, _mm256_set1_epi16((t - 1) as i16)));
-        t <<= 1;
-    }
-    seg
-}
-
-/// `(v >> 3) >> s` per lane for `s` in `0..=7`, as an unsigned high
-/// multiply: `mulhi(((v >> 3) << 1), 2^(15 − s))`.  The multiplier's low
-/// byte is always zero, so one `vpshufb` gather of `2^(7 − s)` shifted
-/// into the high byte builds it.
-// SAFETY: callers must guarantee the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn shr3_var_epi16(v: __m256i, s: __m256i, lut: __m128i) -> __m256i {
-    let hi = _mm256_shuffle_epi8(
-        _mm256_broadcastsi128_si256(lut),
-        _mm256_or_si256(s, _mm256_set1_epi16(0xFF00u16 as i16)),
-    );
-    _mm256_mulhi_epu16(
-        _mm256_slli_epi16(_mm256_srli_epi16(v, 3), 1),
-        _mm256_slli_epi16(hi, 8),
-    )
-}
-
-/// Packs two 16-lane vectors of byte-sized values into one 32-byte store.
-// SAFETY: callers must guarantee the CPU supports AVX2 and that
-// `dst` has 32 writable bytes.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn store_packed_bytes(dst: *mut u8, lo: __m256i, hi: __m256i) {
-    // packus interleaves 128-bit halves; the permute restores order.
-    let packed = _mm256_permute4x64_epi64(_mm256_packus_epi16(lo, hi), 0b11_01_10_00);
-    _mm256_storeu_si256(dst.cast(), packed);
-}
-
-fn encode_ulaw_avx2_entry(pcm: &[i16], out: &mut [u8]) {
-    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
-    unsafe { encode_ulaw_avx2(pcm, out) }
-}
-
-fn encode_alaw_avx2_entry(pcm: &[i16], out: &mut [u8]) {
-    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
-    unsafe { encode_alaw_avx2(pcm, out) }
-}
-
-// SAFETY: callers must guarantee the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-unsafe fn encode_ulaw_avx2(pcm: &[i16], out: &mut [u8]) {
-    assert_eq!(pcm.len(), out.len(), "encode buffer length mismatch");
-    let n = pcm.len();
-    let mut i = 0;
-    // In-body safety: each iteration reads 32 i16 and writes 32 bytes,
-    // bounded by `i + 32 <= n`.
-    let clip = _mm256_set1_epi16(crate::g711::ULAW_CLIP as i16);
-    let bias = _mm256_set1_epi16(0x84);
-    let m0f = _mm256_set1_epi16(0x0F);
-    let s80 = _mm256_set1_epi16(0x80);
-    let inv = _mm256_set1_epi16(0x00FF);
-    // 2^(7 − e) for the mantissa shift `e + 3`.
-    let lut = _mm_setr_epi8(-128, 64, 32, 16, 8, 4, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0);
-    // The 16 K comp tables are indexed by the top 14 bits, so the seed
-    // quantizes away the two low bits before encoding; mask them here to
-    // stay bit-exact with the table path.
-    let quant = _mm256_set1_epi16(0xFFFCu16 as i16);
-    let lanes = |v: __m256i| {
-        let v = _mm256_and_si256(v, quant);
-        // |v| as an unsigned lane (i16::MIN → 32768), clipped, biased:
-        // the result is ≤ 0x7FFF, so signed compares below are exact.
-        let mag = _mm256_min_epu16(_mm256_abs_epi16(v), clip);
-        let biased = _mm256_add_epi16(mag, bias);
-        // SAFETY: AVX2 established by the enclosing function's contract.
-        let e = unsafe { segment_epi16(biased, 0x100) };
-        // SAFETY: as above.
-        let mant = _mm256_and_si256(unsafe { shr3_var_epi16(biased, e, lut) }, m0f);
-        let sign = _mm256_and_si256(_mm256_srai_epi16(v, 15), s80);
-        let code = _mm256_or_si256(sign, _mm256_or_si256(_mm256_slli_epi16(e, 4), mant));
-        _mm256_xor_si256(code, inv) // !code in the low byte.
-    };
-    while i + 32 <= n {
-        let lo = lanes(_mm256_loadu_si256(pcm.as_ptr().add(i).cast()));
-        let hi = lanes(_mm256_loadu_si256(pcm.as_ptr().add(i + 16).cast()));
-        store_packed_bytes(out.as_mut_ptr().add(i), lo, hi);
-        i += 32;
-    }
-    scalar::encode_ulaw(&pcm[i..], &mut out[i..]);
-}
-
-// SAFETY: callers must guarantee the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-unsafe fn encode_alaw_avx2(pcm: &[i16], out: &mut [u8]) {
-    assert_eq!(pcm.len(), out.len(), "encode buffer length mismatch");
-    let n = pcm.len();
-    let mut i = 0;
-    // In-body safety: bounds as in `encode_ulaw_avx2`.
-    let clip = _mm256_set1_epi16(32_255);
-    let m0f = _mm256_set1_epi16(0x0F);
-    let s80 = _mm256_set1_epi16(0x80);
-    let t55 = _mm256_set1_epi16(0x55);
-    // Mantissa shift is 4 for segment 0, `seg + 3` above: 2^(7 − s') with
-    // s' = max(seg, 1).
-    let lut = _mm_setr_epi8(64, 64, 32, 16, 8, 4, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0);
-    // Same 14-bit quantization as the comp tables (see encode_ulaw_avx2).
-    let quant = _mm256_set1_epi16(0xFFFCu16 as i16);
-    let lanes = |v: __m256i| {
-        let v = _mm256_and_si256(v, quant);
-        // Negative samples become −(v + 1) = !v: XOR with the sign
-        // spread, no add needed, and i16::MIN cannot overflow.
-        let spread = _mm256_srai_epi16(v, 15);
-        let mag = _mm256_min_epi16(_mm256_xor_si256(v, spread), clip);
-        // SAFETY: AVX2 established by the enclosing function's contract.
-        let seg = unsafe { segment_epi16(mag, 0x100) };
-        // SAFETY: as above.
-        let mant = _mm256_and_si256(unsafe { shr3_var_epi16(mag, seg, lut) }, m0f);
-        // A-law sign bit is set for non-negative samples.
-        let sign = _mm256_andnot_si256(spread, s80);
-        let code = _mm256_or_si256(sign, _mm256_or_si256(_mm256_slli_epi16(seg, 4), mant));
-        _mm256_xor_si256(code, t55)
-    };
-    while i + 32 <= n {
-        let lo = lanes(_mm256_loadu_si256(pcm.as_ptr().add(i).cast()));
-        let hi = lanes(_mm256_loadu_si256(pcm.as_ptr().add(i + 16).cast()));
-        store_packed_bytes(out.as_mut_ptr().add(i), lo, hi);
-        i += 32;
-    }
-    scalar::encode_alaw(&pcm[i..], &mut out[i..]);
 }
 
 #[cfg(test)]

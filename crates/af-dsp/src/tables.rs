@@ -6,7 +6,9 @@
 //! 13-bit linear + sign, 256-entry power tables, and a 64 KiB mixing table
 //! per companded format.  All tables are built once on first use.
 
-use crate::g711;
+use crate::gain::{self, GainTable};
+use crate::{g711, Encoding};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// `AF_exp_u`: µ-law byte → 16-bit linear.
@@ -157,6 +159,115 @@ pub fn mix_a() -> &'static MixTable {
     T.get_or_init(|| MixTable::build(g711::alaw_to_linear, g711::linear_to_alaw))
 }
 
+/// An audio context's **play map**: its conversion module and its play gain
+/// composed into one lookup table, so a play on a companded device is one
+/// pass over the samples — look the client's sample up, mix it (or store
+/// it) into the device buffer.
+///
+/// Built from the tables that define the two steps today (`comp_*` or
+/// `cvt_*`, then [`GainTable`]), so each entry is what
+/// [`crate::reference::encode_from_lin16_scalar`] followed by
+/// [`crate::reference::apply_gain_bytes_scalar`] gives.  0 dB means *no gain
+/// step* — not `GainTable::new_ulaw(0)`, which folds the µ-law negative zero
+/// `0x7F` into `0xFF`.
+pub struct PlayMap {
+    table: MapTable,
+    mix: &'static MixTable,
+}
+
+enum MapTable {
+    /// LIN16 client: 16,384 entries indexed by [`comp_index`]; at 0 dB the
+    /// static `comp_*` table itself.
+    Lin16(Cow<'static, [u8]>),
+    /// Companded client: a gain, a transcode, or both.
+    Companded(Box<[u8; 256]>),
+}
+
+impl PlayMap {
+    /// The map playing `client` samples at `gain_db` on a `device` buffer,
+    /// or `None` where a table cannot express the pipeline (a linear
+    /// device, a LIN32 or ADPCM client) or there is nothing to compose (the
+    /// device's own encoding at 0 dB).  Allocates; for set-up, not the play
+    /// path.
+    pub fn new(client: Encoding, device: Encoding, gain_db: i32) -> Option<PlayMap> {
+        if client == device && gain_db == 0 {
+            return None;
+        }
+        type Precomputed = fn(i32) -> Option<&'static GainTable>;
+        let (comp, mix, precomputed, build): (_, _, Precomputed, fn(i32) -> GainTable) =
+            match device {
+                Encoding::Mu255 => (comp_u(), mix_u(), gain::gain_table_u, GainTable::new_ulaw),
+                Encoding::Alaw => (comp_a(), mix_a(), gain::gain_table_a, GainTable::new_alaw),
+                _ => return None,
+            };
+        let gain = (gain_db != 0).then(|| {
+            precomputed(gain_db).map_or_else(|| Cow::Owned(build(gain_db)), Cow::Borrowed)
+        });
+        let gained = |b: u8| gain.as_ref().map_or(b, |t| t.apply(b));
+        let table = match client {
+            Encoding::Lin16 if gain.is_none() => MapTable::Lin16(Cow::Borrowed(&comp[..])),
+            Encoding::Lin16 => MapTable::Lin16(comp.iter().map(|&b| gained(b)).collect()),
+            _ if client == device => {
+                MapTable::Companded(Box::new(std::array::from_fn(|i| gained(i as u8))))
+            }
+            Encoding::Mu255 => MapTable::Companded(Box::new(cvt_u2a().map(gained))),
+            Encoding::Alaw => MapTable::Companded(Box::new(cvt_a2u().map(gained))),
+            _ => return None,
+        };
+        Some(PlayMap { table, mix })
+    }
+
+    /// Bytes per client sample (each maps to one device byte).
+    pub fn sample_bytes(&self) -> usize {
+        match self.table {
+            MapTable::Lin16(_) => 2,
+            MapTable::Companded(_) => 1,
+        }
+    }
+
+    /// Runs `put(device byte, mapped sample)` over `dst` and the client
+    /// samples in `src`, in step.
+    #[inline(always)]
+    fn merge(&self, dst: &mut [u8], src: &[u8], put: impl Fn(&mut u8, u8)) {
+        assert_eq!(
+            src.len(),
+            dst.len() * self.sample_bytes(),
+            "play map length mismatch"
+        );
+        match &self.table {
+            MapTable::Lin16(t) => {
+                let t: &[u8; 16_384] = t[..].try_into().expect("built with 16,384 entries");
+                for (d, s) in dst.iter_mut().zip(src.chunks_exact(2)) {
+                    put(d, t[comp_index(i16::from_le_bytes([s[0], s[1]]))]);
+                }
+            }
+            MapTable::Companded(t) => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    put(d, t[s as usize]);
+                }
+            }
+        }
+    }
+
+    /// Mixes the client samples in `src` into the device bytes `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `src` holds exactly one sample per byte of `dst`.
+    pub fn mix_into(&self, dst: &mut [u8], src: &[u8]) {
+        self.merge(dst, src, |d, s| *d = self.mix.mix(*d, s));
+    }
+
+    /// Writes the client samples in `src` over the device bytes `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `src` holds exactly one sample per byte of `dst`.
+    pub fn copy_into(&self, dst: &mut [u8], src: &[u8]) {
+        self.merge(dst, src, |d, s| *d = s);
+    }
+}
+
 /// `AF_sine_int`: 1024-entry 16-bit integer sine wave (peak 32 767).
 pub fn sine_int() -> &'static [i16; 1024] {
     static T: OnceLock<[i16; 1024]> = OnceLock::new();
@@ -244,6 +355,97 @@ mod tests {
             let out = i32::from(g711::alaw_to_linear(ma.mix(a, g711::ALAW_SILENCE)));
             assert!((out - base).abs() <= 1024 / 2 + 8, "a={a:#x}");
         }
+    }
+
+    /// Every client sample there is, as the bytes a request carries.
+    fn every_sample(client: Encoding) -> Vec<u8> {
+        match client {
+            // All 65,536 — `i16::MIN`, and the low two bits the 16 K index
+            // drops — strided under Miri, with the edges kept.
+            Encoding::Lin16 => (i16::MIN..=i16::MAX)
+                .filter(|s| !cfg!(miri) || s % 251 == 0 || s.unsigned_abs() > 32_760)
+                .flat_map(i16::to_le_bytes)
+                .collect(),
+            // All 256 codes, the two µ-law zeros among them.
+            _ => (0..=255).collect(),
+        }
+    }
+
+    #[test]
+    fn play_map_is_the_reference_conversion_then_the_reference_gain_on_every_input() {
+        use crate::reference;
+        let companded = [Encoding::Mu255, Encoding::Alaw];
+        let gains: Vec<i32> = if cfg!(miri) {
+            vec![-40, -6, 0, 3, 40]
+        } else {
+            (-30..=30).chain([-40, 40]).collect()
+        };
+        for device in companded {
+            for client in [Encoding::Mu255, Encoding::Alaw, Encoding::Lin16] {
+                let src = every_sample(client);
+                let pcm = reference::decode_to_lin16_scalar(client, &src);
+                let converted = if client == device {
+                    src.clone()
+                } else {
+                    reference::encode_from_lin16_scalar(device, &pcm)
+                };
+                for &db in &gains {
+                    let Some(map) = PlayMap::new(client, device, db) else {
+                        // Nothing to compose: the device's own bytes at 0 dB.
+                        assert_eq!((client, db), (device, 0));
+                        continue;
+                    };
+                    let mut want = converted.clone();
+                    reference::apply_gain_bytes_scalar(device, &mut want, db);
+                    let mut got = vec![0xEE; want.len()];
+                    map.copy_into(&mut got, &src);
+                    assert_eq!(got, want, "{client} on {device} at {db} dB");
+
+                    // Mixed into every device byte a sample can meet (one
+                    // per sample, all 256 in turn), it is the mix table's
+                    // answer for the mapped byte.
+                    let ring: Vec<u8> = (0..want.len()).map(|i| (i * 7 + 3) as u8).collect();
+                    let mut mixed = ring.clone();
+                    map.mix_into(&mut mixed, &src);
+                    reference::mix_bytes_scalar(device, &mut want, &ring);
+                    assert_eq!(mixed, want, "{client} mixed on {device} at {db} dB");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn play_map_zero_db_is_no_gain_step_and_linear_devices_have_none() {
+        // `GainTable::new_ulaw(0)` folds 0x7F into 0xFF; the map must not.
+        let map = PlayMap::new(Encoding::Alaw, Encoding::Mu255, 0).unwrap();
+        let src: Vec<u8> = (0..=255).collect();
+        let mut got = vec![0; 256];
+        map.copy_into(&mut got, &src);
+        assert_eq!(got[..], cvt_a2u()[..]);
+        // At 0 dB a LIN16 context borrows the static table.
+        let map = PlayMap::new(Encoding::Lin16, Encoding::Mu255, 0).unwrap();
+        assert!(matches!(&map.table, MapTable::Lin16(Cow::Borrowed(_))));
+        assert_eq!(map.sample_bytes(), 2);
+        for (client, device) in [
+            (Encoding::Lin16, Encoding::Lin16),
+            (Encoding::Mu255, Encoding::Lin16),
+            (Encoding::Lin32, Encoding::Mu255),
+            (Encoding::Adpcm32, Encoding::Alaw),
+            (Encoding::Mu255, Encoding::Mu255),
+        ] {
+            assert!(
+                PlayMap::new(client, device, 0).is_none(),
+                "{client} on {device}"
+            );
+        }
+        assert!(PlayMap::new(Encoding::Lin32, Encoding::Mu255, -6).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn play_map_refuses_a_partial_sample() {
+        let map = PlayMap::new(Encoding::Lin16, Encoding::Mu255, -6).unwrap();
+        map.copy_into(&mut [0; 2], &[0; 3]);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::backend::HwBackend;
 use af_device::HwRing;
+use af_dsp::tables::PlayMap;
 use af_dsp::{mix, silence, Encoding};
 use af_time::ATime;
 
@@ -291,43 +292,76 @@ impl DeviceBuffers {
         silence::silence_byte(self.encoding).unwrap_or(0)
     }
 
-    /// Computes the writable window for `total` frames at `start_time`:
-    /// `(dropped_past, clipped_start, writable, beyond_horizon)`.
-    fn plan_write(&mut self, start_time: ATime, total: u32) -> (u32, ATime, u32, u32) {
-        let now = self.backend.now();
-        // Clip the part that falls in the past.
-        let dropped = {
-            let behind = now - start_time;
-            if behind <= 0 {
-                0
-            } else {
-                (behind as u32).min(total)
-            }
-        };
-        let start = start_time + dropped;
-        let remaining = total - dropped;
-        // The horizon: four seconds (one buffer) into the future.
-        let horizon = now + self.frames;
-        let room = horizon - start; // >= 0 since start >= now.
-        let writable = remaining.min(room.max(0) as u32);
-        (dropped, start, writable, remaining - writable)
-    }
-
-    /// Pushes the just-merged region straight to hardware when it falls
-    /// inside the window the hardware will consume before the next update.
-    fn write_through(
+    /// The one merge loop behind every play: plans the writable window for
+    /// `total` frames at `start_time` (past frames dropped, frames beyond
+    /// the four-second horizon left for the dispatcher to suspend), then
+    /// hands `put` each contiguous run of ring frames with the index of the
+    /// request frame it starts at and whether to mix or to store — "samples
+    /// before timeLastValid are mixed and samples after timeLastValid are
+    /// copied" (§7.4.1), and a preempting play only stores.  What lands
+    /// inside the hardware's lead is written through.
+    fn merge_play(
         &mut self,
-        start: ATime,
-        writable: u32,
+        start_time: ATime,
+        total: u32,
+        preempt: bool,
         output_gain_db: i32,
         output_enabled: bool,
-    ) {
+        mut put: impl FnMut(&mut [u8], usize, bool),
+    ) -> PlayOutcome {
+        // One clock reading plans the window and bounds the write-through,
+        // so the two agree.
+        let mut now = self.backend.now();
+        // The ring has a slot for a frame one buffer ahead only once the
+        // update has moved the frame before it out.  When it is running
+        // behind `now` and this play reaches that far, it runs first: the
+        // play side of the record update (§7.2).
+        if self.time_next_update.is_before(now)
+            && (start_time + total).is_after(self.time_next_update + self.frames)
+        {
+            now = self.update(output_gain_db, output_enabled);
+        }
+        // Clip the part that falls in the past.
+        let dropped = (now - start_time).clamp(0, total as i32) as u32;
+        let start = start_time + dropped;
+        // The horizon: four seconds (one buffer) into the future.
+        let room = (now + self.frames) - start; // >= 0 since start >= now.
+        let writable = (total - dropped).min(room.max(0) as u32);
+        let outcome = PlayOutcome {
+            dropped_past: dropped,
+            written: writable,
+            beyond_horizon: total - dropped - writable,
+        };
+        if writable == 0 {
+            return outcome;
+        }
+        let end = start + writable;
+        let mix_frames = if preempt {
+            0
+        } else {
+            (self.time_last_valid - start).clamp(0, writable as i32) as u32
+        };
+        let frame_bytes = self.frame_bytes;
+        let mut frame = dropped as usize;
+        for (at, nframes, mix) in [
+            (start, mix_frames, true),
+            (start + mix_frames, writable - mix_frames, false),
+        ] {
+            self.play.with_frames_mut(at, nframes, |chunk| {
+                put(chunk, frame, mix);
+                frame += chunk.len() / frame_bytes;
+            });
+        }
+        if end.is_after(self.time_last_valid) {
+            self.time_last_valid = end;
+        }
+
         // Write-through: the hardware consumes up to one lead ahead of now
         // before the next update runs, so anything scheduled inside that
         // window (which also covers everything before timeNextUpdate) must
         // be pushed straight to the hardware (§7.2: "the server writes the
         // data through the server buffer into the audio hardware").
-        let wt_end = self.backend.now() + self.hw_lead;
+        let wt_end = now + self.hw_lead;
         if wt_end.is_after(start) {
             let wt_frames = ((wt_end - start) as u32).min(writable);
             // The copy is deliberate: the update task will read and gain this
@@ -336,14 +370,14 @@ impl DeviceBuffers {
             // requests, so the steady state allocates nothing.
             let mut through = std::mem::take(&mut self.scratch);
             through.clear();
-            through.resize(wt_frames as usize * self.frame_bytes, 0);
-            self.play.read_at(start, &mut through);
+            self.play.append_to(start, wt_frames, &mut through);
             if output_enabled {
                 crate::gain::apply_gain_bytes(self.encoding, &mut through, output_gain_db);
                 self.backend.write_play(start, &through);
             }
             self.scratch = through;
         }
+        outcome
     }
 
     /// Writes one play request (already converted to the native encoding,
@@ -363,31 +397,57 @@ impl DeviceBuffers {
     ) -> PlayOutcome {
         debug_assert_eq!(data.len() % self.frame_bytes, 0, "partial frame");
         let total = (data.len() / self.frame_bytes) as u32;
-        let (dropped, start, writable, beyond) = self.plan_write(start_time, total);
-        if writable == 0 {
-            return PlayOutcome {
-                dropped_past: dropped,
-                written: 0,
-                beyond_horizon: beyond,
-            };
-        }
+        let (encoding, frame_bytes) = (self.encoding, self.frame_bytes);
+        self.merge_play(
+            start_time,
+            total,
+            preempt,
+            output_gain_db,
+            output_enabled,
+            |chunk, frame, mix| {
+                let src = &data[frame * frame_bytes..][..chunk.len()];
+                if mix {
+                    mix::mix_bytes(encoding, chunk, src);
+                } else {
+                    chunk.copy_from_slice(src);
+                }
+            },
+        )
+    }
 
-        let off = dropped as usize * self.frame_bytes;
-        let chunk = &data[off..off + writable as usize * self.frame_bytes];
-        self.merge_into_play(start, chunk, preempt);
-
-        // Advance timeLastValid past this request if it extends it.
-        let end = start + writable;
-        if end.is_after(self.time_last_valid) {
-            self.time_last_valid = end;
-        }
-        self.write_through(start, writable, output_gain_db, output_enabled);
-
-        PlayOutcome {
-            dropped_past: dropped,
-            written: writable,
-            beyond_horizon: beyond,
-        }
+    /// Writes one play request as the client sent it — `data` in the audio
+    /// context's encoding, whole frames — through the context's play map:
+    /// each sample is converted, gained and mixed (or stored) by lookup as
+    /// it enters the ring, which is written once.  Otherwise exactly
+    /// [`DeviceBuffers::write_play`] of the converted, gained bytes.
+    pub fn write_play_mapped(
+        &mut self,
+        start_time: ATime,
+        data: &[u8],
+        map: &PlayMap,
+        preempt: bool,
+        output_gain_db: i32,
+        output_enabled: bool,
+    ) -> PlayOutcome {
+        let sample_bytes = map.sample_bytes();
+        let src_frame_bytes = self.frame_bytes * sample_bytes;
+        debug_assert_eq!(data.len() % src_frame_bytes, 0, "partial frame");
+        let total = (data.len() / src_frame_bytes) as u32;
+        self.merge_play(
+            start_time,
+            total,
+            preempt,
+            output_gain_db,
+            output_enabled,
+            |chunk, frame, mix| {
+                let src = &data[frame * src_frame_bytes..][..chunk.len() * sample_bytes];
+                if mix {
+                    map.mix_into(chunk, src);
+                } else {
+                    map.copy_into(chunk, src);
+                }
+            },
+        )
     }
 
     /// Writes a mono play request into one channel of a multi-channel
@@ -411,48 +471,28 @@ impl DeviceBuffers {
         let sample_bytes = self.frame_bytes / channels.max(1) as usize;
         debug_assert_eq!(mono.len() % sample_bytes, 0, "partial sample");
         let total = (mono.len() / sample_bytes) as u32;
-        let (dropped, start, writable, beyond) = self.plan_write(start_time, total);
-        if writable == 0 {
-            return PlayOutcome {
-                dropped_past: dropped,
-                written: 0,
-                beyond_horizon: beyond,
-            };
-        }
-
         // Splice the lane directly in the ring: the other lanes are never
-        // copied anywhere, so the read-modify-write round trip is gone.
-        // `with_frames_mut` chunks are whole-frame aligned.
-        let encoding = self.encoding;
-        let frame_bytes = self.frame_bytes;
+        // copied anywhere.  The runs `merge_play` hands out are whole frames.
+        let (encoding, frame_bytes) = (self.encoding, self.frame_bytes);
         let lane_off = channel as usize * sample_bytes;
-        let src_base = dropped as usize * sample_bytes;
-        let mut i = 0usize;
-        self.play.with_frames_mut(start, writable, |chunk| {
-            for frame in chunk.chunks_exact_mut(frame_bytes) {
-                let dst_slice = &mut frame[lane_off..lane_off + sample_bytes];
-                let src = src_base + i * sample_bytes;
-                let src_slice = &mono[src..src + sample_bytes];
-                if preempt {
-                    dst_slice.copy_from_slice(src_slice);
-                } else {
-                    af_dsp::mix::mix_bytes(encoding, dst_slice, src_slice);
+        self.merge_play(
+            start_time,
+            total,
+            preempt,
+            output_gain_db,
+            output_enabled,
+            |chunk, frame, mix| {
+                let src = mono[frame * sample_bytes..].chunks_exact(sample_bytes);
+                for (slot, src) in chunk.chunks_exact_mut(frame_bytes).zip(src) {
+                    let dst = &mut slot[lane_off..lane_off + sample_bytes];
+                    if mix {
+                        mix::mix_bytes(encoding, dst, src);
+                    } else {
+                        dst.copy_from_slice(src);
+                    }
                 }
-                i += 1;
-            }
-        });
-
-        let end = start + writable;
-        if end.is_after(self.time_last_valid) {
-            self.time_last_valid = end;
-        }
-        self.write_through(start, writable, output_gain_db, output_enabled);
-
-        PlayOutcome {
-            dropped_past: dropped,
-            written: writable,
-            beyond_horizon: beyond,
-        }
+            },
+        )
     }
 
     /// Appends one channel of recorded frames to `out`: "a record request
@@ -474,43 +514,6 @@ impl DeviceBuffers {
             out.extend_from_slice(&frame[lane_off..lane_off + sample_bytes]);
         }
         self.scratch = frames;
-    }
-
-    /// Mixes or copies `data` into the play ring at `start` using the
-    /// `timeLastValid` split: mix where valid data may exist, copy beyond it
-    /// (§7.4.1 — "samples before timeLastValid are mixed and samples after
-    /// timeLastValid are copied").
-    fn merge_into_play(&mut self, start: ATime, data: &[u8], preempt: bool) {
-        if preempt {
-            self.play.write_at(start, data);
-            return;
-        }
-        let nframes = (data.len() / self.frame_bytes) as u32;
-        let end = start + nframes;
-        let mix_end = if self.time_last_valid.is_after(end) {
-            end
-        } else if self.time_last_valid.is_before(start) {
-            start
-        } else {
-            self.time_last_valid
-        };
-        let mix_frames = (mix_end - start).max(0) as u32;
-        if mix_frames > 0 {
-            // Mix the incoming block into the ring's own storage: the seed's
-            // alloc + copy-out + mix + copy-back round trip collapses to one
-            // in-place batched pass over each contiguous chunk.
-            let encoding = self.encoding;
-            let nbytes = mix_frames as usize * self.frame_bytes;
-            let mut src = &data[..nbytes];
-            self.play.with_frames_mut(start, mix_frames, |chunk| {
-                mix::mix_bytes(encoding, chunk, &src[..chunk.len()]);
-                src = &src[chunk.len()..];
-            });
-        }
-        if mix_frames < nframes {
-            let off = mix_frames as usize * self.frame_bytes;
-            self.play.write_at(mix_end, &data[off..]);
-        }
     }
 
     /// Number of frames that could be written at `start_time` right now
@@ -652,6 +655,21 @@ mod tests {
         let out = bufs.write_play(ATime::new(40_000), &[0x21; 10], false, 0, true);
         assert_eq!(out.written, 0);
         assert_eq!(out.beyond_horizon, 10);
+    }
+
+    #[test]
+    fn play_reaching_slots_the_late_update_still_owns_runs_it_first() {
+        let (mut bufs, clock, capture) = codec_buffers();
+        bufs.write_play(ATime::new(100), &[0x35; 50], false, 0, true);
+        // Time has moved on but the update has not run: ticks 0..800 are
+        // still in the ring, in the slots of ticks 32,768..33,568.
+        clock.advance(800);
+        let out = bufs.write_play(ATime::new(32_700), &[0x21; 200], false, 0, true);
+        assert_eq!((out.written, out.beyond_horizon), (200, 0));
+        run(&mut bufs, &clock, 33_600);
+        let cap = capture.lock();
+        assert_eq!(&cap[100..150], &[0x35; 50][..]);
+        assert_eq!(&cap[32_700..32_900], &[0x21; 200][..]);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! `barrier`, `shutdown` — takes the lock on its own thread.  Lock order is
 //! dispatch lock → per-connection outbound lock, never the reverse.
 
+use crate::buffer::PlayOutcome;
 use crate::pool::BufferPool;
 use crate::state::{
     connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, Device,
@@ -28,6 +29,7 @@ use crate::state::{
 };
 use crate::task::{next_period, TaskKind, TaskQueue};
 use af_dsp::convert::Converter;
+use af_dsp::tables::PlayMap;
 use af_proto::request::{play_flags, record_flags, PropertyMode};
 use af_proto::{
     message, AcAttributes, AcId, AcMask, Atom, DeviceId, ErrorCode, Event, EventDetail, EventMask,
@@ -115,6 +117,58 @@ impl ServerCore {
             None => (0, true),
         }
     }
+
+    /// Client `id`'s audio context `ac_id`.
+    fn ac_mut(&mut self, id: ClientId, ac_id: AcId) -> Result<&mut ServerAc, (ErrorCode, u32)> {
+        let client = self.clients.get_mut(&id).ok_or((ErrorCode::BadAccess, 0))?;
+        client.acs.get_mut(&ac_id).ok_or((ErrorCode::BadAc, ac_id))
+    }
+
+    /// The audio context that `mask`'s fields of `attrs`, laid over `base`
+    /// (the device's native defaults when `None`), make on `device` — or
+    /// why they cannot.  Built whole and on the side, play map included,
+    /// so `CreateAC` and `ChangeACAttributes` refuse the same things and a
+    /// play never builds a table.
+    fn bind_ac(
+        &self,
+        device: DeviceId,
+        base: Option<AcAttributes>,
+        mask: AcMask,
+        attrs: &AcAttributes,
+    ) -> Result<ServerAc, (ErrorCode, u32)> {
+        let bad_device = (ErrorCode::BadDevice, u32::from(device));
+        let (owner, lane) = self.resolve(device).ok_or(bad_device)?;
+        let dev_enc = self.owner_encoding(owner).ok_or(bad_device)?;
+        // Mono views advertise one channel over the owner's encoding.
+        let desc = &self.devices[device as usize].desc;
+        let mut effective = base.unwrap_or(AcAttributes {
+            encoding: dev_enc,
+            channels: desc.play_nchannels,
+            ..AcAttributes::default()
+        });
+        effective.apply(mask, attrs);
+        if effective.channels != desc.play_nchannels {
+            return Err((ErrorCode::BadMatch, u32::from(effective.channels)));
+        }
+        // The device advertises the sample types its conversion modules
+        // handle (§5.4); anything else is a mismatch.
+        let bad_encoding = (ErrorCode::BadMatch, u32::from(effective.encoding.to_wire()));
+        if !desc.supports(effective.encoding) {
+            return Err(bad_encoding);
+        }
+        Ok(ServerAc {
+            device,
+            attrs: effective,
+            play_conv: Converter::new(effective.encoding, dev_enc).map_err(|_| bad_encoding)?,
+            rec_conv: Converter::new(dev_enc, effective.encoding).map_err(|_| bad_encoding)?,
+            // A lane of a stereo device is spliced sample by sample.
+            play_map: match lane {
+                None => PlayMap::new(effective.encoding, dev_enc, effective.play_gain_db.into()),
+                Some(_) => None,
+            },
+            recording: false,
+        })
+    }
 }
 
 /// The dispatcher: server state, task queue and request handlers.  Only
@@ -143,6 +197,19 @@ struct Beyond {
     consumed: usize,
     next: ATime,
     frames: u32,
+}
+
+impl Beyond {
+    /// Where a write at `start` of frames `frame_bytes` wide (as the
+    /// caller holds them) stopped, if short of the end.
+    fn of(outcome: PlayOutcome, start: ATime, frame_bytes: usize) -> Option<Beyond> {
+        let done = outcome.dropped_past + outcome.written;
+        (outcome.beyond_horizon > 0).then_some(Beyond {
+            consumed: done as usize * frame_bytes,
+            next: start + done,
+            frames: outcome.beyond_horizon,
+        })
+    }
 }
 
 /// Milliseconds since the Unix epoch (the "host clock time" in events).
@@ -1011,42 +1078,7 @@ impl Dispatcher {
         mask: AcMask,
         attrs: AcAttributes,
     ) -> Result<Option<Reply>, (ErrorCode, u32)> {
-        let (dev_enc, dev_channels) = {
-            let (owner, _lane) = self
-                .core
-                .resolve(device)
-                .ok_or((ErrorCode::BadDevice, u32::from(device)))?;
-            let enc = self
-                .core
-                .owner_encoding(owner)
-                .ok_or((ErrorCode::BadDevice, u32::from(device)))?;
-            // Mono views advertise one channel over the owner's encoding.
-            let channels = self.core.devices[device as usize].desc.play_nchannels;
-            (enc, channels)
-        };
-        // The AC starts from device-native defaults, then applies the
-        // client's chosen fields.
-        let mut effective = AcAttributes {
-            encoding: dev_enc,
-            channels: dev_channels,
-            ..AcAttributes::default()
-        };
-        effective.apply(mask, &attrs);
-        if effective.channels != dev_channels {
-            return Err((ErrorCode::BadMatch, u32::from(effective.channels)));
-        }
-        // The device advertises the sample types its conversion modules
-        // handle (§5.4); anything else is a mismatch.
-        let supported = self.core.devices[device as usize]
-            .desc
-            .supports(effective.encoding);
-        if !supported || !effective.encoding.is_convertible() {
-            return Err((ErrorCode::BadMatch, u32::from(effective.encoding.to_wire())));
-        }
-        let play_conv =
-            Converter::new(effective.encoding, dev_enc).map_err(|_| (ErrorCode::BadMatch, 0))?;
-        let rec_conv =
-            Converter::new(dev_enc, effective.encoding).map_err(|_| (ErrorCode::BadMatch, 0))?;
+        let ac = self.core.bind_ac(device, None, mask, &attrs)?;
         let client = self
             .core
             .clients
@@ -1055,16 +1087,7 @@ impl Dispatcher {
         if client.acs.contains_key(&ac_id) {
             return Err((ErrorCode::BadIdChoice, ac_id));
         }
-        client.acs.insert(
-            ac_id,
-            ServerAc {
-                device,
-                attrs: effective,
-                play_conv,
-                rec_conv,
-                recording: false,
-            },
-        );
+        client.acs.insert(ac_id, ac);
         Ok(None)
     }
 
@@ -1075,37 +1098,21 @@ impl Dispatcher {
         mask: AcMask,
         attrs: AcAttributes,
     ) -> Result<Option<Reply>, (ErrorCode, u32)> {
-        let device_channels: HashMap<DeviceId, (af_dsp::Encoding, u8)> =
-            (0..self.core.devices.len())
-                .filter_map(|i| {
-                    let id = i as DeviceId;
-                    let (owner, _) = self.core.resolve(id)?;
-                    let enc = self.core.owner_encoding(owner)?;
-                    Some((id, (enc, self.core.devices[i].desc.play_nchannels)))
-                })
-                .collect();
-        let client = self
+        let (device, current) = self
             .core
-            .clients
-            .get_mut(&id)
-            .ok_or((ErrorCode::BadAccess, 0))?;
-        let ac = client
-            .acs
-            .get_mut(&ac_id)
-            .ok_or((ErrorCode::BadAc, ac_id))?;
-        let old_encoding = ac.attrs.encoding;
-        ac.attrs.apply(mask, &attrs);
-        let (dev_enc, dev_channels) = device_channels[&ac.device];
-        if ac.attrs.channels != dev_channels {
-            ac.attrs.channels = dev_channels;
-            return Err((ErrorCode::BadMatch, 0));
+            .ac_mut(id, ac_id)
+            .map(|ac| (ac.device, ac.attrs))?;
+        // Everything is checked and built on the side: a refused change
+        // leaves the context as it was.
+        let next = self.core.bind_ac(device, Some(current), mask, &attrs)?;
+        let ac = self.core.ac_mut(id, ac_id)?;
+        if next.attrs.encoding != current.encoding {
+            // Same encoding, same modules: an ADPCM stream keeps its state.
+            ac.play_conv = next.play_conv;
+            ac.rec_conv = next.rec_conv;
         }
-        if ac.attrs.encoding != old_encoding {
-            ac.play_conv = Converter::new(ac.attrs.encoding, dev_enc)
-                .map_err(|_| (ErrorCode::BadMatch, u32::from(ac.attrs.encoding.to_wire())))?;
-            ac.rec_conv =
-                Converter::new(dev_enc, ac.attrs.encoding).map_err(|_| (ErrorCode::BadMatch, 0))?;
-        }
+        ac.attrs = next.attrs;
+        ac.play_map = next.play_map;
         Ok(None)
     }
 
@@ -1133,11 +1140,13 @@ impl Dispatcher {
         flags: u8,
         data: &[u8],
     ) -> Result<Option<Reply>, (ErrorCode, u32)> {
-        let client = self
-            .core
-            .clients
-            .get_mut(&id)
-            .ok_or((ErrorCode::BadAccess, 0))?;
+        let ServerCore {
+            clients,
+            devices,
+            pool,
+            ..
+        } = &mut self.core;
+        let client = clients.get_mut(&id).ok_or((ErrorCode::BadAccess, 0))?;
         let ac = client
             .acs
             .get_mut(&ac_id)
@@ -1151,7 +1160,7 @@ impl Dispatcher {
         let big = ac.attrs.big_endian_data || flags & play_flags::BIG_ENDIAN_DATA != 0;
         let swapped;
         let data: &[u8] = if big {
-            let mut copy = self.core.pool.take_empty();
+            let mut copy = pool.take_empty();
             copy.vec_mut().extend_from_slice(data);
             crate::gain::swap_sample_bytes(ac.attrs.encoding, &mut copy);
             swapped = copy;
@@ -1159,45 +1168,61 @@ impl Dispatcher {
         } else {
             data
         };
-        // Convert through the AC pipeline to device frames, in the
-        // dispatcher's reusable scratch, and gain them there.  An identity
-        // AC at 0 dB changes nothing: its bytes go to the device buffer
-        // from where they are.
-        let mut staged = std::mem::take(&mut self.conv_buf);
-        let in_scratch = if !ac.play_conv.is_identity() {
-            if ac.play_conv.convert_into(data, &mut staged).is_err() {
-                self.conv_buf = staged;
-                return Err((ErrorCode::BadLength, data.len() as u32));
+        let bad_length = (ErrorCode::BadLength, data.len() as u32);
+        // Only a suspended play owns its frames.
+        let (beyond, frames, offset) = if let Some(map) = &ac.play_map {
+            // One pass, from the bytes where they are into the ring.  (A
+            // context with a play map is on a device that owns its buffers.)
+            let bad_device = (ErrorCode::BadDevice, u32::from(device));
+            let dev = devices.get_mut(device as usize).ok_or(bad_device)?;
+            let (gain, enabled) = (dev.output_gain_db, dev.output_enabled());
+            let buffers = dev.buffers.as_mut().ok_or(bad_device)?;
+            let fb = buffers.frame_bytes() * map.sample_bytes();
+            if !data.len().is_multiple_of(fb) {
+                return Err(bad_length);
             }
-            true
-        } else if play_gain != 0 {
-            staged.clear();
-            staged.extend_from_slice(data);
-            true
+            let outcome = buffers.write_play_mapped(start_time, data, map, preempt, gain, enabled);
+            let Some(beyond) = Beyond::of(outcome, start_time, fb) else {
+                return Ok(self.play_reply(device, suppress_reply));
+            };
+            // Copy on suspend: what is left waits as device frames.
+            let tail = &data[beyond.consumed..];
+            let mut frames = vec![0; tail.len() / map.sample_bytes()];
+            map.copy_into(&mut frames, tail);
+            (beyond, frames, 0)
         } else {
-            false
-        };
-        let frames: &[u8] = if in_scratch {
-            // Apply the AC's play gain in the owner's native encoding.
-            crate::gain::apply_gain_bytes(ac.play_conv.to_encoding(), &mut staged, play_gain);
-            &staged
-        } else {
-            data
-        };
-        let beyond = match self.advance_play(device, preempt, start_time, frames) {
-            Ok(Some(beyond)) => beyond,
-            done => {
-                self.conv_buf = staged;
-                return done.map(|_| self.play_reply(device, suppress_reply));
+            // What a table cannot express goes through the AC pipeline to
+            // device frames, in the dispatcher's reusable scratch, and is
+            // gained there.  An identity AC at 0 dB changes nothing: its
+            // bytes go to the device buffer from where they are.
+            let mut staged = std::mem::take(&mut self.conv_buf);
+            let in_scratch = !ac.play_conv.is_identity() || play_gain != 0;
+            if in_scratch {
+                if ac.play_conv.convert_into(data, &mut staged).is_err() {
+                    self.conv_buf = staged;
+                    return Err(bad_length);
+                }
+                // The AC's play gain, in the owner's native encoding.
+                crate::gain::apply_gain_bytes(ac.play_conv.to_encoding(), &mut staged, play_gain);
             }
-        };
-        // Only a suspended play owns its frames: the scratch itself when
-        // they are in it, else a copy of what is left.
-        let (frames, offset) = if in_scratch {
-            (staged, beyond.consumed)
-        } else {
-            // af-analyze: allow(alloc): copy-on-suspend, once per play that reaches past the buffer horizon
-            (frames[beyond.consumed..].to_vec(), 0)
+            let frames: &[u8] = if in_scratch { &staged } else { data };
+            let beyond = match self.advance_play(device, preempt, start_time, frames) {
+                Ok(Some(beyond)) => beyond,
+                done => {
+                    self.conv_buf = staged;
+                    return done.map(|_| self.play_reply(device, suppress_reply));
+                }
+            };
+            // The scratch itself when the frames are in it, else a copy of
+            // what is left.
+            if in_scratch {
+                let offset = beyond.consumed;
+                (beyond, staged, offset)
+            } else {
+                // af-analyze: allow(alloc): copy-on-suspend, once per play that reaches past the buffer horizon
+                let tail = frames[beyond.consumed..].to_vec();
+                (beyond, tail, 0)
+            }
         };
         let op = BlockedOp::Play {
             device,
@@ -1243,12 +1268,7 @@ impl Dispatcher {
             }
             None => buffers.write_play(start, pending, preempt, gain, enabled),
         };
-        let done = outcome.dropped_past + outcome.written;
-        Ok((outcome.beyond_horizon > 0).then_some(Beyond {
-            consumed: done as usize * fb,
-            next: start + done,
-            frames: outcome.beyond_horizon,
-        }))
+        Ok(Beyond::of(outcome, start, fb))
     }
 
     /// The reply a finished play is owed.
@@ -1273,15 +1293,7 @@ impl Dispatcher {
             return Err((ErrorCode::BadValue, nbytes));
         }
         let (device, nframes, big_endian, newly_recording) = {
-            let client = self
-                .core
-                .clients
-                .get_mut(&id)
-                .ok_or((ErrorCode::BadAccess, 0))?;
-            let ac = client
-                .acs
-                .get_mut(&ac_id)
-                .ok_or((ErrorCode::BadAc, ac_id))?;
+            let ac = self.core.ac_mut(id, ac_id)?;
             let samples = ac.attrs.encoding.samples_in_bytes(nbytes as usize);
             let nframes = (samples / ac.attrs.channels.max(1) as usize) as u32;
             let big = ac.attrs.big_endian_data || flags & record_flags::BIG_ENDIAN_DATA != 0;

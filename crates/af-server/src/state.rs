@@ -6,6 +6,7 @@ use crate::pool::PooledBuf;
 use crate::reactor::OutboundTx;
 use crate::transport::{FrameError, Refused};
 use af_dsp::convert::Converter;
+use af_dsp::tables::PlayMap;
 use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask};
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
@@ -340,6 +341,10 @@ pub struct ServerAc {
     pub play_conv: Converter,
     /// Conversion module: device encoding → client encoding.
     pub rec_conv: Converter,
+    /// `play_conv` and the play gain as one lookup, where a table can
+    /// express them (a companded device, a per-sample client encoding);
+    /// plays of such a context go through it and never through `play_conv`.
+    pub play_map: Option<PlayMap>,
     /// Whether this context has recorded (contributes to `recRefCount`).
     pub recording: bool,
 }

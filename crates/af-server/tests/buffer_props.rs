@@ -25,6 +25,12 @@ fn make() -> (
     af_device::io::CaptureBuffer,
 ) {
     let clock = Arc::new(VirtualClock::new(8000));
+    let (bufs, capture) = make_on(&clock);
+    (bufs, clock, capture)
+}
+
+/// µ-law buffers over a capturing codec driven by `clock`.
+fn make_on(clock: &Arc<VirtualClock>) -> (DeviceBuffers, af_device::io::CaptureBuffer) {
     let (sink, capture) = CaptureSink::new(1 << 22);
     let hw = VirtualAudioHw::new(
         HwConfig::codec(),
@@ -38,7 +44,7 @@ fn make() -> (
         1,
         FRAMES,
     );
-    (bufs, clock, capture)
+    (bufs, capture)
 }
 
 /// One random action against the buffers.
@@ -145,6 +151,67 @@ proptest! {
         let _ = written_any; // Exhaustive silence tracking would replay the
                              // schedule; the model equality above is the
                              // load-bearing assertion.
+    }
+
+    /// A play through the context's play map is `write_play` of the staged
+    /// bytes — converted by the AC's conversion module, gained by the
+    /// reference kernel — in everything the buffers show: the outcome,
+    /// `timeLastValid`, and what the speaker emits, written through or
+    /// moved by the update.  The schedule wraps the 4,096-frame ring, drops
+    /// past frames, reaches beyond the horizon, preempts, and straddles
+    /// `timeLastValid`, under a device output gain of 0 or −5 dB.
+    #[test]
+    fn mapped_play_is_write_play_of_the_staged_bytes(
+        actions in prop::collection::vec(action_strategy(), 1..60),
+        client in prop_oneof![
+            Just(af_dsp::Encoding::Lin16),
+            Just(af_dsp::Encoding::Alaw),
+            Just(af_dsp::Encoding::Mu255),
+        ],
+        play_gain in prop_oneof![Just(-6i32), Just(0), Just(3), Just(40)],
+        output_gain in prop_oneof![Just(0i32), Just(-5)],
+    ) {
+        use af_dsp::Encoding;
+        // µ-law at 0 dB has no map: those bytes are already the device's.
+        let play_gain = if client == Encoding::Mu255 && play_gain == 0 { -6 } else { play_gain };
+        let map = af_dsp::tables::PlayMap::new(client, Encoding::Mu255, play_gain).unwrap();
+        let mut conv = af_dsp::convert::Converter::new(client, Encoding::Mu255).unwrap();
+        let clock = Arc::new(VirtualClock::new(8000));
+        let (mut staged_bufs, staged_speaker) = make_on(&clock);
+        let (mut mapped_bufs, mapped_speaker) = make_on(&clock);
+
+        for action in &actions {
+            match *action {
+                Action::Play { offset, len, value, preempt } => {
+                    let start = clock.now().offset(offset);
+                    let raw: Vec<u8> = (0..u32::from(len))
+                        .flat_map(|i| {
+                            let s = (u32::from(value) * 523 + i * 7919) as u16;
+                            s.to_le_bytes().into_iter().take(map.sample_bytes())
+                        })
+                        .collect();
+                    let mut staged = conv.convert(&raw).unwrap();
+                    af_dsp::reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut staged, play_gain);
+                    let want = staged_bufs.write_play(start, &staged, preempt, output_gain, true);
+                    let got = mapped_bufs.write_play_mapped(start, &raw, &map, preempt, output_gain, true);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(mapped_bufs.time_last_valid(), staged_bufs.time_last_valid());
+                }
+                Action::Advance { samples } => {
+                    clock.advance(u32::from(samples));
+                    staged_bufs.update(output_gain, true);
+                    mapped_bufs.update(output_gain, true);
+                }
+            }
+        }
+        for _ in 0..(FRAMES / 800 + 2) {
+            clock.advance(800);
+            staged_bufs.update(output_gain, true);
+            mapped_bufs.update(output_gain, true);
+        }
+        let (want, got) = (staged_speaker.lock(), mapped_speaker.lock());
+        prop_assert_eq!(got.len() as u32, clock.now().ticks());
+        prop_assert!(*got == *want, "speakers differ at tick {:?}", got.iter().zip(want.iter()).position(|(g, w)| g != w));
     }
 
     /// The record path returns exactly what the source produced for any

@@ -759,44 +759,138 @@ fn record_gain_and_conversion_match_the_reference_kernels() {
 }
 
 #[test]
+fn play_gain_changes_take_effect_on_the_next_play() {
+    // `ChangeACAttributes` between plays: −6 dB, +3 dB, back to 0 dB (no
+    // gain step at all — the µ-law negative zero survives), then +40 dB,
+    // outside the precomputed tables.  A LIN16 context (a 16 K play map)
+    // and a µ-law one (a 256-entry map, none at 0 dB) mix into each other.
+    let fx = Fixture::new();
+    let handle = fx.server.handle();
+    let mut conn = fx.connect();
+    assert_eq!(conn.get_time(0).unwrap(), ATime::new(0));
+    let mut model = SpeakerModel::new(12_800);
+    let lin16 = AcAttributes {
+        encoding: Encoding::Lin16,
+        ..AcAttributes::default()
+    };
+    let mut ac_lin16 = conn.create_ac(0, AcMask::ENCODING, &lin16).unwrap();
+    let mut ac_ulaw = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+
+    let ramp: Vec<i16> = (0..600)
+        .map(|i| (i * 97 % 30_000 - 15_000) as i16)
+        .collect();
+    let ramp_bytes: Vec<u8> = ramp.iter().flat_map(|s| s.to_le_bytes()).collect();
+    let codes: Vec<u8> = (0..600).map(|i| (i * 5 % 256) as u8).collect();
+    assert!(codes.contains(&0x7F));
+    for (step, db) in [-6i16, 3, 0, 40].into_iter().enumerate() {
+        let gain = AcAttributes {
+            play_gain_db: db,
+            ..AcAttributes::default()
+        };
+        conn.change_ac_attributes(&mut ac_lin16, AcMask::PLAY_GAIN, &gain)
+            .unwrap();
+        conn.change_ac_attributes(&mut ac_ulaw, AcMask::PLAY_GAIN, &gain)
+            .unwrap();
+        // Ahead of the hardware's lead; the second play overlaps the first.
+        let at = 1_600 + step * 2_400;
+        let mut want = reference::encode_from_lin16_scalar(Encoding::Mu255, &ramp);
+        reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut want, i32::from(db));
+        conn.play_samples(&ac_lin16, ATime::new(at as u32), &ramp_bytes)
+            .unwrap();
+        model.play(at, &want, false);
+        let mut want = codes.clone();
+        reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut want, i32::from(db));
+        conn.play_samples(&ac_ulaw, ATime::new(at as u32 + 300), &codes)
+            .unwrap();
+        model.play(at + 300, &want, false);
+        fx.run(&handle, 2_400);
+    }
+    assert!(conn.take_async_errors().is_empty());
+    fx.run(&handle, 12_800 - 4 * 2_400);
+    assert_speaker_emitted(&fx, &model.bytes);
+}
+
+#[test]
 fn play_suspended_past_the_horizon_lands_every_frame_exactly_once() {
     // 40,000 frames from device time 2000 do not fit the four-second
     // buffer: the tail is suspended and written as time advances (§2.2),
     // over as many wake-ups as it takes.  What reaches the speaker must be
-    // the request's bytes, each at its own device time, none twice.
-    let fx = Fixture::new();
-    let handle = fx.server.handle();
-    let mut conn = fx.connect();
-    let ac = conn
-        .create_ac(0, AcMask::default(), &AcAttributes::default())
-        .unwrap();
-    assert_eq!(conn.get_time(0).unwrap(), ATime::new(0));
-    let data: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let driver = {
-        let (clock, handle, done) = (fx.clock.clone(), handle.clone(), done.clone());
-        std::thread::spawn(move || {
-            while !done.load(std::sync::atomic::Ordering::Acquire) {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                clock.advance(800);
-                handle.run_update();
-            }
-        })
+    // the request's samples, each at its own device time, none twice —
+    // whether the context's bytes are the device's own, or go through a
+    // play map and wait as mapped frames.
+    let ramp: Vec<i16> = (0..40_000)
+        .map(|i| (i * 7 % 50_000 - 25_000) as i16)
+        .collect();
+    let codes: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+    let gained = |mut frames: Vec<u8>, db: i32| {
+        reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut frames, db);
+        frames
     };
-    conn.play_samples(&ac, ATime::new(2000), &data).unwrap();
-    done.store(true, std::sync::atomic::Ordering::Release);
-    driver.join().unwrap();
-    let now = conn.get_time(0).unwrap().ticks();
-    assert!(
-        now > 42_000 - 32_768,
-        "play returned before its tail fit the buffer: device time {now}"
-    );
-    fx.run(&handle, 44_000 - now);
+    let cases = [
+        (Encoding::Mu255, 0, codes.clone(), codes.clone()),
+        (
+            Encoding::Lin16,
+            -6,
+            ramp.iter().flat_map(|s| s.to_le_bytes()).collect(),
+            gained(
+                reference::encode_from_lin16_scalar(Encoding::Mu255, &ramp),
+                -6,
+            ),
+        ),
+        (
+            Encoding::Alaw,
+            3,
+            codes.clone(),
+            gained(
+                reference::encode_from_lin16_scalar(
+                    Encoding::Mu255,
+                    &reference::decode_to_lin16_scalar(Encoding::Alaw, &codes),
+                ),
+                3,
+            ),
+        ),
+    ];
+    for (encoding, play_gain_db, data, frames) in cases {
+        let fx = Fixture::new();
+        let handle = fx.server.handle();
+        let mut conn = fx.connect();
+        let attrs = AcAttributes {
+            encoding,
+            play_gain_db,
+            ..AcAttributes::default()
+        };
+        let ac = conn
+            .create_ac(0, AcMask::ENCODING | AcMask::PLAY_GAIN, &attrs)
+            .unwrap();
+        assert_eq!(conn.get_time(0).unwrap(), ATime::new(0));
 
-    let mut want = vec![SIL; 44_000];
-    want[2000..42_000].copy_from_slice(&data);
-    assert_speaker_emitted(&fx, &want);
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let driver = {
+            let (clock, handle, done) = (fx.clock.clone(), handle.clone(), done.clone());
+            std::thread::spawn(move || {
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    clock.advance(800);
+                    handle.run_update();
+                }
+            })
+        };
+        conn.play_samples(&ac, ATime::new(2000), &data).unwrap();
+        done.store(true, std::sync::atomic::Ordering::Release);
+        driver.join().unwrap();
+        let now = conn.get_time(0).unwrap().ticks();
+        assert!(
+            now > 42_000 - 32_768,
+            "{encoding} play returned before its tail fit the buffer: device time {now}"
+        );
+        fx.run(&handle, 44_000 - now);
+
+        let mut want = vec![SIL; 44_000];
+        want[2000..42_000].copy_from_slice(&frames);
+        assert_speaker_emitted(&fx, &want);
+    }
 }
 
 #[test]

@@ -364,3 +364,113 @@ fn query_extension_and_list_extensions() {
     raw.read_exact(&mut payload).unwrap();
     assert_eq!(payload[0], 0, "no extensions exist");
 }
+
+#[test]
+fn refused_change_ac_attributes_leaves_the_context_as_it_was() {
+    // Each request below must be refused whole: `BadMatch`, and the next
+    // play and record under the context bit-identical to those of a twin
+    // context that never saw the request.
+    use audiofile::device::{CaptureSink, Clock, ToneSource};
+    use audiofile::dsp::Encoding;
+    let clock = Arc::new(VirtualClock::new(8000));
+    let (sink, speaker) = CaptureSink::new(1 << 20);
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
+    builder.add_codec(
+        clock.clone(),
+        Box::new(sink),
+        Box::new(ToneSource::ulaw(440.0, 8000.0, 10_000.0)),
+    );
+    let s = builder.spawn().unwrap();
+    let handle = s.handle();
+    let mut conn = connect(&s);
+    let run = |ticks: u32| {
+        for _ in 0..ticks / 800 {
+            clock.advance(800);
+            handle.run_update();
+        }
+    };
+
+    let attrs = AcAttributes {
+        encoding: Encoding::Lin16,
+        play_gain_db: -6,
+        record_gain_db: 3,
+        ..AcAttributes::default()
+    };
+    let mask = AcMask::ENCODING | AcMask::PLAY_GAIN | AcMask::RECORD_GAIN;
+    let victim = conn.create_ac(0, mask, &attrs).unwrap();
+    let twin = conn.create_ac(0, mask, &attrs).unwrap();
+    let tone: Vec<u8> = (0..400i32)
+        .flat_map(|i| ((i * 331 % 24_000 - 12_000) as i16).to_le_bytes())
+        .collect();
+    // The first record under a context starts the microphone's history.
+    let t0 = conn.get_time(0).unwrap();
+    conn.record_samples(&victim, t0, 0, false).unwrap();
+    conn.record_samples(&twin, t0, 0, false).unwrap();
+
+    let refused = [
+        // A new encoding beside a channel count the mono codec lacks.
+        (
+            AcMask::ENCODING | AcMask::CHANNELS,
+            AcAttributes {
+                encoding: Encoding::Mu255,
+                channels: 2,
+                ..attrs
+            },
+        ),
+        // An encoding no conversion module handles.
+        (
+            AcMask::ENCODING | AcMask::PLAY_GAIN,
+            AcAttributes {
+                encoding: Encoding::Celp1016,
+                play_gain_db: 12,
+                ..attrs
+            },
+        ),
+        (
+            AcMask::CHANNELS | AcMask::PLAY_GAIN | AcMask::PREEMPTION,
+            AcAttributes {
+                channels: 2,
+                play_gain_db: 12,
+                preempt: true,
+                ..attrs
+            },
+        ),
+    ];
+    for (round, (mask, bad)) in refused.into_iter().enumerate() {
+        // The client library takes the change for granted; keep ours.
+        conn.change_ac_attributes(&mut victim.clone(), mask, &bad)
+            .unwrap();
+        conn.sync().unwrap();
+        let errs = conn.take_async_errors();
+        assert_eq!(errs.len(), 1, "round {round}: {errs:?}");
+        assert_eq!(errs[0].code, ErrorCode::BadMatch, "round {round}");
+
+        // Both contexts mix the same block into the same background, 1,600
+        // ticks apart, ahead of the hardware's lead.
+        let t0 = conn.get_time(0).unwrap();
+        let background = conn
+            .create_ac(0, AcMask::default(), &AcAttributes::default())
+            .unwrap();
+        for (ac, at) in [(&victim, 2_000u32), (&twin, 3_600)] {
+            conn.play_samples(&background, t0 + at, &[0x35; 400])
+                .unwrap();
+            conn.play_samples(ac, t0 + at, &tone).unwrap();
+        }
+        conn.free_ac(background).unwrap();
+        run(6_400);
+        {
+            let cap = speaker.lock();
+            let at = t0.ticks() as usize;
+            let (got, want) = (&cap[at + 2_000..][..400], &cap[at + 3_600..][..400]);
+            assert!(want.iter().any(|&b| b != 0xFF && b != 0x35));
+            assert!(got == want, "round {round}: play after a refused change");
+        }
+        // And both hear the same 400 frames of the microphone.
+        let from = clock.now() - 1_200u32;
+        let (_, want) = conn.record_samples(&twin, from, 800, false).unwrap();
+        let (_, got) = conn.record_samples(&victim, from, 800, false).unwrap();
+        assert_eq!(want.len(), 800);
+        assert!(want.chunks_exact(2).any(|s| s != [0, 0]));
+        assert!(got == want, "round {round}: record after a refused change");
+    }
+}
