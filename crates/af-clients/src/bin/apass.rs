@@ -20,12 +20,15 @@
 //! "apass could use digital signal processing to interpolate the digital
 //! audio at the receive sample rate."  The measured slip drives a
 //! continuously adjusted resampling ratio, trading blips for a tiny pitch
-//! shift.
+//! shift.  Both contexts then carry 16-bit linear samples, whatever the
+//! devices' native types: the servers' conversion modules (§5.4) do the
+//! companding, once on each side, and the interpolator sees what it needs.
+//! It is a mono interpolator, so a multi-channel device is refused.
 
 use af_client::{AcAttributes, AcMask, AudioConn};
 use af_clients::cli::Args;
-use af_dsp::kernels;
 use af_dsp::resample::Resampler;
+use af_dsp::Encoding;
 
 /// Number of recent delay observations averaged into "slip" (§8.3.2).
 const SLIPHIST: usize = 4;
@@ -60,16 +63,22 @@ fn main() {
     let max_blocks: u64 = args.num_or("-n", u64::MAX);
 
     // Set up audio contexts; find sample size and rate.
-    let fac = faud
-        .create_ac(fdevice, AcMask::default(), &AcAttributes::default())
-        .unwrap_or_else(die);
-    let mut tattrs = AcAttributes::default();
-    let mut tmask = AcMask::default();
-    if gain != 0 {
-        tmask = tmask | AcMask::PLAY_GAIN;
-        tattrs.play_gain_db = gain as i16;
+    let mut attrs = AcAttributes::default();
+    let mut mask = AcMask::default();
+    if resample {
+        mask = mask | AcMask::ENCODING;
+        attrs.encoding = Encoding::Lin16;
     }
-    let tac = taud.create_ac(tdevice, tmask, &tattrs).unwrap_or_else(die);
+    let fac = faud.create_ac(fdevice, mask, &attrs).unwrap_or_else(die);
+    if gain != 0 {
+        mask = mask | AcMask::PLAY_GAIN;
+        attrs.play_gain_db = gain as i16;
+    }
+    let tac = taud.create_ac(tdevice, mask, &attrs).unwrap_or_else(die);
+    if resample && (fac.attrs.channels != 1 || tac.attrs.channels != 1) {
+        eprintln!("apass: -resample interpolates mono audio; pick single-channel devices");
+        std::process::exit(1);
+    }
 
     let fsrate = fac.sample_rate();
     let samples_bufsize = (buffering * f64::from(fsrate)) as u32;
@@ -107,15 +116,17 @@ fn main() {
             .record_samples(&fac, ft, bufbytes, true)
             .unwrap_or_else(die);
         if resample {
-            // Interpolate at the adjusted rate: µ-law → linear → resample
-            // → µ-law.  The ratio is steered below from the measured slip.
-            let k = kernels::active();
-            pcm.resize(data.len(), 0);
-            (k.decode_ulaw)(&data, &mut pcm);
+            // Interpolate at the adjusted rate, LIN16 in and out.  The
+            // ratio is steered below from the measured slip.
+            pcm.clear();
+            pcm.extend(
+                data.chunks_exact(2)
+                    .map(|c| i16::from_le_bytes([c[0], c[1]])),
+            );
             resampled.clear();
             resampler.process_into(&pcm, &mut resampled);
-            data.resize(resampled.len(), 0);
-            (k.encode_ulaw)(&resampled, &mut data);
+            data.clear();
+            data.extend(resampled.iter().flat_map(|s| s.to_le_bytes()));
         }
         // Play on the sink server.
         let tactt = taud.play_samples(&tac, tt, &data).unwrap_or_else(die);
@@ -137,7 +148,7 @@ fn main() {
             // sample carry over, so the new ratio starts without a seam.
             let to_rate = f64::from(fsrate) * (1.0 + ratio_ppm * 1e-6);
             resampler.set_rates(f64::from(fsrate), to_rate);
-            tt += data.len() as u32;
+            tt += tac.bytes_to_frames(data.len());
             ft += samples_bufsize;
             // Hard resync only as a last resort (controller saturated).
             if slip < delay_lower_limit - aj_samples || slip >= delay_upper_limit + aj_samples {

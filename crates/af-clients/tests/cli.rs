@@ -240,6 +240,28 @@ fn apass_relays_between_two_daemons() {
 }
 
 #[test]
+fn apass_resample_relays_lin16_and_refuses_stereo() {
+    let src = Daemon::start(&["-codec", "-loopback"]);
+    let dst = Daemon::start(&["-codec"]);
+    let status = src
+        .cmd("apass")
+        .args(["-ia", &src.addr, "-oa", &dst.addr, "-resample", "-n", "8"])
+        .status()
+        .unwrap();
+    assert!(status.success());
+
+    // The interpolator is mono: the stereo HiFi device is refused by name.
+    let hifi = Daemon::start(&["-lofi"]);
+    let out = hifi
+        .cmd("apass")
+        .args(["-id", "2", "-od", "2", "-resample", "-n", "1"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("mono"));
+}
+
+#[test]
 fn afft_renders_from_stdin() {
     let d = Daemon::start(&["-codec"]);
     let tone = d

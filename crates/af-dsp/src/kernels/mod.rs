@@ -1,15 +1,16 @@
 //! Runtime-dispatched batch kernels.
 //!
-//! The two dominant kernel families — companded↔linear conversion and
-//! saturating mix — sit behind one function-pointer vtable selected once
-//! at startup (the resampler has a single implementation,
-//! [`crate::resample`]).  There are two kinds of table:
+//! The three dominant kernel families — companded↔linear conversion,
+//! saturating mix and the resampler's block loop — sit behind one
+//! function-pointer vtable selected once at startup.  There are two kinds
+//! of table:
 //!
-//! * [`scalar`] — batched table-lookup loops; always available, the
-//!   semantic definition of every entry point, and what the SIMD tables
-//!   call for their tails.
+//! * [`scalar`] — batched table-lookup loops and the resampler's portable
+//!   loop ([`crate::resample`]); always available, the semantic definition
+//!   of every entry point, and what the SIMD tables call for their tails.
 //! * SIMD — `core::arch` kernels: SSE2 baseline and AVX2 when detected on
-//!   x86_64 ([`x86`]), NEON on aarch64 ([`neon`]).
+//!   x86_64 ([`x86`]), NEON on aarch64 ([`neon`]).  Only the AVX2 table has
+//!   a resampler of its own; the others point at the portable loop.
 //!
 //! Every table is pinned bit-exact against `crate::reference` by the
 //! differential property tests, so selection is purely a throughput choice
@@ -40,6 +41,9 @@ pub(crate) use crate::resample::ResampleState;
 /// * `mix_*_le` mix little-endian sample bytes of `src` into `dst`,
 ///   saturating, over the whole samples both slices hold; the caller
 ///   truncates to a sample boundary.  Alignment is irrelevant.
+/// * `resample_block` appends one mono LIN16 block's output to the vector
+///   and advances the state, both exactly as
+///   `reference::resample_block_scalar` does — output, `pos` by bits, `prev`.
 #[derive(Clone, Copy)]
 pub struct Kernels {
     /// Table name for reports: `"scalar"`, `"simd-sse2"`, `"simd-avx2"`, ….
@@ -56,6 +60,8 @@ pub struct Kernels {
     pub mix_lin16_le: fn(&mut [u8], &[u8]),
     /// Saturating mix of LIN32 little-endian bytes.
     pub mix_lin32_le: fn(&mut [u8], &[u8]),
+    /// Streaming linear-interpolation resampler, one block.
+    pub resample_block: fn(&mut ResampleState, &[i16], &mut Vec<i16>),
 }
 
 /// The `core::arch` tables this host can execute, best last; empty where

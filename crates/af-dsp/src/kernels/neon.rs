@@ -15,9 +15,10 @@
 use core::arch::aarch64::*;
 
 use super::{scalar, Kernels};
-use crate::tables;
+use crate::{resample, tables};
 
-/// The NEON table; encode is the scalar table loop.
+/// The NEON table; encode is the scalar table loop, the resampler the
+/// portable one.
 pub(super) static KERNELS: Kernels = Kernels {
     name: "simd-neon",
     decode_ulaw,
@@ -26,6 +27,7 @@ pub(super) static KERNELS: Kernels = Kernels {
     encode_alaw: scalar::encode_alaw,
     mix_lin16_le,
     mix_lin32_le,
+    resample_block: resample::resample_block_portable,
 };
 
 fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {

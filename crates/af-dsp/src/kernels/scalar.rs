@@ -1,11 +1,11 @@
 //! The batched scalar table: table lookups per sample, typed slice views
-//! where alignment permits.  It is the semantic definition the SIMD tables
-//! are pinned against, what they call for their tails, for encode and
-//! (on SSE2) for decode, and what runs under Miri or on a target with no
-//! `core::arch` table.
+//! where alignment permits, the resampler's portable blocked loop.  It is
+//! the semantic definition the SIMD tables are pinned against, what they
+//! call for their tails, for encode and (on SSE2) for decode, and what
+//! runs under Miri or on a target with no `core::arch` table.
 
 use super::Kernels;
-use crate::{sample, tables};
+use crate::{resample, sample, tables};
 
 /// The scalar vtable.
 pub static KERNELS: Kernels = Kernels {
@@ -16,6 +16,7 @@ pub static KERNELS: Kernels = Kernels {
     encode_alaw,
     mix_lin16_le,
     mix_lin32_le,
+    resample_block: resample::resample_block_portable,
 };
 
 pub(super) fn decode_ulaw(data: &[u8], out: &mut [i16]) {

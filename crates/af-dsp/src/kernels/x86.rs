@@ -15,6 +15,12 @@
 //! measured 8 % faster than it at 4 KB, and no server play runs an encode
 //! pass any more (the play map, `crate::tables::PlayMap`).  Every vector
 //! body hands its tail to the scalar loop of the same entry point.
+//!
+//! The AVX2 resampler is the portable one's driver (`resample::drive`)
+//! around a vector interior: four positions per `f64` vector, each IEEE
+//! operation of the reference loop on the same operands in the same order
+//! (DESIGN.md §8.2).  `fma` is deliberately not enabled: a fused
+//! `a*(1-frac) + b*frac` rounds once where the reference rounds twice.
 
 // All intrinsics in this module operate on unaligned loads/stores within
 // caller-checked bounds; AVX2 functions are reached only after runtime
@@ -23,7 +29,8 @@
 
 use core::arch::x86_64::*;
 
-use super::{scalar, Kernels};
+use super::{scalar, Kernels, ResampleState};
+use crate::resample::{self, BLOCK};
 
 // SSE2 first, AVX2 last.  Private: the `_entry` functions are sound only
 // on a host with AVX2, so the tables leave this module through
@@ -37,6 +44,7 @@ static TABLES: [Kernels; 2] = [
         encode_alaw: scalar::encode_alaw,
         mix_lin16_le: mix_lin16_le_sse2,
         mix_lin32_le: mix_lin32_le_sse2,
+        resample_block: resample::resample_block_portable,
     },
     Kernels {
         name: "simd-avx2",
@@ -46,6 +54,7 @@ static TABLES: [Kernels; 2] = [
         encode_alaw: scalar::encode_alaw,
         mix_lin16_le: mix_lin16_le_avx2_entry,
         mix_lin32_le: mix_lin32_le_sse2,
+        resample_block: resample_block_avx2_entry,
     },
 ];
 
@@ -237,6 +246,87 @@ unsafe fn decode_alaw_avx2(data: &[u8], out: &mut [i16]) {
     scalar::decode_alaw(&data[i..], &mut out[i..]);
 }
 
+// ---- AVX2 resampler (32 outputs per block, 4 per vector) --------------
+
+fn resample_block_avx2_entry(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    // SAFETY: reachable only through the AVX2 table, handed out only when detected.
+    unsafe { resample_block_avx2(st, input, out) }
+}
+
+// SAFETY: callers must guarantee the CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+unsafe fn resample_block_avx2(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    resample::drive(st, input, out, |p, offset, input, res| {
+        // SAFETY: AVX2 is this function's own precondition.
+        unsafe { resample_interior_avx2(p, offset, input, res) }
+    });
+}
+
+/// `v.round()` (half away from zero) per lane, as `i32`, for `|v| < 2³⁰`.
+///
+/// With `t = trunc(v)`, `d = v - t` is exact (the bits of `v` below the
+/// binary point) and has `v`'s sign, and `v + d = t + 2d` is exact too (a
+/// multiple of `2 ulp(v)` below `2|v|`).  Truncating that steps `t` one
+/// away from zero exactly where `|d| ≥ 0.5` — no comparison, no tie case.
+// SAFETY: callers must guarantee the CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn round_away_avx2(v: __m256d) -> __m128i {
+    let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+    _mm256_cvttpd_epi32(_mm256_add_pd(v, _mm256_sub_pd(v, t)))
+}
+
+/// The 32-output interior of [`resample::drive`]: four positions per
+/// vector, first to fraction and tap index (checked for the whole block),
+/// then one `vpgatherdd` lane per output — `input[i]` in the low half,
+/// `input[i + 1]` in the high — interpolated, rounded, and narrowed with
+/// `packs_epi32`, which is the reference's clamp to the `i16` range.
+// SAFETY: callers must guarantee the CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn resample_interior_avx2(
+    p: &[f64; BLOCK + 1],
+    offset: usize,
+    input: &[i16],
+    res: &mut [i16; BLOCK],
+) {
+    const QUADS: usize = BLOCK / 4;
+    let one = _mm256_set1_pd(1.0);
+    let offset = _mm_set1_epi32(offset as i32);
+    let mut frac = [_mm256_setzero_pd(); QUADS];
+    let mut idx = [_mm_setzero_si128(); QUADS];
+    let mut top = _mm_setzero_si128();
+    for q in 0..QUADS {
+        // In-body safety: `4 * q + 4 ≤ BLOCK` bounds the load.
+        let pos = _mm256_loadu_pd(p.as_ptr().add(4 * q));
+        let base = _mm256_floor_pd(pos);
+        frac[q] = _mm256_sub_pd(pos, base);
+        idx[q] = _mm_sub_epi32(_mm256_cvttpd_epi32(base), offset);
+        top = _mm_max_epu32(top, idx[q]);
+    }
+    // One bounds check for the block, on the largest index as unsigned (a
+    // negative one is larger than any length): lane `i` reads the four
+    // bytes of `input[i..i + 2]`.
+    let [t0, t1, t2, t3]: [u32; 4] = core::mem::transmute(top);
+    let top = t0.max(t1).max(t2).max(t3) as usize;
+    assert!(top + 1 < input.len(), "resample tap out of range");
+    let quad = |q: usize| {
+        // In-body safety: every lane of `idx[q]` is at most `top`.
+        let taps = _mm_i32gather_epi32::<2>(input.as_ptr().cast(), idx[q]);
+        let a = _mm256_cvtepi32_pd(_mm_srai_epi32(_mm_slli_epi32(taps, 16), 16));
+        let b = _mm256_cvtepi32_pd(_mm_srai_epi32(taps, 16));
+        round_away_avx2(_mm256_add_pd(
+            _mm256_mul_pd(a, _mm256_sub_pd(one, frac[q])),
+            _mm256_mul_pd(b, frac[q]),
+        ))
+    };
+    for q in (0..QUADS).step_by(2) {
+        let packed = _mm_packs_epi32(quad(q), quad(q + 1));
+        // In-body safety: `4 * q + 8 ≤ BLOCK` bounds the store.
+        _mm_storeu_si128(res.as_mut_ptr().add(4 * q).cast(), packed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +385,37 @@ mod tests {
                     "{} lane {i}",
                     k.name
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn round_away_is_f64_round_on_every_tie_and_near_tie() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // The cases of `resample`'s `round_exact` test: every integer the
+        // interpolation can reach, nudged to each side of the boundary.
+        let nudges = [
+            0.0,
+            0.25,
+            0.499_999_999_999_999_94,
+            0.5,
+            0.500_000_000_000_000_1,
+            0.75,
+        ];
+        for k in -32_768i32..=32_768 {
+            for pair in nudges.chunks_exact(2) {
+                let k = f64::from(k);
+                let v = [k + pair[0], k - pair[0], k + pair[1], k - pair[1]];
+                let mut got = [0i32; 4];
+                // SAFETY: AVX2 was detected above; the load and the store
+                // cover exactly the two four-lane arrays.
+                unsafe {
+                    let r = round_away_avx2(_mm256_loadu_pd(v.as_ptr()));
+                    _mm_storeu_si128(got.as_mut_ptr().cast(), r);
+                }
+                assert_eq!(got.map(f64::from), v.map(f64::round), "v = {v:?}");
             }
         }
     }

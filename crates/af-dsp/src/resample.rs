@@ -6,15 +6,21 @@
 //! for the telephone-quality material the paper's applications move between
 //! 8 kHz devices, and usable by `apass`-style clients to absorb clock drift.
 //!
-//! There is one implementation, [`resample_block`], and it is bit-exact
-//! with the frozen seed loop `reference::resample_block_scalar` by
-//! construction rather than by tolerance (DESIGN.md §8.2): the position
-//! still accumulates by sequential `pos += step`, every floating-point
-//! operation of the reference is performed on the same operands in the same
-//! order, and only the two library calls — `floor` and `round`, software
-//! routines on baseline x86-64 — are replaced, by exact arithmetic.
+//! [`resample_block`] calls the active kernel table's entry
+//! (`kernels::Kernels::resample_block`).  Every table's entry is one
+//! driver, [`drive`] — guard, head, the serial `pos += step` chain, last
+//! partial block, tail, rebase — around a 32-output interior: the portable
+//! loop of this file for the scalar and SSE2 tables (and so under Miri, on
+//! aarch64 and on pre-AVX2 x86), `core::arch` code in `kernels::x86` for
+//! AVX2.  Each is bit-exact with the frozen seed loop
+//! `reference::resample_block_scalar` by construction rather than by
+//! tolerance (DESIGN.md §8.2): the position still accumulates by
+//! sequential `pos += step`, every floating-point operation of the
+//! reference is performed on the same operands in the same order, and only
+//! the two library calls — `floor` and `round`, software routines on
+//! baseline x86-64 — are replaced, by exact arithmetic.
 
-use crate::reference;
+use crate::{kernels, reference};
 
 /// Streaming resampler state, advanced by [`resample_block`].
 #[derive(Clone, Debug)]
@@ -90,7 +96,7 @@ impl Resampler {
 /// Outputs per pass of the blocked loop.  Small enough that the serial
 /// position chain of the next block overlaps the independent work of this
 /// one in an out-of-order window; 16 and 64 measured within 10 % of it.
-const BLOCK: usize = 32;
+pub(crate) const BLOCK: usize = 32;
 
 /// 1.5 × 2⁵²: in `[2⁵², 2⁵³)` doubles are the integers, so adding it rounds
 /// `x` to the nearest integer in the one IEEE rounding of the addition.
@@ -136,16 +142,59 @@ fn lerp(a: i16, b: i16, frac: f64) -> i16 {
 }
 
 /// Resamples one mono LIN16 block: appends this block's output to `out` and
-/// advances `st`, both exactly as `reference::resample_block_scalar` does.
-///
-/// The interior runs [`BLOCK`] outputs at a time in four passes over fixed
-/// arrays — the serial `pos += step` chain, exact floor and fraction, tap
-/// gather, interpolate and round — so everything but the chain is
-/// independent, branch-free work a compiler can run two to four lanes wide
-/// on baseline SSE2 or NEON.  Outputs interpolated from the carried sample
-/// (the head) and the last partial block take the same arithmetic one at a
-/// time.
+/// advances `st`, both exactly as `reference::resample_block_scalar` does,
+/// through the active kernel table's entry.
 pub fn resample_block(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    (kernels::active().resample_block)(st, input, out);
+}
+
+/// The scalar and SSE2 tables' entry: [`drive`] around [`interior`].
+pub(crate) fn resample_block_portable(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    drive(st, input, out, interior);
+}
+
+/// The portable interior: [`BLOCK`] outputs in three passes over fixed
+/// arrays — exact floor and fraction, tap gather, interpolate and round —
+/// all independent, branch-free work a compiler can run two to four lanes
+/// wide on baseline SSE2 or NEON.
+#[inline(always)]
+fn interior(p: &[f64; BLOCK + 1], offset: usize, input: &[i16], res: &mut [i16; BLOCK]) {
+    let mut frac = [0.0f64; BLOCK];
+    let mut idx = [0i32; BLOCK];
+    let mut taps = [0u32; BLOCK];
+    for k in 0..BLOCK {
+        let (base, bi) = floor_exact(p[k]);
+        frac[k] = p[k] - base;
+        idx[k] = bi - offset as i32;
+    }
+    for k in 0..BLOCK {
+        let i = idx[k] as usize;
+        let (a, b) = (input[i], input[i + 1]);
+        // Both taps in one word: adjacent loads the compiler merges.
+        taps[k] = u32::from(a as u16) | u32::from(b as u16) << 16;
+    }
+    for k in 0..BLOCK {
+        res[k] = lerp(taps[k] as i16, (taps[k] >> 16) as i16, frac[k]);
+    }
+}
+
+/// Everything of a kernel table's `resample_block` but the interior's
+/// whole blocks, which `interior(p, offset, input, res)` computes: output
+/// `k` of the block sits at virtual position `p[k]` (`p[BLOCK]` is the next
+/// block's first), its taps are `input[i]` and `input[i + 1]` for
+/// `i = floor(p[k]) - offset`, and its value goes to `res[k]`.  The driver
+/// calls it only with `0 ≤ i` and `i + 1 < input.len()` for every `k`, and
+/// with `p` non-decreasing and below 2³⁰ + 1.
+///
+/// Outputs interpolated from the carried sample (the head) and the last
+/// partial block take the same arithmetic one at a time.
+#[inline(always)]
+pub(crate) fn drive(
+    st: &mut ResampleState,
+    input: &[i16],
+    out: &mut Vec<i16>,
+    interior: impl Fn(&[f64; BLOCK + 1], usize, &[i16], &mut [i16; BLOCK]),
+) {
     let Some(&last) = input.last() else {
         return;
     };
@@ -173,9 +222,6 @@ pub fn resample_block(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>)
 
     // Interior, whole blocks: both taps come from `input`.
     let mut p = [0.0f64; BLOCK + 1];
-    let mut frac = [0.0f64; BLOCK];
-    let mut idx = [0i32; BLOCK];
-    let mut taps = [0u32; BLOCK];
     let mut res = [0i16; BLOCK];
     loop {
         p[0] = pos;
@@ -187,20 +233,7 @@ pub fn resample_block(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>)
         if p[BLOCK - 1] >= last_index {
             break;
         }
-        for k in 0..BLOCK {
-            let (base, bi) = floor_exact(p[k]);
-            frac[k] = p[k] - base;
-            idx[k] = bi - offset as i32;
-        }
-        for k in 0..BLOCK {
-            let i = idx[k] as usize;
-            let (a, b) = (input[i], input[i + 1]);
-            // Both taps in one word: adjacent loads the compiler merges.
-            taps[k] = u32::from(a as u16) | u32::from(b as u16) << 16;
-        }
-        for k in 0..BLOCK {
-            res[k] = lerp(taps[k] as i16, (taps[k] >> 16) as i16, frac[k]);
-        }
+        interior(&p, offset, input, &mut res);
         out.extend_from_slice(&res);
         pos = p[BLOCK];
     }
@@ -345,24 +378,6 @@ mod tests {
             assert_eq!(f, x.floor(), "x = {x:e}");
             assert_eq!(f64::from(i), x.floor(), "x = {x:e}");
         }
-    }
-
-    #[test]
-    fn state_outside_the_kernel_range_takes_the_reference() {
-        // A hand-built negative position is not something `Resampler`
-        // produces; the kernel must still do what the reference does.
-        let input = sine(100, 440.0, 8000.0);
-        let mut st = ResampleState {
-            step: 0.75,
-            pos: -0.5,
-            prev: Some(7),
-        };
-        let mut want_st = st.clone();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        resample_block(&mut st, &input, &mut got);
-        reference::resample_block_scalar(&mut want_st, &input, &mut want);
-        assert_eq!(got, want);
-        assert_eq!(st.pos.to_bits(), want_st.pos.to_bits());
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Differential property tests for the kernel vtables and the resampler.
+//! Differential property tests for the kernel vtables, resampler included.
 //!
 //! Every table this host can execute — scalar, SSE2 and (when detected)
 //! AVX2 on x86_64, NEON on aarch64 — must be bit-exact against the frozen
 //! reference (`af_dsp::reference` and the per-sample G.711 algorithms) on
 //! randomized lengths, byte alignments, encodings, gains and chunkings.
-//! Table selection must never be observable in output, only in throughput.  The resampler has
-//! one implementation; its output *and* carried state must equal the
-//! reference loop's bit for bit.
+//! Table selection must never be observable in output, only in throughput.
+//! For each table's `resample_block` that means the output *and* the
+//! carried state equal the reference loop's bit for bit — the portable
+//! loop too, on a host whose active table has an interior of its own: it
+//! is what Miri, aarch64 and pre-AVX2 x86 run.
 
 use af_dsp::kernels;
-use af_dsp::resample::{resample_block, ResampleState};
+use af_dsp::resample::{ResampleState, Resampler};
 use af_dsp::{g711, gain, reference, Encoding};
 use proptest::prelude::*;
 
@@ -137,36 +139,55 @@ proptest! {
     }
 }
 
-/// Feeds `chunks` through the kernel and through the reference from the
-/// same fresh state: the output stream, the carried `pos` (by bits) and the
-/// carried `prev` must agree after every chunk.
+/// Feeds `chunks` through every table's `resample_block` and through the
+/// reference from the same state: the output stream, the carried `pos` (by
+/// bits) and the carried `prev` must agree after every chunk.
+fn assert_resample_matches_from<'a>(
+    start: &ResampleState,
+    chunks: impl IntoIterator<Item = &'a [i16]>,
+) {
+    let chunks: Vec<&[i16]> = chunks.into_iter().collect();
+    let step = start.step;
+    for k in kernels::available() {
+        let mut st = start.clone();
+        let mut ref_st = start.clone();
+        let mut got = Vec::new();
+        let mut want = Vec::new();
+        for (n, c) in chunks.iter().enumerate() {
+            // Both append; only what this chunk added needs comparing.
+            let done = want.len();
+            (k.resample_block)(&mut st, c, &mut got);
+            reference::resample_block_scalar(&mut ref_st, c, &mut want);
+            assert_eq!(
+                got[done..],
+                want[done..],
+                "{}: step {step}, chunk {n} of {} samples",
+                k.name,
+                c.len()
+            );
+            assert_eq!(
+                st.pos.to_bits(),
+                ref_st.pos.to_bits(),
+                "{}: step {step}, chunk {n}: carried pos",
+                k.name
+            );
+            assert_eq!(
+                st.prev, ref_st.prev,
+                "{}: step {step}, chunk {n}: carried prev",
+                k.name
+            );
+        }
+    }
+}
+
+/// [`assert_resample_matches_from`] a fresh stream.
 fn assert_resample_matches<'a>(step: f64, chunks: impl IntoIterator<Item = &'a [i16]>) {
-    let mut st = ResampleState {
+    let fresh = ResampleState {
         step,
         pos: 0.0,
         prev: None,
     };
-    let mut ref_st = st.clone();
-    let mut got = Vec::new();
-    let mut want = Vec::new();
-    for (n, c) in chunks.into_iter().enumerate() {
-        // Both append; only what this chunk added needs comparing.
-        let done = want.len();
-        resample_block(&mut st, c, &mut got);
-        reference::resample_block_scalar(&mut ref_st, c, &mut want);
-        assert_eq!(
-            got[done..],
-            want[done..],
-            "step {step}, chunk {n} of {} samples",
-            c.len()
-        );
-        assert_eq!(
-            st.pos.to_bits(),
-            ref_st.pos.to_bits(),
-            "step {step}, chunk {n}: carried pos"
-        );
-        assert_eq!(st.prev, ref_st.prev, "step {step}, chunk {n}: carried prev");
-    }
+    assert_resample_matches_from(&fresh, chunks);
 }
 
 /// Miri interprets the kernel ~100× slower than it runs; the same cases
@@ -241,5 +262,130 @@ fn resample_matches_reference_on_device_rates_and_long_blocks() {
                 }
             }
         }
+    }
+}
+
+/// Ties and near-ties through each table's rounding.  At `step = 0.5`
+/// every other output is the mean of two neighbours: odd sums put it on
+/// `k ± 0.5` exactly, on both sides of zero and, for the full-scale
+/// alternating taps, at `-0.5` itself.  Hand-built positions then put the
+/// *fraction* a hair to either side of one half — over taps `(0, 1)` that
+/// is `v = 0.49999999999999994`, which `trunc(v + 0.5)` rounds the wrong
+/// way.
+#[test]
+fn resample_rounds_ties_and_near_ties_like_the_reference() {
+    let n = if cfg!(miri) { 80 } else { 2000 };
+    // Neighbours with odd sums of either sign, small and large.
+    let odd: Vec<i16> = (0..n)
+        .map(|i| {
+            let k = (i * 37 % 4001 - 2000) as i16;
+            if i % 2 == 0 {
+                2 * k
+            } else {
+                2 * k + 1
+            }
+        })
+        .collect();
+    let extremes: Vec<i16> = (0..n)
+        .map(|i| if i % 2 == 0 { i16::MIN } else { i16::MAX })
+        .collect();
+    let unit: Vec<i16> = (0..n).map(|i| [0, 1, 0, -1][i as usize % 4]).collect();
+    for data in [&odd, &extremes, &unit] {
+        assert_resample_matches(0.5, [&data[..]]);
+        assert_resample_matches(0.5, data.chunks(67));
+        for pos in [
+            0.499_999_999_999_999_94,
+            0.5f64.next_down(),
+            0.5,
+            0.5f64.next_up(),
+            1.5f64.next_down(),
+            1.5f64.next_up(),
+            2.5f64.next_down(),
+            40.5f64.next_down(),
+            40.5f64.next_up(),
+        ] {
+            for (step, prev) in [(1.0, None), (1.0, Some(-3)), (2.0, Some(32_767))] {
+                let start = ResampleState { step, pos, prev };
+                assert_resample_matches_from(&start, [&data[..]]);
+                assert_resample_matches_from(&start, data.chunks(301));
+            }
+        }
+    }
+}
+
+/// Tap bounds.  Lengths are swept so that whole kernel blocks run and, for
+/// some length, a block's last output interpolates from `input[len - 2]`
+/// and `input[len - 1]` — the last tap a block may touch — and for the
+/// next shorter one that output falls to the partial block instead; with
+/// and without a carried sample, which shifts every index by one.
+#[test]
+fn resample_blocks_touch_the_last_sample_and_nothing_past_it() {
+    let data: Vec<i16> = (0..1100)
+        .map(|i| (i * 7919 % 65_536 - 32_768) as i16)
+        .collect();
+    let steps: &[f64] = if cfg!(miri) {
+        &[1.999, 31.9]
+    } else {
+        &[1.0, 1.999, 3.7, 31.9]
+    };
+    for &step in steps {
+        // One block of 32 outputs spans 31 steps of input; up to three.
+        let one = (31.0 * step) as usize;
+        let sweep = if cfg!(miri) { 3 } else { 40 };
+        for blocks in 1..=3usize {
+            if blocks * one + sweep >= data.len() {
+                continue;
+            }
+            for len in blocks * one..blocks * one + sweep {
+                assert_resample_matches(step, [&data[..len]]);
+                // The first chunk leaves a carried `prev` and a fractional `pos`.
+                assert_resample_matches(step, [&data[..5], &data[5..5 + len]]);
+            }
+        }
+    }
+}
+
+/// States the blocked loop's exact floor does not cover — a negative
+/// position, a step that goes backwards — get the reference's behaviour
+/// from every table, state included.
+#[test]
+fn resample_state_outside_the_kernel_range_takes_the_reference() {
+    let data: Vec<i16> = (0..100).map(|i| (i * 331 % 2000 - 1000) as i16).collect();
+    for (step, pos) in [(0.75, -0.5), (0.75, -40.25), (1.0, -0.0)] {
+        let start = ResampleState {
+            step,
+            pos,
+            prev: Some(7),
+        };
+        assert_resample_matches_from(&start, [&data[..]]);
+    }
+    // A negative or NaN step never passes `last_index`: the reference
+    // loops forever from a position inside the block, so these start past
+    // its end, where every table must also emit nothing and rebase `pos`
+    // the same way.
+    for step in [-1.0, f64::NAN] {
+        let start = ResampleState {
+            step,
+            pos: 1000.0,
+            prev: Some(7),
+        };
+        assert_resample_matches_from(&start, [&data[..]]);
+    }
+}
+
+/// `Resampler::process_into` reserves what a block needs once: a reused
+/// output vector keeps the capacity the first 8 K block gave it.
+#[test]
+fn resampler_reusing_its_output_does_not_regrow_it() {
+    let n = if cfg!(miri) { 256 } else { 8192 };
+    let input: Vec<i16> = (0..n).map(|i| (i * 31 % 2000) as i16).collect();
+    let mut r = Resampler::new(8000.0, 8000.0 * (1.0 + 57e-6));
+    let mut out = Vec::new();
+    r.process_into(&input, &mut out);
+    let capacity = out.capacity();
+    for _ in 0..20 {
+        out.clear();
+        r.process_into(&input, &mut out);
+        assert_eq!(out.capacity(), capacity);
     }
 }

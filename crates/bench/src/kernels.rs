@@ -1,13 +1,12 @@
 //! Sample-pipeline micro-kernels, cycle-accounted: one row per (kernel,
 //! implementation, block size).
 //!
-//! * **convert_decode / convert_encode / mix** — the `af_dsp::kernels`
-//!   vtable entry points, once per table the host can execute (`scalar`,
-//!   `simd-sse2`, `simd-avx2`, `simd-neon`), driven through the function
-//!   pointers directly so the rows do not depend on which table
-//!   `active()` picked.
-//! * **resample** — `af_dsp::resample::resample_block` (`kernel`) against
-//!   its frozen reference loop (`reference`).
+//! * **convert_decode / convert_encode / mix / resample** — the
+//!   `af_dsp::kernels` vtable entry points, once per table the host can
+//!   execute (`scalar`, `simd-sse2`, `simd-avx2`, `simd-neon`), driven
+//!   through the function pointers directly so the rows do not depend on
+//!   which table `active()` picked; `resample` once more on its frozen
+//!   reference loop (`reference`).
 //! * **gain** — `af_server::gain::apply_gain_bytes` on LIN16 at −6 dB
 //!   (`kernel`): one Q16 multiplier per buffer swept over a sample slice.
 //!
@@ -17,11 +16,8 @@
 //! the rows into the two same-run gates `report` and the release-only test
 //! below enforce.
 
-use af_dsp::resample::{resample_block, ResampleState};
+use af_dsp::resample::ResampleState;
 use af_dsp::{reference, Encoding};
-
-/// The shape `resample_block` and its frozen reference share.
-type ResampleFn = fn(&mut ResampleState, &[i16], &mut Vec<i16>);
 
 /// Block sizes for the kernel rows: the 4 KB and 64 KB request sizes of
 /// Figures 11–13.
@@ -46,9 +42,9 @@ fn lin16_block(bytes: usize) -> Vec<u8> {
 pub struct KernelV2Measurement {
     /// Kernel: `convert_decode`, `convert_encode`, `mix`, `resample`, `gain`.
     pub kernel: &'static str,
-    /// Vtable name (`scalar`, `simd-sse2`, …) for the three vtable entry
-    /// points; `kernel` or `reference` for `resample` and `gain`, which
-    /// have one implementation.
+    /// Vtable name (`scalar`, `simd-sse2`, …) for the four vtable entry
+    /// points; `reference` for the resampler's frozen loop; `kernel` for
+    /// `gain`, which has one implementation.
     pub path: &'static str,
     /// Block size in bytes (companded bytes for converts, LIN16 bytes for
     /// mix, gain and resample input).
@@ -76,10 +72,11 @@ fn throughput_cycles<F: FnMut()>(bytes: usize, iters: u32, mut f: F) -> (f64, f6
 }
 
 /// Measures every vtable entry point on every table this host can
-/// execute, the resampler against its frozen reference loop, and the LIN16
-/// gain sweep, at both sizes.
+/// execute, the resampler's frozen reference loop, and the LIN16 gain
+/// sweep, at both sizes.
 pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
     let mut results = Vec::new();
+    let tables = af_dsp::kernels::available();
     for bytes in KERNEL_SIZES {
         let iters = iters_for(bytes, smoke);
         let mut push = |kernel, path, (mb_s, cycles_per_byte)| {
@@ -91,7 +88,7 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
                 cycles_per_byte,
             })
         };
-        for k in af_dsp::kernels::available() {
+        for k in &tables {
             let ulaw: Vec<u8> = (0..bytes).map(|i| (i % 255) as u8).collect();
             let mut pcm = vec![0i16; bytes];
             let m = throughput_cycles(bytes, iters, || {
@@ -120,10 +117,10 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
             .chunks_exact(2)
             .map(|c| i16::from_le_bytes([c[0], c[1]]))
             .collect();
-        let paths: [(&'static str, ResampleFn); 2] = [
-            ("reference", reference::resample_block_scalar),
-            ("kernel", resample_block),
-        ];
+        let paths = tables
+            .iter()
+            .map(|k| (k.name, k.resample_block))
+            .chain([("reference", reference::resample_block_scalar as _)]);
         for (path, f) in paths {
             let mut st = ResampleState {
                 step: 8000.0 / 11_025.0,
@@ -156,23 +153,24 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
 /// replaced (a lane-masked `u64` mix once trailed scalar ~6×).
 pub const DISPATCH_GATE_TOLERANCE: f64 = 1.25;
 
-/// The resampler's share of the gate: the kernel must cost at most this
-/// fraction of the reference loop's cycles/byte at every size.  It measures
-/// ~0.27; the old loop, with its two libm calls per output, ~0.85.
+/// The resampler's own gate: the portable loop (the scalar table's entry)
+/// must cost at most this fraction of the reference loop's cycles/byte at
+/// every size.  It measures ~0.27; the old loop, with its two libm calls
+/// per output, ~0.85.
 pub const RESAMPLE_GATE_RATIO: f64 = 0.5;
 
 /// The dispatch invariant: the table that ships (`af_dsp::kernels::active`)
 /// must never be slower than the scalar baseline on any entry point at any
 /// size — vacuous by construction where the shipping table *is* scalar —
-/// and the resampler, which has no table to pick from, must hold
-/// [`RESAMPLE_GATE_RATIO`] against its reference.  Returns one message per
+/// and the scalar table's resampler must hold [`RESAMPLE_GATE_RATIO`]
+/// against its reference.  Returns one message per
 /// violated (kernel, size) pair, each starting `kernel/bytes:`, empty when
 /// both hold.
 pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
     let gates = [
         ("scalar", af_dsp::kernels::active().name, tolerance),
-        ("reference", "kernel", RESAMPLE_GATE_RATIO),
+        ("reference", "scalar", RESAMPLE_GATE_RATIO),
     ];
     for (base_path, subject_path, limit) in gates {
         for base in rows.iter().filter(|r| r.path == base_path) {
@@ -209,9 +207,9 @@ mod tests {
     fn kernels_v2_cover_every_path_with_positive_metrics() {
         let rows = run_kernels_v2(true);
         let tables = af_dsp::kernels::available().len();
-        // (3 vtable entry points x available tables + resample kernel and
-        // reference + gain) x 2 sizes.
-        assert_eq!(rows.len(), (3 * tables + 3) * 2);
+        // (4 vtable entry points x available tables + resample reference
+        // + gain) x 2 sizes.
+        assert_eq!(rows.len(), (4 * tables + 2) * 2);
         for m in &rows {
             assert!(m.mb_s > 0.0, "{}/{}/{}", m.kernel, m.path, m.bytes);
             assert!(
@@ -281,11 +279,24 @@ mod tests {
             mb_s: 1.0,
             cycles_per_byte: cpb,
         };
-        let gate = |rows: &[KernelV2Measurement]| dispatch_regressions(rows, 1.0).len();
+        // The shipping table's row rides along at parity with scalar, so
+        // only the resampler's own rule can fire.
+        let shipping = af_dsp::kernels::active().name;
+        let gate = |reference: f64, scalar: f64| {
+            let rows = [
+                row("reference", reference),
+                row("scalar", scalar),
+                row(shipping, scalar),
+            ];
+            dispatch_regressions(&rows, 1.0).len()
+        };
         // The old loop's shape (0.85x of the reference): must trigger.
-        assert_eq!(gate(&[row("reference", 14.0), row("kernel", 12.0)]), 1);
-        assert_eq!(gate(&[row("reference", 14.0), row("kernel", 4.0)]), 0);
-        // Missing kernel row: reported, not silently passed.
-        assert_eq!(gate(&[row("reference", 14.0)]), 1);
+        assert_eq!(gate(14.0, 12.0), 1);
+        assert_eq!(gate(14.0, 4.0), 0);
+        // Missing scalar row: reported, not silently passed.
+        assert_eq!(
+            dispatch_regressions(&[row("reference", 14.0)], 1.0).len(),
+            1
+        );
     }
 }
