@@ -1,16 +1,20 @@
 //! Runtime-dispatched batch kernels.
 //!
-//! The three dominant kernel families — companded↔linear conversion,
-//! saturating mix and the resampler's block loop — sit behind one
-//! function-pointer vtable selected once at startup.  There are two kinds
-//! of table:
+//! The four dominant kernel families — companded↔linear conversion,
+//! saturating mix, the resampler's block loop and the play map's mix —
+//! sit behind one function-pointer vtable selected once at startup.  There
+//! are two kinds of table:
 //!
-//! * [`scalar`] — batched table-lookup loops and the resampler's portable
-//!   loop ([`crate::resample`]); always available, the semantic definition
-//!   of every entry point, and what the SIMD tables call for their tails.
-//! * SIMD — `core::arch` kernels: SSE2 baseline and AVX2 when detected on
-//!   x86_64 ([`x86`]), NEON on aarch64 ([`neon`]).  Only the AVX2 table has
-//!   a resampler of its own; the others point at the portable loop.
+//! * [`scalar`] — batched table-lookup loops, the resampler's portable
+//!   loop ([`crate::resample`]) and the play map's table loop
+//!   ([`crate::tables::PlayMap`]); always available, the semantic
+//!   definition of every entry point, and what the SIMD tables call for
+//!   their tails.
+//! * SIMD — `core::arch` kernels: on x86_64 ([`x86`]) the SSE2 baseline,
+//!   AVX2 when detected and AVX-512 when F, BW and VBMI all are, each
+//!   table the one below it with entries replaced (the resampler has an
+//!   interior of its own from AVX2 up, the play map's mix in the AVX-512
+//!   table alone); NEON on aarch64 ([`neon`]).
 //!
 //! Every table is pinned bit-exact against `crate::reference` by the
 //! differential property tests, so selection is purely a throughput choice
@@ -31,6 +35,7 @@ use std::sync::OnceLock;
 
 // The frozen `reference` module names the state by this path.
 pub(crate) use crate::resample::ResampleState;
+use crate::tables::PlayMap;
 
 /// The kernel vtable: one set of function pointers per implementation.
 ///
@@ -44,9 +49,15 @@ pub(crate) use crate::resample::ResampleState;
 /// * `resample_block` appends one mono LIN16 block's output to the vector
 ///   and advances the state, both exactly as
 ///   `reference::resample_block_scalar` does — output, `pos` by bits, `prev`.
+/// * `play_mix` mixes the client samples of `src` through the play map
+///   into the companded device bytes of `dst`, byte for byte what
+///   `reference::encode_from_lin16_scalar`, `apply_gain_bytes_scalar` and
+///   `mix_bytes_scalar` give in turn; it panics unless `src` holds exactly
+///   [`PlayMap::sample_bytes`] bytes for each byte of `dst`.
 #[derive(Clone, Copy)]
 pub struct Kernels {
-    /// Table name for reports: `"scalar"`, `"simd-sse2"`, `"simd-avx2"`, ….
+    /// Table name for reports: `"scalar"`, `"simd-sse2"`, `"simd-avx2"`,
+    /// `"simd-avx512"`, `"simd-neon"`.
     pub name: &'static str,
     /// µ-law bytes → 16-bit linear.
     pub decode_ulaw: fn(&[u8], &mut [i16]),
@@ -62,6 +73,8 @@ pub struct Kernels {
     pub mix_lin32_le: fn(&mut [u8], &[u8]),
     /// Streaming linear-interpolation resampler, one block.
     pub resample_block: fn(&mut ResampleState, &[i16], &mut Vec<i16>),
+    /// A play map's samples mixed into companded device bytes.
+    pub play_mix: fn(&PlayMap, &mut [u8], &[u8]),
 }
 
 /// The `core::arch` tables this host can execute, best last; empty where

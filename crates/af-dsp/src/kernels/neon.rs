@@ -28,6 +28,7 @@ pub(super) static KERNELS: Kernels = Kernels {
     mix_lin16_le,
     mix_lin32_le,
     resample_block: resample::resample_block_portable,
+    play_mix: tables::PlayMap::mix_by_table,
 };
 
 fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {

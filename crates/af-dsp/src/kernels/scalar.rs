@@ -1,5 +1,6 @@
 //! The batched scalar table: table lookups per sample, typed slice views
-//! where alignment permits, the resampler's portable blocked loop.  It is
+//! where alignment permits, the resampler's portable blocked loop, the
+//! play map's table loop.  It is
 //! the semantic definition the SIMD tables are pinned against, what they
 //! call for their tails, for encode and (on SSE2) for decode, and what
 //! runs under Miri or on a target with no `core::arch` table.
@@ -17,6 +18,7 @@ pub static KERNELS: Kernels = Kernels {
     mix_lin16_le,
     mix_lin32_le,
     resample_block: resample::resample_block_portable,
+    play_mix: tables::PlayMap::mix_by_table,
 };
 
 pub(super) fn decode_ulaw(data: &[u8], out: &mut [i16]) {

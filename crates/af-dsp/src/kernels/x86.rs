@@ -1,8 +1,10 @@
-//! x86_64 `core::arch` kernels: SSE2 baseline, AVX2 when detected.
+//! x86_64 `core::arch` kernels: SSE2 baseline, AVX2 when detected, AVX-512
+//! when F, BW and VBMI all are.
 //!
 //! SSE2 is part of the x86_64 baseline, so those paths need no runtime
-//! check; AVX2 entry points are `#[target_feature]` functions reached only
-//! through the table handed out after `is_x86_feature_detected!("avx2")`.
+//! check; AVX2 and AVX-512 entry points are `#[target_feature]` functions
+//! reached only through the tables handed out after
+//! `is_x86_feature_detected!` named every feature they enable.
 //!
 //! AVX2 companded decode is *algorithmic*, not a table gather: G.711's
 //! `((m << 3) + 0x84) << e - 0x84` maps onto 16-bit lanes with the variable
@@ -10,11 +12,20 @@
 //! conditional negate as `(x ^ mask) - mask`, which is lane-isolated in
 //! real SIMD.  SSE2 has no such gather — its decode by conditional
 //! doublings measured 4× slower than the 256-entry table loop — so the
-//! SSE2 table's decode is the scalar table loop.  Encode is the scalar
-//! 16 K table loop in both tables: a 30-operation AVX2 segment search
-//! measured 8 % faster than it at 4 KB, and no server play runs an encode
-//! pass any more (the play map, `crate::tables::PlayMap`).  Every vector
-//! body hands its tail to the scalar loop of the same entry point.
+//! SSE2 table's decode is the scalar table loop.  The `encode_*` entries are
+//! the scalar 16 K table loop in every table: a 30-operation AVX2 segment
+//! search measured 8 % faster than it at 4 KB, and no server play runs an
+//! encode pass any more (the play map, `crate::tables::PlayMap`).  Every
+//! vector body hands its tail to the scalar loop of the same entry point.
+//!
+//! An arithmetic encode *does* run where a byte permute spans the tables
+//! it needs: the AVX-512 table's `play_mix` is `PlayMap::mix_by_table` on a
+//! µ-law device with no table in cache — `vpermi2b` (VBMI) looks 128 bytes
+//! up per instruction, so 64 samples go through encode, gain, decode,
+//! saturating add and encode again as the integer functions the tables
+//! are built from (DESIGN.md §8.3).  VBMI also leaves out the first
+//! AVX-512 parts, whose 512-bit licence slows the scalar code around a
+//! kernel.  A-law devices and `copy_into` keep the table loop.
 //!
 //! The AVX2 resampler is the portable one's driver (`resample::drive`)
 //! around a vector interior: four positions per `f64` vector, each IEEE
@@ -23,46 +34,55 @@
 //! `a*(1-frac) + b*frac` rounds once where the reference rounds twice.
 
 // All intrinsics in this module operate on unaligned loads/stores within
-// caller-checked bounds; AVX2 functions are reached only after runtime
-// feature detection.
+// caller-checked bounds; AVX2 and AVX-512 functions are reached only after
+// runtime feature detection.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
 use super::{scalar, Kernels, ResampleState};
 use crate::resample::{self, BLOCK};
+use crate::tables::{LinearPlanes, PlayMap};
 
-// SSE2 first, AVX2 last.  Private: the `_entry` functions are sound only
-// on a host with AVX2, so the tables leave this module through
-// `available` alone.
-static TABLES: [Kernels; 2] = [
-    Kernels {
-        name: "simd-sse2",
-        decode_ulaw: scalar::decode_ulaw,
-        decode_alaw: scalar::decode_alaw,
-        encode_ulaw: scalar::encode_ulaw,
-        encode_alaw: scalar::encode_alaw,
-        mix_lin16_le: mix_lin16_le_sse2,
-        mix_lin32_le: mix_lin32_le_sse2,
-        resample_block: resample::resample_block_portable,
-    },
-    Kernels {
-        name: "simd-avx2",
-        decode_ulaw: decode_ulaw_avx2_entry,
-        decode_alaw: decode_alaw_avx2_entry,
-        encode_ulaw: scalar::encode_ulaw,
-        encode_alaw: scalar::encode_alaw,
-        mix_lin16_le: mix_lin16_le_avx2_entry,
-        mix_lin32_le: mix_lin32_le_sse2,
-        resample_block: resample_block_avx2_entry,
-    },
-];
+const SSE2: Kernels = Kernels {
+    name: "simd-sse2",
+    decode_ulaw: scalar::decode_ulaw,
+    decode_alaw: scalar::decode_alaw,
+    encode_ulaw: scalar::encode_ulaw,
+    encode_alaw: scalar::encode_alaw,
+    mix_lin16_le: mix_lin16_le_sse2,
+    mix_lin32_le: mix_lin32_le_sse2,
+    resample_block: resample::resample_block_portable,
+    play_mix: PlayMap::mix_by_table,
+};
+
+const AVX2: Kernels = Kernels {
+    name: "simd-avx2",
+    decode_ulaw: decode_ulaw_avx2_entry,
+    decode_alaw: decode_alaw_avx2_entry,
+    mix_lin16_le: mix_lin16_le_avx2_entry,
+    resample_block: resample_block_avx2_entry,
+    ..SSE2
+};
+
+const AVX512: Kernels = Kernels {
+    name: "simd-avx512",
+    play_mix: play_mix_avx512_entry,
+    ..AVX2
+};
+
+// Each table is the one before it with entries replaced.  Private: the
+// `_entry` functions are sound only on a host with their features, so
+// the tables leave this module through `available` alone.
+static TABLES: [Kernels; 3] = [SSE2, AVX2, AVX512];
 
 /// Every table this host can execute, best last: SSE2 always, AVX2 when
-/// detected.
+/// detected, AVX-512 when the host has AVX2 and all of F, BW and VBMI.
 pub(super) fn available() -> &'static [Kernels] {
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    &TABLES[..1 + usize::from(avx2)]
+    use std::arch::is_x86_feature_detected as detected;
+    let avx2 = detected!("avx2");
+    let avx512 = avx2 && detected!("avx512f") && detected!("avx512bw") && detected!("avx512vbmi");
+    &TABLES[..1 + usize::from(avx2) + usize::from(avx512)]
 }
 
 // ---- mixing -----------------------------------------------------------
@@ -327,13 +347,149 @@ unsafe fn resample_interior_avx2(
     }
 }
 
+// ---- AVX-512 VBMI play map (64 samples per iteration) -----------------
+
+/// Two vectors of 32 linear samples: samples 0..32 and 32..64 of a block.
+type Words = (__m512i, __m512i);
+
+/// The µ-law exponent of a biased magnitude `0x84..=0x7FFF`, by its high
+/// byte: `[0] = 0`, `[v] = ⌊log₂ v⌋ + 1` — `g711::linear_to_ulaw`'s
+/// `⌊log₂(mag >> 7)⌋`.
+#[repr(C, align(64))]
+struct Exponents([u8; 128]);
+
+static ULAW_EXPONENT: Exponents = {
+    let mut t = [0u8; 128];
+    let mut v = 1;
+    while v < 128 {
+        t[v] = (v as u32).ilog2() as u8 + 1;
+        v += 1;
+    }
+    Exponents(t)
+};
+
+fn play_mix_avx512_entry(map: &PlayMap, dst: &mut [u8], src: &[u8]) {
+    let width = map.sample_bytes();
+    assert_eq!(src.len(), dst.len() * width, "play map length mismatch");
+    let done = match map.ulaw_planes() {
+        // SAFETY: reachable only through the AVX-512 table, handed out only
+        // when F, BW and VBMI are detected; `src` holds `width` bytes for
+        // each byte of `dst`, checked above.
+        Some(planes) => unsafe { play_mix_ulaw_avx512(planes, width == 2, dst, src) },
+        None => 0,
+    };
+    map.mix_by_table(&mut dst[done..], &src[done * width..]);
+}
+
+/// `g711::linear_to_ulaw` short of its sign and its final `!`, per 16-bit
+/// lane: `exponent << 4 | mantissa`.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+#[inline]
+unsafe fn ulaw_segment_avx512(x: __m512i) -> __m512i {
+    // In-body safety: the table is 64-byte aligned and 128 bytes long.
+    let [t0, t1]: [__m512i; 2] = core::ptr::read((&raw const ULAW_EXPONENT).cast());
+    // `vpabsw` leaves `i16::MIN` as 0x8000, which the unsigned clip takes.
+    let clipped = _mm512_min_epu16(_mm512_abs_epi16(x), _mm512_set1_epi16(32_635));
+    let mag = _mm512_add_epi16(clipped, _mm512_set1_epi16(0x84));
+    // Each word's high byte is `mag >> 8` and fetches the exponent; the
+    // `&` drops what the low byte fetched (and tells the compiler the
+    // shift count is in range).
+    let e = _mm512_permutex2var_epi8(t0, mag, t1);
+    let e = _mm512_and_si512(e, _mm512_set1_epi16(0x0700));
+    let m = _mm512_srlv_epi16(_mm512_srli_epi16::<3>(mag), _mm512_srli_epi16::<8>(e));
+    // `a | (b & c)`.
+    _mm512_ternarylogic_epi32::<0xF8>(_mm512_srli_epi16::<4>(e), m, _mm512_set1_epi16(0x0F))
+}
+
+/// The linear words of 64 codes, `planes[c & 0x7F]` (a permute ignores bit
+/// 7 of its index) negated in the lanes of `positive`.  The two planes are
+/// interleaved by `vpunpck{l,h}bw`, so within each 128-bit lane the low
+/// eight codes land in `.0` and the high eight in `.1` — the arrangement
+/// `vpackuswb` makes codes in and undoes.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+#[inline]
+unsafe fn planes_avx512(p: &[__m512i; 4], codes: __m512i, positive: [__mmask32; 2]) -> Words {
+    let lo = _mm512_permutex2var_epi8(p[0], codes, p[1]);
+    let hi = _mm512_permutex2var_epi8(p[2], codes, p[3]);
+    let (a, b) = (_mm512_unpacklo_epi8(lo, hi), _mm512_unpackhi_epi8(lo, hi));
+    let zero = _mm512_setzero_si512();
+    let a = _mm512_mask_sub_epi16(a, positive[0], zero, a);
+    (a, _mm512_mask_sub_epi16(b, positive[1], zero, b))
+}
+
+/// 64 consecutive companded bytes as the linear words `planes` gives them,
+/// positive where bit 7 is set.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+#[inline]
+unsafe fn linear_avx512(p: &[__m512i; 4], bytes: __m512i) -> Words {
+    // Quadwords 0 4 1 5 2 6 3 7: the order `vpackuswb` leaves the bytes of
+    // two word vectors in, so the unpacks come out in sample order.
+    let packed = _mm512_permutexvar_epi64(_mm512_setr_epi64(0, 4, 1, 5, 2, 6, 3, 7), bytes);
+    let positive = _mm512_movepi8_mask(bytes);
+    planes_avx512(p, packed, [positive as u32, (positive >> 32) as u32])
+}
+
+/// `PlayMap::mix_by_table` on a µ-law device, 64 samples at a time, from
+/// the integer functions the tables are built from (DESIGN.md §8.3):
+/// `comp_u[comp_index(x)]` is `linear_to_ulaw(x & !3)`, the map's gain and
+/// the ring byte's decode are `planes[c]`, `mix_u` is a saturating add
+/// and `linear_to_ulaw` again.  Returns how many samples it mixed — the
+/// whole blocks of 64; the caller's table loop takes the rest.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI,
+// and that `src` holds two bytes (`lin16`) or one for each byte of `dst`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn play_mix_ulaw_avx512(
+    client: &LinearPlanes,
+    lin16: bool,
+    dst: &mut [u8],
+    src: &[u8],
+) -> usize {
+    // In-body safety: both are 64-byte aligned and 256 bytes long.
+    let client: [__m512i; 4] = core::ptr::read((&raw const *client).cast());
+    let ring: [__m512i; 4] = core::ptr::read((&raw const *LinearPlanes::exp_u()).cast());
+    let zero = _mm512_setzero_si512();
+    let mut i = 0;
+    // In-body safety: each iteration reads 64 bytes of `dst` at `i` and 64
+    // or 128 of `src` at `i` or `2 * i`, within both by the loop bound and
+    // the caller's length guarantee, and writes the same 64 of `dst`.
+    while i + 64 <= dst.len() {
+        let (a, b) = if lin16 {
+            let xa = _mm512_loadu_si512(src.as_ptr().add(2 * i).cast());
+            let xb = _mm512_loadu_si512(src.as_ptr().add(2 * i + 64).cast());
+            let index = _mm512_set1_epi16(!3);
+            let sa = ulaw_segment_avx512(_mm512_and_si512(xa, index));
+            let sb = ulaw_segment_avx512(_mm512_and_si512(xb, index));
+            let codes = _mm512_xor_si512(_mm512_packus_epi16(sa, sb), _mm512_set1_epi8(-1));
+            let pa = _mm512_cmpge_epi16_mask(xa, zero);
+            let pb = _mm512_cmpge_epi16_mask(xb, zero);
+            planes_avx512(&client, codes, [pa, pb])
+        } else {
+            linear_avx512(&client, _mm512_loadu_si512(src.as_ptr().add(i).cast()))
+        };
+        let (ra, rb) = linear_avx512(&ring, _mm512_loadu_si512(dst.as_ptr().add(i).cast()));
+        let (a, b) = (_mm512_adds_epi16(a, ra), _mm512_adds_epi16(b, rb));
+        let segments = _mm512_packus_epi16(ulaw_segment_avx512(a), ulaw_segment_avx512(b));
+        // `!(segment | sign)`: `vpacksswb` keeps each sum's sign in bit 7.
+        let signs = _mm512_packs_epi16(a, b);
+        let mixed = _mm512_ternarylogic_epi32::<0x07>(segments, signs, _mm512_set1_epi8(-128));
+        // The packs left quadwords 0 4 1 5 2 6 3 7: back to sample order.
+        let mixed = _mm512_permutexvar_epi64(_mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7), mixed);
+        _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), mixed);
+        i += 64;
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{g711, tables};
 
     // Each test runs every table the host can execute: SSE2 always, AVX2
-    // when detected.
+    // and AVX-512 when detected.
 
     #[test]
     fn vtable_decodes_every_code_exactly() {

@@ -170,9 +170,15 @@ pub fn mix_a() -> &'static MixTable {
 /// [`crate::reference::apply_gain_bytes_scalar`] gives.  0 dB means *no gain
 /// step* — not `GainTable::new_ulaw(0)`, which folds the µ-law negative zero
 /// `0x7F` into `0xFF`.
+///
+/// On a µ-law device the map also carries its [`LinearPlanes`]: the same
+/// composition in the 256 bytes a kernel table with a wide byte permute
+/// ([`crate::kernels::Kernels::play_mix`]) mixes from without touching the
+/// tables at all.
 pub struct PlayMap {
     table: MapTable,
     mix: &'static MixTable,
+    planes: Option<Box<LinearPlanes>>,
 }
 
 enum MapTable {
@@ -181,6 +187,35 @@ enum MapTable {
     Lin16(Cow<'static, [u8]>),
     /// Companded client: a gain, a transcode, or both.
     Companded(Box<[u8; 256]>),
+}
+
+/// The linear values of a µ-law-like code space in the form `vpermi2b`
+/// indexes: a plane of low bytes and a plane of high bytes for the 128
+/// codes with bit 7 clear (the non-positive half); a code with bit 7 set
+/// is the negation of its twin, which [`LinearPlanes::of`] checks.
+#[repr(C, align(64))]
+pub(crate) struct LinearPlanes {
+    lo: [u8; 128],
+    hi: [u8; 128],
+}
+
+impl LinearPlanes {
+    /// The planes of `value`, or `None` unless `value(c | 0x80)` is
+    /// `-value(c)` for every code.
+    fn of(value: impl Fn(u8) -> i16) -> Option<LinearPlanes> {
+        let twins = (0..128).all(|c| value(c | 0x80).checked_neg() == Some(value(c)));
+        let plane = |byte: usize| std::array::from_fn(|c| value(c as u8).to_le_bytes()[byte]);
+        twins.then(|| LinearPlanes {
+            lo: plane(0),
+            hi: plane(1),
+        })
+    }
+
+    /// `AF_exp_u` in planes: what a µ-law device byte decodes to.
+    pub(crate) fn exp_u() -> &'static LinearPlanes {
+        static T: OnceLock<LinearPlanes> = OnceLock::new();
+        T.get_or_init(|| LinearPlanes::of(g711::ulaw_to_linear).expect("G.711 is sign-magnitude"))
+    }
 }
 
 impl PlayMap {
@@ -214,7 +249,16 @@ impl PlayMap {
             Encoding::Alaw => MapTable::Companded(Box::new(cvt_a2u().map(gained))),
             _ => return None,
         };
-        Some(PlayMap { table, mix })
+        // The linear value each sample mixes as, by the byte that selects
+        // it: a LIN16 sample's µ-law code before the gain step (absent at
+        // 0 dB, so `0x7F` stays itself), a companded client's own byte.
+        let linear = |b: u8| match &table {
+            MapTable::Lin16(_) => g711::ulaw_to_linear(gained(b)),
+            MapTable::Companded(t) => g711::ulaw_to_linear(t[b as usize]),
+        };
+        let planes = (device == Encoding::Mu255).then(|| LinearPlanes::of(linear));
+        let planes = planes.flatten().map(Box::new);
+        Some(PlayMap { table, mix, planes })
     }
 
     /// Bytes per client sample (each maps to one device byte).
@@ -249,13 +293,27 @@ impl PlayMap {
         }
     }
 
-    /// Mixes the client samples in `src` into the device bytes `dst`.
+    /// Mixes the client samples in `src` into the device bytes `dst`, by
+    /// the active kernel table's `play_mix`.
     ///
     /// # Panics
     ///
     /// Panics unless `src` holds exactly one sample per byte of `dst`.
     pub fn mix_into(&self, dst: &mut [u8], src: &[u8]) {
+        (crate::kernels::active().play_mix)(self, dst, src);
+    }
+
+    /// [`PlayMap::mix_into`] by the tables alone: a map lookup, then a mix
+    /// lookup, per sample.  The definition of `play_mix`, the entry of
+    /// every kernel table without an interior of its own, and the tail of
+    /// the one that has.
+    pub(crate) fn mix_by_table(&self, dst: &mut [u8], src: &[u8]) {
         self.merge(dst, src, |d, s| *d = self.mix.mix(*d, s));
+    }
+
+    /// The planes of a µ-law device's map; `None` on an A-law device.
+    pub(crate) fn ulaw_planes(&self) -> Option<&LinearPlanes> {
+        self.planes.as_deref()
     }
 
     /// Writes the client samples in `src` over the device bytes `dst`.
@@ -439,6 +497,38 @@ mod tests {
             );
         }
         assert!(PlayMap::new(Encoding::Lin32, Encoding::Mu255, -6).is_none());
+    }
+
+    #[test]
+    fn every_ulaw_device_map_has_planes_and_they_are_its_table_decoded() {
+        // A gain table is sign-symmetric at any gain, so the check in
+        // `LinearPlanes::of` never leaves a µ-law map to the table loop.
+        for client in [Encoding::Lin16, Encoding::Mu255, Encoding::Alaw] {
+            for db in -100..=100 {
+                if let Some(map) = PlayMap::new(client, Encoding::Mu255, db) {
+                    let planes = map.ulaw_planes().expect("sign-symmetric");
+                    // Entry `c` is what the code `c` plays as: through the
+                    // map's own table, stored over silence.
+                    let code = |c: u8| match client {
+                        Encoding::Lin16 => g711::ulaw_to_linear(c).to_le_bytes().to_vec(),
+                        _ => vec![c],
+                    };
+                    for c in 0..128u8 {
+                        let mut byte = [0];
+                        map.copy_into(&mut byte, &code(c));
+                        let v = i16::from_le_bytes([planes.lo[c as usize], planes.hi[c as usize]]);
+                        assert_eq!(
+                            v,
+                            g711::ulaw_to_linear(byte[0]),
+                            "{client} {db} dB {c:#04x}"
+                        );
+                    }
+                }
+                assert!(PlayMap::new(client, Encoding::Alaw, db)
+                    .is_none_or(|m| m.ulaw_planes().is_none()));
+            }
+        }
+        assert!(LinearPlanes::of(i16::from).is_none());
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Differential property tests for the kernel vtables, resampler included.
+//! Differential property tests for the kernel vtables, resampler and play
+//! map included.
 //!
 //! Every table this host can execute — scalar, SSE2 and (when detected)
-//! AVX2 on x86_64, NEON on aarch64 — must be bit-exact against the frozen
-//! reference (`af_dsp::reference` and the per-sample G.711 algorithms) on
-//! randomized lengths, byte alignments, encodings, gains and chunkings.
-//! Table selection must never be observable in output, only in throughput.
-//! For each table's `resample_block` that means the output *and* the
-//! carried state equal the reference loop's bit for bit — the portable
-//! loop too, on a host whose active table has an interior of its own: it
-//! is what Miri, aarch64 and pre-AVX2 x86 run.
+//! AVX2 and AVX-512 on x86_64, NEON on aarch64 — must be bit-exact against
+//! the frozen reference (`af_dsp::reference` and the per-sample G.711
+//! algorithms) on randomized lengths, byte alignments, encodings, gains and
+//! chunkings.  Table selection must never be observable in output, only in
+//! throughput.  For each table's `resample_block` that means the output
+//! *and* the carried state equal the reference loop's bit for bit — the
+//! portable loop too, on a host whose active table has an interior of its
+//! own: it is what Miri, aarch64 and pre-AVX2 x86 run.  `play_mix` is
+//! checked on the whole cross product of client sample and device byte:
+//! the table form meets each pair by construction, an adder has to be
+//! shown to.
 
 use af_dsp::kernels;
 use af_dsp::resample::{ResampleState, Resampler};
+use af_dsp::tables::PlayMap;
 use af_dsp::{g711, gain, reference, Encoding};
 use proptest::prelude::*;
 
@@ -387,5 +392,186 @@ fn resampler_reusing_its_output_does_not_regrow_it() {
         out.clear();
         r.process_into(&input, &mut out);
         assert_eq!(out.capacity(), capacity);
+    }
+}
+
+/// What CI's log shows a green run tested: run with `-- --nocapture`.
+#[test]
+fn tables_on_this_host() {
+    let names: Vec<_> = kernels::available().iter().map(|k| k.name).collect();
+    println!(
+        "kernel tables on this host: {}; active: {}",
+        names.join(", "),
+        kernels::active().name
+    );
+    assert_eq!(names[0], "scalar");
+    assert!(names.contains(&kernels::active().name));
+}
+
+/// The bytes a play stages without a map: converted to the device's
+/// encoding, then gained — the frozen reference for both steps.
+fn staged_play(client: Encoding, device: Encoding, src: &[u8], db: i32) -> Vec<u8> {
+    let mut staged = if client == device {
+        src.to_vec()
+    } else {
+        let pcm = reference::decode_to_lin16_scalar(client, src);
+        reference::encode_from_lin16_scalar(device, &pcm)
+    };
+    reference::apply_gain_bytes_scalar(device, &mut staged, db);
+    staged
+}
+
+/// Every table's `play_mix` of `src` into a copy of `ring` against the
+/// reference mix of the staged bytes.
+fn assert_play_mix_matches(
+    map: &PlayMap,
+    device: Encoding,
+    staged: &[u8],
+    ring: &[u8],
+    src: &[u8],
+    what: &str,
+) {
+    let mut want = ring.to_vec();
+    reference::mix_bytes_scalar(device, &mut want, staged);
+    for k in kernels::available() {
+        let mut got = ring.to_vec();
+        (k.play_mix)(map, &mut got, src);
+        if got != want {
+            let i = got.iter().zip(&want).position(|(g, w)| g != w).unwrap();
+            panic!(
+                "{}: {what}: sample {i} into ring byte {:#04x} gives {:#04x}, reference {:#04x}",
+                k.name, ring[i], got[i], want[i]
+            );
+        }
+    }
+}
+
+const PLAY_GAINS: [i32; 5] = [-40, -6, 0, 3, 40];
+
+/// Every client sample × every device byte, at each gain, on both
+/// companded devices: all 65,536 LIN16 samples and all 256 codes of either
+/// companded client against all 256 ring bytes.  An unoptimized build
+/// (40× slower here) shows the LIN16 samples every eighth ring byte and the
+/// four edge ones — CI runs this file with `--release` as well — and Miri
+/// strides samples and ring bytes both, the rails and the zeros kept.
+#[test]
+fn play_mix_is_the_reference_on_every_sample_against_every_ring_byte() {
+    let lin16: Vec<u8> = (i16::MIN..=i16::MAX)
+        .filter(|s| !cfg!(miri) || s % 1021 == 0 || s.unsigned_abs() > 32_765)
+        .flat_map(i16::to_le_bytes)
+        .collect();
+    let codes: Vec<u8> = (0..=255).collect();
+    for device in [Encoding::Mu255, Encoding::Alaw] {
+        for client in [Encoding::Lin16, Encoding::Mu255, Encoding::Alaw] {
+            let src = if client == Encoding::Lin16 {
+                &lin16
+            } else {
+                &codes
+            };
+            for db in PLAY_GAINS {
+                let Some(map) = PlayMap::new(client, device, db) else {
+                    assert_eq!((client, db), (device, 0), "only an identity has no map");
+                    continue;
+                };
+                let staged = staged_play(client, device, src, db);
+                let stride = match (cfg!(miri), cfg!(debug_assertions), client) {
+                    (true, ..) => 51,
+                    (false, true, Encoding::Lin16) => 8,
+                    _ => 1,
+                };
+                let ring_bytes =
+                    (0..=255u8).filter(|r| r % stride == 0 || [0x7F, 0x80, 0xFF].contains(r));
+                for r in ring_bytes {
+                    let ring = vec![r; staged.len()];
+                    let what = format!("{client} on {device} at {db} dB");
+                    assert_play_mix_matches(&map, device, &staged, &ring, src, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Tails and alignment: every length 0..=200 with both buffers slid 0..=3
+/// bytes off the allocator's alignment; bytes either side of `dst` stay.
+#[test]
+fn play_mix_handles_every_length_and_alignment() {
+    let mut x = 0x2545_F491u32;
+    let mut noise = |n: usize| -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 11) as u8
+            })
+            .collect()
+    };
+    let lengths = (0..=200).filter(|n| !cfg!(miri) || n % 67 < 2);
+    for len in lengths {
+        for client in [Encoding::Lin16, Encoding::Alaw] {
+            let width = client.bytes_for_samples(1);
+            let map = PlayMap::new(client, Encoding::Mu255, -6).unwrap();
+            for (dst_off, src_off) in (0..4).flat_map(|d| (0..4).map(move |s| (d, s))) {
+                let src_store = noise(src_off + len * width);
+                let src = &src_store[src_off..];
+                // Three guard bytes after the ring as well as `dst_off` before.
+                let ring_store = noise(dst_off + len + 3);
+                let staged = staged_play(client, Encoding::Mu255, src, -6);
+                let mut want = ring_store.clone();
+                reference::mix_bytes_scalar(
+                    Encoding::Mu255,
+                    &mut want[dst_off..dst_off + len],
+                    &staged,
+                );
+                for k in kernels::available() {
+                    let mut got = ring_store.clone();
+                    (k.play_mix)(&map, &mut got[dst_off..dst_off + len], src);
+                    assert_eq!(
+                        got, want,
+                        "{}: {client}, {len} samples, dst+{dst_off}, src+{src_off}",
+                        k.name
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The cases an arithmetic form can get wrong and a table cannot, by name:
+/// `i16::MIN` (whose magnitude is not an `i16`), both µ-law zeros on either
+/// side, the low two bits the 16 K index drops from a negative sample, and
+/// saturation at both rails — each in a block long enough for an interior.
+#[test]
+fn play_mix_edges_by_name() {
+    let unity = PlayMap::new(Encoding::Lin16, Encoding::Mu255, 0).unwrap();
+    let loud = PlayMap::new(Encoding::Lin16, Encoding::Mu255, 40).unwrap();
+    let ulaw_soft = PlayMap::new(Encoding::Mu255, Encoding::Mu255, -6).unwrap();
+    let lin16 = |s: i16| s.to_le_bytes().repeat(64);
+    // (map, client bytes, ring byte, mixed byte)
+    let cases: [(&PlayMap, Vec<u8>, u8, u8); 10] = [
+        // -32768 clips to -32635, code 0x00; into silence it stays.
+        (&unity, lin16(i16::MIN), 0xFF, 0x00),
+        // ... and into the loudest negative byte the sum saturates.
+        (&unity, lin16(i16::MIN), 0x00, 0x00),
+        (&unity, lin16(i16::MAX), 0x80, 0x80),
+        // Opposite rails cancel: 32124 - 32124.
+        (&unity, lin16(i16::MAX), 0x00, 0xFF),
+        // Zero into negative zero is positive zero.
+        (&unity, lin16(0), 0x7F, 0xFF),
+        // -1 indexes the 16 K table as -4, whose code 0x7E is -8.
+        (&unity, lin16(-1), 0xFF, 0x7E),
+        (&unity, lin16(3), 0xFF, 0xFF),
+        // +40 dB takes 400 to the positive rail.
+        (&loud, lin16(400), 0xFF, 0x80),
+        (&loud, lin16(-400), 0xFF, 0x00),
+        // Either zero as a client code is silence under a gain.
+        (&ulaw_soft, [0x7F, 0xFF].repeat(32), 0x7F, 0xFF),
+    ];
+    for (n, (map, src, ring_byte, mixed)) in cases.into_iter().enumerate() {
+        for k in kernels::available() {
+            let mut ring = vec![ring_byte; 64];
+            (k.play_mix)(map, &mut ring, &src);
+            assert_eq!(ring, vec![mixed; 64], "{}: case {n}", k.name);
+        }
     }
 }

@@ -514,7 +514,10 @@ impl Dispatcher {
     /// drop the request.
     fn handle_request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
         if let Some(c) = self.core.clients.get_mut(&id) {
-            c.last_activity = Instant::now();
+            // Read by `sweep_idle` alone: no timeout, no clock reading.
+            if self.idle_timeout.is_some() {
+                c.last_activity = Instant::now();
+            }
             if c.blocked.is_some() {
                 // The one place a request's bytes must outlive the call:
                 // a suspended client's requests wait in pooled copies.
@@ -1763,8 +1766,7 @@ mod tests {
     use crate::reactor::OutboundTx;
     use crate::transport::OUTBOUND_QUEUE_CAPACITY;
 
-    #[test]
-    fn overflow_raised_between_events_is_evicted_by_the_next_one() {
+    fn bare_dispatcher() -> Dispatcher {
         let core = ServerCore {
             vendor: "test".into(),
             devices: Vec::new(),
@@ -1774,7 +1776,48 @@ mod tests {
             stats: Arc::new(ServerStats::default()),
             pool: BufferPool::shared(),
         };
-        let mut dispatcher = Dispatcher::new(core, Duration::from_secs(3600));
+        Dispatcher::new(core, Duration::from_secs(3600))
+    }
+
+    #[test]
+    fn a_request_keeps_a_client_from_idle_eviction_when_a_timeout_is_set() {
+        let long_ago = Instant::now().checked_sub(Duration::from_secs(20));
+        let long_ago = long_ago.expect("the monotonic clock is 20 s old");
+        let noop = af_proto::Opcode::NoOperation as u8;
+        for timeout in [Some(Duration::from_secs(10)), None] {
+            let mut dispatcher = bare_dispatcher().with_idle_timeout(timeout);
+            for id in [1, 2] {
+                dispatcher.handle_event(ServerEvent::NewClient {
+                    id,
+                    setup: af_proto::ConnSetup::new().encode(),
+                    peer: None,
+                    tx: OutboundTx::detached(),
+                });
+                dispatcher.core.clients.get_mut(&id).unwrap().last_activity = long_ago;
+            }
+            // Both have been silent for 20 s; then client 1 speaks.
+            dispatcher.handle_request(1, noop, &[]);
+            dispatcher.run_update();
+            let left: Vec<ClientId> = dispatcher.core.clients.keys().copied().collect();
+            let evicted = ServerStats::get(&dispatcher.core.stats.evicted_idle);
+            match timeout {
+                Some(_) => {
+                    assert_eq!(left, [1], "the silent client goes, the other stays");
+                    assert_eq!(evicted, 1);
+                }
+                None => {
+                    assert_eq!(left.len(), 2, "no timeout, no eviction");
+                    assert_eq!(evicted, 0);
+                    // ... and no clock reading for a stamp nothing reads.
+                    assert_eq!(dispatcher.core.clients[&1].last_activity, long_ago);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflow_raised_between_events_is_evicted_by_the_next_one() {
+        let mut dispatcher = bare_dispatcher();
 
         // One admitted client on a connection nothing drains: the setup
         // reply is its first waiting message.

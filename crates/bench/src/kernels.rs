@@ -1,22 +1,27 @@
 //! Sample-pipeline micro-kernels, cycle-accounted: one row per (kernel,
 //! implementation, block size).
 //!
-//! * **convert_decode / convert_encode / mix / resample** — the
+//! * **convert_decode / convert_encode / mix / resample / play_mix** — the
 //!   `af_dsp::kernels` vtable entry points, once per table the host can
-//!   execute (`scalar`, `simd-sse2`, `simd-avx2`, `simd-neon`), driven
-//!   through the function pointers directly so the rows do not depend on
-//!   which table `active()` picked; `resample` once more on its frozen
-//!   reference loop (`reference`).
+//!   execute (`scalar`, `simd-sse2`, `simd-avx2`, `simd-avx512`,
+//!   `simd-neon`), driven through the function pointers directly so the
+//!   rows do not depend on which table `active()` picked; `resample` once
+//!   more on its frozen reference loop (`reference`).  `play_mix` is a
+//!   LIN16 client at −6 dB on a µ-law device, in the 8 KB requests a play
+//!   arrives in, into ring bytes uniform over all 256 values and restored
+//!   before each pass (inside the timed region, for every table alike): a
+//!   ring left to saturate would keep the 64 K mix table to two hot rows.
 //! * **gain** — `af_server::gain::apply_gain_bytes` on LIN16 at −6 dB
 //!   (`kernel`): one Q16 multiplier per buffer swept over a sample slice.
 //!
 //! Property tests in `af-dsp` pin every implementation bit-exact against
 //! [`af_dsp::reference`], so differences between rows are pure
 //! implementation, not changed semantics.  [`dispatch_regressions`] turns
-//! the rows into the two same-run gates `report` and the release-only test
-//! below enforce.
+//! the rows into the three same-run gates `report` and the release-only
+//! test below enforce.
 
 use af_dsp::resample::ResampleState;
+use af_dsp::tables::PlayMap;
 use af_dsp::{reference, Encoding};
 
 /// Block sizes for the kernel rows: the 4 KB and 64 KB request sizes of
@@ -30,6 +35,9 @@ fn iters_for(bytes: usize, smoke: bool) -> u32 {
     ((budget / bytes).max(8)) as u32
 }
 
+/// The LIN16 bytes of one `PlaySamples` request as the clients chunk them.
+const PLAY_REQUEST_BYTES: usize = 8192;
+
 /// A deterministic LIN16 test block: full-scale-ish audio, no flat spots.
 fn lin16_block(bytes: usize) -> Vec<u8> {
     (0..bytes / 2)
@@ -40,14 +48,15 @@ fn lin16_block(bytes: usize) -> Vec<u8> {
 /// One kernel measured on one implementation at one block size.
 #[derive(Clone, Debug)]
 pub struct KernelV2Measurement {
-    /// Kernel: `convert_decode`, `convert_encode`, `mix`, `resample`, `gain`.
+    /// Kernel: `convert_decode`, `convert_encode`, `mix`, `play_mix`,
+    /// `resample`, `gain`.
     pub kernel: &'static str,
-    /// Vtable name (`scalar`, `simd-sse2`, …) for the four vtable entry
+    /// Vtable name (`scalar`, `simd-sse2`, …) for the five vtable entry
     /// points; `reference` for the resampler's frozen loop; `kernel` for
     /// `gain`, which has one implementation.
     pub path: &'static str,
     /// Block size in bytes (companded bytes for converts, LIN16 bytes for
-    /// mix, gain and resample input).
+    /// mix, play_mix, gain and resample input).
     pub bytes: usize,
     /// Throughput over the block, MB/s.
     pub mb_s: f64,
@@ -77,6 +86,7 @@ fn throughput_cycles<F: FnMut()>(bytes: usize, iters: u32, mut f: F) -> (f64, f6
 pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
     let mut results = Vec::new();
     let tables = af_dsp::kernels::available();
+    let play_map = PlayMap::new(Encoding::Lin16, Encoding::Mu255, -6).expect("a LIN16 play map");
     for bytes in KERNEL_SIZES {
         let iters = iters_for(bytes, smoke);
         let mut push = |kernel, path, (mb_s, cycles_per_byte)| {
@@ -111,6 +121,19 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
                 std::hint::black_box(&ring);
             });
             push("mix", k.name, m);
+
+            // The high byte of each sample of the block is uniform noise.
+            let fresh: Vec<u8> = src.iter().skip(1).step_by(2).copied().collect();
+            let mut ring = fresh.clone();
+            let m = throughput_cycles(bytes, iters, || {
+                ring.copy_from_slice(&fresh);
+                let requests = src.chunks(PLAY_REQUEST_BYTES);
+                for (dst, src) in ring.chunks_mut(PLAY_REQUEST_BYTES / 2).zip(requests) {
+                    (k.play_mix)(&play_map, dst, src);
+                }
+                std::hint::black_box(&ring);
+            });
+            push("play_mix", k.name, m);
         }
 
         let input: Vec<i16> = lin16_block(bytes)
@@ -159,21 +182,35 @@ pub const DISPATCH_GATE_TOLERANCE: f64 = 1.25;
 /// per output, ~0.85.
 pub const RESAMPLE_GATE_RATIO: f64 = 0.5;
 
+/// The play map's own gate, where the host lists `simd-avx512`: its
+/// register interior must cost at most this fraction of the table loop's
+/// cycles/byte at every size, or it has not earned its code.  It measures
+/// ~0.5.
+pub const PLAY_MIX_GATE_RATIO: f64 = 0.75;
+
 /// The dispatch invariant: the table that ships (`af_dsp::kernels::active`)
 /// must never be slower than the scalar baseline on any entry point at any
 /// size — vacuous by construction where the shipping table *is* scalar —
-/// and the scalar table's resampler must hold [`RESAMPLE_GATE_RATIO`]
-/// against its reference.  Returns one message per
+/// the scalar table's resampler must hold [`RESAMPLE_GATE_RATIO`] against
+/// its reference, and `simd-avx512`'s `play_mix`, where the rows have one,
+/// [`PLAY_MIX_GATE_RATIO`] against scalar's.  Returns one message per
 /// violated (kernel, size) pair, each starting `kernel/bytes:`, empty when
-/// both hold.
+/// all hold.
 pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
-    let gates = [
-        ("scalar", af_dsp::kernels::active().name, tolerance),
-        ("reference", "scalar", RESAMPLE_GATE_RATIO),
+    // (kernel or every kernel, base path, subject path, limit)
+    let mut gates = vec![
+        (None, "scalar", af_dsp::kernels::active().name, tolerance),
+        (None, "reference", "scalar", RESAMPLE_GATE_RATIO),
     ];
-    for (base_path, subject_path, limit) in gates {
-        for base in rows.iter().filter(|r| r.path == base_path) {
+    if rows.iter().any(|r| r.path == "simd-avx512") {
+        gates.push((Some("play_mix"), "scalar", "simd-avx512", PLAY_MIX_GATE_RATIO));
+    }
+    for (kernel, base_path, subject_path, limit) in gates {
+        let bases = rows
+            .iter()
+            .filter(|r| r.path == base_path && kernel.is_none_or(|k| k == r.kernel));
+        for base in bases {
             let Some(subject) = rows.iter().find(|r| {
                 r.path == subject_path && r.kernel == base.kernel && r.bytes == base.bytes
             }) else {
@@ -207,9 +244,9 @@ mod tests {
     fn kernels_v2_cover_every_path_with_positive_metrics() {
         let rows = run_kernels_v2(true);
         let tables = af_dsp::kernels::available().len();
-        // (4 vtable entry points x available tables + resample reference
+        // (5 vtable entry points x available tables + resample reference
         // + gain) x 2 sizes.
-        assert_eq!(rows.len(), (4 * tables + 2) * 2);
+        assert_eq!(rows.len(), (5 * tables + 2) * 2);
         for m in &rows {
             assert!(m.mb_s > 0.0, "{}/{}/{}", m.kernel, m.path, m.bytes);
             assert!(
@@ -268,6 +305,40 @@ mod tests {
         // Missing shipping row: the gate reports rather than silently passing.
         let missing = vec![row("scalar", 0.1)];
         assert_eq!(dispatch_regressions(&missing, DISPATCH_GATE_TOLERANCE).len(), 1);
+    }
+
+    #[test]
+    fn play_mix_gate_wants_three_quarters_of_the_table_loop() {
+        let row = |kernel, path, cpb: f64| KernelV2Measurement {
+            kernel,
+            path,
+            bytes: 4096,
+            mb_s: 1.0,
+            cycles_per_byte: cpb,
+        };
+        // The shipping table's rows ride along at parity (the same rows
+        // where it is `simd-avx512` itself), so only this rule can fire.
+        let shipping = af_dsp::kernels::active().name;
+        let gate = |avx512: f64| {
+            let mut rows = vec![
+                row("play_mix", "scalar", 1.0),
+                row("play_mix", "simd-avx512", avx512),
+                row("mix", "scalar", 1.0),
+                row("mix", "simd-avx512", 1.0),
+            ];
+            if shipping != "simd-avx512" {
+                rows.extend([row("play_mix", shipping, 1.0), row("mix", shipping, 1.0)]);
+            }
+            dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE).len()
+        };
+        // Faster than the table loop, but not by enough: must trigger.
+        assert_eq!(gate(0.9), 1);
+        assert_eq!(gate(0.6), 0);
+        // No `simd-avx512` rows (another host): the rule does not apply.
+        if shipping != "simd-avx512" {
+            let rows = [row("play_mix", "scalar", 1.0), row("play_mix", shipping, 1.0)];
+            assert!(dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE).is_empty());
+        }
     }
 
     #[test]
