@@ -9,7 +9,8 @@
 use af_client::{AcAttributes, AcMask, AudioConn};
 use af_device::{CaptureSink, SilenceSource, VirtualClock};
 use af_server::broadcast::BroadcastConfig;
-use af_server::{RunningServer, ServerBuilder, ServerHandle, ServerStats};
+use af_server::stats::{Bus, Server, Snapshot};
+use af_server::{RunningServer, ServerBuilder, ServerHandle};
 use af_time::ATime;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -95,14 +96,15 @@ impl Harness {
         self.head = self.head.wrapping_add(bytes as u32);
     }
 
-    fn snapshot(&self) -> af_server::BroadcastSnapshot {
-        self.server.stats().broadcast_snapshots().remove(0)
+    fn snapshot(&self) -> Snapshot<Bus, 15> {
+        let bus = self.server.stats().broadcast.clone();
+        bus.expect("a broadcasting server").snapshot()
     }
 
     /// Waits until `n` listeners are past their request line and streaming.
     fn wait_listeners(&self, n: u64) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while self.snapshot().listeners < n {
+        while self.snapshot()[Bus::Listeners] < n {
             assert!(Instant::now() < deadline, "listeners never reached {n}");
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -241,8 +243,9 @@ fn every_listener_matches_the_speaker_bus_capture_bit_for_bit() {
             // (what the normals received client-side lags what was fanned
             // to them, so this over-estimates the lagger's progress).
             let to_normals: usize = normal.iter().map(|l| l.len.saturating_sub(hdr)).sum();
-            let lagger_chunks = (snap.bytes_fanned_out as usize).saturating_sub(to_normals) / wire;
-            if (snap.chunks_sealed as usize).saturating_sub(lagger_chunks) > 256 + 96 {
+            let lagger_chunks =
+                (snap[Bus::BytesFannedOut] as usize).saturating_sub(to_normals) / wire;
+            if (snap[Bus::ChunksSealed] as usize).saturating_sub(lagger_chunks) > 256 + 96 {
                 lapped = true;
                 break;
             }
@@ -263,14 +266,14 @@ fn every_listener_matches_the_speaker_bus_capture_bit_for_bit() {
     }
 
     let snap = h.snapshot();
-    let sealed = snap.chunks_sealed as usize;
+    let sealed = snap[Bus::ChunksSealed] as usize;
     assert!(sealed > 256 + 96, "only {sealed} chunks sealed");
     // Encode-once: payload bytes were framed exactly once, not per listener.
-    assert_eq!(snap.encoded_bytes, (sealed * CHUNK) as u64);
-    assert!(snap.bytes_fanned_out > snap.encoded_bytes * 3);
-    assert!(snap.skip_aheads >= 1, "lagger never skipped ahead");
-    assert_eq!(snap.evictions, 0);
-    assert_eq!(snap.listeners_total, 4);
+    assert_eq!(snap[Bus::EncodedBytes], (sealed * CHUNK) as u64);
+    assert!(snap[Bus::BytesFannedOut] > snap[Bus::EncodedBytes] * 3);
+    assert!(snap[Bus::SkipAheads] >= 1, "lagger never skipped ahead");
+    assert_eq!(snap[Bus::Evictions], 0);
+    assert_eq!(snap[Bus::ListenersTotal], 4);
 
     // Let everyone finish.  Nothing publishes past this point, so `sealed`
     // is final.
@@ -341,7 +344,7 @@ fn every_listener_matches_the_speaker_bus_capture_bit_for_bit() {
     assert!(verified >= 100);
 
     // The control plane never noticed any of this.
-    assert_eq!(ServerStats::get(&h.server.stats().protocol_errors), 0);
+    assert_eq!(h.server.stats().server.get(Server::ProtocolErrors), 0);
     h.conn.get_time(0).unwrap();
 }
 
@@ -365,19 +368,19 @@ fn stalled_listener_is_evicted() {
     for _ in 0..1200 {
         h.publish_round(16_384);
         live.drain();
-        if h.snapshot().evictions >= 1 {
+        if h.snapshot()[Bus::Evictions] >= 1 {
             evicted = true;
             break;
         }
     }
     assert!(evicted, "stalled listener survived the whole flood");
     let snap = h.snapshot();
-    assert_eq!(snap.evictions, 1);
-    assert_eq!(snap.listeners, 1, "the live listener must survive");
-    assert_eq!(ServerStats::get(&h.server.stats().protocol_errors), 0);
+    assert_eq!(snap[Bus::Evictions], 1);
+    assert_eq!(snap[Bus::Listeners], 1, "the live listener must survive");
+    assert_eq!(h.server.stats().server.get(Server::ProtocolErrors), 0);
 
     // The live listener kept receiving the full stream.
-    let sealed = snap.chunks_sealed as usize;
+    let sealed = snap[Bus::ChunksSealed] as usize;
     let wire = format!("{:x}", 16_384).len() + 2 + 16_384 + 2;
     drain_to(
         &mut live,
@@ -445,21 +448,21 @@ fn chaos_soak_64_listeners_with_a_quarter_slow_or_stalled() {
             // The stalled listeners must be evicted AND the slow ones must
             // have fallen off the ring and skipped ahead before stopping.
             let snap = h.snapshot();
-            if snap.evictions >= 8 && snap.skip_aheads >= 1 {
+            if snap[Bus::Evictions] >= 8 && snap[Bus::SkipAheads] >= 1 {
                 break;
             }
         }
     }
 
     let snap = h.snapshot();
-    assert!(snap.evictions >= 1, "no eviction after {rounds} rounds");
-    assert!(snap.evictions <= 8, "a slow or healthy listener was evicted");
-    assert!(snap.skip_aheads >= 1, "slow listeners never skipped ahead");
-    assert_eq!(snap.listeners, 64 - snap.evictions);
-    assert_eq!(ServerStats::get(&h.server.stats().protocol_errors), 0);
+    assert!(snap[Bus::Evictions] >= 1, "no eviction after {rounds} rounds");
+    assert!(snap[Bus::Evictions] <= 8, "a slow or healthy listener was evicted");
+    assert!(snap[Bus::SkipAheads] >= 1, "slow listeners never skipped ahead");
+    assert_eq!(snap[Bus::Listeners], 64 - snap[Bus::Evictions]);
+    assert_eq!(h.server.stats().server.get(Server::ProtocolErrors), 0);
 
     // Every healthy listener saw the identical full stream.
-    let sealed = snap.chunks_sealed as usize;
+    let sealed = snap[Bus::ChunksSealed] as usize;
     let wire = format!("{CHUNK:x}").len() + 2 + CHUNK + 2;
     let expected = header_end_len() + sealed * wire;
     let deadline = Instant::now() + Duration::from_secs(15);

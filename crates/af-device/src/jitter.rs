@@ -25,10 +25,10 @@
 //! transit observations in — so it stays deterministic under test and
 //! clean under the `wallclock` lint.
 
+use crate::stats::{Link, LinkCounters};
 use af_proto::link::{JITTER_FADE_TICKS, JITTER_MAX_DEPTH, JITTER_MIN_DEPTH};
 use af_time::ATime;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ring capacity in samples; must exceed [`JITTER_MAX_DEPTH`] so the
 /// deepest playout delay still fits with room for early arrivals.
@@ -43,90 +43,6 @@ const TAIL_SAMPLES: usize = 160;
 
 /// Inter-arrival delay window size for the percentile estimate.
 const DELAY_WINDOW: usize = 64;
-
-// --- Per-link statistics -------------------------------------------------
-
-/// Health counters for one LineServer link, shared between the backend
-/// (which writes them) and [`ServerStats`](https://docs.rs) consumers.
-/// All fields are monotonic counters except the two `*_depth` gauges.
-#[derive(Debug, Default)]
-pub struct LinkStats {
-    /// Samples concealed (repeated/faded or silenced) at playout time.
-    pub conceals: AtomicU64,
-    /// Inserts that arrived out of order and were slotted into place.
-    pub reorders: AtomicU64,
-    /// Samples that arrived after their playout time had already passed.
-    pub late_drops: AtomicU64,
-    /// Data packets reconstructed from FEC parity.
-    pub fec_recovered: AtomicU64,
-    /// Data packets lost beyond FEC recovery.
-    pub fec_unrecoverable: AtomicU64,
-    /// Datagrams dropped by CRC / frame validation.
-    pub crc_drops: AtomicU64,
-    /// Control-path retransmissions performed by the link.
-    pub retransmits: AtomicU64,
-    /// Times the link was declared down after retry exhaustion.
-    pub link_downs: AtomicU64,
-    /// Current playout depth in ticks (gauge).
-    pub depth: AtomicU64,
-    /// Adaptive target depth in ticks (gauge).
-    pub target_depth: AtomicU64,
-}
-
-/// Point-in-time copy of [`LinkStats`] with plain integers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStatsSnapshot {
-    /// See [`LinkStats::conceals`].
-    pub conceals: u64,
-    /// See [`LinkStats::reorders`].
-    pub reorders: u64,
-    /// See [`LinkStats::late_drops`].
-    pub late_drops: u64,
-    /// See [`LinkStats::fec_recovered`].
-    pub fec_recovered: u64,
-    /// See [`LinkStats::fec_unrecoverable`].
-    pub fec_unrecoverable: u64,
-    /// See [`LinkStats::crc_drops`].
-    pub crc_drops: u64,
-    /// See [`LinkStats::retransmits`].
-    pub retransmits: u64,
-    /// See [`LinkStats::link_downs`].
-    pub link_downs: u64,
-    /// See [`LinkStats::depth`].
-    pub depth: u64,
-    /// See [`LinkStats::target_depth`].
-    pub target_depth: u64,
-}
-
-impl LinkStats {
-    /// Adds `n` to a counter.
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sets a gauge.
-    pub fn set(gauge: &AtomicU64, v: u64) {
-        gauge.store(v, Ordering::Relaxed);
-    }
-
-    /// Copies every field.
-    pub fn snapshot(&self) -> LinkStatsSnapshot {
-        LinkStatsSnapshot {
-            conceals: self.conceals.load(Ordering::Relaxed),
-            reorders: self.reorders.load(Ordering::Relaxed),
-            late_drops: self.late_drops.load(Ordering::Relaxed),
-            fec_recovered: self.fec_recovered.load(Ordering::Relaxed),
-            fec_unrecoverable: self.fec_unrecoverable.load(Ordering::Relaxed),
-            crc_drops: self.crc_drops.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            link_downs: self.link_downs.load(Ordering::Relaxed),
-            depth: self.depth.load(Ordering::Relaxed),
-            target_depth: self.target_depth.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// --- Jitter buffer -------------------------------------------------------
 
 /// The adaptive playout buffer described in the module docs.
 pub struct JitterBuffer {
@@ -227,13 +143,13 @@ impl JitterBuffer {
 
     /// Inserts recorded samples starting at device time `time`,
     /// reporting reorders and late arrivals into `stats`.
-    pub fn insert(&mut self, time: ATime, data: &[u8], stats: &LinkStats) {
+    pub fn insert(&mut self, time: ATime, data: &[u8], stats: &LinkCounters) {
         if data.is_empty() {
             return;
         }
         if let Some(frontier) = self.insert_frontier {
             if time.is_before(frontier) {
-                LinkStats::add(&stats.reorders, 1);
+                stats.add(Link::Reorders, 1);
             }
         }
         let end = time.offset(data.len().min(RING) as i32);
@@ -256,14 +172,14 @@ impl JitterBuffer {
         }
         self.any_inserted = true;
         if late > 0 {
-            LinkStats::add(&stats.late_drops, late);
+            stats.add(Link::LateDrops, late);
         }
     }
 
     /// Serves `out.len()` playout samples for device time `time`,
     /// reading recorded time `time − depth` onward and concealing
     /// whatever is missing.  Updates the depth gauges in `stats`.
-    pub fn read(&mut self, time: ATime, out: &mut [u8], stats: &LinkStats) {
+    pub fn read(&mut self, time: ATime, out: &mut [u8], stats: &LinkCounters) {
         // Slew the playout depth toward its adaptive target.
         let target = self.target_depth();
         let step = target
@@ -274,8 +190,8 @@ impl JitterBuffer {
         } else {
             self.depth -= step;
         }
-        LinkStats::set(&stats.depth, u64::from(self.depth));
-        LinkStats::set(&stats.target_depth, u64::from(target));
+        stats.set(Link::Depth, u64::from(self.depth));
+        stats.set(Link::TargetDepth, u64::from(target));
 
         let depth = self.depth as i32;
         let mut concealed = 0u64;
@@ -298,7 +214,7 @@ impl JitterBuffer {
             }
         }
         if concealed > 0 {
-            LinkStats::add(&stats.conceals, concealed);
+            stats.add(Link::Conceals, concealed);
         }
         let end = time.offset(out.len() as i32).offset(-depth);
         self.served_until = Some(match self.served_until {
@@ -333,14 +249,10 @@ impl JitterBuffer {
 mod tests {
     use super::*;
 
-    fn stats() -> LinkStats {
-        LinkStats::default()
-    }
-
     #[test]
     fn in_order_stream_plays_back_exactly() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         let t0 = ATime::new(10_000);
         // Fill well past one depth's worth.
         let data: Vec<u8> = (0..2048u32).map(|i| (i % 251) as u8).collect();
@@ -350,13 +262,13 @@ mod tests {
         let mut out = vec![0u8; 1024];
         jb.read(t0.offset(depth as i32), &mut out, &st);
         assert_eq!(&out[..], &data[..1024]);
-        assert_eq!(st.snapshot().conceals, 0);
+        assert_eq!(st.get(Link::Conceals), 0);
     }
 
     #[test]
     fn gap_is_concealed_then_silence() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         let t0 = ATime::new(500);
         // 200 good loud samples, then nothing.
         let loud = vec![af_dsp::g711::linear_to_ulaw(8000); 200];
@@ -370,17 +282,17 @@ mod tests {
         // Concealment starts loud-ish (repeat with fade), ends silent.
         assert_ne!(out[200], af_dsp::g711::ULAW_SILENCE);
         assert_eq!(out[span - 1], af_dsp::g711::ULAW_SILENCE);
-        assert_eq!(st.snapshot().conceals, (span - 200) as u64);
+        assert_eq!(st.get(Link::Conceals), (span - 200) as u64);
     }
 
     #[test]
     fn out_of_order_insert_is_reordered_not_lost() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         let t0 = ATime::new(40_000);
         jb.insert(t0.offset(100), &[2u8; 100], &st); // Second chunk first.
         jb.insert(t0, &[1u8; 100], &st); // First chunk late.
-        assert_eq!(st.snapshot().reorders, 1);
+        assert_eq!(st.get(Link::Reorders), 1);
         let depth = jb.depth();
         let mut out = vec![0u8; 200];
         jb.read(t0.offset(depth as i32), &mut out, &st);
@@ -391,19 +303,19 @@ mod tests {
     #[test]
     fn arrival_after_playout_counts_late_drop() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         let t0 = ATime::new(9_000);
         let depth = jb.depth();
         let mut out = vec![0u8; 64];
         jb.read(t0.offset(depth as i32), &mut out, &st); // Serves t0..t0+64.
         jb.insert(t0, &[5u8; 32], &st); // Entirely in the served past.
-        assert_eq!(st.snapshot().late_drops, 32);
+        assert_eq!(st.get(Link::LateDrops), 32);
     }
 
     #[test]
     fn depth_adapts_to_jitter_and_slews_gradually() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         assert_eq!(jb.target_depth(), JITTER_MIN_DEPTH);
         // Alternating transit times 2 000 ticks apart: heavy jitter.
         for i in 0..DELAY_WINDOW as i64 {
@@ -431,7 +343,7 @@ mod tests {
     #[test]
     fn ring_wrap_does_not_alias_old_laps() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         let t0 = ATime::new(1_000);
         jb.insert(t0, &[9u8; 64], &st);
         // Same ring slots, one lap later, never inserted.
@@ -439,13 +351,13 @@ mod tests {
         let depth = jb.depth();
         let mut out = vec![0u8; 64];
         jb.read(lap.offset(depth as i32), &mut out, &st);
-        assert_eq!(st.snapshot().conceals, 64, "stale lap must not replay");
+        assert_eq!(st.get(Link::Conceals), 64, "stale lap must not replay");
     }
 
     #[test]
     fn wrapping_device_time_is_handled() {
         let mut jb = JitterBuffer::new();
-        let st = stats();
+        let st = LinkCounters::default();
         // Insert across the 2^32 tick wrap.
         let t0 = ATime::new(u32::MAX - 50);
         jb.insert(t0, &[3u8; 200], &st);

@@ -29,6 +29,8 @@
 //!   path: GF(256) parity groups (shard 0 is plain XOR) with CRC framing.
 //! * [`jitter`] — the adaptive jitter buffer the Als backend plays
 //!   recorded audio through when the link crosses a lossy WAN.
+//! * [`stats`] — the typed counter families every stats reader walks: the
+//!   server's, each reactor shard's, the broadcast bus's and each link's.
 
 #![forbid(unsafe_code)]
 pub mod clock;
@@ -40,11 +42,12 @@ pub mod jitter;
 pub mod lineserver;
 pub mod phone;
 pub mod ring;
+pub mod stats;
 
 pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
 pub use fec::{FecConfig, FecDecoder, FecEncoder, FecFrame};
 pub use file_io::{FileSink, FileSource};
-pub use jitter::{JitterBuffer, LinkStats};
+pub use jitter::JitterBuffer;
 pub use hardware::VirtualAudioHw;
 pub use io::{CaptureSink, NullSink, SampleSink, SampleSource, SilenceSource, ToneSource, Wire};
 pub use phone::{PhoneLine, PhoneSignal};

@@ -14,9 +14,10 @@
 //! `Als`-style device backend.
 
 use crate::clock::SharedClock;
-use crate::fec::{FecConfig, FecDecoder, FecDecoderStats, FecEncoder, FecFrame};
+use crate::fec::{FecConfig, FecDecoder, FecEncoder, FecFrame};
 use crate::hardware::{HwConfig, VirtualAudioHw};
 use crate::io::{SampleSink, SampleSource};
+use crate::stats::{Link, LinkCounters};
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -445,11 +446,9 @@ pub struct LineServerLink {
     /// stale (post-timeout) and FEC-recovered `Record` replies.  The
     /// backend drains these into its jitter buffer instead of losing them.
     pending_audio: VecDeque<LsPacket>,
-    /// Retransmissions performed across all transactions.
-    retransmits: u64,
-    /// Inbound datagrams that decoded as neither FEC frame nor packet
-    /// (truncated or corrupted; CRC rejections land here too).
-    undecodable: u64,
+    /// The link's health counters: retransmissions, undecodable datagrams
+    /// and FEC outcomes are counted here, the rest by the `Als` backend.
+    counters: Arc<LinkCounters>,
 }
 
 impl LineServerLink {
@@ -481,8 +480,7 @@ impl LineServerLink {
             fec_tx: None,
             fec_rx: FecDecoder::new(),
             pending_audio: VecDeque::new(),
-            retransmits: 0,
-            undecodable: 0,
+            counters: Arc::default(),
         }
     }
 
@@ -568,7 +566,7 @@ impl LineServerLink {
                         });
                     }
                     attempts += 1;
-                    self.retransmits += 1;
+                    self.counters.add(Link::Retransmits, 1);
                     self.socket.send(&encoded)?;
                 }
                 Err(e) => return Err(LinkError::Io(e)),
@@ -619,19 +617,9 @@ impl LineServerLink {
         self.pending_audio.drain(..).collect()
     }
 
-    /// FEC receive-side counters for this link.
-    pub fn fec_stats(&self) -> FecDecoderStats {
-        self.fec_rx.stats()
-    }
-
-    /// Total retransmissions performed by [`Self::transact`] so far.
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Inbound datagrams rejected as undecodable (framing or CRC).
-    pub fn undecodable_count(&self) -> u64 {
-        self.undecodable
+    /// The link's health counters.
+    pub fn counters(&self) -> &Arc<LinkCounters> {
+        &self.counters
     }
 
     /// Classifies one inbound datagram.  Returns the packet matching
@@ -642,8 +630,15 @@ impl LineServerLink {
         // practically impossible, and one frame can release several inner
         // packets (the lost one plus the parity that repaired it).
         if let Some(frame) = FecFrame::decode(bytes) {
+            let seen = self.fec_rx.stats();
+            let payloads = self.fec_rx.push(frame);
+            let fec = self.fec_rx.stats();
+            let recovered = fec.recovered - seen.recovered;
+            self.counters.add(Link::FecRecovered, recovered);
+            let lost = fec.unrecoverable - seen.unrecoverable;
+            self.counters.add(Link::FecUnrecoverable, lost);
             let mut hit = None;
-            for payload in self.fec_rx.push(frame) {
+            for payload in payloads {
                 if let Some(pkt) = LsPacket::decode(&payload) {
                     if hit.is_none() && want_seq == Some(pkt.seq) {
                         hit = Some(pkt);
@@ -655,7 +650,8 @@ impl LineServerLink {
             return hit;
         }
         let Some(pkt) = LsPacket::decode(bytes) else {
-            self.undecodable += 1;
+            // Truncated or corrupted (CRC rejections land here too).
+            self.counters.add(Link::CrcDrops, 1);
             return None;
         };
         if want_seq == Some(pkt.seq) {

@@ -14,7 +14,7 @@
 //!   AVX2 when detected and AVX-512 when F, BW and VBMI all are, each
 //!   table the one below it with entries replaced (the resampler has an
 //!   interior of its own from AVX2 up, the play map's mix in the AVX-512
-//!   table alone); NEON on aarch64 ([`neon`]).
+//!   table alone); NEON on aarch64 (`neon`).
 //!
 //! Every table is pinned bit-exact against `crate::reference` by the
 //! differential property tests, so selection is purely a throughput choice

@@ -25,7 +25,7 @@
 //!   unfinished sample-rate conversion; what `apass -resample` runs),
 //! * [`silence`] — per-encoding silence fill,
 //! * [`sample`] — byte↔sample slice views for the batched kernels,
-//! * [`reference`] — the frozen scalar seed kernels (test/bench baseline).
+//! * [`reference`](mod@reference) — the frozen scalar seed kernels (test/bench baseline).
 
 #![deny(unsafe_code)]
 pub mod adpcm;

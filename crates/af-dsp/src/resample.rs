@@ -8,7 +8,7 @@
 //!
 //! [`resample_block`] calls the active kernel table's entry
 //! (`kernels::Kernels::resample_block`).  Every table's entry is one
-//! driver, [`drive`] — guard, head, the serial `pos += step` chain, last
+//! driver, `drive` — guard, head, the serial `pos += step` chain, last
 //! partial block, tail, rebase — around a 32-output interior: the portable
 //! loop of this file for the scalar and SSE2 tables (and so under Miri, on
 //! aarch64 and on pre-AVX2 x86), `core::arch` code in `kernels::x86` for

@@ -171,7 +171,7 @@ pub fn mix_a() -> &'static MixTable {
 /// step* — not `GainTable::new_ulaw(0)`, which folds the µ-law negative zero
 /// `0x7F` into `0xFF`.
 ///
-/// On a µ-law device the map also carries its [`LinearPlanes`]: the same
+/// On a µ-law device the map also carries its `LinearPlanes`: the same
 /// composition in the 256 bytes a kernel table with a wide byte permute
 /// ([`crate::kernels::Kernels::play_mix`]) mixes from without touching the
 /// tables at all.

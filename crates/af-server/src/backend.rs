@@ -6,12 +6,12 @@
 //! time, a way to make the hardware consistent, and time-indexed play/record
 //! access.
 
-use af_device::fec::{FecConfig, FecDecoderStats};
-use af_device::jitter::{JitterBuffer, LinkStats};
+use af_device::fec::FecConfig;
+use af_device::jitter::JitterBuffer;
 use af_device::lineserver::{LineServerLink, LinkError, LsFunction, LsPacket};
+use af_device::stats::Link;
 use af_device::VirtualAudioHw;
 use af_time::ATime;
-use std::sync::Arc;
 
 /// The device-dependent hardware interface.
 pub trait HwBackend: Send {
@@ -94,7 +94,7 @@ impl HwBackend for LocalBackend {
 ///   concealed, late and FEC-recovered ones are slotted in when they
 ///   arrive.
 /// * A [`LinkError::Down`] verdict from the reliable control path puts
-///   the backend into a free-run backoff: for [`DOWN_BACKOFF_OPS`]
+///   the backend into a free-run backoff: for `DOWN_BACKOFF_OPS`
 ///   operations no transaction is attempted, so one dead LineServer
 ///   costs a timeout once, not on every request.
 pub struct AlsBackend {
@@ -109,8 +109,6 @@ pub struct AlsBackend {
     last_anchor: std::time::Instant,
     /// Playout buffer for the record path.
     jb: JitterBuffer,
-    /// Shared health counters, registered with `ServerStats`.
-    stats: Arc<LinkStats>,
     /// End (exclusive) of the recorded range already requested.
     fetched_until: Option<ATime>,
     /// Consecutive failed record prefetches (loss is expected on a WAN;
@@ -118,8 +116,6 @@ pub struct AlsBackend {
     misses: u32,
     /// Remaining operations to skip while backing off a down link.
     down_backoff: u32,
-    /// FEC decoder counters at the last stats sync, for diffing.
-    fec_seen: FecDecoderStats,
 }
 
 /// Retransmissions per reliable (control-path) LineServer exchange.
@@ -165,17 +161,10 @@ impl AlsBackend {
             last_time: ATime::ZERO,
             last_anchor: std::time::Instant::now(),
             jb: JitterBuffer::new(),
-            stats: Arc::new(LinkStats::default()),
             fetched_until: None,
             misses: 0,
             down_backoff: 0,
-            fec_seen: FecDecoderStats::default(),
         }
-    }
-
-    /// The link's shared health counters (register with `ServerStats`).
-    pub fn stats_handle(&self) -> Arc<LinkStats> {
-        Arc::clone(&self.stats)
     }
 
     fn refresh_time(&mut self) -> ATime {
@@ -230,7 +219,7 @@ impl AlsBackend {
     /// Marks the link down: free-run immediately and skip transactions
     /// for a while instead of blocking every request on timeouts.
     fn declare_down(&mut self) {
-        LinkStats::add(&self.stats.link_downs, 1);
+        self.link.counters().add(Link::LinkDowns, 1);
         self.down_backoff = DOWN_BACKOFF_OPS;
         self.misses = 0;
         self.free_run();
@@ -252,25 +241,12 @@ impl AlsBackend {
     }
 
     /// Drains out-of-band audio (late and FEC-recovered record replies)
-    /// into the jitter buffer and syncs the link counters into
-    /// [`LinkStats`].
+    /// into the jitter buffer.
     fn drain_audio(&mut self, now_est: ATime) {
         for pkt in self.link.take_audio() {
             self.jb.observe_transit(i64::from(now_est.delta(pkt.time)));
-            self.jb.insert(pkt.time, &pkt.data, &self.stats);
+            self.jb.insert(pkt.time, &pkt.data, self.link.counters());
         }
-        let fec = self.link.fec_stats();
-        LinkStats::add(
-            &self.stats.fec_recovered,
-            fec.recovered.saturating_sub(self.fec_seen.recovered),
-        );
-        LinkStats::add(
-            &self.stats.fec_unrecoverable,
-            fec.unrecoverable.saturating_sub(self.fec_seen.unrecoverable),
-        );
-        self.fec_seen = fec;
-        LinkStats::set(&self.stats.crc_drops, self.link.undecodable_count());
-        LinkStats::set(&self.stats.retransmits, self.link.retransmit_count());
     }
 
     /// Requests recorded chunks covering up to `now_est − guard`, one
@@ -308,7 +284,7 @@ impl AlsBackend {
                     self.misses = 0;
                     self.jb
                         .observe_transit(i64::from(now_est.delta(reply.time)));
-                    self.jb.insert(reply.time, &reply.data, &self.stats);
+                    self.jb.insert(reply.time, &reply.data, self.link.counters());
                 }
                 Err(LinkError::Down { .. }) => {
                     // One miss is ordinary WAN loss (the chunk is already
@@ -373,7 +349,7 @@ impl HwBackend for AlsBackend {
         }
         // Serve from the playout buffer: recorded time `time − depth`,
         // concealing what never arrived.
-        self.jb.read(time, out, &self.stats);
+        self.jb.read(time, out, self.link.counters());
     }
 
     fn lead_frames(&self) -> u32 {

@@ -18,9 +18,10 @@
 //! runs inside the existing update task and listeners are read-only
 //! observers of bytes the hardware was already given.
 
+use crate::stats::{lag_bucket, Bus, BusCounters};
 use af_dsp::kernels::cycles;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Frames per broadcast chunk (100 ms at the 8 kHz CODEC rate).
@@ -108,121 +109,6 @@ impl BroadcastChunk {
     }
 }
 
-/// Number of buckets in the listener lag histogram.
-pub const LAG_BUCKETS: usize = 6;
-
-/// Buckets a lag (in chunks behind the live edge) for the histogram:
-/// `0, 1, 2–3, 4–7, 8–15, 16+`.
-pub fn lag_bucket(lag: u64) -> usize {
-    match lag {
-        0 => 0,
-        1 => 1,
-        2..=3 => 2,
-        4..=7 => 3,
-        8..=15 => 4,
-        _ => 5,
-    }
-}
-
-/// Live counters for one broadcast bus, mirrored into
-/// [`ServerStats::broadcast_snapshots`](crate::ServerStats::broadcast_snapshots).
-pub struct BroadcastStats {
-    /// Human-readable bus label (`broadcast-dev0`).
-    pub label: String,
-    /// Currently connected listeners (gauge).
-    pub listeners: AtomicU64,
-    /// Listeners ever accepted.
-    pub listeners_total: AtomicU64,
-    /// Chunks sealed by the producer.
-    pub chunks_sealed: AtomicU64,
-    /// Payload bytes encoded (once each, regardless of listener count).
-    pub encoded_bytes: AtomicU64,
-    /// Cycles spent sealing chunks (gain/copy/framing — the encode-once
-    /// cost the fan-out curve proves flat).
-    pub encode_cycles: AtomicU64,
-    /// Cheapest single chunk seal observed (`u64::MAX` until one lands).
-    /// The mean above absorbs cache/scheduler interference from the
-    /// concurrently-writing listener plane; the minimum isolates the
-    /// render work itself, which must not grow with the audience.
-    pub encode_cycles_min: AtomicU64,
-    /// Wire bytes actually written to listener sockets.
-    pub bytes_fanned_out: AtomicU64,
-    /// Cursor skip-aheads to the live edge (slow listeners recovering).
-    pub skip_aheads: AtomicU64,
-    /// Listeners evicted for stalling.
-    pub evictions: AtomicU64,
-    /// Lag observed at each chunk fetch, bucketed by [`lag_bucket`].
-    pub lag_histogram: [AtomicU64; LAG_BUCKETS],
-}
-
-impl BroadcastStats {
-    /// Fresh counters under `label`.
-    pub fn new(label: impl Into<String>) -> Arc<BroadcastStats> {
-        Arc::new(BroadcastStats {
-            label: label.into(),
-            listeners: AtomicU64::new(0),
-            listeners_total: AtomicU64::new(0),
-            chunks_sealed: AtomicU64::new(0),
-            encoded_bytes: AtomicU64::new(0),
-            encode_cycles: AtomicU64::new(0),
-            encode_cycles_min: AtomicU64::new(u64::MAX),
-            bytes_fanned_out: AtomicU64::new(0),
-            skip_aheads: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            lag_histogram: std::array::from_fn(|_| AtomicU64::new(0)),
-        })
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> BroadcastSnapshot {
-        BroadcastSnapshot {
-            label: self.label.clone(),
-            listeners: self.listeners.load(Ordering::Relaxed),
-            listeners_total: self.listeners_total.load(Ordering::Relaxed),
-            chunks_sealed: self.chunks_sealed.load(Ordering::Relaxed),
-            encoded_bytes: self.encoded_bytes.load(Ordering::Relaxed),
-            encode_cycles: self.encode_cycles.load(Ordering::Relaxed),
-            encode_cycles_min: match self.encode_cycles_min.load(Ordering::Relaxed) {
-                u64::MAX => 0,
-                v => v,
-            },
-            bytes_fanned_out: self.bytes_fanned_out.load(Ordering::Relaxed),
-            skip_aheads: self.skip_aheads.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            lag_histogram: std::array::from_fn(|i| {
-                self.lag_histogram[i].load(Ordering::Relaxed)
-            }),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`BroadcastStats`].
-#[derive(Clone, Debug)]
-pub struct BroadcastSnapshot {
-    /// Bus label.
-    pub label: String,
-    /// Currently connected listeners.
-    pub listeners: u64,
-    /// Listeners ever accepted.
-    pub listeners_total: u64,
-    /// Chunks sealed.
-    pub chunks_sealed: u64,
-    /// Payload bytes encoded once.
-    pub encoded_bytes: u64,
-    /// Cycles spent sealing.
-    pub encode_cycles: u64,
-    /// Cheapest single chunk seal observed (0 until one lands).
-    pub encode_cycles_min: u64,
-    /// Wire bytes written to listeners.
-    pub bytes_fanned_out: u64,
-    /// Skip-aheads to the live edge.
-    pub skip_aheads: u64,
-    /// Stall evictions.
-    pub evictions: u64,
-    /// Lag histogram (chunks behind live: 0, 1, 2–3, 4–7, 8–15, 16+).
-    pub lag_histogram: [u64; LAG_BUCKETS],
-}
-
 struct Ring {
     chunks: VecDeque<Arc<BroadcastChunk>>,
     next_seq: u64,
@@ -251,17 +137,13 @@ pub struct BroadcastBus {
     frame_bytes: usize,
     ring: Mutex<Ring>,
     shards: Mutex<Vec<(Arc<AtomicBool>, ShardWake)>>,
-    stats: Arc<BroadcastStats>,
+    stats: Arc<BusCounters>,
 }
 
 impl BroadcastBus {
     /// A bus sealing chunks of `cfg.chunk_frames * frame_bytes` payload
-    /// bytes, reporting into `stats`.
-    pub fn new(
-        cfg: BroadcastConfig,
-        frame_bytes: usize,
-        stats: Arc<BroadcastStats>,
-    ) -> Arc<BroadcastBus> {
+    /// bytes, with fresh counters.
+    pub fn new(cfg: BroadcastConfig, frame_bytes: usize) -> Arc<BroadcastBus> {
         Arc::new(BroadcastBus {
             ring: Mutex::new(Ring {
                 chunks: VecDeque::with_capacity(cfg.ring_chunks),
@@ -271,7 +153,7 @@ impl BroadcastBus {
             shards: Mutex::new(Vec::with_capacity(8)),
             cfg,
             frame_bytes,
-            stats,
+            stats: Arc::default(),
         })
     }
 
@@ -286,7 +168,7 @@ impl BroadcastBus {
     }
 
     /// The bus's counters.
-    pub fn stats(&self) -> &Arc<BroadcastStats> {
+    pub fn stats(&self) -> &Arc<BusCounters> {
         &self.stats
     }
 
@@ -382,12 +264,10 @@ impl BroadcastBus {
                 payload: payload_range,
             }));
         }
-        self.stats.chunks_sealed.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .encoded_bytes
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.stats.encode_cycles.fetch_add(spent, Ordering::Relaxed);
-        self.stats.encode_cycles_min.fetch_min(spent, Ordering::Relaxed);
+        self.stats.add(Bus::ChunksSealed, 1);
+        self.stats.add(Bus::EncodedBytes, payload.len() as u64);
+        self.stats.add(Bus::EncodeCycles, spent);
+        self.stats.record_min(Bus::EncodeCyclesMin, spent);
         self.notify_shards();
     }
 
@@ -450,9 +330,9 @@ impl BroadcastBus {
             }
             info.next_cursor = seq;
         }
-        self.stats.lag_histogram[lag_bucket(info.lag)].fetch_add(1, Ordering::Relaxed);
+        self.stats.add(lag_bucket(info.lag), 1);
         if info.skipped > 0 {
-            self.stats.skip_aheads.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Bus::SkipAheads, 1);
         }
         info
     }
@@ -559,6 +439,7 @@ impl SpeakerTap for BusTap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     fn bus(ring_chunks: usize) -> Arc<BroadcastBus> {
         let cfg = BroadcastConfig {
@@ -567,7 +448,7 @@ mod tests {
             preroll_chunks: 2,
             stall_strikes: 4,
         };
-        BroadcastBus::new(cfg, 1, BroadcastStats::new("test"))
+        BroadcastBus::new(cfg, 1)
     }
 
     #[test]
@@ -627,8 +508,8 @@ mod tests {
         assert_eq!(info.skipped, 17, "1 → 18 (live edge 20 minus preroll 2)");
         assert_eq!(out[0].seq(), 18);
         assert_eq!(info.next_cursor, 20);
-        assert_eq!(b.stats().skip_aheads.load(Ordering::Relaxed), 1);
-        assert!(b.stats().lag_histogram[LAG_BUCKETS - 1].load(Ordering::Relaxed) >= 1);
+        assert_eq!(b.stats().get(Bus::SkipAheads), 1);
+        assert!(b.stats().get(Bus::Lag16Plus) >= 1);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! shards run request handlers themselves.
 
 use crate::backend::{AlsBackend, LocalBackend};
-use crate::broadcast::{BroadcastBus, BroadcastConfig, BroadcastStats, BusTap};
+use crate::broadcast::{BroadcastBus, BroadcastConfig, BusTap};
 use crate::buffer::DeviceBuffers;
 use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
 use crate::state::{connector_mask, AccessControl, AtomRegistry, Device, ServerStats};
+use crate::stats::{LinkCounters, ServerCounters};
 use crate::transport::TransportShared;
 use af_chaos::StreamFaultPlan;
 use af_device::hardware::{HwConfig, VirtualAudioHw};
@@ -53,7 +54,7 @@ pub struct ServerBuilder {
     idle_timeout: Option<Duration>,
     chaos: Option<StreamFaultPlan>,
     reactor_shards: Option<usize>,
-    link_stats: Vec<Arc<af_device::jitter::LinkStats>>,
+    link_stats: Vec<Arc<LinkCounters>>,
     broadcast: Option<(usize, SocketAddr, BroadcastConfig)>,
 }
 
@@ -313,8 +314,8 @@ impl ServerBuilder {
     /// Adds a LineServer device over an already-connected link — the hook
     /// for links with a fault-injecting UDP socket underneath.
     pub fn add_lineserver_link(&mut self, link: LineServerLink) -> usize {
+        self.link_stats.push(Arc::clone(link.counters()));
         let backend = AlsBackend::new(link, 8000, af_device::lineserver::LS_BUFFER_SAMPLES);
-        self.link_stats.push(backend.stats_handle());
         let buffers =
             DeviceBuffers::new(Box::new(backend), Encoding::Mu255, 1, CODEC_BUFFER_FRAMES);
         let cfg = HwConfig {
@@ -409,10 +410,6 @@ impl ServerBuilder {
         }
         let mut access = AccessControl::new();
         access.set_enabled(self.access_enabled);
-        let stats = Arc::new(ServerStats::default());
-        for link in self.link_stats {
-            stats.register_link(link);
-        }
         // Broadcast fan-out: build the bus and install the speaker-bus tap
         // on the device, so the update task publishes what it plays.
         let mut broadcast_bus: Option<Arc<BroadcastBus>> = None;
@@ -426,9 +423,7 @@ impl ServerBuilder {
                         "broadcast device must own buffers",
                     )
                 })?;
-            let bstats = BroadcastStats::new(format!("broadcast-dev{dev_idx}"));
-            stats.register_broadcast(Arc::clone(&bstats));
-            let bus = BroadcastBus::new(cfg.clone(), buffers.frame_bytes(), bstats);
+            let bus = BroadcastBus::new(cfg.clone(), buffers.frame_bytes());
             let fill = af_dsp::silence::silence_byte(buffers.encoding()).unwrap_or(0);
             buffers.set_tap(Box::new(BusTap::new(Arc::clone(&bus), fill)));
             broadcast_bus = Some(bus);
@@ -443,13 +438,14 @@ impl ServerBuilder {
         let pool = crate::pool::BufferPool::with_max_idle(
             reactor_shards * crate::pool::REACTOR_MAX_IDLE_PER_SHARD,
         );
+        let server_counters = Arc::new(ServerCounters::default());
         let core = ServerCore {
             vendor: self.vendor,
             devices,
             clients: HashMap::new(),
             atoms: AtomRegistry::new(),
             access,
-            stats: Arc::clone(&stats),
+            stats: Arc::clone(&server_counters),
             pool: Arc::clone(&pool),
         };
         let dispatcher =
@@ -463,10 +459,8 @@ impl ServerBuilder {
         // nothing can fail any more, so an `Err` leaves no thread behind.
         // The Unix socket is bound last: it is the one listener that
         // leaves a file.
+        let bus_counters = broadcast_bus.as_ref().map(|bus| Arc::clone(bus.stats()));
         let reactor = crate::reactor::Reactor::spawn(shared, reactor_shards, broadcast_bus)?;
-        for s in reactor.shard_stats() {
-            stats.register_reactor_shard(Arc::clone(s));
-        }
         let tcp_addr = match self.tcp {
             Some(addr) => Some(reactor.add_tcp(addr)?),
             None => None,
@@ -484,6 +478,12 @@ impl ServerBuilder {
         let join = std::thread::Builder::new()
             .name("af-dispatcher".into())
             .spawn(move || dispatch.run_task_thread())?;
+        let stats = Arc::new(ServerStats {
+            server: server_counters,
+            shards: reactor.shard_stats(),
+            links: self.link_stats,
+            broadcast: bus_counters,
+        });
         Ok(RunningServer {
             handle,
             stats,
@@ -554,7 +554,8 @@ impl RunningServer {
         self.broadcast_addr
     }
 
-    /// Failure counters (evictions, protocol errors, disconnects).
+    /// Every counter the server keeps: its own, each shard's, each link's
+    /// and the broadcast bus's.
     pub fn stats(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
     }

@@ -25,8 +25,9 @@ use crate::buffer::PlayOutcome;
 use crate::pool::BufferPool;
 use crate::state::{
     connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, Device,
-    PropertyValue, RawRequest, ServerAc, ServerEvent, ServerStats,
+    PropertyValue, RawRequest, ServerAc, ServerEvent,
 };
+use crate::stats::{Server, ServerCounters};
 use crate::task::{next_period, TaskKind, TaskQueue};
 use af_dsp::convert::Converter;
 use af_dsp::tables::PlayMap;
@@ -52,8 +53,8 @@ pub struct ServerCore {
     pub atoms: AtomRegistry,
     /// Host access control.
     pub access: AccessControl,
-    /// Failure counters, shared with the server handle.
-    pub stats: Arc<ServerStats>,
+    /// Connection and dispatch counters, shared with the server handle.
+    pub stats: Arc<ServerCounters>,
     /// Reply/frame buffer pool, shared with the transport layer so reply
     /// buffers written out by a shard come back to the dispatcher.
     pub pool: Arc<BufferPool>,
@@ -362,7 +363,7 @@ impl DispatchShared {
             }
             let armed = dispatcher.tasks.next_deadline();
             dispatcher.handle_event(ev);
-            ServerStats::bump(&dispatcher.core.stats.inline_events);
+            dispatcher.core.stats.add(Server::InlineEvents, 1);
             dispatcher.scheduled_ahead_of(armed)
         };
         if earlier {
@@ -381,7 +382,7 @@ impl DispatchShared {
             }
             let armed = dispatcher.tasks.next_deadline();
             dispatcher.handle_request(id, opcode, payload);
-            ServerStats::bump(&dispatcher.core.stats.inline_events);
+            dispatcher.core.stats.add(Server::InlineEvents, 1);
             dispatcher.scheduled_ahead_of(armed)
         };
         if earlier {
@@ -466,7 +467,7 @@ impl Dispatcher {
     fn scheduled_ahead_of(&self, armed: Option<Instant>) -> bool {
         let earlier = self.tasks.next_deadline() < armed;
         if earlier {
-            ServerStats::bump(&self.core.stats.task_nudges);
+            self.core.stats.add(Server::TaskNudges, 1);
         }
         earlier
     }
@@ -499,7 +500,7 @@ impl Dispatcher {
             ServerEvent::ProtocolError { id, error: _ } => {
                 // A framing violation poisons only the offending
                 // connection; other clients are untouched.
-                ServerStats::bump(&self.core.stats.protocol_errors);
+                self.core.stats.add(Server::ProtocolErrors, 1);
                 self.evict(id);
             }
             ServerEvent::Disconnect { id } => self.remove_client(id),
@@ -581,11 +582,10 @@ impl Dispatcher {
         self.core
             .clients
             .insert(id, ClientState::new(id, order, tx));
-        ServerStats::bump(&self.core.stats.clients_total);
-        ServerStats::set(
-            &self.core.stats.clients_current,
-            self.core.clients.len() as u64,
-        );
+        self.core.stats.add(Server::ClientsTotal, 1);
+        self.core
+            .stats
+            .set(Server::ClientsCurrent, self.core.clients.len() as u64);
     }
 
     fn remove_client(&mut self, id: ClientId) {
@@ -598,11 +598,10 @@ impl Dispatcher {
                     }
                 }
             }
-            ServerStats::bump(&self.core.stats.disconnects);
-            ServerStats::set(
-                &self.core.stats.clients_current,
-                self.core.clients.len() as u64,
-            );
+            self.core.stats.add(Server::Disconnects, 1);
+            self.core
+                .stats
+                .set(Server::ClientsCurrent, self.core.clients.len() as u64);
         }
     }
 
@@ -621,7 +620,7 @@ impl Dispatcher {
     fn evict_overflowed(&mut self) {
         while let Some(id) = self.overflowed.pop() {
             if self.core.clients.contains_key(&id) {
-                ServerStats::bump(&self.core.stats.evicted_slow);
+                self.core.stats.add(Server::EvictedSlow, 1);
                 self.evict(id);
             }
         }
@@ -644,7 +643,7 @@ impl Dispatcher {
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
-            ServerStats::bump(&self.core.stats.evicted_idle);
+            self.core.stats.add(Server::EvictedIdle, 1);
             self.evict(id);
         }
     }
@@ -1773,7 +1772,7 @@ mod tests {
             clients: HashMap::new(),
             atoms: AtomRegistry::new(),
             access: AccessControl::new(),
-            stats: Arc::new(ServerStats::default()),
+            stats: Arc::default(),
             pool: BufferPool::shared(),
         };
         Dispatcher::new(core, Duration::from_secs(3600))
@@ -1799,7 +1798,7 @@ mod tests {
             dispatcher.handle_request(1, noop, &[]);
             dispatcher.run_update();
             let left: Vec<ClientId> = dispatcher.core.clients.keys().copied().collect();
-            let evicted = ServerStats::get(&dispatcher.core.stats.evicted_idle);
+            let evicted = dispatcher.core.stats.get(Server::EvictedIdle);
             match timeout {
                 Some(_) => {
                     assert_eq!(left, [1], "the silent client goes, the other stays");
@@ -1846,7 +1845,7 @@ mod tests {
         dispatcher.handle_event(ServerEvent::Disconnect { id: 99 });
         assert!(dispatcher.core.clients.is_empty(), "listed client evicted");
         assert_eq!(tx.kicks(), 1, "its connection was kicked, once");
-        assert_eq!(ServerStats::get(&dispatcher.core.stats.evicted_slow), 1);
+        assert_eq!(dispatcher.core.stats.get(Server::EvictedSlow), 1);
         assert_eq!(dispatcher.overflowed, [], "list consumed");
     }
 }

@@ -37,17 +37,12 @@ pub mod state;
 pub mod task;
 pub mod transport;
 
-pub use broadcast::{
-    BroadcastBus, BroadcastConfig, BroadcastSnapshot, BroadcastStats, BROADCAST_CHUNK_FRAMES,
-    BROADCAST_RING_CHUNKS,
-};
+pub use af_device::stats;
+pub use broadcast::{BroadcastBus, BroadcastConfig, BROADCAST_CHUNK_FRAMES, BROADCAST_RING_CHUNKS};
 pub use buffer::{DeviceBuffers, PlayOutcome};
 pub use builder::{DeviceSetup, RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
-pub use reactor::{
-    default_shards, raise_nofile_limit, OutboundTx, Reactor, ReactorShardSnapshot,
-    ReactorShardStats,
-};
+pub use reactor::{default_shards, raise_nofile_limit, OutboundTx, Reactor};
 pub use state::ServerStats;
 pub use transport::{FrameError, OUTBOUND_QUEUE_CAPACITY};
 

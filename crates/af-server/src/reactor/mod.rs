@@ -22,7 +22,7 @@
 //!
 //! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): every
 //! connection has one deque of unwritten messages behind one lock
-//! ([`ConnShared`]); the front is the message mid-write.  Whoever produces
+//! (`ConnShared`); the front is the message mid-write.  Whoever produces
 //! a reply — a request handler (on this shard or another) or the task
 //! thread — takes the lock and, when the deque is empty, tries one
 //! nonblocking `write` on the connection's socket itself.  A message the
@@ -60,6 +60,7 @@ pub mod sys;
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
 use crate::pool::PooledBuf;
 use crate::state::{ClientId, ServerEvent};
+use crate::stats::{self, Bus, ShardCounters};
 use crate::transport::{decode_frame_header, Refused, TransportShared, OUTBOUND_QUEUE_CAPACITY};
 use af_chaos::ChaosStream;
 use af_proto::{ByteOrder, ConnSetup};
@@ -71,7 +72,7 @@ use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Bound on the messages (new connections, listeners) waiting in a
@@ -120,117 +121,6 @@ pub fn default_shards() -> usize {
 /// harnesses opening thousands of sockets call this first).
 pub fn raise_nofile_limit() -> io::Result<u64> {
     sys::raise_nofile_limit()
-}
-
-/// Per-shard counters, registered into
-/// [`crate::state::ServerStats::reactor_snapshots`].
-pub struct ReactorShardStats {
-    /// Shard index (thread `af-reactor-{shard}`).
-    pub shard: usize,
-    /// Registered fds owned right now (gauge; includes listeners + pipe).
-    pub fd_count: AtomicU64,
-    /// Readiness events processed.
-    pub readiness_events: AtomicU64,
-    /// Self-pipe wakeups handled.
-    pub wakeups: AtomicU64,
-    /// Reads that advanced a frame without completing it.
-    pub partial_reads: AtomicU64,
-    /// `read` calls issued on connection sockets (including ones that
-    /// found nothing).
-    pub read_calls: AtomicU64,
-    /// Complete request frames delivered to the dispatcher.
-    pub frames: AtomicU64,
-    /// Of those, the ones that did not arrive whole in one `read` and were
-    /// put together in a pooled staging buffer first.
-    pub staged_frames: AtomicU64,
-    /// Outbound messages fully written to sockets.
-    pub replies: AtomicU64,
-    /// Outbound messages a producer wrote whole, straight to the socket.
-    pub direct_writes: AtomicU64,
-    /// Outbound messages handed to the shard (queued, or the remainder
-    /// of a short direct write).
-    pub queued_writes: AtomicU64,
-    /// Connections this shard registered.
-    pub accepted: AtomicU64,
-    /// Connections this shard closed (any reason).
-    pub closed: AtomicU64,
-    /// Forced kicks (dispatcher evictions) landed on this shard's conns.
-    pub evictions: AtomicU64,
-}
-
-impl ReactorShardStats {
-    fn new(shard: usize) -> ReactorShardStats {
-        ReactorShardStats {
-            shard,
-            fd_count: AtomicU64::new(0),
-            readiness_events: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            partial_reads: AtomicU64::new(0),
-            read_calls: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            staged_frames: AtomicU64::new(0),
-            replies: AtomicU64::new(0),
-            direct_writes: AtomicU64::new(0),
-            queued_writes: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            closed: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Copies the counters out.
-    pub fn snapshot(&self) -> ReactorShardSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ReactorShardSnapshot {
-            shard: self.shard,
-            fd_count: get(&self.fd_count),
-            readiness_events: get(&self.readiness_events),
-            wakeups: get(&self.wakeups),
-            partial_reads: get(&self.partial_reads),
-            read_calls: get(&self.read_calls),
-            frames: get(&self.frames),
-            staged_frames: get(&self.staged_frames),
-            replies: get(&self.replies),
-            direct_writes: get(&self.direct_writes),
-            queued_writes: get(&self.queued_writes),
-            accepted: get(&self.accepted),
-            closed: get(&self.closed),
-            evictions: get(&self.evictions),
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's counters.
-#[derive(Clone, Copy, Debug)]
-pub struct ReactorShardSnapshot {
-    /// Shard index.
-    pub shard: usize,
-    /// Registered fds owned right now.
-    pub fd_count: u64,
-    /// Readiness events processed.
-    pub readiness_events: u64,
-    /// Self-pipe wakeups handled.
-    pub wakeups: u64,
-    /// Reads that advanced a frame without completing it.
-    pub partial_reads: u64,
-    /// `read` calls issued on connection sockets.
-    pub read_calls: u64,
-    /// Complete request frames delivered.
-    pub frames: u64,
-    /// Frames put together in a staging buffer first.
-    pub staged_frames: u64,
-    /// Outbound messages fully written.
-    pub replies: u64,
-    /// Outbound messages written whole by their producer.
-    pub direct_writes: u64,
-    /// Outbound messages handed to the shard.
-    pub queued_writes: u64,
-    /// Connections registered.
-    pub accepted: u64,
-    /// Connections closed.
-    pub closed: u64,
-    /// Forced kicks landed.
-    pub evictions: u64,
 }
 
 /// Wakes a shard's poll loop by writing one byte to its self-pipe.
@@ -364,9 +254,8 @@ impl ConnShared {
             match self.sock.write_shared(&buf) {
                 Ok(n) if n == buf.len() => {
                     drop(out);
-                    let stats = &self.link.stats;
-                    stats.replies.fetch_add(1, Ordering::Relaxed);
-                    stats.direct_writes.fetch_add(1, Ordering::Relaxed);
+                    self.link.stats.add(stats::Shard::Replies, 1);
+                    self.link.stats.add(stats::Shard::DirectWrites, 1);
                     return Ok(());
                 }
                 // Short write: the shard finishes the message and arms
@@ -380,8 +269,7 @@ impl ConnShared {
         }
         out.queue.push_back(buf);
         drop(out);
-        let stats = &self.link.stats;
-        stats.queued_writes.fetch_add(1, Ordering::Relaxed);
+        self.link.stats.add(stats::Shard::QueuedWrites, 1);
         self.wake();
         Ok(())
     }
@@ -431,7 +319,7 @@ impl OutboundTx {
     /// Forcibly closes the connection's socket, so its shard sees the
     /// hang-up and drops it (slow and idle clients are evicted this way).
     pub fn kick(&self) {
-        self.0.link.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        self.0.link.stats.add(stats::Shard::Evictions, 1);
         self.0.sock.shutdown();
     }
 
@@ -466,7 +354,7 @@ impl OutboundTx {
             link: Arc::new(ShardLink {
                 mailbox: Mutex::new(Mailbox::default()),
                 waker,
-                stats: Arc::new(ReactorShardStats::new(0)),
+                stats: Arc::default(),
             }),
             sock: SharedSock::Unix(Arc::new(sock)),
             direct: false,
@@ -482,7 +370,7 @@ impl OutboundTx {
     /// Times the handle was kicked (a detached connection's shard counters
     /// are its own).
     pub(crate) fn kicks(&self) -> u64 {
-        self.0.link.stats.evictions.load(Ordering::Relaxed)
+        self.0.link.stats.get(stats::Shard::Evictions)
     }
 }
 
@@ -525,7 +413,7 @@ struct ShardLink {
     /// A leaf lock: held for one push, or for the shard's one swap.
     mailbox: Mutex<Mailbox>,
     waker: Waker,
-    stats: Arc<ReactorShardStats>,
+    stats: Arc<ShardCounters>,
 }
 
 impl ShardLink {
@@ -704,7 +592,7 @@ struct Shard {
     /// the batch so a stale readiness event cannot alias a fresh conn.
     deferred_free: Vec<usize>,
     wake_rx: UnixStream,
-    stats: Arc<ReactorShardStats>,
+    stats: Arc<ShardCounters>,
     transport: Arc<TransportShared>,
     shared: Arc<ReactorShared>,
     /// The empty half of the mailbox swap: a wake trades it for the full
@@ -730,6 +618,7 @@ impl Shard {
         {
             return;
         }
+        self.stats.add(stats::Shard::FdCount, 1);
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
         loop {
             if self.transport.stop.load(Ordering::Relaxed) {
@@ -740,7 +629,7 @@ impl Shard {
                 break;
             }
             for ev in &events {
-                self.stats.readiness_events.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(stats::Shard::ReadinessEvents, 1);
                 if ev.token == WAKE_TOKEN {
                     self.handle_wake();
                 } else {
@@ -763,7 +652,7 @@ impl Shard {
     }
 
     fn handle_wake(&mut self) {
-        self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::Wakeups, 1);
         let mut sink = [0u8; 64];
         loop {
             match (&self.wake_rx).read(&mut sink) {
@@ -836,7 +725,7 @@ impl Shard {
             .is_ok()
         {
             self.slots[token] = Some(slot);
-            self.stats.fd_count.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(stats::Shard::FdCount, 1);
         } else {
             self.free.push(token);
         }
@@ -854,8 +743,8 @@ impl Shard {
             return; // Dropping the conn closes the socket; the dispatcher
                     // never learned of it, so no event is owed.
         }
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        self.stats.fd_count.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::Accepted, 1);
+        self.stats.add(stats::Shard::FdCount, 1);
         self.slots[token] = Some(Slot::Conn(Box::new(ConnState {
             io: conn.io,
             fd,
@@ -1004,9 +893,9 @@ impl Shard {
             self.free.push(token);
             return;
         }
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        self.stats.fd_count.fetch_add(1, Ordering::Relaxed);
-        bus_stats.listeners_total.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::Accepted, 1);
+        self.stats.add(stats::Shard::FdCount, 1);
+        bus_stats.add(Bus::ListenersTotal, 1);
         self.slots[token] = Some(Slot::Bcast(Box::new(BcastConn {
             io: b.io,
             fd: b.fd,
@@ -1081,7 +970,7 @@ impl Shard {
                         out.written = 0;
                         let sent = out.queue.pop_front();
                         drop(locked);
-                        self.stats.replies.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(stats::Shard::Replies, 1);
                         drop(sent); // Recycles the pooled buffer, unlocked.
                     }
                 }
@@ -1197,7 +1086,7 @@ impl Shard {
         ));
         conn.cursor = sb.bus.join_cursor();
         conn.phase = BcastPhase::Streaming;
-        sb.bus.stats().listeners.fetch_add(1, Ordering::Relaxed);
+        sb.bus.stats().add(Bus::Listeners, 1);
         conn.req = Vec::new(); // Request buffer is dead weight from here.
         true
     }
@@ -1280,9 +1169,7 @@ impl Shard {
                 }
                 Ok(n) => {
                     progressed = true;
-                    bus.stats()
-                        .bytes_fanned_out
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    bus.stats().add(Bus::BytesFannedOut, n as u64);
                     // Retire fully written chunks; remember the offset
                     // into a partially written front.
                     let mut left = n;
@@ -1324,8 +1211,8 @@ impl Shard {
         } else if strike && pending {
             conn.strikes += 1;
             if conn.strikes >= bus.config().stall_strikes {
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                bus.stats().evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(stats::Shard::Evictions, 1);
+                bus.stats().add(Bus::Evictions, 1);
                 self.close_bcast(token, *conn);
                 return;
             }
@@ -1354,14 +1241,14 @@ impl Shard {
 
     fn close_bcast(&mut self, token: usize, conn: BcastConn) {
         let _ = self.poller.deregister(conn.fd);
-        self.stats.closed.fetch_add(1, Ordering::Relaxed);
-        self.stats.fd_count.fetch_sub(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::Closed, 1);
+        self.stats.sub(stats::Shard::FdCount, 1);
         if let Some(sb) = self.broadcast.as_mut() {
             if let Some(i) = sb.tokens.iter().position(|&t| t == token) {
                 sb.tokens.swap_remove(i);
             }
             if matches!(conn.phase, BcastPhase::Streaming) {
-                sb.bus.stats().listeners.fetch_sub(1, Ordering::Relaxed);
+                sb.bus.stats().sub(Bus::Listeners, 1);
             }
         }
         self.deferred_free.push(token);
@@ -1398,7 +1285,7 @@ impl Shard {
             }
             // A staged payload's large remainder goes straight into its
             // pooled buffer; everything else lands in the scratch.
-            self.stats.read_calls.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(stats::Shard::ReadCalls, 1);
             let (read, room, direct) = match &mut conn.phase {
                 ReadPhase::Payload { buf, have, .. } if buf.len() - *have >= DIRECT_READ_MIN => {
                     let dst = &mut buf[*have..];
@@ -1508,13 +1395,13 @@ impl Shard {
                     }
                     let staged = std::mem::replace(&mut conn.phase, ReadPhase::BETWEEN_FRAMES);
                     if let ReadPhase::Payload { opcode, buf, .. } = staged {
-                        self.stats.staged_frames.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(stats::Shard::StagedFrames, 1);
                         self.dispatch_frame(conn.id, opcode, &buf, budget)?;
                     }
                 }
             }
         }
-        self.stats.partial_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::PartialReads, 1);
         Ok(())
     }
 
@@ -1527,7 +1414,7 @@ impl Shard {
         payload: &[u8],
         budget: &mut u32,
     ) -> Result<(), ReadOutcome> {
-        self.stats.frames.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::Frames, 1);
         let dispatch = &self.transport.dispatch;
         if dispatch.request(id, opcode, payload).is_err() {
             return Err(ReadOutcome::Close); // Dispatcher gone.
@@ -1582,31 +1469,27 @@ impl Shard {
             .transport
             .dispatch
             .submit(ServerEvent::Disconnect { id: conn.id });
-        self.stats.closed.fetch_add(1, Ordering::Relaxed);
-        self.stats.fd_count.fetch_sub(1, Ordering::Relaxed);
+        self.stats.add(stats::Shard::Closed, 1);
+        self.stats.sub(stats::Shard::FdCount, 1);
         self.deferred_free.push(token);
         // A handle the dispatcher still holds now reports closed and keeps
         // no buffer; dropping `conn` closes the shard's half.
         drop(conn.shared.close());
     }
 
+    /// Closes everything the shard owns, with the same accounting as a
+    /// close on the way: after it, the shard's `fd_count` gauge reads 0.
     fn close_all(&mut self) {
-        for slot in self.slots.iter_mut() {
-            match slot.take() {
-                Some(Slot::Conn(conn)) => {
-                    let _ = self.poller.deregister(conn.fd);
-                    let _ = self
-                        .transport
-                        .dispatch
-                        .submit(ServerEvent::Disconnect { id: conn.id });
-                    drop(conn.shared.close());
-                }
-                Some(Slot::Bcast(conn)) => {
-                    let _ = self.poller.deregister(conn.fd);
-                }
-                _ => {}
+        for (token, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
+            match slot {
+                Some(Slot::Conn(conn)) => self.close_conn(token, conn, None),
+                Some(Slot::Bcast(conn)) => self.close_bcast(token, *conn),
+                Some(_listener) => self.stats.sub(stats::Shard::FdCount, 1),
+                None => {}
             }
         }
+        let _ = self.poller.deregister(self.wake_rx.as_raw_fd());
+        self.stats.sub(stats::Shard::FdCount, 1);
     }
 }
 
@@ -1614,7 +1497,6 @@ impl Shard {
 pub struct Reactor {
     shared: Arc<ReactorShared>,
     transport: Arc<TransportShared>,
-    stats: Vec<Arc<ReactorShardStats>>,
     joins: Vec<std::thread::JoinHandle<()>>,
     has_broadcast: bool,
 }
@@ -1635,13 +1517,13 @@ impl Reactor {
         let shards = shards.max(1);
         let mut links = Vec::with_capacity(shards);
         let mut parts = Vec::with_capacity(shards);
-        for i in 0..shards {
+        for _ in 0..shards {
             let poller = Poller::new()?;
             let (waker, wake_rx) = Waker::pair()?;
             links.push(Arc::new(ShardLink {
                 mailbox: Mutex::new(Mailbox::default()),
                 waker,
-                stats: Arc::new(ReactorShardStats::new(i)),
+                stats: Arc::default(),
             }));
             parts.push((poller, wake_rx));
         }
@@ -1650,10 +1532,7 @@ impl Reactor {
             rr: AtomicUsize::new(0),
         });
         let mut joins = Vec::with_capacity(shards);
-        let mut stats_list = Vec::with_capacity(shards);
         for (i, (poller, wake_rx)) in parts.into_iter().enumerate() {
-            let stats = Arc::clone(&shared.links[i].stats);
-            stats_list.push(Arc::clone(&stats));
             let shard_broadcast = broadcast.as_ref().map(|bus| {
                 let dirty = Arc::new(AtomicBool::new(false));
                 let link = Arc::clone(&shared.links[i]);
@@ -1671,7 +1550,7 @@ impl Reactor {
                 free: Vec::new(),
                 deferred_free: Vec::new(),
                 wake_rx,
-                stats,
+                stats: Arc::clone(&shared.links[i].stats),
                 transport: Arc::clone(&transport),
                 shared: Arc::clone(&shared),
                 spare_mailbox: Mailbox::default(),
@@ -1688,7 +1567,6 @@ impl Reactor {
         Ok(Reactor {
             shared,
             transport,
-            stats: stats_list,
             joins,
             has_broadcast: broadcast.is_some(),
         })
@@ -1738,9 +1616,14 @@ impl Reactor {
         self.send_to_shard(0, ShardMsg::UnixL(listener))
     }
 
-    /// Per-shard counter handles (for registration into `ServerStats`).
-    pub fn shard_stats(&self) -> &[Arc<ReactorShardStats>] {
-        &self.stats
+    /// Per-shard counters, in shard order (the builder hands them to
+    /// `ServerStats::shards`).
+    pub fn shard_stats(&self) -> Vec<Arc<ShardCounters>> {
+        self.shared
+            .links
+            .iter()
+            .map(|l| Arc::clone(&l.stats))
+            .collect()
     }
 
     /// Stops every shard and joins their threads.  Idempotent.
@@ -1771,6 +1654,11 @@ impl Drop for Reactor {
 mod tests {
     use super::*;
     use crate::dispatch::{Captured, DispatchHandle};
+    use crate::stats::Shard::{
+        Accepted, Closed, DirectWrites, Evictions, FdCount, Frames, PartialReads, QueuedWrites,
+        Replies, StagedFrames,
+    };
+    use crate::stats::Snapshot;
     use crate::transport::FrameError;
     use af_time::ATime;
     use std::sync::mpsc::{sync_channel, Receiver};
@@ -1952,21 +1840,21 @@ mod tests {
             (0, 0),
             "whole frames took buffers from the pool"
         );
-        assert_eq!(totals(&reactor).staged_frames, 0);
+        assert_eq!(totals(&reactor)[StagedFrames], 0);
 
         // The same frames, each cut after its sixth byte; the second piece
         // is sent once the shard has parked on the first.
         for i in 0..100u64 {
-            let parked = totals(&reactor).partial_reads;
+            let parked = totals(&reactor)[PartialReads];
             sock.write_all(&[2, 0, 33, 0, 1, 2]).unwrap();
             wait_until("the first piece to be read", || {
-                totals(&reactor).partial_reads > parked
+                totals(&reactor)[PartialReads] > parked
             });
             sock.write_all(&[3, 4]).unwrap();
             assert_eq!(request(&rx).2, [1, 2, 3, 4]);
-            assert_eq!(totals(&reactor).staged_frames, i + 1);
+            assert_eq!(totals(&reactor)[StagedFrames], i + 1);
         }
-        assert_eq!(totals(&reactor).frames, 200);
+        assert_eq!(totals(&reactor)[Frames], 200);
         assert_eq!(
             (pool.allocs(), pool.reuses()),
             (1, 99),
@@ -2000,11 +1888,7 @@ mod tests {
             assert_eq!(opcode, 33);
             assert_eq!(payload, [9, 8, 7, 6, 5, 4, 3, 2]);
         }
-        let partials: u64 = reactor
-            .shard_stats()
-            .iter()
-            .map(|s| s.snapshot().partial_reads)
-            .sum();
+        let partials = totals(&reactor)[PartialReads];
         assert!(
             partials >= 10,
             "one-byte delivery must exercise partial reads: {partials}"
@@ -2066,17 +1950,17 @@ mod tests {
         let written = taken - OUTBOUND_QUEUE_CAPACITY as u64;
         for _ in 0..500 {
             // The shard counts a message just after it pops it.
-            if totals(&reactor).replies == written {
+            if totals(&reactor)[Replies] == written {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(totals(&reactor).replies, written);
+        assert_eq!(totals(&reactor)[Replies], written);
         let idle_while_held = pool.idle_len();
 
         otx.kick();
         disconnect(&rx);
-        assert_eq!(totals(&reactor).evictions, 1);
+        assert_eq!(totals(&reactor)[Evictions], 1);
         // The shard empties the deque right after it reports the close.
         for _ in 0..500 {
             if pool.idle_len() == idle_while_held + OUTBOUND_QUEUE_CAPACITY {
@@ -2113,21 +1997,8 @@ mod tests {
         start_with(1, chaos, event_capacity)
     }
 
-    fn totals(reactor: &Reactor) -> ReactorShardSnapshot {
-        let mut sum = reactor.shard_stats()[0].snapshot();
-        for s in &reactor.shard_stats()[1..] {
-            let s = s.snapshot();
-            sum.read_calls += s.read_calls;
-            sum.partial_reads += s.partial_reads;
-            sum.frames += s.frames;
-            sum.staged_frames += s.staged_frames;
-            sum.replies += s.replies;
-            sum.direct_writes += s.direct_writes;
-            sum.queued_writes += s.queued_writes;
-            sum.wakeups += s.wakeups;
-            sum.evictions += s.evictions;
-        }
-        sum
+    fn totals(reactor: &Reactor) -> Snapshot<stats::Shard, 13> {
+        reactor.shard_stats().iter().map(|s| s.snapshot()).sum()
     }
 
     /// Message `seq` of the ordering tests: 12 bytes or 8 KB, every byte
@@ -2188,21 +2059,25 @@ mod tests {
         }
         // The shard bumps `replies` after the write the reader just saw.
         for _ in 0..500 {
-            if totals(&reactor).replies == u64::from(messages) {
+            if totals(&reactor)[Replies] == u64::from(messages) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
         let t = totals(&reactor);
-        assert_eq!(t.replies, u64::from(messages), "every message counted once");
-        assert!(t.queued_writes > 0, "the fallback path never ran");
+        assert_eq!(
+            t[Replies],
+            u64::from(messages),
+            "every message counted once"
+        );
+        assert!(t[QueuedWrites] > 0, "the fallback path never ran");
         if wrapped {
             assert_eq!(
-                t.direct_writes, 0,
+                t[DirectWrites], 0,
                 "fault-wrapped connections never write directly"
             );
         } else {
-            assert!(t.direct_writes > 0, "the direct path never ran");
+            assert!(t[DirectWrites] > 0, "the direct path never ran");
         }
         reactor.shutdown();
     }
@@ -2288,7 +2163,7 @@ mod tests {
         if poison_after.is_some() {
             assert_eq!(protocol_error(&rx), FrameError::ZeroLength);
         } else {
-            assert_eq!(totals(&reactor).frames, 100);
+            assert_eq!(totals(&reactor)[Frames], 100);
             drop(sock);
         }
         disconnect(&rx);
@@ -2348,8 +2223,8 @@ mod tests {
             sock.write_all(&wire[..cut]).unwrap();
             wait_until("the shard to park on the first piece", || {
                 let now = totals(&reactor);
-                now.frames - before.frames == whole_first as u64
-                    && now.partial_reads - before.partial_reads == u64::from(whole_first == split)
+                now[Frames] - before[Frames] == whole_first as u64
+                    && now[PartialReads] - before[PartialReads] == u64::from(whole_first == split)
             });
             sock.write_all(&wire[cut..]).unwrap();
             for (i, (opcode, payload)) in frames.iter().enumerate() {
@@ -2363,9 +2238,9 @@ mod tests {
             drop(sock);
             disconnect(&rx);
             let after = totals(&reactor);
-            assert_eq!(after.frames - before.frames, frames.len() as u64);
+            assert_eq!(after[Frames] - before[Frames], frames.len() as u64);
             assert_eq!(
-                after.staged_frames - before.staged_frames,
+                after[StagedFrames] - before[StagedFrames],
                 staged,
                 "cut {cut}: {into} bytes into frame {split}"
             );
@@ -2433,7 +2308,7 @@ mod tests {
         writer.join().unwrap();
     }
 
-    use crate::broadcast::{BroadcastConfig, BroadcastStats};
+    use crate::broadcast::BroadcastConfig;
 
     fn start_broadcast(
         cfg: BroadcastConfig,
@@ -2442,7 +2317,7 @@ mod tests {
         let (tx, rx) = sync_channel(EVENT_ROOM);
         std::mem::forget(rx); // No dispatcher: keep the channel open.
         let shared = TransportShared::new(DispatchHandle::capture(tx));
-        let bus = BroadcastBus::new(cfg, frame_bytes, BroadcastStats::new("test"));
+        let bus = BroadcastBus::new(cfg, frame_bytes);
         let reactor = Reactor::spawn(shared, 2, Some(Arc::clone(&bus))).unwrap();
         let addr = reactor
             .add_broadcast_tcp("127.0.0.1:0".parse().unwrap())
@@ -2462,7 +2337,7 @@ mod tests {
     /// Spin until the bus's listener gauge reaches `n` (request parsed).
     fn wait_listeners(bus: &BroadcastBus, n: u64) {
         for _ in 0..500 {
-            if bus.stats().listeners.load(Ordering::Relaxed) == n {
+            if bus.stats().get(Bus::Listeners) == n {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -2494,21 +2369,21 @@ mod tests {
         // The client can observe the bytes a beat before the shard's
         // counter update lands: spin briefly.
         for _ in 0..500 {
-            if bus.stats().bytes_fanned_out.load(Ordering::Relaxed) >= 27 {
+            if bus.stats().get(Bus::BytesFannedOut) >= 27 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(bus.stats().bytes_fanned_out.load(Ordering::Relaxed) >= 27);
+        assert!(bus.stats().get(Bus::BytesFannedOut) >= 27);
         drop(sock);
         for _ in 0..500 {
-            if bus.stats().listeners.load(Ordering::Relaxed) == 0 {
+            if bus.stats().get(Bus::Listeners) == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(bus.stats().listeners.load(Ordering::Relaxed), 0);
-        assert_eq!(bus.stats().listeners_total.load(Ordering::Relaxed), 1);
+        assert_eq!(bus.stats().get(Bus::Listeners), 0);
+        assert_eq!(bus.stats().get(Bus::ListenersTotal), 1);
         reactor.shutdown();
     }
 
@@ -2567,7 +2442,7 @@ mod tests {
             Ok(0) | Err(_) => {}
             Ok(n) => panic!("expected EOF, got {n} bytes"),
         }
-        assert_eq!(bus.stats().listeners.load(Ordering::Relaxed), 0);
+        assert_eq!(bus.stats().get(Bus::Listeners), 0);
         reactor.shutdown();
     }
 
@@ -2590,7 +2465,7 @@ mod tests {
         let mut evicted = false;
         for _ in 0..200 {
             bus.publish(&chunk);
-            if bus.stats().evictions.load(Ordering::Relaxed) > 0 {
+            if bus.stats().get(Bus::Evictions) > 0 {
                 evicted = true;
                 break;
             }
@@ -2598,12 +2473,7 @@ mod tests {
         }
         assert!(evicted, "stalled listener never evicted");
         wait_listeners(&bus, 0);
-        let shard_evictions: u64 = reactor
-            .shard_stats()
-            .iter()
-            .map(|s| s.snapshot().evictions)
-            .sum();
-        assert_eq!(shard_evictions, 1);
+        assert_eq!(totals(&reactor)[Evictions], 1);
         reactor.shutdown();
     }
 
@@ -2634,8 +2504,8 @@ mod tests {
             final_seq = seq;
             bus.publish(&vec![seq; CHUNK]);
             std::thread::sleep(Duration::from_millis(2));
-            let sealed = bus.stats().chunks_sealed.load(Ordering::Relaxed);
-            let fanned = bus.stats().bytes_fanned_out.load(Ordering::Relaxed);
+            let sealed = bus.stats().get(Bus::ChunksSealed);
+            let fanned = bus.stats().get(Bus::BytesFannedOut);
             let backlog = sealed * wire_len as u64 - fanned;
             if backlog > ((4 + BCAST_BATCH + 1) * wire_len) as u64 {
                 break;
@@ -2670,9 +2540,42 @@ mod tests {
             "drain must end at the live edge"
         );
         assert!(
-            bus.stats().skip_aheads.load(Ordering::Relaxed) > 0,
+            bus.stats().get(Bus::SkipAheads) > 0,
             "ring never overtook the stalled cursor"
         );
         reactor.shutdown();
+    }
+
+    #[test]
+    fn fd_count_is_the_pipe_the_listeners_and_the_connections_until_shutdown() {
+        let (tx, rx) = sync_channel(EVENT_ROOM);
+        let bus = BroadcastBus::new(small_cfg(), 1);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
+        let mut reactor = Reactor::spawn(shared, 2, Some(Arc::clone(&bus))).unwrap();
+        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
+        let bcast_addr = reactor
+            .add_broadcast_tcp("127.0.0.1:0".parse().unwrap())
+            .unwrap();
+        // Both listeners live on shard 0; accepted sockets go round-robin:
+        // the first connection to shard 0, the second to shard 1, the
+        // broadcast listener to shard 0.
+        let mut conns = Vec::new();
+        for _ in 0..2 {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            new_client(&rx);
+            conns.push(sock);
+        }
+        let mut listener = TcpStream::connect(bcast_addr).unwrap();
+        listener.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        wait_listeners(&bus, 1);
+        let shards = reactor.shard_stats();
+        let per_shard = |counter| shards.iter().map(|s| s.get(counter)).collect::<Vec<_>>();
+        assert_eq!(per_shard(FdCount), [1 + 2 + 2, 1 + 1]);
+
+        reactor.shutdown();
+        assert_eq!(per_shard(FdCount), [0, 0]);
+        assert_eq!(per_shard(Closed), per_shard(Accepted));
+        assert_eq!(bus.stats().get(Bus::Listeners), 0);
     }
 }

@@ -4,6 +4,7 @@
 use crate::buffer::DeviceBuffers;
 use crate::pool::PooledBuf;
 use crate::reactor::OutboundTx;
+use crate::stats::{BusCounters, LinkCounters, ServerCounters, ShardCounters};
 use crate::transport::{FrameError, Refused};
 use af_dsp::convert::Converter;
 use af_dsp::tables::PlayMap;
@@ -11,120 +12,24 @@ use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventM
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Server-assigned client connection identifier.
 pub type ClientId = u64;
 
-/// Failure counters for a running server, shared with test harnesses and
-/// operators.  All counters are monotonic except `clients_current`.
-#[derive(Default)]
+/// Every counter a running server keeps, by family: handles on the
+/// counters the dispatcher, the reactor shards, the LineServer links and
+/// the broadcast bus bump.  Built once, when the server is spawned.
 pub struct ServerStats {
-    /// Clients currently connected (gauge).
-    pub clients_current: AtomicU64,
-    /// Connections accepted over the server's lifetime.
-    pub clients_total: AtomicU64,
-    /// Clients evicted because their outbound queue overflowed.
-    pub evicted_slow: AtomicU64,
-    /// Clients evicted because they sent nothing for the idle timeout.
-    pub evicted_idle: AtomicU64,
-    /// Connections dropped for malformed or oversized framing.
-    pub protocol_errors: AtomicU64,
-    /// Connections that ended for any reason.
-    pub disconnects: AtomicU64,
-    /// Transport events handled by the thread that framed them, under the
-    /// dispatch lock (no thread hop).
-    pub inline_events: AtomicU64,
-    /// Times a handler woke the task thread because it scheduled a task
-    /// ahead of the deadline that thread was asleep on: the one thread hop
-    /// left.
-    pub task_nudges: AtomicU64,
-    /// Per-LineServer-link health counters (WAN deployments): jitter
-    /// buffer depth, concealments, reorders, FEC recoveries.
-    pub links: Mutex<Vec<Arc<af_device::jitter::LinkStats>>>,
-    /// Per-reactor-shard transport counters: fd count, readiness events,
-    /// partial reads, wakeups, evictions.
-    pub reactors: Mutex<Vec<Arc<crate::reactor::ReactorShardStats>>>,
-    /// Per-broadcast-bus fan-out counters (broadcast servers only):
-    /// listeners, chunks sealed, lag histogram, evictions, bytes fanned
-    /// out.
-    pub broadcasts: Mutex<Vec<Arc<crate::broadcast::BroadcastStats>>>,
-}
-
-impl ServerStats {
-    /// Reads a counter (helper avoiding `Ordering` noise at call sites).
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Registers a LineServer link's counters for snapshotting.
-    pub fn register_link(&self, stats: Arc<af_device::jitter::LinkStats>) {
-        // Leaf lock over a plain Vec: a poisoning panic elsewhere cannot
-        // leave it structurally broken, so recover instead of spreading
-        // the panic into the server.
-        self.links
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(stats);
-    }
-
-    /// Copies out every registered link's counters, in registration order.
-    pub fn link_snapshots(&self) -> Vec<af_device::jitter::LinkStatsSnapshot> {
-        self.links
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|l| l.snapshot())
-            .collect()
-    }
-
-    /// Registers a reactor shard's counters for snapshotting.
-    pub fn register_reactor_shard(&self, stats: Arc<crate::reactor::ReactorShardStats>) {
-        self.reactors
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(stats);
-    }
-
-    /// Copies out every reactor shard's counters, in shard order.
-    pub fn reactor_snapshots(&self) -> Vec<crate::reactor::ReactorShardSnapshot> {
-        self.reactors
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|s| s.snapshot())
-            .collect()
-    }
-
-    /// Registers a broadcast bus's counters for snapshotting.
-    pub fn register_broadcast(&self, stats: Arc<crate::broadcast::BroadcastStats>) {
-        self.broadcasts
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(stats);
-    }
-
-    /// Copies out every broadcast bus's counters, in registration order.
-    pub fn broadcast_snapshots(&self) -> Vec<crate::broadcast::BroadcastSnapshot> {
-        self.broadcasts
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .map(|b| b.snapshot())
-            .collect()
-    }
-
-    /// Bumps a counter.
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets a gauge to an absolute value.
-    pub fn set(counter: &AtomicU64, value: u64) {
-        counter.store(value, Ordering::Relaxed);
-    }
+    /// Connection and dispatch counters.
+    pub server: Arc<ServerCounters>,
+    /// Each reactor shard's transport counters, in shard order.
+    pub shards: Vec<Arc<ShardCounters>>,
+    /// Each LineServer link's health counters, in device order.
+    pub links: Vec<Arc<LinkCounters>>,
+    /// The broadcast bus's fan-out counters, on a broadcasting server.
+    pub broadcast: Option<Arc<BusCounters>>,
 }
 
 /// The server-wide atom registry (§5.9).

@@ -19,8 +19,8 @@
 use af_device::{NullSink, SilenceSource, VirtualClock};
 use af_dsp::Encoding;
 use af_proto::{AcAttributes, AcMask, ByteOrder, ConnSetup, Request};
-use af_server::reactor::ReactorShardSnapshot;
-use af_server::{RunningServer, ServerBuilder, ServerStats};
+use af_server::stats::{Server, Shard, Snapshot};
+use af_server::{RunningServer, ServerBuilder};
 use af_time::ATime;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -63,20 +63,9 @@ fn serve(name: &str) -> (RunningServer, Arc<VirtualClock>, UnixStream) {
 /// The shards' counters, summed.  A handler counts its direct write and
 /// itself before it releases the dispatch lock; the barrier takes that
 /// lock, so after a reply has been read the counters are final.
-fn shard_totals(server: &RunningServer) -> ReactorShardSnapshot {
+fn shard_totals(server: &RunningServer) -> Snapshot<Shard, 13> {
     server.handle().barrier();
-    let mut shards = server.stats().reactor_snapshots().into_iter();
-    let mut sum = shards.next().unwrap();
-    for shard in shards {
-        sum.read_calls += shard.read_calls;
-        sum.frames += shard.frames;
-        sum.staged_frames += shard.staged_frames;
-        sum.replies += shard.replies;
-        sum.direct_writes += shard.direct_writes;
-        sum.queued_writes += shard.queued_writes;
-        sum.wakeups += shard.wakeups;
-    }
-    sum
+    server.stats().shards.iter().map(|s| s.snapshot()).sum()
 }
 
 #[test]
@@ -91,18 +80,19 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
         sock.read_exact(&mut reply).unwrap();
     }
 
-    let ReactorShardSnapshot {
-        read_calls,
-        frames,
-        replies,
-        direct_writes,
-        queued_writes,
-        wakeups,
-        ..
-    } = shard_totals(&server);
-    let stats = server.stats();
-    let inline_events = ServerStats::get(&stats.inline_events);
-    let task_nudges = ServerStats::get(&stats.task_nudges);
+    let shards = shard_totals(&server);
+    let [read_calls, frames, replies, direct_writes, queued_writes, wakeups] = [
+        Shard::ReadCalls,
+        Shard::Frames,
+        Shard::Replies,
+        Shard::DirectWrites,
+        Shard::QueuedWrites,
+        Shard::Wakeups,
+    ]
+    .map(|counter| shards[counter]);
+    let server_counters = &server.stats().server;
+    let inline_events = server_counters.get(Server::InlineEvents);
+    let task_nudges = server_counters.get(Server::TaskNudges);
     eprintln!(
         "transport budget: {read_calls} reads / {frames} frames, {direct_writes} direct + \
          {queued_writes} queued / {replies} replies, {wakeups} wakeups, \
@@ -193,11 +183,13 @@ fn pipelined_32k_play_is_framed_in_place_and_takes_one_pooled_buffer() {
         play(&mut sock);
     }
     let after = shard_totals(&server);
-    let (frames, staged, reads) = (
-        after.frames - before.frames,
-        after.staged_frames - before.staged_frames,
-        after.read_calls - before.read_calls,
-    );
+    let [frames, staged, reads, direct_writes] = [
+        Shard::Frames,
+        Shard::StagedFrames,
+        Shard::ReadCalls,
+        Shard::DirectWrites,
+    ]
+    .map(|counter| after[counter] - before[counter]);
     eprintln!(
         "32 KB play budget: {reads} reads / {frames} frames, {staged} staged, \
          {warm} pool allocations"
@@ -205,7 +197,7 @@ fn pipelined_32k_play_is_framed_in_place_and_takes_one_pooled_buffer() {
     assert_eq!(frames, 4 * DATA_OPS);
     assert_eq!(staged, 0, "a whole frame went through the staging buffer");
     assert!(reads <= 2 * DATA_OPS, "{reads} reads for {DATA_OPS} plays");
-    assert_eq!(after.direct_writes - before.direct_writes, DATA_OPS);
+    assert_eq!(direct_writes, DATA_OPS);
     assert_eq!(
         server.pool().allocs(),
         warm,

@@ -20,6 +20,7 @@ use af_chaos::{GilbertElliott, HopPlan, HopStats, Router};
 use af_client::{AcAttributes, AcMask, AudioConn};
 use af_device::io::{CaptureSink, ToneSource};
 use af_device::lineserver::LineServerFirmware;
+use af_device::stats::{Link, Server, Snapshot};
 use af_device::SystemClock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,7 +37,7 @@ struct LevelResult {
     rtt_us: Vec<f64>,
     record_dbm: f64,
     protocol_errors: u64,
-    link: af_device::jitter::LinkStatsSnapshot,
+    link: Snapshot<Link, 10>,
     hops: Vec<HopStats>,
 }
 
@@ -167,8 +168,8 @@ fn run_level(loss: f64, duration: Duration, seed: u64) -> LevelResult {
     };
     let gap_fraction = 1.0 - heard as f64 / played.max(1) as f64;
 
-    let protocol_errors = stats.protocol_errors.load(Ordering::Relaxed);
-    let link = stats.link_snapshots().into_iter().next().unwrap_or_default();
+    let protocol_errors = stats.server.get(Server::ProtocolErrors);
+    let link = stats.links.first().map(|l| l.snapshot()).unwrap_or_default();
     let hops = router.hop_stats();
 
     server.shutdown();
@@ -195,7 +196,11 @@ fn run_level(loss: f64, duration: Duration, seed: u64) -> LevelResult {
 fn render_level(r: &LevelResult) -> String {
     let mut runs = r.gap_runs.clone();
     runs.sort_unstable();
-    let link = &r.link;
+    let link: Vec<String> = r
+        .link
+        .iter()
+        .map(|(name, value)| format!("\"{name}\": {value}"))
+        .collect();
     let hops: Vec<String> = r
         .hops
         .iter()
@@ -215,10 +220,7 @@ fn render_level(r: &LevelResult) -> String {
          \"get_time_rtt_us\": {{\"p50\": {r50:.1}, \"p95\": {r95:.1}, \"p99\": {r99:.1}}},\n      \
          \"record_power_dbm\": {dbm:.1},\n      \
          \"protocol_errors\": {perr},\n      \
-         \"link\": {{\"conceals\": {conceals}, \"reorders\": {reorders}, \
-         \"late_drops\": {late}, \"fec_recovered\": {fecr}, \"fec_unrecoverable\": {fecu}, \
-         \"crc_drops\": {crc}, \"retransmits\": {rtx}, \"link_downs\": {downs}, \
-         \"depth\": {depth}, \"target_depth\": {tdepth}}},\n      \
+         \"link\": {{{link}}},\n      \
          \"router_hops\": [{hops}]\n    }}",
         loss = r.loss,
         dur = r.duration_s,
@@ -234,16 +236,7 @@ fn render_level(r: &LevelResult) -> String {
         r99 = percentile(&r.rtt_us, 0.99),
         dbm = r.record_dbm,
         perr = r.protocol_errors,
-        conceals = link.conceals,
-        reorders = link.reorders,
-        late = link.late_drops,
-        fecr = link.fec_recovered,
-        fecu = link.fec_unrecoverable,
-        crc = link.crc_drops,
-        rtx = link.retransmits,
-        downs = link.link_downs,
-        depth = link.depth,
-        tdepth = link.target_depth,
+        link = link.join(", "),
         hops = hops.join(", "),
     )
 }
@@ -273,8 +266,8 @@ fn main() {
             r.heard,
             r.played,
             r.gap_fraction * 100.0,
-            r.link.fec_recovered,
-            r.link.conceals,
+            r.link[Link::FecRecovered],
+            r.link[Link::Conceals],
             r.protocol_errors
         );
         if r.protocol_errors != 0 {

@@ -28,7 +28,8 @@ use af_client::{AcAttributes, AcMask, AudioConn};
 use af_device::{NullSink, SilenceSource, VirtualClock};
 use af_server::broadcast::BroadcastConfig;
 use af_server::reactor::poller::{Interest, PollEvent, Poller};
-use af_server::{ServerBuilder, ServerStats};
+use af_server::stats::{Bus, Server};
+use af_server::ServerBuilder;
 use af_time::ATime;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -153,9 +154,9 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
             dead: false,
         });
     }
-    let bus_stats = || stats.broadcast_snapshots().remove(0);
+    let bus = stats.broadcast.as_ref().expect("a broadcasting server");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while bus_stats().listeners < n as u64 {
+    while bus.get(Bus::Listeners) < n as u64 {
         assert!(Instant::now() < deadline, "listeners never reached {n}");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -260,7 +261,7 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
     for l in listeners.iter_mut() {
         l.received = 0;
     }
-    let before = bus_stats();
+    let before = bus.snapshot();
 
     let t0 = Instant::now();
     for r in 0..rounds {
@@ -275,20 +276,22 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
     }
     quiesce(&mut listeners, &mut poller, &mut events, &mut drain);
     let elapsed = t0.elapsed().as_secs_f64();
-    let after = bus_stats();
+    let after = bus.snapshot();
 
-    let chunks = after.chunks_sealed - before.chunks_sealed;
-    let encoded = after.encoded_bytes - before.encoded_bytes;
-    let cycles = after.encode_cycles - before.encode_cycles;
-    let fanned = after.bytes_fanned_out - before.bytes_fanned_out;
+    let chunks = after[Bus::ChunksSealed] - before[Bus::ChunksSealed];
+    let encoded = after[Bus::EncodedBytes] - before[Bus::EncodedBytes];
+    let cycles = after[Bus::EncodeCycles] - before[Bus::EncodeCycles];
+    let fanned = after[Bus::BytesFannedOut] - before[Bus::BytesFannedOut];
     let expected = chunks * wire;
     let complete = listeners
         .iter()
         .filter(|l| !l.dead && l.received == expected)
         .count();
-    let protocol_errors = ServerStats::get(&stats.protocol_errors);
-    let sustained =
-        after.evictions == 0 && protocol_errors == 0 && complete == n && after.listeners == n as u64;
+    let protocol_errors = stats.server.get(Server::ProtocolErrors);
+    let sustained = after[Bus::Evictions] == 0
+        && protocol_errors == 0
+        && complete == n
+        && after[Bus::Listeners] == n as u64;
     if complete != n {
         let min = listeners.iter().map(|l| l.received).min().unwrap_or(0);
         eprintln!(
@@ -303,11 +306,11 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
         listeners: n,
         chunks,
         encode_cycles_per_byte: cycles as f64 / encoded.max(1) as f64,
-        encode_min_cycles_per_byte: after.encode_cycles_min as f64 / payload.max(1) as f64,
+        encode_min_cycles_per_byte: after[Bus::EncodeCyclesMin] as f64 / payload.max(1) as f64,
         fanout_mb_s: fanned as f64 / elapsed / 1e6,
         bytes_fanned_out: fanned,
-        skip_aheads: after.skip_aheads - before.skip_aheads,
-        evictions: after.evictions,
+        skip_aheads: after[Bus::SkipAheads] - before[Bus::SkipAheads],
+        evictions: after[Bus::Evictions],
         protocol_errors,
         sustained,
     }

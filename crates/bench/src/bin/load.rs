@@ -21,7 +21,8 @@
 
 use af_proto::{ByteOrder, ConnSetup, Request};
 use af_server::reactor::poller::{Interest, PollEvent, Poller};
-use af_server::{RunningServer, ServerBuilder, ServerStats};
+use af_server::stats::{Server, Shard, Snapshot};
+use af_server::{RunningServer, ServerBuilder};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -255,25 +256,15 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
     let target_rps = active as f64 / PING_INTERVAL.as_secs_f64();
     let achieved_rps = replies as f64 / measured;
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let protocol_errors = ServerStats::get(&stats.protocol_errors);
-    let evictions = ServerStats::get(&stats.evicted_slow);
-    let (mut readiness_events, mut wakeups, mut partial_reads) = (0u64, 0u64, 0u64);
-    let (mut read_calls, mut frames, mut direct_writes, mut shard_replies) =
-        (0u64, 0u64, 0u64, 0u64);
-    for shard in stats.reactor_snapshots() {
-        readiness_events += shard.readiness_events;
-        wakeups += shard.wakeups;
-        partial_reads += shard.partial_reads;
-        read_calls += shard.read_calls;
-        frames += shard.frames;
-        direct_writes += shard.direct_writes;
-        shard_replies += shard.replies;
-    }
+    let protocol_errors = stats.server.get(Server::ProtocolErrors);
+    let evictions = stats.server.get(Server::EvictedSlow);
+    let shards: Snapshot<Shard, 13> = stats.shards.iter().map(|s| s.snapshot()).sum();
+    let (frames, shard_replies) = (shards[Shard::Frames], shards[Shard::Replies]);
     let syscalls = (frames > 0 && shard_replies > 0).then(|| SyscallsPerRequest {
-        reads_per_frame: read_calls as f64 / frames as f64,
-        direct_write_share: direct_writes as f64 / shard_replies as f64,
-        wakeups_per_reply: wakeups as f64 / shard_replies as f64,
-        hops_per_request: ServerStats::get(&stats.task_nudges) as f64 / frames as f64,
+        reads_per_frame: shards[Shard::ReadCalls] as f64 / frames as f64,
+        direct_write_share: shards[Shard::DirectWrites] as f64 / shard_replies as f64,
+        wakeups_per_reply: shards[Shard::Wakeups] as f64 / shard_replies as f64,
+        hops_per_request: stats.server.get(Server::TaskNudges) as f64 / frames as f64,
     });
     let sustained = protocol_errors == 0
         && evictions == 0
@@ -296,9 +287,9 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
         evictions,
         disconnects,
         sustained,
-        readiness_events,
-        wakeups,
-        partial_reads,
+        readiness_events: shards[Shard::ReadinessEvents],
+        wakeups: shards[Shard::Wakeups],
+        partial_reads: shards[Shard::PartialReads],
         syscalls,
     }
 }

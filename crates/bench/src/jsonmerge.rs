@@ -144,7 +144,7 @@ pub fn set_key(doc: &str, key: &str, value: &str) -> String {
 /// `fanout` each `set_key` into the report.
 const SIBLING_SECTIONS: [&str; 3] = ["chaos_soak", "reactor_scaling", "fanout_scaling"];
 
-/// Carries the [`SIBLING_SECTIONS`] of `existing` that `new_doc` does not
+/// Carries the `SIBLING_SECTIONS` of `existing` that `new_doc` does not
 /// produce into `new_doc` — how `report` keeps them across its full
 /// rewrites.  Every other key of `existing` is dropped: a section `report`
 /// stopped writing must not come back from the old file.

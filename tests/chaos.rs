@@ -8,7 +8,8 @@ use audiofile::client::{AcAttributes, AcMask, AudioConn, ConnectOptions};
 use audiofile::device::lineserver::{LineServerFirmware, LineServerLink};
 use audiofile::device::{NullSink, SilenceSource, SystemClock, VirtualClock};
 use audiofile::proto::{ByteOrder, ConnSetup, Request};
-use audiofile::server::{RunningServer, ServerBuilder, ServerStats, OUTBOUND_QUEUE_CAPACITY};
+use audiofile::server::stats::{Server, Shard};
+use audiofile::server::{RunningServer, ServerBuilder, OUTBOUND_QUEUE_CAPACITY};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -78,7 +79,7 @@ fn slow_client_is_evicted_not_fatal() {
             evicted = true;
             break;
         }
-        if ServerStats::get(&stats.evicted_slow) > 0 {
+        if stats.server.get(Server::EvictedSlow) > 0 {
             evicted = true;
             break;
         }
@@ -92,7 +93,7 @@ fn slow_client_is_evicted_not_fatal() {
     // Give the eviction a moment to fully settle, then verify the healthy
     // client and new connections still get service.
     server.handle().barrier();
-    assert!(ServerStats::get(&stats.evicted_slow) >= 1);
+    assert!(stats.server.get(Server::EvictedSlow) >= 1);
     assert!(healthy.get_time(0).is_ok());
     let mut fresh = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
     assert!(fresh.get_time(0).is_ok());
@@ -225,7 +226,7 @@ fn corrupting_stream_disconnects_only_that_client() {
 
     server.handle().barrier();
     assert!(
-        ServerStats::get(&stats.protocol_errors) >= 1,
+        stats.server.get(Server::ProtocolErrors) >= 1,
         "zero-length frame must be counted as a protocol error"
     );
     // The blast radius was one connection: the healthy client never
@@ -373,9 +374,9 @@ fn chunk_limited_server_streams_keep_a_pipelined_burst_in_order() {
     }
     let direct: u64 = server
         .stats()
-        .reactor_snapshots()
+        .shards
         .iter()
-        .map(|s| s.direct_writes)
+        .map(|s| s.get(Shard::DirectWrites))
         .sum();
     assert_eq!(
         direct, 0,
@@ -513,11 +514,11 @@ fn soak_many_clients_four_devices_evicts_the_flooder_without_deadlock() {
     slow.join().expect("flooding client thread panicked");
 
     let evict_deadline = Instant::now() + Duration::from_secs(10);
-    while ServerStats::get(&stats.evicted_slow) == 0 && Instant::now() < evict_deadline {
+    while stats.server.get(Server::EvictedSlow) == 0 && Instant::now() < evict_deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
-        ServerStats::get(&stats.evicted_slow) >= 1,
+        stats.server.get(Server::EvictedSlow) >= 1,
         "flooding client must be evicted"
     );
 
@@ -560,9 +561,9 @@ fn two_shard_server(
 fn assert_one_connection_per_shard(server: &RunningServer) {
     let accepted: Vec<u64> = server
         .stats()
-        .reactor_snapshots()
+        .shards
         .iter()
-        .map(|s| s.accepted)
+        .map(|s| s.get(Shard::Accepted))
         .collect();
     assert_eq!(accepted, [1, 1], "connections per shard");
 }

@@ -4,6 +4,7 @@
 use audiofile::client::{AcAttributes, AcMask, AfError, AudioConn};
 use audiofile::device::{SilenceSource, VirtualClock};
 use audiofile::proto::{ByteOrder, ConnSetup, ErrorCode, Opcode, Request};
+use audiofile::server::stats::Shard;
 use audiofile::server::{RunningServer, ServerBuilder};
 use audiofile::time::ATime;
 use std::io::{Read, Write};
@@ -218,8 +219,8 @@ fn garbage_setup_is_ignored_by_server() {
 
 /// Descriptors the server's shards have registered, summed.
 fn fd_count(s: &RunningServer) -> u64 {
-    let shards = s.stats().reactor_snapshots();
-    shards.iter().map(|shard| shard.fd_count).sum()
+    let shards = &s.stats().shards;
+    shards.iter().map(|shard| shard.get(Shard::FdCount)).sum()
 }
 
 /// Sends `setup` on a fresh connection, reads the `Failed` reply if one is

@@ -10,6 +10,7 @@
 use audiofile::chaos::{GilbertElliott, HopPlan, Router};
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
 use audiofile::device::lineserver::LineServerFirmware;
+use audiofile::device::stats::{Link, Server};
 use audiofile::device::{CaptureSink, SystemClock, ToneSource};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -92,13 +93,13 @@ fn playback_survives_multi_hop_burst_loss() {
     }
 
     // Zero protocol errors: loss must degrade audio, never the protocol.
-    assert_eq!(stats.protocol_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.server.get(Server::ProtocolErrors), 0);
 
     // The links saw real WAN weather and the defenses engaged: parity
     // brought lost record replies back.
-    let links = stats.link_snapshots();
+    let links: Vec<_> = stats.links.iter().map(|l| l.snapshot()).collect();
     assert_eq!(links.len(), 2);
-    let recovered: u64 = links.iter().map(|l| l.fec_recovered).sum();
+    let recovered: u64 = links.iter().map(|l| l[Link::FecRecovered]).sum();
     assert!(recovered > 0, "expected FEC recoveries, got {links:?}");
 
     // The routers really dropped traffic on both paths.
@@ -150,13 +151,13 @@ fn link_health_counters_are_exported() {
     let (_, data) = conn.record_samples(&ac, t + 400u32, 800, true).unwrap();
     assert_eq!(data.len(), 800);
 
-    let links = stats.link_snapshots();
-    assert_eq!(links.len(), 1, "one registered link");
+    let links: Vec<_> = stats.links.iter().map(|l| l.snapshot()).collect();
+    assert_eq!(links.len(), 1, "one link");
     assert!(
-        links[0].target_depth > 0,
+        links[0][Link::TargetDepth] > 0,
         "jitter buffer target not live: {links:?}"
     );
-    assert_eq!(stats.protocol_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.server.get(Server::ProtocolErrors), 0);
 
     server.shutdown();
     router.stop();
