@@ -1,5 +1,5 @@
 // Fixture: must NOT trigger `unsafe-blocks` — the SIMD-module shape the
-// real `af_dsp::kernels::x86`/`neon` files use: a module-wide
+// real `af_dsp::kernels::x86` file uses: a module-wide
 // `unsafe_code` re-enable earned by multiple unsafe sites, a SAFETY
 // contract for callers on the `#[target_feature]` declaration, and an
 // audit on the call site.

@@ -105,14 +105,8 @@ pub fn encode_from_lin16_into(
 ) -> Result<(), ConvertError> {
     out.clear();
     match encoding {
-        Encoding::Mu255 => {
-            out.resize(pcm.len(), 0);
-            (kernels::active().encode_ulaw)(pcm, out.as_mut_slice());
-        }
-        Encoding::Alaw => {
-            out.resize(pcm.len(), 0);
-            (kernels::active().encode_alaw)(pcm, out.as_mut_slice());
-        }
+        Encoding::Mu255 => encode_companded(tables::comp_u(), pcm, out),
+        Encoding::Alaw => encode_companded(tables::comp_a(), pcm, out),
         Encoding::Lin16 => {
             out.resize(pcm.len() * 2, 0);
             match sample::as_lin16_mut(out) {
@@ -143,6 +137,12 @@ pub fn encode_from_lin16_into(
         other => return Err(ConvertError::Unsupported(other)),
     }
     Ok(())
+}
+
+/// Appends the companded bytes of `pcm` to `out`: one lookup per sample in
+/// the 16 K compression table `t` (`tables::comp_u`/`comp_a`).
+fn encode_companded(t: &[u8; 16_384], pcm: &[i16], out: &mut Vec<u8>) {
+    out.extend(pcm.iter().map(|&s| t[tables::comp_index(s)]));
 }
 
 /// Encodes 16-bit linear samples into raw bytes of `encoding`.
@@ -238,13 +238,12 @@ impl Converter {
         }
         // Fused companded↔LIN16 paths: decode straight into (or encode
         // straight out of) the caller's byte buffer, skipping the linear
-        // staging copy.  This is where the kernel vtable pays off most —
-        // the staged path below does the same table work plus a memcpy.
-        let k = kernels::active();
+        // staging copy the path below adds to the same table work.
         match (self.from, self.to) {
             (Encoding::Mu255 | Encoding::Alaw, Encoding::Lin16) => {
                 out.resize(data.len() * 2, 0);
                 if let Some(view) = sample::as_lin16_mut(out) {
+                    let k = kernels::active();
                     let decode = if self.from == Encoding::Mu255 {
                         k.decode_ulaw
                     } else {
@@ -260,14 +259,7 @@ impl Converter {
                     return Err(ConvertError::PartialSample);
                 }
                 if let Some(view) = sample::as_lin16(data) {
-                    out.resize(view.len(), 0);
-                    let encode = if self.to == Encoding::Mu255 {
-                        k.encode_ulaw
-                    } else {
-                        k.encode_alaw
-                    };
-                    encode(view, out.as_mut_slice());
-                    return Ok(());
+                    return encode_from_lin16_into(self.to, view, &mut self.encode_state, out);
                 }
             }
             _ => {}
@@ -316,6 +308,24 @@ mod tests {
         let back = decode_to_lin16(Encoding::Mu255, &bytes, &mut st).unwrap();
         for (a, b) in pcm.iter().zip(&back) {
             assert!((i32::from(*a) - i32::from(*b)).abs() <= 512);
+        }
+    }
+
+    #[test]
+    fn encodes_every_sample_exactly() {
+        // All 65536 inputs through the 16 K table loop, against the
+        // comp-table path (the seed's semantics, with its 14-bit
+        // quantization).
+        let pcm: Vec<i16> = (i16::MIN..=i16::MAX).collect();
+        let mut out = Vec::new();
+        encode_companded(tables::comp_u(), &pcm, &mut out);
+        for (&s, &b) in pcm.iter().zip(&out) {
+            assert_eq!(b, tables::ulaw_encode_fast(s), "ulaw {s}");
+        }
+        out.clear();
+        encode_companded(tables::comp_a(), &pcm, &mut out);
+        for (&s, &b) in pcm.iter().zip(&out) {
+            assert_eq!(b, tables::alaw_encode_fast(s), "alaw {s}");
         }
     }
 

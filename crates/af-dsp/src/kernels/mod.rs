@@ -1,35 +1,29 @@
 //! Runtime-dispatched batch kernels.
 //!
-//! The four dominant kernel families — companded↔linear conversion,
-//! saturating mix, the resampler's block loop and the play map's mix —
-//! sit behind one function-pointer vtable selected once at startup.  There
-//! are two kinds of table:
+//! Companded→linear decode, the LIN16 saturating mix, the resampler's
+//! block loop and the play map's mix sit behind one function-pointer
+//! vtable selected once at startup.  There are two kinds of table:
 //!
 //! * [`scalar`] — batched table-lookup loops, the resampler's portable
 //!   loop ([`crate::resample`]) and the play map's table loop
 //!   ([`crate::tables::PlayMap`]); always available, the semantic
 //!   definition of every entry point, and what the SIMD tables call for
 //!   their tails.
-//! * SIMD — `core::arch` kernels: on x86_64 ([`x86`]) the SSE2 baseline,
-//!   AVX2 when detected and AVX-512 when F, BW and VBMI all are, each
-//!   table the one below it with entries replaced (the resampler has an
-//!   interior of its own from AVX2 up, the play map's mix in the AVX-512
-//!   table alone); NEON on aarch64 (`neon`).
+//! * SIMD — x86_64 `core::arch` kernels ([`x86`]): AVX2 when detected and
+//!   AVX-512 when F, BW and VBMI all are, each table the one below it with
+//!   entries replaced.
 //!
 //! Every table is pinned bit-exact against `crate::reference` by the
 //! differential property tests, so selection is purely a throughput choice
 //! and nothing the user sets: [`active`] is the best SIMD table the host
 //! can execute, and the scalar table under Miri (the interpreter stays on
-//! portable code) or on a target with no `core::arch` table.
+//! portable code) or on a host with no SIMD table.
 
 pub mod cycles;
 pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
-
-#[cfg(target_arch = "aarch64")]
-pub mod neon;
 
 use std::sync::OnceLock;
 
@@ -41,9 +35,9 @@ use crate::tables::PlayMap;
 ///
 /// Contracts shared by every implementation:
 ///
-/// * `decode_*`/`encode_*` require `out.len() == input.len()` (one sample
-///   per companded byte) and fill `out` completely.
-/// * `mix_*_le` mix little-endian sample bytes of `src` into `dst`,
+/// * `decode_*` require `out.len() == input.len()` (one sample per
+///   companded byte) and fill `out` completely.
+/// * `mix_lin16_le` mixes little-endian sample bytes of `src` into `dst`,
 ///   saturating, over the whole samples both slices hold; the caller
 ///   truncates to a sample boundary.  Alignment is irrelevant.
 /// * `resample_block` appends one mono LIN16 block's output to the vector
@@ -56,46 +50,35 @@ use crate::tables::PlayMap;
 ///   [`PlayMap::sample_bytes`] bytes for each byte of `dst`.
 #[derive(Clone, Copy)]
 pub struct Kernels {
-    /// Table name for reports: `"scalar"`, `"simd-sse2"`, `"simd-avx2"`,
-    /// `"simd-avx512"`, `"simd-neon"`.
+    /// Table name for reports: `"scalar"`, `"simd-avx2"`, `"simd-avx512"`.
     pub name: &'static str,
     /// µ-law bytes → 16-bit linear.
     pub decode_ulaw: fn(&[u8], &mut [i16]),
     /// A-law bytes → 16-bit linear.
     pub decode_alaw: fn(&[u8], &mut [i16]),
-    /// 16-bit linear → µ-law bytes.
-    pub encode_ulaw: fn(&[i16], &mut [u8]),
-    /// 16-bit linear → A-law bytes.
-    pub encode_alaw: fn(&[i16], &mut [u8]),
     /// Saturating mix of LIN16 little-endian bytes.
     pub mix_lin16_le: fn(&mut [u8], &[u8]),
-    /// Saturating mix of LIN32 little-endian bytes.
-    pub mix_lin32_le: fn(&mut [u8], &[u8]),
     /// Streaming linear-interpolation resampler, one block.
     pub resample_block: fn(&mut ResampleState, &[i16], &mut Vec<i16>),
     /// A play map's samples mixed into companded device bytes.
     pub play_mix: fn(&PlayMap, &mut [u8], &[u8]),
 }
 
-/// The `core::arch` tables this host can execute, best last; empty where
-/// the target has none.
+/// The SIMD tables this host can execute, best last; empty where the
+/// target has none.
 fn simd_tables() -> &'static [Kernels] {
     #[cfg(target_arch = "x86_64")]
     {
         x86::available()
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        std::slice::from_ref(&neon::KERNELS)
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         &[]
     }
 }
 
 /// Every table this host can execute — scalar, then each SIMD table, best
-/// last — for differential tests and per-table bench rows.
+/// last — for differential tests and bench rows.
 pub fn available() -> Vec<&'static Kernels> {
     std::iter::once(&scalar::KERNELS)
         .chain(simd_tables())

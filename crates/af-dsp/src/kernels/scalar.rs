@@ -1,22 +1,18 @@
 //! The batched scalar table: table lookups per sample, typed slice views
 //! where alignment permits, the resampler's portable blocked loop, the
-//! play map's table loop.  It is
-//! the semantic definition the SIMD tables are pinned against, what they
-//! call for their tails, for encode and (on SSE2) for decode, and what
-//! runs under Miri or on a target with no `core::arch` table.
+//! play map's table loop.  It is the semantic definition the SIMD tables
+//! are pinned against, what they call for their tails, and what runs
+//! under Miri or on a host with no SIMD table.
 
 use super::Kernels;
-use crate::{resample, sample, tables};
+use crate::{mix, resample, sample, tables};
 
 /// The scalar vtable.
 pub static KERNELS: Kernels = Kernels {
     name: "scalar",
     decode_ulaw,
     decode_alaw,
-    encode_ulaw,
-    encode_alaw,
     mix_lin16_le,
-    mix_lin32_le,
     resample_block: resample::resample_block_portable,
     play_mix: tables::PlayMap::mix_by_table,
 };
@@ -36,53 +32,15 @@ fn decode_tab(t: &[i16; 256], data: &[u8], out: &mut [i16]) {
     }
 }
 
-pub(super) fn encode_ulaw(pcm: &[i16], out: &mut [u8]) {
-    encode_tab(tables::comp_u(), pcm, out);
-}
-
-pub(super) fn encode_alaw(pcm: &[i16], out: &mut [u8]) {
-    encode_tab(tables::comp_a(), pcm, out);
-}
-
-fn encode_tab(t: &[u8; 16_384], pcm: &[i16], out: &mut [u8]) {
-    assert_eq!(pcm.len(), out.len(), "encode buffer length mismatch");
-    for (o, &s) in out.iter_mut().zip(pcm) {
-        *o = t[tables::comp_index(s)];
-    }
-}
-
 pub(super) fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
     let n = dst.len().min(src.len()) & !1;
     let (dst, src) = (&mut dst[..n], &src[..n]);
     match (sample::as_lin16_mut(dst), sample::as_lin16(src)) {
-        (Some(d), Some(s)) => {
-            for (d, s) in d.iter_mut().zip(s) {
-                *d = d.saturating_add(*s);
-            }
-        }
+        (Some(d), Some(s)) => mix::mix_lin16(d, s),
         _ => {
             for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
                 let a = i16::from_le_bytes([d[0], d[1]]);
                 let b = i16::from_le_bytes([s[0], s[1]]);
-                d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
-            }
-        }
-    }
-}
-
-pub(super) fn mix_lin32_le(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len().min(src.len()) & !3;
-    let (dst, src) = (&mut dst[..n], &src[..n]);
-    match (sample::as_lin32_mut(dst), sample::as_lin32(src)) {
-        (Some(d), Some(s)) => {
-            for (d, s) in d.iter_mut().zip(s) {
-                *d = d.saturating_add(*s);
-            }
-        }
-        _ => {
-            for (d, s) in dst.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
-                let a = i32::from_le_bytes([d[0], d[1], d[2], d[3]]);
-                let b = i32::from_le_bytes([s[0], s[1], s[2], s[3]]);
                 d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
             }
         }

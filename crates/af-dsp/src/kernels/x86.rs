@@ -1,22 +1,18 @@
-//! x86_64 `core::arch` kernels: SSE2 baseline, AVX2 when detected, AVX-512
-//! when F, BW and VBMI all are.
+//! x86_64 `core::arch` kernels: AVX2 when detected, AVX-512 when F, BW and
+//! VBMI all are.
 //!
-//! SSE2 is part of the x86_64 baseline, so those paths need no runtime
-//! check; AVX2 and AVX-512 entry points are `#[target_feature]` functions
-//! reached only through the tables handed out after
-//! `is_x86_feature_detected!` named every feature they enable.
+//! Entry points are `#[target_feature]` functions reached only through the
+//! tables handed out after `is_x86_feature_detected!` named every feature
+//! they enable.  Below AVX2 a host runs the scalar table: LLVM vectorizes
+//! its saturating mix for baseline SSE2, and the hand-written SSE2 mix
+//! measured slower than that (EXPERIMENTS.md, PR 26).
 //!
 //! AVX2 companded decode is *algorithmic*, not a table gather: G.711's
 //! `((m << 3) + 0x84) << e - 0x84` maps onto 16-bit lanes with the variable
 //! shift done as a multiply by an in-register `2^e` gather, and the
 //! conditional negate as `(x ^ mask) - mask`, which is lane-isolated in
-//! real SIMD.  SSE2 has no such gather — its decode by conditional
-//! doublings measured 4× slower than the 256-entry table loop — so the
-//! SSE2 table's decode is the scalar table loop.  The `encode_*` entries are
-//! the scalar 16 K table loop in every table: a 30-operation AVX2 segment
-//! search measured 8 % faster than it at 4 KB, and no server play runs an
-//! encode pass any more (the play map, `crate::tables::PlayMap`).  Every
-//! vector body hands its tail to the scalar loop of the same entry point.
+//! real SIMD.  Every vector body hands its tail to the scalar loop of the
+//! same entry point.
 //!
 //! An arithmetic encode *does* run where a byte permute spans the tables
 //! it needs: the AVX-512 table's `play_mix` is `PlayMap::mix_by_table` on a
@@ -44,25 +40,13 @@ use super::{scalar, Kernels, ResampleState};
 use crate::resample::{self, BLOCK};
 use crate::tables::{LinearPlanes, PlayMap};
 
-const SSE2: Kernels = Kernels {
-    name: "simd-sse2",
-    decode_ulaw: scalar::decode_ulaw,
-    decode_alaw: scalar::decode_alaw,
-    encode_ulaw: scalar::encode_ulaw,
-    encode_alaw: scalar::encode_alaw,
-    mix_lin16_le: mix_lin16_le_sse2,
-    mix_lin32_le: mix_lin32_le_sse2,
-    resample_block: resample::resample_block_portable,
-    play_mix: PlayMap::mix_by_table,
-};
-
 const AVX2: Kernels = Kernels {
     name: "simd-avx2",
     decode_ulaw: decode_ulaw_avx2_entry,
     decode_alaw: decode_alaw_avx2_entry,
     mix_lin16_le: mix_lin16_le_avx2_entry,
     resample_block: resample_block_avx2_entry,
-    ..SSE2
+    ..scalar::KERNELS
 };
 
 const AVX512: Kernels = Kernels {
@@ -74,34 +58,18 @@ const AVX512: Kernels = Kernels {
 // Each table is the one before it with entries replaced.  Private: the
 // `_entry` functions are sound only on a host with their features, so
 // the tables leave this module through `available` alone.
-static TABLES: [Kernels; 3] = [SSE2, AVX2, AVX512];
+static TABLES: [Kernels; 2] = [AVX2, AVX512];
 
-/// Every table this host can execute, best last: SSE2 always, AVX2 when
-/// detected, AVX-512 when the host has AVX2 and all of F, BW and VBMI.
+/// Every table this host can execute, best last: AVX2 when detected,
+/// AVX-512 when the host has AVX2 and all of F, BW and VBMI.
 pub(super) fn available() -> &'static [Kernels] {
     use std::arch::is_x86_feature_detected as detected;
     let avx2 = detected!("avx2");
     let avx512 = avx2 && detected!("avx512f") && detected!("avx512bw") && detected!("avx512vbmi");
-    &TABLES[..1 + usize::from(avx2) + usize::from(avx512)]
+    &TABLES[..usize::from(avx2) + usize::from(avx512)]
 }
 
-// ---- mixing -----------------------------------------------------------
-
-fn mix_lin16_le_sse2(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len().min(src.len()) & !1;
-    let mut i = 0;
-    // SAFETY: SSE2 is baseline on x86_64; every 16-byte load/store stays
-    // within `n`, checked by the loop bound.
-    unsafe {
-        while i + 16 <= n {
-            let a = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-            let b = _mm_loadu_si128(src.as_ptr().add(i).cast());
-            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), _mm_adds_epi16(a, b));
-            i += 16;
-        }
-    }
-    scalar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
-}
+// ---- AVX2 mixing ------------------------------------------------------
 
 fn mix_lin16_le_avx2_entry(dst: &mut [u8], src: &[u8]) {
     // SAFETY: reachable only through the AVX2 table, which `available`
@@ -147,30 +115,6 @@ unsafe fn mix_lin16_le_avx2(dst: &mut [u8], src: &[u8]) {
         i += 32;
     }
     scalar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
-}
-
-fn mix_lin32_le_sse2(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len().min(src.len()) & !3;
-    let mut i = 0;
-    // SAFETY: SSE2 baseline; 16-byte accesses bounded by `n`.  There is no
-    // 32-bit saturating add instruction, so saturation is synthesized:
-    // overflow lanes are those where the operands agree in sign and the
-    // wrapped sum disagrees, and the saturated value is 0x7FFFFFFF ^ the
-    // operand's sign broadcast.
-    unsafe {
-        let max = _mm_set1_epi32(0x7FFF_FFFF);
-        while i + 16 <= n {
-            let a = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-            let b = _mm_loadu_si128(src.as_ptr().add(i).cast());
-            let r = _mm_add_epi32(a, b);
-            let ovf = _mm_srai_epi32(_mm_and_si128(_mm_xor_si128(a, r), _mm_xor_si128(b, r)), 31);
-            let sat = _mm_xor_si128(_mm_srai_epi32(a, 31), max);
-            let out = _mm_or_si128(_mm_and_si128(ovf, sat), _mm_andnot_si128(ovf, r));
-            _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), out);
-            i += 16;
-        }
-    }
-    scalar::mix_lin32_le(&mut dst[i..n], &src[i..n]);
 }
 
 // ---- AVX2 decode (16 lanes per iteration) -----------------------------
@@ -486,16 +430,46 @@ unsafe fn play_mix_ulaw_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{g711, tables};
+    use crate::{g711, kernels};
 
-    // Each test runs every table the host can execute: SSE2 always, AVX2
-    // and AVX-512 when detected.
+    /// Per entry, whether two tables call the same function.
+    fn same_entries(a: &Kernels, b: &Kernels) -> [(&'static str, bool); 5] {
+        use std::ptr::fn_addr_eq as eq;
+        [
+            ("decode_ulaw", eq(a.decode_ulaw, b.decode_ulaw)),
+            ("decode_alaw", eq(a.decode_alaw, b.decode_alaw)),
+            ("mix_lin16_le", eq(a.mix_lin16_le, b.mix_lin16_le)),
+            ("resample_block", eq(a.resample_block, b.resample_block)),
+            ("play_mix", eq(a.play_mix, b.play_mix)),
+        ]
+    }
+
+    /// A table that replaces nothing, or an entry that is scalar's in every
+    /// table, is dispatch with one target.  Over `TABLES`, so every x86
+    /// host checks every table, whatever it detects.
+    #[test]
+    fn every_table_and_every_entry_dispatches_somewhere_new() {
+        let scalar = &scalar::KERNELS;
+        let mut below = scalar;
+        for k in &TABLES {
+            let replaces = same_entries(below, k).iter().any(|&(_, same)| !same);
+            assert!(replaces, "{} replaces nothing of {}", k.name, below.name);
+            below = k;
+        }
+        for (i, (entry, _)) in same_entries(scalar, scalar).into_iter().enumerate() {
+            let everywhere = TABLES.iter().all(|k| same_entries(scalar, k)[i].1);
+            assert!(!everywhere, "{entry} is scalar's in every table");
+        }
+    }
+
+    // The tests below run every table the host can execute: scalar
+    // always, AVX2 and AVX-512 when detected.
 
     #[test]
     fn vtable_decodes_every_code_exactly() {
         let data: Vec<u8> = (0..=255u8).rev().collect();
         let mut out = vec![0i16; 256];
-        for k in available() {
+        for k in kernels::available() {
             (k.decode_ulaw)(&data, &mut out);
             for (b, &v) in data.iter().zip(&out) {
                 assert_eq!(v, g711::ulaw_to_linear(*b), "{} ulaw {b:#04x}", k.name);
@@ -508,30 +482,11 @@ mod tests {
     }
 
     #[test]
-    fn vtable_encodes_every_sample_exactly() {
-        // All 65536 inputs through each table's encode, against the
-        // comp-table path (the seed's semantics, with its 14-bit
-        // quantization).
-        let pcm: Vec<i16> = (i16::MIN..=i16::MAX).collect();
-        let mut out = vec![0u8; pcm.len()];
-        for k in available() {
-            (k.encode_ulaw)(&pcm, &mut out);
-            for (&s, &b) in pcm.iter().zip(&out) {
-                assert_eq!(b, tables::ulaw_encode_fast(s), "{} ulaw {s}", k.name);
-            }
-            (k.encode_alaw)(&pcm, &mut out);
-            for (&s, &b) in pcm.iter().zip(&out) {
-                assert_eq!(b, tables::alaw_encode_fast(s), "{} alaw {s}", k.name);
-            }
-        }
-    }
-
-    #[test]
     fn simd_mix_saturates_like_scalar() {
         let a: Vec<i16> = (0..500).map(|i| (i * 131 % 65_536) as u16 as i16).collect();
         let b: Vec<i16> = (0..500).map(|i| (i * 7_919 % 65_536) as u16 as i16).collect();
         let src: Vec<u8> = b.iter().flat_map(|v| v.to_le_bytes()).collect();
-        for k in available() {
+        for k in kernels::available() {
             let mut dst: Vec<u8> = a.iter().flat_map(|v| v.to_le_bytes()).collect();
             (k.mix_lin16_le)(&mut dst, &src);
             for (i, c) in dst.chunks_exact(2).enumerate() {

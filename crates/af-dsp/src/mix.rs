@@ -5,7 +5,7 @@
 //! 64 KiB lookup tables of [`crate::tables`]; linear formats mix with
 //! saturating adds.
 
-use crate::{kernels, tables};
+use crate::{kernels, sample, tables};
 
 /// Mixes `src` into `dst` (µ-law), saturating in the linear domain.
 pub fn mix_ulaw(dst: &mut [u8], src: &[u8]) {
@@ -43,7 +43,7 @@ pub fn mix_lin32(dst: &mut [i32], src: &[i32]) {
 /// format.  It mixes the whole samples both buffers hold — `min(dst, src)`
 /// truncated to a sample boundary — and leaves any trailing bytes of `dst`
 /// untouched, so a malformed client length cannot abort the server's update
-/// task.  Linear formats go through the runtime-selected kernel vtable
+/// task.  LIN16 goes through the runtime-selected kernel vtable
 /// ([`crate::kernels`]): `core::arch` SIMD where the host has it, the
 /// scalar loop otherwise, alignment-free either way.
 ///
@@ -64,7 +64,16 @@ pub fn mix_bytes(encoding: crate::Encoding, dst: &mut [u8], src: &[u8]) {
         Encoding::Mu255 => mix_ulaw(dst, src),
         Encoding::Alaw => mix_alaw(dst, src),
         Encoding::Lin16 => (kernels::active().mix_lin16_le)(dst, src),
-        Encoding::Lin32 => (kernels::active().mix_lin32_le)(dst, src),
+        Encoding::Lin32 => match (sample::as_lin32_mut(dst), sample::as_lin32(src)) {
+            (Some(d), Some(s)) => mix_lin32(d, s),
+            _ => {
+                for (d, s) in dst.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
+                    let a = i32::from_le_bytes([d[0], d[1], d[2], d[3]]);
+                    let b = i32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+                    d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
+                }
+            }
+        },
         _ => unreachable!(),
     }
 }

@@ -10,9 +10,9 @@
 //! (`kernels::Kernels::resample_block`).  Every table's entry is one
 //! driver, `drive` — guard, head, the serial `pos += step` chain, last
 //! partial block, tail, rebase — around a 32-output interior: the portable
-//! loop of this file for the scalar and SSE2 tables (and so under Miri, on
-//! aarch64 and on pre-AVX2 x86), `core::arch` code in `kernels::x86` for
-//! AVX2.  Each is bit-exact with the frozen seed loop
+//! loop of this file for the scalar table (and so under Miri and on every
+//! host without AVX2), `core::arch` code in `kernels::x86` for AVX2.  Each
+//! is bit-exact with the frozen seed loop
 //! `reference::resample_block_scalar` by construction rather than by
 //! tolerance (DESIGN.md §8.2): the position still accumulates by
 //! sequential `pos += step`, every floating-point operation of the
@@ -148,7 +148,7 @@ pub fn resample_block(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>)
     (kernels::active().resample_block)(st, input, out);
 }
 
-/// The scalar and SSE2 tables' entry: [`drive`] around [`interior`].
+/// The scalar table's entry: [`drive`] around [`interior`].
 pub(crate) fn resample_block_portable(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
     drive(st, input, out, interior);
 }

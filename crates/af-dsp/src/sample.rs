@@ -10,9 +10,8 @@
 //! there outright.
 
 // This module is the crate's audited slice-reinterpretation boundary —
-// four `align_to` views and two infallible sample→byte views, each guarded
-// by the endianness/alignment/length checks documented in the SAFETY
-// comments below.
+// four `align_to` views, each guarded by the endianness/alignment/length
+// checks documented in the SAFETY comments below.
 #![allow(unsafe_code)]
 
 /// Views a byte slice as 16-bit samples, or `None` if the bytes are
@@ -64,52 +63,9 @@ pub fn as_lin32_mut(bytes: &mut [u8]) -> Option<&mut [i32]> {
     (head.is_empty() && tail.is_empty()).then_some(samples)
 }
 
-/// Views 16-bit samples as their little-endian byte buffer, or `None` on a
-/// big-endian target (where the storage bytes are not in LE sample order).
-///
-/// This is the inverse direction of [`as_lin16`]: `u8` accepts any
-/// alignment and any bit pattern, so the view never fails for layout
-/// reasons — only the endianness check can refuse it.
-#[inline]
-pub fn lin16_bytes(samples: &[i16]) -> Option<&[u8]> {
-    if !cfg!(target_endian = "little") {
-        return None;
-    }
-    // SAFETY: every byte of an i16 slice is initialized and u8 has
-    // alignment 1, so reinterpreting len*2 bytes at the same address is
-    // always in bounds and valid.
-    Some(unsafe { core::slice::from_raw_parts(samples.as_ptr().cast::<u8>(), samples.len() * 2) })
-}
-
-/// Mutable little-endian byte view of 16-bit samples (same conditions as
-/// [`lin16_bytes`]).
-#[inline]
-pub fn lin16_bytes_mut(samples: &mut [i16]) -> Option<&mut [u8]> {
-    if !cfg!(target_endian = "little") {
-        return None;
-    }
-    // SAFETY: as in `lin16_bytes`; any byte pattern written through the
-    // view is a valid i16, and the mutable borrow of `samples` guarantees
-    // exclusivity for the lifetime of the returned slice.
-    Some(unsafe {
-        core::slice::from_raw_parts_mut(samples.as_mut_ptr().cast::<u8>(), samples.len() * 2)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lin16_byte_view_round_trips() {
-        let mut samples = [0x1234i16, -2, 777];
-        let bytes = lin16_bytes(&samples).expect("LE target");
-        assert_eq!(bytes.len(), 6);
-        assert_eq!(&bytes[..2], &0x1234i16.to_le_bytes());
-        let bytes = lin16_bytes_mut(&mut samples).unwrap();
-        bytes[..2].copy_from_slice(&(-7i16).to_le_bytes());
-        assert_eq!(samples[0], -7);
-    }
 
     #[test]
     fn lin16_view_round_trips() {

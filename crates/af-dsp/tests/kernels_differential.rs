@@ -1,23 +1,24 @@
 //! Differential property tests for the kernel vtables, resampler and play
 //! map included.
 //!
-//! Every table this host can execute — scalar, SSE2 and (when detected)
-//! AVX2 and AVX-512 on x86_64, NEON on aarch64 — must be bit-exact against
-//! the frozen reference (`af_dsp::reference` and the per-sample G.711
-//! algorithms) on randomized lengths, byte alignments, encodings, gains and
-//! chunkings.  Table selection must never be observable in output, only in
-//! throughput.  For each table's `resample_block` that means the output
-//! *and* the carried state equal the reference loop's bit for bit — the
-//! portable loop too, on a host whose active table has an interior of its
-//! own: it is what Miri, aarch64 and pre-AVX2 x86 run.  `play_mix` is
+//! Every table this host can execute — scalar and, when detected, AVX2 and
+//! AVX-512 — must be bit-exact against the frozen reference
+//! (`af_dsp::reference` and the per-sample G.711 algorithms) on randomized
+//! lengths, byte alignments, encodings, gains and chunkings, and so must
+//! the encode and LIN32 mix loops outside the tables.  Table selection must
+//! never be observable in output, only in throughput.  For each table's
+//! `resample_block` that means the output *and* the carried state equal
+//! the reference loop's bit for bit — the portable loop too, on a host
+//! whose active table has an interior of its own: it is what Miri and
+//! every host without AVX2 run.  `play_mix` is
 //! checked on the whole cross product of client sample and device byte:
 //! the table form meets each pair by construction, an adder has to be
 //! shown to.
 
-use af_dsp::kernels;
+use af_dsp::adpcm::AdpcmState;
 use af_dsp::resample::{ResampleState, Resampler};
 use af_dsp::tables::PlayMap;
-use af_dsp::{g711, gain, reference, Encoding};
+use af_dsp::{convert, g711, gain, kernels, mix, reference, Encoding};
 use proptest::prelude::*;
 
 proptest! {
@@ -41,17 +42,15 @@ proptest! {
         }
     }
 
-    /// Encode: every path equals the seed scalar encoder (which pins the
-    /// 16 K compression-table quantization, not the raw algorithm).
+    /// Encode: the 16 K table loop equals the seed scalar encoder (which
+    /// pins the compression-table quantization, not the raw algorithm).
     #[test]
     fn encode_paths_bit_exact(pcm in prop::collection::vec(any::<i16>(), 0..200)) {
-        for k in kernels::available() {
-            for (enc, f) in [(Encoding::Mu255, k.encode_ulaw), (Encoding::Alaw, k.encode_alaw)] {
-                let want = reference::encode_from_lin16_scalar(enc, &pcm);
-                let mut got = vec![0u8; pcm.len()];
-                f(&pcm, &mut got);
-                prop_assert_eq!(&got, &want, "{} {}", k.name, enc);
-            }
+        for enc in [Encoding::Mu255, Encoding::Alaw] {
+            let want = reference::encode_from_lin16_scalar(enc, &pcm);
+            let mut got = Vec::new();
+            convert::encode_from_lin16_into(enc, &pcm, &mut AdpcmState::new(), &mut got).unwrap();
+            prop_assert_eq!(&got, &want, "{}", enc);
         }
     }
 
@@ -76,11 +75,16 @@ proptest! {
         let mut want = bytes.clone();
         reference::mix_bytes_scalar(enc, &mut want[..n], &src_bytes[..n]);
 
-        for k in kernels::available() {
+        if wide {
             let mut d = dst_store.clone();
-            let f = if wide { k.mix_lin32_le } else { k.mix_lin16_le };
-            f(&mut d[off..], &src_store[off + 1..]);
-            prop_assert_eq!(&d[off..], &want[..], "{} {}", k.name, enc);
+            mix::mix_bytes(enc, &mut d[off..], &src_store[off + 1..]);
+            prop_assert_eq!(&d[off..], &want[..], "{}", enc);
+        } else {
+            for k in kernels::available() {
+                let mut d = dst_store.clone();
+                (k.mix_lin16_le)(&mut d[off..], &src_store[off + 1..]);
+                prop_assert_eq!(&d[off..], &want[..], "{} {}", k.name, enc);
+            }
         }
     }
 
@@ -136,9 +140,8 @@ proptest! {
             let mut pcm = vec![0i16; data.len()];
             (k.decode_ulaw)(&data, &mut pcm);
             gain::apply_gain_lin16_q16(&mut pcm, factor);
-            let mut got = vec![0u8; pcm.len()];
-            let f = if to_alaw { k.encode_alaw } else { k.encode_ulaw };
-            f(&pcm, &mut got);
+            let mut got = Vec::new();
+            convert::encode_from_lin16_into(enc, &pcm, &mut AdpcmState::new(), &mut got).unwrap();
             prop_assert_eq!(&got, &want, "{} {} dB -> {}", k.name, db, enc);
         }
     }

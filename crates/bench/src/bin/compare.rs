@@ -530,7 +530,7 @@ mod tests {
     fn parses_report_shapes() {
         let v = parse(
             r#"{"schema": "audiofile-bench-report/1", "mode": "full",
-                "kernels_v2": [{"kernel": "convert_decode", "path": "simd-sse2", "bytes": 65536,
+                "kernels_v2": [{"kernel": "convert_decode", "path": "simd-avx2", "bytes": 65536,
                                 "mb_s": 7000.0, "cycles_per_byte": 0.4}],
                 "throughput_kbs": {"tcp": {"record_kbs": 5.0}},
                 "figure10_get_time_us": {"tcp": 10.0},
@@ -540,8 +540,8 @@ mod tests {
         )
         .unwrap();
         let m = metrics(&v);
-        assert_eq!(m["kernel_v2/convert_decode/simd-sse2/65536B mb_s"].0, 7000.0);
-        assert!(m["kernel_v2/convert_decode/simd-sse2/65536B cycles_per_byte"].1 == Better::Lower);
+        assert_eq!(m["kernel_v2/convert_decode/simd-avx2/65536B mb_s"].0, 7000.0);
+        assert!(m["kernel_v2/convert_decode/simd-avx2/65536B cycles_per_byte"].1 == Better::Lower);
         assert_eq!(m["throughput/tcp/record_kbs"].0, 5.0);
         assert_eq!(m["figure11/record_us/tcp/mean"].0, 2.0);
         // Wall-clock multi-device MB/s is reported, not gated.

@@ -1,16 +1,19 @@
 //! Sample-pipeline micro-kernels, cycle-accounted: one row per (kernel,
 //! implementation, block size).
 //!
-//! * **convert_decode / convert_encode / mix / resample / play_mix** — the
-//!   `af_dsp::kernels` vtable entry points, once per table the host can
-//!   execute (`scalar`, `simd-sse2`, `simd-avx2`, `simd-avx512`,
-//!   `simd-neon`), driven through the function pointers directly so the
-//!   rows do not depend on which table `active()` picked; `resample` once
-//!   more on its frozen reference loop (`reference`).  `play_mix` is a
-//!   LIN16 client at −6 dB on a µ-law device, in the 8 KB requests a play
-//!   arrives in, into ring bytes uniform over all 256 values and restored
-//!   before each pass (inside the timed region, for every table alike): a
-//!   ring left to saturate would keep the 64 K mix table to two hot rows.
+//! * **convert_decode / mix / resample / play_mix** — the `af_dsp::kernels`
+//!   vtable entries, once per distinct function among the tables the host
+//!   can execute, labelled with the first table that has it (`scalar`,
+//!   `simd-avx2`, `simd-avx512`) and driven through the function pointers
+//!   directly, so the rows do not depend on which table `active()` picked;
+//!   `resample` once more on its frozen reference loop (`reference`).
+//!   `play_mix` is a LIN16 client at −6 dB on a µ-law device, in the 8 KB
+//!   requests a play arrives in, into ring bytes uniform over all 256
+//!   values and restored before each pass (inside the timed region, for
+//!   every implementation alike): a ring left to saturate would keep the
+//!   64 K mix table to two hot rows.
+//! * **convert_encode** — the 16 K table loop behind
+//!   `af_dsp::convert::encode_from_lin16_into` (`scalar`), LIN16 to µ-law.
 //! * **gain** — `af_server::gain::apply_gain_bytes` on LIN16 at −6 dB
 //!   (`kernel`): one Q16 multiplier per buffer swept over a sample slice.
 //!
@@ -20,9 +23,11 @@
 //! the rows into the three same-run gates `report` and the release-only
 //! test below enforce.
 
+use af_dsp::adpcm::AdpcmState;
+use af_dsp::kernels::Kernels;
 use af_dsp::resample::ResampleState;
 use af_dsp::tables::PlayMap;
-use af_dsp::{reference, Encoding};
+use af_dsp::{convert, reference, Encoding};
 
 /// Block sizes for the kernel rows: the 4 KB and 64 KB request sizes of
 /// Figures 11–13.
@@ -51,9 +56,10 @@ pub struct KernelV2Measurement {
     /// Kernel: `convert_decode`, `convert_encode`, `mix`, `play_mix`,
     /// `resample`, `gain`.
     pub kernel: &'static str,
-    /// Vtable name (`scalar`, `simd-sse2`, …) for the five vtable entry
-    /// points; `reference` for the resampler's frozen loop; `kernel` for
-    /// `gain`, which has one implementation.
+    /// The first table with the timed function (`scalar`, `simd-avx2`, …)
+    /// for vtable entries and `scalar` for the encode loop; `reference`
+    /// for the resampler's frozen loop; `kernel` for `gain`, which has one
+    /// implementation.
     pub path: &'static str,
     /// Block size in bytes (companded bytes for converts, LIN16 bytes for
     /// mix, play_mix, gain and resample input).
@@ -80,12 +86,44 @@ fn throughput_cycles<F: FnMut()>(bytes: usize, iters: u32, mut f: F) -> (f64, f6
     (bytes as f64 / s / 1e6, cycles as f64 / total_bytes)
 }
 
-/// Measures every vtable entry point on every table this host can
-/// execute, the resampler's frozen reference loop, and the LIN16 gain
-/// sweep, at both sizes.
+/// A vtable entry, as the address of the function a table holds there.
+type Entry = fn(&Kernels) -> usize;
+
+/// The vtable entry each per-implementation row kernel times.
+const ENTRIES: [(&str, Entry); 4] = [
+    ("convert_decode", |k| k.decode_ulaw as usize),
+    ("mix", |k| k.mix_lin16_le as usize),
+    ("play_mix", |k| k.play_mix as usize),
+    ("resample", |k| k.resample_block as usize),
+];
+
+/// Each function the tables this host can execute hold in an entry, as
+/// the first table that has it.
+fn introducing(entry: Entry) -> Vec<&'static Kernels> {
+    let tables = af_dsp::kernels::available();
+    (0..tables.len())
+        .filter(|&i| tables[..i].iter().all(|t| entry(t) != entry(tables[i])))
+        .map(|i| tables[i])
+        .collect()
+}
+
+/// The row label of the function `af_dsp::kernels::active()` calls for a
+/// vtable row `kernel`; `None` for the rows outside the vtable.
+fn shipping_path(kernel: &str) -> Option<&'static str> {
+    let &(_, entry) = ENTRIES.iter().find(|(k, _)| *k == kernel)?;
+    let shipped = entry(af_dsp::kernels::active());
+    introducing(entry)
+        .into_iter()
+        .find(|k| entry(k) == shipped)
+        .map(|k| k.name)
+}
+
+/// Measures each implementation of every vtable entry this host can
+/// execute, the encode loop, the resampler's frozen reference loop, and
+/// the LIN16 gain sweep, at both sizes.
 pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
     let mut results = Vec::new();
-    let tables = af_dsp::kernels::available();
+    let [decoders, mixers, players, resamplers] = ENTRIES.map(|(_, entry)| introducing(entry));
     let play_map = PlayMap::new(Encoding::Lin16, Encoding::Mu255, -6).expect("a LIN16 play map");
     for bytes in KERNEL_SIZES {
         let iters = iters_for(bytes, smoke);
@@ -98,33 +136,39 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
                 cycles_per_byte,
             })
         };
-        for k in &tables {
-            let ulaw: Vec<u8> = (0..bytes).map(|i| (i % 255) as u8).collect();
-            let mut pcm = vec![0i16; bytes];
+        let ulaw: Vec<u8> = (0..bytes).map(|i| (i % 255) as u8).collect();
+        let mut pcm = vec![0i16; bytes];
+        for k in &decoders {
             let m = throughput_cycles(bytes, iters, || {
                 (k.decode_ulaw)(&ulaw, &mut pcm);
                 std::hint::black_box(&pcm);
             });
             push("convert_decode", k.name, m);
+        }
 
-            let mut out = vec![0u8; bytes];
-            let m = throughput_cycles(bytes, iters, || {
-                (k.encode_ulaw)(&pcm, &mut out);
-                std::hint::black_box(&out);
-            });
-            push("convert_encode", k.name, m);
+        let mut out = Vec::with_capacity(bytes);
+        let m = throughput_cycles(bytes, iters, || {
+            let mut st = AdpcmState::new();
+            convert::encode_from_lin16_into(Encoding::Mu255, &pcm, &mut st, &mut out)
+                .expect("LIN16 encodes to µ-law");
+            std::hint::black_box(&out);
+        });
+        push("convert_encode", "scalar", m);
 
-            let src = lin16_block(bytes);
+        let src = lin16_block(bytes);
+        for k in &mixers {
             let mut ring = lin16_block(bytes);
             let m = throughput_cycles(bytes, iters, || {
                 (k.mix_lin16_le)(&mut ring, &src);
                 std::hint::black_box(&ring);
             });
             push("mix", k.name, m);
+        }
 
-            // The high byte of each sample of the block is uniform noise.
-            let fresh: Vec<u8> = src.iter().skip(1).step_by(2).copied().collect();
-            let mut ring = fresh.clone();
+        // The high byte of each sample of the block is uniform noise.
+        let fresh: Vec<u8> = src.iter().skip(1).step_by(2).copied().collect();
+        let mut ring = fresh.clone();
+        for k in &players {
             let m = throughput_cycles(bytes, iters, || {
                 ring.copy_from_slice(&fresh);
                 let requests = src.chunks(PLAY_REQUEST_BYTES);
@@ -140,7 +184,7 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
             .chunks_exact(2)
             .map(|c| i16::from_le_bytes([c[0], c[1]]))
             .collect();
-        let paths = tables
+        let paths = resamplers
             .iter()
             .map(|k| (k.name, k.resample_block))
             .chain([("reference", reference::resample_block_scalar as _)]);
@@ -188,28 +232,32 @@ pub const RESAMPLE_GATE_RATIO: f64 = 0.5;
 /// ~0.5.
 pub const PLAY_MIX_GATE_RATIO: f64 = 0.75;
 
-/// The dispatch invariant: the table that ships (`af_dsp::kernels::active`)
-/// must never be slower than the scalar baseline on any entry point at any
-/// size — vacuous by construction where the shipping table *is* scalar —
-/// the scalar table's resampler must hold [`RESAMPLE_GATE_RATIO`] against
-/// its reference, and `simd-avx512`'s `play_mix`, where the rows have one,
-/// [`PLAY_MIX_GATE_RATIO`] against scalar's.  Returns one message per
-/// violated (kernel, size) pair, each starting `kernel/bytes:`, empty when
-/// all hold.
+/// The dispatch invariant: what ships (`af_dsp::kernels::active`) must
+/// never be slower than the scalar baseline on any entry point at any size
+/// — checked where it calls a function of its own, the row
+/// `shipping_path` names — the scalar table's resampler must hold
+/// [`RESAMPLE_GATE_RATIO`] against its reference, and `simd-avx512`'s
+/// `play_mix`, where the rows have one, [`PLAY_MIX_GATE_RATIO`] against
+/// scalar's.  Returns one message per violated (kernel, size) pair, each
+/// starting `kernel/bytes:`, empty when all hold.
 pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
-    // (kernel or every kernel, base path, subject path, limit)
-    let mut gates = vec![
-        (None, "scalar", af_dsp::kernels::active().name, tolerance),
-        (None, "reference", "scalar", RESAMPLE_GATE_RATIO),
-    ];
+    // (kernel, base path, subject path, limit)
+    let mut gates: Vec<_> = ENTRIES
+        .iter()
+        .filter_map(|&(kernel, _)| {
+            let shipped = shipping_path(kernel)?;
+            (shipped != "scalar").then_some((kernel, "scalar", shipped, tolerance))
+        })
+        .collect();
+    gates.push(("resample", "reference", "scalar", RESAMPLE_GATE_RATIO));
     if rows.iter().any(|r| r.path == "simd-avx512") {
-        gates.push((Some("play_mix"), "scalar", "simd-avx512", PLAY_MIX_GATE_RATIO));
+        gates.push(("play_mix", "scalar", "simd-avx512", PLAY_MIX_GATE_RATIO));
     }
     for (kernel, base_path, subject_path, limit) in gates {
         let bases = rows
             .iter()
-            .filter(|r| r.path == base_path && kernel.is_none_or(|k| k == r.kernel));
+            .filter(|r| r.path == base_path && r.kernel == kernel);
         for base in bases {
             let Some(subject) = rows.iter().find(|r| {
                 r.path == subject_path && r.kernel == base.kernel && r.bytes == base.bytes
@@ -243,19 +291,21 @@ mod tests {
     #[test]
     fn kernels_v2_cover_every_path_with_positive_metrics() {
         let rows = run_kernels_v2(true);
-        let tables = af_dsp::kernels::available().len();
-        // (5 vtable entry points x available tables + resample reference
-        // + gain) x 2 sizes.
-        assert_eq!(rows.len(), (5 * tables + 2) * 2);
+        // (each implementation of the four vtable entries + encode +
+        // resample reference + gain) x 2 sizes.
+        let implementations: usize = ENTRIES
+            .iter()
+            .map(|&(_, entry)| introducing(entry).len())
+            .sum();
+        assert_eq!(rows.len(), (implementations + 3) * 2);
         for m in &rows {
-            assert!(m.mb_s > 0.0, "{}/{}/{}", m.kernel, m.path, m.bytes);
-            assert!(
-                m.cycles_per_byte > 0.0,
-                "{}/{}/{}",
-                m.kernel,
-                m.path,
-                m.bytes
-            );
+            let what = format!("{}/{}/{}", m.kernel, m.path, m.bytes);
+            assert!(m.mb_s > 0.0 && m.cycles_per_byte > 0.0, "{what}");
+        }
+        for (kernel, _) in ENTRIES {
+            let shipped = shipping_path(kernel);
+            let ships = |r: &KernelV2Measurement| r.kernel == kernel && Some(r.path) == shipped;
+            assert!(rows.iter().any(ships), "no {kernel} row for what ships");
         }
     }
 
@@ -285,10 +335,11 @@ mod tests {
 
     #[test]
     fn dispatch_gate_flags_a_losing_composition() {
-        let shipping = af_dsp::kernels::active().name;
-        if shipping == "scalar" {
-            return; // No SIMD table here: the subject is the base itself.
-        }
+        // The subject is the row of the function that ships — on an
+        // AVX-512 host the `simd-avx2` loop the AVX-512 table inherited.
+        let Some(shipping) = shipping_path("mix").filter(|&p| p != "scalar") else {
+            return; // No SIMD mix here: the subject is the base itself.
+        };
         let row = |path, cpb: f64| KernelV2Measurement {
             kernel: "mix",
             path,
@@ -296,7 +347,7 @@ mod tests {
             mb_s: 1.0,
             cycles_per_byte: cpb,
         };
-        // Shipping table 6x slower than scalar: must trigger.
+        // Shipping function 6x slower than scalar: must trigger.
         let bad = vec![row("scalar", 0.1), row(shipping, 0.6)];
         assert_eq!(dispatch_regressions(&bad, DISPATCH_GATE_TOLERANCE).len(), 1);
         // At parity: must pass.
@@ -309,34 +360,25 @@ mod tests {
 
     #[test]
     fn play_mix_gate_wants_three_quarters_of_the_table_loop() {
-        let row = |kernel, path, cpb: f64| KernelV2Measurement {
-            kernel,
+        let row = |path, cpb: f64| KernelV2Measurement {
+            kernel: "play_mix",
             path,
             bytes: 4096,
             mb_s: 1.0,
             cycles_per_byte: cpb,
         };
-        // The shipping table's rows ride along at parity (the same rows
-        // where it is `simd-avx512` itself), so only this rule can fire.
-        let shipping = af_dsp::kernels::active().name;
+        // Where `simd-avx512` ships, the shipping gate passes at both
+        // values, so only this rule can fire.
         let gate = |avx512: f64| {
-            let mut rows = vec![
-                row("play_mix", "scalar", 1.0),
-                row("play_mix", "simd-avx512", avx512),
-                row("mix", "scalar", 1.0),
-                row("mix", "simd-avx512", 1.0),
-            ];
-            if shipping != "simd-avx512" {
-                rows.extend([row("play_mix", shipping, 1.0), row("mix", shipping, 1.0)]);
-            }
+            let rows = [row("scalar", 1.0), row("simd-avx512", avx512)];
             dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE).len()
         };
         // Faster than the table loop, but not by enough: must trigger.
         assert_eq!(gate(0.9), 1);
         assert_eq!(gate(0.6), 0);
         // No `simd-avx512` rows (another host): the rule does not apply.
-        if shipping != "simd-avx512" {
-            let rows = [row("play_mix", "scalar", 1.0), row("play_mix", shipping, 1.0)];
+        if shipping_path("play_mix") == Some("scalar") {
+            let rows = [row("scalar", 1.0)];
             assert!(dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE).is_empty());
         }
     }
@@ -350,9 +392,9 @@ mod tests {
             mb_s: 1.0,
             cycles_per_byte: cpb,
         };
-        // The shipping table's row rides along at parity with scalar, so
-        // only the resampler's own rule can fire.
-        let shipping = af_dsp::kernels::active().name;
+        // The shipping row rides along at parity with scalar, so only the
+        // resampler's own rule can fire.
+        let shipping = shipping_path("resample").expect("a vtable entry");
         let gate = |reference: f64, scalar: f64| {
             let rows = [
                 row("reference", reference),
