@@ -3,6 +3,7 @@
 use crate::plan::StreamFaultPlan;
 use crate::rng::ChaosRng;
 use std::io::{self, Read, Write};
+use std::os::fd::{AsFd, BorrowedFd};
 use std::sync::{Arc, Mutex};
 
 /// Shared fault state for one logical connection.
@@ -125,11 +126,6 @@ impl<S> ChaosStream<S> {
         &self.inner
     }
 
-    /// The wrapped stream, mutably.
-    pub fn get_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     /// Total bytes moved through the connection so far.
     pub fn transferred(&self) -> u64 {
         self.state.lock().expect("chaos state poisoned").transferred
@@ -138,6 +134,14 @@ impl<S> ChaosStream<S> {
     /// Whether the connection has been cut by the fault schedule.
     pub fn is_cut(&self) -> bool {
         self.state.lock().expect("chaos state poisoned").cut
+    }
+}
+
+/// The wrapped stream's descriptor, so a caller can wait on the socket
+/// the faults are applied to.
+impl<S: AsFd> AsFd for ChaosStream<S> {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.inner.as_fd()
     }
 }
 

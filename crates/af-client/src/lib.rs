@@ -26,14 +26,14 @@
 //! | `AFHookSwitch` …           | [`AudioConn::hook_switch`] …            |
 //! | `AFGetErrorText`           | [`error_text`]                          |
 
-#![forbid(unsafe_code)]
+// The one exception is `sys`'s `ppoll`, allowed on that function alone.
+#![deny(unsafe_code)]
 mod conn;
 mod error;
-mod stream;
+mod sys;
 
-pub use conn::{Ac, AudioConn, ConnectOptions, ServerName};
+pub use conn::{Ac, AudioConn, ClientStream, ConnectOptions, ServerName};
 pub use error::{error_text, AfError, AfResult};
-pub use stream::ClientStream;
 
 // Protocol types applications use directly.
 pub use af_proto::request::play_flags;

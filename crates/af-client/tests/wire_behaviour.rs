@@ -5,12 +5,13 @@
 //! suppression on all but the final play chunk, sequence-number tracking,
 //! and event/error demultiplexing out of the reply stream (§6.1).
 
-use af_client::{AcAttributes, AcMask, AudioConn};
+use af_chaos::StreamFaultPlan;
+use af_client::{Ac, AcAttributes, AcMask, AudioConn, ConnectOptions, EventMask};
 use af_proto::message::MessageHeader;
 use af_proto::request::play_flags;
 use af_proto::{
     ByteOrder, ConnSetup, DeviceDesc, DeviceKind, Event, EventDetail, Opcode, Reply, Request,
-    SetupReply, WireError,
+    SetupReply, WireError, CHUNK_BYTES,
 };
 use af_time::ATime;
 use std::io::{Read, Write};
@@ -63,6 +64,11 @@ impl MockServer {
     /// Accepts the connection and performs the setup exchange.
     fn accept(listener: &TcpListener) -> MockServer {
         let (mut stream, _) = listener.accept().unwrap();
+        // A client that sends fewer bytes than a test expects fails the
+        // test instead of hanging it.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
         let mut header = [0u8; ConnSetup::HEADER_SIZE];
         stream.read_exact(&mut header).unwrap();
         let tail = ConnSetup::tail_len(&header).unwrap();
@@ -98,6 +104,19 @@ impl MockServer {
             opcode,
             request: Request::decode(self.order, opcode, &payload).unwrap(),
         }
+    }
+
+    /// Reads `len` raw bytes, counting the request frames in them.
+    fn capture(&mut self, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        self.stream.read_exact(&mut bytes).unwrap();
+        let mut rest = &bytes[..];
+        while let Some(header) = rest.first_chunk::<4>() {
+            let (_, payload_len) = Request::parse_header(self.order, header).unwrap();
+            rest = &rest[4 + payload_len..];
+            self.seq = self.seq.wrapping_add(1);
+        }
+        bytes
     }
 
     /// Sends a reply for the most recently read request.
@@ -186,6 +205,143 @@ fn large_play_chunks_at_8k_with_suppressed_replies() {
     );
 }
 
+/// The frames a play must put on the wire: the owned `PlaySamples`
+/// encoding of each frame-aligned 8 KB chunk, the reply suppressed on all
+/// but the last.
+fn owned_play_frames(order: ByteOrder, ac: &Ac, start: u32, data: &[u8]) -> Vec<u8> {
+    let chunk_bytes = CHUNK_BYTES / ac.frame_bytes() * ac.frame_bytes();
+    let chunks = data.len().div_ceil(chunk_bytes);
+    let mut frames = Vec::new();
+    for (i, chunk) in data.chunks(chunk_bytes).enumerate() {
+        let flags = if i + 1 < chunks {
+            play_flags::SUPPRESS_REPLY
+        } else {
+            0
+        };
+        let frame_time = start + (i * chunk_bytes / ac.frame_bytes()) as u32;
+        let request = Request::PlaySamples {
+            ac: ac.id,
+            start_time: ATime::new(frame_time),
+            flags,
+            data: chunk.to_vec(),
+        };
+        request.encode_into(order, &mut frames);
+    }
+    frames
+}
+
+/// Plays `(stereo LIN16?, bytes)` cases, each after a buffered
+/// `select_events`, and asserts that the server receives exactly the bytes
+/// of the owned request encodings: the contexts, then per case the
+/// `SelectEvents` and the play's chunk frames.
+fn assert_plays_send_the_owned_encodings(opts: ConnectOptions, cases: &[(bool, usize)]) {
+    let (addr, listener) = MockServer::listen();
+    let client = std::thread::spawn(move || {
+        AudioConn::open_with_options(&addr, ByteOrder::native(), &opts).unwrap()
+    });
+    let mut server = MockServer::accept(&listener);
+    let mut conn = client.join().unwrap();
+    let order = server.order;
+
+    let stereo_attrs = AcAttributes {
+        encoding: af_dsp::Encoding::Lin16,
+        channels: 2,
+        ..AcAttributes::default()
+    };
+    let contexts = [
+        (AcMask::default(), AcAttributes::default()),
+        (AcMask::ENCODING | AcMask::CHANNELS, stereo_attrs),
+    ];
+    let mut want = vec![Vec::new()];
+    let mut acs = Vec::new();
+    for (mask, attrs) in contexts {
+        let ac = conn.create_ac(0, mask, &attrs).unwrap();
+        let create = Request::CreateAc {
+            id: ac.id,
+            device: 0,
+            mask,
+            attrs,
+        };
+        create.encode_into(order, &mut want[0]);
+        acs.push(ac);
+    }
+    let select = Request::SelectEvents {
+        device: 0,
+        mask: EventMask::ALL,
+    };
+    let plays: Vec<(&Ac, Vec<u8>)> = cases
+        .iter()
+        .enumerate()
+        .map(|(n, &(stereo, len))| {
+            let data = (0..len).map(|i| (i * 131 + i / 251 + n) as u8).collect();
+            (&acs[usize::from(stereo)], data)
+        })
+        .collect();
+    for (i, (ac, data)) in plays.iter().enumerate() {
+        if i > 0 {
+            want.push(Vec::new());
+        }
+        select.encode_into(order, &mut want[i]);
+        want[i].extend(owned_play_frames(order, ac, 1000, data));
+    }
+
+    let lens: Vec<usize> = want.iter().map(Vec::len).collect();
+    let peer = std::thread::spawn(move || {
+        let captured: Vec<Vec<u8>> = lens
+            .into_iter()
+            .map(|len| {
+                let bytes = server.capture(len);
+                server.reply(&Reply::Time {
+                    time: ATime::new(len as u32),
+                });
+                bytes
+            })
+            .collect();
+        (captured, server)
+    });
+    for ((ac, data), want) in plays.iter().zip(&want) {
+        conn.select_events(0, EventMask::ALL).unwrap();
+        let t = conn.play_samples(ac, ATime::new(1000), data).unwrap();
+        assert_eq!(t, ATime::new(want.len() as u32));
+    }
+    let (captured, _server) = peer.join().unwrap();
+    for (i, (got, want)) in captured.iter().zip(&want).enumerate() {
+        let first_diff = got.iter().zip(want).position(|(g, w)| g != w);
+        assert!(
+            got == want,
+            "case {:?}: {} bytes captured, {} expected, first difference at {first_diff:?}",
+            cases[i],
+            got.len(),
+            want.len()
+        );
+    }
+}
+
+#[test]
+fn plays_send_exactly_the_owned_request_encodings() {
+    // One byte, a padded chunk, exactly one chunk, the e2e's 32 KB, a
+    // stereo LIN16 play, and 9 MB: 1,152 chunks, more than one write
+    // carries and more than Linux's `IOV_MAX` of 1,024 slices.
+    let cases = [
+        (false, 1),
+        (false, 8191),
+        (false, CHUNK_BYTES),
+        (false, 32 * 1024),
+        (true, 3 * CHUNK_BYTES + 4 * 7),
+        (false, 9 << 20),
+    ];
+    assert_plays_send_the_owned_encodings(ConnectOptions::default(), &cases);
+}
+
+#[test]
+fn plays_survive_short_writes_byte_for_byte() {
+    let opts = ConnectOptions {
+        chaos: Some(StreamFaultPlan::new(27).partial_writes(97)),
+        ..ConnectOptions::default()
+    };
+    assert_plays_send_the_owned_encodings(opts, &[(false, 32 * 1024)]);
+}
+
 #[test]
 fn record_chunks_and_reassembles() {
     let (mut conn, mut server) = connect_pair();
@@ -268,6 +424,39 @@ fn events_and_stale_errors_demuxed_around_a_reply() {
     let errs = conn.take_async_errors();
     assert_eq!(errs.len(), 1);
     assert_eq!(errs[0].code, af_proto::ErrorCode::BadValue);
+}
+
+#[test]
+fn if_event_reads_past_a_queued_event_that_does_not_match() {
+    // With a non-matching event already queued, `AFIfEvent` must still
+    // read the socket for the one it waits for, and leave the other queued.
+    let (mut conn, mut server) = connect_pair();
+    let event = |detail| Event {
+        device: 0,
+        device_time: ATime::new(5),
+        host_time_ms: 9,
+        detail,
+    };
+    let ring = EventDetail::Ring { ringing: true };
+    server.event(&event(EventDetail::Hook { off_hook: true }));
+    while conn.pending().unwrap() == 0 {
+        std::thread::yield_now();
+    }
+    server.event(&event(ring));
+    // On a thread of its own, so a wait that never reads fails the test
+    // rather than hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let got = conn.if_event(|e| e.detail == ring).map(|e| e.detail);
+        tx.send((got, conn.pending())).unwrap();
+    });
+    let (got, left) = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("if_event never returned");
+    waiter.join().unwrap();
+    assert_eq!(got.unwrap(), ring);
+    assert_eq!(left.unwrap(), 1, "the hook event stays queued");
+    drop(server);
 }
 
 #[test]

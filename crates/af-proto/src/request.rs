@@ -355,25 +355,32 @@ impl Request {
         }
     }
 
-    /// Appends a framed `PlaySamples` whose sample bytes are borrowed, so a
-    /// play chunk is copied once, from the caller's slice into `out`.
-    /// Byte-identical to encoding the owned [`Request::PlaySamples`].
+    /// The [`PLAY_HEADER_BYTES`] that open a framed `PlaySamples` carrying
+    /// `nbytes` of samples.  Followed by the samples and zeros to the next
+    /// word boundary they are byte-identical to the owned
+    /// [`Request::PlaySamples`], so a client can send the samples from
+    /// where they lie.
     ///
     /// # Panics
     ///
-    /// As [`Request::encode_into`].
-    pub fn encode_play_into(
+    /// As [`Request::encode`].
+    pub fn encode_play_header(
         order: ByteOrder,
-        out: &mut Vec<u8>,
         ac: AcId,
         start_time: ATime,
         flags: u8,
-        data: &[u8],
-    ) {
-        out.reserve(data_frame_len(data));
-        Self::frame_into(order, Opcode::PlaySamples, out, |w| {
-            Self::encode_play_payload(w, ac, start_time, flags, data);
-        });
+        nbytes: usize,
+    ) -> [u8; PLAY_HEADER_BYTES] {
+        let total = pad4(PLAY_HEADER_BYTES + nbytes);
+        assert!(total <= MAX_REQUEST_BYTES, "request too long: {total}");
+        let mut h = [0u8; PLAY_HEADER_BYTES];
+        h[..2].copy_from_slice(&order.u16_bytes((total / 4) as u16));
+        h[2] = Opcode::PlaySamples.to_wire();
+        h[4..8].copy_from_slice(&order.u32_bytes(ac));
+        h[8..12].copy_from_slice(&order.u32_bytes(start_time.ticks()));
+        h[12] = flags;
+        h[16..].copy_from_slice(&order.u32_bytes(nbytes as u32));
+        h
     }
 
     /// Header placeholder, payload, padding, then the length patched in.
@@ -398,18 +405,6 @@ impl Request {
         assert!(total <= MAX_REQUEST_BYTES, "request too long: {total}");
         w.patch(start, &order.u16_bytes((total / 4) as u16));
         *out = w.finish();
-    }
-
-    fn encode_play_payload(
-        w: &mut WireWriter,
-        ac: AcId,
-        start_time: ATime,
-        flags: u8,
-        data: &[u8],
-    ) {
-        w.u32(ac).u32(start_time.ticks()).u8(flags).pad(3);
-        w.u32(data.len() as u32);
-        w.bytes(data);
     }
 
     fn encode_ac_attrs(w: &mut WireWriter, mask: AcMask, attrs: &AcAttributes) {
@@ -472,7 +467,10 @@ impl Request {
                 start_time,
                 flags,
                 data,
-            } => Self::encode_play_payload(w, *ac, *start_time, *flags, data),
+            } => {
+                let h = Self::encode_play_header(w.order(), *ac, *start_time, *flags, data.len());
+                w.bytes(&h[4..]).bytes(data);
+            }
             Request::RecordSamples {
                 ac,
                 start_time,
@@ -820,6 +818,10 @@ impl<'a> PlayView<'a> {
     }
 }
 
+/// Bytes of a framed `PlaySamples` before its samples: the 4-byte header
+/// and four words of fields ([`Request::encode_play_header`]).
+pub const PLAY_HEADER_BYTES: usize = 20;
+
 /// Room reserved for a request that carries no sample or property data:
 /// all but the string-carrying ones fit.
 const SMALL_FRAME_BYTES: usize = 24;
@@ -955,8 +957,8 @@ mod tests {
     #[test]
     fn encode_into_appends_the_same_frames_both_orders() {
         // A batch appended into one buffer is the concatenation of the
-        // stand-alone encodings; the borrowed play encoder matches the
-        // owned request byte for byte.
+        // stand-alone encodings; a play header, the borrowed samples and
+        // their padding match the owned request byte for byte.
         for order in [ByteOrder::Little, ByteOrder::Big] {
             let (mut batch, mut want) = (Vec::new(), Vec::new());
             for req in samples() {
@@ -971,7 +973,11 @@ mod tests {
                     data,
                 } = &req
                 {
-                    Request::encode_play_into(order, &mut batch, *ac, *start_time, *flags, data);
+                    let header =
+                        Request::encode_play_header(order, *ac, *start_time, *flags, data.len());
+                    batch.extend_from_slice(&header);
+                    batch.extend_from_slice(data);
+                    batch.resize(pad4(batch.len()), 0);
                     want.extend_from_slice(&req.encode(order));
                 }
             }
@@ -987,6 +993,29 @@ mod tests {
                 decoded += 1;
             }
             assert_eq!(decoded, samples().len() + 1);
+        }
+    }
+
+    #[test]
+    fn play_header_samples_and_padding_are_the_owned_frame() {
+        // Every padding length, the largest chunk the library sends and a
+        // chunk one byte short of it, in both orders.
+        for order in [ByteOrder::Little, ByteOrder::Big] {
+            for nbytes in [0, 1, 2, 3, 4, 5, 8191, crate::CHUNK_BYTES] {
+                let data: Vec<u8> = (0..nbytes).map(|i| (i * 7 + 1) as u8).collect();
+                let (ac, start, flags) = (0x0102_0304, ATime::new(0xA0B0_C0D0), 0x85);
+                let mut sent =
+                    Request::encode_play_header(order, ac, start, flags, nbytes).to_vec();
+                sent.extend_from_slice(&data);
+                sent.resize(pad4(sent.len()), 0);
+                let owned = Request::PlaySamples {
+                    ac,
+                    start_time: start,
+                    flags,
+                    data,
+                };
+                assert_eq!(sent, owned.encode(order), "{nbytes} bytes, {order:?}");
+            }
         }
     }
 

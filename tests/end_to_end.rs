@@ -958,7 +958,13 @@ fn requests_queued_behind_a_suspended_play_replay_in_order_bit_exact() {
         (2, 31_000, 0, &mixed[..]),
         (2, 31_100, play_flags::PREEMPT, &preempting[..]),
     ] {
-        Request::encode_play_into(order, &mut wire, ac, ATime::new(start), flags, data);
+        let play = Request::PlaySamples {
+            ac,
+            start_time: ATime::new(start),
+            flags,
+            data: data.to_vec(),
+        };
+        play.encode_into(order, &mut wire);
     }
     model.play(30_000, &long, false);
     model.play(31_000, &mixed, false);
