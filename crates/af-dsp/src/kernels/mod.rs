@@ -1,17 +1,22 @@
 //! Runtime-dispatched batch kernels.
 //!
 //! Companded→linear decode, the LIN16 saturating mix, the resampler's
-//! block loop and the play map's mix sit behind one function-pointer
-//! vtable selected once at startup.  There are two kinds of table:
+//! block and the play map's mix sit behind one function-pointer vtable
+//! selected once at startup.  There are two kinds of table:
 //!
 //! * [`scalar`] — batched table-lookup loops, the resampler's portable
-//!   loop ([`crate::resample`]) and the play map's table loop
+//!   interior ([`crate::resample`]) and the play map's table loop
 //!   ([`crate::tables::PlayMap`]); always available, the semantic
 //!   definition of every entry point, and what the SIMD tables call for
 //!   their tails.
 //! * SIMD — x86_64 `core::arch` kernels ([`x86`]): AVX2 when detected and
 //!   AVX-512 when F, BW and VBMI all are, each table the one below it with
-//!   entries replaced.
+//!   entries replaced — AVX-512 its resampler interior and play map.
+//!
+//! Every table's resampler is one driver, `resample::drive`, around that
+//! table's interior: the driver walks the position chain as runs of bit
+//! patterns `b0 + k·n` (DESIGN.md §8.2), the interior turns a run into
+//! samples.
 //!
 //! Every table is pinned bit-exact against `crate::reference` by the
 //! differential property tests, so selection is purely a throughput choice

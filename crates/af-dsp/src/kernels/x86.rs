@@ -23,11 +23,14 @@
 //! AVX-512 parts, whose 512-bit licence slows the scalar code around a
 //! kernel.  A-law devices and `copy_into` keep the table loop.
 //!
-//! The AVX2 resampler is the portable one's driver (`resample::drive`)
-//! around a vector interior: four positions per `f64` vector, each IEEE
-//! operation of the reference loop on the same operands in the same order
-//! (DESIGN.md §8.2).  `fma` is deliberately not enabled: a fused
-//! `a*(1-frac) + b*frac` rounds once where the reference rounds twice.
+//! Both resamplers are the portable one's driver (`resample::drive`)
+//! around a vector interior fed a run of positions as bit patterns
+//! `b0 + k·n` (DESIGN.md §8.2): four lanes per AVX2 vector, eight per
+//! AVX-512 one — whose interior needs only F, so the table's detection
+//! already covers it — each IEEE operation of the reference loop on the
+//! same operands in the same order.  `fma` is deliberately not enabled: a
+//! fused `a*(1-frac) + b*frac` rounds once where the reference rounds
+//! twice.
 
 // All intrinsics in this module operate on unaligned loads/stores within
 // caller-checked bounds; AVX2 and AVX-512 functions are reached only after
@@ -37,7 +40,7 @@
 use core::arch::x86_64::*;
 
 use super::{scalar, Kernels, ResampleState};
-use crate::resample::{self, BLOCK};
+use crate::resample::{self, Run, BLOCK};
 use crate::tables::{LinearPlanes, PlayMap};
 
 const AVX2: Kernels = Kernels {
@@ -51,6 +54,7 @@ const AVX2: Kernels = Kernels {
 
 const AVX512: Kernels = Kernels {
     name: "simd-avx512",
+    resample_block: resample_block_avx512_entry,
     play_mix: play_mix_avx512_entry,
     ..AVX2
 };
@@ -210,7 +214,7 @@ unsafe fn decode_alaw_avx2(data: &[u8], out: &mut [i16]) {
     scalar::decode_alaw(&data[i..], &mut out[i..]);
 }
 
-// ---- AVX2 resampler (32 outputs per block, 4 per vector) --------------
+// ---- Resampler interiors (a run of up to 32 outputs) -------------------
 
 fn resample_block_avx2_entry(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
     // SAFETY: reachable only through the AVX2 table, handed out only when detected.
@@ -220,10 +224,17 @@ fn resample_block_avx2_entry(st: &mut ResampleState, input: &[i16], out: &mut Ve
 // SAFETY: callers must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 unsafe fn resample_block_avx2(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    resample::drive(st, input, out, |p, offset, input, res| {
+    resample::drive(st, input, out, |run, offset, input, out| {
         // SAFETY: AVX2 is this function's own precondition.
-        unsafe { resample_interior_avx2(p, offset, input, res) }
+        unsafe { resample_interior_avx2(run, offset, input, out) }
     });
+}
+
+/// A bound on the tap indices a gather may use on `input`: `i` below it
+/// has `i + 1 < input.len()`, and is non-negative as the `i32` a gather
+/// sign-extends.
+fn tap_limit(input: &[i16]) -> u32 {
+    input.len().saturating_sub(1).min(i32::MAX as usize) as u32
 }
 
 /// `v.round()` (half away from zero) per lane, as `i32`, for `|v| < 2³⁰`.
@@ -240,42 +251,44 @@ unsafe fn round_away_avx2(v: __m256d) -> __m128i {
     _mm256_cvttpd_epi32(_mm256_add_pd(v, _mm256_sub_pd(v, t)))
 }
 
-/// The 32-output interior of [`resample::drive`]: four positions per
-/// vector, first to fraction and tap index (checked for the whole block),
-/// then one `vpgatherdd` lane per output — `input[i]` in the low half,
-/// `input[i + 1]` in the high — interpolated, rounded, and narrowed with
+/// The AVX2 interior of [`resample::drive`]: four positions per vector
+/// from the run's bit patterns, first to fraction and tap index (lanes
+/// past the run read tap 0; checked for the whole run), then one
+/// `vpgatherdd` lane per output — `input[i]` in the low half, `input[i +
+/// 1]` in the high — interpolated, rounded, and narrowed with
 /// `packs_epi32`, which is the reference's clamp to the `i16` range.
 // SAFETY: callers must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn resample_interior_avx2(
-    p: &[f64; BLOCK + 1],
-    offset: usize,
-    input: &[i16],
-    res: &mut [i16; BLOCK],
-) {
+unsafe fn resample_interior_avx2(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
     const QUADS: usize = BLOCK / 4;
     let one = _mm256_set1_pd(1.0);
     let offset = _mm_set1_epi32(offset as i32);
+    let n = run.n as i64;
+    let kn = _mm256_setr_epi64x(0, n, 2 * n, 3 * n);
+    let count = _mm_set1_epi32(run.count as i32);
     let mut frac = [_mm256_setzero_pd(); QUADS];
     let mut idx = [_mm_setzero_si128(); QUADS];
     let mut top = _mm_setzero_si128();
     for q in 0..QUADS {
-        // In-body safety: `4 * q + 4 ≤ BLOCK` bounds the load.
-        let pos = _mm256_loadu_pd(p.as_ptr().add(4 * q));
+        let b = run.b0.wrapping_add(4 * q as u64 * run.n) as i64;
+        let pos = _mm256_castsi256_pd(_mm256_add_epi64(_mm256_set1_epi64x(b), kn));
         let base = _mm256_floor_pd(pos);
         frac[q] = _mm256_sub_pd(pos, base);
-        idx[q] = _mm_sub_epi32(_mm256_cvttpd_epi32(base), offset);
+        let lane = _mm_add_epi32(_mm_set1_epi32(4 * q as i32), _mm_setr_epi32(0, 1, 2, 3));
+        let live = _mm_cmpgt_epi32(count, lane);
+        idx[q] = _mm_and_si128(_mm_sub_epi32(_mm256_cvttpd_epi32(base), offset), live);
         top = _mm_max_epu32(top, idx[q]);
     }
-    // One bounds check for the block, on the largest index as unsigned (a
-    // negative one is larger than any length): lane `i` reads the four
-    // bytes of `input[i..i + 2]`.
+    // One bounds check for the run, on the largest index as unsigned (a
+    // negative one is larger than any length).
     let [t0, t1, t2, t3]: [u32; 4] = core::mem::transmute(top);
-    let top = t0.max(t1).max(t2).max(t3) as usize;
-    assert!(top + 1 < input.len(), "resample tap out of range");
+    assert!(
+        t0.max(t1).max(t2).max(t3) < tap_limit(input),
+        "resample tap out of range"
+    );
     let quad = |q: usize| {
-        // In-body safety: every lane of `idx[q]` is at most `top`.
+        // In-body safety: every lane of `idx[q]` is below `tap_limit`.
         let taps = _mm_i32gather_epi32::<2>(input.as_ptr().cast(), idx[q]);
         let a = _mm256_cvtepi32_pd(_mm_srai_epi32(_mm_slli_epi32(taps, 16), 16));
         let b = _mm256_cvtepi32_pd(_mm_srai_epi32(taps, 16));
@@ -284,11 +297,105 @@ unsafe fn resample_interior_avx2(
             _mm256_mul_pd(b, frac[q]),
         ))
     };
+    out.reserve(BLOCK);
+    let dst = out.spare_capacity_mut().as_mut_ptr();
     for q in (0..QUADS).step_by(2) {
         let packed = _mm_packs_epi32(quad(q), quad(q + 1));
-        // In-body safety: `4 * q + 8 ≤ BLOCK` bounds the store.
-        _mm_storeu_si128(res.as_mut_ptr().add(4 * q).cast(), packed);
+        // In-body safety: the reserve above left `BLOCK` samples of spare
+        // capacity, and `4 * q + 8 ≤ BLOCK` bounds the store.
+        _mm_storeu_si128(dst.add(4 * q).cast(), packed);
     }
+    // In-body safety: the stores initialised the first `run.count ≤ BLOCK`
+    // samples past the length.
+    out.set_len(out.len() + run.count.min(BLOCK));
+}
+
+fn resample_block_avx512_entry(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    // SAFETY: reachable only through the AVX-512 table, which `available`
+    // hands out only after detecting F (and BW and VBMI).
+    unsafe { resample_block_avx512(st, input, out) }
+}
+
+// SAFETY: callers must guarantee the CPU supports AVX-512 F.
+#[target_feature(enable = "avx512f")]
+unsafe fn resample_block_avx512(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
+    resample::drive(st, input, out, |run, offset, input, out| {
+        // SAFETY: AVX-512 F is this function's own precondition.
+        unsafe { resample_interior_avx512(run, offset, input, out) }
+    });
+}
+
+/// [`round_away_avx2`], eight lanes.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn round_away_avx512(v: __m512d) -> __m256i {
+    let t = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+    _mm512_cvttpd_epi32(_mm512_add_pd(v, _mm512_sub_pd(v, t)))
+}
+
+/// The AVX-512 interior of [`resample::drive`]: eight positions per vector
+/// as `b0 + 8q·n` broadcast plus `k·n`, never in memory; `vrndscalepd`
+/// floors them; the 32 tap indices sit in two vectors, lanes past the run
+/// zeroed, and one compare on their maximum checks them all before the
+/// two 16-lane gathers.  `a·(1 − frac) + b·frac` is four separate
+/// operations, as in the reference (Rust never lets LLVM contract them
+/// into an FMA); `vpmovsdw` is the clamp to `i16`, and the 32 results go
+/// straight into `out`'s spare capacity.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn resample_interior_avx512(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
+    const OCTS: usize = BLOCK / 8;
+    let n = run.n as i64;
+    let kn = _mm512_setr_epi64(0, n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n, 7 * n);
+    let mut frac = [_mm512_setzero_pd(); OCTS];
+    let mut base = [_mm256_setzero_si256(); OCTS];
+    for q in 0..OCTS {
+        let b = run.b0.wrapping_add(8 * q as u64 * run.n) as i64;
+        let pos = _mm512_castsi512_pd(_mm512_add_epi64(_mm512_set1_epi64(b), kn));
+        let floor = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(pos);
+        frac[q] = _mm512_sub_pd(pos, floor);
+        base[q] = _mm512_cvttpd_epi32(floor);
+    }
+    let live = u32::MAX >> (BLOCK - run.count.clamp(1, BLOCK));
+    let offset = _mm512_set1_epi32(offset as i32);
+    let idx = [0, 1].map(|h| {
+        let both = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(base[2 * h]), base[2 * h + 1]);
+        _mm512_maskz_sub_epi32((live >> (16 * h)) as u16, both, offset)
+    });
+    let limit = _mm512_set1_epi32(tap_limit(input) as i32);
+    let over = _mm512_cmpge_epu32_mask(_mm512_max_epu32(idx[0], idx[1]), limit);
+    assert!(over == 0, "resample tap out of range");
+    out.reserve(BLOCK);
+    let dst = out.spare_capacity_mut().as_mut_ptr().cast::<__m256i>();
+    let one = _mm512_set1_pd(1.0);
+    let lerp = |q: usize, a: __m256i, b: __m256i| {
+        let (a, b) = (_mm512_cvtepi32_pd(a), _mm512_cvtepi32_pd(b));
+        round_away_avx512(_mm512_add_pd(
+            _mm512_mul_pd(a, _mm512_sub_pd(one, frac[q])),
+            _mm512_mul_pd(b, frac[q]),
+        ))
+    };
+    for (h, &idx) in idx.iter().enumerate() {
+        // In-body safety: every lane of `idx` is below `tap_limit`.
+        let taps = _mm512_i32gather_epi32::<2>(idx, input.as_ptr().cast());
+        let a = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(taps));
+        let b = _mm512_srai_epi32::<16>(taps);
+        let lo = lerp(2 * h, _mm512_castsi512_si256(a), _mm512_castsi512_si256(b));
+        let hi = lerp(
+            2 * h + 1,
+            _mm512_extracti64x4_epi64::<1>(a),
+            _mm512_extracti64x4_epi64::<1>(b),
+        );
+        let rounded = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi);
+        // In-body safety: the reserve above left `BLOCK` samples of spare
+        // capacity, two stores of 16.
+        _mm256_storeu_si256(dst.add(h), _mm512_cvtsepi32_epi16(rounded));
+    }
+    // In-body safety: the stores initialised the first `run.count ≤ BLOCK`
+    // samples past the length.
+    out.set_len(out.len() + run.count.min(BLOCK));
 }
 
 // ---- AVX-512 VBMI play map (64 samples per iteration) -----------------

@@ -8,17 +8,19 @@
 //!
 //! [`resample_block`] calls the active kernel table's entry
 //! (`kernels::Kernels::resample_block`).  Every table's entry is one
-//! driver, `drive` — guard, head, the serial `pos += step` chain, last
-//! partial block, tail, rebase — around a 32-output interior: the portable
-//! loop of this file for the scalar table (and so under Miri and on every
-//! host without AVX2), `core::arch` code in `kernels::x86` for AVX2.  Each
-//! is bit-exact with the frozen seed loop
-//! `reference::resample_block_scalar` by construction rather than by
-//! tolerance (DESIGN.md §8.2): the position still accumulates by
-//! sequential `pos += step`, every floating-point operation of the
-//! reference is performed on the same operands in the same order, and only
-//! the two library calls — `floor` and `round`, software routines on
-//! baseline x86-64 — are replaced, by exact arithmetic.
+//! driver, `drive` — guard, head, the position chain, tail, rebase —
+//! around an interior that turns a run of up to 32 positions into
+//! output: the portable loop of this file for the scalar table (and so
+//! under Miri and on every host without AVX2), `core::arch` code in
+//! `kernels::x86` for AVX2 and AVX-512.  Each is bit-exact with the frozen
+//! seed loop `reference::resample_block_scalar` by construction rather
+//! than by tolerance (DESIGN.md §8.2): every position is the reference's
+//! sequential `pos += step`, computed as an integer progression of bit
+//! patterns where `progression` proves the two equal and by the add
+//! itself elsewhere; every other floating-point operation of the reference
+//! is performed on the same operands in the same order; and only the two
+//! library calls — `floor` and `round`, software routines on baseline
+//! x86-64 — are replaced, by exact arithmetic.
 
 use crate::{kernels, reference};
 
@@ -42,10 +44,21 @@ pub struct Resampler {
     state: ResampleState,
 }
 
+/// The smallest step a [`Resampler`] takes: 2⁻²², the ulp of `[2³⁰, 2³¹)`,
+/// so `pos += step` advances every position up to 2³⁰, the last one a
+/// block of under 2³⁰ samples reaches.  A smaller step can stall `pos`
+/// below it (`pos + step` rounds back to `pos`), and the block never ends.
+const MIN_STEP: f64 = 1.0 / (1u32 << 22) as f64;
+
 /// Input samples per output sample for a rate pair.
 fn step_for(from_rate: f64, to_rate: f64) -> f64 {
-    assert!(from_rate > 0.0 && to_rate > 0.0, "rates must be positive");
-    from_rate / to_rate
+    assert!(
+        from_rate.is_finite() && to_rate.is_finite() && from_rate > 0.0 && to_rate > 0.0,
+        "rates must be positive and finite"
+    );
+    let step = from_rate / to_rate;
+    assert!(step >= MIN_STEP, "rate ratio {step:e} below 2^-22");
+    step
 }
 
 impl Resampler {
@@ -53,7 +66,8 @@ impl Resampler {
     ///
     /// # Panics
     ///
-    /// Panics unless both rates are positive.
+    /// Panics unless both rates are positive and finite and `from_rate /
+    /// to_rate` is at least 2⁻²² (smaller steps can stall the position).
     pub fn new(from_rate: f64, to_rate: f64) -> Resampler {
         Resampler {
             state: ResampleState {
@@ -70,7 +84,8 @@ impl Resampler {
     ///
     /// # Panics
     ///
-    /// Panics unless both rates are positive.
+    /// Panics unless both rates are positive and finite and `from_rate /
+    /// to_rate` is at least 2⁻²² (smaller steps can stall the position).
     pub fn set_rates(&mut self, from_rate: f64, to_rate: f64) {
         self.state.step = step_for(from_rate, to_rate);
     }
@@ -93,9 +108,8 @@ impl Resampler {
     }
 }
 
-/// Outputs per pass of the blocked loop.  Small enough that the serial
-/// position chain of the next block overlaps the independent work of this
-/// one in an out-of-order window; 16 and 64 measured within 10 % of it.
+/// The longest [`Run`]: eight AVX2 or four AVX-512 vectors of positions,
+/// and 64 bytes of output.
 pub(crate) const BLOCK: usize = 32;
 
 /// 1.5 × 2⁵²: in `[2⁵², 2⁵³)` doubles are the integers, so adding it rounds
@@ -153,47 +167,125 @@ pub(crate) fn resample_block_portable(st: &mut ResampleState, input: &[i16], out
     drive(st, input, out, interior);
 }
 
-/// The portable interior: [`BLOCK`] outputs in three passes over fixed
-/// arrays — exact floor and fraction, tap gather, interpolate and round —
-/// all independent, branch-free work a compiler can run two to four lanes
-/// wide on baseline SSE2 or NEON.
+/// `count` consecutive outputs whose positions have the bit patterns
+/// `b0 + k·n`, `0 ≤ k < count ≤ BLOCK` (see [`progression`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) b0: u64,
+    pub(crate) n: u64,
+    pub(crate) count: usize,
+}
+
+/// The portable interior: a run in three passes over fixed arrays — exact
+/// floor and fraction, tap gather, interpolate and round — all independent,
+/// branch-free work a compiler can run two to four lanes wide on baseline
+/// SSE2 or NEON.  The passes stop at `run.count`: a run cut short by a
+/// binade's end costs its own outputs, not a whole block's.
 #[inline(always)]
-fn interior(p: &[f64; BLOCK + 1], offset: usize, input: &[i16], res: &mut [i16; BLOCK]) {
+fn interior(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
+    let count = run.count.min(BLOCK);
     let mut frac = [0.0f64; BLOCK];
     let mut idx = [0i32; BLOCK];
     let mut taps = [0u32; BLOCK];
-    for k in 0..BLOCK {
-        let (base, bi) = floor_exact(p[k]);
-        frac[k] = p[k] - base;
+    let mut res = [0i16; BLOCK];
+    let mut b = run.b0;
+    for k in 0..count {
+        let p = f64::from_bits(b);
+        let (base, bi) = floor_exact(p);
+        frac[k] = p - base;
         idx[k] = bi - offset as i32;
+        b += run.n;
     }
-    for k in 0..BLOCK {
+    for k in 0..count {
         let i = idx[k] as usize;
         let (a, b) = (input[i], input[i + 1]);
         // Both taps in one word: adjacent loads the compiler merges.
         taps[k] = u32::from(a as u16) | u32::from(b as u16) << 16;
     }
-    for k in 0..BLOCK {
+    for k in 0..count {
         res[k] = lerp(taps[k] as i16, (taps[k] >> 16) as i16, frac[k]);
+    }
+    // A whole run's constant length copies inline; a slice calls `memcpy`.
+    if count == BLOCK {
+        out.extend_from_slice(&res);
+    } else {
+        out.extend_from_slice(&res[..count]);
     }
 }
 
-/// Everything of a kernel table's `resample_block` but the interior's
-/// whole blocks, which `interior(p, offset, input, res)` computes: output
-/// `k` of the block sits at virtual position `p[k]` (`p[BLOCK]` is the next
-/// block's first), its taps are `input[i]` and `input[i + 1]` for
-/// `i = floor(p[k]) - offset`, and its value goes to `res[k]`.  The driver
-/// calls it only with `0 ≤ i` and `i + 1 < input.len()` for every `k`, and
-/// with `p` non-decreasing and below 2³⁰ + 1.
+/// The output at virtual position `p`, whose taps both come from `input`.
+#[inline(always)]
+fn one(p: f64, offset: usize, input: &[i16]) -> i16 {
+    let (base, bi) = floor_exact(p);
+    let i = bi as usize - offset;
+    lerp(input[i], input[i + 1], p - base)
+}
+
+/// Exponent and mantissa fields of an `f64`.
+const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+const MANTISSA: u64 = (1 << 52) - 1;
+
+/// The bit pattern of `2^(E+1)` for `x` in `[2^E, 2^(E+1))`: one past the
+/// last double of `x`'s binade.
+#[inline(always)]
+fn binade_end(x: f64) -> u64 {
+    (x.to_bits() | MANTISSA) + 1
+}
+
+/// `Some(n)` when the position chain from `pos` (with `next = pos + step`)
+/// is the progression of bit patterns `bits(pos) + k·n` for every position
+/// up to the last one of `pos`'s binade; `None` where `next` must come
+/// from the add itself.
 ///
-/// Outputs interpolated from the carried sample (the head) and the last
-/// partial block take the same arithmetic one at a time.
+/// *Lemma.*  Let `pos` be normal, in `[2^E, 2^(E+1))` with ulp `u`; every
+/// double there is a multiple of `u`.  Write `step = m·u + r`, `0 ≤ r < u`,
+/// and let `d` be the multiple of `u` nearest `step`: `m·u` if `r < u/2`,
+/// `(m+1)·u` if `r > u/2`.  For any `x` of the binade with `x + d` still in
+/// it, `x + step` lies within `u/2` of `x + d` and strictly inside that
+/// grid, so it rounds to `x + d` — the same `d` for every `x`.  Positive
+/// doubles of one binade are ordered and spaced like their bit patterns,
+/// so `bits(x + d) = bits(x) + d/u`, and `n = bits(next) − bits(pos)` is
+/// `d/u` when `next` is inside the binade.  The three exits:
+///
+/// * *crossing* — `next` at or past `2^(E+1)`: the grid there is `2u`;
+/// * *tie* — `r = u/2`, where ties-to-even picks `m·u` or `(m+1)·u` by the
+///   parity of `x`.  The test `|step − (next − pos)| = u/2` is exact:
+///   `next − pos` is (Sterbenz, both in the binade), and so is `step` less
+///   it (Sterbenz again, `|step − d| ≤ u/2 ≤ d/2`; `d = 0` is `n = 0`);
+/// * *non-normal* — `pos` zero or subnormal, where the grid is not `u`.
+///
+/// `n = 0` (a step under half an ulp stalls `pos`) is refused too: the
+/// reference never ends there, and neither does the scalar path.
+#[inline(always)]
+fn progression(pos: f64, next: f64, step: f64) -> Option<u64> {
+    let (b0, b1) = (pos.to_bits(), next.to_bits());
+    // `pos` is normal and ≥ 0: `u = 2^E · 2⁻⁵²` is exact even below 2⁻⁹⁷⁰.
+    let u = f64::from_bits(b0 & EXPONENT) * f64::EPSILON;
+    let tie = (step - (next - pos)).abs() * 2.0 == u;
+    (pos.is_normal() && b0 < b1 && b1 < binade_end(pos) && !tie).then_some(b1 - b0)
+}
+
+/// Everything of a kernel table's `resample_block` but the runs, which
+/// `interior(run, offset, input, out)` turns into output: it appends
+/// `run.count` samples to `out`, output `k` interpolating `input[i]` and
+/// `input[i + 1]` for `i = floor(p) - offset` at the position
+/// `p = f64::from_bits(run.b0 + k·run.n)`.  The driver calls it only with
+/// `0 ≤ i` and `i + 1 < input.len()` for every `k < run.count`, and with
+/// positions below 2³⁰.  It reserves one run more than the block's
+/// outputs, so an interior that stores whole runs into spare capacity
+/// never reallocates.
+///
+/// The chain's positions are the reference's `pos += step`, as runs within
+/// a binade ([`progression`]) and by the add itself at crossings, ties and
+/// non-normal positions.  Outputs interpolated from the carried sample (the
+/// head) and those at a crossing or a tie take the interior's arithmetic
+/// one at a time.
 #[inline(always)]
 pub(crate) fn drive(
     st: &mut ResampleState,
     input: &[i16],
     out: &mut Vec<i16>,
-    interior: impl Fn(&[f64; BLOCK + 1], usize, &[i16], &mut [i16; BLOCK]),
+    interior: impl Fn(Run, usize, &[i16], &mut Vec<i16>),
 ) {
     let Some(&last) = input.last() else {
         return;
@@ -210,7 +302,8 @@ pub(crate) fn drive(
     // Virtual stream for this block: [prev?, input...].
     let offset = usize::from(st.prev.is_some());
     let last_index = (input.len() - 1 + offset) as f64;
-    out.reserve((input.len() as f64 / step) as usize + 2);
+    // The reference's estimate, and one run of slack.
+    out.reserve((input.len() as f64 / step) as usize + 2 + BLOCK);
 
     // Head: base index 0 is the carried sample, and `frac == pos`.
     if let Some(prev) = st.prev {
@@ -220,29 +313,35 @@ pub(crate) fn drive(
         }
     }
 
-    // Interior, whole blocks: both taps come from `input`.
-    let mut p = [0.0f64; BLOCK + 1];
-    let mut res = [0i16; BLOCK];
-    loop {
-        p[0] = pos;
-        for k in 0..BLOCK {
-            p[k + 1] = p[k] + step;
-        }
-        // Sums of non-negative terms: never NaN and non-decreasing, so if
-        // the last position interpolates, all of them do.
-        if p[BLOCK - 1] >= last_index {
-            break;
-        }
-        interior(&p, offset, input, &mut res);
-        out.extend_from_slice(&res);
-        pos = p[BLOCK];
-    }
-    // Interior, last partial block.
+    // Interior: both taps come from `input`.
+    let end = last_index.to_bits();
     while pos < last_index {
-        let (base, bi) = floor_exact(pos);
-        let i = bi as usize - offset;
-        out.push(lerp(input[i], input[i + 1], pos - base));
-        pos += step;
+        let next = pos + step;
+        let Some(n) = progression(pos, next, step) else {
+            out.push(one(pos, offset, input));
+            pos = next;
+            continue;
+        };
+        // Runs up to the binade's end or the block's, whichever is first;
+        // positions are non-negative, so bit patterns order like values.
+        let top = binade_end(pos);
+        let stop = top.min(end);
+        let mut b = pos.to_bits();
+        while b < stop {
+            let count = if b + (BLOCK as u64 - 1) * n < stop {
+                BLOCK
+            } else {
+                (stop - b).div_ceil(n) as usize
+            };
+            interior(Run { b0: b, n, count }, offset, input, out);
+            b += count as u64 * n;
+        }
+        // Inside the binade the progression holds; past it, one real add.
+        pos = if b < top {
+            f64::from_bits(b)
+        } else {
+            f64::from_bits(b - n) + step
+        };
     }
     // Tail: positions that land exactly on the last virtual sample.
     while pos <= last_index {
@@ -334,6 +433,36 @@ mod tests {
             "len={}",
             second.len()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "rates must be positive and finite")]
+    fn an_infinite_rate_is_refused() {
+        // 8000 / inf is a step of 0: `pos` never moves.
+        Resampler::new(8000.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^-22")]
+    fn a_step_too_small_to_advance_the_position_is_refused() {
+        // 1e-18 is under half an ulp of any position past 2⁻¹¹.
+        Resampler::new(1.0, 1e18);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^-22")]
+    fn retuning_to_a_stalling_step_is_refused() {
+        Resampler::new(8000.0, 8000.0).set_rates(1.0, 1e9);
+    }
+
+    #[test]
+    fn the_smallest_step_advances_the_last_position_a_block_reaches() {
+        // Every ulp below 2³⁰ is smaller still; half the bound stalls there.
+        let top = f64::from(1u32 << 30);
+        assert!(top + MIN_STEP > top);
+        assert_eq!(top + MIN_STEP / 2.0, top);
+        let slowest = Resampler::new(1.0, f64::from(1u32 << 22));
+        assert_eq!(slowest.ratio(), 1.0 / MIN_STEP);
     }
 
     #[test]

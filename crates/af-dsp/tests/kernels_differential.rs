@@ -353,6 +353,91 @@ fn resample_blocks_touch_the_last_sample_and_nothing_past_it() {
     }
 }
 
+/// `len` samples of deterministic noise.
+fn noise(len: usize) -> Vec<i16> {
+    let mut x = 0x6C07_8965u32;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x >> 16) as i16
+        })
+        .collect()
+}
+
+/// The positions' progression (`resample.rs`, `progression`) holds within
+/// a binade only off a tie: where `step` sits exactly half an ulp of `pos`
+/// off the grid, `pos + step` rounds to even and the spacing alternates.
+/// `1 ± 2⁻ᵏ` and `1 + 3·2⁻ᵏ` are such ties in the binade `[2^(53−k),
+/// 2^(54−k))`, where the ulp is `2^(1−k)`; each stream runs through that
+/// binade (up to 64 K samples), once whole and once behind a carried
+/// sample.
+#[test]
+fn resample_matches_reference_where_the_step_is_a_tie() {
+    let ks = if cfg!(miri) { 50..=51 } else { 38..=51 };
+    for k in ks {
+        let tiny = 2f64.powi(-k);
+        let data = noise((2usize << (53 - k)).min(64 * 1024));
+        for step in [1.0 + tiny, 1.0 - tiny, 1.0 + 3.0 * tiny] {
+            assert_resample_matches(step, [&data[..]]);
+            assert_resample_matches(step, [&data[..3], &data[3..]]);
+        }
+    }
+}
+
+/// Streams that start one ulp below each power of two they reach, so
+/// the first run ends after one position and the chain crosses into the
+/// next binade at once; with and without a carried sample.
+#[test]
+fn resample_matches_reference_from_one_ulp_below_every_binade() {
+    let data = noise(if cfg!(miri) { 40 } else { 5000 });
+    let top = (data.len() as f64).log2() as i32;
+    for e in -8..=top {
+        let pos = 2f64.powi(e).next_down();
+        for step in [1.0, 8000.0 / 11_025.0, 1.0 + 2f64.powi(-45), 3.7] {
+            for prev in [None, Some(-5)] {
+                let start = ResampleState { step, pos, prev };
+                assert_resample_matches_from(&start, [&data[..]]);
+            }
+        }
+    }
+}
+
+/// Positions off the binade grid: zero and subnormals, where the chain
+/// takes the add itself.
+#[test]
+fn resample_matches_reference_from_zero_and_subnormal_positions() {
+    let data = noise(if cfg!(miri) { 40 } else { 3000 });
+    let normal = f64::MIN_POSITIVE;
+    for pos in [0.0, f64::from_bits(1), normal.next_down(), normal] {
+        for step in [0.5, 1.0, 8000.0 / 11_025.0] {
+            for prev in [None, Some(9)] {
+                let start = ResampleState { step, pos, prev };
+                assert_resample_matches_from(&start, [&data[..]]);
+            }
+        }
+    }
+}
+
+/// Steps below, near and above two, with and without a carried sample:
+/// runs that advance by half a sample, by nearly two, and past three, so
+/// that tap indices repeat and skip.
+#[test]
+fn resample_matches_reference_on_short_and_long_steps() {
+    let data = noise(if cfg!(miri) { 120 } else { 10_000 });
+    for step in [0.5, 1.999, 3.7] {
+        assert_resample_matches(step, [&data[..]]);
+        assert_resample_matches(step, data.chunks(777));
+        let carried = ResampleState {
+            step,
+            pos: 0.25,
+            prev: Some(1234),
+        };
+        assert_resample_matches_from(&carried, [&data[..]]);
+    }
+}
+
 /// States the blocked loop's exact floor does not cover — a negative
 /// position, a step that goes backwards — get the reference's behaviour
 /// from every table, state included.
