@@ -1,17 +1,24 @@
 // Fixture: must NOT trigger `lock-across-send` — the guard is released
 // before sending, by scope end or by explicit drop.
 
-pub fn forward_scoped(q: &std::sync::Mutex<Vec<u32>>, tx: &crossbeam_channel::Sender<u32>) {
-    let first = {
-        let guard = q.lock().unwrap_or_else(|p| p.into_inner());
-        guard[0]
-    };
-    tx.send(first).ok();
+pub struct Relay {
+    queue: Mutex<Vec<u32>>,
+    tx: crossbeam_channel::Sender<u32>,
 }
 
-pub fn forward_dropped(q: &std::sync::Mutex<Vec<u32>>, tx: &crossbeam_channel::Sender<u32>) {
-    let guard = q.lock().unwrap_or_else(|p| p.into_inner());
-    let first = guard[0];
-    drop(guard);
-    tx.send(first).ok();
+impl Relay {
+    pub fn forward_scoped(&self) {
+        let first = {
+            let guard = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+            guard[0]
+        };
+        self.tx.send(first).ok();
+    }
+
+    pub fn forward_dropped(&self) {
+        let guard = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+        let first = guard[0];
+        drop(guard);
+        self.tx.send(first).ok();
+    }
 }

@@ -10,7 +10,10 @@
 // dispatcher's business; `handle_request` is the same barrier for
 // `blocking-in-reactor` (its `lock` must not be reported) and for `alloc`
 // a root in its own right: it queues a suspended client's request in a
-// pooled copy and allocates nothing.
+// pooled copy and allocates nothing.  `play_wake_instant`, below
+// `suspend`, reads the wall clock: it is the scheduling layer's wake
+// helper, where `wallclock` stops, as it does at `handle_event`, which
+// stamps a connection's setup.
 
 struct DispatchShared {
     dispatch_lock: Mutex<Dispatcher>,
@@ -46,6 +49,7 @@ impl Dispatcher {
 
     fn handle_event(&mut self, ev: Event) {
         let label = format!("event {ev:?}");
+        self.joined_at = Instant::now();
         let _ = self.trace.lock().push(label.clone());
         self.process_request(0);
     }
@@ -61,6 +65,12 @@ impl Dispatcher {
 
     fn suspend(&mut self, id: u64) {
         self.blocked.push_back(id);
+        let wake = self.play_wake_instant(id);
+        self.tasks.schedule(wake);
+    }
+
+    fn play_wake_instant(&self, id: u64) -> Instant {
+        Instant::now() + self.deficit(id)
     }
 
     fn h_record(&mut self, req: Request) {

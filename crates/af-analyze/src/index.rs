@@ -137,11 +137,6 @@ impl Index {
         (0..self.fns.len()).filter(move |&i| self.fns[i].name == name)
     }
 
-    /// Whether `name` is a declared lock.
-    pub fn is_lock(&self, name: &str) -> bool {
-        self.locks.iter().any(|l| l.name == name)
-    }
-
     /// Finds a function by file path and name (first match).
     pub fn find(&self, files: &[SourceFile], rel: &str, name: &str) -> Option<usize> {
         (0..self.fns.len()).find(|&i| {

@@ -5,10 +5,9 @@
 //!
 //! | lint | invariant |
 //! |------|-----------|
-//! | `opcode-tables`    | the 37-request/5-event space derives from the one spec table and is covered by encode/decode/dispatch |
-//! | `wallclock`        | no wall-clock reads inside dispatcher/reactor hot paths (device time only) |
+//! | `wallclock`        | nothing reachable from the per-tick data plane reads a wall clock (device time only) |
 //! | `no-panics`        | no `unwrap`/`expect`/`panic!` on server request-handling paths |
-//! | `lock-across-send` | no lock guard held across a channel send |
+//! | `lock-across-send` | no call made under a live lock guard in af-server is a channel send |
 //! | `tick-arith`       | no bare `+`/`-`/`as` on device-time tick values (wrapping ops only) |
 //! | `bounded-channels` | every channel in af-server is constructed bounded |
 //! | `unsafe-audit`     | every crate gates `unsafe_code`; zero-unsafe crates `forbid` it |
@@ -17,10 +16,9 @@
 //! | `blocking-in-reactor` | nothing reachable from the reactor event loops blocks |
 //! | `alloc`            | nothing reachable from the per-tick data plane allocates |
 //!
-//! The first seven are line-oriented and run over the stripped view (now
-//! rendered from the token stream — see [`lex`]); the last four are v2
-//! whole-program lints over the item [`index`] and approximate
-//! [`callgraph`].
+//! Every question about a function or a lock guard goes through the item
+//! [`index`] and the approximate [`callgraph`]; patterns are matched on
+//! the stripped view, rendered from the token stream (see [`lex`]).
 //!
 //! Findings can be suppressed at the site with a justified marker on the
 //! same line or the line above:
@@ -46,7 +44,6 @@ use std::path::Path;
 
 /// Every lint name, as accepted by allow-markers.
 pub const LINT_NAMES: &[&str] = &[
-    "opcode-tables",
     "wallclock",
     "no-panics",
     "lock-across-send",
@@ -129,13 +126,12 @@ pub fn analyze_files_timed(files: &[SourceFile]) -> (Vec<Finding>, Vec<LintTimin
             duration: start.elapsed(),
         });
     };
-    timed("opcode-tables", &mut findings, &mut || {
-        lints::opcode_tables::run(files)
+    timed("wallclock", &mut findings, &mut || {
+        lints::wallclock::run(files, &index, &graph)
     });
-    timed("wallclock", &mut findings, &mut || lints::wallclock::run(files));
     timed("no-panics", &mut findings, &mut || lints::no_panics::run(files));
     timed("lock-across-send", &mut findings, &mut || {
-        lints::lock_across_send::run(files)
+        lints::lock_across_send::run(files, &index)
     });
     timed("tick-arith", &mut findings, &mut || lints::tick_arith::run(files));
     timed("bounded-channels", &mut findings, &mut || {

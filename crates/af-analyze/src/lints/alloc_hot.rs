@@ -6,16 +6,7 @@
 //! tail latency.  Hot-path buffers are pre-sized at setup and reused
 //! (`clear()` + `extend_from_slice`, scratch fields, fixed arrays).
 //!
-//! Roots are the *data-plane* subset of the hot-path registry: the
-//! dispatcher's borrowed request entry and its request-handling arms, the
-//! borrowed `PlaySamples` parser, the append-form record read and the
-//! merge loop behind every play they lean on (each named outright: the
-//! call graph does not follow a `parse`/`decode` across crates, which is
-//! how an 8 KB `.to_vec()` per play chunk once sat on the data plane
-//! unseen), the reactor shard
-//! handlers (including the broadcast listener read/pump paths), the
-//! broadcast seal/fetch entry points, and the FEC/jitter per-frame entry
-//! points.
+//! Roots are the data-plane registry it shares with `wallclock`.
 //! The dispatcher's control arms (open/close/configure) may allocate —
 //! they run once per session, not once per tick — and are deliberately
 //! not roots.  Follows the call graph like `blocking-in-reactor`; a
@@ -24,51 +15,9 @@
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;
-use crate::lints::{run_reach_scan, ReachScan};
+use crate::lints::{run_reach_scan, ReachScan, DATA_PLANE, DISPATCH, SHARD_HANDLERS};
 use crate::source::SourceFile;
 use crate::Finding;
-
-/// Data-plane roots (per-tick / per-frame code only).
-const ROOTS: &[(&str, &[&str])] = &[
-    (
-        "crates/af-server/src/dispatch.rs",
-        &[
-            "handle_request",
-            "h_play",
-            "advance_play",
-            "suspend",
-            "h_record",
-            "finish_record",
-            "drain_queue",
-            "retry_blocked",
-        ],
-    ),
-    (
-        "crates/af-server/src/reactor/mod.rs",
-        &[
-            "handle_wake",
-            "handle_token",
-            "flush_conn",
-            "read_conn",
-            "drive_read",
-            "feed",
-            "deliver",
-            "read_bcast",
-            "pump_bcast",
-        ],
-    ),
-    (
-        "crates/af-server/src/buffer.rs",
-        &["read_rec_into", "merge_play"],
-    ),
-    ("crates/af-proto/src/request.rs", &["parse"]),
-    (
-        "crates/af-server/src/broadcast.rs",
-        &["publish", "fetch_batch", "absorb"],
-    ),
-    ("crates/af-device/src/fec.rs", &["encode", "decode"]),
-    ("crates/af-device/src/jitter.rs", &["insert", "read"]),
-];
 
 /// Allocation patterns over stripped code.  Deliberately absent:
 /// `Vec::with_capacity` and `vec![n; len]` — those are *sized* one-shot
@@ -107,12 +56,9 @@ const PATTERNS: &[&str] = &[
 ///   shards actually went missing, and Gaussian elimination needs its
 ///   matrices; the steady lossless path never enters it.
 const BARRIERS: &[(&str, &[&str])] = &[
+    (DISPATCH, &["handle_event", "process_request", "dispatch"]),
     (
-        "crates/af-server/src/dispatch.rs",
-        &["handle_event", "process_request", "dispatch"],
-    ),
-    (
-        "crates/af-server/src/reactor/mod.rs",
+        SHARD_HANDLERS.0,
         &[
             "accept_tcp",
             "accept_unix",
@@ -127,7 +73,7 @@ const BARRIERS: &[(&str, &[&str])] = &[
 
 const SCAN: ReachScan = ReachScan {
     lint: "alloc",
-    roots: ROOTS,
+    roots: DATA_PLANE,
     barriers: BARRIERS,
     patterns: PATTERNS,
     rationale: "the per-tick data plane must not allocate; pre-size at \

@@ -7,9 +7,9 @@
 //! only use non-blocking primitives (atomics, pre-sized scratch, leaf
 //! locks held for a push or a swap and justified per site).
 //!
-//! Unlike `wallclock` (which checks the named functions only), this lint
-//! follows the approximate call graph: a helper three calls away from
-//! `handle_wake` is as much inside the loop as the loop body itself.
+//! The lint follows the approximate call graph from the shard handlers:
+//! a helper three calls away from `handle_wake` is as much inside the
+//! loop as the loop body itself.
 //! Each finding reports the call path it was reached through.  Designed
 //! blocking — e.g. the dispatch-lock acquisition behind `submit`, which *is*
 //! the single-thread guarantee and the backpressure mechanism — is
@@ -24,25 +24,9 @@
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;
-use crate::lints::{run_reach_scan, ReachScan};
+use crate::lints::{run_reach_scan, ReachScan, DISPATCH, SHARD_HANDLERS};
 use crate::source::SourceFile;
 use crate::Finding;
-
-const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
-
-/// The event-loop roots: the reactor shard handlers.
-const ROOTS: &[(&str, &[&str])] = &[(
-    "crates/af-server/src/reactor/mod.rs",
-    &[
-        "handle_wake",
-        "handle_token",
-        "flush_conn",
-        "read_conn",
-        "drive_read",
-        "feed",
-        "deliver",
-    ],
-)];
 
 /// Blocking call patterns.  `.send(` does not match `.try_send(`; `.recv()`
 /// etc. are the blocking channel reads; `.lock()` blocks on contention;
@@ -66,7 +50,7 @@ const PATTERNS: &[&str] = &[
 
 const SCAN: ReachScan = ReachScan {
     lint: "blocking-in-reactor",
-    roots: ROOTS,
+    roots: &[SHARD_HANDLERS],
     barriers: &[(DISPATCH, &["handle_request", "handle_event"])],
     patterns: PATTERNS,
     rationale: "event loops must stay non-blocking (atomics, nonblocking \

@@ -6,89 +6,43 @@
 //! that pile, the whole server stalls.  The rule: finish the locked work,
 //! drop the guard, then send.
 //!
-//! Heuristic: a `let guard = ....lock()...;` binding is considered live
-//! until its enclosing block closes or an explicit `drop(guard)`; any
-//! `.send(` / `.try_send(` on a live-guard line is a finding.  Lock calls
-//! used as temporaries (`x.lock().unwrap().push(...)`) release at the end
-//! of the statement and are not tracked.
+//! The index already records every call an af-server function makes
+//! while a guard of a declared `Mutex`/`RwLock` is live (block scope plus
+//! explicit `drop(guard)`); a `send` or `try_send` among them is a
+//! finding.
 
-use crate::lints::{is_server_src, prod_lines};
-use crate::source::{find_word, SourceFile};
+use crate::index::Index;
+use crate::lints::is_server_src;
+use crate::source::SourceFile;
 use crate::Finding;
 
 const LINT: &str = "lock-across-send";
 
-struct Guard {
-    name: String,
-    depth: i64,
-    line: usize,
-}
-
 /// Runs the lint.
-pub fn run(files: &[SourceFile]) -> Vec<Finding> {
+pub fn run(files: &[SourceFile], index: &Index) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for file in files.iter().filter(|f| is_server_src(f)) {
-        let mut depth = 0i64;
-        let mut guards: Vec<Guard> = Vec::new();
-        for i in prod_lines(file) {
-            let code = &file.code[i];
-            if let Some(name) = lock_binding(code) {
-                guards.push(Guard {
-                    name,
-                    depth,
-                    line: i,
-                });
+    for f in index.fns.iter().filter(|f| !f.in_test) {
+        let file = &files[f.file];
+        if !is_server_src(file) {
+            continue;
+        }
+        for held in &f.held_calls {
+            let call = &f.calls[held.call];
+            if call.name == "send" || call.name == "try_send" {
+                findings.push(Finding::at(
+                    LINT,
+                    file,
+                    call.line,
+                    format!(
+                        "channel `{}` while lock `{}` (taken on line {}) is held; \
+                         drop the guard before sending",
+                        call.name,
+                        held.held.lock,
+                        held.held.line + 1
+                    ),
+                ));
             }
-            if (code.contains(".send(") || code.contains(".try_send(")) && !guards.is_empty() {
-                for g in &guards {
-                    findings.push(Finding::at(
-                        LINT,
-                        file,
-                        i,
-                        format!(
-                            "channel send while lock guard `{}` (bound on line {}) is \
-                             held; drop the guard before sending",
-                            g.name,
-                            g.line + 1
-                        ),
-                    ));
-                }
-            }
-            for ch in code.chars() {
-                match ch {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        // A guard bound at depth D dies when its block
-                        // closes (depth drops below D).
-                        guards.retain(|g| depth >= g.depth);
-                    }
-                    _ => {}
-                }
-            }
-            guards.retain(|g| {
-                !(code.contains(&format!("drop({})", g.name))
-                    || code.contains(&format!("drop({});", g.name)))
-            });
         }
     }
     findings
-}
-
-/// Extracts the binding name from `let [mut] NAME ... = <expr with .lock()>;`.
-fn lock_binding(code: &str) -> Option<String> {
-    let let_at = find_word(code, "let")?;
-    let lock_at = code.find(".lock()")?;
-    if lock_at < let_at {
-        return None;
-    }
-    let rest = code[let_at + 3..].trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    // Only track plain identifier bindings assigned on the same line.
-    let eq = code[let_at..lock_at].contains('=');
-    (!name.is_empty() && eq).then_some(name)
 }

@@ -10,10 +10,9 @@
 //! is a potential deadlock and the finding names the acquisition site of
 //! both sides so the inversion can be read directly from the report.
 //!
-//! Guard liveness is the same heuristic the `lock-across-send` lint uses:
-//! a `let`-bound guard lives to the end of its block or an explicit
-//! `drop(guard)`; temporary guards (`x.lock().unwrap().field`) die at the
-//! end of their statement and order nothing.
+//! Guard liveness is the index's, which `lock-across-send` reads too: a
+//! guard lives to the end of the block it was taken in or to an explicit
+//! `drop(guard)`.
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;

@@ -1,7 +1,8 @@
 //! The individual lints.
 //!
-//! Each module exposes `run(files: &[SourceFile]) -> Vec<Finding>` and owns
-//! one invariant from DESIGN.md §10.  Lints scope themselves by
+//! Each module exposes a `run` over the parsed files (plus the index and
+//! call graph where it asks about functions or guards) and owns one
+//! invariant from DESIGN.md §10.  Lints scope themselves by
 //! workspace-relative path — passing them a synthetic tree (as the fixture
 //! tests do) works as long as the `rel` paths match the production layout.
 
@@ -11,7 +12,6 @@ pub mod bounded_channels;
 pub mod lock_across_send;
 pub mod lock_order;
 pub mod no_panics;
-pub mod opcode_tables;
 pub mod tick_arith;
 pub mod unsafe_audit;
 pub mod unsafe_blocks;
@@ -21,6 +21,64 @@ use crate::callgraph::CallGraph;
 use crate::index::Index;
 use crate::source::SourceFile;
 use crate::Finding;
+
+pub(crate) const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
+
+/// The reactor shard handlers, including the broadcast listener's read
+/// and pump paths: every reachability lint's event-loop roots.
+pub(crate) const SHARD_HANDLERS: (&str, &[&str]) = (
+    "crates/af-server/src/reactor/mod.rs",
+    &[
+        "handle_wake",
+        "handle_token",
+        "flush_conn",
+        "read_conn",
+        "drive_read",
+        "feed",
+        "deliver",
+        "read_bcast",
+        "pump_bcast",
+    ],
+);
+
+/// The per-tick data plane, the roots of `alloc` and `wallclock`: the
+/// dispatcher's borrowed request entry and its request-handling arms, the
+/// shard handlers, the borrowed `PlaySamples` parser, the append-form
+/// record read and the merge loop behind every play, the broadcast
+/// seal/fetch entry points, and the FEC/jitter per-frame entry points.
+/// Each is named outright: many are reached otherwise only through an
+/// `alloc` barrier or a call the graph does not follow (a `parse`/`decode`
+/// or method call across crates, a call through a struct field).
+pub(crate) const DATA_PLANE: &[(&str, &[&str])] = &[
+    (
+        DISPATCH,
+        &[
+            "handle_request",
+            "h_play",
+            "advance_play",
+            "suspend",
+            "h_record",
+            "finish_record",
+            "drain_queue",
+            "retry_blocked",
+        ],
+    ),
+    SHARD_HANDLERS,
+    (
+        "crates/af-server/src/buffer.rs",
+        &["read_rec_into", "merge_play"],
+    ),
+    ("crates/af-proto/src/request.rs", &["parse"]),
+    (
+        "crates/af-server/src/broadcast.rs",
+        &["publish", "fetch_batch", "absorb"],
+    ),
+    ("crates/af-device/src/fec.rs", &["encode", "decode"]),
+    (
+        "crates/af-device/src/jitter.rs",
+        &["insert", "read", "observe_transit"],
+    ),
+];
 
 /// Whether the file is in-scope server production code.
 pub(crate) fn is_server_src(file: &SourceFile) -> bool {
@@ -43,9 +101,9 @@ pub(crate) fn prod_lines(file: &SourceFile) -> impl Iterator<Item = usize> + '_ 
 /// one finding per pattern hit in any production function reachable from
 /// a root through the call graph.
 ///
-/// Shared by `blocking-in-reactor` and `alloc` — both are "nothing
-/// reachable from these hot loops may do X" rules; they differ only in
-/// roots, patterns and message.  Like `wallclock`, a registry entry that
+/// Shared by `blocking-in-reactor`, `alloc` and `wallclock` — each is a
+/// "nothing reachable from these hot loops may do X" rule; they differ
+/// only in roots, barriers, patterns and message.  A registry entry that
 /// no longer resolves is itself a finding: a renamed hot function must
 /// not silently fall out of coverage.
 pub(crate) struct ReachScan {

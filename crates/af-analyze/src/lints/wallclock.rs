@@ -8,126 +8,27 @@
 //! queue, and the designated wake helper (`play_wake_instant`) that
 //! converts a device-time deficit into a sleep.
 //!
-//! The registry below names every hot function; a function that is renamed
-//! or removed makes the lint fail loudly (stale registry) instead of
-//! silently checking nothing.
+//! Roots are the data-plane registry `alloc` uses, and the scan follows
+//! the call graph from them.  It stops at the wake helper and at
+//! `handle_event`, where a shard enters the dispatcher per connection,
+//! not per tick.  A clock read the protocol itself asks for is justified
+//! per site with `// af-analyze: allow(wallclock): reason`.
 
+use crate::callgraph::CallGraph;
+use crate::index::Index;
+use crate::lints::{run_reach_scan, ReachScan, DATA_PLANE, DISPATCH};
 use crate::source::SourceFile;
 use crate::Finding;
 
-const LINT: &str = "wallclock";
-
-/// The hot-path registry: file → functions that must not read wall clocks.
-const HOT_PATHS: &[(&str, &[&str])] = &[
-    (
-        "crates/af-server/src/dispatch.rs",
-        &[
-            "run_inline",
-            "process_request",
-            "dispatch",
-            "h_play",
-            "advance_play",
-            "suspend",
-            "h_record",
-            "finish_record",
-            "drain_queue",
-            "retry_blocked",
-        ],
-    ),
-    (
-        "crates/af-server/src/reactor/mod.rs",
-        &[
-            "handle_wake",
-            "handle_token",
-            "flush_conn",
-            "read_conn",
-            "drive_read",
-            "feed",
-            "deliver",
-            "read_bcast",
-            "pump_bcast",
-        ],
-    ),
-    (
-        "crates/af-server/src/broadcast.rs",
-        &[
-            "publish",
-            "notify_shards",
-            "fetch_batch",
-            "absorb",
-            "push_hex",
-        ],
-    ),
-    (
-        "crates/af-device/src/fec.rs",
-        &[
-            "crc32",
-            "gf_mul_acc",
-            "close_group",
-            "encode",
-            "decode",
-            "try_reconstruct",
-            "evict_oldest",
-        ],
-    ),
-    (
-        "crates/af-device/src/jitter.rs",
-        &[
-            "observe_transit",
-            "target_depth",
-            "insert",
-            "read",
-            "conceal_sample",
-        ],
-    ),
-];
-
-const CLOCK_READS: &[&str] = &["Instant::now", "SystemTime::now", ".elapsed("];
+const SCAN: ReachScan = ReachScan {
+    lint: "wallclock",
+    roots: DATA_PLANE,
+    barriers: &[(DISPATCH, &["handle_event", "play_wake_instant"])],
+    patterns: &["Instant::now", "SystemTime::now", ".elapsed("],
+    rationale: "hot paths run on device time (ATime snapshots) only",
+};
 
 /// Runs the lint.
-pub fn run(files: &[SourceFile]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (path, fns) in HOT_PATHS {
-        let Some(file) = files.iter().find(|f| f.rel == *path) else {
-            findings.push(Finding {
-                lint: LINT,
-                file: (*path).to_owned(),
-                line: 0,
-                message: "hot-path registry names a file that no longer exists; \
-                          update HOT_PATHS in af-analyze"
-                    .to_owned(),
-            });
-            continue;
-        };
-        for name in *fns {
-            let Some((start, end)) = file.fn_span(name) else {
-                findings.push(Finding {
-                    lint: LINT,
-                    file: file.rel.clone(),
-                    line: 0,
-                    message: format!(
-                        "hot function `{name}` not found; update HOT_PATHS in af-analyze \
-                         if it was renamed"
-                    ),
-                });
-                continue;
-            };
-            for i in start..=end {
-                for read in CLOCK_READS {
-                    if file.code[i].contains(read) {
-                        findings.push(Finding::at(
-                            LINT,
-                            file,
-                            i,
-                            format!(
-                                "wall-clock read `{read}` inside hot path `{name}`; \
-                                 hot paths run on device time (ATime snapshots) only"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    findings
+pub fn run(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<Finding> {
+    run_reach_scan(&SCAN, files, index, graph)
 }

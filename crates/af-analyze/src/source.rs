@@ -46,73 +46,6 @@ impl SourceFile {
             tokens,
         }
     }
-
-    /// The 0-based inclusive line span of `fn <name>`'s signature and body.
-    ///
-    /// Returns `None` when the function does not exist (or is only a
-    /// body-less trait declaration) — callers treat that as a stale
-    /// registry, not as "nothing to check".
-    pub fn fn_span(&self, name: &str) -> Option<(usize, usize)> {
-        let needle = format!("fn {name}");
-        for (i, line) in self.code.iter().enumerate() {
-            let Some(pos) = line.find(&needle) else {
-                continue;
-            };
-            // Reject prefixes of longer identifiers (`fn handle` inside
-            // `fn handle_play`).
-            match line[pos + needle.len()..].chars().next() {
-                Some('(') | Some('<') => {}
-                _ => continue,
-            }
-            let mut depth = 0i64;
-            let mut started = false;
-            for (j, body_line) in self.code.iter().enumerate().skip(i) {
-                for ch in body_line.chars() {
-                    match ch {
-                        '{' => {
-                            depth += 1;
-                            started = true;
-                        }
-                        '}' => depth -= 1,
-                        ';' if !started => return None, // declaration only
-                        _ => {}
-                    }
-                }
-                if started && depth <= 0 {
-                    return Some((i, j));
-                }
-            }
-            return Some((i, self.code.len().saturating_sub(1)));
-        }
-        None
-    }
-
-    /// Whether `token` occurs in the stripped code of 0-based `line`,
-    /// bounded by non-identifier characters on both sides.
-    pub fn has_word(&self, line: usize, token: &str) -> bool {
-        find_word(&self.code[line], token).is_some()
-    }
-}
-
-/// Finds `token` in `line` with identifier boundaries on both sides.
-pub fn find_word(line: &str, token: &str) -> Option<usize> {
-    let bytes = line.as_bytes();
-    let mut from = 0;
-    while let Some(off) = line[from..].find(token) {
-        let start = from + off;
-        let end = start + token.len();
-        let before_ok = start == 0 || !is_ident(bytes[start - 1]);
-        let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
-        if before_ok && after_ok {
-            return Some(start);
-        }
-        from = start + 1;
-    }
-    None
-}
-
-fn is_ident(b: u8) -> bool {
-    b == b'_' || b.is_ascii_alphanumeric()
 }
 
 /// Blanks comments and literal contents, preserving line structure.
@@ -355,21 +288,5 @@ mod tests {
         assert!(!f.in_test[0]);
         assert!(f.in_test[1] && f.in_test[2] && f.in_test[3] && f.in_test[4]);
         assert!(!f.in_test[5]);
-    }
-
-    #[test]
-    fn fn_span_finds_bodies_not_prefixes() {
-        let src = "impl X {\n    fn handle_play(&self) {\n        a();\n    }\n    fn handle(&self) {\n        b();\n    }\n}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.fn_span("handle_play"), Some((1, 3)));
-        assert_eq!(f.fn_span("handle"), Some((4, 6)));
-        assert_eq!(f.fn_span("missing"), None);
-    }
-
-    #[test]
-    fn word_boundaries_respected() {
-        assert!(find_word("unsafe { x }", "unsafe").is_some());
-        assert!(find_word("#![forbid(unsafe_code)]", "unsafe").is_none());
-        assert!(find_word("let unsafer = 1;", "unsafe").is_none());
     }
 }

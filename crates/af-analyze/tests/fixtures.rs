@@ -133,122 +133,6 @@ fn bounded_channels_covers_reactor_subdirectory() {
     assert_eq!(found.len(), 3, "{found:?}");
 }
 
-// ---- wallclock ---------------------------------------------------------
-
-const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
-const FEC: &str = "crates/af-device/src/fec.rs";
-const JITTER: &str = "crates/af-device/src/jitter.rs";
-const REACTOR: &str = "crates/af-server/src/reactor/mod.rs";
-const BROADCAST: &str = "crates/af-server/src/broadcast.rs";
-const BUFFER: &str = "crates/af-server/src/buffer.rs";
-
-/// The registry-complete clean tail shared by every wallclock fixture set.
-fn wallclock_rest() -> [SourceFile; 4] {
-    [
-        fx(FEC, include_str!("../fixtures/wallclock/fec_clean.rs")),
-        fx(JITTER, include_str!("../fixtures/wallclock/jitter_clean.rs")),
-        fx(REACTOR, include_str!("../fixtures/wallclock/reactor_clean.rs")),
-        fx(
-            BROADCAST,
-            include_str!("../fixtures/wallclock/broadcast_clean.rs"),
-        ),
-    ]
-}
-
-#[test]
-fn wallclock_triggers_inside_hot_path() {
-    let mut files = vec![fx(
-        DISPATCH,
-        include_str!("../fixtures/wallclock/dispatch_trigger.rs"),
-    )];
-    files.extend(wallclock_rest());
-    let found = lints::wallclock::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("h_play"), "{found:?}");
-    assert!(found[0].message.contains("Instant::now"), "{found:?}");
-}
-
-#[test]
-fn wallclock_allows_scheduling_helpers() {
-    // dispatch_clean.rs reads the wall clock in `wake_instant`, which is
-    // not in the hot-path registry.
-    let mut files = vec![fx(
-        DISPATCH,
-        include_str!("../fixtures/wallclock/dispatch_clean.rs"),
-    )];
-    files.extend(wallclock_rest());
-    assert_eq!(lints::wallclock::run(&files), vec![]);
-}
-
-#[test]
-fn wallclock_triggers_in_jitter_concealer() {
-    // The WAN-link hot paths (FEC, jitter buffer) are in the registry too.
-    let mut files = vec![fx(
-        DISPATCH,
-        include_str!("../fixtures/wallclock/dispatch_clean.rs"),
-    )];
-    files.extend(wallclock_rest());
-    files[2] = fx(JITTER, include_str!("../fixtures/wallclock/jitter_trigger.rs"));
-    let found = lints::wallclock::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("conceal_sample"), "{found:?}");
-}
-
-#[test]
-fn wallclock_triggers_in_reactor_framing_loop() {
-    // The reactor's per-readiness-event framing loop is in the registry;
-    // a wall-clock read inside `drive_read` is a finding, while the
-    // fixture's non-registry `idle_sweep` clock read is not.
-    let mut files = vec![fx(
-        DISPATCH,
-        include_str!("../fixtures/wallclock/dispatch_clean.rs"),
-    )];
-    files.extend(wallclock_rest());
-    files[3] = fx(
-        REACTOR,
-        include_str!("../fixtures/wallclock/reactor_trigger.rs"),
-    );
-    let found = lints::wallclock::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("drive_read"), "{found:?}");
-}
-
-#[test]
-fn wallclock_triggers_in_broadcast_seal() {
-    // The encode-once seal path is in the registry; an `Instant::now` +
-    // `.elapsed()` pair inside `publish` is two findings, while the
-    // fixture's non-registry `snapshot` clock read (reporting layer, in
-    // the clean variant) is not.
-    let mut files = vec![fx(
-        DISPATCH,
-        include_str!("../fixtures/wallclock/dispatch_clean.rs"),
-    )];
-    files.extend(wallclock_rest());
-    files[4] = fx(
-        BROADCAST,
-        include_str!("../fixtures/wallclock/broadcast_trigger.rs"),
-    );
-    let found = lints::wallclock::run(&files);
-    assert_eq!(found.len(), 2, "{found:?}");
-    assert!(
-        found.iter().all(|f| f.message.contains("publish")),
-        "{found:?}"
-    );
-}
-
-#[test]
-fn wallclock_reports_stale_registry() {
-    // A registry function that disappears must fail loudly, not silently
-    // check nothing.
-    let mut files = vec![fx(DISPATCH, "pub fn process_request() {}\n")];
-    files.extend(wallclock_rest());
-    let found = lints::wallclock::run(&files);
-    assert!(
-        found.iter().any(|f| f.message.contains("not found")),
-        "{found:?}"
-    );
-}
-
 // ---- lock-across-send --------------------------------------------------
 
 #[test]
@@ -257,9 +141,9 @@ fn lock_across_send_triggers() {
         SERVER,
         include_str!("../fixtures/lock_across_send/trigger.rs"),
     )];
-    let found = lints::lock_across_send::run(&files);
+    let found = lints::lock_across_send::run(&files, &Index::build(&files));
     assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("guard"), "{found:?}");
+    assert!(found[0].message.contains("lock `queue`"), "{found:?}");
 }
 
 #[test]
@@ -268,7 +152,10 @@ fn lock_across_send_stays_quiet() {
         SERVER,
         include_str!("../fixtures/lock_across_send/clean.rs"),
     )];
-    assert_eq!(lints::lock_across_send::run(&files), vec![]);
+    assert_eq!(
+        lints::lock_across_send::run(&files, &Index::build(&files)),
+        vec![]
+    );
 }
 
 // ---- tick-arith --------------------------------------------------------
@@ -519,7 +406,21 @@ fn lock_order_catches_dispatch_lock_taken_under_a_connection_write_lock() {
     assert!(msg.contains("in `submit`"), "{msg}");
 }
 
-// ---- blocking-in-reactor -----------------------------------------------
+// ---- the hot-path tree -------------------------------------------------
+
+const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
+const FEC: &str = "crates/af-device/src/fec.rs";
+const JITTER: &str = "crates/af-device/src/jitter.rs";
+const REACTOR: &str = "crates/af-server/src/reactor/mod.rs";
+const BROADCAST: &str = "crates/af-server/src/broadcast.rs";
+const BUFFER: &str = "crates/af-server/src/buffer.rs";
+const REQUEST: &str = "crates/af-proto/src/request.rs";
+
+/// `text` with `from` replaced by `to`; `from` must occur in it.
+fn edit(text: &str, from: &str, to: &str) -> String {
+    assert!(text.contains(from), "fixture lacks {from:?}");
+    text.replace(from, to)
+}
 
 /// The registry-complete hot-path tree shared by the reachability lints.
 fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 7] {
@@ -539,6 +440,8 @@ fn reach_tree(reactor: &str, fec: &str) -> [SourceFile; 7] {
         ),
     ]
 }
+
+// ---- blocking-in-reactor -----------------------------------------------
 
 #[test]
 fn blocking_in_reactor_triggers_through_call_graph() {
@@ -662,12 +565,13 @@ fn alloc_triggers_on_the_borrowed_request_path() {
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
     );
-    let pooled_copy = "let mut copy = self.pool.take_empty();";
-    let dispatch = include_str!("../fixtures/reach/dispatch_clean.rs");
-    assert!(dispatch.contains(pooled_copy));
     files[1] = fx(
         DISPATCH,
-        &dispatch.replace(pooled_copy, "let mut copy = payload.to_vec();"),
+        &edit(
+            include_str!("../fixtures/reach/dispatch_clean.rs"),
+            "let mut copy = self.pool.take_empty();",
+            "let mut copy = payload.to_vec();",
+        ),
     );
     files[5] = fx(BUFFER, include_str!("../fixtures/reach/buffer_trigger.rs"));
     files[6] = fx(
@@ -702,83 +606,113 @@ fn alloc_triggers_on_the_borrowed_request_path() {
     );
 }
 
-// ---- opcode-tables -----------------------------------------------------
+// ---- wallclock ---------------------------------------------------------
 
-const SPEC: &str = "crates/af-proto/src/spec.rs";
-const OPCODE: &str = "crates/af-proto/src/opcode.rs";
-const REQUEST: &str = "crates/af-proto/src/request.rs";
-const EVENT: &str = "crates/af-proto/src/event.rs";
-
-fn opcode_table_files(spec: &str, request: &str, dispatch: &str) -> [SourceFile; 5] {
-    [
-        fx(SPEC, spec),
-        fx(OPCODE, include_str!("../fixtures/opcode_tables/opcode_clean.rs")),
-        fx(REQUEST, request),
-        fx(EVENT, include_str!("../fixtures/opcode_tables/event_clean.rs")),
-        fx(DISPATCH, dispatch),
-    ]
+/// The clean hot-path tree with one fixture edited.
+fn wallclock_tree(slot: usize, rel: &str, text: &str, from: &str, to: &str) -> Vec<Finding> {
+    let mut files = reach_tree(
+        include_str!("../fixtures/reach/reactor_clean.rs"),
+        include_str!("../fixtures/reach/fec_clean.rs"),
+    );
+    files[slot] = fx(rel, &edit(text, from, to));
+    run_graph_lint(&files, lints::wallclock::run)
 }
 
 #[test]
-fn opcode_tables_stay_quiet_when_consistent() {
-    let files = opcode_table_files(
-        include_str!("../fixtures/opcode_tables/spec_clean.rs"),
-        include_str!("../fixtures/opcode_tables/request_clean.rs"),
-        include_str!("../fixtures/opcode_tables/dispatch_clean.rs"),
+fn wallclock_triggers_inside_hot_path() {
+    let found = wallclock_tree(
+        1,
+        DISPATCH,
+        include_str!("../fixtures/reach/dispatch_clean.rs"),
+        "self.advance_play(req.id, 0);",
+        "let _deadline = Instant::now();\n        self.advance_play(req.id, 0);",
     );
-    assert_eq!(lints::opcode_tables::run(&files), vec![]);
-}
-
-#[test]
-fn opcode_tables_catch_wire_gap_and_stale_count() {
-    let files = opcode_table_files(
-        include_str!("../fixtures/opcode_tables/spec_trigger.rs"),
-        include_str!("../fixtures/opcode_tables/request_clean.rs"),
-        include_str!("../fixtures/opcode_tables/dispatch_clean.rs"),
-    );
-    let found = lints::opcode_tables::run(&files);
-    assert!(
-        found.iter().any(|f| f.message.contains("dense")),
-        "wire gap: {found:?}"
-    );
-    assert!(
-        found.iter().any(|f| f.message.contains("REQUEST_COUNT")),
-        "stale count: {found:?}"
-    );
-}
-
-#[test]
-fn opcode_tables_catch_missing_encode_arm() {
-    let files = opcode_table_files(
-        include_str!("../fixtures/opcode_tables/spec_clean.rs"),
-        include_str!("../fixtures/opcode_tables/request_trigger.rs"),
-        include_str!("../fixtures/opcode_tables/dispatch_clean.rs"),
-    );
-    let found = lints::opcode_tables::run(&files);
     assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].file, REQUEST);
-    assert!(found[0].message.contains("GetTime"), "{found:?}");
-    assert!(found[0].message.contains("encode_payload"), "{found:?}");
+    assert!(found[0].message.contains("`Instant::now`"), "{found:?}");
+    assert!(found[0].message.contains("(h_play)"), "{found:?}");
 }
 
 #[test]
-fn opcode_tables_catch_missing_dispatch_arm() {
-    let files = opcode_table_files(
-        include_str!("../fixtures/opcode_tables/spec_clean.rs"),
-        include_str!("../fixtures/opcode_tables/request_clean.rs"),
-        include_str!("../fixtures/opcode_tables/dispatch_trigger.rs"),
+fn wallclock_allows_the_wake_helper() {
+    // The clean tree reads the wall clock behind both barriers: in
+    // `play_wake_instant`, below `suspend` (the scheduling layer's one
+    // sanctioned use), and in `handle_event`, reached from the `feed`
+    // root through `submit` (per-connection setup).
+    let files = reach_tree(
+        include_str!("../fixtures/reach/reactor_clean.rs"),
+        include_str!("../fixtures/reach/fec_clean.rs"),
     );
-    let found = lints::opcode_tables::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].file, DISPATCH);
-    assert!(found[0].message.contains("GetTime"), "{found:?}");
+    assert_eq!(run_graph_lint(&files, lints::wallclock::run), vec![]);
 }
 
 #[test]
-fn opcode_tables_report_missing_spec_file() {
-    let found = lints::opcode_tables::run(&[]);
-    assert!(!found.is_empty());
-    assert!(found[0].file.contains("spec.rs"));
+fn wallclock_triggers_in_jitter_concealer() {
+    // The concealer is reached from the jitter buffer's `read` root.
+    let found = wallclock_tree(
+        3,
+        JITTER,
+        include_str!("../fixtures/reach/jitter_clean.rs"),
+        "self.fade_ticks.saturating_sub(FRAME_TICKS)",
+        "self.fade_from.elapsed().as_millis() as u32",
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].message.contains("read -> conceal_sample"),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn wallclock_triggers_in_reactor_framing_loop() {
+    let found = wallclock_tree(
+        0,
+        REACTOR,
+        include_str!("../fixtures/reach/reactor_clean.rs"),
+        "let n = self.io.read(&mut self.read_scratch);",
+        "let _t0 = Instant::now();\n        let n = self.io.read(&mut self.read_scratch);",
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].message.contains("(drive_read)"), "{found:?}");
+}
+
+#[test]
+fn wallclock_triggers_in_broadcast_seal() {
+    // An `Instant::now` + `.elapsed()` pair around the encode-once seal
+    // is two findings.
+    let found = wallclock_tree(
+        4,
+        BROADCAST,
+        &edit(
+            include_str!("../fixtures/reach/broadcast_clean.rs"),
+            "let mut wire = self.pop_free();",
+            "let t0 = Instant::now();\n        let mut wire = self.pop_free();",
+        ),
+        "self.seal(wire);",
+        "self.seal(wire);\n        self.seal_time.record(t0.elapsed());",
+    );
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(
+        found.iter().all(|f| f.message.contains("(publish)")),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn wallclock_reports_stale_registry() {
+    // A root that disappears must fail loudly, not silently check nothing.
+    let found = wallclock_tree(
+        1,
+        DISPATCH,
+        include_str!("../fixtures/reach/dispatch_clean.rs"),
+        "fn h_play(",
+        "fn h_play_renamed(",
+    );
+    assert!(
+        found
+            .iter()
+            .any(|f| f.message.contains("`h_play` not found")),
+        "{found:?}"
+    );
 }
 
 // ---- allow-marker ------------------------------------------------------

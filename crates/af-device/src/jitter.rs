@@ -22,8 +22,7 @@
 //!   up to [`JITTER_FADE_TICKS`] ticks, then µ-law silence.
 //!
 //! The buffer never reads a clock — callers pass device times and
-//! transit observations in — so it stays deterministic under test and
-//! clean under the `wallclock` lint.
+//! transit observations in — so it stays deterministic under test.
 
 use crate::stats::{Link, LinkCounters};
 use af_proto::link::{JITTER_FADE_TICKS, JITTER_MAX_DEPTH, JITTER_MIN_DEPTH};

@@ -33,6 +33,8 @@ pub fn timestamp() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
+    // af-analyze: allow(wallclock): the portable cycle counter only times work; nothing is decided by it
     let epoch = *EPOCH.get_or_init(Instant::now);
+    // af-analyze: allow(wallclock): the same fallback counter's reading
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

@@ -19,8 +19,7 @@ macro_rules! define_event_kind {
     ($(($name:ident, $wire:literal, $doc:literal)),* $(,)?) => {
         /// The five defined event types.
         ///
-        /// Generated from [`crate::with_event_table`] — the one spec table
-        /// the `af-analyze` exhaustiveness lint cross-checks.
+        /// Generated from [`crate::with_event_table`], the one spec table.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(u8)]
         pub enum EventKind {
@@ -169,6 +168,10 @@ impl Event {
     }
 
     /// Decodes an event payload given its parsed header.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn decode(
         order: ByteOrder,
         header: &MessageHeader,

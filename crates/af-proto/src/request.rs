@@ -441,6 +441,10 @@ impl Request {
         ))
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn encode_payload(&self, w: &mut WireWriter) {
         match self {
             Request::SelectEvents { device, mask } => {
@@ -561,6 +565,10 @@ impl Request {
     }
 
     /// Decodes a request payload (the bytes following the 4-byte header).
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn decode(order: ByteOrder, opcode: Opcode, payload: &[u8]) -> Result<Request, ProtoError> {
         let mut r = WireReader::new(order, payload);
         let req = match opcode {

@@ -10,11 +10,11 @@
 //! The tables are *callback macros*: `with_request_table!(m)` expands to
 //! `m! { (Name, wire, reply-mode, doc), ... }`, so any module can generate
 //! enums, match arms, or constant arrays from the same rows.  The
-//! `af-analyze` lint `opcode-tables` parses the rows straight out of this
-//! file and cross-checks that the hand-written encode/decode/dispatch
-//! matches in `request.rs` and `af-server/src/dispatch.rs` still cover
-//! every row — so adding a request is: add one row here, then follow the
-//! compile errors and lint findings until everything covers it.
+//! hand-written encode/decode/dispatch matches (`Request::encode_payload`,
+//! `Request::decode`, `Event::decode` and the server's `dispatch`) have no
+//! wildcard arm, and each denies clippy's two wildcard lints, so the
+//! compiler proves they cover every row — adding a request is: add one
+//! row here, then follow the compile errors until everything covers it.
 //!
 //! Row shape: `(Name, wire_value, reply_mode, doc_string)` where
 //! `reply_mode` is `replies` (the server answers unconditionally) or
@@ -29,8 +29,9 @@ pub const EVENT_COUNT: usize = 5;
 
 /// Invokes `$m!` with every request row: `(Name, wire, reply_mode, doc)`.
 ///
-/// Wire values are dense `1..=37` in table order; `af-proto`'s unit tests
-/// and the `opcode-tables` lint both verify density and uniqueness.
+/// Wire values are dense `1..=37` in table order: `af-proto`'s unit tests
+/// check density, and a duplicate cannot compile in the generated
+/// `#[repr(u8)]` enum.
 #[macro_export]
 macro_rules! with_request_table {
     ($m:ident) => {
@@ -127,5 +128,24 @@ mod tests {
         for (i, w) in wires.iter().enumerate() {
             assert_eq!(*w as usize, i, "table rows must be in wire order");
         }
+    }
+
+    #[test]
+    fn every_row_drives_its_enum_variant() {
+        use crate::{EventKind, Opcode};
+        macro_rules! check_requests {
+            ($(($name:ident, $wire:literal, $reply:ident, $doc:literal)),* $(,)?) => {$(
+                assert_eq!(Opcode::$name.to_wire(), $wire);
+                assert_eq!(Opcode::from_wire($wire).unwrap(), Opcode::$name);
+            )*};
+        }
+        macro_rules! check_events {
+            ($(($name:ident, $wire:literal, $doc:literal)),* $(,)?) => {$(
+                assert_eq!(EventKind::$name.to_wire(), $wire);
+                assert_eq!(EventKind::from_wire($wire).unwrap(), EventKind::$name);
+            )*};
+        }
+        with_request_table!(check_requests);
+        with_event_table!(check_events);
     }
 }

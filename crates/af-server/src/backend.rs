@@ -195,12 +195,14 @@ impl AlsBackend {
 
     fn anchor(&mut self, time: ATime) {
         self.last_time = time;
+        // af-analyze: allow(wallclock): LineServer device time is derived from the host clock between exchanges (§7.4.3)
         self.last_anchor = std::time::Instant::now();
     }
 
     /// Advances `last_time` at the nominal sample rate while the link is
     /// down, so callers keep seeing monotonic device time.
     fn free_run(&mut self) {
+        // af-analyze: allow(wallclock): LineServer device time is derived from the host clock between exchanges (§7.4.3)
         let elapsed = self.last_anchor.elapsed().as_secs_f64();
         self.anchor(self.last_time + (elapsed * f64::from(self.rate)) as u32);
     }

@@ -215,6 +215,7 @@ impl Beyond {
 
 /// Milliseconds since the Unix epoch (the "host clock time" in events).
 fn host_time_ms() -> u64 {
+    // af-analyze: allow(wallclock): events carry host clock time by protocol (§5.2)
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -517,6 +518,7 @@ impl Dispatcher {
         if let Some(c) = self.core.clients.get_mut(&id) {
             // Read by `sweep_idle` alone: no timeout, no clock reading.
             if self.idle_timeout.is_some() {
+                // af-analyze: allow(wallclock): stamped only when an idle timeout is configured
                 c.last_activity = Instant::now();
             }
             if c.blocked.is_some() {
@@ -937,6 +939,10 @@ impl Dispatcher {
         }
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn dispatch(
         &mut self,
         id: ClientId,

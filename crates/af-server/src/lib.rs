@@ -18,7 +18,7 @@
 //! client overflows its bounded outbound deque and is evicted — preserving
 //! the paper's fairness and "no rocket science" properties.  There is one
 //! configuration: no alternate transport and no separate audio threads
-//! (DESIGN.md §9.2 records why).
+//! (DESIGN.md §9.1 says why).
 //!
 //! `unsafe` is denied crate-wide; the single audited exception is the
 //! reactor's raw-syscall shim ([`reactor::sys`]), which the `af-analyze`
