@@ -9,9 +9,10 @@
 //!   ([`crate::tables::PlayMap`]); always available, the semantic
 //!   definition of every entry point, and what the SIMD tables call for
 //!   their tails.
-//! * SIMD — x86_64 `core::arch` kernels ([`x86`]): AVX2 when detected and
-//!   AVX-512 when F, BW and VBMI all are, each table the one below it with
-//!   entries replaced — AVX-512 its resampler interior and play map.
+//! * SIMD — x86_64 `core::arch` kernels ([`x86`]): AVX2 when detected,
+//!   AVX-512 when F, BW and VBMI all are, AVX-512 FP16 when FP16 is too,
+//!   each table the one below it with entries replaced — AVX-512 its
+//!   resampler interior and play map, FP16 the play map again.
 //!
 //! Every table's resampler is one driver, `resample::drive`, around that
 //! table's interior: the driver walks the position chain as runs of bit
@@ -55,7 +56,8 @@ use crate::tables::PlayMap;
 ///   [`PlayMap::sample_bytes`] bytes for each byte of `dst`.
 #[derive(Clone, Copy)]
 pub struct Kernels {
-    /// Table name for reports: `"scalar"`, `"simd-avx2"`, `"simd-avx512"`.
+    /// Table name for reports: `"scalar"`, `"simd-avx2"`, `"simd-avx512"`,
+    /// `"simd-avx512fp16"`.
     pub name: &'static str,
     /// µ-law bytes → 16-bit linear.
     pub decode_ulaw: fn(&[u8], &mut [i16]),
@@ -120,6 +122,27 @@ mod tests {
         let names: Vec<_> = available().iter().map(|k| k.name).collect();
         for (i, n) in names.iter().enumerate() {
             assert!(!names[..i].contains(n), "{n} listed twice");
+        }
+    }
+
+    /// An integer model of `v` converted to IEEE binary16 rounding toward
+    /// zero, for `v ≥ 1`: sign 0, biased exponent `⌊log₂ v⌋ + 15`, and the
+    /// 10 bits under the leading one, truncated.
+    pub(super) fn binary16_toward_zero(v: u16) -> u16 {
+        let e = v.ilog2();
+        let mantissa = (u32::from(v) << 10 >> e) as u16 & 0x3FF;
+        ((e as u16 + 15) << 10) | mantissa
+    }
+
+    /// The lemma on `x86::ulaw_segment_avx512fp16`, on every host: for each
+    /// biased magnitude `v`, `(h >> 6) − 0x160` of the truncated binary16
+    /// `h` is `g711::linear_to_ulaw`'s `exponent << 4 | mantissa`.
+    #[test]
+    fn ulaw_segment_is_a_half_precision_conversion() {
+        for v in 0x84..=0x7FFFu16 {
+            let code = crate::g711::linear_to_ulaw((v - 0x84) as i16);
+            let h = binary16_toward_zero(v);
+            assert_eq!((h >> 6) - 0x160, u16::from(!code & 0x7F), "v = {v:#06x}");
         }
     }
 

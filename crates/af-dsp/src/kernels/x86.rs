@@ -1,5 +1,5 @@
 //! x86_64 `core::arch` kernels: AVX2 when detected, AVX-512 when F, BW and
-//! VBMI all are.
+//! VBMI all are, and AVX-512 FP16 when the host has FP16 as well.
 //!
 //! Entry points are `#[target_feature]` functions reached only through the
 //! tables handed out after `is_x86_feature_detected!` named every feature
@@ -21,7 +21,9 @@
 //! saturating add and encode again as the integer functions the tables
 //! are built from (DESIGN.md §8.3).  VBMI also leaves out the first
 //! AVX-512 parts, whose 512-bit licence slows the scalar code around a
-//! kernel.  A-law devices and `copy_into` keep the table loop.
+//! kernel.  The FP16 table's loop is the same but for its µ-law segment
+//! step, a truncating half-precision conversion.  A-law devices and
+//! `copy_into` keep the table loop.
 //!
 //! Both resamplers are the portable one's driver (`resample::drive`)
 //! around a vector interior fed a run of positions as bit patterns
@@ -59,18 +61,26 @@ const AVX512: Kernels = Kernels {
     ..AVX2
 };
 
+const AVX512FP16: Kernels = Kernels {
+    name: "simd-avx512fp16",
+    play_mix: play_mix_avx512fp16_entry,
+    ..AVX512
+};
+
 // Each table is the one before it with entries replaced.  Private: the
 // `_entry` functions are sound only on a host with their features, so
 // the tables leave this module through `available` alone.
-static TABLES: [Kernels; 2] = [AVX2, AVX512];
+static TABLES: [Kernels; 3] = [AVX2, AVX512, AVX512FP16];
 
 /// Every table this host can execute, best last: AVX2 when detected,
-/// AVX-512 when the host has AVX2 and all of F, BW and VBMI.
+/// AVX-512 when the host has AVX2 and all of F, BW and VBMI, AVX-512 FP16
+/// when it has FP16 as well.
 pub(super) fn available() -> &'static [Kernels] {
     use std::arch::is_x86_feature_detected as detected;
     let avx2 = detected!("avx2");
     let avx512 = avx2 && detected!("avx512f") && detected!("avx512bw") && detected!("avx512vbmi");
-    &TABLES[..usize::from(avx2) + usize::from(avx512)]
+    let fp16 = avx512 && detected!("avx512fp16");
+    &TABLES[..usize::from(avx2) + usize::from(avx512) + usize::from(fp16)]
 }
 
 // ---- AVX2 mixing ------------------------------------------------------
@@ -311,7 +321,7 @@ unsafe fn resample_interior_avx2(run: Run, offset: usize, input: &[i16], out: &m
 }
 
 fn resample_block_avx512_entry(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    // SAFETY: reachable only through the AVX-512 table, which `available`
+    // SAFETY: reachable only through the AVX-512 tables, which `available`
     // hands out only after detecting F (and BW and VBMI).
     unsafe { resample_block_avx512(st, input, out) }
 }
@@ -398,7 +408,7 @@ unsafe fn resample_interior_avx512(run: Run, offset: usize, input: &[i16], out: 
     out.set_len(out.len() + run.count.min(BLOCK));
 }
 
-// ---- AVX-512 VBMI play map (64 samples per iteration) -----------------
+// ---- AVX-512 play maps (64 samples per iteration) ---------------------
 
 /// Two vectors of 32 linear samples: samples 0..32 and 32..64 of a block.
 type Words = (__m512i, __m512i);
@@ -420,29 +430,36 @@ static ULAW_EXPONENT: Exponents = {
 };
 
 fn play_mix_avx512_entry(map: &PlayMap, dst: &mut [u8], src: &[u8]) {
-    let width = map.sample_bytes();
-    assert_eq!(src.len(), dst.len() * width, "play map length mismatch");
-    let done = match map.ulaw_planes() {
-        // SAFETY: reachable only through the AVX-512 table, handed out only
-        // when F, BW and VBMI are detected; `src` holds `width` bytes for
-        // each byte of `dst`, checked above.
-        Some(planes) => unsafe { play_mix_ulaw_avx512(planes, width == 2, dst, src) },
-        None => 0,
-    };
-    map.mix_by_table(&mut dst[done..], &src[done * width..]);
+    // SAFETY: only in the AVX-512 tables, handed out when F, BW and VBMI are detected.
+    let done = unsafe { play_mix_ulaw_avx512(map, dst, src) };
+    map.mix_by_table(&mut dst[done..], &src[done * map.sample_bytes()..]);
+}
+
+fn play_mix_avx512fp16_entry(map: &PlayMap, dst: &mut [u8], src: &[u8]) {
+    // SAFETY: only in the FP16 table, handed out when FP16 is detected too.
+    let done = unsafe { play_mix_ulaw_avx512fp16(map, dst, src) };
+    map.mix_by_table(&mut dst[done..], &src[done * map.sample_bytes()..]);
+}
+
+/// `linear_to_ulaw`'s biased magnitude `min(|x|, 32635) + 0x84` per lane.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F and BW.
+#[target_feature(enable = "avx512f,avx512bw")]
+#[inline]
+unsafe fn ulaw_biased(x: __m512i) -> __m512i {
+    // `vpabsw` leaves `i16::MIN` as 0x8000, which the unsigned clip takes.
+    let clipped = _mm512_min_epu16(_mm512_abs_epi16(x), _mm512_set1_epi16(32_635));
+    _mm512_add_epi16(clipped, _mm512_set1_epi16(0x84))
 }
 
 /// `g711::linear_to_ulaw` short of its sign and its final `!`, per 16-bit
-/// lane: `exponent << 4 | mantissa`.
+/// lane: `exponent << 4 | mantissa`, the exponent looked up by `vpermi2b`.
 // SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 #[inline]
 unsafe fn ulaw_segment_avx512(x: __m512i) -> __m512i {
     // In-body safety: the table is 64-byte aligned and 128 bytes long.
     let [t0, t1]: [__m512i; 2] = core::ptr::read((&raw const ULAW_EXPONENT).cast());
-    // `vpabsw` leaves `i16::MIN` as 0x8000, which the unsigned clip takes.
-    let clipped = _mm512_min_epu16(_mm512_abs_epi16(x), _mm512_set1_epi16(32_635));
-    let mag = _mm512_add_epi16(clipped, _mm512_set1_epi16(0x84));
+    let mag = ulaw_biased(x);
     // Each word's high byte is `mag >> 8` and fetches the exponent; the
     // `&` drops what the low byte fetched (and tells the compiler the
     // shift count is in range).
@@ -451,6 +468,26 @@ unsafe fn ulaw_segment_avx512(x: __m512i) -> __m512i {
     let m = _mm512_srlv_epi16(_mm512_srli_epi16::<3>(mag), _mm512_srli_epi16::<8>(e));
     // `a | (b & c)`.
     _mm512_ternarylogic_epi32::<0xF8>(_mm512_srli_epi16::<4>(e), m, _mm512_set1_epi16(0x0F))
+}
+
+/// [`ulaw_segment_avx512`] by a conversion to half precision.
+///
+/// *Lemma.*  Let `v` in `0x84..=0x7FFF` be the biased magnitude, `E =
+/// ⌊log₂ v⌋ ≥ 7`.  In binary16 rounded toward zero, `v` keeps its leading
+/// one and the 10 bits after it (all its bits, below 2048), and a truncation
+/// never carries: the sign is 0, the biased exponent `E + 15`, and
+/// mantissa bits 9..6 the four bits under the leading one, `(v >> (E − 4))
+/// & 0xF`.  µ-law's exponent is `e = ⌊log₂(v >> 7)⌋ = E − 7` and its
+/// mantissa `m = (v >> (e + 3)) & 0xF`, the same four bits: `h >> 6` is
+/// `(e + 22) << 4 | m`, and `0x160 = 22 << 4`.  Rounding to nearest would
+/// carry into bits 9..6, or the exponent, for some `v ≥ 2048`.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and FP16.
+#[target_feature(enable = "avx512f,avx512bw,avx512fp16")]
+#[inline]
+unsafe fn ulaw_segment_avx512fp16(x: __m512i) -> __m512i {
+    const TOWARD_ZERO: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+    let h = _mm512_castph_si512(_mm512_cvt_roundepu16_ph::<TOWARD_ZERO>(ulaw_biased(x)));
+    _mm512_sub_epi16(_mm512_srli_epi16::<6>(h), _mm512_set1_epi16(0x160))
 }
 
 /// The linear words of 64 codes, `planes[c & 0x7F]` (a permute ignores bit
@@ -487,17 +524,24 @@ unsafe fn linear_avx512(p: &[__m512i; 4], bytes: __m512i) -> Words {
 /// the integer functions the tables are built from (DESIGN.md §8.3):
 /// `comp_u[comp_index(x)]` is `linear_to_ulaw(x & !3)`, the map's gain and
 /// the ring byte's decode are `planes[c]`, `mix_u` is a saturating add
-/// and `linear_to_ulaw` again.  Returns how many samples it mixed — the
-/// whole blocks of 64; the caller's table loop takes the rest.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI,
-// and that `src` holds two bytes (`lin16`) or one for each byte of `dst`.
+/// and `linear_to_ulaw` again, whose segment step is `segment`.  Returns
+/// how many samples it mixed — the whole blocks of 64, none on an A-law
+/// device; the caller's table loop takes the rest.
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn play_mix_ulaw_avx512(
-    client: &LinearPlanes,
-    lin16: bool,
+#[inline]
+unsafe fn play_mix_ulaw(
+    map: &PlayMap,
     dst: &mut [u8],
     src: &[u8],
+    segment: impl Fn(__m512i) -> __m512i,
 ) -> usize {
+    let width = map.sample_bytes();
+    assert_eq!(src.len(), dst.len() * width, "play map length mismatch");
+    let lin16 = width == 2;
+    let Some(client) = map.ulaw_planes() else {
+        return 0;
+    };
     // In-body safety: both are 64-byte aligned and 256 bytes long.
     let client: [__m512i; 4] = core::ptr::read((&raw const *client).cast());
     let ring: [__m512i; 4] = core::ptr::read((&raw const *LinearPlanes::exp_u()).cast());
@@ -505,14 +549,14 @@ unsafe fn play_mix_ulaw_avx512(
     let mut i = 0;
     // In-body safety: each iteration reads 64 bytes of `dst` at `i` and 64
     // or 128 of `src` at `i` or `2 * i`, within both by the loop bound and
-    // the caller's length guarantee, and writes the same 64 of `dst`.
+    // the length check, and writes the same 64 of `dst`.
     while i + 64 <= dst.len() {
         let (a, b) = if lin16 {
             let xa = _mm512_loadu_si512(src.as_ptr().add(2 * i).cast());
             let xb = _mm512_loadu_si512(src.as_ptr().add(2 * i + 64).cast());
             let index = _mm512_set1_epi16(!3);
-            let sa = ulaw_segment_avx512(_mm512_and_si512(xa, index));
-            let sb = ulaw_segment_avx512(_mm512_and_si512(xb, index));
+            let sa = segment(_mm512_and_si512(xa, index));
+            let sb = segment(_mm512_and_si512(xb, index));
             let codes = _mm512_xor_si512(_mm512_packus_epi16(sa, sb), _mm512_set1_epi8(-1));
             let pa = _mm512_cmpge_epi16_mask(xa, zero);
             let pb = _mm512_cmpge_epi16_mask(xb, zero);
@@ -522,7 +566,7 @@ unsafe fn play_mix_ulaw_avx512(
         };
         let (ra, rb) = linear_avx512(&ring, _mm512_loadu_si512(dst.as_ptr().add(i).cast()));
         let (a, b) = (_mm512_adds_epi16(a, ra), _mm512_adds_epi16(b, rb));
-        let segments = _mm512_packus_epi16(ulaw_segment_avx512(a), ulaw_segment_avx512(b));
+        let segments = _mm512_packus_epi16(segment(a), segment(b));
         // `!(segment | sign)`: `vpacksswb` keeps each sum's sign in bit 7.
         let signs = _mm512_packs_epi16(a, b);
         let mixed = _mm512_ternarylogic_epi32::<0x07>(segments, signs, _mm512_set1_epi8(-128));
@@ -532,6 +576,20 @@ unsafe fn play_mix_ulaw_avx512(
         i += 64;
     }
     i
+}
+
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn play_mix_ulaw_avx512(map: &PlayMap, dst: &mut [u8], src: &[u8]) -> usize {
+    // SAFETY: the segment step needs no feature this function lacks.
+    play_mix_ulaw(map, dst, src, |x| unsafe { ulaw_segment_avx512(x) })
+}
+
+// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW, VBMI, FP16.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512fp16")]
+unsafe fn play_mix_ulaw_avx512fp16(map: &PlayMap, dst: &mut [u8], src: &[u8]) -> usize {
+    // SAFETY: the segment step needs no feature this function lacks.
+    play_mix_ulaw(map, dst, src, |x| unsafe { ulaw_segment_avx512fp16(x) })
 }
 
 #[cfg(test)]
@@ -569,8 +627,42 @@ mod tests {
         }
     }
 
+    /// Both segment steps against the truncated-binary16 model
+    /// (`kernels::tests`, where the model is checked against
+    /// `g711::linear_to_ulaw` on every host) for every 16-bit lane value,
+    /// each where its features are detected.
+    #[test]
+    fn segment_steps_are_the_half_precision_model() {
+        use std::arch::is_x86_feature_detected as detected;
+        let model = |x: u16| {
+            let v = (x as i16).unsigned_abs().min(32_635) + 0x84;
+            (kernels::tests::binary16_toward_zero(v) >> 6) - 0x160
+        };
+        let (f, bw) = (detected!("avx512f"), detected!("avx512bw"));
+        let (vbmi, fp16) = (detected!("avx512vbmi"), detected!("avx512fp16"));
+        // SAFETY: callers must guarantee the CPU supports the step's features.
+        type Segment = unsafe fn(__m512i) -> __m512i;
+        let steps: [(&str, bool, Segment); 2] = [
+            ("vbmi", f && bw && vbmi, ulaw_segment_avx512),
+            ("fp16", f && bw && fp16, ulaw_segment_avx512fp16),
+        ];
+        for (name, _, segment) in steps.into_iter().filter(|s| s.1) {
+            for first in (0..=u16::MAX).step_by(32) {
+                let lanes: [u16; 32] = std::array::from_fn(|i| first + i as u16);
+                let mut got = [0u16; 32];
+                // SAFETY: the step's features were detected above; the load
+                // and the store cover exactly 32 lanes.
+                unsafe {
+                    let x = _mm512_loadu_si512(lanes.as_ptr().cast());
+                    _mm512_storeu_si512(got.as_mut_ptr().cast(), segment(x));
+                }
+                assert_eq!(got, lanes.map(model), "{name}: lanes from {first:#06x}");
+            }
+        }
+    }
+
     // The tests below run every table the host can execute: scalar
-    // always, AVX2 and AVX-512 when detected.
+    // always, the SIMD ones when detected.
 
     #[test]
     fn vtable_decodes_every_code_exactly() {

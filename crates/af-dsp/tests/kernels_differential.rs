@@ -1,8 +1,8 @@
 //! Differential property tests for the kernel vtables, resampler and play
 //! map included.
 //!
-//! Every table this host can execute — scalar and, when detected, AVX2 and
-//! AVX-512 — must be bit-exact against the frozen reference
+//! Every table this host can execute — scalar and, when detected, AVX2,
+//! AVX-512 and AVX-512 FP16 — must be bit-exact against the frozen reference
 //! (`af_dsp::reference` and the per-sample G.711 algorithms) on randomized
 //! lengths, byte alignments, encodings, gains and chunkings, and so must
 //! the encode and LIN32 mix loops outside the tables.  Table selection must
@@ -483,9 +483,26 @@ fn resampler_reusing_its_output_does_not_regrow_it() {
     }
 }
 
-/// What CI's log shows a green run tested: run with `-- --nocapture`.
+/// What CI's log shows a green run tested, and which features a table it
+/// did not test lacked: run with `-- --nocapture`.
 #[test]
 fn tables_on_this_host() {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as detected;
+        // What the SIMD tables need, in the order they add it.
+        let features = [
+            ("avx2", detected!("avx2")),
+            ("avx512f", detected!("avx512f")),
+            ("avx512bw", detected!("avx512bw")),
+            ("avx512vbmi", detected!("avx512vbmi")),
+            ("avx512fp16", detected!("avx512fp16")),
+        ];
+        for (feature, on) in features {
+            let seen = if on { "detected" } else { "not detected" };
+            println!("{feature}: {seen}");
+        }
+    }
     let names: Vec<_> = kernels::available().iter().map(|k| k.name).collect();
     println!(
         "kernel tables on this host: {}; active: {}",

@@ -611,14 +611,6 @@ struct Shard {
 
 impl Shard {
     fn run(mut self) {
-        if self
-            .poller
-            .register(self.wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)
-            .is_err()
-        {
-            return;
-        }
-        self.stats.add(stats::Shard::FdCount, 1);
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
         loop {
             if self.transport.stop.load(Ordering::Relaxed) {
@@ -1506,9 +1498,11 @@ impl Reactor {
     ///
     /// With a [`BroadcastBus`], every shard registers an edge-triggered
     /// dirty flag with it, so sealing a chunk wakes exactly the shards
-    /// that own listeners.  Fails when a shard's poller cannot be created:
+    /// that own listeners.  Each shard's wake pipe is registered with its
+    /// poller and counted in its `FdCount` before this returns.  Fails when
+    /// a shard's poller cannot be created or take the pipe:
     /// `ErrorKind::Unsupported` on targets without a syscall backend (see
-    /// [`sys`] for the supported list), else `epoll_create1`'s own error.
+    /// [`sys`] for the supported list), else the system call's own error.
     pub fn spawn(
         transport: Arc<TransportShared>,
         shards: usize,
@@ -1518,12 +1512,17 @@ impl Reactor {
         let mut links = Vec::with_capacity(shards);
         let mut parts = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let poller = Poller::new()?;
+            let mut poller = Poller::new()?;
             let (waker, wake_rx) = Waker::pair()?;
+            // Registered and counted here, not on the shard's thread, so the
+            // gauge is settled when `spawn` returns; `close_all` undoes both.
+            poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
+            let counters = Arc::<ShardCounters>::default();
+            counters.add(stats::Shard::FdCount, 1);
             links.push(Arc::new(ShardLink {
                 mailbox: Mutex::new(Mailbox::default()),
                 waker,
-                stats: Arc::default(),
+                stats: counters,
             }));
             parts.push((poller, wake_rx));
         }
@@ -2544,6 +2543,21 @@ mod tests {
             "ring never overtook the stalled cursor"
         );
         reactor.shutdown();
+    }
+
+    /// A caller that reads the gauge straight after `spawn` (and counts on
+    /// it holding still) must see every shard's pipe, whether or not the
+    /// shard's thread has run yet.
+    #[test]
+    fn fd_count_holds_every_wake_pipe_when_spawn_returns() {
+        for _ in 0..20 {
+            let (tx, _rx) = sync_channel(EVENT_ROOM);
+            let shared = TransportShared::new(DispatchHandle::capture(tx));
+            let mut reactor = Reactor::spawn(shared, 4, None).unwrap();
+            let fds: u64 = reactor.shard_stats().iter().map(|s| s.get(FdCount)).sum();
+            assert_eq!(fds, 4);
+            reactor.shutdown();
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! * **convert_decode / mix / resample / play_mix** — the `af_dsp::kernels`
 //!   vtable entries, once per distinct function among the tables the host
 //!   can execute, labelled with the first table that has it (`scalar`,
-//!   `simd-avx2`, `simd-avx512`) and driven through the function pointers
-//!   directly, so the rows do not depend on which table `active()` picked;
+//!   `simd-avx2`, `simd-avx512`, `simd-avx512fp16`) and driven through the
+//!   function pointers directly, so the rows do not depend on which table
+//!   `active()` picked;
 //!   `resample` once more on its frozen reference loop (`reference`).
 //!   `play_mix` is a LIN16 client at −6 dB on a µ-law device, in the 8 KB
 //!   requests a play arrives in, into ring bytes uniform over all 256
@@ -20,8 +21,8 @@
 //! Property tests in `af-dsp` pin every implementation bit-exact against
 //! [`af_dsp::reference`], so differences between rows are pure
 //! implementation, not changed semantics.  [`dispatch_regressions`] turns
-//! the rows into the three same-run gates `report` and the release-only
-//! test below enforce.
+//! the rows into the same-run gates `report` and the release-only test
+//! below enforce.
 
 use af_dsp::adpcm::AdpcmState;
 use af_dsp::kernels::Kernels;
@@ -232,18 +233,18 @@ pub const RESAMPLE_GATE_RATIO: f64 = 0.5;
 /// ~0.5.
 pub const PLAY_MIX_GATE_RATIO: f64 = 0.75;
 
-/// The dispatch invariant: what ships (`af_dsp::kernels::active`) must
-/// never be slower than the scalar baseline on any entry point at any size
-/// — checked where it calls a function of its own, the row
-/// `shipping_path` names — the scalar table's resampler must hold
-/// [`RESAMPLE_GATE_RATIO`] against its reference, and `simd-avx512`'s
-/// `play_mix`, where the rows have one, [`PLAY_MIX_GATE_RATIO`] against
-/// scalar's.  Returns one message per violated (kernel, size) pair, each
-/// starting `kernel/bytes:`, empty when all hold.
-pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    // (kernel, base path, subject path, limit)
-    let mut gates: Vec<_> = ENTRIES
+/// The FP16 table's gate, where the host lists `simd-avx512fp16`: its play
+/// map, whose µ-law segment step is a half-precision conversion, must cost
+/// at most this fraction of `simd-avx512`'s — the same loop with the
+/// exponent permute — at every size.  It measures ~0.7.
+pub const PLAY_MIX_FP16_GATE_RATIO: f64 = 0.8;
+
+/// A same-run ratio: (kernel, base path, subject path, limit).
+type Gate = (&'static str, &'static str, &'static str, f64);
+
+/// The gates [`dispatch_regressions`] checks on `rows`.
+fn gates(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<Gate> {
+    let mut gates: Vec<Gate> = ENTRIES
         .iter()
         .filter_map(|&(kernel, _)| {
             let shipped = shipping_path(kernel)?;
@@ -251,10 +252,30 @@ pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec
         })
         .collect();
     gates.push(("resample", "reference", "scalar", RESAMPLE_GATE_RATIO));
-    if rows.iter().any(|r| r.path == "simd-avx512") {
+    let lists = |path| rows.iter().any(|r| r.path == path);
+    if lists("simd-avx512") {
         gates.push(("play_mix", "scalar", "simd-avx512", PLAY_MIX_GATE_RATIO));
     }
-    for (kernel, base_path, subject_path, limit) in gates {
+    if lists("simd-avx512fp16") {
+        let ratio = PLAY_MIX_FP16_GATE_RATIO;
+        gates.push(("play_mix", "simd-avx512", "simd-avx512fp16", ratio));
+    }
+    gates
+}
+
+/// The dispatch invariant: what ships (`af_dsp::kernels::active`) must
+/// never be slower than the scalar baseline on any entry point at any size
+/// — checked where it calls a function of its own, the row
+/// `shipping_path` names — the scalar table's resampler must hold
+/// [`RESAMPLE_GATE_RATIO`] against its reference, `simd-avx512`'s
+/// `play_mix`, where the rows have one, [`PLAY_MIX_GATE_RATIO`] against
+/// scalar's, and `simd-avx512fp16`'s, where the rows have one,
+/// [`PLAY_MIX_FP16_GATE_RATIO`] against `simd-avx512`'s.  Returns one
+/// message per violated (kernel, size) pair, each starting
+/// `kernel/bytes:`, empty when all hold.
+pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec<String> {
+    let mut violations = Vec::new();
+    for (kernel, base_path, subject_path, limit) in gates(rows, tolerance) {
         let bases = rows
             .iter()
             .filter(|r| r.path == base_path && r.kernel == kernel);
@@ -367,10 +388,15 @@ mod tests {
             mb_s: 1.0,
             cycles_per_byte: cpb,
         };
-        // Where `simd-avx512` ships, the shipping gate passes at both
-        // values, so only this rule can fire.
+        // Whichever AVX-512 table ships, the shipping gate passes at both
+        // values, and the FP16 row holds its own rule, so only this rule
+        // can fire.
         let gate = |avx512: f64| {
-            let rows = [row("scalar", 1.0), row("simd-avx512", avx512)];
+            let rows = [
+                row("scalar", 1.0),
+                row("simd-avx512", avx512),
+                row("simd-avx512fp16", avx512 / 2.0),
+            ];
             dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE).len()
         };
         // Faster than the table loop, but not by enough: must trigger.
@@ -381,6 +407,53 @@ mod tests {
             let rows = [row("scalar", 1.0)];
             assert!(dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE).is_empty());
         }
+    }
+
+    #[test]
+    fn fp16_play_mix_gate_wants_four_fifths_of_the_avx512_loop() {
+        let row = |path, cpb: f64| KernelV2Measurement {
+            kernel: "play_mix",
+            path,
+            bytes: 4096,
+            mb_s: 1.0,
+            cycles_per_byte: cpb,
+        };
+        // Both AVX-512 rows beat the table loop by far, so the shipping
+        // gate and the `simd-avx512` rule pass and only this rule can fire.
+        let gate = |fp16: f64| {
+            let rows = [
+                row("scalar", 1.0),
+                row("simd-avx512", 0.5),
+                row("simd-avx512fp16", fp16),
+            ];
+            dispatch_regressions(&rows, DISPATCH_GATE_TOLERANCE)
+        };
+        // Faster than the permute, but not by enough: must trigger.
+        let slow = gate(0.45);
+        assert_eq!(slow.len(), 1);
+        assert!(slow[0].contains("simd-avx512fp16"), "{}", slow[0]);
+        assert!(gate(0.35).is_empty());
+    }
+
+    #[test]
+    fn fp16_play_mix_gate_applies_only_where_the_rows_list_the_table() {
+        let row = |path| KernelV2Measurement {
+            kernel: "play_mix",
+            path,
+            bytes: 4096,
+            mb_s: 1.0,
+            cycles_per_byte: 1.0,
+        };
+        let fp16_rule = |rows: &[KernelV2Measurement]| {
+            gates(rows, DISPATCH_GATE_TOLERANCE)
+                .iter()
+                .filter(|g| (g.1, g.2) == ("simd-avx512", "simd-avx512fp16"))
+                .count()
+        };
+        // A host with VBMI but no FP16 lists `simd-avx512` alone.
+        assert_eq!(fp16_rule(&[row("scalar"), row("simd-avx512")]), 0);
+        let rows = [row("scalar"), row("simd-avx512"), row("simd-avx512fp16")];
+        assert_eq!(fp16_rule(&rows), 1);
     }
 
     #[test]
