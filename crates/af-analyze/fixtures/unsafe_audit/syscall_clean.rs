@@ -1,5 +1,5 @@
 // Fixture: must NOT trigger `unsafe-blocks` — the raw-syscall-shim shape
-// the real `af_server::reactor::sys` uses: a module-wide `unsafe_code`
+// the real `af-sys` crate's `sys` module uses: a module-wide `unsafe_code`
 // re-enable earned by several unsafe sites, a SAFETY contract for
 // callers on the wrapper declaration, and audits on the asm block and
 // each wrapper call site.

@@ -8,7 +8,7 @@
 //!    must use `forbid`, not `deny` — `deny` can be re-allowed by a
 //!    module, so a zero-unsafe crate that merely denies leaves the door
 //!    ajar for no reason.  Crates that do contain audited unsafe (the
-//!    SIMD kernels in `af-dsp`, the syscall wrappers in `af-server`)
+//!    SIMD kernels in `af-dsp`, the syscall wrappers in `af-sys`)
 //!    legitimately stay on `deny` + scoped allows.
 
 use crate::callgraph::crate_of;

@@ -300,7 +300,7 @@ fn unsafe_blocks_triggers_on_unaudited_syscall_shim() {
     // A raw-syscall shim shipping an unaudited wrapper declaration and an
     // unaudited wrapper call site.
     let files = [fx(
-        "crates/af-server/src/reactor/sys.rs",
+        "crates/af-sys/src/sys.rs",
         include_str!("../fixtures/unsafe_audit/syscall_trigger.rs"),
     )];
     let found = lints::unsafe_blocks::run(&files);
@@ -310,11 +310,11 @@ fn unsafe_blocks_triggers_on_unaudited_syscall_shim() {
 
 #[test]
 fn unsafe_blocks_accepts_audited_syscall_shim() {
-    // The shape the real reactor syscall shim uses — module allow earned
+    // The shape the real af-sys syscall shim uses — module allow earned
     // by three sites, SAFETY contract on `unsafe fn syscall5`, audits on
     // the asm block and every wrapper call — survives the full pipeline.
     let files = [fx(
-        "crates/af-server/src/reactor/sys.rs",
+        "crates/af-sys/src/sys.rs",
         include_str!("../fixtures/unsafe_audit/syscall_clean.rs"),
     )];
     let found = analyze_files(&files);

@@ -6,9 +6,12 @@
 //! case.  This crate provides seedable wrappers that make those failures
 //! reproducible in tests:
 //!
-//! * [`ChaosStream`] wraps any `Read + Write` byte stream (a client or
-//!   server TCP/Unix connection) and injects partial reads and writes,
-//!   latency, byte corruption, and abrupt disconnects.
+//! * [`ChaosStream`] wraps any `Read + Write` byte stream (a client's
+//!   TCP/Unix connection) and injects partial reads and writes, latency,
+//!   byte corruption, and abrupt disconnects.
+//! * [`FaultProxy`] puts those faults below a real server's socket: a TCP
+//!   relay with a `ChaosStream` on both legs, so the server under test
+//!   runs the one transport real clients reach.
 //! * [`ChaosUdp`] wraps a `UdpSocket` (the LineServer link) and injects
 //!   packet drop (independent or [`GilbertElliott`] bursts), duplication,
 //!   windowed reordering, and corruption.
@@ -23,12 +26,14 @@
 
 #![forbid(unsafe_code)]
 mod plan;
+mod proxy;
 mod rng;
 mod router;
 mod stream;
 mod udp;
 
 pub use plan::{GeState, GilbertElliott, StreamFaultPlan, UdpFaultPlan};
+pub use proxy::FaultProxy;
 pub use rng::ChaosRng;
 pub use router::{HopPlan, HopStats, Router};
 pub use stream::ChaosStream;

@@ -115,11 +115,6 @@ pub struct StreamFaultPlan {
     pub cut_after_bytes: Option<u64>,
     /// Probability of an operation failing with `ConnectionReset` outright.
     pub error_chance: f64,
-    /// After this many bytes have been written, every further write
-    /// returns `WouldBlock` forever — a peer that stopped draining its
-    /// socket (stalled listener) without closing the connection.  Reads
-    /// are unaffected.
-    pub stall_write_after: Option<u64>,
 }
 
 impl Default for StreamFaultPlan {
@@ -140,24 +135,7 @@ impl StreamFaultPlan {
             corrupt_chance: 0.0,
             cut_after_bytes: None,
             error_chance: 0.0,
-            stall_write_after: None,
         }
-    }
-
-    /// A *slow listener*: the peer drains its socket at a trickle, so
-    /// every write moves only a few bytes.  On a broadcast stream this
-    /// drives cursor lag up until the server skips the listener ahead to
-    /// the live edge (it is never evicted — it keeps making progress).
-    pub fn slow_listener(seed: u64) -> StreamFaultPlan {
-        StreamFaultPlan::new(seed).partial_writes(16)
-    }
-
-    /// A *stalled listener*: after a short healthy prefix the peer stops
-    /// draining entirely — writes park on `WouldBlock` forever while the
-    /// connection stays open.  The broadcast plane must detect the stall
-    /// (no write progress across consecutive chunk publishes) and evict.
-    pub fn stalled_listener(seed: u64) -> StreamFaultPlan {
-        StreamFaultPlan::new(seed).stall_writes_after(4096)
     }
 
     /// Sets the seed (builder style).
@@ -200,12 +178,6 @@ impl StreamFaultPlan {
     /// Fails an operation with `ConnectionReset` with probability `chance`.
     pub fn random_errors(mut self, chance: f64) -> Self {
         self.error_chance = chance;
-        self
-    }
-
-    /// Parks every write on `WouldBlock` once `bytes` have been written.
-    pub fn stall_writes_after(mut self, bytes: u64) -> Self {
-        self.stall_write_after = Some(bytes);
         self
     }
 }

@@ -8,17 +8,15 @@ use std::sync::{Arc, Mutex};
 
 /// Shared fault state for one logical connection.
 ///
-/// A connection is often split into a read half and a write half (the
-/// server clones the socket for its writer thread); both halves must draw
-/// from one fault schedule and one byte budget, so the state lives behind
-/// an `Arc`.
+/// A connection is often split into halves (the fault proxy's two pumps
+/// each read one leg and write the other); all of them must draw from one
+/// fault schedule and one byte budget, so the state lives behind an
+/// `Arc`.
 struct FaultState {
     plan: StreamFaultPlan,
     rng: ChaosRng,
     /// Total bytes moved in either direction.
     transferred: u64,
-    /// Total bytes written (the stall budget is write-only).
-    written: u64,
     /// Set once the cut threshold is crossed; every later op fails.
     cut: bool,
 }
@@ -106,7 +104,6 @@ impl<S> ChaosStream<S> {
                 plan,
                 rng,
                 transferred: 0,
-                written: 0,
                 cut: false,
             })),
         }
@@ -172,14 +169,6 @@ impl<S: Write> Write for ChaosStream<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let op = {
             let mut st = self.state.lock().expect("chaos state poisoned");
-            if let Some(stall) = st.plan.stall_write_after {
-                if st.written >= stall {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        "chaos: peer stalled, socket buffer full",
-                    ));
-                }
-            }
             st.decide(buf.len(), false)
         };
         if op.fail {
@@ -203,7 +192,6 @@ impl<S: Write> Write for ChaosStream<S> {
             self.inner.write(&buf[..end])?
         };
         let mut st = self.state.lock().expect("chaos state poisoned");
-        st.written = st.written.saturating_add(n as u64);
         st.account(n);
         Ok(n)
     }
@@ -323,44 +311,6 @@ mod tests {
         };
         assert_eq!(run(77), run(77));
         assert_ne!(run(77), run(78));
-    }
-
-    #[test]
-    fn stalled_listener_parks_writes_after_budget() {
-        let mut s = ChaosStream::new(mem(b""), StreamFaultPlan::new(9).stall_writes_after(8));
-        // The healthy prefix drains normally.
-        s.write_all(&[7u8; 8]).unwrap();
-        assert_eq!(s.get_ref().out.len(), 8);
-        // After the budget every write parks — and keeps parking.
-        for _ in 0..3 {
-            let err = s.write(b"x").unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        }
-        // Reads are unaffected: only the peer's draining stopped.
-        let mut r = ChaosStream::new(mem(b"ok"), StreamFaultPlan::new(9).stall_writes_after(0));
-        let mut buf = [0u8; 2];
-        r.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ok");
-    }
-
-    #[test]
-    fn slow_listener_preset_trickles_but_delivers() {
-        let data: Vec<u8> = (0..400u16).map(|v| (v & 0xFF) as u8).collect();
-        let mut s = ChaosStream::new(mem(b""), StreamFaultPlan::slow_listener(11));
-        let mut off = 0;
-        while off < data.len() {
-            let n = s.write(&data[off..]).unwrap();
-            assert!(n <= 16, "slow listener moved {n} bytes in one write");
-            off += n;
-        }
-        assert_eq!(s.get_ref().out, data);
-    }
-
-    #[test]
-    fn stalled_listener_preset_stalls_after_prefix() {
-        let mut s = ChaosStream::new(mem(b""), StreamFaultPlan::stalled_listener(12));
-        s.write_all(&[0u8; 4096]).unwrap();
-        assert_eq!(s.write(b"x").unwrap_err().kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The audio connection: request generation, reply/event demultiplexing.
 
 use crate::error::{AfError, AfResult};
-use crate::sys;
 use af_proto::message::{self, MessageHeader, MessageKind};
 use af_proto::request::{play_flags, record_flags, PropertyMode, PLAY_HEADER_BYTES};
 use af_proto::wire::{pad4, WireReader};
@@ -542,7 +541,7 @@ impl AudioConn {
     /// The client sleeps in the wait, which only incoming bytes end, not in
     /// a `read`, which the server's `read` freeing send space also wakes.
     fn fill(&mut self, timeout: Option<Duration>) -> AfResult<bool> {
-        if !sys::wait_readable(self.stream.as_fd(), timeout)? {
+        if !af_sys::wait_readable(self.stream.as_fd(), timeout)? {
             return Ok(false);
         }
         match self.inbuf.fill_from(&mut *self.stream)? {

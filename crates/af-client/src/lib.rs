@@ -26,11 +26,9 @@
 //! | `AFHookSwitch` …           | [`AudioConn::hook_switch`] …            |
 //! | `AFGetErrorText`           | [`error_text`]                          |
 
-// The one exception is `sys`'s `ppoll`, allowed on that function alone.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 mod conn;
 mod error;
-mod sys;
 
 pub use conn::{Ac, AudioConn, ClientStream, ConnectOptions, ServerName};
 pub use error::{error_text, AfError, AfResult};

@@ -148,7 +148,7 @@ fn main() {
     }
     // The reactor serves thousands of sockets from a handful of threads;
     // lift the fd rlimit so the kernel doesn't cap us at the soft default.
-    if let Err(e) = af_server::raise_nofile_limit() {
+    if let Err(e) = af_sys::raise_nofile_limit() {
         eprintln!("afd: cannot raise open-file limit: {e}");
     }
 

@@ -15,7 +15,6 @@ use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
 use crate::state::{connector_mask, AccessControl, AtomRegistry, Device, ServerStats};
 use crate::stats::{LinkCounters, ServerCounters};
 use crate::transport::TransportShared;
-use af_chaos::StreamFaultPlan;
 use af_device::hardware::{HwConfig, VirtualAudioHw};
 use af_device::io::{NullSink, SampleSink, SampleSource, SilenceSource};
 use af_device::lineserver::LineServerLink;
@@ -52,7 +51,6 @@ pub struct ServerBuilder {
     unix: Option<PathBuf>,
     access_enabled: bool,
     idle_timeout: Option<Duration>,
-    chaos: Option<StreamFaultPlan>,
     reactor_shards: Option<usize>,
     link_stats: Vec<Arc<LinkCounters>>,
     broadcast: Option<(usize, SocketAddr, BroadcastConfig)>,
@@ -75,7 +73,6 @@ impl ServerBuilder {
             unix: None,
             access_enabled: true,
             idle_timeout: None,
-            chaos: None,
             reactor_shards: None,
             link_stats: Vec::new(),
             broadcast: None,
@@ -145,15 +142,6 @@ impl ServerBuilder {
     /// default, matching the paper's model of long-lived idle connections.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Injects deterministic faults into every accepted connection.
-    ///
-    /// Each connection's fault schedule is forked from the plan's seed and
-    /// the connection id, so runs with the same seed see the same faults.
-    pub fn chaos(mut self, plan: StreamFaultPlan) -> Self {
-        self.chaos = Some(plan);
         self
     }
 
@@ -379,11 +367,11 @@ impl ServerBuilder {
     /// task thread.
     ///
     /// The reactor is the only transport, so this fails with
-    /// `ErrorKind::Unsupported` on targets it has no syscall backend for
-    /// (supported: Linux on x86_64 and aarch64 — see
-    /// [`crate::reactor::sys`]), and with `epoll_create1`'s own error when
-    /// a shard cannot get its epoll instance.  On any error every thread
-    /// started so far has been joined by the time it is returned.
+    /// `ErrorKind::Unsupported` on targets `af_sys` has no syscall backend
+    /// for (supported: Linux on x86_64 and aarch64), and with
+    /// `epoll_create1`'s own error when a shard cannot get its epoll
+    /// instance.  On any error every thread started so far has been joined
+    /// by the time it is returned.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
@@ -451,7 +439,7 @@ impl ServerBuilder {
         let dispatcher =
             Dispatcher::new(core, self.update_interval).with_idle_timeout(self.idle_timeout);
         let dispatch = DispatchHandle::new(dispatcher);
-        let shared = TransportShared::with_pool(dispatch.clone(), self.chaos, Arc::clone(&pool));
+        let shared = TransportShared::with_pool(dispatch.clone(), Arc::clone(&pool));
 
         // Every step from here to the task thread can fail (no epoll
         // instance, an address in use, a bad socket path).  Dropping the

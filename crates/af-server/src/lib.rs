@@ -20,11 +20,10 @@
 //! configuration: no alternate transport and no separate audio threads
 //! (DESIGN.md §9.1 says why).
 //!
-//! `unsafe` is denied crate-wide; the single audited exception is the
-//! reactor's raw-syscall shim ([`reactor::sys`]), which the `af-analyze`
-//! unsafe-audit lint covers.
+//! `unsafe` is forbidden crate-wide: the reactor's raw syscalls (`epoll`)
+//! are `af_sys`'s safe wrappers.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 pub mod backend;
 pub mod broadcast;
 pub mod buffer;
@@ -42,7 +41,7 @@ pub use broadcast::{BroadcastBus, BroadcastConfig, BROADCAST_CHUNK_FRAMES, BROAD
 pub use buffer::{DeviceBuffers, PlayOutcome};
 pub use builder::{DeviceSetup, RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
-pub use reactor::{default_shards, raise_nofile_limit, OutboundTx, Reactor};
+pub use reactor::{default_shards, OutboundTx, Reactor};
 pub use state::ServerStats;
 pub use transport::{FrameError, OUTBOUND_QUEUE_CAPACITY};
 

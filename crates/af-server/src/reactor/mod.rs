@@ -3,8 +3,8 @@
 //! The paper's server multiplexed every client socket with one `select()`
 //! loop (§5.1, §7.3.1).  This module keeps the paper's shape at scale: a
 //! small set of reactor shards (default `min(4, cores)`) each run a
-//! level-triggered readiness loop ([`poller::Poller`]: raw `epoll` via the
-//! audited [`sys`] shim) over nonblocking sockets.
+//! level-triggered readiness loop ([`af_sys::Poller`]: raw `epoll`) over
+//! nonblocking sockets.
 //!
 //! Each shard owns its connections outright: the per-connection read state
 //! machine (setup header → setup tail → frame header → payload, resumable
@@ -17,8 +17,7 @@
 //! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
 //! its handler itself, under the dispatch lock — so a `GetTime` is
 //! `epoll_wait`, `read`, `write` on one thread — with single-threaded
-//! control semantics, slow-client overflow/eviction, idle timeout, and
-//! chaos fault injection.
+//! control semantics, slow-client overflow/eviction and idle timeout.
 //!
 //! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): every
 //! connection has one deque of unwritten messages behind one lock
@@ -47,25 +46,16 @@
 //! Backpressure: the lock is taken per framed event, never per readiness
 //! batch, so `FRAME_BUDGET` fairness holds and the update task waits
 //! behind at most one request.  A shard waiting for the dispatch lock is
-//! not reading its sockets — TCP backpressure to the clients.  Fault injection
-//! note: `ChaosStream` delays sleep on the shard thread, stalling that
-//! shard's connections collectively; chaos plans are a test-only feature
-//! and the tests account for it.  Chaos-wrapped connections never take the
-//! direct write — every reply goes through the deque, so the faults keep
-//! landing on the shard and never on a producer.
-
-pub mod poller;
-pub mod sys;
+//! not reading its sockets — TCP backpressure to the clients.
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
 use crate::pool::PooledBuf;
 use crate::state::{ClientId, ServerEvent};
 use crate::stats::{self, Bus, ShardCounters};
 use crate::transport::{decode_frame_header, Refused, TransportShared, OUTBOUND_QUEUE_CAPACITY};
-use af_chaos::ChaosStream;
 use af_proto::{ByteOrder, ConnSetup};
+use af_sys::{Interest, PollEvent, Poller, MAX_EVENTS};
 use parking_lot::Mutex;
-use poller::{Interest, PollEvent, Poller, MAX_EVENTS};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -117,12 +107,6 @@ pub fn default_shards() -> usize {
         .min(4)
 }
 
-/// Raises the process's open-file soft limit to the hard limit (load
-/// harnesses opening thousands of sockets call this first).
-pub fn raise_nofile_limit() -> io::Result<u64> {
-    sys::raise_nofile_limit()
-}
-
 /// Wakes a shard's poll loop by writing one byte to its self-pipe.
 struct Waker {
     tx: UnixStream,
@@ -148,7 +132,6 @@ impl Waker {
 /// (direct writes, eviction).  One descriptor per connection; a producer
 /// that outlives the connection keeps the *socket* alive, so it can never
 /// write to a recycled descriptor number.
-#[derive(Clone)]
 enum SharedSock {
     Tcp(Arc<TcpStream>),
     Unix(Arc<UnixStream>),
@@ -162,8 +145,18 @@ impl SharedSock {
         };
     }
 
-    /// `write` through a shared reference (`Write` is implemented for
-    /// `&TcpStream`/`&UnixStream`), for producers that hold no `&mut`.
+    /// `read` through a shared reference (`Read` is implemented for
+    /// `&TcpStream`/`&UnixStream`): the shard holds the socket in the
+    /// `Arc` it shares with the producers.
+    fn read_shared(&self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            SharedSock::Tcp(s) => (&**s).read(buf),
+            SharedSock::Unix(s) => (&**s).read(buf),
+        }
+    }
+
+    /// `write` through a shared reference, for the shard's flush and for
+    /// producers, none of which holds a `&mut`.
     fn write_shared(&self, buf: &[u8]) -> io::Result<usize> {
         match self {
             SharedSock::Tcp(s) => (&**s).write(buf),
@@ -178,25 +171,6 @@ impl AsRawFd for SharedSock {
             SharedSock::Tcp(s) => s.as_raw_fd(),
             SharedSock::Unix(s) => s.as_raw_fd(),
         }
-    }
-}
-
-impl Read for SharedSock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            SharedSock::Tcp(s) => (&**s).read(buf),
-            SharedSock::Unix(s) => (&**s).read(buf),
-        }
-    }
-}
-
-impl Write for SharedSock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.write_shared(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(()) // Sockets have no userspace buffer.
     }
 }
 
@@ -225,10 +199,6 @@ struct ConnShared {
     /// The owning shard's mailbox, waker and counters.
     link: Arc<ShardLink>,
     sock: SharedSock,
-    /// Whether producers may write `sock` themselves.  False on
-    /// chaos-wrapped connections: their faults must land on the shard, so
-    /// every reply takes the deque.
-    direct: bool,
     /// The lock is the connection's write critical section — whoever holds
     /// it is the only thread writing the socket or touching the deque.
     outbound: Mutex<Outbound>,
@@ -250,7 +220,7 @@ impl ConnShared {
             drop(out);
             return Err(Refused::Full);
         }
-        if self.direct && out.queue.is_empty() {
+        if out.queue.is_empty() {
             match self.sock.write_shared(&buf) {
                 Ok(n) if n == buf.len() => {
                     drop(out);
@@ -343,8 +313,9 @@ impl OutboundTx {
 
 #[cfg(test)]
 impl OutboundTx {
-    /// A handle on a connection no shard owns: every message waits on the
-    /// deque, which nothing drains, and wakeups go nowhere.
+    /// A handle on a connection no shard owns: its socket's peer is gone,
+    /// so every direct write fails and every message waits on the deque,
+    /// which nothing drains, and wakeups go nowhere.
     pub(crate) fn detached() -> OutboundTx {
         let (waker, _wake_rx) = Waker::pair().expect("socketpair");
         let (sock, _peer) = UnixStream::pair().expect("socketpair");
@@ -357,7 +328,6 @@ impl OutboundTx {
                 stats: Arc::default(),
             }),
             sock: SharedSock::Unix(Arc::new(sock)),
-            direct: false,
             outbound: Mutex::new(Outbound::default()),
         }))
     }
@@ -374,22 +344,11 @@ impl OutboundTx {
     }
 }
 
-/// Byte streams a shard can own: anything readable/writable off-thread.
-pub trait ShardIo: Read + Write + Send {}
-impl<T: Read + Write + Send> ShardIo for T {}
-
 /// A connection handed to its owning shard for registration.
 struct NewConn {
-    io: Box<dyn ShardIo>,
     sock: SharedSock,
     id: ClientId,
     peer: Option<IpAddr>,
-}
-
-/// A broadcast listener socket handed to its owning shard.
-struct NewBcast {
-    io: Box<dyn ShardIo>,
-    fd: RawFd,
 }
 
 enum ShardMsg {
@@ -397,7 +356,8 @@ enum ShardMsg {
     TcpL(TcpListener),
     UnixL(UnixListener),
     BcastL(TcpListener),
-    Bcast(Box<NewBcast>),
+    /// An accepted broadcast listener.
+    Bcast(TcpStream),
 }
 
 /// What other threads have left for a shard since its last wake-up.
@@ -479,7 +439,6 @@ fn fill(dst: &mut [u8], have: &mut usize, data: &mut &[u8]) -> bool {
 
 /// One registered connection, owned by exactly one shard.
 struct ConnState {
-    io: Box<dyn ShardIo>,
     fd: RawFd,
     id: ClientId,
     peer: Option<IpAddr>,
@@ -503,8 +462,7 @@ enum BcastPhase {
 /// of its own — only a cursor into the shared chunk ring plus the batch
 /// of `Arc`-shared chunks currently being written.
 struct BcastConn {
-    io: Box<dyn ShardIo>,
-    fd: RawFd,
+    sock: TcpStream,
     phase: BcastPhase,
     /// Request-head bytes collected so far (bounded by [`BCAST_REQ_MAX`]).
     req: Vec<u8>,
@@ -558,29 +516,6 @@ enum ReadOutcome {
     Close,
     /// Malformed framing: report `ProtocolError`, then close.
     Protocol(crate::transport::FrameError),
-}
-
-/// Names the connection, wraps it in the transport's fault plan if there
-/// is one, and picks the owning shard.
-fn build_conn(
-    transport: &TransportShared,
-    shared: &ReactorShared,
-    sock: SharedSock,
-    peer: Option<IpAddr>,
-) -> (usize, Box<NewConn>) {
-    let id = transport.next_id.fetch_add(1, Ordering::Relaxed);
-    let target = shared.rr.fetch_add(1, Ordering::Relaxed) % shared.links.len();
-    let io: Box<dyn ShardIo> = match &transport.chaos {
-        Some(plan) => {
-            // Each connection gets its own fault schedule, derived
-            // deterministically from the plan seed and the connection id.
-            let mut plan = plan.clone();
-            plan.seed = af_chaos::ChaosRng::new(plan.seed).fork(id).next_u64();
-            Box::new(ChaosStream::new(sock.clone(), plan))
-        }
-        None => Box::new(sock.clone()),
-    };
-    (target, Box::new(NewConn { io, sock, id, peer }))
 }
 
 struct Shard {
@@ -679,7 +614,7 @@ impl Shard {
                     let fd = l.as_raw_fd();
                     self.register_listener(Slot::BcastL(l), fd);
                 }
-                ShardMsg::Bcast(b) => self.register_bcast(*b),
+                ShardMsg::Bcast(s) => self.register_bcast(s),
             }
         }
         // Flush connections with freshly queued outbound data.
@@ -738,7 +673,6 @@ impl Shard {
         self.stats.add(stats::Shard::Accepted, 1);
         self.stats.add(stats::Shard::FdCount, 1);
         self.slots[token] = Some(Slot::Conn(Box::new(ConnState {
-            io: conn.io,
             fd,
             id: conn.id,
             peer: conn.peer,
@@ -752,7 +686,6 @@ impl Shard {
                 notified: AtomicBool::new(false),
                 link: Arc::clone(&self.shared.links[self.index]),
                 sock: conn.sock,
-                direct: self.transport.chaos.is_none(),
                 outbound: Mutex::new(Outbound::default()),
             }),
             want_write: false,
@@ -839,27 +772,13 @@ impl Shard {
                     if s.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let fd = s.as_raw_fd();
-                    let io: Box<dyn ShardIo> = match &self.transport.chaos {
-                        Some(plan) => {
-                            // Listeners share the connection id space so
-                            // chaos fault derivation stays per-connection
-                            // deterministic.
-                            let id = self.transport.next_id.fetch_add(1, Ordering::Relaxed);
-                            let mut plan = plan.clone();
-                            plan.seed = af_chaos::ChaosRng::new(plan.seed).fork(id).next_u64();
-                            Box::new(ChaosStream::new(s, plan))
-                        }
-                        None => Box::new(s),
-                    };
                     let target =
                         self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.links.len();
-                    let msg = Box::new(NewBcast { io, fd });
                     if target == self.index {
-                        self.register_bcast(*msg);
+                        self.register_bcast(s);
                     } else {
                         // A full mailbox is overload: shed the listener.
-                        let _ = self.shared.links[target].post(ShardMsg::Bcast(msg));
+                        let _ = self.shared.links[target].post(ShardMsg::Bcast(s));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -868,7 +787,7 @@ impl Shard {
         }
     }
 
-    fn register_bcast(&mut self, b: NewBcast) {
+    fn register_bcast(&mut self, sock: TcpStream) {
         let Some(bus_stats) = self
             .broadcast
             .as_ref()
@@ -879,7 +798,7 @@ impl Shard {
         let token = self.alloc_slot();
         if self
             .poller
-            .register(b.fd, token as u64, Interest::Read)
+            .register(sock.as_raw_fd(), token as u64, Interest::Read)
             .is_err()
         {
             self.free.push(token);
@@ -889,8 +808,7 @@ impl Shard {
         self.stats.add(stats::Shard::FdCount, 1);
         bus_stats.add(Bus::ListenersTotal, 1);
         self.slots[token] = Some(Slot::Bcast(Box::new(BcastConn {
-            io: b.io,
-            fd: b.fd,
+            sock,
             phase: BcastPhase::Request,
             req: Vec::with_capacity(256),
             icy: false,
@@ -906,8 +824,11 @@ impl Shard {
         }
     }
 
+    /// Names the connection and hands it to its shard, round-robin.
     fn route_conn(&mut self, sock: SharedSock, peer: Option<IpAddr>) {
-        let (target, conn) = build_conn(&self.transport, &self.shared, sock, peer);
+        let id = self.transport.next_id.fetch_add(1, Ordering::Relaxed);
+        let target = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.links.len();
+        let conn = Box::new(NewConn { sock, id, peer });
         if target == self.index {
             self.register_conn(*conn);
         } else {
@@ -951,7 +872,7 @@ impl Shard {
                 dead = out.closed;
                 break false;
             };
-            match conn.io.write(&buf[out.written..]) {
+            match conn.shared.sock.write_shared(&buf[out.written..]) {
                 Ok(0) => {
                     dead = true;
                     break true;
@@ -1012,7 +933,7 @@ impl Shard {
         };
         let mut buf = [0u8; 512];
         loop {
-            match conn.io.read(&mut buf) {
+            match conn.sock.read(&mut buf) {
                 Ok(0) => {
                     self.close_bcast(token, *conn);
                     return;
@@ -1108,7 +1029,7 @@ impl Shard {
         loop {
             // Flush the response head before any chunk bytes.
             if let Some((head, off)) = conn.header.as_mut() {
-                match conn.io.write(&head[*off..]) {
+                match conn.sock.write(&head[*off..]) {
                     Ok(0) => {
                         dead = true;
                         break;
@@ -1152,7 +1073,7 @@ impl Shard {
                     slices[count] = IoSlice::new(if count == 0 { &s[c.off..] } else { s });
                     count += 1;
                 }
-                c.io.write_vectored(&slices[..count])
+                c.sock.write_vectored(&slices[..count])
             };
             match result {
                 Ok(0) => {
@@ -1217,7 +1138,7 @@ impl Shard {
             };
             if self
                 .poller
-                .reregister(conn.fd, token as u64, interest)
+                .reregister(conn.sock.as_raw_fd(), token as u64, interest)
                 .is_ok()
             {
                 conn.want_write = pending;
@@ -1232,7 +1153,7 @@ impl Shard {
     }
 
     fn close_bcast(&mut self, token: usize, conn: BcastConn) {
-        let _ = self.poller.deregister(conn.fd);
+        let _ = self.poller.deregister(conn.sock.as_raw_fd());
         self.stats.add(stats::Shard::Closed, 1);
         self.stats.sub(stats::Shard::FdCount, 1);
         if let Some(sb) = self.broadcast.as_mut() {
@@ -1281,9 +1202,13 @@ impl Shard {
             let (read, room, direct) = match &mut conn.phase {
                 ReadPhase::Payload { buf, have, .. } if buf.len() - *have >= DIRECT_READ_MIN => {
                     let dst = &mut buf[*have..];
-                    (conn.io.read(dst), dst.len(), true)
+                    (conn.shared.sock.read_shared(dst), dst.len(), true)
                 }
-                _ => (conn.io.read(&mut scratch), scratch.len(), false),
+                _ => (
+                    conn.shared.sock.read_shared(&mut scratch),
+                    scratch.len(),
+                    false,
+                ),
             };
             let n = match read {
                 Ok(0) => break ReadOutcome::Close, // EOF.
@@ -1502,7 +1427,7 @@ impl Reactor {
     /// poller and counted in its `FdCount` before this returns.  Fails when
     /// a shard's poller cannot be created or take the pipe:
     /// `ErrorKind::Unsupported` on targets without a syscall backend (see
-    /// [`sys`] for the supported list), else the system call's own error.
+    /// [`af_sys`] for the supported list), else the system call's own error.
     pub fn spawn(
         transport: Arc<TransportShared>,
         shards: usize,
@@ -1667,22 +1592,18 @@ mod tests {
     const EVENT_ROOM: usize = 1024;
 
     fn start() -> (Reactor, Receiver<Captured>, SocketAddr) {
-        start_with(2, None, None)
+        start_with(2, EVENT_ROOM)
     }
 
-    /// A reactor on loopback TCP, optionally fault-wrapped and with a
-    /// bounded event queue.
+    /// A reactor on loopback TCP with a bounded event queue.  (Loopback
+    /// TCP has byte-granular socket buffers: a reader that pauses forces
+    /// short writes, which all-or-nothing Unix-socket writes never are.)
     fn start_with(
         shards: usize,
-        chaos: Option<af_chaos::StreamFaultPlan>,
-        event_capacity: Option<usize>,
+        event_capacity: usize,
     ) -> (Reactor, Receiver<Captured>, SocketAddr) {
-        let (tx, rx) = sync_channel(event_capacity.unwrap_or(EVENT_ROOM));
-        let shared = TransportShared::with_pool(
-            DispatchHandle::capture(tx),
-            chaos,
-            crate::pool::BufferPool::shared(),
-        );
+        let (tx, rx) = sync_channel(event_capacity);
+        let shared = TransportShared::new(DispatchHandle::capture(tx));
         let reactor = Reactor::spawn(shared, shards, None).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         (reactor, rx, addr)
@@ -1817,8 +1738,7 @@ mod tests {
         // NOT allocate a Vec per frame.
         let (tx, rx) = sync_channel(1);
         let pool = crate::pool::BufferPool::shared();
-        let shared =
-            TransportShared::with_pool(DispatchHandle::capture(tx), None, Arc::clone(&pool));
+        let shared = TransportShared::with_pool(DispatchHandle::capture(tx), Arc::clone(&pool));
         let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
 
@@ -1925,8 +1845,7 @@ mod tests {
         // closed and keeps no buffer.
         let (tx, rx) = sync_channel(EVENT_ROOM);
         let pool = crate::pool::BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY);
-        let shared =
-            TransportShared::with_pool(DispatchHandle::capture(tx), None, Arc::clone(&pool));
+        let shared = TransportShared::with_pool(DispatchHandle::capture(tx), Arc::clone(&pool));
         let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
         let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
@@ -1977,23 +1896,40 @@ mod tests {
         reactor.shutdown();
     }
 
-    /// The read/write chunk-limit plan `tests/chaos.rs` uses; wrapped
-    /// connections never take the direct write, so running a test under
-    /// it proves the deque-only fallback path on its own.
-    fn chunk_limit_plan() -> af_chaos::StreamFaultPlan {
-        af_chaos::StreamFaultPlan::new(0x5EED)
-            .partial_reads(3)
-            .partial_writes(5)
-    }
-
-    /// One shard, so every connection of a test shares it.  (Loopback TCP
-    /// has byte-granular socket buffers: a reader that pauses forces short
-    /// writes, which all-or-nothing Unix-socket writes never are.)
-    fn start_one_shard(
-        chaos: Option<af_chaos::StreamFaultPlan>,
-        event_capacity: Option<usize>,
-    ) -> (Reactor, Receiver<Captured>, SocketAddr) {
-        start_with(1, chaos, event_capacity)
+    #[test]
+    fn hang_up_behind_queued_replies_delivers_every_byte_then_end_of_file() {
+        // How a refusal reply leaves when the socket cannot take it: the
+        // peer stops reading until replies wait on the deque, then the
+        // dispatcher hangs up.  The peer must read every byte sent, in
+        // issue order, then end-of-file, and the shard must give the
+        // connection's descriptor back.
+        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        let otx = new_client(&rx).3;
+        let fds = || totals(&reactor)[FdCount];
+        let open = fds(); // The wake pipe, the listener and this connection.
+        let mut sent = 0;
+        while otx.queued() == 0 {
+            otx.try_send_buf(ordered_message(sent).into()).unwrap();
+            sent += 1;
+        }
+        otx.hang_up();
+        let late = otx.try_send_buf(ordered_message(sent).into());
+        assert_eq!(late, Err(Refused::Closed));
+        drop(otx); // The dispatcher keeps no handle on a refused client.
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        for seq in 0..sent {
+            let want = ordered_message(seq);
+            let mut got = vec![0u8; want.len()];
+            sock.read_exact(&mut got).unwrap();
+            assert!(got == want, "stream diverged at message {seq}");
+        }
+        assert_eq!(sock.read(&mut [0u8; 16]).unwrap(), 0, "no end-of-file");
+        disconnect(&rx);
+        wait_until("the shard to close the connection", || fds() == open - 1);
+        reactor.shutdown();
     }
 
     fn totals(reactor: &Reactor) -> Snapshot<stats::Shard, 13> {
@@ -2009,15 +1945,16 @@ mod tests {
         msg
     }
 
-    /// Two producer threads share one connection's `OutboundTx` and issue
-    /// `messages` mixed-size messages in a global order (fixed by a mutex
-    /// held across number-assignment and send, as the dispatch lock orders
-    /// real producers); the reader drains in bursts so the
-    /// socket fills and writes go short.  The received stream must be the
-    /// exact concatenation in issue order.
-    fn ordered_delivery(chaos: Option<af_chaos::StreamFaultPlan>, messages: u32) {
-        let wrapped = chaos.is_some();
-        let (mut reactor, rx, addr) = start_one_shard(chaos, None);
+    #[test]
+    fn two_producers_partial_writes_keep_issue_order() {
+        // Two producer threads share one connection's `OutboundTx` and
+        // issue mixed-size messages in a global order (fixed by a mutex
+        // held across number-assignment and send, as the dispatch lock
+        // orders real producers); the reader drains in bursts so the
+        // socket fills and writes go short.  The received stream must be
+        // the exact concatenation in issue order.
+        const MESSAGES: u32 = 8000;
+        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let otx = new_client(&rx).3;
@@ -2027,7 +1964,7 @@ mod tests {
                 let (otx, next) = (otx.clone(), Arc::clone(&next));
                 std::thread::spawn(move || loop {
                     let mut seq = next.lock().unwrap();
-                    if *seq == messages {
+                    if *seq == MESSAGES {
                         return;
                     }
                     match otx.try_send_buf(ordered_message(*seq).into()) {
@@ -2044,7 +1981,7 @@ mod tests {
             .collect();
         sock.set_read_timeout(Some(Duration::from_secs(20)))
             .unwrap();
-        for seq in 0..messages {
+        for seq in 0..MESSAGES {
             let want = ordered_message(seq);
             let mut got = vec![0u8; want.len()];
             sock.read_exact(&mut got).unwrap();
@@ -2058,7 +1995,7 @@ mod tests {
         }
         // The shard bumps `replies` after the write the reader just saw.
         for _ in 0..500 {
-            if totals(&reactor)[Replies] == u64::from(messages) {
+            if totals(&reactor)[Replies] == u64::from(MESSAGES) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -2066,29 +2003,12 @@ mod tests {
         let t = totals(&reactor);
         assert_eq!(
             t[Replies],
-            u64::from(messages),
+            u64::from(MESSAGES),
             "every message counted once"
         );
         assert!(t[QueuedWrites] > 0, "the fallback path never ran");
-        if wrapped {
-            assert_eq!(
-                t[DirectWrites], 0,
-                "fault-wrapped connections never write directly"
-            );
-        } else {
-            assert!(t[DirectWrites] > 0, "the direct path never ran");
-        }
+        assert!(t[DirectWrites] > 0, "the direct path never ran");
         reactor.shutdown();
-    }
-
-    #[test]
-    fn two_producers_partial_writes_keep_issue_order() {
-        ordered_delivery(None, 8000);
-    }
-
-    #[test]
-    fn two_producers_keep_issue_order_on_the_chaos_fallback_path() {
-        ordered_delivery(Some(chunk_limit_plan()), 300);
     }
 
     /// The 100 request payloads of the coalescing tests, sent right after
@@ -2130,15 +2050,12 @@ mod tests {
         wire.extend_from_slice(payload);
     }
 
-    /// Setup message and 100 requests in one `write_all`: everything
-    /// arrives, in order.  With `poison_after`, a zero-length frame
-    /// header follows that many requests: those are delivered, then
+    /// Setup message and 100 requests written `piece` bytes at a time:
+    /// everything arrives, in order.  With `poison_after`, a zero-length
+    /// frame header follows that many requests: those are delivered, then
     /// `ProtocolError`, then `Disconnect`, and nothing after.
-    fn coalesced_burst(
-        chaos: Option<af_chaos::StreamFaultPlan>,
-        poison_after: Option<usize>,
-    ) {
-        let (mut reactor, rx, addr) = start_one_shard(chaos, None);
+    fn coalesced_burst(piece: usize, poison_after: Option<usize>) {
+        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
         let mut wire = ConnSetup::new().encode();
         let payloads = burst_payloads(wire.len());
         for (i, payload) in payloads.iter().enumerate() {
@@ -2148,7 +2065,12 @@ mod tests {
             push_frame(&mut wire, 1 + i as u8, payload);
         }
         let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&wire).unwrap();
+        sock.set_nodelay(true).unwrap();
+        for piece in wire.chunks(piece) {
+            if sock.write_all(piece).is_err() {
+                break; // Closed by the shard, past a poisoned header.
+            }
+        }
         new_client(&rx);
         for (i, payload) in payloads
             .iter()
@@ -2171,10 +2093,10 @@ mod tests {
 
     #[test]
     fn coalesced_setup_and_hundred_requests_arrive_in_order() {
-        coalesced_burst(None, None);
-        coalesced_burst(None, Some(50));
-        coalesced_burst(Some(chunk_limit_plan()), None);
-        coalesced_burst(Some(chunk_limit_plan()), Some(50));
+        for piece in [usize::MAX, 5] {
+            coalesced_burst(piece, None);
+            coalesced_burst(piece, Some(50));
+        }
     }
 
     #[test]
@@ -2200,7 +2122,7 @@ mod tests {
             starts.push(wire.len());
             push_frame(&mut wire, *opcode, payload);
         }
-        let (mut reactor, rx, addr) = start_one_shard(None, None);
+        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
         for cut in 1..wire.len() {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.set_nodelay(true).unwrap();
@@ -2255,7 +2177,7 @@ mod tests {
         // come through within a few of the firehose's FRAME_BUDGET turns
         // (each turn ends at the first read boundary past the budget, so
         // at most one scratch-full of frames).
-        let (mut reactor, rx, addr) = start_one_shard(None, Some(16));
+        let (mut reactor, rx, addr) = start_with(1, 16);
         let connect = || {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();

@@ -15,14 +15,14 @@
 //! Failure model: a malformed or oversized frame header is a protocol
 //! error that disconnects only the offending client; a client that stops
 //! reading fills its bounded deque and is evicted instead of growing
-//! server memory; a [`StreamFaultPlan`] on the transport injects faults
-//! into every accepted connection for chaos testing.
+//! server memory.  Faults are injected below the socket, by a proxy
+//! between client and server (`af_chaos::FaultProxy`), so every
+//! connection runs the one transport.
 //!
 //! TCP and Unix-domain sockets are supported, matching §5.1.
 
 use crate::dispatch::DispatchHandle;
 use crate::pool::BufferPool;
-use af_chaos::StreamFaultPlan;
 use af_proto::{ByteOrder, MAX_REQUEST_BYTES};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
@@ -94,8 +94,6 @@ pub struct TransportShared {
     pub next_id: AtomicU64,
     /// Set by `Reactor::shutdown`; a woken shard that finds it exits.
     pub stop: AtomicBool,
-    /// Faults injected into every accepted connection (chaos testing).
-    pub chaos: Option<StreamFaultPlan>,
     /// Frame/reply buffer pool shared by the shards and the dispatcher.
     pub pool: Arc<BufferPool>,
 }
@@ -104,22 +102,17 @@ impl TransportShared {
     /// Creates shared state submitting to `dispatch`, over the default
     /// buffer pool.
     pub fn new(dispatch: DispatchHandle) -> Arc<TransportShared> {
-        Self::with_pool(dispatch, None, BufferPool::shared())
+        Self::with_pool(dispatch, BufferPool::shared())
     }
 
-    /// Creates shared state with an optional per-connection fault plan
-    /// over an explicitly sized buffer pool — a server wants a deeper free
-    /// list for partial-frame accumulation than the default.
-    pub fn with_pool(
-        dispatch: DispatchHandle,
-        chaos: Option<StreamFaultPlan>,
-        pool: Arc<BufferPool>,
-    ) -> Arc<TransportShared> {
+    /// Creates shared state over an explicitly sized buffer pool — a
+    /// server wants a deeper free list for partial-frame accumulation than
+    /// the default.
+    pub fn with_pool(dispatch: DispatchHandle, pool: Arc<BufferPool>) -> Arc<TransportShared> {
         Arc::new(TransportShared {
             dispatch,
             next_id: AtomicU64::new(1),
             stop: AtomicBool::new(false),
-            chaos,
             pool,
         })
     }

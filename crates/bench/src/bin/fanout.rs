@@ -27,9 +27,9 @@
 use af_client::{AcAttributes, AcMask, AudioConn};
 use af_device::{NullSink, SilenceSource, VirtualClock};
 use af_server::broadcast::BroadcastConfig;
-use af_server::reactor::poller::{Interest, PollEvent, Poller};
 use af_server::stats::{Bus, Server};
 use af_server::ServerBuilder;
+use af_sys::{Interest, PollEvent, Poller};
 use af_time::ATime;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -346,7 +346,7 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_report.json".to_string());
 
-    match af_server::raise_nofile_limit() {
+    match af_sys::raise_nofile_limit() {
         Ok(limit) => eprintln!("fanout: open-file limit {limit}"),
         Err(e) => eprintln!("fanout: cannot raise open-file limit: {e}"),
     }

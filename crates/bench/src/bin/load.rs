@@ -2,7 +2,7 @@
 //!
 //! Stands up an in-process codec server and drives N concurrent TCP
 //! clients from a single-threaded readiness loop (the same
-//! `af_server::reactor::poller::Poller` the server shards use, so the
+//! `af_sys::Poller` the server shards use, so the
 //! harness itself scales with the server it measures).
 //! 70% of connections are idle — they cost the server an fd and a poller
 //! registration but no traffic — and 30% are paced `GetTime` pingers,
@@ -20,9 +20,9 @@
 //! level is not sustained — the scaling claim is the whole point.
 
 use af_proto::{ByteOrder, ConnSetup, Request};
-use af_server::reactor::poller::{Interest, PollEvent, Poller};
 use af_server::stats::{Server, Shard, Snapshot};
 use af_server::{RunningServer, ServerBuilder};
+use af_sys::{Interest, PollEvent, Poller};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -339,7 +339,7 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_report.json".to_string());
 
-    match af_server::raise_nofile_limit() {
+    match af_sys::raise_nofile_limit() {
         Ok(limit) => eprintln!("load: open-file limit {limit}"),
         Err(e) => eprintln!("load: cannot raise open-file limit: {e}"),
     }

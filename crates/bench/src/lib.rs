@@ -6,10 +6,11 @@
 //!
 //! * **unix** — Unix-domain socket: the "local client & server" rows,
 //! * **tcp** — loopback TCP: the networked rows without wire latency,
-//! * **tcpdelay** — loopback TCP behind a store-and-forward proxy that adds
-//!   a fixed per-direction delay, standing in for the Ethernet+driver
-//!   overhead the paper observed ("most of this overhead is spent in the
-//!   operating system and network driver").
+//! * **tcpdelay** — loopback TCP behind af-chaos's fault proxy with a
+//!   latency-only plan, which delays every read and write on either leg
+//!   (so each direction of a round trip by one delay), standing in for
+//!   the Ethernet+driver overhead the paper observed ("most of this
+//!   overhead is spent in the operating system and network driver").
 //!
 //! Every benchmark talks to a codec server with a 16-second buffer (the
 //! buffer size is an advertised device attribute) so the full 1 B – 64 KB
@@ -19,11 +20,10 @@
 pub mod jsonmerge;
 pub mod kernels;
 
+use af_chaos::{FaultProxy, StreamFaultPlan};
 use af_client::{AcAttributes, AcMask, AudioConn};
 use af_device::{SilenceSource, SystemClock, ToneSource};
 use af_server::{RunningServer, ServerBuilder};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,6 +58,9 @@ pub struct Rig {
     pub server: RunningServer,
     /// The connection string for [`AudioConn::open`].
     pub conn_name: String,
+    /// The proxy in front of a [`Transport::TcpDelay`] rig's server, held
+    /// so it keeps accepting for the rig's lifetime.
+    _wire: Option<FaultProxy>,
 }
 
 impl Rig {
@@ -86,48 +89,41 @@ impl Rig {
                 BENCH_BUFFER_FRAMES,
             );
         }
-        match transport {
-            Transport::Unix => {
-                let path = std::env::temp_dir().join(format!(
-                    "af-bench-{}-{:x}.sock",
-                    std::process::id(),
-                    std::time::SystemTime::now()
-                        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-                        .unwrap()
-                        .as_nanos() as u64
-                ));
-                let server = builder
-                    .listen_unix(path.clone())
-                    .spawn()
-                    .expect("start server");
-                Rig {
-                    server,
-                    conn_name: path.display().to_string(),
-                }
-            }
-            Transport::Tcp => {
-                let server = builder
-                    .listen_tcp("127.0.0.1:0".parse().unwrap())
-                    .spawn()
-                    .expect("start server");
-                let addr = server.tcp_addr().unwrap();
-                Rig {
-                    server,
-                    conn_name: addr.to_string(),
-                }
-            }
+        if transport == Transport::Unix {
+            let path = std::env::temp_dir().join(format!(
+                "af-bench-{}-{:x}.sock",
+                std::process::id(),
+                std::time::SystemTime::now()
+                    .duration_since(std::time::SystemTime::UNIX_EPOCH)
+                    .unwrap()
+                    .as_nanos() as u64
+            ));
+            let server = builder
+                .listen_unix(path.clone())
+                .spawn()
+                .expect("start server");
+            return Rig {
+                server,
+                conn_name: path.display().to_string(),
+                _wire: None,
+            };
+        }
+        let server = builder
+            .listen_tcp("127.0.0.1:0".parse().unwrap())
+            .spawn()
+            .expect("start server");
+        let addr = server.tcp_addr().unwrap();
+        let wire = match transport {
             Transport::TcpDelay(micros) => {
-                let server = builder
-                    .listen_tcp("127.0.0.1:0".parse().unwrap())
-                    .spawn()
-                    .expect("start server");
-                let addr = server.tcp_addr().unwrap();
-                let proxied = delay_proxy(addr, Duration::from_micros(micros));
-                Rig {
-                    server,
-                    conn_name: proxied.to_string(),
-                }
+                let plan = StreamFaultPlan::new(0).latency(1.0, Duration::from_micros(micros));
+                Some(FaultProxy::spawn(addr, plan).expect("start wire proxy"))
             }
+            _ => None,
+        };
+        Rig {
+            server,
+            conn_name: wire.as_ref().map_or(addr, FaultProxy::addr).to_string(),
+            _wire: wire,
         }
     }
 
@@ -160,52 +156,6 @@ impl Rig {
 /// shards, concurrent bench clients) depends on it.
 pub fn cpu_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Starts a store-and-forward proxy to `target` adding `delay` per
-/// direction; returns the proxy's address.
-///
-/// This is a deliberately crude wire simulator: each read is held for the
-/// delay before being forwarded, so round trips gain 2 × delay, which is
-/// the property the latency figures care about.
-pub fn delay_proxy(target: SocketAddr, delay: Duration) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
-    let addr = listener.local_addr().expect("proxy addr");
-    std::thread::spawn(move || {
-        for client in listener.incoming() {
-            let Ok(client) = client else { break };
-            let Ok(upstream) = TcpStream::connect(target) else {
-                continue;
-            };
-            let _ = client.set_nodelay(true);
-            let _ = upstream.set_nodelay(true);
-            spawn_pump(
-                client.try_clone().expect("clone"),
-                upstream.try_clone().expect("clone"),
-                delay,
-            );
-            spawn_pump(upstream, client, delay);
-        }
-    });
-    addr
-}
-
-fn spawn_pump(mut from: TcpStream, mut to: TcpStream, delay: Duration) {
-    std::thread::spawn(move || {
-        let mut buf = [0u8; 65_536];
-        loop {
-            match from.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    std::thread::sleep(delay);
-                    if to.write_all(&buf[..n]).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        let _ = to.shutdown(std::net::Shutdown::Both);
-    });
 }
 
 /// Times `iters` calls of `f`, returning mean seconds per call.
@@ -247,26 +197,6 @@ mod tests {
             let mut conn = rig.connect();
             assert!(conn.get_time(0).is_ok(), "transport {t:?}");
         }
-    }
-
-    #[test]
-    fn delay_proxy_adds_latency() {
-        let rig_fast = Rig::start(Transport::Tcp, false);
-        let mut fast = rig_fast.connect();
-        let rig_slow = Rig::start(Transport::TcpDelay(2000), false);
-        let mut slow = rig_slow.connect();
-
-        let t_fast = time_per_iter(50, || {
-            fast.get_time(0).unwrap();
-        });
-        let t_slow = time_per_iter(50, || {
-            slow.get_time(0).unwrap();
-        });
-        // 2 ms each way: at least 4 ms slower per round trip.
-        assert!(
-            t_slow > t_fast + 0.003,
-            "delay proxy ineffective: fast {t_fast:.6}, slow {t_slow:.6}"
-        );
     }
 
     #[test]
