@@ -16,15 +16,17 @@
 //!   library's wait before each `read`.
 //! - [`raise_nofile_limit`]: `prlimit64` — for processes that open
 //!   thousands of sockets.
+//! - [`process_cpu_time`]: `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)` —
+//!   `report`'s §10.2 CPU-load rows.
 //!
 //! Supported targets: Linux on x86_64 and on aarch64, the two syscall
-//! tables wired.  Elsewhere [`Poller::new`] and [`raise_nofile_limit`]
-//! fail with `ErrorKind::Unsupported`, and [`wait_readable`] returns at
-//! once.
+//! tables wired.  Elsewhere [`Poller::new`], [`raise_nofile_limit`] and
+//! [`process_cpu_time`] fail with `ErrorKind::Unsupported`, and
+//! [`wait_readable`] returns at once.
 
 #![deny(unsafe_code)]
 mod poller;
 mod sys;
 
 pub use poller::{Interest, PollEvent, Poller, MAX_EVENTS};
-pub use sys::{raise_nofile_limit, wait_readable};
+pub use sys::{process_cpu_time, raise_nofile_limit, wait_readable};

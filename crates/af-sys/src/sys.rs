@@ -1,4 +1,5 @@
-//! The audited syscall shim: `epoll`, `ppoll` and `prlimit64`.
+//! The audited syscall shim: `epoll`, `ppoll`, `prlimit64` and
+//! `clock_gettime`.
 //!
 //! The wrappers return `io::Error` decoded from the kernel's `-errno`
 //! convention, and [`EpollFd`] owns its descriptor through [`OwnedFd`] so
@@ -20,6 +21,7 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 281;
     pub const EPOLL_CREATE1: usize = 291;
     pub const PRLIMIT64: usize = 302;
+    pub const CLOCK_GETTIME: usize = 228;
 }
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
@@ -28,6 +30,7 @@ mod nr {
     pub const EPOLL_CTL: usize = 21;
     pub const EPOLL_PWAIT: usize = 22;
     pub const PPOLL: usize = 73;
+    pub const CLOCK_GETTIME: usize = 113;
     pub const PRLIMIT64: usize = 261;
 }
 
@@ -193,6 +196,10 @@ impl EpollFd {
     }
 }
 
+/// The kernel's `struct timespec`: seconds and nanoseconds.
+#[repr(C)]
+struct Timespec(i64, i64);
+
 #[repr(C)]
 struct Rlimit64 {
     rlim_cur: u64,
@@ -258,9 +265,6 @@ pub fn wait_readable(fd: BorrowedFd<'_>, timeout: Option<Duration>) -> io::Resul
     /// The kernel's `struct pollfd`: descriptor, requested and returned events.
     #[repr(C)]
     struct PollFd(i32, i16, i16);
-    /// The kernel's `struct timespec`: seconds and nanoseconds.
-    #[repr(C)]
-    struct Timespec(i64, i64);
     const POLLIN: i16 = 0x001;
     const EINTR: isize = 4;
 
@@ -283,10 +287,32 @@ pub fn wait_readable(fd: BorrowedFd<'_>, timeout: Option<Duration>) -> io::Resul
     }
 }
 
+/// The CPU time the calling process has used, user and system, summed
+/// over all its threads: `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`, to the
+/// nanosecond of the scheduler's own accounting.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+pub fn process_cpu_time() -> io::Result<Duration> {
+    const CLOCK_PROCESS_CPUTIME_ID: usize = 2;
+    let mut ts = Timespec(0, 0);
+    // SAFETY: `ts` is a live, writable stack `timespec` for the duration of
+    // the call; the kernel writes it and keeps no reference.
+    check(unsafe {
+        syscall5(
+            nr::CLOCK_GETTIME,
+            CLOCK_PROCESS_CPUTIME_ID,
+            std::ptr::addr_of_mut!(ts) as usize,
+            0,
+            0,
+            0,
+        )
+    })?;
+    Ok(Duration::new(ts.0 as u64, ts.1 as u32))
+}
+
 // Unsupported-target stubs keep the crate compiling everywhere: the
-// epoll instance and the limit raise fail, so the rest are never reached
-// at runtime, and the wait returns at once, readable unless `timeout` is
-// zero, so the `read` after it blocks as a plain `read` does.
+// epoll instance, the limit raise and the CPU clock fail, so the rest are
+// never reached at runtime, and the wait returns at once, readable unless
+// `timeout` is zero, so the `read` after it blocks as a plain `read` does.
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
 mod stubs {
     use super::*;
@@ -325,13 +351,18 @@ mod stubs {
         unsupported()
     }
 
+    /// Unsupported on this target.
+    pub fn process_cpu_time() -> io::Result<Duration> {
+        unsupported()
+    }
+
     /// Returns at once: readable unless `timeout` is zero.
     pub fn wait_readable(_fd: BorrowedFd<'_>, timeout: Option<Duration>) -> io::Result<bool> {
         Ok(timeout != Some(Duration::ZERO))
     }
 }
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub use stubs::{raise_nofile_limit, wait_readable};
+pub use stubs::{process_cpu_time, raise_nofile_limit, wait_readable};
 
 #[cfg(test)]
 mod tests {
@@ -374,6 +405,23 @@ mod tests {
         assert!(cur >= 1024, "soft limit unexpectedly tiny: {cur}");
         // Idempotent: a second raise reports the same ceiling.
         assert_eq!(raise_nofile_limit().unwrap(), cur);
+    }
+
+    #[test]
+    fn process_cpu_time_counts_a_5_ms_spin_to_the_millisecond() {
+        // A tick-counting clock reads 0 or 10 ms here.  Three tries: a
+        // spin the scheduler preempts burns less than its wall time.
+        let spin = || {
+            let before = process_cpu_time().unwrap();
+            let started = Instant::now();
+            while started.elapsed() < Duration::from_millis(5) {
+                std::hint::spin_loop();
+            }
+            process_cpu_time().unwrap() - before
+        };
+        let readings: Vec<Duration> = (0..3).map(|_| spin()).collect();
+        let in_range = |d: &Duration| (4..=50).contains(&d.as_millis());
+        assert!(readings.iter().any(in_range), "{readings:?}");
     }
 
     #[test]

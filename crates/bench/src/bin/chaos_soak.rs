@@ -22,6 +22,8 @@ use af_device::io::{CaptureSink, ToneSource};
 use af_device::lineserver::LineServerFirmware;
 use af_device::stats::{Link, Server, Snapshot};
 use af_device::SystemClock;
+use bench::json::{obj, Json};
+use bench::{percentile, Args};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,22 +41,6 @@ struct LevelResult {
     protocol_errors: u64,
     link: Snapshot<Link, 10>,
     hops: Vec<HopStats>,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn percentile_usize(sorted: &[usize], p: f64) -> usize {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Two hops whose independent losses compound to ≈ `end_to_end`.
@@ -193,63 +179,46 @@ fn run_level(loss: f64, duration: Duration, seed: u64) -> LevelResult {
     }
 }
 
-fn render_level(r: &LevelResult) -> String {
+fn render_level(r: &LevelResult) -> Json {
     let mut runs = r.gap_runs.clone();
     runs.sort_unstable();
-    let link: Vec<String> = r
-        .link
-        .iter()
-        .map(|(name, value)| format!("\"{name}\": {value}"))
-        .collect();
-    let hops: Vec<String> = r
-        .hops
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"forwarded\": {}, \"dropped_loss\": {}, \"dropped_queue\": {}, \
-                 \"duplicated\": {}, \"corrupted\": {}}}",
-                h.forwarded, h.dropped_loss, h.dropped_queue, h.duplicated, h.corrupted
-            )
-        })
-        .collect();
-    format!(
-        "{{\n      \"loss\": {loss:.2},\n      \"duration_s\": {dur:.1},\n      \
-         \"played_bytes\": {played},\n      \"marker_heard\": {heard},\n      \
-         \"gap_fraction\": {gapf:.4},\n      \
-         \"gap_runs\": {{\"count\": {gc}, \"p50\": {g50}, \"p95\": {g95}, \"max\": {gmax}}},\n      \
-         \"get_time_rtt_us\": {{\"p50\": {r50:.1}, \"p95\": {r95:.1}, \"p99\": {r99:.1}}},\n      \
-         \"record_power_dbm\": {dbm:.1},\n      \
-         \"protocol_errors\": {perr},\n      \
-         \"link\": {{{link}}},\n      \
-         \"router_hops\": [{hops}]\n    }}",
-        loss = r.loss,
-        dur = r.duration_s,
-        played = r.played,
-        heard = r.heard,
-        gapf = r.gap_fraction,
-        gc = runs.len(),
-        g50 = percentile_usize(&runs, 0.50),
-        g95 = percentile_usize(&runs, 0.95),
-        gmax = runs.last().copied().unwrap_or(0),
-        r50 = percentile(&r.rtt_us, 0.50),
-        r95 = percentile(&r.rtt_us, 0.95),
-        r99 = percentile(&r.rtt_us, 0.99),
-        dbm = r.record_dbm,
-        perr = r.protocol_errors,
-        link = link.join(", "),
-        hops = hops.join(", "),
-    )
+    let hops = r.hops.iter().map(|h| {
+        obj([
+            ("forwarded", h.forwarded.into()),
+            ("dropped_loss", h.dropped_loss.into()),
+            ("dropped_queue", h.dropped_queue.into()),
+            ("duplicated", h.duplicated.into()),
+            ("corrupted", h.corrupted.into()),
+        ])
+    });
+    let rtt = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
+    let rtt = rtt.map(|(name, p)| (name, percentile(&r.rtt_us, p)));
+    obj([
+        ("loss", r.loss.into()),
+        ("duration_s", r.duration_s.into()),
+        ("played_bytes", r.played.into()),
+        ("marker_heard", r.heard.into()),
+        ("gap_fraction", r.gap_fraction.into()),
+        (
+            "gap_runs",
+            obj([
+                ("count", runs.len().into()),
+                ("p50", percentile(&runs, 0.50).into()),
+                ("p95", percentile(&runs, 0.95).into()),
+                ("max", runs.last().copied().unwrap_or(0).into()),
+            ]),
+        ),
+        ("get_time_rtt_us", rtt.into_iter().collect()),
+        ("record_power_dbm", r.record_dbm.into()),
+        ("protocol_errors", r.protocol_errors.into()),
+        ("link", r.link.iter().collect()),
+        ("router_hops", Json::Arr(hops.collect())),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_report.json".to_string());
-    let per_level = if smoke {
+    let args = Args::parse();
+    let per_level = if args.smoke {
         Duration::from_secs(3)
     } else {
         Duration::from_secs(10)
@@ -289,19 +258,10 @@ fn main() {
         levels.push(r);
     }
 
-    let mode = if smoke { "smoke" } else { "full" };
-    let rendered: Vec<String> = levels.iter().map(render_level).collect();
-    let section = format!(
-        "{{\n    \"mode\": \"{mode}\",\n    \"levels\": [{}]\n  }}",
-        rendered.join(", ")
-    );
-    let existing = std::fs::read_to_string(&out_path)
-        .unwrap_or_else(|_| "{\n}\n".to_string());
-    // String-aware top-level key replacement: repeated runs are idempotent
-    // and every section owned by other binaries survives untouched.
-    let merged = bench::jsonmerge::set_key(&existing, "chaos_soak", &section);
-    std::fs::write(&out_path, merged).expect("write report");
-    eprintln!("chaos_soak: wrote {out_path}");
+    let levels: Vec<Json> = levels.iter().map(render_level).collect();
+    let section = obj([("mode", args.mode().into()), ("levels", levels.into())]);
+    bench::json::write_section(&args.out, "chaos_soak", section).expect("write report");
+    eprintln!("chaos_soak: wrote {}", args.out);
     if failed {
         std::process::exit(1);
     }

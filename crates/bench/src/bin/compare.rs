@@ -12,7 +12,9 @@
 //! `throughput_kbs`.  Metrics where lower is better:
 //! per-path `kernels_v2` `cycles_per_byte`, Figure 10 `get_time_us`, the
 //! Figure 11/12/13 latency sweeps (compared by series mean, which resists
-//! per-point timer noise), and Table 12 `loop_ms`.  The `multi_device`
+//! per-point timer noise), and Table 12 `loop_ms`.  Table 7's
+//! `decoded_fraction` (higher is better) is deterministic and gates
+//! cross-mode like the scaling sections' sustained flags.  The `multi_device`
 //! section's wall-clock `aggregate_mb_s` stays in the report but is
 //! deliberately not gated — on a 1-core host it measures scheduler
 //! interleaving, not kernel work.  Scaling sections gate
@@ -31,256 +33,9 @@
 //! scaling sections' duration-sensitive rows are skipped.  Same-mode
 //! comparisons keep the tight default.
 
+use bench::json::Json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-
-// --- Minimal JSON parser -------------------------------------------------
-//
-// The workspace has no serde; the report format is machine-written by
-// `report.rs`, so a small recursive-descent parser over well-formed JSON
-// is all the gate needs.
-
-/// A parsed JSON value.
-#[derive(Debug, Clone)]
-enum Json {
-    Null,
-    /// Booleans appear in the scaling rows (`sustained`).
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("JSON parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number bytes"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy a full UTF-8 sequence.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("bad UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
-    Ok(v)
-}
 
 // --- Metric extraction ---------------------------------------------------
 
@@ -365,6 +120,16 @@ fn metrics(report: &Json) -> BTreeMap<String, (f64, Better)> {
         }
     }
 
+    if let Some(t7) = report.get("table7_dtmf") {
+        let field = |k| t7.get(k).and_then(Json::as_f64);
+        if let (Some(decoded), Some(total)) = (field("decoded"), field("total")) {
+            out.insert(
+                "table7/decoded_fraction".to_owned(),
+                (decoded / total, Better::Higher),
+            );
+        }
+    }
+
     if let Some(fanout) = report.get("fanout_scaling") {
         if let Some(rows) = fanout.get("rows").and_then(Json::as_arr) {
             for row in rows {
@@ -428,9 +193,18 @@ fn metrics(report: &Json) -> BTreeMap<String, (f64, Better)> {
 
 // --- Gate ----------------------------------------------------------------
 
+/// How far `cand` fell behind `base`, as a fraction of `base`: positive is
+/// a regression in the metric's `better` direction.
+fn regression(base: f64, cand: f64, better: Better) -> f64 {
+    match better {
+        Better::Higher => (base - cand) / base,
+        Better::Lower => (cand - base) / base,
+    }
+}
+
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("{path}: {e}"))
+    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -494,11 +268,7 @@ fn main() -> ExitCode {
             continue;
         };
         compared += 1;
-        // Positive change = regression, as a fraction of the baseline.
-        let regression = match better {
-            Better::Higher => (b - c) / b,
-            Better::Lower => (c - b) / b,
-        };
+        let regression = regression(b, c, better);
         if regression * 100.0 > tolerance_pct {
             failures += 1;
             println!(
@@ -528,7 +298,7 @@ mod tests {
 
     #[test]
     fn parses_report_shapes() {
-        let v = parse(
+        let v = Json::parse(
             r#"{"schema": "audiofile-bench-report/1", "mode": "full",
                 "kernels_v2": [{"kernel": "convert_decode", "path": "simd-avx2", "bytes": 65536,
                                 "mb_s": 7000.0, "cycles_per_byte": 0.4}],
@@ -550,7 +320,7 @@ mod tests {
 
     #[test]
     fn extracts_reactor_scaling_metrics() {
-        let v = parse(
+        let v = Json::parse(
             r#"{"mode": "full", "reactor_scaling": {"mode": "full", "sustained_fraction": 0.857,
                 "rows": [
                   {"transport": "reactor", "connections": 5000, "achieved_rps": 8323.0, "sustained": true}]}}"#,
@@ -567,7 +337,7 @@ mod tests {
 
     #[test]
     fn extracts_fanout_scaling_metrics() {
-        let v = parse(
+        let v = Json::parse(
             r#"{"mode": "full", "fanout_scaling": {"mode": "full", "encode_flatness": 1.391,
                 "rows": [
                   {"listeners": 1, "fanout_mb_s": 2.6, "sustained": true},
@@ -583,24 +353,35 @@ mod tests {
 
     #[test]
     fn detects_regressions_both_directions() {
-        let base = parse(r#"{"figure10_get_time_us": {"tcp": 10.0}, "throughput_kbs": {"tcp": {"record_kbs": 100.0}}}"#).unwrap();
+        let base = Json::parse(r#"{"figure10_get_time_us": {"tcp": 10.0}, "throughput_kbs": {"tcp": {"record_kbs": 100.0}}}"#).unwrap();
         let b = metrics(&base);
         // Latency up 20% regresses; throughput down 20% regresses.
-        let worse = parse(r#"{"figure10_get_time_us": {"tcp": 12.0}, "throughput_kbs": {"tcp": {"record_kbs": 80.0}}}"#).unwrap();
+        let worse = Json::parse(r#"{"figure10_get_time_us": {"tcp": 12.0}, "throughput_kbs": {"tcp": {"record_kbs": 80.0}}}"#).unwrap();
         let w = metrics(&worse);
         for (name, &(bv, better)) in &b {
-            let (wv, _) = w[name];
-            let regression = match better {
-                Better::Higher => (bv - wv) / bv,
-                Better::Lower => (wv - bv) / bv,
-            };
-            assert!(regression * 100.0 > 15.0, "{name} should regress");
+            let regressed = regression(bv, w[name].0, better);
+            assert!(regressed * 100.0 > 15.0, "{name} should regress");
+            assert!(regression(bv, bv, better) == 0.0, "{name} unchanged");
         }
     }
 
     #[test]
-    fn string_escapes_round_trip() {
-        let v = parse(r#"{"aA\n\"": 1}"#).unwrap();
-        assert!(v.get("aA\n\"").is_some());
+    fn table7_gates_its_decoded_fraction() {
+        let v = Json::parse(r#"{"table7_dtmf": {"decoded": 12, "total": 16}}"#).unwrap();
+        let (fraction, better) = metrics(&v)["table7/decoded_fraction"];
+        assert_eq!(fraction, 0.75);
+        assert!(better == Better::Higher);
+    }
+
+    #[test]
+    fn the_checked_in_report_yields_every_gated_metric() {
+        let report = Json::parse(include_str!("../../../../BENCH_report.json")).unwrap();
+        let m = metrics(&report);
+        // 26 kernel rows × 2 (`gain` at both sizes among them), 3 × (3
+        // throughput + Figure 10 + 3 sweeps + Table 12), Table 7, 4 fan-out
+        // levels × 2, reactor fraction + 5 levels.
+        assert_eq!(m.len(), 52 + 24 + 1 + 8 + 6, "{:?}", m.keys());
+        assert_eq!(m["table7/decoded_fraction"].0, 1.0);
+        assert!(m["kernel_v2/gain/kernel/65536B cycles_per_byte"].0 > 0.0);
     }
 }

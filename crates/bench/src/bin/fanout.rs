@@ -31,6 +31,8 @@ use af_server::stats::{Bus, Server};
 use af_server::ServerBuilder;
 use af_sys::{Interest, PollEvent, Poller};
 use af_time::ATime;
+use bench::json::{obj, Json};
+use bench::Args;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -316,43 +318,37 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
     }
 }
 
-fn render_row(r: &LevelResult) -> String {
-    format!(
-        "{{\"listeners\": {listeners}, \"chunks\": {chunks}, \
-         \"encode_cycles_per_byte\": {cpb:.4}, \
-         \"encode_min_cycles_per_byte\": {mincpb:.4}, \"fanout_mb_s\": {mb:.1}, \
-         \"bytes_fanned_out\": {fanned}, \"skip_aheads\": {skips}, \
-         \"evictions\": {evictions}, \"protocol_errors\": {perr}, \
-         \"sustained\": {sustained}}}",
-        listeners = r.listeners,
-        chunks = r.chunks,
-        cpb = r.encode_cycles_per_byte,
-        mincpb = r.encode_min_cycles_per_byte,
-        mb = r.fanout_mb_s,
-        fanned = r.bytes_fanned_out,
-        skips = r.skip_aheads,
-        evictions = r.evictions,
-        perr = r.protocol_errors,
-        sustained = r.sustained,
-    )
+fn render_row(r: &LevelResult) -> Json {
+    obj([
+        ("listeners", r.listeners.into()),
+        ("chunks", r.chunks.into()),
+        ("encode_cycles_per_byte", r.encode_cycles_per_byte.into()),
+        (
+            "encode_min_cycles_per_byte",
+            r.encode_min_cycles_per_byte.into(),
+        ),
+        ("fanout_mb_s", r.fanout_mb_s.into()),
+        ("bytes_fanned_out", r.bytes_fanned_out.into()),
+        ("skip_aheads", r.skip_aheads.into()),
+        ("evictions", r.evictions.into()),
+        ("protocol_errors", r.protocol_errors.into()),
+        ("sustained", r.sustained.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_report.json".to_string());
-
+    let args = Args::parse();
     match af_sys::raise_nofile_limit() {
         Ok(limit) => eprintln!("fanout: open-file limit {limit}"),
         Err(e) => eprintln!("fanout: cannot raise open-file limit: {e}"),
     }
 
-    let levels: &[usize] = if smoke { &[1, 64, 512] } else { &[1, 64, 512, 1024] };
-    let (rounds, warmup) = if smoke { (100, 8) } else { (300, 20) };
+    let levels: &[usize] = if args.smoke {
+        &[1, 64, 512]
+    } else {
+        &[1, 64, 512, 1024]
+    };
+    let (rounds, warmup) = if args.smoke { (100, 8) } else { (300, 20) };
 
     let mut rows = Vec::new();
     for &n in levels {
@@ -390,16 +386,16 @@ fn main() {
         levels[levels.len() - 1],
     );
 
-    let mode = if smoke { "smoke" } else { "full" };
-    let rendered: Vec<String> = rows.iter().map(render_row).collect();
-    let section = format!(
-        "{{\n    \"mode\": \"{mode}\",\n    \"encode_flatness\": {flatness:.3},\n    \"encode_spread_cycles_per_chunk\": {delta_cycles:.1},\n    \"flatness_tolerance\": {FLATNESS_TOLERANCE},\n    \"flatness_epsilon_cycles\": {FLATNESS_EPSILON_CYCLES},\n    \"rows\": [\n      {}\n    ]\n  }}",
-        rendered.join(",\n      ")
-    );
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let merged = bench::jsonmerge::set_key(&existing, "fanout_scaling", &section);
-    std::fs::write(&out_path, merged).expect("write report");
-    eprintln!("fanout: wrote {out_path}");
+    let section = obj([
+        ("mode", args.mode().into()),
+        ("encode_flatness", flatness.into()),
+        ("encode_spread_cycles_per_chunk", delta_cycles.into()),
+        ("flatness_tolerance", FLATNESS_TOLERANCE.into()),
+        ("flatness_epsilon_cycles", FLATNESS_EPSILON_CYCLES.into()),
+        ("rows", Json::Arr(rows.iter().map(render_row).collect())),
+    ]);
+    bench::json::write_section(&args.out, "fanout_scaling", section).expect("write report");
+    eprintln!("fanout: wrote {}", args.out);
     if !top_ok {
         eprintln!("fanout: FAIL — top listener level not sustained");
         std::process::exit(1);

@@ -23,6 +23,8 @@ use af_proto::{ByteOrder, ConnSetup, Request};
 use af_server::stats::{Server, Shard, Snapshot};
 use af_server::{RunningServer, ServerBuilder};
 use af_sys::{Interest, PollEvent, Poller};
+use bench::json::{obj, Json};
+use bench::{percentile, Args};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -87,14 +89,6 @@ struct SyscallsPerRequest {
     /// Times a handler woke the task thread ÷ request frames: thread
     /// hops per request (requests themselves hop nowhere).
     hops_per_request: f64,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn codec_server() -> RunningServer {
@@ -294,62 +288,49 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
     }
 }
 
-fn render_row(r: &LevelResult) -> String {
-    format!(
-        "{{\"transport\": \"reactor\", \"connections\": {connections}, \
-         \"active\": {active}, \"duration_s\": {duration_s:.3}, \
-         \"target_rps\": {target_rps:.1}, \"achieved_rps\": {achieved_rps:.1}, \
-         \"replies\": {replies}, \"p50_us\": {p50:.1}, \"p99_us\": {p99:.1}, \
-         \"protocol_errors\": {protocol_errors}, \"evictions\": {evictions}, \
-         \"disconnects\": {disconnects}, \"sustained\": {sustained}, \
-         \"readiness_events\": {readiness_events}, \"wakeups\": {wakeups}, \
-         \"partial_reads\": {partial_reads}, \"syscalls_per_request\": {syscalls}}}",
-        connections = r.connections,
-        active = r.active,
-        duration_s = r.duration_s,
-        target_rps = r.target_rps,
-        achieved_rps = r.achieved_rps,
-        replies = r.replies,
-        p50 = r.p50_us,
-        p99 = r.p99_us,
-        protocol_errors = r.protocol_errors,
-        evictions = r.evictions,
-        disconnects = r.disconnects,
-        sustained = r.sustained,
-        readiness_events = r.readiness_events,
-        wakeups = r.wakeups,
-        partial_reads = r.partial_reads,
-        syscalls = match &r.syscalls {
-            Some(s) => format!(
-                "{{\"reads_per_frame\": {:.3}, \"direct_write_share\": {:.3}, \
-                 \"wakeups_per_reply\": {:.4}, \"hops_per_request\": {:.4}}}",
-                s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply, s.hops_per_request
-            ),
-            None => "null".to_owned(),
-        },
-    )
+fn render_row(r: &LevelResult) -> Json {
+    let syscalls = r.syscalls.as_ref().map(|s| {
+        obj([
+            ("reads_per_frame", s.reads_per_frame.into()),
+            ("direct_write_share", s.direct_write_share.into()),
+            ("wakeups_per_reply", s.wakeups_per_reply.into()),
+            ("hops_per_request", s.hops_per_request.into()),
+        ])
+    });
+    obj([
+        ("transport", "reactor".into()),
+        ("connections", r.connections.into()),
+        ("active", r.active.into()),
+        ("duration_s", r.duration_s.into()),
+        ("target_rps", r.target_rps.into()),
+        ("achieved_rps", r.achieved_rps.into()),
+        ("replies", r.replies.into()),
+        ("p50_us", r.p50_us.into()),
+        ("p99_us", r.p99_us.into()),
+        ("protocol_errors", r.protocol_errors.into()),
+        ("evictions", r.evictions.into()),
+        ("disconnects", r.disconnects.into()),
+        ("sustained", r.sustained.into()),
+        ("readiness_events", r.readiness_events.into()),
+        ("wakeups", r.wakeups.into()),
+        ("partial_reads", r.partial_reads.into()),
+        ("syscalls_per_request", syscalls.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_report.json".to_string());
-
+    let args = Args::parse();
     match af_sys::raise_nofile_limit() {
         Ok(limit) => eprintln!("load: open-file limit {limit}"),
         Err(e) => eprintln!("load: cannot raise open-file limit: {e}"),
     }
 
-    let levels: &[usize] = if smoke {
+    let levels: &[usize] = if args.smoke {
         &[100, 250, 500, 1000]
     } else {
         &[500, 1000, 2000, 3500, 5000]
     };
-    let duration = if smoke {
+    let duration = if args.smoke {
         Duration::from_secs(2)
     } else {
         Duration::from_secs(5)
@@ -390,17 +371,13 @@ fn main() {
     // The scaling claim rides on the largest level.
     let final_level_ok = rows.last().is_some_and(|r| r.sustained);
 
-    let mode = if smoke { "smoke" } else { "full" };
-    let rendered: Vec<String> = rows.iter().map(render_row).collect();
-    let section = format!(
-        "{{\n    \"mode\": \"{mode}\",\n    \"sustained_fraction\": {sustained_fraction:.3},\n    \"rows\": [\n      {}\n    ]\n  }}",
-        rendered.join(",\n      ")
-    );
-    let existing =
-        std::fs::read_to_string(&out_path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let merged = bench::jsonmerge::set_key(&existing, "reactor_scaling", &section);
-    std::fs::write(&out_path, merged).expect("write report");
-    eprintln!("load: wrote {out_path}");
+    let section = obj([
+        ("mode", args.mode().into()),
+        ("sustained_fraction", sustained_fraction.into()),
+        ("rows", Json::Arr(rows.iter().map(render_row).collect())),
+    ]);
+    bench::json::write_section(&args.out, "reactor_scaling", section).expect("write report");
+    eprintln!("load: wrote {}", args.out);
     if !final_level_ok {
         eprintln!("load: FAIL — largest level not sustained");
         std::process::exit(1);

@@ -13,11 +13,24 @@
 //! `--smoke` cuts iteration counts for a fast CI sanity pass — the JSON
 //! records `"mode": "smoke"` so such runs are never mistaken for real
 //! measurements.  The markdown output is pasted into EXPERIMENTS.md next
-//! to the paper's numbers.
+//! to the paper's numbers.  Besides the paper's rows, `report` enforces
+//! same-run gates and exits non-zero when one fails: the kernel dispatch
+//! rules (`bench::kernels::dispatch_regressions`) and the ratio rules of
+//! the §10.2 CPU-load rows (`CPU_RULES`) and of the update-task ablation
+//! (`UPDATE_RULES`).
 
 use af_client::{Ac, AcAttributes, AcMask, AudioConn};
+use af_device::hardware::{HwConfig, VirtualAudioHw};
+use af_device::{NullSink, SilenceSource, VirtualClock};
+use af_server::backend::LocalBackend;
+use af_server::DeviceBuffers;
+use bench::json::{obj, Json};
 use bench::kernels::{run_kernels_v2, KernelV2Measurement};
-use bench::{cpu_cores, jsonmerge, sweep_sizes, time_per_iter, Rig, Transport};
+use bench::{
+    cpu_cores, ratio_violations, sweep_sizes, time_per_iter, Args, RatioRule, Rig, Transport,
+};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Per-run measurement settings.
 #[derive(Clone, Copy)]
@@ -31,77 +44,64 @@ struct Settings {
 
 impl Settings {
     fn new(smoke: bool) -> Settings {
-        if smoke {
-            Settings {
-                smoke,
-                latency_iters: 60,
-                data_iters: 20,
-            }
-        } else {
-            Settings {
-                smoke,
-                latency_iters: 1000,
-                data_iters: 300,
-            }
+        let (latency_iters, data_iters) = if smoke { (60, 20) } else { (1000, 300) };
+        Settings {
+            smoke,
+            latency_iters,
+            data_iters,
         }
     }
 }
 
-/// Everything the run measured, in emission order.
-struct Report {
-    mode: &'static str,
-    labels: Vec<&'static str>,
-    /// Every kernel on every implementation the host can execute, with the
-    /// cycles-per-byte metric the gate compares on.
-    kernels_v2: Vec<KernelV2Measurement>,
-    /// Figure 10: mean AFGetTime() seconds per configuration.
-    get_time: Vec<f64>,
-    sizes: Vec<usize>,
-    /// Figures 11/12/13: seconds per call, per configuration, per size.
-    record: Vec<Vec<f64>>,
-    preempt: Vec<Vec<f64>>,
-    mix: Vec<Vec<f64>>,
-    /// Table 12: open-loop iteration seconds per configuration.
-    loop_time: Vec<f64>,
-    /// Table 7: decoded / total DTMF pairs.
-    dtmf_ok: u32,
-    dtmf_total: u32,
-    /// Multi-device aggregate play throughput.
-    multi_device: Vec<MultiDeviceRow>,
-}
+/// Wall-clock window of each §10.2 CPU row.
+const CPU_WINDOW: Duration = Duration::from_secs(3);
 
-/// One multi-device throughput measurement.
-struct MultiDeviceRow {
-    devices: usize,
-    /// Wall-clock aggregate — recorded for context, not gated: on a
-    /// 1-core host it measures scheduler interleaving, not kernel work.
-    aggregate_mb_s: f64,
-}
+/// §10.2's same-run rules over `cpu_usage_pct`: serving one real-time
+/// client costs a sliver of a saturating one, and an idle server less
+/// again.  Each limit is at least twice the worst ratio of the runs in
+/// EXPERIMENTS.md §10.2, some made beside a busy compiler: 0.0072, 0.040
+/// and 0.31.
+const CPU_RULES: [RatioRule; 3] = [
+    ("realtime_play", "flat_out_play", 0.02),
+    ("realtime_record", "flat_out_play", 0.1),
+    ("quiescent", "realtime_play", 0.7),
+];
+
+/// The ablation's same-run rule over `update_task_ns`: a quiescent update
+/// (the `timeLastValid` and `recRefCount` short cuts) costs no more than
+/// one that copies both directions, with twice the worst ratio of the
+/// recorded runs (0.70) as its limit.  At 800 frames an update the fixed
+/// cost dominates, so the short cuts save well under half.
+const UPDATE_RULES: [RatioRule; 1] = [("quiescent", "play_and_record", 1.5)];
 
 /// Concurrent clients in the multi-device benchmark.
 const MULTI_CLIENTS: usize = 8;
 /// Bytes per play request in the multi-device benchmark.
 const MULTI_CHUNK: usize = 8192;
 
+/// The sections `chaos_soak`, `load` and `fanout` own.  `report` rewrites
+/// the file whole and copies these in from the old one; every other key of
+/// the old file is dropped, so a section `report` stopped writing does not
+/// come back.
+const SIBLING_SECTIONS: [&str; 3] = ["chaos_soak", "reactor_scaling", "fanout_scaling"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_report.json".to_string());
-    let settings = Settings::new(smoke);
+    let args = Args::parse();
+    let settings = Settings::new(args.smoke);
 
     let configs = Transport::standard();
     println!("# AudioFile evaluation report (reproducing §10)\n");
-    if smoke {
+    if args.smoke {
         println!("**smoke mode** — reduced iterations, numbers are sanity checks only\n");
     }
     println!("configurations: unix socket (local), loopback TCP, TCP + 0.5 ms wire\n");
 
     let kernels_v2 = kernel_v2_section(settings);
+    // Before the figures: their rigs stay up for the rest of the run, and
+    // the CPU rows count every thread in the process.
+    let cpu_usage = ratio_section("cpu_usage_pct", cpu_usage_rows(), &CPU_RULES, "%");
+    let update_rows = update_task_rows(settings);
+    let update_task = ratio_section("update_task_ns", update_rows, &UPDATE_RULES, "ns");
     let get_time = figure10(&configs, settings);
     let record = figure11(&configs, settings);
     table10(&configs, &record);
@@ -112,30 +112,72 @@ fn main() {
     let (dtmf_ok, dtmf_total) = table7();
     let multi_device = multi_device_section(settings);
 
-    let report = Report {
-        mode: if smoke { "smoke" } else { "full" },
-        labels: configs.iter().map(|&(_, l)| l).collect(),
-        kernels_v2,
-        get_time,
-        sizes: sweep_sizes(),
-        record,
-        preempt,
-        mix,
-        loop_time,
-        dtmf_ok,
-        dtmf_total,
-        multi_device,
+    let labels: Vec<&str> = configs.iter().map(|&(_, l)| l).collect();
+    let sizes = sweep_sizes();
+    let per_config = |vals: &[f64], scale: f64| {
+        let scaled = vals.iter().map(|v| v * scale);
+        labels.iter().copied().zip(scaled).collect::<Json>()
     };
-    let json = render_json(&report);
-    // Preserve sections owned by sibling binaries (chaos_soak, load,
-    // fanout) across the rewrite, so repeated runs in any order converge
-    // on one report.
-    let merged = match std::fs::read_to_string(&out_path) {
-        Ok(existing) => jsonmerge::preserve_missing(&json, &existing),
-        Err(_) => json,
+    let series = |rows: &[Vec<f64>]| {
+        let us = rows.iter().map(|row| row.iter().map(|v| v * 1e6));
+        let us = us.map(Iterator::collect::<Vec<_>>);
+        labels.iter().copied().zip(us).collect::<Json>()
     };
-    std::fs::write(&out_path, merged).expect("write BENCH_report.json");
-    println!("machine-readable report written to {out_path}");
+    let throughput = labels.iter().enumerate().map(|(ci, &l)| {
+        let kbs = |times: &[Vec<f64>]| Json::from(slope_kbs(&sizes, &times[ci]));
+        let row = [
+            ("record_kbs", kbs(&record)),
+            ("play_mix_kbs", kbs(&mix)),
+            ("play_preempt_kbs", kbs(&preempt)),
+        ];
+        (l, obj(row))
+    });
+    let kernel_rows = kernels_v2.iter().map(|m| {
+        obj([
+            ("kernel", m.kernel.into()),
+            ("path", m.path.into()),
+            ("bytes", m.bytes.into()),
+            ("mb_s", m.mb_s.into()),
+            ("cycles_per_byte", m.cycles_per_byte.into()),
+        ])
+    });
+    let multi_rows = multi_device.iter().map(|&(devices, mb_s)| {
+        obj([("devices", devices.into()), ("aggregate_mb_s", mb_s.into())])
+    });
+    let table7 = Json::from_iter([("decoded", dtmf_ok), ("total", dtmf_total)]);
+    let mut doc = obj([
+        ("schema", "audiofile-bench-report/1".into()),
+        ("mode", args.mode().into()),
+        ("cpu_cores", cpu_cores().into()),
+        ("configurations", labels.clone().into()),
+        ("kernels_v2", Json::Arr(kernel_rows.collect())),
+        ("figure10_get_time_us", per_config(&get_time, 1e6)),
+        ("sweep_sizes_bytes", sizes.clone().into()),
+        ("figure11_record_us", series(&record)),
+        ("figure12_preempt_play_us", series(&preempt)),
+        ("figure13_mix_play_us", series(&mix)),
+        ("throughput_kbs", obj(throughput)),
+        ("table12_loop_ms", per_config(&loop_time, 1e3)),
+        ("table7_dtmf", table7),
+        (
+            "multi_device",
+            obj([
+                ("clients", MULTI_CLIENTS.into()),
+                ("chunk_bytes", MULTI_CHUNK.into()),
+                ("rows", Json::Arr(multi_rows.collect())),
+            ]),
+        ),
+        ("cpu_usage_pct", cpu_usage.into_iter().collect()),
+        ("update_task_ns", update_task.into_iter().collect()),
+    ]);
+    let old = bench::json::read(&args.out);
+    for key in SIBLING_SECTIONS {
+        if let Some(section) = old.get(key) {
+            doc.set(key, section.clone());
+        }
+    }
+    std::fs::write(&args.out, doc.render()).expect("write BENCH_report.json");
+    println!("machine-readable report written to {}", args.out);
 }
 
 fn kernel_v2_section(settings: Settings) -> Vec<KernelV2Measurement> {
@@ -168,6 +210,134 @@ fn kernel_v2_section(settings: Settings) -> Vec<KernelV2Measurement> {
     results
 }
 
+/// Prints one section of named rows and enforces its same-run `rules`,
+/// exiting non-zero on a violation; returns the rows.
+fn ratio_section(
+    name: &str,
+    rows: Vec<(&'static str, f64)>,
+    rules: &[RatioRule],
+    unit: &str,
+) -> Vec<(&'static str, f64)> {
+    println!("| `{name}` row | {unit} |");
+    println!("|---|---|");
+    for (row, v) in &rows {
+        println!("| {row} | {v:.3} |");
+    }
+    println!();
+    let violations = ratio_violations(name, &rows, rules);
+    if violations.is_empty() {
+        println!("Ratio gate: all {} rules hold.\n", rules.len());
+    } else {
+        for v in &violations {
+            eprintln!("report: ratio rule broken: {v}");
+        }
+        std::process::exit(1);
+    }
+    rows
+}
+
+/// Process CPU time over [`CPU_WINDOW`] of calling `body`, in percent of
+/// one core.  Server and client threads share the process, so this is
+/// their combined load (the paper measured the server alone, externally).
+fn cpu_pct(mut body: impl FnMut()) -> f64 {
+    let cpu = || af_sys::process_cpu_time().expect("process CPU clock");
+    let (wall, cpu0) = (Instant::now(), cpu());
+    while wall.elapsed() < CPU_WINDOW {
+        body();
+    }
+    (cpu() - cpu0).as_secs_f64() / wall.elapsed().as_secs_f64() * 100.0
+}
+
+/// §10.2: "the quiescent server should present a negligible CPU load".
+/// One TCP rig per row: an idle client, one 8 kHz µ-law stream played or
+/// recorded in real time (800 frames per 100 ms), and plays flat out.
+fn cpu_usage_rows() -> Vec<(&'static str, f64)> {
+    println!("## §10.2 — CPU usage, server + client threads\n");
+    let quiescent = {
+        let rig = Rig::start(Transport::Tcp, false);
+        let _idle = rig.connect();
+        cpu_pct(|| std::thread::sleep(CPU_WINDOW))
+    };
+    let block = [0x31u8; 800];
+    let realtime_play = {
+        let rig = Rig::start(Transport::Tcp, false);
+        let (mut conn, ac) = rig.connect_with_ac(false);
+        let mut t = conn.get_time(0).unwrap() + 1600u32;
+        cpu_pct(|| {
+            conn.play_samples(&ac, t, &block).unwrap();
+            t += 800u32;
+            std::thread::sleep(Duration::from_millis(100));
+        })
+    };
+    let realtime_record = {
+        let rig = Rig::start(Transport::Tcp, true);
+        let (mut conn, ac) = rig.connect_with_ac(false);
+        let mut t = conn.get_time(0).unwrap();
+        conn.record_samples(&ac, t, 0, false).unwrap();
+        cpu_pct(|| {
+            let (_, data) = conn.record_samples(&ac, t, 800, true).unwrap();
+            t += data.len() as u32;
+        })
+    };
+    let flat_out_play = {
+        let rig = Rig::start(Transport::Tcp, false);
+        let (mut conn, ac) = rig.connect_with_ac(false);
+        let block = [0x31u8; 8000];
+        cpu_pct(|| {
+            let now = conn.get_time(0).unwrap();
+            conn.play_samples(&ac, now + 8000u32, &block).unwrap();
+        })
+    };
+    vec![
+        ("quiescent", quiescent),
+        ("realtime_play", realtime_play),
+        ("realtime_record", realtime_record),
+        ("flat_out_play", flat_out_play),
+    ]
+}
+
+/// The ablation of §7.4.1's short cuts: ns per update-task pass over
+/// 100 ms of 8 kHz µ-law, on the buffering engine alone over a virtual
+/// clock.  With nothing valid ahead the play half copies nothing, and with
+/// no recorder the record half does not run.  Streaming rows include the
+/// client's `write_play` of the block the pass consumes.  Each row is the
+/// fastest of five rounds.
+fn update_task_rows(settings: Settings) -> Vec<(&'static str, f64)> {
+    println!("## Ablation — update-task pass, quiescent vs streaming\n");
+    let iters = if settings.smoke { 20_000 } else { 200_000 };
+    let pass_ns = |play: bool, record: bool| {
+        let clock = Arc::new(VirtualClock::new(8000));
+        let hw = VirtualAudioHw::new(
+            HwConfig::codec(),
+            clock.clone(),
+            Box::new(NullSink),
+            Box::new(SilenceSource::new(af_dsp::g711::ULAW_SILENCE)),
+        );
+        let backend = Box::new(LocalBackend::new(hw));
+        let mut bufs = DeviceBuffers::new(backend, af_dsp::Encoding::Mu255, 1, 32_768);
+        if record {
+            bufs.add_recorder();
+        }
+        let block = [0x31u8; 800];
+        let mut pass = || {
+            if play {
+                let now = bufs.now();
+                bufs.write_play(now + 8000u32, &block, false, 0, true);
+            }
+            clock.advance(800);
+            std::hint::black_box(bufs.update(0, true));
+        };
+        let rounds = (0..5).map(|_| time_per_iter(iters, &mut pass));
+        rounds.fold(f64::INFINITY, f64::min) * 1e9
+    };
+    vec![
+        ("quiescent", pass_ns(false, false)),
+        ("streaming_play", pass_ns(true, false)),
+        ("play_and_record", pass_ns(true, true)),
+        ("record_only", pass_ns(false, true)),
+    ]
+}
+
 fn figure10(configs: &[(Transport, &'static str)], settings: Settings) -> Vec<f64> {
     println!("## Figure 10 — AFGetTime() round-trip time\n");
     println!("| configuration | mean per call |");
@@ -193,20 +363,7 @@ fn figure10(configs: &[(Transport, &'static str)], settings: Settings) -> Vec<f6
 /// Measures record time per size per configuration; returns seconds.
 fn figure11(configs: &[(Transport, &'static str)], settings: Settings) -> Vec<Vec<f64>> {
     println!("## Figure 11 — AFRecordSamples() time vs request size\n");
-    print!("| bytes |");
-    for &(_, label) in configs {
-        print!(" {label} |");
-    }
-    println!();
-    print!("|---|");
-    for _ in configs {
-        print!("---|");
-    }
-    println!();
-
-    let sizes = sweep_sizes();
-    let mut all = vec![Vec::new(); configs.len()];
-    let mut rigs: Vec<(AudioConn, Ac)> = configs
+    let rigs = configs
         .iter()
         .map(|&(t, _)| {
             let rig = Rig::start(t, true);
@@ -217,22 +374,38 @@ fn figure11(configs: &[(Transport, &'static str)], settings: Settings) -> Vec<Ve
             (conn, ac)
         })
         .collect();
-    for &size in &sizes {
+    let all = sweep(configs, settings, rigs, |conn, ac, size| {
+        let now = conn.get_time(0).unwrap();
+        let start = now - (size as u32 + 8000);
+        let (_, data) = conn.record_samples(ac, start, size, false).unwrap();
+        assert_eq!(data.len(), size);
+    });
+    println!("\n(the step at 8 KB is the client library's request chunking, §10.1.2)\n");
+    all
+}
+
+/// Times `op` at every sweep size on each configuration's connection,
+/// printing the table; returns seconds per call, per configuration, per
+/// size.
+fn sweep(
+    configs: &[(Transport, &'static str)],
+    settings: Settings,
+    mut rigs: Vec<(AudioConn, Ac)>,
+    mut op: impl FnMut(&mut AudioConn, &Ac, usize),
+) -> Vec<Vec<f64>> {
+    let labels: Vec<&str> = configs.iter().map(|&(_, l)| l).collect();
+    println!("| bytes | {} |", labels.join(" | "));
+    println!("|---|{}", "---|".repeat(configs.len()));
+    let mut all = vec![Vec::new(); configs.len()];
+    for size in sweep_sizes() {
         print!("| {size} |");
         for (ci, (conn, ac)) in rigs.iter_mut().enumerate() {
-            let iters = sweep_iters(settings, size);
-            let s = time_per_iter(iters, || {
-                let now = conn.get_time(0).unwrap();
-                let start = now - (size as u32 + 8000);
-                let (_, data) = conn.record_samples(ac, start, size, false).unwrap();
-                assert_eq!(data.len(), size);
-            });
+            let s = time_per_iter(sweep_iters(settings, size), || op(conn, ac, size));
             all[ci].push(s);
             print!(" {:.1} µs |", s * 1e6);
         }
         println!();
     }
-    println!("\n(the step at 8 KB is the client library's request chunking, §10.1.2)\n");
     all
 }
 
@@ -285,20 +458,7 @@ fn figure12_13(
         (13, "mixing")
     };
     println!("## Figure {fig} — {mode} AFPlaySamples() time vs request size\n");
-    print!("| bytes |");
-    for &(_, label) in configs {
-        print!(" {label} |");
-    }
-    println!();
-    print!("|---|");
-    for _ in configs {
-        print!("---|");
-    }
-    println!();
-
-    let sizes = sweep_sizes();
-    let mut all = vec![Vec::new(); configs.len()];
-    let mut rigs: Vec<(AudioConn, Ac)> = configs
+    let rigs = configs
         .iter()
         .map(|&(t, _)| {
             let rig = Rig::start(t, false);
@@ -308,19 +468,10 @@ fn figure12_13(
         })
         .collect();
     let data = vec![0x31u8; 65_536];
-    for &size in &sizes {
-        print!("| {size} |");
-        for (ci, (conn, ac)) in rigs.iter_mut().enumerate() {
-            let iters = sweep_iters(settings, size);
-            let s = time_per_iter(iters, || {
-                let now = conn.get_time(0).unwrap();
-                conn.play_samples(ac, now + 8000u32, &data[..size]).unwrap();
-            });
-            all[ci].push(s);
-            print!(" {:.1} µs |", s * 1e6);
-        }
-        println!();
-    }
+    let all = sweep(configs, settings, rigs, |conn, ac, size| {
+        let now = conn.get_time(0).unwrap();
+        conn.play_samples(ac, now + 8000u32, &data[..size]).unwrap();
+    });
     println!();
     all
 }
@@ -410,7 +561,10 @@ fn table7() -> (u32, u32) {
 /// iteration takes the dispatch lock twice and does one chunk of DSP work
 /// under it.  The report records `cpu_cores`: handlers on different shards
 /// contend for the one lock, so the figure depends on how many run at once.
-fn multi_device_section(settings: Settings) -> Vec<MultiDeviceRow> {
+/// Returns (devices, aggregate MB/s) rows.  The wall-clock aggregate is
+/// recorded for context, not gated: on a 1-core host it measures scheduler
+/// interleaving, not kernel work.
+fn multi_device_section(settings: Settings) -> Vec<(usize, f64)> {
     println!(
         "## Multi-device throughput — {MULTI_CLIENTS} clients, {MULTI_CHUNK} B mixing plays \
          (cpu_cores = {})\n",
@@ -447,144 +601,9 @@ fn multi_device_section(settings: Settings) -> Vec<MultiDeviceRow> {
         let bytes = MULTI_CLIENTS * iters as usize * MULTI_CHUNK;
         let mb_s = bytes as f64 / elapsed / 1e6;
         println!("| {devices} | {mb_s:.1} |");
-        rows.push(MultiDeviceRow {
-            devices,
-            aggregate_mb_s: mb_s,
-        });
+        rows.push((devices, mb_s));
         rig.server.shutdown();
     }
     println!();
     rows
-}
-
-// --- JSON emission -------------------------------------------------------
-//
-// The workspace has no serde; the report's shape is small and fixed, so a
-// few formatting helpers keep the output valid without a dependency.
-
-/// Formats a float with enough precision to diff runs, never NaN/inf
-/// (which are not JSON).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `{"label": [...], ...}` for a per-configuration series table.
-fn jseries(labels: &[&str], series: &[Vec<f64>], scale: f64) -> String {
-    let body: Vec<String> = labels
-        .iter()
-        .zip(series)
-        .map(|(l, row)| {
-            let vals: Vec<String> = row.iter().map(|&v| jnum(v * scale)).collect();
-            format!("{}: [{}]", jstr(l), vals.join(", "))
-        })
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-/// `{"label": value, ...}` for a per-configuration scalar table.
-fn jscalars(labels: &[&str], vals: &[f64], scale: f64) -> String {
-    let body: Vec<String> = labels
-        .iter()
-        .zip(vals)
-        .map(|(l, &v)| format!("{}: {}", jstr(l), jnum(v * scale)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
-fn render_json(r: &Report) -> String {
-    let sizes = &r.sizes;
-    let labels = &r.labels;
-    let sizes_json: Vec<String> = sizes.iter().map(|s| s.to_string()).collect();
-    let throughput_rows: Vec<String> = labels
-        .iter()
-        .enumerate()
-        .map(|(ci, l)| {
-            format!(
-                "    {}: {{\"record_kbs\": {}, \"play_mix_kbs\": {}, \"play_preempt_kbs\": {}}}",
-                jstr(l),
-                jnum(slope_kbs(sizes, &r.record[ci])),
-                jnum(slope_kbs(sizes, &r.mix[ci])),
-                jnum(slope_kbs(sizes, &r.preempt[ci]))
-            )
-        })
-        .collect();
-
-    let kernels_v2: Vec<String> = r
-        .kernels_v2
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"kernel\": {}, \"path\": {}, \"bytes\": {}, \"mb_s\": {}, \"cycles_per_byte\": {}}}",
-                jstr(m.kernel),
-                jstr(m.path),
-                m.bytes,
-                jnum(m.mb_s),
-                jnum(m.cycles_per_byte)
-            )
-        })
-        .collect();
-
-    let multi_rows: Vec<String> = r
-        .multi_device
-        .iter()
-        .map(|row| {
-            format!(
-                "      {{\"devices\": {}, \"aggregate_mb_s\": {}}}",
-                row.devices,
-                jnum(row.aggregate_mb_s)
-            )
-        })
-        .collect();
-
-    format!(
-        "{{\n  \"schema\": \"audiofile-bench-report/1\",\n  \"mode\": {mode},\n  \
-         \"cpu_cores\": {cores},\n  \
-         \"configurations\": [{configs}],\n  \
-         \"kernels_v2\": [\n{kernels_v2}\n  ],\n  \
-         \"figure10_get_time_us\": {get_time},\n  \"sweep_sizes_bytes\": [{sizes}],\n  \
-         \"figure11_record_us\": {record},\n  \"figure12_preempt_play_us\": {preempt},\n  \
-         \"figure13_mix_play_us\": {mix},\n  \"throughput_kbs\": {{\n{thr}\n  }},\n  \
-         \"table12_loop_ms\": {loops},\n  \"table7_dtmf\": {{\"decoded\": {ok}, \"total\": {tot}}},\n  \
-         \"multi_device\": {{\n    \"clients\": {mclients},\n    \"chunk_bytes\": {mchunk},\n    \
-         \"rows\": [\n{mrows}\n    ]\n  }}\n}}\n",
-        mode = jstr(r.mode),
-        cores = cpu_cores(),
-        mclients = MULTI_CLIENTS,
-        mchunk = MULTI_CHUNK,
-        mrows = multi_rows.join(",\n"),
-        configs = labels
-            .iter()
-            .map(|l| jstr(l))
-            .collect::<Vec<_>>()
-            .join(", "),
-        kernels_v2 = kernels_v2.join(",\n"),
-        get_time = jscalars(labels, &r.get_time, 1e6),
-        sizes = sizes_json.join(", "),
-        record = jseries(labels, &r.record, 1e6),
-        preempt = jseries(labels, &r.preempt, 1e6),
-        mix = jseries(labels, &r.mix, 1e6),
-        thr = throughput_rows.join(",\n"),
-        loops = jscalars(labels, &r.loop_time, 1e3),
-        ok = r.dtmf_ok,
-        tot = r.dtmf_total,
-    )
 }

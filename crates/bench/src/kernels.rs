@@ -309,6 +309,17 @@ pub fn dispatch_regressions(rows: &[KernelV2Measurement], tolerance: f64) -> Vec
 mod tests {
     use super::*;
 
+    /// A 4 KB row of `kernel` on `path` at `cpb` cycles/byte.
+    fn measured(kernel: &'static str, path: &'static str, cpb: f64) -> KernelV2Measurement {
+        KernelV2Measurement {
+            kernel,
+            path,
+            bytes: 4096,
+            mb_s: 1.0,
+            cycles_per_byte: cpb,
+        }
+    }
+
     #[test]
     fn kernels_v2_cover_every_path_with_positive_metrics() {
         let rows = run_kernels_v2(true);
@@ -361,13 +372,7 @@ mod tests {
         let Some(shipping) = shipping_path("mix").filter(|&p| p != "scalar") else {
             return; // No SIMD mix here: the subject is the base itself.
         };
-        let row = |path, cpb: f64| KernelV2Measurement {
-            kernel: "mix",
-            path,
-            bytes: 4096,
-            mb_s: 1.0,
-            cycles_per_byte: cpb,
-        };
+        let row = |path, cpb| measured("mix", path, cpb);
         // Shipping function 6x slower than scalar: must trigger.
         let bad = vec![row("scalar", 0.1), row(shipping, 0.6)];
         assert_eq!(dispatch_regressions(&bad, DISPATCH_GATE_TOLERANCE).len(), 1);
@@ -381,13 +386,7 @@ mod tests {
 
     #[test]
     fn play_mix_gate_wants_three_quarters_of_the_table_loop() {
-        let row = |path, cpb: f64| KernelV2Measurement {
-            kernel: "play_mix",
-            path,
-            bytes: 4096,
-            mb_s: 1.0,
-            cycles_per_byte: cpb,
-        };
+        let row = |path, cpb| measured("play_mix", path, cpb);
         // Whichever AVX-512 table ships, the shipping gate passes at both
         // values, and the FP16 row holds its own rule, so only this rule
         // can fire.
@@ -411,13 +410,7 @@ mod tests {
 
     #[test]
     fn fp16_play_mix_gate_wants_four_fifths_of_the_avx512_loop() {
-        let row = |path, cpb: f64| KernelV2Measurement {
-            kernel: "play_mix",
-            path,
-            bytes: 4096,
-            mb_s: 1.0,
-            cycles_per_byte: cpb,
-        };
+        let row = |path, cpb| measured("play_mix", path, cpb);
         // Both AVX-512 rows beat the table loop by far, so the shipping
         // gate and the `simd-avx512` rule pass and only this rule can fire.
         let gate = |fp16: f64| {
@@ -437,13 +430,7 @@ mod tests {
 
     #[test]
     fn fp16_play_mix_gate_applies_only_where_the_rows_list_the_table() {
-        let row = |path| KernelV2Measurement {
-            kernel: "play_mix",
-            path,
-            bytes: 4096,
-            mb_s: 1.0,
-            cycles_per_byte: 1.0,
-        };
+        let row = |path| measured("play_mix", path, 1.0);
         let fp16_rule = |rows: &[KernelV2Measurement]| {
             gates(rows, DISPATCH_GATE_TOLERANCE)
                 .iter()
@@ -458,13 +445,7 @@ mod tests {
 
     #[test]
     fn resample_gate_wants_half_the_reference_cost() {
-        let row = |path, cpb: f64| KernelV2Measurement {
-            kernel: "resample",
-            path,
-            bytes: 4096,
-            mb_s: 1.0,
-            cycles_per_byte: cpb,
-        };
+        let row = |path, cpb| measured("resample", path, cpb);
         // The shipping row rides along at parity with scalar, so only the
         // resampler's own rule can fire.
         let shipping = shipping_path("resample").expect("a vtable entry");

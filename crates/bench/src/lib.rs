@@ -17,7 +17,7 @@
 //! request sweep of Figures 11–13 fits without flow-control blocking.
 
 #![forbid(unsafe_code)]
-pub mod jsonmerge;
+pub mod json;
 pub mod kernels;
 
 use af_chaos::{FaultProxy, StreamFaultPlan};
@@ -172,18 +172,67 @@ pub fn sweep_sizes() -> Vec<usize> {
     (0..=16).map(|p| 1usize << p).collect()
 }
 
-/// Process CPU time (user + system) in seconds, for §10.2-style load
-/// measurements.
-pub fn process_cpu_seconds() -> f64 {
-    // Reads /proc/self/stat fields 14 (utime) and 15 (stime).
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
-    // Skip past the parenthesized command name, which may contain spaces.
-    let after = stat.rsplit(')').next().unwrap_or("");
-    let fields: Vec<&str> = after.split_whitespace().collect();
-    let utime: f64 = fields.get(11).and_then(|v| v.parse().ok()).unwrap_or(0.0);
-    let stime: f64 = fields.get(12).and_then(|v| v.parse().ok()).unwrap_or(0.0);
-    let ticks = 100.0; // Standard Linux USER_HZ.
-    (utime + stime) / ticks
+/// The options every report writer takes: `--smoke` (short runs, the
+/// section marked `"mode": "smoke"`) and `--out PATH` (default
+/// `BENCH_report.json`).
+pub struct Args {
+    pub smoke: bool,
+    pub out: String,
+}
+
+impl Args {
+    /// Reads the process's arguments.
+    pub fn parse() -> Args {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Args {
+            smoke: args.iter().any(|a| a == "--smoke"),
+            out: args
+                .iter()
+                .position(|a| a == "--out")
+                .and_then(|i| args.get(i + 1).cloned())
+                .unwrap_or_else(|| "BENCH_report.json".to_owned()),
+        }
+    }
+
+    /// The `"mode"` a section records.
+    pub fn mode(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
+        }
+    }
+}
+
+/// The value at fraction `p` of an ascending slice (nearest rank); the
+/// default for an empty one.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// A same-run ratio rule over one section's rows: `subject` must measure
+/// at most `limit` × `base`.
+pub type RatioRule = (&'static str, &'static str, f64);
+
+/// The `rules` that `rows` (name, value) of `section` break, one message
+/// each; empty when all hold.  A rule naming a missing row is broken.
+pub fn ratio_violations(section: &str, rows: &[(&str, f64)], rules: &[RatioRule]) -> Vec<String> {
+    let row = |name| rows.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+    rules
+        .iter()
+        .filter_map(|&(subject, base, limit)| match (row(subject), row(base)) {
+            (Some(s), Some(b)) if s <= limit * b => None,
+            (Some(s), Some(b)) => Some(format!(
+                "{section}: {subject} {s:.3} vs {base} {b:.3} ({:.3}x, limit {limit}x)",
+                s / b
+            )),
+            _ => Some(format!("{section}: no {subject} or {base} row")),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -200,15 +249,20 @@ mod tests {
     }
 
     #[test]
-    fn cpu_seconds_monotone() {
-        let a = process_cpu_seconds();
-        // Burn a little CPU.
-        let mut x = 0u64;
-        for i in 0..20_000_000u64 {
-            x = x.wrapping_add(i * i);
-        }
-        std::hint::black_box(x);
-        let b = process_cpu_seconds();
-        assert!(b >= a, "CPU time went backwards: {a} -> {b}");
+    fn ratio_rules_flag_only_the_broken_one() {
+        let rows = [("idle", 1.0), ("busy", 10.0)];
+        let check = |rules: &[RatioRule]| ratio_violations("s", &rows, rules);
+        assert!(check(&[("idle", "busy", 0.5)]).is_empty());
+        let broken = check(&[("idle", "busy", 0.05), ("busy", "idle", 20.0)]);
+        assert_eq!(broken.len(), 1);
+        assert!(broken[0].starts_with("s: idle 1.000 vs busy 10.000"));
+        assert_eq!(check(&[("idle", "gone", 1.0)]).len(), 1);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[1, 2, 3, 4, 5], 0.5), 3);
+        assert_eq!(percentile(&[1.0, 2.0], 0.99), 2.0);
+        assert_eq!(percentile::<usize>(&[], 0.5), 0);
     }
 }
