@@ -37,9 +37,9 @@ impl Shard {
 
     fn feed(&mut self, token: u64, n: usize) {
         if token == 0 {
-            self.transport.dispatch.submit((token, n));
+            self.shared.dispatch.submit((token, n));
         } else {
-            let dispatch = &self.transport.dispatch;
+            let dispatch = &self.shared.dispatch;
             dispatch.request(token, 1, &self.read_scratch[..n]);
         }
     }
@@ -53,11 +53,7 @@ impl Shard {
         let _ = token;
     }
 
-    fn accept_tcp(&mut self) {
-        self.register_conn(Vec::new());
-    }
-
-    fn accept_unix(&mut self) {
+    fn accept_ready(&mut self) {
         self.register_conn(Vec::new());
     }
 
@@ -73,14 +69,6 @@ impl Shard {
     fn pump_bcast(&mut self, token: u64, strike: bool) {
         let _ = (token, strike);
         let _ = self.bus.fetch_batch(token, 8);
-    }
-
-    fn accept_bcast(&mut self) {
-        self.register_bcast(Vec::new());
-    }
-
-    fn register_bcast(&mut self, req: Vec<u8>) {
-        self.listeners.push(Box::new(req));
     }
 
     fn start_stream(&mut self, token: u64) {

@@ -36,11 +36,7 @@ impl Shard {
         let _ = self.io.write(&token.to_le_bytes());
     }
 
-    fn accept_tcp(&mut self) {
-        self.register_conn(Vec::new());
-    }
-
-    fn accept_unix(&mut self) {
+    fn accept_ready(&mut self) {
         self.register_conn(Vec::new());
     }
 
@@ -56,14 +52,6 @@ impl Shard {
     fn pump_bcast(&mut self, token: u64, strike: bool) {
         let _ = (token, strike);
         let _ = self.bus.fetch_batch(token, 8);
-    }
-
-    fn accept_bcast(&mut self) {
-        self.register_bcast(Vec::new());
-    }
-
-    fn register_bcast(&mut self, req: Vec<u8>) {
-        self.listeners.push(Box::new(req));
     }
 
     fn start_stream(&mut self, token: u64) {

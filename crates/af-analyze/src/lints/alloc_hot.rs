@@ -45,13 +45,13 @@ const PATTERNS: &[&str] = &[
 ///   whose control arms (open, close, configure, properties) legitimately
 ///   allocate, so the scan stops at those two and the data-plane arms
 ///   behind them are covered directly as roots.
-/// * the reactor's accept/registration path runs per *connection*, not
-///   per tick — boxing the conn state and building its shared half
-///   there is setup, amortized over the connection lifetime.  The same
-///   holds for the broadcast listener plane: `accept_bcast`/
-///   `register_bcast` box the listener slot and `start_stream` builds
-///   the one-shot HTTP/ICY response head; the per-publish fan-out in
-///   `pump_bcast` writes `Arc`-shared ring chunks and stays a root.
+/// * the reactor's accept/registration path (`accept_ready`,
+///   `register_conn`) runs per *connection*, not per tick — boxing the
+///   conn or broadcast-listener state and building its shared half there
+///   is setup, amortized over the connection lifetime.  So is the
+///   broadcast listener's `start_stream`, which builds the one-shot
+///   HTTP/ICY response head; the per-publish fan-out in `pump_bcast`
+///   writes `Arc`-shared ring chunks and stays a root.
 /// * FEC `try_reconstruct` is the loss-recovery path: it runs only when
 ///   shards actually went missing, and Gaussian elimination needs its
 ///   matrices; the steady lossless path never enters it.
@@ -59,14 +59,7 @@ const BARRIERS: &[(&str, &[&str])] = &[
     (DISPATCH, &["handle_event", "process_request", "dispatch"]),
     (
         SHARD_HANDLERS.0,
-        &[
-            "accept_tcp",
-            "accept_unix",
-            "register_conn",
-            "accept_bcast",
-            "register_bcast",
-            "start_stream",
-        ],
+        &["accept_ready", "register_conn", "start_stream"],
     ),
     ("crates/af-device/src/fec.rs", &["try_reconstruct"]),
 ];

@@ -111,7 +111,7 @@ impl Harness {
     }
 
     fn capture_bytes(&self) -> Vec<u8> {
-        self.capture.lock().clone()
+        self.capture.lock().unwrap().clone()
     }
 }
 

@@ -240,7 +240,7 @@ mod tests {
         let (mut hw, clock, capture) = virtual_codec();
         clock.advance(100);
         hw.service();
-        assert_eq!(*capture.lock(), vec![0xFF; 100]);
+        assert_eq!(*capture.lock().unwrap(), vec![0xFF; 100]);
     }
 
     #[test]
@@ -250,7 +250,7 @@ mod tests {
         hw.write_play(ATime::new(50), &[0x11; 10]);
         clock.advance(200);
         hw.service();
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert_eq!(cap.len(), 200);
         assert_eq!(&cap[..50], &vec![0xFF; 50][..]);
         assert_eq!(&cap[50..60], &[0x11; 10][..]);
@@ -266,7 +266,7 @@ mod tests {
         // One full ring later the same ring slots come around again.
         clock.advance(1024);
         hw.service();
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert_eq!(&cap[..64], &[0x22; 64][..]);
         assert!(cap[64..].iter().all(|&b| b == 0xFF), "stale data replayed");
     }
@@ -298,7 +298,7 @@ mod tests {
         // Both the play and the record side skipped 500 frames.
         assert_eq!(hw.xrun_frames, 1000);
         // Only one ring worth of frames was emitted.
-        assert_eq!(capture.lock().len(), 1024);
+        assert_eq!(capture.lock().unwrap().len(), 1024);
         assert_eq!(hw.played_until(), clock.now());
     }
 
@@ -311,7 +311,7 @@ mod tests {
         hw.write_play(ATime::new(90), &[0x33; 20]);
         clock.advance(20);
         hw.service();
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         // Frames 100..110 carry the surviving tail of the write.
         assert_eq!(&cap[100..110], &[0x33; 10][..]);
     }
@@ -323,7 +323,7 @@ mod tests {
         hw.service();
         hw.service();
         hw.service();
-        assert_eq!(capture.lock().len(), 10);
+        assert_eq!(capture.lock().unwrap().len(), 10);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! the LoFi pass-through path and of every loopback experiment in §10.
 
 use af_time::ATime;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Consumes samples the device plays.
 pub trait SampleSink: Send {
@@ -89,7 +88,7 @@ impl SampleSink for CaptureSink {
         if self.first_time.is_none() && !data.is_empty() {
             self.first_time = Some(time);
         }
-        let mut buf = self.buffer.lock();
+        let mut buf = self.buffer.lock().unwrap_or_else(PoisonError::into_inner);
         let room = self.max_bytes.saturating_sub(buf.len());
         buf.extend_from_slice(&data[..data.len().min(room)]);
     }
@@ -182,18 +181,22 @@ impl Wire {
 
     /// Queued bytes.
     pub fn queued(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .queue
+            .len()
     }
 
     /// `(overrun_bytes, underrun_bytes)` counters.
     pub fn stats(&self) -> (u64, u64) {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         (g.overruns, g.underruns)
     }
 
     /// Pushes bytes directly (for tests and phone-line injection).
     pub fn push(&self, data: &[u8]) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let room = g.max_bytes.saturating_sub(g.queue.len());
         let take = data.len().min(room);
         g.queue.extend(&data[..take]);
@@ -202,7 +205,7 @@ impl Wire {
 
     /// Pops bytes directly, padding with silence.
     pub fn pop(&self, out: &mut [u8]) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         for b in out.iter_mut() {
             match g.queue.pop_front() {
                 Some(v) => *b = v,
@@ -246,7 +249,7 @@ mod tests {
         let (mut sink, buf) = CaptureSink::new(8);
         sink.consume(ATime::new(5), &[1, 2, 3, 4, 5, 6]);
         sink.consume(ATime::new(11), &[7, 8, 9, 10]);
-        assert_eq!(*buf.lock(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(*buf.lock().unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(sink.first_time(), Some(ATime::new(5)));
     }
 

@@ -711,7 +711,7 @@ mod tests {
         });
         clock.advance(100);
         fw.hw.service();
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert_eq!(&cap[10..30], &[0x21; 20][..]);
         drop(cap);
 

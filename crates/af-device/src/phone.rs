@@ -20,9 +20,8 @@ use crate::io::{SampleSink, SampleSource, Wire};
 use af_dsp::goertzel::{DtmfDetector, DtmfEvent};
 use af_dsp::tables;
 use af_time::ATime;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Telephone line sample rate: 8 kHz, µ-law.
 pub const PHONE_RATE: u32 = 8000;
@@ -114,7 +113,7 @@ impl PhoneLine {
     /// Sets the hookswitch (`HookSwitch` request).  Going off-hook answers a
     /// ringing call.
     pub fn set_hook(&self, off_hook: bool) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if s.off_hook == off_hook {
             return;
         }
@@ -128,7 +127,7 @@ impl PhoneLine {
 
     /// Flashes the hookswitch (`FlashHook` request): a momentary on-hook.
     pub fn flash_hook(&self) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if s.off_hook {
             s.signals.push_back(PhoneSignal::Hook(false));
             s.signals.push_back(PhoneSignal::Hook(true));
@@ -137,13 +136,18 @@ impl PhoneLine {
 
     /// Line state for `QueryPhone`: `(off_hook, loop_current, ringing)`.
     pub fn query(&self) -> (bool, bool, bool) {
-        let s = self.state.lock();
+        let s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         (s.off_hook, s.extension_off_hook, s.ringing)
     }
 
     /// Drains pending signals (the DDA's `ProcessInputEvents`).
     pub fn poll_signals(&self) -> Vec<PhoneSignal> {
-        self.state.lock().signals.drain(..).collect()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .signals
+            .drain(..)
+            .collect()
     }
 
     // ---- Device-side endpoints. ----
@@ -163,7 +167,7 @@ impl PhoneLine {
     /// Starts or stops ring voltage (an incoming call).  Ringing while
     /// off-hook is ignored, as a real CO would not ring a busy line.
     pub fn office_ring(&self, ringing: bool) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if s.off_hook && ringing {
             return;
         }
@@ -176,7 +180,7 @@ impl PhoneLine {
     /// Lifts or replaces the extension phone sharing the line (loop
     /// current).
     pub fn extension_hook(&self, off_hook: bool) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if s.extension_off_hook != off_hook {
             s.extension_off_hook = off_hook;
             s.signals.push_back(PhoneSignal::Loop(off_hook));
@@ -188,7 +192,7 @@ impl PhoneLine {
     pub fn office_send(&self, ulaw: &[u8]) {
         self.incoming.push(ulaw);
         let pcm: Vec<i16> = ulaw.iter().map(|&b| tables::exp_u()[b as usize]).collect();
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let events = s.incoming_dtmf.feed(&pcm);
         LineState::push_dtmf(&mut s.signals, events);
     }
@@ -213,7 +217,11 @@ pub struct PhoneLineSink {
 
 impl SampleSink for PhoneLineSink {
     fn consume(&mut self, _time: ATime, data: &[u8]) {
-        let mut s = self.line.state.lock();
+        let mut s = self
+            .line
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if !s.off_hook {
             // On-hook: the relay is open; nothing reaches the line.
             return;
@@ -233,7 +241,12 @@ pub struct PhoneLineSource {
 
 impl SampleSource for PhoneLineSource {
     fn fill(&mut self, _time: ATime, out: &mut [u8]) {
-        let off_hook = self.line.state.lock().off_hook;
+        let off_hook = self
+            .line
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .off_hook;
         if off_hook {
             self.line.incoming.pop(out);
         } else {

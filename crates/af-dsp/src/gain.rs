@@ -4,9 +4,10 @@
 //! byte table" (§6.2.1).  The paper precomputes tables for -30 dB … +30 dB
 //! (`AF_gain_table_u` / `AF_gain_table_a`, 61 tables) and supplies
 //! `AFMakeGainTableU`/`A` for gains outside that range; both are reproduced
-//! here, plus linear-domain gain for LIN16/LIN32 data.
+//! here, plus linear-domain gain for LIN16/LIN32 data.  [`apply_gain_bytes`]
+//! is the entry point for raw buffer bytes in a device's native encoding.
 
-use crate::g711;
+use crate::{g711, sample, Encoding};
 use std::sync::OnceLock;
 
 /// Inclusive bounds of the precomputed gain-table set, in dB.
@@ -143,6 +144,78 @@ pub fn apply_gain_lin32(samples: &mut [i32], db: f64) {
     apply_gain_lin32_q16(samples, q16_factor(db));
 }
 
+/// Applies `db` decibels of gain to `data` in place.
+///
+/// Companded formats go through 256-entry gain tables (precomputed for the
+/// -30…+30 dB range, built on the fly outside it); linear formats apply a
+/// Q16 fixed-point multiplier, computed once per buffer, over a typed
+/// sample view of the bytes (per-sample decode fallback when the buffer is
+/// misaligned or big-endian).  A gain of 0 dB is free.
+pub fn apply_gain_bytes(encoding: Encoding, data: &mut [u8], db: i32) {
+    if db == 0 || data.is_empty() {
+        return;
+    }
+    match encoding {
+        Encoding::Mu255 => match gain_table_u(db) {
+            Some(t) => t.apply_in_place(data),
+            None => GainTable::new_ulaw(db).apply_in_place(data),
+        },
+        Encoding::Alaw => match gain_table_a(db) {
+            Some(t) => t.apply_in_place(data),
+            None => GainTable::new_alaw(db).apply_in_place(data),
+        },
+        Encoding::Lin16 => {
+            let factor = q16_factor(f64::from(db));
+            match sample::as_lin16_mut(data) {
+                Some(samples) => apply_gain_lin16_q16(samples, factor),
+                None => {
+                    for pair in data.chunks_exact_mut(2) {
+                        let v = i16::from_le_bytes([pair[0], pair[1]]);
+                        pair.copy_from_slice(&q16_gain_i16(v, factor).to_le_bytes());
+                    }
+                }
+            }
+        }
+        Encoding::Lin32 => {
+            let factor = q16_factor(f64::from(db));
+            match sample::as_lin32_mut(data) {
+                Some(samples) => apply_gain_lin32_q16(samples, factor),
+                None => {
+                    for quad in data.chunks_exact_mut(4) {
+                        let v = i32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]);
+                        quad.copy_from_slice(&q16_gain_i32(v, factor).to_le_bytes());
+                    }
+                }
+            }
+        }
+        // Compressed data cannot be gain-adjusted in place; the conversion
+        // pipeline applies gain in the linear domain instead.
+        _ => {}
+    }
+}
+
+/// Byte-swaps multi-byte samples in place (big ↔ little endian).
+///
+/// Single-byte encodings are unaffected.  This is the server's
+/// byte-swapping support of §7.3.1, applied to sample data when the
+/// client's declared data order differs from the buffer order.
+pub fn swap_sample_bytes(encoding: Encoding, data: &mut [u8]) {
+    match encoding {
+        Encoding::Lin16 => {
+            for pair in data.chunks_exact_mut(2) {
+                pair.swap(0, 1);
+            }
+        }
+        Encoding::Lin32 => {
+            for quad in data.chunks_exact_mut(4) {
+                quad.swap(0, 3);
+                quad.swap(1, 2);
+            }
+        }
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,5 +286,81 @@ mod tests {
         let mut buf = vec![i32::MAX / 2 + 1];
         apply_gain_lin32(&mut buf, 7.0);
         assert_eq!(buf[0], i32::MAX);
+    }
+
+    #[test]
+    fn zero_db_untouched() {
+        let mut data = vec![1u8, 2, 3];
+        apply_gain_bytes(Encoding::Mu255, &mut data, 0);
+        assert_eq!(data, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn ulaw_gain_in_and_out_of_precomputed_range() {
+        let quiet = g711::linear_to_ulaw(1000);
+        for db in [6, 40] {
+            let mut data = vec![quiet];
+            apply_gain_bytes(Encoding::Mu255, &mut data, db);
+            let v = g711::ulaw_to_linear(data[0]);
+            assert!(v > 1500, "db={db} v={v}");
+        }
+    }
+
+    #[test]
+    fn lin16_gain_bytes() {
+        let mut data = 1000i16.to_le_bytes().to_vec();
+        apply_gain_bytes(Encoding::Lin16, &mut data, -6);
+        let v = i16::from_le_bytes([data[0], data[1]]);
+        assert!((495..=510).contains(&v), "v={v}");
+    }
+
+    #[test]
+    fn lin32_gain_bytes() {
+        let mut data = 1_000_000i32.to_le_bytes().to_vec();
+        apply_gain_bytes(Encoding::Lin32, &mut data, 20);
+        let v = i32::from_le_bytes(data.clone().try_into().unwrap());
+        assert!((9_900_000..=10_100_000).contains(&v), "v={v}");
+    }
+
+    #[test]
+    fn swap_lin16() {
+        let mut data = vec![0x01, 0x02, 0x03, 0x04];
+        swap_sample_bytes(Encoding::Lin16, &mut data);
+        assert_eq!(data, vec![0x02, 0x01, 0x04, 0x03]);
+    }
+
+    #[test]
+    fn swap_lin32() {
+        let mut data = vec![0x01, 0x02, 0x03, 0x04];
+        swap_sample_bytes(Encoding::Lin32, &mut data);
+        assert_eq!(data, vec![0x04, 0x03, 0x02, 0x01]);
+        // Involution.
+        swap_sample_bytes(Encoding::Lin32, &mut data);
+        assert_eq!(data, vec![0x01, 0x02, 0x03, 0x04]);
+    }
+
+    #[test]
+    fn batched_gain_matches_scalar_reference() {
+        for encoding in [
+            Encoding::Mu255,
+            Encoding::Alaw,
+            Encoding::Lin16,
+            Encoding::Lin32,
+        ] {
+            for db in [-30, -6, 3, 18, 30] {
+                let mut batched: Vec<u8> = (0u16..256).flat_map(|i| [(i * 7) as u8]).collect();
+                let mut scalar = batched.clone();
+                apply_gain_bytes(encoding, &mut batched, db);
+                crate::reference::apply_gain_bytes_scalar(encoding, &mut scalar, db);
+                assert_eq!(batched, scalar, "encoding={encoding:?} db={db}");
+            }
+        }
+    }
+
+    #[test]
+    fn swap_companded_noop() {
+        let mut data = vec![0x01, 0x02];
+        swap_sample_bytes(Encoding::Mu255, &mut data);
+        assert_eq!(data, vec![0x01, 0x02]);
     }
 }

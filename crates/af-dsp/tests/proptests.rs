@@ -1,7 +1,7 @@
 //! Property-based tests of the DSP substrate's invariants.
 
 use af_dsp::convert::{decode_to_lin16, encode_from_lin16, Converter};
-use af_dsp::{adpcm, g711, gain, mix, reference, sample, Encoding};
+use af_dsp::{adpcm, g711, gain, mix, reference, Encoding};
 use proptest::prelude::*;
 
 /// The four native (stateless) encodings the batched kernels cover.
@@ -17,53 +17,6 @@ fn sample_unit(encoding: Encoding) -> usize {
         Encoding::Mu255 | Encoding::Alaw => 1,
         Encoding::Lin16 => 2,
         Encoding::Lin32 => 4,
-        other => panic!("not a native encoding: {other}"),
-    }
-}
-
-/// The batched gain path as the server composes it: precomputed companding
-/// tables for µ-law/A-law, one Q16 multiplier swept over a typed sample
-/// view for the linear formats.
-fn apply_gain_batched(encoding: Encoding, data: &mut [u8], db: i32) {
-    if db == 0 || data.is_empty() {
-        return;
-    }
-    match encoding {
-        Encoding::Mu255 => match gain::gain_table_u(db) {
-            Some(t) => t.apply_in_place(data),
-            None => gain::GainTable::new_ulaw(db).apply_in_place(data),
-        },
-        Encoding::Alaw => match gain::gain_table_a(db) {
-            Some(t) => t.apply_in_place(data),
-            None => gain::GainTable::new_alaw(db).apply_in_place(data),
-        },
-        Encoding::Lin16 => {
-            let factor = gain::q16_factor(f64::from(db));
-            match sample::as_lin16_mut(data) {
-                Some(samples) => gain::apply_gain_lin16_q16(samples, factor),
-                None => {
-                    for pair in data.chunks_exact_mut(2) {
-                        let v = gain::q16_gain_i16(i16::from_le_bytes([pair[0], pair[1]]), factor);
-                        pair.copy_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-        }
-        Encoding::Lin32 => {
-            let factor = gain::q16_factor(f64::from(db));
-            match sample::as_lin32_mut(data) {
-                Some(samples) => gain::apply_gain_lin32_q16(samples, factor),
-                None => {
-                    for quad in data.chunks_exact_mut(4) {
-                        let v = gain::q16_gain_i32(
-                            i32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]),
-                            factor,
-                        );
-                        quad.copy_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-        }
         other => panic!("not a native encoding: {other}"),
     }
 }
@@ -241,7 +194,7 @@ proptest! {
         let data = &samples[..whole];
 
         let mut batched = data.to_vec();
-        apply_gain_batched(encoding, &mut batched, db);
+        gain::apply_gain_bytes(encoding, &mut batched, db);
 
         let mut scalar = data.to_vec();
         reference::apply_gain_bytes_scalar(encoding, &mut scalar, db);

@@ -137,6 +137,34 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// Why a request frame header was rejected: a garbage prefix must never
+/// size an allocation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameError {
+    /// The length field was zero — below the minimum one-word frame.
+    ZeroLength,
+    /// The frame claimed more payload than [`crate::MAX_REQUEST_BYTES`].
+    Oversized {
+        /// The claimed payload size in bytes.
+        bytes: usize,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::ZeroLength => write!(f, "zero-length frame header"),
+            FrameError::Oversized { bytes } => {
+                write!(
+                    f,
+                    "oversized frame: {bytes} bytes > {}",
+                    crate::MAX_REQUEST_BYTES
+                )
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

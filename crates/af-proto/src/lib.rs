@@ -34,11 +34,11 @@ pub mod wire;
 
 pub use ac::{AcAttributes, AcId, AcMask};
 pub use atoms::Atom;
-pub use error::{ErrorCode, ProtoError, WireError};
+pub use error::{ErrorCode, FrameError, ProtoError, WireError};
 pub use event::{Event, EventDetail, EventKind, EventMask};
 pub use opcode::Opcode;
 pub use reply::{RecordView, Reply};
-pub use request::{PlayView, Request};
+pub use request::{decode_frame_header, PlayView, Request};
 pub use setup::{ConnSetup, DeviceDesc, DeviceKind, SetupReply, SetupStatus};
 pub use wire::ByteOrder;
 

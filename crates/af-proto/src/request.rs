@@ -7,7 +7,7 @@
 
 use crate::ac::{AcAttributes, AcId, AcMask};
 use crate::atoms::Atom;
-use crate::error::ProtoError;
+use crate::error::{FrameError, ProtoError};
 use crate::event::EventMask;
 use crate::opcode::Opcode;
 use crate::wire::{pad4, ByteOrder, WireReader, WireWriter};
@@ -765,15 +765,11 @@ impl Request {
     ///
     /// `payload_len` is the number of bytes following the 4-byte header.
     pub fn parse_header(order: ByteOrder, header: &[u8; 4]) -> Result<(Opcode, usize), ProtoError> {
-        let words = match order {
-            ByteOrder::Little => u16::from_le_bytes([header[0], header[1]]),
-            ByteOrder::Big => u16::from_be_bytes([header[0], header[1]]),
-        } as usize;
-        if words == 0 {
-            return Err(ProtoError::BadLength(0));
-        }
-        let opcode = Opcode::from_wire(header[2])?;
-        Ok((opcode, words * 4 - 4))
+        let (opcode, payload_len) = decode_frame_header(order, *header).map_err(|e| match e {
+            FrameError::ZeroLength => ProtoError::BadLength(0),
+            FrameError::Oversized { bytes } => ProtoError::BadLength(bytes),
+        })?;
+        Ok((Opcode::from_wire(opcode)?, payload_len))
     }
 
     /// Total padded frame size of this request when encoded.
@@ -787,6 +783,28 @@ impl Request {
             _ => self.encode(order).len(),
         }
     }
+}
+
+/// Decodes a 4-byte request frame header into `(opcode, payload_len)`,
+/// the opcode byte as received.
+///
+/// The header is `[len_lo, len_hi, opcode, pad]` with the length counted
+/// in 4-byte words including the header itself.  Garbage prefixes decode
+/// to out-of-range lengths and are rejected rather than trusted — an
+/// attacker-controlled or corrupted length must never size an allocation.
+pub fn decode_frame_header(order: ByteOrder, header: [u8; 4]) -> Result<(u8, usize), FrameError> {
+    let words = match order {
+        ByteOrder::Little => u16::from_le_bytes([header[0], header[1]]),
+        ByteOrder::Big => u16::from_be_bytes([header[0], header[1]]),
+    } as usize;
+    if words == 0 {
+        return Err(FrameError::ZeroLength);
+    }
+    let payload_len = words * 4 - 4;
+    if payload_len > MAX_REQUEST_BYTES {
+        return Err(FrameError::Oversized { bytes: payload_len });
+    }
+    Ok((header[2], payload_len))
 }
 
 /// A `PlaySamples` request's fields, its sample bytes still where they
@@ -1068,6 +1086,50 @@ mod tests {
         let header: [u8; 4] = bytes[..4].try_into().unwrap();
         let (opcode, _) = Request::parse_header(ByteOrder::Little, &header).unwrap();
         assert!(Request::decode(ByteOrder::Little, opcode, &bytes[4..]).is_err());
+    }
+
+    #[test]
+    fn decode_frame_header_bounds_every_possible_prefix() {
+        // Zero length in both byte orders.
+        assert_eq!(
+            decode_frame_header(ByteOrder::Little, [0, 0, 7, 0]),
+            Err(FrameError::ZeroLength)
+        );
+        assert_eq!(
+            decode_frame_header(ByteOrder::Big, [0, 0, 7, 0]),
+            Err(FrameError::ZeroLength)
+        );
+        // Minimum valid frame: one word, no payload — opcode preserved.
+        assert_eq!(
+            decode_frame_header(ByteOrder::Little, [1, 0, 42, 0]),
+            Ok((42, 0))
+        );
+        assert_eq!(
+            decode_frame_header(ByteOrder::Big, [0, 1, 42, 0]),
+            Ok((42, 0))
+        );
+        // The allocation-safety property: over the ENTIRE header space, a
+        // garbage prefix either errors or yields a payload length at most
+        // MAX_REQUEST_BYTES — the length field never sizes an unbounded
+        // allocation.  (The u16 length field tops out at 262,136 bytes,
+        // just under the limit, so today Oversized guards against the
+        // limit shrinking or the field widening.)
+        for hi in 0..=255u8 {
+            for lo in [0u8, 1, 2, 0x7f, 0x80, 0xfe, 0xff] {
+                for order in [ByteOrder::Little, ByteOrder::Big] {
+                    match decode_frame_header(order, [lo, hi, 0xAB, 0xCD]) {
+                        Ok((op, len)) => {
+                            assert_eq!(op, 0xAB);
+                            assert!(len <= MAX_REQUEST_BYTES);
+                        }
+                        Err(FrameError::ZeroLength) => {}
+                        Err(FrameError::Oversized { bytes }) => {
+                            assert!(bytes > MAX_REQUEST_BYTES);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl DeviceBuffers {
                 let mut at = self.time_next_update;
                 let DeviceBuffers { play, backend, tap, .. } = self;
                 play.with_frames_mut(at, nframes, |chunk| {
-                    crate::gain::apply_gain_bytes(encoding, chunk, output_gain_db);
+                    af_dsp::gain::apply_gain_bytes(encoding, chunk, output_gain_db);
                     backend.write_play(at, chunk);
                     if let Some(t) = tap.as_mut() {
                         t.data(chunk);
@@ -372,7 +372,7 @@ impl DeviceBuffers {
             through.clear();
             self.play.append_to(start, wt_frames, &mut through);
             if output_enabled {
-                crate::gain::apply_gain_bytes(self.encoding, &mut through, output_gain_db);
+                af_dsp::gain::apply_gain_bytes(self.encoding, &mut through, output_gain_db);
                 self.backend.write_play(start, &through);
             }
             self.scratch = through;
@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(out.written, 500);
         assert_eq!(out.dropped_past, 0);
         run(&mut bufs, &clock, 2400);
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert!(cap[..1000].iter().all(|&b| b == ULAW_SIL));
         assert_eq!(&cap[1000..1500], &[0x21; 500][..]);
         assert!(cap[1500..].iter().all(|&b| b == ULAW_SIL));
@@ -667,7 +667,7 @@ mod tests {
         let out = bufs.write_play(ATime::new(32_700), &[0x21; 200], false, 0, true);
         assert_eq!((out.written, out.beyond_horizon), (200, 0));
         run(&mut bufs, &clock, 33_600);
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert_eq!(&cap[100..150], &[0x35; 50][..]);
         assert_eq!(&cap[32_700..32_900], &[0x21; 200][..]);
     }
@@ -680,7 +680,7 @@ mod tests {
         bufs.write_play(ATime::new(800), &[a; 100], false, 0, true);
         bufs.write_play(ATime::new(800), &[b; 100], false, 0, true);
         run(&mut bufs, &clock, 1600);
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         let got = af_dsp::g711::ulaw_to_linear(cap[850]);
         assert!((i32::from(got) - 6000).abs() < 400, "mixed to {got}");
     }
@@ -693,7 +693,7 @@ mod tests {
         bufs.write_play(ATime::new(800), &[a; 100], false, 0, true);
         bufs.write_play(ATime::new(800), &[p; 100], true, 0, true);
         run(&mut bufs, &clock, 1600);
-        let got = af_dsp::g711::ulaw_to_linear(capture.lock()[850]);
+        let got = af_dsp::g711::ulaw_to_linear(capture.lock().unwrap()[850]);
         assert!((i32::from(got) + 1000).abs() < 100, "preempted to {got}");
     }
 
@@ -704,7 +704,7 @@ mod tests {
         // Client skips a silent interval by advancing its time (§2.2).
         bufs.write_play(ATime::new(400), &[0x22; 50], false, 0, true);
         run(&mut bufs, &clock, 800);
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert_eq!(&cap[100..150], &[0x21; 50][..]);
         assert!(cap[150..400].iter().all(|&b| b == ULAW_SIL));
         assert_eq!(&cap[400..450], &[0x22; 50][..]);
@@ -720,7 +720,7 @@ mod tests {
         let now = bufs.now();
         bufs.write_play(now + 10u32, &[0x23; 20], false, 0, true);
         run(&mut bufs, &clock, 1600);
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         let start = (now.ticks() + 10) as usize;
         assert_eq!(&cap[start..start + 20], &[0x23; 20][..]);
     }
@@ -736,7 +736,7 @@ mod tests {
             clock.advance(800);
             bufs.update(-20, true);
         }
-        let got = af_dsp::g711::ulaw_to_linear(capture.lock()[2050]);
+        let got = af_dsp::g711::ulaw_to_linear(capture.lock().unwrap()[2050]);
         assert!((700..=900).contains(&i32::from(got)), "gained to {got}");
     }
 
@@ -748,7 +748,7 @@ mod tests {
         bufs.update(0, false);
         clock.advance(800);
         bufs.update(0, false);
-        assert!(capture.lock().iter().all(|&b| b == ULAW_SIL));
+        assert!(capture.lock().unwrap().iter().all(|&b| b == ULAW_SIL));
     }
 
     #[test]
@@ -816,7 +816,7 @@ mod tests {
         bufs.write_play(ATime::new(1000), &[0x55; 100], false, 0, true);
         // Run far past one full server buffer (32768 + slack).
         run(&mut bufs, &clock, 70_000);
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert_eq!(&cap[1000..1100], &[0x55; 100][..]);
         // The same ring slots, one buffer later, must be silence.
         let later = 1000 + 32_768;
@@ -855,7 +855,7 @@ mod tests {
         bufs.write_play(ATime::new(1800), &[0x42; 200], false, 0, true);
         run(&mut bufs, &clock, 3200);
         let tap = out.lock().unwrap();
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         assert!(tap.len() >= 3200, "tap covered {} frames", tap.len());
         // The tap's contiguous stream starts at device time 0 and matches
         // the hardware capture byte for byte: data where data played,

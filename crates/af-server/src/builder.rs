@@ -12,9 +12,9 @@ use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BusTap};
 use crate::buffer::DeviceBuffers;
 use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
+use crate::reactor::{Listener, Reactor};
 use crate::state::{connector_mask, AccessControl, AtomRegistry, Device, ServerStats};
 use crate::stats::{LinkCounters, ServerCounters};
-use crate::transport::TransportShared;
 use af_device::hardware::{HwConfig, VirtualAudioHw};
 use af_device::io::{NullSink, SampleSink, SampleSource, SilenceSource};
 use af_device::lineserver::LineServerLink;
@@ -419,7 +419,7 @@ impl ServerBuilder {
         let reactor_shards = self
             .reactor_shards
             .unwrap_or_else(crate::reactor::default_shards);
-        // The transport layer owns the buffer pool; the dispatcher shares it
+        // The reactor stages frames in the buffer pool; the dispatcher shares it
         // so reply buffers written out by the shards come back around.  The
         // free list is sized for per-connection partial-frame accumulation
         // across thousands of sockets.
@@ -439,27 +439,44 @@ impl ServerBuilder {
         let dispatcher =
             Dispatcher::new(core, self.update_interval).with_idle_timeout(self.idle_timeout);
         let dispatch = DispatchHandle::new(dispatcher);
-        let shared = TransportShared::with_pool(dispatch.clone(), Arc::clone(&pool));
 
-        // Every step from here to the task thread can fail (no epoll
-        // instance, an address in use, a bad socket path).  Dropping the
-        // reactor joins its shards, and the task thread starts only once
-        // nothing can fail any more, so an `Err` leaves no thread behind.
-        // The Unix socket is bound last: it is the one listener that
-        // leaves a file.
-        let bus_counters = broadcast_bus.as_ref().map(|bus| Arc::clone(bus.stats()));
-        let reactor = crate::reactor::Reactor::spawn(shared, reactor_shards, broadcast_bus)?;
+        // Every step from here to the task thread can fail (an address in
+        // use, a bad socket path, no epoll instance).  The listeners are
+        // bound before any thread starts, and the task thread starts only
+        // once nothing can fail any more, so an `Err` leaves no thread
+        // behind.  The Unix socket is bound last: it is the one listener
+        // that leaves a file, removed again if the reactor fails.
+        let mut listeners = Vec::new();
+        let mut bind_tcp = |addr, broadcast| -> std::io::Result<_> {
+            let listener = Listener::tcp(addr, broadcast)?;
+            let bound = listener.local_addr();
+            listeners.push(listener);
+            Ok(bound)
+        };
         let tcp_addr = match self.tcp {
-            Some(addr) => Some(reactor.add_tcp(addr)?),
+            Some(addr) => bind_tcp(addr, false)?,
             None => None,
         };
         let broadcast_addr = match &self.broadcast {
-            Some((_, addr, _)) => Some(reactor.add_broadcast_tcp(*addr)?),
+            Some((_, addr, _)) => bind_tcp(*addr, true)?,
             None => None,
         };
         if let Some(path) = &self.unix {
-            reactor.add_unix(path)?;
+            listeners.push(Listener::unix(path)?);
         }
+        let bus_counters = broadcast_bus.as_ref().map(|bus| Arc::clone(bus.stats()));
+        let spawned = Reactor::spawn(
+            dispatch.clone(),
+            Arc::clone(&pool),
+            reactor_shards,
+            listeners,
+            broadcast_bus,
+        );
+        let reactor = spawned.inspect_err(|_| {
+            if let Some(path) = &self.unix {
+                let _ = std::fs::remove_file(path);
+            }
+        })?;
         let handle = ServerHandle {
             dispatch: dispatch.clone(),
         };
@@ -524,7 +541,7 @@ pub struct RunningServer {
     handle: ServerHandle,
     stats: Arc<ServerStats>,
     pool: Arc<crate::pool::BufferPool>,
-    reactor: Option<crate::reactor::Reactor>,
+    reactor: Option<Reactor>,
     tcp_addr: Option<SocketAddr>,
     broadcast_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,

@@ -1170,7 +1170,7 @@ impl Dispatcher {
         let data: &[u8] = if big {
             let mut copy = pool.take_empty();
             copy.vec_mut().extend_from_slice(data);
-            crate::gain::swap_sample_bytes(ac.attrs.encoding, &mut copy);
+            af_dsp::gain::swap_sample_bytes(ac.attrs.encoding, &mut copy);
             swapped = copy;
             &swapped
         } else {
@@ -1211,7 +1211,7 @@ impl Dispatcher {
                     return Err(bad_length);
                 }
                 // The AC's play gain, in the owner's native encoding.
-                crate::gain::apply_gain_bytes(ac.play_conv.to_encoding(), &mut staged, play_gain);
+                af_dsp::gain::apply_gain_bytes(ac.play_conv.to_encoding(), &mut staged, play_gain);
             }
             let frames: &[u8] = if in_scratch { &staged } else { data };
             let beyond = match self.advance_play(device, preempt, start_time, frames) {
@@ -1399,7 +1399,7 @@ impl Dispatcher {
             af_dsp::silence::fill_silence(dev_enc, samples);
         } else {
             let total_gain = input_gain + i32::from(ac.attrs.record_gain_db);
-            crate::gain::apply_gain_bytes(dev_enc, samples, total_gain);
+            af_dsp::gain::apply_gain_bytes(dev_enc, samples, total_gain);
         }
         // Only an AC in another encoding goes through the dispatcher's
         // reusable scratch.
@@ -1414,7 +1414,7 @@ impl Dispatcher {
         }
         if big_endian {
             let samples = &mut out[Reply::RECORD_DATA_AT..];
-            crate::gain::swap_sample_bytes(ac.attrs.encoding, samples);
+            af_dsp::gain::swap_sample_bytes(ac.attrs.encoding, samples);
         }
         Reply::close_record(order, seq, now, out);
         if !client.send_bytes(buf) {
@@ -1769,7 +1769,7 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use crate::reactor::OutboundTx;
-    use crate::transport::OUTBOUND_QUEUE_CAPACITY;
+    use crate::reactor::OUTBOUND_QUEUE_CAPACITY;
 
     fn bare_dispatcher() -> Dispatcher {
         let core = ServerCore {

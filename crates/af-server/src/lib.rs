@@ -5,7 +5,7 @@
 //! the paper's: a device-independent section (connection management,
 //! dispatch, tasks, properties, events — [`dispatch`], [`state`],
 //! [`task`]), a device-dependent section behind [`backend::HwBackend`] and
-//! [`buffer::DeviceBuffers`], and an OS section ([`transport`]) that turns
+//! [`buffer::DeviceBuffers`], and an OS section ([`reactor`]) that turns
 //! sockets into a request stream.
 //!
 //! Concurrency model: the paper's server is a single-threaded process
@@ -29,21 +29,18 @@ pub mod broadcast;
 pub mod buffer;
 pub mod builder;
 pub mod dispatch;
-pub mod gain;
 pub mod pool;
 pub mod reactor;
 pub mod state;
 pub mod task;
-pub mod transport;
 
 pub use af_device::stats;
 pub use broadcast::{BroadcastBus, BroadcastConfig, BROADCAST_CHUNK_FRAMES, BROADCAST_RING_CHUNKS};
 pub use buffer::{DeviceBuffers, PlayOutcome};
 pub use builder::{DeviceSetup, RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
-pub use reactor::{default_shards, OutboundTx, Reactor};
+pub use reactor::{default_shards, OutboundTx, Reactor, OUTBOUND_QUEUE_CAPACITY};
 pub use state::ServerStats;
-pub use transport::{FrameError, OUTBOUND_QUEUE_CAPACITY};
 
 /// The paper's `MSUPDATE`: the update task period, in milliseconds.
 pub const MSUPDATE: u64 = 100;

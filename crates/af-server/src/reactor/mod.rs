@@ -1,10 +1,13 @@
-//! Event-driven transport: N reactor shards multiplexing all connections.
+//! The server's OS section: N reactor shards multiplexing all connections.
 //!
-//! The paper's server multiplexed every client socket with one `select()`
-//! loop (§5.1, §7.3.1).  This module keeps the paper's shape at scale: a
-//! small set of reactor shards (default `min(4, cores)`) each run a
-//! level-triggered readiness loop ([`af_sys::Poller`]: raw `epoll`) over
-//! nonblocking sockets.
+//! The paper's server multiplexed every client socket, TCP or Unix-domain,
+//! with one `select()` loop (§5.1, §7.3.1).  This module keeps the paper's
+//! shape at scale: a small set of reactor shards (default `min(4, cores)`)
+//! each run a level-triggered readiness loop ([`af_sys::Poller`]: raw
+//! `epoll`) over nonblocking sockets.  Sockets enter in two forms: the
+//! [`Listener`]s handed to [`Reactor::spawn`], which shard 0 accepts on
+//! with one loop whatever their family or kind, and a `SharedSock` for
+//! each accepted connection, routed round-robin to its owning shard.
 //!
 //! Each shard owns its connections outright: the per-connection read state
 //! machine (setup header → setup tail → frame header → payload, resumable
@@ -39,9 +42,16 @@
 //! drain cycle.  In the steady state the socket takes every reply whole
 //! and the shard is never woken for output.
 //!
-//! The mailbox is everything other threads leave for a shard — new
-//! connections and listeners, flush tokens — behind one leaf lock; the
-//! shard swaps it out whole when its self-pipe fires.
+//! The mailbox is everything other threads leave for a shard — accepted
+//! connections, flush tokens — behind one leaf lock; the shard swaps it out
+//! whole when its self-pipe fires.
+//!
+//! Failure model: a malformed or oversized frame header is a protocol
+//! error that disconnects only the offending client; a client that stops
+//! reading fills its bounded deque and is evicted instead of growing
+//! server memory.  Faults are injected below the socket, by a proxy
+//! between client and server (`af_chaos::FaultProxy`), so every
+//! connection runs the one transport.
 //!
 //! Backpressure: the lock is taken per framed event, never per readiness
 //! batch, so `FRAME_BUDGET` fairness holds and the update task waits
@@ -49,26 +59,46 @@
 //! not reading its sockets — TCP backpressure to the clients.
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
-use crate::pool::PooledBuf;
+use crate::dispatch::DispatchHandle;
+use crate::pool::{BufferPool, PooledBuf};
 use crate::state::{ClientId, ServerEvent};
 use crate::stats::{self, Bus, ShardCounters};
-use crate::transport::{decode_frame_header, Refused, TransportShared, OUTBOUND_QUEUE_CAPACITY};
-use af_proto::{ByteOrder, ConnSetup};
+use af_proto::{decode_frame_header, ByteOrder, ConnSetup, FrameError};
 use af_sys::{Interest, PollEvent, Poller, MAX_EVENTS};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::fs::File;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Bound on the messages (new connections, listeners) waiting in a
-/// shard's mailbox; past it the sender sheds.  Flush tokens need no bound
-/// of their own: `notified` admits one per connection.
+/// Bound on the messages a connection may have waiting for its socket
+/// (the one mid-write included).  A slow client hits this bound and is
+/// evicted; the seed's unbounded queue grew without limit instead.
+pub const OUTBOUND_QUEUE_CAPACITY: usize = 256;
+
+/// Why [`OutboundTx::try_send_buf`] did not take a message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refused {
+    /// [`OUTBOUND_QUEUE_CAPACITY`] messages are already waiting: the
+    /// client is not keeping up.
+    Full,
+    /// The connection is closed, or closing once what it holds has left.
+    Closed,
+}
+
+/// Bound on the accepted connections waiting in a shard's mailbox; past
+/// it the accepting shard sheds.  Flush tokens need no bound of their own:
+/// `notified` admits one per connection.
 pub const REACTOR_INBOX_CAPACITY: usize = 1024;
+
+/// `accept` errors meaning the process (`EMFILE`) or the system
+/// (`ENFILE`) is out of descriptors; the same numbers on every Linux.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
 
 /// Poller token reserved for the shard's self-pipe wake fd.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -127,11 +157,11 @@ impl Waker {
     }
 }
 
-/// The one owning handle to a reactor connection's socket, shared by the
-/// owning shard (reads, flushes) and the dispatcher's [`OutboundTx`]
-/// (direct writes, eviction).  One descriptor per connection; a producer
-/// that outlives the connection keeps the *socket* alive, so it can never
-/// write to a recycled descriptor number.
+/// The one owning handle to an accepted socket, shared by the owning shard
+/// (reads, flushes) and, for an AudioFile client, the dispatcher's
+/// [`OutboundTx`] (direct writes, eviction).  One descriptor per
+/// connection; a producer that outlives the connection keeps the *socket*
+/// alive, so it can never write to a recycled descriptor number.
 enum SharedSock {
     Tcp(Arc<TcpStream>),
     Unix(Arc<UnixStream>),
@@ -163,6 +193,13 @@ impl SharedSock {
             SharedSock::Unix(s) => (&**s).write(buf),
         }
     }
+
+    fn write_vectored(&self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            SharedSock::Tcp(s) => (&**s).write_vectored(bufs),
+            SharedSock::Unix(s) => (&**s).write_vectored(bufs),
+        }
+    }
 }
 
 impl AsRawFd for SharedSock {
@@ -170,6 +207,76 @@ impl AsRawFd for SharedSock {
         match self {
             SharedSock::Tcp(s) => s.as_raw_fd(),
             SharedSock::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+/// A bound, nonblocking listening socket, handed to [`Reactor::spawn`]
+/// before any shard runs; shard 0 accepts on it.
+pub struct Listener {
+    sock: ListenSock,
+    /// What it accepts are broadcast (HTTP/ICY) listeners, not AudioFile
+    /// clients.
+    broadcast: bool,
+}
+
+enum ListenSock {
+    Tcp(TcpListener),
+    Unix(UnixListener),
+}
+
+impl Listener {
+    /// Binds a TCP listener on `addr`.
+    pub fn tcp(addr: SocketAddr, broadcast: bool) -> io::Result<Listener> {
+        let sock = TcpListener::bind(addr)?;
+        sock.set_nonblocking(true)?;
+        Ok(Listener {
+            sock: ListenSock::Tcp(sock),
+            broadcast,
+        })
+    }
+
+    /// Binds a Unix-domain listener at `path`, removing a stale socket
+    /// file first.
+    pub fn unix(path: &Path) -> io::Result<Listener> {
+        let _ = std::fs::remove_file(path);
+        let sock = UnixListener::bind(path)?;
+        sock.set_nonblocking(true)?;
+        Ok(Listener {
+            sock: ListenSock::Unix(sock),
+            broadcast: false,
+        })
+    }
+
+    /// The bound address of a TCP listener.
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        match &self.sock {
+            ListenSock::Tcp(l) => l.local_addr().ok(),
+            ListenSock::Unix(_) => None,
+        }
+    }
+
+    /// Takes one pending connection, nonblocking, with its peer's address.
+    fn accept(&self) -> io::Result<(SharedSock, Option<IpAddr>)> {
+        Ok(match &self.sock {
+            ListenSock::Tcp(l) => {
+                let (s, addr) = l.accept()?;
+                s.set_nonblocking(true)?;
+                let _ = s.set_nodelay(true);
+                (SharedSock::Tcp(Arc::new(s)), Some(addr.ip()))
+            }
+            ListenSock::Unix(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nonblocking(true)?;
+                (SharedSock::Unix(Arc::new(s)), None)
+            }
+        })
+    }
+
+    fn as_raw_fd(&self) -> RawFd {
+        match &self.sock {
+            ListenSock::Tcp(l) => l.as_raw_fd(),
+            ListenSock::Unix(l) => l.as_raw_fd(),
         }
     }
 }
@@ -210,7 +317,7 @@ impl ConnShared {
     /// unwritten remainder) onto the deque with a shard wakeup.
     fn deliver(&self, buf: PooledBuf) -> Result<(), Refused> {
         // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push; contended only while the shard flushes this same connection
-        let mut out = self.outbound.lock();
+        let mut out = self.outbound.lock().unwrap_or_else(PoisonError::into_inner);
         // A refused `buf` recycles (pool lock) at the return, unlocked.
         if out.closed {
             drop(out);
@@ -251,9 +358,12 @@ impl ConnShared {
     /// and the loom model).
     fn wake(&self) {
         if !self.notified.swap(true, Ordering::AcqRel) {
+            let link = &self.link;
             // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
-            self.link.mailbox.lock().flush.push(self.token);
-            self.link.waker.wake();
+            let mut mailbox = link.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
+            mailbox.flush.push(self.token);
+            drop(mailbox);
+            link.waker.wake();
         }
     }
 
@@ -261,7 +371,7 @@ impl ConnShared {
     /// the unwritten ones, so they recycle outside the lock.
     fn close(&self) -> VecDeque<PooledBuf> {
         // af-analyze: allow(blocking-in-reactor): leaf lock, held for a flag store and a take
-        let mut out = self.outbound.lock();
+        let mut out = self.outbound.lock().unwrap_or_else(PoisonError::into_inner);
         out.closed = true;
         std::mem::take(&mut out.queue)
     }
@@ -297,7 +407,11 @@ impl OutboundTx {
     /// far has left: no later message is taken, and the peer reads what
     /// was sent, whole, and then end-of-file.
     pub fn hang_up(&self) {
-        let mut out = self.0.outbound.lock();
+        let mut out = self
+            .0
+            .outbound
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         out.closed = true;
         let drained = out.queue.is_empty();
         drop(out);
@@ -334,7 +448,12 @@ impl OutboundTx {
 
     /// Messages waiting on the deque.
     pub(crate) fn queued(&self) -> usize {
-        self.0.outbound.lock().queue.len()
+        self.0
+            .outbound
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .queue
+            .len()
     }
 
     /// Times the handle was kicked (a detached connection's shard counters
@@ -344,26 +463,19 @@ impl OutboundTx {
     }
 }
 
-/// A connection handed to its owning shard for registration.
+/// An accepted connection handed to its owning shard for registration.
 struct NewConn {
     sock: SharedSock,
     id: ClientId,
     peer: Option<IpAddr>,
-}
-
-enum ShardMsg {
-    Conn(Box<NewConn>),
-    TcpL(TcpListener),
-    UnixL(UnixListener),
-    BcastL(TcpListener),
-    /// An accepted broadcast listener.
-    Bcast(TcpStream),
+    /// Accepted on a broadcast [`Listener`].
+    broadcast: bool,
 }
 
 /// What other threads have left for a shard since its last wake-up.
 #[derive(Default)]
 struct Mailbox {
-    msgs: Vec<ShardMsg>,
+    conns: Vec<NewConn>,
     /// Tokens of connections with freshly queued outbound data.
     flush: Vec<u64>,
 }
@@ -377,26 +489,34 @@ struct ShardLink {
 }
 
 impl ShardLink {
-    /// Leaves `msg` for the shard and wakes it.  A full mailbox is
-    /// overload: the message comes back, and dropping it (closing its
-    /// socket) is how the caller sheds.
-    fn post(&self, msg: ShardMsg) -> Result<(), ShardMsg> {
+    /// Leaves `conn` for the shard and wakes it.  A full mailbox is
+    /// overload: dropping the connection (closing its socket) sheds it.
+    fn post(&self, conn: NewConn) {
         {
             // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
-            let mut mailbox = self.mailbox.lock();
-            if mailbox.msgs.len() >= REACTOR_INBOX_CAPACITY {
-                return Err(msg);
+            let mut mailbox = self.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
+            if mailbox.conns.len() >= REACTOR_INBOX_CAPACITY {
+                return;
             }
-            mailbox.msgs.push(msg);
+            mailbox.conns.push(conn);
         }
         self.waker.wake();
-        Ok(())
     }
 }
 
+/// What every shard and the [`Reactor`] share.
 struct ReactorShared {
     links: Vec<Arc<ShardLink>>,
+    /// Round-robin cursor over `links` for accepted connections.
     rr: AtomicUsize,
+    /// The way into the dispatcher: every framed event goes through it.
+    dispatch: DispatchHandle,
+    /// Client id allocator.
+    next_id: AtomicU64,
+    /// Set by [`Reactor::shutdown`]; a woken shard that finds it exits.
+    stop: AtomicBool,
+    /// Frame/reply buffer pool shared by the shards and the dispatcher.
+    pool: Arc<BufferPool>,
 }
 
 /// Where the connection's resumable read state machine stands.
@@ -462,7 +582,7 @@ enum BcastPhase {
 /// of its own — only a cursor into the shared chunk ring plus the batch
 /// of `Arc`-shared chunks currently being written.
 struct BcastConn {
-    sock: TcpStream,
+    sock: SharedSock,
     phase: BcastPhase,
     /// Request-head bytes collected so far (bounded by [`BCAST_REQ_MAX`]).
     req: Vec<u8>,
@@ -501,10 +621,8 @@ struct ShardBroadcast {
 }
 
 enum Slot {
+    Listen(Listener),
     Conn(Box<ConnState>),
-    TcpL(TcpListener),
-    UnixL(UnixListener),
-    BcastL(TcpListener),
     Bcast(Box<BcastConn>),
 }
 
@@ -515,7 +633,7 @@ enum ReadOutcome {
     /// EOF, I/O error, or unusable setup: close without protocol blame.
     Close,
     /// Malformed framing: report `ProtocolError`, then close.
-    Protocol(crate::transport::FrameError),
+    Protocol(FrameError),
 }
 
 struct Shard {
@@ -528,7 +646,6 @@ struct Shard {
     deferred_free: Vec<usize>,
     wake_rx: UnixStream,
     stats: Arc<ShardCounters>,
-    transport: Arc<TransportShared>,
     shared: Arc<ReactorShared>,
     /// The empty half of the mailbox swap: a wake trades it for the full
     /// mailbox and keeps what it got, cleared, for the next trade, so the
@@ -542,13 +659,16 @@ struct Shard {
     /// Reusable scratch for the broadcast dirty pass (same rationale as
     /// `spare_mailbox`).
     bcast_scratch: Vec<usize>,
+    /// A descriptor shard 0 holds in reserve, given up to shed a pending
+    /// connection when the process is out of descriptors.
+    spare: Option<File>,
 }
 
 impl Shard {
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
         loop {
-            if self.transport.stop.load(Ordering::Relaxed) {
+            if self.shared.stop.load(Ordering::Relaxed) {
                 break;
             }
             events.clear();
@@ -595,27 +715,13 @@ impl Shard {
         // whole for the empty spare.
         let mut inbox = std::mem::take(&mut self.spare_mailbox);
         {
+            let link = &self.shared.links[self.index];
             // af-analyze: allow(blocking-in-reactor): leaf lock, held for one swap; a producer holds it for one push
-            let mut mailbox = self.shared.links[self.index].mailbox.lock();
+            let mut mailbox = link.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::swap(&mut *mailbox, &mut inbox);
         }
-        for msg in inbox.msgs.drain(..) {
-            match msg {
-                ShardMsg::Conn(conn) => self.register_conn(*conn),
-                ShardMsg::TcpL(l) => {
-                    let fd = l.as_raw_fd();
-                    self.register_listener(Slot::TcpL(l), fd);
-                }
-                ShardMsg::UnixL(l) => {
-                    let fd = l.as_raw_fd();
-                    self.register_listener(Slot::UnixL(l), fd);
-                }
-                ShardMsg::BcastL(l) => {
-                    let fd = l.as_raw_fd();
-                    self.register_listener(Slot::BcastL(l), fd);
-                }
-                ShardMsg::Bcast(s) => self.register_bcast(s),
-            }
+        for conn in inbox.conns.drain(..) {
+            self.register_conn(conn);
         }
         // Flush connections with freshly queued outbound data.
         for &t in &inbox.flush {
@@ -644,21 +750,13 @@ impl Shard {
         }
     }
 
-    fn register_listener(&mut self, slot: Slot, fd: RawFd) {
-        let token = self.alloc_slot();
-        if self
-            .poller
-            .register(fd, token as u64, Interest::Read)
-            .is_ok()
-        {
-            self.slots[token] = Some(slot);
-            self.stats.add(stats::Shard::FdCount, 1);
-        } else {
-            self.free.push(token);
-        }
-    }
-
+    /// Registers an accepted connection: an AudioFile client, or a
+    /// broadcast listener (dropped, closing its socket, when this reactor
+    /// has no bus).
     fn register_conn(&mut self, conn: NewConn) {
+        if conn.broadcast && self.broadcast.is_none() {
+            return;
+        }
         let token = self.alloc_slot();
         let fd = conn.sock.as_raw_fd();
         if self
@@ -672,32 +770,49 @@ impl Shard {
         }
         self.stats.add(stats::Shard::Accepted, 1);
         self.stats.add(stats::Shard::FdCount, 1);
-        self.slots[token] = Some(Slot::Conn(Box::new(ConnState {
-            fd,
-            id: conn.id,
-            peer: conn.peer,
-            order: ByteOrder::Little, // Overwritten when setup completes.
-            phase: ReadPhase::SetupHeader {
-                buf: [0u8; ConnSetup::HEADER_SIZE],
-                have: 0,
-            },
-            shared: Arc::new(ConnShared {
-                token: token as u64,
-                notified: AtomicBool::new(false),
-                link: Arc::clone(&self.shared.links[self.index]),
-                sock: conn.sock,
-                outbound: Mutex::new(Outbound::default()),
-            }),
-            want_write: false,
-        })));
+        let slot = match self.broadcast.as_mut() {
+            Some(sb) if conn.broadcast => {
+                sb.bus.stats().add(Bus::ListenersTotal, 1);
+                sb.tokens.push(token);
+                Slot::Bcast(Box::new(BcastConn {
+                    sock: conn.sock,
+                    phase: BcastPhase::Request,
+                    req: Vec::with_capacity(256),
+                    icy: false,
+                    cursor: 0,
+                    header: None,
+                    batch: VecDeque::with_capacity(BCAST_BATCH),
+                    off: 0,
+                    want_write: false,
+                    strikes: 0,
+                }))
+            }
+            _ => Slot::Conn(Box::new(ConnState {
+                fd,
+                id: conn.id,
+                peer: conn.peer,
+                order: ByteOrder::Little, // Overwritten when setup completes.
+                phase: ReadPhase::SetupHeader {
+                    buf: [0u8; ConnSetup::HEADER_SIZE],
+                    have: 0,
+                },
+                shared: Arc::new(ConnShared {
+                    token: token as u64,
+                    notified: AtomicBool::new(false),
+                    link: Arc::clone(&self.shared.links[self.index]),
+                    sock: conn.sock,
+                    outbound: Mutex::new(Outbound::default()),
+                }),
+                want_write: false,
+            })),
+        };
+        self.slots[token] = Some(slot);
     }
 
     fn handle_token(&mut self, ev: PollEvent) {
         let token = ev.token as usize;
         match self.slots.get(token) {
-            Some(Some(Slot::TcpL(_))) => self.accept_tcp(token),
-            Some(Some(Slot::UnixL(_))) => self.accept_unix(token),
-            Some(Some(Slot::BcastL(_))) => self.accept_bcast(token),
+            Some(Some(Slot::Listen(_))) => self.accept_ready(token),
             Some(Some(Slot::Conn(_))) => {
                 if ev.writable {
                     self.flush_conn(token, false);
@@ -718,123 +833,54 @@ impl Shard {
         }
     }
 
-    fn accept_tcp(&mut self, token: usize) {
+    /// Accepts every pending connection on a listener — TCP or Unix,
+    /// AudioFile client or broadcast listener — and hands each to a shard,
+    /// round-robin, so per-connection work spreads over every reactor
+    /// thread.
+    fn accept_ready(&mut self, token: usize) {
         loop {
-            let accepted = match self.slots.get(token) {
-                Some(Some(Slot::TcpL(l))) => l.accept(),
-                _ => return,
+            let Some(Some(Slot::Listen(listener))) = self.slots.get(token) else {
+                return;
             };
-            match accepted {
-                Ok((s, addr)) => {
-                    let _ = s.set_nodelay(true);
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.route_conn(SharedSock::Tcp(Arc::new(s)), Some(addr.ip()));
+            let broadcast = listener.broadcast;
+            match listener.accept() {
+                Ok((sock, peer)) => {
+                    let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+                    self.route_conn(NewConn {
+                        sock,
+                        id,
+                        peer,
+                        broadcast,
+                    });
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Out of descriptors: the connection stays in the backlog,
+                // and the level-triggered poller would report the listener
+                // again at once.  Shed it, as a full mailbox does: give up
+                // the spare, accept and drop the connection, take the spare
+                // back.
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    let Some(spare) = self.spare.take() else {
+                        return;
+                    };
+                    drop(spare);
+                    drop(listener.accept());
+                    self.spare = File::open("/dev/null").ok();
+                }
                 Err(_) => return, // WouldBlock or transient accept failure.
             }
         }
     }
 
-    fn accept_unix(&mut self, token: usize) {
-        loop {
-            let accepted = match self.slots.get(token) {
-                Some(Some(Slot::UnixL(l))) => l.accept(),
-                _ => return,
-            };
-            match accepted {
-                Ok((s, _)) => {
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.route_conn(SharedSock::Unix(Arc::new(s)), None);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Accepts broadcast listeners and routes them round-robin across all
-    /// shards, same as dispatcher connections — fan-out write work spreads
-    /// over every reactor thread.
-    fn accept_bcast(&mut self, token: usize) {
-        loop {
-            let accepted = match self.slots.get(token) {
-                Some(Some(Slot::BcastL(l))) => l.accept(),
-                _ => return,
-            };
-            match accepted {
-                Ok((s, _)) => {
-                    let _ = s.set_nodelay(true);
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let target =
-                        self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.links.len();
-                    if target == self.index {
-                        self.register_bcast(s);
-                    } else {
-                        // A full mailbox is overload: shed the listener.
-                        let _ = self.shared.links[target].post(ShardMsg::Bcast(s));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn register_bcast(&mut self, sock: TcpStream) {
-        let Some(bus_stats) = self
-            .broadcast
-            .as_ref()
-            .map(|sb| Arc::clone(sb.bus.stats()))
-        else {
-            return; // No bus on this reactor: dropping closes the socket.
-        };
-        let token = self.alloc_slot();
-        if self
-            .poller
-            .register(sock.as_raw_fd(), token as u64, Interest::Read)
-            .is_err()
-        {
-            self.free.push(token);
-            return;
-        }
-        self.stats.add(stats::Shard::Accepted, 1);
-        self.stats.add(stats::Shard::FdCount, 1);
-        bus_stats.add(Bus::ListenersTotal, 1);
-        self.slots[token] = Some(Slot::Bcast(Box::new(BcastConn {
-            sock,
-            phase: BcastPhase::Request,
-            req: Vec::with_capacity(256),
-            icy: false,
-            cursor: 0,
-            header: None,
-            batch: VecDeque::with_capacity(BCAST_BATCH),
-            off: 0,
-            want_write: false,
-            strikes: 0,
-        })));
-        if let Some(sb) = self.broadcast.as_mut() {
-            sb.tokens.push(token);
-        }
-    }
-
-    /// Names the connection and hands it to its shard, round-robin.
-    fn route_conn(&mut self, sock: SharedSock, peer: Option<IpAddr>) {
-        let id = self.transport.next_id.fetch_add(1, Ordering::Relaxed);
+    /// Hands the connection to its shard, round-robin.
+    fn route_conn(&mut self, conn: NewConn) {
         let target = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.links.len();
-        let conn = Box::new(NewConn { sock, id, peer });
         if target == self.index {
-            self.register_conn(*conn);
+            self.register_conn(conn);
         } else {
-            // A full mailbox is overload: shed the connection (dropping it
-            // closes the socket) rather than blocking the accept path.
-            let _ = self.shared.links[target].post(ShardMsg::Conn(conn));
+            // A full mailbox is overload: the connection is shed rather
+            // than blocking the accept path.
+            self.shared.links[target].post(conn);
         }
     }
 
@@ -864,9 +910,10 @@ impl Shard {
             return;
         };
         let mut dead = false;
+        let outbound = &conn.shared.outbound;
         let want = loop {
             // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a push
-            let mut locked = conn.shared.outbound.lock();
+            let mut locked = outbound.lock().unwrap_or_else(PoisonError::into_inner);
             let out = &mut *locked;
             let Some(buf) = out.queue.front() else {
                 dead = out.closed;
@@ -895,30 +942,34 @@ impl Shard {
                 }
             }
         };
-        if dead {
+        if dead
+            || (!self.watch_writes(conn.fd, token, &mut conn.want_write, want)
+                && (from_notify || want))
+        {
             self.close_conn(token, conn, None);
             return;
         }
-        if want != conn.want_write {
-            let interest = if want {
-                Interest::ReadWrite
-            } else {
-                Interest::Read
-            };
-            if self
-                .poller
-                .reregister(conn.fd, token as u64, interest)
-                .is_ok()
-            {
-                conn.want_write = want;
-            } else if from_notify || want {
-                // Cannot arm write interest: the stalled message would
-                // never drain, so fail the connection instead of wedging.
-                self.close_conn(token, conn, None);
-                return;
-            }
-        }
         self.slots[token] = Some(Slot::Conn(conn));
+    }
+
+    /// Watches the socket's writability exactly while `want` says bytes
+    /// are stalled.  False when the poller refused the change: a stalled
+    /// message would then never drain, so the caller fails the connection
+    /// instead of wedging.
+    fn watch_writes(&mut self, fd: RawFd, token: usize, armed: &mut bool, want: bool) -> bool {
+        if want == *armed {
+            return true;
+        }
+        let interest = if want {
+            Interest::ReadWrite
+        } else {
+            Interest::Read
+        };
+        let ok = self.poller.reregister(fd, token as u64, interest).is_ok();
+        if ok {
+            *armed = want;
+        }
+        ok
     }
 
     /// Reads a broadcast listener: the HTTP request head during
@@ -933,7 +984,7 @@ impl Shard {
         };
         let mut buf = [0u8; 512];
         loop {
-            match conn.sock.read(&mut buf) {
+            match conn.sock.read_shared(&mut buf) {
                 Ok(0) => {
                     self.close_bcast(token, *conn);
                     return;
@@ -1029,7 +1080,7 @@ impl Shard {
         loop {
             // Flush the response head before any chunk bytes.
             if let Some((head, off)) = conn.header.as_mut() {
-                match conn.sock.write(&head[*off..]) {
+                match conn.sock.write_shared(&head[*off..]) {
                     Ok(0) => {
                         dead = true;
                         break;
@@ -1065,8 +1116,7 @@ impl Shard {
             // fan-out — no listener-side buffer exists at all.
             let result = {
                 let c = &mut *conn;
-                let mut slices: [IoSlice; BCAST_BATCH] =
-                    std::array::from_fn(|_| IoSlice::new(&[]));
+                let mut slices: [IoSlice; BCAST_BATCH] = std::array::from_fn(|_| IoSlice::new(&[]));
                 let mut count = 0;
                 for chunk in c.batch.iter().take(BCAST_BATCH) {
                     let s = if c.icy { chunk.payload() } else { chunk.wire() };
@@ -1130,32 +1180,16 @@ impl Shard {
                 return;
             }
         }
-        if pending != conn.want_write {
-            let interest = if pending {
-                Interest::ReadWrite
-            } else {
-                Interest::Read
-            };
-            if self
-                .poller
-                .reregister(conn.sock.as_raw_fd(), token as u64, interest)
-                .is_ok()
-            {
-                conn.want_write = pending;
-            } else if pending {
-                // Cannot arm write interest: the stalled bytes would never
-                // drain, so fail the listener instead of wedging.
-                self.close_bcast(token, *conn);
-                return;
-            }
+        let fd = conn.sock.as_raw_fd();
+        if !self.watch_writes(fd, token, &mut conn.want_write, pending) && pending {
+            self.close_bcast(token, *conn);
+            return;
         }
         self.slots[token] = Some(Slot::Bcast(conn));
     }
 
     fn close_bcast(&mut self, token: usize, conn: BcastConn) {
-        let _ = self.poller.deregister(conn.sock.as_raw_fd());
-        self.stats.add(stats::Shard::Closed, 1);
-        self.stats.sub(stats::Shard::FdCount, 1);
+        self.release(conn.sock.as_raw_fd(), token);
         if let Some(sb) = self.broadcast.as_mut() {
             if let Some(i) = sb.tokens.iter().position(|&t| t == token) {
                 sb.tokens.swap_remove(i);
@@ -1164,8 +1198,17 @@ impl Shard {
                 sb.bus.stats().sub(Bus::Listeners, 1);
             }
         }
-        self.deferred_free.push(token);
         // Dropping `conn` closes the fd and releases its chunk refs.
+    }
+
+    /// The accounting every close shares: the descriptor leaves the poller
+    /// and the gauge, and its token is recycled once the event batch is
+    /// done.
+    fn release(&mut self, fd: RawFd, token: usize) {
+        let _ = self.poller.deregister(fd);
+        self.stats.add(stats::Shard::Closed, 1);
+        self.stats.sub(stats::Shard::FdCount, 1);
+        self.deferred_free.push(token);
     }
 
     fn read_conn(&mut self, token: usize) {
@@ -1301,7 +1344,7 @@ impl Shard {
                     } else {
                         conn.phase = ReadPhase::Payload {
                             opcode,
-                            buf: self.transport.pool.take_filled(payload_len),
+                            buf: self.shared.pool.take_filled(payload_len),
                             have: 0,
                         };
                     }
@@ -1332,8 +1375,7 @@ impl Shard {
         budget: &mut u32,
     ) -> Result<(), ReadOutcome> {
         self.stats.add(stats::Shard::Frames, 1);
-        let dispatch = &self.transport.dispatch;
-        if dispatch.request(id, opcode, payload).is_err() {
+        if self.shared.dispatch.request(id, opcode, payload).is_err() {
             return Err(ReadOutcome::Close); // Dispatcher gone.
         }
         *budget = budget.saturating_sub(1);
@@ -1349,7 +1391,7 @@ impl Shard {
         };
         conn.order = order;
         if self
-            .transport
+            .shared
             .dispatch
             .submit(ServerEvent::NewClient {
                 id: conn.id,
@@ -1367,28 +1409,15 @@ impl Shard {
 
     // Takes the box so the shard's half of the connection is dropped here.
     #[allow(clippy::boxed_local)]
-    fn close_conn(
-        &mut self,
-        token: usize,
-        conn: Box<ConnState>,
-        protocol: Option<crate::transport::FrameError>,
-    ) {
-        let _ = self.poller.deregister(conn.fd);
+    fn close_conn(&mut self, token: usize, conn: Box<ConnState>, protocol: Option<FrameError>) {
+        self.release(conn.fd, token);
+        let dispatch = &self.shared.dispatch;
         if let Some(error) = protocol {
-            let _ = self
-                .transport
-                .dispatch
-                .submit(ServerEvent::ProtocolError { id: conn.id, error });
+            let _ = dispatch.submit(ServerEvent::ProtocolError { id: conn.id, error });
         }
         // Always sent, even pre-setup: the dispatcher ignores ids it
         // never admitted.
-        let _ = self
-            .transport
-            .dispatch
-            .submit(ServerEvent::Disconnect { id: conn.id });
-        self.stats.add(stats::Shard::Closed, 1);
-        self.stats.sub(stats::Shard::FdCount, 1);
-        self.deferred_free.push(token);
+        let _ = dispatch.submit(ServerEvent::Disconnect { id: conn.id });
         // A handle the dispatcher still holds now reports closed and keeps
         // no buffer; dropping `conn` closes the shard's half.
         drop(conn.shared.close());
@@ -1401,7 +1430,7 @@ impl Shard {
             match slot {
                 Some(Slot::Conn(conn)) => self.close_conn(token, conn, None),
                 Some(Slot::Bcast(conn)) => self.close_bcast(token, *conn),
-                Some(_listener) => self.stats.sub(stats::Shard::FdCount, 1),
+                Some(Slot::Listen(_)) => self.stats.sub(stats::Shard::FdCount, 1),
                 None => {}
             }
         }
@@ -1410,33 +1439,37 @@ impl Shard {
     }
 }
 
-/// A running reactor: shard threads plus their shared routing table.
+/// A running reactor: shard threads plus what they share.
 pub struct Reactor {
     shared: Arc<ReactorShared>,
-    transport: Arc<TransportShared>,
     joins: Vec<std::thread::JoinHandle<()>>,
-    has_broadcast: bool,
 }
 
 impl Reactor {
-    /// Spawns `shards` reactor threads submitting to `transport.dispatch`.
+    /// Spawns `shards` reactor threads submitting to `dispatch`, staging
+    /// split frames in `pool`.
     ///
-    /// With a [`BroadcastBus`], every shard registers an edge-triggered
-    /// dirty flag with it, so sealing a chunk wakes exactly the shards
-    /// that own listeners.  Each shard's wake pipe is registered with its
-    /// poller and counted in its `FdCount` before this returns.  Fails when
-    /// a shard's poller cannot be created or take the pipe:
-    /// `ErrorKind::Unsupported` on targets without a syscall backend (see
-    /// [`af_sys`] for the supported list), else the system call's own error.
+    /// Every listener goes to shard 0, which accepts on it and routes the
+    /// connections round-robin across all shards.  With a
+    /// [`BroadcastBus`], every shard registers an edge-triggered dirty
+    /// flag with it, so sealing a chunk wakes exactly the shards that own
+    /// listeners.  Each shard's wake pipe and shard 0's listeners are
+    /// registered with their poller and counted in its `FdCount` before
+    /// this returns.  Fails when a shard's poller cannot be created or take
+    /// a descriptor: `ErrorKind::Unsupported` on targets without a syscall
+    /// backend (see [`af_sys`] for the supported list), else the system
+    /// call's own error.
     pub fn spawn(
-        transport: Arc<TransportShared>,
+        dispatch: DispatchHandle,
+        pool: Arc<BufferPool>,
         shards: usize,
+        mut listeners: Vec<Listener>,
         broadcast: Option<Arc<BroadcastBus>>,
     ) -> io::Result<Reactor> {
         let shards = shards.max(1);
         let mut links = Vec::with_capacity(shards);
         let mut parts = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        for i in 0..shards {
             let mut poller = Poller::new()?;
             let (waker, wake_rx) = Waker::pair()?;
             // Registered and counted here, not on the shard's thread, so the
@@ -1444,19 +1477,33 @@ impl Reactor {
             poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
             let counters = Arc::<ShardCounters>::default();
             counters.add(stats::Shard::FdCount, 1);
+            let mut slots = Vec::new();
+            let mut spare = None;
+            if i == 0 {
+                for listener in listeners.drain(..) {
+                    poller.register(listener.as_raw_fd(), slots.len() as u64, Interest::Read)?;
+                    counters.add(stats::Shard::FdCount, 1);
+                    slots.push(Some(Slot::Listen(listener)));
+                }
+                spare = Some(File::open("/dev/null")?);
+            }
             links.push(Arc::new(ShardLink {
                 mailbox: Mutex::new(Mailbox::default()),
                 waker,
                 stats: counters,
             }));
-            parts.push((poller, wake_rx));
+            parts.push((poller, wake_rx, slots, spare));
         }
         let shared = Arc::new(ReactorShared {
             links,
             rr: AtomicUsize::new(0),
+            dispatch,
+            next_id: AtomicU64::new(1),
+            stop: AtomicBool::new(false),
+            pool,
         });
         let mut joins = Vec::with_capacity(shards);
-        for (i, (poller, wake_rx)) in parts.into_iter().enumerate() {
+        for (i, (poller, wake_rx, slots, spare)) in parts.into_iter().enumerate() {
             let shard_broadcast = broadcast.as_ref().map(|bus| {
                 let dirty = Arc::new(AtomicBool::new(false));
                 let link = Arc::clone(&shared.links[i]);
@@ -1470,17 +1517,17 @@ impl Reactor {
             let shard = Shard {
                 index: i,
                 poller,
-                slots: Vec::new(),
+                slots,
                 free: Vec::new(),
                 deferred_free: Vec::new(),
                 wake_rx,
                 stats: Arc::clone(&shared.links[i].stats),
-                transport: Arc::clone(&transport),
                 shared: Arc::clone(&shared),
                 spare_mailbox: Mailbox::default(),
                 read_scratch: vec![0u8; READ_SCRATCH_BYTES],
                 broadcast: shard_broadcast,
                 bcast_scratch: Vec::new(),
+                spare,
             };
             joins.push(
                 std::thread::Builder::new()
@@ -1488,56 +1535,7 @@ impl Reactor {
                     .spawn(move || shard.run())?,
             );
         }
-        Ok(Reactor {
-            shared,
-            transport,
-            joins,
-            has_broadcast: broadcast.is_some(),
-        })
-    }
-
-    fn send_to_shard(&self, shard: usize, msg: ShardMsg) -> io::Result<()> {
-        let Some(link) = self.shared.links.get(shard) else {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "no such shard"));
-        };
-        link.post(msg)
-            .map_err(|_| io::Error::new(io::ErrorKind::WouldBlock, "reactor inbox full"))
-    }
-
-    /// Binds a nonblocking TCP listener and hands it to shard 0; accepted
-    /// connections are distributed round-robin across all shards.
-    pub fn add_tcp(&self, addr: SocketAddr) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?;
-        self.send_to_shard(0, ShardMsg::TcpL(listener))?;
-        Ok(bound)
-    }
-
-    /// Binds a nonblocking TCP listener for broadcast (HTTP/ICY) clients
-    /// and hands it to shard 0; accepted listeners are spread round-robin
-    /// across all shards.  Requires a bus at [`Reactor::spawn`].
-    pub fn add_broadcast_tcp(&self, addr: SocketAddr) -> io::Result<SocketAddr> {
-        if !self.has_broadcast {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "reactor spawned without a broadcast bus",
-            ));
-        }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let bound = listener.local_addr()?;
-        self.send_to_shard(0, ShardMsg::BcastL(listener))?;
-        Ok(bound)
-    }
-
-    /// Binds a nonblocking Unix-domain listener (removing a stale socket
-    /// file) and hands it to shard 0.
-    pub fn add_unix(&self, path: &Path) -> io::Result<()> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        self.send_to_shard(0, ShardMsg::UnixL(listener))
+        Ok(Reactor { shared, joins })
     }
 
     /// Per-shard counters, in shard order (the builder hands them to
@@ -1557,7 +1555,7 @@ impl Reactor {
         }
         // Stored before the wake-up's `write`, so the shard that wakes
         // finds it at the top of its loop.
-        self.transport.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         for link in &self.shared.links {
             link.waker.wake();
         }
@@ -1578,12 +1576,12 @@ impl Drop for Reactor {
 mod tests {
     use super::*;
     use crate::dispatch::{Captured, DispatchHandle};
+    use crate::pool::BufferPool;
     use crate::stats::Shard::{
         Accepted, Closed, DirectWrites, Evictions, FdCount, Frames, PartialReads, QueuedWrites,
         Replies, StagedFrames,
     };
     use crate::stats::Snapshot;
-    use crate::transport::FrameError;
     use af_time::ATime;
     use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
@@ -1603,10 +1601,17 @@ mod tests {
         event_capacity: usize,
     ) -> (Reactor, Receiver<Captured>, SocketAddr) {
         let (tx, rx) = sync_channel(event_capacity);
-        let shared = TransportShared::new(DispatchHandle::capture(tx));
-        let reactor = Reactor::spawn(shared, shards, None).unwrap();
-        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
-        (reactor, rx, addr)
+        let (listener, addr) = tcp_listener(false);
+        let dispatch = DispatchHandle::capture(tx);
+        let reactor = Reactor::spawn(dispatch, BufferPool::shared(), shards, vec![listener], None);
+        (reactor.unwrap(), rx, addr)
+    }
+
+    /// A loopback TCP listener and its address.
+    fn tcp_listener(broadcast: bool) -> (Listener, SocketAddr) {
+        let listener = Listener::tcp("127.0.0.1:0".parse().unwrap(), broadcast).unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
     }
 
     fn recv(rx: &Receiver<Captured>) -> Captured {
@@ -1737,10 +1742,11 @@ mod tests {
         // a pooled buffer, and that one buffer goes round: the shard does
         // NOT allocate a Vec per frame.
         let (tx, rx) = sync_channel(1);
-        let pool = crate::pool::BufferPool::shared();
-        let shared = TransportShared::with_pool(DispatchHandle::capture(tx), Arc::clone(&pool));
-        let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
-        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
+        let pool = BufferPool::shared();
+        let (listener, addr) = tcp_listener(false);
+        let dispatch = DispatchHandle::capture(tx);
+        let mut reactor =
+            Reactor::spawn(dispatch, Arc::clone(&pool), 1, vec![listener], None).unwrap();
 
         let mut wire = ConnSetup::new().encode();
         for _ in 0..100 {
@@ -1820,12 +1826,13 @@ mod tests {
     #[test]
     fn unix_socket_connects_and_disconnects() {
         let (tx, rx) = sync_channel(EVENT_ROOM);
-        let shared = TransportShared::new(DispatchHandle::capture(tx));
-        let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
         let dir = std::env::temp_dir().join(format!("af-reactor-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("reactor.sock");
-        reactor.add_unix(&path).unwrap();
+        let listeners = vec![Listener::unix(&path).unwrap()];
+        let dispatch = DispatchHandle::capture(tx);
+        let mut reactor =
+            Reactor::spawn(dispatch, BufferPool::shared(), 1, listeners, None).unwrap();
 
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
@@ -1844,10 +1851,11 @@ mod tests {
         // down, and the handle the dispatcher may still hold reports
         // closed and keeps no buffer.
         let (tx, rx) = sync_channel(EVENT_ROOM);
-        let pool = crate::pool::BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY);
-        let shared = TransportShared::with_pool(DispatchHandle::capture(tx), Arc::clone(&pool));
-        let mut reactor = Reactor::spawn(shared, 1, None).unwrap();
-        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
+        let pool = BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY);
+        let (listener, addr) = tcp_listener(false);
+        let dispatch = DispatchHandle::capture(tx);
+        let mut reactor =
+            Reactor::spawn(dispatch, Arc::clone(&pool), 1, vec![listener], None).unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let otx = new_client(&rx).3;
@@ -2237,13 +2245,18 @@ mod tests {
     ) -> (Reactor, Arc<BroadcastBus>, SocketAddr) {
         let (tx, rx) = sync_channel(EVENT_ROOM);
         std::mem::forget(rx); // No dispatcher: keep the channel open.
-        let shared = TransportShared::new(DispatchHandle::capture(tx));
+        let (listener, addr) = tcp_listener(true);
         let bus = BroadcastBus::new(cfg, frame_bytes);
-        let reactor = Reactor::spawn(shared, 2, Some(Arc::clone(&bus))).unwrap();
-        let addr = reactor
-            .add_broadcast_tcp("127.0.0.1:0".parse().unwrap())
-            .unwrap();
-        (reactor, bus, addr)
+        let dispatch = DispatchHandle::capture(tx);
+        let bus_handle = Some(Arc::clone(&bus));
+        let reactor = Reactor::spawn(
+            dispatch,
+            BufferPool::shared(),
+            2,
+            vec![listener],
+            bus_handle,
+        );
+        (reactor.unwrap(), bus, addr)
     }
 
     fn small_cfg() -> BroadcastConfig {
@@ -2455,11 +2468,7 @@ mod tests {
             last_tag = Some(tag);
         }
         assert!(frames_read >= 4, "read only {frames_read} frames");
-        assert_eq!(
-            last_tag,
-            Some(final_seq),
-            "drain must end at the live edge"
-        );
+        assert_eq!(last_tag, Some(final_seq), "drain must end at the live edge");
         assert!(
             bus.stats().get(Bus::SkipAheads) > 0,
             "ring never overtook the stalled cursor"
@@ -2474,8 +2483,9 @@ mod tests {
     fn fd_count_holds_every_wake_pipe_when_spawn_returns() {
         for _ in 0..20 {
             let (tx, _rx) = sync_channel(EVENT_ROOM);
-            let shared = TransportShared::new(DispatchHandle::capture(tx));
-            let mut reactor = Reactor::spawn(shared, 4, None).unwrap();
+            let dispatch = DispatchHandle::capture(tx);
+            let mut reactor =
+                Reactor::spawn(dispatch, BufferPool::shared(), 4, vec![], None).unwrap();
             let fds: u64 = reactor.shard_stats().iter().map(|s| s.get(FdCount)).sum();
             assert_eq!(fds, 4);
             reactor.shutdown();
@@ -2486,12 +2496,13 @@ mod tests {
     fn fd_count_is_the_pipe_the_listeners_and_the_connections_until_shutdown() {
         let (tx, rx) = sync_channel(EVENT_ROOM);
         let bus = BroadcastBus::new(small_cfg(), 1);
-        let shared = TransportShared::new(DispatchHandle::capture(tx));
-        let mut reactor = Reactor::spawn(shared, 2, Some(Arc::clone(&bus))).unwrap();
-        let addr = reactor.add_tcp("127.0.0.1:0".parse().unwrap()).unwrap();
-        let bcast_addr = reactor
-            .add_broadcast_tcp("127.0.0.1:0".parse().unwrap())
-            .unwrap();
+        let (listener, addr) = tcp_listener(false);
+        let (bcast_listener, bcast_addr) = tcp_listener(true);
+        let dispatch = DispatchHandle::capture(tx);
+        let listeners = vec![listener, bcast_listener];
+        let bus_handle = Some(Arc::clone(&bus));
+        let mut reactor =
+            Reactor::spawn(dispatch, BufferPool::shared(), 2, listeners, bus_handle).unwrap();
         // Both listeners live on shard 0; accepted sockets go round-robin:
         // the first connection to shard 0, the second to shard 1, the
         // broadcast listener to shard 0.

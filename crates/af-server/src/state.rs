@@ -3,12 +3,11 @@
 
 use crate::buffer::DeviceBuffers;
 use crate::pool::PooledBuf;
-use crate::reactor::OutboundTx;
+use crate::reactor::{OutboundTx, Refused};
 use crate::stats::{BusCounters, LinkCounters, ServerCounters, ShardCounters};
-use crate::transport::{FrameError, Refused};
 use af_dsp::convert::Converter;
 use af_dsp::tables::PlayMap;
-use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask};
+use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask, FrameError};
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
@@ -365,7 +364,7 @@ impl ClientState {
     /// onto its outbound deque (see [`OutboundTx`]).
     ///
     /// The deque is bounded
-    /// ([`crate::transport::OUTBOUND_QUEUE_CAPACITY`]); a full one means
+    /// ([`crate::reactor::OUTBOUND_QUEUE_CAPACITY`]); a full one means
     /// the client is reading more slowly than the server is producing, so
     /// instead of buffering without limit (the seed behavior) the message
     /// is dropped and `false` returned: the protocol stream is no longer
@@ -465,7 +464,7 @@ mod tests {
 
     #[test]
     fn bounded_send_flags_overflow_instead_of_growing() {
-        use crate::transport::OUTBOUND_QUEUE_CAPACITY;
+        use crate::reactor::OUTBOUND_QUEUE_CAPACITY;
         let c = client(); // Nothing drains a detached connection.
         for _ in 0..OUTBOUND_QUEUE_CAPACITY {
             assert!(c.send_bytes(vec![1]));

@@ -131,7 +131,7 @@ proptest! {
             bufs.update(0, true);
         }
 
-        let played = capture.lock();
+        let played = capture.lock().unwrap();
         prop_assert_eq!(played.len() as u32, clock.now().ticks());
         for (t, expected) in &model {
             // Only check ticks that were actually played by the end.
@@ -209,7 +209,7 @@ proptest! {
             staged_bufs.update(output_gain, true);
             mapped_bufs.update(output_gain, true);
         }
-        let (want, got) = (staged_speaker.lock(), mapped_speaker.lock());
+        let (want, got) = (staged_speaker.lock().unwrap(), mapped_speaker.lock().unwrap());
         prop_assert_eq!(got.len() as u32, clock.now().ticks());
         prop_assert!(*got == *want, "speakers differ at tick {:?}", got.iter().zip(want.iter()).position(|(g, w)| g != w));
     }
@@ -353,7 +353,7 @@ proptest! {
             bufs.update(0, true);
             t += 2000;
         }
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         let base = (5000 + start_off) as usize * 4;
         for (i, &expect) in left.iter().enumerate() {
             let off = base + i * 4;
@@ -415,7 +415,7 @@ proptest! {
             clock.advance(2000);
             bufs.update(0, true);
         }
-        let cap = capture.lock();
+        let cap = capture.lock().unwrap();
         let off = 6010 * 4;
         let l = i16::from_le_bytes([cap[off], cap[off + 1]]);
         let r = i16::from_le_bytes([cap[off + 2], cap[off + 3]]);

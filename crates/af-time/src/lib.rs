@@ -11,19 +11,14 @@
 //! * [`ATime`] — the wrapping time value with the paper's two's-complement
 //!   ordering rules and sample arithmetic,
 //! * [`Correspondence`] — the clock-pair conversion formula of §2.1
-//!   (`t_b = T_b + R_b * ((t_a - T_a) / R_a)`),
-//! * [`Region`] — classification of a requested time against a buffer window
-//!   (distant past / recent past / near future / distant future), the
-//!   vocabulary of the play and record models of §2.2–2.3.
+//!   (`t_b = T_b + R_b * ((t_a - T_a) / R_a)`).
 
 #![forbid(unsafe_code)]
 mod atime;
 mod correspondence;
-mod region;
 
 pub use atime::ATime;
 pub use correspondence::Correspondence;
-pub use region::{BufferWindow, Region};
 
 /// Duration measured in device sample ticks.
 ///

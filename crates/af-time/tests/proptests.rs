@@ -1,6 +1,6 @@
 //! Property-based tests for the device-time laws of §2.1.
 
-use af_time::{ATime, BufferWindow, Correspondence, Region};
+use af_time::{ATime, Correspondence};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,41 +89,5 @@ proptest! {
         let bound = (ra as i64 + rb as i64 - 1) / rb as i64 + 1;
         prop_assert!(i64::from(back.delta(t_a)).abs() <= bound,
             "round trip error {} exceeds bound {}", back.delta(t_a), bound);
-    }
-
-    /// Window classification is exhaustive and consistent with split_at_now.
-    #[test]
-    fn window_classification_consistent(
-        now in any::<u32>(),
-        past in 1u32..1 << 20,
-        future in 1u32..1 << 20,
-        probe in any::<i32>(),
-    ) {
-        let w = BufferWindow::new(ATime::new(now), past, future);
-        let t = ATime::new(now).offset(probe);
-        let r = w.classify(t);
-        match r {
-            Region::NearFuture => prop_assert!(probe >= 0 && (probe as u32) < future),
-            Region::DistantFuture => prop_assert!(probe >= 0 && (probe as u32) >= future),
-            Region::RecentPast => prop_assert!(probe < 0 && probe.unsigned_abs() <= past),
-            Region::DistantPast => prop_assert!(probe < 0 && probe.unsigned_abs() > past),
-        }
-    }
-
-    /// split_at_now conserves length and orders the pieces correctly.
-    #[test]
-    fn split_conserves_length(
-        now in any::<u32>(),
-        start_off in -1_000_000i32..1_000_000,
-        len in 0u32..1 << 20,
-    ) {
-        let w = BufferWindow::new(ATime::new(now), 1 << 20, 1 << 20);
-        let start = ATime::new(now).offset(start_off);
-        let (p, f) = w.split_at_now(start, len);
-        prop_assert_eq!(p + f, len);
-        if p > 0 && p < len {
-            // The boundary sample sits exactly at `now`.
-            prop_assert_eq!(start + p, w.now());
-        }
     }
 }

@@ -128,7 +128,7 @@ fn run_level(loss: f64, duration: Duration, seed: u64) -> LevelResult {
 
     // Gap analysis over the speaker capture, inside the marker window.
     let (played, heard, gap_runs) = {
-        let cap = speaker.lock();
+        let cap = speaker.lock().unwrap();
         let first = cap.iter().position(|&b| b == MARKER);
         let last = cap.iter().rposition(|&b| b == MARKER);
         let mut runs = Vec::new();

@@ -15,7 +15,7 @@
 //!   64 K mix table to two hot rows.
 //! * **convert_encode** — the 16 K table loop behind
 //!   `af_dsp::convert::encode_from_lin16_into` (`scalar`), LIN16 to µ-law.
-//! * **gain** — `af_server::gain::apply_gain_bytes` on LIN16 at −6 dB
+//! * **gain** — `af_dsp::gain::apply_gain_bytes` on LIN16 at −6 dB
 //!   (`kernel`): one Q16 multiplier per buffer swept over a sample slice.
 //!
 //! Property tests in `af-dsp` pin every implementation bit-exact against
@@ -206,7 +206,7 @@ pub fn run_kernels_v2(smoke: bool) -> Vec<KernelV2Measurement> {
 
         let mut buf = lin16_block(bytes);
         let m = throughput_cycles(bytes, iters, || {
-            af_server::gain::apply_gain_bytes(Encoding::Lin16, &mut buf, -6);
+            af_dsp::gain::apply_gain_bytes(Encoding::Lin16, &mut buf, -6);
             std::hint::black_box(&buf);
         });
         push("gain", "kernel", m);

@@ -90,7 +90,12 @@ fn main() {
 
     // Let the second chime finish, then verify it reached the speaker.
     std::thread::sleep(std::time::Duration::from_millis(600));
-    let played = speaker.lock().iter().filter(|&&b| b != 0xFF).count();
+    let played = speaker
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|&&b| b != 0xFF)
+        .count();
     println!("speaker carried {played} chime bytes");
     assert!(played >= chime.len(), "chimes did not play");
 

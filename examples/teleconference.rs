@@ -92,7 +92,7 @@ fn main() {
     }
 
     std::thread::sleep(std::time::Duration::from_millis(400));
-    let heard = speaker.lock();
+    let heard = speaker.lock().unwrap();
     let voiced: Vec<u8> = heard.iter().copied().filter(|&b| b != 0xFF).collect();
     println!(
         "receiver heard {:.1} s of speech at {:.1} dBm; {resyncs} resynchronization(s)",

@@ -137,7 +137,7 @@ fn drifting_clocks_force_resynchronization() {
         "2% clock skew must cross a ±50 ms band within 24 s of audio"
     );
     // Audio still flowed: the receiver's speaker heard the relayed tone.
-    let cap = speaker.lock();
+    let cap = speaker.lock().unwrap();
     let nonsilent = cap.iter().filter(|&&b| b != 0xFF).count();
     assert!(
         nonsilent > 50_000,

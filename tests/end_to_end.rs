@@ -94,7 +94,7 @@ fn played_audio_reaches_the_speaker_at_the_scheduled_time() {
     conn.play_samples(&ac, start, &data).unwrap();
 
     fx.run(&handle, 2400);
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     let s = start.ticks() as usize;
     assert!(cap.len() >= s + 500);
     assert!(cap[..s].iter().all(|&b| b == SIL), "leading not silent");
@@ -133,7 +133,7 @@ fn two_clients_mix_and_preempt() {
     c2.sync().unwrap();
 
     fx.run(&handle, 4000);
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     let mixed = g711::ulaw_to_linear(cap[2010]);
     assert!(
         (i32::from(mixed) - 6000).abs() < 500,
@@ -269,7 +269,7 @@ fn silence_skipping_needs_no_data() {
     conn.play_samples(&ac, ATime::new(3000), &[0x22; 100])
         .unwrap();
     fx.run(&handle, 4000);
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     assert_eq!(&cap[1000..1100], &[0x21; 100][..]);
     assert!(cap[1100..3000].iter().all(|&b| b == SIL));
     assert_eq!(&cap[3000..3100], &[0x22; 100][..]);
@@ -308,7 +308,7 @@ fn big_endian_client_interoperates() {
     let t = conn.get_time(0).unwrap();
     conn.play_samples(&ac, t + 500u32, &[0x42u8; 64]).unwrap();
     fx.run(&handle, 1600);
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     let s = (t.ticks() + 500) as usize;
     assert_eq!(&cap[s..s + 64], &[0x42u8; 64][..]);
 }
@@ -365,7 +365,7 @@ fn interrupt_erases_buffered_audio() {
     audiofile::util::erase::erase_future(&mut conn, &ac, nact, end).unwrap();
 
     fx.run(&handle, 16_000);
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     // Audio played up to about the erase point...
     let played_marker = cap[..nact.ticks() as usize]
         .iter()
@@ -457,7 +457,7 @@ fn per_request_preempt_flag_overrides_mixing_context() {
     )
     .unwrap();
     fx.run(&handle, 4000);
-    let got = audiofile::dsp::g711::ulaw_to_linear(fx.speaker.lock()[2050]);
+    let got = audiofile::dsp::g711::ulaw_to_linear(fx.speaker.lock().unwrap()[2050]);
     assert!(
         (i32::from(got) + 2000).abs() < 200,
         "expected preempted -2000, got {got}"
@@ -565,7 +565,7 @@ impl SpeakerModel {
 /// Asserts the captured speaker output is exactly `want`, naming the first
 /// frame that is not (a byte dump of seconds of audio helps nobody).
 fn assert_speaker_emitted(fx: &Fixture, want: &[u8]) {
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     assert_eq!(cap.len(), want.len(), "frames captured");
     if let Some(at) = (0..cap.len()).find(|&i| cap[i] != want[i]) {
         panic!(

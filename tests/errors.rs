@@ -455,7 +455,7 @@ fn refused_change_ac_attributes_leaves_the_context_as_it_was() {
         conn.free_ac(background).unwrap();
         run(6_400);
         {
-            let cap = speaker.lock();
+            let cap = speaker.lock().unwrap();
             let at = t0.ticks() as usize;
             let (got, want) = (&cap[at + 2_000..][..400], &cap[at + 3_600..][..400]);
             assert!(want.iter().any(|&b| b != 0xFF && b != 0x35));

@@ -84,7 +84,7 @@ fn stereo_playback_preserves_channel_identity() {
         .unwrap();
     fx.run(&handle, 44_100 / 4);
 
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     // Frame 4410 sits at byte 4410*4.
     let off = 4410 * 4;
     let l = i16::from_le_bytes([cap[off], cap[off + 1]]);
@@ -122,7 +122,7 @@ fn stereo_mixing_is_per_channel() {
     c2.sync().unwrap();
     fx.run(&handle, 16_000);
 
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     let off = 8050 * 4;
     let l = i16::from_le_bytes([cap[off], cap[off + 1]]);
     let r = i16::from_le_bytes([cap[off + 2], cap[off + 3]]);
@@ -150,7 +150,7 @@ fn big_endian_sample_data_converted() {
     conn.play_samples(&ac, audiofile::time::ATime::new(4410), &data)
         .unwrap();
     fx.run(&handle, 11_025);
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     let off = 4410 * 4;
     assert_eq!(i16::from_le_bytes([cap[off], cap[off + 1]]), 0x1234);
     assert_eq!(i16::from_le_bytes([cap[off + 2], cap[off + 3]]), 0x0042);
@@ -186,7 +186,7 @@ fn conversion_module_ulaw_client_on_lin16_device() {
         .unwrap();
     fx.run(&handle, 11_025);
 
-    let cap = fx.speaker.lock();
+    let cap = fx.speaker.lock().unwrap();
     let off = 4500 * 4;
     let l = i16::from_le_bytes([cap[off], cap[off + 1]]);
     let r = i16::from_le_bytes([cap[off + 2], cap[off + 3]]);
@@ -229,7 +229,7 @@ fn adpcm_client_on_codec_device() {
         clock.advance(800);
         handle.run_update();
     }
-    let cap = speaker.lock();
+    let cap = speaker.lock().unwrap();
     let heard = &cap[1000..4000];
     let dbm = audiofile::dsp::power::power_dbm_ulaw(heard);
     assert!(dbm > -12.0, "ADPCM tone arrived at {dbm} dBm");
@@ -292,7 +292,7 @@ fn mono_views_of_stereo_device() {
         handle.run_update();
     }
 
-    let cap = speaker.lock();
+    let cap = speaker.lock().unwrap();
     let off = 8100 * 4;
     let l = i16::from_le_bytes([cap[off], cap[off + 1]]);
     let r = i16::from_le_bytes([cap[off + 2], cap[off + 3]]);
@@ -312,7 +312,7 @@ fn mono_views_of_stereo_device() {
         clock.advance(2000);
         handle.run_update();
     }
-    let cap = speaker.lock();
+    let cap = speaker.lock().unwrap();
     let off = 30_100 * 4;
     let l = i16::from_le_bytes([cap[off], cap[off + 1]]);
     let r = i16::from_le_bytes([cap[off + 2], cap[off + 3]]);
@@ -510,7 +510,7 @@ fn stereo_and_mono_view_plays_mix_per_lane_as_the_reference_kernel_computes() {
         conn.get_time(stereo as u8).unwrap()
     );
 
-    let cap = speaker.lock();
+    let cap = speaker.lock().unwrap();
     assert_eq!(cap.len(), want.len());
     if let Some(at) = (0..cap.len()).find(|&i| cap[i] != want[i]) {
         panic!(

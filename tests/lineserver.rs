@@ -58,7 +58,7 @@ fn als_server_plays_and_records_through_udp() {
     conn.play_samples(&ac, t + 1200u32, &[0x44u8; 800]).unwrap();
     std::thread::sleep(std::time::Duration::from_millis(400));
     {
-        let cap = speaker.lock();
+        let cap = speaker.lock().unwrap();
         let marked = cap.iter().filter(|&&b| b == 0x44).count();
         assert!(
             (700..=900).contains(&marked),

@@ -40,7 +40,7 @@ fn failed_spawn_returns_the_bind_error_and_leaks_no_thread() {
     assert_eq!(err.kind(), ErrorKind::AddrInUse);
     assert_no_server_threads();
 
-    // A later listener fails after an earlier one was handed to a shard.
+    // A later listener fails after an earlier one was bound.
     let err = codec_builder()
         .listen_tcp("127.0.0.1:0".parse().unwrap())
         .listen_unix("/nonexistent-directory/af.sock".into())

@@ -248,7 +248,7 @@ fn pass_through_routes_phone_to_local_codec() {
         clock.advance(800);
         handle.run_update();
     }
-    let heard = speaker.lock();
+    let heard = speaker.lock().unwrap();
     let marked = heard.iter().filter(|&&b| b == 0x35).count();
     assert!(
         marked > 2000,
@@ -259,13 +259,13 @@ fn pass_through_routes_phone_to_local_codec() {
     // Disable: caller audio stops reaching the speaker.
     conn.disable_pass_through(0).unwrap();
     conn.sync().unwrap();
-    let before = speaker.lock().len();
+    let before = speaker.lock().unwrap().len();
     line.office_send(&vec![0x36u8; 1600]);
     for _ in 0..5 {
         clock.advance(800);
         handle.run_update();
     }
-    let heard = speaker.lock();
+    let heard = speaker.lock().unwrap();
     let marked = heard[before..].iter().filter(|&&b| b == 0x36).count();
     assert_eq!(marked, 0, "pass-through still routing after disable");
     server.shutdown();

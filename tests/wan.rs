@@ -84,7 +84,7 @@ fn playback_survives_multi_hop_burst_loss() {
     assert!(dbm > -30.0, "recorded tone through loss at {dbm} dBm");
 
     {
-        let cap = speakers[0].lock();
+        let cap = speakers[0].lock().unwrap();
         let marked = cap.iter().filter(|&&b| b == 0x44).count();
         assert!(
             marked >= 800,
