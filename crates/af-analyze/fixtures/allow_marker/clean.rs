@@ -1,8 +1,8 @@
-// Fixture: a valid justified marker suppresses its lint (the expect below
-// would otherwise be a `no-panics` finding on a server path) and is not
-// itself reported.
+// Fixture: a valid justified marker suppresses its lint (the bare `+`
+// below would otherwise be a `tick-arith` finding) and is not itself
+// reported.
 
-pub fn recover(m: &std::sync::Mutex<u32>) -> u32 {
-    // af-analyze: allow(no-panics): leaf lock, no user code runs under it
-    *m.lock().expect("leaf lock cannot be poisoned")
+pub fn next(t: ATime) -> u32 {
+    // af-analyze: allow(tick-arith): t is below one wrap by construction
+    t.ticks() + 1
 }

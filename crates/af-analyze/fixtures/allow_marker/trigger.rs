@@ -4,5 +4,5 @@
 // af-analyze: allow(no-such-lint): the lint name is misspelled
 pub fn a() {}
 
-// af-analyze: allow(no-panics)
+// af-analyze: allow(tick-arith)
 pub fn b() {}

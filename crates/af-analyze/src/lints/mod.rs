@@ -8,13 +8,9 @@
 
 pub mod alloc_hot;
 pub mod blocking_in_reactor;
-pub mod bounded_channels;
 pub mod lock_across_send;
 pub mod lock_order;
-pub mod no_panics;
 pub mod tick_arith;
-pub mod unsafe_audit;
-pub mod unsafe_blocks;
 pub mod wallclock;
 
 use crate::callgraph::CallGraph;
@@ -83,13 +79,6 @@ pub(crate) const DATA_PLANE: &[(&str, &[&str])] = &[
 /// Whether the file is in-scope server production code.
 pub(crate) fn is_server_src(file: &SourceFile) -> bool {
     file.rel.starts_with("crates/af-server/src/")
-}
-
-/// Whether the file is WAN-link hot-path code (FEC and the jitter
-/// buffer): it runs inside the server's real-time pump, so it inherits
-/// the server-side panic and backpressure bans.
-pub(crate) fn is_link_hot_src(file: &SourceFile) -> bool {
-    file.rel == "crates/af-device/src/fec.rs" || file.rel == "crates/af-device/src/jitter.rs"
 }
 
 /// Iterates 0-based indices of non-test lines.

@@ -11,8 +11,6 @@
 //! [`LINT_BUDGET`] fails the run even on a clean tree, so an
 //! accidentally quadratic lint cannot quietly make every CI push slow.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;

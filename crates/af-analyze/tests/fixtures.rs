@@ -28,111 +28,6 @@ fn run_graph_lint(
 
 const SERVER: &str = "crates/af-server/src/fixture.rs";
 
-// ---- no-panics ---------------------------------------------------------
-
-#[test]
-fn no_panics_triggers() {
-    let files = [fx(SERVER, include_str!("../fixtures/no_panics/trigger.rs"))];
-    let found = lints::no_panics::run(&files);
-    assert_eq!(
-        found.len(),
-        2,
-        "unwrap + expect, test module exempt: {found:?}"
-    );
-    assert!(found.iter().all(|f| f.lint == "no-panics"));
-}
-
-#[test]
-fn no_panics_stays_quiet() {
-    let files = [fx(SERVER, include_str!("../fixtures/no_panics/clean.rs"))];
-    assert_eq!(lints::no_panics::run(&files), vec![]);
-}
-
-#[test]
-fn no_panics_is_scoped_to_af_server() {
-    // The same panicking source outside af-server is out of scope.
-    let files = [fx(
-        "crates/af-client/src/fixture.rs",
-        include_str!("../fixtures/no_panics/trigger.rs"),
-    )];
-    assert_eq!(lints::no_panics::run(&files), vec![]);
-}
-
-#[test]
-fn no_panics_covers_wan_link_hot_paths() {
-    // FEC and the jitter buffer run inside the server's real-time pump,
-    // so they inherit the panic ban even though they live in af-device.
-    for path in [
-        "crates/af-device/src/fec.rs",
-        "crates/af-device/src/jitter.rs",
-    ] {
-        let files = [fx(path, include_str!("../fixtures/no_panics/trigger.rs"))];
-        let found = lints::no_panics::run(&files);
-        assert_eq!(found.len(), 2, "{path}: {found:?}");
-    }
-}
-
-#[test]
-fn no_panics_covers_reactor_subdirectory() {
-    // The reactor lives in a subdirectory of af-server/src; the path
-    // prefix scope must reach it, or the hottest loop goes unchecked.
-    let files = [fx(
-        "crates/af-server/src/reactor/mod.rs",
-        include_str!("../fixtures/no_panics/trigger.rs"),
-    )];
-    let found = lints::no_panics::run(&files);
-    assert_eq!(found.len(), 2, "{found:?}");
-}
-
-#[test]
-fn no_panics_covers_broadcast_bus() {
-    // The broadcast bus seals every listener's bytes; a panic there
-    // silences the whole audience, so it inherits the server-wide ban.
-    let files = [fx(
-        "crates/af-server/src/broadcast.rs",
-        include_str!("../fixtures/no_panics/trigger.rs"),
-    )];
-    let found = lints::no_panics::run(&files);
-    assert_eq!(found.len(), 2, "{found:?}");
-}
-
-// ---- bounded-channels --------------------------------------------------
-
-#[test]
-fn bounded_channels_triggers() {
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/bounded_channels/trigger.rs"),
-    )];
-    let found = lints::bounded_channels::run(&files);
-    assert_eq!(
-        found.len(),
-        3,
-        "plain, turbofish and mpsc forms: {found:?}"
-    );
-}
-
-#[test]
-fn bounded_channels_stays_quiet() {
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/bounded_channels/clean.rs"),
-    )];
-    assert_eq!(lints::bounded_channels::run(&files), vec![]);
-}
-
-#[test]
-fn bounded_channels_covers_reactor_subdirectory() {
-    // A channel that finds its way back into the reactor must be bounded;
-    // the scope must reach the reactor subdirectory.
-    let files = [fx(
-        "crates/af-server/src/reactor/mod.rs",
-        include_str!("../fixtures/bounded_channels/trigger.rs"),
-    )];
-    let found = lints::bounded_channels::run(&files);
-    assert_eq!(found.len(), 3, "{found:?}");
-}
-
 // ---- lock-across-send --------------------------------------------------
 
 #[test]
@@ -177,153 +72,6 @@ fn tick_arith_stays_quiet() {
         include_str!("../fixtures/tick_arith/clean.rs"),
     )];
     assert_eq!(lints::tick_arith::run(&files), vec![]);
-}
-
-// ---- unsafe-audit ------------------------------------------------------
-
-#[test]
-fn unsafe_audit_triggers_on_ungated_crate_root() {
-    let files = [fx(
-        "crates/af-fake/src/lib.rs",
-        include_str!("../fixtures/unsafe_audit/trigger.rs"),
-    )];
-    let found = lints::unsafe_audit::run(&files);
-    assert_eq!(found.len(), 1, "missing crate gate: {found:?}");
-    assert!(found[0].message.contains("forbid"), "{found:?}");
-    // The unaudited unsafe block in the same file is unsafe-blocks'
-    // concern, not unsafe-audit's.
-    let blocks = lints::unsafe_blocks::run(&files);
-    assert_eq!(blocks.len(), 1, "{blocks:?}");
-    assert!(blocks[0].message.contains("SAFETY"), "{blocks:?}");
-}
-
-#[test]
-fn unsafe_audit_stays_quiet() {
-    // `deny` + an audited unsafe site: the crate genuinely needs unsafe,
-    // so the revocable gate is the right one.
-    let files = [fx(
-        "crates/af-fake/src/lib.rs",
-        include_str!("../fixtures/unsafe_audit/clean.rs"),
-    )];
-    assert_eq!(lints::unsafe_audit::run(&files), vec![]);
-}
-
-#[test]
-fn unsafe_audit_tightens_deny_to_forbid_when_no_unsafe() {
-    let files = [fx(
-        "crates/af-fake/src/lib.rs",
-        include_str!("../fixtures/unsafe_audit/deny_no_unsafe.rs"),
-    )];
-    let found = lints::unsafe_audit::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("forbid"), "{found:?}");
-}
-
-#[test]
-fn unsafe_audit_accepts_forbid_on_zero_unsafe_crate() {
-    let files = [fx(
-        "crates/af-fake/src/lib.rs",
-        "#![forbid(unsafe_code)]\npub fn plain(x: u32) -> u32 { x }\n",
-    )];
-    assert_eq!(lints::unsafe_audit::run(&files), vec![]);
-}
-
-// ---- unsafe-blocks -----------------------------------------------------
-
-#[test]
-fn unsafe_blocks_triggers() {
-    let files = [fx(SERVER, include_str!("../fixtures/unsafe_blocks/trigger.rs"))];
-    let found = lints::unsafe_blocks::run(&files);
-    assert_eq!(found.len(), 2, "unsafe block + unsafe fn: {found:?}");
-    assert!(found.iter().any(|f| f.message.contains("unsafe block")));
-    assert!(found.iter().any(|f| f.message.contains("unsafe fn")));
-}
-
-#[test]
-fn unsafe_blocks_stays_quiet() {
-    let files = [fx(SERVER, include_str!("../fixtures/unsafe_blocks/clean.rs"))];
-    assert_eq!(lints::unsafe_blocks::run(&files), vec![]);
-}
-
-#[test]
-fn unsafe_blocks_flags_dead_allow() {
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/unsafe_blocks/dead_allow.rs"),
-    )];
-    let found = lints::unsafe_blocks::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("no unsafe site"), "{found:?}");
-}
-
-#[test]
-fn unsafe_blocks_narrows_module_wide_allow() {
-    let files = [fx(SERVER, include_str!("../fixtures/unsafe_blocks/narrow.rs"))];
-    let found = lints::unsafe_blocks::run(&files);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("narrow"), "{found:?}");
-}
-
-#[test]
-fn unsafe_blocks_triggers_on_unaudited_simd_module() {
-    // A SIMD kernel module shipping an unaudited `#[target_feature]`
-    // declaration and an unaudited intrinsic call site.
-    let files = [fx(
-        "crates/af-fake/src/simd.rs",
-        include_str!("../fixtures/unsafe_audit/simd_trigger.rs"),
-    )];
-    let found = lints::unsafe_blocks::run(&files);
-    assert_eq!(found.len(), 2, "unsafe fn decl + call site: {found:?}");
-    assert!(found.iter().all(|f| f.lint == "unsafe-blocks"));
-}
-
-#[test]
-fn unsafe_blocks_accepts_audited_simd_module() {
-    // The shape the real af-dsp SIMD modules use — module allow earned by
-    // two sites, SAFETY contract on the `unsafe fn`, SAFETY audit on the
-    // call site — survives the full pipeline.
-    let files = [fx(
-        "crates/af-fake/src/simd.rs",
-        include_str!("../fixtures/unsafe_audit/simd_clean.rs"),
-    )];
-    let found = analyze_files(&files);
-    assert!(
-        found.iter().all(|f| f.lint != "unsafe-blocks"
-            && f.lint != "unsafe-audit"
-            && f.lint != "allow-marker"),
-        "{found:?}"
-    );
-}
-
-#[test]
-fn unsafe_blocks_triggers_on_unaudited_syscall_shim() {
-    // A raw-syscall shim shipping an unaudited wrapper declaration and an
-    // unaudited wrapper call site.
-    let files = [fx(
-        "crates/af-sys/src/sys.rs",
-        include_str!("../fixtures/unsafe_audit/syscall_trigger.rs"),
-    )];
-    let found = lints::unsafe_blocks::run(&files);
-    assert_eq!(found.len(), 2, "unsafe fn decl + call site: {found:?}");
-    assert!(found.iter().all(|f| f.lint == "unsafe-blocks"));
-}
-
-#[test]
-fn unsafe_blocks_accepts_audited_syscall_shim() {
-    // The shape the real af-sys syscall shim uses — module allow earned
-    // by three sites, SAFETY contract on `unsafe fn syscall5`, audits on
-    // the asm block and every wrapper call — survives the full pipeline.
-    let files = [fx(
-        "crates/af-sys/src/sys.rs",
-        include_str!("../fixtures/unsafe_audit/syscall_clean.rs"),
-    )];
-    let found = analyze_files(&files);
-    assert!(
-        found.iter().all(|f| f.lint != "unsafe-blocks"
-            && f.lint != "unsafe-audit"
-            && f.lint != "allow-marker"),
-        "{found:?}"
-    );
 }
 
 // ---- lock-order --------------------------------------------------------
@@ -731,13 +479,13 @@ fn allow_marker_flags_unknown_lint_and_missing_reason() {
 fn allow_marker_suppresses_justified_finding() {
     let files = [fx(SERVER, include_str!("../fixtures/allow_marker/clean.rs"))];
     let found = analyze_files(&files);
-    // The expect() is suppressed by the marker and the marker itself is
+    // The bare `+` is suppressed by the marker and the marker itself is
     // valid; everything left is other lints complaining about the files
     // this synthetic tree does not contain.
     assert!(
         found
             .iter()
-            .all(|f| f.lint != "no-panics" && f.lint != "allow-marker"),
+            .all(|f| f.lint != "tick-arith" && f.lint != "allow-marker"),
         "{found:?}"
     );
 }

@@ -23,7 +23,6 @@
 //! randomness.  Both injectors sit between the peers, so the code under
 //! test carries no fault hook of its own.
 
-#![forbid(unsafe_code)]
 mod plan;
 mod proxy;
 mod rng;

@@ -1260,7 +1260,7 @@ mod tests {
         };
         // Opened on a thread of its own, so a wait without a bound fails
         // the test rather than hanging it.
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let opener = std::thread::spawn(move || {
             let opened =
                 AudioConn::open_with_options(&format!("{addr}"), ByteOrder::native(), &opts);

@@ -26,7 +26,6 @@
 //! | `AFHookSwitch` …           | [`AudioConn::hook_switch`] …            |
 //! | `AFGetErrorText`           | [`error_text`]                          |
 
-#![forbid(unsafe_code)]
 mod conn;
 mod error;
 

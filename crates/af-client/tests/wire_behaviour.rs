@@ -430,7 +430,7 @@ fn if_event_reads_past_a_queued_event_that_does_not_match() {
     server.event(&event(ring));
     // On a thread of its own, so a wait that never reads fails the test
     // rather than hanging it.
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, rx) = std::sync::mpsc::sync_channel(1);
     let waiter = std::thread::spawn(move || {
         let got = conn.if_event(|e| e.detail == ring).map(|e| e.detail);
         tx.send((got, conn.pending())).unwrap();

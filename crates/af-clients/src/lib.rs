@@ -23,7 +23,6 @@
 //! This library holds what the binaries share: a small argument parser and
 //! connection helpers.
 
-#![forbid(unsafe_code)]
 pub mod cli;
 
 use af_client::{AfResult, AudioConn, DeviceId};

@@ -21,6 +21,20 @@
 //! group's longest, so reconstruction recovers exact original bytes
 //! (pinned bit-exact by `tests/fec.rs` property tests).
 
+// Runs inside the server's real-time pump, so it keeps the server's ban on
+// panics (af-server's crate root).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use af_proto::link::{
     FEC_CRC_BYTES, FEC_GROUP_WINDOW, FEC_HEADER_BYTES, FEC_MAGIC, FEC_MAX_K, FEC_MAX_M,
     FEC_VERSION,

@@ -24,6 +24,20 @@
 //! The buffer never reads a clock — callers pass device times and
 //! transit observations in — so it stays deterministic under test.
 
+// Runs inside the server's real-time pump, so it keeps the server's ban on
+// panics (af-server's crate root).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use crate::stats::{Link, LinkCounters};
 use af_proto::link::{JITTER_FADE_TICKS, JITTER_MAX_DEPTH, JITTER_MIN_DEPTH};
 use af_time::ATime;

@@ -32,7 +32,6 @@
 //! * [`stats`] — the typed counter families every stats reader walks: the
 //!   server's, each reactor shard's, the broadcast bus's and each link's.
 
-#![forbid(unsafe_code)]
 pub mod clock;
 pub mod fec;
 pub mod file_io;

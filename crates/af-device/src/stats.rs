@@ -172,8 +172,6 @@ family! {
         ClientsTotal => "clients_total",
         /// Clients evicted because their outbound queue overflowed.
         EvictedSlow => "evicted_slow",
-        /// Clients evicted because they sent nothing for the idle timeout.
-        EvictedIdle => "evicted_idle",
         /// Connections dropped for malformed or oversized framing.
         ProtocolErrors => "protocol_errors",
         /// Connections that ended for any reason.
@@ -308,7 +306,7 @@ family! {
 }
 
 /// The server's counters.
-pub type ServerCounters = Counters<Server, 8>;
+pub type ServerCounters = Counters<Server, 7>;
 /// A reactor shard's counters.
 pub type ShardCounters = Counters<Shard, 13>;
 /// A broadcast bus's counters.
@@ -338,8 +336,8 @@ mod tests {
 
     #[test]
     fn every_family_names_its_counters_once_in_snake_case() {
-        assert_names::<Server, 8>(
-            "clients_current clients_total evicted_slow evicted_idle protocol_errors \
+        assert_names::<Server, 7>(
+            "clients_current clients_total evicted_slow protocol_errors \
              disconnects inline_events task_nudges",
         );
         assert_names::<Shard, 13>(

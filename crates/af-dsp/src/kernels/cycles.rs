@@ -19,7 +19,7 @@
 #[inline]
 // This function holds the crate's only non-slice unsafe: the one-line
 // rdtsc read, which has no preconditions on x86_64 user mode.
-#[allow(unsafe_code)]
+#[expect(unsafe_code)]
 pub fn timestamp() -> u64 {
     // SAFETY: RDTSC is unprivileged on every OS this crate targets; it
     // reads a counter and touches no memory.

@@ -37,7 +37,7 @@
 // All intrinsics in this module operate on unaligned loads/stores within
 // caller-checked bounds; AVX2 and AVX-512 functions are reached only after
 // runtime feature detection.
-#![allow(unsafe_code)]
+#![expect(unsafe_code)]
 
 use core::arch::x86_64::*;
 
@@ -91,7 +91,9 @@ fn mix_lin16_le_avx2_entry(dst: &mut [u8], src: &[u8]) {
     unsafe { mix_lin16_le_avx2(dst, src) }
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX2.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 unsafe fn mix_lin16_le_avx2(dst: &mut [u8], src: &[u8]) {
     let n = dst.len().min(src.len()) & !1;
@@ -137,7 +139,10 @@ unsafe fn mix_lin16_le_avx2(dst: &mut [u8], src: &[u8]) {
 /// in-register byte table.  The index's high byte is forced to `0xFF`
 /// (top bit set → `vpshufb` writes zero), so the result is exactly
 /// `1 << e` in each lane.
-// SAFETY: callers must guarantee the CPU supports AVX2.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn pow2_epi16(e: __m256i) -> __m256i {
@@ -157,7 +162,9 @@ fn decode_alaw_avx2_entry(data: &[u8], out: &mut [i16]) {
     unsafe { decode_alaw_avx2(data, out) }
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX2.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 unsafe fn decode_ulaw_avx2(data: &[u8], out: &mut [i16]) {
     assert_eq!(data.len(), out.len(), "decode buffer length mismatch");
@@ -188,7 +195,9 @@ unsafe fn decode_ulaw_avx2(data: &[u8], out: &mut [i16]) {
     scalar::decode_ulaw(&data[i..], &mut out[i..]);
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX2.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 unsafe fn decode_alaw_avx2(data: &[u8], out: &mut [i16]) {
     assert_eq!(data.len(), out.len(), "decode buffer length mismatch");
@@ -231,7 +240,9 @@ fn resample_block_avx2_entry(st: &mut ResampleState, input: &[i16], out: &mut Ve
     unsafe { resample_block_avx2(st, input, out) }
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX2.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 unsafe fn resample_block_avx2(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
     resample::drive(st, input, out, |run, offset, input, out| {
@@ -253,7 +264,10 @@ fn tap_limit(input: &[i16]) -> u32 {
 /// binary point) and has `v`'s sign, and `v + d = t + 2d` is exact too (a
 /// multiple of `2 ulp(v)` below `2|v|`).  Truncating that steps `t` one
 /// away from zero exactly where `|d| ≥ 0.5` — no comparison, no tie case.
-// SAFETY: callers must guarantee the CPU supports AVX2.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn round_away_avx2(v: __m256d) -> __m128i {
@@ -267,7 +281,10 @@ unsafe fn round_away_avx2(v: __m256d) -> __m128i {
 /// `vpgatherdd` lane per output — `input[i]` in the low half, `input[i +
 /// 1]` in the high — interpolated, rounded, and narrowed with
 /// `packs_epi32`, which is the reference's clamp to the `i16` range.
-// SAFETY: callers must guarantee the CPU supports AVX2.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn resample_interior_avx2(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
@@ -326,7 +343,9 @@ fn resample_block_avx512_entry(st: &mut ResampleState, input: &[i16], out: &mut 
     unsafe { resample_block_avx512(st, input, out) }
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX-512 F.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F.
 #[target_feature(enable = "avx512f")]
 unsafe fn resample_block_avx512(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
     resample::drive(st, input, out, |run, offset, input, out| {
@@ -336,7 +355,10 @@ unsafe fn resample_block_avx512(st: &mut ResampleState, input: &[i16], out: &mut
 }
 
 /// [`round_away_avx2`], eight lanes.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F.
 #[target_feature(enable = "avx512f")]
 #[inline]
 unsafe fn round_away_avx512(v: __m512d) -> __m256i {
@@ -352,7 +374,10 @@ unsafe fn round_away_avx512(v: __m512d) -> __m256i {
 /// operations, as in the reference (Rust never lets LLVM contract them
 /// into an FMA); `vpmovsdw` is the clamp to `i16`, and the 32 results go
 /// straight into `out`'s spare capacity.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F.
 #[target_feature(enable = "avx512f")]
 #[inline]
 unsafe fn resample_interior_avx512(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
@@ -442,7 +467,10 @@ fn play_mix_avx512fp16_entry(map: &PlayMap, dst: &mut [u8], src: &[u8]) {
 }
 
 /// `linear_to_ulaw`'s biased magnitude `min(|x|, 32635) + 0x84` per lane.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F and BW.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F and BW.
 #[target_feature(enable = "avx512f,avx512bw")]
 #[inline]
 unsafe fn ulaw_biased(x: __m512i) -> __m512i {
@@ -453,7 +481,10 @@ unsafe fn ulaw_biased(x: __m512i) -> __m512i {
 
 /// `g711::linear_to_ulaw` short of its sign and its final `!`, per 16-bit
 /// lane: `exponent << 4 | mantissa`, the exponent looked up by `vpermi2b`.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 #[inline]
 unsafe fn ulaw_segment_avx512(x: __m512i) -> __m512i {
@@ -481,7 +512,10 @@ unsafe fn ulaw_segment_avx512(x: __m512i) -> __m512i {
 /// mantissa `m = (v >> (e + 3)) & 0xF`, the same four bits: `h >> 6` is
 /// `(e + 22) << 4 | m`, and `0x160 = 22 << 4`.  Rounding to nearest would
 /// carry into bits 9..6, or the exponent, for some `v ≥ 2048`.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and FP16.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and FP16.
 #[target_feature(enable = "avx512f,avx512bw,avx512fp16")]
 #[inline]
 unsafe fn ulaw_segment_avx512fp16(x: __m512i) -> __m512i {
@@ -495,7 +529,10 @@ unsafe fn ulaw_segment_avx512fp16(x: __m512i) -> __m512i {
 /// interleaved by `vpunpck{l,h}bw`, so within each 128-bit lane the low
 /// eight codes land in `.0` and the high eight in `.1` — the arrangement
 /// `vpackuswb` makes codes in and undoes.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 #[inline]
 unsafe fn planes_avx512(p: &[__m512i; 4], codes: __m512i, positive: [__mmask32; 2]) -> Words {
@@ -509,7 +546,10 @@ unsafe fn planes_avx512(p: &[__m512i; 4], codes: __m512i, positive: [__mmask32; 
 
 /// 64 consecutive companded bytes as the linear words `planes` gives them,
 /// positive where bit 7 is set.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 #[inline]
 unsafe fn linear_avx512(p: &[__m512i; 4], bytes: __m512i) -> Words {
@@ -527,7 +567,10 @@ unsafe fn linear_avx512(p: &[__m512i; 4], bytes: __m512i) -> Words {
 /// and `linear_to_ulaw` again, whose segment step is `segment`.  Returns
 /// how many samples it mixed — the whole blocks of 64, none on an A-law
 /// device; the caller's table loop takes the rest.
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 #[inline]
 unsafe fn play_mix_ulaw(
@@ -578,14 +621,18 @@ unsafe fn play_mix_ulaw(
     i
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW and VBMI.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and VBMI.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
 unsafe fn play_mix_ulaw_avx512(map: &PlayMap, dst: &mut [u8], src: &[u8]) -> usize {
     // SAFETY: the segment step needs no feature this function lacks.
     play_mix_ulaw(map, dst, src, |x| unsafe { ulaw_segment_avx512(x) })
 }
 
-// SAFETY: callers must guarantee the CPU supports AVX-512 F, BW, VBMI, FP16.
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW, VBMI and FP16.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512fp16")]
 unsafe fn play_mix_ulaw_avx512fp16(map: &PlayMap, dst: &mut [u8], src: &[u8]) -> usize {
     // SAFETY: the segment step needs no feature this function lacks.

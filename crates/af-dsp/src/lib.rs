@@ -27,7 +27,6 @@
 //! * [`sample`] — byte↔sample slice views for the batched kernels,
 //! * [`reference`](mod@reference) — the frozen scalar seed kernels (test/bench baseline).
 
-#![deny(unsafe_code)]
 pub mod adpcm;
 pub mod convert;
 pub mod encoding;

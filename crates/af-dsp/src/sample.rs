@@ -12,7 +12,7 @@
 // This module is the crate's audited slice-reinterpretation boundary —
 // four `align_to` views, each guarded by the endianness/alignment/length
 // checks documented in the SAFETY comments below.
-#![allow(unsafe_code)]
+#![expect(unsafe_code)]
 
 /// Views a byte slice as 16-bit samples, or `None` if the bytes are
 /// misaligned, a partial sample, or the target is big-endian.
@@ -101,6 +101,8 @@ mod tests {
         // A buffer with 16-byte-aligned storage: offsetting by one byte
         // guarantees a misaligned i16 view.
         let buf = [0u64; 4];
+        // SAFETY: u8 has alignment 1 and no invalid bit patterns, so the
+        // whole array is one byte view.
         let bytes: &[u8] = unsafe { buf.align_to::<u8>().1 };
         assert!(as_lin16(&bytes[1..3]).is_none());
         assert!(as_lin32(&bytes[1..5]).is_none());

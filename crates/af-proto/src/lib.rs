@@ -18,7 +18,6 @@
 //!   errors, replies and events share one 8-byte header, and events have a
 //!   fixed 32-byte size.
 
-#![forbid(unsafe_code)]
 pub mod ac;
 pub mod atoms;
 pub mod error;

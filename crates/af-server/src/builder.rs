@@ -50,7 +50,6 @@ pub struct ServerBuilder {
     tcp: Option<SocketAddr>,
     unix: Option<PathBuf>,
     access_enabled: bool,
-    idle_timeout: Option<Duration>,
     reactor_shards: Option<usize>,
     link_stats: Vec<Arc<LinkCounters>>,
     broadcast: Option<(usize, SocketAddr, BroadcastConfig)>,
@@ -72,7 +71,6 @@ impl ServerBuilder {
             tcp: None,
             unix: None,
             access_enabled: true,
-            idle_timeout: None,
             reactor_shards: None,
             link_stats: Vec::new(),
             broadcast: None,
@@ -133,15 +131,6 @@ impl ServerBuilder {
     /// Starts with access control disabled (any host may connect).
     pub fn access_control(mut self, enabled: bool) -> Self {
         self.access_enabled = enabled;
-        self
-    }
-
-    /// Evicts clients that send no requests for `timeout`.
-    ///
-    /// Suspended clients (waiting on the server) are exempt.  Off by
-    /// default, matching the paper's model of long-lived idle connections.
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = Some(timeout);
         self
     }
 
@@ -436,9 +425,7 @@ impl ServerBuilder {
             stats: Arc::clone(&server_counters),
             pool: Arc::clone(&pool),
         };
-        let dispatcher =
-            Dispatcher::new(core, self.update_interval).with_idle_timeout(self.idle_timeout);
-        let dispatch = DispatchHandle::new(dispatcher);
+        let dispatch = DispatchHandle::new(Dispatcher::new(core, self.update_interval));
 
         // Every step from here to the task thread can fail (an address in
         // use, a bad socket path, no epoll instance).  The listeners are

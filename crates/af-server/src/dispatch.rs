@@ -178,10 +178,6 @@ pub struct Dispatcher {
     core: ServerCore,
     tasks: TaskQueue,
     update_interval: Duration,
-    /// Evict clients that send nothing for this long (checked during the
-    /// periodic update; suspended clients are exempt — they are waiting on
-    /// the server, not the other way round).
-    idle_timeout: Option<Duration>,
     shutdown: bool,
     /// Scratch for AC sample-type conversion, reused across requests so a
     /// steady play/record stream converts without allocating.
@@ -448,17 +444,10 @@ impl Dispatcher {
             core,
             tasks,
             update_interval,
-            idle_timeout: None,
             shutdown: false,
             conv_buf: Vec::new(),
             overflowed: Vec::new(),
         }
-    }
-
-    /// Enables idle-connection eviction.
-    pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.idle_timeout = timeout;
-        self
     }
 
     /// Whether the earliest task deadline now lies ahead of `armed`, what
@@ -500,9 +489,10 @@ impl Dispatcher {
             } => self.handle_new_client(id, &setup, peer, tx),
             ServerEvent::ProtocolError { id, error: _ } => {
                 // A framing violation poisons only the offending
-                // connection; other clients are untouched.
+                // connection, which its shard is already closing; other
+                // clients are untouched.
                 self.core.stats.add(Server::ProtocolErrors, 1);
-                self.evict(id);
+                self.remove_client(id);
             }
             ServerEvent::Disconnect { id } => self.remove_client(id),
         }
@@ -516,11 +506,6 @@ impl Dispatcher {
     /// drop the request.
     fn handle_request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
         if let Some(c) = self.core.clients.get_mut(&id) {
-            // Read by `sweep_idle` alone: no timeout, no clock reading.
-            if self.idle_timeout.is_some() {
-                // af-analyze: allow(wallclock): stamped only when an idle timeout is configured
-                c.last_activity = Instant::now();
-            }
             if c.blocked.is_some() {
                 // The one place a request's bytes must outlive the call:
                 // a suspended client's requests wait in pooled copies.
@@ -607,46 +592,17 @@ impl Dispatcher {
         }
     }
 
-    /// Forcibly disconnects `id`: closes its socket (its shard sees the
-    /// hang-up) and drops its state.  The shard's eventual `Disconnect`
-    /// event finds nothing and is a no-op.
-    fn evict(&mut self, id: ClientId) {
-        if let Some(c) = self.core.clients.get(&id) {
-            c.tx.kick();
-        }
-        self.remove_client(id);
-    }
-
-    /// Evicts every client whose outbound deque refused a message.  (A
-    /// client listed twice, or gone since, is evicted once.)
+    /// Evicts every client whose outbound deque refused a message: closes
+    /// its socket (its shard sees the hang-up) and drops its state, so the
+    /// shard's eventual `Disconnect` event finds nothing.  (A client listed
+    /// twice, or gone since, is evicted once.)
     fn evict_overflowed(&mut self) {
         while let Some(id) = self.overflowed.pop() {
-            if self.core.clients.contains_key(&id) {
+            if let Some(c) = self.core.clients.get(&id) {
                 self.core.stats.add(Server::EvictedSlow, 1);
-                self.evict(id);
+                c.tx.kick();
+                self.remove_client(id);
             }
-        }
-    }
-
-    /// Evicts clients that have sent nothing for the idle timeout.
-    ///
-    /// Suspended clients are exempt: they are waiting on the *server* (a
-    /// play past the horizon, a blocking record), not the other way round.
-    fn sweep_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        let ids: Vec<ClientId> = self
-            .core
-            .clients
-            .iter()
-            .filter(|(_, c)| c.blocked.is_none() && now.duration_since(c.last_activity) > timeout)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ids {
-            self.core.stats.add(Server::EvictedIdle, 1);
-            self.evict(id);
         }
     }
 
@@ -663,7 +619,6 @@ impl Dispatcher {
         self.run_passthrough();
         self.poll_phone_events();
         self.retry_blocked_all();
-        self.sweep_idle();
         self.evict_overflowed();
     }
 
@@ -1782,42 +1737,6 @@ mod tests {
             pool: BufferPool::shared(),
         };
         Dispatcher::new(core, Duration::from_secs(3600))
-    }
-
-    #[test]
-    fn a_request_keeps_a_client_from_idle_eviction_when_a_timeout_is_set() {
-        let long_ago = Instant::now().checked_sub(Duration::from_secs(20));
-        let long_ago = long_ago.expect("the monotonic clock is 20 s old");
-        let noop = af_proto::Opcode::NoOperation as u8;
-        for timeout in [Some(Duration::from_secs(10)), None] {
-            let mut dispatcher = bare_dispatcher().with_idle_timeout(timeout);
-            for id in [1, 2] {
-                dispatcher.handle_event(ServerEvent::NewClient {
-                    id,
-                    setup: af_proto::ConnSetup::new().encode(),
-                    peer: None,
-                    tx: OutboundTx::detached(),
-                });
-                dispatcher.core.clients.get_mut(&id).unwrap().last_activity = long_ago;
-            }
-            // Both have been silent for 20 s; then client 1 speaks.
-            dispatcher.handle_request(1, noop, &[]);
-            dispatcher.run_update();
-            let left: Vec<ClientId> = dispatcher.core.clients.keys().copied().collect();
-            let evicted = dispatcher.core.stats.get(Server::EvictedIdle);
-            match timeout {
-                Some(_) => {
-                    assert_eq!(left, [1], "the silent client goes, the other stays");
-                    assert_eq!(evicted, 1);
-                }
-                None => {
-                    assert_eq!(left.len(), 2, "no timeout, no eviction");
-                    assert_eq!(evicted, 0);
-                    // ... and no clock reading for a stamp nothing reads.
-                    assert_eq!(dispatcher.core.clients[&1].last_activity, long_ago);
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
 //! its handler itself, under the dispatch lock — so a `GetTime` is
 //! `epoll_wait`, `read`, `write` on one thread — with single-threaded
-//! control semantics, slow-client overflow/eviction and idle timeout.
+//! control semantics and slow-client overflow/eviction.
 //!
 //! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): every
 //! connection has one deque of unwritten messages behind one lock
@@ -397,7 +397,8 @@ impl OutboundTx {
     }
 
     /// Forcibly closes the connection's socket, so its shard sees the
-    /// hang-up and drops it (slow and idle clients are evicted this way).
+    /// hang-up and drops it (slow clients are evicted this way).  Counted
+    /// as an eviction.
     pub fn kick(&self) {
         self.0.link.stats.add(stats::Shard::Evictions, 1);
         self.0.sock.shutdown();
@@ -416,7 +417,8 @@ impl OutboundTx {
         let drained = out.queue.is_empty();
         drop(out);
         if drained {
-            self.kick();
+            // Not an eviction, so not counted as one.
+            self.0.sock.shutdown();
         } else {
             // The shard closes the connection when its flush drains the
             // deque; the token makes sure a flush comes.

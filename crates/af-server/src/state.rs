@@ -12,7 +12,6 @@ use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Server-assigned client connection identifier.
 pub type ClientId = u64;
@@ -335,8 +334,6 @@ pub struct ClientState {
     pub blocked: Option<Blocked>,
     /// Requests received while suspended, in arrival order.
     pub queue: VecDeque<RawRequest>,
-    /// When the client last sent a request (for idle-connection eviction).
-    pub last_activity: Instant,
 }
 
 impl ClientState {
@@ -351,7 +348,6 @@ impl ClientState {
             event_masks: HashMap::new(),
             blocked: None,
             queue: VecDeque::new(),
-            last_activity: Instant::now(),
         }
     }
 

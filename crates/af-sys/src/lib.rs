@@ -24,7 +24,6 @@
 //! [`process_cpu_time`] fail with `ErrorKind::Unsupported`, and
 //! [`wait_readable`] returns at once.
 
-#![deny(unsafe_code)]
 mod poller;
 mod sys;
 

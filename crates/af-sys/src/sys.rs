@@ -8,7 +8,7 @@
 // The asm blocks pass kernel-ABI scratch registers and pointers into
 // caller-owned buffers whose lifetimes span the call; nothing here
 // fabricates references or aliases Rust-managed memory.
-#![allow(unsafe_code)]
+#![expect(unsafe_code)]
 
 use std::io;
 use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd, RawFd};
@@ -43,7 +43,6 @@ mod nr {
 /// valid (and writable where the call writes) for the duration of the
 /// call, with length arguments matching the referenced buffers.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-// SAFETY: deferred to callers, who uphold the kernel contract above.
 unsafe fn syscall5(n: usize, a0: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
     let ret: isize;
     // SAFETY: the x86_64 Linux syscall ABI takes the number in rax and
@@ -73,7 +72,6 @@ unsafe fn syscall5(n: usize, a0: usize, a1: usize, a2: usize, a3: usize, a4: usi
 /// Same contract as the x86_64 variant: pointer arguments must reference
 /// memory valid for the duration of the call.
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
-// SAFETY: deferred to callers, who uphold the kernel contract above.
 unsafe fn syscall5(n: usize, a0: usize, a1: usize, a2: usize, a3: usize, a4: usize) -> isize {
     let ret: isize;
     // SAFETY: the aarch64 Linux syscall ABI takes the number in x8 and

@@ -13,7 +13,6 @@
 //! * [`Correspondence`] — the clock-pair conversion formula of §2.1
 //!   (`t_b = T_b + R_b * ((t_a - T_a) / R_a)`).
 
-#![forbid(unsafe_code)]
 mod atime;
 mod correspondence;
 

@@ -13,7 +13,6 @@
 //!   `arecord`.
 //! * [`aod`] — "Assert or Die" (§6.2.2), as a macro.
 
-#![forbid(unsafe_code)]
 pub mod dial;
 pub mod erase;
 pub mod files;

@@ -16,7 +16,6 @@
 //! buffer size is an advertised device attribute) so the full 1 B – 64 KB
 //! request sweep of Figures 11–13 fits without flow-control blocking.
 
-#![forbid(unsafe_code)]
 pub mod json;
 pub mod kernels;
 

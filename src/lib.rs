@@ -46,7 +46,6 @@
 //! server.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
 pub use af_client as client;
 pub use af_device as device;
 pub use af_dsp as dsp;

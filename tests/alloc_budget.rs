@@ -45,6 +45,7 @@ struct Counting;
 // SAFETY: every call is forwarded to `System` unchanged; the counter and
 // the thread-local flag (a `const`-initialized `Cell`, so no lazy
 // allocation and no destructor) touch no allocator state.
+#[expect(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if on_reactor_thread() {

@@ -4,7 +4,7 @@
 use audiofile::client::{AcAttributes, AcMask, AfError, AudioConn};
 use audiofile::device::{SilenceSource, VirtualClock};
 use audiofile::proto::{ByteOrder, ConnSetup, ErrorCode, Opcode, Request};
-use audiofile::server::stats::Shard;
+use audiofile::server::stats::{Bus, Server, Shard};
 use audiofile::server::{RunningServer, ServerBuilder};
 use audiofile::time::ATime;
 use std::io::{Read, Write};
@@ -282,6 +282,43 @@ fn version_mismatch_refused() {
     .encode();
     undecodable[ConnSetup::HEADER_SIZE..][..4].copy_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
     assert_refused_and_closed(&s, &undecodable, None);
+}
+
+#[test]
+fn refusals_and_protocol_errors_are_not_evictions() {
+    // The shards count a kick only when the dispatcher evicts a slow
+    // client or the bus drops a stalled listener; a refused setup and a
+    // framing violation close their connections without one.
+    let s = server();
+    let wrong_version = ConnSetup {
+        major: 99,
+        ..ConnSetup::new()
+    };
+    assert_refused_and_closed(&s, &wrong_version.encode(), Some("version"));
+
+    let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+        .unwrap();
+    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    let mut len_buf = [0u8; 4];
+    raw.read_exact(&mut len_buf).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
+    raw.read_exact(&mut body).unwrap();
+    // A zero-length frame header: the shard reports it and closes.
+    raw.write_all(&[0, 0, Opcode::GetTime.to_wire(), 0])
+        .unwrap();
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+
+    let stats = s.stats();
+    assert_eq!(stats.server.get(Server::ProtocolErrors), 1);
+    let kicks: u64 = stats.shards.iter().map(|sh| sh.get(Shard::Evictions)).sum();
+    let bus = stats
+        .broadcast
+        .as_ref()
+        .map_or(0, |b| b.get(Bus::Evictions));
+    assert_eq!(kicks, stats.server.get(Server::EvictedSlow) + bus);
+    assert_eq!(kicks, 0);
 }
 
 #[test]
