@@ -113,16 +113,6 @@ impl VirtualAudioHw {
         &self.clock
     }
 
-    /// Replaces the output endpoint, returning the old one.
-    pub fn set_sink(&mut self, sink: Box<dyn SampleSink>) -> Box<dyn SampleSink> {
-        std::mem::replace(&mut self.sink, sink)
-    }
-
-    /// Replaces the input endpoint, returning the old one.
-    pub fn set_source(&mut self, source: Box<dyn SampleSource>) -> Box<dyn SampleSource> {
-        std::mem::replace(&mut self.source, source)
-    }
-
     /// Catches the hardware up to the current clock reading.
     ///
     /// Consumes play-ring frames into the sink (backfilling silence, as the

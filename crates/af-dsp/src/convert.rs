@@ -58,41 +58,24 @@ pub fn decode_to_lin16_into(
             if !data.len().is_multiple_of(2) {
                 return Err(ConvertError::PartialSample);
             }
-            match sample::as_lin16(data) {
-                Some(s) => out.extend_from_slice(s),
-                None => out.extend(
-                    data.chunks_exact(2)
-                        .map(|c| i16::from_le_bytes([c[0], c[1]])),
-                ),
-            }
+            out.extend(
+                data.chunks_exact(2)
+                    .map(|c| i16::from_le_bytes([c[0], c[1]])),
+            );
         }
         Encoding::Lin32 => {
             if !data.len().is_multiple_of(4) {
                 return Err(ConvertError::PartialSample);
             }
-            match sample::as_lin32(data) {
-                Some(s) => out.extend(s.iter().map(|&v| (v >> 16) as i16)),
-                None => out.extend(
-                    data.chunks_exact(4)
-                        .map(|c| (i32::from_le_bytes([c[0], c[1], c[2], c[3]]) >> 16) as i16),
-                ),
-            }
+            out.extend(
+                data.chunks_exact(4)
+                    .map(|c| (i32::from_le_bytes([c[0], c[1], c[2], c[3]]) >> 16) as i16),
+            );
         }
         Encoding::Adpcm32 => out.extend(adpcm::decode(adpcm_state, data, data.len() * 2)),
         other => return Err(ConvertError::Unsupported(other)),
     }
     Ok(())
-}
-
-/// Decodes raw bytes of `encoding` into 16-bit linear samples.
-pub fn decode_to_lin16(
-    encoding: Encoding,
-    data: &[u8],
-    adpcm_state: &mut adpcm::AdpcmState,
-) -> Result<Vec<i16>, ConvertError> {
-    let mut out = Vec::new();
-    decode_to_lin16_into(encoding, data, adpcm_state, &mut out)?;
-    Ok(out)
 }
 
 /// Encodes 16-bit linear samples into raw bytes of `encoding`, appending to
@@ -105,32 +88,17 @@ pub fn encode_from_lin16_into(
 ) -> Result<(), ConvertError> {
     out.clear();
     match encoding {
-        Encoding::Mu255 => encode_companded(tables::comp_u(), pcm, out),
-        Encoding::Alaw => encode_companded(tables::comp_a(), pcm, out),
+        Encoding::Mu255 | Encoding::Alaw => encode_companded(encoding, pcm.iter().copied(), out),
         Encoding::Lin16 => {
             out.resize(pcm.len() * 2, 0);
-            match sample::as_lin16_mut(out) {
-                Some(view) => view.copy_from_slice(pcm),
-                None => {
-                    for (c, s) in out.chunks_exact_mut(2).zip(pcm) {
-                        c.copy_from_slice(&s.to_le_bytes());
-                    }
-                }
+            for (c, s) in out.chunks_exact_mut(2).zip(pcm) {
+                c.copy_from_slice(&s.to_le_bytes());
             }
         }
         Encoding::Lin32 => {
             out.resize(pcm.len() * 4, 0);
-            match sample::as_lin32_mut(out) {
-                Some(view) => {
-                    for (d, s) in view.iter_mut().zip(pcm) {
-                        *d = i32::from(*s) << 16;
-                    }
-                }
-                None => {
-                    for (c, s) in out.chunks_exact_mut(4).zip(pcm) {
-                        c.copy_from_slice(&(i32::from(*s) << 16).to_le_bytes());
-                    }
-                }
+            for (c, s) in out.chunks_exact_mut(4).zip(pcm) {
+                c.copy_from_slice(&(i32::from(*s) << 16).to_le_bytes());
             }
         }
         Encoding::Adpcm32 => out.extend(adpcm::encode(adpcm_state, pcm)),
@@ -139,21 +107,15 @@ pub fn encode_from_lin16_into(
     Ok(())
 }
 
-/// Appends the companded bytes of `pcm` to `out`: one lookup per sample in
-/// the 16 K compression table `t` (`tables::comp_u`/`comp_a`).
-fn encode_companded(t: &[u8; 16_384], pcm: &[i16], out: &mut Vec<u8>) {
-    out.extend(pcm.iter().map(|&s| t[tables::comp_index(s)]));
-}
-
-/// Encodes 16-bit linear samples into raw bytes of `encoding`.
-pub fn encode_from_lin16(
-    encoding: Encoding,
-    pcm: &[i16],
-    adpcm_state: &mut adpcm::AdpcmState,
-) -> Result<Vec<u8>, ConvertError> {
-    let mut out = Vec::new();
-    encode_from_lin16_into(encoding, pcm, adpcm_state, &mut out)?;
-    Ok(out)
+/// Appends the µ-law or A-law bytes of `pcm` to `out`: one lookup per
+/// sample in the 16 K compression table (`tables::comp_u`/`comp_a`).
+fn encode_companded(to: Encoding, pcm: impl Iterator<Item = i16>, out: &mut Vec<u8>) {
+    let t = if to == Encoding::Mu255 {
+        tables::comp_u()
+    } else {
+        tables::comp_a()
+    };
+    out.extend(pcm.map(|s| t[tables::comp_index(s)]));
 }
 
 /// A stateful converter from one encoding to another.
@@ -203,67 +165,62 @@ impl Converter {
         self.to
     }
 
-    /// Converts one block of raw bytes.
-    pub fn convert(&mut self, data: &[u8]) -> Result<Vec<u8>, ConvertError> {
-        let mut out = Vec::new();
-        self.convert_into(data, &mut out)?;
-        Ok(out)
-    }
-
     /// Converts one block of raw bytes into `out` (cleared first).
     ///
-    /// Linear staging goes through a scratch buffer owned by the converter,
-    /// so a steady stream of equal-sized blocks converts without allocating.
+    /// The encoding pair alone picks the strategy: identity copies,
+    /// companded↔companded goes through a 256-entry table, LIN16 bytes
+    /// index the 16 K compression table directly, and companded bytes
+    /// decode straight into the output's LIN16 view.  Everything else —
+    /// and that last path on storage the view refuses — stages through
+    /// a scratch buffer owned by the converter, so a steady stream of
+    /// equal-sized blocks converts without allocating.
     pub fn convert_into(&mut self, data: &[u8], out: &mut Vec<u8>) -> Result<(), ConvertError> {
-        if self.is_identity() {
-            out.clear();
-            out.extend_from_slice(data);
-            return Ok(());
-        }
-        // Fast path: companded-to-companded via the 256-entry tables.
         match (self.from, self.to) {
-            (Encoding::Mu255, Encoding::Alaw) => {
-                let t = tables::cvt_u2a();
+            (from, to) if from == to => {
+                out.clear();
+                out.extend_from_slice(data);
+            }
+            (Encoding::Mu255, Encoding::Alaw) | (Encoding::Alaw, Encoding::Mu255) => {
+                let t = if self.from == Encoding::Mu255 {
+                    tables::cvt_u2a()
+                } else {
+                    tables::cvt_a2u()
+                };
                 out.clear();
                 out.extend(data.iter().map(|&b| t[b as usize]));
-                return Ok(());
             }
-            (Encoding::Alaw, Encoding::Mu255) => {
-                let t = tables::cvt_a2u();
-                out.clear();
-                out.extend(data.iter().map(|&b| t[b as usize]));
-                return Ok(());
-            }
-            _ => {}
-        }
-        // Fused companded↔LIN16 paths: decode straight into (or encode
-        // straight out of) the caller's byte buffer, skipping the linear
-        // staging copy the path below adds to the same table work.
-        match (self.from, self.to) {
-            (Encoding::Mu255 | Encoding::Alaw, Encoding::Lin16) => {
-                out.resize(data.len() * 2, 0);
-                if let Some(view) = sample::as_lin16_mut(out) {
-                    let k = kernels::active();
-                    let decode = if self.from == Encoding::Mu255 {
-                        k.decode_ulaw
-                    } else {
-                        k.decode_alaw
-                    };
-                    decode(data, view);
-                    return Ok(());
-                }
-                // Misaligned/big-endian storage: fall through to staging.
-            }
-            (Encoding::Lin16, Encoding::Mu255 | Encoding::Alaw) => {
+            (Encoding::Lin16, to @ (Encoding::Mu255 | Encoding::Alaw)) => {
                 if !data.len().is_multiple_of(2) {
                     return Err(ConvertError::PartialSample);
                 }
-                if let Some(view) = sample::as_lin16(data) {
-                    return encode_from_lin16_into(self.to, view, &mut self.encode_state, out);
-                }
+                let pcm = data
+                    .chunks_exact(2)
+                    .map(|c| i16::from_le_bytes([c[0], c[1]]));
+                out.clear();
+                encode_companded(to, pcm, out);
             }
-            _ => {}
+            (from @ (Encoding::Mu255 | Encoding::Alaw), Encoding::Lin16) => {
+                // Every byte is overwritten: a steady block size resizes
+                // nothing.
+                out.resize(data.len() * 2, 0);
+                let Some(view) = sample::as_lin16_mut(out) else {
+                    return self.convert_staged(data, out);
+                };
+                let k = kernels::active();
+                let decode = if from == Encoding::Mu255 {
+                    k.decode_ulaw
+                } else {
+                    k.decode_alaw
+                };
+                decode(data, view);
+            }
+            _ => return self.convert_staged(data, out),
         }
+        Ok(())
+    }
+
+    /// Decodes into the scratch buffer, then encodes out of it.
+    fn convert_staged(&mut self, data: &[u8], out: &mut Vec<u8>) -> Result<(), ConvertError> {
         let mut pcm = std::mem::take(&mut self.scratch);
         let decoded = decode_to_lin16_into(self.from, data, &mut self.decode_state, &mut pcm);
         let result = decoded
@@ -277,6 +234,26 @@ impl Converter {
 mod tests {
     use super::*;
 
+    /// `pcm` encoded as `encoding`, and those bytes decoded back.
+    fn round_trip(encoding: Encoding, pcm: &[i16]) -> (Vec<u8>, Vec<i16>) {
+        let mut st = adpcm::AdpcmState::new();
+        let (mut bytes, mut back) = (Vec::new(), Vec::new());
+        encode_from_lin16_into(encoding, pcm, &mut st, &mut bytes).unwrap();
+        decode_to_lin16_into(encoding, &bytes, &mut st, &mut back).unwrap();
+        (bytes, back)
+    }
+
+    fn decode(encoding: Encoding, data: &[u8]) -> Result<(), ConvertError> {
+        let mut st = adpcm::AdpcmState::new();
+        decode_to_lin16_into(encoding, data, &mut st, &mut Vec::new())
+    }
+
+    fn convert(c: &mut Converter, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.convert_into(data, &mut out).unwrap();
+        out
+    }
+
     fn ramp() -> Vec<i16> {
         (-100..100).map(|i| i * 300).collect()
     }
@@ -284,29 +261,21 @@ mod tests {
     #[test]
     fn lin16_round_trip_exact() {
         let pcm = ramp();
-        let mut st = adpcm::AdpcmState::new();
-        let bytes = encode_from_lin16(Encoding::Lin16, &pcm, &mut st).unwrap();
-        let back = decode_to_lin16(Encoding::Lin16, &bytes, &mut st).unwrap();
-        assert_eq!(pcm, back);
+        assert_eq!(round_trip(Encoding::Lin16, &pcm).1, pcm);
     }
 
     #[test]
     fn lin32_round_trip_exact_through_top_bits() {
         let pcm = ramp();
-        let mut st = adpcm::AdpcmState::new();
-        let bytes = encode_from_lin16(Encoding::Lin32, &pcm, &mut st).unwrap();
+        let (bytes, back) = round_trip(Encoding::Lin32, &pcm);
         assert_eq!(bytes.len(), pcm.len() * 4);
-        let back = decode_to_lin16(Encoding::Lin32, &bytes, &mut st).unwrap();
         assert_eq!(pcm, back);
     }
 
     #[test]
     fn ulaw_round_trip_within_quantization() {
         let pcm = ramp();
-        let mut st = adpcm::AdpcmState::new();
-        let bytes = encode_from_lin16(Encoding::Mu255, &pcm, &mut st).unwrap();
-        let back = decode_to_lin16(Encoding::Mu255, &bytes, &mut st).unwrap();
-        for (a, b) in pcm.iter().zip(&back) {
+        for (a, b) in pcm.iter().zip(&round_trip(Encoding::Mu255, &pcm).1) {
             assert!((i32::from(*a) - i32::from(*b)).abs() <= 512);
         }
     }
@@ -318,12 +287,12 @@ mod tests {
         // quantization).
         let pcm: Vec<i16> = (i16::MIN..=i16::MAX).collect();
         let mut out = Vec::new();
-        encode_companded(tables::comp_u(), &pcm, &mut out);
+        encode_companded(Encoding::Mu255, pcm.iter().copied(), &mut out);
         for (&s, &b) in pcm.iter().zip(&out) {
             assert_eq!(b, tables::ulaw_encode_fast(s), "ulaw {s}");
         }
         out.clear();
-        encode_companded(tables::comp_a(), &pcm, &mut out);
+        encode_companded(Encoding::Alaw, pcm.iter().copied(), &mut out);
         for (&s, &b) in pcm.iter().zip(&out) {
             assert_eq!(b, tables::alaw_encode_fast(s), "alaw {s}");
         }
@@ -331,26 +300,19 @@ mod tests {
 
     #[test]
     fn partial_sample_rejected() {
-        let mut st = adpcm::AdpcmState::new();
-        assert_eq!(
-            decode_to_lin16(Encoding::Lin16, &[1, 2, 3], &mut st),
-            Err(ConvertError::PartialSample)
-        );
-        assert_eq!(
-            decode_to_lin16(Encoding::Lin32, &[1, 2, 3, 4, 5], &mut st),
-            Err(ConvertError::PartialSample)
-        );
+        let partial = Err(ConvertError::PartialSample);
+        assert_eq!(decode(Encoding::Lin16, &[1, 2, 3]), partial);
+        assert_eq!(decode(Encoding::Lin32, &[1, 2, 3, 4, 5]), partial);
     }
 
     #[test]
     fn unsupported_encodings_rejected() {
         assert!(Converter::new(Encoding::Celp1016, Encoding::Lin16).is_err());
         assert!(Converter::new(Encoding::Lin16, Encoding::Adpcm24).is_err());
-        let mut st = adpcm::AdpcmState::new();
-        assert!(matches!(
-            decode_to_lin16(Encoding::Celp1015, &[0u8; 7], &mut st),
+        assert_eq!(
+            decode(Encoding::Celp1015, &[0u8; 7]),
             Err(ConvertError::Unsupported(Encoding::Celp1015))
-        ));
+        );
     }
 
     #[test]
@@ -358,13 +320,13 @@ mod tests {
         let mut c = Converter::new(Encoding::Mu255, Encoding::Mu255).unwrap();
         assert!(c.is_identity());
         let data = vec![1u8, 2, 3, 0xFF];
-        assert_eq!(c.convert(&data).unwrap(), data);
+        assert_eq!(convert(&mut c, &data), data);
     }
 
     #[test]
     fn converter_ulaw_to_lin16() {
         let mut c = Converter::new(Encoding::Mu255, Encoding::Lin16).unwrap();
-        let out = c.convert(&[g711::linear_to_ulaw(1000)]).unwrap();
+        let out = convert(&mut c, &[g711::linear_to_ulaw(1000)]);
         let v = i16::from_le_bytes([out[0], out[1]]);
         assert!((i32::from(v) - 1000).abs() <= 40);
     }
@@ -373,7 +335,7 @@ mod tests {
     fn converter_companded_cross_uses_tables() {
         let mut c = Converter::new(Encoding::Mu255, Encoding::Alaw).unwrap();
         let u = g711::linear_to_ulaw(-4_000);
-        let out = c.convert(&[u]).unwrap();
+        let out = convert(&mut c, &[u]);
         assert_eq!(out[0], tables::cvt_u2a()[u as usize]);
     }
 
@@ -382,13 +344,12 @@ mod tests {
         let pcm: Vec<i16> = (0..400)
             .map(|i| (8_000.0 * (std::f64::consts::TAU * 440.0 * i as f64 / 8000.0).sin()) as i16)
             .collect();
-        let mut st = adpcm::AdpcmState::new();
-        let bytes = encode_from_lin16(Encoding::Lin16, &pcm, &mut st).unwrap();
+        let (bytes, _) = round_trip(Encoding::Lin16, &pcm);
 
         let mut c = Converter::new(Encoding::Lin16, Encoding::Adpcm32).unwrap();
         let mut stream = Vec::new();
         for chunk in bytes.chunks(64) {
-            stream.extend(c.convert(chunk).unwrap());
+            stream.extend(convert(&mut c, chunk));
         }
         // Compare against a single-shot encode.
         let mut st2 = adpcm::AdpcmState::new();

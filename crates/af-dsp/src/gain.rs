@@ -7,7 +7,7 @@
 //! here, plus linear-domain gain for LIN16/LIN32 data.  [`apply_gain_bytes`]
 //! is the entry point for raw buffer bytes in a device's native encoding.
 
-use crate::{g711, sample, Encoding};
+use crate::{g711, Encoding};
 use std::sync::OnceLock;
 
 /// Inclusive bounds of the precomputed gain-table set, in dB.
@@ -114,43 +114,12 @@ pub fn q16_gain_i32(sample: i32, factor: i64) -> i32 {
     ((i64::from(sample) * factor) >> 16).clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32
 }
 
-/// Applies a precomputed Q16 gain to 16-bit samples in place, saturating.
-pub fn apply_gain_lin16_q16(samples: &mut [i16], factor: i64) {
-    for s in samples {
-        *s = q16_gain_i16(*s, factor);
-    }
-}
-
-/// Applies a precomputed Q16 gain to 32-bit samples in place, saturating.
-pub fn apply_gain_lin32_q16(samples: &mut [i32], factor: i64) {
-    for s in samples {
-        *s = q16_gain_i32(*s, factor);
-    }
-}
-
-/// Applies `db` of gain to 16-bit linear samples in place, saturating.
-pub fn apply_gain_lin16(samples: &mut [i16], db: f64) {
-    if db == 0.0 {
-        return;
-    }
-    apply_gain_lin16_q16(samples, q16_factor(db));
-}
-
-/// Applies `db` of gain to 32-bit linear samples in place, saturating.
-pub fn apply_gain_lin32(samples: &mut [i32], db: f64) {
-    if db == 0.0 {
-        return;
-    }
-    apply_gain_lin32_q16(samples, q16_factor(db));
-}
-
 /// Applies `db` decibels of gain to `data` in place.
 ///
 /// Companded formats go through 256-entry gain tables (precomputed for the
 /// -30…+30 dB range, built on the fly outside it); linear formats apply a
-/// Q16 fixed-point multiplier, computed once per buffer, over a typed
-/// sample view of the bytes (per-sample decode fallback when the buffer is
-/// misaligned or big-endian).  A gain of 0 dB is free.
+/// Q16 fixed-point multiplier, computed once per buffer, in one loop over
+/// the little-endian sample bytes.  A gain of 0 dB is free.
 pub fn apply_gain_bytes(encoding: Encoding, data: &mut [u8], db: i32) {
     if db == 0 || data.is_empty() {
         return;
@@ -166,26 +135,16 @@ pub fn apply_gain_bytes(encoding: Encoding, data: &mut [u8], db: i32) {
         },
         Encoding::Lin16 => {
             let factor = q16_factor(f64::from(db));
-            match sample::as_lin16_mut(data) {
-                Some(samples) => apply_gain_lin16_q16(samples, factor),
-                None => {
-                    for pair in data.chunks_exact_mut(2) {
-                        let v = i16::from_le_bytes([pair[0], pair[1]]);
-                        pair.copy_from_slice(&q16_gain_i16(v, factor).to_le_bytes());
-                    }
-                }
+            for pair in data.chunks_exact_mut(2) {
+                let v = i16::from_le_bytes([pair[0], pair[1]]);
+                pair.copy_from_slice(&q16_gain_i16(v, factor).to_le_bytes());
             }
         }
         Encoding::Lin32 => {
             let factor = q16_factor(f64::from(db));
-            match sample::as_lin32_mut(data) {
-                Some(samples) => apply_gain_lin32_q16(samples, factor),
-                None => {
-                    for quad in data.chunks_exact_mut(4) {
-                        let v = i32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]);
-                        quad.copy_from_slice(&q16_gain_i32(v, factor).to_le_bytes());
-                    }
-                }
+            for quad in data.chunks_exact_mut(4) {
+                let v = i32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]);
+                quad.copy_from_slice(&q16_gain_i32(v, factor).to_le_bytes());
             }
         }
         // Compressed data cannot be gain-adjusted in place; the conversion
@@ -270,25 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn lin16_gain() {
-        let mut buf = vec![1000i16, -1000, 32_000];
-        apply_gain_lin16(&mut buf, 6.0);
-        assert!((1980..=2010).contains(&buf[0]), "got {}", buf[0]);
-        assert!((-2010..=-1980).contains(&buf[1]));
-        assert_eq!(buf[2], 32_767); // Saturated.
-        let mut same = vec![123i16];
-        apply_gain_lin16(&mut same, 0.0);
-        assert_eq!(same[0], 123);
-    }
-
-    #[test]
-    fn lin32_gain_saturates() {
-        let mut buf = vec![i32::MAX / 2 + 1];
-        apply_gain_lin32(&mut buf, 7.0);
-        assert_eq!(buf[0], i32::MAX);
-    }
-
-    #[test]
     fn zero_db_untouched() {
         let mut data = vec![1u8, 2, 3];
         apply_gain_bytes(Encoding::Mu255, &mut data, 0);
@@ -308,18 +248,26 @@ mod tests {
 
     #[test]
     fn lin16_gain_bytes() {
-        let mut data = 1000i16.to_le_bytes().to_vec();
-        apply_gain_bytes(Encoding::Lin16, &mut data, -6);
-        let v = i16::from_le_bytes([data[0], data[1]]);
-        assert!((495..=510).contains(&v), "v={v}");
+        let gained = |v: i16, db| {
+            let mut data = v.to_le_bytes().to_vec();
+            apply_gain_bytes(Encoding::Lin16, &mut data, db);
+            i16::from_le_bytes([data[0], data[1]])
+        };
+        assert!((495..=510).contains(&gained(1000, -6)));
+        assert!((1980..=2010).contains(&gained(1000, 6)));
+        assert!((-2010..=-1980).contains(&gained(-1000, 6)));
+        assert_eq!(gained(32_000, 6), 32_767); // Saturated.
     }
 
     #[test]
     fn lin32_gain_bytes() {
-        let mut data = 1_000_000i32.to_le_bytes().to_vec();
-        apply_gain_bytes(Encoding::Lin32, &mut data, 20);
-        let v = i32::from_le_bytes(data.clone().try_into().unwrap());
-        assert!((9_900_000..=10_100_000).contains(&v), "v={v}");
+        let gained = |v: i32, db| {
+            let mut data = v.to_le_bytes().to_vec();
+            apply_gain_bytes(Encoding::Lin32, &mut data, db);
+            i32::from_le_bytes(data.try_into().unwrap())
+        };
+        assert!((9_900_000..=10_100_000).contains(&gained(1_000_000, 20)));
+        assert_eq!(gained(i32::MAX / 2 + 1, 7), i32::MAX); // Saturated.
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Consumed-cycle timestamps for CPU-work accounting.
 //!
-//! The multi-device bench cannot demonstrate the sharded plane's scaling on
-//! a 1-core CI host with wall-clock MB/s, so the server's workers account
-//! the CPU work they actually consume: cycles spent per job over bytes
-//! touched.  That ratio is host-speed dependent but core-count independent,
-//! which is what the regression gate needs.
+//! Wall-clock MB/s on a loaded 1-core CI host measures the scheduler, so
+//! the kernel benches and the broadcast encoder account the CPU work they
+//! actually consume: cycles spent over bytes touched.  That ratio is
+//! host-speed dependent but core-count independent, which is what the
+//! regression gate needs.
 //!
 //! On x86_64 this reads the invariant TSC (`rdtsc`, ~10 ns, no serialization
 //! — per-job attribution does not need it).  Elsewhere it falls back to
@@ -17,8 +17,8 @@
 /// the absolute value is arbitrary.
 #[cfg(target_arch = "x86_64")]
 #[inline]
-// This function holds the crate's only non-slice unsafe: the one-line
-// rdtsc read, which has no preconditions on x86_64 user mode.
+// The one-line rdtsc read, which has no preconditions on x86_64 user
+// mode.
 #[expect(unsafe_code)]
 pub fn timestamp() -> u64 {
     // SAFETY: RDTSC is unprivileged on every OS this crate targets; it

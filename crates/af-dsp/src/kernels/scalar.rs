@@ -1,11 +1,11 @@
-//! The batched scalar table: table lookups per sample, typed slice views
-//! where alignment permits, the resampler's portable blocked loop, the
+//! The batched scalar table: table lookups per sample, one saturating loop
+//! over little-endian bytes, the resampler's portable blocked loop, the
 //! play map's table loop.  It is the semantic definition the SIMD tables
 //! are pinned against, what they call for their tails, and what runs
 //! under Miri or on a host with no SIMD table.
 
 use super::Kernels;
-use crate::{mix, resample, sample, tables};
+use crate::{resample, tables};
 
 /// The scalar vtable.
 pub static KERNELS: Kernels = Kernels {
@@ -32,17 +32,15 @@ fn decode_tab(t: &[i16; 256], data: &[u8], out: &mut [i16]) {
     }
 }
 
+// Always inlined, so the AVX2 table's entry compiles this same loop with
+// its feature enabled.
+#[inline(always)]
 pub(super) fn mix_lin16_le(dst: &mut [u8], src: &[u8]) {
     let n = dst.len().min(src.len()) & !1;
     let (dst, src) = (&mut dst[..n], &src[..n]);
-    match (sample::as_lin16_mut(dst), sample::as_lin16(src)) {
-        (Some(d), Some(s)) => mix::mix_lin16(d, s),
-        _ => {
-            for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
-                let a = i16::from_le_bytes([d[0], d[1]]);
-                let b = i16::from_le_bytes([s[0], s[1]]);
-                d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
-            }
-        }
+    for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
+        let a = i16::from_le_bytes([d[0], d[1]]);
+        let b = i16::from_le_bytes([s[0], s[1]]);
+        d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
     }
 }

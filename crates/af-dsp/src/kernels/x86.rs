@@ -5,7 +5,9 @@
 //! tables handed out after `is_x86_feature_detected!` named every feature
 //! they enable.  Below AVX2 a host runs the scalar table: LLVM vectorizes
 //! its saturating mix for baseline SSE2, and the hand-written SSE2 mix
-//! measured slower than that (EXPERIMENTS.md, PR 26).
+//! measured slower than that (EXPERIMENTS.md, "Kernel tables whose entries
+//! earn their place").  The AVX2 table's mix is that same loop compiled
+//! with AVX2 enabled.
 //!
 //! AVX2 companded decode is *algorithmic*, not a table gather: G.711's
 //! `((m << 3) + 0x84) << e - 0x84` maps onto 16-bit lanes with the variable
@@ -91,46 +93,16 @@ fn mix_lin16_le_avx2_entry(dst: &mut [u8], src: &[u8]) {
     unsafe { mix_lin16_le_avx2(dst, src) }
 }
 
+/// The scalar byte loop, compiled with AVX2 enabled: LLVM vectorizes it to
+/// 32-byte `vpaddsw`, level with a hand-unrolled intrinsic loop from 4 KB
+/// up (EXPERIMENTS.md, "Linear kernels over bytes").
+///
 /// # Safety
 ///
-/// The caller must guarantee the CPU supports AVX2.
+/// A caller without AVX2 enabled must guarantee the CPU supports it.
 #[target_feature(enable = "avx2")]
-unsafe fn mix_lin16_le_avx2(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len().min(src.len()) & !1;
-    let mut i = 0;
-    // In-body safety: every load/store stays within `n` — the unrolled
-    // loop touches 128 bytes per iteration, the cleanup loop 32.
-    while i + 128 <= n {
-        let a0 = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-        let b0 = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-        let a1 = _mm256_loadu_si256(dst.as_ptr().add(i + 32).cast());
-        let b1 = _mm256_loadu_si256(src.as_ptr().add(i + 32).cast());
-        let a2 = _mm256_loadu_si256(dst.as_ptr().add(i + 64).cast());
-        let b2 = _mm256_loadu_si256(src.as_ptr().add(i + 64).cast());
-        let a3 = _mm256_loadu_si256(dst.as_ptr().add(i + 96).cast());
-        let b3 = _mm256_loadu_si256(src.as_ptr().add(i + 96).cast());
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_adds_epi16(a0, b0));
-        _mm256_storeu_si256(
-            dst.as_mut_ptr().add(i + 32).cast(),
-            _mm256_adds_epi16(a1, b1),
-        );
-        _mm256_storeu_si256(
-            dst.as_mut_ptr().add(i + 64).cast(),
-            _mm256_adds_epi16(a2, b2),
-        );
-        _mm256_storeu_si256(
-            dst.as_mut_ptr().add(i + 96).cast(),
-            _mm256_adds_epi16(a3, b3),
-        );
-        i += 128;
-    }
-    while i + 32 <= n {
-        let a = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-        let b = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_adds_epi16(a, b));
-        i += 32;
-    }
-    scalar::mix_lin16_le(&mut dst[i..n], &src[i..n]);
+fn mix_lin16_le_avx2(dst: &mut [u8], src: &[u8]) {
+    scalar::mix_lin16_le(dst, src);
 }
 
 // ---- AVX2 decode (16 lanes per iteration) -----------------------------

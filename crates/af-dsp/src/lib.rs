@@ -20,11 +20,13 @@
 //! * [`adpcm`] — IMA ADPCM coding (the `SAMPLE_ADPCM32` type),
 //! * [`convert`] — conversion between any two supported encodings,
 //! * [`kernels`] — the runtime-dispatched scalar/SIMD batch kernels
-//!   behind [`convert`] and [`mix`],
+//!   behind [`convert`] and [`mix`]; every linear kernel is one loop over
+//!   little-endian sample bytes,
 //! * [`resample`] — the streaming linear-interpolation resampler (§2.2's
 //!   unfinished sample-rate conversion; what `apass -resample` runs),
 //! * [`silence`] — per-encoding silence fill,
-//! * [`sample`] — byte↔sample slice views for the batched kernels,
+//! * [`sample`] — the one byte→sample view, a companded → LIN16
+//!   conversion's output,
 //! * [`reference`](mod@reference) — the frozen scalar seed kernels (test/bench baseline).
 
 pub mod adpcm;

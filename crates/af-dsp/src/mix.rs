@@ -5,7 +5,7 @@
 //! 64 KiB lookup tables of [`crate::tables`]; linear formats mix with
 //! saturating adds.
 
-use crate::{kernels, sample, tables};
+use crate::{kernels, tables};
 
 /// Mixes `src` into `dst` (µ-law), saturating in the linear domain.
 pub fn mix_ulaw(dst: &mut [u8], src: &[u8]) {
@@ -23,20 +23,6 @@ pub fn mix_alaw(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Mixes `src` into `dst` (16-bit linear), saturating.
-pub fn mix_lin16(dst: &mut [i16], src: &[i16]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = d.saturating_add(*s);
-    }
-}
-
-/// Mixes `src` into `dst` (32-bit linear), saturating.
-pub fn mix_lin32(dst: &mut [i32], src: &[i32]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = d.saturating_add(*s);
-    }
-}
-
 /// Mixes raw little-endian sample bytes of the given encoding.
 ///
 /// This is the server's generic mixing entry point for its native buffer
@@ -44,8 +30,7 @@ pub fn mix_lin32(dst: &mut [i32], src: &[i32]) {
 /// truncated to a sample boundary — and leaves any trailing bytes of `dst`
 /// untouched, so a malformed client length cannot abort the server's update
 /// task.  LIN16 goes through the runtime-selected kernel vtable
-/// ([`crate::kernels`]): `core::arch` SIMD where the host has it, the
-/// scalar loop otherwise, alignment-free either way.
+/// ([`crate::kernels`]); LIN32 is one saturating loop over the bytes.
 ///
 /// # Panics
 ///
@@ -64,16 +49,13 @@ pub fn mix_bytes(encoding: crate::Encoding, dst: &mut [u8], src: &[u8]) {
         Encoding::Mu255 => mix_ulaw(dst, src),
         Encoding::Alaw => mix_alaw(dst, src),
         Encoding::Lin16 => (kernels::active().mix_lin16_le)(dst, src),
-        Encoding::Lin32 => match (sample::as_lin32_mut(dst), sample::as_lin32(src)) {
-            (Some(d), Some(s)) => mix_lin32(d, s),
-            _ => {
-                for (d, s) in dst.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
-                    let a = i32::from_le_bytes([d[0], d[1], d[2], d[3]]);
-                    let b = i32::from_le_bytes([s[0], s[1], s[2], s[3]]);
-                    d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
-                }
+        Encoding::Lin32 => {
+            for (d, s) in dst.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
+                let a = i32::from_le_bytes([d[0], d[1], d[2], d[3]]);
+                let b = i32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+                d.copy_from_slice(&a.saturating_add(b).to_le_bytes());
             }
-        },
+        }
         _ => unreachable!(),
     }
 }
@@ -82,13 +64,6 @@ pub fn mix_bytes(encoding: crate::Encoding, dst: &mut [u8], src: &[u8]) {
 mod tests {
     use super::*;
     use crate::g711;
-
-    #[test]
-    fn lin16_mix_adds_and_saturates() {
-        let mut dst = vec![100i16, 30_000, -30_000];
-        mix_lin16(&mut dst, &[28, 10_000, -10_000]);
-        assert_eq!(dst, vec![128, 32_767, -32_768]);
-    }
 
     #[test]
     fn ulaw_mix_approximates_linear_addition() {
@@ -102,10 +77,11 @@ mod tests {
 
     #[test]
     fn mix_bytes_lin16_little_endian() {
-        let mut dst = 1000i16.to_le_bytes().to_vec();
-        let src = 234i16.to_le_bytes().to_vec();
+        let bytes = |v: [i16; 3]| -> Vec<u8> { v.iter().flat_map(|s| s.to_le_bytes()).collect() };
+        let mut dst = bytes([1000, 30_000, -30_000]);
+        let src = bytes([234, 10_000, -10_000]);
         mix_bytes(crate::Encoding::Lin16, &mut dst, &src);
-        assert_eq!(i16::from_le_bytes([dst[0], dst[1]]), 1234);
+        assert_eq!(dst, bytes([1234, 32_767, -32_768])); // The last two saturate.
     }
 
     #[test]

@@ -139,9 +139,13 @@ proptest! {
         for k in kernels::available() {
             let mut pcm = vec![0i16; data.len()];
             (k.decode_ulaw)(&data, &mut pcm);
-            gain::apply_gain_lin16_q16(&mut pcm, factor);
+            let mut lin: Vec<u8> = pcm.iter().flat_map(|s| s.to_le_bytes()).collect();
+            gain::apply_gain_bytes(Encoding::Lin16, &mut lin, db);
             let mut got = Vec::new();
-            convert::encode_from_lin16_into(enc, &pcm, &mut AdpcmState::new(), &mut got).unwrap();
+            convert::Converter::new(Encoding::Lin16, enc)
+                .unwrap()
+                .convert_into(&lin, &mut got)
+                .unwrap();
             prop_assert_eq!(&got, &want, "{} {} dB -> {}", k.name, db, enc);
         }
     }

@@ -1,6 +1,6 @@
 //! Property-based tests of the DSP substrate's invariants.
 
-use af_dsp::convert::{decode_to_lin16, encode_from_lin16, Converter};
+use af_dsp::convert::{decode_to_lin16_into, encode_from_lin16_into, Converter};
 use af_dsp::{adpcm, g711, gain, mix, reference, Encoding};
 use proptest::prelude::*;
 
@@ -19,6 +19,23 @@ fn sample_unit(encoding: Encoding) -> usize {
         Encoding::Lin32 => 4,
         other => panic!("not a native encoding: {other}"),
     }
+}
+
+/// `data` copied `off` bytes into a fresh allocation, so `[off..]` sits at
+/// that misalignment from the allocator's natural alignment.
+fn slid(data: &[u8], off: usize) -> Vec<u8> {
+    let mut store = vec![0u8; off];
+    store.extend_from_slice(data);
+    store
+}
+
+/// `pcm` encoded as `encoding` and decoded back.
+fn round_trip(encoding: Encoding, pcm: &[i16]) -> Vec<i16> {
+    let mut st = adpcm::AdpcmState::new();
+    let (mut bytes, mut back) = (Vec::new(), Vec::new());
+    encode_from_lin16_into(encoding, pcm, &mut st, &mut bytes).unwrap();
+    decode_to_lin16_into(encoding, &bytes, &mut st, &mut back).unwrap();
+    back
 }
 
 /// Miri interprets ~100× slower than the code runs; a handful of cases
@@ -64,18 +81,12 @@ proptest! {
     /// Linear round trips are exact.
     #[test]
     fn lin16_round_trip(pcm in prop::collection::vec(any::<i16>(), 0..256)) {
-        let mut st = adpcm::AdpcmState::new();
-        let bytes = encode_from_lin16(Encoding::Lin16, &pcm, &mut st).unwrap();
-        let back = decode_to_lin16(Encoding::Lin16, &bytes, &mut st).unwrap();
-        prop_assert_eq!(back, pcm);
+        prop_assert_eq!(round_trip(Encoding::Lin16, &pcm), pcm);
     }
 
     #[test]
     fn lin32_round_trip(pcm in prop::collection::vec(any::<i16>(), 0..256)) {
-        let mut st = adpcm::AdpcmState::new();
-        let bytes = encode_from_lin16(Encoding::Lin32, &pcm, &mut st).unwrap();
-        let back = decode_to_lin16(Encoding::Lin32, &bytes, &mut st).unwrap();
-        prop_assert_eq!(back, pcm);
+        prop_assert_eq!(round_trip(Encoding::Lin32, &pcm), pcm);
     }
 
     /// Mixing is commutative and bounded (never wraps).
@@ -84,13 +95,15 @@ proptest! {
         a in prop::collection::vec(any::<i16>(), 32),
         b in prop::collection::vec(any::<i16>(), 32),
     ) {
-        let mut ab = a.clone();
-        mix::mix_lin16(&mut ab, &b);
-        let mut ba = b.clone();
-        mix::mix_lin16(&mut ba, &a);
+        let bytes = |v: &[i16]| -> Vec<u8> { v.iter().flat_map(|s| s.to_le_bytes()).collect() };
+        let mut ab = bytes(&a);
+        mix::mix_bytes(Encoding::Lin16, &mut ab, &bytes(&b));
+        let mut ba = bytes(&b);
+        mix::mix_bytes(Encoding::Lin16, &mut ba, &bytes(&a));
         prop_assert_eq!(&ab, &ba);
-        for (i, &m) in ab.iter().enumerate() {
+        for (i, m) in ab.chunks_exact(2).enumerate() {
             let exact = i32::from(a[i]) + i32::from(b[i]);
+            let m = i16::from_le_bytes([m[0], m[1]]);
             prop_assert_eq!(i32::from(m), exact.clamp(-32_768, 32_767));
         }
     }
@@ -181,35 +194,39 @@ proptest! {
 
     /// The batched gain path (precomputed tables / one Q16 multiplier) is
     /// bit-exact with the seed's per-sample float path across the full
-    /// −30…+30 dB range for all four native encodings.
+    /// −30…+30 dB range for all four native encodings, at any byte
+    /// alignment (`off` slides the buffer off its allocation).
     #[test]
     fn batched_gain_matches_scalar_reference(
         enc_idx in 0usize..4,
         db in -30i32..=30,
         samples in prop::collection::vec(any::<u8>(), 0..300),
+        off in 0usize..8,
     ) {
         let encoding = NATIVE[enc_idx];
         let unit = sample_unit(encoding);
         let whole = samples.len() / unit * unit;
         let data = &samples[..whole];
 
-        let mut batched = data.to_vec();
-        gain::apply_gain_bytes(encoding, &mut batched, db);
+        let mut batched = slid(data, off);
+        gain::apply_gain_bytes(encoding, &mut batched[off..], db);
 
         let mut scalar = data.to_vec();
         reference::apply_gain_bytes_scalar(encoding, &mut scalar, db);
 
-        prop_assert_eq!(batched, scalar, "encoding {} at {} dB", encoding, db);
+        prop_assert_eq!(&batched[off..], &scalar[..], "encoding {} at {} dB", encoding, db);
     }
 
     /// The reusable converter is bit-exact with the seed's allocating
-    /// decode-then-encode pipeline for every native encoding pair, and its
-    /// scratch reuse across calls never leaks one block into the next.
+    /// decode-then-encode pipeline for every native encoding pair at any
+    /// input alignment (`off` slides each block off its allocation), and
+    /// its scratch reuse across calls never leaks one block into the next.
     #[test]
     fn converter_matches_scalar_reference(
         from_idx in 0usize..4,
         to_idx in 0usize..4,
         blocks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..4),
+        off in 0usize..8,
     ) {
         let from = NATIVE[from_idx];
         let to = NATIVE[to_idx];
@@ -219,7 +236,7 @@ proptest! {
         let mut out = Vec::new();
         for block in &blocks {
             let data = &block[..block.len() / unit * unit];
-            conv.convert_into(data, &mut out).unwrap();
+            conv.convert_into(&slid(data, off)[off..], &mut out).unwrap();
             let pcm = reference::decode_to_lin16_scalar(from, data);
             let expect = reference::encode_from_lin16_scalar(to, &pcm);
             prop_assert_eq!(&out, &expect, "{} -> {}", from, to);

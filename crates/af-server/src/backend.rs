@@ -31,12 +31,6 @@ pub trait HwBackend: Send {
     /// How far ahead of "now" the update task keeps the hardware filled,
     /// in frames (the hardware ring size).
     fn lead_frames(&self) -> u32;
-
-    /// Direct access to a local virtual device, if this backend has one
-    /// (used for pass-through wiring and tests).
-    fn as_local_mut(&mut self) -> Option<&mut VirtualAudioHw> {
-        None
-    }
 }
 
 /// A directly attached simulated device (the `Alofi`/`Aaxp` case).
@@ -70,10 +64,6 @@ impl HwBackend for LocalBackend {
 
     fn lead_frames(&self) -> u32 {
         self.hw.config().ring_frames
-    }
-
-    fn as_local_mut(&mut self) -> Option<&mut VirtualAudioHw> {
-        Some(&mut self.hw)
     }
 }
 

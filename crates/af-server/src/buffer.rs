@@ -160,11 +160,6 @@ impl DeviceBuffers {
         self.rec_ref_count > 0
     }
 
-    /// Direct backend access (pass-through wiring, tests).
-    pub fn backend_mut(&mut self) -> &mut dyn HwBackend {
-        &mut *self.backend
-    }
-
     /// The periodic update task (§7.2, Figure 5).
     ///
     /// Moves play data from the server buffer to the hardware (applying the

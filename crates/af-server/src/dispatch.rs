@@ -810,15 +810,9 @@ impl Dispatcher {
                 nframes,
                 big_endian,
             } => {
-                let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
-                    return;
-                };
-                let missing = (start + nframes) - buffers.recorded_until();
-                if missing > 0 {
-                    self.suspend(id, seq, blocked.op, missing as u32);
-                } else {
-                    self.finish_record(id, order, seq, ac, device, start, nframes, big_endian);
-                }
+                self.record_or_suspend(
+                    id, order, seq, ac, device, start, nframes, big_endian, true,
+                );
             }
         }
     }
@@ -1268,7 +1262,6 @@ impl Dispatcher {
             }
             (ac.device, nframes, big, newly)
         };
-        let (gain, enabled) = self.core.output_state(device);
         let (buffers, _, _) = self
             .core
             .buffers_mut(device)
@@ -1276,35 +1269,58 @@ impl Dispatcher {
         if newly_recording {
             buffers.add_recorder();
         }
-        let end = start_time + nframes;
-        // Record update: make the buffer consistent if the request touches
-        // the shaded region (§7.2).
+        let block = flags & record_flags::BLOCK != 0;
+        self.record_or_suspend(
+            id, order, seq, ac_id, device, start_time, nframes, big_endian, block,
+        );
+        Ok(None)
+    }
+
+    /// The one record path, for a new request and for the retry of a
+    /// suspended one alike.  A record update first makes the buffer
+    /// consistent if the request touches the shaded region (§7.2); then a
+    /// request still missing frames suspends until about then (`block`) or
+    /// shrinks to what is recorded, and anything else is answered by
+    /// `finish_record`, which builds the reply in place.
+    #[allow(clippy::too_many_arguments)]
+    fn record_or_suspend(
+        &mut self,
+        id: ClientId,
+        order: af_proto::ByteOrder,
+        seq: u16,
+        ac: AcId,
+        device: DeviceId,
+        start: ATime,
+        mut nframes: u32,
+        big_endian: bool,
+        block: bool,
+    ) {
+        let (gain, enabled) = self.core.output_state(device);
+        let Some((buffers, _, _)) = self.core.buffers_mut(device) else {
+            return;
+        };
+        let end = start + nframes;
         if end.is_after(buffers.recorded_until()) {
             buffers.update(gain, enabled);
         }
         let recorded_until = buffers.recorded_until();
-        let mut nframes = nframes;
         let missing = end - recorded_until;
         if missing > 0 {
-            if flags & record_flags::BLOCK != 0 {
+            if block {
                 let op = BlockedOp::Record {
-                    ac: ac_id,
+                    ac,
                     device,
-                    start: start_time,
+                    start,
                     nframes,
                     big_endian,
                 };
                 self.suspend(id, seq, op, missing as u32);
-                return Ok(None);
+                return;
             }
             // Non-blocking: return whatever is available now.
-            nframes = nframes.min((recorded_until - start_time).max(0) as u32);
+            nframes = nframes.min((recorded_until - start).max(0) as u32);
         }
-        // The reply goes out from `finish_record`, built in place.
-        self.finish_record(
-            id, order, seq, ac_id, device, start_time, nframes, big_endian,
-        );
-        Ok(None)
+        self.finish_record(id, order, seq, ac, device, start, nframes, big_endian);
     }
 
     #[allow(clippy::too_many_arguments)]

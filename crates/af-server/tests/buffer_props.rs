@@ -190,7 +190,8 @@ proptest! {
                             s.to_le_bytes().into_iter().take(map.sample_bytes())
                         })
                         .collect();
-                    let mut staged = conv.convert(&raw).unwrap();
+                    let mut staged = Vec::new();
+                    conv.convert_into(&raw, &mut staged).unwrap();
                     af_dsp::reference::apply_gain_bytes_scalar(Encoding::Mu255, &mut staged, play_gain);
                     let want = staged_bufs.write_play(start, &staged, preempt, output_gain, true);
                     let got = mapped_bufs.write_play_mapped(start, &raw, &map, preempt, output_gain, true);
@@ -317,10 +318,11 @@ proptest! {
         preempt in proptest::bool::ANY,
     ) {
         let clock = Arc::new(VirtualClock::new(44_100));
+        let (sink, capture) = CaptureSink::new(1 << 22);
         let hw = VirtualAudioHw::new(
             af_device::hardware::HwConfig::hifi(),
             clock.clone(),
-            Box::new(af_device::io::NullSink),
+            Box::new(sink),
             Box::new(SilenceSource::new(0)),
         );
         let mut bufs = DeviceBuffers::new(
@@ -341,11 +343,6 @@ proptest! {
         // Deliver through the "hardware": advance time past the interval
         // and capture what plays.
         let n = left.len().max(right.len()) as u32;
-        let (sink, capture) = af_device::io::CaptureSink::new(1 << 22);
-        // Swap in a capturing sink before the data's scheduled time.
-        if let Some(local) = bufs.backend_mut().as_local_mut() {
-            local.set_sink(Box::new(sink));
-        }
         let end = 5000 + start_off + n + 100;
         let mut t = 0u32;
         while t < end {
@@ -386,10 +383,11 @@ proptest! {
         other in any::<i16>(),
     ) {
         let clock = Arc::new(VirtualClock::new(44_100));
+        let (sink, capture) = CaptureSink::new(1 << 22);
         let hw = VirtualAudioHw::new(
             af_device::hardware::HwConfig::hifi(),
             clock.clone(),
-            Box::new(af_device::io::NullSink),
+            Box::new(sink),
             Box::new(SilenceSource::new(0)),
         );
         let mut bufs = DeviceBuffers::new(
@@ -407,10 +405,6 @@ proptest! {
         bufs.write_play_channel(start, &bytes(a), 0, 2, false, 0, true);
         bufs.write_play_channel(start, &bytes(b), 0, 2, false, 0, true);
 
-        let (sink, capture) = af_device::io::CaptureSink::new(1 << 22);
-        if let Some(local) = bufs.backend_mut().as_local_mut() {
-            local.set_sink(Box::new(sink));
-        }
         for _ in 0..4 {
             clock.advance(2000);
             bufs.update(0, true);

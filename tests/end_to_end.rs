@@ -222,6 +222,41 @@ fn blocking_record_waits_for_time_to_advance() {
     driver.join().unwrap();
 }
 
+/// A suspended blocking record finishes on its own retry: the retry runs
+/// the record update (§7.2) as a new request would, so the reply does not
+/// wait for the periodic task — here an hour away.
+#[test]
+fn blocked_record_finishes_without_the_periodic_update() {
+    let clock = Arc::new(VirtualClock::new(8000));
+    let mut builder = ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .update_interval(std::time::Duration::from_secs(3600));
+    builder.add_codec(
+        clock.clone(),
+        Box::new(audiofile::device::NullSink),
+        Box::new(SilenceSource::new(SIL)),
+    );
+    let server = builder.spawn().unwrap();
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    let t0 = conn.get_time(0).unwrap();
+    let (_, _) = conn.record_samples(&ac, t0, 0, false).unwrap();
+
+    let (done, replies) = std::sync::mpsc::sync_channel(1);
+    let recorder = std::thread::spawn(move || {
+        let (_, data) = conn.record_samples(&ac, t0 + 800u32, 800, true).unwrap();
+        done.send(data.len()).unwrap();
+    });
+    // Let the request arrive and suspend before its frames exist.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    clock.advance(4000);
+    let got = replies.recv_timeout(std::time::Duration::from_secs(3));
+    assert_eq!(got, Ok(800));
+    recorder.join().unwrap();
+}
+
 #[test]
 fn play_flow_control_blocks_beyond_four_seconds() {
     let fx = Fixture::new();
