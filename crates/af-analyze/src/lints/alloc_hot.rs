@@ -36,7 +36,7 @@ const PATTERNS: &[&str] = &[
 
 /// Control-plane cuts:
 ///
-/// * `handle_event` is where a reactor shard enters the dispatcher with
+/// * `handle_event` is where the reactor enters the dispatcher with
 ///   anything but a request (setup, protocol error, disconnect — per
 ///   connection, not per tick): the reactor-rooted scan stops there.
 /// * `handle_request`, the borrowed request entry, is scanned, and so are

@@ -1,13 +1,13 @@
 //! `blocking-in-reactor`: nothing reachable from an event-loop may block.
 //!
-//! The reactor owns every connection on its shard; one blocked call —
+//! The reactor thread owns every connection; one blocked call —
 //! a sleep, a channel `send`/`recv`, a contended `lock`, a blocking read
 //! — stalls *all* of them, which on a WAN link shows up as a burst of
-//! late frames and concealment on every session at once.  A shard may
+//! late frames and concealment on every session at once.  The reactor may
 //! only use non-blocking primitives (atomics, pre-sized scratch, leaf
 //! locks held for a push or a swap and justified per site).
 //!
-//! The lint follows the approximate call graph from the shard handlers:
+//! The lint follows the approximate call graph from the reactor handlers:
 //! a helper three calls away from `handle_wake` is as much inside the
 //! loop as the loop body itself.
 //! Each finding reports the call path it was reached through.  Designed
@@ -16,7 +16,7 @@
 //! justified per site with
 //! `// af-analyze: allow(blocking-in-reactor): reason`.
 //!
-//! A shard runs request handlers itself, under the dispatch lock, so the
+//! The reactor runs request handlers itself, under the dispatch lock, so the
 //! reactor-rooted scan stops at the dispatcher's two entries,
 //! `handle_request` and `handle_event`: what a handler may do while
 //! holding the lock is the dispatcher's business (`lock-order`,
@@ -54,7 +54,7 @@ const SCAN: ReachScan = ReachScan {
     barriers: &[(DISPATCH, &["handle_request", "handle_event"])],
     patterns: PATTERNS,
     rationale: "event loops must stay non-blocking (atomics, nonblocking \
-                I/O); a block here stalls every connection on the shard",
+                I/O); a block here stalls every connection on the reactor",
 };
 
 /// Runs the lint.

@@ -20,7 +20,7 @@ use crate::Finding;
 
 pub(crate) const DISPATCH: &str = "crates/af-server/src/dispatch.rs";
 
-/// The reactor shard handlers, including the broadcast listener's read
+/// The reactor's handlers, including the broadcast listener's read
 /// and pump paths: every reachability lint's event-loop roots.
 pub(crate) const SHARD_HANDLERS: (&str, &[&str]) = (
     "crates/af-server/src/reactor/mod.rs",
@@ -39,7 +39,7 @@ pub(crate) const SHARD_HANDLERS: (&str, &[&str]) = (
 
 /// The per-tick data plane, the roots of `alloc` and `wallclock`: the
 /// dispatcher's borrowed request entry and its request-handling arms, the
-/// shard handlers, the borrowed `PlaySamples` parser, the append-form
+/// reactor handlers, the borrowed `PlaySamples` parser, the append-form
 /// record read and the merge loop behind every play, the broadcast
 /// seal/fetch entry points, and the FEC/jitter per-frame entry points.
 /// Each is named outright: many are reached otherwise only through an

@@ -10,7 +10,7 @@
 //!
 //! Roots are the data-plane registry `alloc` uses, and the scan follows
 //! the call graph from them.  It stops at the wake helper and at
-//! `handle_event`, where a shard enters the dispatcher per connection,
+//! `handle_event`, where the reactor enters the dispatcher per connection,
 //! not per tick.  A clock read the protocol itself asks for is justified
 //! per site with `// af-analyze: allow(wallclock): reason`.
 

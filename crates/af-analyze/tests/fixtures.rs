@@ -532,14 +532,14 @@ fn workspace_orders_the_dispatch_lock_before_connection_write_locks() {
             under.push(then);
         }
     }
-    // The buffer pool's free list (request and reply buffers), a shard's
-    // mailbox (the flush token of a queued reply), a connection's
-    // outbound lock (replies), and the broadcast bus's chunk ring and
-    // shard list (the update publishing the speaker bus — seen since a
-    // play can run the update itself, `DeviceBuffers::merge_play`): all
-    // leaves.  A new lock under the dispatch lock is a design change —
-    // extend DESIGN.md §9.1 with it.
-    assert_eq!(under, ["idle", "mailbox", "outbound", "ring", "shards"]);
+    // The buffer pool's free list (request and reply buffers), the
+    // reactor's mailbox (the flush token of a queued reply), a
+    // connection's outbound lock (replies), and the broadcast bus's chunk
+    // ring (the update publishing the speaker bus — seen since a play can
+    // run the update itself, `DeviceBuffers::merge_play`): all leaves.  A
+    // new lock under the dispatch lock is a design change — extend
+    // DESIGN.md §9.1 with it.
+    assert_eq!(under, ["idle", "mailbox", "outbound", "ring"]);
     // The two reply-path leaves really are leaves — in particular the
     // mailbox is only taken once the outbound lock is released.
     for (held, then) in lints::lock_order::edges(&files, &index, &graph) {

@@ -11,8 +11,7 @@
 //! Options: `-tcp host:port` (default 127.0.0.1:7000), `-unix path`,
 //! `-update ms`, `-loopback` (wire local speaker to microphone, useful for
 //! `apass` experiments), `-noaccess` (disable access control),
-//! `-shards n` (reactor shard count; default `min(4, cores)`, DESIGN.md
-//! §12), `-broadcast port` (stream device 0's speaker bus to
+//! `-broadcast port` (stream device 0's speaker bus to
 //! HTTP/ICY listeners on that port — encode-once fan-out, DESIGN.md §13),
 //! and `-ring-every secs` (LoFi shape only: a scripted caller rings the
 //! simulated line periodically, for exercising `aevents`/answering-machine
@@ -37,7 +36,6 @@ fn main() {
             "-tcp",
             "-unix",
             "-update",
-            "-shards",
             "-broadcast",
             "-ring-every",
             "-capture",
@@ -135,9 +133,6 @@ fn main() {
         .listen_tcp(tcp)
         .update_interval(std::time::Duration::from_millis(update_ms))
         .access_control(!args.has_flag("-noaccess"));
-    if let Some(shards) = args.get_num::<usize>("-shards") {
-        builder = builder.reactor_shards(shards);
-    }
     if let Some(path) = args.get_str("-unix") {
         builder = builder.listen_unix(path.into());
     }

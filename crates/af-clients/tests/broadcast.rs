@@ -253,7 +253,7 @@ fn every_listener_matches_the_speaker_bus_capture_bit_for_bit() {
     }
     assert!(lapped, "the ring never provably lapped the stalled cursor");
     // Phase B: the lagger wakes up and drains while publishing continues.
-    // Emptying its socket lets the shard refill, exhaust the stale batch,
+    // Emptying its socket lets the reactor refill, exhaust the stale batch,
     // and fetch — which discovers the cursor is off the ring and skips to
     // the live edge.  The post-skip chunks land while the clock still
     // advances, so the capture covers them.

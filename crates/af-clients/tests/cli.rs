@@ -593,16 +593,20 @@ fn afd_capture_and_mic_files() {
 fn afd_refuses_options_it_does_not_know() {
     // An unlisted `-name` used to parse as an option and swallow the next
     // token: `-codec -name -tcp ADDR` served on the default address.  The
-    // two retired switches are the likeliest to turn up in old scripts;
+    // three retired switches are the likeliest to turn up in old scripts;
     // they are spelled without their dash here so that a search of the
-    // tree for either finds no code that takes it.
-    let retired = ["sharded", "classic-transport"].map(|name| format!("-{name}"));
+    // tree for any finds no code that takes it.
+    let retired = ["sharded", "classic-transport", "shards"].map(|name| format!("-{name}"));
     for (args, unknown) in [
         (
             vec!["-codec", &retired[0], "-tcp", "127.0.0.1:0"],
             &*retired[0],
         ),
         (vec![&*retired[1]], &*retired[1]),
+        (
+            vec!["-codec", &retired[2], "2", "-tcp", "127.0.0.1:0"],
+            &*retired[2],
+        ),
         (vec!["-codec", "-tpc", "127.0.0.1:0"], "-tpc"),
     ] {
         let mut afd = Command::new(env!("CARGO_BIN_EXE_afd"))

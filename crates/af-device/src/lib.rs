@@ -30,7 +30,7 @@
 //! * [`jitter`] — the adaptive jitter buffer the Als backend plays
 //!   recorded audio through when the link crosses a lossy WAN.
 //! * [`stats`] — the typed counter families every stats reader walks: the
-//!   server's, each reactor shard's, the broadcast bus's and each link's.
+//!   server's, the reactor's, the broadcast bus's and each link's.
 
 pub mod clock;
 pub mod fec;

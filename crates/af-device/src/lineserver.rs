@@ -454,11 +454,6 @@ impl LineServerLink {
         Ok(cfg)
     }
 
-    /// Whether [`Self::enable_fec`] has succeeded on this link.
-    pub fn fec_enabled(&self) -> bool {
-        self.fec_tx.is_some()
-    }
-
     /// Bounds how long one attempt waits for a reply before retransmitting.
     pub fn set_reply_timeout(&self, timeout: Duration) -> io::Result<()> {
         self.socket.set_read_timeout(Some(timeout))

@@ -53,11 +53,6 @@ impl HwRing {
         self.frame_bytes
     }
 
-    /// Capacity in bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.data.len()
-    }
-
     fn offset(&self, time: ATime) -> usize {
         (time.ticks() & (self.frames - 1)) as usize * self.frame_bytes
     }

@@ -5,7 +5,7 @@
 //! names in index order.  [`Counters`] holds a family's relaxed atomics
 //! inline, so a bump is one atomic op at a constant offset; [`Snapshot`]
 //! is a plain copy that readers index by variant, add across instances
-//! (one per reactor shard, say) and walk generically as `(name, value)`
+//! (one per LineServer link, say) and walk generically as `(name, value)`
 //! pairs.  Every counter is a statistic that publishes no other data,
 //! hence `Relaxed` throughout.
 
@@ -187,7 +187,7 @@ family! {
 }
 
 family! {
-    /// One reactor shard's transport counters.
+    /// The reactor's transport counters.
     pub enum Shard {
         /// Registered fds owned right now (gauge): the self-pipe, listeners
         /// and connections.
@@ -210,15 +210,15 @@ family! {
         Replies => "replies",
         /// Outbound messages a producer wrote whole, straight to the socket.
         DirectWrites => "direct_writes",
-        /// Outbound messages handed to the shard (queued, or the remainder
+        /// Outbound messages handed to the reactor (queued, or the remainder
         /// of a short direct write).
         QueuedWrites => "queued_writes",
-        /// Connections this shard registered.
+        /// Connections the reactor registered.
         Accepted => "accepted",
-        /// Connections this shard closed (any reason, shutdown included).
+        /// Connections the reactor closed (any reason, shutdown included).
         Closed => "closed",
         /// Forced kicks (dispatcher evictions, stalled broadcast listeners)
-        /// landed on this shard's connections.
+        /// landed on the reactor's connections.
         Evictions => "evictions",
     }
 }
@@ -307,7 +307,7 @@ family! {
 
 /// The server's counters.
 pub type ServerCounters = Counters<Server, 7>;
-/// A reactor shard's counters.
+/// The reactor's counters.
 pub type ShardCounters = Counters<Shard, 13>;
 /// A broadcast bus's counters.
 pub type BusCounters = Counters<Bus, 15>;

@@ -4,7 +4,7 @@
 //! encoded **once** per chunk into a refcounted, sequence-numbered ring of
 //! pre-rendered wire bytes.  Every listener connection holds only a cursor
 //! (the next sequence number it wants) into that shared ring; the reactor
-//! shards write the `Arc`-shared bytes straight to each socket, so serving
+//! writes the `Arc`-shared bytes straight to each socket, so serving
 //! N listeners costs O(1) encode work per chunk plus N vectored writes —
 //! no per-listener copies and, in the steady state, no per-chunk
 //! allocation (retired chunk buffers recycle through a freelist).
@@ -22,7 +22,7 @@ use crate::stats::{lag_bucket, Bus, BusCounters};
 use af_dsp::kernels::cycles;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Frames per broadcast chunk (100 ms at the 8 kHz CODEC rate).
 pub const BROADCAST_CHUNK_FRAMES: u32 = 800;
@@ -117,7 +117,7 @@ struct Ring {
     free: Vec<Vec<u8>>,
 }
 
-type ShardWake = Box<dyn Fn() + Send + Sync>;
+type ReactorWake = Box<dyn Fn() + Send + Sync>;
 
 /// What a cursor got back from [`BroadcastBus::fetch_batch`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -136,7 +136,8 @@ pub struct BroadcastBus {
     cfg: BroadcastConfig,
     frame_bytes: usize,
     ring: Mutex<Ring>,
-    shards: Mutex<Vec<(Arc<AtomicBool>, ShardWake)>>,
+    /// The reactor's dirty flag and wakeup, once it has registered.
+    reactor: OnceLock<(Arc<AtomicBool>, ReactorWake)>,
     stats: Arc<BusCounters>,
 }
 
@@ -150,7 +151,7 @@ impl BroadcastBus {
                 next_seq: 0,
                 free: Vec::with_capacity(cfg.ring_chunks),
             }),
-            shards: Mutex::new(Vec::with_capacity(8)),
+            reactor: OnceLock::new(),
             cfg,
             frame_bytes,
             stats: Arc::default(),
@@ -172,14 +173,11 @@ impl BroadcastBus {
         &self.stats
     }
 
-    /// Registers a reactor shard's wakeup: `dirty` is set (and `wake`
-    /// called on the false→true edge) every time a chunk is sealed.
-    pub fn register_shard(&self, dirty: Arc<AtomicBool>, wake: ShardWake) {
-        let mut shards = self
-            .shards
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        shards.push((dirty, wake));
+    /// Registers the reactor's wakeup: `dirty` is set (and `wake` called
+    /// on the false→true edge) every time a chunk is sealed.  A bus serves
+    /// one reactor; a second registration is ignored.
+    pub fn register_reactor(&self, dirty: Arc<AtomicBool>, wake: ReactorWake) {
+        let _ = self.reactor.set((dirty, wake));
     }
 
     /// One past the newest sealed sequence number (the live edge).
@@ -204,8 +202,8 @@ impl BroadcastBus {
     }
 
     /// Seals one chunk of `payload` (exactly [`BroadcastBus::chunk_bytes`]
-    /// bytes) and wakes every registered shard.  Called from the audio
-    /// worker's update path; the critical section is O(1) and the wire
+    /// bytes) and wakes the reactor.  Called from the update task, through
+    /// the device's speaker tap; the critical section is O(1) and the wire
     /// render reuses a retired buffer, so the steady state allocates
     /// nothing.
     pub fn publish(&self, payload: &[u8]) {
@@ -268,17 +266,9 @@ impl BroadcastBus {
         self.stats.add(Bus::EncodedBytes, payload.len() as u64);
         self.stats.add(Bus::EncodeCycles, spent);
         self.stats.record_min(Bus::EncodeCyclesMin, spent);
-        self.notify_shards();
-    }
-
-    fn notify_shards(&self) {
-        let shards = self
-            .shards
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for (dirty, wake) in shards.iter() {
-            // Edge-triggered like a connection's `notified` flag: only
-            // the false→true edge pays for a wakeup write.
+        // Edge-triggered like a connection's `notified` flag: only the
+        // false→true edge pays for a wakeup write.
+        if let Some((dirty, wake)) = self.reactor.get() {
             if !dirty.swap(true, Ordering::AcqRel) {
                 wake();
             }
@@ -396,7 +386,7 @@ impl BusTap {
 
     // Named to be unique in the workspace: the approximate name-based
     // call graph in af-analyze would resolve any `.push(` call (e.g. a
-    // `Vec::push` under the shards lock) to a method called `push` here,
+    // `Vec::push` under the mailbox lock) to a method called `push` here,
     // fabricating an edge into `publish`.
     fn absorb(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
@@ -575,14 +565,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_wakeups_fire_on_the_edge_only() {
+    fn reactor_wakeups_fire_on_the_edge_only() {
         let b = bus(8);
         let dirty = Arc::new(AtomicBool::new(false));
         let wakes = Arc::new(AtomicU64::new(0));
         let w = Arc::clone(&wakes);
-        b.register_shard(Arc::clone(&dirty), Box::new(move || {
-            w.fetch_add(1, Ordering::Relaxed);
-        }));
+        b.register_reactor(
+            Arc::clone(&dirty),
+            Box::new(move || {
+                w.fetch_add(1, Ordering::Relaxed);
+            }),
+        );
         b.publish(&[0; 4]);
         b.publish(&[0; 4]); // Dirty still set: no second wake.
         assert_eq!(wakes.load(Ordering::Relaxed), 1);

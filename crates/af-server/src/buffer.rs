@@ -155,11 +155,6 @@ impl DeviceBuffers {
         self.rec_ref_count = self.rec_ref_count.saturating_sub(1);
     }
 
-    /// Whether any AC is recording.
-    pub fn recording_active(&self) -> bool {
-        self.rec_ref_count > 0
-    }
-
     /// The periodic update task (§7.2, Figure 5).
     ///
     /// Moves play data from the server buffer to the hardware (applying the

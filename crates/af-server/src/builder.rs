@@ -5,8 +5,8 @@
 //! (LineServer) — that differed only in their device-dependent bottom
 //! halves.  [`ServerBuilder`] composes the same shapes from simulated
 //! devices and produces a [`RunningServer`]: the dispatcher behind its
-//! dispatch lock, the task thread (`af-dispatcher`) and the reactor, whose
-//! shards run request handlers themselves.
+//! dispatch lock, the task thread (`af-dispatcher`) and the reactor thread
+//! (`af-reactor-0`), which runs request handlers itself.
 
 use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BusTap};
@@ -29,17 +29,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Ingredients for one abstract audio device.
-pub struct DeviceSetup {
+struct DeviceSetup {
     /// Advertised description (index is assigned by the builder).
-    pub desc: DeviceDesc,
+    desc: DeviceDesc,
     /// The buffering engine over its backend (owners only).
-    pub buffers: Option<DeviceBuffers>,
+    buffers: Option<DeviceBuffers>,
     /// For mono views: `(parent device index, channel lane)`.
-    pub mono_of: Option<(usize, u8)>,
+    mono_of: Option<(usize, u8)>,
     /// Attached telephone line, if any.
-    pub phone: Option<PhoneLine>,
+    phone: Option<PhoneLine>,
     /// Pass-through peer device index, if wired.
-    pub passthrough_peer: Option<usize>,
+    passthrough_peer: Option<usize>,
 }
 
 /// Builder for an AudioFile server.
@@ -50,7 +50,6 @@ pub struct ServerBuilder {
     tcp: Option<SocketAddr>,
     unix: Option<PathBuf>,
     access_enabled: bool,
-    reactor_shards: Option<usize>,
     link_stats: Vec<Arc<LinkCounters>>,
     broadcast: Option<(usize, SocketAddr, BroadcastConfig)>,
 }
@@ -71,7 +70,6 @@ impl ServerBuilder {
             tcp: None,
             unix: None,
             access_enabled: true,
-            reactor_shards: None,
             link_stats: Vec::new(),
             broadcast: None,
         }
@@ -81,7 +79,7 @@ impl ServerBuilder {
     /// `addr` (encode-once fan-out, DESIGN.md §13).  Use port 0 for an
     /// ephemeral port; the bound address is
     /// [`RunningServer::broadcast_addr`].  The device must own buffers (not
-    /// a mono view).  Listeners are served by the reactor shards.
+    /// a mono view).  Listeners are served by the reactor.
     pub fn broadcast(self, device: usize, addr: SocketAddr) -> Self {
         self.broadcast_with_config(device, addr, BroadcastConfig::default())
     }
@@ -95,12 +93,6 @@ impl ServerBuilder {
         cfg: BroadcastConfig,
     ) -> Self {
         self.broadcast = Some((device, addr, cfg));
-        self
-    }
-
-    /// Sets the reactor shard count (default `min(4, cores)`).
-    pub fn reactor_shards(mut self, shards: usize) -> Self {
-        self.reactor_shards = Some(shards.max(1));
         self
     }
 
@@ -310,11 +302,6 @@ impl ServerBuilder {
         })
     }
 
-    /// Adds a fully custom device.
-    pub fn add_device(&mut self, setup: DeviceSetup) -> usize {
-        self.push(setup)
-    }
-
     fn push(&mut self, setup: DeviceSetup) -> usize {
         self.devices.push(setup);
         self.devices.len() - 1
@@ -352,13 +339,13 @@ impl ServerBuilder {
         (b, line)
     }
 
-    /// Starts the server: dispatcher, reactor shards, listeners and the
-    /// task thread.
+    /// Starts the server: dispatcher, reactor, listeners and the task
+    /// thread.
     ///
     /// The reactor is the only transport, so this fails with
     /// `ErrorKind::Unsupported` on targets `af_sys` has no syscall backend
     /// for (supported: Linux on x86_64 and aarch64), and with
-    /// `epoll_create1`'s own error when a shard cannot get its epoll
+    /// `epoll_create1`'s own error when the reactor cannot get its epoll
     /// instance.  On any error every thread started so far has been joined
     /// by the time it is returned.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
@@ -405,16 +392,11 @@ impl ServerBuilder {
             buffers.set_tap(Box::new(BusTap::new(Arc::clone(&bus), fill)));
             broadcast_bus = Some(bus);
         }
-        let reactor_shards = self
-            .reactor_shards
-            .unwrap_or_else(crate::reactor::default_shards);
         // The reactor stages frames in the buffer pool; the dispatcher shares it
-        // so reply buffers written out by the shards come back around.  The
+        // so reply buffers written out by the reactor come back around.  The
         // free list is sized for per-connection partial-frame accumulation
         // across thousands of sockets.
-        let pool = crate::pool::BufferPool::with_max_idle(
-            reactor_shards * crate::pool::REACTOR_MAX_IDLE_PER_SHARD,
-        );
+        let pool = crate::pool::BufferPool::with_max_idle(crate::pool::REACTOR_MAX_IDLE);
         let server_counters = Arc::new(ServerCounters::default());
         let core = ServerCore {
             vendor: self.vendor,
@@ -455,7 +437,6 @@ impl ServerBuilder {
         let spawned = Reactor::spawn(
             dispatch.clone(),
             Arc::clone(&pool),
-            reactor_shards,
             listeners,
             broadcast_bus,
         );
@@ -472,7 +453,7 @@ impl ServerBuilder {
             .spawn(move || dispatch.run_task_thread())?;
         let stats = Arc::new(ServerStats {
             server: server_counters,
-            shards: reactor.shard_stats(),
+            reactor: reactor.stats(),
             links: self.link_stats,
             broadcast: bus_counters,
         });
@@ -546,7 +527,7 @@ impl RunningServer {
         self.broadcast_addr
     }
 
-    /// Every counter the server keeps: its own, each shard's, each link's
+    /// Every counter the server keeps: its own, the reactor's, each link's
     /// and the broadcast bus's.
     pub fn stats(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
@@ -576,7 +557,7 @@ impl RunningServer {
     fn stop(&mut self) {
         self.handle.shutdown();
         if let Some(mut reactor) = self.reactor.take() {
-            // Raises the stop flag and wakes every shard to see it.
+            // Raises the stop flag and wakes the reactor to see it.
             reactor.shutdown();
         }
         if let Some(path) = &self.unix_path {

@@ -4,12 +4,12 @@
 //! waits in `select()`, reads a request, dispatches it and writes the
 //! reply.  Here the [`Dispatcher`] — all server state, the task queue and
 //! the request handlers — sits behind one **dispatch lock**, and the reactor
-//! shard that frames a transport event hands it to
+//! thread that frames a transport event hands it to
 //! [`DispatchHandle::submit`] — a request, still in the buffer `read` left
 //! it in, to [`DispatchHandle::request`] — which takes the lock and runs
 //! the handler on that same thread.  The lock *is* the single-thread
 //! guarantee: events are handled one at a time, atomically, in
-//! per-connection arrival order (a connection lives on one thread).
+//! per-connection arrival order.
 //!
 //! The task thread, `af-dispatcher` ([`DispatchHandle::run_task_thread`]),
 //! is the `select()` timeout of the original: it waits on a condition
@@ -56,7 +56,7 @@ pub struct ServerCore {
     /// Connection and dispatch counters, shared with the server handle.
     pub stats: Arc<ServerCounters>,
     /// Reply/frame buffer pool, shared with the transport layer so reply
-    /// buffers written out by a shard come back to the dispatcher.
+    /// buffers written out by the reactor come back to the dispatcher.
     pub pool: Arc<BufferPool>,
 }
 
@@ -489,7 +489,7 @@ impl Dispatcher {
             } => self.handle_new_client(id, &setup, peer, tx),
             ServerEvent::ProtocolError { id, error: _ } => {
                 // A framing violation poisons only the offending
-                // connection, which its shard is already closing; other
+                // connection, which the reactor is already closing; other
                 // clients are untouched.
                 self.core.stats.add(Server::ProtocolErrors, 1);
                 self.remove_client(id);
@@ -593,8 +593,8 @@ impl Dispatcher {
     }
 
     /// Evicts every client whose outbound deque refused a message: closes
-    /// its socket (its shard sees the hang-up) and drops its state, so the
-    /// shard's eventual `Disconnect` event finds nothing.  (A client listed
+    /// its socket (the reactor sees the hang-up) and drops its state, so
+    /// the reactor's eventual `Disconnect` event finds nothing.  (A client listed
     /// twice, or gone since, is evicted once.)
     fn evict_overflowed(&mut self) {
         while let Some(id) = self.overflowed.pop() {

@@ -11,10 +11,10 @@
 //! Concurrency model: the paper's server is a single-threaded process
 //! multiplexed by `select()`.  The Rust equivalent keeps **all server state
 //! behind one dispatch lock**.  The [`reactor`] registers every nonblocking
-//! socket with a small set of readiness-driven shards (raw `epoll` — the
-//! modern form of the paper's `select()` loop), scaling to tens of
-//! thousands of connections; the shard that frames a request runs its
-//! handler under the lock and writes the reply, one thread deep.  A slow
+//! socket with one readiness-driven thread (raw `epoll` — the modern form
+//! of the paper's `select()` loop), scaling to tens of thousands of
+//! connections; it runs the handler of each request it frames under the
+//! lock and writes the reply, one thread deep.  A slow
 //! client overflows its bounded outbound deque and is evicted — preserving
 //! the paper's fairness and "no rocket science" properties.  There is one
 //! configuration: no alternate transport and no separate audio threads
@@ -50,9 +50,9 @@ pub mod task;
 pub use af_device::stats;
 pub use broadcast::{BroadcastBus, BroadcastConfig, BROADCAST_CHUNK_FRAMES, BROADCAST_RING_CHUNKS};
 pub use buffer::{DeviceBuffers, PlayOutcome};
-pub use builder::{DeviceSetup, RunningServer, ServerBuilder, ServerHandle};
+pub use builder::{RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
-pub use reactor::{default_shards, OutboundTx, Reactor, OUTBOUND_QUEUE_CAPACITY};
+pub use reactor::{OutboundTx, Reactor, OUTBOUND_QUEUE_CAPACITY};
 pub use state::ServerStats;
 
 /// The paper's `MSUPDATE`: the update task period, in milliseconds.

@@ -3,8 +3,8 @@
 //! A request that arrives whole is handled in the buffer `read` left it
 //! in and takes nothing from here.  What must be owned is: the reply (the
 //! dispatcher encodes it into a pooled buffer, and whoever writes the
-//! bytes to the socket returns it), a frame split across reads (its shard
-//! stages it in one), and a request held for a suspended client.
+//! bytes to the socket returns it), a frame split across reads (the
+//! reactor stages it in one), and a request held for a suspended client.
 //! [`BufferPool`] keeps a small free list so steady-state traffic recycles
 //! the same few buffers and allocates nothing.
 //!
@@ -19,13 +19,12 @@ use std::sync::{Arc, Mutex};
 /// (frame in flight, reply queued, a few blocked) without hoarding memory.
 const DEFAULT_MAX_IDLE: usize = 32;
 
-/// Free-list sizing for reactor-mode servers, per shard.  A reactor shard
-/// keeps one partial-frame accumulation buffer alive per connection that
-/// is mid-frame, and thousands of connections cycle through frames
+/// Free-list sizing for a server's transport pool.  The reactor keeps one
+/// partial-frame accumulation buffer alive per connection that is
+/// mid-frame, and thousands of connections cycle through frames
 /// concurrently — a 32-buffer free list would thrash back to the
-/// allocator under that churn.  The transport pool is sized
-/// `shards × REACTOR_MAX_IDLE_PER_SHARD` instead.
-pub const REACTOR_MAX_IDLE_PER_SHARD: usize = 128;
+/// allocator under that churn.
+pub const REACTOR_MAX_IDLE: usize = 128;
 
 /// A shared pool of reusable byte buffers.
 #[derive(Debug)]

@@ -1,22 +1,21 @@
-//! The server's OS section: N reactor shards multiplexing all connections.
+//! The server's OS section: one reactor thread multiplexing all connections.
 //!
 //! The paper's server multiplexed every client socket, TCP or Unix-domain,
-//! with one `select()` loop (§5.1, §7.3.1).  This module keeps the paper's
-//! shape at scale: a small set of reactor shards (default `min(4, cores)`)
-//! each run a level-triggered readiness loop ([`af_sys::Poller`]: raw
-//! `epoll`) over nonblocking sockets.  Sockets enter in two forms: the
-//! [`Listener`]s handed to [`Reactor::spawn`], which shard 0 accepts on
-//! with one loop whatever their family or kind, and a `SharedSock` for
-//! each accepted connection, routed round-robin to its owning shard.
+//! with one `select()` loop (§5.1, §7.3.1).  This module keeps that shape:
+//! one thread runs a level-triggered readiness loop ([`af_sys::Poller`]:
+//! raw `epoll`) over nonblocking sockets.  Sockets enter in two forms: the
+//! [`Listener`]s handed to [`Reactor::spawn`], accepted on with one loop
+//! whatever their family or kind, and a `SharedSock` for each accepted
+//! connection, registered with the same poller.
 //!
-//! Each shard owns its connections outright: the per-connection read state
-//! machine (setup header → setup tail → frame header → payload, resumable
-//! at any byte boundary) is fed from **one `read` per readiness event**
-//! into a per-shard scratch buffer, and the connection's outbound deque is
+//! The reactor owns its connections outright: the per-connection read
+//! state machine (setup header → setup tail → frame header → payload,
+//! resumable at any byte boundary) is fed from **one `read` per readiness
+//! event** into one scratch buffer, and the connection's outbound deque is
 //! drained on write readiness.  A request frame that arrived whole is
 //! lent to the dispatcher where it lies in the scratch; only one split
 //! across reads (or larger than the scratch) is put together in a pooled
-//! staging buffer first.  The shard hands each framed event to the
+//! staging buffer first.  The reactor hands each framed event to the
 //! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
 //! its handler itself, under the dispatch lock — so a `GetTime` is
 //! `epoll_wait`, `read`, `write` on one thread — with single-threaded
@@ -25,26 +24,24 @@
 //! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): every
 //! connection has one deque of unwritten messages behind one lock
 //! (`ConnShared`); the front is the message mid-write.  Whoever produces
-//! a reply — a request handler (on this shard or another) or the task
-//! thread — takes the lock and, when the deque is empty, tries one
-//! nonblocking `write` on the connection's socket itself.  A message the
-//! socket takes whole never touches the deque; a short write, a
-//! would-block, an error, or a message with others ahead of it is pushed
-//! on the back (at most [`OUTBOUND_QUEUE_CAPACITY`] wait there).  The
-//! shard's `flush_conn` writes from the front under the same lock, one
-//! message per hold, so bytes leave in issue order.  After a push the
-//! producer runs the wakeup protocol: atomically swap the connection's
-//! `notified` flag; only the first producer to set it leaves the
-//! connection's token in the shard's mailbox and writes the self-pipe.
-//! The shard clears `notified` *before* draining, so a producer racing
-//! with the drain re-arms the notification — no lost wakeup — while the
-//! flag keeps redundant tokens (and redundant drains) bounded at one per
-//! drain cycle.  In the steady state the socket takes every reply whole
-//! and the shard is never woken for output.
+//! a reply — a request handler on the reactor thread or the task thread —
+//! takes the lock and, when the deque is empty, tries one nonblocking
+//! `write` on the connection's socket itself.  A message the socket takes
+//! whole never touches the deque; a short write, a would-block, an error,
+//! or a message with others ahead of it is pushed on the back (at most
+//! [`OUTBOUND_QUEUE_CAPACITY`] wait there).  The reactor's `flush_conn`
+//! writes from the front under the same lock, one message per hold, so
+//! bytes leave in issue order.  After a push the producer runs the wakeup
+//! protocol: atomically swap the connection's `notified` flag; only the
+//! first producer to set it leaves the connection's token in the mailbox
+//! and writes the self-pipe.  The reactor clears `notified` *before*
+//! draining, so a producer racing with the drain re-arms the notification
+//! — no lost wakeup — while the flag keeps redundant tokens (and redundant
+//! drains) bounded at one per drain cycle.  In the steady state the socket
+//! takes every reply whole and the reactor is never woken for output.
 //!
-//! The mailbox is everything other threads leave for a shard — accepted
-//! connections, flush tokens — behind one leaf lock; the shard swaps it out
-//! whole when its self-pipe fires.
+//! The mailbox is the flush tokens other threads leave, behind one leaf
+//! lock; the reactor swaps it out whole when its self-pipe fires.
 //!
 //! Failure model: a malformed or oversized frame header is a protocol
 //! error that disconnects only the offending client; a client that stops
@@ -55,8 +52,8 @@
 //!
 //! Backpressure: the lock is taken per framed event, never per readiness
 //! batch, so `FRAME_BUDGET` fairness holds and the update task waits
-//! behind at most one request.  A shard waiting for the dispatch lock is
-//! not reading its sockets — TCP backpressure to the clients.
+//! behind at most one request.  While the reactor waits for the dispatch
+//! lock it is not reading its sockets — TCP backpressure to the clients.
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
 use crate::dispatch::DispatchHandle;
@@ -72,7 +69,7 @@ use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Bound on the messages a connection may have waiting for its socket
@@ -90,32 +87,27 @@ pub enum Refused {
     Closed,
 }
 
-/// Bound on the accepted connections waiting in a shard's mailbox; past
-/// it the accepting shard sheds.  Flush tokens need no bound of their own:
-/// `notified` admits one per connection.
-pub const REACTOR_INBOX_CAPACITY: usize = 1024;
-
 /// `accept` errors meaning the process (`EMFILE`) or the system
 /// (`ENFILE`) is out of descriptors; the same numbers on every Linux.
 const EMFILE: i32 = 24;
 const ENFILE: i32 = 23;
 
-/// Poller token reserved for the shard's self-pipe wake fd.
+/// Poller token reserved for the reactor's self-pipe wake fd.
 const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Frames decoded per readiness event per connection before yielding, so
-/// one firehose client cannot starve its shard siblings (level-triggered
+/// one firehose client cannot starve its siblings (level-triggered
 /// polling re-reports the fd immediately).  Checked between reads only:
 /// bytes already read are always framed, so a turn can overshoot by at
 /// most one scratch-full of frames.
 const FRAME_BUDGET: u32 = 64;
 
-/// Size of each shard's read scratch: one `read` per readiness event lands
+/// Size of the reactor's read scratch: one `read` per readiness event lands
 /// here, and a request frame that lies whole in it is handled where it
 /// lies.  Holds a client library's whole pipelined burst (a 32 KB play is
 /// four 8,212-byte frames in two `write`s) so that none straddles the end;
-/// at 32 KB the fourth would whenever both writes are queued.  Per shard,
-/// not per connection, so idle connections cost no memory.
+/// at 32 KB the fourth would whenever both writes are queued.  One for the
+/// reactor, not one per connection, so idle connections cost no memory.
 const READ_SCRATCH_BYTES: usize = 64 * 1024;
 
 /// A staged payload's remainder at least this large is read straight into
@@ -129,15 +121,7 @@ const BCAST_BATCH: usize = 8;
 /// treated as garbage and the connection is closed.
 const BCAST_REQ_MAX: usize = 4096;
 
-/// The default shard count: `min(4, cores)`.
-pub fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// Wakes a shard's poll loop by writing one byte to its self-pipe.
+/// Wakes the reactor's poll loop by writing one byte to its self-pipe.
 struct Waker {
     tx: UnixStream,
 }
@@ -157,7 +141,7 @@ impl Waker {
     }
 }
 
-/// The one owning handle to an accepted socket, shared by the owning shard
+/// The one owning handle to an accepted socket, shared by the reactor
 /// (reads, flushes) and, for an AudioFile client, the dispatcher's
 /// [`OutboundTx`] (direct writes, eviction).  One descriptor per
 /// connection; a producer that outlives the connection keeps the *socket*
@@ -176,7 +160,7 @@ impl SharedSock {
     }
 
     /// `read` through a shared reference (`Read` is implemented for
-    /// `&TcpStream`/`&UnixStream`): the shard holds the socket in the
+    /// `&TcpStream`/`&UnixStream`): the reactor holds the socket in the
     /// `Arc` it shares with the producers.
     fn read_shared(&self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
@@ -185,7 +169,7 @@ impl SharedSock {
         }
     }
 
-    /// `write` through a shared reference, for the shard's flush and for
+    /// `write` through a shared reference, for the reactor's flush and for
     /// producers, none of which holds a `&mut`.
     fn write_shared(&self, buf: &[u8]) -> io::Result<usize> {
         match self {
@@ -212,7 +196,7 @@ impl AsRawFd for SharedSock {
 }
 
 /// A bound, nonblocking listening socket, handed to [`Reactor::spawn`]
-/// before any shard runs; shard 0 accepts on it.
+/// before the reactor thread runs.
 pub struct Listener {
     sock: ListenSock,
     /// What it accepts are broadcast (HTTP/ICY) listeners, not AudioFile
@@ -288,22 +272,22 @@ struct Outbound {
     queue: VecDeque<PooledBuf>,
     /// Bytes of the front message already on the socket.
     written: usize,
-    /// No further message is taken.  Set by the shard when it closes the
-    /// connection, and by [`OutboundTx::hang_up`], after which the shard
+    /// No further message is taken.  Set by the reactor when it closes the
+    /// connection, and by [`OutboundTx::hang_up`], after which the reactor
     /// closes the connection once `queue` has drained.
     closed: bool,
 }
 
-/// What a reactor connection's shard and the dispatcher's [`OutboundTx`]
-/// share: the socket, the unwritten messages, and the way to wake the
-/// shard for them.  Built by the owning shard when it registers the
+/// What the reactor and the dispatcher's [`OutboundTx`] share for one
+/// connection: the socket, the unwritten messages, and the way to wake
+/// the reactor for them.  Built by the reactor when it registers the
 /// connection.
 struct ConnShared {
-    /// Poller token of the connection's slot on its shard.
+    /// Poller token of the connection's slot.
     token: u64,
     /// Wakeup-protocol flag: a flush token for this connection is pending.
     notified: AtomicBool,
-    /// The owning shard's mailbox, waker and counters.
+    /// The reactor's mailbox, waker and counters.
     link: Arc<ShardLink>,
     sock: SharedSock,
     /// The lock is the connection's write critical section — whoever holds
@@ -314,9 +298,9 @@ struct ConnShared {
 impl ConnShared {
     /// Sends one message toward the connection without blocking: straight
     /// to the socket when nothing is ahead of it, otherwise (or for the
-    /// unwritten remainder) onto the deque with a shard wakeup.
+    /// unwritten remainder) onto the deque with a reactor wakeup.
     fn deliver(&self, buf: PooledBuf) -> Result<(), Refused> {
-        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push; contended only while the shard flushes this same connection
+        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push; contended only while the reactor flushes this same connection
         let mut out = self.outbound.lock().unwrap_or_else(PoisonError::into_inner);
         // A refused `buf` recycles (pool lock) at the return, unlocked.
         if out.closed {
@@ -335,10 +319,10 @@ impl ConnShared {
                     self.link.stats.add(stats::Shard::DirectWrites, 1);
                     return Ok(());
                 }
-                // Short write: the shard finishes the message and arms
+                // Short write: the reactor finishes the message and arms
                 // write interest, exactly as for a queued one.
                 Ok(n) => out.written = n,
-                // Would block or an error: queue it, so the shard's flush
+                // Would block or an error: queue it, so the reactor's flush
                 // meets the same condition and handles it on the one
                 // close path.
                 Err(_) => {}
@@ -351,9 +335,9 @@ impl ConnShared {
         Ok(())
     }
 
-    /// Signals the owning shard that the connection has outbound data it
-    /// must write.  Must be called *after* the push, with the outbound
-    /// lock released (the shard clears `notified` before draining, so this
+    /// Signals the reactor that the connection has outbound data it must
+    /// write.  Must be called *after* the push, with the outbound lock
+    /// released (the reactor clears `notified` before draining, so this
     /// ordering is what makes a racing push visible — see the module docs
     /// and the loom model).
     fn wake(&self) {
@@ -361,13 +345,13 @@ impl ConnShared {
             let link = &self.link;
             // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
             let mut mailbox = link.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
-            mailbox.flush.push(self.token);
+            mailbox.push(self.token);
             drop(mailbox);
             link.waker.wake();
         }
     }
 
-    /// The shard's half of closing: refuses later messages and hands back
+    /// The reactor's half of closing: refuses later messages and hands back
     /// the unwritten ones, so they recycle outside the lock.
     fn close(&self) -> VecDeque<PooledBuf> {
         // af-analyze: allow(blocking-in-reactor): leaf lock, held for a flag store and a take
@@ -383,7 +367,7 @@ impl ConnShared {
 /// A producer (a request handler or the task thread) first attempts the
 /// *direct write*: one nonblocking `write` on the socket, allowed only
 /// when no earlier message is still waiting.  Whatever the socket would
-/// not take goes on the connection's bounded deque, which its shard
+/// not take goes on the connection's bounded deque, which the reactor
 /// drains; producers push first, then wake, and that ordering is what
 /// makes the clear-before-drain protocol lossless.
 #[derive(Clone)]
@@ -396,7 +380,7 @@ impl OutboundTx {
         self.0.deliver(buf)
     }
 
-    /// Forcibly closes the connection's socket, so its shard sees the
+    /// Forcibly closes the connection's socket, so the reactor sees the
     /// hang-up and drops it (slow clients are evicted this way).  Counted
     /// as an eviction.
     pub fn kick(&self) {
@@ -420,7 +404,7 @@ impl OutboundTx {
             // Not an eviction, so not counted as one.
             self.0.sock.shutdown();
         } else {
-            // The shard closes the connection when its flush drains the
+            // The reactor closes the connection when its flush drains the
             // deque; the token makes sure a flush comes.
             self.0.wake();
         }
@@ -429,7 +413,7 @@ impl OutboundTx {
 
 #[cfg(test)]
 impl OutboundTx {
-    /// A handle on a connection no shard owns: its socket's peer is gone,
+    /// A handle on a connection no reactor owns: its socket's peer is gone,
     /// so every direct write fails and every message waits on the deque,
     /// which nothing drains, and wakeups go nowhere.
     pub(crate) fn detached() -> OutboundTx {
@@ -439,9 +423,10 @@ impl OutboundTx {
             token: 0,
             notified: AtomicBool::new(false),
             link: Arc::new(ShardLink {
-                mailbox: Mutex::new(Mailbox::default()),
+                mailbox: Mutex::default(),
                 waker,
                 stats: Arc::default(),
+                stop: AtomicBool::new(false),
             }),
             sock: SharedSock::Unix(Arc::new(sock)),
             outbound: Mutex::new(Outbound::default()),
@@ -458,67 +443,23 @@ impl OutboundTx {
             .len()
     }
 
-    /// Times the handle was kicked (a detached connection's shard counters
-    /// are its own).
+    /// Times the handle was kicked (a detached connection's reactor
+    /// counters are its own).
     pub(crate) fn kicks(&self) -> u64 {
         self.0.link.stats.get(stats::Shard::Evictions)
     }
 }
 
-/// An accepted connection handed to its owning shard for registration.
-struct NewConn {
-    sock: SharedSock,
-    id: ClientId,
-    peer: Option<IpAddr>,
-    /// Accepted on a broadcast [`Listener`].
-    broadcast: bool,
-}
-
-/// What other threads have left for a shard since its last wake-up.
-#[derive(Default)]
-struct Mailbox {
-    conns: Vec<NewConn>,
-    /// Tokens of connections with freshly queued outbound data.
-    flush: Vec<u64>,
-}
-
-/// The way to reach a shard from another thread.
+/// The way to reach the reactor thread from another thread.
 struct ShardLink {
-    /// A leaf lock: held for one push, or for the shard's one swap.
-    mailbox: Mutex<Mailbox>,
+    /// Tokens of connections with freshly queued outbound data; no bound
+    /// of its own, as `notified` admits one per connection.  A leaf lock:
+    /// held for one push, or for the reactor's one swap.
+    mailbox: Mutex<Vec<u64>>,
     waker: Waker,
     stats: Arc<ShardCounters>,
-}
-
-impl ShardLink {
-    /// Leaves `conn` for the shard and wakes it.  A full mailbox is
-    /// overload: dropping the connection (closing its socket) sheds it.
-    fn post(&self, conn: NewConn) {
-        {
-            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
-            let mut mailbox = self.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
-            if mailbox.conns.len() >= REACTOR_INBOX_CAPACITY {
-                return;
-            }
-            mailbox.conns.push(conn);
-        }
-        self.waker.wake();
-    }
-}
-
-/// What every shard and the [`Reactor`] share.
-struct ReactorShared {
-    links: Vec<Arc<ShardLink>>,
-    /// Round-robin cursor over `links` for accepted connections.
-    rr: AtomicUsize,
-    /// The way into the dispatcher: every framed event goes through it.
-    dispatch: DispatchHandle,
-    /// Client id allocator.
-    next_id: AtomicU64,
-    /// Set by [`Reactor::shutdown`]; a woken shard that finds it exits.
+    /// Set by [`Reactor::shutdown`]; the woken reactor that finds it exits.
     stop: AtomicBool,
-    /// Frame/reply buffer pool shared by the shards and the dispatcher.
-    pool: Arc<BufferPool>,
 }
 
 /// Where the connection's resumable read state machine stands.
@@ -559,7 +500,7 @@ fn fill(dst: &mut [u8], have: &mut usize, data: &mut &[u8]) -> bool {
     *have == dst.len()
 }
 
-/// One registered connection, owned by exactly one shard.
+/// One registered connection.
 struct ConnState {
     fd: RawFd,
     id: ClientId,
@@ -580,9 +521,9 @@ enum BcastPhase {
     Streaming,
 }
 
-/// One broadcast listener, owned by exactly one shard.  Holds no audio
-/// of its own — only a cursor into the shared chunk ring plus the batch
-/// of `Arc`-shared chunks currently being written.
+/// One broadcast listener.  Holds no audio of its own — only a cursor
+/// into the shared chunk ring plus the batch of `Arc`-shared chunks
+/// currently being written.
 struct BcastConn {
     sock: SharedSock,
     phase: BcastPhase,
@@ -610,15 +551,15 @@ fn find_head_end(req: &[u8]) -> Option<usize> {
     req.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Per-shard broadcast state: the shared bus plus this shard's listener
-/// roster, pumped when the bus marks the shard dirty.
+/// The reactor's broadcast state: the shared bus plus the listener
+/// roster, pumped when the bus marks the reactor dirty.
 struct ShardBroadcast {
     bus: Arc<BroadcastBus>,
     /// Set by [`BroadcastBus::publish`]; cleared (then acted on) by the
-    /// shard's wake handler — the same edge-triggered shape as a
+    /// reactor's wake handler — the same edge-triggered shape as a
     /// connection's `notified` flag.
     dirty: Arc<AtomicBool>,
-    /// Tokens of this shard's broadcast listener slots.
+    /// Tokens of the broadcast listener slots.
     tokens: Vec<usize>,
 }
 
@@ -638,8 +579,8 @@ enum ReadOutcome {
     Protocol(FrameError),
 }
 
+/// The reactor thread's state: everything it owns.
 struct Shard {
-    index: usize,
     poller: Poller,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
@@ -648,20 +589,26 @@ struct Shard {
     deferred_free: Vec<usize>,
     wake_rx: UnixStream,
     stats: Arc<ShardCounters>,
-    shared: Arc<ReactorShared>,
+    link: Arc<ShardLink>,
+    /// The way into the dispatcher: every framed event goes through it.
+    dispatch: DispatchHandle,
+    /// Frame/reply buffer pool shared with the dispatcher.
+    pool: Arc<BufferPool>,
+    /// The next client id to hand out.
+    next_id: ClientId,
     /// The empty half of the mailbox swap: a wake trades it for the full
     /// mailbox and keeps what it got, cleared, for the next trade, so the
-    /// vectors' capacity circulates and a busy wake does not allocate.
-    spare_mailbox: Mailbox,
+    /// vector's capacity circulates and a busy wake does not allocate.
+    spare_mailbox: Vec<u64>,
     /// Where each readiness event's one `read` lands
-    /// ([`READ_SCRATCH_BYTES`]); shared by all of the shard's connections.
+    /// ([`READ_SCRATCH_BYTES`]); shared by all connections.
     read_scratch: Vec<u8>,
     /// Broadcast bus + listener roster, when this reactor serves fan-out.
     broadcast: Option<ShardBroadcast>,
     /// Reusable scratch for the broadcast dirty pass (same rationale as
     /// `spare_mailbox`).
     bcast_scratch: Vec<usize>,
-    /// A descriptor shard 0 holds in reserve, given up to shed a pending
+    /// A descriptor held in reserve, given up to shed a pending
     /// connection when the process is out of descriptors.
     spare: Option<File>,
 }
@@ -670,7 +617,7 @@ impl Shard {
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
         loop {
-            if self.shared.stop.load(Ordering::Relaxed) {
+            if self.link.stop.load(Ordering::Relaxed) {
                 break;
             }
             events.clear();
@@ -713,26 +660,23 @@ impl Shard {
                 Err(_) => break, // WouldBlock: pipe drained.
             }
         }
-        // Everything left for this shard since the last wake, swapped out
-        // whole for the empty spare.
+        // Every flush token left since the last wake, swapped out whole
+        // for the empty spare.
         let mut inbox = std::mem::take(&mut self.spare_mailbox);
         {
-            let link = &self.shared.links[self.index];
+            let link = &self.link;
             // af-analyze: allow(blocking-in-reactor): leaf lock, held for one swap; a producer holds it for one push
             let mut mailbox = link.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::swap(&mut *mailbox, &mut inbox);
         }
-        for conn in inbox.conns.drain(..) {
-            self.register_conn(conn);
-        }
         // Flush connections with freshly queued outbound data.
-        for &t in &inbox.flush {
+        for &t in &inbox {
             self.flush_token(t);
         }
-        inbox.flush.clear();
+        inbox.clear();
         self.spare_mailbox = inbox;
-        // Broadcast dirty pass: a sealed chunk set this shard's flag, so
-        // pump every listener we own.  Strikes are counted here (and only
+        // Broadcast dirty pass: a sealed chunk set the reactor's flag, so
+        // pump every listener.  Strikes are counted here (and only
         // here): a listener with pending bytes that makes no progress
         // across many publishes is stalled, not merely slow.
         if self
@@ -755,29 +699,31 @@ impl Shard {
     /// Registers an accepted connection: an AudioFile client, or a
     /// broadcast listener (dropped, closing its socket, when this reactor
     /// has no bus).
-    fn register_conn(&mut self, conn: NewConn) {
-        if conn.broadcast && self.broadcast.is_none() {
+    fn register_conn(&mut self, sock: SharedSock, peer: Option<IpAddr>, broadcast: bool) {
+        if broadcast && self.broadcast.is_none() {
             return;
         }
         let token = self.alloc_slot();
-        let fd = conn.sock.as_raw_fd();
+        let fd = sock.as_raw_fd();
         if self
             .poller
             .register(fd, token as u64, Interest::Read)
             .is_err()
         {
             self.free.push(token);
-            return; // Dropping the conn closes the socket; the dispatcher
-                    // never learned of it, so no event is owed.
+            return; // Dropping the socket closes it; the dispatcher never
+                    // learned of it, so no event is owed.
         }
         self.stats.add(stats::Shard::Accepted, 1);
         self.stats.add(stats::Shard::FdCount, 1);
+        let id = self.next_id;
+        self.next_id += 1;
         let slot = match self.broadcast.as_mut() {
-            Some(sb) if conn.broadcast => {
+            Some(sb) if broadcast => {
                 sb.bus.stats().add(Bus::ListenersTotal, 1);
                 sb.tokens.push(token);
                 Slot::Bcast(Box::new(BcastConn {
-                    sock: conn.sock,
+                    sock,
                     phase: BcastPhase::Request,
                     req: Vec::with_capacity(256),
                     icy: false,
@@ -791,8 +737,8 @@ impl Shard {
             }
             _ => Slot::Conn(Box::new(ConnState {
                 fd,
-                id: conn.id,
-                peer: conn.peer,
+                id,
+                peer,
                 order: ByteOrder::Little, // Overwritten when setup completes.
                 phase: ReadPhase::SetupHeader {
                     buf: [0u8; ConnSetup::HEADER_SIZE],
@@ -801,8 +747,8 @@ impl Shard {
                 shared: Arc::new(ConnShared {
                     token: token as u64,
                     notified: AtomicBool::new(false),
-                    link: Arc::clone(&self.shared.links[self.index]),
-                    sock: conn.sock,
+                    link: Arc::clone(&self.link),
+                    sock,
                     outbound: Mutex::new(Outbound::default()),
                 }),
                 want_write: false,
@@ -836,9 +782,7 @@ impl Shard {
     }
 
     /// Accepts every pending connection on a listener — TCP or Unix,
-    /// AudioFile client or broadcast listener — and hands each to a shard,
-    /// round-robin, so per-connection work spreads over every reactor
-    /// thread.
+    /// AudioFile client or broadcast listener — and registers each.
     fn accept_ready(&mut self, token: usize) {
         loop {
             let Some(Some(Slot::Listen(listener))) = self.slots.get(token) else {
@@ -846,21 +790,12 @@ impl Shard {
             };
             let broadcast = listener.broadcast;
             match listener.accept() {
-                Ok((sock, peer)) => {
-                    let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-                    self.route_conn(NewConn {
-                        sock,
-                        id,
-                        peer,
-                        broadcast,
-                    });
-                }
+                Ok((sock, peer)) => self.register_conn(sock, peer, broadcast),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // Out of descriptors: the connection stays in the backlog,
                 // and the level-triggered poller would report the listener
-                // again at once.  Shed it, as a full mailbox does: give up
-                // the spare, accept and drop the connection, take the spare
-                // back.
+                // again at once.  Shed it: give up the spare, accept and drop
+                // the connection, take the spare back.
                 Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
                     let Some(spare) = self.spare.take() else {
                         return;
@@ -871,18 +806,6 @@ impl Shard {
                 }
                 Err(_) => return, // WouldBlock or transient accept failure.
             }
-        }
-    }
-
-    /// Hands the connection to its shard, round-robin.
-    fn route_conn(&mut self, conn: NewConn) {
-        let target = self.shared.rr.fetch_add(1, Ordering::Relaxed) % self.shared.links.len();
-        if target == self.index {
-            self.register_conn(conn);
-        } else {
-            // A full mailbox is overload: the connection is shed rather
-            // than blocking the accept path.
-            self.shared.links[target].post(conn);
         }
     }
 
@@ -1227,7 +1150,7 @@ impl Shard {
         }
     }
 
-    /// Reads the connection once per readiness event into the shard's
+    /// Reads the connection once per readiness event into the reactor's
     /// scratch and frames whatever arrived.  A short read means the socket
     /// is drained — park without probing for `EAGAIN` (level-triggered
     /// polling re-reports anything that arrives later); only a read that
@@ -1346,7 +1269,7 @@ impl Shard {
                     } else {
                         conn.phase = ReadPhase::Payload {
                             opcode,
-                            buf: self.shared.pool.take_filled(payload_len),
+                            buf: self.pool.take_filled(payload_len),
                             have: 0,
                         };
                     }
@@ -1377,7 +1300,7 @@ impl Shard {
         budget: &mut u32,
     ) -> Result<(), ReadOutcome> {
         self.stats.add(stats::Shard::Frames, 1);
-        if self.shared.dispatch.request(id, opcode, payload).is_err() {
+        if self.dispatch.request(id, opcode, payload).is_err() {
             return Err(ReadOutcome::Close); // Dispatcher gone.
         }
         *budget = budget.saturating_sub(1);
@@ -1393,7 +1316,6 @@ impl Shard {
         };
         conn.order = order;
         if self
-            .shared
             .dispatch
             .submit(ServerEvent::NewClient {
                 id: conn.id,
@@ -1409,11 +1331,11 @@ impl Shard {
         Ok(())
     }
 
-    // Takes the box so the shard's half of the connection is dropped here.
+    // Takes the box so the reactor's half of the connection is dropped here.
     #[allow(clippy::boxed_local)]
     fn close_conn(&mut self, token: usize, conn: Box<ConnState>, protocol: Option<FrameError>) {
         self.release(conn.fd, token);
-        let dispatch = &self.shared.dispatch;
+        let dispatch = &self.dispatch;
         if let Some(error) = protocol {
             let _ = dispatch.submit(ServerEvent::ProtocolError { id: conn.id, error });
         }
@@ -1421,12 +1343,12 @@ impl Shard {
         // never admitted.
         let _ = dispatch.submit(ServerEvent::Disconnect { id: conn.id });
         // A handle the dispatcher still holds now reports closed and keeps
-        // no buffer; dropping `conn` closes the shard's half.
+        // no buffer; dropping `conn` closes the reactor's half.
         drop(conn.shared.close());
     }
 
-    /// Closes everything the shard owns, with the same accounting as a
-    /// close on the way: after it, the shard's `fd_count` gauge reads 0.
+    /// Closes everything the reactor owns, with the same accounting as a
+    /// close on the way: after it, the `fd_count` gauge reads 0.
     fn close_all(&mut self) {
         for (token, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
             match slot {
@@ -1441,130 +1363,103 @@ impl Shard {
     }
 }
 
-/// A running reactor: shard threads plus what they share.
+/// A running reactor: its thread and the way to reach it.
 pub struct Reactor {
-    shared: Arc<ReactorShared>,
-    joins: Vec<std::thread::JoinHandle<()>>,
+    link: Arc<ShardLink>,
+    join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns `shards` reactor threads submitting to `dispatch`, staging
-    /// split frames in `pool`.
+    /// Spawns the reactor thread (`af-reactor-0`), submitting to
+    /// `dispatch` and staging split frames in `pool`.
     ///
-    /// Every listener goes to shard 0, which accepts on it and routes the
-    /// connections round-robin across all shards.  With a
-    /// [`BroadcastBus`], every shard registers an edge-triggered dirty
-    /// flag with it, so sealing a chunk wakes exactly the shards that own
-    /// listeners.  Each shard's wake pipe and shard 0's listeners are
-    /// registered with their poller and counted in its `FdCount` before
-    /// this returns.  Fails when a shard's poller cannot be created or take
-    /// a descriptor: `ErrorKind::Unsupported` on targets without a syscall
-    /// backend (see [`af_sys`] for the supported list), else the system
-    /// call's own error.
+    /// The reactor accepts on every listener.  With a [`BroadcastBus`], it
+    /// registers an edge-triggered dirty flag with the bus, so sealing a
+    /// chunk wakes it once.  The wake pipe and the listeners are
+    /// registered with the poller and counted in `FdCount` before this
+    /// returns.  Fails, with no thread started, when the poller cannot be
+    /// created or take a descriptor: `ErrorKind::Unsupported` on targets
+    /// without a syscall backend (see [`af_sys`] for the supported list),
+    /// else the system call's own error.
     pub fn spawn(
         dispatch: DispatchHandle,
         pool: Arc<BufferPool>,
-        shards: usize,
-        mut listeners: Vec<Listener>,
+        listeners: Vec<Listener>,
         broadcast: Option<Arc<BroadcastBus>>,
     ) -> io::Result<Reactor> {
-        let shards = shards.max(1);
-        let mut links = Vec::with_capacity(shards);
-        let mut parts = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let mut poller = Poller::new()?;
-            let (waker, wake_rx) = Waker::pair()?;
-            // Registered and counted here, not on the shard's thread, so the
-            // gauge is settled when `spawn` returns; `close_all` undoes both.
-            poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
-            let counters = Arc::<ShardCounters>::default();
+        let mut poller = Poller::new()?;
+        let (waker, wake_rx) = Waker::pair()?;
+        // Registered and counted here, not on the reactor thread, so the
+        // gauge is settled when `spawn` returns; `close_all` undoes both.
+        poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
+        let counters = Arc::<ShardCounters>::default();
+        counters.add(stats::Shard::FdCount, 1);
+        let mut slots = Vec::with_capacity(listeners.len());
+        for listener in listeners {
+            poller.register(listener.as_raw_fd(), slots.len() as u64, Interest::Read)?;
             counters.add(stats::Shard::FdCount, 1);
-            let mut slots = Vec::new();
-            let mut spare = None;
-            if i == 0 {
-                for listener in listeners.drain(..) {
-                    poller.register(listener.as_raw_fd(), slots.len() as u64, Interest::Read)?;
-                    counters.add(stats::Shard::FdCount, 1);
-                    slots.push(Some(Slot::Listen(listener)));
-                }
-                spare = Some(File::open("/dev/null")?);
-            }
-            links.push(Arc::new(ShardLink {
-                mailbox: Mutex::new(Mailbox::default()),
-                waker,
-                stats: counters,
-            }));
-            parts.push((poller, wake_rx, slots, spare));
+            slots.push(Some(Slot::Listen(listener)));
         }
-        let shared = Arc::new(ReactorShared {
-            links,
-            rr: AtomicUsize::new(0),
-            dispatch,
-            next_id: AtomicU64::new(1),
+        let spare = Some(File::open("/dev/null")?);
+        let link = Arc::new(ShardLink {
+            mailbox: Mutex::default(),
+            waker,
+            stats: Arc::clone(&counters),
             stop: AtomicBool::new(false),
-            pool,
         });
-        let mut joins = Vec::with_capacity(shards);
-        for (i, (poller, wake_rx, slots, spare)) in parts.into_iter().enumerate() {
-            let shard_broadcast = broadcast.as_ref().map(|bus| {
-                let dirty = Arc::new(AtomicBool::new(false));
-                let link = Arc::clone(&shared.links[i]);
-                bus.register_shard(Arc::clone(&dirty), Box::new(move || link.waker.wake()));
-                ShardBroadcast {
-                    bus: Arc::clone(bus),
-                    dirty,
-                    tokens: Vec::new(),
-                }
-            });
-            let shard = Shard {
-                index: i,
-                poller,
-                slots,
-                free: Vec::new(),
-                deferred_free: Vec::new(),
-                wake_rx,
-                stats: Arc::clone(&shared.links[i].stats),
-                shared: Arc::clone(&shared),
-                spare_mailbox: Mailbox::default(),
-                read_scratch: vec![0u8; READ_SCRATCH_BYTES],
-                broadcast: shard_broadcast,
-                bcast_scratch: Vec::new(),
-                spare,
-            };
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("af-reactor-{i}"))
-                    .spawn(move || shard.run())?,
-            );
-        }
-        Ok(Reactor { shared, joins })
+        let broadcast = broadcast.map(|bus| {
+            let dirty = Arc::new(AtomicBool::new(false));
+            let wake = Arc::clone(&link);
+            bus.register_reactor(Arc::clone(&dirty), Box::new(move || wake.waker.wake()));
+            ShardBroadcast {
+                bus,
+                dirty,
+                tokens: Vec::new(),
+            }
+        });
+        let shard = Shard {
+            poller,
+            slots,
+            free: Vec::new(),
+            deferred_free: Vec::new(),
+            wake_rx,
+            stats: counters,
+            link: Arc::clone(&link),
+            dispatch,
+            pool,
+            next_id: 1,
+            spare_mailbox: Vec::new(),
+            read_scratch: vec![0u8; READ_SCRATCH_BYTES],
+            broadcast,
+            bcast_scratch: Vec::new(),
+            spare,
+        };
+        let join = std::thread::Builder::new()
+            .name("af-reactor-0".into())
+            .spawn(move || shard.run())?;
+        Ok(Reactor {
+            link,
+            join: Some(join),
+        })
     }
 
-    /// Per-shard counters, in shard order (the builder hands them to
-    /// `ServerStats::shards`).
-    pub fn shard_stats(&self) -> Vec<Arc<ShardCounters>> {
-        self.shared
-            .links
-            .iter()
-            .map(|l| Arc::clone(&l.stats))
-            .collect()
+    /// The reactor's counters (the builder hands them to
+    /// `ServerStats::reactor`).
+    pub fn stats(&self) -> Arc<ShardCounters> {
+        Arc::clone(&self.link.stats)
     }
 
-    /// Stops every shard and joins their threads.  Idempotent.
+    /// Stops the reactor and joins its thread.  Idempotent.
     pub fn shutdown(&mut self) {
-        if self.joins.is_empty() {
+        let Some(join) = self.join.take() else {
             return;
-        }
-        // Stored before the wake-up's `write`, so the shard that wakes
-        // finds it at the top of its loop.
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for link in &self.shared.links {
-            link.waker.wake();
-        }
-        for join in self.joins.drain(..) {
-            // af-analyze: allow(blocking-in-reactor): server teardown only; the approximate call graph reaches here through a TcpStream::shutdown name collision
-            let _ = join.join();
-        }
+        };
+        // Stored before the wake-up's `write`, so the reactor finds it at
+        // the top of its loop.
+        self.link.stop.store(true, Ordering::SeqCst);
+        self.link.waker.wake();
+        // af-analyze: allow(blocking-in-reactor): server teardown only; the approximate call graph reaches here through a TcpStream::shutdown name collision
+        let _ = join.join();
     }
 }
 
@@ -1592,20 +1487,17 @@ mod tests {
     const EVENT_ROOM: usize = 1024;
 
     fn start() -> (Reactor, Receiver<Captured>, SocketAddr) {
-        start_with(2, EVENT_ROOM)
+        start_with(EVENT_ROOM)
     }
 
     /// A reactor on loopback TCP with a bounded event queue.  (Loopback
     /// TCP has byte-granular socket buffers: a reader that pauses forces
     /// short writes, which all-or-nothing Unix-socket writes never are.)
-    fn start_with(
-        shards: usize,
-        event_capacity: usize,
-    ) -> (Reactor, Receiver<Captured>, SocketAddr) {
+    fn start_with(event_capacity: usize) -> (Reactor, Receiver<Captured>, SocketAddr) {
         let (tx, rx) = sync_channel(event_capacity);
         let (listener, addr) = tcp_listener(false);
         let dispatch = DispatchHandle::capture(tx);
-        let reactor = Reactor::spawn(dispatch, BufferPool::shared(), shards, vec![listener], None);
+        let reactor = Reactor::spawn(dispatch, BufferPool::shared(), vec![listener], None);
         (reactor.unwrap(), rx, addr)
     }
 
@@ -1620,7 +1512,7 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(5)).unwrap()
     }
 
-    /// The next thing the shard handed over, which must be a connection's
+    /// The next thing the reactor handed over, which must be a connection's
     /// setup: `(id, setup, peer, tx)`.
     fn new_client(rx: &Receiver<Captured>) -> (ClientId, Vec<u8>, Option<IpAddr>, OutboundTx) {
         match recv(rx) {
@@ -1658,7 +1550,7 @@ mod tests {
         }
     }
 
-    /// Polls until `done` holds (the shard bumps its counters a beat after
+    /// Polls until `done` holds (the reactor bumps its counters a beat after
     /// the effect a test can observe).
     fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
         for _ in 0..10_000 {
@@ -1729,7 +1621,7 @@ mod tests {
         new_client(&rx);
         // Claim the maximum expressible frame length (0xffff words, which
         // reads the same in either byte order), then hang up without
-        // sending the payload.  The shard must not emit a partial request.
+        // sending the payload.  The reactor must not emit a partial request.
         sock.write_all(&[0xff, 0xff, 33, 0]).unwrap();
         drop(sock);
         disconnect(&rx);
@@ -1741,14 +1633,14 @@ mod tests {
         // The acceptance property for the buffer pool.  Frames that arrive
         // whole are handled where `read` left them: no buffer is taken
         // from the pool at all.  Frames split across reads are staged in
-        // a pooled buffer, and that one buffer goes round: the shard does
+        // a pooled buffer, and that one buffer goes round: the reactor does
         // NOT allocate a Vec per frame.
         let (tx, rx) = sync_channel(1);
         let pool = BufferPool::shared();
         let (listener, addr) = tcp_listener(false);
         let dispatch = DispatchHandle::capture(tx);
         let mut reactor =
-            Reactor::spawn(dispatch, Arc::clone(&pool), 1, vec![listener], None).unwrap();
+            Reactor::spawn(dispatch, Arc::clone(&pool), vec![listener], None).unwrap();
 
         let mut wire = ConnSetup::new().encode();
         for _ in 0..100 {
@@ -1770,7 +1662,7 @@ mod tests {
         assert_eq!(totals(&reactor)[StagedFrames], 0);
 
         // The same frames, each cut after its sixth byte; the second piece
-        // is sent once the shard has parked on the first.
+        // is sent once the reactor has parked on the first.
         for i in 0..100u64 {
             let parked = totals(&reactor)[PartialReads];
             sock.write_all(&[2, 0, 33, 0, 1, 2]).unwrap();
@@ -1833,8 +1725,7 @@ mod tests {
         let path = dir.join("reactor.sock");
         let listeners = vec![Listener::unix(&path).unwrap()];
         let dispatch = DispatchHandle::capture(tx);
-        let mut reactor =
-            Reactor::spawn(dispatch, BufferPool::shared(), 1, listeners, None).unwrap();
+        let mut reactor = Reactor::spawn(dispatch, BufferPool::shared(), listeners, None).unwrap();
 
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
@@ -1849,7 +1740,7 @@ mod tests {
     fn slow_reader_overflow_then_kick_closes_socket() {
         // A peer that never reads: the socket fills, then the deque, and
         // the flood is refused exactly at the bound.  Then the kick (as
-        // the dispatcher's eviction does): the shard tears the connection
+        // the dispatcher's eviction does): the reactor tears the connection
         // down, and the handle the dispatcher may still hold reports
         // closed and keeps no buffer.
         let (tx, rx) = sync_channel(EVENT_ROOM);
@@ -1857,7 +1748,7 @@ mod tests {
         let (listener, addr) = tcp_listener(false);
         let dispatch = DispatchHandle::capture(tx);
         let mut reactor =
-            Reactor::spawn(dispatch, Arc::clone(&pool), 1, vec![listener], None).unwrap();
+            Reactor::spawn(dispatch, Arc::clone(&pool), vec![listener], None).unwrap();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let otx = new_client(&rx).3;
@@ -1877,7 +1768,7 @@ mod tests {
         assert_eq!(otx.queued(), OUTBOUND_QUEUE_CAPACITY);
         let written = taken - OUTBOUND_QUEUE_CAPACITY as u64;
         for _ in 0..500 {
-            // The shard counts a message just after it pops it.
+            // The reactor counts a message just after it pops it.
             if totals(&reactor)[Replies] == written {
                 break;
             }
@@ -1889,7 +1780,7 @@ mod tests {
         otx.kick();
         disconnect(&rx);
         assert_eq!(totals(&reactor)[Evictions], 1);
-        // The shard empties the deque right after it reports the close.
+        // The reactor empties the deque right after it reports the close.
         for _ in 0..500 {
             if pool.idle_len() == idle_while_held + OUTBOUND_QUEUE_CAPACITY {
                 break;
@@ -1911,9 +1802,9 @@ mod tests {
         // How a refusal reply leaves when the socket cannot take it: the
         // peer stops reading until replies wait on the deque, then the
         // dispatcher hangs up.  The peer must read every byte sent, in
-        // issue order, then end-of-file, and the shard must give the
+        // issue order, then end-of-file, and the reactor must give the
         // connection's descriptor back.
-        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
+        let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let otx = new_client(&rx).3;
@@ -1938,12 +1829,12 @@ mod tests {
         }
         assert_eq!(sock.read(&mut [0u8; 16]).unwrap(), 0, "no end-of-file");
         disconnect(&rx);
-        wait_until("the shard to close the connection", || fds() == open - 1);
+        wait_until("the reactor to close the connection", || fds() == open - 1);
         reactor.shutdown();
     }
 
     fn totals(reactor: &Reactor) -> Snapshot<stats::Shard, 13> {
-        reactor.shard_stats().iter().map(|s| s.snapshot()).sum()
+        reactor.stats().snapshot()
     }
 
     /// Message `seq` of the ordering tests: 12 bytes or 8 KB, every byte
@@ -1964,7 +1855,7 @@ mod tests {
         // socket fills and writes go short.  The received stream must be
         // the exact concatenation in issue order.
         const MESSAGES: u32 = 8000;
-        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
+        let (mut reactor, rx, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let otx = new_client(&rx).3;
@@ -2003,7 +1894,7 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        // The shard bumps `replies` after the write the reader just saw.
+        // The reactor bumps `replies` after the write the reader just saw.
         for _ in 0..500 {
             if totals(&reactor)[Replies] == u64::from(MESSAGES) {
                 break;
@@ -2065,7 +1956,7 @@ mod tests {
     /// frame header follows that many requests: those are delivered, then
     /// `ProtocolError`, then `Disconnect`, and nothing after.
     fn coalesced_burst(piece: usize, poison_after: Option<usize>) {
-        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
+        let (mut reactor, rx, addr) = start();
         let mut wire = ConnSetup::new().encode();
         let payloads = burst_payloads(wire.len());
         for (i, payload) in payloads.iter().enumerate() {
@@ -2078,7 +1969,7 @@ mod tests {
         sock.set_nodelay(true).unwrap();
         for piece in wire.chunks(piece) {
             if sock.write_all(piece).is_err() {
-                break; // Closed by the shard, past a poisoned header.
+                break; // Closed by the reactor, past a poisoned header.
             }
         }
         new_client(&rx);
@@ -2113,10 +2004,10 @@ mod tests {
     fn frames_cut_at_every_byte_arrive_the_same_whole_or_staged() {
         // One byte stream of mixed frames from a seeded generator, sent to
         // a fresh connection once per split point: everything before the
-        // cut, then — once the shard has parked on that — the rest.  The
+        // cut, then — once the reactor has parked on that — the rest.  The
         // frame the cut falls in is put together across two reads, every
         // other one arrives whole; the dispatcher must see the identical
-        // (opcode, payload) sequence every time, and the shard's counters
+        // (opcode, payload) sequence every time, and the reactor's counters
         // must say which way each frame came.
         let mut rng = af_chaos::ChaosRng::new(0x0F2A_3E11);
         let frames: Vec<(u8, Vec<u8>)> = [12usize, 0, 28, 4, 0, 8]
@@ -2132,7 +2023,7 @@ mod tests {
             starts.push(wire.len());
             push_frame(&mut wire, *opcode, payload);
         }
-        let (mut reactor, rx, addr) = start_with(1, EVENT_ROOM);
+        let (mut reactor, rx, addr) = start();
         for cut in 1..wire.len() {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.set_nodelay(true).unwrap();
@@ -2152,7 +2043,7 @@ mod tests {
 
             let before = totals(&reactor);
             sock.write_all(&wire[..cut]).unwrap();
-            wait_until("the shard to park on the first piece", || {
+            wait_until("the reactor to park on the first piece", || {
                 let now = totals(&reactor);
                 now[Frames] - before[Frames] == whole_first as u64
                     && now[PartialReads] - before[PartialReads] == u64::from(whole_first == split)
@@ -2180,14 +2071,14 @@ mod tests {
     }
 
     #[test]
-    fn firehose_connection_cannot_starve_its_shard_sibling() {
-        // One shard, a small event queue the test drains itself, and a
+    fn firehose_connection_cannot_starve_its_sibling() {
+        // One reactor, a small event queue the test drains itself, and a
         // connection that keeps its socket full of 8-byte frames.  Once
         // the firehose is in full flow a sibling sends one frame: it must
         // come through within a few of the firehose's FRAME_BUDGET turns
         // (each turn ends at the first read boundary past the budget, so
         // at most one scratch-full of frames).
-        let (mut reactor, rx, addr) = start_with(1, 16);
+        let (mut reactor, rx, addr) = start_with(16);
         let connect = || {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();
@@ -2234,7 +2125,7 @@ mod tests {
             }
         }
         stop.store(true, Ordering::Relaxed);
-        drop(rx); // Unblocks the shard's backpressured send.
+        drop(rx); // Unblocks the reactor's backpressured send.
         reactor.shutdown(); // Closes the firehose socket: the writer ends.
         writer.join().unwrap();
     }
@@ -2251,13 +2142,7 @@ mod tests {
         let bus = BroadcastBus::new(cfg, frame_bytes);
         let dispatch = DispatchHandle::capture(tx);
         let bus_handle = Some(Arc::clone(&bus));
-        let reactor = Reactor::spawn(
-            dispatch,
-            BufferPool::shared(),
-            2,
-            vec![listener],
-            bus_handle,
-        );
+        let reactor = Reactor::spawn(dispatch, BufferPool::shared(), vec![listener], bus_handle);
         (reactor.unwrap(), bus, addr)
     }
 
@@ -2302,7 +2187,7 @@ mod tests {
             assert_eq!(&frame[3..7], &[i; 4]);
             assert_eq!(&frame[7..], b"\r\n");
         }
-        // The client can observe the bytes a beat before the shard's
+        // The client can observe the bytes a beat before the reactor's
         // counter update lands: spin briefly.
         for _ in 0..500 {
             if bus.stats().get(Bus::BytesFannedOut) >= 27 {
@@ -2373,7 +2258,7 @@ mod tests {
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"PUT /nope HTTP/1.1\r\n\r\n").unwrap();
         let mut buf = [0u8; 16];
-        // The shard closes without a response: EOF (or reset).
+        // The reactor closes without a response: EOF (or reset).
         match sock.read(&mut buf) {
             Ok(0) | Err(_) => {}
             Ok(n) => panic!("expected EOF, got {n} bytes"),
@@ -2479,17 +2364,15 @@ mod tests {
     }
 
     /// A caller that reads the gauge straight after `spawn` (and counts on
-    /// it holding still) must see every shard's pipe, whether or not the
-    /// shard's thread has run yet.
+    /// it holding still) must see the wake pipe, whether or not the
+    /// reactor thread has run yet.
     #[test]
-    fn fd_count_holds_every_wake_pipe_when_spawn_returns() {
+    fn fd_count_holds_the_wake_pipe_when_spawn_returns() {
         for _ in 0..20 {
             let (tx, _rx) = sync_channel(EVENT_ROOM);
             let dispatch = DispatchHandle::capture(tx);
-            let mut reactor =
-                Reactor::spawn(dispatch, BufferPool::shared(), 4, vec![], None).unwrap();
-            let fds: u64 = reactor.shard_stats().iter().map(|s| s.get(FdCount)).sum();
-            assert_eq!(fds, 4);
+            let mut reactor = Reactor::spawn(dispatch, BufferPool::shared(), vec![], None).unwrap();
+            assert_eq!(reactor.stats().get(FdCount), 1);
             reactor.shutdown();
         }
     }
@@ -2504,10 +2387,7 @@ mod tests {
         let listeners = vec![listener, bcast_listener];
         let bus_handle = Some(Arc::clone(&bus));
         let mut reactor =
-            Reactor::spawn(dispatch, BufferPool::shared(), 2, listeners, bus_handle).unwrap();
-        // Both listeners live on shard 0; accepted sockets go round-robin:
-        // the first connection to shard 0, the second to shard 1, the
-        // broadcast listener to shard 0.
+            Reactor::spawn(dispatch, BufferPool::shared(), listeners, bus_handle).unwrap();
         let mut conns = Vec::new();
         for _ in 0..2 {
             let mut sock = TcpStream::connect(addr).unwrap();
@@ -2518,13 +2398,13 @@ mod tests {
         let mut listener = TcpStream::connect(bcast_addr).unwrap();
         listener.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         wait_listeners(&bus, 1);
-        let shards = reactor.shard_stats();
-        let per_shard = |counter| shards.iter().map(|s| s.get(counter)).collect::<Vec<_>>();
-        assert_eq!(per_shard(FdCount), [1 + 2 + 2, 1 + 1]);
+        let stats = reactor.stats();
+        // The wake pipe, both listeners, and three accepted sockets.
+        assert_eq!(stats.get(FdCount), 1 + 2 + 3);
 
         reactor.shutdown();
-        assert_eq!(per_shard(FdCount), [0, 0]);
-        assert_eq!(per_shard(Closed), per_shard(Accepted));
+        assert_eq!(stats.get(FdCount), 0);
+        assert_eq!(stats.get(Closed), stats.get(Accepted));
         assert_eq!(bus.stats().get(Bus::Listeners), 0);
     }
 }

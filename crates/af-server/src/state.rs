@@ -17,13 +17,13 @@ use std::sync::Arc;
 pub type ClientId = u64;
 
 /// Every counter a running server keeps, by family: handles on the
-/// counters the dispatcher, the reactor shards, the LineServer links and
+/// counters the dispatcher, the reactor, the LineServer links and
 /// the broadcast bus bump.  Built once, when the server is spawned.
 pub struct ServerStats {
     /// Connection and dispatch counters.
     pub server: Arc<ServerCounters>,
-    /// Each reactor shard's transport counters, in shard order.
-    pub shards: Vec<Arc<ShardCounters>>,
+    /// The reactor's transport counters.
+    pub reactor: Arc<ShardCounters>,
     /// Each LineServer link's health counters, in device order.
     pub links: Vec<Arc<LinkCounters>>,
     /// The broadcast bus's fan-out counters, on a broadcasting server.
@@ -365,7 +365,7 @@ impl ClientState {
     /// instead of buffering without limit (the seed behavior) the message
     /// is dropped and `false` returned: the protocol stream is no longer
     /// coherent and the caller must have the client evicted.  A closed
-    /// connection is ignored — its shard's disconnect event is already in
+    /// connection is ignored — its disconnect event is already in
     /// flight.
     #[must_use]
     pub fn send_bytes<B: Into<PooledBuf>>(&self, bytes: B) -> bool {

@@ -10,8 +10,8 @@
 //! af-dsp's SIMD kernels.
 //!
 //! - [`Poller`]: a level-triggered `epoll` instance reporting
-//!   [`PollEvent`]s per registered [`Interest`] — each reactor shard's
-//!   wait loop, and the harnesses' client loops.
+//!   [`PollEvent`]s per registered [`Interest`] — the reactor's wait
+//!   loop, and the harnesses' client loops.
 //! - [`wait_readable`]: `ppoll(POLLIN)` on one descriptor — the client
 //!   library's wait before each `read`.
 //! - [`raise_nofile_limit`]: `prlimit64` — for processes that open

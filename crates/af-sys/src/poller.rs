@@ -1,7 +1,7 @@
 //! Readiness multiplexer over `epoll`.
 //!
-//! [`Poller`] gives each reactor shard one level-triggered wait loop over
-//! its fds, O(ready) per wakeup, reporting [`PollEvent`]s keyed by
+//! [`Poller`] gives the reactor one level-triggered wait loop over its
+//! fds, O(ready) per wakeup, reporting [`PollEvent`]s keyed by
 //! caller-chosen tokens.  Both supported targets have epoll; a failed
 //! `epoll_create1` (descriptor or memory exhaustion) is an error the
 //! caller sees, not a reason to degrade.

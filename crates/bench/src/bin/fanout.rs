@@ -1,7 +1,7 @@
 //! `fanout` — encode-once broadcast scaling curve (DESIGN.md §13).
 //!
 //! Stands up an in-process codec server over a virtual clock with the
-//! broadcast plane on a single reactor shard, plays a deterministic
+//! broadcast plane on the one reactor thread, plays a deterministic
 //! pattern through a producer `AudioConn`, and drains N concurrent HTTP
 //! chunk-stream listeners from one readiness loop (the server's own
 //! `Poller`, like the `load` harness).  The virtual clock makes the
@@ -114,7 +114,6 @@ fn run_level(n: usize, rounds: usize, warmup: usize) -> LevelResult {
     let server = b
         .listen_tcp(any)
         .access_control(false)
-        .reactor_shards(1) // The scaling claim is per-core.
         .broadcast_with_config(
             0,
             any,

@@ -2,7 +2,7 @@
 //!
 //! Stands up an in-process codec server and drives N concurrent TCP
 //! clients from a single-threaded readiness loop (the same
-//! `af_sys::Poller` the server shards use, so the
+//! `af_sys::Poller` the server's reactor uses, so the
 //! harness itself scales with the server it measures).
 //! 70% of connections are idle — they cost the server an fd and a poller
 //! registration but no traffic — and 30% are paced `GetTime` pingers,
@@ -20,7 +20,7 @@
 //! level is not sustained — the scaling claim is the whole point.
 
 use af_proto::{ByteOrder, ConnSetup, Request};
-use af_server::stats::{Server, Shard, Snapshot};
+use af_server::stats::{Server, Shard};
 use af_server::{RunningServer, ServerBuilder};
 use af_sys::{Interest, PollEvent, Poller};
 use bench::json::{obj, Json};
@@ -72,7 +72,7 @@ struct LevelResult {
     readiness_events: u64,
     wakeups: u64,
     partial_reads: u64,
-    /// Transport cost per request, from the shard counters (`None` if the
+    /// Transport cost per request, from the reactor's counters (`None` if the
     /// level completed no request: the ratios have no denominator).
     syscalls: Option<SyscallsPerRequest>,
 }
@@ -252,12 +252,12 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
     latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let protocol_errors = stats.server.get(Server::ProtocolErrors);
     let evictions = stats.server.get(Server::EvictedSlow);
-    let shards: Snapshot<Shard, 13> = stats.shards.iter().map(|s| s.snapshot()).sum();
-    let (frames, shard_replies) = (shards[Shard::Frames], shards[Shard::Replies]);
-    let syscalls = (frames > 0 && shard_replies > 0).then(|| SyscallsPerRequest {
-        reads_per_frame: shards[Shard::ReadCalls] as f64 / frames as f64,
-        direct_write_share: shards[Shard::DirectWrites] as f64 / shard_replies as f64,
-        wakeups_per_reply: shards[Shard::Wakeups] as f64 / shard_replies as f64,
+    let reactor = stats.reactor.snapshot();
+    let (frames, replies_out) = (reactor[Shard::Frames], reactor[Shard::Replies]);
+    let syscalls = (frames > 0 && replies_out > 0).then(|| SyscallsPerRequest {
+        reads_per_frame: reactor[Shard::ReadCalls] as f64 / frames as f64,
+        direct_write_share: reactor[Shard::DirectWrites] as f64 / replies_out as f64,
+        wakeups_per_reply: reactor[Shard::Wakeups] as f64 / replies_out as f64,
         hops_per_request: stats.server.get(Server::TaskNudges) as f64 / frames as f64,
     });
     let sustained = protocol_errors == 0
@@ -281,9 +281,9 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
         evictions,
         disconnects,
         sustained,
-        readiness_events: shards[Shard::ReadinessEvents],
-        wakeups: shards[Shard::Wakeups],
-        partial_reads: shards[Shard::PartialReads],
+        readiness_events: reactor[Shard::ReadinessEvents],
+        wakeups: reactor[Shard::Wakeups],
+        partial_reads: reactor[Shard::PartialReads],
         syscalls,
     }
 }

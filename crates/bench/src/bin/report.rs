@@ -559,8 +559,9 @@ fn table7() -> (u32, u32) {
 ///
 /// Every client loops `get_time` + mixing `play_samples` of 8 KB, so each
 /// iteration takes the dispatch lock twice and does one chunk of DSP work
-/// under it.  The report records `cpu_cores`: handlers on different shards
-/// contend for the one lock, so the figure depends on how many run at once.
+/// under it, all on the one reactor thread.  The report records
+/// `cpu_cores`: the eight client threads compete with the reactor for
+/// them, so the figure depends on how many there are.
 /// Returns (devices, aggregate MB/s) rows.  The wall-clock aggregate is
 /// recorded for context, not gated: on a 1-core host it measures scheduler
 /// interleaving, not kernel work.

@@ -2,8 +2,8 @@
 //! cost the server's request threads no allocation at all.
 //!
 //! A counting `#[global_allocator]` tallies every allocation made on a
-//! thread named `af-reactor-*` — the shards, which since PR 13 run every
-//! request's handler themselves.  The client (this test's own thread) and
+//! thread named `af-reactor-*` — the reactor thread, which runs every
+//! request's handler itself.  The client (this test's own thread) and
 //! the task thread are not counted.  A file of its own, so a process of its
 //! own: the allocator is process-wide.
 

@@ -243,7 +243,7 @@ fn corrupting_stream_disconnects_only_that_client() {
 fn one_byte_at_a_time_handshake_and_frames_survive() {
     // Partial-frame torture: the setup header, setup tail, and every
     // request frame header arrive one byte per write, with a pause that
-    // makes each byte a separate readiness event on its shard.  Framing
+    // makes each byte a separate readiness event on the reactor.  Framing
     // must reassemble them all; nothing may be misparsed or dropped.
     let server = codec_server();
     let mut raw = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
@@ -372,12 +372,7 @@ fn chunk_limited_server_streams_keep_a_pipelined_burst_in_order() {
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    let direct: u64 = server
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.get(Shard::DirectWrites))
-        .sum();
+    let direct = server.stats().reactor.get(Shard::DirectWrites);
     assert!(direct > 0, "no reply took the direct write");
     server.shutdown();
 }
@@ -533,18 +528,16 @@ fn soak_many_clients_four_devices_evicts_the_flooder_without_deadlock() {
     server.shutdown();
 }
 
-// ---- §7.3.1 across shards: one dispatch lock, many framing threads. ----
+// ---- §7.3.1: one dispatch lock, the reactor and the task thread. ----
 
-/// A real-time codec server on two reactor shards.  Consecutive
-/// connections land on alternating shards (accept round-robin), so the
-/// first two connections of a test are handled by different threads.
-fn two_shard_server(
+/// A real-time codec server: its clients share the one reactor thread,
+/// and the task thread runs the update against a real clock.
+fn realtime_server(
     update_interval: Duration,
     sink: Box<dyn audiofile::device::SampleSink>,
 ) -> RunningServer {
     let mut builder = ServerBuilder::new()
         .listen_tcp("127.0.0.1:0".parse().unwrap())
-        .reactor_shards(2)
         .update_interval(update_interval);
     builder.add_codec(
         Arc::new(SystemClock::new(8000)),
@@ -554,20 +547,10 @@ fn two_shard_server(
     builder.spawn().unwrap()
 }
 
-/// Asserts the test's two connections really sit on different shards.
-fn assert_one_connection_per_shard(server: &RunningServer) {
-    let accepted: Vec<u64> = server
-        .stats()
-        .shards
-        .iter()
-        .map(|s| s.get(Shard::Accepted))
-        .collect();
-    assert_eq!(accepted, [1, 1], "connections per shard");
-}
-
-/// Keeps one shard inside the dispatch lock: pipelined `GetTime` bursts
-/// over a raw connection until `stop`, so the shard frames and handles
-/// request after request without returning to its poll loop in between.
+/// Keeps the reactor inside the dispatch lock: pipelined `GetTime` bursts
+/// over a raw connection until `stop`, so the reactor frames and handles
+/// request after request, returning to its poll loop only when the frame
+/// budget runs out.
 fn saturate_with_get_time(
     server: &RunningServer,
     stop: Arc<std::sync::atomic::AtomicBool>,
@@ -591,22 +574,20 @@ fn saturate_with_get_time(
 }
 
 #[test]
-fn property_appends_from_two_shards_read_back_in_one_serial_order() {
-    // Two clients on different shards append 8-byte records to one device
-    // property and read it back, as fast as they can.  Handlers run on
-    // two threads now; the dispatch lock must still make every request
-    // atomic: each read is a whole number of whole records, each client's
-    // records appear in the order it sent them, and what a client read
-    // before is a prefix of what it reads next.
+fn property_appends_from_two_clients_read_back_in_one_serial_order() {
+    // Two clients append 8-byte records to one device property and read
+    // it back, as fast as they can.  Every request must be atomic: each
+    // read is a whole number of whole records, each client's records
+    // appear in the order it sent them, and what a client read before is
+    // a prefix of what it reads next.
     use audiofile::proto::atoms::ATOM_STRING;
     use audiofile::proto::request::PropertyMode;
 
     const RECORDS: u32 = 300;
-    let server = two_shard_server(Duration::from_millis(100), Box::new(NullSink));
+    let server = realtime_server(Duration::from_millis(100), Box::new(NullSink));
     let addr = server.tcp_addr().unwrap().to_string();
     let mut conns: Vec<AudioConn> = (0..2).map(|_| AudioConn::open(&addr).unwrap()).collect();
-    let property = conns[0].intern_atom("SHARD_LEDGER", false).unwrap();
-    assert_one_connection_per_shard(&server);
+    let property = conns[0].intern_atom("APPEND_LEDGER", false).unwrap();
 
     let check = |data: &[u8]| {
         assert_eq!(data.len() % 8, 0, "torn record: {} bytes", data.len());
@@ -655,7 +636,7 @@ fn property_appends_from_two_shards_read_back_in_one_serial_order() {
 }
 
 #[test]
-fn timed_work_keeps_its_schedule_while_another_shard_saturates_the_lock() {
+fn timed_work_keeps_its_schedule_while_a_client_saturates_the_lock() {
     use std::sync::atomic::{AtomicBool, AtomicU64};
 
     // The speaker is serviced once per update (GetTime never touches the
@@ -668,14 +649,13 @@ fn timed_work_keeps_its_schedule_while_another_shard_saturates_the_lock() {
     }
     const UPDATE: Duration = Duration::from_millis(100);
     let updates = Arc::new(AtomicU64::new(0));
-    let server = two_shard_server(UPDATE, Box::new(UpdateCounter(Arc::clone(&updates))));
+    let server = realtime_server(UPDATE, Box::new(UpdateCounter(Arc::clone(&updates))));
     let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let hammer = saturate_with_get_time(&server, Arc::clone(&stop));
-    assert_one_connection_per_shard(&server);
 
     // Two seconds of saturation: the task thread has to win the dispatch
-    // lock from a shard that re-takes it per request, twenty times.
+    // lock from a reactor that re-takes it per request, twenty times.
     std::thread::sleep(UPDATE); // Let the hammer reach full flow.
     let before = updates.load(Ordering::Relaxed);
     std::thread::sleep(Duration::from_secs(2));
@@ -685,9 +665,9 @@ fn timed_work_keeps_its_schedule_while_another_shard_saturates_the_lock() {
         "{ran} updates in 2 s at a 100 ms period"
     );
 
-    // A record whose last frame is 150 ms away suspends its client (on
-    // the other shard) and resumes at the first update at or after that:
-    // on time, give or take one update period.
+    // A record whose last frame is 150 ms away suspends its client and
+    // resumes at the first update at or after that: on time, give or take
+    // one update period.
     let ac = conn
         .create_ac(0, AcMask::default(), &AcAttributes::default())
         .unwrap();
@@ -712,9 +692,9 @@ fn timed_work_keeps_its_schedule_while_another_shard_saturates_the_lock() {
 fn play_suspended_past_the_horizon_resumes_on_its_own_deadline() {
     // With a 5 s update period the task thread is asleep until the next
     // update when a play lands 100 ms beyond the buffer horizon.  The
-    // handler runs on a shard; it must re-arm the task thread for the
+    // handler runs on the reactor; it must re-arm the task thread for the
     // play's wake-up, or the client waits out the whole update period.
-    let server = two_shard_server(Duration::from_secs(5), Box::new(NullSink));
+    let server = realtime_server(Duration::from_secs(5), Box::new(NullSink));
     let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
     let ac = conn
         .create_ac(0, AcMask::default(), &AcAttributes::default())

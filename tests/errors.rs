@@ -213,10 +213,9 @@ fn garbage_setup_is_ignored_by_server() {
     assert!(conn.get_time(0).is_ok());
 }
 
-/// Descriptors the server's shards have registered, summed.
+/// Descriptors the server's reactor has registered.
 fn fd_count(s: &RunningServer) -> u64 {
-    let shards = &s.stats().shards;
-    shards.iter().map(|shard| shard.get(Shard::FdCount)).sum()
+    s.stats().reactor.get(Shard::FdCount)
 }
 
 /// Sends `setup` on a fresh connection, reads the `Failed` reply if one is
@@ -286,7 +285,7 @@ fn version_mismatch_refused() {
 
 #[test]
 fn refusals_and_protocol_errors_are_not_evictions() {
-    // The shards count a kick only when the dispatcher evicts a slow
+    // The reactor counts a kick only when the dispatcher evicts a slow
     // client or the bus drops a stalled listener; a refused setup and a
     // framing violation close their connections without one.
     let s = server();
@@ -304,7 +303,7 @@ fn refusals_and_protocol_errors_are_not_evictions() {
     raw.read_exact(&mut len_buf).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
     raw.read_exact(&mut body).unwrap();
-    // A zero-length frame header: the shard reports it and closes.
+    // A zero-length frame header: the reactor reports it and closes.
     raw.write_all(&[0, 0, Opcode::GetTime.to_wire(), 0])
         .unwrap();
     let mut rest = Vec::new();
@@ -312,7 +311,7 @@ fn refusals_and_protocol_errors_are_not_evictions() {
 
     let stats = s.stats();
     assert_eq!(stats.server.get(Server::ProtocolErrors), 1);
-    let kicks: u64 = stats.shards.iter().map(|sh| sh.get(Shard::Evictions)).sum();
+    let kicks = stats.reactor.get(Shard::Evictions);
     let bus = stats
         .broadcast
         .as_ref()

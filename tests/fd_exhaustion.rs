@@ -3,7 +3,7 @@
 //!
 //! When `accept` fails with `EMFILE` the connection stays in the listen
 //! backlog, and the level-triggered poller reports the listener again at
-//! once: a shard that only retried would wake about a million times a
+//! once: a reactor that only retried would wake about a million times a
 //! second.  This file holds one test and so runs in a process of its own:
 //! it exhausts the process's descriptor table, which no other test may
 //! share.
@@ -23,19 +23,12 @@ use std::time::Duration;
 const HOARD_CAP: usize = 1 << 20;
 
 fn readiness_events(server: &RunningServer) -> u64 {
-    let stats = server.stats();
-    stats
-        .shards
-        .iter()
-        .map(|s| s.get(Shard::ReadinessEvents))
-        .sum()
+    server.stats().reactor.get(Shard::ReadinessEvents)
 }
 
 #[test]
 fn out_of_descriptors_a_pending_connection_is_shed_not_spun_on() {
-    let mut builder = ServerBuilder::new()
-        .listen_tcp("127.0.0.1:0".parse().unwrap())
-        .reactor_shards(2);
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
     builder.add_codec(
         Arc::new(SystemClock::new(8000)),
         Box::new(NullSink),

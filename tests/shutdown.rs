@@ -1,7 +1,7 @@
 //! Shutdown with requests in flight (DESIGN.md §9).
 //!
 //! Request handlers run on the transport threads, under the dispatch lock,
-//! so stopping the server has to refuse new events, get every shard out of
+//! so stopping the server has to refuse new events, get the reactor out of
 //! the lock and closed, and drain the task thread — while clients keep
 //! sending.  This file holds one test and so runs in a process of its own:
 //! the census of `af-*` threads it takes is exact.
@@ -18,9 +18,7 @@ use common::{assert_no_server_threads, server_threads};
 #[test]
 fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_thread() {
     assert_eq!(server_threads(), Vec::<String>::new());
-    let mut builder = ServerBuilder::new()
-        .listen_tcp("127.0.0.1:0".parse().unwrap())
-        .reactor_shards(2);
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
     builder.add_codec(
         Arc::new(SystemClock::new(8000)),
         Box::new(NullSink),
@@ -29,8 +27,8 @@ fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_
     let server = builder.spawn().unwrap();
     let addr = server.tcp_addr().unwrap().to_string();
 
-    // Four clients, two per shard, in closed GetTime loops until their
-    // connection dies under them.
+    // Four clients in closed GetTime loops until their connection dies
+    // under them.
     let clients: Vec<_> = (0..4)
         .map(|_| {
             let mut conn = AudioConn::open(&addr).unwrap();
@@ -47,8 +45,8 @@ fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_
     let running = server_threads();
     assert_eq!(
         running,
-        ["af-dispatcher", "af-reactor-0", "af-reactor-1"],
-        "task thread and two shards"
+        ["af-dispatcher", "af-reactor-0"],
+        "task thread and reactor"
     );
 
     let started = Instant::now();

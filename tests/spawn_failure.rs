@@ -1,6 +1,6 @@
 //! A `spawn()` that fails must not leave threads behind.
 //!
-//! The server starts threads (reactor shards, the task thread) and binds
+//! The server starts threads (the reactor, the task thread) and binds
 //! listeners; when a bind fails the caller gets an `Err` and no handle to
 //! stop anything with, so everything already started has to be gone.  A
 //! leaked task thread would keep running the update task against the
