@@ -11,16 +11,17 @@
 //! a helper three calls away from `handle_wake` is as much inside the
 //! loop as the loop body itself.
 //! Each finding reports the call path it was reached through.  Designed
-//! blocking — e.g. the dispatch-lock acquisition behind `submit`, which *is*
-//! the single-thread guarantee and the backpressure mechanism — is
-//! justified per site with
+//! blocking is justified per site with
 //! `// af-analyze: allow(blocking-in-reactor): reason`.
 //!
-//! The reactor runs request handlers itself, under the dispatch lock, so the
-//! reactor-rooted scan stops at the dispatcher's two entries,
-//! `handle_request` and `handle_event`: what a handler may do while
-//! holding the lock is the dispatcher's business (`lock-order`,
-//! `lock-across-send`, `alloc`).
+//! The reactor runs request handlers and the task queue itself, so the
+//! reactor-rooted scan stops at the dispatcher's two request entries,
+//! `handle_request` and `handle_event`: what the dispatcher does is its
+//! own business (`lock-order`, `lock-across-send`, `alloc`).  Its tasks
+//! are entered through the `Handler` trait, which the textual call graph
+//! does not follow; the one blocking call the update task makes, a
+//! LineServer exchange, is bounded by its reply timeout and retries, and
+//! tests/lineserver.rs holds the bound.
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;

@@ -39,7 +39,7 @@ struct Edge {
 
 /// The lock-order graph's edges, `(held, then acquired)`, sorted — what
 /// the cycle check runs over, exposed so a test can pin the order a
-/// design promises (dispatch lock before any connection's write lock).
+/// design promises (the workspace's: no lock taken under another).
 pub fn edges(files: &[SourceFile], index: &Index, graph: &CallGraph) -> Vec<(String, String)> {
     collect_edges(files, index, graph).into_keys().collect()
 }

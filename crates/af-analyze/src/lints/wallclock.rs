@@ -4,7 +4,7 @@
 //! clock the data plane may consult: it is what play/record requests are
 //! timed against, and it advances even when the host clock steps.
 //! Wall-clock reads (`Instant::now`, `SystemTime::now`, `.elapsed()`)
-//! belong to the *scheduling* layer — the task thread's loop, the task
+//! belong to the *scheduling* layer — the reactor's loop, the task
 //! queue, and the designated wake helper (`play_wake_instant`) that
 //! converts a device-time deficit into a sleep.
 //!

@@ -71,6 +71,9 @@ pub struct VirtualAudioHw {
     recorded_until: ATime,
     sink: Box<dyn SampleSink>,
     source: Box<dyn SampleSource>,
+    /// One ring's worth of bytes: where `service` stages what passes
+    /// between a ring and an endpoint, so servicing allocates nothing.
+    staging: Vec<u8>,
     /// Frames skipped because `service` ran later than one ring length.
     pub xrun_frames: u64,
 }
@@ -94,6 +97,7 @@ impl VirtualAudioHw {
             recorded_until: now,
             sink,
             source,
+            staging: vec![0u8; cfg.ring_frames as usize * cfg.frame_bytes()],
             xrun_frames: 0,
         }
     }
@@ -138,10 +142,9 @@ impl VirtualAudioHw {
             self.played_until += skipped;
             span = self.cfg.ring_frames as i32;
         }
-        let nbytes = span as usize * self.cfg.frame_bytes();
-        let mut buf = vec![0u8; nbytes];
-        self.play_ring.read_at(self.played_until, &mut buf);
-        self.sink.consume(self.played_until, &buf);
+        let buf = &mut self.staging[..span as usize * self.cfg.frame_bytes()];
+        self.play_ring.read_at(self.played_until, buf);
+        self.sink.consume(self.played_until, buf);
         // Backfill with silence so stale data never replays.
         self.play_ring
             .fill_at(self.played_until, span as u32, self.cfg.silence_byte());
@@ -159,10 +162,9 @@ impl VirtualAudioHw {
             self.recorded_until += skipped;
             span = self.cfg.ring_frames as i32;
         }
-        let nbytes = span as usize * self.cfg.frame_bytes();
-        let mut buf = vec![0u8; nbytes];
-        self.source.fill(self.recorded_until, &mut buf);
-        self.rec_ring.write_at(self.recorded_until, &buf);
+        let buf = &mut self.staging[..span as usize * self.cfg.frame_bytes()];
+        self.source.fill(self.recorded_until, buf);
+        self.rec_ring.write_at(self.recorded_until, buf);
         self.recorded_until = now;
     }
 

@@ -176,13 +176,9 @@ family! {
         ProtocolErrors => "protocol_errors",
         /// Connections that ended for any reason.
         Disconnects => "disconnects",
-        /// Transport events handled by the thread that framed them, under
-        /// the dispatch lock (no thread hop).
+        /// Transport events and requests the dispatcher handled, each on
+        /// the reactor thread that framed it.
         InlineEvents => "inline_events",
-        /// Times a handler woke the task thread because it scheduled a
-        /// task ahead of the deadline that thread was asleep on: the one
-        /// thread hop left.
-        TaskNudges => "task_nudges",
     }
 }
 
@@ -306,7 +302,7 @@ family! {
 }
 
 /// The server's counters.
-pub type ServerCounters = Counters<Server, 7>;
+pub type ServerCounters = Counters<Server, 6>;
 /// The reactor's counters.
 pub type ShardCounters = Counters<Shard, 13>;
 /// A broadcast bus's counters.
@@ -336,9 +332,9 @@ mod tests {
 
     #[test]
     fn every_family_names_its_counters_once_in_snake_case() {
-        assert_names::<Server, 7>(
+        assert_names::<Server, 6>(
             "clients_current clients_total evicted_slow protocol_errors \
-             disconnects inline_events task_nudges",
+             disconnects inline_events",
         );
         assert_names::<Shard, 13>(
             "fd_count readiness_events wakeups partial_reads read_calls frames staged_frames \

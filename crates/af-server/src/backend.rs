@@ -111,11 +111,16 @@ pub struct AlsBackend {
 /// Retransmissions per reliable (control-path) LineServer exchange.
 /// Kept at one on the real-time path: a second retry would already be
 /// late.
-const ALS_RETRIES: u32 = 1;
+pub const ALS_RETRIES: u32 = 1;
+
+/// How long one attempt of an exchange waits for its reply.  With
+/// [`ALS_RETRIES`], it bounds how long a dead LineServer holds up the
+/// update task, and with it the reactor thread.
+pub const ALS_REPLY_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(30);
 
 /// Operations to skip after the link is declared down (~hundreds of ms
 /// of free-run at typical service cadence) before probing again.
-const DOWN_BACKOFF_OPS: u32 = 8;
+pub const DOWN_BACKOFF_OPS: u32 = 8;
 
 /// Consecutive record-prefetch misses that declare the link down.
 const DOWN_MISS_LIMIT: u32 = 8;
@@ -143,7 +148,7 @@ impl AlsBackend {
         // A lost single-attempt prefetch should stall the pump briefly,
         // not for the default 100 ms — the reply still arrives through
         // `poll` if it was merely late.
-        let _ = link.set_reply_timeout(std::time::Duration::from_millis(30));
+        let _ = link.set_reply_timeout(ALS_REPLY_TIMEOUT);
         AlsBackend {
             link,
             rate,

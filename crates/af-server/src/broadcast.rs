@@ -21,8 +21,7 @@
 use crate::stats::{lag_bucket, Bus, BusCounters};
 use af_dsp::kernels::cycles;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Frames per broadcast chunk (100 ms at the 8 kHz CODEC rate).
 pub const BROADCAST_CHUNK_FRAMES: u32 = 800;
@@ -117,8 +116,6 @@ struct Ring {
     free: Vec<Vec<u8>>,
 }
 
-type ReactorWake = Box<dyn Fn() + Send + Sync>;
-
 /// What a cursor got back from [`BroadcastBus::fetch_batch`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FetchInfo {
@@ -136,8 +133,6 @@ pub struct BroadcastBus {
     cfg: BroadcastConfig,
     frame_bytes: usize,
     ring: Mutex<Ring>,
-    /// The reactor's dirty flag and wakeup, once it has registered.
-    reactor: OnceLock<(Arc<AtomicBool>, ReactorWake)>,
     stats: Arc<BusCounters>,
 }
 
@@ -151,7 +146,6 @@ impl BroadcastBus {
                 next_seq: 0,
                 free: Vec::with_capacity(cfg.ring_chunks),
             }),
-            reactor: OnceLock::new(),
             cfg,
             frame_bytes,
             stats: Arc::default(),
@@ -171,13 +165,6 @@ impl BroadcastBus {
     /// The bus's counters.
     pub fn stats(&self) -> &Arc<BusCounters> {
         &self.stats
-    }
-
-    /// Registers the reactor's wakeup: `dirty` is set (and `wake` called
-    /// on the false→true edge) every time a chunk is sealed.  A bus serves
-    /// one reactor; a second registration is ignored.
-    pub fn register_reactor(&self, dirty: Arc<AtomicBool>, wake: ReactorWake) {
-        let _ = self.reactor.set((dirty, wake));
     }
 
     /// One past the newest sealed sequence number (the live edge).
@@ -202,10 +189,10 @@ impl BroadcastBus {
     }
 
     /// Seals one chunk of `payload` (exactly [`BroadcastBus::chunk_bytes`]
-    /// bytes) and wakes the reactor.  Called from the update task, through
-    /// the device's speaker tap; the critical section is O(1) and the wire
-    /// render reuses a retired buffer, so the steady state allocates
-    /// nothing.
+    /// bytes).  Called from the update task, through the device's speaker
+    /// tap, on the reactor thread, which pumps its listeners at the end of
+    /// that pass; the critical section is O(1) and the wire render reuses
+    /// a retired buffer, so the steady state allocates nothing.
     pub fn publish(&self, payload: &[u8]) {
         let mut wire = {
             let mut ring = self
@@ -266,13 +253,6 @@ impl BroadcastBus {
         self.stats.add(Bus::EncodedBytes, payload.len() as u64);
         self.stats.add(Bus::EncodeCycles, spent);
         self.stats.record_min(Bus::EncodeCyclesMin, spent);
-        // Edge-triggered like a connection's `notified` flag: only the
-        // false→true edge pays for a wakeup write.
-        if let Some((dirty, wake)) = self.reactor.get() {
-            if !dirty.swap(true, Ordering::AcqRel) {
-                wake();
-            }
-        }
     }
 
     /// Fetches up to `max` consecutive chunks starting at `cursor`,
@@ -386,7 +366,7 @@ impl BusTap {
 
     // Named to be unique in the workspace: the approximate name-based
     // call graph in af-analyze would resolve any `.push(` call (e.g. a
-    // `Vec::push` under the mailbox lock) to a method called `push` here,
+    // `Vec::push` under some lock) to a method called `push` here,
     // fabricating an edge into `publish`.
     fn absorb(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
@@ -429,7 +409,6 @@ impl SpeakerTap for BusTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     fn bus(ring_chunks: usize) -> Arc<BroadcastBus> {
         let cfg = BroadcastConfig {
@@ -562,25 +541,5 @@ mod tests {
         assert_eq!(out[0].payload(), &[1, 2, 3, 0xFF]);
         assert_eq!(out[1].payload(), &[0xFF, 9, 9, 9]);
         assert_eq!(out[2].payload(), &[9, 9, 9, 9]);
-    }
-
-    #[test]
-    fn reactor_wakeups_fire_on_the_edge_only() {
-        let b = bus(8);
-        let dirty = Arc::new(AtomicBool::new(false));
-        let wakes = Arc::new(AtomicU64::new(0));
-        let w = Arc::clone(&wakes);
-        b.register_reactor(
-            Arc::clone(&dirty),
-            Box::new(move || {
-                w.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        b.publish(&[0; 4]);
-        b.publish(&[0; 4]); // Dirty still set: no second wake.
-        assert_eq!(wakes.load(Ordering::Relaxed), 1);
-        assert!(dirty.swap(false, Ordering::AcqRel));
-        b.publish(&[0; 4]);
-        assert_eq!(wakes.load(Ordering::Relaxed), 2);
     }
 }

@@ -4,15 +4,15 @@
 //! telephone line), `Aaxp`/`Asparc` (one base-board CODEC), `Als`
 //! (LineServer) — that differed only in their device-dependent bottom
 //! halves.  [`ServerBuilder`] composes the same shapes from simulated
-//! devices and produces a [`RunningServer`]: the dispatcher behind its
-//! dispatch lock, the task thread (`af-dispatcher`) and the reactor thread
-//! (`af-reactor-0`), which runs request handlers itself.
+//! devices and produces a [`RunningServer`]: one thread, the reactor
+//! (`af-reactor-0`), which owns the dispatcher, runs every request handler
+//! and runs the task queue in its poll timeout.
 
 use crate::backend::{AlsBackend, LocalBackend};
 use crate::broadcast::{BroadcastBus, BroadcastConfig, BusTap};
 use crate::buffer::DeviceBuffers;
-use crate::dispatch::{DispatchHandle, Dispatcher, ServerCore};
-use crate::reactor::{Listener, Reactor};
+use crate::dispatch::{Dispatcher, ServerCore};
+use crate::reactor::{Call, Control, Listener, Outbound, Reactor};
 use crate::state::{connector_mask, AccessControl, AtomRegistry, Device, ServerStats};
 use crate::stats::{LinkCounters, ServerCounters};
 use af_device::hardware::{HwConfig, VirtualAudioHw};
@@ -339,15 +339,14 @@ impl ServerBuilder {
         (b, line)
     }
 
-    /// Starts the server: dispatcher, reactor, listeners and the task
-    /// thread.
+    /// Starts the server: the dispatcher, on the reactor thread, and the
+    /// listeners.
     ///
     /// The reactor is the only transport, so this fails with
     /// `ErrorKind::Unsupported` on targets `af_sys` has no syscall backend
     /// for (supported: Linux on x86_64 and aarch64), and with
     /// `epoll_create1`'s own error when the reactor cannot get its epoll
-    /// instance.  On any error every thread started so far has been joined
-    /// by the time it is returned.
+    /// instance.  On any error no thread has been started.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
@@ -406,13 +405,13 @@ impl ServerBuilder {
             access,
             stats: Arc::clone(&server_counters),
             pool: Arc::clone(&pool),
+            outbound: Outbound::default(),
         };
-        let dispatch = DispatchHandle::new(Dispatcher::new(core, self.update_interval));
+        let dispatcher = Dispatcher::new(core, self.update_interval);
 
-        // Every step from here to the task thread can fail (an address in
-        // use, a bad socket path, no epoll instance).  The listeners are
-        // bound before any thread starts, and the task thread starts only
-        // once nothing can fail any more, so an `Err` leaves no thread
+        // Every step from here to the reactor thread can fail (an address
+        // in use, a bad socket path, no epoll instance).  The listeners are
+        // bound before the thread starts, so an `Err` leaves no thread
         // behind.  The Unix socket is bound last: it is the one listener
         // that leaves a file, removed again if the reactor fails.
         let mut listeners = Vec::new();
@@ -434,23 +433,15 @@ impl ServerBuilder {
             listeners.push(Listener::unix(path)?);
         }
         let bus_counters = broadcast_bus.as_ref().map(|bus| Arc::clone(bus.stats()));
-        let spawned = Reactor::spawn(
-            dispatch.clone(),
-            Arc::clone(&pool),
-            listeners,
-            broadcast_bus,
-        );
+        let spawned = Reactor::spawn(dispatcher, Arc::clone(&pool), listeners, broadcast_bus);
         let reactor = spawned.inspect_err(|_| {
             if let Some(path) = &self.unix {
                 let _ = std::fs::remove_file(path);
             }
         })?;
         let handle = ServerHandle {
-            dispatch: dispatch.clone(),
+            control: reactor.control(),
         };
-        let join = std::thread::Builder::new()
-            .name("af-dispatcher".into())
-            .spawn(move || dispatch.run_task_thread())?;
         let stats = Arc::new(ServerStats {
             server: server_counters,
             reactor: reactor.stats(),
@@ -465,7 +456,6 @@ impl ServerBuilder {
             tcp_addr,
             broadcast_addr,
             unix_path: self.unix,
-            join: Some(join),
         })
     }
 }
@@ -476,35 +466,37 @@ impl Default for ServerBuilder {
     }
 }
 
-/// A control handle into a running server's dispatcher.  Every call takes
-/// the dispatch lock on the calling thread and returns when it is done.
+/// A control handle into a running server, for other threads: each call
+/// is a request the reactor answers ([`Call`]), and returns once it has
+/// been answered.
 #[derive(Clone)]
 pub struct ServerHandle {
-    dispatch: DispatchHandle,
+    control: Control,
 }
 
 impl ServerHandle {
-    /// Runs the update task now, on the calling thread.
+    /// Runs the update task now, on the reactor thread.
     ///
     /// Tests that drive a [`af_device::VirtualClock`] call this after
     /// advancing the clock, standing in for the periodic task firing.
     pub fn run_update(&self) {
-        self.dispatch.run_update();
+        self.control.call(Call::Update);
     }
 
-    /// Returns once everything submitted before the call has been handled.
+    /// Returns once everything the reactor was handed before the call has
+    /// been handled.
     pub fn barrier(&self) {
-        self.dispatch.barrier();
+        self.control.call(Call::Barrier);
     }
 
-    /// Shuts the dispatcher down: the task thread exits, and later
+    /// Shuts the dispatcher down: no further task runs, and later
     /// transport events are refused.
     pub fn shutdown(&self) {
-        self.dispatch.shutdown();
+        self.control.call(Call::Shutdown);
     }
 }
 
-/// A running server: task thread, reactor, and control handle.
+/// A running server: the reactor thread, and the control handle.
 pub struct RunningServer {
     handle: ServerHandle,
     stats: Arc<ServerStats>,
@@ -513,7 +505,6 @@ pub struct RunningServer {
     tcp_addr: Option<SocketAddr>,
     broadcast_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
-    join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl RunningServer {
@@ -549,30 +540,145 @@ impl RunningServer {
         self.handle.clone()
     }
 
-    /// Stops the server and joins the task thread.
+    /// Stops the server and joins the reactor thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.handle.shutdown();
         if let Some(mut reactor) = self.reactor.take() {
-            // Raises the stop flag and wakes the reactor to see it.
-            reactor.shutdown();
+            reactor.stop();
         }
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
-        }
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
         }
     }
 }
 
 impl Drop for RunningServer {
     fn drop(&mut self) {
-        if self.join.is_some() {
-            self.stop();
+        self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stats::Server;
+    use af_device::VirtualClock;
+    use af_proto::{AcAttributes, AcMask, ByteOrder, ConnSetup, Request};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    /// A speaker that counts the services it gets, and notes any that ran
+    /// off the reactor thread.
+    struct Witness {
+        services: Arc<AtomicU64>,
+        off_reactor: Arc<AtomicBool>,
+    }
+
+    impl SampleSink for Witness {
+        fn consume(&mut self, _time: ATime, _data: &[u8]) {
+            if std::thread::current().name() != Some("af-reactor-0") {
+                self.off_reactor.store(true, Ordering::SeqCst);
+            }
+            self.services.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    #[test]
+    fn handle_calls_from_another_thread_return_after_their_work_ran_on_the_reactor() {
+        // The one path into the server from another thread: the handle's
+        // calls, answered by the reactor while a client keeps it busy.
+        let clock = Arc::new(VirtualClock::new(8000));
+        let services = Arc::new(AtomicU64::new(0));
+        let off_reactor = Arc::new(AtomicBool::new(false));
+        let mut builder = ServerBuilder::new()
+            .listen_tcp("127.0.0.1:0".parse().unwrap())
+            .update_interval(Duration::from_secs(3600)); // Only `run_update` services.
+        let speaker = Witness {
+            services: Arc::clone(&services),
+            off_reactor: Arc::clone(&off_reactor),
+        };
+        builder.add_codec(
+            clock.clone(),
+            Box::new(speaker),
+            Box::new(SilenceSource::new(0xFF)),
+        );
+        let server = builder.spawn().unwrap();
+
+        // The client: setup, a context, then plays until told to stop,
+        // counting the replies it has read.
+        let order = ByteOrder::Little;
+        let mut sock = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        let mut len = [0u8; 4];
+        sock.read_exact(&mut len).unwrap();
+        sock.read_exact(&mut vec![0u8; u32::from_le_bytes(len) as usize])
+            .unwrap();
+        let mut hello = Request::CreateAc {
+            id: 1,
+            device: 0,
+            mask: AcMask::default(),
+            attrs: AcAttributes::default(),
+        }
+        .encode(order);
+        hello.extend_from_slice(&Request::SyncConnection.encode(order));
+        sock.write_all(&hello).unwrap();
+        sock.read_exact(&mut [0u8; 8]).unwrap();
+        let replies = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let client = {
+            let (replies, stop) = (Arc::clone(&replies), Arc::clone(&stop));
+            let play = Request::PlaySamples {
+                ac: 1,
+                start_time: ATime::new(4000),
+                flags: 0,
+                data: vec![0x55; 800],
+            }
+            .encode(order);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    sock.write_all(&play).unwrap();
+                    sock.read_exact(&mut [0u8; 12]).unwrap();
+                    replies.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+
+        let handle = server.handle();
+        let stats = server.stats();
+        let read_so_far = Arc::clone(&replies);
+        let control = std::thread::spawn(move || {
+            for round in 1..=200 {
+                clock.advance(80);
+                handle.run_update();
+                // The update serviced the speaker before the call returned.
+                assert_eq!(services.load(Ordering::SeqCst), round);
+                let read = read_so_far.load(Ordering::SeqCst);
+                handle.barrier();
+                // Every play whose reply the client read was handled whole
+                // — counted after its reply was written — as were the
+                // setup, the context and the sync before them.
+                let handled = stats.server.get(Server::InlineEvents);
+                assert!(
+                    handled >= read + 3,
+                    "{handled} handled, {read} replies read"
+                );
+            }
+        });
+        control.join().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        client.join().unwrap();
+        assert!(
+            replies.load(Ordering::SeqCst) > 0,
+            "the client never played"
+        );
+        assert!(
+            !off_reactor.load(Ordering::SeqCst),
+            "an update ran off the reactor"
+        );
+        server.shutdown();
     }
 }

@@ -1,28 +1,21 @@
-//! The device-independent dispatcher (§7.3.1), one thread deep.
+//! The device-independent dispatcher (§7.3.1).
 //!
 //! The paper's server is "a single logical thread of control": one loop
 //! waits in `select()`, reads a request, dispatches it and writes the
-//! reply.  Here the [`Dispatcher`] — all server state, the task queue and
-//! the request handlers — sits behind one **dispatch lock**, and the reactor
-//! thread that frames a transport event hands it to
-//! [`DispatchHandle::submit`] — a request, still in the buffer `read` left
-//! it in, to [`DispatchHandle::request`] — which takes the lock and runs
-//! the handler on that same thread.  The lock *is* the single-thread
-//! guarantee: events are handled one at a time, atomically, in
-//! per-connection arrival order.
-//!
-//! The task thread, `af-dispatcher` ([`DispatchHandle::run_task_thread`]),
-//! is the `select()` timeout of the original: it waits on a condition
-//! variable paired with the dispatch lock until the task queue's earliest
-//! deadline, then runs what is due (the periodic update, wake-ups for
-//! suspended clients) under the lock.  A handler that schedules ahead of
-//! that deadline signals the condition variable once it has unlocked.
-//! Everything else that wants the dispatcher — [`DispatchHandle::run_update`],
-//! `barrier`, `shutdown` — takes the lock on its own thread.  Lock order is
-//! dispatch lock → per-connection outbound lock, never the reverse.
+//! reply, and the same loop's timeout runs the task queue.  Here the
+//! [`Dispatcher`] — all server state, the task queue and the request
+//! handlers — is the reactor's [`Handler`]: the reactor thread that frames
+//! a request lends it, still in the buffer `read` left it in, to
+//! [`Handler::request`], which runs the handler there and then; the reply
+//! goes into the connection's [`Outbound`] entry.  Between readiness
+//! batches the reactor runs the tasks that are due ([`Handler::run_due`]:
+//! the periodic update, wake-ups for suspended clients), and sleeps no
+//! longer than the earliest deadline.  Events are handled one at a time,
+//! atomically, in per-connection arrival order, on that one thread.
 
 use crate::buffer::PlayOutcome;
 use crate::pool::BufferPool;
+use crate::reactor::{Handler, Outbound};
 use crate::state::{
     connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, Device,
     PropertyValue, RawRequest, ServerAc, ServerEvent,
@@ -38,10 +31,10 @@ use af_proto::{
 };
 use af_time::ATime;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-/// All server state, owned by the dispatcher (behind the dispatch lock).
+/// All server state, owned by the dispatcher.
 pub struct ServerCore {
     /// Vendor string reported at setup.
     pub vendor: String,
@@ -58,6 +51,8 @@ pub struct ServerCore {
     /// Reply/frame buffer pool, shared with the transport layer so reply
     /// buffers written out by the reactor come back to the dispatcher.
     pub pool: Arc<BufferPool>,
+    /// Every connection's write side: where replies go.
+    pub outbound: Outbound,
 }
 
 impl ServerCore {
@@ -172,15 +167,16 @@ impl ServerCore {
     }
 }
 
-/// The dispatcher: server state, task queue and request handlers.  Only
-/// ever touched under the dispatch lock ([`DispatchHandle`]).
+/// The dispatcher: server state, task queue and request handlers.  The
+/// reactor owns it and calls it through [`Handler`].
 pub struct Dispatcher {
     core: ServerCore,
     tasks: TaskQueue,
     update_interval: Duration,
     shutdown: bool,
-    /// Scratch for AC sample-type conversion, reused across requests so a
-    /// steady play/record stream converts without allocating.
+    /// Scratch for AC sample-type conversion and pass-through copies,
+    /// reused so a steady play/record stream and the update run without
+    /// allocating.
     conv_buf: Vec<u8>,
     /// Clients whose bounded outbound deque refused a message since the
     /// last eviction pass (which follows every event).
@@ -218,219 +214,74 @@ fn host_time_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Returned by [`DispatchHandle::submit`] once the server has shut down:
-/// the caller closes its connection.
+/// Returned by the [`Handler`] entries once the server has shut down: the
+/// reactor closes the connection.
 #[derive(Debug)]
 pub struct DispatcherGone;
 
-/// The one way into the dispatcher.
-///
-/// Cloned into every transport thread and the server's control handle.
-/// [`DispatchHandle::submit`] runs a transport event's handler on the
-/// calling thread under the dispatch lock, so a request costs no thread
-/// hop, and a thread waiting for the lock is not reading its sockets (TCP
-/// backpressure to its clients).
-#[derive(Clone)]
-pub struct DispatchHandle(Route);
-
-#[derive(Clone)]
-enum Route {
-    Live(Arc<DispatchShared>),
-    /// Test double: what comes in goes to a channel the test inspects.
-    #[cfg(test)]
-    Capture {
-        events: std::sync::mpsc::SyncSender<Captured>,
-    },
-}
-
-/// What a capturing handle saw: a submitted event, or a request — id,
-/// opcode and a copy of the payload it was lent.
-#[cfg(test)]
-pub(crate) enum Captured {
-    Event(ServerEvent),
-    Request(ClientId, u8, Vec<u8>),
-}
-
-struct DispatchShared {
-    /// The dispatch lock.  Held per event, never across two; acquired
-    /// before any per-connection outbound lock, never while holding one.
-    dispatch_lock: Mutex<Dispatcher>,
-    /// What the task thread sleeps on, paired with `dispatch_lock`.  A
-    /// holder that scheduled a task ahead of the deadline it found, or
-    /// shut the server down, signals it once it has unlocked: the task
-    /// thread may be asleep until that old deadline.  The change was
-    /// published under the paired mutex, so the wake-up can be neither
-    /// lost nor early.
-    task_wake: Condvar,
-}
-
-impl DispatchHandle {
-    /// Puts `dispatcher` behind the dispatch lock.
-    pub fn new(dispatcher: Dispatcher) -> DispatchHandle {
-        DispatchHandle(Route::Live(Arc::new(DispatchShared {
-            dispatch_lock: Mutex::new(dispatcher),
-            task_wake: Condvar::new(),
-        })))
-    }
-
-    /// A handle whose events land on `events` instead of a dispatcher.
-    #[cfg(test)]
-    pub(crate) fn capture(events: std::sync::mpsc::SyncSender<Captured>) -> DispatchHandle {
-        DispatchHandle(Route::Capture { events })
-    }
-
-    /// Handles `ev` on the calling thread, under the dispatch lock.
-    pub fn submit(&self, ev: ServerEvent) -> Result<(), DispatcherGone> {
-        match &self.0 {
-            Route::Live(shared) => shared.run_inline(ev),
-            #[cfg(test)]
-            Route::Capture { events } => {
-                events.send(Captured::Event(ev)).map_err(|_| DispatcherGone)
-            }
+impl Handler for Dispatcher {
+    fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone> {
+        if self.shutdown {
+            return Err(DispatcherGone);
         }
-    }
-
-    /// Handles one framed request of connection `id` on the calling
-    /// thread, under the dispatch lock.  `payload` (the bytes after the
-    /// 4-byte header) is only read: the caller lends it from where its
-    /// `read` left it, and nothing keeps it past the call.
-    pub fn request(&self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone> {
-        match &self.0 {
-            Route::Live(shared) => shared.run_request(id, opcode, payload),
-            #[cfg(test)]
-            Route::Capture { events } => {
-                let request = Captured::Request(id, opcode, payload.to_vec());
-                events.send(request).map_err(|_| DispatcherGone)
-            }
-        }
-    }
-
-    /// Runs the update task now, on the calling thread.
-    pub fn run_update(&self) {
-        if let Some(shared) = self.live() {
-            shared.run_update();
-        }
-    }
-
-    /// Returns once every event submitted before the call has been
-    /// handled: each is handled under the lock this takes.
-    pub fn barrier(&self) {
-        if let Some(shared) = self.live() {
-            drop(shared.dispatch_lock.lock());
-        }
-    }
-
-    /// Shuts the dispatcher down: later events are refused, and the task
-    /// thread exits.
-    pub fn shutdown(&self) {
-        if let Some(shared) = self.live() {
-            shared.shutdown();
-        }
-    }
-
-    /// The task thread (`af-dispatcher`): runs what is due under the
-    /// dispatch lock, then waits — unlocked — until the earliest task
-    /// deadline or a signal.  Returns after [`DispatchHandle::shutdown`].
-    pub fn run_task_thread(&self) {
-        if let Some(shared) = self.live() {
-            shared.task_loop();
-        }
-    }
-
-    fn live(&self) -> Option<&DispatchShared> {
-        match &self.0 {
-            Route::Live(shared) => Some(shared),
-            #[cfg(test)]
-            Route::Capture { .. } => None,
-        }
-    }
-}
-
-// A handler that panicked poisons the dispatch lock on its way out; what it
-// left behind is one half-handled event, which the server outlives, so
-// every acquisition below recovers the guard.
-impl DispatchShared {
-    fn run_inline(&self, ev: ServerEvent) -> Result<(), DispatcherGone> {
-        let earlier = {
-            // af-analyze: allow(blocking-in-reactor): the dispatch lock is the single-thread guarantee; its holder runs one event's handler, so the wait is bounded by one request
-            let locked = self.dispatch_lock.lock();
-            let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
-            if dispatcher.shutdown {
-                return Err(DispatcherGone);
-            }
-            let armed = dispatcher.tasks.next_deadline();
-            dispatcher.handle_event(ev);
-            dispatcher.core.stats.add(Server::InlineEvents, 1);
-            dispatcher.scheduled_ahead_of(armed)
-        };
-        if earlier {
-            self.task_wake.notify_one();
-        }
+        self.handle_event(ev);
+        self.core.stats.add(Server::InlineEvents, 1);
         Ok(())
     }
 
-    fn run_request(&self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone> {
-        let earlier = {
-            // af-analyze: allow(blocking-in-reactor): the dispatch lock, as in `run_inline`
-            let locked = self.dispatch_lock.lock();
-            let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
-            if dispatcher.shutdown {
-                return Err(DispatcherGone);
-            }
-            let armed = dispatcher.tasks.next_deadline();
-            dispatcher.handle_request(id, opcode, payload);
-            dispatcher.core.stats.add(Server::InlineEvents, 1);
-            dispatcher.scheduled_ahead_of(armed)
-        };
-        if earlier {
-            self.task_wake.notify_one();
+    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone> {
+        if self.shutdown {
+            return Err(DispatcherGone);
         }
+        self.handle_request(id, opcode, payload);
+        self.core.stats.add(Server::InlineEvents, 1);
         Ok(())
     }
 
-    fn run_update(&self) {
-        let earlier = {
-            let locked = self.dispatch_lock.lock();
-            let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
-            let armed = dispatcher.tasks.next_deadline();
-            dispatcher.run_update();
-            dispatcher.scheduled_ahead_of(armed)
-        };
-        if earlier {
-            self.task_wake.notify_one();
-        }
+    fn next_deadline(&self) -> Option<Instant> {
+        self.tasks.next_deadline()
     }
 
-    fn shutdown(&self) {
-        self.dispatch_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shutdown = true;
-        self.task_wake.notify_one();
-    }
-
-    fn task_loop(&self) {
-        let locked = self.dispatch_lock.lock();
-        let mut dispatcher = locked.unwrap_or_else(PoisonError::into_inner);
-        loop {
-            dispatcher.run_due_tasks(Instant::now());
-            if dispatcher.shutdown {
-                // Drop the clients (their connections' handles with them).
-                dispatcher.core.clients.clear();
-                return;
+    // The periodic update re-arms from the deadline it was due at, so
+    // neither a late poll timeout nor a busy pass stretches the cadence.
+    fn run_due(&mut self, now: Instant) {
+        while let Some((deadline, kind)) = self.tasks.pop_due(now) {
+            match kind {
+                TaskKind::Update => {
+                    self.update();
+                    let next = next_period(deadline, self.update_interval, now);
+                    self.tasks.schedule(next, TaskKind::Update);
+                }
+                TaskKind::WakeBlocked(device) => self.retry_blocked_device(device),
             }
-            let timeout = dispatcher
-                .tasks
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_secs(1));
-            // Asleep, unlocked.  A spurious wake-up only recomputes.
-            dispatcher = self
-                .task_wake
-                .wait_timeout(dispatcher, timeout)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
         }
+    }
+
+    /// The update task (§7.2): every device's buffers brought up to its
+    /// clock, pass-through, phone events, and suspended clients retried.
+    fn update(&mut self) {
+        for dev in &mut self.core.devices {
+            let gain = dev.output_gain_db;
+            let enabled = dev.output_enabled();
+            if let Some(b) = dev.buffers.as_mut() {
+                b.update(gain, enabled);
+            }
+        }
+        self.run_passthrough();
+        self.poll_phone_events();
+        self.retry_blocked_all();
+        self.evict_overflowed();
+    }
+
+    fn shut_down(&mut self) {
+        self.shutdown = true;
+        self.tasks = TaskQueue::new();
+        // Drop the clients: nothing is handled for them any more.
+        self.core.clients.clear();
+    }
+
+    fn outbound(&mut self) -> &mut Outbound {
+        &mut self.core.outbound
     }
 }
 
@@ -450,43 +301,15 @@ impl Dispatcher {
         }
     }
 
-    /// Whether the earliest task deadline now lies ahead of `armed`, what
-    /// it was when the lock was taken (never `None`: the periodic update
-    /// is always in the queue) — counted, as it costs the task thread a
-    /// wake-up.
-    fn scheduled_ahead_of(&self, armed: Option<Instant>) -> bool {
-        let earlier = self.tasks.next_deadline() < armed;
-        if earlier {
-            self.core.stats.add(Server::TaskNudges, 1);
-        }
-        earlier
-    }
-
-    /// Runs every task due at `now`.  The periodic update re-arms from the
-    /// deadline it was due at, so neither a late wake-up nor a wait for
-    /// the dispatch lock stretches the cadence.
-    fn run_due_tasks(&mut self, now: Instant) {
-        for (deadline, kind) in self.tasks.pop_due(now) {
-            match kind {
-                TaskKind::Update => {
-                    self.run_update();
-                    let next = next_period(deadline, self.update_interval, now);
-                    self.tasks.schedule(next, TaskKind::Update);
-                }
-                TaskKind::WakeBlocked(device) => self.retry_blocked_device(device),
-            }
-        }
-    }
-
-    /// One transport event, on the thread that framed it.
+    /// One transport event.
     fn handle_event(&mut self, ev: ServerEvent) {
         match ev {
             ServerEvent::NewClient {
                 id,
                 setup,
                 peer,
-                tx,
-            } => self.handle_new_client(id, &setup, peer, tx),
+                conn,
+            } => self.handle_new_client(id, &setup, peer, conn),
             ServerEvent::ProtocolError { id, error: _ } => {
                 // A framing violation poisons only the offending
                 // connection, which the reactor is already closing; other
@@ -501,8 +324,7 @@ impl Dispatcher {
         self.evict_overflowed();
     }
 
-    /// One framed request, on the thread that framed it and in the buffer
-    /// it was framed in.  Unknown ids (never admitted, or already evicted)
+    /// One framed request, in the buffer it was framed in.  Unknown ids (never admitted, or already evicted)
     /// drop the request.
     fn handle_request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
         if let Some(c) = self.core.clients.get_mut(&id) {
@@ -527,14 +349,14 @@ impl Dispatcher {
         id: ClientId,
         setup: &[u8],
         peer: Option<std::net::IpAddr>,
-        tx: crate::reactor::OutboundTx,
+        conn: crate::reactor::ConnRef,
     ) {
         // A refused connection is closed from this side: `hang_up` lets
         // the refusal leave, whole, before the socket goes.
         let setup = match af_proto::ConnSetup::decode(setup) {
             Ok(s) => s,
             Err(_) => {
-                tx.hang_up(); // Garbage setup.
+                self.core.outbound.hang_up(conn); // Garbage setup.
                 return;
             }
         };
@@ -555,8 +377,9 @@ impl Dispatcher {
             None
         };
         if let Some(reason) = refusal {
-            let _ = tx.try_send_buf(SetupReply::Failed { reason }.encode(order).into());
-            tx.hang_up();
+            let refusal = SetupReply::Failed { reason }.encode(order).into();
+            let _ = self.core.outbound.deliver(conn, refusal);
+            self.core.outbound.hang_up(conn);
             return;
         }
         let reply = SetupReply::Success {
@@ -565,10 +388,10 @@ impl Dispatcher {
             vendor: self.core.vendor.clone(),
             devices: self.core.devices.iter().map(|d| d.desc).collect(),
         };
-        let _ = tx.try_send_buf(reply.encode(order).into());
+        let _ = self.core.outbound.deliver(conn, reply.encode(order).into());
         self.core
             .clients
-            .insert(id, ClientState::new(id, order, tx));
+            .insert(id, ClientState::new(id, order, conn));
         self.core.stats.add(Server::ClientsTotal, 1);
         self.core
             .stats
@@ -600,27 +423,13 @@ impl Dispatcher {
         while let Some(id) = self.overflowed.pop() {
             if let Some(c) = self.core.clients.get(&id) {
                 self.core.stats.add(Server::EvictedSlow, 1);
-                c.tx.kick();
+                self.core.outbound.kick(c.conn);
                 self.remove_client(id);
             }
         }
     }
 
     // ---- The update task (§7.2). ----
-
-    fn run_update(&mut self) {
-        for dev in &mut self.core.devices {
-            let gain = dev.output_gain_db;
-            let enabled = dev.output_enabled();
-            if let Some(b) = dev.buffers.as_mut() {
-                b.update(gain, enabled);
-            }
-        }
-        self.run_passthrough();
-        self.poll_phone_events();
-        self.retry_blocked_all();
-        self.evict_overflowed();
-    }
 
     /// Moves audio directly between pass-through-connected device pairs.
     ///
@@ -654,18 +463,19 @@ impl Dispatcher {
                 continue;
             }
             let frames = (avail as u32).min(sb.frames() / 2);
-            let data = sb.read_rec(dst.pt_in, frames);
+            self.conv_buf.clear();
+            sb.read_rec_into(dst.pt_in, frames, &mut self.conv_buf);
             let gain = dst.output_gain_db;
             let out_enabled = dst.outputs_enabled != 0;
-            db.write_play(dst.pt_out, &data, false, gain, out_enabled);
+            db.write_play(dst.pt_out, &self.conv_buf, false, gain, out_enabled);
             dst.pt_in += frames;
             dst.pt_out += frames;
         }
     }
 
     fn poll_phone_events(&mut self) {
-        let mut outgoing: Vec<(DeviceId, Event)> = Vec::new();
-        for (idx, dev) in self.core.devices.iter_mut().enumerate() {
+        for idx in 0..self.core.devices.len() {
+            let dev = &mut self.core.devices[idx];
             let Some(phone) = &dev.phone else { continue };
             let signals = phone.poll_signals();
             if signals.is_empty() {
@@ -682,19 +492,14 @@ impl Dispatcher {
                     af_device::PhoneSignal::Loop(c) => EventDetail::Loop { current: c },
                     af_device::PhoneSignal::Hook(h) => EventDetail::Hook { off_hook: h },
                 };
-                outgoing.push((
-                    idx as DeviceId,
-                    Event {
-                        device: idx as DeviceId,
-                        device_time,
-                        host_time_ms: host_time_ms(),
-                        detail,
-                    },
-                ));
+                let event = Event {
+                    device: idx as DeviceId,
+                    device_time,
+                    host_time_ms: host_time_ms(),
+                    detail,
+                };
+                self.broadcast_event(idx as DeviceId, &event);
             }
-        }
-        for (device, event) in outgoing {
-            self.broadcast_event(device, &event);
         }
     }
 
@@ -702,7 +507,10 @@ impl Dispatcher {
         let kind = event.detail.kind();
         for client in self.core.clients.values() {
             if client.mask_for(device).selects(kind)
-                && !client.send_bytes(event.encode(client.order, client.seq))
+                && !client.send_bytes(
+                    &mut self.core.outbound,
+                    event.encode(client.order, client.seq),
+                )
             {
                 self.overflowed.push(client.id);
             }
@@ -1388,7 +1196,7 @@ impl Dispatcher {
             af_dsp::gain::swap_sample_bytes(ac.attrs.encoding, samples);
         }
         Reply::close_record(order, seq, now, out);
-        if !client.send_bytes(buf) {
+        if !client.send_bytes(&mut self.core.outbound, buf) {
             self.overflowed.push(id);
         }
     }
@@ -1707,7 +1515,7 @@ impl Dispatcher {
             // dropping the written buffer recycles the storage.
             let mut buf = self.core.pool.take_empty();
             reply.encode_into(order, seq, buf.vec_mut());
-            if !c.send_bytes(buf) {
+            if !c.send_bytes(&mut self.core.outbound, buf) {
                 self.overflowed.push(id);
             }
         }
@@ -1729,7 +1537,10 @@ impl Dispatcher {
                 bad_value,
                 opcode,
             };
-            if !c.send_bytes(message::encode_error(order, &error)) {
+            if !c.send_bytes(
+                &mut self.core.outbound,
+                message::encode_error(order, &error),
+            ) {
                 self.overflowed.push(id);
             }
         }
@@ -1739,7 +1550,6 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reactor::OutboundTx;
     use crate::reactor::OUTBOUND_QUEUE_CAPACITY;
 
     fn bare_dispatcher() -> Dispatcher {
@@ -1751,6 +1561,7 @@ mod tests {
             access: AccessControl::new(),
             stats: Arc::default(),
             pool: BufferPool::shared(),
+            outbound: Outbound::default(),
         };
         Dispatcher::new(core, Duration::from_secs(3600))
     }
@@ -1761,12 +1572,12 @@ mod tests {
 
         // One admitted client on a connection nothing drains: the setup
         // reply is its first waiting message.
-        let tx = OutboundTx::detached();
+        let conn = dispatcher.core.outbound.detached(7);
         dispatcher.handle_event(ServerEvent::NewClient {
             id: 7,
             setup: af_proto::ConnSetup::new().encode(),
             peer: None,
-            tx: tx.clone(),
+            conn,
         });
         assert!(dispatcher.core.clients.contains_key(&7));
 
@@ -1778,14 +1589,23 @@ mod tests {
         assert_eq!(dispatcher.overflowed, []);
         dispatcher.send_reply_to(7, af_proto::ByteOrder::Little, 1, &Reply::Sync);
         assert_eq!(dispatcher.overflowed, [7]);
-        assert_eq!(tx.queued(), OUTBOUND_QUEUE_CAPACITY, "bound never exceeded");
-        assert_eq!(tx.kicks(), 0);
+        let outbound = &mut dispatcher.core.outbound;
+        assert_eq!(
+            outbound.queued(conn),
+            OUTBOUND_QUEUE_CAPACITY,
+            "bound never exceeded"
+        );
+        assert_eq!(outbound.kicks(), 0);
 
         // Any later event — here one that has nothing to do with the
         // client — runs the pass.
         dispatcher.handle_event(ServerEvent::Disconnect { id: 99 });
         assert!(dispatcher.core.clients.is_empty(), "listed client evicted");
-        assert_eq!(tx.kicks(), 1, "its connection was kicked, once");
+        assert_eq!(
+            dispatcher.core.outbound.kicks(),
+            1,
+            "its connection was kicked, once"
+        );
         assert_eq!(dispatcher.core.stats.get(Server::EvictedSlow), 1);
         assert_eq!(dispatcher.overflowed, [], "list consumed");
     }

@@ -9,16 +9,18 @@
 //! sockets into a request stream.
 //!
 //! Concurrency model: the paper's server is a single-threaded process
-//! multiplexed by `select()`.  The Rust equivalent keeps **all server state
-//! behind one dispatch lock**.  The [`reactor`] registers every nonblocking
-//! socket with one readiness-driven thread (raw `epoll` — the modern form
-//! of the paper's `select()` loop), scaling to tens of thousands of
-//! connections; it runs the handler of each request it frames under the
-//! lock and writes the reply, one thread deep.  A slow
-//! client overflows its bounded outbound deque and is evicted — preserving
-//! the paper's fairness and "no rocket science" properties.  There is one
-//! configuration: no alternate transport and no separate audio threads
-//! (DESIGN.md §9.1 says why).
+//! multiplexed by `select()`, whose timeout runs the task queue.  So is
+//! this one: the [`reactor`] registers every nonblocking socket with one
+//! readiness-driven thread (raw `epoll` — the modern form of the paper's
+//! `select()` loop), scaling to tens of thousands of connections.  That
+//! thread owns all server state: it runs the handler of each request it
+//! frames and writes the reply, and its poll timeout is the time to the
+//! next task deadline.  No lock guards server state, because no other
+//! thread touches it.  A slow client overflows its bounded outbound deque
+//! and is evicted — preserving the paper's fairness and "no rocket
+//! science" properties.  There is one configuration: no alternate
+//! transport and no separate audio or task threads (DESIGN.md §9.1 says
+//! why).
 //!
 //! `unsafe` is forbidden (the workspace lint table): the reactor's raw
 //! syscalls (`epoll`) are `af_sys`'s safe wrappers.
@@ -52,7 +54,7 @@ pub use broadcast::{BroadcastBus, BroadcastConfig, BROADCAST_CHUNK_FRAMES, BROAD
 pub use buffer::{DeviceBuffers, PlayOutcome};
 pub use builder::{RunningServer, ServerBuilder, ServerHandle};
 pub use pool::{BufferPool, PooledBuf};
-pub use reactor::{OutboundTx, Reactor, OUTBOUND_QUEUE_CAPACITY};
+pub use reactor::{ConnRef, Outbound, Reactor, OUTBOUND_QUEUE_CAPACITY};
 pub use state::ServerStats;
 
 /// The paper's `MSUPDATE`: the update task period, in milliseconds.

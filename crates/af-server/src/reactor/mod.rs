@@ -1,47 +1,48 @@
-//! The server's OS section: one reactor thread multiplexing all connections.
+//! The server's OS section and its one flow of control: one reactor
+//! thread multiplexing every connection and running the task queue.
 //!
 //! The paper's server multiplexed every client socket, TCP or Unix-domain,
-//! with one `select()` loop (§5.1, §7.3.1).  This module keeps that shape:
-//! one thread runs a level-triggered readiness loop ([`af_sys::Poller`]:
-//! raw `epoll`) over nonblocking sockets.  Sockets enter in two forms: the
-//! [`Listener`]s handed to [`Reactor::spawn`], accepted on with one loop
-//! whatever their family or kind, and a `SharedSock` for each accepted
-//! connection, registered with the same poller.
+//! with one `select()` loop whose timeout ran the task queue "instead of
+//! using threads" (§5.1, §7.3.1).  This module keeps that shape: one
+//! thread, `af-reactor-0`, runs a level-triggered readiness loop
+//! ([`af_sys::Poller`]: raw `epoll`) over nonblocking sockets, and the
+//! time to the earliest task deadline ([`Handler::next_deadline`]) is the
+//! loop's poll timeout.  Sockets enter in two forms: the [`Listener`]s
+//! handed to [`Reactor::spawn`], accepted on with one loop whatever their
+//! family or kind, and a `SharedSock` for each accepted connection,
+//! registered with the same poller.
+//!
+//! One pass of the loop: wait for readiness (or the next deadline), handle
+//! the ready sockets, run the tasks that are due (the periodic update,
+//! wake-ups for suspended clients), pump the broadcast listeners if the
+//! update sealed chunks, then arm write interest for the connections whose
+//! replies the socket would not take whole.  Everything the server does
+//! happens on this thread, so single-threaded control semantics hold
+//! without a lock.
 //!
 //! The reactor owns its connections outright: the per-connection read
 //! state machine (setup header → setup tail → frame header → payload,
 //! resumable at any byte boundary) is fed from **one `read` per readiness
-//! event** into one scratch buffer, and the connection's outbound deque is
-//! drained on write readiness.  A request frame that arrived whole is
-//! lent to the dispatcher where it lies in the scratch; only one split
-//! across reads (or larger than the scratch) is put together in a pooled
-//! staging buffer first.  The reactor hands each framed event to the
-//! dispatcher through the one [`crate::dispatch::DispatchHandle`] and runs
-//! its handler itself, under the dispatch lock — so a `GetTime` is
-//! `epoll_wait`, `read`, `write` on one thread — with single-threaded
-//! control semantics and slow-client overflow/eviction.
+//! event** into one scratch buffer.  A request frame that arrived whole is
+//! lent to the [`Handler`] — the dispatcher — where it lies in the scratch;
+//! only one split across reads (or larger than the scratch) is put
+//! together in a pooled staging buffer first.  The handler runs at once,
+//! on this thread, so a `GetTime` is `epoll_wait`, `read`, `write`.
 //!
-//! Reply path (modeled in `loom_models.rs`, scenarios 5 and 6): every
-//! connection has one deque of unwritten messages behind one lock
-//! (`ConnShared`); the front is the message mid-write.  Whoever produces
-//! a reply — a request handler on the reactor thread or the task thread —
-//! takes the lock and, when the deque is empty, tries one nonblocking
-//! `write` on the connection's socket itself.  A message the socket takes
-//! whole never touches the deque; a short write, a would-block, an error,
-//! or a message with others ahead of it is pushed on the back (at most
-//! [`OUTBOUND_QUEUE_CAPACITY`] wait there).  The reactor's `flush_conn`
-//! writes from the front under the same lock, one message per hold, so
-//! bytes leave in issue order.  After a push the producer runs the wakeup
-//! protocol: atomically swap the connection's `notified` flag; only the
-//! first producer to set it leaves the connection's token in the mailbox
-//! and writes the self-pipe.  The reactor clears `notified` *before*
-//! draining, so a producer racing with the drain re-arms the notification
-//! — no lost wakeup — while the flag keeps redundant tokens (and redundant
-//! drains) bounded at one per drain cycle.  In the steady state the socket
-//! takes every reply whole and the reactor is never woken for output.
+//! Reply path ([`Outbound`]): every connection has one deque of unwritten
+//! messages; the front is the message mid-write.  A reply is first offered
+//! to the socket directly, with one nonblocking `write`, when the deque is
+//! empty.  A message the socket takes whole never touches the deque; a
+//! short write, a would-block, an error, or a message with others ahead of
+//! it is pushed on the back (at most [`OUTBOUND_QUEUE_CAPACITY`] wait
+//! there), and at the end of the pass the reactor watches the socket's
+//! writability until the deque has drained, so bytes leave in issue order.
+//! In the steady state the socket takes every reply whole and the poller
+//! never watches for output.
 //!
-//! The mailbox is the flush tokens other threads leave, behind one leaf
-//! lock; the reactor swaps it out whole when its self-pipe fires.
+//! Other threads reach the reactor through [`Control`] only: a [`Call`]
+//! goes on a bounded queue, one byte on the self-pipe wakes the loop, and
+//! the caller parks until the end of the pass that ran it.
 //!
 //! Failure model: a malformed or oversized frame header is a protocol
 //! error that disconnects only the offending client; a client that stops
@@ -50,13 +51,13 @@
 //! between client and server (`af_chaos::FaultProxy`), so every
 //! connection runs the one transport.
 //!
-//! Backpressure: the lock is taken per framed event, never per readiness
-//! batch, so `FRAME_BUDGET` fairness holds and the update task waits
-//! behind at most one request.  While the reactor waits for the dispatch
-//! lock it is not reading its sockets — TCP backpressure to the clients.
+//! Fairness: a connection yields after `FRAME_BUDGET` frames per readiness
+//! event, so its siblings, and the tasks due at the end of the pass, wait
+//! behind at most that many requests.  While a handler runs, the reactor
+//! is not reading its sockets — TCP backpressure to the clients.
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
-use crate::dispatch::DispatchHandle;
+use crate::dispatch::DispatcherGone;
 use crate::pool::{BufferPool, PooledBuf};
 use crate::state::{ClientId, ServerEvent};
 use crate::stats::{self, Bus, ShardCounters};
@@ -69,15 +70,17 @@ use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Bound on the messages a connection may have waiting for its socket
 /// (the one mid-write included).  A slow client hits this bound and is
 /// evicted; the seed's unbounded queue grew without limit instead.
 pub const OUTBOUND_QUEUE_CAPACITY: usize = 256;
 
-/// Why [`OutboundTx::try_send_buf`] did not take a message.
+/// Why [`Outbound::deliver`] did not take a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refused {
     /// [`OUTBOUND_QUEUE_CAPACITY`] messages are already waiting: the
@@ -121,6 +124,10 @@ const BCAST_BATCH: usize = 8;
 /// treated as garbage and the connection is closed.
 const BCAST_REQ_MAX: usize = 4096;
 
+/// Calls other threads may have waiting for the reactor before
+/// [`Control::call`] waits for room.
+const CALL_QUEUE: usize = 64;
+
 /// Wakes the reactor's poll loop by writing one byte to its self-pipe.
 struct Waker {
     tx: UnixStream,
@@ -141,11 +148,10 @@ impl Waker {
     }
 }
 
-/// The one owning handle to an accepted socket, shared by the reactor
-/// (reads, flushes) and, for an AudioFile client, the dispatcher's
-/// [`OutboundTx`] (direct writes, eviction).  One descriptor per
-/// connection; a producer that outlives the connection keeps the *socket*
-/// alive, so it can never write to a recycled descriptor number.
+/// The one owning handle to an accepted socket, shared by the reactor's
+/// read side and, for an AudioFile client, its write side in
+/// [`Outbound`].  One descriptor per connection.
+#[derive(Clone)]
 enum SharedSock {
     Tcp(Arc<TcpStream>),
     Unix(Arc<UnixStream>),
@@ -160,8 +166,8 @@ impl SharedSock {
     }
 
     /// `read` through a shared reference (`Read` is implemented for
-    /// `&TcpStream`/`&UnixStream`): the reactor holds the socket in the
-    /// `Arc` it shares with the producers.
+    /// `&TcpStream`/`&UnixStream`): the read and write sides share the
+    /// socket's `Arc`.
     fn read_shared(&self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             SharedSock::Tcp(s) => (&**s).read(buf),
@@ -169,8 +175,7 @@ impl SharedSock {
         }
     }
 
-    /// `write` through a shared reference, for the reactor's flush and for
-    /// producers, none of which holds a `&mut`.
+    /// `write` through a shared reference, as for `read_shared`.
     fn write_shared(&self, buf: &[u8]) -> io::Result<usize> {
         match self {
             SharedSock::Tcp(s) => (&**s).write(buf),
@@ -265,201 +270,187 @@ impl Listener {
     }
 }
 
-/// A connection's unwritten outbound messages, oldest first.
-#[derive(Default)]
-struct Outbound {
-    /// The front is the message mid-write.
+/// What the reactor hands framed work to, and whose task queue it runs:
+/// the dispatcher, in a server.  Every method is called on the reactor
+/// thread, one at a time.
+pub trait Handler: Send + 'static {
+    /// A connection's setup, protocol error or end.  `Err` once the
+    /// handler has shut down: the reactor closes the connection.
+    fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone>;
+
+    /// One framed request of connection `id`.  `payload` (the bytes after
+    /// the 4-byte header) is lent from where `read` left it and only read;
+    /// nothing keeps it past the call.
+    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone>;
+
+    /// The earliest task deadline: the poll loop sleeps no longer.
+    fn next_deadline(&self) -> Option<Instant>;
+
+    /// Runs every task due at `now`.
+    fn run_due(&mut self, now: Instant);
+
+    /// Runs the update task now ([`Call::Update`]).
+    fn update(&mut self);
+
+    /// Refuses every later event and runs no further task
+    /// ([`Call::Shutdown`]).
+    fn shut_down(&mut self);
+
+    /// The connections' write side, which the handler's replies go into
+    /// and the reactor drains.
+    fn outbound(&mut self) -> &mut Outbound;
+}
+
+/// The handler's reference to one connection, handed over with its setup
+/// ([`ServerEvent::NewClient`]): where that client's replies go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConnRef {
+    /// Poller token of the connection's slot.
+    token: usize,
+    /// Told apart from a later connection in a recycled slot by its id.
+    id: ClientId,
+}
+
+/// One connection's write side: its socket and unwritten messages.
+struct ConnOut {
+    id: ClientId,
+    sock: SharedSock,
+    /// Oldest first; the front is the message mid-write.
     queue: VecDeque<PooledBuf>,
     /// Bytes of the front message already on the socket.
     written: usize,
-    /// No further message is taken.  Set by the reactor when it closes the
-    /// connection, and by [`OutboundTx::hang_up`], after which the reactor
-    /// closes the connection once `queue` has drained.
+    /// No further message is taken.  Set by [`Outbound::hang_up`], after
+    /// which the reactor closes the connection once `queue` has drained.
     closed: bool,
+    /// The poller is watching the socket's writability.
+    want_write: bool,
 }
 
-/// What the reactor and the dispatcher's [`OutboundTx`] share for one
-/// connection: the socket, the unwritten messages, and the way to wake
-/// the reactor for them.  Built by the reactor when it registers the
-/// connection.
-struct ConnShared {
-    /// Poller token of the connection's slot.
-    token: u64,
-    /// Wakeup-protocol flag: a flush token for this connection is pending.
-    notified: AtomicBool,
-    /// The reactor's mailbox, waker and counters.
-    link: Arc<ShardLink>,
-    sock: SharedSock,
-    /// The lock is the connection's write critical section — whoever holds
-    /// it is the only thread writing the socket or touching the deque.
-    outbound: Mutex<Outbound>,
+/// Every AudioFile connection's write side, by poller token: the way
+/// replies reach clients, and the way slow clients are evicted.  The
+/// [`Handler`] owns it and writes its replies into it as it handles
+/// requests; the reactor opens and closes its entries and drains what the
+/// sockets would not take.  One thread touches it, so it has no lock.
+///
+/// [`Outbound::deliver`] first attempts the *direct write*: one
+/// nonblocking `write` on the socket, allowed only when no earlier message
+/// is still waiting.  Whatever the socket would not take goes on the
+/// connection's bounded deque, which the reactor drains on write
+/// readiness.
+#[derive(Default)]
+pub struct Outbound {
+    conns: Vec<Option<ConnOut>>,
+    /// Tokens of connections whose deque took its first waiting message
+    /// since the end of the last pass: the reactor flushes them then, and
+    /// watches writability while bytes stay stalled.
+    stalled: Vec<usize>,
+    /// The reactor's counters ([`Reactor::stats`]).
+    stats: Arc<ShardCounters>,
 }
 
-impl ConnShared {
-    /// Sends one message toward the connection without blocking: straight
-    /// to the socket when nothing is ahead of it, otherwise (or for the
-    /// unwritten remainder) onto the deque with a reactor wakeup.
-    fn deliver(&self, buf: PooledBuf) -> Result<(), Refused> {
-        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push; contended only while the reactor flushes this same connection
-        let mut out = self.outbound.lock().unwrap_or_else(PoisonError::into_inner);
-        // A refused `buf` recycles (pool lock) at the return, unlocked.
-        if out.closed {
-            drop(out);
+/// `conn`'s write side, unless the connection has closed.
+fn find(conns: &mut [Option<ConnOut>], conn: ConnRef) -> Option<&mut ConnOut> {
+    conns
+        .get_mut(conn.token)?
+        .as_mut()
+        .filter(|out| out.id == conn.id)
+}
+
+impl Outbound {
+    /// Sends one message toward `conn` without blocking: straight to the
+    /// socket when nothing is ahead of it, otherwise (or for the unwritten
+    /// remainder) onto the deque.  The caller maps [`Refused::Full`] onto
+    /// the slow-client overflow policy; a refused `buf` recycles.
+    pub fn deliver(&mut self, conn: ConnRef, buf: PooledBuf) -> Result<(), Refused> {
+        let Some(out) = find(&mut self.conns, conn).filter(|out| !out.closed) else {
             return Err(Refused::Closed);
-        }
+        };
         if out.queue.len() >= OUTBOUND_QUEUE_CAPACITY {
-            drop(out);
             return Err(Refused::Full);
         }
         if out.queue.is_empty() {
-            match self.sock.write_shared(&buf) {
+            match out.sock.write_shared(&buf) {
                 Ok(n) if n == buf.len() => {
-                    drop(out);
-                    self.link.stats.add(stats::Shard::Replies, 1);
-                    self.link.stats.add(stats::Shard::DirectWrites, 1);
+                    self.stats.add(stats::Shard::Replies, 1);
+                    self.stats.add(stats::Shard::DirectWrites, 1);
                     return Ok(());
                 }
-                // Short write: the reactor finishes the message and arms
-                // write interest, exactly as for a queued one.
+                // Short write: the reactor finishes the message, exactly
+                // as for a queued one.
                 Ok(n) => out.written = n,
-                // Would block or an error: queue it, so the reactor's flush
-                // meets the same condition and handles it on the one
-                // close path.
+                // Would block or an error: queue it, so the reactor's
+                // flush meets the same condition and handles it on the
+                // one close path.
                 Err(_) => {}
             }
+            self.stalled.push(conn.token);
         }
         out.queue.push_back(buf);
-        drop(out);
-        self.link.stats.add(stats::Shard::QueuedWrites, 1);
-        self.wake();
+        self.stats.add(stats::Shard::QueuedWrites, 1);
         Ok(())
-    }
-
-    /// Signals the reactor that the connection has outbound data it must
-    /// write.  Must be called *after* the push, with the outbound lock
-    /// released (the reactor clears `notified` before draining, so this
-    /// ordering is what makes a racing push visible — see the module docs
-    /// and the loom model).
-    fn wake(&self) {
-        if !self.notified.swap(true, Ordering::AcqRel) {
-            let link = &self.link;
-            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
-            let mut mailbox = link.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
-            mailbox.push(self.token);
-            drop(mailbox);
-            link.waker.wake();
-        }
-    }
-
-    /// The reactor's half of closing: refuses later messages and hands back
-    /// the unwritten ones, so they recycle outside the lock.
-    fn close(&self) -> VecDeque<PooledBuf> {
-        // af-analyze: allow(blocking-in-reactor): leaf lock, held for a flag store and a take
-        let mut out = self.outbound.lock().unwrap_or_else(PoisonError::into_inner);
-        out.closed = true;
-        std::mem::take(&mut out.queue)
-    }
-}
-
-/// The dispatcher's handle on one connection: the way replies reach it
-/// and the way it is evicted.
-///
-/// A producer (a request handler or the task thread) first attempts the
-/// *direct write*: one nonblocking `write` on the socket, allowed only
-/// when no earlier message is still waiting.  Whatever the socket would
-/// not take goes on the connection's bounded deque, which the reactor
-/// drains; producers push first, then wake, and that ordering is what
-/// makes the clear-before-drain protocol lossless.
-#[derive(Clone)]
-pub struct OutboundTx(Arc<ConnShared>);
-
-impl OutboundTx {
-    /// Sends a message without blocking; the caller maps
-    /// [`Refused::Full`] onto the slow-client overflow policy.
-    pub fn try_send_buf(&self, buf: PooledBuf) -> Result<(), Refused> {
-        self.0.deliver(buf)
     }
 
     /// Forcibly closes the connection's socket, so the reactor sees the
     /// hang-up and drops it (slow clients are evicted this way).  Counted
     /// as an eviction.
-    pub fn kick(&self) {
-        self.0.link.stats.add(stats::Shard::Evictions, 1);
-        self.0.sock.shutdown();
+    pub fn kick(&mut self, conn: ConnRef) {
+        if let Some(out) = find(&mut self.conns, conn) {
+            out.sock.shutdown();
+            self.stats.add(stats::Shard::Evictions, 1);
+        }
     }
 
     /// Closes the connection from the server side once everything sent so
     /// far has left: no later message is taken, and the peer reads what
     /// was sent, whole, and then end-of-file.
-    pub fn hang_up(&self) {
-        let mut out = self
-            .0
-            .outbound
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        out.closed = true;
-        let drained = out.queue.is_empty();
-        drop(out);
-        if drained {
-            // Not an eviction, so not counted as one.
-            self.0.sock.shutdown();
-        } else {
-            // The reactor closes the connection when its flush drains the
-            // deque; the token makes sure a flush comes.
-            self.0.wake();
+    pub fn hang_up(&mut self, conn: ConnRef) {
+        if let Some(out) = find(&mut self.conns, conn) {
+            out.closed = true;
+            // Not an eviction, so not counted as one.  With messages
+            // waiting, the reactor closes the connection when its flush
+            // drains the deque.
+            if out.queue.is_empty() {
+                out.sock.shutdown();
+            }
         }
+    }
+
+    /// The reactor's half of accepting: the connection's write side.
+    fn open(&mut self, token: usize, id: ClientId, sock: SharedSock) -> ConnRef {
+        if self.conns.len() <= token {
+            self.conns.resize_with(token + 1, || None);
+        }
+        self.conns[token] = Some(ConnOut {
+            id,
+            sock,
+            queue: VecDeque::new(),
+            written: 0,
+            closed: false,
+            want_write: false,
+        });
+        ConnRef { token, id }
     }
 }
 
 #[cfg(test)]
-impl OutboundTx {
-    /// A handle on a connection no reactor owns: its socket's peer is gone,
-    /// so every direct write fails and every message waits on the deque,
-    /// which nothing drains, and wakeups go nowhere.
-    pub(crate) fn detached() -> OutboundTx {
-        let (waker, _wake_rx) = Waker::pair().expect("socketpair");
+impl Outbound {
+    /// A connection no reactor owns: its socket's peer is gone, so every
+    /// direct write fails and every message waits on the deque, which
+    /// nothing drains.
+    pub(crate) fn detached(&mut self, id: ClientId) -> ConnRef {
         let (sock, _peer) = UnixStream::pair().expect("socketpair");
-        OutboundTx(Arc::new(ConnShared {
-            token: 0,
-            notified: AtomicBool::new(false),
-            link: Arc::new(ShardLink {
-                mailbox: Mutex::default(),
-                waker,
-                stats: Arc::default(),
-                stop: AtomicBool::new(false),
-            }),
-            sock: SharedSock::Unix(Arc::new(sock)),
-            outbound: Mutex::new(Outbound::default()),
-        }))
+        self.open(self.conns.len(), id, SharedSock::Unix(Arc::new(sock)))
     }
 
-    /// Messages waiting on the deque.
-    pub(crate) fn queued(&self) -> usize {
-        self.0
-            .outbound
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .queue
-            .len()
+    /// Messages waiting on `conn`'s deque.
+    pub(crate) fn queued(&mut self, conn: ConnRef) -> usize {
+        find(&mut self.conns, conn).map_or(0, |out| out.queue.len())
     }
 
-    /// Times the handle was kicked (a detached connection's reactor
-    /// counters are its own).
+    /// Connections kicked.
     pub(crate) fn kicks(&self) -> u64 {
-        self.0.link.stats.get(stats::Shard::Evictions)
+        self.stats.get(stats::Shard::Evictions)
     }
-}
-
-/// The way to reach the reactor thread from another thread.
-struct ShardLink {
-    /// Tokens of connections with freshly queued outbound data; no bound
-    /// of its own, as `notified` admits one per connection.  A leaf lock:
-    /// held for one push, or for the reactor's one swap.
-    mailbox: Mutex<Vec<u64>>,
-    waker: Waker,
-    stats: Arc<ShardCounters>,
-    /// Set by [`Reactor::shutdown`]; the woken reactor that finds it exits.
-    stop: AtomicBool,
 }
 
 /// Where the connection's resumable read state machine stands.
@@ -500,17 +491,15 @@ fn fill(dst: &mut [u8], have: &mut usize, data: &mut &[u8]) -> bool {
     *have == dst.len()
 }
 
-/// One registered connection.
+/// One registered AudioFile connection's read side.
 struct ConnState {
-    fd: RawFd,
+    token: usize,
     id: ClientId,
     peer: Option<IpAddr>,
     order: ByteOrder,
     phase: ReadPhase,
-    /// The socket, the unwritten outbound messages and the `notified`
-    /// flag, shared with the dispatcher's [`OutboundTx`].
-    shared: Arc<ConnShared>,
-    want_write: bool,
+    /// Shared with the connection's write side in [`Outbound`].
+    sock: SharedSock,
 }
 
 /// Where a broadcast listener connection stands.
@@ -552,13 +541,11 @@ fn find_head_end(req: &[u8]) -> Option<usize> {
 }
 
 /// The reactor's broadcast state: the shared bus plus the listener
-/// roster, pumped when the bus marks the reactor dirty.
+/// roster, pumped at the end of a pass in which the bus sealed chunks.
 struct ShardBroadcast {
     bus: Arc<BroadcastBus>,
-    /// Set by [`BroadcastBus::publish`]; cleared (then acted on) by the
-    /// reactor's wake handler — the same edge-triggered shape as a
-    /// connection's `notified` flag.
-    dirty: Arc<AtomicBool>,
+    /// The bus's live edge when the listeners were last pumped.
+    seen: u64,
     /// Tokens of the broadcast listener slots.
     tokens: Vec<usize>,
 }
@@ -580,48 +567,91 @@ enum ReadOutcome {
 }
 
 /// The reactor thread's state: everything it owns.
-struct Shard {
+struct Shard<H> {
     poller: Poller,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
-    /// Tokens freed during the current event batch; recycled only after
-    /// the batch so a stale readiness event cannot alias a fresh conn.
+    /// Tokens freed during the current pass; recycled only after the pass
+    /// so a stale readiness event cannot alias a fresh conn.
     deferred_free: Vec<usize>,
     wake_rx: UnixStream,
+    /// Calls from other threads, taken when the self-pipe fires.
+    calls: Receiver<Asked>,
+    /// The calls run this pass, answered (dropped) at its end, so a caller
+    /// sees everything the call set off: a publish's pump, a reply's flush.
+    answered: Vec<Asked>,
+    /// Set by [`Reactor::stop`]; the woken reactor that finds it exits.
+    stop: Arc<AtomicBool>,
     stats: Arc<ShardCounters>,
-    link: Arc<ShardLink>,
-    /// The way into the dispatcher: every framed event goes through it.
-    dispatch: DispatchHandle,
+    /// Where every framed event goes, and whose tasks the loop runs.
+    handler: H,
     /// Frame/reply buffer pool shared with the dispatcher.
     pool: Arc<BufferPool>,
     /// The next client id to hand out.
     next_id: ClientId,
-    /// The empty half of the mailbox swap: a wake trades it for the full
-    /// mailbox and keeps what it got, cleared, for the next trade, so the
-    /// vector's capacity circulates and a busy wake does not allocate.
-    spare_mailbox: Vec<u64>,
     /// Where each readiness event's one `read` lands
     /// ([`READ_SCRATCH_BYTES`]); shared by all connections.
     read_scratch: Vec<u8>,
     /// Broadcast bus + listener roster, when this reactor serves fan-out.
     broadcast: Option<ShardBroadcast>,
-    /// Reusable scratch for the broadcast dirty pass (same rationale as
-    /// `spare_mailbox`).
+    /// Reusable scratch for the broadcast pump's roster copy, so a pass
+    /// that pumps does not allocate.
     bcast_scratch: Vec<usize>,
     /// A descriptor held in reserve, given up to shed a pending
     /// connection when the process is out of descriptors.
     spare: Option<File>,
 }
 
-impl Shard {
+/// The poll timeout for a task due at `deadline`: the wait rounded up to
+/// whole milliseconds, so the reactor sleeps past the deadline rather
+/// than spin short of it; `-1` (no timeout) when no task is pending.
+fn poll_timeout(deadline: Option<Instant>, now: Instant) -> i32 {
+    deadline.map_or(-1, |at| {
+        let wait = at.saturating_duration_since(now);
+        let ms = wait
+            .as_secs()
+            .saturating_mul(1000)
+            .saturating_add(u64::from(wait.subsec_nanos().div_ceil(1_000_000)));
+        i32::try_from(ms).unwrap_or(i32::MAX)
+    })
+}
+
+/// Watches `fd`'s writability exactly while `want` says bytes are
+/// stalled.  False when the poller refused the change: a stalled message
+/// would then never drain, so the caller fails the connection instead of
+/// wedging.
+fn watch_writes(
+    poller: &mut Poller,
+    fd: RawFd,
+    token: usize,
+    armed: &mut bool,
+    want: bool,
+) -> bool {
+    if want == *armed {
+        return true;
+    }
+    let interest = if want {
+        Interest::ReadWrite
+    } else {
+        Interest::Read
+    };
+    let ok = poller.reregister(fd, token as u64, interest).is_ok();
+    if ok {
+        *armed = want;
+    }
+    ok
+}
+
+impl<H: Handler> Shard<H> {
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
-        loop {
-            if self.link.stop.load(Ordering::Relaxed) {
-                break;
-            }
+        // One clock read a pass: the timeout reckoned from the last one
+        // runs long by the rest of that pass, inside the rounding up.
+        let mut now = Instant::now();
+        while !self.stop.load(Ordering::Relaxed) {
             events.clear();
-            if self.poller.wait(&mut events, -1).is_err() {
+            let timeout = poll_timeout(self.handler.next_deadline(), now);
+            if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             for ev in &events {
@@ -632,6 +662,13 @@ impl Shard {
                     self.handle_token(*ev);
                 }
             }
+            // The task queue's turn: between readiness batches, so a busy
+            // socket delays a due task by at most one pass.
+            now = Instant::now();
+            self.handler.run_due(now);
+            self.pump_published();
+            self.flush_stalled();
+            self.answered.clear();
             self.free.append(&mut self.deferred_free);
         }
         self.close_all();
@@ -647,6 +684,7 @@ impl Shard {
         }
     }
 
+    /// Drains the self-pipe and runs the calls other threads left.
     fn handle_wake(&mut self) {
         self.stats.add(stats::Shard::Wakeups, 1);
         let mut sink = [0u8; 64];
@@ -660,39 +698,46 @@ impl Shard {
                 Err(_) => break, // WouldBlock: pipe drained.
             }
         }
-        // Every flush token left since the last wake, swapped out whole
-        // for the empty spare.
-        let mut inbox = std::mem::take(&mut self.spare_mailbox);
-        {
-            let link = &self.link;
-            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one swap; a producer holds it for one push
-            let mut mailbox = link.mailbox.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::swap(&mut *mailbox, &mut inbox);
-        }
-        // Flush connections with freshly queued outbound data.
-        for &t in &inbox {
-            self.flush_token(t);
-        }
-        inbox.clear();
-        self.spare_mailbox = inbox;
-        // Broadcast dirty pass: a sealed chunk set the reactor's flag, so
-        // pump every listener.  Strikes are counted here (and only
-        // here): a listener with pending bytes that makes no progress
-        // across many publishes is stalled, not merely slow.
-        if self
-            .broadcast
-            .as_ref()
-            .is_some_and(|b| b.dirty.swap(false, Ordering::AcqRel))
-        {
-            let mut tokens = std::mem::take(&mut self.bcast_scratch);
-            tokens.clear();
-            if let Some(b) = self.broadcast.as_ref() {
-                tokens.extend_from_slice(&b.tokens);
+        // A caller queues its call before it writes the pipe, so every
+        // call behind a byte just read is here.
+        while let Ok(asked) = self.calls.try_recv() {
+            match asked.call {
+                Call::Update => self.handler.update(),
+                Call::Barrier => {}
+                Call::Shutdown => self.handler.shut_down(),
             }
-            for &t in &tokens {
-                self.pump_bcast(t, true);
-            }
-            self.bcast_scratch = tokens;
+            self.answered.push(asked);
+        }
+    }
+
+    /// Pumps every broadcast listener once the bus has sealed chunks since
+    /// the last pump (the update task publishes on this thread).  Strikes
+    /// are counted here, and only here: a listener with pending bytes that
+    /// makes no progress across many publishes is stalled, not merely
+    /// slow.
+    fn pump_published(&mut self) {
+        let Some(b) = self.broadcast.as_mut() else {
+            return;
+        };
+        let live = b.bus.live_seq();
+        if live == b.seen {
+            return;
+        }
+        b.seen = live;
+        let mut tokens = std::mem::take(&mut self.bcast_scratch);
+        tokens.clear();
+        tokens.extend_from_slice(&b.tokens);
+        for &t in &tokens {
+            self.pump_bcast(t, true);
+        }
+        self.bcast_scratch = tokens;
+    }
+
+    /// Flushes the connections whose replies began to wait this pass,
+    /// arming write interest for what their sockets still refuse.
+    fn flush_stalled(&mut self) {
+        while let Some(token) = self.handler.outbound().stalled.pop() {
+            self.flush_conn(token, true);
         }
     }
 
@@ -704,10 +749,9 @@ impl Shard {
             return;
         }
         let token = self.alloc_slot();
-        let fd = sock.as_raw_fd();
         if self
             .poller
-            .register(fd, token as u64, Interest::Read)
+            .register(sock.as_raw_fd(), token as u64, Interest::Read)
             .is_err()
         {
             self.free.push(token);
@@ -735,24 +779,20 @@ impl Shard {
                     strikes: 0,
                 }))
             }
-            _ => Slot::Conn(Box::new(ConnState {
-                fd,
-                id,
-                peer,
-                order: ByteOrder::Little, // Overwritten when setup completes.
-                phase: ReadPhase::SetupHeader {
-                    buf: [0u8; ConnSetup::HEADER_SIZE],
-                    have: 0,
-                },
-                shared: Arc::new(ConnShared {
-                    token: token as u64,
-                    notified: AtomicBool::new(false),
-                    link: Arc::clone(&self.link),
+            _ => {
+                self.handler.outbound().open(token, id, sock.clone());
+                Slot::Conn(Box::new(ConnState {
+                    token,
+                    id,
+                    peer,
+                    order: ByteOrder::Little, // Overwritten when setup completes.
+                    phase: ReadPhase::SetupHeader {
+                        buf: [0u8; ConnSetup::HEADER_SIZE],
+                        have: 0,
+                    },
                     sock,
-                    outbound: Mutex::new(Outbound::default()),
-                }),
-                want_write: false,
-            })),
+                }))
+            }
         };
         self.slots[token] = Some(slot);
     }
@@ -809,54 +849,34 @@ impl Shard {
         }
     }
 
-    /// Clears the notified flag, then drains: the clear-before-drain order
-    /// is the receiving half of the wakeup protocol.
-    fn flush_token(&mut self, token: u64) {
-        let token = token as usize;
-        if let Some(Some(Slot::Conn(c))) = self.slots.get(token) {
-            c.shared.notified.store(false, Ordering::Release);
-            self.flush_conn(token, true);
-        }
-    }
-
     /// Writes the connection's outbound deque out as far as the socket
-    /// allows, tracking write interest so the poller only watches
-    /// writability while a message is actually stalled.  Each message is
-    /// written from the front under the connection's outbound lock, so no
-    /// producer writes the socket while anything is ahead of it; the lock
-    /// is dropped between messages so a finished buffer goes back to the
-    /// pool (another lock) outside it.  A deque that drains after
-    /// `hang_up` closes the connection.
-    fn flush_conn(&mut self, token: usize, from_notify: bool) {
-        let Some(slot) = self.slots.get_mut(token) else {
-            return;
-        };
-        let Some(Slot::Conn(mut conn)) = slot.take() else {
+    /// allows, watching writability only while a message is actually
+    /// stalled.  A deque that drains after `hang_up` closes the
+    /// connection.  `stalled`: called from the end-of-pass sweep, where a
+    /// poller that refuses to watch fails the connection (its messages
+    /// would never leave).
+    fn flush_conn(&mut self, token: usize, stalled: bool) {
+        let out = self.handler.outbound();
+        let Some(conn) = out.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
         let mut dead = false;
-        let outbound = &conn.shared.outbound;
         let want = loop {
-            // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a push
-            let mut locked = outbound.lock().unwrap_or_else(PoisonError::into_inner);
-            let out = &mut *locked;
-            let Some(buf) = out.queue.front() else {
-                dead = out.closed;
+            let Some(buf) = conn.queue.front() else {
+                dead = conn.closed;
                 break false;
             };
-            match conn.shared.sock.write_shared(&buf[out.written..]) {
+            match conn.sock.write_shared(&buf[conn.written..]) {
                 Ok(0) => {
                     dead = true;
                     break true;
                 }
                 Ok(n) => {
-                    out.written += n;
-                    if out.written == buf.len() {
-                        out.written = 0;
-                        let sent = out.queue.pop_front();
-                        drop(locked);
-                        self.stats.add(stats::Shard::Replies, 1);
-                        drop(sent); // Recycles the pooled buffer, unlocked.
+                    conn.written += n;
+                    if conn.written == buf.len() {
+                        conn.written = 0;
+                        conn.queue.pop_front(); // Recycles the pooled buffer.
+                        out.stats.add(stats::Shard::Replies, 1);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
@@ -867,34 +887,15 @@ impl Shard {
                 }
             }
         };
+        let fd = conn.sock.as_raw_fd();
         if dead
-            || (!self.watch_writes(conn.fd, token, &mut conn.want_write, want)
-                && (from_notify || want))
+            || (!watch_writes(&mut self.poller, fd, token, &mut conn.want_write, want)
+                && (stalled || want))
         {
-            self.close_conn(token, conn, None);
-            return;
+            if let Some(Some(Slot::Conn(conn))) = self.slots.get_mut(token).map(Option::take) {
+                self.close_conn(token, conn, None);
+            }
         }
-        self.slots[token] = Some(Slot::Conn(conn));
-    }
-
-    /// Watches the socket's writability exactly while `want` says bytes
-    /// are stalled.  False when the poller refused the change: a stalled
-    /// message would then never drain, so the caller fails the connection
-    /// instead of wedging.
-    fn watch_writes(&mut self, fd: RawFd, token: usize, armed: &mut bool, want: bool) -> bool {
-        if want == *armed {
-            return true;
-        }
-        let interest = if want {
-            Interest::ReadWrite
-        } else {
-            Interest::Read
-        };
-        let ok = self.poller.reregister(fd, token as u64, interest).is_ok();
-        if ok {
-            *armed = want;
-        }
-        ok
     }
 
     /// Reads a broadcast listener: the HTTP request head during
@@ -1106,7 +1107,7 @@ impl Shard {
             }
         }
         let fd = conn.sock.as_raw_fd();
-        if !self.watch_writes(fd, token, &mut conn.want_write, pending) && pending {
+        if !watch_writes(&mut self.poller, fd, token, &mut conn.want_write, pending) && pending {
             self.close_bcast(token, *conn);
             return;
         }
@@ -1170,13 +1171,9 @@ impl Shard {
             let (read, room, direct) = match &mut conn.phase {
                 ReadPhase::Payload { buf, have, .. } if buf.len() - *have >= DIRECT_READ_MIN => {
                     let dst = &mut buf[*have..];
-                    (conn.shared.sock.read_shared(dst), dst.len(), true)
+                    (conn.sock.read_shared(dst), dst.len(), true)
                 }
-                _ => (
-                    conn.shared.sock.read_shared(&mut scratch),
-                    scratch.len(),
-                    false,
-                ),
+                _ => (conn.sock.read_shared(&mut scratch), scratch.len(), false),
             };
             let n = match read {
                 Ok(0) => break ReadOutcome::Close, // EOF.
@@ -1290,24 +1287,24 @@ impl Shard {
         Ok(())
     }
 
-    /// Lends one complete request frame to the dispatcher, which handles
-    /// it here and now, under the dispatch lock.
+    /// Lends one complete request frame to the handler, which handles it
+    /// here and now.
     fn dispatch_frame(
-        &self,
+        &mut self,
         id: ClientId,
         opcode: u8,
         payload: &[u8],
         budget: &mut u32,
     ) -> Result<(), ReadOutcome> {
         self.stats.add(stats::Shard::Frames, 1);
-        if self.dispatch.request(id, opcode, payload).is_err() {
+        if self.handler.request(id, opcode, payload).is_err() {
             return Err(ReadOutcome::Close); // Dispatcher gone.
         }
         *budget = budget.saturating_sub(1);
         Ok(())
     }
 
-    fn finish_setup(&self, conn: &mut ConnState, setup: Vec<u8>) -> Result<(), ReadOutcome> {
+    fn finish_setup(&mut self, conn: &mut ConnState, setup: Vec<u8>) -> Result<(), ReadOutcome> {
         let Some(&marker) = setup.first() else {
             return Err(ReadOutcome::Close);
         };
@@ -1315,16 +1312,16 @@ impl Shard {
             return Err(ReadOutcome::Close);
         };
         conn.order = order;
-        if self
-            .dispatch
-            .submit(ServerEvent::NewClient {
+        let event = ServerEvent::NewClient {
+            id: conn.id,
+            setup,
+            peer: conn.peer,
+            conn: ConnRef {
+                token: conn.token,
                 id: conn.id,
-                setup,
-                peer: conn.peer,
-                tx: OutboundTx(Arc::clone(&conn.shared)),
-            })
-            .is_err()
-        {
+            },
+        };
+        if self.handler.event(event).is_err() {
             return Err(ReadOutcome::Close);
         }
         conn.phase = ReadPhase::BETWEEN_FRAMES;
@@ -1334,17 +1331,19 @@ impl Shard {
     // Takes the box so the reactor's half of the connection is dropped here.
     #[allow(clippy::boxed_local)]
     fn close_conn(&mut self, token: usize, conn: Box<ConnState>, protocol: Option<FrameError>) {
-        self.release(conn.fd, token);
-        let dispatch = &self.dispatch;
+        self.release(conn.sock.as_raw_fd(), token);
         if let Some(error) = protocol {
-            let _ = dispatch.submit(ServerEvent::ProtocolError { id: conn.id, error });
+            let _ = self
+                .handler
+                .event(ServerEvent::ProtocolError { id: conn.id, error });
         }
         // Always sent, even pre-setup: the dispatcher ignores ids it
         // never admitted.
-        let _ = dispatch.submit(ServerEvent::Disconnect { id: conn.id });
-        // A handle the dispatcher still holds now reports closed and keeps
-        // no buffer; dropping `conn` closes the reactor's half.
-        drop(conn.shared.close());
+        let _ = self.handler.event(ServerEvent::Disconnect { id: conn.id });
+        // The write side goes too; its unwritten messages recycle.
+        if let Some(out) = self.handler.outbound().conns.get_mut(token) {
+            *out = None;
+        }
     }
 
     /// Closes everything the reactor owns, with the same accounting as a
@@ -1363,26 +1362,92 @@ impl Shard {
     }
 }
 
+/// What another thread can ask of the reactor ([`Control::call`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Call {
+    /// Run the update task now.
+    Update,
+    /// Nothing: answered once everything the reactor was handed before it
+    /// has been handled.
+    Barrier,
+    /// Shut the handler down: later events are refused and no further
+    /// task runs.
+    Shutdown,
+}
+
+/// A call and the thread waiting on it.  Dropped once the reactor has run
+/// it, or unrun when the reactor has stopped: either way `pending` goes
+/// and the caller is woken.
+struct Asked {
+    call: Call,
+    caller: std::thread::Thread,
+    pending: Option<Arc<()>>,
+}
+
+impl Drop for Asked {
+    fn drop(&mut self) {
+        drop(self.pending.take());
+        self.caller.unpark();
+    }
+}
+
+/// The way to reach the reactor from another thread: [`Control::call`]
+/// puts a [`Call`] on a bounded queue and wakes the loop over its
+/// self-pipe.
+#[derive(Clone)]
+pub struct Control {
+    calls: SyncSender<Asked>,
+    waker: Arc<Waker>,
+}
+
+impl Control {
+    /// Asks the reactor for `call` and returns at the end of the pass that
+    /// ran it — or at once, when the reactor has stopped.  Never made on the reactor
+    /// thread, which would wait for itself.
+    pub fn call(&self, call: Call) {
+        let pending = Arc::new(());
+        let caller = std::thread::current();
+        let asked = Asked {
+            call,
+            caller,
+            pending: Some(Arc::clone(&pending)),
+        };
+        if self.calls.send(asked).is_ok() {
+            self.waker.wake();
+            // Parked, not spinning as a channel's receiver does: a caller
+            // spinning beside the reactor slowed the update it waits for
+            // (the broadcast encode, EXPERIMENTS.md "One thread, one loop").
+            while Arc::strong_count(&pending) > 1 {
+                std::thread::park();
+            }
+            // Pairs with the release in the reactor's drop of `pending`.
+            fence(Ordering::Acquire);
+        }
+    }
+}
+
 /// A running reactor: its thread and the way to reach it.
 pub struct Reactor {
-    link: Arc<ShardLink>,
+    control: Control,
+    stop: Arc<AtomicBool>,
+    stats: Arc<ShardCounters>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Reactor {
-    /// Spawns the reactor thread (`af-reactor-0`), submitting to
-    /// `dispatch` and staging split frames in `pool`.
+    /// Spawns the reactor thread (`af-reactor-0`), handing framed events to
+    /// `handler`, running its tasks, and staging split frames in `pool`.
     ///
-    /// The reactor accepts on every listener.  With a [`BroadcastBus`], it
-    /// registers an edge-triggered dirty flag with the bus, so sealing a
-    /// chunk wakes it once.  The wake pipe and the listeners are
+    /// The reactor accepts on every listener, and serves broadcast
+    /// listeners from `broadcast`'s ring.  It counts into the counters of
+    /// the handler's [`Outbound`].  The wake pipe and the listeners are
     /// registered with the poller and counted in `FdCount` before this
     /// returns.  Fails, with no thread started, when the poller cannot be
     /// created or take a descriptor: `ErrorKind::Unsupported` on targets
     /// without a syscall backend (see [`af_sys`] for the supported list),
     /// else the system call's own error.
-    pub fn spawn(
-        dispatch: DispatchHandle,
+    pub fn spawn<H: Handler>(
+        mut handler: H,
         pool: Arc<BufferPool>,
         listeners: Vec<Listener>,
         broadcast: Option<Arc<BroadcastBus>>,
@@ -1392,7 +1457,7 @@ impl Reactor {
         // Registered and counted here, not on the reactor thread, so the
         // gauge is settled when `spawn` returns; `close_all` undoes both.
         poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
-        let counters = Arc::<ShardCounters>::default();
+        let counters = Arc::clone(&handler.outbound().stats);
         counters.add(stats::Shard::FdCount, 1);
         let mut slots = Vec::with_capacity(listeners.len());
         for listener in listeners {
@@ -1401,36 +1466,27 @@ impl Reactor {
             slots.push(Some(Slot::Listen(listener)));
         }
         let spare = Some(File::open("/dev/null")?);
-        let link = Arc::new(ShardLink {
-            mailbox: Mutex::default(),
-            waker,
-            stats: Arc::clone(&counters),
-            stop: AtomicBool::new(false),
-        });
-        let broadcast = broadcast.map(|bus| {
-            let dirty = Arc::new(AtomicBool::new(false));
-            let wake = Arc::clone(&link);
-            bus.register_reactor(Arc::clone(&dirty), Box::new(move || wake.waker.wake()));
-            ShardBroadcast {
-                bus,
-                dirty,
-                tokens: Vec::new(),
-            }
-        });
+        let (calls_tx, calls) = sync_channel(CALL_QUEUE);
+        let stop = Arc::new(AtomicBool::new(false));
         let shard = Shard {
             poller,
             slots,
             free: Vec::new(),
             deferred_free: Vec::new(),
             wake_rx,
-            stats: counters,
-            link: Arc::clone(&link),
-            dispatch,
+            calls,
+            answered: Vec::with_capacity(CALL_QUEUE),
+            stop: Arc::clone(&stop),
+            stats: Arc::clone(&counters),
+            handler,
             pool,
             next_id: 1,
-            spare_mailbox: Vec::new(),
             read_scratch: vec![0u8; READ_SCRATCH_BYTES],
-            broadcast,
+            broadcast: broadcast.map(|bus| ShardBroadcast {
+                seen: bus.live_seq(),
+                bus,
+                tokens: Vec::new(),
+            }),
             bcast_scratch: Vec::new(),
             spare,
         };
@@ -1438,7 +1494,12 @@ impl Reactor {
             .name("af-reactor-0".into())
             .spawn(move || shard.run())?;
         Ok(Reactor {
-            link,
+            control: Control {
+                calls: calls_tx,
+                waker: Arc::new(waker),
+            },
+            stop,
+            stats: counters,
             join: Some(join),
         })
     }
@@ -1446,33 +1507,37 @@ impl Reactor {
     /// The reactor's counters (the builder hands them to
     /// `ServerStats::reactor`).
     pub fn stats(&self) -> Arc<ShardCounters> {
-        Arc::clone(&self.link.stats)
+        Arc::clone(&self.stats)
+    }
+
+    /// The way other threads reach the reactor.
+    pub fn control(&self) -> Control {
+        self.control.clone()
     }
 
     /// Stops the reactor and joins its thread.  Idempotent.
-    pub fn shutdown(&mut self) {
+    pub fn stop(&mut self) {
         let Some(join) = self.join.take() else {
             return;
         };
         // Stored before the wake-up's `write`, so the reactor finds it at
         // the top of its loop.
-        self.link.stop.store(true, Ordering::SeqCst);
-        self.link.waker.wake();
-        // af-analyze: allow(blocking-in-reactor): server teardown only; the approximate call graph reaches here through a TcpStream::shutdown name collision
+        self.stop.store(true, Ordering::SeqCst);
+        self.control.waker.wake();
+        // af-analyze: allow(blocking-in-reactor): server teardown only; the approximate call graph reaches here through `drop` and `stop` name collisions
         let _ = join.join();
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{Captured, DispatchHandle};
     use crate::pool::BufferPool;
     use crate::stats::Shard::{
         Accepted, Closed, DirectWrites, Evictions, FdCount, Frames, PartialReads, QueuedWrites,
@@ -1480,25 +1545,138 @@ mod tests {
     };
     use crate::stats::Snapshot;
     use af_time::ATime;
-    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
 
     /// Room for every event of a test that does not bound its own queue.
     const EVENT_ROOM: usize = 1024;
 
-    fn start() -> (Reactor, Receiver<Captured>, SocketAddr) {
+    /// What the test handler was handed: an event, or a request — id,
+    /// opcode and a copy of the payload it was lent.
+    enum Captured {
+        Event(ServerEvent),
+        Request(ClientId, u8, Vec<u8>),
+    }
+
+    /// Work a test runs on the reactor thread, against the write side.
+    type Job = Box<dyn FnOnce(&mut Outbound) + Send>;
+
+    /// The reactor's handler in these tests: what it is handed goes to a
+    /// channel the test reads (a full channel holds the reactor up, as a
+    /// slow handler would), and an update runs the jobs the test queued.
+    struct Capture {
+        events: SyncSender<Captured>,
+        jobs: Receiver<Job>,
+        outbound: Outbound,
+    }
+
+    impl Handler for Capture {
+        fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone> {
+            let sent = self.events.send(Captured::Event(ev));
+            sent.map_err(|_| DispatcherGone)
+        }
+
+        fn request(
+            &mut self,
+            id: ClientId,
+            opcode: u8,
+            payload: &[u8],
+        ) -> Result<(), DispatcherGone> {
+            let sent = self
+                .events
+                .send(Captured::Request(id, opcode, payload.to_vec()));
+            sent.map_err(|_| DispatcherGone)
+        }
+
+        fn next_deadline(&self) -> Option<Instant> {
+            None
+        }
+
+        fn run_due(&mut self, _now: Instant) {}
+
+        fn update(&mut self) {
+            while let Ok(job) = self.jobs.try_recv() {
+                job(&mut self.outbound);
+            }
+        }
+
+        fn shut_down(&mut self) {}
+
+        fn outbound(&mut self) -> &mut Outbound {
+            &mut self.outbound
+        }
+    }
+
+    /// A running reactor and the test's ends of its handler.
+    struct Harness {
+        reactor: Reactor,
+        rx: Receiver<Captured>,
+        jobs: Jobs,
+    }
+
+    /// The way to run work on the reactor thread, from any test thread.
+    #[derive(Clone)]
+    struct Jobs {
+        queue: SyncSender<Job>,
+        control: Control,
+    }
+
+    impl Jobs {
+        /// Runs `job` on the reactor thread, in an update, and returns what
+        /// it returned.
+        fn run<T: Send + 'static>(
+            &self,
+            job: impl FnOnce(&mut Outbound) -> T + Send + 'static,
+        ) -> T {
+            let (tx, rx) = sync_channel(1);
+            let job: Job = Box::new(move |out| tx.send(job(out)).unwrap());
+            self.queue.send(job).unwrap();
+            self.control.call(Call::Update);
+            rx.recv().unwrap()
+        }
+    }
+
+    impl Harness {
+        fn spawn(
+            event_capacity: usize,
+            pool: Arc<BufferPool>,
+            listeners: Vec<Listener>,
+            bus: Option<Arc<BroadcastBus>>,
+        ) -> Harness {
+            let (events, rx) = sync_channel(event_capacity);
+            let (jobs, queued) = sync_channel(EVENT_ROOM);
+            let handler = Capture {
+                events,
+                jobs: queued,
+                outbound: Outbound::default(),
+            };
+            let reactor = Reactor::spawn(handler, pool, listeners, bus).unwrap();
+            let jobs = Jobs {
+                queue: jobs,
+                control: reactor.control(),
+            };
+            Harness { reactor, rx, jobs }
+        }
+
+        fn totals(&self) -> Snapshot<stats::Shard, 13> {
+            self.reactor.stats().snapshot()
+        }
+
+        fn shutdown(mut self) {
+            self.reactor.stop();
+        }
+    }
+
+    fn start() -> (Harness, SocketAddr) {
         start_with(EVENT_ROOM)
     }
 
     /// A reactor on loopback TCP with a bounded event queue.  (Loopback
     /// TCP has byte-granular socket buffers: a reader that pauses forces
     /// short writes, which all-or-nothing Unix-socket writes never are.)
-    fn start_with(event_capacity: usize) -> (Reactor, Receiver<Captured>, SocketAddr) {
-        let (tx, rx) = sync_channel(event_capacity);
+    fn start_with(event_capacity: usize) -> (Harness, SocketAddr) {
         let (listener, addr) = tcp_listener(false);
-        let dispatch = DispatchHandle::capture(tx);
-        let reactor = Reactor::spawn(dispatch, BufferPool::shared(), vec![listener], None);
-        (reactor.unwrap(), rx, addr)
+        let h = Harness::spawn(event_capacity, BufferPool::shared(), vec![listener], None);
+        (h, addr)
     }
 
     /// A loopback TCP listener and its address.
@@ -1513,15 +1691,15 @@ mod tests {
     }
 
     /// The next thing the reactor handed over, which must be a connection's
-    /// setup: `(id, setup, peer, tx)`.
-    fn new_client(rx: &Receiver<Captured>) -> (ClientId, Vec<u8>, Option<IpAddr>, OutboundTx) {
+    /// setup: `(id, setup, peer, conn)`.
+    fn new_client(rx: &Receiver<Captured>) -> (ClientId, Vec<u8>, Option<IpAddr>, ConnRef) {
         match recv(rx) {
             Captured::Event(ServerEvent::NewClient {
                 id,
                 setup,
                 peer,
-                tx,
-            }) => (id, setup, peer, tx),
+                conn,
+            }) => (id, setup, peer, conn),
             _ => panic!("expected NewClient"),
         }
     }
@@ -1563,8 +1741,20 @@ mod tests {
     }
 
     #[test]
+    fn poll_timeout_rounds_up_so_an_idle_reactor_never_spins() {
+        let now = Instant::now();
+        let ahead = |micros| poll_timeout(Some(now + Duration::from_micros(micros)), now);
+        assert_eq!(poll_timeout(None, now), -1);
+        assert_eq!(ahead(0), 0);
+        assert_eq!(ahead(300), 1);
+        assert_eq!(ahead(2_000), 2);
+        assert_eq!(ahead(2_001), 3);
+        assert_eq!(poll_timeout(Some(now), now + Duration::from_secs(1)), 0);
+    }
+
+    #[test]
     fn framing_round_trip_and_reply() {
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         let setup = ConnSetup::new();
         sock.write_all(&setup.encode()).unwrap();
@@ -1576,56 +1766,59 @@ mod tests {
         };
         sock.write_all(&req.encode(ByteOrder::native())).unwrap();
 
-        let (_, s, peer, otx) = new_client(&rx);
+        let (_, s, peer, conn) = new_client(&h.rx);
         assert_eq!(ConnSetup::decode(&s).unwrap(), setup);
         assert!(peer.unwrap().is_loopback());
-        let (_, opcode, payload) = request(&rx);
+        let (_, opcode, payload) = request(&h.rx);
         assert_eq!(opcode, af_proto::Opcode::PlaySamples.to_wire());
         let decoded =
             af_proto::Request::decode(ByteOrder::native(), af_proto::Opcode::PlaySamples, &payload)
                 .unwrap();
         assert_eq!(decoded, req);
 
-        // Reply path: queue bytes the way the dispatcher does and
-        // check they arrive — this exercises the wakeup protocol and
-        // the write-readiness drain end to end.
+        // Reply path: send bytes the way the dispatcher does, on the
+        // reactor thread, and check they arrive.
         let payload = vec![0xA5u8; 600];
-        assert!(otx.try_send_buf(payload.clone().into()).is_ok());
+        let reply = payload.clone();
+        assert_eq!(
+            h.jobs.run(move |out| out.deliver(conn, reply.into())),
+            Ok(())
+        );
         let mut got = vec![0u8; payload.len()];
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.read_exact(&mut got).unwrap();
         assert_eq!(got, payload);
 
         drop(sock);
-        disconnect(&rx);
-        reactor.shutdown();
+        disconnect(&h.rx);
+        h.shutdown();
     }
 
     #[test]
     fn zero_length_frame_reports_protocol_error_then_disconnects() {
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        new_client(&rx);
+        new_client(&h.rx);
         sock.write_all(&[0, 0, 33, 0]).unwrap();
-        assert_eq!(protocol_error(&rx), FrameError::ZeroLength);
-        disconnect(&rx);
-        reactor.shutdown();
+        assert_eq!(protocol_error(&h.rx), FrameError::ZeroLength);
+        disconnect(&h.rx);
+        h.shutdown();
     }
 
     #[test]
     fn truncated_max_length_frame_disconnects_without_a_partial_request() {
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        new_client(&rx);
+        new_client(&h.rx);
         // Claim the maximum expressible frame length (0xffff words, which
         // reads the same in either byte order), then hang up without
         // sending the payload.  The reactor must not emit a partial request.
         sock.write_all(&[0xff, 0xff, 33, 0]).unwrap();
         drop(sock);
-        disconnect(&rx);
-        reactor.shutdown();
+        disconnect(&h.rx);
+        h.shutdown();
     }
 
     #[test]
@@ -1635,12 +1828,9 @@ mod tests {
         // from the pool at all.  Frames split across reads are staged in
         // a pooled buffer, and that one buffer goes round: the reactor does
         // NOT allocate a Vec per frame.
-        let (tx, rx) = sync_channel(1);
         let pool = BufferPool::shared();
         let (listener, addr) = tcp_listener(false);
-        let dispatch = DispatchHandle::capture(tx);
-        let mut reactor =
-            Reactor::spawn(dispatch, Arc::clone(&pool), vec![listener], None).unwrap();
+        let h = Harness::spawn(1, Arc::clone(&pool), vec![listener], None);
 
         let mut wire = ConnSetup::new().encode();
         for _ in 0..100 {
@@ -1650,36 +1840,36 @@ mod tests {
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_nodelay(true).unwrap();
         sock.write_all(&wire).unwrap();
-        new_client(&rx);
+        new_client(&h.rx);
         for _ in 0..100 {
-            assert_eq!(request(&rx).2, [1, 2, 3, 4]);
+            assert_eq!(request(&h.rx).2, [1, 2, 3, 4]);
         }
         assert_eq!(
             (pool.allocs(), pool.reuses()),
             (0, 0),
             "whole frames took buffers from the pool"
         );
-        assert_eq!(totals(&reactor)[StagedFrames], 0);
+        assert_eq!(h.totals()[StagedFrames], 0);
 
         // The same frames, each cut after its sixth byte; the second piece
         // is sent once the reactor has parked on the first.
         for i in 0..100u64 {
-            let parked = totals(&reactor)[PartialReads];
+            let parked = h.totals()[PartialReads];
             sock.write_all(&[2, 0, 33, 0, 1, 2]).unwrap();
             wait_until("the first piece to be read", || {
-                totals(&reactor)[PartialReads] > parked
+                h.totals()[PartialReads] > parked
             });
             sock.write_all(&[3, 4]).unwrap();
-            assert_eq!(request(&rx).2, [1, 2, 3, 4]);
-            assert_eq!(totals(&reactor)[StagedFrames], i + 1);
+            assert_eq!(request(&h.rx).2, [1, 2, 3, 4]);
+            assert_eq!(h.totals()[StagedFrames], i + 1);
         }
-        assert_eq!(totals(&reactor)[Frames], 200);
+        assert_eq!(h.totals()[Frames], 200);
         assert_eq!(
             (pool.allocs(), pool.reuses()),
             (1, 99),
             "split frames must stage in one recycled buffer"
         );
-        reactor.shutdown();
+        h.shutdown();
     }
 
     #[test]
@@ -1687,7 +1877,7 @@ mod tests {
         // The torture case: every byte of the setup message and of several
         // request frames arrives in its own segment, so the state machine
         // must resume mid-header and mid-payload dozens of times.
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_nodelay(true).unwrap();
 
@@ -1701,38 +1891,36 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        new_client(&rx);
+        new_client(&h.rx);
         for _ in 0..3 {
-            let (_, opcode, payload) = request(&rx);
+            let (_, opcode, payload) = request(&h.rx);
             assert_eq!(opcode, 33);
             assert_eq!(payload, [9, 8, 7, 6, 5, 4, 3, 2]);
         }
-        let partials = totals(&reactor)[PartialReads];
+        let partials = h.totals()[PartialReads];
         assert!(
             partials >= 10,
             "one-byte delivery must exercise partial reads: {partials}"
         );
         drop(sock);
-        disconnect(&rx);
-        reactor.shutdown();
+        disconnect(&h.rx);
+        h.shutdown();
     }
 
     #[test]
     fn unix_socket_connects_and_disconnects() {
-        let (tx, rx) = sync_channel(EVENT_ROOM);
         let dir = std::env::temp_dir().join(format!("af-reactor-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("reactor.sock");
         let listeners = vec![Listener::unix(&path).unwrap()];
-        let dispatch = DispatchHandle::capture(tx);
-        let mut reactor = Reactor::spawn(dispatch, BufferPool::shared(), listeners, None).unwrap();
+        let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), listeners, None);
 
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        assert!(new_client(&rx).2.is_none());
+        assert!(new_client(&h.rx).2.is_none());
         drop(sock);
-        disconnect(&rx);
-        reactor.shutdown();
+        disconnect(&h.rx);
+        h.shutdown();
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1741,60 +1929,56 @@ mod tests {
         // A peer that never reads: the socket fills, then the deque, and
         // the flood is refused exactly at the bound.  Then the kick (as
         // the dispatcher's eviction does): the reactor tears the connection
-        // down, and the handle the dispatcher may still hold reports
-        // closed and keeps no buffer.
-        let (tx, rx) = sync_channel(EVENT_ROOM);
+        // down, and the reference the dispatcher may still hold finds a
+        // closed connection that keeps no buffer.
         let pool = BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY);
         let (listener, addr) = tcp_listener(false);
-        let dispatch = DispatchHandle::capture(tx);
-        let mut reactor =
-            Reactor::spawn(dispatch, Arc::clone(&pool), vec![listener], None).unwrap();
+        let h = Harness::spawn(EVENT_ROOM, Arc::clone(&pool), vec![listener], None);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        let otx = new_client(&rx).3;
-        let mut taken = 0u64;
-        loop {
-            match otx.try_send_buf(pool.take_filled(64 * 1024)) {
-                Ok(()) => taken += 1,
-                Err(refused) => {
-                    assert_eq!(refused, Refused::Full);
-                    break;
+        let conn = new_client(&h.rx).3;
+        let flood = Arc::clone(&pool);
+        let (taken, queued) = h.jobs.run(move |out| {
+            let mut taken = 0u64;
+            loop {
+                match out.deliver(conn, flood.take_filled(64 * 1024)) {
+                    Ok(()) => taken += 1,
+                    Err(refused) => {
+                        assert_eq!(refused, Refused::Full);
+                        break;
+                    }
                 }
+                assert!(
+                    out.queued(conn) <= OUTBOUND_QUEUE_CAPACITY,
+                    "bound exceeded"
+                );
             }
-            assert!(otx.queued() <= OUTBOUND_QUEUE_CAPACITY, "bound exceeded");
-        }
-        // Refused with the bound's worth unwritten, not one more or less:
-        // every message taken is either fully on the socket or waiting.
-        assert_eq!(otx.queued(), OUTBOUND_QUEUE_CAPACITY);
-        let written = taken - OUTBOUND_QUEUE_CAPACITY as u64;
-        for _ in 0..500 {
-            // The reactor counts a message just after it pops it.
-            if totals(&reactor)[Replies] == written {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(totals(&reactor)[Replies], written);
-        let idle_while_held = pool.idle_len();
+            (taken, out.queued(conn))
+        });
+        assert_eq!(queued, OUTBOUND_QUEUE_CAPACITY, "refused below the bound");
+        // Every message taken is either fully on the socket or waiting (the
+        // reactor may have written more since: the peer's buffer grows).
+        let stats = h.reactor.stats();
+        let (written, waiting) = h
+            .jobs
+            .run(move |out| (stats.get(Replies), out.queued(conn)));
+        assert_eq!(written + waiting as u64, taken);
+        assert!(waiting > 0, "the deque drained to a peer that never reads");
 
-        otx.kick();
-        disconnect(&rx);
-        assert_eq!(totals(&reactor)[Evictions], 1);
-        // The reactor empties the deque right after it reports the close.
-        for _ in 0..500 {
-            if pool.idle_len() == idle_while_held + OUTBOUND_QUEUE_CAPACITY {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(
-            pool.idle_len(),
-            idle_while_held + OUTBOUND_QUEUE_CAPACITY,
-            "the closed connection's handle still holds buffers"
-        );
-        assert_eq!(otx.queued(), 0);
-        assert_eq!(otx.try_send_buf(pool.take_filled(16)), Err(Refused::Closed));
-        reactor.shutdown();
+        h.jobs.run(move |out| out.kick(conn));
+        disconnect(&h.rx);
+        assert_eq!(h.totals()[Evictions], 1);
+        // The reactor drops the deque right after it reports the close:
+        // every buffer the flood took comes back to the pool.
+        wait_until("the closed connection's buffers to recycle", || {
+            pool.idle_len() as u64 == pool.allocs()
+        });
+        let late = Arc::clone(&pool);
+        let (queued, refused) = h
+            .jobs
+            .run(move |out| (out.queued(conn), out.deliver(conn, late.take_filled(16))));
+        assert_eq!((queued, refused), (0, Err(Refused::Closed)));
+        h.shutdown();
     }
 
     #[test]
@@ -1804,21 +1988,22 @@ mod tests {
         // dispatcher hangs up.  The peer must read every byte sent, in
         // issue order, then end-of-file, and the reactor must give the
         // connection's descriptor back.
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
-        let otx = new_client(&rx).3;
-        let fds = || totals(&reactor)[FdCount];
+        let conn = new_client(&h.rx).3;
+        let fds = || h.totals()[FdCount];
         let open = fds(); // The wake pipe, the listener and this connection.
-        let mut sent = 0;
-        while otx.queued() == 0 {
-            otx.try_send_buf(ordered_message(sent).into()).unwrap();
-            sent += 1;
-        }
-        otx.hang_up();
-        let late = otx.try_send_buf(ordered_message(sent).into());
+        let (sent, late) = h.jobs.run(move |out| {
+            let mut sent = 0;
+            while out.queued(conn) == 0 {
+                out.deliver(conn, ordered_message(sent).into()).unwrap();
+                sent += 1;
+            }
+            out.hang_up(conn);
+            (sent, out.deliver(conn, ordered_message(sent).into()))
+        });
         assert_eq!(late, Err(Refused::Closed));
-        drop(otx); // The dispatcher keeps no handle on a refused client.
         sock.set_read_timeout(Some(Duration::from_secs(20)))
             .unwrap();
         for seq in 0..sent {
@@ -1828,88 +2013,23 @@ mod tests {
             assert!(got == want, "stream diverged at message {seq}");
         }
         assert_eq!(sock.read(&mut [0u8; 16]).unwrap(), 0, "no end-of-file");
-        disconnect(&rx);
+        let t = h.totals();
+        assert!(
+            t[DirectWrites] > 0 && t[QueuedWrites] > 0,
+            "a reply path never ran"
+        );
+        disconnect(&h.rx);
         wait_until("the reactor to close the connection", || fds() == open - 1);
-        reactor.shutdown();
+        h.shutdown();
     }
 
-    fn totals(reactor: &Reactor) -> Snapshot<stats::Shard, 13> {
-        reactor.stats().snapshot()
-    }
-
-    /// Message `seq` of the ordering tests: 12 bytes or 8 KB, every byte
+    /// Message `seq` of the ordering test: 12 bytes or 8 KB, every byte
     /// derived from `seq` so any reordering, interleaving or loss shows.
     fn ordered_message(seq: u32) -> Vec<u8> {
         let len = if seq % 4 == 3 { 8192 } else { 12 };
         let mut msg: Vec<u8> = (0..len).map(|i| (seq as usize * 31 + i) as u8).collect();
         msg[..4].copy_from_slice(&seq.to_le_bytes());
         msg
-    }
-
-    #[test]
-    fn two_producers_partial_writes_keep_issue_order() {
-        // Two producer threads share one connection's `OutboundTx` and
-        // issue mixed-size messages in a global order (fixed by a mutex
-        // held across number-assignment and send, as the dispatch lock
-        // orders real producers); the reader drains in bursts so the
-        // socket fills and writes go short.  The received stream must be
-        // the exact concatenation in issue order.
-        const MESSAGES: u32 = 8000;
-        let (mut reactor, rx, addr) = start();
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
-        let otx = new_client(&rx).3;
-        let next = Arc::new(std::sync::Mutex::new(0u32));
-        let producers: Vec<_> = (0..2)
-            .map(|_| {
-                let (otx, next) = (otx.clone(), Arc::clone(&next));
-                std::thread::spawn(move || loop {
-                    let mut seq = next.lock().unwrap();
-                    if *seq == MESSAGES {
-                        return;
-                    }
-                    match otx.try_send_buf(ordered_message(*seq).into()) {
-                        Ok(()) => *seq += 1,
-                        Err(Refused::Full) => {
-                            // Slow reader: the same message is re-issued.
-                            drop(seq);
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(Refused::Closed) => panic!("connection died"),
-                    }
-                })
-            })
-            .collect();
-        sock.set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        for seq in 0..MESSAGES {
-            let want = ordered_message(seq);
-            let mut got = vec![0u8; want.len()];
-            sock.read_exact(&mut got).unwrap();
-            assert!(got == want, "stream diverged at message {seq}");
-            if seq % 16 == 15 {
-                std::thread::sleep(Duration::from_millis(2)); // Burst boundary.
-            }
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        // The reactor bumps `replies` after the write the reader just saw.
-        for _ in 0..500 {
-            if totals(&reactor)[Replies] == u64::from(MESSAGES) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let t = totals(&reactor);
-        assert_eq!(
-            t[Replies],
-            u64::from(MESSAGES),
-            "every message counted once"
-        );
-        assert!(t[QueuedWrites] > 0, "the fallback path never ran");
-        assert!(t[DirectWrites] > 0, "the direct path never ran");
-        reactor.shutdown();
     }
 
     /// The 100 request payloads of the coalescing tests, sent right after
@@ -1956,7 +2076,7 @@ mod tests {
     /// frame header follows that many requests: those are delivered, then
     /// `ProtocolError`, then `Disconnect`, and nothing after.
     fn coalesced_burst(piece: usize, poison_after: Option<usize>) {
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         let mut wire = ConnSetup::new().encode();
         let payloads = burst_payloads(wire.len());
         for (i, payload) in payloads.iter().enumerate() {
@@ -1972,24 +2092,24 @@ mod tests {
                 break; // Closed by the reactor, past a poisoned header.
             }
         }
-        new_client(&rx);
+        new_client(&h.rx);
         for (i, payload) in payloads
             .iter()
             .enumerate()
             .take(poison_after.unwrap_or(100))
         {
-            let (_, opcode, got) = request(&rx);
+            let (_, opcode, got) = request(&h.rx);
             assert_eq!(opcode, 1 + i as u8, "request {i}");
             assert!(got == *payload, "payload of request {i}");
         }
         if poison_after.is_some() {
-            assert_eq!(protocol_error(&rx), FrameError::ZeroLength);
+            assert_eq!(protocol_error(&h.rx), FrameError::ZeroLength);
         } else {
-            assert_eq!(totals(&reactor)[Frames], 100);
+            assert_eq!(h.totals()[Frames], 100);
             drop(sock);
         }
-        disconnect(&rx);
-        reactor.shutdown();
+        disconnect(&h.rx);
+        h.shutdown();
     }
 
     #[test]
@@ -2023,12 +2143,12 @@ mod tests {
             starts.push(wire.len());
             push_frame(&mut wire, *opcode, payload);
         }
-        let (mut reactor, rx, addr) = start();
+        let (h, addr) = start();
         for cut in 1..wire.len() {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.set_nodelay(true).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();
-            new_client(&rx);
+            new_client(&h.rx);
             // The frame the cut falls in, and how far into it.
             let split = starts.iter().rposition(|&start| start < cut).unwrap();
             let into = cut - starts[split];
@@ -2041,16 +2161,16 @@ mod tests {
             // end of its header; a split header alone stages nothing.
             let staged = u64::from(whole_first == split && into >= 4);
 
-            let before = totals(&reactor);
+            let before = h.totals();
             sock.write_all(&wire[..cut]).unwrap();
             wait_until("the reactor to park on the first piece", || {
-                let now = totals(&reactor);
+                let now = h.totals();
                 now[Frames] - before[Frames] == whole_first as u64
                     && now[PartialReads] - before[PartialReads] == u64::from(whole_first == split)
             });
             sock.write_all(&wire[cut..]).unwrap();
             for (i, (opcode, payload)) in frames.iter().enumerate() {
-                let (_, got_opcode, got) = request(&rx);
+                let (_, got_opcode, got) = request(&h.rx);
                 assert_eq!(
                     (got_opcode, &got),
                     (*opcode, payload),
@@ -2058,8 +2178,8 @@ mod tests {
                 );
             }
             drop(sock);
-            disconnect(&rx);
-            let after = totals(&reactor);
+            disconnect(&h.rx);
+            let after = h.totals();
             assert_eq!(after[Frames] - before[Frames], frames.len() as u64);
             assert_eq!(
                 after[StagedFrames] - before[StagedFrames],
@@ -2067,7 +2187,7 @@ mod tests {
                 "cut {cut}: {into} bytes into frame {split}"
             );
         }
-        reactor.shutdown();
+        h.shutdown();
     }
 
     #[test]
@@ -2078,11 +2198,11 @@ mod tests {
         // come through within a few of the firehose's FRAME_BUDGET turns
         // (each turn ends at the first read boundary past the budget, so
         // at most one scratch-full of frames).
-        let (mut reactor, rx, addr) = start_with(16);
+        let (h, addr) = start_with(16);
         let connect = || {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();
-            (sock, new_client(&rx).0)
+            (sock, new_client(&h.rx).0)
         };
         let (mut hose, hose_id) = connect();
         let (mut sibling, sibling_id) = connect();
@@ -2101,7 +2221,7 @@ mod tests {
         let mut hose_frames = 0u64;
         let mut sent_at = None;
         loop {
-            let (id, _, payload) = request(&rx);
+            let (id, _, payload) = request(&h.rx);
             if id == hose_id {
                 hose_frames += 1;
             } else {
@@ -2125,8 +2245,11 @@ mod tests {
             }
         }
         stop.store(true, Ordering::Relaxed);
-        drop(rx); // Unblocks the reactor's backpressured send.
-        reactor.shutdown(); // Closes the firehose socket: the writer ends.
+        let Harness {
+            mut reactor, rx, ..
+        } = h;
+        drop(rx); // Unblocks the handler's backpressured send.
+        reactor.stop(); // Closes the firehose socket: the writer ends.
         writer.join().unwrap();
     }
 
@@ -2135,15 +2258,19 @@ mod tests {
     fn start_broadcast(
         cfg: BroadcastConfig,
         frame_bytes: usize,
-    ) -> (Reactor, Arc<BroadcastBus>, SocketAddr) {
-        let (tx, rx) = sync_channel(EVENT_ROOM);
-        std::mem::forget(rx); // No dispatcher: keep the channel open.
+    ) -> (Harness, Arc<BroadcastBus>, SocketAddr) {
         let (listener, addr) = tcp_listener(true);
         let bus = BroadcastBus::new(cfg, frame_bytes);
-        let dispatch = DispatchHandle::capture(tx);
         let bus_handle = Some(Arc::clone(&bus));
-        let reactor = Reactor::spawn(dispatch, BufferPool::shared(), vec![listener], bus_handle);
-        (reactor.unwrap(), bus, addr)
+        let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), vec![listener], bus_handle);
+        (h, bus, addr)
+    }
+
+    /// Seals one chunk of `payload` the way the update task does: on the
+    /// reactor thread, which pumps the listeners at the end of that pass.
+    fn publish(h: &Harness, bus: &Arc<BroadcastBus>, payload: Vec<u8>) {
+        let bus = Arc::clone(bus);
+        h.jobs.run(move |_| bus.publish(&payload));
     }
 
     fn small_cfg() -> BroadcastConfig {
@@ -2168,14 +2295,14 @@ mod tests {
 
     #[test]
     fn http_listener_streams_chunked_frames() {
-        let (mut reactor, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"GET /stream HTTP/1.1\r\nHost: x\r\n\r\n")
             .unwrap();
         wait_listeners(&bus, 1);
         for i in 0..3u8 {
-            bus.publish(&[i; 4]);
+            publish(&h, &bus, vec![i; 4]);
         }
         let mut head = vec![0u8; crate::broadcast::HTTP_STREAM_HEADER.len()];
         sock.read_exact(&mut head).unwrap();
@@ -2205,19 +2332,19 @@ mod tests {
         }
         assert_eq!(bus.stats().get(Bus::Listeners), 0);
         assert_eq!(bus.stats().get(Bus::ListenersTotal), 1);
-        reactor.shutdown();
+        h.shutdown();
     }
 
     #[test]
     fn icy_listener_gets_raw_payload_of_the_same_chunks() {
-        let (mut reactor, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"GET /; HTTP/1.0\r\nIcy-MetaData: 0\r\n\r\n")
             .unwrap();
         wait_listeners(&bus, 1);
         for i in 0..3u8 {
-            bus.publish(&[i; 4]);
+            publish(&h, &bus, vec![i; 4]);
         }
         let mut head = vec![0u8; crate::broadcast::ICY_STREAM_HEADER.len()];
         sock.read_exact(&mut head).unwrap();
@@ -2227,14 +2354,14 @@ mod tests {
         assert_eq!(&body[..4], &[0; 4]);
         assert_eq!(&body[4..8], &[1; 4]);
         assert_eq!(&body[8..], &[2; 4]);
-        reactor.shutdown();
+        h.shutdown();
     }
 
     #[test]
     fn late_joiner_bursts_in_from_the_preroll_cursor() {
-        let (mut reactor, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
         for i in 0..6u8 {
-            bus.publish(&[i; 4]);
+            publish(&h, &bus, vec![i; 4]);
         }
         // Live edge 6, preroll 2: a joiner must start at seq 4 and get
         // chunks 4 and 5 immediately, with no further publish needed.
@@ -2248,12 +2375,12 @@ mod tests {
             sock.read_exact(&mut frame).unwrap();
             assert_eq!(&frame[3..7], &[i; 4]);
         }
-        reactor.shutdown();
+        h.shutdown();
     }
 
     #[test]
     fn malformed_request_head_closes_the_listener() {
-        let (mut reactor, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"PUT /nope HTTP/1.1\r\n\r\n").unwrap();
@@ -2264,7 +2391,7 @@ mod tests {
             Ok(n) => panic!("expected EOF, got {n} bytes"),
         }
         assert_eq!(bus.stats().get(Bus::Listeners), 0);
-        reactor.shutdown();
+        h.shutdown();
     }
 
     #[test]
@@ -2278,14 +2405,14 @@ mod tests {
             preroll_chunks: 1,
             stall_strikes: 4,
         };
-        let (mut reactor, bus, addr) = start_broadcast(cfg, 1);
+        let (h, bus, addr) = start_broadcast(cfg, 1);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         wait_listeners(&bus, 1);
         let chunk = vec![0x42u8; 32 * 1024];
         let mut evicted = false;
         for _ in 0..200 {
-            bus.publish(&chunk);
+            publish(&h, &bus, chunk.clone());
             if bus.stats().get(Bus::Evictions) > 0 {
                 evicted = true;
                 break;
@@ -2294,8 +2421,8 @@ mod tests {
         }
         assert!(evicted, "stalled listener never evicted");
         wait_listeners(&bus, 0);
-        assert_eq!(totals(&reactor)[Evictions], 1);
-        reactor.shutdown();
+        assert_eq!(h.totals()[Evictions], 1);
+        h.shutdown();
     }
 
     #[test]
@@ -2311,7 +2438,7 @@ mod tests {
             stall_strikes: 1_000_000, // Never evict in this test.
         };
         let wire_len = CHUNK + b"10000\r\n".len() + 2;
-        let (mut reactor, bus, addr) = start_broadcast(cfg, 1);
+        let (h, bus, addr) = start_broadcast(cfg, 1);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         sock.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
@@ -2323,7 +2450,7 @@ mod tests {
         let mut final_seq = 0u8;
         for seq in 0..240u8 {
             final_seq = seq;
-            bus.publish(&vec![seq; CHUNK]);
+            publish(&h, &bus, vec![seq; CHUNK]);
             std::thread::sleep(Duration::from_millis(2));
             let sealed = bus.stats().get(Bus::ChunksSealed);
             let fanned = bus.stats().get(Bus::BytesFannedOut);
@@ -2360,7 +2487,7 @@ mod tests {
             bus.stats().get(Bus::SkipAheads) > 0,
             "ring never overtook the stalled cursor"
         );
-        reactor.shutdown();
+        h.shutdown();
     }
 
     /// A caller that reads the gauge straight after `spawn` (and counts on
@@ -2369,40 +2496,35 @@ mod tests {
     #[test]
     fn fd_count_holds_the_wake_pipe_when_spawn_returns() {
         for _ in 0..20 {
-            let (tx, _rx) = sync_channel(EVENT_ROOM);
-            let dispatch = DispatchHandle::capture(tx);
-            let mut reactor = Reactor::spawn(dispatch, BufferPool::shared(), vec![], None).unwrap();
-            assert_eq!(reactor.stats().get(FdCount), 1);
-            reactor.shutdown();
+            let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), vec![], None);
+            assert_eq!(h.totals()[FdCount], 1);
+            h.shutdown();
         }
     }
 
     #[test]
     fn fd_count_is_the_pipe_the_listeners_and_the_connections_until_shutdown() {
-        let (tx, rx) = sync_channel(EVENT_ROOM);
         let bus = BroadcastBus::new(small_cfg(), 1);
         let (listener, addr) = tcp_listener(false);
         let (bcast_listener, bcast_addr) = tcp_listener(true);
-        let dispatch = DispatchHandle::capture(tx);
         let listeners = vec![listener, bcast_listener];
         let bus_handle = Some(Arc::clone(&bus));
-        let mut reactor =
-            Reactor::spawn(dispatch, BufferPool::shared(), listeners, bus_handle).unwrap();
+        let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), listeners, bus_handle);
         let mut conns = Vec::new();
         for _ in 0..2 {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.write_all(&ConnSetup::new().encode()).unwrap();
-            new_client(&rx);
+            new_client(&h.rx);
             conns.push(sock);
         }
         let mut listener = TcpStream::connect(bcast_addr).unwrap();
         listener.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         wait_listeners(&bus, 1);
-        let stats = reactor.stats();
+        let stats = h.reactor.stats();
         // The wake pipe, both listeners, and three accepted sockets.
         assert_eq!(stats.get(FdCount), 1 + 2 + 3);
 
-        reactor.shutdown();
+        h.shutdown();
         assert_eq!(stats.get(FdCount), 0);
         assert_eq!(stats.get(Closed), stats.get(Accepted));
         assert_eq!(bus.stats().get(Bus::Listeners), 0);

@@ -3,7 +3,7 @@
 
 use crate::buffer::DeviceBuffers;
 use crate::pool::PooledBuf;
-use crate::reactor::{OutboundTx, Refused};
+use crate::reactor::{ConnRef, Outbound, Refused};
 use crate::stats::{BusCounters, LinkCounters, ServerCounters, ShardCounters};
 use af_dsp::convert::Converter;
 use af_dsp::tables::PlayMap;
@@ -322,7 +322,7 @@ pub struct ClientState {
     /// The client's declared byte order.
     pub order: ByteOrder,
     /// The connection: where replies go, and what an eviction kicks.
-    pub tx: OutboundTx,
+    pub conn: ConnRef,
     /// Requests processed on this connection (low 16 bits are the wire
     /// sequence number).
     pub seq: u16,
@@ -338,11 +338,11 @@ pub struct ClientState {
 
 impl ClientState {
     /// Creates state for a newly accepted connection.
-    pub fn new(id: ClientId, order: ByteOrder, tx: OutboundTx) -> ClientState {
+    pub fn new(id: ClientId, order: ByteOrder, conn: ConnRef) -> ClientState {
         ClientState {
             id,
             order,
-            tx,
+            conn,
             seq: 0,
             acs: HashMap::new(),
             event_masks: HashMap::new(),
@@ -356,8 +356,8 @@ impl ClientState {
         self.event_masks.get(&device).copied().unwrap_or_default()
     }
 
-    /// Sends encoded bytes toward this client: straight to its socket or
-    /// onto its outbound deque (see [`OutboundTx`]).
+    /// Sends encoded bytes toward this client through `out`: straight to
+    /// its socket or onto its outbound deque (see [`Outbound`]).
     ///
     /// The deque is bounded
     /// ([`crate::reactor::OUTBOUND_QUEUE_CAPACITY`]); a full one means
@@ -368,16 +368,15 @@ impl ClientState {
     /// connection is ignored — its disconnect event is already in
     /// flight.
     #[must_use]
-    pub fn send_bytes<B: Into<PooledBuf>>(&self, bytes: B) -> bool {
-        self.tx.try_send_buf(bytes.into()) != Err(Refused::Full)
+    pub fn send_bytes<B: Into<PooledBuf>>(&self, out: &mut Outbound, bytes: B) -> bool {
+        out.deliver(self.conn, bytes.into()) != Err(Refused::Full)
     }
 }
 
-/// What a transport hands to the dispatcher through
-/// [`crate::dispatch::DispatchHandle::submit`] — handled by the framing
-/// thread itself, under the dispatch lock.  Framed requests are not among
+/// What the reactor hands to the dispatcher through
+/// [`crate::reactor::Handler::event`].  Framed requests are not among
 /// them: they go in borrowed, through
-/// [`crate::dispatch::DispatchHandle::request`].
+/// [`crate::reactor::Handler::request`].
 pub enum ServerEvent {
     /// A transport accepted a connection and read its setup message.
     NewClient {
@@ -387,8 +386,8 @@ pub enum ServerEvent {
         setup: Vec<u8>,
         /// Peer address for access control (`None` for local transports).
         peer: Option<IpAddr>,
-        /// The dispatcher's handle on the connection.
-        tx: OutboundTx,
+        /// The dispatcher's reference to the connection.
+        conn: ConnRef,
     },
     /// The connection sent an unrecoverable malformed frame; only this
     /// client is disconnected.
@@ -446,13 +445,13 @@ mod tests {
         assert!(ac.allows(Some(remote)));
     }
 
-    fn client() -> ClientState {
-        ClientState::new(1, ByteOrder::Little, OutboundTx::detached())
+    fn client(out: &mut Outbound) -> ClientState {
+        ClientState::new(1, ByteOrder::Little, out.detached(1))
     }
 
     #[test]
     fn client_state_defaults() {
-        let c = client();
+        let c = client(&mut Outbound::default());
         assert_eq!(c.mask_for(0), EventMask::NONE);
         assert!(c.blocked.is_none());
         assert!(c.queue.is_empty());
@@ -461,19 +460,23 @@ mod tests {
     #[test]
     fn bounded_send_flags_overflow_instead_of_growing() {
         use crate::reactor::OUTBOUND_QUEUE_CAPACITY;
-        let c = client(); // Nothing drains a detached connection.
+        let mut out = Outbound::default();
+        let c = client(&mut out); // Nothing drains a detached connection.
         for _ in 0..OUTBOUND_QUEUE_CAPACITY {
-            assert!(c.send_bytes(vec![1]));
+            assert!(c.send_bytes(&mut out, vec![1]));
         }
-        assert!(!c.send_bytes(vec![2]), "deque full: flagged, not grown");
+        assert!(
+            !c.send_bytes(&mut out, vec![2]),
+            "deque full: flagged, not grown"
+        );
         assert_eq!(
-            c.tx.queued(),
+            out.queued(c.conn),
             OUTBOUND_QUEUE_CAPACITY,
             "deque never exceeds its bound"
         );
         // A closed connection is not a slow one.
-        c.tx.hang_up();
-        assert!(c.send_bytes(vec![3]));
-        assert_eq!(c.tx.queued(), OUTBOUND_QUEUE_CAPACITY);
+        out.hang_up(c.conn);
+        assert!(c.send_bytes(&mut out, vec![3]));
+        assert_eq!(out.queued(c.conn), OUTBOUND_QUEUE_CAPACITY);
     }
 }

@@ -2,14 +2,11 @@
 //!
 //! "Instead of using threads, we implemented a simple task mechanism which
 //! allows procedures to be scheduled for execution at future times, outside
-//! the main flow of control."  The queue lives inside the dispatcher, behind
-//! the dispatch lock.  Request handlers — on whichever transport thread
-//! framed the request — schedule into it; the task thread (`af-dispatcher`)
-//! waits on a condition variable paired with that lock until the earliest
-//! deadline (the `select()` timeout of the original), then runs everything
-//! due under it: the periodic update, and wake-ups for suspended clients.
-//! A handler that schedules ahead of that deadline signals the condition
-//! variable once it has unlocked.
+//! the main flow of control."  The queue lives inside the dispatcher.
+//! Request handlers schedule into it; the reactor's poll loop sleeps no
+//! longer than its earliest deadline (the `select()` timeout of the
+//! original) and, between readiness batches, runs everything due: the
+//! periodic update, and wake-ups for suspended clients.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,30 +48,14 @@ impl TaskQueue {
         self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
-    /// Pops every task due at or before `now`, each with the deadline it
-    /// was scheduled for (a periodic task re-arms from that, not from
-    /// `now`, so a late pop does not stretch the period).
-    pub fn pop_due(&mut self, now: Instant) -> Vec<(Instant, TaskKind)> {
-        let mut due = Vec::new();
-        while let Some(Reverse((at, _, _))) = self.heap.peek() {
-            if *at > now {
-                break;
-            }
-            if let Some(Reverse((at, _, kind))) = self.heap.pop() {
-                due.push((at, kind));
-            }
+    /// Pops the earliest task if it is due at or before `now`, with the
+    /// deadline it was scheduled for (a periodic task re-arms from that,
+    /// not from `now`, so a late pop does not stretch the period).
+    pub fn pop_due(&mut self, now: Instant) -> Option<(Instant, TaskKind)> {
+        if self.next_deadline()? > now {
+            return None;
         }
-        due
-    }
-
-    /// Number of pending tasks.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no tasks are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.pop().map(|Reverse((at, _, kind))| (at, kind))
     }
 }
 
@@ -96,6 +77,11 @@ pub fn next_period(deadline: Instant, interval: Duration, now: Instant) -> Insta
 mod tests {
     use super::*;
 
+    /// Every task due at `now`, in the order the reactor runs them.
+    fn drain_due(q: &mut TaskQueue, now: Instant) -> Vec<(Instant, TaskKind)> {
+        std::iter::from_fn(|| q.pop_due(now)).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = TaskQueue::new();
@@ -105,22 +91,20 @@ mod tests {
         assert_eq!(q.next_deadline(), Some(t0 + Duration::from_millis(10)));
 
         // Nothing due yet.
-        assert!(q.pop_due(t0).is_empty());
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_due(t0), None);
 
-        let due = q.pop_due(t0 + Duration::from_millis(15));
+        let due = drain_due(&mut q, t0 + Duration::from_millis(15));
         assert_eq!(
             due,
             vec![(t0 + Duration::from_millis(10), TaskKind::Update)]
         );
 
-        let due = q.pop_due(t0 + Duration::from_millis(25));
+        let due = drain_due(&mut q, t0 + Duration::from_millis(25));
         assert_eq!(
             due,
             vec![(t0 + Duration::from_millis(20), TaskKind::WakeBlocked(0))]
         );
-        assert!(q.is_empty());
-        assert_eq!(q.next_deadline(), None);
+        assert_eq!(q.next_deadline(), None, "drained");
     }
 
     #[test]
@@ -129,7 +113,7 @@ mod tests {
         let t = Instant::now();
         q.schedule(t, TaskKind::WakeBlocked(3));
         q.schedule(t, TaskKind::Update);
-        let due = q.pop_due(t);
+        let due = drain_due(&mut q, t);
         assert_eq!(
             due,
             vec![(t, TaskKind::WakeBlocked(3)), (t, TaskKind::Update)]
@@ -142,7 +126,7 @@ mod tests {
         let t = Instant::now();
         q.schedule(t, TaskKind::WakeBlocked(1));
         q.schedule(t, TaskKind::WakeBlocked(2));
-        let due = q.pop_due(t);
+        let due = drain_due(&mut q, t);
         assert_eq!(
             due,
             vec![(t, TaskKind::WakeBlocked(1)), (t, TaskKind::WakeBlocked(2))]
@@ -161,7 +145,7 @@ mod tests {
         let mut last = start;
         for _ in 0..1000 {
             let now = q.next_deadline().unwrap() + interval * 3 / 10;
-            let due = q.pop_due(now);
+            let due = drain_due(&mut q, now);
             assert_eq!(due.len(), 1);
             last = due[0].0;
             q.schedule(next_period(last, interval, now), TaskKind::Update);

@@ -2,13 +2,12 @@
 //!
 //! A closed-loop `GetTime` round trip should cost the server one `read`
 //! (the request, whole), one `write` (the reply, made by the request's
-//! handler straight on the socket), no self-pipe wakeup and no thread hop:
-//! the reactor thread that framed the request handles it, under the
-//! dispatch lock, and a `GetTime` gives it no reason to wake the task
-//! thread.  The reactor's counters and the server's `inline_events`/`task_nudges`
-//! count exactly those, and in a closed loop over one connection they
-//! repeat exactly from run to run — so the syscalls- and hops-per-request
-//! figures are asserted as counts, not inferred from timings.
+//! handler straight on the socket) and no self-pipe wakeup: the reactor
+//! thread that framed the request handles it.  The reactor's counters and
+//! the server's `inline_events` count exactly those, and in a closed loop
+//! over one connection they repeat exactly from run to run — so the
+//! syscalls-per-request figures are asserted as counts, not inferred from
+//! timings.
 //!
 //! The data plane is gated the same way: a pipelined 32 KB play (four
 //! chunk frames in one `write`, as the client library sends it) is framed
@@ -56,8 +55,8 @@ fn serve(name: &str) -> (RunningServer, Arc<VirtualClock>, UnixStream) {
     (server, clock, sock)
 }
 
-/// The reactor's counters.  A handler counts its direct write and itself
-/// before it releases the dispatch lock; the barrier takes that lock, so
+/// The reactor's counters.  A handler counts its direct write before it
+/// returns, and the barrier is answered at the end of a later pass, so
 /// after a reply has been read the counters are final.
 fn reactor_totals(server: &RunningServer) -> Snapshot<Shard, 13> {
     server.handle().barrier();
@@ -88,11 +87,10 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
     .map(|counter| reactor[counter]);
     let server_counters = &server.stats().server;
     let inline_events = server_counters.get(Server::InlineEvents);
-    let task_nudges = server_counters.get(Server::TaskNudges);
     eprintln!(
         "transport budget: {read_calls} reads / {frames} frames, {direct_writes} direct + \
          {queued_writes} queued / {replies} replies, {wakeups} wakeups, \
-         {inline_events} inline events, {task_nudges} task-thread nudges"
+         {inline_events} inline events"
     );
     assert_eq!(frames, ROUND_TRIPS);
     assert_eq!(
@@ -110,7 +108,8 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
     );
     // No allowance for the connection's setup: the listener is registered
     // before the reactor thread runs, and the reactor that accepts the
-    // connection registers it itself.
+    // connection registers it itself.  The barrier's call is the one
+    // wakeup.
     assert!(
         wakeups as f64 <= 0.01 * replies as f64,
         "{wakeups} reactor wakeups for {replies} replies"
@@ -119,10 +118,6 @@ fn get_time_round_trip_costs_one_read_one_direct_write_and_no_wakeup() {
     assert!(
         inline_events > ROUND_TRIPS,
         "only {inline_events} events handled inline for {ROUND_TRIPS} requests and a setup"
-    );
-    assert!(
-        task_nudges as f64 <= 0.01 * ROUND_TRIPS as f64,
-        "{task_nudges} thread hops for {ROUND_TRIPS} requests"
     );
 
     drop(sock);

@@ -86,9 +86,6 @@ struct SyscallsPerRequest {
     direct_write_share: f64,
     /// Self-pipe wakeups ÷ replies.
     wakeups_per_reply: f64,
-    /// Times a handler woke the task thread ÷ request frames: thread
-    /// hops per request (requests themselves hop nowhere).
-    hops_per_request: f64,
 }
 
 fn codec_server() -> RunningServer {
@@ -258,7 +255,6 @@ fn run_level(n: usize, duration: Duration) -> LevelResult {
         reads_per_frame: reactor[Shard::ReadCalls] as f64 / frames as f64,
         direct_write_share: reactor[Shard::DirectWrites] as f64 / replies_out as f64,
         wakeups_per_reply: reactor[Shard::Wakeups] as f64 / replies_out as f64,
-        hops_per_request: stats.server.get(Server::TaskNudges) as f64 / frames as f64,
     });
     let sustained = protocol_errors == 0
         && evictions == 0
@@ -294,7 +290,6 @@ fn render_row(r: &LevelResult) -> Json {
             ("reads_per_frame", s.reads_per_frame.into()),
             ("direct_write_share", s.direct_write_share.into()),
             ("wakeups_per_reply", s.wakeups_per_reply.into()),
-            ("hops_per_request", s.hops_per_request.into()),
         ])
     });
     obj([
@@ -353,11 +348,8 @@ fn main() {
             r.disconnects,
             match &r.syscalls {
                 Some(s) => format!(
-                    "{:.2} reads/frame {:.3} direct {:.4} wakeups/reply {:.4} hops/request",
-                    s.reads_per_frame,
-                    s.direct_write_share,
-                    s.wakeups_per_reply,
-                    s.hops_per_request
+                    "{:.2} reads/frame {:.3} direct {:.4} wakeups/reply",
+                    s.reads_per_frame, s.direct_write_share, s.wakeups_per_reply
                 ),
                 None => "n/a".to_owned(),
             },

@@ -558,8 +558,8 @@ fn table7() -> (u32, u32) {
 /// over 1 and 4 devices.
 ///
 /// Every client loops `get_time` + mixing `play_samples` of 8 KB, so each
-/// iteration takes the dispatch lock twice and does one chunk of DSP work
-/// under it, all on the one reactor thread.  The report records
+/// iteration is two handler runs and one chunk of DSP work, all on the
+/// one reactor thread.  The report records
 /// `cpu_cores`: the eight client threads compete with the reactor for
 /// them, so the figure depends on how many there are.
 /// Returns (devices, aggregate MB/s) rows.  The wall-clock aggregate is

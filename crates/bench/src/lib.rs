@@ -152,7 +152,7 @@ impl Rig {
 
 /// Number of CPU cores the benchmark process can use.  Recorded in the
 /// report because every result that involves several threads (the
-/// reactor and task threads, concurrent bench clients) depends on it.
+/// reactor thread, concurrent bench clients) depends on it.
 pub fn cpu_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

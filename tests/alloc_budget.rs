@@ -1,14 +1,15 @@
-//! The data plane's heap budget, counted: once warm, a play and a record
-//! cost the server's request threads no allocation at all.
+//! The data plane's heap budget, counted: once warm, a play, a record and
+//! the update task between them cost the server's one thread no
+//! allocation at all.
 //!
 //! A counting `#[global_allocator]` tallies every allocation made on a
 //! thread named `af-reactor-*` — the reactor thread, which runs every
-//! request's handler itself.  The client (this test's own thread) and
-//! the task thread are not counted.  A file of its own, so a process of its
-//! own: the allocator is process-wide.
+//! request's handler and every task itself.  The client (this test's own
+//! thread) is not counted.  A file of its own, so a process of its own:
+//! the allocator is process-wide.
 
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
-use audiofile::device::{NullSink, SilenceSource, VirtualClock};
+use audiofile::device::{Clock, NullSink, SilenceSource, VirtualClock};
 use audiofile::dsp::Encoding;
 use audiofile::server::ServerBuilder;
 use audiofile::time::ATime;
@@ -74,6 +75,9 @@ static ALLOCATOR: Counting = Counting;
 
 const WARM_UP: usize = 50;
 const OPS: usize = 1_000;
+/// Device time that passes between two ops (10 ms at 8 kHz): each op is
+/// followed by an update that services the hardware for it.
+const TICKS_PER_OP: u32 = 80;
 
 #[test]
 fn steady_plays_and_records_allocate_nothing_on_the_reactor_threads() {
@@ -108,20 +112,29 @@ fn steady_plays_and_records_allocate_nothing_on_the_reactor_threads() {
     clock.advance(20_000);
     server.handle().run_update();
 
+    // The clock moves on between ops, and the update runs for it, as the
+    // periodic task does on a real clock.
+    let tick = || {
+        clock.advance(TICKS_PER_OP);
+        server.handle().run_update();
+    };
     // Allocations on the reactor threads across `ops` plays, then `ops`
-    // records.
+    // records, each followed by an update.
     let mut run = |ops: usize| {
         REACTOR_ALLOCS.store(0, Ordering::Relaxed);
         for _ in 0..ops {
-            conn.play_samples(&play_ac, ATime::new(21_000), &lin16)
-                .unwrap();
+            // A second ahead: mixed into the buffer, not dropped as past.
+            let at = clock.now() + 8_000u32;
+            conn.play_samples(&play_ac, at, &lin16).unwrap();
+            tick();
         }
         let plays = REACTOR_ALLOCS.load(Ordering::Relaxed);
         for _ in 0..ops {
-            let (_, data) = conn
-                .record_samples(&rec_ac, ATime::new(10_000), 8192, false)
-                .unwrap();
+            // Recorded a second ago: in the buffer, no record update owed.
+            let at = clock.now() - 16_192u32;
+            let (_, data) = conn.record_samples(&rec_ac, at, 8192, false).unwrap();
             assert_eq!(data.len(), 8192);
+            tick();
         }
         // The replies have been read, so the handlers have run; the
         // barrier waits out whatever a handler does after its write.
@@ -136,7 +149,8 @@ fn steady_plays_and_records_allocate_nothing_on_the_reactor_threads() {
     assert_eq!(
         run(OPS),
         (0, 0),
-        "heap allocations on af-reactor-* threads across {OPS} plays, then {OPS} records"
+        "heap allocations on af-reactor-* threads across {OPS} plays, then {OPS} records, \
+         each with an update"
     );
 
     drop(conn);

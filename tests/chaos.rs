@@ -528,10 +528,10 @@ fn soak_many_clients_four_devices_evicts_the_flooder_without_deadlock() {
     server.shutdown();
 }
 
-// ---- §7.3.1: one dispatch lock, the reactor and the task thread. ----
+// ---- §7.3.1: one thread, its requests and its task queue. ----
 
 /// A real-time codec server: its clients share the one reactor thread,
-/// and the task thread runs the update against a real clock.
+/// which also runs the update against a real clock.
 fn realtime_server(
     update_interval: Duration,
     sink: Box<dyn audiofile::device::SampleSink>,
@@ -547,7 +547,7 @@ fn realtime_server(
     builder.spawn().unwrap()
 }
 
-/// Keeps the reactor inside the dispatch lock: pipelined `GetTime` bursts
+/// Keeps the reactor busy with requests: pipelined `GetTime` bursts
 /// over a raw connection until `stop`, so the reactor frames and handles
 /// request after request, returning to its poll loop only when the frame
 /// budget runs out.
@@ -654,8 +654,8 @@ fn timed_work_keeps_its_schedule_while_a_client_saturates_the_lock() {
     let stop = Arc::new(AtomicBool::new(false));
     let hammer = saturate_with_get_time(&server, Arc::clone(&stop));
 
-    // Two seconds of saturation: the task thread has to win the dispatch
-    // lock from a reactor that re-takes it per request, twenty times.
+    // Two seconds of saturation: the update has to get its turn between
+    // readiness batches that are never empty, twenty times.
     std::thread::sleep(UPDATE); // Let the hammer reach full flow.
     let before = updates.load(Ordering::Relaxed);
     std::thread::sleep(Duration::from_secs(2));
@@ -690,10 +690,10 @@ fn timed_work_keeps_its_schedule_while_a_client_saturates_the_lock() {
 
 #[test]
 fn play_suspended_past_the_horizon_resumes_on_its_own_deadline() {
-    // With a 5 s update period the task thread is asleep until the next
+    // With a 5 s update period the reactor's poll timeout is the next
     // update when a play lands 100 ms beyond the buffer horizon.  The
-    // handler runs on the reactor; it must re-arm the task thread for the
-    // play's wake-up, or the client waits out the whole update period.
+    // handler schedules the play's wake-up; the next poll must wait for it,
+    // not for the update, or the client waits out the whole update period.
     let server = realtime_server(Duration::from_secs(5), Box::new(NullSink));
     let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
     let ac = conn

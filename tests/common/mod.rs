@@ -2,8 +2,8 @@
 //! each of them is a file (so a process) of its own, which is what makes
 //! the census exact.
 
-/// Names of this process's live server threads (`af-dispatcher`,
-/// `af-reactor-N`).
+/// Names of this process's live server threads (there is one,
+/// `af-reactor-0`).
 pub fn server_threads() -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
         .expect("procfs")

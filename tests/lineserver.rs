@@ -6,10 +6,14 @@
 
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
 use audiofile::device::lineserver::{LineServerFirmware, LineServerLink, LsFunction, LsPacket};
-use audiofile::device::{CaptureSink, SystemClock, ToneSource};
+use audiofile::device::{CaptureSink, NullSink, SilenceSource, SystemClock, ToneSource};
+use audiofile::server::backend::{ALS_REPLY_TIMEOUT, ALS_RETRIES, DOWN_BACKOFF_OPS};
+use audiofile::server::stats::Link;
 use audiofile::time::ATime;
-use std::sync::atomic::Ordering;
+use std::net::{SocketAddr, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[test]
 fn als_server_plays_and_records_through_udp() {
@@ -124,5 +128,130 @@ fn lineserver_register_requests_retried() {
     assert_eq!(reply.aux, 17);
 
     stop.store(true, Ordering::Relaxed);
+    fw_thread.join().unwrap();
+}
+
+/// A UDP relay in front of `upstream` that forwards both ways until `dead`
+/// is raised, then swallows every datagram — firmware that stops
+/// answering while its port stays open — until `done`.
+fn relay(upstream: SocketAddr, dead: Arc<AtomicBool>, done: Arc<AtomicBool>) -> SocketAddr {
+    let front = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let back = UdpSocket::bind("127.0.0.1:0").unwrap();
+    back.connect(upstream).unwrap();
+    for socket in [&front, &back] {
+        socket
+            .set_read_timeout(Some(Duration::from_millis(2)))
+            .unwrap();
+    }
+    let addr = front.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let mut buf = [0u8; 65_536];
+        let mut peer = None;
+        while !done.load(Ordering::Relaxed) {
+            if let Ok((n, from)) = front.recv_from(&mut buf) {
+                peer = Some(from);
+                if !dead.load(Ordering::Relaxed) {
+                    let _ = back.send(&buf[..n]);
+                }
+            }
+            if let (Ok(n), Some(to)) = (back.recv(&mut buf), peer) {
+                if !dead.load(Ordering::Relaxed) {
+                    let _ = front.send_to(&buf[..n], to);
+                }
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_dead_lineserver_stalls_the_one_thread_for_a_bounded_time() {
+    // The update task runs on the reactor thread, beside every client's
+    // requests.  When the LineServer stops answering, the update's clock
+    // exchange waits out every attempt before the link is declared down,
+    // and a `GetTime` on the server's local codec waits with it — for one
+    // exchange at most, after which the down-backoff skips the link.
+    const UPDATE: Duration = Duration::from_millis(50);
+    let stall = ALS_REPLY_TIMEOUT * (ALS_RETRIES + 1);
+    // What else a round trip may meet on a loaded host: the rest of the
+    // pass and a scheduling delay, well short of another exchange.
+    let bound = stall + ALS_REPLY_TIMEOUT;
+
+    let clock = Arc::new(SystemClock::new(8000));
+    let (fw, fw_addr) = LineServerFirmware::boot(
+        clock.clone(),
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    )
+    .unwrap();
+    let fw_stop = fw.stop_handle();
+    let fw_thread = std::thread::spawn(move || fw.run());
+    let dead = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
+    let relayed = relay(fw_addr, Arc::clone(&dead), Arc::clone(&done));
+
+    let mut builder = audiofile::server::ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .update_interval(UPDATE);
+    let codec = builder.add_codec(
+        clock,
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    ) as u8;
+    builder.add_lineserver_link(LineServerLink::connect(relayed).unwrap());
+    let server = builder.spawn().unwrap();
+    let link = Arc::clone(&server.stats().links[0]);
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+    let mut round_trip = || {
+        let started = Instant::now();
+        conn.get_time(codec).unwrap();
+        started.elapsed()
+    };
+    let slowest_for = |round_trip: &mut dyn FnMut() -> Duration, span: Duration| {
+        let started = Instant::now();
+        let mut slowest = Duration::ZERO;
+        while started.elapsed() < span {
+            slowest = slowest.max(round_trip());
+        }
+        slowest
+    };
+    // The link answers: a few updates' worth of round trips.
+    slowest_for(&mut round_trip, 4 * UPDATE);
+    assert_eq!(link.get(Link::LinkDowns), 0, "the link failed while alive");
+
+    // The firmware goes silent: round trips meet one dead exchange.
+    dead.store(true, Ordering::Relaxed);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut worst = Duration::ZERO;
+    while link.get(Link::LinkDowns) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the link was never declared down"
+        );
+        worst = worst.max(round_trip());
+    }
+    assert!(
+        worst >= ALS_REPLY_TIMEOUT,
+        "no round trip waited on the dead link ({worst:?}): the stall went unmeasured"
+    );
+    assert!(
+        worst <= bound,
+        "a round trip took {worst:?}; one dead exchange is {stall:?}"
+    );
+
+    // Down-backoff: the next updates skip the link, and round trips are
+    // back to normal — measured well inside the backoff, before the probe
+    // that ends it.
+    let backoff = UPDATE * (DOWN_BACKOFF_OPS - 2);
+    let slowest = slowest_for(&mut round_trip, backoff);
+    assert!(
+        slowest < ALS_REPLY_TIMEOUT,
+        "a round trip took {slowest:?} while the link was backed off"
+    );
+    assert_eq!(link.get(Link::LinkDowns), 1, "the backoff ended early");
+
+    server.shutdown();
+    done.store(true, Ordering::Relaxed);
+    fw_stop.store(true, Ordering::Relaxed);
     fw_thread.join().unwrap();
 }

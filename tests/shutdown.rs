@@ -1,10 +1,10 @@
 //! Shutdown with requests in flight (DESIGN.md §9).
 //!
-//! Request handlers run on the transport threads, under the dispatch lock,
-//! so stopping the server has to refuse new events, get the reactor out of
-//! the lock and closed, and drain the task thread — while clients keep
-//! sending.  This file holds one test and so runs in a process of its own:
-//! the census of `af-*` threads it takes is exact.
+//! Request handlers and the task queue run on the one reactor thread, so
+//! stopping the server has to reach that thread through its wake pipe,
+//! close every connection and join it — while clients keep sending.  This
+//! file holds one test and so runs in a process of its own: the census of
+//! `af-*` threads it takes is exact.
 
 use audiofile::client::AudioConn;
 use audiofile::device::{NullSink, SilenceSource, SystemClock};
@@ -43,11 +43,7 @@ fn shutdown_under_a_request_stream_returns_closes_every_connection_and_leaks_no_
         .collect();
     std::thread::sleep(Duration::from_millis(200));
     let running = server_threads();
-    assert_eq!(
-        running,
-        ["af-dispatcher", "af-reactor-0"],
-        "task thread and reactor"
-    );
+    assert_eq!(running, ["af-reactor-0"], "the one server thread");
 
     let started = Instant::now();
     server.shutdown();

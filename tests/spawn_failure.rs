@@ -1,10 +1,10 @@
 //! A `spawn()` that fails must not leave threads behind.
 //!
-//! The server starts threads (the reactor, the task thread) and binds
-//! listeners; when a bind fails the caller gets an `Err` and no handle to
-//! stop anything with, so everything already started has to be gone.  A
-//! leaked task thread would keep running the update task against the
-//! device backends forever.  This file holds one test and so runs in a
+//! The server starts a thread (the reactor, which also runs the task
+//! queue) and binds listeners; when a bind fails the caller gets an `Err`
+//! and no handle to stop anything with, so nothing may have started.  A
+//! leaked reactor would keep running the update task against the device
+//! backends forever.  This file holds one test and so runs in a
 //! process of its own: the census of `af-*` threads it takes is exact.
 
 use audiofile::device::{NullSink, SilenceSource, SystemClock};
