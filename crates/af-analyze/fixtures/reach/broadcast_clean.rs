@@ -1,23 +1,43 @@
 // Fixture: registry-complete broadcast bus.  Every `alloc` root exists;
-// the seal path recycles a retired wire buffer (sized one-shot
-// `with_capacity` on a pool miss — the shape the lint pushes toward),
-// the fetch path hands out `Arc` clones of ring chunks, and the tap
-// accumulates into pre-sized staging.
+// the tap accumulates into pre-sized staging, the seal path recycles a
+// retired wire buffer (sized one-shot `with_capacity` on a pool miss —
+// the shape the lint pushes toward), and the fetch path hands out `Arc`
+// clones of ring chunks.
 impl BroadcastBus {
-    pub fn publish(&self, payload: &[u8]) {
+    pub fn tap(&mut self, bytes: &[u8]) {
+        self.staging.extend_from_slice(bytes);
+        self.seal_full();
+    }
+
+    pub fn tap_silence(&mut self, frames: u32) {
+        let len = self.staging.len() + frames as usize;
+        self.staging.resize(len, self.fill);
+        self.seal_full();
+    }
+
+    fn seal_full(&mut self) {
+        if self.staging.len() == self.chunk_bytes {
+            let staging = std::mem::take(&mut self.staging);
+            self.publish(&staging);
+            self.staging = staging;
+            self.staging.clear();
+        }
+    }
+
+    pub fn publish(&mut self, payload: &[u8]) {
         let mut wire = self.pop_free();
         wire.extend_from_slice(payload);
         self.seal(wire);
     }
 
-    fn pop_free(&self) -> Vec<u8> {
+    fn pop_free(&mut self) -> Vec<u8> {
         match self.free.pop() {
             Some(buf) => buf,
             None => Vec::with_capacity(self.chunk_bytes + 20),
         }
     }
 
-    fn seal(&self, wire: Vec<u8>) {
+    fn seal(&mut self, wire: Vec<u8>) {
         self.ring.insert(wire);
     }
 
@@ -27,15 +47,5 @@ impl BroadcastBus {
             seq += 1;
         }
         seq
-    }
-}
-
-impl BusTap {
-    fn absorb(&mut self, bytes: &[u8]) {
-        self.staging.extend_from_slice(bytes);
-        if self.staging.len() == self.chunk_bytes {
-            self.bus.publish(&self.staging);
-            self.staging.clear();
-        }
     }
 }

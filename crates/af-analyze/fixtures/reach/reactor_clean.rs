@@ -1,22 +1,18 @@
-// Fixture: registry-complete reactor shard.  Every `blocking-in-reactor`
-// and `alloc` root exists; the handler chain uses only non-blocking
-// primitives and caller-owned scratch — including the reply path's two
-// leaf locks, each justified at every site: the connection's outbound
-// deque (the shard's `flush_conn`, the producers' `deliver`) and the
-// shard's mailbox (one push in `wake`, one swap in `handle_wake`) — and
-// `feed` hands each framed event to the dispatcher's `submit` — a
-// request, lent from the read scratch, to its `request` — which
-// handles it on this thread under the dispatch lock.  The
-// accept/registration path (an `alloc` barrier) allocates its
+// Fixture: registry-complete reactor.  Every `blocking-in-reactor` and
+// `alloc` root exists, and the handler chain uses only non-blocking
+// primitives and caller-owned scratch: `handle_wake` takes the calls
+// other threads left with `try_recv`, `feed` hands each framed event to
+// the handler — a request, lent from the read scratch, to its `request`,
+// which handles it on this thread — and replies leave by `deliver`'s
+// direct write or by `flush_conn` draining the deque the reactor thread
+// owns.  The accept/registration path (an `alloc` barrier) allocates its
 // per-connection state — that is setup, amortized over the connection
 // lifetime, and must not be reported.
 
 impl Shard {
     fn handle_wake(&mut self) {
-        {
-            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one swap; a producer holds it for one push
-            let mut mailbox = self.link.mailbox.lock();
-            std::mem::swap(&mut *mailbox, &mut self.spare_mailbox);
+        while let Ok(asked) = self.calls.try_recv() {
+            self.answered.push(asked);
         }
         self.handle_token(1);
     }
@@ -37,16 +33,14 @@ impl Shard {
 
     fn feed(&mut self, token: u64, n: usize) {
         if token == 0 {
-            self.shared.dispatch.submit((token, n));
+            self.handler.event((token, n));
         } else {
-            let dispatch = &self.shared.dispatch;
-            dispatch.request(token, 1, &self.read_scratch[..n]);
+            self.handler.request(token, 1, &self.read_scratch[..n]);
         }
     }
 
     fn flush_conn(&mut self, token: u64) {
-        // af-analyze: allow(blocking-in-reactor): leaf lock; a producer holds it only across one nonblocking write and a push
-        let mut out = self.shared.outbound.lock();
+        let out = self.handler.outbound();
         if let Some(buf) = out.queue.front() {
             let _ = self.io.write(&buf[out.written..]);
         }
@@ -77,23 +71,12 @@ impl Shard {
     }
 }
 
-impl ConnShared {
-    fn deliver(&self, buf: Buf) {
-        // af-analyze: allow(blocking-in-reactor): leaf lock, held only across a nonblocking write and a push
-        let mut out = self.outbound.lock();
-        if out.queue.is_empty() && self.sock.write(&buf) == buf.len() {
+impl Outbound {
+    fn deliver(&mut self, buf: Buf) {
+        if self.queue.is_empty() && self.sock.write(&buf) == buf.len() {
             return;
         }
-        out.queue.push_back(buf);
-        drop(out);
-        self.wake();
-    }
-
-    fn wake(&self) {
-        if !self.notified.swap(true) {
-            // af-analyze: allow(blocking-in-reactor): leaf lock, held for one push
-            self.link.mailbox.lock().flush.push(self.token);
-            self.link.waker.wake();
-        }
+        self.queue.push_back(buf);
+        self.stalled.push(self.token);
     }
 }

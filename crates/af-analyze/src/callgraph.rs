@@ -42,11 +42,9 @@ pub fn crate_of(rel: &str) -> &str {
 }
 
 /// The resolved call graph: `callees[f]` are the function indices `f` may
-/// call, parallel to `call_sites[f]` giving the index into
-/// `index.fns[f].calls` each edge came from.
+/// call.
 pub struct CallGraph {
     pub callees: Vec<Vec<usize>>,
-    pub call_sites: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
@@ -54,7 +52,6 @@ impl CallGraph {
     pub fn build(index: &Index, files: &[SourceFile]) -> CallGraph {
         let n = index.fns.len();
         let mut callees = vec![Vec::new(); n];
-        let mut call_sites = vec![Vec::new(); n];
         // name → candidate fn indices (production only).
         let mut by_name: std::collections::HashMap<&str, Vec<usize>> =
             std::collections::HashMap::new();
@@ -66,7 +63,7 @@ impl CallGraph {
         for (caller, f) in index.fns.iter().enumerate() {
             let caller_file = f.file;
             let caller_crate = crate_of(&files[caller_file].rel);
-            for (site, call) in f.calls.iter().enumerate() {
+            for call in &f.calls {
                 let Some(cands) = by_name.get(call.name.as_str()) else {
                     continue;
                 };
@@ -133,21 +130,15 @@ impl CallGraph {
                     }
                     Recv::Free => narrow(cands, same_file, same_crate),
                 };
-                for target in resolved {
-                    callees[caller].push(target);
-                    call_sites[caller].push(site);
-                }
+                callees[caller].extend(resolved);
             }
         }
-        CallGraph {
-            callees,
-            call_sites,
-        }
+        CallGraph { callees }
     }
 
     /// BFS from `roots`; returns per-function reachability plus, for each
-    /// reached function, the (caller, call-site) edge it was first reached
-    /// through — enough to reconstruct a path back to a root.
+    /// reached function, the caller it was first reached through — enough
+    /// to reconstruct a path back to a root.
     pub fn reach(&self, roots: &[usize]) -> Reach {
         self.reach_stopping(roots, |_| false)
     }
@@ -168,10 +159,10 @@ impl CallGraph {
             }
         }
         while let Some(f) = queue.pop_front() {
-            for (k, &callee) in self.callees[f].iter().enumerate() {
+            for &callee in &self.callees[f] {
                 if !seen[callee] && !stop(callee) {
                     seen[callee] = true;
-                    via[callee] = Some((f, self.call_sites[f][k]));
+                    via[callee] = Some(f);
                     queue.push_back(callee);
                 }
             }
@@ -205,8 +196,8 @@ fn narrow(
 /// Reachability result with path reconstruction.
 pub struct Reach {
     pub seen: Vec<bool>,
-    /// For each reached non-root: the `(caller, call_site)` edge first used.
-    pub via: Vec<Option<(usize, usize)>>,
+    /// For each reached non-root: the caller it was first reached from.
+    pub via: Vec<Option<usize>>,
 }
 
 impl Reach {
@@ -214,7 +205,7 @@ impl Reach {
     pub fn path_to(&self, index: &Index, f: usize) -> String {
         let mut chain = vec![f];
         let mut cur = f;
-        while let Some((caller, _)) = self.via[cur] {
+        while let Some(caller) = self.via[cur] {
             chain.push(caller);
             cur = caller;
             if chain.len() > 32 {

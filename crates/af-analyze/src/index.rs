@@ -1,21 +1,13 @@
 //! Whole-program item index built from the token stream.
 //!
-//! One pass over every file's tokens produces:
-//!
-//! * [`FnInfo`] per `fn` item — name, enclosing `impl` type, line span,
-//!   the calls its body makes ([`Call`]), the lock guards it acquires
-//!   ([`Acquire`]), which locks it acquires *while already holding
-//!   another* (`ordered`), and which calls it makes under a live guard
-//!   (`held_calls`);
-//! * [`LockDecl`] per `Mutex`/`RwLock` field, static, or `let`-binding —
-//!   the lock universe the lock-order lint reasons over.  Only
-//!   acquisitions of *declared* locks are tracked, so `.read()` on an
-//!   `io::Read` or `.lock()` on a `Stdout` never pollutes the graph.
+//! One pass over every file's tokens produces an [`FnInfo`] per `fn`
+//! item: its name, enclosing `impl` type, line span and the calls its body
+//! makes ([`Call`]).
 //!
 //! Everything here is approximate in the way a linter can afford: names
-//! are resolved textually (see [`crate::callgraph`]), guard liveness is
-//! brace-depth scoping plus explicit `drop(guard)`, and nested `fn` items
-//! are indexed separately with their tokens excluded from the parent.
+//! are resolved textually (see [`crate::callgraph`]), and nested `fn`
+//! items are indexed separately with their tokens excluded from the
+//! parent.
 
 use crate::lex::{Kind, Token};
 use crate::source::SourceFile;
@@ -42,30 +34,6 @@ pub struct Call {
     pub line: usize,
 }
 
-/// One acquisition of a declared lock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Acquire {
-    /// The declared lock's field/binding name.
-    pub lock: String,
-    /// 0-based line of the `.lock()`/`.read()`/`.write()`.
-    pub line: usize,
-}
-
-/// `B` acquired while `A` is held, inside one function.
-#[derive(Debug, Clone)]
-pub struct OrderedPair {
-    pub first: Acquire,
-    pub second: Acquire,
-}
-
-/// A call made while a guard is live.
-#[derive(Debug, Clone)]
-pub struct HeldCall {
-    pub held: Acquire,
-    /// Index into the owning function's `calls`.
-    pub call: usize,
-}
-
 /// One indexed function.
 #[derive(Debug)]
 pub struct FnInfo {
@@ -79,43 +47,18 @@ pub struct FnInfo {
     /// 0-based line of the body's closing brace.
     pub end_line: usize,
     pub calls: Vec<Call>,
-    pub acquires: Vec<Acquire>,
-    pub ordered: Vec<OrderedPair>,
-    pub held_calls: Vec<HeldCall>,
     /// Inside a `#[cfg(test)]` region.
     pub in_test: bool,
-}
-
-/// What kind of lock a declaration is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    Mutex,
-    RwLock,
-}
-
-/// One declared `Mutex`/`RwLock`.
-#[derive(Debug)]
-pub struct LockDecl {
-    pub name: String,
-    pub kind: LockKind,
-    pub file: usize,
-    /// 0-based line.
-    pub line: usize,
 }
 
 /// The whole-program index.
 pub struct Index {
     pub fns: Vec<FnInfo>,
-    pub locks: Vec<LockDecl>,
 }
 
 impl Index {
     /// Builds the index over pre-parsed files.
     pub fn build(files: &[SourceFile]) -> Index {
-        let mut locks = Vec::new();
-        for (fi, file) in files.iter().enumerate() {
-            collect_locks(fi, file, &mut locks);
-        }
         let mut fns = Vec::new();
         for (fi, file) in files.iter().enumerate() {
             let sig: Vec<&Token> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
@@ -123,12 +66,11 @@ impl Index {
                 file: fi,
                 source: file,
                 toks: &sig,
-                locks: &locks,
                 out: &mut fns,
             };
             scanner.scan_items();
         }
-        Index { fns, locks }
+        Index { fns }
     }
 
     /// All indexed functions named `name`.
@@ -153,83 +95,10 @@ const KEYWORDS: &[&str] = &[
     "fn", "self", "Self", "true", "false",
 ];
 
-/// Collects `Mutex`/`RwLock` declarations: struct fields and statics
-/// (`name: [path::]Mutex<`) and let-bindings (`let name = Mutex::new(`).
-fn collect_locks(fi: usize, file: &SourceFile, out: &mut Vec<LockDecl>) {
-    let toks: Vec<&Token> = file.tokens.iter().filter(|t| !t.is_comment()).collect();
-    for (i, tok) in toks.iter().enumerate() {
-        let kind = match tok.text.as_str() {
-            "Mutex" if tok.kind == Kind::Ident => LockKind::Mutex,
-            "RwLock" if tok.kind == Kind::Ident => LockKind::RwLock,
-            _ => continue,
-        };
-        if file.in_test.get(tok.line).copied().unwrap_or(false) {
-            continue;
-        }
-        let Some(next) = toks.get(i + 1) else { continue };
-        if next.is_punct('<') {
-            // `name: [path::]Mutex<` — walk back over the path prefix to
-            // the single type-ascription colon, then the field name.
-            let mut j = i;
-            while j >= 3 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':') {
-                if toks[j - 3].kind == Kind::Ident {
-                    j -= 3;
-                } else {
-                    break;
-                }
-            }
-            if j >= 2
-                && toks[j - 1].is_punct(':')
-                && !toks[j - 2].is_punct(':')
-                && toks[j - 2].kind == Kind::Ident
-            {
-                out.push(LockDecl {
-                    name: toks[j - 2].text.clone(),
-                    kind,
-                    file: fi,
-                    line: tok.line,
-                });
-            }
-        } else if next.is_punct(':')
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("new"))
-        {
-            // `let name = [path::]Mutex::new(` — walk back over `=`, the
-            // path prefix, to the binding.
-            let mut j = i;
-            while j >= 3 && toks[j - 1].is_punct(':') && toks[j - 2].is_punct(':') {
-                if toks[j - 3].kind == Kind::Ident {
-                    j -= 3;
-                } else {
-                    break;
-                }
-            }
-            if j >= 2 && toks[j - 1].is_punct('=') && toks[j - 2].kind == Kind::Ident {
-                out.push(LockDecl {
-                    name: toks[j - 2].text.clone(),
-                    kind,
-                    file: fi,
-                    line: tok.line,
-                });
-            }
-        }
-    }
-}
-
-/// A live lock guard during body scanning.
-struct LiveGuard {
-    acquire: Acquire,
-    /// Brace depth (relative to the body) it was bound at.
-    depth: i64,
-    /// Binding name, for `drop(name)` release.
-    binding: Option<String>,
-}
-
 struct Scanner<'a> {
     file: usize,
     source: &'a SourceFile,
     toks: &'a [&'a Token],
-    locks: &'a [LockDecl],
     out: &'a mut Vec<FnInfo>,
 }
 
@@ -371,9 +240,6 @@ impl Scanner<'_> {
             start_line,
             end_line: start_line,
             calls: Vec::new(),
-            acquires: Vec::new(),
-            ordered: Vec::new(),
-            held_calls: Vec::new(),
             in_test,
         };
         let resume = self.scan_body(body_open, &mut info, self_ty);
@@ -386,9 +252,6 @@ impl Scanner<'_> {
     /// recursively and excluded from this body's accounting.
     fn scan_body(&mut self, open: usize, info: &mut FnInfo, self_ty: Option<String>) -> usize {
         let mut depth = 0i64;
-        let mut guards: Vec<LiveGuard> = Vec::new();
-        // Per-statement `let` tracking for guard bindings.
-        let mut stmt_let: Option<String> = None;
         let mut i = open;
         while i < self.toks.len() {
             let t = self.toks[i];
@@ -399,32 +262,10 @@ impl Scanner<'_> {
             }
             if t.is_punct('}') {
                 depth -= 1;
-                guards.retain(|g| g.depth <= depth);
                 if depth == 0 {
                     info.end_line = t.line;
                     return i + 1;
                 }
-                stmt_let = None;
-                i += 1;
-                continue;
-            }
-            if t.is_punct(';') {
-                stmt_let = None;
-                i += 1;
-                continue;
-            }
-            if t.is_ident("let") {
-                // Binding name: first ident after `let`, skipping `mut`
-                // and tuple/ref patterns get no tracking.
-                let mut k = i + 1;
-                while self.toks.get(k).is_some_and(|t| t.is_ident("mut")) {
-                    k += 1;
-                }
-                stmt_let = self
-                    .toks
-                    .get(k)
-                    .filter(|t| t.kind == Kind::Ident && !KEYWORDS.contains(&t.text.as_str()))
-                    .map(|t| t.text.clone());
                 i += 1;
                 continue;
             }
@@ -433,86 +274,24 @@ impl Scanner<'_> {
                 i = self.index_fn(i, self_ty.clone());
                 continue;
             }
-            // `drop(name)` releases the named guard.
-            if t.is_ident("drop")
-                && self.toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            {
-                if let Some(name) = self.toks.get(i + 2) {
-                    guards.retain(|g| g.binding.as_deref() != Some(name.text.as_str()));
-                }
-            }
-            // Lock acquisition: `recv.lock()` / `recv.read()` / `recv.write()`
-            // where `recv`'s trailing ident is a declared lock.
-            if let Some(acquire) = self.match_acquire(i) {
-                for g in &guards {
-                    info.ordered.push(OrderedPair {
-                        first: g.acquire.clone(),
-                        second: acquire.clone(),
-                    });
-                }
-                info.acquires.push(acquire.clone());
-                guards.push(LiveGuard {
-                    acquire,
-                    depth,
-                    binding: stmt_let.clone(),
-                });
-                i += 5; // past `recv . method ( )`
-                continue;
-            }
             // Call site: ident followed by `(`, not a macro (`!`), not a
             // keyword, not a definition (`fn name(` handled above).
             if matches!(t.kind, Kind::Ident | Kind::RawIdent)
                 && self.toks.get(i + 1).is_some_and(|n| n.is_punct('('))
                 && !KEYWORDS.contains(&t.text.as_str())
             {
-                let recv = self.classify_recv(i);
-                if let Some(recv) = recv {
-                    let call = Call {
+                if let Some(recv) = self.classify_recv(i) {
+                    info.calls.push(Call {
                         name: t.text.trim_start_matches("r#").to_owned(),
                         recv,
                         line: t.line,
-                    };
-                    let call_idx = info.calls.len();
-                    for g in &guards {
-                        info.held_calls.push(HeldCall {
-                            held: g.acquire.clone(),
-                            call: call_idx,
-                        });
-                    }
-                    info.calls.push(call);
+                    });
                 }
             }
             i += 1;
         }
         info.end_line = self.toks.last().map(|t| t.line).unwrap_or(info.start_line);
         i
-    }
-
-    /// Matches `<lock>.{lock|read|write}()` at token `i` (pointing at the
-    /// receiver's trailing ident).  Only declared locks count; `.read()`/
-    /// `.write()` only for declared `RwLock`s.
-    fn match_acquire(&self, i: usize) -> Option<Acquire> {
-        let recv = self.toks[i];
-        if recv.kind != Kind::Ident {
-            return None;
-        }
-        if !self.toks.get(i + 1)?.is_punct('.') {
-            return None;
-        }
-        let method = self.toks.get(i + 2)?;
-        if !self.toks.get(i + 3)?.is_punct('(') || !self.toks.get(i + 4)?.is_punct(')') {
-            return None;
-        }
-        let decl = self.locks.iter().find(|l| l.name == recv.text)?;
-        let ok = match method.text.as_str() {
-            "lock" => decl.kind == LockKind::Mutex,
-            "read" | "write" => decl.kind == LockKind::RwLock,
-            _ => false,
-        };
-        ok.then(|| Acquire {
-            lock: recv.text.clone(),
-            line: method.line,
-        })
     }
 
     /// Classifies the call at token `i`; `None` for macros and method
@@ -583,44 +362,6 @@ mod tests {
         assert_eq!(calls[1].recv, Recv::Method);
         assert_eq!(calls[2].recv, Recv::Path("Qual".into()));
         assert_eq!(calls[3].recv, Recv::Free);
-    }
-
-    #[test]
-    fn lock_decls_and_ordered_acquisitions() {
-        let idx = build(
-            "struct S {\n    alpha: Mutex<u32>,\n    beta: std::sync::RwLock<u32>,\n}\n\
-             impl S {\n    fn both(&self) {\n        let a = self.alpha.lock();\n        let b = self.beta.write();\n    }\n\
-             \n    fn scoped(&self) {\n        {\n            let a = self.alpha.lock();\n        }\n        let b = self.beta.read();\n    }\n}\n",
-        );
-        assert_eq!(idx.locks.len(), 2);
-        let both = &idx.fns[0];
-        assert_eq!(both.acquires.len(), 2);
-        assert_eq!(both.ordered.len(), 1);
-        assert_eq!(both.ordered[0].first.lock, "alpha");
-        assert_eq!(both.ordered[0].second.lock, "beta");
-        let scoped = &idx.fns[1];
-        assert_eq!(scoped.ordered.len(), 0, "guard died with its block");
-    }
-
-    #[test]
-    fn drop_releases_a_guard() {
-        let idx = build(
-            "struct S { alpha: Mutex<u32>, beta: Mutex<u32> }\n\
-             impl S {\n    fn f(&self) {\n        let a = self.alpha.lock();\n        drop(a);\n        let b = self.beta.lock();\n    }\n}\n",
-        );
-        assert_eq!(idx.fns[0].ordered.len(), 0);
-    }
-
-    #[test]
-    fn calls_while_held_are_recorded() {
-        let idx = build(
-            "struct S { alpha: Mutex<u32> }\n\
-             impl S {\n    fn f(&self) {\n        let a = self.alpha.lock();\n        self.helper();\n    }\n    fn helper(&self) {}\n}\n",
-        );
-        let f = &idx.fns[0];
-        assert_eq!(f.held_calls.len(), 1);
-        assert_eq!(f.held_calls[0].held.lock, "alpha");
-        assert_eq!(f.calls[f.held_calls[0].call].name, "helper");
     }
 
     #[test]

@@ -6,18 +6,16 @@
 //! | lint | invariant |
 //! |------|-----------|
 //! | `wallclock`        | nothing reachable from the per-tick data plane reads a wall clock (device time only) |
-//! | `lock-across-send` | no call made under a live lock guard in af-server is a channel send |
 //! | `tick-arith`       | no bare `+`/`-`/`as` on device-time tick values (wrapping ops only) |
-//! | `lock-order`       | all lock pairs are acquired in one global order (no deadlock cycles), checked through the call graph |
-//! | `blocking-in-reactor` | nothing reachable from the reactor event loops blocks |
+//! | `blocking-in-reactor` | nothing reachable from the reactor event loop blocks |
 //! | `alloc`            | nothing reachable from the per-tick data plane allocates |
 //!
 //! The invariants rustc and clippy check themselves are lint levels
 //! instead (the workspace `[lints]` table, `clippy.toml` and af-server's
 //! crate root; DESIGN.md §10.1): no panics on server paths, bounded
-//! channels, and a scoped, audited `unsafe`.
+//! channels, no lock in af-server, and a scoped, audited `unsafe`.
 //!
-//! Every question about a function or a lock guard goes through the item
+//! Every question about a function goes through the item
 //! [`index`] and the approximate [`callgraph`]; patterns are matched on
 //! the stripped view, rendered from the token stream (see [`lex`]).
 //!
@@ -44,9 +42,7 @@ use std::path::Path;
 /// Every lint name, as accepted by allow-markers.
 pub const LINT_NAMES: &[&str] = &[
     "wallclock",
-    "lock-across-send",
     "tick-arith",
-    "lock-order",
     "blocking-in-reactor",
     "alloc",
     "allow-marker",
@@ -124,13 +120,7 @@ pub fn analyze_files_timed(files: &[SourceFile]) -> (Vec<Finding>, Vec<LintTimin
     timed("wallclock", &mut findings, &mut || {
         lints::wallclock::run(files, &index, &graph)
     });
-    timed("lock-across-send", &mut findings, &mut || {
-        lints::lock_across_send::run(files, &index)
-    });
     timed("tick-arith", &mut findings, &mut || lints::tick_arith::run(files));
-    timed("lock-order", &mut findings, &mut || {
-        lints::lock_order::run(files, &index, &graph)
-    });
     timed("blocking-in-reactor", &mut findings, &mut || {
         lints::blocking_in_reactor::run(files, &index, &graph)
     });

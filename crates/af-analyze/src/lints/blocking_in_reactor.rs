@@ -1,11 +1,10 @@
-//! `blocking-in-reactor`: nothing reachable from an event-loop may block.
+//! `blocking-in-reactor`: nothing reachable from the event loop may block.
 //!
-//! The reactor thread owns every connection; one blocked call —
-//! a sleep, a channel `send`/`recv`, a contended `lock`, a blocking read
-//! — stalls *all* of them, which on a WAN link shows up as a burst of
-//! late frames and concealment on every session at once.  The reactor may
-//! only use non-blocking primitives (atomics, pre-sized scratch, leaf
-//! locks held for a push or a swap and justified per site).
+//! The reactor thread owns every connection; one blocked call — a sleep,
+//! a channel `send`/`recv`, a blocking read — stalls *all* of them, which
+//! on a WAN link shows up as a burst of late frames and concealment on
+//! every session at once.  The reactor may only use non-blocking
+//! primitives (atomics, nonblocking I/O, pre-sized scratch).
 //!
 //! The lint follows the approximate call graph from the reactor handlers:
 //! a helper three calls away from `handle_wake` is as much inside the
@@ -17,11 +16,11 @@
 //! The reactor runs request handlers and the task queue itself, so the
 //! reactor-rooted scan stops at the dispatcher's two request entries,
 //! `handle_request` and `handle_event`: what the dispatcher does is its
-//! own business (`lock-order`, `lock-across-send`, `alloc`).  Its tasks
-//! are entered through the `Handler` trait, which the textual call graph
-//! does not follow; the one blocking call the update task makes, a
-//! LineServer exchange, is bounded by its reply timeout and retries, and
-//! tests/lineserver.rs holds the bound.
+//! own business (`alloc`, `wallclock`).  Its tasks are entered through the
+//! `Handler` trait, which the textual call graph does not follow; the one
+//! blocking call the update task makes, a LineServer exchange, is bounded
+//! by its reply timeout and retries, and tests/lineserver.rs holds the
+//! bound.
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;

@@ -1,15 +1,13 @@
 //! The individual lints.
 //!
 //! Each module exposes a `run` over the parsed files (plus the index and
-//! call graph where it asks about functions or guards) and owns one
+//! call graph where it asks about functions) and owns one
 //! invariant from DESIGN.md §10.  Lints scope themselves by
 //! workspace-relative path — passing them a synthetic tree (as the fixture
 //! tests do) works as long as the `rel` paths match the production layout.
 
 pub mod alloc_hot;
 pub mod blocking_in_reactor;
-pub mod lock_across_send;
-pub mod lock_order;
 pub mod tick_arith;
 pub mod wallclock;
 
@@ -41,7 +39,7 @@ pub(crate) const SHARD_HANDLERS: (&str, &[&str]) = (
 /// dispatcher's borrowed request entry and its request-handling arms, the
 /// reactor handlers, the borrowed `PlaySamples` parser, the append-form
 /// record read and the merge loop behind every play, the broadcast
-/// seal/fetch entry points, and the FEC/jitter per-frame entry points.
+/// tap/seal/fetch entry points, and the FEC/jitter per-frame entry points.
 /// Each is named outright: many are reached otherwise only through an
 /// `alloc` barrier or a call the graph does not follow (a `parse`/`decode`
 /// or method call across crates, a call through a struct field).
@@ -67,7 +65,7 @@ pub(crate) const DATA_PLANE: &[(&str, &[&str])] = &[
     ("crates/af-proto/src/request.rs", &["parse"]),
     (
         "crates/af-server/src/broadcast.rs",
-        &["publish", "fetch_batch", "absorb"],
+        &["tap", "tap_silence", "publish", "fetch_batch"],
     ),
     ("crates/af-device/src/fec.rs", &["encode", "decode"]),
     (
@@ -75,11 +73,6 @@ pub(crate) const DATA_PLANE: &[(&str, &[&str])] = &[
         &["insert", "read", "observe_transit"],
     ),
 ];
-
-/// Whether the file is in-scope server production code.
-pub(crate) fn is_server_src(file: &SourceFile) -> bool {
-    file.rel.starts_with("crates/af-server/src/")
-}
 
 /// Iterates 0-based indices of non-test lines.
 pub(crate) fn prod_lines(file: &SourceFile) -> impl Iterator<Item = usize> + '_ {

@@ -26,33 +26,6 @@ fn run_graph_lint(
     run(files, &index, &graph)
 }
 
-const SERVER: &str = "crates/af-server/src/fixture.rs";
-
-// ---- lock-across-send --------------------------------------------------
-
-#[test]
-fn lock_across_send_triggers() {
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_across_send/trigger.rs"),
-    )];
-    let found = lints::lock_across_send::run(&files, &Index::build(&files));
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains("lock `queue`"), "{found:?}");
-}
-
-#[test]
-fn lock_across_send_stays_quiet() {
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_across_send/clean.rs"),
-    )];
-    assert_eq!(
-        lints::lock_across_send::run(&files, &Index::build(&files)),
-        vec![]
-    );
-}
-
 // ---- tick-arith --------------------------------------------------------
 
 #[test]
@@ -72,86 +45,6 @@ fn tick_arith_stays_quiet() {
         include_str!("../fixtures/tick_arith/clean.rs"),
     )];
     assert_eq!(lints::tick_arith::run(&files), vec![]);
-}
-
-// ---- lock-order --------------------------------------------------------
-
-#[test]
-fn lock_order_reports_inversion_with_both_sites() {
-    let files = [fx(SERVER, include_str!("../fixtures/lock_order/trigger.rs"))];
-    let found = run_graph_lint(&files, lints::lock_order::run);
-    assert_eq!(found.len(), 1, "{found:?}");
-    let msg = &found[0].message;
-    // Both legs of the inversion, each naming its acquisition site.
-    assert!(msg.contains("`alpha`") && msg.contains("`beta`"), "{msg}");
-    assert!(msg.contains("in `take_both`"), "{msg}");
-    assert!(msg.contains("in `take_reversed`"), "{msg}");
-    assert!(msg.matches("held from").count() >= 2, "{msg}");
-    assert!(msg.matches(&format!("{SERVER}:")).count() >= 4, "{msg}");
-}
-
-#[test]
-fn lock_order_propagates_held_guards_through_calls() {
-    // `hold_alpha` orders alpha before beta only via its `grab_beta`
-    // call; the cycle against `take_reversed` must still be found and the
-    // beta side attributed to `grab_beta`'s acquisition site.
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_order/call_trigger.rs"),
-    )];
-    let found = run_graph_lint(&files, lints::lock_order::run);
-    assert_eq!(found.len(), 1, "{found:?}");
-    let msg = &found[0].message;
-    assert!(msg.contains("in `grab_beta`"), "{msg}");
-    assert!(msg.contains("in `take_reversed`"), "{msg}");
-}
-
-#[test]
-fn lock_order_stays_quiet_on_global_order() {
-    let files = [fx(SERVER, include_str!("../fixtures/lock_order/clean.rs"))];
-    assert_eq!(run_graph_lint(&files, lints::lock_order::run), vec![]);
-}
-
-#[test]
-fn lock_order_accepts_dispatch_lock_before_connection_write_lock() {
-    // A two-thread server's shape: handlers run under a dispatch lock and
-    // their replies take the connection's outbound lock, then the shard's
-    // mailbox lock; nobody goes the other way, and neither leaf is held
-    // when the other is taken.
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_order/dispatch_clean.rs"),
-    )];
-    assert_eq!(run_graph_lint(&files, lints::lock_order::run), vec![]);
-    let index = Index::build(&files);
-    let graph = CallGraph::build(&index, &files);
-    assert_eq!(
-        lints::lock_order::edges(&files, &index, &graph),
-        [
-            ("dispatch_lock".to_owned(), "mailbox".to_owned()),
-            ("dispatch_lock".to_owned(), "outbound".to_owned())
-        ]
-    );
-}
-
-#[test]
-fn lock_order_catches_dispatch_lock_taken_under_a_connection_write_lock() {
-    // `flush_conn` reports a dead connection through `submit` without
-    // releasing the write lock first: the inversion is two calls deep on
-    // both sides and must name both.
-    let files = [fx(
-        SERVER,
-        include_str!("../fixtures/lock_order/dispatch_trigger.rs"),
-    )];
-    let found = run_graph_lint(&files, lints::lock_order::run);
-    assert_eq!(found.len(), 1, "{found:?}");
-    let msg = &found[0].message;
-    assert!(
-        msg.contains("`dispatch_lock`") && msg.contains("`outbound`"),
-        "{msg}"
-    );
-    assert!(msg.contains("in `flush_conn`"), "{msg}");
-    assert!(msg.contains("in `submit`"), "{msg}");
 }
 
 // ---- the hot-path tree -------------------------------------------------
@@ -210,13 +103,11 @@ fn blocking_in_reactor_triggers_through_call_graph() {
 
 #[test]
 fn blocking_in_reactor_stays_quiet() {
-    // Through the full pipeline: the clean shard's reply path takes the
-    // connection's outbound lock on both sides (`flush_conn`, `deliver`)
-    // and the mailbox lock on both sides (`wake`, `handle_wake`), and
-    // `feed` takes the dispatch lock in `submit` and in `request`, each
-    // under a justified marker; the blocking `lock`s in the dispatcher's
-    // `handle_event` and `handle_request` sit behind the barrier.  Nothing
-    // else may be reported.
+    // Through the full pipeline, with no allow marker in the tree: the
+    // clean reactor takes calls with `try_recv`, hands framed events to the
+    // dispatcher's `Handler` impl and writes replies without blocking; the
+    // blocking LineServer exchange in the dispatcher's `handle_request`
+    // sits behind the barrier.  Nothing may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -269,7 +160,7 @@ fn alloc_barriers_cut_the_control_plane() {
     // reactor's `register_conn` boxes per-connection state and its
     // `start_stream` (reached from the `read_bcast` root) formats the
     // one-shot broadcast response head; the dispatcher's `handle_event`
-    // (reached from the reactor's `feed` root through `submit`) formats
+    // (reached from the reactor's `feed` root through `event`) formats
     // and clones; the owned `Request::decode` copies the samples the
     // borrowed `parse` root found, and `read_rec` builds the `Vec` the
     // `read_rec_into` root appends to, each outside its root.  None of it
@@ -302,8 +193,8 @@ fn alloc_triggers_in_broadcast_seal() {
 
 #[test]
 fn alloc_triggers_on_the_borrowed_request_path() {
-    // The borrowed request entry, which the reactor-rooted scan reaches
-    // only through the dispatch lock, and the two roots below it that the
+    // The borrowed request entry, which the reactor-rooted scan stops at
+    // for `blocking-in-reactor`, and the two roots below it that the
     // call graph cannot reach by itself (`parse` is a cross-crate call into
     // a name too common to follow; `read_rec_into` and `merge_play`, the
     // loop behind every play, hang off a struct field): a copy in any of
@@ -385,7 +276,7 @@ fn wallclock_allows_the_wake_helper() {
     // The clean tree reads the wall clock behind both barriers: in
     // `play_wake_instant`, below `suspend` (the scheduling layer's one
     // sanctioned use), and in `handle_event`, reached from the `feed`
-    // root through `submit` (per-connection setup).
+    // root through `event` (per-connection setup).
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),
@@ -463,6 +354,8 @@ fn wallclock_reports_stale_registry() {
     );
 }
 
+const SERVER: &str = "crates/af-server/src/fixture.rs";
+
 // ---- allow-marker ------------------------------------------------------
 
 #[test]
@@ -507,25 +400,5 @@ fn workspace_is_clean() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-}
-
-#[test]
-fn workspace_takes_no_lock_while_holding_another() {
-    // DESIGN.md §9.1: one thread owns all server state, so no lock guards
-    // it; the locks that remain (the buffer pool's free list, the
-    // broadcast bus's chunk ring, the device endpoints' shared state) are
-    // leaves, and none is taken while another is held.  A lock-order edge
-    // is a design change — extend DESIGN.md §9.1 with it.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("workspace root");
-    let files = af_analyze::load_tree(root).expect("walk workspace");
-    let index = Index::build(&files);
-    let graph = CallGraph::build(&index, &files);
-    assert_eq!(
-        lints::lock_order::edges(&files, &index, &graph),
-        Vec::<(String, String)>::new()
     );
 }

@@ -216,6 +216,11 @@ family! {
         /// Forced kicks (dispatcher evictions, stalled broadcast listeners)
         /// landed on the reactor's connections.
         Evictions => "evictions",
+        /// Buffers the reactor's pool handed out that missed its free list
+        /// (fresh allocations).
+        PoolAllocs => "pool_allocs",
+        /// Buffers the reactor's pool handed out from its free list.
+        PoolReuses => "pool_reuses",
     }
 }
 
@@ -304,7 +309,7 @@ family! {
 /// The server's counters.
 pub type ServerCounters = Counters<Server, 6>;
 /// The reactor's counters.
-pub type ShardCounters = Counters<Shard, 13>;
+pub type ShardCounters = Counters<Shard, 15>;
 /// A broadcast bus's counters.
 pub type BusCounters = Counters<Bus, 15>;
 /// A LineServer link's counters.
@@ -336,9 +341,10 @@ mod tests {
             "clients_current clients_total evicted_slow protocol_errors \
              disconnects inline_events",
         );
-        assert_names::<Shard, 13>(
+        assert_names::<Shard, 15>(
             "fd_count readiness_events wakeups partial_reads read_calls frames staged_frames \
-             replies direct_writes queued_writes accepted closed evictions",
+             replies direct_writes queued_writes accepted closed evictions pool_allocs \
+             pool_reuses",
         );
         assert_names::<Bus, 15>(
             "listeners listeners_total chunks_sealed encoded_bytes encode_cycles \
@@ -371,7 +377,7 @@ mod tests {
             debug.starts_with("fd_count=1 readiness_events=0 "),
             "{debug}"
         );
-        assert!(debug.ends_with(" evictions=0"), "{debug}");
+        assert!(debug.ends_with(" pool_reuses=0"), "{debug}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::stats::{lag_bucket, Bus, BusCounters};
 use af_dsp::kernels::cycles;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Frames per broadcast chunk (100 ms at the 8 kHz CODEC rate).
 pub const BROADCAST_CHUNK_FRAMES: u32 = 800;
@@ -108,14 +108,6 @@ impl BroadcastChunk {
     }
 }
 
-struct Ring {
-    chunks: VecDeque<Arc<BroadcastChunk>>,
-    next_seq: u64,
-    /// Retired wire buffers, recycled into future chunks so the steady
-    /// state seals without allocating.
-    free: Vec<Vec<u8>>,
-}
-
 /// What a cursor got back from [`BroadcastBus::fetch_batch`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FetchInfo {
@@ -127,29 +119,45 @@ pub struct FetchInfo {
     pub lag: u64,
 }
 
-/// The shared one-to-many chunk bus: producer API for the tap, cursor API
-/// for the reactor's listener connections.
+/// The one-to-many chunk bus: the speaker bus's bytes go in through
+/// [`BroadcastBus::tap`] and [`BroadcastBus::tap_silence`], sealed chunks
+/// come out through the reactor listeners' cursors.  Plain owned state:
+/// its device's buffers hold it, and the reactor thread reaches it through
+/// them.
 pub struct BroadcastBus {
     cfg: BroadcastConfig,
     frame_bytes: usize,
-    ring: Mutex<Ring>,
+    /// The device's silence byte.
+    fill: u8,
+    /// Bus bytes not yet sealed: less than one chunk.
+    staging: Vec<u8>,
+    /// The ring of sealed chunks, oldest first.  `Arc`, not `Rc`, only so
+    /// that the bus can be built with its device's buffers, on the thread
+    /// that builds the server, and move with them to the reactor thread;
+    /// no other thread holds a chunk.
+    chunks: VecDeque<Arc<BroadcastChunk>>,
+    next_seq: u64,
+    /// Retired wire buffers, recycled into future chunks so the steady
+    /// state seals without allocating.
+    free: Vec<Vec<u8>>,
     stats: Arc<BusCounters>,
 }
 
 impl BroadcastBus {
     /// A bus sealing chunks of `cfg.chunk_frames * frame_bytes` payload
-    /// bytes, with fresh counters.
-    pub fn new(cfg: BroadcastConfig, frame_bytes: usize) -> Arc<BroadcastBus> {
-        Arc::new(BroadcastBus {
-            ring: Mutex::new(Ring {
-                chunks: VecDeque::with_capacity(cfg.ring_chunks),
-                next_seq: 0,
-                free: Vec::with_capacity(cfg.ring_chunks),
-            }),
+    /// bytes, with fresh counters; `fill` is the device's silence byte.
+    pub fn new(cfg: BroadcastConfig, frame_bytes: usize, fill: u8) -> BroadcastBus {
+        let chunk_bytes = cfg.chunk_frames as usize * frame_bytes;
+        BroadcastBus {
+            staging: Vec::with_capacity(chunk_bytes),
+            chunks: VecDeque::with_capacity(cfg.ring_chunks),
+            next_seq: 0,
+            free: Vec::with_capacity(cfg.ring_chunks),
             cfg,
             frame_bytes,
+            fill,
             stats: Arc::default(),
-        })
+        }
     }
 
     /// The bus's tuning knobs.
@@ -169,40 +177,65 @@ impl BroadcastBus {
 
     /// One past the newest sealed sequence number (the live edge).
     pub fn live_seq(&self) -> u64 {
-        let ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        ring.next_seq
+        self.next_seq
     }
 
     /// The starting cursor for a late joiner: the live edge minus the
     /// burst-in preroll (clamped to what the ring still holds).
     pub fn join_cursor(&self) -> u64 {
-        let ring = self
-            .ring
-            // af-analyze: allow(blocking-in-reactor): leaf ring mutex, O(1) critical section, never held across I/O
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let oldest = ring.next_seq - ring.chunks.len() as u64;
-        ring.next_seq.saturating_sub(self.cfg.preroll_chunks).max(oldest)
+        let oldest = self.next_seq - self.chunks.len() as u64;
+        self.next_seq
+            .saturating_sub(self.cfg.preroll_chunks)
+            .max(oldest)
+    }
+
+    /// Post-gain bus bytes just handed to the hardware, in device-time
+    /// order: staged, and sealed a chunk at a time.
+    pub fn tap(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let take = (self.chunk_bytes() - self.staging.len()).min(bytes.len());
+            self.staging.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            self.seal_full();
+        }
+    }
+
+    /// `frames` frames of silence on the bus (spans the hardware
+    /// back-fills itself).
+    pub fn tap_silence(&mut self, frames: u32) {
+        // Cap pathological spans (a clock jump) at one ring of silence:
+        // listeners are at the live edge, so older silence is inaudible.
+        let ring_frames = self.cfg.ring_chunks as u64 * self.cfg.chunk_frames as u64;
+        let mut left = (frames as u64).min(ring_frames) as usize * self.frame_bytes;
+        while left > 0 {
+            let take = (self.chunk_bytes() - self.staging.len()).min(left);
+            let new_len = self.staging.len() + take;
+            self.staging.resize(new_len, self.fill);
+            left -= take;
+            self.seal_full();
+        }
+    }
+
+    /// Seals the staged bytes once they make a whole chunk.
+    fn seal_full(&mut self) {
+        if self.staging.len() == self.chunk_bytes() {
+            let staging = std::mem::take(&mut self.staging);
+            self.publish(&staging);
+            self.staging = staging;
+            self.staging.clear();
+        }
     }
 
     /// Seals one chunk of `payload` (exactly [`BroadcastBus::chunk_bytes`]
-    /// bytes).  Called from the update task, through the device's speaker
-    /// tap, on the reactor thread, which pumps its listeners at the end of
-    /// that pass; the critical section is O(1) and the wire render reuses
-    /// a retired buffer, so the steady state allocates nothing.
-    pub fn publish(&self, payload: &[u8]) {
-        let mut wire = {
-            let mut ring = self
-                .ring
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            ring.free
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(payload.len() + 20))
-        };
+    /// bytes).  Called on the reactor thread, by the update task through
+    /// [`BroadcastBus::tap`]; the reactor pumps its listeners at the end of
+    /// that pass.  The wire render reuses a retired buffer, so the steady
+    /// state allocates nothing.
+    pub fn publish(&mut self, payload: &[u8]) {
+        let mut wire = self
+            .free
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(payload.len() + 20));
         // Scrub the recycled buffer: stale wire bytes from a previous
         // chunk must never be observable through a framing bug, and the
         // scrub leaves the destination in a uniform cache state whatever
@@ -215,9 +248,7 @@ impl BroadcastBus {
         // read per cache line puts it in the same state every time.
         std::hint::black_box(payload.iter().step_by(64).fold(0u8, |acc, b| acc ^ b));
         // Time only the render: this is the encode-once work whose
-        // cycles/byte the fan-out curve proves flat.  Ring-lock waits are
-        // audience coordination, not encode cost, and would otherwise
-        // charge listener-plane contention to the encoder.
+        // cycles/byte the fan-out curve proves flat.
         let t0 = cycles::timestamp();
         wire.clear();
         push_hex(payload.len(), &mut wire);
@@ -226,29 +257,22 @@ impl BroadcastBus {
         wire.extend_from_slice(payload);
         wire.extend_from_slice(b"\r\n");
         let spent = cycles::timestamp().wrapping_sub(t0);
-        let payload_range = (start, start + payload.len());
-        {
-            let mut ring = self
-                .ring
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let seq = ring.next_seq;
-            ring.next_seq += 1;
-            if ring.chunks.len() == self.cfg.ring_chunks {
-                if let Some(old) = ring.chunks.pop_front() {
-                    // Recycle the wire buffer when no listener still
-                    // holds the chunk; a held chunk just drops later.
-                    if let Ok(chunk) = Arc::try_unwrap(old) {
-                        ring.free.push(chunk.wire);
-                    }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.chunks.len() == self.cfg.ring_chunks {
+            if let Some(old) = self.chunks.pop_front() {
+                // Recycle the wire buffer when no listener still holds the
+                // chunk; a held chunk just drops later.
+                if let Ok(chunk) = Arc::try_unwrap(old) {
+                    self.free.push(chunk.wire);
                 }
             }
-            ring.chunks.push_back(Arc::new(BroadcastChunk {
-                seq,
-                wire,
-                payload: payload_range,
-            }));
         }
+        self.chunks.push_back(Arc::new(BroadcastChunk {
+            seq,
+            wire,
+            payload: (start, start + payload.len()),
+        }));
         self.stats.add(Bus::ChunksSealed, 1);
         self.stats.add(Bus::EncodedBytes, payload.len() as u64);
         self.stats.add(Bus::EncodeCycles, spent);
@@ -271,35 +295,24 @@ impl BroadcastBus {
             skipped: 0,
             lag: 0,
         };
-        {
-            let ring = self
-                .ring
-                // af-analyze: allow(blocking-in-reactor): leaf ring mutex, O(1) critical section, never held across I/O
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if cursor >= ring.next_seq {
-                return info; // At the live edge: nothing new yet.
-            }
-            info.lag = ring.next_seq - cursor;
-            let oldest = ring.next_seq - ring.chunks.len() as u64;
-            let mut seq = cursor;
-            if seq < oldest {
-                // The ring moved past this cursor: skip ahead to the live
-                // edge (minus the preroll, so recovery still bursts in).
-                let live = ring
-                    .next_seq
-                    .saturating_sub(self.cfg.preroll_chunks)
-                    .max(oldest);
-                info.skipped = live - seq;
-                seq = live;
-            }
-            while seq < ring.next_seq && out.len() < max {
-                let idx = (seq - oldest) as usize;
-                out.push_back(Arc::clone(&ring.chunks[idx]));
-                seq += 1;
-            }
-            info.next_cursor = seq;
+        if cursor >= self.next_seq {
+            return info; // At the live edge: nothing new yet.
         }
+        info.lag = self.next_seq - cursor;
+        let oldest = self.next_seq - self.chunks.len() as u64;
+        let mut seq = cursor;
+        if seq < oldest {
+            // The ring moved past this cursor: skip ahead to the live edge
+            // (minus the preroll, so recovery still bursts in).
+            let live = self.join_cursor();
+            info.skipped = live - seq;
+            seq = live;
+        }
+        while seq < self.next_seq && out.len() < max {
+            out.push_back(Arc::clone(&self.chunks[(seq - oldest) as usize]));
+            seq += 1;
+        }
+        info.next_cursor = seq;
         self.stats.add(lag_bucket(info.lag), 1);
         if info.skipped > 0 {
             self.stats.add(Bus::SkipAheads, 1);
@@ -327,102 +340,23 @@ fn push_hex(len: usize, out: &mut Vec<u8>) {
     out.extend_from_slice(&digits[i..]);
 }
 
-/// Observer of one device's post-mix speaker bus, fed by the update task
-/// (see [`DeviceBuffers::set_tap`](crate::buffer::DeviceBuffers::set_tap)).
-///
-/// The update task calls these in device-time order, covering the bus
-/// contiguously: `data` for post-gain bytes handed to the hardware,
-/// `silence` for spans the hardware back-fills itself.
-pub trait SpeakerTap: Send {
-    /// Post-gain frames just written to the hardware.
-    fn data(&mut self, bytes: &[u8]);
-    /// `frames` frames of silence on the bus.
-    fn silence(&mut self, frames: u32);
-}
-
-/// The production [`SpeakerTap`]: accumulates bus bytes into a staging
-/// buffer and seals a [`BroadcastChunk`] every `chunk_frames` frames.
-pub struct BusTap {
-    bus: Arc<BroadcastBus>,
-    staging: Vec<u8>,
-    chunk_bytes: usize,
-    frame_bytes: usize,
-    fill: u8,
-}
-
-impl BusTap {
-    /// A tap sealing into `bus`; `fill` is the device's silence byte.
-    pub fn new(bus: Arc<BroadcastBus>, fill: u8) -> BusTap {
-        let chunk_bytes = bus.chunk_bytes();
-        let frame_bytes = bus.frame_bytes;
-        BusTap {
-            bus,
-            staging: Vec::with_capacity(chunk_bytes),
-            chunk_bytes,
-            frame_bytes,
-            fill,
-        }
-    }
-
-    // Named to be unique in the workspace: the approximate name-based
-    // call graph in af-analyze would resolve any `.push(` call (e.g. a
-    // `Vec::push` under some lock) to a method called `push` here,
-    // fabricating an edge into `publish`.
-    fn absorb(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            let room = self.chunk_bytes - self.staging.len();
-            let take = room.min(bytes.len());
-            self.staging.extend_from_slice(&bytes[..take]);
-            bytes = &bytes[take..];
-            if self.staging.len() == self.chunk_bytes {
-                self.bus.publish(&self.staging);
-                self.staging.clear();
-            }
-        }
-    }
-}
-
-impl SpeakerTap for BusTap {
-    fn data(&mut self, bytes: &[u8]) {
-        self.absorb(bytes);
-    }
-
-    fn silence(&mut self, frames: u32) {
-        // Cap pathological spans (a clock jump) at one ring of silence:
-        // listeners are at the live edge, so older silence is inaudible.
-        let ring_frames = self.bus.cfg.ring_chunks as u64 * self.bus.cfg.chunk_frames as u64;
-        let mut left = (frames as u64).min(ring_frames) as usize * self.frame_bytes;
-        while left > 0 {
-            let room = self.chunk_bytes - self.staging.len();
-            let take = room.min(left);
-            let new_len = self.staging.len() + take;
-            self.staging.resize(new_len, self.fill);
-            left -= take;
-            if self.staging.len() == self.chunk_bytes {
-                self.bus.publish(&self.staging);
-                self.staging.clear();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bus(ring_chunks: usize) -> Arc<BroadcastBus> {
+    fn bus(ring_chunks: usize) -> BroadcastBus {
         let cfg = BroadcastConfig {
             chunk_frames: 4,
             ring_chunks,
             preroll_chunks: 2,
             stall_strikes: 4,
         };
-        BroadcastBus::new(cfg, 1)
+        BroadcastBus::new(cfg, 1, 0xFF)
     }
 
     #[test]
     fn wire_framing_is_chunked_transfer() {
-        let b = bus(8);
+        let mut b = bus(8);
         b.publish(&[0xAB; 4]);
         let mut out = VecDeque::new();
         let info = b.fetch_batch(0, 8, &mut out);
@@ -443,7 +377,7 @@ mod tests {
 
     #[test]
     fn cursor_walks_the_ring_in_order() {
-        let b = bus(8);
+        let mut b = bus(8);
         for i in 0..5u8 {
             b.publish(&[i; 4]);
         }
@@ -467,7 +401,7 @@ mod tests {
 
     #[test]
     fn lagging_cursor_skips_to_live_edge_minus_preroll() {
-        let b = bus(4);
+        let mut b = bus(4);
         for i in 0..20u8 {
             b.publish(&[i; 4]);
         }
@@ -483,25 +417,24 @@ mod tests {
 
     #[test]
     fn retired_buffers_recycle_through_the_freelist() {
-        let b = bus(4);
+        let mut b = bus(4);
         for i in 0..32u8 {
             b.publish(&[i; 4]);
         }
-        let ring = b.ring.lock().unwrap();
         // 32 publishes through a 4-chunk ring with no listeners holding
         // refs: at most ring+freelist buffers were ever allocated.
         assert!(
-            ring.free.len() + ring.chunks.len() <= 8,
+            b.free.len() + b.chunks.len() <= 8,
             "freelist failed to recycle: {} free + {} live",
-            ring.free.len(),
-            ring.chunks.len()
+            b.free.len(),
+            b.chunks.len()
         );
-        assert!(!ring.free.is_empty(), "nothing recycled");
+        assert!(!b.free.is_empty(), "nothing recycled");
     }
 
     #[test]
     fn held_chunks_survive_ring_eviction() {
-        let b = bus(2);
+        let mut b = bus(2);
         b.publish(&[1; 4]);
         let mut out = VecDeque::new();
         b.fetch_batch(0, 1, &mut out);
@@ -517,7 +450,7 @@ mod tests {
 
     #[test]
     fn late_joiner_gets_preroll_cursor() {
-        let b = bus(8);
+        let mut b = bus(8);
         assert_eq!(b.join_cursor(), 0, "empty bus starts at 0");
         for i in 0..6u8 {
             b.publish(&[i; 4]);
@@ -528,13 +461,12 @@ mod tests {
 
     #[test]
     fn tap_seals_data_and_silence_contiguously() {
-        let b = bus(8);
-        let mut tap = BusTap::new(Arc::clone(&b), 0xFF);
-        tap.data(&[1, 2, 3]); // 3 of 4 bytes: no chunk yet.
+        let mut b = bus(8);
+        b.tap(&[1, 2, 3]); // 3 of 4 bytes: no chunk yet.
         assert_eq!(b.live_seq(), 0);
-        tap.silence(2); // Crosses the boundary: one chunk seals.
+        b.tap_silence(2); // Crosses the boundary: one chunk seals.
         assert_eq!(b.live_seq(), 1);
-        tap.data(&[9; 7]); // 1 + 7 = 2 more chunks.
+        b.tap(&[9; 7]); // 1 + 7 = 2 more chunks.
         assert_eq!(b.live_seq(), 3);
         let mut out = VecDeque::new();
         b.fetch_batch(0, 8, &mut out);

@@ -13,6 +13,7 @@
 //! server approaches zero work per update.
 
 use crate::backend::HwBackend;
+use crate::broadcast::BroadcastBus;
 use af_device::HwRing;
 use af_dsp::tables::PlayMap;
 use af_dsp::{mix, silence, Encoding};
@@ -52,10 +53,11 @@ pub struct DeviceBuffers {
     /// Reusable staging buffer for write-through copies, so the steady-state
     /// play path performs no per-request allocation.
     scratch: Vec<u8>,
-    /// Optional observer of the post-mix speaker bus (broadcast fan-out).
-    /// The play update feeds it the exact post-gain bytes handed to the
-    /// hardware, plus the silence spans between them, in device-time order.
-    tap: Option<Box<dyn crate::broadcast::SpeakerTap>>,
+    /// The broadcast bus this device's post-mix speaker bus feeds, if any.
+    /// The play update taps into it the exact post-gain bytes handed to
+    /// the hardware, plus the silence spans between them, in device-time
+    /// order.
+    bus: Option<BroadcastBus>,
 }
 
 impl DeviceBuffers {
@@ -96,18 +98,23 @@ impl DeviceBuffers {
             rec_ref_count: 0,
             hw_lead,
             scratch: Vec::new(),
-            tap: None,
+            bus: None,
         }
     }
 
-    /// Installs a speaker-bus tap (broadcast fan-out).  The tap sees the
-    /// continuous post-mix bus from the next update on: post-gain data
+    /// Feeds the speaker bus to `bus` (broadcast fan-out).  The bus sees
+    /// the continuous post-mix bus from the next update on: post-gain data
     /// exactly as the hardware receives it, silence everywhere else.
     /// Write-through pushes inside the hardware lead are deliberately not
-    /// re-emitted — the tap's view lags the hardware by at most `hw_lead`
+    /// re-emitted — the bus's view lags the hardware by at most `hw_lead`
     /// frames (see DESIGN.md §13.2).
-    pub fn set_tap(&mut self, tap: Box<dyn crate::broadcast::SpeakerTap>) {
-        self.tap = Some(tap);
+    pub fn set_bus(&mut self, bus: BroadcastBus) {
+        self.bus = Some(bus);
+    }
+
+    /// The broadcast bus this device feeds, if any.
+    pub fn bus_mut(&mut self) -> Option<&mut BroadcastBus> {
+        self.bus.as_mut()
     }
 
     /// Buffer capacity in frames.
@@ -180,8 +187,8 @@ impl DeviceBuffers {
             self.play
                 .fill_at(self.time_next_update, skip.min(self.frames), self.fill());
             self.time_next_update += skip;
-            if let Some(tap) = self.tap.as_mut() {
-                tap.silence(skip);
+            if let Some(bus) = self.bus.as_mut() {
+                bus.tap_silence(skip);
             }
         }
         // "The play update code only runs when timeLastValid is in the
@@ -201,25 +208,27 @@ impl DeviceBuffers {
                 // contiguous chunk straight to the hardware: no staging copy.
                 // Mutating the ring is safe because this exact region is
                 // back-filled with silence immediately below, so the gained
-                // samples are never read again.  The broadcast tap sees the
+                // samples are never read again.  The broadcast bus sees the
                 // same post-gain bytes the hardware does — the encode-once
                 // guarantee.
                 let encoding = self.encoding;
                 let frame_bytes = self.frame_bytes;
                 let mut at = self.time_next_update;
-                let DeviceBuffers { play, backend, tap, .. } = self;
+                let DeviceBuffers {
+                    play, backend, bus, ..
+                } = self;
                 play.with_frames_mut(at, nframes, |chunk| {
                     af_dsp::gain::apply_gain_bytes(encoding, chunk, output_gain_db);
                     backend.write_play(at, chunk);
-                    if let Some(t) = tap.as_mut() {
-                        t.data(chunk);
+                    if let Some(bus) = bus.as_mut() {
+                        bus.tap(chunk);
                     }
                     at += (chunk.len() / frame_bytes) as u32;
                 });
-            } else if let Some(tap) = self.tap.as_mut() {
+            } else if let Some(bus) = self.bus.as_mut() {
                 // Output muted: the hardware plays silence, so the bus
                 // carries silence.
-                tap.silence(nframes);
+                bus.tap_silence(nframes);
             }
             // Back-fill the consumed server region with silence so the
             // slots can be reused one buffer-length later.
@@ -227,12 +236,12 @@ impl DeviceBuffers {
                 .fill_at(self.time_next_update, nframes, self.fill());
             tapped = nframes;
         }
-        if let Some(tap) = self.tap.as_mut() {
+        if let Some(bus) = self.bus.as_mut() {
             // Beyond timeLastValid nothing was written: the hardware
             // back-fills silence, and so does the bus.
             let span = (target - self.time_next_update) as u32;
             if span > tapped {
-                tap.silence(span - tapped);
+                bus.tap_silence(span - tapped);
             }
         }
         self.time_next_update = target;
@@ -569,6 +578,7 @@ impl DeviceBuffers {
 mod tests {
     use super::*;
     use crate::backend::LocalBackend;
+    use crate::broadcast::BroadcastConfig;
     use af_device::hardware::{HwConfig, VirtualAudioHw};
     use af_device::io::{CaptureBuffer, CaptureSink, SilenceSource, ToneSource};
     use af_device::{Clock, VirtualClock};
@@ -816,40 +826,37 @@ mod tests {
         );
     }
 
-    /// Test tap: flattens the bus into one Vec for comparison.
-    struct VecTap {
-        out: Arc<std::sync::Mutex<Vec<u8>>>,
-        fill: u8,
+    /// A bus sealing every frame, with room for a whole test run.
+    fn frame_bus() -> BroadcastBus {
+        let cfg = BroadcastConfig {
+            chunk_frames: 1,
+            ring_chunks: 8192,
+            ..BroadcastConfig::default()
+        };
+        BroadcastBus::new(cfg, 1, ULAW_SIL)
     }
 
-    impl crate::broadcast::SpeakerTap for VecTap {
-        fn data(&mut self, bytes: &[u8]) {
-            self.out.lock().unwrap().extend_from_slice(bytes);
-        }
-        fn silence(&mut self, frames: u32) {
-            let mut out = self.out.lock().unwrap();
-            let len = out.len() + frames as usize;
-            out.resize(len, self.fill);
-        }
+    /// Everything the device's bus has sealed, as one stream.
+    fn bus_stream(bufs: &mut DeviceBuffers) -> Vec<u8> {
+        let mut chunks = std::collections::VecDeque::new();
+        let bus = bufs.bus_mut().unwrap();
+        bus.fetch_batch(0, usize::MAX, &mut chunks);
+        chunks.iter().flat_map(|c| c.payload().to_vec()).collect()
     }
 
     #[test]
-    fn tap_mirrors_speaker_bus_bit_exactly() {
+    fn bus_mirrors_speaker_bus_bit_exactly() {
         let (mut bufs, clock, capture) = codec_buffers();
-        let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-        bufs.set_tap(Box::new(VecTap {
-            out: Arc::clone(&out),
-            fill: ULAW_SIL,
-        }));
+        bufs.set_bus(frame_bus());
         bufs.write_play(ATime::new(1000), &[0x21; 500], false, 0, true);
         bufs.write_play(ATime::new(1800), &[0x42; 200], false, 0, true);
         run(&mut bufs, &clock, 3200);
-        let tap = out.lock().unwrap();
+        let tap = bus_stream(&mut bufs);
         let cap = capture.lock().unwrap();
         assert!(tap.len() >= 3200, "tap covered {} frames", tap.len());
-        // The tap's contiguous stream starts at device time 0 and matches
+        // The bus's contiguous stream starts at device time 0 and matches
         // the hardware capture byte for byte: data where data played,
-        // silence everywhere else.  The tap runs up to `hw_lead` frames
+        // silence everywhere else.  The bus runs up to `hw_lead` frames
         // ahead of the hardware (it sees bytes when the update writes
         // them), so compare the overlap.
         let n = tap.len().min(cap.len());
@@ -860,19 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn tap_hears_silence_when_output_disabled() {
+    fn bus_hears_silence_when_output_disabled() {
         let (mut bufs, clock, _capture) = codec_buffers();
-        let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-        bufs.set_tap(Box::new(VecTap {
-            out: Arc::clone(&out),
-            fill: ULAW_SIL,
-        }));
+        bufs.set_bus(frame_bus());
         bufs.write_play(ATime::new(100), &[0x21; 100], false, 0, false);
         clock.advance(800);
         bufs.update(0, false);
         clock.advance(800);
         bufs.update(0, false);
-        let tap = out.lock().unwrap();
+        let tap = bus_stream(&mut bufs);
         assert!(tap.len() >= 1600);
         assert!(tap.iter().all(|&b| b == ULAW_SIL));
     }

@@ -9,10 +9,10 @@
 //! and runs the task queue in its poll timeout.
 
 use crate::backend::{AlsBackend, LocalBackend};
-use crate::broadcast::{BroadcastBus, BroadcastConfig, BusTap};
+use crate::broadcast::{BroadcastBus, BroadcastConfig};
 use crate::buffer::DeviceBuffers;
 use crate::dispatch::{Dispatcher, ServerCore};
-use crate::reactor::{Call, Control, Listener, Outbound, Reactor};
+use crate::reactor::{Call, Control, Listener, Reactor};
 use crate::state::{connector_mask, AccessControl, AtomRegistry, Device, ServerStats};
 use crate::stats::{LinkCounters, ServerCounters};
 use af_device::hardware::{HwConfig, VirtualAudioHw};
@@ -373,9 +373,9 @@ impl ServerBuilder {
         }
         let mut access = AccessControl::new();
         access.set_enabled(self.access_enabled);
-        // Broadcast fan-out: build the bus and install the speaker-bus tap
-        // on the device, so the update task publishes what it plays.
-        let mut broadcast_bus: Option<Arc<BroadcastBus>> = None;
+        // Broadcast fan-out: the device's buffers hold the bus and tap their
+        // speaker bus into it, so the update task publishes what it plays.
+        let mut bus_counters = None;
         if let Some((dev_idx, _, cfg)) = &self.broadcast {
             let buffers = devices
                 .get_mut(*dev_idx)
@@ -386,28 +386,29 @@ impl ServerBuilder {
                         "broadcast device must own buffers",
                     )
                 })?;
-            let bus = BroadcastBus::new(cfg.clone(), buffers.frame_bytes());
             let fill = af_dsp::silence::silence_byte(buffers.encoding()).unwrap_or(0);
-            buffers.set_tap(Box::new(BusTap::new(Arc::clone(&bus), fill)));
-            broadcast_bus = Some(bus);
+            let bus = BroadcastBus::new(cfg.clone(), buffers.frame_bytes(), fill);
+            bus_counters = Some(Arc::clone(bus.stats()));
+            buffers.set_bus(bus);
         }
-        // The reactor stages frames in the buffer pool; the dispatcher shares it
-        // so reply buffers written out by the reactor come back around.  The
-        // free list is sized for per-connection partial-frame accumulation
-        // across thousands of sockets.
-        let pool = crate::pool::BufferPool::with_max_idle(crate::pool::REACTOR_MAX_IDLE);
         let server_counters = Arc::new(ServerCounters::default());
-        let core = ServerCore {
-            vendor: self.vendor,
-            devices,
-            clients: HashMap::new(),
-            atoms: AtomRegistry::new(),
-            access,
-            stats: Arc::clone(&server_counters),
-            pool: Arc::clone(&pool),
-            outbound: Outbound::default(),
+        let stats = Arc::clone(&server_counters);
+        let (vendor, update_interval) = (self.vendor, self.update_interval);
+        // Built on the reactor thread, which owns the dispatcher from then
+        // on; its replies go into the reactor's pool.
+        let make = move |outbound, pool| {
+            let core = ServerCore {
+                vendor,
+                devices,
+                clients: HashMap::new(),
+                atoms: AtomRegistry::new(),
+                access,
+                stats,
+                pool,
+                outbound,
+            };
+            Dispatcher::new(core, update_interval)
         };
-        let dispatcher = Dispatcher::new(core, self.update_interval);
 
         // Every step from here to the reactor thread can fail (an address
         // in use, a bad socket path, no epoll instance).  The listeners are
@@ -432,9 +433,7 @@ impl ServerBuilder {
         if let Some(path) = &self.unix {
             listeners.push(Listener::unix(path)?);
         }
-        let bus_counters = broadcast_bus.as_ref().map(|bus| Arc::clone(bus.stats()));
-        let spawned = Reactor::spawn(dispatcher, Arc::clone(&pool), listeners, broadcast_bus);
-        let reactor = spawned.inspect_err(|_| {
+        let reactor = Reactor::spawn(make, listeners).inspect_err(|_| {
             if let Some(path) = &self.unix {
                 let _ = std::fs::remove_file(path);
             }
@@ -451,7 +450,6 @@ impl ServerBuilder {
         Ok(RunningServer {
             handle,
             stats,
-            pool,
             reactor: Some(reactor),
             tcp_addr,
             broadcast_addr,
@@ -500,7 +498,6 @@ impl ServerHandle {
 pub struct RunningServer {
     handle: ServerHandle,
     stats: Arc<ServerStats>,
-    pool: Arc<crate::pool::BufferPool>,
     reactor: Option<Reactor>,
     tcp_addr: Option<SocketAddr>,
     broadcast_addr: Option<SocketAddr>,
@@ -522,12 +519,6 @@ impl RunningServer {
     /// and the broadcast bus's.
     pub fn stats(&self) -> Arc<ServerStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// The pool the transport stages split frames in and the dispatcher
-    /// builds replies in (its `allocs`/`reuses` count the traffic).
-    pub fn pool(&self) -> &crate::pool::BufferPool {
-        &self.pool
     }
 
     /// The Unix-domain socket path, if configured.
@@ -560,6 +551,16 @@ impl Drop for RunningServer {
         self.stop();
     }
 }
+
+// What other threads hold of a server stays `Send` and `Sync`; what only
+// the reactor thread may touch (the buffer pool, pooled buffers, the
+// connections) is not `Send`.
+const _: () = {
+    const fn cross_thread<T: Send + Sync>() {}
+    cross_thread::<RunningServer>();
+    cross_thread::<ServerHandle>();
+    cross_thread::<ServerStats>();
+};
 
 #[cfg(test)]
 mod tests {

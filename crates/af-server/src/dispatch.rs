@@ -13,6 +13,7 @@
 //! longer than the earliest deadline.  Events are handled one at a time,
 //! atomically, in per-connection arrival order, on that one thread.
 
+use crate::broadcast::BroadcastBus;
 use crate::buffer::PlayOutcome;
 use crate::pool::BufferPool;
 use crate::reactor::{Handler, Outbound};
@@ -31,6 +32,7 @@ use af_proto::{
 };
 use af_time::ATime;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -48,9 +50,9 @@ pub struct ServerCore {
     pub access: AccessControl,
     /// Connection and dispatch counters, shared with the server handle.
     pub stats: Arc<ServerCounters>,
-    /// Reply/frame buffer pool, shared with the transport layer so reply
-    /// buffers written out by the reactor come back to the dispatcher.
-    pub pool: Arc<BufferPool>,
+    /// The reactor's buffer pool, which replies are built in: a reply
+    /// buffer the reactor has written out comes back to it.
+    pub pool: Rc<BufferPool>,
     /// Every connection's write side: where replies go.
     pub outbound: Outbound,
 }
@@ -282,6 +284,11 @@ impl Handler for Dispatcher {
 
     fn outbound(&mut self) -> &mut Outbound {
         &mut self.core.outbound
+    }
+
+    fn broadcast(&mut self) -> Option<&mut BroadcastBus> {
+        let mut devices = self.core.devices.iter_mut();
+        devices.find_map(|d| d.buffers.as_mut()?.bus_mut())
     }
 }
 

@@ -13,10 +13,12 @@
 //! this one: the [`reactor`] registers every nonblocking socket with one
 //! readiness-driven thread (raw `epoll` — the modern form of the paper's
 //! `select()` loop), scaling to tens of thousands of connections.  That
-//! thread owns all server state: it runs the handler of each request it
-//! frames and writes the reply, and its poll timeout is the time to the
-//! next task deadline.  No lock guards server state, because no other
-//! thread touches it.  A slow client overflows its bounded outbound deque
+//! thread builds and owns all server state: it runs the handler of each
+//! request it frames and writes the reply, and its poll timeout is the
+//! time to the next task deadline.  No lock guards server state: the
+//! compiler keeps what is not `Send` (the buffer pool, pooled buffers,
+//! shared socket handles) on that thread, and af-server's `clippy.toml`
+//! disallows the lock types.  A slow client overflows its bounded outbound deque
 //! and is evicted — preserving the paper's fairness and "no rocket
 //! science" properties.  There is one configuration: no alternate
 //! transport and no separate audio or task threads (DESIGN.md §9.1 says

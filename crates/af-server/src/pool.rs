@@ -11,9 +11,20 @@
 //! [`PooledBuf`] is the RAII handle — dropping it gives the buffer back.
 //! Buffers can also be detached from any pool (`PooledBuf::from(vec)`) for
 //! cold paths like setup replies and error messages.
+//!
+//! A pool belongs to the one thread that made it: the handle holds an
+//! [`Rc`], so the compiler keeps every buffer on that thread.
+//!
+//! ```compile_fail
+//! let pool = af_server::BufferPool::shared();
+//! let buf = pool.take_filled(16);
+//! std::thread::spawn(move || drop(buf)); // `PooledBuf` is not `Send`.
+//! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::stats::{Shard, ShardCounters};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Free list capacity: enough for every stage of a connection's pipeline
 /// (frame in flight, reply queued, a few blocked) without hoarding memory.
@@ -26,69 +37,62 @@ const DEFAULT_MAX_IDLE: usize = 32;
 /// allocator under that churn.
 pub const REACTOR_MAX_IDLE: usize = 128;
 
-/// A shared pool of reusable byte buffers.
-#[derive(Debug)]
+/// A pool of reusable byte buffers, for the thread that made it.
 pub struct BufferPool {
-    idle: Mutex<Vec<Vec<u8>>>,
+    idle: RefCell<Vec<Vec<u8>>>,
     max_idle: usize,
-    allocs: AtomicU64,
-    reuses: AtomicU64,
+    /// Where takes count as `PoolAllocs` (a free-list miss) or
+    /// `PoolReuses`: the reactor's counters, for a server's pool.
+    pub(crate) stats: Arc<ShardCounters>,
 }
 
 impl BufferPool {
-    /// Creates a pool retaining at most `max_idle` idle buffers.
-    pub fn with_max_idle(max_idle: usize) -> Arc<BufferPool> {
-        Arc::new(BufferPool {
-            idle: Mutex::new(Vec::new()),
+    /// Creates a pool retaining at most `max_idle` idle buffers, counting
+    /// its takes into `stats`.
+    pub fn with_max_idle(max_idle: usize, stats: Arc<ShardCounters>) -> Rc<BufferPool> {
+        Rc::new(BufferPool {
+            idle: RefCell::new(Vec::new()),
             max_idle,
-            allocs: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
+            stats,
         })
     }
 
-    /// Creates a pool with the default free-list size.
-    pub fn shared() -> Arc<BufferPool> {
-        Self::with_max_idle(DEFAULT_MAX_IDLE)
+    /// Creates a pool with the default free-list size and counters of its
+    /// own.
+    pub fn shared() -> Rc<BufferPool> {
+        Self::with_max_idle(DEFAULT_MAX_IDLE, Arc::default())
     }
 
     /// Takes an empty buffer (length 0, capacity whatever the pool has).
-    pub fn take_empty(self: &Arc<Self>) -> PooledBuf {
+    pub fn take_empty(self: &Rc<Self>) -> PooledBuf {
         let mut buf = self.pop();
         buf.clear();
         PooledBuf {
             buf,
-            pool: Some(Arc::clone(self)),
+            pool: Some(Rc::clone(self)),
         }
     }
 
     /// Takes a buffer resized (zero-filled) to exactly `len` bytes.
-    pub fn take_filled(self: &Arc<Self>, len: usize) -> PooledBuf {
+    pub fn take_filled(self: &Rc<Self>, len: usize) -> PooledBuf {
         let mut buf = self.pop();
         buf.clear();
         buf.resize(len, 0);
         PooledBuf {
             buf,
-            pool: Some(Arc::clone(self)),
+            pool: Some(Rc::clone(self)),
         }
     }
 
     fn pop(&self) -> Vec<u8> {
-        // The lock scope is a leaf (no user code runs under it), so a
-        // poisoned pool only means another thread died mid-push; its free
-        // list is still structurally sound — recover it.
-        let recycled = self
-            .idle
-            // af-analyze: allow(blocking-in-reactor): leaf mutex with a bounded critical section (vec pop); never held across I/O or sends
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .pop();
+        let recycled = self.idle.borrow_mut().pop();
         match recycled {
             Some(buf) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Shard::PoolReuses, 1);
                 buf
             }
             None => {
-                self.allocs.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(Shard::PoolAllocs, 1);
                 // af-analyze: allow(alloc): counted pool-miss path; steady state recycles returned buffers
                 Vec::new()
             }
@@ -96,50 +100,24 @@ impl BufferPool {
     }
 
     fn give(&self, buf: Vec<u8>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut idle = self
-            .idle
-            // af-analyze: allow(blocking-in-reactor): leaf mutex with a bounded critical section (vec push); never held across I/O or sends
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if idle.len() < self.max_idle {
+        let mut idle = self.idle.borrow_mut();
+        if buf.capacity() > 0 && idle.len() < self.max_idle {
             idle.push(buf);
         }
     }
 
-    /// Buffers handed out that missed the free list (fresh allocations).
-    pub fn allocs(&self) -> u64 {
-        self.allocs.load(Ordering::Relaxed)
-    }
-
-    /// Buffers handed out from the free list.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.load(Ordering::Relaxed)
-    }
-
-    /// The free-list retention bound this pool was built with.
-    pub fn max_idle(&self) -> usize {
-        self.max_idle
-    }
-
     /// Buffers currently idle in the free list.
     pub fn idle_len(&self) -> usize {
-        self.idle
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .len()
+        self.idle.borrow().len()
     }
 }
 
 /// A byte buffer borrowed from a [`BufferPool`] (or detached from any).
 ///
 /// Dereferences to `[u8]`; dropping returns the storage to its pool.
-#[derive(Debug)]
 pub struct PooledBuf {
     buf: Vec<u8>,
-    pool: Option<Arc<BufferPool>>,
+    pool: Option<Rc<BufferPool>>,
 }
 
 impl PooledBuf {
@@ -159,6 +137,12 @@ impl From<Vec<u8>> for PooledBuf {
     /// Wraps a plain vector as a pool-less buffer (cold paths).
     fn from(buf: Vec<u8>) -> PooledBuf {
         PooledBuf { buf, pool: None }
+    }
+}
+
+impl std::fmt::Debug for PooledBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.buf.fmt(f)
     }
 }
 
@@ -187,26 +171,37 @@ impl Drop for PooledBuf {
 mod tests {
     use super::*;
 
+    fn pool(max_idle: usize) -> Rc<BufferPool> {
+        BufferPool::with_max_idle(max_idle, Arc::default())
+    }
+
+    /// `(allocs, reuses)` the pool has counted.
+    fn takes(pool: &BufferPool) -> (u64, u64) {
+        (
+            pool.stats.get(Shard::PoolAllocs),
+            pool.stats.get(Shard::PoolReuses),
+        )
+    }
+
     #[test]
     fn buffers_recycle_through_the_pool() {
-        let pool = BufferPool::with_max_idle(4);
+        let pool = pool(4);
         {
             let mut a = pool.take_filled(100);
             a[0] = 7;
         } // Returned on drop.
-        assert_eq!(pool.allocs(), 1);
+        assert_eq!(takes(&pool), (1, 0));
         assert_eq!(pool.idle_len(), 1);
 
         let b = pool.take_filled(50);
-        assert_eq!(pool.allocs(), 1, "second take must reuse");
-        assert_eq!(pool.reuses(), 1);
+        assert_eq!(takes(&pool), (1, 1), "second take must reuse");
         assert_eq!(b.len(), 50);
         assert!(b.iter().all(|&x| x == 0), "reused buffer must be zeroed");
     }
 
     #[test]
     fn free_list_is_bounded() {
-        let pool = BufferPool::with_max_idle(2);
+        let pool = pool(2);
         let bufs: Vec<_> = (0..5).map(|_| pool.take_filled(8)).collect();
         drop(bufs);
         assert_eq!(pool.idle_len(), 2);
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn detached_buffers_skip_the_pool() {
-        let pool = BufferPool::with_max_idle(4);
+        let pool = pool(4);
         let d = PooledBuf::from(vec![1, 2, 3]);
         assert_eq!(&*d, &[1, 2, 3]);
         drop(d);
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn steady_state_allocates_nothing_new() {
-        let pool = BufferPool::with_max_idle(4);
+        let pool = pool(4);
         for _ in 0..100 {
             let frame = pool.take_filled(1024);
             let mut reply = pool.take_empty();
@@ -236,11 +231,8 @@ mod tests {
             drop(frame);
             drop(reply);
         }
-        assert!(
-            pool.allocs() <= 2,
-            "steady state must recycle: {} allocs",
-            pool.allocs()
-        );
-        assert!(pool.reuses() >= 198);
+        let (allocs, reuses) = takes(&pool);
+        assert!(allocs <= 2, "steady state must recycle: {allocs} allocs");
+        assert!(reuses >= 198);
     }
 }

@@ -58,9 +58,9 @@
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
 use crate::dispatch::DispatcherGone;
-use crate::pool::{BufferPool, PooledBuf};
+use crate::pool::{BufferPool, PooledBuf, REACTOR_MAX_IDLE};
 use crate::state::{ClientId, ServerEvent};
-use crate::stats::{self, Bus, ShardCounters};
+use crate::stats::{self, Bus, BusCounters, ShardCounters};
 use af_proto::{decode_frame_header, ByteOrder, ConnSetup, FrameError};
 use af_sys::{Interest, PollEvent, Poller, MAX_EVENTS};
 use std::collections::VecDeque;
@@ -70,6 +70,7 @@ use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -153,8 +154,8 @@ impl Waker {
 /// [`Outbound`].  One descriptor per connection.
 #[derive(Clone)]
 enum SharedSock {
-    Tcp(Arc<TcpStream>),
-    Unix(Arc<UnixStream>),
+    Tcp(Rc<TcpStream>),
+    Unix(Rc<UnixStream>),
 }
 
 impl SharedSock {
@@ -167,7 +168,7 @@ impl SharedSock {
 
     /// `read` through a shared reference (`Read` is implemented for
     /// `&TcpStream`/`&UnixStream`): the read and write sides share the
-    /// socket's `Arc`.
+    /// socket's `Rc`.
     fn read_shared(&self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             SharedSock::Tcp(s) => (&**s).read(buf),
@@ -252,12 +253,12 @@ impl Listener {
                 let (s, addr) = l.accept()?;
                 s.set_nonblocking(true)?;
                 let _ = s.set_nodelay(true);
-                (SharedSock::Tcp(Arc::new(s)), Some(addr.ip()))
+                (SharedSock::Tcp(Rc::new(s)), Some(addr.ip()))
             }
             ListenSock::Unix(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nonblocking(true)?;
-                (SharedSock::Unix(Arc::new(s)), None)
+                (SharedSock::Unix(Rc::new(s)), None)
             }
         })
     }
@@ -271,9 +272,10 @@ impl Listener {
 }
 
 /// What the reactor hands framed work to, and whose task queue it runs:
-/// the dispatcher, in a server.  Every method is called on the reactor
-/// thread, one at a time.
-pub trait Handler: Send + 'static {
+/// the dispatcher, in a server.  Built on the reactor thread
+/// ([`Reactor::spawn`]) and never leaves it; every method is called
+/// there, one at a time.
+pub trait Handler {
     /// A connection's setup, protocol error or end.  `Err` once the
     /// handler has shut down: the reactor closes the connection.
     fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone>;
@@ -299,6 +301,10 @@ pub trait Handler: Send + 'static {
     /// The connections' write side, which the handler's replies go into
     /// and the reactor drains.
     fn outbound(&mut self) -> &mut Outbound;
+
+    /// The broadcast bus the update task seals into, whose chunks the
+    /// reactor fans out to broadcast listeners.
+    fn broadcast(&mut self) -> Option<&mut BroadcastBus>;
 }
 
 /// The handler's reference to one connection, handed over with its setup
@@ -439,7 +445,7 @@ impl Outbound {
     /// nothing drains.
     pub(crate) fn detached(&mut self, id: ClientId) -> ConnRef {
         let (sock, _peer) = UnixStream::pair().expect("socketpair");
-        self.open(self.conns.len(), id, SharedSock::Unix(Arc::new(sock)))
+        self.open(self.conns.len(), id, SharedSock::Unix(Rc::new(sock)))
     }
 
     /// Messages waiting on `conn`'s deque.
@@ -524,7 +530,8 @@ struct BcastConn {
     cursor: u64,
     /// Response head still to write: `(bytes, offset)`.
     header: Option<(&'static [u8], usize)>,
-    /// Fetched chunks being written; front is in flight.
+    /// Fetched chunks being written; front is in flight.  (`Arc`, not
+    /// `Rc`, for the bus's sake: see [`BroadcastBus`].)
     batch: VecDeque<Arc<BroadcastChunk>>,
     /// Bytes of the front chunk's wire slice already written.
     off: usize,
@@ -540,10 +547,11 @@ fn find_head_end(req: &[u8]) -> Option<usize> {
     req.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// The reactor's broadcast state: the shared bus plus the listener
-/// roster, pumped at the end of a pass in which the bus sealed chunks.
+/// The reactor's half of broadcast: the listener roster, pumped at the
+/// end of a pass in which the handler's bus sealed chunks.
 struct ShardBroadcast {
-    bus: Arc<BroadcastBus>,
+    /// The bus's counters.
+    stats: Arc<BusCounters>,
     /// The bus's live edge when the listeners were last pumped.
     seen: u64,
     /// Tokens of the broadcast listener slots.
@@ -585,14 +593,14 @@ struct Shard<H> {
     stats: Arc<ShardCounters>,
     /// Where every framed event goes, and whose tasks the loop runs.
     handler: H,
-    /// Frame/reply buffer pool shared with the dispatcher.
-    pool: Arc<BufferPool>,
+    /// Frame/reply buffer pool, lent to the handler for its replies.
+    pool: Rc<BufferPool>,
     /// The next client id to hand out.
     next_id: ClientId,
     /// Where each readiness event's one `read` lands
     /// ([`READ_SCRATCH_BYTES`]); shared by all connections.
     read_scratch: Vec<u8>,
-    /// Broadcast bus + listener roster, when this reactor serves fan-out.
+    /// The listener roster, when the handler has a broadcast bus.
     broadcast: Option<ShardBroadcast>,
     /// Reusable scratch for the broadcast pump's roster copy, so a pass
     /// that pumps does not allocate.
@@ -719,7 +727,9 @@ impl<H: Handler> Shard<H> {
         let Some(b) = self.broadcast.as_mut() else {
             return;
         };
-        let live = b.bus.live_seq();
+        let Some(live) = self.handler.broadcast().map(|bus| bus.live_seq()) else {
+            return;
+        };
         if live == b.seen {
             return;
         }
@@ -764,7 +774,7 @@ impl<H: Handler> Shard<H> {
         self.next_id += 1;
         let slot = match self.broadcast.as_mut() {
             Some(sb) if broadcast => {
-                sb.bus.stats().add(Bus::ListenersTotal, 1);
+                sb.stats.add(Bus::ListenersTotal, 1);
                 sb.tokens.push(token);
                 Slot::Bcast(Box::new(BcastConn {
                     sock,
@@ -950,8 +960,8 @@ impl<H: Handler> Shard<H> {
     /// Parses the completed request head and arms the stream: response
     /// header, join cursor at the live edge minus preroll, listener gauge.
     /// Returns false on a head that is not a plausible stream request.
-    fn start_stream(&self, conn: &mut BcastConn, head_end: usize) -> bool {
-        let Some(sb) = self.broadcast.as_ref() else {
+    fn start_stream(&mut self, conn: &mut BcastConn, head_end: usize) -> bool {
+        let (Some(sb), Some(bus)) = (self.broadcast.as_ref(), self.handler.broadcast()) else {
             return false;
         };
         let head = &conn.req[..head_end];
@@ -974,9 +984,9 @@ impl<H: Handler> Shard<H> {
             },
             0,
         ));
-        conn.cursor = sb.bus.join_cursor();
+        conn.cursor = bus.join_cursor();
         conn.phase = BcastPhase::Streaming;
-        sb.bus.stats().add(Bus::Listeners, 1);
+        sb.stats.add(Bus::Listeners, 1);
         conn.req = Vec::new(); // Request buffer is dead weight from here.
         true
     }
@@ -997,10 +1007,11 @@ impl<H: Handler> Shard<H> {
             self.slots[token] = Some(Slot::Bcast(conn));
             return;
         }
-        let Some(bus) = self.broadcast.as_ref().map(|sb| Arc::clone(&sb.bus)) else {
+        let Some(bus) = self.handler.broadcast() else {
             self.close_bcast(token, *conn);
             return;
         };
+        let (stall_strikes, bus_stats) = (bus.config().stall_strikes, Arc::clone(bus.stats()));
         let mut progressed = false;
         let mut dead = false;
         loop {
@@ -1058,7 +1069,7 @@ impl<H: Handler> Shard<H> {
                 }
                 Ok(n) => {
                     progressed = true;
-                    bus.stats().add(Bus::BytesFannedOut, n as u64);
+                    bus_stats.add(Bus::BytesFannedOut, n as u64);
                     // Retire fully written chunks; remember the offset
                     // into a partially written front.
                     let mut left = n;
@@ -1099,9 +1110,9 @@ impl<H: Handler> Shard<H> {
             conn.strikes = 0;
         } else if strike && pending {
             conn.strikes += 1;
-            if conn.strikes >= bus.config().stall_strikes {
+            if conn.strikes >= stall_strikes {
                 self.stats.add(stats::Shard::Evictions, 1);
-                bus.stats().add(Bus::Evictions, 1);
+                bus_stats.add(Bus::Evictions, 1);
                 self.close_bcast(token, *conn);
                 return;
             }
@@ -1121,7 +1132,7 @@ impl<H: Handler> Shard<H> {
                 sb.tokens.swap_remove(i);
             }
             if matches!(conn.phase, BcastPhase::Streaming) {
-                sb.bus.stats().sub(Bus::Listeners, 1);
+                sb.stats.sub(Bus::Listeners, 1);
             }
         }
         // Dropping `conn` closes the fd and releases its chunk refs.
@@ -1435,64 +1446,80 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Spawns the reactor thread (`af-reactor-0`), handing framed events to
-    /// `handler`, running its tasks, and staging split frames in `pool`.
+    /// Spawns the reactor thread (`af-reactor-0`), which builds its
+    /// handler with `make` and then runs: handing it framed events,
+    /// running its tasks, and serving broadcast listeners from its bus.
     ///
-    /// The reactor accepts on every listener, and serves broadcast
-    /// listeners from `broadcast`'s ring.  It counts into the counters of
-    /// the handler's [`Outbound`].  The wake pipe and the listeners are
-    /// registered with the poller and counted in `FdCount` before this
-    /// returns.  Fails, with no thread started, when the poller cannot be
-    /// created or take a descriptor: `ErrorKind::Unsupported` on targets
-    /// without a syscall backend (see [`af_sys`] for the supported list),
-    /// else the system call's own error.
-    pub fn spawn<H: Handler>(
-        mut handler: H,
-        pool: Arc<BufferPool>,
-        listeners: Vec<Listener>,
-        broadcast: Option<Arc<BroadcastBus>>,
-    ) -> io::Result<Reactor> {
+    /// `make` gets the handler's [`Outbound`], which counts into the
+    /// reactor's counters, and the reactor's buffer pool, for replies; the
+    /// reactor stages split frames in the same pool, whose takes count as
+    /// `PoolAllocs` and `PoolReuses`.  The handler is built on the reactor
+    /// thread, so it need not be `Send`, and it never leaves that thread.
+    ///
+    /// The reactor accepts on every listener.  The wake pipe and the
+    /// listeners are registered with the poller and counted in `FdCount`
+    /// before this returns.  Fails, with no thread started, when the poller
+    /// cannot be created or take a descriptor: `ErrorKind::Unsupported` on
+    /// targets without a syscall backend (see [`af_sys`] for the supported
+    /// list), else the system call's own error.
+    pub fn spawn<H, F>(make: F, listeners: Vec<Listener>) -> io::Result<Reactor>
+    where
+        H: Handler,
+        F: FnOnce(Outbound, Rc<BufferPool>) -> H + Send + 'static,
+    {
         let mut poller = Poller::new()?;
         let (waker, wake_rx) = Waker::pair()?;
         // Registered and counted here, not on the reactor thread, so the
         // gauge is settled when `spawn` returns; `close_all` undoes both.
         poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, Interest::Read)?;
-        let counters = Arc::clone(&handler.outbound().stats);
+        let counters = Arc::new(ShardCounters::default());
         counters.add(stats::Shard::FdCount, 1);
-        let mut slots = Vec::with_capacity(listeners.len());
-        for listener in listeners {
-            poller.register(listener.as_raw_fd(), slots.len() as u64, Interest::Read)?;
+        for (token, listener) in listeners.iter().enumerate() {
+            poller.register(listener.as_raw_fd(), token as u64, Interest::Read)?;
             counters.add(stats::Shard::FdCount, 1);
-            slots.push(Some(Slot::Listen(listener)));
         }
         let spare = Some(File::open("/dev/null")?);
         let (calls_tx, calls) = sync_channel(CALL_QUEUE);
         let stop = Arc::new(AtomicBool::new(false));
-        let shard = Shard {
-            poller,
-            slots,
-            free: Vec::new(),
-            deferred_free: Vec::new(),
-            wake_rx,
-            calls,
-            answered: Vec::with_capacity(CALL_QUEUE),
-            stop: Arc::clone(&stop),
-            stats: Arc::clone(&counters),
-            handler,
-            pool,
-            next_id: 1,
-            read_scratch: vec![0u8; READ_SCRATCH_BYTES],
-            broadcast: broadcast.map(|bus| ShardBroadcast {
+        let (thread_stop, stats) = (Arc::clone(&stop), Arc::clone(&counters));
+        let run = move || {
+            let pool = BufferPool::with_max_idle(REACTOR_MAX_IDLE, Arc::clone(&stats));
+            let outbound = Outbound {
+                stats: Arc::clone(&stats),
+                ..Outbound::default()
+            };
+            let mut handler = make(outbound, Rc::clone(&pool));
+            let broadcast = handler.broadcast().map(|bus| ShardBroadcast {
+                stats: Arc::clone(bus.stats()),
                 seen: bus.live_seq(),
-                bus,
                 tokens: Vec::new(),
-            }),
-            bcast_scratch: Vec::new(),
-            spare,
+            });
+            Shard {
+                poller,
+                slots: listeners
+                    .into_iter()
+                    .map(|l| Some(Slot::Listen(l)))
+                    .collect(),
+                free: Vec::new(),
+                deferred_free: Vec::new(),
+                wake_rx,
+                calls,
+                answered: Vec::with_capacity(CALL_QUEUE),
+                stop: thread_stop,
+                stats,
+                handler,
+                pool,
+                next_id: 1,
+                read_scratch: vec![0u8; READ_SCRATCH_BYTES],
+                broadcast,
+                bcast_scratch: Vec::new(),
+                spare,
+            }
+            .run();
         };
         let join = std::thread::Builder::new()
             .name("af-reactor-0".into())
-            .spawn(move || shard.run())?;
+            .spawn(run)?;
         Ok(Reactor {
             control: Control {
                 calls: calls_tx,
@@ -1538,10 +1565,9 @@ impl Drop for Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::BufferPool;
     use crate::stats::Shard::{
-        Accepted, Closed, DirectWrites, Evictions, FdCount, Frames, PartialReads, QueuedWrites,
-        Replies, StagedFrames,
+        Accepted, Closed, DirectWrites, Evictions, FdCount, Frames, PartialReads, PoolAllocs,
+        PoolReuses, QueuedWrites, Replies, StagedFrames,
     };
     use crate::stats::Snapshot;
     use af_time::ATime;
@@ -1557,8 +1583,8 @@ mod tests {
         Request(ClientId, u8, Vec<u8>),
     }
 
-    /// Work a test runs on the reactor thread, against the write side.
-    type Job = Box<dyn FnOnce(&mut Outbound) + Send>;
+    /// Work a test runs on the reactor thread, against the handler.
+    type Job = Box<dyn FnOnce(&mut Capture) + Send>;
 
     /// The reactor's handler in these tests: what it is handed goes to a
     /// channel the test reads (a full channel holds the reactor up, as a
@@ -1567,6 +1593,10 @@ mod tests {
         events: SyncSender<Captured>,
         jobs: Receiver<Job>,
         outbound: Outbound,
+        /// The tests' own pool, with room to take back every message a
+        /// flooded deque can hold.
+        pool: Rc<BufferPool>,
+        bus: Option<BroadcastBus>,
     }
 
     impl Handler for Capture {
@@ -1595,7 +1625,7 @@ mod tests {
 
         fn update(&mut self) {
             while let Ok(job) = self.jobs.try_recv() {
-                job(&mut self.outbound);
+                job(self);
             }
         }
 
@@ -1603,6 +1633,10 @@ mod tests {
 
         fn outbound(&mut self) -> &mut Outbound {
             &mut self.outbound
+        }
+
+        fn broadcast(&mut self) -> Option<&mut BroadcastBus> {
+            self.bus.as_mut()
         }
     }
 
@@ -1625,10 +1659,10 @@ mod tests {
         /// it returned.
         fn run<T: Send + 'static>(
             &self,
-            job: impl FnOnce(&mut Outbound) -> T + Send + 'static,
+            job: impl FnOnce(&mut Capture) -> T + Send + 'static,
         ) -> T {
             let (tx, rx) = sync_channel(1);
-            let job: Job = Box::new(move |out| tx.send(job(out)).unwrap());
+            let job: Job = Box::new(move |cap| tx.send(job(cap)).unwrap());
             self.queue.send(job).unwrap();
             self.control.call(Call::Update);
             rx.recv().unwrap()
@@ -1638,18 +1672,19 @@ mod tests {
     impl Harness {
         fn spawn(
             event_capacity: usize,
-            pool: Arc<BufferPool>,
             listeners: Vec<Listener>,
-            bus: Option<Arc<BroadcastBus>>,
+            bus: Option<BroadcastBus>,
         ) -> Harness {
             let (events, rx) = sync_channel(event_capacity);
             let (jobs, queued) = sync_channel(EVENT_ROOM);
-            let handler = Capture {
+            let make = move |outbound, _| Capture {
                 events,
                 jobs: queued,
-                outbound: Outbound::default(),
+                outbound,
+                pool: BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY, Arc::default()),
+                bus,
             };
-            let reactor = Reactor::spawn(handler, pool, listeners, bus).unwrap();
+            let reactor = Reactor::spawn(make, listeners).unwrap();
             let jobs = Jobs {
                 queue: jobs,
                 control: reactor.control(),
@@ -1657,7 +1692,7 @@ mod tests {
             Harness { reactor, rx, jobs }
         }
 
-        fn totals(&self) -> Snapshot<stats::Shard, 13> {
+        fn totals(&self) -> Snapshot<stats::Shard, 15> {
             self.reactor.stats().snapshot()
         }
 
@@ -1675,7 +1710,7 @@ mod tests {
     /// short writes, which all-or-nothing Unix-socket writes never are.)
     fn start_with(event_capacity: usize) -> (Harness, SocketAddr) {
         let (listener, addr) = tcp_listener(false);
-        let h = Harness::spawn(event_capacity, BufferPool::shared(), vec![listener], None);
+        let h = Harness::spawn(event_capacity, vec![listener], None);
         (h, addr)
     }
 
@@ -1781,7 +1816,8 @@ mod tests {
         let payload = vec![0xA5u8; 600];
         let reply = payload.clone();
         assert_eq!(
-            h.jobs.run(move |out| out.deliver(conn, reply.into())),
+            h.jobs
+                .run(move |cap| cap.outbound.deliver(conn, reply.into())),
             Ok(())
         );
         let mut got = vec![0u8; payload.len()];
@@ -1828,9 +1864,12 @@ mod tests {
         // from the pool at all.  Frames split across reads are staged in
         // a pooled buffer, and that one buffer goes round: the reactor does
         // NOT allocate a Vec per frame.
-        let pool = BufferPool::shared();
         let (listener, addr) = tcp_listener(false);
-        let h = Harness::spawn(1, Arc::clone(&pool), vec![listener], None);
+        let h = Harness::spawn(1, vec![listener], None);
+        let takes = || {
+            let t = h.totals();
+            (t[PoolAllocs], t[PoolReuses])
+        };
 
         let mut wire = ConnSetup::new().encode();
         for _ in 0..100 {
@@ -1844,11 +1883,7 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(request(&h.rx).2, [1, 2, 3, 4]);
         }
-        assert_eq!(
-            (pool.allocs(), pool.reuses()),
-            (0, 0),
-            "whole frames took buffers from the pool"
-        );
+        assert_eq!(takes(), (0, 0), "whole frames took buffers from the pool");
         assert_eq!(h.totals()[StagedFrames], 0);
 
         // The same frames, each cut after its sixth byte; the second piece
@@ -1865,7 +1900,7 @@ mod tests {
         }
         assert_eq!(h.totals()[Frames], 200);
         assert_eq!(
-            (pool.allocs(), pool.reuses()),
+            takes(),
             (1, 99),
             "split frames must stage in one recycled buffer"
         );
@@ -1913,7 +1948,7 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("reactor.sock");
         let listeners = vec![Listener::unix(&path).unwrap()];
-        let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), listeners, None);
+        let h = Harness::spawn(EVENT_ROOM, listeners, None);
 
         let mut sock = UnixStream::connect(&path).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
@@ -1931,17 +1966,16 @@ mod tests {
         // the dispatcher's eviction does): the reactor tears the connection
         // down, and the reference the dispatcher may still hold finds a
         // closed connection that keeps no buffer.
-        let pool = BufferPool::with_max_idle(2 * OUTBOUND_QUEUE_CAPACITY);
         let (listener, addr) = tcp_listener(false);
-        let h = Harness::spawn(EVENT_ROOM, Arc::clone(&pool), vec![listener], None);
+        let h = Harness::spawn(EVENT_ROOM, vec![listener], None);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         let conn = new_client(&h.rx).3;
-        let flood = Arc::clone(&pool);
-        let (taken, queued) = h.jobs.run(move |out| {
+        let (taken, queued) = h.jobs.run(move |cap| {
+            let out = &mut cap.outbound;
             let mut taken = 0u64;
             loop {
-                match out.deliver(conn, flood.take_filled(64 * 1024)) {
+                match out.deliver(conn, cap.pool.take_filled(64 * 1024)) {
                     Ok(()) => taken += 1,
                     Err(refused) => {
                         assert_eq!(refused, Refused::Full);
@@ -1961,22 +1995,23 @@ mod tests {
         let stats = h.reactor.stats();
         let (written, waiting) = h
             .jobs
-            .run(move |out| (stats.get(Replies), out.queued(conn)));
+            .run(move |cap| (stats.get(Replies), cap.outbound.queued(conn)));
         assert_eq!(written + waiting as u64, taken);
         assert!(waiting > 0, "the deque drained to a peer that never reads");
 
-        h.jobs.run(move |out| out.kick(conn));
+        h.jobs.run(move |cap| cap.outbound.kick(conn));
         disconnect(&h.rx);
         assert_eq!(h.totals()[Evictions], 1);
         // The reactor drops the deque right after it reports the close:
         // every buffer the flood took comes back to the pool.
         wait_until("the closed connection's buffers to recycle", || {
-            pool.idle_len() as u64 == pool.allocs()
+            h.jobs
+                .run(|cap| cap.pool.idle_len() as u64 == cap.pool.stats.get(PoolAllocs))
         });
-        let late = Arc::clone(&pool);
-        let (queued, refused) = h
-            .jobs
-            .run(move |out| (out.queued(conn), out.deliver(conn, late.take_filled(16))));
+        let (queued, refused) = h.jobs.run(move |cap| {
+            let late = cap.pool.take_filled(16);
+            (cap.outbound.queued(conn), cap.outbound.deliver(conn, late))
+        });
         assert_eq!((queued, refused), (0, Err(Refused::Closed)));
         h.shutdown();
     }
@@ -1994,7 +2029,8 @@ mod tests {
         let conn = new_client(&h.rx).3;
         let fds = || h.totals()[FdCount];
         let open = fds(); // The wake pipe, the listener and this connection.
-        let (sent, late) = h.jobs.run(move |out| {
+        let (sent, late) = h.jobs.run(move |cap| {
+            let out = &mut cap.outbound;
             let mut sent = 0;
             while out.queued(conn) == 0 {
                 out.deliver(conn, ordered_message(sent).into()).unwrap();
@@ -2255,22 +2291,21 @@ mod tests {
 
     use crate::broadcast::BroadcastConfig;
 
-    fn start_broadcast(
-        cfg: BroadcastConfig,
-        frame_bytes: usize,
-    ) -> (Harness, Arc<BroadcastBus>, SocketAddr) {
+    /// A reactor serving broadcast listeners from a bus of `cfg`, and the
+    /// bus's counters.
+    fn start_broadcast(cfg: BroadcastConfig) -> (Harness, Arc<BusCounters>, SocketAddr) {
         let (listener, addr) = tcp_listener(true);
-        let bus = BroadcastBus::new(cfg, frame_bytes);
-        let bus_handle = Some(Arc::clone(&bus));
-        let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), vec![listener], bus_handle);
-        (h, bus, addr)
+        let bus = BroadcastBus::new(cfg, 1, 0xFF);
+        let stats = Arc::clone(bus.stats());
+        let h = Harness::spawn(EVENT_ROOM, vec![listener], Some(bus));
+        (h, stats, addr)
     }
 
     /// Seals one chunk of `payload` the way the update task does: on the
     /// reactor thread, which pumps the listeners at the end of that pass.
-    fn publish(h: &Harness, bus: &Arc<BroadcastBus>, payload: Vec<u8>) {
-        let bus = Arc::clone(bus);
-        h.jobs.run(move |_| bus.publish(&payload));
+    fn publish(h: &Harness, payload: Vec<u8>) {
+        h.jobs
+            .run(move |cap| cap.bus.as_mut().unwrap().publish(&payload));
     }
 
     fn small_cfg() -> BroadcastConfig {
@@ -2283,9 +2318,9 @@ mod tests {
     }
 
     /// Spin until the bus's listener gauge reaches `n` (request parsed).
-    fn wait_listeners(bus: &BroadcastBus, n: u64) {
+    fn wait_listeners(bus: &BusCounters, n: u64) {
         for _ in 0..500 {
-            if bus.stats().get(Bus::Listeners) == n {
+            if bus.get(Bus::Listeners) == n {
                 return;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -2295,14 +2330,14 @@ mod tests {
 
     #[test]
     fn http_listener_streams_chunked_frames() {
-        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg());
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"GET /stream HTTP/1.1\r\nHost: x\r\n\r\n")
             .unwrap();
         wait_listeners(&bus, 1);
         for i in 0..3u8 {
-            publish(&h, &bus, vec![i; 4]);
+            publish(&h, vec![i; 4]);
         }
         let mut head = vec![0u8; crate::broadcast::HTTP_STREAM_HEADER.len()];
         sock.read_exact(&mut head).unwrap();
@@ -2317,34 +2352,34 @@ mod tests {
         // The client can observe the bytes a beat before the reactor's
         // counter update lands: spin briefly.
         for _ in 0..500 {
-            if bus.stats().get(Bus::BytesFannedOut) >= 27 {
+            if bus.get(Bus::BytesFannedOut) >= 27 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(bus.stats().get(Bus::BytesFannedOut) >= 27);
+        assert!(bus.get(Bus::BytesFannedOut) >= 27);
         drop(sock);
         for _ in 0..500 {
-            if bus.stats().get(Bus::Listeners) == 0 {
+            if bus.get(Bus::Listeners) == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(bus.stats().get(Bus::Listeners), 0);
-        assert_eq!(bus.stats().get(Bus::ListenersTotal), 1);
+        assert_eq!(bus.get(Bus::Listeners), 0);
+        assert_eq!(bus.get(Bus::ListenersTotal), 1);
         h.shutdown();
     }
 
     #[test]
     fn icy_listener_gets_raw_payload_of_the_same_chunks() {
-        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg());
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"GET /; HTTP/1.0\r\nIcy-MetaData: 0\r\n\r\n")
             .unwrap();
         wait_listeners(&bus, 1);
         for i in 0..3u8 {
-            publish(&h, &bus, vec![i; 4]);
+            publish(&h, vec![i; 4]);
         }
         let mut head = vec![0u8; crate::broadcast::ICY_STREAM_HEADER.len()];
         sock.read_exact(&mut head).unwrap();
@@ -2359,9 +2394,9 @@ mod tests {
 
     #[test]
     fn late_joiner_bursts_in_from_the_preroll_cursor() {
-        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, _, addr) = start_broadcast(small_cfg());
         for i in 0..6u8 {
-            publish(&h, &bus, vec![i; 4]);
+            publish(&h, vec![i; 4]);
         }
         // Live edge 6, preroll 2: a joiner must start at seq 4 and get
         // chunks 4 and 5 immediately, with no further publish needed.
@@ -2380,7 +2415,7 @@ mod tests {
 
     #[test]
     fn malformed_request_head_closes_the_listener() {
-        let (h, bus, addr) = start_broadcast(small_cfg(), 1);
+        let (h, bus, addr) = start_broadcast(small_cfg());
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         sock.write_all(b"PUT /nope HTTP/1.1\r\n\r\n").unwrap();
@@ -2390,7 +2425,7 @@ mod tests {
             Ok(0) | Err(_) => {}
             Ok(n) => panic!("expected EOF, got {n} bytes"),
         }
-        assert_eq!(bus.stats().get(Bus::Listeners), 0);
+        assert_eq!(bus.get(Bus::Listeners), 0);
         h.shutdown();
     }
 
@@ -2405,15 +2440,15 @@ mod tests {
             preroll_chunks: 1,
             stall_strikes: 4,
         };
-        let (h, bus, addr) = start_broadcast(cfg, 1);
+        let (h, bus, addr) = start_broadcast(cfg);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         wait_listeners(&bus, 1);
         let chunk = vec![0x42u8; 32 * 1024];
         let mut evicted = false;
         for _ in 0..200 {
-            publish(&h, &bus, chunk.clone());
-            if bus.stats().get(Bus::Evictions) > 0 {
+            publish(&h, chunk.clone());
+            if bus.get(Bus::Evictions) > 0 {
                 evicted = true;
                 break;
             }
@@ -2438,7 +2473,7 @@ mod tests {
             stall_strikes: 1_000_000, // Never evict in this test.
         };
         let wire_len = CHUNK + b"10000\r\n".len() + 2;
-        let (h, bus, addr) = start_broadcast(cfg, 1);
+        let (h, bus, addr) = start_broadcast(cfg);
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         sock.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
@@ -2450,10 +2485,10 @@ mod tests {
         let mut final_seq = 0u8;
         for seq in 0..240u8 {
             final_seq = seq;
-            publish(&h, &bus, vec![seq; CHUNK]);
+            publish(&h, vec![seq; CHUNK]);
             std::thread::sleep(Duration::from_millis(2));
-            let sealed = bus.stats().get(Bus::ChunksSealed);
-            let fanned = bus.stats().get(Bus::BytesFannedOut);
+            let sealed = bus.get(Bus::ChunksSealed);
+            let fanned = bus.get(Bus::BytesFannedOut);
             let backlog = sealed * wire_len as u64 - fanned;
             if backlog > ((4 + BCAST_BATCH + 1) * wire_len) as u64 {
                 break;
@@ -2484,7 +2519,7 @@ mod tests {
         assert!(frames_read >= 4, "read only {frames_read} frames");
         assert_eq!(last_tag, Some(final_seq), "drain must end at the live edge");
         assert!(
-            bus.stats().get(Bus::SkipAheads) > 0,
+            bus.get(Bus::SkipAheads) > 0,
             "ring never overtook the stalled cursor"
         );
         h.shutdown();
@@ -2496,7 +2531,7 @@ mod tests {
     #[test]
     fn fd_count_holds_the_wake_pipe_when_spawn_returns() {
         for _ in 0..20 {
-            let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), vec![], None);
+            let h = Harness::spawn(EVENT_ROOM, vec![], None);
             assert_eq!(h.totals()[FdCount], 1);
             h.shutdown();
         }
@@ -2504,12 +2539,12 @@ mod tests {
 
     #[test]
     fn fd_count_is_the_pipe_the_listeners_and_the_connections_until_shutdown() {
-        let bus = BroadcastBus::new(small_cfg(), 1);
+        let bus = BroadcastBus::new(small_cfg(), 1, 0xFF);
+        let bus_stats = Arc::clone(bus.stats());
         let (listener, addr) = tcp_listener(false);
         let (bcast_listener, bcast_addr) = tcp_listener(true);
         let listeners = vec![listener, bcast_listener];
-        let bus_handle = Some(Arc::clone(&bus));
-        let h = Harness::spawn(EVENT_ROOM, BufferPool::shared(), listeners, bus_handle);
+        let h = Harness::spawn(EVENT_ROOM, listeners, Some(bus));
         let mut conns = Vec::new();
         for _ in 0..2 {
             let mut sock = TcpStream::connect(addr).unwrap();
@@ -2519,7 +2554,7 @@ mod tests {
         }
         let mut listener = TcpStream::connect(bcast_addr).unwrap();
         listener.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        wait_listeners(&bus, 1);
+        wait_listeners(&bus_stats, 1);
         let stats = h.reactor.stats();
         // The wake pipe, both listeners, and three accepted sockets.
         assert_eq!(stats.get(FdCount), 1 + 2 + 3);
@@ -2527,6 +2562,6 @@ mod tests {
         h.shutdown();
         assert_eq!(stats.get(FdCount), 0);
         assert_eq!(stats.get(Closed), stats.get(Accepted));
-        assert_eq!(bus.stats().get(Bus::Listeners), 0);
+        assert_eq!(bus_stats.get(Bus::Listeners), 0);
     }
 }

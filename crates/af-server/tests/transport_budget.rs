@@ -58,7 +58,7 @@ fn serve(name: &str) -> (RunningServer, Arc<VirtualClock>, UnixStream) {
 /// The reactor's counters.  A handler counts its direct write before it
 /// returns, and the barrier is answered at the end of a later pass, so
 /// after a reply has been read the counters are final.
-fn reactor_totals(server: &RunningServer) -> Snapshot<Shard, 13> {
+fn reactor_totals(server: &RunningServer) -> Snapshot<Shard, 15> {
     server.handle().barrier();
     server.stats().reactor.snapshot()
 }
@@ -174,7 +174,7 @@ fn pipelined_32k_play_is_framed_in_place_and_takes_one_pooled_buffer() {
     };
     play(&mut sock);
     let before = reactor_totals(&server);
-    let warm = server.pool().allocs();
+    let warm = before[Shard::PoolAllocs];
     for _ in 0..DATA_OPS {
         play(&mut sock);
     }
@@ -198,7 +198,7 @@ fn pipelined_32k_play_is_framed_in_place_and_takes_one_pooled_buffer() {
     );
     assert_eq!(direct_writes, DATA_OPS);
     assert_eq!(
-        server.pool().allocs(),
+        after[Shard::PoolAllocs],
         warm,
         "the pool grew after the first play"
     );
@@ -237,17 +237,18 @@ fn record_8k_reply_takes_one_pooled_buffer() {
     server.handle().run_update();
 
     record(&mut sock, 10_000, 8192);
-    let (warm, reused) = (server.pool().allocs(), server.pool().reuses());
+    let before = reactor_totals(&server);
     for _ in 0..DATA_OPS {
         record(&mut sock, 10_000, 8192);
     }
+    let after = reactor_totals(&server);
     assert_eq!(
-        server.pool().allocs(),
-        warm,
+        after[Shard::PoolAllocs],
+        before[Shard::PoolAllocs],
         "the pool grew after the first record"
     );
     assert_eq!(
-        server.pool().reuses() - reused,
+        after[Shard::PoolReuses] - before[Shard::PoolReuses],
         DATA_OPS,
         "one pooled buffer per reply"
     );
