@@ -3,21 +3,21 @@
 // are control-plane *barriers* and allocate freely — the lint must not
 // follow `drain_queue` or `handle_request` through them.  The reactor
 // reaches the dispatcher through its `Handler` impl, on the reactor
-// thread: `event` runs `handle_event`, and `request` runs
-// `handle_request` on the request lent to it.  `handle_event` is the
-// barrier the reactor-rooted scans stop at, so the allocations behind it
-// are the dispatcher's business; `handle_request` is the same barrier for
+// thread: `connect` runs `handle_new_client` on the setup lent to it, and
+// `request` runs `handle_request` on the request lent to it.
+// `handle_new_client` is the barrier the reactor-rooted scans stop at, so
+// the allocations behind it are the dispatcher's business; `handle_request` is the same barrier for
 // `blocking-in-reactor` (the LineServer exchange a record brings its
 // device up to date with, bounded by the link's reply timeout, must not
 // be reported) and for `alloc` a root in its own right: it queues a
 // suspended client's request in a pooled copy and allocates nothing.
 // `play_wake_instant`, below `suspend`, reads the wall clock: it is the
 // scheduling layer's wake helper, where `wallclock` stops, as it does at
-// `handle_event`, which stamps a connection's setup.
+// `handle_new_client`, which stamps a connection's setup.
 
 impl Handler for Dispatcher {
-    fn event(&mut self, ev: Event) {
-        self.handle_event(ev);
+    fn connect(&mut self, id: u64, setup: &[u8]) {
+        self.handle_new_client(id, setup);
     }
 
     fn request(&mut self, id: u64, opcode: u8, payload: &[u8]) {
@@ -39,8 +39,8 @@ impl Dispatcher {
         }
     }
 
-    fn handle_event(&mut self, ev: Event) {
-        let label = format!("event {ev:?}");
+    fn handle_new_client(&mut self, id: u64, setup: &[u8]) {
+        let label = format!("client {id}: {setup:?}");
         self.joined_at = Instant::now();
         self.trace.push(label.clone());
         self.process_request(0);

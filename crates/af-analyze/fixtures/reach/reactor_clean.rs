@@ -1,11 +1,11 @@
 // Fixture: registry-complete reactor.  Every `blocking-in-reactor` and
 // `alloc` root exists, and the handler chain uses only non-blocking
 // primitives and caller-owned scratch: `handle_wake` takes the calls
-// other threads left with `try_recv`, `feed` hands each framed event to
-// the handler — a request, lent from the read scratch, to its `request`,
-// which handles it on this thread — and replies leave by `deliver`'s
-// direct write or by `flush_conn` draining the deque the reactor thread
-// owns.  The accept/registration path (an `alloc` barrier) allocates its
+// other threads left with `try_recv`, `feed` lends what it framed from
+// the read scratch to the handler — a setup to its `connect`, a request
+// to its `request`, each handled on this thread — and replies leave by
+// `deliver`'s direct write or by `flush_conn` draining the deque the
+// reactor thread owns.  The accept/registration path (an `alloc` barrier) allocates its
 // per-connection state — that is setup, amortized over the connection
 // lifetime, and must not be reported.
 
@@ -33,7 +33,7 @@ impl Shard {
 
     fn feed(&mut self, token: u64, n: usize) {
         if token == 0 {
-            self.handler.event((token, n));
+            self.handler.connect(token, &self.read_scratch[..n]);
         } else {
             self.handler.request(token, 1, &self.read_scratch[..n]);
         }

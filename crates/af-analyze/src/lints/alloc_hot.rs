@@ -36,9 +36,9 @@ const PATTERNS: &[&str] = &[
 
 /// Control-plane cuts:
 ///
-/// * `handle_event` is where the reactor enters the dispatcher with
-///   anything but a request (setup, protocol error, disconnect — per
-///   connection, not per tick): the reactor-rooted scan stops there.
+/// * `handle_new_client` is where the reactor enters the dispatcher with
+///   a connection's setup (per connection, not per tick): the
+///   reactor-rooted scan stops there.
 /// * `handle_request`, the borrowed request entry, is scanned, and so are
 ///   `drain_queue`/`retry_blocked`, which replay a suspended client's
 ///   requests; all three go on through `process_request`/`dispatch`,
@@ -56,7 +56,10 @@ const PATTERNS: &[&str] = &[
 ///   shards actually went missing, and Gaussian elimination needs its
 ///   matrices; the steady lossless path never enters it.
 const BARRIERS: &[(&str, &[&str])] = &[
-    (DISPATCH, &["handle_event", "process_request", "dispatch"]),
+    (
+        DISPATCH,
+        &["handle_new_client", "process_request", "dispatch"],
+    ),
     (
         SHARD_HANDLERS.0,
         &["accept_ready", "register_conn", "start_stream"],

@@ -14,9 +14,9 @@
 //! `// af-analyze: allow(blocking-in-reactor): reason`.
 //!
 //! The reactor runs request handlers and the task queue itself, so the
-//! reactor-rooted scan stops at the dispatcher's two request entries,
-//! `handle_request` and `handle_event`: what the dispatcher does is its
-//! own business (`alloc`, `wallclock`).  Its tasks are entered through the
+//! reactor-rooted scan stops at the dispatcher's request entry,
+//! `handle_request`, and its setup entry, `handle_new_client`: what the
+//! dispatcher does is its own business (`alloc`, `wallclock`).  Its tasks are entered through the
 //! `Handler` trait, which the textual call graph does not follow; the one
 //! blocking call the update task makes, a LineServer exchange, is bounded
 //! by its reply timeout and retries, and tests/lineserver.rs holds the
@@ -51,7 +51,7 @@ const PATTERNS: &[&str] = &[
 const SCAN: ReachScan = ReachScan {
     lint: "blocking-in-reactor",
     roots: &[SHARD_HANDLERS],
-    barriers: &[(DISPATCH, &["handle_request", "handle_event"])],
+    barriers: &[(DISPATCH, &["handle_request", "handle_new_client"])],
     patterns: PATTERNS,
     rationale: "event loops must stay non-blocking (atomics, nonblocking \
                 I/O); a block here stalls every connection on the reactor",

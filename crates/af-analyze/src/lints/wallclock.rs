@@ -10,8 +10,8 @@
 //!
 //! Roots are the data-plane registry `alloc` uses, and the scan follows
 //! the call graph from them.  It stops at the wake helper and at
-//! `handle_event`, where the reactor enters the dispatcher per connection,
-//! not per tick.  A clock read the protocol itself asks for is justified
+//! `handle_new_client`, where the reactor enters the dispatcher with a
+//! connection's setup, per connection, not per tick.  A clock read the protocol itself asks for is justified
 //! per site with `// af-analyze: allow(wallclock): reason`.
 
 use crate::callgraph::CallGraph;
@@ -23,7 +23,7 @@ use crate::Finding;
 const SCAN: ReachScan = ReachScan {
     lint: "wallclock",
     roots: DATA_PLANE,
-    barriers: &[(DISPATCH, &["handle_event", "play_wake_instant"])],
+    barriers: &[(DISPATCH, &["handle_new_client", "play_wake_instant"])],
     patterns: &["Instant::now", "SystemTime::now", ".elapsed("],
     rationale: "hot paths run on device time (ATime snapshots) only",
 };

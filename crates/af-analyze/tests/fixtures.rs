@@ -104,7 +104,7 @@ fn blocking_in_reactor_triggers_through_call_graph() {
 #[test]
 fn blocking_in_reactor_stays_quiet() {
     // Through the full pipeline, with no allow marker in the tree: the
-    // clean reactor takes calls with `try_recv`, hands framed events to the
+    // clean reactor takes calls with `try_recv`, lends what it frames to the
     // dispatcher's `Handler` impl and writes replies without blocking; the
     // blocking LineServer exchange in the dispatcher's `handle_request`
     // sits behind the barrier.  Nothing may be reported.
@@ -159,8 +159,8 @@ fn alloc_barriers_cut_the_control_plane() {
     // from `decode`) builds its matrices with `Vec::new` + `format!`; the
     // reactor's `register_conn` boxes per-connection state and its
     // `start_stream` (reached from the `read_bcast` root) formats the
-    // one-shot broadcast response head; the dispatcher's `handle_event`
-    // (reached from the reactor's `feed` root through `event`) formats
+    // one-shot broadcast response head; the dispatcher's `handle_new_client`
+    // (reached from the reactor's `feed` root through `connect`) formats
     // and clones; the owned `Request::decode` copies the samples the
     // borrowed `parse` root found, and `read_rec` builds the `Vec` the
     // `read_rec_into` root appends to, each outside its root.  None of it
@@ -275,8 +275,8 @@ fn wallclock_triggers_inside_hot_path() {
 fn wallclock_allows_the_wake_helper() {
     // The clean tree reads the wall clock behind both barriers: in
     // `play_wake_instant`, below `suspend` (the scheduling layer's one
-    // sanctioned use), and in `handle_event`, reached from the `feed`
-    // root through `event` (per-connection setup).
+    // sanctioned use), and in `handle_new_client`, reached from the `feed`
+    // root through `connect` (per-connection setup).
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),

@@ -486,12 +486,6 @@ impl ServerHandle {
     pub fn barrier(&self) {
         self.control.call(Call::Barrier);
     }
-
-    /// Shuts the dispatcher down: no further task runs, and later
-    /// transport events are refused.
-    pub fn shutdown(&self) {
-        self.control.call(Call::Shutdown);
-    }
 }
 
 /// A running server: the reactor thread, and the control handle.
@@ -681,5 +675,35 @@ mod tests {
             "an update ran off the reactor"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn handle_calls_return_once_the_server_is_gone() {
+        // `Control::call` returns at once when the reactor has stopped: a
+        // call the stopped reactor never ran still wakes its caller.
+        let server = ServerBuilder::new().spawn().unwrap();
+        let handle = server.handle();
+        let (looping, started) = std::sync::mpsc::sync_channel(1);
+        let (done, finished) = std::sync::mpsc::sync_channel(1);
+        let stop = Arc::new(AtomicBool::new(false));
+        let caller = {
+            let (handle, stop) = (handle.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    handle.barrier();
+                    let _ = looping.try_send(());
+                }
+                done.send(()).unwrap();
+            })
+        };
+        started.recv().unwrap();
+        server.shutdown();
+        handle.run_update();
+        handle.barrier();
+        stop.store(true, Ordering::SeqCst);
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a barrier caller was left parked by the shutdown");
+        caller.join().unwrap();
     }
 }

@@ -16,10 +16,10 @@
 use crate::broadcast::BroadcastBus;
 use crate::buffer::PlayOutcome;
 use crate::pool::BufferPool;
-use crate::reactor::{Handler, Outbound};
+use crate::reactor::{ConnRef, Handler, Outbound};
 use crate::state::{
     connector_mask, AccessControl, AtomRegistry, Blocked, BlockedOp, ClientId, ClientState, Device,
-    PropertyValue, RawRequest, ServerAc, ServerEvent,
+    PropertyValue, RawRequest, ServerAc,
 };
 use crate::stats::{Server, ServerCounters};
 use crate::task::{next_period, TaskKind, TaskQueue};
@@ -28,10 +28,11 @@ use af_dsp::tables::PlayMap;
 use af_proto::request::{play_flags, record_flags, PropertyMode};
 use af_proto::{
     message, AcAttributes, AcId, AcMask, Atom, DeviceId, ErrorCode, Event, EventDetail, EventMask,
-    Opcode, PlayView, Reply, Request, SetupReply, WireError, MAX_REQUEST_BYTES,
+    FrameError, Opcode, PlayView, Reply, Request, SetupReply, WireError, MAX_REQUEST_BYTES,
 };
 use af_time::ATime;
 use std::collections::HashMap;
+use std::net::IpAddr;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -175,7 +176,6 @@ pub struct Dispatcher {
     core: ServerCore,
     tasks: TaskQueue,
     update_interval: Duration,
-    shutdown: bool,
     /// Scratch for AC sample-type conversion and pass-through copies,
     /// reused so a steady play/record stream and the update run without
     /// allocating.
@@ -183,6 +183,9 @@ pub struct Dispatcher {
     /// Clients whose bounded outbound deque refused a message since the
     /// last eviction pass (which follows every event).
     overflowed: Vec<ClientId>,
+    /// Scratch for the suspended clients a retry pass visits, reused so
+    /// the update allocates nothing while a client is suspended.
+    retrying: Vec<ClientId>,
 }
 
 /// Where [`Dispatcher::advance_play`] had to stop: the first `consumed`
@@ -216,28 +219,31 @@ fn host_time_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Returned by the [`Handler`] entries once the server has shut down: the
-/// reactor closes the connection.
-#[derive(Debug)]
-pub struct DispatcherGone;
-
+// Each connection entry ends with the eviction pass, as `handle_request`
+// does: a client whose bounded deque overflowed is evicted rather than
+// buffered without limit.
 impl Handler for Dispatcher {
-    fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone> {
-        if self.shutdown {
-            return Err(DispatcherGone);
-        }
-        self.handle_event(ev);
+    fn connect(&mut self, conn: ConnRef, setup: &[u8], peer: Option<IpAddr>) {
+        self.handle_new_client(conn, setup, peer);
+        self.evict_overflowed();
         self.core.stats.add(Server::InlineEvents, 1);
-        Ok(())
     }
 
-    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone> {
-        if self.shutdown {
-            return Err(DispatcherGone);
+    fn disconnect(&mut self, id: ClientId, protocol: Option<FrameError>) {
+        // A framing violation poisons only the offending connection; other
+        // clients are untouched.
+        if protocol.is_some() {
+            self.core.stats.add(Server::ProtocolErrors, 1);
         }
+        // Ids never admitted, or already evicted, find nothing.
+        self.remove_client(id);
+        self.evict_overflowed();
+        self.core.stats.add(Server::InlineEvents, 1);
+    }
+
+    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
         self.handle_request(id, opcode, payload);
         self.core.stats.add(Server::InlineEvents, 1);
-        Ok(())
     }
 
     fn next_deadline(&self) -> Option<Instant> {
@@ -254,7 +260,7 @@ impl Handler for Dispatcher {
                     let next = next_period(deadline, self.update_interval, now);
                     self.tasks.schedule(next, TaskKind::Update);
                 }
-                TaskKind::WakeBlocked(device) => self.retry_blocked_device(device),
+                TaskKind::WakeBlocked(device) => self.retry_suspended(Some(device)),
             }
         }
     }
@@ -271,15 +277,8 @@ impl Handler for Dispatcher {
         }
         self.run_passthrough();
         self.poll_phone_events();
-        self.retry_blocked_all();
+        self.retry_suspended(None);
         self.evict_overflowed();
-    }
-
-    fn shut_down(&mut self) {
-        self.shutdown = true;
-        self.tasks = TaskQueue::new();
-        // Drop the clients: nothing is handled for them any more.
-        self.core.clients.clear();
     }
 
     fn outbound(&mut self) -> &mut Outbound {
@@ -302,33 +301,10 @@ impl Dispatcher {
             core,
             tasks,
             update_interval,
-            shutdown: false,
             conv_buf: Vec::new(),
             overflowed: Vec::new(),
+            retrying: Vec::new(),
         }
-    }
-
-    /// One transport event.
-    fn handle_event(&mut self, ev: ServerEvent) {
-        match ev {
-            ServerEvent::NewClient {
-                id,
-                setup,
-                peer,
-                conn,
-            } => self.handle_new_client(id, &setup, peer, conn),
-            ServerEvent::ProtocolError { id, error: _ } => {
-                // A framing violation poisons only the offending
-                // connection, which the reactor is already closing; other
-                // clients are untouched.
-                self.core.stats.add(Server::ProtocolErrors, 1);
-                self.remove_client(id);
-            }
-            ServerEvent::Disconnect { id } => self.remove_client(id),
-        }
-        // Any event may have queued outbound data; evict clients whose
-        // bounded deque overflowed rather than buffering without limit.
-        self.evict_overflowed();
     }
 
     /// One framed request, in the buffer it was framed in.  Unknown ids (never admitted, or already evicted)
@@ -351,13 +327,8 @@ impl Dispatcher {
         self.evict_overflowed();
     }
 
-    fn handle_new_client(
-        &mut self,
-        id: ClientId,
-        setup: &[u8],
-        peer: Option<std::net::IpAddr>,
-        conn: crate::reactor::ConnRef,
-    ) {
+    /// A connection's setup: the client admitted, or its refusal sent.
+    fn handle_new_client(&mut self, conn: ConnRef, setup: &[u8], peer: Option<IpAddr>) {
         // A refused connection is closed from this side: `hang_up` lets
         // the refusal leave, whole, before the socket goes.
         let setup = match af_proto::ConnSetup::decode(setup) {
@@ -398,7 +369,7 @@ impl Dispatcher {
         let _ = self.core.outbound.deliver(conn, reply.encode(order).into());
         self.core
             .clients
-            .insert(id, ClientState::new(id, order, conn));
+            .insert(conn.id(), ClientState::new(order, conn));
         self.core.stats.add(Server::ClientsTotal, 1);
         self.core
             .stats
@@ -424,7 +395,7 @@ impl Dispatcher {
 
     /// Evicts every client whose outbound deque refused a message: closes
     /// its socket (the reactor sees the hang-up) and drops its state, so
-    /// the reactor's eventual `Disconnect` event finds nothing.  (A client listed
+    /// the reactor's eventual `disconnect` finds nothing.  (A client listed
     /// twice, or gone since, is evicted once.)
     fn evict_overflowed(&mut self) {
         while let Some(id) = self.overflowed.pop() {
@@ -519,43 +490,30 @@ impl Dispatcher {
                     event.encode(client.order, client.seq),
                 )
             {
-                self.overflowed.push(client.id);
+                self.overflowed.push(client.conn.id());
             }
         }
     }
 
     // ---- Suspended clients (the task-resume mechanism). ----
 
-    fn retry_blocked_all(&mut self) {
-        let ids: Vec<ClientId> = self
-            .core
-            .clients
-            .iter()
-            .filter(|(_, c)| c.blocked.is_some())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ids {
+    /// Retries the suspended clients: every one in the update, or only
+    /// those suspended on `device` — the scoped form a
+    /// `WakeBlocked(device)` task runs, so one device's wake-up does not
+    /// re-attempt every suspended request server-wide.
+    fn retry_suspended(&mut self, device: Option<DeviceId>) {
+        let mut ids = std::mem::take(&mut self.retrying);
+        ids.clear();
+        ids.extend(self.core.clients.iter().filter_map(|(&id, c)| {
+            let op = &c.blocked.as_ref()?.op;
+            device.is_none_or(|d| op.device() == d).then_some(id)
+        }));
+        for &id in &ids {
             self.retry_blocked(id);
             // A completed request may unblock queued requests.
             self.drain_queue(id);
         }
-    }
-
-    /// Retries only the clients suspended on `device` — the scoped form a
-    /// `WakeBlocked(device)` task runs, so one device's wake-up does not
-    /// re-attempt every suspended request server-wide.
-    fn retry_blocked_device(&mut self, device: DeviceId) {
-        let ids: Vec<ClientId> = self
-            .core
-            .clients
-            .iter()
-            .filter(|(_, c)| c.blocked.as_ref().is_some_and(|b| b.op.device() == device))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ids {
-            self.retry_blocked(id);
-            self.drain_queue(id);
-        }
+        self.retrying = ids;
     }
 
     fn drain_queue(&mut self, id: ClientId) {
@@ -1580,12 +1538,7 @@ mod tests {
         // One admitted client on a connection nothing drains: the setup
         // reply is its first waiting message.
         let conn = dispatcher.core.outbound.detached(7);
-        dispatcher.handle_event(ServerEvent::NewClient {
-            id: 7,
-            setup: af_proto::ConnSetup::new().encode(),
-            peer: None,
-            conn,
-        });
+        dispatcher.connect(conn, &af_proto::ConnSetup::new().encode(), None);
         assert!(dispatcher.core.clients.contains_key(&7));
 
         // Messages hit the bound outside any event's eviction pass: the
@@ -1606,7 +1559,7 @@ mod tests {
 
         // Any later event — here one that has nothing to do with the
         // client — runs the pass.
-        dispatcher.handle_event(ServerEvent::Disconnect { id: 99 });
+        dispatcher.disconnect(99, None);
         assert!(dispatcher.core.clients.is_empty(), "listed client evicted");
         assert_eq!(
             dispatcher.core.outbound.kicks(),

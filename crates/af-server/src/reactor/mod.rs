@@ -57,9 +57,8 @@
 //! is not reading its sockets — TCP backpressure to the clients.
 
 use crate::broadcast::{BroadcastBus, BroadcastChunk};
-use crate::dispatch::DispatcherGone;
 use crate::pool::{BufferPool, PooledBuf, REACTOR_MAX_IDLE};
-use crate::state::{ClientId, ServerEvent};
+use crate::state::ClientId;
 use crate::stats::{self, Bus, BusCounters, ShardCounters};
 use af_proto::{decode_frame_header, ByteOrder, ConnSetup, FrameError};
 use af_sys::{Interest, PollEvent, Poller, MAX_EVENTS};
@@ -276,14 +275,20 @@ impl Listener {
 /// ([`Reactor::spawn`]) and never leaves it; every method is called
 /// there, one at a time.
 pub trait Handler {
-    /// A connection's setup, protocol error or end.  `Err` once the
-    /// handler has shut down: the reactor closes the connection.
-    fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone>;
+    /// Connection `conn` sent its whole setup message, lent as a request's
+    /// payload is.  `peer` is its address, for access control (`None` on
+    /// a Unix-domain socket).
+    fn connect(&mut self, conn: ConnRef, setup: &[u8], peer: Option<IpAddr>);
+
+    /// Connection `id` is gone: closed, failed, or cut off for the framing
+    /// violation `protocol`.  Called for every connection, even one that
+    /// never finished its setup.
+    fn disconnect(&mut self, id: ClientId, protocol: Option<FrameError>);
 
     /// One framed request of connection `id`.  `payload` (the bytes after
     /// the 4-byte header) is lent from where `read` left it and only read;
     /// nothing keeps it past the call.
-    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) -> Result<(), DispatcherGone>;
+    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]);
 
     /// The earliest task deadline: the poll loop sleeps no longer.
     fn next_deadline(&self) -> Option<Instant>;
@@ -293,10 +298,6 @@ pub trait Handler {
 
     /// Runs the update task now ([`Call::Update`]).
     fn update(&mut self);
-
-    /// Refuses every later event and runs no further task
-    /// ([`Call::Shutdown`]).
-    fn shut_down(&mut self);
 
     /// The connections' write side, which the handler's replies go into
     /// and the reactor drains.
@@ -308,13 +309,20 @@ pub trait Handler {
 }
 
 /// The handler's reference to one connection, handed over with its setup
-/// ([`ServerEvent::NewClient`]): where that client's replies go.
+/// ([`Handler::connect`]): where that client's replies go.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConnRef {
     /// Poller token of the connection's slot.
     token: usize,
     /// Told apart from a later connection in a recycled slot by its id.
     id: ClientId,
+}
+
+impl ConnRef {
+    /// The connection's client id, which its requests and its end carry.
+    pub(crate) fn id(self) -> ClientId {
+        self.id
+    }
 }
 
 /// One connection's write side: its socket and unwritten messages.
@@ -570,7 +578,7 @@ enum ReadOutcome {
     Park,
     /// EOF, I/O error, or unusable setup: close without protocol blame.
     Close,
-    /// Malformed framing: report `ProtocolError`, then close.
+    /// Malformed framing: close, telling the handler why.
     Protocol(FrameError),
 }
 
@@ -709,10 +717,8 @@ impl<H: Handler> Shard<H> {
         // A caller queues its call before it writes the pipe, so every
         // call behind a byte just read is here.
         while let Ok(asked) = self.calls.try_recv() {
-            match asked.call {
-                Call::Update => self.handler.update(),
-                Call::Barrier => {}
-                Call::Shutdown => self.handler.shut_down(),
+            if asked.call == Call::Update {
+                self.handler.update();
             }
             self.answered.push(asked);
         }
@@ -765,8 +771,8 @@ impl<H: Handler> Shard<H> {
             .is_err()
         {
             self.free.push(token);
-            return; // Dropping the socket closes it; the dispatcher never
-                    // learned of it, so no event is owed.
+            return; // Dropping the socket closes it; the handler never
+                    // learned of it, so no `disconnect` is owed.
         }
         self.stats.add(stats::Shard::Accepted, 1);
         self.stats.add(stats::Shard::FdCount, 1);
@@ -1233,19 +1239,19 @@ impl<H: Handler> Shard<H> {
                     if !fill(buf, have, &mut data) {
                         break;
                     }
-                    let Ok(tail_len) = ConnSetup::tail_len(buf) else {
-                        return Err(ReadOutcome::Close); // Garbage setup.
-                    };
-                    // af-analyze: allow(alloc): connection-setup phase, one hello copy per connection
-                    let mut setup = buf.to_vec();
-                    if tail_len == 0 {
-                        self.finish_setup(conn, setup)?;
-                    } else {
-                        setup.resize(ConnSetup::HEADER_SIZE + tail_len, 0);
-                        conn.phase = ReadPhase::SetupTail {
-                            buf: setup,
-                            have: ConnSetup::HEADER_SIZE,
-                        };
+                    let header = *buf;
+                    match ConnSetup::tail_len(&header) {
+                        Ok(0) => self.finish_setup(conn, &header)?,
+                        Ok(tail_len) => {
+                            // af-analyze: allow(alloc): connection-setup phase, one copy per connection whose setup has a tail
+                            let mut setup = header.to_vec();
+                            setup.resize(ConnSetup::HEADER_SIZE + tail_len, 0);
+                            conn.phase = ReadPhase::SetupTail {
+                                buf: setup,
+                                have: ConnSetup::HEADER_SIZE,
+                            };
+                        }
+                        Err(_) => return Err(ReadOutcome::Close), // Garbage setup.
                     }
                 }
                 ReadPhase::SetupTail { buf, have } => {
@@ -1253,7 +1259,7 @@ impl<H: Handler> Shard<H> {
                         break;
                     }
                     let setup = std::mem::take(buf);
-                    self.finish_setup(conn, setup)?;
+                    self.finish_setup(conn, &setup)?;
                 }
                 ReadPhase::Header { buf, have } => {
                     let header = match data.split_first_chunk() {
@@ -1273,7 +1279,7 @@ impl<H: Handler> Shard<H> {
                     if data.len() >= payload_len {
                         let (payload, rest) = data.split_at(payload_len);
                         data = rest;
-                        self.dispatch_frame(conn.id, opcode, payload, budget)?;
+                        self.dispatch_frame(conn.id, opcode, payload, budget);
                     } else {
                         conn.phase = ReadPhase::Payload {
                             opcode,
@@ -1289,7 +1295,7 @@ impl<H: Handler> Shard<H> {
                     let staged = std::mem::replace(&mut conn.phase, ReadPhase::BETWEEN_FRAMES);
                     if let ReadPhase::Payload { opcode, buf, .. } = staged {
                         self.stats.add(stats::Shard::StagedFrames, 1);
-                        self.dispatch_frame(conn.id, opcode, &buf, budget)?;
+                        self.dispatch_frame(conn.id, opcode, &buf, budget);
                     }
                 }
             }
@@ -1300,41 +1306,24 @@ impl<H: Handler> Shard<H> {
 
     /// Lends one complete request frame to the handler, which handles it
     /// here and now.
-    fn dispatch_frame(
-        &mut self,
-        id: ClientId,
-        opcode: u8,
-        payload: &[u8],
-        budget: &mut u32,
-    ) -> Result<(), ReadOutcome> {
+    fn dispatch_frame(&mut self, id: ClientId, opcode: u8, payload: &[u8], budget: &mut u32) {
         self.stats.add(stats::Shard::Frames, 1);
-        if self.handler.request(id, opcode, payload).is_err() {
-            return Err(ReadOutcome::Close); // Dispatcher gone.
-        }
+        self.handler.request(id, opcode, payload);
         *budget = budget.saturating_sub(1);
-        Ok(())
     }
 
-    fn finish_setup(&mut self, conn: &mut ConnState, setup: Vec<u8>) -> Result<(), ReadOutcome> {
-        let Some(&marker) = setup.first() else {
-            return Err(ReadOutcome::Close);
-        };
-        let Ok(order) = ByteOrder::from_marker(marker) else {
+    /// Lends a whole setup message to the handler, once its byte-order
+    /// marker has said how the connection's frames read.
+    fn finish_setup(&mut self, conn: &mut ConnState, setup: &[u8]) -> Result<(), ReadOutcome> {
+        let Some(Ok(order)) = setup.first().map(|&marker| ByteOrder::from_marker(marker)) else {
             return Err(ReadOutcome::Close);
         };
         conn.order = order;
-        let event = ServerEvent::NewClient {
+        let conn_ref = ConnRef {
+            token: conn.token,
             id: conn.id,
-            setup,
-            peer: conn.peer,
-            conn: ConnRef {
-                token: conn.token,
-                id: conn.id,
-            },
         };
-        if self.handler.event(event).is_err() {
-            return Err(ReadOutcome::Close);
-        }
+        self.handler.connect(conn_ref, setup, conn.peer);
         conn.phase = ReadPhase::BETWEEN_FRAMES;
         Ok(())
     }
@@ -1343,14 +1332,7 @@ impl<H: Handler> Shard<H> {
     #[allow(clippy::boxed_local)]
     fn close_conn(&mut self, token: usize, conn: Box<ConnState>, protocol: Option<FrameError>) {
         self.release(conn.sock.as_raw_fd(), token);
-        if let Some(error) = protocol {
-            let _ = self
-                .handler
-                .event(ServerEvent::ProtocolError { id: conn.id, error });
-        }
-        // Always sent, even pre-setup: the dispatcher ignores ids it
-        // never admitted.
-        let _ = self.handler.event(ServerEvent::Disconnect { id: conn.id });
+        self.handler.disconnect(conn.id, protocol);
         // The write side goes too; its unwritten messages recycle.
         if let Some(out) = self.handler.outbound().conns.get_mut(token) {
             *out = None;
@@ -1381,9 +1363,6 @@ pub enum Call {
     /// Nothing: answered once everything the reactor was handed before it
     /// has been handled.
     Barrier,
-    /// Shut the handler down: later events are refused and no further
-    /// task runs.
-    Shutdown,
 }
 
 /// A call and the thread waiting on it.  Dropped once the reactor has run
@@ -1576,11 +1555,13 @@ mod tests {
     /// Room for every event of a test that does not bound its own queue.
     const EVENT_ROOM: usize = 1024;
 
-    /// What the test handler was handed: an event, or a request — id,
-    /// opcode and a copy of the payload it was lent.
+    /// What the test handler was handed, with a copy of any bytes it was
+    /// lent: a setup, a request (id, opcode, payload), or a connection's
+    /// end.
     enum Captured {
-        Event(ServerEvent),
+        Connect(ConnRef, Vec<u8>, Option<IpAddr>),
         Request(ClientId, u8, Vec<u8>),
+        Disconnect(Option<FrameError>),
     }
 
     /// Work a test runs on the reactor thread, against the handler.
@@ -1600,21 +1581,20 @@ mod tests {
     }
 
     impl Handler for Capture {
-        fn event(&mut self, ev: ServerEvent) -> Result<(), DispatcherGone> {
-            let sent = self.events.send(Captured::Event(ev));
-            sent.map_err(|_| DispatcherGone)
+        fn connect(&mut self, conn: ConnRef, setup: &[u8], peer: Option<IpAddr>) {
+            let _ = self
+                .events
+                .send(Captured::Connect(conn, setup.to_vec(), peer));
         }
 
-        fn request(
-            &mut self,
-            id: ClientId,
-            opcode: u8,
-            payload: &[u8],
-        ) -> Result<(), DispatcherGone> {
-            let sent = self
+        fn disconnect(&mut self, _id: ClientId, protocol: Option<FrameError>) {
+            let _ = self.events.send(Captured::Disconnect(protocol));
+        }
+
+        fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
+            let _ = self
                 .events
                 .send(Captured::Request(id, opcode, payload.to_vec()));
-            sent.map_err(|_| DispatcherGone)
         }
 
         fn next_deadline(&self) -> Option<Instant> {
@@ -1628,8 +1608,6 @@ mod tests {
                 job(self);
             }
         }
-
-        fn shut_down(&mut self) {}
 
         fn outbound(&mut self) -> &mut Outbound {
             &mut self.outbound
@@ -1729,13 +1707,8 @@ mod tests {
     /// setup: `(id, setup, peer, conn)`.
     fn new_client(rx: &Receiver<Captured>) -> (ClientId, Vec<u8>, Option<IpAddr>, ConnRef) {
         match recv(rx) {
-            Captured::Event(ServerEvent::NewClient {
-                id,
-                setup,
-                peer,
-                conn,
-            }) => (id, setup, peer, conn),
-            _ => panic!("expected NewClient"),
+            Captured::Connect(conn, setup, peer) => (conn.id, setup, peer, conn),
+            _ => panic!("expected a connect"),
         }
     }
 
@@ -1747,19 +1720,11 @@ mod tests {
         }
     }
 
-    /// … a framing violation.
-    fn protocol_error(rx: &Receiver<Captured>) -> FrameError {
+    /// … the connection's end, and the framing violation that ended it.
+    fn disconnect(rx: &Receiver<Captured>) -> Option<FrameError> {
         match recv(rx) {
-            Captured::Event(ServerEvent::ProtocolError { error, .. }) => error,
-            _ => panic!("expected ProtocolError"),
-        }
-    }
-
-    /// … the connection's end.
-    fn disconnect(rx: &Receiver<Captured>) {
-        match recv(rx) {
-            Captured::Event(ServerEvent::Disconnect { .. }) => {}
-            _ => panic!("expected Disconnect"),
+            Captured::Disconnect(protocol) => protocol,
+            _ => panic!("expected a disconnect"),
         }
     }
 
@@ -1826,19 +1791,18 @@ mod tests {
         assert_eq!(got, payload);
 
         drop(sock);
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), None);
         h.shutdown();
     }
 
     #[test]
-    fn zero_length_frame_reports_protocol_error_then_disconnects() {
+    fn zero_length_frame_disconnects_with_a_protocol_error() {
         let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         new_client(&h.rx);
         sock.write_all(&[0, 0, 33, 0]).unwrap();
-        assert_eq!(protocol_error(&h.rx), FrameError::ZeroLength);
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), Some(FrameError::ZeroLength));
         h.shutdown();
     }
 
@@ -1853,7 +1817,7 @@ mod tests {
         // sending the payload.  The reactor must not emit a partial request.
         sock.write_all(&[0xff, 0xff, 33, 0]).unwrap();
         drop(sock);
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), None);
         h.shutdown();
     }
 
@@ -1938,7 +1902,7 @@ mod tests {
             "one-byte delivery must exercise partial reads: {partials}"
         );
         drop(sock);
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), None);
         h.shutdown();
     }
 
@@ -1954,7 +1918,7 @@ mod tests {
         sock.write_all(&ConnSetup::new().encode()).unwrap();
         assert!(new_client(&h.rx).2.is_none());
         drop(sock);
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), None);
         h.shutdown();
         let _ = std::fs::remove_file(&path);
     }
@@ -2000,7 +1964,7 @@ mod tests {
         assert!(waiting > 0, "the deque drained to a peer that never reads");
 
         h.jobs.run(move |cap| cap.outbound.kick(conn));
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), None);
         assert_eq!(h.totals()[Evictions], 1);
         // The reactor drops the deque right after it reports the close:
         // every buffer the flood took comes back to the pool.
@@ -2054,7 +2018,7 @@ mod tests {
             t[DirectWrites] > 0 && t[QueuedWrites] > 0,
             "a reply path never ran"
         );
-        disconnect(&h.rx);
+        assert_eq!(disconnect(&h.rx), None);
         wait_until("the reactor to close the connection", || fds() == open - 1);
         h.shutdown();
     }
@@ -2110,7 +2074,7 @@ mod tests {
     /// Setup message and 100 requests written `piece` bytes at a time:
     /// everything arrives, in order.  With `poison_after`, a zero-length
     /// frame header follows that many requests: those are delivered, then
-    /// `ProtocolError`, then `Disconnect`, and nothing after.
+    /// one `disconnect` carrying the framing violation, and nothing after.
     fn coalesced_burst(piece: usize, poison_after: Option<usize>) {
         let (h, addr) = start();
         let mut wire = ConnSetup::new().encode();
@@ -2138,13 +2102,12 @@ mod tests {
             assert_eq!(opcode, 1 + i as u8, "request {i}");
             assert!(got == *payload, "payload of request {i}");
         }
-        if poison_after.is_some() {
-            assert_eq!(protocol_error(&h.rx), FrameError::ZeroLength);
-        } else {
+        if poison_after.is_none() {
             assert_eq!(h.totals()[Frames], 100);
             drop(sock);
         }
-        disconnect(&h.rx);
+        let protocol = poison_after.map(|_| FrameError::ZeroLength);
+        assert_eq!(disconnect(&h.rx), protocol);
         h.shutdown();
     }
 
@@ -2214,7 +2177,7 @@ mod tests {
                 );
             }
             drop(sock);
-            disconnect(&h.rx);
+            assert_eq!(disconnect(&h.rx), None);
             let after = h.totals();
             assert_eq!(after[Frames] - before[Frames], frames.len() as u64);
             assert_eq!(

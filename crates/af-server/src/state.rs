@@ -7,7 +7,7 @@ use crate::reactor::{ConnRef, Outbound, Refused};
 use crate::stats::{BusCounters, LinkCounters, ServerCounters, ShardCounters};
 use af_dsp::convert::Converter;
 use af_dsp::tables::PlayMap;
-use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask, FrameError};
+use af_proto::{AcAttributes, AcId, Atom, ByteOrder, DeviceDesc, DeviceId, EventMask};
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
 use std::net::IpAddr;
@@ -317,11 +317,10 @@ pub struct Blocked {
 
 /// Per-connection client state.
 pub struct ClientState {
-    /// Connection identifier.
-    pub id: ClientId,
     /// The client's declared byte order.
     pub order: ByteOrder,
-    /// The connection: where replies go, and what an eviction kicks.
+    /// The connection: its id, where replies go, and what an eviction
+    /// kicks.
     pub conn: ConnRef,
     /// Requests processed on this connection (low 16 bits are the wire
     /// sequence number).
@@ -338,9 +337,8 @@ pub struct ClientState {
 
 impl ClientState {
     /// Creates state for a newly accepted connection.
-    pub fn new(id: ClientId, order: ByteOrder, conn: ConnRef) -> ClientState {
+    pub fn new(order: ByteOrder, conn: ConnRef) -> ClientState {
         ClientState {
-            id,
             order,
             conn,
             seq: 0,
@@ -371,37 +369,6 @@ impl ClientState {
     pub fn send_bytes<B: Into<PooledBuf>>(&self, out: &mut Outbound, bytes: B) -> bool {
         out.deliver(self.conn, bytes.into()) != Err(Refused::Full)
     }
-}
-
-/// What the reactor hands to the dispatcher through
-/// [`crate::reactor::Handler::event`].  Framed requests are not among
-/// them: they go in borrowed, through
-/// [`crate::reactor::Handler::request`].
-pub enum ServerEvent {
-    /// A transport accepted a connection and read its setup message.
-    NewClient {
-        /// Transport-assigned id.
-        id: ClientId,
-        /// The raw setup message.
-        setup: Vec<u8>,
-        /// Peer address for access control (`None` for local transports).
-        peer: Option<IpAddr>,
-        /// The dispatcher's reference to the connection.
-        conn: ConnRef,
-    },
-    /// The connection sent an unrecoverable malformed frame; only this
-    /// client is disconnected.
-    ProtocolError {
-        /// The offending connection.
-        id: ClientId,
-        /// What the framing decoder rejected.
-        error: FrameError,
-    },
-    /// The connection closed or failed.
-    Disconnect {
-        /// The connection that went away.
-        id: ClientId,
-    },
 }
 
 #[cfg(test)]
@@ -446,7 +413,7 @@ mod tests {
     }
 
     fn client(out: &mut Outbound) -> ClientState {
-        ClientState::new(1, ByteOrder::Little, out.detached(1))
+        ClientState::new(ByteOrder::Little, out.detached(1))
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The data plane's heap budget, counted: once warm, a play, a record and
 //! the update task between them cost the server's one thread no
-//! allocation at all.
+//! allocation at all, and neither does resuming a suspended client.
 //!
 //! A counting `#[global_allocator]` tallies every allocation made on a
 //! thread named `af-reactor-*` — the reactor thread, which runs every
@@ -9,7 +9,7 @@
 //! the allocator is process-wide.
 
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
-use audiofile::device::{Clock, NullSink, SilenceSource, VirtualClock};
+use audiofile::device::{Clock, NullSink, SilenceSource, SystemClock, VirtualClock};
 use audiofile::dsp::Encoding;
 use audiofile::server::ServerBuilder;
 use audiofile::time::ATime;
@@ -78,6 +78,10 @@ const OPS: usize = 1_000;
 /// Device time that passes between two ops (10 ms at 8 kHz): each op is
 /// followed by an update that services the hardware for it.
 const TICKS_PER_OP: u32 = 80;
+/// A blocking record of 20 ms at 8 kHz µ-law, and how many of them run
+/// back to back once warm.
+const RECORD_BYTES: usize = 160;
+const BLOCKING_RECORDS: usize = 100;
 
 #[test]
 fn steady_plays_and_records_allocate_nothing_on_the_reactor_threads() {
@@ -151,6 +155,43 @@ fn steady_plays_and_records_allocate_nothing_on_the_reactor_threads() {
         (0, 0),
         "heap allocations on af-reactor-* threads across {OPS} plays, then {OPS} records, \
          each with an update"
+    );
+
+    drop(conn);
+    server.shutdown();
+
+    // Back-to-back blocking records on a real clock: each waits for the
+    // next 20 ms, so the client suspends every time and a `WakeBlocked`
+    // task or the update resumes it.  (On a virtual clock that nobody
+    // advances, wake deadlines estimated from the wall clock pile up.)
+    let clock = Arc::new(SystemClock::new(8000));
+    let mut builder = ServerBuilder::new().listen_unix(path.clone());
+    builder.add_codec(
+        clock.clone(),
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    );
+    let server = builder.spawn().unwrap();
+    let mut conn = AudioConn::open(&format!("unix:{}", path.display())).unwrap();
+    let ac = conn
+        .create_ac(0, AcMask::default(), &AcAttributes::default())
+        .unwrap();
+    let mut at = clock.now();
+    let mut records = |n: usize| {
+        REACTOR_ALLOCS.store(0, Ordering::Relaxed);
+        for _ in 0..n {
+            let (_, data) = conn.record_samples(&ac, at, RECORD_BYTES, true).unwrap();
+            assert_eq!(data.len(), RECORD_BYTES);
+            at += RECORD_BYTES as u32;
+        }
+        server.handle().barrier();
+        REACTOR_ALLOCS.load(Ordering::Relaxed)
+    };
+    records(WARM_UP / 5);
+    assert_eq!(
+        records(BLOCKING_RECORDS),
+        0,
+        "heap allocations on af-reactor-* threads across {BLOCKING_RECORDS} blocking records"
     );
 
     drop(conn);
