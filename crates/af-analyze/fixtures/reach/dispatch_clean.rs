@@ -7,9 +7,8 @@
 // `request` runs `handle_request` on the request lent to it.
 // `handle_new_client` is the barrier the reactor-rooted scans stop at, so
 // the allocations behind it are the dispatcher's business; `handle_request` is the same barrier for
-// `blocking-in-reactor` (the LineServer exchange a record brings its
-// device up to date with, bounded by the link's reply timeout, must not
-// be reported) and for `alloc` a root in its own right: it queues a
+// `blocking-in-reactor` (the timed channel read its record arm makes
+// must not be reported) and for `alloc` a root in its own right: it queues a
 // suspended client's request in a pooled copy and allocates nothing.
 // `play_wake_instant`, below `suspend`, reads the wall clock: it is the
 // scheduling layer's wake helper, where `wallclock` stops, as it does at
@@ -33,7 +32,7 @@ impl Dispatcher {
             copy.extend_from_slice(payload);
             self.queue.push_back((opcode, copy));
         } else if opcode == RECORD {
-            let _ = self.link.recv_timeout(REPLY_TIMEOUT);
+            let _ = self.inbox.recv_timeout(WAIT);
         } else {
             self.process_request(u16::from(opcode));
         }

@@ -1,6 +1,7 @@
-// Fixture: must trigger `blocking-in-reactor` once, two calls deep —
-// `drive_read` calls `stall`, whose blocking channel `.recv()` the lint
-// must reach through the call graph and report with the full path.
+// Fixture: must trigger `blocking-in-reactor` twice, each through the
+// call graph with its path: `drive_read` calls `stall`, whose blocking
+// channel `.recv()` waits, and `feed` calls `poll_link`, whose blocking
+// `socket.recv(&mut buf)` waits for a datagram.
 
 impl Shard {
     fn handle_wake(&mut self) {
@@ -26,6 +27,12 @@ impl Shard {
 
     fn feed(&mut self, token: u64) {
         self.frames += token;
+        self.poll_link();
+    }
+
+    fn poll_link(&mut self) {
+        let mut buf = [0u8; 64];
+        let _ = self.socket.recv(&mut buf);
     }
 
     fn deliver(&self, token: u64) {

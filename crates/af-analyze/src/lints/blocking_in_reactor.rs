@@ -17,10 +17,11 @@
 //! reactor-rooted scan stops at the dispatcher's request entry,
 //! `handle_request`, and its setup entry, `handle_new_client`: what the
 //! dispatcher does is its own business (`alloc`, `wallclock`).  Its tasks are entered through the
-//! `Handler` trait, which the textual call graph does not follow; the one
-//! blocking call the update task makes, a LineServer exchange, is bounded
-//! by its reply timeout and retries, and tests/lineserver.rs holds the
-//! bound.
+//! `Handler` trait, which the textual call graph does not follow.  The
+//! update task's LineServer traffic does not block: the link's socket is
+//! non-blocking, a request is one datagram out, and replies are drained,
+//! never awaited; tests/lineserver.rs bounds the local round trips beside
+//! a dead and a distant LineServer.
 
 use crate::callgraph::CallGraph;
 use crate::index::Index;
@@ -28,13 +29,14 @@ use crate::lints::{run_reach_scan, ReachScan, DISPATCH, SHARD_HANDLERS};
 use crate::source::SourceFile;
 use crate::Finding;
 
-/// Blocking call patterns.  `.send(` does not match `.try_send(`; `.recv()`
-/// etc. are the blocking channel reads; `.lock()` blocks on contention;
+/// Blocking call patterns.  `.send(` does not match `.try_send(`, nor
+/// `.recv(` `.try_recv(`: `.recv(` is a blocking channel read or socket
+/// `recv(&mut buf)`; `.lock()` blocks on contention;
 /// the `read_*`/`write_all` family are blocking `std::io` calls.
 const PATTERNS: &[&str] = &[
     "thread::sleep(",
     "::sleep(",
-    ".recv()",
+    ".recv(",
     ".recv_timeout(",
     ".recv_deadline(",
     ".send(",

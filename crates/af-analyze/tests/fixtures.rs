@@ -93,10 +93,32 @@ fn blocking_in_reactor_triggers_through_call_graph() {
         include_str!("../fixtures/reach/fec_clean.rs"),
     );
     let found = run_graph_lint(&files, lints::blocking_in_reactor::run);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].message.contains(".recv()"), "{found:?}");
+    assert_eq!(found.len(), 2, "{found:?}");
     assert!(
-        found[0].message.contains("drive_read -> stall"),
+        found.iter().all(|f| f.message.contains(".recv(")),
+        "{found:?}"
+    );
+    assert!(
+        found
+            .iter()
+            .any(|f| f.message.contains("drive_read -> stall")),
+        "{found:?}"
+    );
+}
+
+#[test]
+fn blocking_in_reactor_catches_a_socket_recv() {
+    // A socket read into a caller's buffer, `socket.recv(&mut buf)`,
+    // blocks as surely as a channel's `.recv()`.
+    let files = reach_tree(
+        include_str!("../fixtures/reach/reactor_trigger.rs"),
+        include_str!("../fixtures/reach/fec_clean.rs"),
+    );
+    let found = run_graph_lint(&files, lints::blocking_in_reactor::run);
+    assert!(
+        found
+            .iter()
+            .any(|f| f.message.contains("feed -> poll_link")),
         "{found:?}"
     );
 }
@@ -106,8 +128,8 @@ fn blocking_in_reactor_stays_quiet() {
     // Through the full pipeline, with no allow marker in the tree: the
     // clean reactor takes calls with `try_recv`, lends what it frames to the
     // dispatcher's `Handler` impl and writes replies without blocking; the
-    // blocking LineServer exchange in the dispatcher's `handle_request`
-    // sits behind the barrier.  Nothing may be reported.
+    // timed channel read in the dispatcher's `handle_request` sits behind
+    // the barrier.  Nothing may be reported.
     let files = reach_tree(
         include_str!("../fixtures/reach/reactor_clean.rs"),
         include_str!("../fixtures/reach/fec_clean.rs"),

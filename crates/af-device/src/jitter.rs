@@ -13,8 +13,9 @@
 //!   `t − depth`, where `depth` is the current playout delay in ticks —
 //!   the whole recorded timeline is shifted by `depth`, trading latency
 //!   for completeness.
-//! * `depth` adapts: an RFC 3550-style EWMA of inter-arrival jitter plus
-//!   a 95th-percentile window pick the target, clamped to
+//! * `depth` adapts: the mean transit plus a jitter margin, which an
+//!   RFC 3550-style EWMA of inter-arrival jitter and a 95th-percentile
+//!   window pick, make the target, clamped to
 //!   [[`JITTER_MIN_DEPTH`], [`JITTER_MAX_DEPTH`]] and slewed at most
 //!   [`DEPTH_SLEW_TICKS`] per read so the playout point never jumps far.
 //! * Samples that still aren't there when their playout time comes are
@@ -74,6 +75,8 @@ pub struct JitterBuffer {
     depth: u32,
     /// RFC 3550 jitter EWMA, in ticks.
     jitter_ewma: f64,
+    /// EWMA of the transit observations, in ticks.
+    transit_mean: f64,
     /// Previous packet's transit observation.
     last_transit: Option<i64>,
     /// Recent |inter-arrival delay delta| values for the percentile.
@@ -107,6 +110,7 @@ impl JitterBuffer {
             any_inserted: false,
             depth: JITTER_MIN_DEPTH,
             jitter_ewma: 0.0,
+            transit_mean: 0.0,
             last_transit: None,
             delays: VecDeque::with_capacity(DELAY_WINDOW),
             insert_frontier: None,
@@ -123,18 +127,23 @@ impl JitterBuffer {
         self.depth
     }
 
-    /// Feeds one transit observation (arrival minus record time, in
-    /// ticks, any fixed offset is fine) into the jitter estimate.
+    /// Feeds one transit observation into the depth estimate: the ticks
+    /// from a packet's last recorded sample to its insertion, which the
+    /// depth must cover for the samples after it to arrive in time.
     /// Callers compute it from their own clock so this type never does.
     pub fn observe_transit(&mut self, transit: i64) {
-        if let Some(prev) = self.last_transit {
-            let d = (transit - prev).unsigned_abs().min(u64::from(u32::MAX)) as u32;
-            // RFC 3550 §6.4.1: J += (|D| − J) / 16.
-            self.jitter_ewma += (f64::from(d) - self.jitter_ewma) / 16.0;
-            if self.delays.len() == DELAY_WINDOW {
-                self.delays.pop_front();
+        match self.last_transit {
+            Some(prev) => {
+                let d = (transit - prev).unsigned_abs().min(u64::from(u32::MAX)) as u32;
+                // RFC 3550 §6.4.1: J += (|D| − J) / 16.
+                self.jitter_ewma += (f64::from(d) - self.jitter_ewma) / 16.0;
+                self.transit_mean += (transit as f64 - self.transit_mean) / 16.0;
+                if self.delays.len() == DELAY_WINDOW {
+                    self.delays.pop_front();
+                }
+                self.delays.push_back(d);
             }
-            self.delays.push_back(d);
+            None => self.transit_mean = transit as f64,
         }
         self.last_transit = Some(transit);
     }
@@ -148,10 +157,13 @@ impl JitterBuffer {
             sorted.sort_unstable();
             sorted[(sorted.len() * 95) / 100 % sorted.len()]
         };
-        // Four EWMAs (the classic RTP playout rule) or twice the p95
-        // spike level, whichever is more conservative.
-        let est = ((self.jitter_ewma * 4.0) as u32).max(p95.saturating_mul(2));
-        est.clamp(JITTER_MIN_DEPTH, JITTER_MAX_DEPTH)
+        // The mean transit plus a margin of four jitter EWMAs (the classic
+        // RTP playout rule) or twice the p95 spike level, whichever is
+        // more conservative.
+        let margin = ((self.jitter_ewma * 4.0) as u32).max(p95.saturating_mul(2));
+        let base = self.transit_mean.max(0.0) as u32;
+        base.saturating_add(margin)
+            .clamp(JITTER_MIN_DEPTH, JITTER_MAX_DEPTH)
     }
 
     /// Inserts recorded samples starting at device time `time`,

@@ -20,12 +20,11 @@ use crate::io::{SampleSink, SampleSource};
 use crate::stats::{Link, LinkCounters};
 use af_time::ATime;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// LineServer buffer size: 2048 samples, "1/4 second at 8 kHz".
 pub const LS_BUFFER_SAMPLES: u32 = 2048;
@@ -51,49 +50,12 @@ pub const LS_REG_FEC: u8 = 2;
 /// before recycling (a real box served exactly one workstation).
 const LS_MAX_PEERS: usize = 16;
 
-/// How many out-of-band audio packets (stale or FEC-recovered `Record`
+/// How many drained audio packets (plain or FEC-recovered `Record`
 /// replies) a link queues for the backend before dropping the oldest.
 const LINK_AUDIO_QUEUE: usize = 64;
 
-/// Why a [`LineServerLink`] transaction failed.
-#[derive(Debug)]
-pub enum LinkError {
-    /// The LineServer never replied: every attempt (original send plus
-    /// retransmissions) timed out.  The link should be treated as down
-    /// and the backend should free-run rather than keep blocking on it.
-    Down {
-        /// Total attempts made before giving up.
-        attempts: u32,
-    },
-    /// The local socket failed outright (not a timeout).
-    Io(io::Error),
-}
-
-impl fmt::Display for LinkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkError::Down { attempts } => {
-                write!(f, "LineServer link down: no reply after {attempts} attempts")
-            }
-            LinkError::Io(e) => write!(f, "LineServer link I/O error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LinkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LinkError::Down { .. } => None,
-            LinkError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<io::Error> for LinkError {
-    fn from(e: io::Error) -> LinkError {
-        LinkError::Io(e)
-    }
-}
+/// How many unanswered clock probes a link remembers the send instants of.
+const LINK_PROBES: usize = 8;
 
 /// The six packet function codes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,7 +275,7 @@ impl LineServerFirmware {
         let encoded = reply.encode();
         // While FEC is enabled, Record replies — the loss-sensitive,
         // unretried audio path — go out wrapped in FEC frames; everything
-        // else stays plain so the reliable transact path is untouched.
+        // else stays plain.
         let mut sent_fec = false;
         if reply.function == LsFunction::Record {
             if let Some(cfg) = FecConfig::from_reg(self.regs[usize::from(LS_REG_FEC)]) {
@@ -394,19 +356,34 @@ impl LineServerFirmware {
 }
 
 /// The workstation side of the private protocol, used by the `Als` backend.
+///
+/// Nothing here waits on the network.  [`Self::send`] puts one request on
+/// the wire and returns; [`Self::drain`] reads the datagrams that have
+/// already arrived and routes what they carry: recorded audio to
+/// [`Self::take_audio`], clock-probe replies to the time estimate, and
+/// register replies to the acknowledgement of their writes.
 pub struct LineServerLink {
     socket: UdpSocket,
     next_seq: u32,
-    /// `(local instant, remote time)` of the last reply, for time estimates.
-    last_observation: Option<(std::time::Instant, ATime)>,
-    /// Encoder for outbound one-way FEC traffic, set by [`Self::enable_fec`].
+    /// `(local instant, remote time)` of the newest clock observation: the
+    /// send instant of the probe a reply answered, and the time stamp it
+    /// carried.  Before the first reply, the connect instant and time zero.
+    last_observation: (Instant, ATime),
+    /// `(seq, send instant)` of the clock probes not yet answered, oldest
+    /// first.
+    probes: VecDeque<(u32, Instant)>,
+    /// `(register, value)` of the register writes not yet acknowledged.
+    writes: Vec<(u8, u16)>,
+    /// Encoder for outbound `Play` traffic, set once the LineServer
+    /// acknowledges a write of [`LS_REG_FEC`].
     fec_tx: Option<FecEncoder>,
     /// Decoder for inbound FEC frames (Record replies), always live.
     fec_rx: FecDecoder,
-    /// Audio-bearing packets that arrived outside their own transaction:
-    /// stale (post-timeout) and FEC-recovered `Record` replies.  The
-    /// backend drains these into its jitter buffer instead of losing them.
+    /// Recorded audio drained from the socket (`Record` replies, plain or
+    /// FEC-recovered), waiting for the backend's jitter buffer.
     pending_audio: VecDeque<LsPacket>,
+    /// The one receive buffer every drained datagram lands in.
+    rx: Vec<u8>,
     /// The link's health counters: retransmissions, undecodable datagrams
     /// and FEC outcomes are counted here, the rest by the `Als` backend.
     counters: Arc<LinkCounters>,
@@ -415,6 +392,7 @@ pub struct LineServerLink {
 impl LineServerLink {
     /// Connects to a LineServer at `addr`, from the unspecified address
     /// of its family: the kernel picks the source address that reaches it.
+    /// The socket never blocks.
     pub fn connect(addr: SocketAddr) -> io::Result<LineServerLink> {
         let any: IpAddr = match addr {
             SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
@@ -422,133 +400,90 @@ impl LineServerLink {
         };
         let socket = UdpSocket::bind((any, 0))?;
         socket.connect(addr)?;
-        socket.set_read_timeout(Some(Duration::from_millis(100)))?;
+        socket.set_nonblocking(true)?;
         Ok(LineServerLink {
             socket,
             next_seq: 1,
-            last_observation: None,
+            last_observation: (Instant::now(), ATime::ZERO),
+            probes: VecDeque::with_capacity(LINK_PROBES),
+            writes: Vec::new(),
             fec_tx: None,
             fec_rx: FecDecoder::new(),
             pending_audio: VecDeque::new(),
+            rx: vec![0; 65_536],
             counters: Arc::default(),
         })
     }
 
-    /// Negotiates FEC with the LineServer: writes the group shape into
-    /// [`LS_REG_FEC`] over the reliable transact path, then FEC-frames
-    /// outbound one-way traffic.  Returns the shape actually in force.
-    /// On failure the link simply stays in plain mode.
-    pub fn enable_fec(&mut self, cfg: FecConfig, retries: u32) -> Result<FecConfig, LinkError> {
-        self.transact(
-            LsPacket {
-                seq: 0,
-                time: ATime::ZERO,
-                function: LsFunction::WriteReg,
-                param: LS_REG_FEC,
-                aux: cfg.to_reg(),
-                data: Vec::new(),
-            },
-            retries,
-        )?;
-        self.fec_tx = Some(FecEncoder::new(cfg));
-        Ok(cfg)
-    }
-
-    /// Bounds how long one attempt waits for a reply before retransmitting.
-    pub fn set_reply_timeout(&self, timeout: Duration) -> io::Result<()> {
-        self.socket.set_read_timeout(Some(timeout))
-    }
-
-    /// Sends one request and waits for its reply, retransmitting on reply
-    /// timeout up to `retries` extra times.
-    ///
-    /// Retransmission is safe for every function — including `Play` and
-    /// register writes — because the firmware answers a repeated sequence
-    /// number from its reply cache instead of executing it again.  Replies
-    /// to earlier, timed-out sequence numbers are not discarded: if they
-    /// carry audio they are queued for [`Self::take_audio`], otherwise
-    /// they are skipped.  When every attempt times out the link reports
-    /// [`LinkError::Down`] so the caller can free-run immediately instead
-    /// of blocking its next request on a dead peer.
-    pub fn transact(&mut self, mut req: LsPacket, retries: u32) -> Result<LsPacket, LinkError> {
+    /// Sends one request and returns its sequence number without waiting
+    /// for a reply.  `Play` goes out FEC-framed once FEC is negotiated:
+    /// loss on the play path is absorbed by parity, never by a resend.  A
+    /// `Loopback` is a clock probe, and a `WriteReg` stays pending until
+    /// [`Self::drain`] sees its acknowledgement.
+    pub fn send(&mut self, mut req: LsPacket) -> io::Result<u32> {
         req.seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let encoded = req.encode();
-        let mut attempts = 0;
-        let mut buf = vec![0u8; 65_536];
-        self.socket.send(&encoded)?;
-        loop {
-            match self.socket.recv(&mut buf) {
-                Ok(n) => {
-                    let bytes = buf[..n].to_vec();
-                    if let Some(reply) = self.accept_datagram(&bytes, Some(req.seq)) {
-                        // Record replies carry their sample start time, not
-                        // the remote "now" — only the other functions are
-                        // clock observations.
-                        if reply.function != LsFunction::Record {
-                            self.last_observation =
-                                Some((std::time::Instant::now(), reply.time));
-                        }
-                        return Ok(reply);
-                    }
+        match req.function {
+            LsFunction::Loopback => {
+                if self.probes.len() == LINK_PROBES {
+                    self.probes.pop_front();
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if attempts >= retries {
-                        return Err(LinkError::Down {
-                            attempts: attempts + 1,
-                        });
-                    }
-                    attempts += 1;
-                    self.counters.add(Link::Retransmits, 1);
-                    self.socket.send(&encoded)?;
-                }
-                Err(e) => return Err(LinkError::Io(e)),
+                self.probes.push_back((req.seq, Instant::now()));
             }
+            LsFunction::WriteReg => match self.writes.iter_mut().find(|w| w.0 == req.param) {
+                Some(w) => w.1 = req.aux,
+                None => self.writes.push((req.param, req.aux)),
+            },
+            _ => {}
         }
-    }
-
-    /// Sends one request without waiting for any reply, FEC-framed when
-    /// [`Self::enable_fec`] is active.  This is the WAN play path: loss is
-    /// absorbed by parity (and by the play buffer's tolerance), never by
-    /// a blocking retransmission.
-    pub fn send_oneway(&mut self, mut req: LsPacket) -> Result<(), LinkError> {
-        req.seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
         let encoded = req.encode();
         match &mut self.fec_tx {
-            Some(enc) => {
+            Some(enc) if req.function == LsFunction::Play => {
                 for frame in enc.push(&encoded) {
                     self.socket.send(&frame)?;
                 }
             }
-            None => {
+            _ => {
                 self.socket.send(&encoded)?;
             }
+        }
+        Ok(req.seq)
+    }
+
+    /// Re-sends every register write not yet acknowledged, each as a new
+    /// request: a write is idempotent, and the firmware drops a repeated
+    /// sequence number older than the newest it has executed.
+    pub fn resend_writes(&mut self) -> io::Result<()> {
+        for i in 0..self.writes.len() {
+            let (param, aux) = self.writes[i];
+            self.counters.add(Link::Retransmits, 1);
+            self.send(LsPacket {
+                seq: 0,
+                time: ATime::ZERO,
+                function: LsFunction::WriteReg,
+                param,
+                aux,
+                data: Vec::new(),
+            })?;
         }
         Ok(())
     }
 
-    /// Drains every datagram already queued on the socket without
-    /// blocking, routing audio-bearing packets to [`Self::take_audio`].
-    /// The backend calls this between transactions so FEC parity and
-    /// late replies are folded in promptly.
-    pub fn poll(&mut self) {
-        if self.socket.set_nonblocking(true).is_err() {
-            return;
+    /// Reads every datagram already queued on the socket, without waiting,
+    /// hands each packet it carries to `seen`, and routes it.  Returns how
+    /// many datagrams it read.
+    pub fn drain(&mut self, mut seen: impl FnMut(&LsPacket)) -> usize {
+        let mut rx = std::mem::take(&mut self.rx);
+        let mut datagrams = 0;
+        while let Ok(n) = self.socket.recv(&mut rx) {
+            datagrams += 1;
+            self.accept_datagram(&rx[..n], &mut seen);
         }
-        let mut buf = vec![0u8; 65_536];
-        while let Ok(n) = self.socket.recv(&mut buf) {
-            let bytes = buf[..n].to_vec();
-            let _ = self.accept_datagram(&bytes, None);
-        }
-        let _ = self.socket.set_nonblocking(false);
+        self.rx = rx;
+        datagrams
     }
 
-    /// Takes the audio-bearing packets that arrived outside their own
-    /// transaction (stale or FEC-recovered `Record` replies).
+    /// Takes the recorded audio drained so far.
     pub fn take_audio(&mut self) -> Vec<LsPacket> {
         self.pending_audio.drain(..).collect()
     }
@@ -558,62 +493,76 @@ impl LineServerLink {
         &self.counters
     }
 
-    /// Classifies one inbound datagram.  Returns the packet matching
-    /// `want_seq` if present; all other audio-bearing packets (from FEC
-    /// recovery or stale replies) are queued for [`Self::take_audio`].
-    fn accept_datagram(&mut self, bytes: &[u8], want_seq: Option<u32>) -> Option<LsPacket> {
+    /// Unwraps one inbound datagram: an FEC frame can release several
+    /// packets (the lost one plus the parity that repaired it).
+    fn accept_datagram(&mut self, bytes: &[u8], seen: &mut dyn FnMut(&LsPacket)) {
         // FEC first: magic + CRC make misclassification of a plain packet
-        // practically impossible, and one frame can release several inner
-        // packets (the lost one plus the parity that repaired it).
+        // practically impossible.
         if let Some(frame) = FecFrame::decode(bytes) {
-            let seen = self.fec_rx.stats();
+            let before = self.fec_rx.stats();
             let payloads = self.fec_rx.push(frame);
-            let fec = self.fec_rx.stats();
-            let recovered = fec.recovered - seen.recovered;
-            self.counters.add(Link::FecRecovered, recovered);
-            let lost = fec.unrecoverable - seen.unrecoverable;
-            self.counters.add(Link::FecUnrecoverable, lost);
-            let mut hit = None;
-            for payload in payloads {
-                if let Some(pkt) = LsPacket::decode(&payload) {
-                    if hit.is_none() && want_seq == Some(pkt.seq) {
-                        hit = Some(pkt);
-                    } else {
-                        self.queue_audio(pkt);
+            let after = self.fec_rx.stats();
+            self.counters
+                .add(Link::FecRecovered, after.recovered - before.recovered);
+            self.counters.add(
+                Link::FecUnrecoverable,
+                after.unrecoverable - before.unrecoverable,
+            );
+            for pkt in payloads.iter().filter_map(|p| LsPacket::decode(p)) {
+                seen(&pkt);
+                self.route(pkt);
+            }
+            return;
+        }
+        match LsPacket::decode(bytes) {
+            Some(pkt) => {
+                seen(&pkt);
+                self.route(pkt);
+            }
+            // Truncated or corrupted (CRC rejections land here too).
+            None => self.counters.add(Link::CrcDrops, 1),
+        }
+    }
+
+    /// Routes one reply: audio is queued, a probe reply re-anchors the
+    /// time estimate, a register reply acknowledges its write.
+    fn route(&mut self, pkt: LsPacket) {
+        match pkt.function {
+            LsFunction::Record if !pkt.data.is_empty() => {
+                if self.pending_audio.len() >= LINK_AUDIO_QUEUE {
+                    self.pending_audio.pop_front();
+                }
+                self.pending_audio.push_back(pkt);
+            }
+            LsFunction::Loopback => {
+                // Anchored at the probe's send instant, so a late drain
+                // cannot skew it; a reply to an older probe than the
+                // newest answered one finds nothing and is ignored.
+                if let Some(i) = self.probes.iter().position(|p| p.0 == pkt.seq) {
+                    self.last_observation = (self.probes[i].1, pkt.time);
+                    self.probes.drain(..=i);
+                }
+            }
+            LsFunction::WriteReg => {
+                self.writes.retain(|&w| w != (pkt.param, pkt.aux));
+                if pkt.param == LS_REG_FEC {
+                    let cfg = FecConfig::from_reg(pkt.aux);
+                    if self.fec_tx.as_ref().map(FecEncoder::config) != cfg {
+                        self.fec_tx = cfg.map(FecEncoder::new);
                     }
                 }
             }
-            return hit;
+            _ => {}
         }
-        let Some(pkt) = LsPacket::decode(bytes) else {
-            // Truncated or corrupted (CRC rejections land here too).
-            self.counters.add(Link::CrcDrops, 1);
-            return None;
-        };
-        if want_seq == Some(pkt.seq) {
-            return Some(pkt);
-        }
-        self.queue_audio(pkt);
-        None
     }
 
-    /// Queues an out-of-band packet if it carries recorded audio.
-    fn queue_audio(&mut self, pkt: LsPacket) {
-        if pkt.function != LsFunction::Record || pkt.data.is_empty() {
-            return;
-        }
-        if self.pending_audio.len() >= LINK_AUDIO_QUEUE {
-            self.pending_audio.pop_front();
-        }
-        self.pending_audio.push_back(pkt);
-    }
-
-    /// Estimates the LineServer's current device time from the time stamp of
-    /// the last reply and the local elapsed time (§7.4.3).
-    pub fn estimate_time(&self, rate: u32) -> Option<ATime> {
-        let (at, remote) = self.last_observation?;
-        let elapsed = at.elapsed().as_secs_f64();
-        Some(remote + (elapsed * f64::from(rate)) as u32)
+    /// Estimates the LineServer's current device time from the last clock
+    /// observation and the local time elapsed since (§7.4.3).  Anchored at
+    /// a probe's send instant, it runs ahead of the device by one one-way
+    /// delay: the time at which a request sent now arrives.
+    pub fn estimate_time(&self, rate: u32) -> ATime {
+        let (at, remote) = self.last_observation;
+        remote + (at.elapsed().as_secs_f64() * f64::from(rate)) as u32
     }
 }
 
@@ -743,6 +692,50 @@ mod tests {
         assert_eq!(r.aux, 0);
     }
 
+    /// A request to hand to [`LineServerLink::send`].
+    fn request(function: LsFunction, param: u8, aux: u16, data: &[u8]) -> LsPacket {
+        LsPacket {
+            seq: 0,
+            time: ATime::ZERO,
+            function,
+            param,
+            aux,
+            data: data.to_vec(),
+        }
+    }
+
+    /// Sends `req` and drains until its reply arrives: the test's own
+    /// bounded wait, since the link never waits.  Every 25 ms without a
+    /// reply, a write is re-sent by the link and anything else is sent
+    /// again as a new request.
+    fn exchange(link: &mut LineServerLink, req: LsPacket) -> LsPacket {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut seq = link.send(req.clone()).unwrap();
+        loop {
+            let sent = Instant::now();
+            while sent.elapsed() < Duration::from_millis(25) {
+                let mut reply = None;
+                link.drain(|p| {
+                    let write_ack = p.function == LsFunction::WriteReg
+                        && (p.param, p.aux) == (req.param, req.aux);
+                    if p.function == req.function && (p.seq == seq || write_ack) {
+                        reply = Some(p.clone());
+                    }
+                });
+                if let Some(reply) = reply {
+                    return reply;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(Instant::now() < deadline, "no reply to {req:?}");
+            if req.function == LsFunction::WriteReg {
+                link.resend_writes().unwrap();
+            } else {
+                seq = link.send(req.clone()).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn link_transacts_over_udp() {
         let clock = Arc::new(VirtualClock::new(8000));
@@ -757,22 +750,13 @@ mod tests {
 
         let mut link = LineServerLink::connect(addr).unwrap();
         clock.advance(500);
-        let reply = link
-            .transact(
-                LsPacket {
-                    seq: 0,
-                    time: ATime::ZERO,
-                    function: LsFunction::Loopback,
-                    param: 0,
-                    aux: 0,
-                    data: vec![1, 2, 3, 4],
-                },
-                3,
-            )
-            .unwrap();
+        let reply = exchange(
+            &mut link,
+            request(LsFunction::Loopback, 0, 0, &[1, 2, 3, 4]),
+        );
         assert_eq!(reply.data, vec![1, 2, 3, 4]);
         assert!(reply.time.ticks() >= 500);
-        assert!(link.estimate_time(8000).is_some());
+        assert!(link.estimate_time(8000).ticks() >= 500);
 
         stop.store(true, Ordering::Relaxed);
         handle.join().unwrap();
@@ -795,6 +779,22 @@ mod tests {
         let stop = fw.stop_handle();
         let handle = std::thread::spawn(move || fw.run());
         (addr, stop, handle)
+    }
+
+    #[test]
+    fn fec_turns_on_when_its_write_is_acknowledged() {
+        let clock = Arc::new(VirtualClock::new(8000));
+        let (addr, stop, handle) = booted(clock);
+        let mut link = LineServerLink::connect(addr).unwrap();
+        let fec = FecConfig::default();
+        let write = request(LsFunction::WriteReg, LS_REG_FEC, fec.to_reg(), &[]);
+        link.send(write.clone()).unwrap();
+        assert!(link.fec_tx.is_none(), "FEC before the acknowledgement");
+        exchange(&mut link, write);
+        assert_eq!(link.fec_tx.as_ref().map(FecEncoder::config), Some(fec));
+
+        stop.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
     }
 
     #[test]
@@ -936,39 +936,16 @@ mod tests {
             .jitter(Duration::from_millis(8));
         let router = af_chaos::Router::spawn(addr, vec![hop], 0xA51F).unwrap();
         let mut link = LineServerLink::connect(router.addr()).unwrap();
-        link.set_reply_timeout(Duration::from_millis(25)).unwrap();
 
-        // Register writes followed by read-backs: every transact must
+        // Register writes followed by read-backs: every exchange must
         // eventually succeed, and dedup must keep the state consistent
         // despite duplicated and retransmitted writes.
         for i in 0..10u16 {
             clock.advance(50);
-            link.transact(
-                LsPacket {
-                    seq: 0,
-                    time: ATime::ZERO,
-                    function: LsFunction::WriteReg,
-                    param: LS_REG_OUTPUT_GAIN,
-                    aux: 100 + i,
-                    data: vec![],
-                },
-                20,
-            )
-            .expect("write survives lossy link");
-            let reply = link
-                .transact(
-                    LsPacket {
-                        seq: 0,
-                        time: ATime::ZERO,
-                        function: LsFunction::ReadReg,
-                        param: LS_REG_OUTPUT_GAIN,
-                        aux: 0,
-                        data: vec![],
-                    },
-                    20,
-                )
-                .expect("read survives lossy link");
-            assert_eq!(reply.aux, 100 + i);
+            let write = request(LsFunction::WriteReg, LS_REG_OUTPUT_GAIN, 100 + i, &[]);
+            exchange(&mut link, write);
+            let read = request(LsFunction::ReadReg, LS_REG_OUTPUT_GAIN, 0, &[]);
+            assert_eq!(exchange(&mut link, read).aux, 100 + i);
         }
 
         let hop = router.hop_stats()[0];
@@ -996,19 +973,7 @@ mod tests {
             peer.send_to(&req.encode(), from).unwrap();
         });
         let mut link = LineServerLink::connect(addr).unwrap();
-        let reply = link
-            .transact(
-                LsPacket {
-                    seq: 0,
-                    time: ATime::ZERO,
-                    function: LsFunction::Loopback,
-                    param: 0,
-                    aux: 0,
-                    data: vec![1, 2, 3],
-                },
-                3,
-            )
-            .unwrap();
+        let reply = exchange(&mut link, request(LsFunction::Loopback, 0, 0, &[1, 2, 3]));
         assert_eq!(reply.data, [1, 2, 3]);
         echo.join().unwrap();
     }

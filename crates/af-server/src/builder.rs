@@ -366,7 +366,6 @@ impl ServerBuilder {
                 passthrough: false,
                 passthrough_peer: setup.passthrough_peer,
                 properties: HashMap::new(),
-                gain_control_locked: false,
                 pt_in: ATime::ZERO,
                 pt_out: ATime::ZERO,
             });

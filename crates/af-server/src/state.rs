@@ -203,8 +203,6 @@ pub struct Device {
     pub passthrough_peer: Option<usize>,
     /// Device properties (§5.9).
     pub properties: HashMap<Atom, PropertyValue>,
-    /// Whether gain-control requests are accepted ("not for general use").
-    pub gain_control_locked: bool,
     /// Pass-through: how much of the peer's record stream we consumed.
     pub pt_in: ATime,
     /// Pass-through: our playback write cursor.

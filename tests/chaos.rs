@@ -120,7 +120,6 @@ fn lossy_lineserver_degrades_to_silence_not_stall() {
         .jitter(Duration::from_millis(5));
     let router = Router::spawn(addr, vec![hop], 0xDE5A).unwrap();
     let link = LineServerLink::connect(router.addr()).unwrap();
-    link.set_reply_timeout(Duration::from_millis(25)).unwrap();
 
     let mut builder = ServerBuilder::new()
         .listen_tcp("127.0.0.1:0".parse().unwrap())

@@ -4,10 +4,12 @@
 //! private protocol; clients talk ordinary AudioFile to the server and
 //! never see the difference — network transparency twice over.
 
+use af_chaos::{HopPlan, Router};
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
-use audiofile::device::lineserver::{LineServerFirmware, LineServerLink, LsFunction, LsPacket};
+use audiofile::device::lineserver::{
+    LineServerFirmware, LineServerLink, LsFunction, LsPacket, LS_REG_OUTPUT_GAIN,
+};
 use audiofile::device::{CaptureSink, NullSink, SilenceSource, SystemClock, ToneSource};
-use audiofile::server::backend::{ALS_REPLY_TIMEOUT, ALS_RETRIES, DOWN_BACKOFF_OPS};
 use audiofile::server::stats::Link;
 use audiofile::time::ATime;
 use std::net::{SocketAddr, UdpSocket};
@@ -84,6 +86,45 @@ fn als_server_plays_and_records_through_udp() {
     fw_thread.join().unwrap();
 }
 
+/// Sends a register request and drains until its reply arrives: the
+/// test's own bounded wait, since the link never waits.  Every 25 ms
+/// without a reply, a write is re-sent by the link and a read is sent
+/// again as a new request.
+fn register_exchange(link: &mut LineServerLink, function: LsFunction, aux: u16) -> LsPacket {
+    let req = LsPacket {
+        seq: 0,
+        time: ATime::ZERO,
+        function,
+        param: LS_REG_OUTPUT_GAIN,
+        aux,
+        data: vec![],
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut seq = link.send(req.clone()).unwrap();
+    loop {
+        let sent = Instant::now();
+        while sent.elapsed() < Duration::from_millis(25) {
+            let mut reply = None;
+            link.drain(|p| {
+                let write_ack = function == LsFunction::WriteReg && p.aux == aux;
+                if p.function == function && (p.seq == seq || write_ack) {
+                    reply = Some(p.clone());
+                }
+            });
+            if let Some(reply) = reply {
+                return reply;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(Instant::now() < deadline, "no reply to {req:?}");
+        if function == LsFunction::WriteReg {
+            link.resend_writes().unwrap();
+        } else {
+            seq = link.send(req.clone()).unwrap();
+        }
+    }
+}
+
 #[test]
 fn lineserver_register_requests_retried() {
     // Register reads/writes go through with retries even while audio flows.
@@ -98,33 +139,9 @@ fn lineserver_register_requests_retried() {
     let fw_thread = std::thread::spawn(move || fw.run());
 
     let mut link = LineServerLink::connect(addr).unwrap();
-    let reply = link
-        .transact(
-            LsPacket {
-                seq: 0,
-                time: ATime::ZERO,
-                function: LsFunction::WriteReg,
-                param: audiofile::device::lineserver::LS_REG_OUTPUT_GAIN,
-                aux: 17,
-                data: vec![],
-            },
-            3,
-        )
-        .unwrap();
+    let reply = register_exchange(&mut link, LsFunction::WriteReg, 17);
     assert_eq!(reply.function, LsFunction::WriteReg);
-    let reply = link
-        .transact(
-            LsPacket {
-                seq: 0,
-                time: ATime::ZERO,
-                function: LsFunction::ReadReg,
-                param: audiofile::device::lineserver::LS_REG_OUTPUT_GAIN,
-                aux: 0,
-                data: vec![],
-            },
-            3,
-        )
-        .unwrap();
+    let reply = register_exchange(&mut link, LsFunction::ReadReg, 0);
     assert_eq!(reply.aux, 17);
 
     stop.store(true, Ordering::Relaxed);
@@ -164,19 +181,49 @@ fn relay(upstream: SocketAddr, dead: Arc<AtomicBool>, done: Arc<AtomicBool>) -> 
     addr
 }
 
-#[test]
-fn a_dead_lineserver_stalls_the_one_thread_for_a_bounded_time() {
-    // The update task runs on the reactor thread, beside every client's
-    // requests.  When the LineServer stops answering, the update's clock
-    // exchange waits out every attempt before the link is declared down,
-    // and a `GetTime` on the server's local codec waits with it — for one
-    // exchange at most, after which the down-backoff skips the link.
-    const UPDATE: Duration = Duration::from_millis(50);
-    let stall = ALS_REPLY_TIMEOUT * (ALS_RETRIES + 1);
-    // What else a round trip may meet on a loaded host: the rest of the
-    // pass and a scheduling delay, well short of another exchange.
-    let bound = stall + ALS_REPLY_TIMEOUT;
+/// The worst local-codec round trip the update's LineServer traffic may
+/// cause: what a loaded host adds to one pass, well short of a network
+/// round trip to either LineServer below.
+const ROUND_TRIP_BOUND: Duration = Duration::from_millis(30);
 
+/// A server with a local codec (returned) and a LineServer device reached
+/// through `link_addr`, updating every `update`.
+fn codec_beside_lineserver(
+    clock: Arc<SystemClock>,
+    link_addr: SocketAddr,
+    update: Duration,
+) -> (audiofile::server::RunningServer, u8) {
+    let mut builder = audiofile::server::ServerBuilder::new()
+        .listen_tcp("127.0.0.1:0".parse().unwrap())
+        .update_interval(update);
+    let codec = builder.add_codec(
+        clock,
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    ) as u8;
+    builder.add_lineserver(link_addr).unwrap();
+    (builder.spawn().unwrap(), codec)
+}
+
+/// The slowest local-codec `GetTime` round trip over `span`.
+fn slowest_round_trip(conn: &mut AudioConn, codec: u8, span: Duration) -> Duration {
+    let started = Instant::now();
+    let mut slowest = Duration::ZERO;
+    while started.elapsed() < span {
+        let round_trip = Instant::now();
+        conn.get_time(codec).unwrap();
+        slowest = slowest.max(round_trip.elapsed());
+    }
+    slowest
+}
+
+#[test]
+fn a_dead_lineserver_never_stalls_the_one_thread() {
+    // The update task runs on the reactor thread, beside every client's
+    // requests.  When the LineServer stops answering, nothing waits for
+    // it: a `GetTime` on the server's local codec stays quick while the
+    // silent updates add up to a down verdict, and after it.
+    const UPDATE: Duration = Duration::from_millis(50);
     let clock = Arc::new(SystemClock::new(8000));
     let (fw, fw_addr) = LineServerFirmware::boot(
         clock.clone(),
@@ -189,37 +236,15 @@ fn a_dead_lineserver_stalls_the_one_thread_for_a_bounded_time() {
     let dead = Arc::new(AtomicBool::new(false));
     let done = Arc::new(AtomicBool::new(false));
     let relayed = relay(fw_addr, Arc::clone(&dead), Arc::clone(&done));
-
-    let mut builder = audiofile::server::ServerBuilder::new()
-        .listen_tcp("127.0.0.1:0".parse().unwrap())
-        .update_interval(UPDATE);
-    let codec = builder.add_codec(
-        clock,
-        Box::new(NullSink),
-        Box::new(SilenceSource::new(0xFF)),
-    ) as u8;
-    builder.add_lineserver_link(LineServerLink::connect(relayed).unwrap());
-    let server = builder.spawn().unwrap();
+    let (server, codec) = codec_beside_lineserver(clock, relayed, UPDATE);
     let link = Arc::clone(&server.stats().links[0]);
     let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
-    let mut round_trip = || {
-        let started = Instant::now();
-        conn.get_time(codec).unwrap();
-        started.elapsed()
-    };
-    let slowest_for = |round_trip: &mut dyn FnMut() -> Duration, span: Duration| {
-        let started = Instant::now();
-        let mut slowest = Duration::ZERO;
-        while started.elapsed() < span {
-            slowest = slowest.max(round_trip());
-        }
-        slowest
-    };
+
     // The link answers: a few updates' worth of round trips.
-    slowest_for(&mut round_trip, 4 * UPDATE);
+    slowest_round_trip(&mut conn, codec, 4 * UPDATE);
     assert_eq!(link.get(Link::LinkDowns), 0, "the link failed while alive");
 
-    // The firmware goes silent: round trips meet one dead exchange.
+    // The firmware goes silent until the link is declared down.
     dead.store(true, Ordering::Relaxed);
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut worst = Duration::ZERO;
@@ -228,30 +253,66 @@ fn a_dead_lineserver_stalls_the_one_thread_for_a_bounded_time() {
             Instant::now() < deadline,
             "the link was never declared down"
         );
-        worst = worst.max(round_trip());
+        worst = worst.max(slowest_round_trip(&mut conn, codec, UPDATE));
     }
     assert!(
-        worst >= ALS_REPLY_TIMEOUT,
-        "no round trip waited on the dead link ({worst:?}): the stall went unmeasured"
-    );
-    assert!(
-        worst <= bound,
-        "a round trip took {worst:?}; one dead exchange is {stall:?}"
+        worst < ROUND_TRIP_BOUND,
+        "a round trip took {worst:?} while the LineServer was silent"
     );
 
-    // Down-backoff: the next updates skip the link, and round trips are
-    // back to normal — measured well inside the backoff, before the probe
-    // that ends it.
-    let backoff = UPDATE * (DOWN_BACKOFF_OPS - 2);
-    let slowest = slowest_for(&mut round_trip, backoff);
+    // The outage goes on: round trips stay quick, and it counts once.
+    let slowest = slowest_round_trip(&mut conn, codec, 4 * UPDATE);
     assert!(
-        slowest < ALS_REPLY_TIMEOUT,
-        "a round trip took {slowest:?} while the link was backed off"
+        slowest < ROUND_TRIP_BOUND,
+        "a round trip took {slowest:?} with the link down"
     );
-    assert_eq!(link.get(Link::LinkDowns), 1, "the backoff ended early");
+    assert_eq!(link.get(Link::LinkDowns), 1, "one outage counted twice");
 
     server.shutdown();
     done.store(true, Ordering::Relaxed);
+    fw_stop.store(true, Ordering::Relaxed);
+    fw_thread.join().unwrap();
+}
+
+#[test]
+fn a_distant_lineserver_never_stalls_the_one_thread() {
+    // A healthy LineServer 20 ms away each way: every update's traffic
+    // crosses a 40 ms round trip, and none of it may hold up a `GetTime`
+    // on the server's local codec.
+    const UPDATE: Duration = Duration::from_millis(50);
+    let clock = Arc::new(SystemClock::new(8000));
+    let (fw, fw_addr) = LineServerFirmware::boot(
+        clock.clone(),
+        Box::new(NullSink),
+        Box::new(SilenceSource::new(0xFF)),
+    )
+    .unwrap();
+    let fw_stop = fw.stop_handle();
+    let fw_thread = std::thread::spawn(move || fw.run());
+    let hop = HopPlan::new().base_delay(Duration::from_millis(20));
+    let mut router = Router::spawn(fw_addr, vec![hop], 0x20_20).unwrap();
+    let (server, codec) = codec_beside_lineserver(clock, router.addr(), UPDATE);
+    let link = Arc::clone(&server.stats().links[0]);
+    let mut conn = AudioConn::open(&server.tcp_addr().unwrap().to_string()).unwrap();
+
+    let slowest = slowest_round_trip(&mut conn, codec, 20 * UPDATE);
+    assert!(
+        slowest < ROUND_TRIP_BOUND,
+        "a round trip took {slowest:?} beside a live LineServer"
+    );
+    // The link was alive throughout, and its device time flows from
+    // reply time stamps.
+    assert_eq!(link.get(Link::LinkDowns), 0, "the link failed while alive");
+    let t0 = conn.get_time(1).unwrap();
+    std::thread::sleep(2 * UPDATE);
+    let advanced = conn.get_time(1).unwrap() - t0;
+    assert!(
+        (400..=2400).contains(&advanced),
+        "LineServer time advanced {advanced} ticks in 100 ms"
+    );
+
+    server.shutdown();
+    router.stop();
     fw_stop.store(true, Ordering::Relaxed);
     fw_thread.join().unwrap();
 }
