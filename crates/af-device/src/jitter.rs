@@ -150,13 +150,7 @@ impl JitterBuffer {
 
     /// The depth the buffer is currently steering toward.
     pub fn target_depth(&self) -> u32 {
-        let p95 = if self.delays.is_empty() {
-            0
-        } else {
-            let mut sorted: Vec<u32> = self.delays.iter().copied().collect();
-            sorted.sort_unstable();
-            sorted[(sorted.len() * 95) / 100 % sorted.len()]
-        };
+        let p95 = p95(&self.delays);
         // The mean transit plus a margin of four jitter EWMAs (the classic
         // RTP playout rule) or twice the p95 spike level, whichever is
         // more conservative.
@@ -270,6 +264,21 @@ impl JitterBuffer {
     }
 }
 
+/// The delay a sort of `delays` would put at index `len · 95 / 100` (0 for
+/// none), selected in place over a copy on the stack: `target_depth` runs
+/// on every read, and allocates nothing.
+fn p95(delays: &VecDeque<u32>) -> u32 {
+    let len = delays.len().min(DELAY_WINDOW);
+    if len == 0 {
+        return 0;
+    }
+    let mut window = [0u32; DELAY_WINDOW];
+    for (w, &d) in window.iter_mut().zip(delays) {
+        *w = d;
+    }
+    *window[..len].select_nth_unstable(len * 95 / 100).1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,6 +363,28 @@ mod tests {
         let mut out = vec![0u8; 16];
         jb.read(ATime::new(100_000), &mut out, &st);
         assert!(jb.depth() <= before + DEPTH_SLEW_TICKS);
+    }
+
+    #[test]
+    fn p95_is_the_sorted_windows_entry_at_every_length() {
+        let mut x = 0x2545_F491u32;
+        assert_eq!(p95(&VecDeque::new()), 0);
+        for len in 1..=DELAY_WINDOW {
+            for _ in 0..20 {
+                // Small values too, so windows hold repeats.
+                let delays: VecDeque<u32> = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 17;
+                        x ^= x << 5;
+                        x % if len % 2 == 0 { 8 } else { 100_000 }
+                    })
+                    .collect();
+                let mut sorted: Vec<u32> = delays.iter().copied().collect();
+                sorted.sort_unstable();
+                assert_eq!(p95(&delays), sorted[len * 95 / 100], "{delays:?}");
+            }
+        }
     }
 
     #[test]

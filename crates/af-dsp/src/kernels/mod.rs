@@ -12,7 +12,8 @@
 //! * SIMD — x86_64 `core::arch` kernels ([`x86`]): AVX2 when detected,
 //!   AVX-512 when F, BW and VBMI all are, AVX-512 FP16 when FP16 is too,
 //!   each table the one below it with entries replaced — AVX-512 its
-//!   resampler interior and play map, FP16 the play map again.
+//!   µ-law decode, resampler interior and play map, FP16 the play map
+//!   again.
 //!
 //! Every table's resampler is one driver, `resample::drive`, around that
 //! table's interior: the driver walks the position chain as runs of bit

@@ -27,14 +27,18 @@
 //! step, a truncating half-precision conversion.  A-law devices and
 //! `copy_into` keep the table loop.
 //!
+//! The same VBMI lookup over the µ-law planes is the AVX-512 table's
+//! `decode_ulaw`, 64 codes per iteration.
+//!
 //! Both resamplers are the portable one's driver (`resample::drive`)
 //! around a vector interior fed a run of positions as bit patterns
-//! `b0 + k·n` (DESIGN.md §8.2): four lanes per AVX2 vector, eight per
-//! AVX-512 one — whose interior needs only F, so the table's detection
-//! already covers it — each IEEE operation of the reference loop on the
-//! same operands in the same order.  `fma` is deliberately not enabled: a
-//! fused `a*(1-frac) + b*frac` rounds once where the reference rounds
-//! twice.
+//! `b0 + k·n` (DESIGN.md §8.2).  The AVX2 interior, four lanes wide,
+//! performs each IEEE operation of the reference loop on the same operands
+//! in the same order; `fma` is deliberately not enabled: a fused
+//! `a*(1-frac) + b*frac` rounds once where the reference rounds twice.
+//! The AVX-512 one, eight lanes wide and needing only F, computes in exact
+//! integers and falls back to the reference's arithmetic inside a window
+//! around each half-integer, where its error bound cannot decide.
 
 // All intrinsics in this module operate on unaligned loads/stores within
 // caller-checked bounds; AVX2 and AVX-512 functions are reached only after
@@ -58,6 +62,7 @@ const AVX2: Kernels = Kernels {
 
 const AVX512: Kernels = Kernels {
     name: "simd-avx512",
+    decode_ulaw: decode_ulaw_avx512_entry,
     resample_block: resample_block_avx512_entry,
     play_mix: play_mix_avx512_entry,
     ..AVX2
@@ -217,7 +222,7 @@ fn resample_block_avx2_entry(st: &mut ResampleState, input: &[i16], out: &mut Ve
 /// The caller must guarantee the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 unsafe fn resample_block_avx2(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    resample::drive(st, input, out, |run, offset, input, out| {
+    resample::drive(st, input, out, BLOCK, |run, offset, input, out| {
         // SAFETY: AVX2 is this function's own precondition.
         unsafe { resample_interior_avx2(run, offset, input, out) }
     });
@@ -320,32 +325,49 @@ fn resample_block_avx512_entry(st: &mut ResampleState, input: &[i16], out: &mut 
 /// The caller must guarantee the CPU supports AVX-512 F.
 #[target_feature(enable = "avx512f")]
 unsafe fn resample_block_avx512(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    resample::drive(st, input, out, |run, offset, input, out| {
+    // Whole in-binade stretches: a run's last vector may be partial, and
+    // longer runs have fewer of them.
+    resample::drive(st, input, out, usize::MAX, |run, offset, input, out| {
         // SAFETY: AVX-512 F is this function's own precondition.
         unsafe { resample_interior_avx512(run, offset, input, out) }
     });
 }
 
-/// [`round_away_avx2`], eight lanes.
-///
-/// # Safety
-///
-/// The caller must guarantee the CPU supports AVX-512 F.
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn round_away_avx512(v: __m512d) -> __m256i {
-    let t = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
-    _mm512_cvttpd_epi32(_mm512_add_pd(v, _mm512_sub_pd(v, t)))
-}
+/// Half the width, in units of 2⁻³¹, of the window around each
+/// half-integer inside which [`resample_interior_avx512`] recomputes an
+/// output by the reference's arithmetic.
+const TIE_WINDOW: i64 = 1 << 17;
 
-/// The AVX-512 interior of [`resample::drive`]: eight positions per vector
-/// as `b0 + 8q·n` broadcast plus `k·n`, never in memory; `vrndscalepd`
-/// floors them; the 32 tap indices sit in two vectors, lanes past the run
-/// zeroed, and one compare on their maximum checks them all before the
-/// two 16-lane gathers.  `a·(1 − frac) + b·frac` is four separate
-/// operations, as in the reference (Rust never lets LLVM contract them
-/// into an FMA); `vpmovsdw` is the clamp to `i16`, and the 32 results go
-/// straight into `out`'s spare capacity.
+/// The AVX-512 interior of [`resample::drive`], in exact integers: eight
+/// outputs per vector in 64-bit lanes, with no floating-point operation.
+///
+/// *Lemma.*  Let the run's positions lie in `[2^E, 2^(E+1))`, `0 ≤ E ≤
+/// 21`, and `s = 52 − E`.  Position `k` is `M_k · 2^−s` for its mantissa
+/// with the implicit one, `M_k = M_0 + k·n`: its tap index is `M_k >> s`
+/// and its fraction `f` the low `s ≥ 31` bits, of which `f31 = (M_k >> (s −
+/// 31)) mod 2³¹` is the top 31 — `f31 · 2⁻³¹ ≤ f < (f31 + 1) · 2⁻³¹`.  For
+/// taps `a`, `b`, `X = a·2³¹ + (b − a)·f31` is exact in an `i64` (`|b − a|
+/// < 2¹⁶`, `f31 < 2³¹`: `vpmuldq`), and `X · 2⁻³¹` lies within `|b − a| ·
+/// 2⁻³¹ < 2⁻¹⁵` of the real `V = a·(1 − f) + b·f`.  The reference computes
+/// `1 − f` exactly (`f` is a multiple of `2^(E−52) ≥ 2⁻⁵²`) and rounds each
+/// product and the sum once, to within `2⁻⁵³` of values below `2¹⁵`: its
+/// sum lies within `3·2⁻³⁸` of `V`.  So where `X · 2⁻³¹` is at least
+/// [`TIE_WINDOW`]` · 2⁻³¹ = 2⁻¹⁴` from every half-integer, `V` and the
+/// reference's sum lie strictly inside the same interval between two
+/// half-integers, and `f64::round` of the sum is `⌊X · 2⁻³¹ + ½⌋ = (X +
+/// 2³⁰) >> 31`, already in the `i16` range (`V` lies between `a` and `b`).
+/// A lane inside the window, every exact tie among them, takes
+/// [`resample::one`], the reference's arithmetic; so does every position
+/// of a run outside `[1, 2²²)`.
+///
+/// Taps: the one bounds check covers the run's first and last index
+/// (positions only grow).  A vector whose indices span at most eight taps
+/// loads `a` and `b` as two unaligned runs of eight: in order when the
+/// indices are consecutive (by the progression, exactly when a whole
+/// vector's last is its first plus seven), through a permute otherwise.
+/// A wider vector gathers the pair `input[i] | input[i + 1] << 16`.  The
+/// run's last vector may have lanes past the run; their outputs land in
+/// spare capacity that `set_len` leaves out.
 ///
 /// # Safety
 ///
@@ -353,56 +375,129 @@ unsafe fn round_away_avx512(v: __m512d) -> __m256i {
 #[target_feature(enable = "avx512f")]
 #[inline]
 unsafe fn resample_interior_avx512(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
-    const OCTS: usize = BLOCK / 8;
-    let n = run.n as i64;
-    let kn = _mm512_setr_epi64(0, n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n, 7 * n);
-    let mut frac = [_mm512_setzero_pd(); OCTS];
-    let mut base = [_mm256_setzero_si256(); OCTS];
-    for q in 0..OCTS {
-        let b = run.b0.wrapping_add(8 * q as u64 * run.n) as i64;
-        let pos = _mm512_castsi512_pd(_mm512_add_epi64(_mm512_set1_epi64(b), kn));
-        let floor = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(pos);
-        frac[q] = _mm512_sub_pd(pos, floor);
-        base[q] = _mm512_cvttpd_epi32(floor);
+    let Run { b0, n, count } = run;
+    let exponent = (b0 >> 52) as i64 - 1023;
+    if !(0..=21).contains(&exponent) {
+        for k in 0..count as u64 {
+            out.push(resample::one(f64::from_bits(b0 + k * n), offset, input));
+        }
+        return;
     }
-    let live = u32::MAX >> (BLOCK - run.count.clamp(1, BLOCK));
-    let offset = _mm512_set1_epi32(offset as i32);
-    let idx = [0, 1].map(|h| {
-        let both = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(base[2 * h]), base[2 * h + 1]);
-        _mm512_maskz_sub_epi32((live >> (16 * h)) as u16, both, offset)
-    });
-    let limit = _mm512_set1_epi32(tap_limit(input) as i32);
-    let over = _mm512_cmpge_epu32_mask(_mm512_max_epu32(idx[0], idx[1]), limit);
-    assert!(over == 0, "resample tap out of range");
-    out.reserve(BLOCK);
-    let dst = out.spare_capacity_mut().as_mut_ptr().cast::<__m256i>();
-    let one = _mm512_set1_pd(1.0);
-    let lerp = |q: usize, a: __m256i, b: __m256i| {
-        let (a, b) = (_mm512_cvtepi32_pd(a), _mm512_cvtepi32_pd(b));
-        round_away_avx512(_mm512_add_pd(
-            _mm512_mul_pd(a, _mm512_sub_pd(one, frac[q])),
-            _mm512_mul_pd(b, frac[q]),
-        ))
-    };
-    for (h, &idx) in idx.iter().enumerate() {
-        // In-body safety: every lane of `idx` is below `tap_limit`.
-        let taps = _mm512_i32gather_epi32::<2>(idx, input.as_ptr().cast());
-        let a = _mm512_srai_epi32::<16>(_mm512_slli_epi32::<16>(taps));
-        let b = _mm512_srai_epi32::<16>(taps);
-        let lo = lerp(2 * h, _mm512_castsi512_si256(a), _mm512_castsi512_si256(b));
-        let hi = lerp(
-            2 * h + 1,
-            _mm512_extracti64x4_epi64::<1>(a),
-            _mm512_extracti64x4_epi64::<1>(b),
+    let s = 52 - exponent as u64;
+    let m0 = (b0 & resample::MANTISSA) | 1 << 52;
+    let m_last = m0 + (count as u64 - 1) * n;
+    // Wrapping: a (never produced) negative index is larger than any limit.
+    let index = |m: u64| ((m >> s) as usize).wrapping_sub(offset);
+    let limit = tap_limit(input) as usize;
+    assert!(
+        index(m0).max(index(m_last)) < limit,
+        "resample tap out of range"
+    );
+    out.reserve(count + 7);
+    let dst = out.spare_capacity_mut().as_mut_ptr().cast::<i16>();
+    let taps = input.as_ptr();
+    let n = n as i64;
+    let mut m = _mm512_add_epi64(
+        _mm512_set1_epi64(m0 as i64),
+        _mm512_setr_epi64(0, n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n, 7 * n),
+    );
+    let (n, eight_n) = (n as u64, _mm512_set1_epi64(8 * n));
+    let to_index = _mm512_set1_epi64(s as i64);
+    let to_frac = _mm512_set1_epi64(s as i64 - 31);
+    let low31 = _mm512_set1_epi64((1 << 31) - 1);
+    // `2³⁰` rounds to nearest; `TIE_WINDOW` more moves the window's lanes
+    // to the bottom of each `2³¹` and leaves every other lane's rounding.
+    let bias = _mm512_set1_epi64((1 << 30) + TIE_WINDOW);
+    let window = _mm512_set1_epi64(2 * TIE_WINDOW);
+    // Outputs `j .. j + live` (`live ≤ 8`) from the mantissas `m`, lane
+    // `k` at `mj + k·n`; lanes past `live` are past the run.
+    let vector = |j: usize, mj: u64, m: __m512i, live: usize| {
+        let whole = live == 8;
+        let f31 = _mm512_and_si512(_mm512_srlv_epi64(m, to_frac), low31);
+        let i0 = index(mj);
+        let span = index(if whole { mj + 7 * n } else { m_last }) - i0;
+        // In-body safety: both loads end at or before `input[limit]` (for
+        // eight consecutive taps of the run, `i0 + 7` is one of its indices).
+        let eight = |i: usize| _mm512_cvtepi16_epi64(_mm_loadu_si128(taps.add(i).cast()));
+        let (a, b) = if whole && span == 7 {
+            (eight(i0), eight(i0 + 1))
+        } else if span < 8 && i0 + 8 <= limit {
+            // Lanes past the run pick any of the eight.
+            let first = _mm512_set1_epi64((i0 + offset) as i64);
+            let lane = _mm512_sub_epi64(_mm512_srlv_epi64(m, to_index), first);
+            let pick = |v| _mm512_permutexvar_epi64(lane, v);
+            (pick(eight(i0)), pick(eight(i0 + 1)))
+        } else {
+            // Lanes past the run repeat its last position.
+            let m = _mm512_min_epu64(m, _mm512_set1_epi64(m_last as i64));
+            let idx = _mm512_srlv_epi64(m, to_index);
+            let idx = _mm512_sub_epi64(idx, _mm512_set1_epi64(offset as i64));
+            // In-body safety: every lane is an index of the run.
+            let pair = _mm512_cvtepi32_epi64(_mm512_i64gather_epi32::<2>(idx, taps.cast()));
+            let a = _mm512_srai_epi64::<48>(_mm512_slli_epi64::<48>(pair));
+            (a, _mm512_srai_epi64::<16>(pair))
+        };
+        // `X + bias`: `a·2³¹` has no low bits for the bias to carry into.
+        let x = _mm512_add_epi64(
+            _mm512_or_si512(_mm512_slli_epi64::<31>(a), bias),
+            _mm512_mul_epi32(_mm512_sub_epi64(b, a), f31),
         );
-        let rounded = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi);
-        // In-body safety: the reserve above left `BLOCK` samples of spare
-        // capacity, two stores of 16.
-        _mm256_storeu_si256(dst.add(h), _mm512_cvtsepi32_epi16(rounded));
+        let rounded = _mm512_srai_epi64::<31>(x);
+        // In-body safety: the reserve above left `count + 7` samples of
+        // spare capacity, and `j < count`.
+        _mm_storeu_si128(dst.add(j).cast(), _mm512_cvtsepi64_epi16(rounded));
+        let near = _mm512_cmplt_epu64_mask(_mm512_and_si512(x, low31), window);
+        let mut near = near & (u8::MAX >> (8 - live));
+        while near != 0 {
+            let k = j + near.trailing_zeros() as usize;
+            let p = f64::from_bits(b0 + k as u64 * n);
+            // In-body safety: `k < count`, inside the reserve.
+            dst.add(k).write(resample::one(p, offset, input));
+            near &= near - 1;
+        }
+    };
+    let (mut j, mut mj) = (0, m0);
+    while j + 8 <= count {
+        vector(j, mj, m, 8);
+        (j, mj, m) = (j + 8, mj + 8 * n, _mm512_add_epi64(m, eight_n));
     }
-    // In-body safety: the stores initialised the first `run.count ≤ BLOCK`
-    // samples past the length.
-    out.set_len(out.len() + run.count.min(BLOCK));
+    if j < count {
+        vector(j, mj, m, count - j);
+    }
+    // In-body safety: the stores initialised the first `count` samples
+    // past the length.
+    out.set_len(out.len() + count);
+}
+
+// ---- AVX-512 µ-law decode (64 codes per iteration) --------------------
+
+fn decode_ulaw_avx512_entry(data: &[u8], out: &mut [i16]) {
+    // SAFETY: only in the AVX-512 tables, handed out when F, BW and VBMI are detected.
+    unsafe { decode_ulaw_avx512(data, out) }
+}
+
+/// The play map's ring-byte decode as a table entry: [`linear_avx512`]
+/// over the µ-law planes, 64 codes per iteration, the tail to the scalar
+/// loop.
+///
+/// # Safety
+///
+/// The caller must guarantee the CPU supports AVX-512 F, BW and VBMI.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn decode_ulaw_avx512(data: &[u8], out: &mut [i16]) {
+    assert_eq!(data.len(), out.len(), "decode buffer length mismatch");
+    // In-body safety: the planes are 64-byte aligned and 256 bytes long.
+    let planes: [__m512i; 4] = core::ptr::read((&raw const *LinearPlanes::exp_u()).cast());
+    let mut i = 0;
+    // In-body safety: each iteration reads 64 bytes and writes 64 i16,
+    // bounded by `i + 64 <= len`.
+    while i + 64 <= data.len() {
+        let (a, b) = linear_avx512(&planes, _mm512_loadu_si512(data.as_ptr().add(i).cast()));
+        _mm512_storeu_si512(out.as_mut_ptr().add(i).cast(), a);
+        _mm512_storeu_si512(out.as_mut_ptr().add(i + 32).cast(), b);
+        i += 64;
+    }
+    scalar::decode_ulaw(&data[i..], &mut out[i..]);
 }
 
 // ---- AVX-512 play maps (64 samples per iteration) ---------------------

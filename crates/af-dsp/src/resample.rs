@@ -9,18 +9,20 @@
 //! [`resample_block`] calls the active kernel table's entry
 //! (`kernels::Kernels::resample_block`).  Every table's entry is one
 //! driver, `drive` — guard, head, the position chain, tail, rebase —
-//! around an interior that turns a run of up to 32 positions into
-//! output: the portable loop of this file for the scalar table (and so
-//! under Miri and on every host without AVX2), `core::arch` code in
-//! `kernels::x86` for AVX2 and AVX-512.  Each is bit-exact with the frozen
-//! seed loop `reference::resample_block_scalar` by construction rather
-//! than by tolerance (DESIGN.md §8.2): every position is the reference's
+//! around an interior that turns a run of positions into output: the
+//! portable loop of this file for the scalar table (and so under Miri and
+//! on every host without AVX2), `core::arch` code in `kernels::x86` for
+//! AVX2 and AVX-512.  Each is bit-exact with the frozen seed loop
+//! `reference::resample_block_scalar` by construction rather than by
+//! tolerance (DESIGN.md §8.2): every position is the reference's
 //! sequential `pos += step`, computed as an integer progression of bit
 //! patterns where `progression` proves the two equal and by the add
-//! itself elsewhere; every other floating-point operation of the reference
-//! is performed on the same operands in the same order; and only the two
-//! library calls — `floor` and `round`, software routines on baseline
-//! x86-64 — are replaced, by exact arithmetic.
+//! itself elsewhere.  The portable and AVX2 interiors perform every other
+//! floating-point operation of the reference on the same operands in the
+//! same order, and replace only the two library calls — `floor` and
+//! `round`, software routines on baseline x86-64 — by exact arithmetic;
+//! the AVX-512 one computes in exact integers, proves its result equal
+//! outside a window around each half-integer, and takes `one` inside.
 
 use crate::{kernels, reference};
 
@@ -108,8 +110,8 @@ impl Resampler {
     }
 }
 
-/// The longest [`Run`]: eight AVX2 or four AVX-512 vectors of positions,
-/// and 64 bytes of output.
+/// The longest [`Run`] the portable and AVX2 interiors take: eight AVX2
+/// vectors of positions, and 64 bytes of output.
 pub(crate) const BLOCK: usize = 32;
 
 /// 1.5 × 2⁵²: in `[2⁵², 2⁵³)` doubles are the integers, so adding it rounds
@@ -164,11 +166,11 @@ pub fn resample_block(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>)
 
 /// The scalar table's entry: [`drive`] around [`interior`].
 pub(crate) fn resample_block_portable(st: &mut ResampleState, input: &[i16], out: &mut Vec<i16>) {
-    drive(st, input, out, interior);
+    drive(st, input, out, BLOCK, interior);
 }
 
 /// `count` consecutive outputs whose positions have the bit patterns
-/// `b0 + k·n`, `0 ≤ k < count ≤ BLOCK` (see [`progression`]).
+/// `b0 + k·n`, `0 ≤ k < count`, all in one binade (see [`progression`]).
 #[derive(Clone, Copy)]
 pub(crate) struct Run {
     pub(crate) b0: u64,
@@ -215,7 +217,7 @@ fn interior(run: Run, offset: usize, input: &[i16], out: &mut Vec<i16>) {
 
 /// The output at virtual position `p`, whose taps both come from `input`.
 #[inline(always)]
-fn one(p: f64, offset: usize, input: &[i16]) -> i16 {
+pub(crate) fn one(p: f64, offset: usize, input: &[i16]) -> i16 {
     let (base, bi) = floor_exact(p);
     let i = bi as usize - offset;
     lerp(input[i], input[i + 1], p - base)
@@ -223,7 +225,7 @@ fn one(p: f64, offset: usize, input: &[i16]) -> i16 {
 
 /// Exponent and mantissa fields of an `f64`.
 const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
-const MANTISSA: u64 = (1 << 52) - 1;
+pub(crate) const MANTISSA: u64 = (1 << 52) - 1;
 
 /// The bit pattern of `2^(E+1)` for `x` in `[2^E, 2^(E+1))`: one past the
 /// last double of `x`'s binade.
@@ -265,15 +267,15 @@ fn progression(pos: f64, next: f64, step: f64) -> Option<u64> {
     (pos.is_normal() && b0 < b1 && b1 < binade_end(pos) && !tie).then_some(b1 - b0)
 }
 
-/// Everything of a kernel table's `resample_block` but the runs, which
-/// `interior(run, offset, input, out)` turns into output: it appends
-/// `run.count` samples to `out`, output `k` interpolating `input[i]` and
-/// `input[i + 1]` for `i = floor(p) - offset` at the position
-/// `p = f64::from_bits(run.b0 + k·run.n)`.  The driver calls it only with
-/// `0 ≤ i` and `i + 1 < input.len()` for every `k < run.count`, and with
-/// positions below 2³⁰.  It reserves one run more than the block's
-/// outputs, so an interior that stores whole runs into spare capacity
-/// never reallocates.
+/// Everything of a kernel table's `resample_block` but the runs of at most
+/// `max_run` outputs, which `interior(run, offset, input, out)` turns into
+/// output: it appends `run.count` samples to `out`, output `k`
+/// interpolating `input[i]` and `input[i + 1]` for `i = floor(p) - offset`
+/// at the position `p = f64::from_bits(run.b0 + k·run.n)`.  The driver
+/// calls it only with `0 ≤ i` and `i + 1 < input.len()` for every `k <
+/// run.count`, and with positions below 2³⁰.  It reserves one [`BLOCK`] more than the block's
+/// outputs, so an interior that stores whole runs of `BLOCK` into spare
+/// capacity never reallocates.
 ///
 /// The chain's positions are the reference's `pos += step`, as runs within
 /// a binade ([`progression`]) and by the add itself at crossings, ties and
@@ -285,6 +287,7 @@ pub(crate) fn drive(
     st: &mut ResampleState,
     input: &[i16],
     out: &mut Vec<i16>,
+    max_run: usize,
     interior: impl Fn(Run, usize, &[i16], &mut Vec<i16>),
 ) {
     let Some(&last) = input.last() else {
@@ -322,19 +325,18 @@ pub(crate) fn drive(
             pos = next;
             continue;
         };
-        // Runs up to the binade's end or the block's, whichever is first;
-        // positions are non-negative, so bit patterns order like values.
+        // The stretch up to the binade's end or the block's, whichever is
+        // first (positions are non-negative, so bit patterns order like
+        // values), in runs of at most `max_run`.
         let top = binade_end(pos);
         let stop = top.min(end);
         let mut b = pos.to_bits();
-        while b < stop {
-            let count = if b + (BLOCK as u64 - 1) * n < stop {
-                BLOCK
-            } else {
-                (stop - b).div_ceil(n) as usize
-            };
+        let mut left = (stop - b).div_ceil(n) as usize;
+        while left > 0 {
+            let count = left.min(max_run);
             interior(Run { b0: b, n, count }, offset, input, out);
             b += count as u64 * n;
+            left -= count;
         }
         // Inside the binade the progression holds; past it, one real add.
         pos = if b < top {

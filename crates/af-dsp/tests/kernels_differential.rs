@@ -325,6 +325,60 @@ fn resample_rounds_ties_and_near_ties_like_the_reference() {
     }
 }
 
+/// The exact-integer interior's tie window (`x86.rs`,
+/// `resample_interior_avx512`): positions whose fraction puts the exact
+/// interpolated value on a half-integer `h` or within `2⁻⁴⁰ … 2⁻¹⁴` of
+/// it, over full-scale taps in either order and over `(0, 1)`, in the
+/// binades `[2^E, 2^(E+1))` for `E` = 0, 12 and 21 (the interior's range
+/// ends there) and 22 (past it, one output at a time).  Each start takes
+/// three shapes: step ⅛ into the block's last tap pair (a gathered
+/// vector), step ⅛ with taps to spare (two loads and a permute), and step
+/// 1 (two loads in order).  A binade's grid rounds a nudge finer than it;
+/// the reference judges every output either way.
+#[test]
+fn resample_matches_reference_inside_and_around_the_tie_window() {
+    let binades: &[u32] = if cfg!(miri) {
+        &[0, 12]
+    } else {
+        &[0, 12, 21, 22]
+    };
+    let mut data = vec![0i16; (1 << binades[binades.len() - 1]) + 24];
+    let full = [-32_767.5, -1000.5, -0.5, 0.5, 12_345.5, 32_766.5];
+    let taps: [(i16, i16, &[f64]); 4] = [
+        (i16::MIN, i16::MAX, &full),
+        (i16::MAX, i16::MIN, &full),
+        (0, 1, &[0.5]),
+        (1, 0, &[0.5]),
+    ];
+    let nudges = [-40, -30, -17, -15, -14].map(|k| 2f64.powi(k));
+    for &e in binades {
+        let base = 1usize << e;
+        for (a, b, halves) in taps {
+            data[base] = a;
+            data[base + 1] = b;
+            let span = f64::from(b) - f64::from(a);
+            for &h in halves {
+                for nudge in nudges.into_iter().flat_map(|d| [d, -d]).chain([0.0]) {
+                    // `f = (h + nudge − a) / (b − a)`, the nudge kept apart
+                    // so that it survives next to `h − a`.
+                    let frac = (h - f64::from(a)) / span + nudge / span;
+                    let pos = base as f64 + frac;
+                    for (step, len) in [(0.125, base + 2), (0.125, base + 24), (1.0, base + 24)] {
+                        let start = ResampleState {
+                            step,
+                            pos,
+                            prev: None,
+                        };
+                        assert_resample_matches_from(&start, [&data[..len]]);
+                    }
+                }
+            }
+        }
+        data[base] = 0;
+        data[base + 1] = 0;
+    }
+}
+
 /// Tap bounds.  Lengths are swept so that whole kernel blocks run and, for
 /// some length, a block's last output interpolates from `input[len - 2]`
 /// and `input[len - 1]` — the last tap a block may touch — and for the
@@ -484,6 +538,39 @@ fn resampler_reusing_its_output_does_not_regrow_it() {
         out.clear();
         r.process_into(&input, &mut out);
         assert_eq!(out.capacity(), capacity);
+    }
+}
+
+/// Decode tails and alignment: every table's `decode_ulaw` at every length
+/// 0..=130 — none, part and all of a 64-code vector body, then a tail —
+/// from every start offset in a 64-byte aligned block, the codes rotated
+/// per case so that each of the 256 reaches the vector body and the tail.
+#[test]
+fn decode_ulaw_covers_every_code_length_and_offset() {
+    #[repr(C, align(64))]
+    struct Aligned([u8; 64 + 130]);
+    let mut block = Aligned([0; 64 + 130]);
+    let mut out = [0i16; 130];
+    let lengths = (0..=130).filter(|n| !cfg!(miri) || n % 43 < 2);
+    for len in lengths {
+        for offset in 0..64 {
+            let first = (len * 3 + offset * 5) as u8;
+            for (i, c) in block.0[offset..offset + len].iter_mut().enumerate() {
+                *c = first.wrapping_add(i as u8);
+            }
+            let codes = &block.0[offset..offset + len];
+            for k in kernels::available() {
+                (k.decode_ulaw)(codes, &mut out[..len]);
+                for (i, (&c, &v)) in codes.iter().zip(&out).enumerate() {
+                    assert_eq!(
+                        v,
+                        g711::ulaw_to_linear(c),
+                        "{}: code {c:#04x} at {i} of {len} from offset {offset}",
+                        k.name
+                    );
+                }
+            }
+        }
     }
 }
 

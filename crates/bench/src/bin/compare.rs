@@ -377,10 +377,10 @@ mod tests {
     fn the_checked_in_report_yields_every_gated_metric() {
         let report = Json::parse(include_str!("../../../../BENCH_report.json")).unwrap();
         let m = metrics(&report);
-        // 26 kernel rows × 2 (`gain` at both sizes among them), 3 × (3
+        // 28 kernel rows × 2 (`gain` at both sizes among them), 3 × (3
         // throughput + Figure 10 + 3 sweeps + Table 12), Table 7, 4 fan-out
         // levels × 2, reactor fraction + 5 levels.
-        assert_eq!(m.len(), 52 + 24 + 1 + 8 + 6, "{:?}", m.keys());
+        assert_eq!(m.len(), 56 + 24 + 1 + 8 + 6, "{:?}", m.keys());
         assert_eq!(m["table7/decoded_fraction"].0, 1.0);
         assert!(m["kernel_v2/gain/kernel/65536B cycles_per_byte"].0 > 0.0);
     }
