@@ -20,6 +20,7 @@
 
 pub mod ac;
 pub mod atoms;
+mod codec;
 pub mod error;
 pub mod event;
 pub mod link;

@@ -14,7 +14,8 @@
 //! records `"mode": "smoke"` so such runs are never mistaken for real
 //! measurements.  The markdown output is pasted into EXPERIMENTS.md next
 //! to the paper's numbers.  Besides the paper's rows, `report` enforces
-//! same-run gates and exits non-zero when one fails: the kernel dispatch
+//! same-run gates and, once every section has run and the JSON is
+//! written, exits non-zero if one failed: the kernel dispatch
 //! rules (`bench::kernels::dispatch_regressions`) and the ratio rules of
 //! the §10.2 CPU-load rows (`CPU_RULES`) and of the update-task ablation
 //! (`UPDATE_RULES`).
@@ -96,12 +97,22 @@ fn main() {
     }
     println!("configurations: unix socket (local), loopback TCP, TCP + 0.5 ms wire\n");
 
-    let kernels_v2 = kernel_v2_section(settings);
+    // A broken same-run rule fails the run only after every section has
+    // run and the report is written.
+    let mut broken = Vec::new();
+    let kernels_v2 = kernel_v2_section(settings, &mut broken);
     // Before the figures: their rigs stay up for the rest of the run, and
     // the CPU rows count every thread in the process.
-    let cpu_usage = ratio_section("cpu_usage_pct", cpu_usage_rows(), &CPU_RULES, "%");
+    let cpu_rows = cpu_usage_rows();
+    let cpu_usage = ratio_section("cpu_usage_pct", cpu_rows, &CPU_RULES, "%", &mut broken);
     let update_rows = update_task_rows(settings);
-    let update_task = ratio_section("update_task_ns", update_rows, &UPDATE_RULES, "ns");
+    let update_task = ratio_section(
+        "update_task_ns",
+        update_rows,
+        &UPDATE_RULES,
+        "ns",
+        &mut broken,
+    );
     let get_time = figure10(&configs, settings);
     let record = figure11(&configs, settings);
     table10(&configs, &record);
@@ -178,9 +189,16 @@ fn main() {
     }
     std::fs::write(&args.out, doc.render()).expect("write BENCH_report.json");
     println!("machine-readable report written to {}", args.out);
+    if !broken.is_empty() {
+        for v in &broken {
+            eprintln!("report: {v}");
+        }
+        std::process::exit(1);
+    }
 }
 
-fn kernel_v2_section(settings: Settings) -> Vec<KernelV2Measurement> {
+/// Prints the kernel rows and adds every dispatch regression to `broken`.
+fn kernel_v2_section(settings: Settings, broken: &mut Vec<String>) -> Vec<KernelV2Measurement> {
     println!("## Kernels — scalar and SIMD tables, resampler, gain (cycle-accounted)\n");
     println!("| kernel | path | bytes | MB/s | cycles/byte |");
     println!("|---|---|---|---|---|");
@@ -202,21 +220,22 @@ fn kernel_v2_section(settings: Settings) -> Vec<KernelV2Measurement> {
             af_dsp::kernels::active().name
         );
     } else {
+        println!("Dispatch gate: {} regressions.\n", violations.len());
         for v in &violations {
-            eprintln!("report: dispatch regression: {v}");
+            broken.push(format!("dispatch regression: {v}"));
         }
-        std::process::exit(1);
     }
     results
 }
 
-/// Prints one section of named rows and enforces its same-run `rules`,
-/// exiting non-zero on a violation; returns the rows.
+/// Prints one section of named rows and checks its same-run `rules`,
+/// adding every violation to `broken`; returns the rows.
 fn ratio_section(
     name: &str,
     rows: Vec<(&'static str, f64)>,
     rules: &[RatioRule],
     unit: &str,
+    broken: &mut Vec<String>,
 ) -> Vec<(&'static str, f64)> {
     println!("| `{name}` row | {unit} |");
     println!("|---|---|");
@@ -228,10 +247,14 @@ fn ratio_section(
     if violations.is_empty() {
         println!("Ratio gate: all {} rules hold.\n", rules.len());
     } else {
+        println!(
+            "Ratio gate: {} of {} rules broken.\n",
+            violations.len(),
+            rules.len()
+        );
         for v in &violations {
-            eprintln!("report: ratio rule broken: {v}");
+            broken.push(format!("ratio rule broken: {v}"));
         }
-        std::process::exit(1);
     }
     rows
 }
