@@ -652,6 +652,12 @@ impl Dispatcher {
                 .map_err(bad_length)
                 .and_then(|request| self.dispatch(id, order, seq, request))
         };
+        // A client can grow the host and property lists past what a reply's
+        // count can say: such a reply is an error, not a panic in encode.
+        let result = result.and_then(|reply| {
+            let fits = reply.as_ref().map_or(Ok(()), Reply::check_counts);
+            fits.map(|()| reply).map_err(bad_length)
+        });
         match result {
             Ok(Some(reply)) => self.send_reply_to(id, order, seq, &reply),
             Ok(None) => {}
