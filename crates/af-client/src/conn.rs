@@ -6,7 +6,7 @@ use af_proto::request::{play_flags, record_flags, PropertyMode, PLAY_HEADER_BYTE
 use af_proto::wire::{pad4, WireReader};
 use af_proto::{
     AcAttributes, AcId, AcMask, Atom, ByteOrder, ConnSetup, DeviceDesc, DeviceId, Event, EventMask,
-    ProtoError, RecordView, Reply, Request, SetupReply, WireError, CHUNK_BYTES,
+    ProtoError, RecordView, Reply, Request, SetupReply, WireError, CHUNK_BYTES, MAX_REQUEST_BYTES,
 };
 use af_time::ATime;
 use std::collections::VecDeque;
@@ -335,7 +335,7 @@ impl AudioConn {
             byte_order: self.order,
             ..ConnSetup::new()
         };
-        self.stream.write_all(&setup.encode())?;
+        self.stream.write_all(&setup.encode()?)?;
         self.stream.flush()?;
         // Reply: 4-byte length prefix, then the body.
         let body = loop {
@@ -435,11 +435,19 @@ impl AudioConn {
     }
 
     fn push_request(&mut self, req: &Request) -> AfResult<u16> {
-        // A field too long for its wire count is refused before anything
-        // is queued: encoding would panic rather than wrap the count.
+        // A field too long for its wire count, or a request too long for
+        // its frame, is refused before anything is queued: encoding would
+        // panic rather than wrap the count.
         req.check_counts().map_err(|e| {
             AfError::InvalidArgument(format!("{:?} field too long: {e}", req.opcode()))
         })?;
+        let len = req.encoded_len(self.order);
+        if len > MAX_REQUEST_BYTES {
+            return Err(AfError::InvalidArgument(format!(
+                "{:?} request too long: {len} bytes, past {MAX_REQUEST_BYTES}",
+                req.opcode()
+            )));
+        }
         req.encode_into(self.order, &mut self.out);
         self.seq_sent = self.seq_sent.wrapping_add(1);
         if self.out.len() >= OUT_FLUSH_BYTES {
@@ -1276,7 +1284,7 @@ mod tests {
                 let reply = SetupReply::Failed {
                     reason: "go away".into(),
                 };
-                let _ = sock.write_all(&reply.encode(ByteOrder::native()));
+                let _ = sock.write_all(&reply.encode(ByteOrder::native()).unwrap());
             }
         });
         let opts = ConnectOptions {

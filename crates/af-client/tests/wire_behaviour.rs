@@ -83,7 +83,7 @@ impl MockServer {
             vendor: "mock".into(),
             devices: vec![test_device()],
         };
-        stream.write_all(&reply.encode(order)).unwrap();
+        stream.write_all(&reply.encode(order).unwrap()).unwrap();
         MockServer {
             stream,
             order,
@@ -180,7 +180,7 @@ fn large_play_chunks_at_8k_with_suppressed_replies() {
 
     let seen = driver.join().unwrap();
     assert_eq!(seen[0].opcode, Opcode::CreateAc);
-    let chunks: Vec<(u32, usize, u8)> = seen[1..]
+    let chunks: Vec<(ATime, usize, u8)> = seen[1..]
         .iter()
         .map(|s| match &s.request {
             Request::PlaySamples {
@@ -188,7 +188,7 @@ fn large_play_chunks_at_8k_with_suppressed_replies() {
                 data,
                 flags,
                 ..
-            } => (start_time.ticks(), data.len(), *flags),
+            } => (*start_time, data.len(), *flags),
             other => panic!("expected PlaySamples, got {other:?}"),
         })
         .collect();
@@ -197,9 +197,9 @@ fn large_play_chunks_at_8k_with_suppressed_replies() {
     assert_eq!(
         chunks,
         vec![
-            (1000, 8192, play_flags::SUPPRESS_REPLY),
-            (1000 + 8192, 8192, play_flags::SUPPRESS_REPLY),
-            (1000 + 16_384, 3616, 0),
+            (ATime::new(1000), 8192, play_flags::SUPPRESS_REPLY),
+            (ATime::new(1000 + 8192), 8192, play_flags::SUPPRESS_REPLY),
+            (ATime::new(1000 + 16_384), 3616, 0),
         ]
     );
 }

@@ -35,6 +35,7 @@
     )
 )]
 
+use crate::lineserver::{LsPacket, LS_BUFFER_SAMPLES};
 use af_proto::link::{
     FEC_CRC_BYTES, FEC_GROUP_WINDOW, FEC_HEADER_BYTES, FEC_MAGIC, FEC_MAX_K, FEC_MAX_M,
     FEC_VERSION,
@@ -187,9 +188,10 @@ impl FecConfig {
     }
 }
 
-/// One parsed FEC frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FecFrame {
+/// One FEC frame, borrowing its payload: from the datagram it was parsed
+/// out of, or from the encoder that is sending it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FecFrame<'a> {
     /// Group sequence number.
     pub group: u32,
     /// Shard index: `0..k` data, `k..k+m` parity.
@@ -199,13 +201,14 @@ pub struct FecFrame {
     /// Parity shards in this frame's group.
     pub m: u8,
     /// Shard payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl FecFrame {
-    /// Encodes the frame with header and trailing CRC.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FEC_HEADER_BYTES + self.payload.len() + FEC_CRC_BYTES);
+impl FecFrame<'_> {
+    /// Encodes the frame with header and trailing CRC into `out`, which it
+    /// clears first.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         out.extend_from_slice(&FEC_MAGIC.to_le_bytes());
         out.push(FEC_VERSION);
         out.extend_from_slice(&self.group.to_le_bytes());
@@ -213,10 +216,9 @@ impl FecFrame {
         out.push(self.k);
         out.push(self.m);
         out.extend_from_slice(&(self.payload.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let crc = crc32(&out);
+        out.extend_from_slice(self.payload);
+        let crc = crc32(out);
         out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Decodes a datagram as an FEC frame.
@@ -225,7 +227,7 @@ impl FecFrame {
     /// version, truncation, length mismatch, shape out of bounds, or CRC
     /// failure.  Corruption is therefore indistinguishable from loss,
     /// which is the erasure model the parity math assumes.
-    pub fn decode(bytes: &[u8]) -> Option<FecFrame> {
+    pub fn decode(bytes: &[u8]) -> Option<FecFrame<'_>> {
         if bytes.len() < FEC_HEADER_BYTES + FEC_CRC_BYTES {
             return None;
         }
@@ -255,31 +257,62 @@ impl FecFrame {
             index: bytes[7],
             k: bytes[8],
             m: bytes[9],
-            // af-analyze: allow(alloc): a parsed frame owns its payload; the receive datagram buffer is transient
-            payload: bytes[FEC_HEADER_BYTES..FEC_HEADER_BYTES + len].to_vec(),
+            payload: &bytes[FEC_HEADER_BYTES..FEC_HEADER_BYTES + len],
         })
     }
+}
+
+/// The room a shard buffer reserves on its first fill: a LineServer
+/// packet of a full record buffer, with the shard's length prefix.  A
+/// steady stream of such packets then never grows a buffer.
+const SHARD_CAPACITY: usize = 2 + LsPacket::HEADER + LS_BUFFER_SAMPLES as usize;
+
+/// Refills `buf` with `head` then `body`, keeping its allocation.
+fn refill(buf: &mut Vec<u8>, head: &[u8], body: &[u8]) {
+    buf.clear();
+    buf.reserve(SHARD_CAPACITY.max(head.len() + body.len()));
+    buf.extend_from_slice(head);
+    buf.extend_from_slice(body);
+}
+
+/// Refills `buf` with the shard form of `payload` that parity is computed
+/// over: the payload prefixed with its 16-bit length.
+fn stash_shard(buf: &mut Vec<u8>, payload: &[u8]) {
+    let capped = payload.len().min(usize::from(u16::MAX));
+    refill(buf, &(capped as u16).to_le_bytes(), &payload[..capped]);
 }
 
 // --- Encoder -------------------------------------------------------------
 
 /// Streams payloads into FEC frames: each payload becomes one data frame
-/// (emitted immediately), and every `k`-th payload closes the group and
-/// emits its `m` parity frames.
+/// (sent immediately), and every `k`-th payload closes the group and sends
+/// its `m` parity frames.  Every buffer it writes is its own and kept, so
+/// a warm encoder allocates nothing.
 pub struct FecEncoder {
     cfg: FecConfig,
     group: u32,
-    /// Length-prefixed shard buffers of the open group.
+    /// Length-prefixed shard buffers; the first `open` hold the open
+    /// group's data shards.
     shards: Vec<Vec<u8>>,
+    /// Data shards in the open group.
+    open: usize,
+    /// The parity row being computed.
+    parity: Vec<u8>,
+    /// The frame being sent.
+    frame: Vec<u8>,
 }
 
 impl FecEncoder {
-    /// Creates an encoder with the given group shape.
+    /// Creates an encoder with the given group shape, clamped into bounds.
     pub fn new(cfg: FecConfig) -> FecEncoder {
+        let cfg = FecConfig::new(cfg.k, cfg.m);
         FecEncoder {
             cfg,
             group: 0,
-            shards: Vec::with_capacity(cfg.k),
+            shards: (0..cfg.k).map(|_| Vec::new()).collect(),
+            open: 0,
+            parity: Vec::with_capacity(SHARD_CAPACITY),
+            frame: Vec::with_capacity(FEC_HEADER_BYTES + SHARD_CAPACITY + FEC_CRC_BYTES),
         }
     }
 
@@ -288,74 +321,62 @@ impl FecEncoder {
         self.cfg
     }
 
-    /// Encodes one payload, returning the wire frames to send in order.
-    ///
-    /// Returns one data frame, plus `m` parity frames when this payload
-    /// completes a group.
-    pub fn push(&mut self, payload: &[u8]) -> Vec<Vec<u8>> {
-        let index = self.shards.len() as u8;
-        let mut out = Vec::with_capacity(1 + self.cfg.m);
-        out.push(
-            FecFrame {
-                group: self.group,
-                index,
-                k: self.cfg.k as u8,
-                m: self.cfg.m as u8,
-                // af-analyze: allow(alloc): the outbound frame owns its payload; the caller buffer is reused per tick
-                payload: payload.to_vec(),
-            }
-            .encode(),
-        );
-        // Stash the length-prefixed shard for parity.
-        let capped = payload.len().min(usize::from(u16::MAX));
-        let mut shard = Vec::with_capacity(2 + capped);
-        shard.extend_from_slice(&(capped as u16).to_le_bytes());
-        shard.extend_from_slice(&payload[..capped]);
-        self.shards.push(shard);
-        if self.shards.len() == self.cfg.k {
-            out.extend(self.close_group());
+    /// Encodes one payload, handing the wire frames to `send` in order:
+    /// one data frame, plus `m` parity frames when this payload completes
+    /// a group.
+    pub fn push(&mut self, payload: &[u8], mut send: impl FnMut(&[u8])) {
+        FecFrame {
+            group: self.group,
+            index: self.open as u8,
+            k: self.cfg.k as u8,
+            m: self.cfg.m as u8,
+            payload,
         }
-        out
+        .encode_into(&mut self.frame);
+        send(&self.frame);
+        stash_shard(&mut self.shards[self.open], payload);
+        self.open += 1;
+        if self.open == self.cfg.k {
+            self.close_group(&mut send);
+        }
     }
 
-    /// Closes the open group early (fewer than `k` data shards), emitting
+    /// Closes the open group early (fewer than `k` data shards), sending
     /// parity over what it holds.  Used at end-of-stream so tail packets
     /// are not left unprotected.
-    pub fn flush(&mut self) -> Vec<Vec<u8>> {
-        if self.shards.is_empty() {
-            return Vec::new();
+    pub fn flush(&mut self, mut send: impl FnMut(&[u8])) {
+        if self.open > 0 {
+            // Parity frames declare the short group's true k so the
+            // decoder solves the right system.
+            self.close_group(&mut send);
         }
-        // Parity frames declare the short group's true k so the decoder
-        // solves the right system.
-        self.close_group()
     }
 
-    fn close_group(&mut self) -> Vec<Vec<u8>> {
-        let k = self.shards.len();
-        let width = self.shards.iter().map(Vec::len).max().unwrap_or(0);
-        for shard in &mut self.shards {
+    fn close_group(&mut self, send: &mut impl FnMut(&[u8])) {
+        let k = self.open;
+        let shards = &mut self.shards[..k];
+        let width = shards.iter().map(Vec::len).max().unwrap_or(0);
+        for shard in shards.iter_mut() {
             shard.resize(width, 0);
         }
-        let mut out = Vec::with_capacity(self.cfg.m);
         for j in 0..self.cfg.m {
-            let mut parity = vec![0u8; width];
-            for (i, shard) in self.shards.iter().enumerate() {
-                gf_mul_acc(&mut parity, shard, cauchy_coeff(j, i));
+            self.parity.clear();
+            self.parity.resize(width, 0);
+            for (i, shard) in self.shards[..k].iter().enumerate() {
+                gf_mul_acc(&mut self.parity, shard, cauchy_coeff(j, i));
             }
-            out.push(
-                FecFrame {
-                    group: self.group,
-                    index: (k + j) as u8,
-                    k: k as u8,
-                    m: self.cfg.m as u8,
-                    payload: parity,
-                }
-                .encode(),
-            );
+            FecFrame {
+                group: self.group,
+                index: (k + j) as u8,
+                k: k as u8,
+                m: self.cfg.m as u8,
+                payload: &self.parity,
+            }
+            .encode_into(&mut self.frame);
+            send(&self.frame);
         }
-        self.shards.clear();
+        self.open = 0;
         self.group = self.group.wrapping_add(1);
-        out
     }
 }
 
@@ -374,18 +395,49 @@ pub struct FecDecoderStats {
     pub duplicates: u64,
 }
 
-/// Per-group reassembly state.
+/// Per-group reassembly state.  Its buffers outlive the group: an evicted
+/// group's state is reset for the next one.
 struct GroupState {
     group: u32,
     k: usize,
-    /// Received data shards, length-prefixed form, by index.
-    data: Vec<Option<Vec<u8>>>,
-    /// Received parity shards by parity row.
-    parity: Vec<Option<Vec<u8>>>,
+    m: usize,
+    /// Data shards in length-prefixed form, by index; the first `k` of
+    /// `have_data` say which are on hand.
+    data: [Vec<u8>; FEC_MAX_K],
+    have_data: [bool; FEC_MAX_K],
+    /// Parity shards by parity row; the first `m` of `have_parity` say
+    /// which are on hand.
+    parity: [Vec<u8>; FEC_MAX_M],
+    have_parity: [bool; FEC_MAX_M],
     /// Which data indices were already delivered to the caller.
-    delivered: Vec<bool>,
+    delivered: [bool; FEC_MAX_K],
     /// Whether reconstruction already ran (or became unnecessary).
     done: bool,
+}
+
+impl GroupState {
+    fn new() -> GroupState {
+        GroupState {
+            group: 0,
+            k: 0,
+            m: 0,
+            data: std::array::from_fn(|_| Vec::new()),
+            have_data: [false; FEC_MAX_K],
+            parity: std::array::from_fn(|_| Vec::new()),
+            have_parity: [false; FEC_MAX_M],
+            delivered: [false; FEC_MAX_K],
+            done: false,
+        }
+    }
+
+    /// Empties the state for group `group` of shape `k + m`.
+    fn reset(&mut self, group: u32, k: usize, m: usize) {
+        (self.group, self.k, self.m) = (group, k, m);
+        self.have_data = [false; FEC_MAX_K];
+        self.have_parity = [false; FEC_MAX_M];
+        self.delivered = [false; FEC_MAX_K];
+        self.done = false;
+    }
 }
 
 /// Reassembles FEC frames into payloads, reconstructing missing data
@@ -394,7 +446,8 @@ struct GroupState {
 /// Duplicated frames are dropped, reordered frames slot into place by
 /// `(group, index)`, and at most [`FEC_GROUP_WINDOW`] incomplete groups
 /// are retained (oldest evicted first), so memory is bounded no matter
-/// what the network does.
+/// what the network does.  Once the window has filled, only a
+/// reconstruction allocates.
 pub struct FecDecoder {
     groups: VecDeque<GroupState>,
     stats: FecDecoderStats,
@@ -410,7 +463,7 @@ impl FecDecoder {
     /// Creates an empty decoder.
     pub fn new() -> FecDecoder {
         FecDecoder {
-            groups: VecDeque::new(),
+            groups: VecDeque::with_capacity(FEC_GROUP_WINDOW),
             stats: FecDecoderStats::default(),
         }
     }
@@ -420,131 +473,113 @@ impl FecDecoder {
         self.stats
     }
 
-    /// Feeds one parsed frame; returns newly available data payloads.
+    /// Feeds one parsed frame, handing each newly available data payload
+    /// to `deliver`.
     ///
-    /// A data frame's own payload is always delivered immediately (unless
-    /// it is a duplicate); reconstruction of *other* shards may add more.
-    pub fn push(&mut self, frame: FecFrame) -> Vec<Vec<u8>> {
+    /// A data frame's own payload is always delivered first (unless it is
+    /// a duplicate); reconstruction of *other* shards may add more.
+    pub fn push(&mut self, frame: FecFrame<'_>, mut deliver: impl FnMut(&[u8])) {
         let k = usize::from(frame.k);
         let m = usize::from(frame.m);
-        let group = frame.group;
-        let slot = match self.groups.iter().position(|g| g.group == group) {
+        if k == 0 || k > FEC_MAX_K || m > FEC_MAX_M {
+            return; // A shape no encoder sends.
+        }
+        let slot = match self.groups.iter().position(|g| g.group == frame.group) {
             Some(i) => i,
             None => {
-                if self.groups.len() >= FEC_GROUP_WINDOW {
-                    self.evict_oldest();
+                let mut st = if self.groups.len() >= FEC_GROUP_WINDOW {
+                    self.evict_oldest()
+                } else {
+                    None
                 }
-                self.groups.push_back(GroupState {
-                    group,
-                    k,
-                    data: vec![None; k],
-                    parity: vec![None; m],
-                    delivered: vec![false; k],
-                    done: false,
-                });
+                .unwrap_or_else(GroupState::new);
+                st.reset(frame.group, k, m);
+                self.groups.push_back(st);
                 self.groups.len() - 1
             }
         };
-        // af-analyze: allow(alloc): empty Vec::new is allocation-free; only the loss-recovery path pushes into it
-        let mut out = Vec::new();
-        {
-            let st = &mut self.groups[slot];
-            // Classify by the *frame's own* k: data frames of a tail group
-            // optimistically declare the configured k (they go out before
-            // the group closes short), while parity frames always declare
-            // the group's true k.
-            let idx = usize::from(frame.index);
-            if idx < k {
-                // Data shard.  An index at or past the group's (possibly
-                // already corrected) shape cannot exist; drop it.
-                if idx >= st.k {
-                    return out;
-                }
-                if st.data[idx].is_some() {
-                    self.stats.duplicates += 1;
-                    return out;
-                }
-                // Deliver the direct payload now; keep the length-prefixed
-                // form for parity math.
-                let mut shard = Vec::with_capacity(2 + frame.payload.len());
-                let capped = frame.payload.len().min(usize::from(u16::MAX));
-                shard.extend_from_slice(&(capped as u16).to_le_bytes());
-                shard.extend_from_slice(&frame.payload[..capped]);
-                st.data[idx] = Some(shard);
-                if !st.delivered[idx] {
-                    st.delivered[idx] = true;
-                    self.stats.direct += 1;
-                    out.push(frame.payload);
-                }
-            } else {
-                // Parity shard: its declared k is authoritative, so a
-                // shape recorded from data frames shrinks to the true one
-                // (the excess slots never had shards on the wire).
-                if k < st.k {
-                    st.data.truncate(k);
-                    st.delivered.truncate(k);
-                    st.k = k;
-                }
-                let row = idx - k;
-                if row >= st.parity.len() {
-                    return out; // Index beyond this group's recorded shape.
-                }
-                if st.parity[row].is_some() {
-                    self.stats.duplicates += 1;
-                    return out;
-                }
-                st.parity[row] = Some(frame.payload);
+        let st = &mut self.groups[slot];
+        // Classify by the *frame's own* k: data frames of a tail group
+        // optimistically declare the configured k (they go out before the
+        // group closes short), while parity frames always declare the
+        // group's true k.
+        let idx = usize::from(frame.index);
+        if idx < k {
+            // Data shard.  An index at or past the group's (possibly
+            // already corrected) shape cannot exist; drop it.
+            if idx >= st.k {
+                return;
             }
+            if st.have_data[idx] {
+                self.stats.duplicates += 1;
+                return;
+            }
+            // Deliver the direct payload now; keep the length-prefixed
+            // form for parity math.
+            stash_shard(&mut st.data[idx], frame.payload);
+            st.have_data[idx] = true;
+            if !st.delivered[idx] {
+                st.delivered[idx] = true;
+                self.stats.direct += 1;
+                deliver(frame.payload);
+            }
+        } else {
+            // Parity shard: its declared k is authoritative, so a shape
+            // recorded from data frames shrinks to the true one (the
+            // excess slots never had shards on the wire).
+            st.k = st.k.min(k);
+            let row = idx - k;
+            if row >= st.m {
+                return; // Index beyond this group's recorded shape.
+            }
+            if st.have_parity[row] {
+                self.stats.duplicates += 1;
+                return;
+            }
+            refill(&mut st.parity[row], &[], frame.payload);
+            st.have_parity[row] = true;
         }
-        out.extend(self.try_reconstruct(slot));
+        self.try_reconstruct(slot, &mut deliver);
         // Completed groups stay in the window (until evicted) so late
         // duplicates of their shards are still recognized as duplicates.
-        out
     }
 
-    /// Attempts reconstruction of group `slot`; returns recovered payloads.
-    fn try_reconstruct(&mut self, slot: usize) -> Vec<Vec<u8>> {
+    /// Reconstructs group `slot`'s missing data shards once enough parity
+    /// is on hand, delivering the recovered payloads.  Counting what is
+    /// missing allocates nothing; only solving the system does.
+    fn try_reconstruct(&mut self, slot: usize, deliver: &mut impl FnMut(&[u8])) {
         let st = &mut self.groups[slot];
         if st.done {
-            return Vec::new();
+            return;
         }
-        let have_data = st.data.iter().filter(|d| d.is_some()).count();
-        if have_data == st.k {
+        let e = st.have_data[..st.k].iter().filter(|&&have| !have).count();
+        if e == 0 {
             st.done = true;
-            return Vec::new();
+            return;
         }
-        let missing: Vec<usize> = (0..st.k).filter(|&i| st.data[i].is_none()).collect();
-        let parity_rows: Vec<usize> = (0..st.parity.len())
-            .filter(|&j| st.parity[j].is_some())
-            .collect();
-        if parity_rows.len() < missing.len() {
-            return Vec::new(); // Not yet solvable; wait for more shards.
+        if st.have_parity[..st.m].iter().filter(|&&have| have).count() < e {
+            return; // Not yet solvable; wait for more shards.
         }
-        let width = st
-            .parity
-            .iter()
-            .flatten()
-            .map(Vec::len)
+        let missing: Vec<usize> = (0..st.k).filter(|&i| !st.have_data[i]).collect();
+        let rows: Vec<usize> = (0..st.m).filter(|&j| st.have_parity[j]).take(e).collect();
+        let width = (0..st.m)
+            .filter(|&j| st.have_parity[j])
+            .map(|j| st.parity[j].len())
             .max()
             .unwrap_or(0);
-        let e = missing.len();
-        let rows = &parity_rows[..e];
         // b_r = parity_r XOR sum(coeff * present data shards).
         let mut rhs: Vec<Vec<u8>> = rows
             .iter()
             .map(|&j| {
                 let mut b = vec![0u8; width];
-                if let Some(p) = &st.parity[j] {
-                    b[..p.len()].copy_from_slice(p);
-                }
-                for (i, shard) in st.data.iter().enumerate() {
-                    if let Some(s) = shard {
-                        // Present shards are <= width; pad implicitly.
-                        let mut padded = vec![0u8; width];
-                        padded[..s.len().min(width)]
-                            .copy_from_slice(&s[..s.len().min(width)]);
-                        gf_mul_acc(&mut b, &padded, cauchy_coeff(j, i));
-                    }
+                let p = &st.parity[j];
+                b[..p.len()].copy_from_slice(p);
+                for i in (0..st.k).filter(|&i| st.have_data[i]) {
+                    // Present shards are <= width; pad implicitly.
+                    let s = &st.data[i];
+                    let mut padded = vec![0u8; width];
+                    padded[..s.len().min(width)].copy_from_slice(&s[..s.len().min(width)]);
+                    gf_mul_acc(&mut b, &padded, cauchy_coeff(j, i));
                 }
                 b
             })
@@ -557,7 +592,7 @@ impl FecDecoder {
         // Gaussian elimination with partial pivot over GF(256).
         for col in 0..e {
             let Some(pivot) = (col..e).find(|&r| mat[r][col] != 0) else {
-                return Vec::new(); // Singular (cannot happen with Cauchy).
+                return; // Singular (cannot happen with Cauchy).
             };
             mat.swap(col, pivot);
             rhs.swap(col, pivot);
@@ -585,32 +620,33 @@ impl FecDecoder {
                 }
             }
         }
-        let mut out = Vec::with_capacity(e);
         for (c, &idx) in missing.iter().enumerate() {
             let shard = std::mem::take(&mut rhs[c]);
             // Strip the length prefix back off.
             let payload = if shard.len() >= 2 {
                 let len = usize::from(u16::from_le_bytes([shard[0], shard[1]]));
-                shard[2..shard.len().min(2 + len).max(2)].to_vec()
+                2..shard.len().min(2 + len).max(2)
             } else {
-                Vec::new()
+                0..0
             };
-            st.data[idx] = Some(shard);
+            st.data[idx] = shard;
+            st.have_data[idx] = true;
             if !st.delivered[idx] {
                 st.delivered[idx] = true;
                 self.stats.recovered += 1;
-                out.push(payload);
+                deliver(&st.data[idx][payload]);
             }
         }
         st.done = true;
-        out
     }
 
-    fn evict_oldest(&mut self) {
-        if let Some(st) = self.groups.pop_front() {
-            let lost = st.delivered.iter().filter(|&&d| !d).count();
-            self.stats.unrecoverable += lost as u64;
-        }
+    /// Drops the oldest group, counting its undelivered shards as lost,
+    /// and returns its state for reuse.
+    fn evict_oldest(&mut self) -> Option<GroupState> {
+        let st = self.groups.pop_front()?;
+        let lost = st.delivered[..st.k].iter().filter(|&&d| !d).count();
+        self.stats.unrecoverable += lost as u64;
+        Some(st)
     }
 }
 
@@ -618,21 +654,42 @@ impl FecDecoder {
 mod tests {
     use super::*;
 
+    /// The frames `push` sends for `payload`.
+    fn pushed(enc: &mut FecEncoder, payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        enc.push(payload, |f| frames.push(f.to_vec()));
+        frames
+    }
+
+    /// The frames `flush` sends.
+    fn flushed(enc: &mut FecEncoder) -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        enc.flush(|f| frames.push(f.to_vec()));
+        frames
+    }
+
+    /// The payloads `push` delivers for the frame in `bytes`.
+    fn delivered(dec: &mut FecDecoder, bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        let frame = FecFrame::decode(bytes).expect("frame decodes");
+        dec.push(frame, |p| got.push(p.to_vec()));
+        got
+    }
+
     fn round_trip(cfg: FecConfig, payloads: &[&[u8]], drop: &[usize]) -> Vec<Vec<u8>> {
         let mut enc = FecEncoder::new(cfg);
         let mut frames = Vec::new();
         for p in payloads {
-            frames.extend(enc.push(p));
+            frames.extend(pushed(&mut enc, p));
         }
-        frames.extend(enc.flush());
+        frames.extend(flushed(&mut enc));
         let mut dec = FecDecoder::new();
         let mut got = Vec::new();
         for (i, f) in frames.iter().enumerate() {
             if drop.contains(&i) {
                 continue;
             }
-            let frame = FecFrame::decode(f).expect("frame decodes");
-            got.extend(dec.push(frame));
+            got.extend(delivered(&mut dec, f));
         }
         got
     }
@@ -702,14 +759,14 @@ mod tests {
         let mut enc = FecEncoder::new(FecConfig::new(4, 2));
         let mut frames = Vec::new();
         for p in &payloads {
-            frames.extend(enc.push(p));
+            frames.extend(pushed(&mut enc, p));
         }
         frames.reverse(); // Fully reversed arrival order.
         let doubled: Vec<Vec<u8>> = frames.iter().cloned().chain(frames.clone()).collect();
         let mut dec = FecDecoder::new();
         let mut got = Vec::new();
         for f in &doubled {
-            got.extend(dec.push(FecFrame::decode(f).expect("decodes")));
+            got.extend(delivered(&mut dec, f));
         }
         assert_eq!(got.len(), 4);
         assert!(dec.stats().duplicates > 0);
@@ -718,7 +775,7 @@ mod tests {
     #[test]
     fn corrupted_frame_is_rejected_by_crc() {
         let mut enc = FecEncoder::new(FecConfig::new(2, 1));
-        let frames = enc.push(&[1, 2, 3]);
+        let frames = pushed(&mut enc, &[1, 2, 3]);
         let mut bad = frames[0].clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
@@ -729,15 +786,15 @@ mod tests {
     #[test]
     fn flush_protects_short_tail_group() {
         let mut enc = FecEncoder::new(FecConfig::new(4, 2));
-        let mut frames = enc.push(&[42; 20]);
-        frames.extend(enc.push(&[43; 20]));
-        frames.extend(enc.flush()); // Group closed at k = 2.
+        let mut frames = pushed(&mut enc, &[42; 20]);
+        frames.extend(pushed(&mut enc, &[43; 20]));
+        frames.extend(flushed(&mut enc)); // Group closed at k = 2.
         assert_eq!(frames.len(), 4); // 2 data + 2 parity.
         let mut dec = FecDecoder::new();
         // Drop both data frames; parity alone must rebuild them.
         let mut got = Vec::new();
         for f in &frames[2..] {
-            got.extend(dec.push(FecFrame::decode(f).expect("decodes")));
+            got.extend(delivered(&mut dec, f));
         }
         let mut sorted = got;
         sorted.sort();
@@ -754,9 +811,9 @@ mod tests {
                 index: 0,
                 k: 4,
                 m: 2,
-                payload: vec![1],
+                payload: &[1],
             };
-            dec.push(f);
+            dec.push(f, |_| {});
         }
         assert!(dec.groups.len() <= FEC_GROUP_WINDOW);
     }

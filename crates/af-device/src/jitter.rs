@@ -62,11 +62,10 @@ const DELAY_WINDOW: usize = 64;
 pub struct JitterBuffer {
     /// Sample ring indexed by recorded tick modulo [`RING`].
     ring: Vec<u8>,
-    /// Full tick value each slot was written for; a slot is valid for
-    /// recorded time `t` iff `tag[slot] == t.ticks()`.  This makes stale
-    /// data from a previous ring lap self-invalidating without a
-    /// consume pass.
-    tag: Vec<u32>,
+    /// Recorded time each slot was written for; a slot is valid for
+    /// recorded time `t` iff `tag[slot] == t`.  This makes stale data from
+    /// a previous ring lap self-invalidating without a consume pass.
+    tag: Vec<ATime>,
     /// One slot is written before any read establishes tags; `false`
     /// until the first insert so an all-zero tag ring can't alias
     /// recorded tick 0.
@@ -106,7 +105,7 @@ impl JitterBuffer {
     pub fn new() -> JitterBuffer {
         JitterBuffer {
             ring: vec![0; RING],
-            tag: vec![0; RING],
+            tag: vec![ATime::ZERO; RING],
             any_inserted: false,
             depth: JITTER_MIN_DEPTH,
             jitter_ewma: 0.0,
@@ -187,7 +186,7 @@ impl JitterBuffer {
             }
             let slot = Self::slot(rt);
             self.ring[slot] = b;
-            self.tag[slot] = rt.ticks();
+            self.tag[slot] = rt;
         }
         self.any_inserted = true;
         if late > 0 {
@@ -217,7 +216,7 @@ impl JitterBuffer {
         for (i, o) in out.iter_mut().enumerate() {
             let rt = time.offset(i as i32).offset(-depth);
             let slot = Self::slot(rt);
-            if self.any_inserted && self.tag[slot] == rt.ticks() {
+            if self.any_inserted && self.tag[slot] == rt {
                 let b = self.ring[slot];
                 *o = b;
                 self.conceal_run = 0;
@@ -259,6 +258,7 @@ impl JitterBuffer {
     }
 
     #[inline]
+    #[expect(clippy::disallowed_methods, reason = "indexes a ring by raw time")]
     fn slot(t: ATime) -> usize {
         (u64::from(t.ticks()) % RING as u64) as usize
     }

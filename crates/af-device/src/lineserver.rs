@@ -89,9 +89,11 @@ impl LsFunction {
     }
 }
 
-/// One LineServer packet; requests and replies share this format.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LsPacket {
+/// One LineServer packet; requests and replies share this format.  It
+/// borrows its data: from the datagram it was parsed out of, or from
+/// whoever is sending it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LsPacket<'a> {
     /// Sequence number; replies echo it.
     pub seq: u32,
     /// Audio device time (request: start time; reply: current time).
@@ -103,28 +105,29 @@ pub struct LsPacket {
     /// Auxiliary 16-bit parameter (lengths, register values).
     pub aux: u16,
     /// Data bytes.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-impl LsPacket {
+impl LsPacket<'_> {
     /// Header size in bytes.
     pub const HEADER: usize = 12;
 
-    /// Encodes the packet (fields little-endian; this private protocol has a
-    /// fixed order, unlike the client protocol).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::HEADER + self.data.len());
+    /// Encodes the packet into `out`, which it clears first (fields
+    /// little-endian; this private protocol has a fixed order, unlike the
+    /// client protocol).
+    #[expect(clippy::disallowed_methods, reason = "the wire carries raw time")]
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.time.ticks().to_le_bytes());
         out.push(self.function as u8);
         out.push(self.param);
         out.extend_from_slice(&self.aux.to_le_bytes());
-        out.extend_from_slice(&self.data);
-        out
+        out.extend_from_slice(self.data);
     }
 
     /// Decodes a packet, or `None` if malformed.
-    pub fn decode(bytes: &[u8]) -> Option<LsPacket> {
+    pub fn decode(bytes: &[u8]) -> Option<LsPacket<'_>> {
         if bytes.len() < Self::HEADER {
             return None;
         }
@@ -139,7 +142,7 @@ impl LsPacket {
             function,
             param,
             aux,
-            data: bytes[Self::HEADER..].to_vec(),
+            data: &bytes[Self::HEADER..],
         })
     }
 }
@@ -157,6 +160,8 @@ pub struct LineServerFirmware {
     fec_rx: HashMap<SocketAddr, FecDecoder>,
     /// Highest executed request sequence per peer, for the stale guard.
     last_seq: HashMap<SocketAddr, u32>,
+    /// The data of the reply being built.
+    reply_data: Vec<u8>,
 }
 
 impl LineServerFirmware {
@@ -187,6 +192,7 @@ impl LineServerFirmware {
                 fec_tx: HashMap::new(),
                 fec_rx: HashMap::new(),
                 last_seq: HashMap::new(),
+                reply_data: Vec::new(),
             },
             addr,
         ))
@@ -240,7 +246,11 @@ impl LineServerFirmware {
             if !self.fec_rx.contains_key(&peer) && self.fec_rx.len() >= LS_MAX_PEERS {
                 self.fec_rx.clear();
             }
-            let payloads = self.fec_rx.entry(peer).or_default().push(frame);
+            let mut payloads = Vec::new();
+            self.fec_rx
+                .entry(peer)
+                .or_default()
+                .push(frame, |p| payloads.push(p.to_vec()));
             for payload in payloads {
                 // One-way inner requests (play traffic): executed, reply
                 // discarded; duplicates were already shed by the decoder
@@ -272,12 +282,14 @@ impl LineServerFirmware {
         }
         self.last_seq.insert(peer, seq);
         let reply = self.process(req);
-        let encoded = reply.encode();
+        let function = reply.function;
+        let mut encoded = Vec::new();
+        reply.encode_into(&mut encoded);
         // While FEC is enabled, Record replies — the loss-sensitive,
         // unretried audio path — go out wrapped in FEC frames; everything
         // else stays plain.
         let mut sent_fec = false;
-        if reply.function == LsFunction::Record {
+        if function == LsFunction::Record {
             if let Some(cfg) = FecConfig::from_reg(self.regs[usize::from(LS_REG_FEC)]) {
                 if !self.fec_tx.contains_key(&peer) && self.fec_tx.len() >= LS_MAX_PEERS {
                     self.fec_tx.clear();
@@ -289,9 +301,9 @@ impl LineServerFirmware {
                 if enc.config() != cfg {
                     *enc = FecEncoder::new(cfg);
                 }
-                for frame in enc.push(&encoded) {
-                    let _ = self.socket.send_to(&frame, peer);
-                }
+                enc.push(&encoded, |frame| {
+                    let _ = self.socket.send_to(frame, peer);
+                });
                 sent_fec = true;
             }
         }
@@ -307,33 +319,26 @@ impl LineServerFirmware {
     }
 
     /// Processes one request into its reply.
-    pub fn process(&mut self, req: LsPacket) -> LsPacket {
-        let now = self.hw.service();
-        let mut reply = LsPacket {
-            seq: req.seq,
-            time: now,
-            function: req.function,
-            param: req.param,
-            aux: req.aux,
-            data: Vec::new(),
-        };
+    pub fn process(&mut self, req: LsPacket<'_>) -> LsPacket<'_> {
+        let mut time = self.hw.service();
+        let mut aux = req.aux;
+        self.reply_data.clear();
         match req.function {
             LsFunction::Play => {
-                self.hw.write_play(req.time, &req.data);
+                self.hw.write_play(req.time, req.data);
             }
             LsFunction::Record => {
                 let n = u32::from(req.aux).min(LS_BUFFER_SAMPLES);
-                let mut data = vec![0u8; n as usize];
-                self.hw.read_rec(req.time, &mut data);
-                reply.data = data;
+                self.reply_data.resize(n as usize, 0);
+                self.hw.read_rec(req.time, &mut self.reply_data);
                 // A Record reply's time is the *sample start time* (the
                 // request's), not "now": a late or FEC-recovered reply
                 // must still say where its samples belong on the device
                 // timeline so the jitter buffer can slot them in.
-                reply.time = req.time;
+                time = req.time;
             }
             LsFunction::ReadReg => {
-                reply.aux = self
+                aux = self
                     .regs
                     .get(req.param as usize)
                     .copied()
@@ -345,13 +350,20 @@ impl LineServerFirmware {
                 }
             }
             LsFunction::Loopback => {
-                reply.data = req.data;
+                self.reply_data.extend_from_slice(req.data);
             }
             LsFunction::Reset => {
                 self.regs = [0; LS_NUM_REGS];
             }
         }
-        reply
+        LsPacket {
+            seq: req.seq,
+            time,
+            function: req.function,
+            param: req.param,
+            aux,
+            data: &self.reply_data,
+        }
     }
 }
 
@@ -362,9 +374,29 @@ impl LineServerFirmware {
 /// already arrived and routes what they carry: recorded audio to
 /// [`Self::take_audio`], clock-probe replies to the time estimate, and
 /// register replies to the acknowledgement of their writes.
+///
+/// Once warm it allocates nothing: requests are encoded into a buffer it
+/// keeps, replies are decoded where they landed, and recorded audio waits
+/// in sample buffers it reuses.
 pub struct LineServerLink {
     socket: UdpSocket,
     next_seq: u32,
+    /// The request being sent, encoded.
+    tx: Vec<u8>,
+    /// The one receive buffer every drained datagram lands in.
+    rx: Vec<u8>,
+    /// Decoder for inbound FEC frames (Record replies), always live.
+    fec_rx: FecDecoder,
+    /// What routing a reply updates.
+    routes: Routes,
+    /// The link's health counters: retransmissions, undecodable datagrams
+    /// and FEC outcomes are counted here, the rest by the `Als` backend.
+    counters: Arc<LinkCounters>,
+}
+
+/// The link's state that replies update, apart from the FEC decoder that
+/// hands them over.
+struct Routes {
     /// `(local instant, remote time)` of the newest clock observation: the
     /// send instant of the probe a reply answered, and the time stamp it
     /// carried.  Before the first reply, the connect instant and time zero.
@@ -377,22 +409,20 @@ pub struct LineServerLink {
     /// Encoder for outbound `Play` traffic, set once the LineServer
     /// acknowledges a write of [`LS_REG_FEC`].
     fec_tx: Option<FecEncoder>,
-    /// Decoder for inbound FEC frames (Record replies), always live.
-    fec_rx: FecDecoder,
     /// Recorded audio drained from the socket (`Record` replies, plain or
-    /// FEC-recovered), waiting for the backend's jitter buffer.
-    pending_audio: VecDeque<LsPacket>,
-    /// The one receive buffer every drained datagram lands in.
-    rx: Vec<u8>,
-    /// The link's health counters: retransmissions, undecodable datagrams
-    /// and FEC outcomes are counted here, the rest by the `Als` backend.
-    counters: Arc<LinkCounters>,
+    /// FEC-recovered), waiting for the backend's jitter buffer: each
+    /// reply's start time and samples, oldest first.
+    audio: VecDeque<(ATime, Vec<u8>)>,
+    /// Sample buffers of audio already taken, for the next replies.  With
+    /// `audio`, they never number more than [`LINK_AUDIO_QUEUE`].
+    spare: Vec<Vec<u8>>,
 }
 
 impl LineServerLink {
     /// Connects to a LineServer at `addr`, from the unspecified address
     /// of its family: the kernel picks the source address that reaches it.
     /// The socket never blocks.
+    #[expect(clippy::disallowed_methods, reason = "anchors the estimate (§7.4.3)")]
     pub fn connect(addr: SocketAddr) -> io::Result<LineServerLink> {
         let any: IpAddr = match addr {
             SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
@@ -404,13 +434,17 @@ impl LineServerLink {
         Ok(LineServerLink {
             socket,
             next_seq: 1,
-            last_observation: (Instant::now(), ATime::ZERO),
-            probes: VecDeque::with_capacity(LINK_PROBES),
-            writes: Vec::new(),
-            fec_tx: None,
-            fec_rx: FecDecoder::new(),
-            pending_audio: VecDeque::new(),
+            tx: Vec::with_capacity(LsPacket::HEADER + LS_BUFFER_SAMPLES as usize),
             rx: vec![0; 65_536],
+            fec_rx: FecDecoder::new(),
+            routes: Routes {
+                last_observation: (Instant::now(), ATime::ZERO),
+                probes: VecDeque::with_capacity(LINK_PROBES),
+                writes: Vec::with_capacity(LS_NUM_REGS),
+                fec_tx: None,
+                audio: VecDeque::with_capacity(LINK_AUDIO_QUEUE),
+                spare: Vec::with_capacity(LINK_AUDIO_QUEUE),
+            },
             counters: Arc::default(),
         })
     }
@@ -420,42 +454,50 @@ impl LineServerLink {
     /// loss on the play path is absorbed by parity, never by a resend.  A
     /// `Loopback` is a clock probe, and a `WriteReg` stays pending until
     /// [`Self::drain`] sees its acknowledgement.
-    pub fn send(&mut self, mut req: LsPacket) -> io::Result<u32> {
-        req.seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
+    #[expect(clippy::disallowed_methods, reason = "stamps probes (§7.4.3)")]
+    pub fn send(&mut self, req: LsPacket<'_>) -> io::Result<u32> {
+        let seq = self.next_seq;
+        self.next_seq = seq.wrapping_add(1);
+        let routes = &mut self.routes;
         match req.function {
             LsFunction::Loopback => {
-                if self.probes.len() == LINK_PROBES {
-                    self.probes.pop_front();
+                if routes.probes.len() == LINK_PROBES {
+                    routes.probes.pop_front();
                 }
-                self.probes.push_back((req.seq, Instant::now()));
+                routes.probes.push_back((seq, Instant::now()));
             }
-            LsFunction::WriteReg => match self.writes.iter_mut().find(|w| w.0 == req.param) {
+            LsFunction::WriteReg => match routes.writes.iter_mut().find(|w| w.0 == req.param) {
                 Some(w) => w.1 = req.aux,
-                None => self.writes.push((req.param, req.aux)),
+                None => routes.writes.push((req.param, req.aux)),
             },
             _ => {}
         }
-        let encoded = req.encode();
-        match &mut self.fec_tx {
+        LsPacket { seq, ..req }.encode_into(&mut self.tx);
+        match &mut routes.fec_tx {
             Some(enc) if req.function == LsFunction::Play => {
-                for frame in enc.push(&encoded) {
-                    self.socket.send(&frame)?;
-                }
+                // Every frame goes to the encoder's group; sending stops
+                // at the first error, which is returned.
+                let mut sent = Ok(0);
+                enc.push(&self.tx, |frame| {
+                    if sent.is_ok() {
+                        sent = self.socket.send(frame);
+                    }
+                });
+                sent?;
             }
             _ => {
-                self.socket.send(&encoded)?;
+                self.socket.send(&self.tx)?;
             }
         }
-        Ok(req.seq)
+        Ok(seq)
     }
 
     /// Re-sends every register write not yet acknowledged, each as a new
     /// request: a write is idempotent, and the firmware drops a repeated
     /// sequence number older than the newest it has executed.
     pub fn resend_writes(&mut self) -> io::Result<()> {
-        for i in 0..self.writes.len() {
-            let (param, aux) = self.writes[i];
+        for i in 0..self.routes.writes.len() {
+            let (param, aux) = self.routes.writes[i];
             self.counters.add(Link::Retransmits, 1);
             self.send(LsPacket {
                 seq: 0,
@@ -463,7 +505,7 @@ impl LineServerLink {
                 function: LsFunction::WriteReg,
                 param,
                 aux,
-                data: Vec::new(),
+                data: &[],
             })?;
         }
         Ok(())
@@ -472,7 +514,7 @@ impl LineServerLink {
     /// Reads every datagram already queued on the socket, without waiting,
     /// hands each packet it carries to `seen`, and routes it.  Returns how
     /// many datagrams it read.
-    pub fn drain(&mut self, mut seen: impl FnMut(&LsPacket)) -> usize {
+    pub fn drain(&mut self, mut seen: impl FnMut(&LsPacket<'_>)) -> usize {
         let mut rx = std::mem::take(&mut self.rx);
         let mut datagrams = 0;
         while let Ok(n) = self.socket.recv(&mut rx) {
@@ -483,9 +525,14 @@ impl LineServerLink {
         datagrams
     }
 
-    /// Takes the recorded audio drained so far.
-    pub fn take_audio(&mut self) -> Vec<LsPacket> {
-        self.pending_audio.drain(..).collect()
+    /// Hands the recorded audio drained so far to `sink`, oldest first:
+    /// each reply's start time and samples.
+    pub fn take_audio(&mut self, mut sink: impl FnMut(ATime, &[u8])) {
+        let routes = &mut self.routes;
+        while let Some((time, samples)) = routes.audio.pop_front() {
+            sink(time, &samples);
+            routes.spare.push(samples);
+        }
     }
 
     /// The link's health counters.
@@ -495,12 +542,18 @@ impl LineServerLink {
 
     /// Unwraps one inbound datagram: an FEC frame can release several
     /// packets (the lost one plus the parity that repaired it).
-    fn accept_datagram(&mut self, bytes: &[u8], seen: &mut dyn FnMut(&LsPacket)) {
+    fn accept_datagram(&mut self, bytes: &[u8], seen: &mut dyn FnMut(&LsPacket<'_>)) {
         // FEC first: magic + CRC make misclassification of a plain packet
         // practically impossible.
         if let Some(frame) = FecFrame::decode(bytes) {
             let before = self.fec_rx.stats();
-            let payloads = self.fec_rx.push(frame);
+            let routes = &mut self.routes;
+            self.fec_rx.push(frame, |payload| {
+                if let Some(pkt) = LsPacket::decode(payload) {
+                    seen(&pkt);
+                    routes.route(pkt);
+                }
+            });
             let after = self.fec_rx.stats();
             self.counters
                 .add(Link::FecRecovered, after.recovered - before.recovered);
@@ -508,31 +561,45 @@ impl LineServerLink {
                 Link::FecUnrecoverable,
                 after.unrecoverable - before.unrecoverable,
             );
-            for pkt in payloads.iter().filter_map(|p| LsPacket::decode(p)) {
-                seen(&pkt);
-                self.route(pkt);
-            }
             return;
         }
         match LsPacket::decode(bytes) {
             Some(pkt) => {
                 seen(&pkt);
-                self.route(pkt);
+                self.routes.route(pkt);
             }
             // Truncated or corrupted (CRC rejections land here too).
             None => self.counters.add(Link::CrcDrops, 1),
         }
     }
 
+    /// Estimates the LineServer's current device time from the last clock
+    /// observation and the local time elapsed since (§7.4.3).  Anchored at
+    /// a probe's send instant, it runs ahead of the device by one one-way
+    /// delay: the time at which a request sent now arrives.
+    #[expect(clippy::disallowed_methods, reason = "extrapolates time (§7.4.3)")]
+    pub fn estimate_time(&self, rate: u32) -> ATime {
+        let (at, remote) = self.routes.last_observation;
+        remote + (at.elapsed().as_secs_f64() * f64::from(rate)) as u32
+    }
+}
+
+impl Routes {
     /// Routes one reply: audio is queued, a probe reply re-anchors the
     /// time estimate, a register reply acknowledges its write.
-    fn route(&mut self, pkt: LsPacket) {
+    fn route(&mut self, pkt: LsPacket<'_>) {
         match pkt.function {
             LsFunction::Record if !pkt.data.is_empty() => {
-                if self.pending_audio.len() >= LINK_AUDIO_QUEUE {
-                    self.pending_audio.pop_front();
+                // A full queue gives up its oldest reply's buffer.
+                let mut samples = if self.audio.len() >= LINK_AUDIO_QUEUE {
+                    self.audio.pop_front().map(|(_, samples)| samples)
+                } else {
+                    self.spare.pop()
                 }
-                self.pending_audio.push_back(pkt);
+                .unwrap_or_else(|| Vec::with_capacity(LS_BUFFER_SAMPLES as usize));
+                samples.clear();
+                samples.extend_from_slice(pkt.data);
+                self.audio.push_back((pkt.time, samples));
             }
             LsFunction::Loopback => {
                 // Anchored at the probe's send instant, so a late drain
@@ -555,32 +622,31 @@ impl LineServerLink {
             _ => {}
         }
     }
-
-    /// Estimates the LineServer's current device time from the last clock
-    /// observation and the local time elapsed since (§7.4.3).  Anchored at
-    /// a probe's send instant, it runs ahead of the device by one one-way
-    /// delay: the time at which a request sent now arrives.
-    pub fn estimate_time(&self, rate: u32) -> ATime {
-        let (at, remote) = self.last_observation;
-        remote + (at.elapsed().as_secs_f64() * f64::from(rate)) as u32
-    }
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests wait, read raw time")]
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::io::{CaptureSink, ToneSource};
 
-    fn packet(function: LsFunction) -> LsPacket {
+    fn packet(function: LsFunction) -> LsPacket<'static> {
         LsPacket {
             seq: 7,
             time: ATime::new(100),
             function,
             param: 2,
             aux: 34,
-            data: vec![1, 2, 3],
+            data: &[1, 2, 3],
         }
+    }
+
+    /// `p`'s wire bytes.
+    fn wire(p: LsPacket<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        p.encode_into(&mut out);
+        out
     }
 
     #[test]
@@ -594,10 +660,10 @@ mod tests {
             LsFunction::Reset,
         ] {
             let p = packet(f);
-            assert_eq!(LsPacket::decode(&p.encode()), Some(p));
+            assert_eq!(LsPacket::decode(&wire(p)), Some(p));
         }
         assert_eq!(LsPacket::decode(&[0u8; 4]), None);
-        let mut bad = packet(LsFunction::Play).encode();
+        let mut bad = wire(packet(LsFunction::Play));
         bad[8] = 99; // Unknown function.
         assert_eq!(LsPacket::decode(&bad), None);
     }
@@ -620,7 +686,7 @@ mod tests {
             function: LsFunction::WriteReg,
             param: LS_REG_OUTPUT_GAIN,
             aux: 42,
-            data: vec![],
+            data: &[],
         });
         assert_eq!(r.seq, 1);
         let r = fw.process(LsPacket {
@@ -629,7 +695,7 @@ mod tests {
             function: LsFunction::ReadReg,
             param: LS_REG_OUTPUT_GAIN,
             aux: 0,
-            data: vec![],
+            data: &[],
         });
         assert_eq!(r.aux, 42);
 
@@ -640,9 +706,9 @@ mod tests {
             function: LsFunction::Loopback,
             param: 0,
             aux: 0,
-            data: vec![9, 9, 9],
+            data: &[9, 9, 9],
         });
-        assert_eq!(r.data, vec![9, 9, 9]);
+        assert_eq!(r.data, [9, 9, 9]);
 
         // Play at t=10, advance, verify the sink heard it.
         fw.process(LsPacket {
@@ -651,7 +717,7 @@ mod tests {
             function: LsFunction::Play,
             param: 0,
             aux: 0,
-            data: vec![0x21; 20],
+            data: &[0x21; 20],
         });
         clock.advance(100);
         fw.hw.service();
@@ -667,7 +733,7 @@ mod tests {
             function: LsFunction::Record,
             param: 0,
             aux: 64,
-            data: vec![],
+            data: &[],
         });
         assert_eq!(r.data.len(), 64);
         assert!(r.data.iter().any(|&b| b != af_dsp::g711::ULAW_SILENCE));
@@ -679,7 +745,7 @@ mod tests {
             function: LsFunction::Reset,
             param: 0,
             aux: 0,
-            data: vec![],
+            data: &[],
         });
         let r = fw.process(LsPacket {
             seq: 7,
@@ -687,30 +753,30 @@ mod tests {
             function: LsFunction::ReadReg,
             param: LS_REG_OUTPUT_GAIN,
             aux: 0,
-            data: vec![],
+            data: &[],
         });
         assert_eq!(r.aux, 0);
     }
 
     /// A request to hand to [`LineServerLink::send`].
-    fn request(function: LsFunction, param: u8, aux: u16, data: &[u8]) -> LsPacket {
+    fn request(function: LsFunction, param: u8, aux: u16, data: &[u8]) -> LsPacket<'_> {
         LsPacket {
             seq: 0,
             time: ATime::ZERO,
             function,
             param,
             aux,
-            data: data.to_vec(),
+            data,
         }
     }
 
     /// Sends `req` and drains until its reply arrives: the test's own
     /// bounded wait, since the link never waits.  Every 25 ms without a
     /// reply, a write is re-sent by the link and anything else is sent
-    /// again as a new request.
-    fn exchange(link: &mut LineServerLink, req: LsPacket) -> LsPacket {
+    /// again as a new request.  Returns the reply's header and its data.
+    fn exchange(link: &mut LineServerLink, req: LsPacket<'_>) -> (LsPacket<'static>, Vec<u8>) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        let mut seq = link.send(req.clone()).unwrap();
+        let mut seq = link.send(req).unwrap();
         loop {
             let sent = Instant::now();
             while sent.elapsed() < Duration::from_millis(25) {
@@ -719,7 +785,7 @@ mod tests {
                     let write_ack = p.function == LsFunction::WriteReg
                         && (p.param, p.aux) == (req.param, req.aux);
                     if p.function == req.function && (p.seq == seq || write_ack) {
-                        reply = Some(p.clone());
+                        reply = Some((LsPacket { data: &[], ..*p }, p.data.to_vec()));
                     }
                 });
                 if let Some(reply) = reply {
@@ -731,7 +797,7 @@ mod tests {
             if req.function == LsFunction::WriteReg {
                 link.resend_writes().unwrap();
             } else {
-                seq = link.send(req.clone()).unwrap();
+                seq = link.send(req).unwrap();
             }
         }
     }
@@ -750,11 +816,11 @@ mod tests {
 
         let mut link = LineServerLink::connect(addr).unwrap();
         clock.advance(500);
-        let reply = exchange(
+        let (reply, data) = exchange(
             &mut link,
             request(LsFunction::Loopback, 0, 0, &[1, 2, 3, 4]),
         );
-        assert_eq!(reply.data, vec![1, 2, 3, 4]);
+        assert_eq!(data, [1, 2, 3, 4]);
         assert!(reply.time.ticks() >= 500);
         assert!(link.estimate_time(8000).ticks() >= 500);
 
@@ -788,10 +854,16 @@ mod tests {
         let mut link = LineServerLink::connect(addr).unwrap();
         let fec = FecConfig::default();
         let write = request(LsFunction::WriteReg, LS_REG_FEC, fec.to_reg(), &[]);
-        link.send(write.clone()).unwrap();
-        assert!(link.fec_tx.is_none(), "FEC before the acknowledgement");
+        link.send(write).unwrap();
+        assert!(
+            link.routes.fec_tx.is_none(),
+            "FEC before the acknowledgement"
+        );
         exchange(&mut link, write);
-        assert_eq!(link.fec_tx.as_ref().map(FecEncoder::config), Some(fec));
+        assert_eq!(
+            link.routes.fec_tx.as_ref().map(FecEncoder::config),
+            Some(fec)
+        );
 
         stop.store(true, Ordering::Relaxed);
         handle.join().unwrap();
@@ -808,20 +880,19 @@ mod tests {
         sock.connect(addr).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         clock.advance(100);
-        let req = LsPacket {
+        let req = wire(LsPacket {
             seq: 42,
             time: ATime::ZERO,
             function: LsFunction::Loopback,
             param: 0,
             aux: 0,
-            data: vec![5, 6, 7],
-        }
-        .encode();
+            data: &[5, 6, 7],
+        });
 
         let mut buf = vec![0u8; 65_536];
         sock.send(&req).unwrap();
         let n = sock.recv(&mut buf).unwrap();
-        let first = LsPacket::decode(&buf[..n]).unwrap();
+        let first = buf[..n].to_vec();
 
         // Advance device time, then retransmit.  A re-executed request
         // would stamp its reply with the later time; a cache hit returns
@@ -829,15 +900,15 @@ mod tests {
         clock.advance(500);
         sock.send(&req).unwrap();
         let n = sock.recv(&mut buf).unwrap();
-        let second = LsPacket::decode(&buf[..n]).unwrap();
-        assert_eq!(first, second, "duplicate seq must be served from cache");
+        assert_eq!(first, buf[..n], "duplicate seq must be served from cache");
 
         // A fresh sequence number executes normally and sees the new time.
         let mut fresh = LsPacket::decode(&req).unwrap();
         fresh.seq = 43;
-        sock.send(&fresh.encode()).unwrap();
+        sock.send(&wire(fresh)).unwrap();
         let n = sock.recv(&mut buf).unwrap();
         let third = LsPacket::decode(&buf[..n]).unwrap();
+        let first = LsPacket::decode(&first).unwrap();
         assert!(
             third.time.ticks() > first.time.ticks(),
             "new seq must be re-executed"
@@ -861,15 +932,14 @@ mod tests {
         let mut buf = vec![0u8; 65_536];
 
         // seq 1: set the output gain to 1.
-        let stale = LsPacket {
+        let stale = wire(LsPacket {
             seq: 1,
             time: ATime::ZERO,
             function: LsFunction::WriteReg,
             param: LS_REG_OUTPUT_GAIN,
             aux: 1,
-            data: vec![],
-        }
-        .encode();
+            data: &[],
+        });
         sock.send(&stale).unwrap();
         sock.recv(&mut buf).unwrap();
 
@@ -887,9 +957,9 @@ mod tests {
                 function,
                 param: LS_REG_OUTPUT_GAIN,
                 aux: 9,
-                data: vec![],
+                data: &[],
             };
-            sock.send(&req.encode()).unwrap();
+            sock.send(&wire(req)).unwrap();
             sock.recv(&mut buf).unwrap();
         }
 
@@ -912,9 +982,9 @@ mod tests {
             function: LsFunction::ReadReg,
             param: LS_REG_OUTPUT_GAIN,
             aux: 0,
-            data: vec![],
+            data: &[],
         };
-        sock.send(&read.encode()).unwrap();
+        sock.send(&wire(read)).unwrap();
         let n = sock.recv(&mut buf).unwrap();
         let reply = LsPacket::decode(&buf[..n]).unwrap();
         assert_eq!(reply.aux, 9, "stale retransmit must not re-execute");
@@ -945,7 +1015,7 @@ mod tests {
             let write = request(LsFunction::WriteReg, LS_REG_OUTPUT_GAIN, 100 + i, &[]);
             exchange(&mut link, write);
             let read = request(LsFunction::ReadReg, LS_REG_OUTPUT_GAIN, 0, &[]);
-            assert_eq!(exchange(&mut link, read).aux, 100 + i);
+            assert_eq!(exchange(&mut link, read).0.aux, 100 + i);
         }
 
         let hop = router.hop_stats()[0];
@@ -970,11 +1040,11 @@ mod tests {
             let mut buf = vec![0u8; 65_536];
             let (n, from) = peer.recv_from(&mut buf).unwrap();
             let req = LsPacket::decode(&buf[..n]).unwrap();
-            peer.send_to(&req.encode(), from).unwrap();
+            peer.send_to(&wire(req), from).unwrap();
         });
         let mut link = LineServerLink::connect(addr).unwrap();
-        let reply = exchange(&mut link, request(LsFunction::Loopback, 0, 0, &[1, 2, 3]));
-        assert_eq!(reply.data, [1, 2, 3]);
+        let (_, data) = exchange(&mut link, request(LsFunction::Loopback, 0, 0, &[1, 2, 3]));
+        assert_eq!(data, [1, 2, 3]);
         echo.join().unwrap();
     }
 }

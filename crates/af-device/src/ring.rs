@@ -53,6 +53,7 @@ impl HwRing {
         self.frame_bytes
     }
 
+    #[expect(clippy::disallowed_methods, reason = "indexes a ring by raw time")]
     fn offset(&self, time: ATime) -> usize {
         (time.ticks() & (self.frames - 1)) as usize * self.frame_bytes
     }

@@ -33,9 +33,9 @@ fn run_with_losses(cfg: FecConfig, payloads: &[Vec<u8>], masks: &[u32]) -> Vec<V
     let mut enc = FecEncoder::new(cfg);
     let mut frames: Vec<Vec<u8>> = Vec::new();
     for p in payloads {
-        frames.extend(enc.push(p));
+        enc.push(p, |f| frames.push(f.to_vec()));
     }
-    frames.extend(enc.flush());
+    enc.flush(|f| frames.push(f.to_vec()));
 
     let per_group = cfg.k + cfg.m;
     let mut dec = FecDecoder::new();
@@ -46,7 +46,7 @@ fn run_with_losses(cfg: FecConfig, payloads: &[Vec<u8>], masks: &[u32]) -> Vec<V
             continue; // Erased on the wire.
         }
         let frame = FecFrame::decode(bytes).expect("encoder output decodes");
-        delivered.extend(dec.push(frame));
+        dec.push(frame, |p| delivered.push(p.to_vec()));
     }
     delivered
 }
@@ -152,9 +152,9 @@ proptest! {
         let mut enc = FecEncoder::new(cfg);
         let mut frames: Vec<Vec<u8>> = Vec::new();
         for p in &payloads {
-            frames.extend(enc.push(p));
+            enc.push(p, |f| frames.push(f.to_vec()));
         }
-        frames.extend(enc.flush());
+        enc.flush(|f| frames.push(f.to_vec()));
         // The tail group really is tail + m frames, and any single loss
         // (the parity declares the short k) still recovers.
         prop_assert_eq!(frames.len(), tail + cfg.m);
@@ -165,7 +165,7 @@ proptest! {
                 continue;
             }
             let frame = FecFrame::decode(bytes).expect("encoder output decodes");
-            got.extend(dec.push(frame));
+            dec.push(frame, |p| got.push(p.to_vec()));
         }
         prop_assert_eq!(sorted(got), sorted(payloads));
     }

@@ -145,7 +145,6 @@ impl Converter {
             to,
             decode_state: adpcm::AdpcmState::new(),
             encode_state: adpcm::AdpcmState::new(),
-            // af-analyze: allow(alloc): empty Vec::new is allocation-free; scratch grows once on first use, then is reused
             scratch: Vec::new(),
         })
     }

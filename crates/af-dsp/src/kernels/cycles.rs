@@ -29,12 +29,11 @@ pub fn timestamp() -> u64 {
 /// Reads the consumed-cycles timestamp (monotonic-nanosecond fallback).
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
+#[expect(clippy::disallowed_methods, reason = "times work; decides nothing")]
 pub fn timestamp() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // af-analyze: allow(wallclock): the portable cycle counter only times work; nothing is decided by it
     let epoch = *EPOCH.get_or_init(Instant::now);
-    // af-analyze: allow(wallclock): the same fallback counter's reading
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

@@ -95,8 +95,15 @@ macro_rules! word {
     )*};
 }
 
+/// Device time as the wire carries it: the raw 32-bit counter.  Every
+/// encoder in this crate reads it here, and nowhere else.
+#[expect(clippy::disallowed_methods, reason = "the wire carries raw time")]
+pub(crate) fn wire_ticks(t: ATime) -> u32 {
+    t.ticks()
+}
+
 word! {
-    ATime: ATime::new, ATime::ticks;
+    ATime: ATime::new, wire_ticks;
     Atom: Atom, |a: Atom| a.0;
     EventMask: EventMask, |m: EventMask| m.0;
     AcMask: AcMask, |m: AcMask| m.0;
@@ -232,7 +239,7 @@ impl Count for u16 {}
 impl Count for u32 {}
 
 /// `n` as a `C`; a count that would wrap is `BadLength(n)`.
-fn count<C: Count>(n: usize) -> Result<C, ProtoError> {
+pub(crate) fn count<C: Count>(n: usize) -> Result<C, ProtoError> {
     C::try_from(n).map_err(|_| ProtoError::BadLength(n))
 }
 

@@ -9,6 +9,7 @@
 //! Events have a fixed wire size of 32 bytes.
 
 use crate::atoms::Atom;
+use crate::codec::wire_ticks;
 use crate::error::ProtoError;
 use crate::message::{MessageHeader, MessageKind};
 use crate::wire::{ByteOrder, WireReader, WireWriter};
@@ -159,7 +160,7 @@ impl Event {
             EventDetail::Property { atom, exists } => (u8::from(exists), 0, atom.0),
         };
         w.u8(self.device).u8(a).u8(b).pad(1);
-        w.u32(self.device_time.ticks());
+        w.u32(wire_ticks(self.device_time));
         w.u64(self.host_time_ms);
         w.u32(atom);
         w.pad(4);

@@ -6,7 +6,7 @@
 //! number).
 
 use crate::atoms::Atom;
-use crate::codec::{messages, Bytes, List};
+use crate::codec::{messages, wire_ticks, Bytes, List};
 use crate::error::ProtoError;
 use crate::message::{MessageHeader, MessageKind};
 use crate::wire::{pad4, ByteOrder, WireReader, WireWriter};
@@ -116,7 +116,7 @@ impl Reply {
     /// past [`Reply::RECORD_DATA_AT`] is the recorded data.
     pub fn close_record(order: ByteOrder, sequence: u16, time: ATime, out: &mut Vec<u8>) {
         let len = (out.len() - Self::RECORD_DATA_AT) as u32;
-        out[MessageHeader::SIZE..][..4].copy_from_slice(&order.u32_bytes(time.ticks()));
+        out[MessageHeader::SIZE..][..4].copy_from_slice(&order.u32_bytes(wire_ticks(time)));
         out[MessageHeader::SIZE + 4..][..4].copy_from_slice(&order.u32_bytes(len));
         seal(order, sequence, RECORD_TAG, out);
     }
@@ -141,9 +141,7 @@ fn seal(order: ByteOrder, sequence: u16, tag: u8, out: &mut Vec<u8>) {
         sequence,
         extra_words: ((out.len() - MessageHeader::SIZE) / 4) as u32,
     };
-    // (Spelled as a path so that af-analyze's textual call graph binds it
-    // to the header's `encode`, not to `Reply::encode` next door.)
-    out[..MessageHeader::SIZE].copy_from_slice(&MessageHeader::encode(&header, order));
+    out[..MessageHeader::SIZE].copy_from_slice(&header.encode(order));
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::ac::{AcAttributes, AcId, AcMask};
 use crate::atoms::Atom;
-use crate::codec::{messages, Bytes};
+use crate::codec::{messages, wire_ticks, Bytes};
 use crate::error::{FrameError, ProtoError};
 use crate::event::EventMask;
 use crate::opcode::Opcode;
@@ -121,7 +121,7 @@ impl Request {
         h[..2].copy_from_slice(&order.u16_bytes((total / 4) as u16));
         h[2] = Opcode::PlaySamples.to_wire();
         h[4..8].copy_from_slice(&order.u32_bytes(ac));
-        h[8..12].copy_from_slice(&order.u32_bytes(start_time.ticks()));
+        h[8..12].copy_from_slice(&order.u32_bytes(wire_ticks(start_time)));
         h[12] = flags;
         h[16..].copy_from_slice(&order.u32_bytes(nbytes as u32));
         h

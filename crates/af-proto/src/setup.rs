@@ -6,6 +6,7 @@
 //! rate, sample data type, buffer size, channel counts, and which inputs and
 //! outputs connect to a telephone line.
 
+use crate::codec::count;
 use crate::error::ProtoError;
 use crate::wire::{ByteOrder, WireReader, WireWriter};
 use crate::{PROTOCOL_MAJOR, PROTOCOL_MINOR};
@@ -71,17 +72,19 @@ impl ConnSetup {
         }
     }
 
-    /// Encodes the setup message.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encodes the setup message; `BadLength` for an authorization name
+    /// or data too long for its 16-bit count.
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        let name_len = count::<u16>(self.auth_name.len())?;
+        let data_len = count::<u16>(self.auth_data.len())?;
         let mut w = WireWriter::new(self.byte_order);
         w.u8(self.byte_order.marker()).pad(1);
         w.u16(self.major).u16(self.minor);
-        w.u16(self.auth_name.len() as u16);
-        w.u16(self.auth_data.len() as u16);
+        w.u16(name_len).u16(data_len);
         w.pad(2); // Header is 12 bytes.
         w.bytes(self.auth_name.as_bytes()).pad_to_word();
         w.bytes(&self.auth_data).pad_to_word();
-        w.finish()
+        Ok(w.finish())
     }
 
     /// Fixed-size prefix of the setup message (enough to learn the variable
@@ -303,11 +306,14 @@ pub enum SetupReply {
 }
 
 impl SetupReply {
-    /// Encodes the reply in the connection's byte order.
-    pub fn encode(&self, order: ByteOrder) -> Vec<u8> {
+    /// Encodes the reply in the connection's byte order; `BadLength` for
+    /// more devices than its 8-bit count says, or a string longer than its
+    /// 16-bit one.
+    pub fn encode(&self, order: ByteOrder) -> Result<Vec<u8>, ProtoError> {
         let mut w = WireWriter::new(order);
         match self {
             SetupReply::Failed { reason } => {
+                count::<u16>(reason.len())?;
                 w.u8(SetupStatus::Failed as u8).pad(3);
                 w.string(reason);
             }
@@ -317,10 +323,12 @@ impl SetupReply {
                 vendor,
                 devices,
             } => {
+                let ndev = count::<u8>(devices.len())?;
+                count::<u16>(vendor.len())?;
                 w.u8(SetupStatus::Success as u8).pad(1);
                 w.u16(*major);
                 w.u16(*minor);
-                w.u8(devices.len() as u8).pad(1);
+                w.u8(ndev).pad(1);
                 w.string(vendor);
                 for d in devices {
                     d.encode_into(&mut w);
@@ -332,7 +340,7 @@ impl SetupReply {
         let mut framed = WireWriter::with_capacity(order, body.len() + 4);
         framed.u32(body.len() as u32);
         framed.bytes(&body);
-        framed.finish()
+        Ok(framed.finish())
     }
 
     /// Decodes a reply body (after the 4-byte length prefix was consumed).
@@ -374,6 +382,8 @@ impl SetupReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::pad4;
+    use proptest::prelude::*;
 
     fn sample_device(index: u8) -> DeviceDesc {
         DeviceDesc {
@@ -405,7 +415,7 @@ mod tests {
                 auth_name: "MIT-MAGIC-COOKIE-1".into(),
                 auth_data: vec![1, 2, 3, 4, 5],
             };
-            let bytes = setup.encode();
+            let bytes = setup.encode().unwrap();
             assert_eq!(bytes.len() % 4, 0);
             assert_eq!(ConnSetup::decode(&bytes).unwrap(), setup);
         }
@@ -420,7 +430,7 @@ mod tests {
             devices: vec![sample_device(0), sample_device(1)],
         };
         for order in [ByteOrder::Little, ByteOrder::Big] {
-            let bytes = reply.encode(order);
+            let bytes = reply.encode(order).unwrap();
             let mut r = WireReader::new(order, &bytes);
             let len = r.u32().unwrap() as usize;
             assert_eq!(len, bytes.len() - 4);
@@ -434,9 +444,164 @@ mod tests {
         let reply = SetupReply::Failed {
             reason: "access denied".into(),
         };
-        let bytes = reply.encode(ByteOrder::Little);
+        let bytes = reply.encode(ByteOrder::Little).unwrap();
         let back = SetupReply::decode(ByteOrder::Little, &bytes[4..]).unwrap();
         assert_eq!(back, reply);
+    }
+
+    /// A count its field cannot hold is refused, not wrapped: a 70,000-byte
+    /// name once went out as a 4,464-byte one followed by its own bytes.
+    #[test]
+    fn counts_too_long_for_their_fields_are_refused() {
+        let name = ConnSetup {
+            auth_name: "n".repeat(70_000),
+            ..ConnSetup::new()
+        };
+        assert_eq!(name.encode(), Err(ProtoError::BadLength(70_000)));
+        let data = ConnSetup {
+            auth_data: vec![0; 65_536],
+            ..ConnSetup::new()
+        };
+        assert_eq!(data.encode(), Err(ProtoError::BadLength(65_536)));
+        let fits = ConnSetup {
+            auth_data: vec![0; 65_535],
+            ..ConnSetup::new()
+        };
+        assert_eq!(ConnSetup::decode(&fits.encode().unwrap()), Ok(fits));
+
+        let success = |devices: usize, vendor: usize| SetupReply::Success {
+            major: 2,
+            minor: 2,
+            vendor: "v".repeat(vendor),
+            devices: vec![sample_device(1); devices],
+        };
+        let order = ByteOrder::Little;
+        let too_long =
+            |r: SetupReply, n| assert_eq!(r.encode(order), Err(ProtoError::BadLength(n)));
+        too_long(success(256, 0), 256);
+        too_long(success(0, 65_536), 65_536);
+        too_long(
+            SetupReply::Failed {
+                reason: "r".repeat(65_536),
+            },
+            65_536,
+        );
+        let most = success(255, 65_535);
+        let bytes = most.encode(order).unwrap();
+        assert_eq!(SetupReply::decode(order, &bytes[4..]), Ok(most));
+    }
+
+    /// Every mutation of `codec.rs`'s `lying_*` props, for a message whose
+    /// field ends are `bounds` and whose counts are `(offset, width,
+    /// value)`: a cut at every field end, each count at 0, one past its
+    /// value and its width's maximum, and the other byte order (`None`).
+    fn lies(
+        order: ByteOrder,
+        bytes: &[u8],
+        bounds: &[usize],
+        counts: &[(usize, usize, usize)],
+    ) -> Vec<(Option<ByteOrder>, Vec<u8>)> {
+        let cuts = [0].iter().chain(bounds).filter(|&&b| b < bytes.len());
+        let mut out: Vec<_> = cuts.map(|&b| (Some(order), bytes[..b].to_vec())).collect();
+        for &(at, width, value) in counts {
+            for n in [0, value as u64 + 1, (1 << (8 * width)) - 1] {
+                let mut lie = bytes.to_vec();
+                lie[at..at + width].copy_from_slice(&match order {
+                    ByteOrder::Little => n.to_le_bytes()[..width].to_vec(),
+                    ByteOrder::Big => n.to_be_bytes()[8 - width..].to_vec(),
+                });
+                out.push((Some(order), lie));
+            }
+        }
+        out.push((None, bytes.to_vec()));
+        out
+    }
+
+    fn the_other(order: ByteOrder) -> ByteOrder {
+        match order {
+            ByteOrder::Little => ByteOrder::Big,
+            ByteOrder::Big => ByteOrder::Little,
+        }
+    }
+
+    /// An error of the sorts setup decoding raises.
+    fn setup_error(e: &ProtoError) -> bool {
+        use ProtoError::*;
+        matches!(
+            e,
+            Truncated { .. } | BadLength(_) | BadEnum { .. } | BadString | BadByteOrderMarker(_)
+        )
+    }
+
+    fn orders() -> impl Strategy<Value = ByteOrder> {
+        prop_oneof![Just(ByteOrder::Little), Just(ByteOrder::Big)]
+    }
+
+    /// Text up to 600 bytes: counts past a 16-bit count's low byte.
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec(97u8..123, 0..600).prop_map(|v| String::from_utf8(v).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 256 }))]
+
+        #[test]
+        fn lying_conn_setups_decode_to_errors_or_fitting_setups(
+            order in orders(),
+            auth_name in text(),
+            auth_data in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let setup = ConnSetup { byte_order: order, auth_name, auth_data, ..ConnSetup::new() };
+            let bytes = setup.encode().unwrap();
+            let (n, d) = (setup.auth_name.len(), setup.auth_data.len());
+            let data_at = pad4(12 + n);
+            let bounds = [1, 2, 4, 6, 8, 10, 12, 12 + n, data_at, data_at + d];
+            for (lied, mut input) in lies(order, &bytes, &bounds, &[(6, 2, n), (8, 2, d)]) {
+                if lied.is_none() {
+                    input[0] = the_other(order).marker(); // The order is the message's own.
+                }
+                match ConnSetup::decode(&input) {
+                    Ok(s) => {
+                        prop_assert!(12 + s.auth_name.len() + s.auth_data.len() <= input.len());
+                    }
+                    Err(e) => prop_assert!(setup_error(&e), "{e:?}"),
+                }
+            }
+        }
+
+        #[test]
+        fn lying_setup_replies_decode_to_errors_or_fitting_replies(
+            order in orders(),
+            failed in any::<bool>(),
+            text in text(),
+            ndev in 0u8..6,
+        ) {
+            let (reply, bounds, counts) = if failed {
+                let len = text.len();
+                (SetupReply::Failed { reason: text }, vec![1, 4, 6, 6 + len], vec![(4, 2, len)])
+            } else {
+                let devices_at = pad4(10 + text.len());
+                let mut bounds = vec![1, 2, 4, 6, 7, 8, 10, 10 + text.len(), devices_at];
+                bounds.extend((1..=ndev as usize).map(|i| devices_at + i * DeviceDesc::WIRE_SIZE));
+                let counts = vec![(6, 1, ndev as usize), (8, 2, text.len())];
+                let devices = (0..ndev).map(sample_device).collect();
+                (SetupReply::Success { major: 2, minor: 2, vendor: text, devices }, bounds, counts)
+            };
+            let framed = reply.encode(order).unwrap();
+            for (lied, input) in lies(order, &framed[4..], &bounds, &counts) {
+                let fits = match SetupReply::decode(lied.unwrap_or(the_other(order)), &input) {
+                    Ok(SetupReply::Failed { reason }) => 4 + reason.len(),
+                    Ok(SetupReply::Success { vendor, devices, .. }) => {
+                        8 + vendor.len() + devices.len() * DeviceDesc::WIRE_SIZE
+                    }
+                    Err(e) => {
+                        prop_assert!(setup_error(&e), "{e:?}");
+                        0
+                    }
+                };
+                prop_assert!(fits <= input.len(), "{fits} bytes of fields from {}", input.len());
+            }
+        }
     }
 
     #[test]
@@ -457,7 +622,7 @@ mod tests {
     #[test]
     fn garbage_setup_rejected() {
         assert!(ConnSetup::decode(&[0x42]).is_err()); // Truncated.
-        let mut bytes = ConnSetup::new().encode();
+        let mut bytes = ConnSetup::new().encode().unwrap();
         bytes[0] = b'x';
         assert!(ConnSetup::decode(&bytes).is_err());
     }

@@ -133,13 +133,13 @@ fn every_golden_message_decodes_and_re_encodes_as_recorded() {
                 &e,
                 &e.bytes,
                 |p| format!("{:?}", ConnSetup::decode(p)),
-                |p| ConnSetup::decode(p).unwrap().encode(),
+                |p| ConnSetup::decode(p).unwrap().encode().unwrap(),
             ),
             "setup-reply" => check(
                 &e,
                 &e.bytes[4..],
                 |p| format!("{:?}", SetupReply::decode(order, p)),
-                |p| SetupReply::decode(order, p).unwrap().encode(order),
+                |p| SetupReply::decode(order, p).unwrap().encode(order).unwrap(),
             ),
             other => panic!("unknown entry kind {other}"),
         }

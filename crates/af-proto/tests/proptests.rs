@@ -88,7 +88,7 @@ proptest! {
             auth_name: name,
             auth_data: data,
         };
-        let bytes = setup.encode();
+        let bytes = setup.encode().unwrap();
         prop_assert_eq!(af_proto::ConnSetup::decode(&bytes).unwrap(), setup);
     }
 

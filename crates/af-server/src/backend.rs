@@ -9,9 +9,10 @@
 use af_device::fec::FecConfig;
 use af_device::jitter::JitterBuffer;
 use af_device::lineserver::{LineServerLink, LsFunction, LsPacket, LS_REG_FEC};
-use af_device::stats::Link;
+use af_device::stats::{Link, LinkCounters};
 use af_device::VirtualAudioHw;
 use af_time::ATime;
+use std::sync::Arc;
 
 /// The device-dependent hardware interface.
 pub trait HwBackend: Send {
@@ -92,6 +93,8 @@ impl HwBackend for LocalBackend {
 ///   the last observation meanwhile.
 pub struct AlsBackend {
     link: LineServerLink,
+    /// The link's counters, which the jitter buffer reports into.
+    counters: Arc<LinkCounters>,
     rate: u32,
     lead: u32,
     /// Playout buffer for the record path.
@@ -124,15 +127,14 @@ const REC_CHUNKS_PER_CALL: u32 = 4;
 const REC_MAX_HISTORY: i32 = 1536;
 
 /// A request with no payload.
-fn request(function: LsFunction, time: ATime, param: u8, aux: u16) -> LsPacket {
+fn request(function: LsFunction, time: ATime, param: u8, aux: u16) -> LsPacket<'static> {
     LsPacket {
         seq: 0,
         time,
         function,
         param,
         aux,
-        // af-analyze: allow(alloc): empty Vec::new is allocation-free (these requests carry no payload)
-        data: Vec::new(),
+        data: &[],
     }
 }
 
@@ -144,6 +146,7 @@ impl AlsBackend {
         let fec = FecConfig::default().to_reg();
         let _ = link.send(request(LsFunction::WriteReg, ATime::ZERO, LS_REG_FEC, fec));
         AlsBackend {
+            counters: Arc::clone(link.counters()),
             link,
             rate,
             lead: lead_frames,
@@ -207,7 +210,7 @@ impl HwBackend for AlsBackend {
         } else {
             self.silent_updates = self.silent_updates.saturating_add(1);
             if self.silent_updates == DOWN_MISS_LIMIT {
-                self.link.counters().add(Link::LinkDowns, 1);
+                self.counters.add(Link::LinkDowns, 1);
             }
         }
         // One clock probe per update: a loopback is the cheapest way to
@@ -224,25 +227,26 @@ impl HwBackend for AlsBackend {
         // One datagram, FEC-framed when negotiated.  The paper did not
         // retry play packets ("by then, it is probably too late anyway");
         // parity carries the redundancy instead.
-        let mut req = request(LsFunction::Play, time, 0, 0);
-        // af-analyze: allow(alloc): the wire packet owns its payload; one copy per play write is the link framing cost
-        req.data = data.to_vec();
-        let _ = self.link.send(req);
+        let _ = self.link.send(LsPacket {
+            data,
+            ..request(LsFunction::Play, time, 0, 0)
+        });
     }
 
     fn read_rec(&mut self, time: ATime, out: &mut [u8]) {
         let now_est = self.drain();
-        for pkt in self.link.take_audio() {
+        let (jb, counters) = (&mut self.jb, &self.counters);
+        self.link.take_audio(|start, samples| {
             // Transit to the chunk's last sample: the playout depth must
             // cover it for the next chunk to arrive before it is played.
-            let end = pkt.time.offset(pkt.data.len() as i32);
-            self.jb.observe_transit(i64::from(now_est.delta(end)));
-            self.jb.insert(pkt.time, &pkt.data, self.link.counters());
-        }
+            let end = start.offset(samples.len() as i32);
+            jb.observe_transit(i64::from(now_est.delta(end)));
+            jb.insert(start, samples, counters);
+        });
         self.prefetch(now_est);
         // Serve from the playout buffer: recorded time `time − depth`,
         // concealing what never arrived.
-        self.jb.read(time, out, self.link.counters());
+        self.jb.read(time, out, &self.counters);
     }
 
     fn lead_frames(&self) -> u32 {

@@ -137,9 +137,9 @@ pub struct BroadcastBus {
     /// no other thread holds a chunk.
     chunks: VecDeque<Arc<BroadcastChunk>>,
     next_seq: u64,
-    /// Retired wire buffers, recycled into future chunks so the steady
-    /// state seals without allocating.
-    free: Vec<Vec<u8>>,
+    /// Retired chunks no listener holds, recycled whole (the `Arc` and its
+    /// wire buffer) so the steady state seals without allocating.
+    free: Vec<Arc<BroadcastChunk>>,
     stats: Arc<BusCounters>,
 }
 
@@ -229,13 +229,24 @@ impl BroadcastBus {
     /// Seals one chunk of `payload` (exactly [`BroadcastBus::chunk_bytes`]
     /// bytes).  Called on the reactor thread, by the update task through
     /// [`BroadcastBus::tap`]; the reactor pumps its listeners at the end of
-    /// that pass.  The wire render reuses a retired buffer, so the steady
+    /// that pass.  The chunk is a retired one rendered over, so the steady
     /// state allocates nothing.
     pub fn publish(&mut self, payload: &[u8]) {
-        let mut wire = self
-            .free
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(payload.len() + 20));
+        let mut chunk = self.free.pop().unwrap_or_else(|| {
+            Arc::new(BroadcastChunk {
+                seq: 0,
+                wire: Vec::with_capacity(payload.len() + 20),
+                payload: (0, 0),
+            })
+        });
+        let Some(BroadcastChunk {
+            seq,
+            wire,
+            payload: range,
+        }) = Arc::get_mut(&mut chunk)
+        else {
+            return; // Unreachable: a retired chunk has no other holder.
+        };
         // Scrub the recycled buffer: stale wire bytes from a previous
         // chunk must never be observable through a framing bug, and the
         // scrub leaves the destination in a uniform cache state whatever
@@ -251,28 +262,25 @@ impl BroadcastBus {
         // cycles/byte the fan-out curve proves flat.
         let t0 = cycles::timestamp();
         wire.clear();
-        push_hex(payload.len(), &mut wire);
+        push_hex(payload.len(), wire);
         wire.extend_from_slice(b"\r\n");
         let start = wire.len();
         wire.extend_from_slice(payload);
         wire.extend_from_slice(b"\r\n");
         let spent = cycles::timestamp().wrapping_sub(t0);
-        let seq = self.next_seq;
+        *seq = self.next_seq;
+        *range = (start, start + payload.len());
         self.next_seq += 1;
         if self.chunks.len() == self.cfg.ring_chunks {
-            if let Some(old) = self.chunks.pop_front() {
-                // Recycle the wire buffer when no listener still holds the
-                // chunk; a held chunk just drops later.
-                if let Ok(chunk) = Arc::try_unwrap(old) {
-                    self.free.push(chunk.wire);
+            if let Some(mut old) = self.chunks.pop_front() {
+                // Recycle the chunk when no listener still holds it; a
+                // held chunk just drops later.
+                if Arc::get_mut(&mut old).is_some() {
+                    self.free.push(old);
                 }
             }
         }
-        self.chunks.push_back(Arc::new(BroadcastChunk {
-            seq,
-            wire,
-            payload: (start, start + payload.len()),
-        }));
+        self.chunks.push_back(chunk);
         self.stats.add(Bus::ChunksSealed, 1);
         self.stats.add(Bus::EncodedBytes, payload.len() as u64);
         self.stats.add(Bus::EncodeCycles, spent);

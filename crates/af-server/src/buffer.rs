@@ -575,6 +575,7 @@ impl DeviceBuffers {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests index by raw time")]
 mod tests {
     use super::*;
     use crate::backend::LocalBackend;

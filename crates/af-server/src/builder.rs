@@ -20,7 +20,7 @@ use af_device::io::{NullSink, SampleSink, SampleSource, SilenceSource};
 use af_device::lineserver::LineServerLink;
 use af_device::{PhoneLine, SharedClock};
 use af_dsp::Encoding;
-use af_proto::{DeviceDesc, DeviceKind};
+use af_proto::{DeviceDesc, DeviceKind, SetupReply};
 use af_time::ATime;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -346,8 +346,21 @@ impl ServerBuilder {
     /// `ErrorKind::Unsupported` on targets `af_sys` has no syscall backend
     /// for (supported: Linux on x86_64 and aarch64), and with
     /// `epoll_create1`'s own error when the reactor cannot get its epoll
-    /// instance.  On any error no thread has been started.
+    /// instance, and with `ErrorKind::InvalidInput` when its setup reply
+    /// cannot say what it serves (more than 255 devices, or a vendor
+    /// string past 65,535 bytes).  On any error no thread has been
+    /// started.
     pub fn spawn(self) -> std::io::Result<RunningServer> {
+        let reply = SetupReply::Success {
+            major: af_proto::PROTOCOL_MAJOR,
+            minor: af_proto::PROTOCOL_MINOR,
+            vendor: self.vendor.clone(),
+            devices: self.devices.iter().map(|d| d.desc).collect(),
+        };
+        if let Err(e) = reply.encode(af_proto::ByteOrder::native()) {
+            let msg = format!("the setup reply does not encode: {e}");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        }
         let mut devices = Vec::with_capacity(self.devices.len());
         for (i, mut setup) in self.devices.into_iter().enumerate() {
             setup.desc.index = i as u8;
@@ -556,6 +569,7 @@ const _: () = {
 };
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests are clients that wait")]
 mod tests {
     use super::*;
     use crate::stats::Server;
@@ -606,7 +620,7 @@ mod tests {
         // counting the replies it has read.
         let order = ByteOrder::Little;
         let mut sock = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
         let mut len = [0u8; 4];
         sock.read_exact(&mut len).unwrap();
         sock.read_exact(&mut vec![0u8; u32::from_le_bytes(len) as usize])

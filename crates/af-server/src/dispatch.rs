@@ -211,8 +211,8 @@ impl Beyond {
 }
 
 /// Milliseconds since the Unix epoch (the "host clock time" in events).
+#[expect(clippy::disallowed_methods, reason = "events carry host time (§5.2)")]
 fn host_time_ms() -> u64 {
-    // af-analyze: allow(wallclock): events carry host clock time by protocol (§5.2)
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -294,6 +294,7 @@ impl Handler for Dispatcher {
 impl Dispatcher {
     /// Creates a dispatcher over `core`, its first periodic update one
     /// `update_interval` away.
+    #[expect(clippy::disallowed_methods, reason = "tasks run on host time")]
     pub fn new(core: ServerCore, update_interval: Duration) -> Self {
         let mut tasks = TaskQueue::new();
         tasks.schedule(Instant::now() + update_interval, TaskKind::Update);
@@ -355,8 +356,9 @@ impl Dispatcher {
             None
         };
         if let Some(reason) = refusal {
-            let refusal = SetupReply::Failed { reason }.encode(order).into();
-            let _ = self.core.outbound.deliver(conn, refusal);
+            if let Ok(refusal) = (SetupReply::Failed { reason }).encode(order) {
+                let _ = self.core.outbound.deliver(conn, refusal.into());
+            }
             self.core.outbound.hang_up(conn);
             return;
         }
@@ -366,7 +368,13 @@ impl Dispatcher {
             vendor: self.core.vendor.clone(),
             devices: self.core.devices.iter().map(|d| d.desc).collect(),
         };
-        let _ = self.core.outbound.deliver(conn, reply.encode(order).into());
+        // `ServerBuilder::spawn` refused a server whose reply does not
+        // encode.
+        let Ok(reply) = reply.encode(order) else {
+            self.core.outbound.hang_up(conn);
+            return;
+        };
+        let _ = self.core.outbound.deliver(conn, reply.into());
         self.core
             .clients
             .insert(conn.id(), ClientState::new(order, conn));
@@ -603,6 +611,7 @@ impl Dispatcher {
     }
 
     /// Estimates when `frames` more frames will have elapsed on `device`.
+    #[expect(clippy::disallowed_methods, reason = "wake-ups run on host time")]
     fn play_wake_instant(&self, device: DeviceId, frames: u32) -> Instant {
         let rate = self
             .core
@@ -955,7 +964,6 @@ impl Dispatcher {
                 let offset = beyond.consumed;
                 (beyond, staged, offset)
             } else {
-                // af-analyze: allow(alloc): copy-on-suspend, once per play that reaches past the buffer horizon
                 let tail = frames[beyond.consumed..].to_vec();
                 (beyond, tail, 0)
             }
@@ -1544,7 +1552,7 @@ mod tests {
         // One admitted client on a connection nothing drains: the setup
         // reply is its first waiting message.
         let conn = dispatcher.core.outbound.detached(7);
-        dispatcher.connect(conn, &af_proto::ConnSetup::new().encode(), None);
+        dispatcher.connect(conn, &af_proto::ConnSetup::new().encode().unwrap(), None);
         assert!(dispatcher.core.clients.contains_key(&7));
 
         // Messages hit the bound outside any event's eviction pass: the

@@ -34,8 +34,9 @@ const DEFAULT_MAX_IDLE: usize = 32;
 /// partial-frame accumulation buffer alive per connection that is
 /// mid-frame, and thousands of connections cycle through frames
 /// concurrently — a 32-buffer free list would thrash back to the
-/// allocator under that churn.
-pub const REACTOR_MAX_IDLE: usize = 128;
+/// allocator under that churn.  Twice a full reply deque: the replies an
+/// evicted slow client left waiting all come back to the free list.
+pub const REACTOR_MAX_IDLE: usize = 2 * crate::reactor::OUTBOUND_QUEUE_CAPACITY;
 
 /// A pool of reusable byte buffers, for the thread that made it.
 pub struct BufferPool {
@@ -93,7 +94,6 @@ impl BufferPool {
             }
             None => {
                 self.stats.add(Shard::PoolAllocs, 1);
-                // af-analyze: allow(alloc): counted pool-miss path; steady state recycles returned buffers
                 Vec::new()
             }
         }

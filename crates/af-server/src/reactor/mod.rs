@@ -80,6 +80,9 @@ use std::time::Instant;
 /// evicted; the seed's unbounded queue grew without limit instead.
 pub const OUTBOUND_QUEUE_CAPACITY: usize = 256;
 
+/// Emptied connection deques kept for later connections.
+const SPARE_QUEUES: usize = 16;
+
 /// Why [`Outbound::deliver`] did not take a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refused {
@@ -358,6 +361,10 @@ pub struct Outbound {
     /// since the end of the last pass: the reactor flushes them then, and
     /// watches writability while bytes stay stalled.
     stalled: Vec<usize>,
+    /// Emptied deques of closed connections, for the next ones: a deque
+    /// keeps the room its longest backlog took, so a client that falls
+    /// behind costs the allocator nothing once one has before.
+    spare: Vec<VecDeque<PooledBuf>>,
     /// The reactor's counters ([`Reactor::stats`]).
     stats: Arc<ShardCounters>,
 }
@@ -437,12 +444,25 @@ impl Outbound {
         self.conns[token] = Some(ConnOut {
             id,
             sock,
-            queue: VecDeque::new(),
+            queue: self.spare.pop().unwrap_or_default(),
             written: 0,
             closed: false,
             want_write: false,
         });
         ConnRef { token, id }
+    }
+
+    /// The reactor's half of closing: the write side goes, its unwritten
+    /// messages recycle, and a deque that ever held one is kept.
+    fn close(&mut self, token: usize) {
+        let Some(out) = self.conns.get_mut(token).and_then(Option::take) else {
+            return;
+        };
+        let mut queue = out.queue;
+        if queue.capacity() > 0 && self.spare.len() < SPARE_QUEUES {
+            queue.clear();
+            self.spare.push(queue);
+        }
     }
 }
 
@@ -659,6 +679,7 @@ fn watch_writes(
 }
 
 impl<H: Handler> Shard<H> {
+    #[expect(clippy::disallowed_methods, reason = "timeouts run on host time")]
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
         // One clock read a pass: the timeout reckoned from the last one
@@ -1243,7 +1264,7 @@ impl<H: Handler> Shard<H> {
                     match ConnSetup::tail_len(&header) {
                         Ok(0) => self.finish_setup(conn, &header)?,
                         Ok(tail_len) => {
-                            // af-analyze: allow(alloc): connection-setup phase, one copy per connection whose setup has a tail
+                            // Once per connection whose setup has a tail.
                             let mut setup = header.to_vec();
                             setup.resize(ConnSetup::HEADER_SIZE + tail_len, 0);
                             conn.phase = ReadPhase::SetupTail {
@@ -1333,10 +1354,7 @@ impl<H: Handler> Shard<H> {
     fn close_conn(&mut self, token: usize, conn: Box<ConnState>, protocol: Option<FrameError>) {
         self.release(conn.sock.as_raw_fd(), token);
         self.handler.disconnect(conn.id, protocol);
-        // The write side goes too; its unwritten messages recycle.
-        if let Some(out) = self.handler.outbound().conns.get_mut(token) {
-            *out = None;
-        }
+        self.handler.outbound().close(token);
     }
 
     /// Closes everything the reactor owns, with the same accounting as a
@@ -1394,6 +1412,7 @@ impl Control {
     /// Asks the reactor for `call` and returns at the end of the pass that
     /// ran it — or at once, when the reactor has stopped.  Never made on the reactor
     /// thread, which would wait for itself.
+    #[expect(clippy::disallowed_methods, reason = "the caller waits by design")]
     pub fn call(&self, call: Call) {
         let pending = Arc::new(());
         let caller = std::thread::current();
@@ -1522,6 +1541,7 @@ impl Reactor {
     }
 
     /// Stops the reactor and joins its thread.  Idempotent.
+    #[expect(clippy::disallowed_methods, reason = "the stopping thread waits")]
     pub fn stop(&mut self) {
         let Some(join) = self.join.take() else {
             return;
@@ -1530,7 +1550,6 @@ impl Reactor {
         // the top of its loop.
         self.stop.store(true, Ordering::SeqCst);
         self.control.waker.wake();
-        // af-analyze: allow(blocking-in-reactor): server teardown only; the approximate call graph reaches here through `drop` and `stop` name collisions
         let _ = join.join();
     }
 }
@@ -1542,6 +1561,7 @@ impl Drop for Reactor {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests are clients that wait")]
 mod tests {
     use super::*;
     use crate::stats::Shard::{
@@ -1757,7 +1777,7 @@ mod tests {
         let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
         let setup = ConnSetup::new();
-        sock.write_all(&setup.encode()).unwrap();
+        sock.write_all(&setup.encode().unwrap()).unwrap();
         let req = af_proto::Request::PlaySamples {
             ac: 3,
             start_time: ATime::new(99),
@@ -1799,7 +1819,7 @@ mod tests {
     fn zero_length_frame_disconnects_with_a_protocol_error() {
         let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
         new_client(&h.rx);
         sock.write_all(&[0, 0, 33, 0]).unwrap();
         assert_eq!(disconnect(&h.rx), Some(FrameError::ZeroLength));
@@ -1810,7 +1830,7 @@ mod tests {
     fn truncated_max_length_frame_disconnects_without_a_partial_request() {
         let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
         new_client(&h.rx);
         // Claim the maximum expressible frame length (0xffff words, which
         // reads the same in either byte order), then hang up without
@@ -1835,7 +1855,7 @@ mod tests {
             (t[PoolAllocs], t[PoolReuses])
         };
 
-        let mut wire = ConnSetup::new().encode();
+        let mut wire = ConnSetup::new().encode().unwrap();
         for _ in 0..100 {
             wire.extend_from_slice(&[2, 0, 33, 0]); // 2 words: header + 4 bytes.
             wire.extend_from_slice(&[1, 2, 3, 4]);
@@ -1880,7 +1900,7 @@ mod tests {
         let mut sock = TcpStream::connect(addr).unwrap();
         sock.set_nodelay(true).unwrap();
 
-        let mut wire = ConnSetup::new().encode();
+        let mut wire = ConnSetup::new().encode().unwrap();
         for _ in 0..3 {
             wire.extend_from_slice(&[3, 0, 33, 0]); // 3 words: 8-byte payload.
             wire.extend_from_slice(&[9, 8, 7, 6, 5, 4, 3, 2]);
@@ -1915,7 +1935,7 @@ mod tests {
         let h = Harness::spawn(EVENT_ROOM, listeners, None);
 
         let mut sock = UnixStream::connect(&path).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
         assert!(new_client(&h.rx).2.is_none());
         drop(sock);
         assert_eq!(disconnect(&h.rx), None);
@@ -1933,7 +1953,7 @@ mod tests {
         let (listener, addr) = tcp_listener(false);
         let h = Harness::spawn(EVENT_ROOM, vec![listener], None);
         let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
         let conn = new_client(&h.rx).3;
         let (taken, queued) = h.jobs.run(move |cap| {
             let out = &mut cap.outbound;
@@ -1989,7 +2009,7 @@ mod tests {
         // connection's descriptor back.
         let (h, addr) = start();
         let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(&ConnSetup::new().encode()).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
         let conn = new_client(&h.rx).3;
         let fds = || h.totals()[FdCount];
         let open = fds(); // The wake pipe, the listener and this connection.
@@ -2077,7 +2097,7 @@ mod tests {
     /// one `disconnect` carrying the framing violation, and nothing after.
     fn coalesced_burst(piece: usize, poison_after: Option<usize>) {
         let (h, addr) = start();
-        let mut wire = ConnSetup::new().encode();
+        let mut wire = ConnSetup::new().encode().unwrap();
         let payloads = burst_payloads(wire.len());
         for (i, payload) in payloads.iter().enumerate() {
             if poison_after == Some(i) {
@@ -2146,7 +2166,7 @@ mod tests {
         for cut in 1..wire.len() {
             let mut sock = TcpStream::connect(addr).unwrap();
             sock.set_nodelay(true).unwrap();
-            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
             new_client(&h.rx);
             // The frame the cut falls in, and how far into it.
             let split = starts.iter().rposition(|&start| start < cut).unwrap();
@@ -2200,7 +2220,7 @@ mod tests {
         let (h, addr) = start_with(16);
         let connect = || {
             let mut sock = TcpStream::connect(addr).unwrap();
-            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
             (sock, new_client(&h.rx).0)
         };
         let (mut hose, hose_id) = connect();
@@ -2511,7 +2531,7 @@ mod tests {
         let mut conns = Vec::new();
         for _ in 0..2 {
             let mut sock = TcpStream::connect(addr).unwrap();
-            sock.write_all(&ConnSetup::new().encode()).unwrap();
+            sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
             new_client(&h.rx);
             conns.push(sock);
         }

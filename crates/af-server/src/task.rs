@@ -74,6 +74,7 @@ pub fn next_period(deadline: Instant, interval: Duration, now: Instant) -> Insta
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests schedule on host time")]
 mod tests {
     use super::*;
 

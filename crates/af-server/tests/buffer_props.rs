@@ -6,6 +6,8 @@
 //! "played" (captured by the sink) must match the model wherever the model
 //! has an expectation, and be silence elsewhere.
 
+#![expect(clippy::disallowed_methods, reason = "the model keys by raw time")]
+
 use af_device::hardware::{HwConfig, VirtualAudioHw};
 use af_device::io::{CaptureSink, SilenceSource};
 use af_device::{Clock, VirtualClock};

@@ -172,12 +172,6 @@ impl From<u32> for ATime {
     }
 }
 
-impl From<ATime> for u32 {
-    fn from(t: ATime) -> Self {
-        t.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +207,7 @@ mod tests {
     #[test]
     fn offset_negative_wraps() {
         let t = ATime::new(5);
-        assert_eq!(t.offset(-10).ticks(), u32::MAX - 4);
+        assert_eq!(t.offset(-10), ATime::new(u32::MAX - 4));
         assert_eq!(t.offset(-10) + 10u32, t);
     }
 

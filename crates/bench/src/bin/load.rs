@@ -104,7 +104,7 @@ fn codec_server() -> RunningServer {
 fn handshake(addr: std::net::SocketAddr) -> std::io::Result<TcpStream> {
     let mut raw = TcpStream::connect(addr)?;
     raw.set_nodelay(true)?;
-    raw.write_all(&ConnSetup::new().encode())?;
+    raw.write_all(&ConnSetup::new().encode().map_err(std::io::Error::other)?)?;
     let mut len_buf = [0u8; 4];
     raw.read_exact(&mut len_buf)?;
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];

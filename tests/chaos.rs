@@ -30,7 +30,7 @@ fn codec_server() -> RunningServer {
 /// Opens a raw TCP connection to `addr` and completes the setup handshake.
 fn raw_handshake(addr: SocketAddr) -> TcpStream {
     let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut len_buf = [0u8; 4];
     raw.read_exact(&mut len_buf).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
@@ -205,7 +205,7 @@ fn corrupting_stream_disconnects_only_that_client() {
             .cut_after(8192),
     );
     let get_time = Request::GetTime { device: 0 }.encode(ByteOrder::native());
-    let _ = chaotic.write_all(&ConnSetup::new().encode());
+    let _ = chaotic.write_all(&ConnSetup::new().encode().unwrap());
     for _ in 0..64 {
         // Errors (resets, timeouts, the cut) are expected; hangs are not.
         if chaotic.write_all(&get_time).is_err() {
@@ -256,7 +256,7 @@ fn one_byte_at_a_time_handshake_and_frames_survive() {
         }
     };
 
-    dribble(&ConnSetup::new().encode(), &mut raw);
+    dribble(&ConnSetup::new().encode().unwrap(), &mut raw);
     let mut len_buf = [0u8; 4];
     raw.read_exact(&mut len_buf).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];

@@ -4,6 +4,8 @@
 //! dispatcher → buffering engine → simulated hardware — with virtual
 //! clocks so timing assertions are exact.
 
+#![expect(clippy::disallowed_methods, reason = "tests index by raw time")]
+
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
 use audiofile::device::hardware::HwConfig;
 use audiofile::device::{CaptureSink, SilenceSource, ToneSource, VirtualClock, Wire};
@@ -535,7 +537,7 @@ fn oversized_frame_drops_connection_only() {
     let addr = fx.server.tcp_addr().unwrap();
     {
         let mut raw = std::net::TcpStream::connect(addr).unwrap();
-        raw.write_all(&audiofile::proto::ConnSetup::new().encode())
+        raw.write_all(&audiofile::proto::ConnSetup::new().encode().unwrap())
             .unwrap();
         let mut len_buf = [0u8; 4];
         raw.read_exact(&mut len_buf).unwrap();
@@ -949,7 +951,7 @@ fn requests_queued_behind_a_suspended_play_replay_in_order_bit_exact() {
     let mut sock = std::net::TcpStream::connect(fx.server.tcp_addr().unwrap()).unwrap();
     sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .unwrap();
-    sock.write_all(&ConnSetup::new().encode()).unwrap();
+    sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut len = [0u8; 4];
     sock.read_exact(&mut len).unwrap();
     let mut setup_reply = vec![0u8; u32::from_le_bytes(len) as usize];

@@ -1,6 +1,8 @@
 //! Failure injection: malformed requests, bad references, abrupt
 //! disconnects.  A production server must shrug all of this off.
 
+#![expect(clippy::disallowed_methods, reason = "tests index by raw time")]
+
 use audiofile::client::{AcAttributes, AcMask, AfError, AudioConn};
 use audiofile::device::{SilenceSource, VirtualClock};
 use audiofile::proto::{ByteOrder, ConnSetup, ErrorCode, Opcode, Request};
@@ -60,7 +62,7 @@ fn unimplemented_requests_are_reported_as_such() {
     conn.set_synchronous(false);
 
     let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut skip = [0u8; 4];
     raw.read_exact(&mut skip).unwrap();
     let len = u32::from_le_bytes(skip) as usize;
@@ -91,7 +93,7 @@ fn unimplemented_requests_are_reported_as_such() {
 fn unknown_opcode_gets_bad_request_error() {
     let s = server();
     let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut skip = [0u8; 4];
     raw.read_exact(&mut skip).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(skip) as usize];
@@ -109,7 +111,7 @@ fn unknown_opcode_gets_bad_request_error() {
 fn truncated_payload_gets_bad_length() {
     let s = server();
     let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut skip = [0u8; 4];
     raw.read_exact(&mut skip).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(skip) as usize];
@@ -271,14 +273,15 @@ fn version_mismatch_refused() {
         major: 99,
         ..ConnSetup::new()
     };
-    assert_refused_and_closed(&s, &wrong_version.encode(), Some("version"));
+    assert_refused_and_closed(&s, &wrong_version.encode().unwrap(), Some("version"));
     // A setup that frames but does not decode (its authorization name is
     // not UTF-8) gets no reply, only the close.
     let mut undecodable = ConnSetup {
         auth_name: "name".into(),
         ..ConnSetup::new()
     }
-    .encode();
+    .encode()
+    .unwrap();
     undecodable[ConnSetup::HEADER_SIZE..][..4].copy_from_slice(&[0xff, 0xfe, 0xfd, 0xfc]);
     assert_refused_and_closed(&s, &undecodable, None);
 }
@@ -293,12 +296,12 @@ fn refusals_and_protocol_errors_are_not_evictions() {
         major: 99,
         ..ConnSetup::new()
     };
-    assert_refused_and_closed(&s, &wrong_version.encode(), Some("version"));
+    assert_refused_and_closed(&s, &wrong_version.encode().unwrap(), Some("version"));
 
     let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
     raw.set_read_timeout(Some(std::time::Duration::from_secs(2)))
         .unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut len_buf = [0u8; 4];
     raw.read_exact(&mut len_buf).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
@@ -337,7 +340,7 @@ fn unconvertible_encoding_in_ac_rejected() {
 
     // …and a client that bypasses the check gets BadMatch from the server.
     let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut len_buf = [0u8; 4];
     raw.read_exact(&mut len_buf).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
@@ -375,7 +378,7 @@ fn query_extension_and_list_extensions() {
     // "Not yet implemented" as protocol features, but the requests respond.
     let s = server();
     let mut raw = TcpStream::connect(s.tcp_addr().unwrap()).unwrap();
-    raw.write_all(&ConnSetup::new().encode()).unwrap();
+    raw.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
     let mut len_buf = [0u8; 4];
     raw.read_exact(&mut len_buf).unwrap();
     let mut body = vec![0u8; u32::from_le_bytes(len_buf) as usize];
@@ -504,5 +507,47 @@ fn refused_change_ac_attributes_leaves_the_context_as_it_was() {
         assert_eq!(want.len(), 800);
         assert!(want.chunks_exact(2).any(|s| s != [0, 0]));
         assert!(got == want, "round {round}: record after a refused change");
+    }
+}
+
+/// A request too long for its frame is the caller's mistake: libAF
+/// refuses it before queuing a byte, and the connection goes on.
+#[test]
+fn an_oversized_request_is_refused_before_it_is_queued() {
+    use audiofile::proto::atoms::ATOM_STRING;
+    use audiofile::proto::request::PropertyMode;
+    let s = server();
+    let mut conn = connect(&s);
+    let property = conn.intern_atom("OVERSIZED", false).unwrap();
+    let value = vec![0x5a; 300_000];
+    match conn.change_property(0, PropertyMode::Replace, property, ATOM_STRING, &value) {
+        Err(AfError::InvalidArgument(_)) => {}
+        other => panic!("expected InvalidArgument, got {other:?}"),
+    }
+    conn.get_time(0).unwrap();
+    // Nothing of it reached the server.
+    let (type_, data) = conn.get_property(0, false, property, ATOM_STRING).unwrap();
+    assert_eq!((type_, data.len()), (audiofile::proto::Atom::NONE, 0));
+}
+
+/// A setup reply counts the devices in one byte: a server with a 256th
+/// device could not say what it serves, so it does not start.
+#[test]
+fn a_server_with_more_devices_than_its_setup_can_count_is_refused() {
+    let clock = Arc::new(VirtualClock::new(8000));
+    let mut builder = ServerBuilder::new().listen_tcp("127.0.0.1:0".parse().unwrap());
+    for _ in 0..256 {
+        builder.add_codec(
+            clock.clone(),
+            Box::new(audiofile::device::NullSink),
+            Box::new(SilenceSource::new(0xFF)),
+        );
+    }
+    match builder.spawn() {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(server) => {
+            let devices = connect(&server).devices().len();
+            panic!("a server with 256 devices started, and told a client of {devices}");
+        }
     }
 }

@@ -90,17 +90,21 @@ fn als_server_plays_and_records_through_udp() {
 /// test's own bounded wait, since the link never waits.  Every 25 ms
 /// without a reply, a write is re-sent by the link and a read is sent
 /// again as a new request.
-fn register_exchange(link: &mut LineServerLink, function: LsFunction, aux: u16) -> LsPacket {
+fn register_exchange(
+    link: &mut LineServerLink,
+    function: LsFunction,
+    aux: u16,
+) -> LsPacket<'static> {
     let req = LsPacket {
         seq: 0,
         time: ATime::ZERO,
         function,
         param: LS_REG_OUTPUT_GAIN,
         aux,
-        data: vec![],
+        data: &[],
     };
     let deadline = Instant::now() + Duration::from_secs(5);
-    let mut seq = link.send(req.clone()).unwrap();
+    let mut seq = link.send(req).unwrap();
     loop {
         let sent = Instant::now();
         while sent.elapsed() < Duration::from_millis(25) {
@@ -108,7 +112,7 @@ fn register_exchange(link: &mut LineServerLink, function: LsFunction, aux: u16) 
             link.drain(|p| {
                 let write_ack = function == LsFunction::WriteReg && p.aux == aux;
                 if p.function == function && (p.seq == seq || write_ack) {
-                    reply = Some(p.clone());
+                    reply = Some(LsPacket { data: &[], ..*p }); // A register reply has no data.
                 }
             });
             if let Some(reply) = reply {
@@ -120,7 +124,7 @@ fn register_exchange(link: &mut LineServerLink, function: LsFunction, aux: u16) 
         if function == LsFunction::WriteReg {
             link.resend_writes().unwrap();
         } else {
-            seq = link.send(req.clone()).unwrap();
+            seq = link.send(req).unwrap();
         }
     }
 }
