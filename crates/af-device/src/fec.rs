@@ -6,7 +6,25 @@
 //! loss becomes latency-free erasure recovery instead of a retransmission
 //! (or a gap).  Frames are sequence-numbered by `(group, index)` and
 //! CRC-framed, turning corruption into erasure, which is the only failure
-//! mode the code handles (see `af_proto::link` for the wire layout).
+//! mode the code handles.  A frame wraps one shard, a whole inner packet
+//! (data) or parity bytes over a group of them:
+//!
+//! ```text
+//! offset  size  field
+//!      0     2  magic      FEC_MAGIC, little-endian
+//!      2     1  version    FEC_VERSION
+//!      3     4  group      group sequence number, little-endian
+//!      7     1  index      shard index: 0..k data, k..k+m parity
+//!      8     1  k          data shards per group
+//!      9     1  m          parity shards per group
+//!     10     2  len        payload length in bytes, little-endian
+//!     12   len  payload    shard bytes
+//! 12+len     4  crc        CRC-32 (IEEE) over bytes 0..12+len
+//! ```
+//!
+//! The magic alone says a LineServer datagram is a frame
+//! ([`crate::lineserver::classify`]): the link never gives a plain packet a
+//! sequence number whose low 16 bits equal it.
 //!
 //! Parity shard 0 is the plain XOR of the group's data shards — the
 //! classic single-erasure parity.  Shards 1..m generalize it with
@@ -36,11 +54,41 @@
 )]
 
 use crate::lineserver::{LsPacket, LS_BUFFER_SAMPLES};
-use af_proto::link::{
-    FEC_CRC_BYTES, FEC_GROUP_WINDOW, FEC_HEADER_BYTES, FEC_MAGIC, FEC_MAX_K, FEC_MAX_M,
-    FEC_VERSION,
-};
 use std::collections::VecDeque;
+
+/// First two bytes of every FEC frame (little-endian on the wire).
+pub const FEC_MAGIC: u16 = 0xFEC5;
+
+/// FEC frame format version carried in byte 2.
+pub const FEC_VERSION: u8 = 1;
+
+/// Fixed FEC frame header size in bytes (before the payload).
+pub const FEC_HEADER_BYTES: usize = 12;
+
+/// Trailing CRC-32 size in bytes.
+pub const FEC_CRC_BYTES: usize = 4;
+
+/// Upper bound on data shards per group (`k`).
+pub const FEC_MAX_K: usize = 32;
+
+/// Upper bound on parity shards per group (`m`).
+pub const FEC_MAX_M: usize = 8;
+
+/// Default data shards per group: one parity burst every four packets.
+pub const FEC_DEFAULT_K: usize = 4;
+
+/// Default parity shards per group: bursts of up to two lost datagrams per
+/// group reconstruct without a round trip.
+pub const FEC_DEFAULT_M: usize = 2;
+
+/// How many incomplete FEC groups a decoder keeps before evicting the
+/// oldest (bounded memory under sustained loss).
+pub const FEC_GROUP_WINDOW: usize = 16;
+
+// The defaults fit the bounds, and the Cauchy construction needs
+// `k + m` distinct field elements.
+const _: () = assert!(FEC_DEFAULT_K <= FEC_MAX_K && FEC_DEFAULT_M <= FEC_MAX_M);
+const _: () = assert!(FEC_MAX_K + FEC_MAX_M < 256);
 
 // --- GF(256) arithmetic --------------------------------------------------
 
@@ -159,8 +207,8 @@ pub struct FecConfig {
 impl Default for FecConfig {
     fn default() -> Self {
         FecConfig {
-            k: af_proto::link::FEC_DEFAULT_K,
-            m: af_proto::link::FEC_DEFAULT_M,
+            k: FEC_DEFAULT_K,
+            m: FEC_DEFAULT_M,
         }
     }
 }

@@ -40,9 +40,20 @@
 )]
 
 use crate::stats::{Link, LinkCounters};
-use af_proto::link::{JITTER_FADE_TICKS, JITTER_MAX_DEPTH, JITTER_MIN_DEPTH};
 use af_time::ATime;
 use std::collections::VecDeque;
+
+/// Playout depth floor, in device ticks (32 ms at 8 kHz).
+pub const JITTER_MIN_DEPTH: u32 = 256;
+
+/// Playout depth ceiling, in device ticks (512 ms at 8 kHz).
+pub const JITTER_MAX_DEPTH: u32 = 4096;
+
+/// Ticks of repeat-with-fade concealment before the buffer gives up and
+/// emits pure silence (100 ms at 8 kHz).
+pub const JITTER_FADE_TICKS: u32 = 800;
+
+const _: () = assert!(JITTER_MIN_DEPTH < JITTER_MAX_DEPTH);
 
 /// Ring capacity in samples; must exceed [`JITTER_MAX_DEPTH`] so the
 /// deepest playout delay still fits with room for early arrivals.

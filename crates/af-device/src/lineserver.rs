@@ -14,7 +14,7 @@
 //! `Als`-style device backend.
 
 use crate::clock::SharedClock;
-use crate::fec::{FecConfig, FecDecoder, FecEncoder, FecFrame};
+use crate::fec::{FecConfig, FecDecoder, FecEncoder, FecFrame, FEC_MAGIC};
 use crate::hardware::{HwConfig, VirtualAudioHw};
 use crate::io::{SampleSink, SampleSource};
 use crate::stats::{Link, LinkCounters};
@@ -29,10 +29,6 @@ use std::time::{Duration, Instant};
 /// LineServer buffer size: 2048 samples, "1/4 second at 8 kHz".
 pub const LS_BUFFER_SAMPLES: u32 = 2048;
 
-/// How many recent replies the firmware keeps for answering retransmitted
-/// requests without re-executing them (at-most-once semantics).
-pub const LS_REPLY_CACHE: usize = 32;
-
 /// Number of device registers (gains, config).
 pub const LS_NUM_REGS: usize = 16;
 
@@ -46,8 +42,8 @@ pub const LS_REG_INPUT_GAIN: u8 = 1;
 /// requests (`Play`) from the peer.
 pub const LS_REG_FEC: u8 = 2;
 
-/// How many distinct peers the firmware keeps FEC / sequence state for
-/// before recycling (a real box served exactly one workstation).
+/// How many peers the firmware keeps a [`Peer`] record for before it
+/// forgets them all (a real box served exactly one workstation).
 const LS_MAX_PEERS: usize = 16;
 
 /// How many drained audio packets (plain or FEC-recovered `Record`
@@ -147,21 +143,67 @@ impl LsPacket<'_> {
     }
 }
 
+/// What one LineServer datagram is.  Its first two bytes decide: both
+/// ends read every datagram through [`classify`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Datagram<'a> {
+    /// An FEC frame, CRC and shape checked.
+    Frame(FecFrame<'a>),
+    /// A plain packet.
+    Packet(LsPacket<'a>),
+}
+
+/// Classifies one datagram.  One that starts with [`FEC_MAGIC`] is an FEC
+/// frame and nothing else: if its CRC or shape fails it is an erasure,
+/// `None`, never read as a plain packet.  `None` too for a plain packet
+/// too short or of an unknown function.
+pub fn classify(bytes: &[u8]) -> Option<Datagram<'_>> {
+    if bytes.starts_with(&FEC_MAGIC.to_le_bytes()) {
+        FecFrame::decode(bytes).map(Datagram::Frame)
+    } else {
+        LsPacket::decode(bytes).map(Datagram::Packet)
+    }
+}
+
 /// The simulated LineServer box.
 pub struct LineServerFirmware {
     socket: UdpSocket,
     hw: VirtualAudioHw,
     regs: [u16; LS_NUM_REGS],
     stop: Arc<AtomicBool>,
-    /// Per-peer FEC encoders for outbound `Record` replies (active while
-    /// the FEC register is non-zero).
-    fec_tx: HashMap<SocketAddr, FecEncoder>,
-    /// Per-peer FEC decoders for inbound one-way frames.
-    fec_rx: HashMap<SocketAddr, FecDecoder>,
-    /// Highest executed request sequence per peer, for the stale guard.
-    last_seq: HashMap<SocketAddr, u32>,
+    /// One record per peer, at most [`LS_MAX_PEERS`].
+    peers: HashMap<SocketAddr, Peer>,
     /// The data of the reply being built.
     reply_data: Vec<u8>,
+    /// The reply being sent, encoded.
+    tx: Vec<u8>,
+}
+
+/// What the firmware keeps for one peer.
+#[derive(Default)]
+struct Peer {
+    /// Encoder for `Record` replies, while the FEC register is non-zero.
+    fec_tx: Option<FecEncoder>,
+    /// Decoder for FEC-framed requests.
+    fec_rx: FecDecoder,
+    /// Sequence number of the newest register change run.
+    newest_change: Option<u32>,
+}
+
+/// The firmware's one admission rule, for plain and FEC-recovered requests
+/// alike: every request runs, except a register change (`WriteReg`,
+/// `Reset`) not newer than `newest_change`, the newest one already run for
+/// its peer, so a stale write never reverts a newer one.  Plays, records,
+/// reads and probes run in whatever order they arrive.
+fn admit(newest_change: &mut Option<u32>, req: &LsPacket<'_>) -> bool {
+    if !matches!(req.function, LsFunction::WriteReg | LsFunction::Reset) {
+        return true;
+    }
+    if newest_change.is_some_and(|newest| req.seq.wrapping_sub(newest) as i32 <= 0) {
+        return false;
+    }
+    *newest_change = Some(req.seq);
+    true
 }
 
 impl LineServerFirmware {
@@ -189,10 +231,9 @@ impl LineServerFirmware {
                 hw: VirtualAudioHw::new(cfg, clock, sink, source),
                 regs: [0; LS_NUM_REGS],
                 stop: Arc::new(AtomicBool::new(false)),
-                fec_tx: HashMap::new(),
-                fec_rx: HashMap::new(),
-                last_seq: HashMap::new(),
+                peers: HashMap::new(),
                 reply_data: Vec::new(),
+                tx: Vec::new(),
             },
             addr,
         ))
@@ -206,23 +247,18 @@ impl LineServerFirmware {
     /// Runs the firmware loop until stopped: the "network thread" of the
     /// real firmware, with the "update thread" folded into each iteration.
     ///
-    /// A small reply cache gives retransmissions at-most-once semantics: a
-    /// request whose `(peer, seq)` matches a recent exchange is answered
-    /// with the original reply bytes instead of being executed again, so a
-    /// link that times out and resends cannot double-play samples or
-    /// double-apply register writes.  A per-peer high-water sequence mark
-    /// backs the cache up: a retransmission old enough to have been
-    /// evicted is dropped silently rather than re-executed, preserving
-    /// at-most-once past the cache horizon.
+    /// Each request runs once, when it arrives, unless it is a register
+    /// change (`WriteReg`, `Reset`) not newer than one already run for its
+    /// peer.  Nothing keeps replies to answer a repeat: the link sends
+    /// every request, a re-sent write included, under a fresh sequence
+    /// number.
     pub fn run(mut self) {
         let mut buf = vec![0u8; 65_536];
-        let mut cache: VecDeque<(SocketAddr, u32, Vec<u8>)> =
-            VecDeque::with_capacity(LS_REPLY_CACHE);
         while !self.stop.load(Ordering::Relaxed) {
             // Interrupt-driven sample movement, batched.
             self.hw.service();
             match self.socket.recv_from(&mut buf) {
-                Ok((n, peer)) => self.handle_datagram(&buf[..n], peer, &mut cache),
+                Ok((n, from)) => self.handle_datagram(&buf[..n], from),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut => {}
@@ -231,91 +267,60 @@ impl LineServerFirmware {
         }
     }
 
-    /// Handles one inbound datagram: an FEC frame carrying one-way inner
-    /// requests, or a plain request/reply exchange.
-    fn handle_datagram(
-        &mut self,
-        bytes: &[u8],
-        peer: SocketAddr,
-        cache: &mut VecDeque<(SocketAddr, u32, Vec<u8>)>,
-    ) {
-        // FEC frames first: the magic + CRC check makes a false positive
-        // against a plain packet practically impossible, while a plain
-        // decode of an FEC frame could succeed by accident.
-        if let Some(frame) = FecFrame::decode(bytes) {
-            if !self.fec_rx.contains_key(&peer) && self.fec_rx.len() >= LS_MAX_PEERS {
-                self.fec_rx.clear();
-            }
-            let mut payloads = Vec::new();
-            self.fec_rx
-                .entry(peer)
-                .or_default()
-                .push(frame, |p| payloads.push(p.to_vec()));
-            for payload in payloads {
-                // One-way inner requests (play traffic): executed, reply
-                // discarded; duplicates were already shed by the decoder
-                // and replayed `Play` writes are idempotent.
-                if let Some(req) = LsPacket::decode(&payload) {
-                    let _ = self.process(req);
-                }
-            }
+    /// Handles one inbound datagram: an FEC frame carrying one-way
+    /// requests, which run as the decoder hands them over and whose
+    /// replies are discarded, or a plain request, which is answered.
+    /// Erasures and malformed packets are dropped silently, as firmware
+    /// would.
+    fn handle_datagram(&mut self, bytes: &[u8], from: SocketAddr) {
+        let Some(datagram) = classify(bytes) else {
             return;
-        }
-        let Some(req) = LsPacket::decode(bytes) else {
-            return; // Malformed packets dropped silently, as firmware would.
         };
-        let seq = req.seq;
-        if let Some((_, _, bytes)) = cache.iter().find(|(p, s, _)| *p == peer && *s == seq) {
-            let _ = self.socket.send_to(bytes, peer);
-            return;
-        }
-        // Not cached: drop it silently if it is older than the newest
-        // executed request from this peer — a retransmission whose cache
-        // entry was evicted must not re-execute.
-        if let Some(&last) = self.last_seq.get(&peer) {
-            if seq.wrapping_sub(last) as i32 <= 0 {
-                return;
-            }
-        }
-        if !self.last_seq.contains_key(&peer) && self.last_seq.len() >= LS_MAX_PEERS {
-            self.last_seq.clear();
-        }
-        self.last_seq.insert(peer, seq);
-        let reply = self.process(req);
-        let function = reply.function;
-        let mut encoded = Vec::new();
-        reply.encode_into(&mut encoded);
-        // While FEC is enabled, Record replies — the loss-sensitive,
-        // unretried audio path — go out wrapped in FEC frames; everything
-        // else stays plain.
-        let mut sent_fec = false;
-        if function == LsFunction::Record {
-            if let Some(cfg) = FecConfig::from_reg(self.regs[usize::from(LS_REG_FEC)]) {
-                if !self.fec_tx.contains_key(&peer) && self.fec_tx.len() >= LS_MAX_PEERS {
-                    self.fec_tx.clear();
-                }
-                let enc = self
-                    .fec_tx
-                    .entry(peer)
-                    .or_insert_with(|| FecEncoder::new(cfg));
-                if enc.config() != cfg {
-                    *enc = FecEncoder::new(cfg);
-                }
-                enc.push(&encoded, |frame| {
-                    let _ = self.socket.send_to(frame, peer);
+        // Out of the map while its requests run, which borrow the firmware.
+        let mut peer = self.peers.remove(&from).unwrap_or_default();
+        match datagram {
+            Datagram::Frame(frame) => {
+                let newest_change = &mut peer.newest_change;
+                peer.fec_rx.push(frame, |payload| {
+                    if let Some(req) = LsPacket::decode(payload) {
+                        if admit(newest_change, &req) {
+                            self.process(req);
+                        }
+                    }
                 });
-                sent_fec = true;
             }
+            Datagram::Packet(req) if admit(&mut peer.newest_change, &req) => {
+                let function = req.function;
+                let mut tx = std::mem::take(&mut self.tx);
+                self.process(req).encode_into(&mut tx);
+                // While FEC is enabled, Record replies (the loss-sensitive,
+                // unretried audio path) go out FEC-framed; everything else
+                // stays plain.
+                let fec = FecConfig::from_reg(self.regs[usize::from(LS_REG_FEC)])
+                    .filter(|_| function == LsFunction::Record);
+                match fec {
+                    Some(cfg) => {
+                        let enc = match &mut peer.fec_tx {
+                            Some(enc) if enc.config() == cfg => enc,
+                            slot => slot.insert(FecEncoder::new(cfg)),
+                        };
+                        enc.push(&tx, |frame| {
+                            let _ = self.socket.send_to(frame, from);
+                        });
+                    }
+                    None => {
+                        let _ = self.socket.send_to(&tx, from);
+                    }
+                }
+                self.tx = tx;
+            }
+            // A stale register change is dropped unanswered.
+            Datagram::Packet(_) => {}
         }
-        if !sent_fec {
-            let _ = self.socket.send_to(&encoded, peer);
+        if self.peers.len() >= LS_MAX_PEERS {
+            self.peers.clear();
         }
-        if cache.len() == LS_REPLY_CACHE {
-            cache.pop_front();
-        }
-        // The cache keeps the *plain* reply: a retransmitted request gets
-        // a direct answer even if the FEC'd original was lost.
-        cache.push_back((peer, seq, encoded));
+        self.peers.insert(from, peer);
     }
 
     /// Processes one request into its reply.
@@ -380,6 +385,8 @@ impl LineServerFirmware {
 /// in sample buffers it reuses.
 pub struct LineServerLink {
     socket: UdpSocket,
+    /// The next request's sequence number; never one whose low 16 bits
+    /// are [`FEC_MAGIC`], so no plain packet looks like an FEC frame.
     next_seq: u32,
     /// The request being sent, encoded.
     tx: Vec<u8>,
@@ -389,7 +396,7 @@ pub struct LineServerLink {
     fec_rx: FecDecoder,
     /// What routing a reply updates.
     routes: Routes,
-    /// The link's health counters: retransmissions, undecodable datagrams
+    /// The link's health counters: re-sent writes, undecodable datagrams
     /// and FEC outcomes are counted here, the rest by the `Als` backend.
     counters: Arc<LinkCounters>,
 }
@@ -458,6 +465,9 @@ impl LineServerLink {
     pub fn send(&mut self, req: LsPacket<'_>) -> io::Result<u32> {
         let seq = self.next_seq;
         self.next_seq = seq.wrapping_add(1);
+        if self.next_seq as u16 == FEC_MAGIC {
+            self.next_seq = self.next_seq.wrapping_add(1);
+        }
         let routes = &mut self.routes;
         match req.function {
             LsFunction::Loopback => {
@@ -493,8 +503,10 @@ impl LineServerLink {
     }
 
     /// Re-sends every register write not yet acknowledged, each as a new
-    /// request: a write is idempotent, and the firmware drops a repeated
-    /// sequence number older than the newest it has executed.
+    /// request under a fresh sequence number, and counts each in
+    /// `retransmits`.  The firmware runs a write only if it is newer than
+    /// every register change it has run, so a late copy of an older write
+    /// never reverts a newer one.
     pub fn resend_writes(&mut self) -> io::Result<()> {
         for i in 0..self.routes.writes.len() {
             let (param, aux) = self.routes.writes[i];
@@ -540,35 +552,32 @@ impl LineServerLink {
         &self.counters
     }
 
-    /// Unwraps one inbound datagram: an FEC frame can release several
-    /// packets (the lost one plus the parity that repaired it).
+    /// Routes one inbound datagram: an FEC frame can release several
+    /// packets (the lost one plus the parity that repaired it); an erasure
+    /// or a malformed packet counts in `crc_drops`.
     fn accept_datagram(&mut self, bytes: &[u8], seen: &mut dyn FnMut(&LsPacket<'_>)) {
-        // FEC first: magic + CRC make misclassification of a plain packet
-        // practically impossible.
-        if let Some(frame) = FecFrame::decode(bytes) {
-            let before = self.fec_rx.stats();
-            let routes = &mut self.routes;
-            self.fec_rx.push(frame, |payload| {
-                if let Some(pkt) = LsPacket::decode(payload) {
-                    seen(&pkt);
-                    routes.route(pkt);
-                }
-            });
-            let after = self.fec_rx.stats();
-            self.counters
-                .add(Link::FecRecovered, after.recovered - before.recovered);
-            self.counters.add(
-                Link::FecUnrecoverable,
-                after.unrecoverable - before.unrecoverable,
-            );
-            return;
-        }
-        match LsPacket::decode(bytes) {
-            Some(pkt) => {
+        match classify(bytes) {
+            Some(Datagram::Frame(frame)) => {
+                let before = self.fec_rx.stats();
+                let routes = &mut self.routes;
+                self.fec_rx.push(frame, |payload| {
+                    if let Some(pkt) = LsPacket::decode(payload) {
+                        seen(&pkt);
+                        routes.route(pkt);
+                    }
+                });
+                let after = self.fec_rx.stats();
+                self.counters
+                    .add(Link::FecRecovered, after.recovered - before.recovered);
+                self.counters.add(
+                    Link::FecUnrecoverable,
+                    after.unrecoverable - before.unrecoverable,
+                );
+            }
+            Some(Datagram::Packet(pkt)) => {
                 seen(&pkt);
                 self.routes.route(pkt);
             }
-            // Truncated or corrupted (CRC rejections land here too).
             None => self.counters.add(Link::CrcDrops, 1),
         }
     }
@@ -679,45 +688,20 @@ mod tests {
         )
         .unwrap();
 
-        // Write and read back a register.
-        let r = fw.process(LsPacket {
-            seq: 1,
-            time: ATime::ZERO,
-            function: LsFunction::WriteReg,
-            param: LS_REG_OUTPUT_GAIN,
-            aux: 42,
-            data: &[],
-        });
-        assert_eq!(r.seq, 1);
-        let r = fw.process(LsPacket {
-            seq: 2,
-            time: ATime::ZERO,
-            function: LsFunction::ReadReg,
-            param: LS_REG_OUTPUT_GAIN,
-            aux: 0,
-            data: &[],
-        });
-        assert_eq!(r.aux, 42);
+        // Write and read back a register; a reply echoes its sequence number.
+        let write = request(LsFunction::WriteReg, LS_REG_OUTPUT_GAIN, 42, &[]);
+        assert_eq!(fw.process(LsPacket { seq: 1, ..write }).seq, 1);
+        let read = request(LsFunction::ReadReg, LS_REG_OUTPUT_GAIN, 0, &[]);
+        assert_eq!(fw.process(read).aux, 42);
 
         // Loopback echoes data.
-        let r = fw.process(LsPacket {
-            seq: 3,
-            time: ATime::ZERO,
-            function: LsFunction::Loopback,
-            param: 0,
-            aux: 0,
-            data: &[9, 9, 9],
-        });
+        let r = fw.process(request(LsFunction::Loopback, 0, 0, &[9, 9, 9]));
         assert_eq!(r.data, [9, 9, 9]);
 
         // Play at t=10, advance, verify the sink heard it.
         fw.process(LsPacket {
-            seq: 4,
             time: ATime::new(10),
-            function: LsFunction::Play,
-            param: 0,
-            aux: 0,
-            data: &[0x21; 20],
+            ..request(LsFunction::Play, 0, 0, &[0x21; 20])
         });
         clock.advance(100);
         fw.hw.service();
@@ -728,37 +712,19 @@ mod tests {
         // Record from the tone source.
         clock.advance(100);
         let r = fw.process(LsPacket {
-            seq: 5,
             time: ATime::new(120),
-            function: LsFunction::Record,
-            param: 0,
-            aux: 64,
-            data: &[],
+            ..request(LsFunction::Record, 0, 64, &[])
         });
         assert_eq!(r.data.len(), 64);
         assert!(r.data.iter().any(|&b| b != af_dsp::g711::ULAW_SILENCE));
 
         // Reset clears registers.
-        fw.process(LsPacket {
-            seq: 6,
-            time: ATime::ZERO,
-            function: LsFunction::Reset,
-            param: 0,
-            aux: 0,
-            data: &[],
-        });
-        let r = fw.process(LsPacket {
-            seq: 7,
-            time: ATime::ZERO,
-            function: LsFunction::ReadReg,
-            param: LS_REG_OUTPUT_GAIN,
-            aux: 0,
-            data: &[],
-        });
-        assert_eq!(r.aux, 0);
+        fw.process(request(LsFunction::Reset, 0, 0, &[]));
+        assert_eq!(fw.process(read).aux, 0);
     }
 
-    /// A request to hand to [`LineServerLink::send`].
+    /// A request at time zero, under sequence number 0 (which
+    /// [`LineServerLink::send`] replaces).
     fn request(function: LsFunction, param: u8, aux: u16, data: &[u8]) -> LsPacket<'_> {
         LsPacket {
             seq: 0,
@@ -828,23 +794,22 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// Boots a firmware with null/silence endpoints and runs it on a thread.
-    fn booted(
-        clock: SharedClock,
-    ) -> (
-        SocketAddr,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let (fw, addr) = LineServerFirmware::boot(
-            clock,
-            Box::new(crate::io::NullSink),
-            Box::new(crate::io::SilenceSource::new(0xFF)),
-        )
-        .unwrap();
+    /// A firmware's address, stop handle and thread.
+    type Booted = (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>);
+
+    /// Boots a firmware with `sink` for a speaker and a silent microphone,
+    /// and runs it on a thread.
+    fn booted_into(clock: SharedClock, sink: Box<dyn SampleSink>) -> Booted {
+        let source = Box::new(crate::io::SilenceSource::new(0xFF));
+        let (fw, addr) = LineServerFirmware::boot(clock, sink, source).unwrap();
         let stop = fw.stop_handle();
         let handle = std::thread::spawn(move || fw.run());
         (addr, stop, handle)
+    }
+
+    /// Boots a firmware with null/silence endpoints and runs it on a thread.
+    fn booted(clock: SharedClock) -> Booted {
+        booted_into(clock, Box::new(crate::io::NullSink))
     }
 
     #[test]
@@ -869,49 +834,112 @@ mod tests {
         handle.join().unwrap();
     }
 
-    #[test]
-    fn retransmitted_request_is_answered_from_cache_not_reexecuted() {
-        let clock = Arc::new(VirtualClock::new(8000));
-        let (addr, stop, handle) = booted(clock.clone());
-
-        // Talk to the firmware with a raw socket so the same encoded bytes
-        // (same seq) can be sent twice, as a timed-out link would.
+    /// A raw socket to the firmware at `addr`, which sends any sequence
+    /// number in any order.
+    fn raw(addr: SocketAddr) -> UdpSocket {
         let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         sock.connect(addr).unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        clock.advance(100);
-        let req = wire(LsPacket {
-            seq: 42,
-            time: ATime::ZERO,
-            function: LsFunction::Loopback,
-            param: 0,
-            aux: 0,
-            data: &[5, 6, 7],
+        sock.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        sock
+    }
+
+    /// `req` under sequence number `seq`, sent on `sock` as is.
+    fn send_raw(sock: &UdpSocket, seq: u32, req: LsPacket<'_>) {
+        sock.send(&wire(LsPacket { seq, ..req })).unwrap();
+    }
+
+    /// The header of the next reply on `sock`, or `None` after its timeout.
+    fn next_reply(sock: &UdpSocket) -> Option<LsPacket<'static>> {
+        let mut buf = [0u8; 65_536];
+        let n = sock.recv(&mut buf).ok()?;
+        LsPacket::decode(&buf[..n]).map(|p| LsPacket { data: &[], ..p })
+    }
+
+    /// The first frame an encoder of the default shape sends for `pkt`.
+    fn framed(pkt: LsPacket<'_>) -> Vec<u8> {
+        let mut frame = Vec::new();
+        FecEncoder::new(FecConfig::default()).push(&wire(pkt), |f| frame = f.to_vec());
+        frame
+    }
+
+    #[test]
+    fn reordered_plain_requests_all_run() {
+        let clock = Arc::new(VirtualClock::new(8000));
+        let (sink, capture) = CaptureSink::new(1 << 16);
+        let (addr, stop, handle) = booted_into(clock.clone(), Box::new(sink));
+        let sock = raw(addr);
+
+        // Two probes, the later-numbered first: both are answered.
+        let probe = request(LsFunction::Loopback, 0, 0, &[]);
+        send_raw(&sock, 11, probe);
+        send_raw(&sock, 10, probe);
+        let mut answered = [next_reply(&sock), next_reply(&sock)].map(|r| r.map(|p| p.seq));
+        answered.sort();
+        assert_eq!(answered, [Some(10), Some(11)]);
+
+        // Two plays, the later-numbered first: both reach the speaker.
+        let play = |at, data| LsPacket {
+            time: ATime::new(at),
+            ..request(LsFunction::Play, 0, 0, data)
+        };
+        send_raw(&sock, 21, play(100, &[0x21; 20]));
+        send_raw(&sock, 20, play(200, &[0x20; 20]));
+        send_raw(&sock, 22, probe);
+        while next_reply(&sock).expect("the probe after the plays").seq != 22 {}
+        clock.advance(400);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while capture.lock().unwrap().len() < 220 {
+            assert!(Instant::now() < deadline, "the speaker fell silent");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let cap = capture.lock().unwrap();
+        assert_eq!(&cap[100..120], &[0x21; 20][..]);
+        assert_eq!(&cap[200..220], &[0x20; 20][..]);
+        drop(cap);
+
+        stop.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_stale_write_never_reverts_a_newer_one() {
+        let clock = Arc::new(VirtualClock::new(8000));
+        let (addr, stop, handle) = booted(clock);
+        let sock = raw(addr);
+        let gain = |aux| request(LsFunction::WriteReg, LS_REG_OUTPUT_GAIN, aux, &[]);
+        send_raw(&sock, 2, gain(9));
+        send_raw(&sock, 1, gain(1)); // Overtaken: dropped unanswered.
+        let read = request(LsFunction::ReadReg, LS_REG_OUTPUT_GAIN, 0, &[]);
+        send_raw(&sock, 3, read);
+        let replies = [next_reply(&sock), next_reply(&sock)].map(|r| r.map(|p| (p.seq, p.aux)));
+        assert_eq!(replies, [Some((2, 9)), Some((3, 9))]);
+
+        stop.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_frame_whose_crc_fails_is_an_erasure_at_the_firmware() {
+        let clock = Arc::new(VirtualClock::new(8000));
+        let (addr, stop, handle) = booted(clock);
+        let sock = raw(addr);
+        // Read as a plain packet, a framed play's header is a write of
+        // the FEC register under a sequence number far ahead.
+        let mut frame = framed(LsPacket {
+            seq: 1,
+            ..request(LsFunction::Play, 0, 0, &[0x44; 400])
         });
-
-        let mut buf = vec![0u8; 65_536];
-        sock.send(&req).unwrap();
-        let n = sock.recv(&mut buf).unwrap();
-        let first = buf[..n].to_vec();
-
-        // Advance device time, then retransmit.  A re-executed request
-        // would stamp its reply with the later time; a cache hit returns
-        // the original reply verbatim.
-        clock.advance(500);
-        sock.send(&req).unwrap();
-        let n = sock.recv(&mut buf).unwrap();
-        assert_eq!(first, buf[..n], "duplicate seq must be served from cache");
-
-        // A fresh sequence number executes normally and sees the new time.
-        let mut fresh = LsPacket::decode(&req).unwrap();
-        fresh.seq = 43;
-        sock.send(&wire(fresh)).unwrap();
-        let n = sock.recv(&mut buf).unwrap();
-        let third = LsPacket::decode(&buf[..n]).unwrap();
-        let first = LsPacket::decode(&first).unwrap();
-        assert!(
-            third.time.ticks() > first.time.ticks(),
-            "new seq must be re-executed"
+        let misread = LsPacket::decode(&frame).map(|p| (p.function, p.param));
+        assert_eq!(misread, Some((LsFunction::WriteReg, LS_REG_FEC)));
+        let mid = frame.len() / 2;
+        frame[mid] ^= 0x10;
+        sock.send(&frame).unwrap();
+        send_raw(&sock, 2, request(LsFunction::ReadReg, LS_REG_FEC, 0, &[]));
+        let reply = next_reply(&sock).map(|p| (p.seq, p.aux));
+        assert_eq!(
+            reply,
+            Some((2, 0)),
+            "the FEC register changed or the read went unanswered"
         );
 
         stop.store(true, Ordering::Relaxed);
@@ -919,78 +947,44 @@ mod tests {
     }
 
     #[test]
-    fn stale_retransmit_past_cache_horizon_is_not_reexecuted() {
-        // The eviction edge: a retransmission old enough to have fallen
-        // out of the 32-entry reply cache must be dropped silently by the
-        // stale-sequence guard — not executed a second time.
-        let clock = Arc::new(VirtualClock::new(8000));
-        let (addr, stop, handle) = booted(clock.clone());
-
-        let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        sock.connect(addr).unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut buf = vec![0u8; 65_536];
-
-        // seq 1: set the output gain to 1.
-        let stale = wire(LsPacket {
+    fn a_frame_whose_crc_fails_is_an_erasure_at_the_link() {
+        let fw = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let mut link = LineServerLink::connect(fw.local_addr().unwrap()).unwrap();
+        let port = link.socket.local_addr().unwrap().port();
+        // A framed record reply of 508 samples: its header, read as a plain
+        // packet, acknowledges an FEC register of k = 2, m = 8.
+        let mut frame = framed(LsPacket {
             seq: 1,
-            time: ATime::ZERO,
-            function: LsFunction::WriteReg,
-            param: LS_REG_OUTPUT_GAIN,
-            aux: 1,
-            data: &[],
+            ..request(LsFunction::Record, 0, 508, &[0xFF; 508])
         });
-        sock.send(&stale).unwrap();
-        sock.recv(&mut buf).unwrap();
-
-        // Overwrite the gain, then push the cache well past seq 1 with a
-        // full window of newer exchanges.
-        for seq in 2..2 + LS_REPLY_CACHE as u32 + 4 {
-            let function = if seq == 2 {
-                LsFunction::WriteReg
-            } else {
-                LsFunction::Loopback
-            };
-            let req = LsPacket {
-                seq,
-                time: ATime::ZERO,
-                function,
-                param: LS_REG_OUTPUT_GAIN,
-                aux: 9,
-                data: &[],
-            };
-            sock.send(&wire(req)).unwrap();
-            sock.recv(&mut buf).unwrap();
+        let mid = frame.len() / 2;
+        frame[mid] ^= 0x10;
+        fw.send_to(&frame, ("127.0.0.1", port)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while link.drain(|_| {}) == 0 {
+            assert!(Instant::now() < deadline, "the frame never arrived");
+            std::thread::sleep(Duration::from_millis(1));
         }
+        assert!(link.routes.fec_tx.is_none(), "play FEC reprogrammed");
+        assert_eq!(link.counters().get(Link::CrcDrops), 1);
+    }
 
-        // Retransmit the evicted seq-1 write.  Re-execution would reset
-        // the gain to 1; a cache hit would produce a reply.  At-most-once
-        // past the horizon demands neither: silence.
-        sock.send(&stale).unwrap();
-        sock.set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        assert!(
-            sock.recv(&mut buf).is_err(),
-            "stale retransmit must be dropped silently"
-        );
-
-        // The register still holds the newer value.
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let read = LsPacket {
-            seq: 100,
-            time: ATime::ZERO,
-            function: LsFunction::ReadReg,
-            param: LS_REG_OUTPUT_GAIN,
-            aux: 0,
-            data: &[],
-        };
-        sock.send(&wire(read)).unwrap();
-        let n = sock.recv(&mut buf).unwrap();
-        let reply = LsPacket::decode(&buf[..n]).unwrap();
-        assert_eq!(reply.aux, 9, "stale retransmit must not re-execute");
-
-        stop.store(true, Ordering::Relaxed);
-        handle.join().unwrap();
+    #[test]
+    fn no_plain_packet_carries_the_fec_magic() {
+        let peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut link = LineServerLink::connect(peer.local_addr().unwrap()).unwrap();
+        link.next_seq = u32::from(FEC_MAGIC) - 1;
+        let mut buf = [0u8; 64];
+        let mut seqs = Vec::new();
+        for _ in 0..3 {
+            let seq = link.send(request(LsFunction::ReadReg, 0, 0, &[])).unwrap();
+            let n = peer.recv(&mut buf).unwrap();
+            let magic = FEC_MAGIC.to_le_bytes();
+            assert!(!buf[..n].starts_with(&magic), "seq {seq:#x}");
+            seqs.push(seq);
+        }
+        assert_eq!(seqs, [0xFEC4, 0xFEC6, 0xFEC7]);
     }
 
     #[test]

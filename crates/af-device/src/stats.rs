@@ -293,11 +293,14 @@ family! {
         FecRecovered => "fec_recovered",
         /// Data packets lost beyond FEC recovery.
         FecUnrecoverable => "fec_unrecoverable",
-        /// Datagrams dropped by CRC / frame validation.
+        /// Datagrams the link dropped undecoded: an FEC frame whose CRC or
+        /// shape fails (an erasure), or a plain packet too short or of an
+        /// unknown function.
         CrcDrops => "crc_drops",
-        /// Control-path retransmissions performed by the link.
+        /// Unacknowledged register writes the link re-sent, each under a
+        /// fresh sequence number.
         Retransmits => "retransmits",
-        /// Times the link was declared down after retry exhaustion.
+        /// Outages: counted once when 8 consecutive updates hear nothing.
         LinkDowns => "link_downs",
         /// Current playout depth in ticks (gauge).
         Depth => "depth",

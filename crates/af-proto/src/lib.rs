@@ -23,7 +23,6 @@ pub mod atoms;
 mod codec;
 pub mod error;
 pub mod event;
-pub mod link;
 pub mod message;
 pub mod opcode;
 pub mod reply;

@@ -2,10 +2,11 @@
 //!
 //! The paper ran its LineServer on a quiet Ethernet segment; these tests
 //! run it behind an [`af_chaos::Router`] — two hops of Gilbert–Elliott
-//! burst loss, delay jitter, and NAT-style address rewriting — and require
-//! the server to keep playing and recording: FEC recovers lost record
-//! replies, the adaptive jitter buffer conceals what parity cannot bring
-//! back, and the protocol layer sees zero errors throughout.
+//! burst loss, delay jitter, bit corruption and NAT-style address
+//! rewriting — and require the server to keep playing and recording: FEC
+//! recovers lost record replies, a corrupted frame is one more erasure,
+//! the adaptive jitter buffer conceals what parity cannot bring back, and
+//! the protocol layer sees zero errors throughout.
 
 use af_chaos::{GilbertElliott, HopPlan, Router};
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
@@ -29,9 +30,11 @@ fn lossy_hops(avg_loss: f64) -> Vec<HopPlan> {
     ]
 }
 
-#[test]
-fn playback_survives_multi_hop_burst_loss() {
-    // Two LineServers, each behind its own two-hop lossy router.
+/// Two LineServers, each behind its own two-hop router of `hops`: the
+/// far speaker hears most of a played marker burst, a recording comes
+/// back through the jitter buffer, parity brings lost record replies back
+/// and the protocol sees no error.
+fn playback_and_recording_survive(hops: fn() -> Vec<HopPlan>) {
     let mut firmwares = Vec::new();
     let mut routers = Vec::new();
     let mut speakers = Vec::new();
@@ -48,7 +51,7 @@ fn playback_survives_multi_hop_burst_loss() {
         let thread = std::thread::spawn(move || fw.run());
         firmwares.push((stop, thread));
         speakers.push(speaker);
-        routers.push(Router::spawn(addr, lossy_hops(0.12), 0xBAD_1A7E5 + i as u64).unwrap());
+        routers.push(Router::spawn(addr, hops(), 0xBAD_1A7E5 + i as u64).unwrap());
     }
 
     let mut builder = audiofile::server::ServerBuilder::new()
@@ -64,7 +67,7 @@ fn playback_survives_multi_hop_burst_loss() {
     assert_eq!(conn.devices().len(), 2);
 
     // Play a marker burst on device 0; the one-way FEC-framed play path
-    // must land most of it on the far speaker despite the loss.
+    // must land most of it on the far speaker despite the faults.
     let ac = conn
         .create_ac(0, AcMask::default(), &AcAttributes::default())
         .unwrap();
@@ -81,18 +84,18 @@ fn playback_survives_multi_hop_burst_loss() {
     let (_, data) = conn.record_samples(&ac1, t1 + 1600u32, 2400, true).unwrap();
     assert_eq!(data.len(), 2400);
     let dbm = audiofile::dsp::power::power_dbm_ulaw(&data);
-    assert!(dbm > -30.0, "recorded tone through loss at {dbm} dBm");
+    assert!(dbm > -30.0, "recorded tone through faults at {dbm} dBm");
 
     {
         let cap = speakers[0].lock().unwrap();
         let marked = cap.iter().filter(|&&b| b == 0x44).count();
         assert!(
             marked >= 800,
-            "speaker heard {marked}/1600 marker bytes through burst loss"
+            "speaker heard {marked}/1600 marker bytes through faults"
         );
     }
 
-    // Zero protocol errors: loss must degrade audio, never the protocol.
+    // Zero protocol errors: faults must degrade audio, never the protocol.
     assert_eq!(stats.server.get(Server::ProtocolErrors), 0);
 
     // The links saw real WAN weather and the defenses engaged: parity
@@ -116,6 +119,22 @@ fn playback_survives_multi_hop_burst_loss() {
         stop.store(true, Ordering::Relaxed);
         thread.join().unwrap();
     }
+}
+
+#[test]
+fn playback_survives_multi_hop_burst_loss() {
+    playback_and_recording_survive(|| lossy_hops(0.12));
+}
+
+#[test]
+fn playback_survives_a_corrupting_hop() {
+    // A flipped bit turns an FEC frame into an erasure, never into a
+    // plain packet that reprograms either end.
+    playback_and_recording_survive(|| {
+        let mut hops = lossy_hops(0.12);
+        hops[0].corrupt = 0.02;
+        hops
+    });
 }
 
 #[test]
