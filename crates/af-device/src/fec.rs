@@ -494,10 +494,14 @@ impl GroupState {
 /// Duplicated frames are dropped, reordered frames slot into place by
 /// `(group, index)`, and at most [`FEC_GROUP_WINDOW`] incomplete groups
 /// are retained (oldest evicted first), so memory is bounded no matter
-/// what the network does.  Once the window has filled, only a
-/// reconstruction allocates.
+/// what the network does.  Reconstruction solves in scratch the decoder
+/// keeps, so once the window has filled, nothing allocates.
 pub struct FecDecoder {
     groups: VecDeque<GroupState>,
+    /// One right-hand side per erasure being solved for, each becoming a
+    /// recovered shard; room for [`FEC_MAX_M`] shards of
+    /// [`SHARD_CAPACITY`] bytes is reserved up front.
+    rhs: [Vec<u8>; FEC_MAX_M],
     stats: FecDecoderStats,
 }
 
@@ -512,6 +516,7 @@ impl FecDecoder {
     pub fn new() -> FecDecoder {
         FecDecoder {
             groups: VecDeque::with_capacity(FEC_GROUP_WINDOW),
+            rhs: std::array::from_fn(|_| Vec::with_capacity(SHARD_CAPACITY)),
             stats: FecDecoderStats::default(),
         }
     }
@@ -593,50 +598,62 @@ impl FecDecoder {
     }
 
     /// Reconstructs group `slot`'s missing data shards once enough parity
-    /// is on hand, delivering the recovered payloads.  Counting what is
-    /// missing allocates nothing; only solving the system does.
+    /// is on hand, delivering the recovered payloads straight from the
+    /// scratch they were solved in.
     fn try_reconstruct(&mut self, slot: usize, deliver: &mut impl FnMut(&[u8])) {
         let st = &mut self.groups[slot];
         if st.done {
             return;
         }
-        let e = st.have_data[..st.k].iter().filter(|&&have| !have).count();
+        // At most `m` erasures get this far, so every index list fits in
+        // `FEC_MAX_M` entries.
+        let mut missing = [0usize; FEC_MAX_M];
+        let mut rows = [0usize; FEC_MAX_M];
+        let mut e = 0;
+        for i in (0..st.k).filter(|&i| !st.have_data[i]) {
+            if e == st.m {
+                return; // More erasures than parity rows: never solvable.
+            }
+            missing[e] = i;
+            e += 1;
+        }
         if e == 0 {
             st.done = true;
             return;
         }
-        if st.have_parity[..st.m].iter().filter(|&&have| have).count() < e {
+        let mut have = 0;
+        for j in (0..st.m).filter(|&j| st.have_parity[j]).take(e) {
+            rows[have] = j;
+            have += 1;
+        }
+        if have < e {
             return; // Not yet solvable; wait for more shards.
         }
-        let missing: Vec<usize> = (0..st.k).filter(|&i| !st.have_data[i]).collect();
-        let rows: Vec<usize> = (0..st.m).filter(|&j| st.have_parity[j]).take(e).collect();
+        let (missing, rows) = (&missing[..e], &rows[..e]);
         let width = (0..st.m)
             .filter(|&j| st.have_parity[j])
             .map(|j| st.parity[j].len())
             .max()
             .unwrap_or(0);
-        // b_r = parity_r XOR sum(coeff * present data shards).
-        let mut rhs: Vec<Vec<u8>> = rows
-            .iter()
-            .map(|&j| {
-                let mut b = vec![0u8; width];
-                let p = &st.parity[j];
-                b[..p.len()].copy_from_slice(p);
-                for i in (0..st.k).filter(|&i| st.have_data[i]) {
-                    // Present shards are <= width; pad implicitly.
-                    let s = &st.data[i];
-                    let mut padded = vec![0u8; width];
-                    padded[..s.len().min(width)].copy_from_slice(&s[..s.len().min(width)]);
-                    gf_mul_acc(&mut b, &padded, cauchy_coeff(j, i));
-                }
-                b
-            })
-            .collect();
+        // b_r = parity_r XOR sum(coeff * present data shards); a present
+        // shard shorter than `width` reads as zero-padded.
+        let rhs = &mut self.rhs[..e];
+        for (b, &j) in rhs.iter_mut().zip(rows) {
+            b.clear();
+            b.resize(width, 0);
+            let p = &st.parity[j];
+            b[..p.len()].copy_from_slice(p);
+            for i in (0..st.k).filter(|&i| st.have_data[i]) {
+                gf_mul_acc(b, &st.data[i], cauchy_coeff(j, i));
+            }
+        }
         // Solve M x = rhs where M[r][c] = coeff(rows[r], missing[c]).
-        let mut mat: Vec<Vec<u8>> = rows
-            .iter()
-            .map(|&j| missing.iter().map(|&i| cauchy_coeff(j, i)).collect())
-            .collect();
+        let mut mat = [[0u8; FEC_MAX_M]; FEC_MAX_M];
+        for (row, &j) in mat.iter_mut().zip(rows) {
+            for (v, &i) in row.iter_mut().zip(missing) {
+                *v = cauchy_coeff(j, i);
+            }
+        }
         // Gaussian elimination with partial pivot over GF(256).
         for col in 0..e {
             let Some(pivot) = (col..e).find(|&r| mat[r][col] != 0) else {
@@ -648,41 +665,39 @@ impl FecDecoder {
             for v in &mut mat[col][col..e] {
                 *v = gf_mul(*v, inv);
             }
-            let scaled: Vec<u8> = rhs[col].iter().map(|&b| gf_mul(b, inv)).collect();
-            rhs[col] = scaled;
-            let pivot_row: Vec<u8> = mat[col][col..e].to_vec();
-            for r in 0..e {
-                if r != col && mat[r][col] != 0 {
-                    let f = mat[r][col];
-                    for (v, &p) in mat[r][col..e].iter_mut().zip(&pivot_row) {
-                        *v ^= gf_mul(f, p);
-                    }
-                    let (head, tail) = if r < col {
-                        let (h, t) = rhs.split_at_mut(col);
-                        (&mut h[r], &t[0])
-                    } else {
-                        let (h, t) = rhs.split_at_mut(r);
-                        (&mut t[0], &h[col])
-                    };
-                    gf_mul_acc(head, tail, f);
+            for b in rhs[col].iter_mut() {
+                *b = gf_mul(*b, inv);
+            }
+            let pivot_row = mat[col];
+            for r in (0..e).filter(|&r| r != col) {
+                let f = mat[r][col];
+                if f == 0 {
+                    continue;
                 }
+                for (v, &p) in mat[r][col..e].iter_mut().zip(&pivot_row[col..e]) {
+                    *v ^= gf_mul(f, p);
+                }
+                let (head, tail) = if r < col {
+                    let (h, t) = rhs.split_at_mut(col);
+                    (&mut h[r], &t[0])
+                } else {
+                    let (h, t) = rhs.split_at_mut(r);
+                    (&mut t[0], &h[col])
+                };
+                gf_mul_acc(head, tail, f);
             }
         }
-        for (c, &idx) in missing.iter().enumerate() {
-            let shard = std::mem::take(&mut rhs[c]);
+        for (shard, &idx) in rhs.iter().zip(missing) {
             // Strip the length prefix back off.
-            let payload = if shard.len() >= 2 {
-                let len = usize::from(u16::from_le_bytes([shard[0], shard[1]]));
-                2..shard.len().min(2 + len).max(2)
-            } else {
-                0..0
-            };
-            st.data[idx] = shard;
+            let len = shard
+                .get(..2)
+                .map_or(0, |p| u16::from_le_bytes([p[0], p[1]]));
+            let payload = shard.len().min(2)..shard.len().min(2 + usize::from(len));
             st.have_data[idx] = true;
             if !st.delivered[idx] {
                 st.delivered[idx] = true;
                 self.stats.recovered += 1;
-                deliver(&st.data[idx][payload]);
+                deliver(&shard[payload]);
             }
         }
         st.done = true;

@@ -179,6 +179,9 @@ family! {
         /// Transport events and requests the dispatcher handled, each on
         /// the reactor thread that framed it.
         InlineEvents => "inline_events",
+        /// Update periods jumped over without a run because the update
+        /// task was popped a period or more late.
+        UpdateSkips => "update_skips",
     }
 }
 
@@ -310,7 +313,7 @@ family! {
 }
 
 /// The server's counters.
-pub type ServerCounters = Counters<Server, 6>;
+pub type ServerCounters = Counters<Server, 7>;
 /// The reactor's counters.
 pub type ShardCounters = Counters<Shard, 15>;
 /// A broadcast bus's counters.
@@ -340,9 +343,9 @@ mod tests {
 
     #[test]
     fn every_family_names_its_counters_once_in_snake_case() {
-        assert_names::<Server, 6>(
+        assert_names::<Server, 7>(
             "clients_current clients_total evicted_slow protocol_errors \
-             disconnects inline_events",
+             disconnects inline_events update_skips",
         );
         assert_names::<Shard, 15>(
             "fd_count readiness_events wakeups partial_reads read_calls frames staged_frames \

@@ -290,13 +290,14 @@ impl BroadcastBus {
     /// Fetches up to `max` consecutive chunks starting at `cursor`,
     /// applying the lag policy: a cursor that fell off the ring tail
     /// skips ahead to the live edge minus the preroll.  Appends `Arc`
-    /// clones to `out`; returns the new cursor plus skip/lag accounting
-    /// (also recorded in the bus stats).
+    /// clones to `out` (a listener's write queue, in the reactor); returns
+    /// the new cursor plus skip/lag accounting (also recorded in the bus
+    /// stats).
     pub fn fetch_batch(
         &self,
         cursor: u64,
         max: usize,
-        out: &mut VecDeque<Arc<BroadcastChunk>>,
+        out: &mut impl Extend<Arc<BroadcastChunk>>,
     ) -> FetchInfo {
         let mut info = FetchInfo {
             next_cursor: cursor,
@@ -316,11 +317,9 @@ impl BroadcastBus {
             info.skipped = live - seq;
             seq = live;
         }
-        while seq < self.next_seq && out.len() < max {
-            out.push_back(Arc::clone(&self.chunks[(seq - oldest) as usize]));
-            seq += 1;
-        }
-        info.next_cursor = seq;
+        let end = self.next_seq.min(seq.saturating_add(max as u64));
+        out.extend((seq..end).map(|s| Arc::clone(&self.chunks[(s - oldest) as usize])));
+        info.next_cursor = end;
         self.stats.add(lag_bucket(info.lag), 1);
         if info.skipped > 0 {
             self.stats.add(Bus::SkipAheads, 1);

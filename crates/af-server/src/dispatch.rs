@@ -257,7 +257,8 @@ impl Handler for Dispatcher {
             match kind {
                 TaskKind::Update => {
                     self.update();
-                    let next = next_period(deadline, self.update_interval, now);
+                    let (next, skipped) = next_period(deadline, self.update_interval, now);
+                    self.core.stats.add(Server::UpdateSkips, u64::from(skipped));
                     self.tasks.schedule(next, TaskKind::Update);
                 }
                 TaskKind::WakeBlocked(device) => self.retry_suspended(Some(device)),

@@ -29,16 +29,19 @@
 //! together in a pooled staging buffer first.  The handler runs at once,
 //! on this thread, so a `GetTime` is `epoll_wait`, `read`, `write`.
 //!
-//! Reply path ([`Outbound`]): every connection has one deque of unwritten
-//! messages; the front is the message mid-write.  A reply is first offered
-//! to the socket directly, with one nonblocking `write`, when the deque is
-//! empty.  A message the socket takes whole never touches the deque; a
-//! short write, a would-block, an error, or a message with others ahead of
-//! it is pushed on the back (at most [`OUTBOUND_QUEUE_CAPACITY`] wait
-//! there), and at the end of the pass the reactor watches the socket's
-//! writability until the deque has drained, so bytes leave in issue order.
-//! In the steady state the socket takes every reply whole and the poller
-//! never watches for output.
+//! Write path: every socket the reactor writes, an AudioFile client's or a
+//! broadcast listener's, has one `WriteQueue` of items that own or share
+//! their bytes (a pooled reply, a response head, an `Arc`-shared chunk),
+//! and one flush drains it: up to `WRITE_BATCH` items per `writev`, whole
+//! items retired, write interest watched exactly while items wait, so
+//! bytes leave in issue order.  What goes on a queue is its owner's
+//! policy.  A reply ([`Outbound`]) is first offered to the socket
+//! directly, with one nonblocking `write`, when its queue is empty; a
+//! message the socket takes whole never touches the queue, anything else
+//! waits there (at most [`OUTBOUND_QUEUE_CAPACITY`] messages).  In the
+//! steady state the socket takes every reply whole and the poller never
+//! watches for output.  A listener's queue is refilled from the chunk
+//! ring whenever it drains.
 //!
 //! Other threads reach the reactor through [`Control`] only: a [`Call`]
 //! goes on a bounded queue, one byte on the self-pipe wakes the loop, and
@@ -120,8 +123,12 @@ const READ_SCRATCH_BYTES: usize = 64 * 1024;
 /// its pooled buffer instead of through the scratch (no second copy).
 const DIRECT_READ_MIN: usize = 2048;
 
-/// Chunks gathered into one vectored write on a broadcast listener.
-const BCAST_BATCH: usize = 8;
+/// Items gathered into one vectored write.
+const WRITE_BATCH: usize = 8;
+
+/// Chunks a broadcast listener's queue takes from the ring at a time: one
+/// vectored write's worth.
+const BCAST_BATCH: usize = WRITE_BATCH;
 
 /// Cap on a broadcast listener's HTTP request head; longer heads are
 /// treated as garbage and the connection is closed.
@@ -199,6 +206,116 @@ impl AsRawFd for SharedSock {
         match self {
             SharedSock::Tcp(s) => s.as_raw_fd(),
             SharedSock::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+/// One run of bytes waiting for a socket, owned or shared, never copied.
+enum Item {
+    /// A reply in its pooled buffer, which recycles when the item retires.
+    Reply(PooledBuf),
+    /// A broadcast listener's response head.
+    Head(&'static [u8]),
+    /// A broadcast chunk in its HTTP chunked-transfer framing.
+    Wire(Arc<BroadcastChunk>),
+    /// A broadcast chunk's raw payload, for an ICY listener.
+    Payload(Arc<BroadcastChunk>),
+}
+
+impl Item {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Item::Reply(buf) => buf,
+            Item::Head(head) => head,
+            Item::Wire(chunk) => chunk.wire(),
+            Item::Payload(chunk) => chunk.payload(),
+        }
+    }
+}
+
+/// The bytes waiting for one socket, oldest first, and the one way they
+/// leave it ([`WriteQueue::flush`]).  What goes on it, and what a queue
+/// that stops draining costs its connection, is its owner's policy.
+#[derive(Default)]
+struct WriteQueue {
+    items: VecDeque<Item>,
+    /// Bytes of the front item already on the socket.
+    written: usize,
+    /// The poller is watching the socket's writability.
+    want_write: bool,
+}
+
+/// What one [`WriteQueue::flush`] did.
+#[derive(Default)]
+struct Flushed {
+    /// Bytes the socket took.
+    bytes: usize,
+    /// The peer is gone: the connection closes.
+    dead: bool,
+}
+
+impl WriteQueue {
+    /// Writes the queue out, up to [`WRITE_BATCH`] items per `writev`,
+    /// until it drains, the socket would block, or the peer is gone.
+    fn flush(&mut self, mut writev: impl FnMut(&[IoSlice]) -> io::Result<usize>) -> Flushed {
+        let mut done = Flushed::default();
+        while !self.items.is_empty() {
+            let mut slices = [IoSlice::new(&[]); WRITE_BATCH];
+            let (mut skip, mut wanted) = (self.written, 0);
+            for (slice, item) in slices.iter_mut().zip(&self.items) {
+                *slice = IoSlice::new(&item.bytes()[skip..]);
+                (skip, wanted) = (0, wanted + slice.len());
+            }
+            let count = self.items.len().min(WRITE_BATCH);
+            match writev(&slices[..count]) {
+                Ok(0) if wanted > 0 => done.dead = true,
+                Ok(n) => {
+                    done.bytes += n;
+                    self.retire(n);
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => done.dead = e.kind() != io::ErrorKind::WouldBlock,
+            }
+            break;
+        }
+        done
+    }
+
+    /// Watches the socket's writability exactly while items wait.  False
+    /// when the poller refused to watch waiting items: they would never
+    /// leave, so the caller fails the connection instead of wedging.
+    fn watch(&mut self, poller: &mut Poller, sock: &SharedSock, token: usize) -> bool {
+        let want = !self.items.is_empty();
+        if want == self.want_write {
+            return true;
+        }
+        let interest = if want {
+            Interest::ReadWrite
+        } else {
+            Interest::Read
+        };
+        let ok = poller
+            .reregister(sock.as_raw_fd(), token as u64, interest)
+            .is_ok();
+        if ok {
+            self.want_write = want;
+        }
+        ok || !want
+    }
+
+    /// Retires the items `n` more written bytes complete; the rest of a
+    /// cut one stays in front.
+    fn retire(&mut self, mut n: usize) {
+        while let Some(item) = self.items.front() {
+            let left = item.bytes().len() - self.written;
+            if n < left {
+                self.written += n;
+                return;
+            }
+            n -= left;
+            self.written = 0;
+            self.items.pop_front();
         }
     }
 }
@@ -332,15 +449,10 @@ impl ConnRef {
 struct ConnOut {
     id: ClientId,
     sock: SharedSock,
-    /// Oldest first; the front is the message mid-write.
-    queue: VecDeque<PooledBuf>,
-    /// Bytes of the front message already on the socket.
-    written: usize,
+    queue: WriteQueue,
     /// No further message is taken.  Set by [`Outbound::hang_up`], after
     /// which the reactor closes the connection once `queue` has drained.
     closed: bool,
-    /// The poller is watching the socket's writability.
-    want_write: bool,
 }
 
 /// Every AudioFile connection's write side, by poller token: the way
@@ -352,19 +464,19 @@ struct ConnOut {
 /// [`Outbound::deliver`] first attempts the *direct write*: one
 /// nonblocking `write` on the socket, allowed only when no earlier message
 /// is still waiting.  Whatever the socket would not take goes on the
-/// connection's bounded deque, which the reactor drains on write
+/// connection's bounded queue, which the reactor flushes on write
 /// readiness.
 #[derive(Default)]
 pub struct Outbound {
     conns: Vec<Option<ConnOut>>,
-    /// Tokens of connections whose deque took its first waiting message
+    /// Tokens of connections whose queue took its first waiting message
     /// since the end of the last pass: the reactor flushes them then, and
     /// watches writability while bytes stay stalled.
     stalled: Vec<usize>,
-    /// Emptied deques of closed connections, for the next ones: a deque
+    /// Emptied queues of closed connections, for the next ones: a queue
     /// keeps the room its longest backlog took, so a client that falls
     /// behind costs the allocator nothing once one has before.
-    spare: Vec<VecDeque<PooledBuf>>,
+    spare: Vec<VecDeque<Item>>,
     /// The reactor's counters ([`Reactor::stats`]).
     stats: Arc<ShardCounters>,
 }
@@ -380,33 +492,33 @@ fn find(conns: &mut [Option<ConnOut>], conn: ConnRef) -> Option<&mut ConnOut> {
 impl Outbound {
     /// Sends one message toward `conn` without blocking: straight to the
     /// socket when nothing is ahead of it, otherwise (or for the unwritten
-    /// remainder) onto the deque.  The caller maps [`Refused::Full`] onto
+    /// remainder) onto the queue.  The caller maps [`Refused::Full`] onto
     /// the slow-client overflow policy; a refused `buf` recycles.
     pub fn deliver(&mut self, conn: ConnRef, buf: PooledBuf) -> Result<(), Refused> {
         let Some(out) = find(&mut self.conns, conn).filter(|out| !out.closed) else {
             return Err(Refused::Closed);
         };
-        if out.queue.len() >= OUTBOUND_QUEUE_CAPACITY {
+        let queue = &mut out.queue;
+        if queue.items.len() >= OUTBOUND_QUEUE_CAPACITY {
             return Err(Refused::Full);
         }
-        if out.queue.is_empty() {
+        if queue.items.is_empty() {
             match out.sock.write_shared(&buf) {
                 Ok(n) if n == buf.len() => {
                     self.stats.add(stats::Shard::Replies, 1);
                     self.stats.add(stats::Shard::DirectWrites, 1);
                     return Ok(());
                 }
-                // Short write: the reactor finishes the message, exactly
-                // as for a queued one.
-                Ok(n) => out.written = n,
-                // Would block or an error: queue it, so the reactor's
-                // flush meets the same condition and handles it on the
-                // one close path.
+                // Short write: the flush finishes the message, exactly as
+                // for a queued one.
+                Ok(n) => queue.written = n,
+                // Would block or an error: queue it, so the flush meets
+                // the same condition and handles it on the one close path.
                 Err(_) => {}
             }
             self.stalled.push(conn.token);
         }
-        out.queue.push_back(buf);
+        queue.items.push_back(Item::Reply(buf));
         self.stats.add(stats::Shard::QueuedWrites, 1);
         Ok(())
     }
@@ -429,8 +541,8 @@ impl Outbound {
             out.closed = true;
             // Not an eviction, so not counted as one.  With messages
             // waiting, the reactor closes the connection when its flush
-            // drains the deque.
-            if out.queue.is_empty() {
+            // drains the queue.
+            if out.queue.items.is_empty() {
                 out.sock.shutdown();
             }
         }
@@ -444,24 +556,25 @@ impl Outbound {
         self.conns[token] = Some(ConnOut {
             id,
             sock,
-            queue: self.spare.pop().unwrap_or_default(),
-            written: 0,
+            queue: WriteQueue {
+                items: self.spare.pop().unwrap_or_default(),
+                ..WriteQueue::default()
+            },
             closed: false,
-            want_write: false,
         });
         ConnRef { token, id }
     }
 
     /// The reactor's half of closing: the write side goes, its unwritten
-    /// messages recycle, and a deque that ever held one is kept.
+    /// messages recycle, and a queue that ever held one is kept.
     fn close(&mut self, token: usize) {
         let Some(out) = self.conns.get_mut(token).and_then(Option::take) else {
             return;
         };
-        let mut queue = out.queue;
-        if queue.capacity() > 0 && self.spare.len() < SPARE_QUEUES {
-            queue.clear();
-            self.spare.push(queue);
+        let mut items = out.queue.items;
+        if items.capacity() > 0 && self.spare.len() < SPARE_QUEUES {
+            items.clear();
+            self.spare.push(items);
         }
     }
 }
@@ -469,16 +582,16 @@ impl Outbound {
 #[cfg(test)]
 impl Outbound {
     /// A connection no reactor owns: its socket's peer is gone, so every
-    /// direct write fails and every message waits on the deque, which
+    /// direct write fails and every message waits on the queue, which
     /// nothing drains.
     pub(crate) fn detached(&mut self, id: ClientId) -> ConnRef {
         let (sock, _peer) = UnixStream::pair().expect("socketpair");
         self.open(self.conns.len(), id, SharedSock::Unix(Rc::new(sock)))
     }
 
-    /// Messages waiting on `conn`'s deque.
+    /// Messages waiting on `conn`'s queue.
     pub(crate) fn queued(&mut self, conn: ConnRef) -> usize {
-        find(&mut self.conns, conn).map_or(0, |out| out.queue.len())
+        find(&mut self.conns, conn).map_or(0, |out| out.queue.items.len())
     }
 
     /// Connections kicked.
@@ -545,8 +658,8 @@ enum BcastPhase {
 }
 
 /// One broadcast listener.  Holds no audio of its own — only a cursor
-/// into the shared chunk ring plus the batch of `Arc`-shared chunks
-/// currently being written.
+/// into the shared chunk ring, and a queue of the response head and the
+/// `Arc`-shared chunks being written.
 struct BcastConn {
     sock: SharedSock,
     phase: BcastPhase,
@@ -556,17 +669,19 @@ struct BcastConn {
     icy: bool,
     /// Next chunk sequence number this listener wants.
     cursor: u64,
-    /// Response head still to write: `(bytes, offset)`.
-    header: Option<(&'static [u8], usize)>,
-    /// Fetched chunks being written; front is in flight.  (`Arc`, not
-    /// `Rc`, for the bus's sake: see [`BroadcastBus`].)
-    batch: VecDeque<Arc<BroadcastChunk>>,
-    /// Bytes of the front chunk's wire slice already written.
-    off: usize,
-    want_write: bool,
+    out: WriteQueue,
     /// Consecutive chunk publishes with pending data and zero write
     /// progress (the stalled-listener eviction trigger).
     strikes: u32,
+}
+
+/// Where [`BroadcastBus::fetch_batch`] puts a listener's chunks: on its
+/// queue, in its framing.
+impl Extend<Arc<BroadcastChunk>> for BcastConn {
+    fn extend<I: IntoIterator<Item = Arc<BroadcastChunk>>>(&mut self, chunks: I) {
+        let framed = if self.icy { Item::Payload } else { Item::Wire };
+        self.out.items.extend(chunks.into_iter().map(framed));
+    }
 }
 
 /// Index of the byte just past the request head's blank line, if the
@@ -650,32 +765,6 @@ fn poll_timeout(deadline: Option<Instant>, now: Instant) -> i32 {
             .saturating_add(u64::from(wait.subsec_nanos().div_ceil(1_000_000)));
         i32::try_from(ms).unwrap_or(i32::MAX)
     })
-}
-
-/// Watches `fd`'s writability exactly while `want` says bytes are
-/// stalled.  False when the poller refused the change: a stalled message
-/// would then never drain, so the caller fails the connection instead of
-/// wedging.
-fn watch_writes(
-    poller: &mut Poller,
-    fd: RawFd,
-    token: usize,
-    armed: &mut bool,
-    want: bool,
-) -> bool {
-    if want == *armed {
-        return true;
-    }
-    let interest = if want {
-        Interest::ReadWrite
-    } else {
-        Interest::Read
-    };
-    let ok = poller.reregister(fd, token as u64, interest).is_ok();
-    if ok {
-        *armed = want;
-    }
-    ok
 }
 
 impl<H: Handler> Shard<H> {
@@ -774,7 +863,7 @@ impl<H: Handler> Shard<H> {
     /// arming write interest for what their sockets still refuse.
     fn flush_stalled(&mut self) {
         while let Some(token) = self.handler.outbound().stalled.pop() {
-            self.flush_conn(token, true);
+            self.flush_conn(token);
         }
     }
 
@@ -809,10 +898,10 @@ impl<H: Handler> Shard<H> {
                     req: Vec::with_capacity(256),
                     icy: false,
                     cursor: 0,
-                    header: None,
-                    batch: VecDeque::with_capacity(BCAST_BATCH),
-                    off: 0,
-                    want_write: false,
+                    out: WriteQueue {
+                        items: VecDeque::with_capacity(BCAST_BATCH),
+                        ..WriteQueue::default()
+                    },
                     strikes: 0,
                 }))
             }
@@ -840,7 +929,7 @@ impl<H: Handler> Shard<H> {
             Some(Some(Slot::Listen(_))) => self.accept_ready(token),
             Some(Some(Slot::Conn(_))) => {
                 if ev.writable {
-                    self.flush_conn(token, false);
+                    self.flush_conn(token);
                 }
                 if ev.readable {
                     self.read_conn(token);
@@ -886,48 +975,20 @@ impl<H: Handler> Shard<H> {
         }
     }
 
-    /// Writes the connection's outbound deque out as far as the socket
-    /// allows, watching writability only while a message is actually
-    /// stalled.  A deque that drains after `hang_up` closes the
-    /// connection.  `stalled`: called from the end-of-pass sweep, where a
-    /// poller that refuses to watch fails the connection (its messages
-    /// would never leave).
-    fn flush_conn(&mut self, token: usize, stalled: bool) {
+    /// Flushes the connection's reply queue; each message retired is a
+    /// reply.  A queue that drains after `hang_up` closes the connection.
+    fn flush_conn(&mut self, token: usize) {
         let out = self.handler.outbound();
         let Some(conn) = out.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
-        let mut dead = false;
-        let want = loop {
-            let Some(buf) = conn.queue.front() else {
-                dead = conn.closed;
-                break false;
-            };
-            match conn.sock.write_shared(&buf[conn.written..]) {
-                Ok(0) => {
-                    dead = true;
-                    break true;
-                }
-                Ok(n) => {
-                    conn.written += n;
-                    if conn.written == buf.len() {
-                        conn.written = 0;
-                        conn.queue.pop_front(); // Recycles the pooled buffer.
-                        out.stats.add(stats::Shard::Replies, 1);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    dead = true;
-                    break true;
-                }
-            }
-        };
-        let fd = conn.sock.as_raw_fd();
-        if dead
-            || (!watch_writes(&mut self.poller, fd, token, &mut conn.want_write, want)
-                && (stalled || want))
+        let queued = conn.queue.items.len();
+        let flushed = conn.queue.flush(|bufs| conn.sock.write_vectored(bufs));
+        let replies = queued - conn.queue.items.len();
+        out.stats.add(stats::Shard::Replies, replies as u64);
+        if flushed.dead
+            || !conn.queue.watch(&mut self.poller, &conn.sock, token)
+            || (conn.closed && conn.queue.items.is_empty())
         {
             if let Some(Some(Slot::Conn(conn))) = self.slots.get_mut(token).map(Option::take) {
                 self.close_conn(token, conn, None);
@@ -1003,14 +1064,11 @@ impl<H: Handler> Shard<H> {
         // `/;` is the SHOUTcast convention for "give me the ICY stream";
         // a `.icy` suffix is accepted as an explicit spelling.
         conn.icy = path == b"/;" || path.ends_with(b".icy");
-        conn.header = Some((
-            if conn.icy {
-                crate::broadcast::ICY_STREAM_HEADER
-            } else {
-                crate::broadcast::HTTP_STREAM_HEADER
-            },
-            0,
-        ));
+        conn.out.items.push_back(Item::Head(if conn.icy {
+            crate::broadcast::ICY_STREAM_HEADER
+        } else {
+            crate::broadcast::HTTP_STREAM_HEADER
+        }));
         conn.cursor = bus.join_cursor();
         conn.phase = BcastPhase::Streaming;
         sb.stats.add(Bus::Listeners, 1);
@@ -1018,138 +1076,62 @@ impl<H: Handler> Shard<H> {
         true
     }
 
-    /// Writes a broadcast listener forward: response head first, then
-    /// batches of `Arc`-shared ring chunks via one vectored write per
-    /// round, until the socket would block or the cursor reaches the live
-    /// edge.  `strike` is true on the publish-driven dirty pass, where
-    /// zero progress with pending bytes counts toward stall eviction.
+    /// Writes a broadcast listener forward: its queue (the response head,
+    /// then `Arc`-shared ring chunks, which no listener copies) is flushed,
+    /// and refilled from the ring each time it drains, until the socket
+    /// would block or the cursor reaches the live edge.  `strike` is true
+    /// on the publish-driven dirty pass, where zero progress with pending
+    /// bytes counts toward stall eviction.
     fn pump_bcast(&mut self, token: usize, strike: bool) {
-        let Some(slot) = self.slots.get_mut(token) else {
+        let Some(Some(Slot::Bcast(conn))) = self.slots.get_mut(token) else {
             return;
         };
-        let Some(Slot::Bcast(mut conn)) = slot.take() else {
+        let Some(bus) = self.handler.broadcast() else {
             return;
         };
         if matches!(conn.phase, BcastPhase::Request) {
-            self.slots[token] = Some(Slot::Bcast(conn));
             return;
         }
-        let Some(bus) = self.handler.broadcast() else {
-            self.close_bcast(token, *conn);
-            return;
-        };
-        let (stall_strikes, bus_stats) = (bus.config().stall_strikes, Arc::clone(bus.stats()));
         let mut progressed = false;
-        let mut dead = false;
-        loop {
-            // Flush the response head before any chunk bytes.
-            if let Some((head, off)) = conn.header.as_mut() {
-                match conn.sock.write_shared(&head[*off..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        *off += n;
-                        progressed = true;
-                        if *off == head.len() {
-                            conn.header = None;
-                        } else {
-                            continue;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+        let dead = loop {
+            if conn.out.items.is_empty() {
+                // The refill applies the skip-ahead lag policy.
+                conn.cursor = bus
+                    .fetch_batch(conn.cursor, BCAST_BATCH, &mut **conn)
+                    .next_cursor;
+                if conn.out.items.is_empty() {
+                    break false; // At the live edge.
                 }
             }
-            // Refill the write batch from the shared ring (applies the
-            // skip-ahead lag policy and its accounting).
-            if conn.batch.is_empty() {
-                let info = bus.fetch_batch(conn.cursor, BCAST_BATCH, &mut conn.batch);
-                conn.cursor = info.next_cursor;
-                if conn.batch.is_empty() {
-                    break; // At the live edge.
-                }
-            }
-            // One vectored write over the whole batch.  The slices borrow
-            // the `Arc`-shared chunk bytes directly: this is the zero-copy
-            // fan-out — no listener-side buffer exists at all.
-            let result = {
-                let c = &mut *conn;
-                let mut slices: [IoSlice; BCAST_BATCH] = std::array::from_fn(|_| IoSlice::new(&[]));
-                let mut count = 0;
-                for chunk in c.batch.iter().take(BCAST_BATCH) {
-                    let s = if c.icy { chunk.payload() } else { chunk.wire() };
-                    slices[count] = IoSlice::new(if count == 0 { &s[c.off..] } else { s });
-                    count += 1;
-                }
-                c.sock.write_vectored(&slices[..count])
+            // The response head's bytes are not fanned-out audio.
+            let head = match conn.out.items.front() {
+                Some(Item::Head(head)) => head.len() - conn.out.written,
+                _ => 0,
             };
-            match result {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    bus_stats.add(Bus::BytesFannedOut, n as u64);
-                    // Retire fully written chunks; remember the offset
-                    // into a partially written front.
-                    let mut left = n;
-                    while left > 0 {
-                        let Some(chunk) = conn.batch.front() else {
-                            break;
-                        };
-                        let total = if conn.icy {
-                            chunk.payload().len()
-                        } else {
-                            chunk.wire().len()
-                        };
-                        let front_left = total - conn.off;
-                        if left >= front_left {
-                            conn.batch.pop_front();
-                            conn.off = 0;
-                            left -= front_left;
-                        } else {
-                            conn.off += left;
-                            left = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
+            let flushed = conn.out.flush(|bufs| conn.sock.write_vectored(bufs));
+            progressed |= flushed.bytes > 0;
+            let fanned = flushed.bytes.saturating_sub(head) as u64;
+            bus.stats().add(Bus::BytesFannedOut, fanned);
+            if flushed.dead || !conn.out.items.is_empty() {
+                break flushed.dead;
             }
-        }
-        if dead {
-            self.close_bcast(token, *conn);
-            return;
-        }
-        let pending = conn.header.is_some() || !conn.batch.is_empty();
+        };
+        let mut evict = false;
         if progressed {
             conn.strikes = 0;
-        } else if strike && pending {
+        } else if strike && !conn.out.items.is_empty() {
             conn.strikes += 1;
-            if conn.strikes >= stall_strikes {
-                self.stats.add(stats::Shard::Evictions, 1);
-                bus_stats.add(Bus::Evictions, 1);
+            evict = conn.strikes >= bus.config().stall_strikes;
+        }
+        if evict {
+            self.stats.add(stats::Shard::Evictions, 1);
+            bus.stats().add(Bus::Evictions, 1);
+        }
+        if dead || evict || !conn.out.watch(&mut self.poller, &conn.sock, token) {
+            if let Some(Some(Slot::Bcast(conn))) = self.slots.get_mut(token).map(Option::take) {
                 self.close_bcast(token, *conn);
-                return;
             }
         }
-        let fd = conn.sock.as_raw_fd();
-        if !watch_writes(&mut self.poller, fd, token, &mut conn.want_write, pending) && pending {
-            self.close_bcast(token, *conn);
-            return;
-        }
-        self.slots[token] = Some(Slot::Bcast(conn));
     }
 
     fn close_bcast(&mut self, token: usize, conn: BcastConn) {
@@ -2047,9 +2029,139 @@ mod tests {
     /// derived from `seq` so any reordering, interleaving or loss shows.
     fn ordered_message(seq: u32) -> Vec<u8> {
         let len = if seq % 4 == 3 { 8192 } else { 12 };
+        sized_message(seq, len)
+    }
+
+    /// Message `seq`, `len` bytes long, as `ordered_message` makes them.
+    fn sized_message(seq: u32, len: usize) -> Vec<u8> {
         let mut msg: Vec<u8> = (0..len).map(|i| (seq as usize * 31 + i) as u8).collect();
         msg[..4].copy_from_slice(&seq.to_le_bytes());
         msg
+    }
+
+    #[test]
+    fn a_reply_backlog_drains_in_issue_order_to_a_peer_reading_97_bytes_at_a_time() {
+        // Replies go out directly until the socket is full; then 64 more,
+        // 12 B to 8 KB in a shuffled ramp, wait on the queue behind them,
+        // and the flush drains the backlog in vectored writes while the
+        // peer reads 97 bytes at a time.
+        let (h, addr) = start();
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.write_all(&ConnSetup::new().encode().unwrap()).unwrap();
+        let conn = new_client(&h.rx).3;
+        let sent = h.jobs.run(move |cap| {
+            let out = &mut cap.outbound;
+            let mut sent = Vec::new();
+            while out.queued(conn) == 0 {
+                let msg = sized_message(sent.len() as u32, 64 * 1024);
+                out.deliver(conn, msg.clone().into()).unwrap();
+                sent.push(msg);
+            }
+            for i in 0..64 {
+                let len = 12 + (i * 37 % 64) * (8192 - 12) / 63;
+                let msg = sized_message(sent.len() as u32, len);
+                out.deliver(conn, msg.clone().into()).unwrap();
+                sent.push(msg);
+            }
+            assert_eq!(out.queued(conn), 65, "the 64 replies did not queue");
+            sent
+        });
+        let want = sent.concat();
+        let mut got = Vec::with_capacity(want.len());
+        let mut piece = [0u8; 97];
+        sock.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        while got.len() < want.len() {
+            let n = sock.read(&mut piece).unwrap();
+            assert!(n > 0, "end-of-file after {} bytes", got.len());
+            got.extend_from_slice(&piece[..n]);
+        }
+        assert!(got == want, "the stream diverged from the issue order");
+        wait_until("every reply to count", || {
+            h.totals()[Replies] == sent.len() as u64
+        });
+        assert_eq!(h.totals()[QueuedWrites], 65);
+        h.shutdown();
+    }
+
+    /// A socket that takes at most `cap` bytes a call and then would block
+    /// once, so every flush stops on a short write.
+    struct Trickle {
+        got: Vec<u8>,
+        cap: usize,
+        full: bool,
+    }
+
+    impl Trickle {
+        fn writev(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.full = !self.full;
+            if !self.full {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let start = self.got.len();
+            for buf in bufs {
+                let room = self.cap - (self.got.len() - start);
+                self.got.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.got.len() - start)
+        }
+    }
+
+    #[test]
+    fn a_listener_queue_cut_mid_head_and_mid_chunk_delivers_every_byte() {
+        let mut bus = BroadcastBus::new(small_cfg(), 1, 0xFF);
+        for i in 0..3u8 {
+            bus.publish(&[i; 4]);
+        }
+        for icy in [false, true] {
+            let (sock, _peer) = UnixStream::pair().unwrap();
+            let head = if icy {
+                crate::broadcast::ICY_STREAM_HEADER
+            } else {
+                crate::broadcast::HTTP_STREAM_HEADER
+            };
+            let mut conn = BcastConn {
+                sock: SharedSock::Unix(Rc::new(sock)),
+                phase: BcastPhase::Streaming,
+                req: Vec::new(),
+                icy,
+                cursor: 0,
+                out: WriteQueue::default(),
+                strikes: 0,
+            };
+            conn.out.items.push_back(Item::Head(head));
+            let fetched = bus.fetch_batch(0, BCAST_BATCH, &mut conn);
+            assert_eq!(fetched.next_cursor, 3);
+            let mut want = head.to_vec();
+            for i in 0..3u8 {
+                if !icy {
+                    want.extend_from_slice(b"4\r\n");
+                }
+                want.extend_from_slice(&[i; 4]);
+                if !icy {
+                    want.extend_from_slice(b"\r\n");
+                }
+            }
+            let mut sink = Trickle {
+                got: Vec::new(),
+                cap: 3,
+                full: false,
+            };
+            let (mut head_cut, mut chunk_cut) = (false, false);
+            while !conn.out.items.is_empty() {
+                let flushed = conn.out.flush(|bufs| sink.writev(bufs));
+                assert!(!flushed.dead);
+                assert!(flushed.bytes <= 3);
+                let cut = conn.out.written > 0;
+                match conn.out.items.front() {
+                    Some(Item::Head(_)) => head_cut |= cut,
+                    Some(Item::Wire(c) | Item::Payload(c)) if c.seq() == 0 => chunk_cut |= cut,
+                    _ => {}
+                }
+            }
+            assert!(head_cut && chunk_cut, "icy {icy}: no cut mid-item");
+            assert!(sink.got == want, "icy {icy}: the stream diverged");
+        }
     }
 
     /// The 100 request payloads of the coalescing tests, sent right after

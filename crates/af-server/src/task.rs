@@ -62,15 +62,16 @@ impl TaskQueue {
 /// When a periodic task that was due at `deadline` fires next: one
 /// `interval` after that deadline, or — if the pop came so late that this
 /// is already past — the first later multiple still ahead of `now`, so a
-/// stall is followed by one run, not a burst of catch-up runs.
-pub fn next_period(deadline: Instant, interval: Duration, now: Instant) -> Instant {
+/// stall is followed by one run, not a burst of catch-up runs.  Also how
+/// many periods that jumped over without a run.
+pub fn next_period(deadline: Instant, interval: Duration, now: Instant) -> (Instant, u32) {
     let next = deadline + interval;
     if next > now {
-        return next;
+        return (next, 0);
     }
     let behind = now.duration_since(deadline).as_nanos();
-    let periods = behind / interval.as_nanos().max(1) + 1;
-    deadline + interval * u32::try_from(periods).unwrap_or(u32::MAX)
+    let periods = u32::try_from(behind / interval.as_nanos().max(1) + 1).unwrap_or(u32::MAX);
+    (deadline + interval * periods, periods - 1)
 }
 
 #[cfg(test)]
@@ -149,7 +150,9 @@ mod tests {
             let due = drain_due(&mut q, now);
             assert_eq!(due.len(), 1);
             last = due[0].0;
-            q.schedule(next_period(last, interval, now), TaskKind::Update);
+            let (next, skipped) = next_period(last, interval, now);
+            assert_eq!(skipped, 0);
+            q.schedule(next, TaskKind::Update);
         }
         assert_eq!(last, start + interval * 1000);
     }
@@ -160,13 +163,14 @@ mod tests {
         let t0 = Instant::now();
         // Popped 3.5 intervals late: the next firing is the 4th multiple,
         // still on the original grid, and strictly in the future.
+        // The three periods it jumps over are counted.
         let now = t0 + interval * 7 / 2;
-        assert_eq!(next_period(t0, interval, now), t0 + interval * 4);
+        assert_eq!(next_period(t0, interval, now), (t0 + interval * 4, 3));
         // Exactly on a grid point counts as past.
         assert_eq!(
             next_period(t0, interval, t0 + interval * 2),
-            t0 + interval * 3
+            (t0 + interval * 3, 2)
         );
-        assert_eq!(next_period(t0, interval, t0), t0 + interval);
+        assert_eq!(next_period(t0, interval, t0), (t0 + interval, 0));
     }
 }

@@ -13,8 +13,10 @@
 //! tests take turns.
 
 use audiofile::client::{AcAttributes, AcMask, AudioConn};
+use audiofile::device::fec::FEC_GROUP_WINDOW;
 use audiofile::device::lineserver::LineServerFirmware;
 use audiofile::device::{Clock, NullSink, SilenceSource, SystemClock, ToneSource, VirtualClock};
+use audiofile::device::{FecConfig, FecDecoder, FecEncoder, FecFrame};
 use audiofile::dsp::Encoding;
 use audiofile::proto::{ByteOrder, ConnSetup, Request};
 use audiofile::server::stats::Server;
@@ -360,6 +362,72 @@ fn a_lineserver_device_with_fec_allocates_nothing_on_the_reactor_thread() {
     relay.thread.join().unwrap();
     stop.store(true, Ordering::Relaxed);
     firmware.join().unwrap();
+}
+
+#[test]
+fn fec_recovery_allocates_nothing_on_a_reactor_thread() {
+    let _serial = serial();
+    const RECOVERED: usize = 50;
+    let cfg = FecConfig::new(4, 2);
+    let groups = FEC_GROUP_WINDOW + RECOVERED;
+    // 20 to 180 bytes, each payload led by its number: shorter shards are
+    // summed into a longer group's parity, and a recovered payload says
+    // which one it is.
+    let payloads: Vec<Vec<u8>> = (0..groups * cfg.k)
+        .map(|n| {
+            let mut p: Vec<u8> = (0..20 + n * 53 % 161).map(|i| (n * 7 + i) as u8).collect();
+            p[..4].copy_from_slice(&(n as u32).to_le_bytes());
+            p
+        })
+        .collect();
+    let mut encoder = FecEncoder::new(cfg);
+    let mut frames = Vec::new();
+    for p in &payloads {
+        encoder.push(p, |f| frames.push(f.to_vec()));
+    }
+    let per_group = cfg.k + cfg.m;
+    assert_eq!(frames.len(), groups * per_group);
+    // The decoder runs where the link's does: on a thread the allocator
+    // counts.
+    let thread = std::thread::Builder::new().name("af-reactor-fec".into());
+    let (allocs, seen, recovered) = thread
+        .spawn(move || {
+            let mut decoder = FecDecoder::new();
+            let mut seen = vec![0u32; payloads.len()];
+            let mut feed = |decoder: &mut FecDecoder, group: usize, dropped: Option<usize>| {
+                let frames = &frames[group * per_group..][..per_group];
+                for (i, frame) in frames.iter().enumerate() {
+                    if Some(i) == dropped {
+                        continue;
+                    }
+                    decoder.push(FecFrame::decode(frame).unwrap(), |p| {
+                        let n = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
+                        assert!(p == payloads[n].as_slice(), "payload {n} differs");
+                        seen[n] += 1;
+                    });
+                }
+            };
+            // Warm: the window's groups arrive whole, so every shard
+            // buffer the decoder keeps has been filled once.
+            for group in 0..FEC_GROUP_WINDOW {
+                feed(&mut decoder, group, None);
+            }
+            let before = REACTOR_ALLOCS.load(Ordering::Relaxed);
+            for group in FEC_GROUP_WINDOW..groups {
+                feed(&mut decoder, group, Some(group % cfg.k));
+            }
+            let allocs = REACTOR_ALLOCS.load(Ordering::Relaxed) - before;
+            (allocs, seen, decoder.stats().recovered)
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(seen.iter().all(|&n| n == 1), "a payload lost or repeated");
+    assert_eq!(recovered, RECOVERED as u64);
+    assert_eq!(
+        allocs, 0,
+        "heap allocations recovering one data shard in each of {RECOVERED} FEC groups"
+    );
 }
 
 #[test]
