@@ -109,7 +109,8 @@ fn main() {
         eprintln!("afd: LineServer firmware at {addr}");
         (b, None)
     } else {
-        let (b, phone) = ServerBuilder::lofi(clock.clone());
+        let hifi_clock = Arc::new(SystemClock::new(44_100));
+        let (b, phone) = ServerBuilder::lofi(clock.clone(), hifi_clock);
         (b, Some(phone))
     };
 

@@ -80,12 +80,22 @@ pub struct VirtualAudioHw {
 
 impl VirtualAudioHw {
     /// Creates a device over `clock` with the given endpoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock`'s nominal rate is not `cfg.rate`: the clock is
+    /// the device's oscillator.
     pub fn new(
         cfg: HwConfig,
         clock: SharedClock,
         sink: Box<dyn SampleSink>,
         source: Box<dyn SampleSource>,
     ) -> VirtualAudioHw {
+        assert_eq!(
+            clock.nominal_rate(),
+            cfg.rate,
+            "the device's clock must tick at its rate"
+        );
         let fill = cfg.silence_byte();
         let now = clock.now();
         VirtualAudioHw {
@@ -225,6 +235,17 @@ mod tests {
             Box::new(SilenceSource::new(0xFF)),
         );
         (hw, clock, capture)
+    }
+
+    #[test]
+    #[should_panic(expected = "the device's clock must tick at its rate")]
+    fn a_hifi_device_refuses_an_8_khz_clock() {
+        VirtualAudioHw::new(
+            HwConfig::hifi(),
+            Arc::new(VirtualClock::new(8000)),
+            Box::new(crate::io::NullSink),
+            Box::new(SilenceSource::new(0)),
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// LineServer buffer size: 2048 samples, "1/4 second at 8 kHz".
 pub const LS_BUFFER_SAMPLES: u32 = 2048;
@@ -50,7 +50,7 @@ const LS_MAX_PEERS: usize = 16;
 /// replies) a link queues for the backend before dropping the oldest.
 const LINK_AUDIO_QUEUE: usize = 64;
 
-/// How many unanswered clock probes a link remembers the send instants of.
+/// How many unanswered clock probes a link remembers the send readings of.
 const LINK_PROBES: usize = 8;
 
 /// The six packet function codes.
@@ -188,6 +188,18 @@ struct Peer {
     fec_rx: FecDecoder,
     /// Sequence number of the newest register change run.
     newest_change: Option<u32>,
+    /// What the peer's plays wrote into the play ring.
+    filled: Filled,
+}
+
+/// For each play-ring sample, the device time and sequence number of the
+/// play that wrote it, once one has; sized on a peer's first play.
+type Filled = Vec<Option<(ATime, u32)>>;
+
+/// The play-ring slot of device time `t`.
+#[expect(clippy::disallowed_methods, reason = "indexes a ring by raw time")]
+fn slot(t: ATime) -> usize {
+    (t.ticks() % LS_BUFFER_SAMPLES) as usize
 }
 
 /// The firmware's one admission rule, for plain and FEC-recovered requests
@@ -280,11 +292,16 @@ impl LineServerFirmware {
         let mut peer = self.peers.remove(&from).unwrap_or_default();
         match datagram {
             Datagram::Frame(frame) => {
-                let newest_change = &mut peer.newest_change;
-                peer.fec_rx.push(frame, |payload| {
+                let Peer {
+                    fec_rx,
+                    newest_change,
+                    filled,
+                    ..
+                } = &mut peer;
+                fec_rx.push(frame, |payload| {
                     if let Some(req) = LsPacket::decode(payload) {
                         if admit(newest_change, &req) {
-                            self.process(req);
+                            self.process(req, filled);
                         }
                     }
                 });
@@ -292,7 +309,7 @@ impl LineServerFirmware {
             Datagram::Packet(req) if admit(&mut peer.newest_change, &req) => {
                 let function = req.function;
                 let mut tx = std::mem::take(&mut self.tx);
-                self.process(req).encode_into(&mut tx);
+                self.process(req, &mut peer.filled).encode_into(&mut tx);
                 // While FEC is enabled, Record replies (the loss-sensitive,
                 // unretried audio path) go out FEC-framed; everything else
                 // stays plain.
@@ -323,15 +340,14 @@ impl LineServerFirmware {
         self.peers.insert(from, peer);
     }
 
-    /// Processes one request into its reply.
-    pub fn process(&mut self, req: LsPacket<'_>) -> LsPacket<'_> {
+    /// Processes one request from a peer, whose plays so far wrote
+    /// `filled`, into its reply.
+    fn process(&mut self, req: LsPacket<'_>, filled: &mut Filled) -> LsPacket<'_> {
         let mut time = self.hw.service();
         let mut aux = req.aux;
         self.reply_data.clear();
         match req.function {
-            LsFunction::Play => {
-                self.hw.write_play(req.time, req.data);
-            }
+            LsFunction::Play => self.play_newest(req, filled),
             LsFunction::Record => {
                 let n = u32::from(req.aux).min(LS_BUFFER_SAMPLES);
                 self.reply_data.resize(n as usize, 0);
@@ -370,6 +386,28 @@ impl LineServerFirmware {
             data: &self.reply_data,
         }
     }
+
+    /// Writes a play's samples, except those whose device time a newer
+    /// play of the same peer already wrote: a re-sent span reaches the
+    /// speaker with its newest mix, whichever copy arrives last.
+    fn play_newest(&mut self, req: LsPacket<'_>, filled: &mut Filled) {
+        if filled.is_empty() {
+            filled.resize(LS_BUFFER_SAMPLES as usize, None);
+        }
+        // Kept samples are written in runs; `run` starts the open one.
+        let mut run = 0;
+        for i in 0..req.data.len() {
+            let t = req.time + i as u32;
+            let stamp = &mut filled[slot(t)];
+            if stamp.is_some_and(|(at, seq)| at == t && seq.wrapping_sub(req.seq) as i32 > 0) {
+                self.hw.write_play(req.time + run as u32, &req.data[run..i]);
+                run = i + 1;
+            } else {
+                *stamp = Some((t, req.seq));
+            }
+        }
+        self.hw.write_play(req.time + run as u32, &req.data[run..]);
+    }
 }
 
 /// The workstation side of the private protocol, used by the `Als` backend.
@@ -379,6 +417,10 @@ impl LineServerFirmware {
 /// already arrived and routes what they carry: recorded audio to
 /// [`Self::take_audio`], clock-probe replies to the time estimate, and
 /// register replies to the acknowledgement of their writes.
+///
+/// Nor does it read a clock: the caller hands [`Self::send`] and
+/// [`Self::estimate_time`] its local reading, in ticks of a clock at the
+/// LineServer's nominal rate.
 ///
 /// Once warm it allocates nothing: requests are encoded into a buffer it
 /// keeps, replies are decoded where they landed, and recorded audio waits
@@ -404,13 +446,13 @@ pub struct LineServerLink {
 /// The link's state that replies update, apart from the FEC decoder that
 /// hands them over.
 struct Routes {
-    /// `(local instant, remote time)` of the newest clock observation: the
-    /// send instant of the probe a reply answered, and the time stamp it
-    /// carried.  Before the first reply, the connect instant and time zero.
-    last_observation: (Instant, ATime),
-    /// `(seq, send instant)` of the clock probes not yet answered, oldest
+    /// `(local reading, remote time)` of the newest clock observation: the
+    /// reading the probe a reply answered was sent at, and the time stamp
+    /// it carried.  Before the first reply, time zero for both.
+    last_observation: (ATime, ATime),
+    /// `(seq, local reading)` of the clock probes not yet answered, oldest
     /// first.
-    probes: VecDeque<(u32, Instant)>,
+    probes: VecDeque<(u32, ATime)>,
     /// `(register, value)` of the register writes not yet acknowledged.
     writes: Vec<(u8, u16)>,
     /// Encoder for outbound `Play` traffic, set once the LineServer
@@ -429,7 +471,6 @@ impl LineServerLink {
     /// Connects to a LineServer at `addr`, from the unspecified address
     /// of its family: the kernel picks the source address that reaches it.
     /// The socket never blocks.
-    #[expect(clippy::disallowed_methods, reason = "anchors the estimate (§7.4.3)")]
     pub fn connect(addr: SocketAddr) -> io::Result<LineServerLink> {
         let any: IpAddr = match addr {
             SocketAddr::V4(_) => Ipv4Addr::UNSPECIFIED.into(),
@@ -445,7 +486,7 @@ impl LineServerLink {
             rx: vec![0; 65_536],
             fec_rx: FecDecoder::new(),
             routes: Routes {
-                last_observation: (Instant::now(), ATime::ZERO),
+                last_observation: (ATime::ZERO, ATime::ZERO),
                 probes: VecDeque::with_capacity(LINK_PROBES),
                 writes: Vec::with_capacity(LS_NUM_REGS),
                 fec_tx: None,
@@ -459,10 +500,10 @@ impl LineServerLink {
     /// Sends one request and returns its sequence number without waiting
     /// for a reply.  `Play` goes out FEC-framed once FEC is negotiated:
     /// loss on the play path is absorbed by parity, never by a resend.  A
-    /// `Loopback` is a clock probe, and a `WriteReg` stays pending until
-    /// [`Self::drain`] sees its acknowledgement.
-    #[expect(clippy::disallowed_methods, reason = "stamps probes (§7.4.3)")]
-    pub fn send(&mut self, req: LsPacket<'_>) -> io::Result<u32> {
+    /// `Loopback` is a clock probe, stamped with the local reading `local`,
+    /// and a `WriteReg` stays pending until [`Self::drain`] sees its
+    /// acknowledgement.
+    pub fn send(&mut self, req: LsPacket<'_>, local: ATime) -> io::Result<u32> {
         let seq = self.next_seq;
         self.next_seq = seq.wrapping_add(1);
         if self.next_seq as u16 == FEC_MAGIC {
@@ -474,7 +515,7 @@ impl LineServerLink {
                 if routes.probes.len() == LINK_PROBES {
                     routes.probes.pop_front();
                 }
-                routes.probes.push_back((seq, Instant::now()));
+                routes.probes.push_back((seq, local));
             }
             LsFunction::WriteReg => match routes.writes.iter_mut().find(|w| w.0 == req.param) {
                 Some(w) => w.1 = req.aux,
@@ -511,14 +552,16 @@ impl LineServerLink {
         for i in 0..self.routes.writes.len() {
             let (param, aux) = self.routes.writes[i];
             self.counters.add(Link::Retransmits, 1);
-            self.send(LsPacket {
+            let write = LsPacket {
                 seq: 0,
                 time: ATime::ZERO,
                 function: LsFunction::WriteReg,
                 param,
                 aux,
                 data: &[],
-            })?;
+            };
+            // Only a probe keeps its reading.
+            self.send(write, ATime::ZERO)?;
         }
         Ok(())
     }
@@ -582,14 +625,14 @@ impl LineServerLink {
         }
     }
 
-    /// Estimates the LineServer's current device time from the last clock
-    /// observation and the local time elapsed since (§7.4.3).  Anchored at
-    /// a probe's send instant, it runs ahead of the device by one one-way
-    /// delay: the time at which a request sent now arrives.
-    #[expect(clippy::disallowed_methods, reason = "extrapolates time (§7.4.3)")]
-    pub fn estimate_time(&self, rate: u32) -> ATime {
+    /// Estimates the LineServer's device time at the local reading `local`
+    /// from the last clock observation and the local ticks elapsed since
+    /// (§7.4.3).  Anchored at a probe's send reading, it runs ahead of the
+    /// device by one one-way delay: the time at which a request sent now
+    /// arrives.
+    pub fn estimate_time(&self, local: ATime) -> ATime {
         let (at, remote) = self.routes.last_observation;
-        remote + (at.elapsed().as_secs_f64() * f64::from(rate)) as u32
+        remote + (local - at)
     }
 }
 
@@ -611,7 +654,7 @@ impl Routes {
                 self.audio.push_back((pkt.time, samples));
             }
             LsFunction::Loopback => {
-                // Anchored at the probe's send instant, so a late drain
+                // Anchored at the probe's send reading, so a late drain
                 // cannot skew it; a reply to an older probe than the
                 // newest answered one finds nothing and is ignored.
                 if let Some(i) = self.probes.iter().position(|p| p.0 == pkt.seq) {
@@ -639,6 +682,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::io::{CaptureSink, ToneSource};
+    use std::time::Instant;
 
     fn packet(function: LsFunction) -> LsPacket<'static> {
         LsPacket {
@@ -687,22 +731,24 @@ mod tests {
             Box::new(ToneSource::ulaw(440.0, 8000.0, 10_000.0)),
         )
         .unwrap();
+        let mut filled = Filled::new();
 
         // Write and read back a register; a reply echoes its sequence number.
         let write = request(LsFunction::WriteReg, LS_REG_OUTPUT_GAIN, 42, &[]);
-        assert_eq!(fw.process(LsPacket { seq: 1, ..write }).seq, 1);
+        assert_eq!(fw.process(LsPacket { seq: 1, ..write }, &mut filled).seq, 1);
         let read = request(LsFunction::ReadReg, LS_REG_OUTPUT_GAIN, 0, &[]);
-        assert_eq!(fw.process(read).aux, 42);
+        assert_eq!(fw.process(read, &mut filled).aux, 42);
 
         // Loopback echoes data.
-        let r = fw.process(request(LsFunction::Loopback, 0, 0, &[9, 9, 9]));
+        let r = fw.process(request(LsFunction::Loopback, 0, 0, &[9, 9, 9]), &mut filled);
         assert_eq!(r.data, [9, 9, 9]);
 
         // Play at t=10, advance, verify the sink heard it.
-        fw.process(LsPacket {
+        let play = LsPacket {
             time: ATime::new(10),
             ..request(LsFunction::Play, 0, 0, &[0x21; 20])
-        });
+        };
+        fw.process(play, &mut filled);
         clock.advance(100);
         fw.hw.service();
         let cap = capture.lock().unwrap();
@@ -711,16 +757,17 @@ mod tests {
 
         // Record from the tone source.
         clock.advance(100);
-        let r = fw.process(LsPacket {
+        let record = LsPacket {
             time: ATime::new(120),
             ..request(LsFunction::Record, 0, 64, &[])
-        });
+        };
+        let r = fw.process(record, &mut filled);
         assert_eq!(r.data.len(), 64);
         assert!(r.data.iter().any(|&b| b != af_dsp::g711::ULAW_SILENCE));
 
         // Reset clears registers.
-        fw.process(request(LsFunction::Reset, 0, 0, &[]));
-        assert_eq!(fw.process(read).aux, 0);
+        fw.process(request(LsFunction::Reset, 0, 0, &[]), &mut filled);
+        assert_eq!(fw.process(read, &mut filled).aux, 0);
     }
 
     /// A request at time zero, under sequence number 0 (which
@@ -736,13 +783,16 @@ mod tests {
         }
     }
 
+    /// The local reading every test request is sent at.
+    const SENT_AT: ATime = ATime::new(100);
+
     /// Sends `req` and drains until its reply arrives: the test's own
     /// bounded wait, since the link never waits.  Every 25 ms without a
     /// reply, a write is re-sent by the link and anything else is sent
     /// again as a new request.  Returns the reply's header and its data.
     fn exchange(link: &mut LineServerLink, req: LsPacket<'_>) -> (LsPacket<'static>, Vec<u8>) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        let mut seq = link.send(req).unwrap();
+        let mut seq = link.send(req, SENT_AT).unwrap();
         loop {
             let sent = Instant::now();
             while sent.elapsed() < Duration::from_millis(25) {
@@ -763,7 +813,7 @@ mod tests {
             if req.function == LsFunction::WriteReg {
                 link.resend_writes().unwrap();
             } else {
-                seq = link.send(req).unwrap();
+                seq = link.send(req, SENT_AT).unwrap();
             }
         }
     }
@@ -781,14 +831,16 @@ mod tests {
         let handle = std::thread::spawn(move || fw.run());
 
         let mut link = LineServerLink::connect(addr).unwrap();
-        clock.advance(500);
+        clock.advance(5000);
         let (reply, data) = exchange(
             &mut link,
             request(LsFunction::Loopback, 0, 0, &[1, 2, 3, 4]),
         );
         assert_eq!(data, [1, 2, 3, 4]);
-        assert!(reply.time.ticks() >= 500);
-        assert!(link.estimate_time(8000).ticks() >= 500);
+        // A probe sent at local tick 100, answered at remote time 5,000:
+        // 1,000 local ticks later the device is at 6,000.
+        assert_eq!(reply.time, ATime::new(5000));
+        assert_eq!(link.estimate_time(ATime::new(1100)), ATime::new(6000));
 
         stop.store(true, Ordering::Relaxed);
         handle.join().unwrap();
@@ -819,7 +871,7 @@ mod tests {
         let mut link = LineServerLink::connect(addr).unwrap();
         let fec = FecConfig::default();
         let write = request(LsFunction::WriteReg, LS_REG_FEC, fec.to_reg(), &[]);
-        link.send(write).unwrap();
+        link.send(write, SENT_AT).unwrap();
         assert!(
             link.routes.fec_tx.is_none(),
             "FEC before the acknowledgement"
@@ -901,6 +953,86 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// Plays `[0x20; 20]` under sequence number 20 and `[0x21; 20]` under
+    /// 21 at the same device time, the newer delivered first by `send`,
+    /// then returns what the speaker played there.
+    fn newer_first(send: impl FnOnce(&UdpSocket, [LsPacket<'_>; 2])) -> Vec<u8> {
+        let clock = Arc::new(VirtualClock::new(8000));
+        let (sink, capture) = CaptureSink::new(1 << 16);
+        let (addr, stop, handle) = booted_into(clock.clone(), Box::new(sink));
+        let sock = raw(addr);
+        let play = |seq, data| LsPacket {
+            seq,
+            time: ATime::new(100),
+            ..request(LsFunction::Play, 0, 0, data)
+        };
+        send(&sock, [play(21, &[0x21; 20]), play(20, &[0x20; 20])]);
+        // A probe behind the plays: once it is answered, both have run.
+        send_raw(&sock, 22, request(LsFunction::Loopback, 0, 0, &[]));
+        while next_reply(&sock).expect("the probe after the plays").seq != 22 {}
+        clock.advance(400);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while capture.lock().unwrap().len() < 120 {
+            assert!(Instant::now() < deadline, "the speaker fell silent");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let heard = capture.lock().unwrap()[100..120].to_vec();
+        stop.store(true, Ordering::Relaxed);
+        handle.join().unwrap();
+        heard
+    }
+
+    #[test]
+    fn a_plain_play_overtaken_by_a_newer_mix_is_not_heard() {
+        let heard = newer_first(|sock, plays| {
+            for p in plays {
+                send_raw(sock, p.seq, p);
+            }
+        });
+        assert_eq!(heard, [0x21; 20], "the older mix played");
+    }
+
+    #[test]
+    fn a_framed_play_overtaken_by_a_newer_mix_is_not_heard() {
+        // One encoder frames the older play first, as the link would; the
+        // network swaps the two frames.
+        let heard = newer_first(|sock, [newer, older]| {
+            let mut frames = Vec::new();
+            let mut enc = FecEncoder::new(FecConfig::default());
+            for p in [older, newer] {
+                enc.push(&wire(p), |f| frames.push(f.to_vec()));
+            }
+            for frame in frames.iter().rev() {
+                sock.send(frame).unwrap();
+            }
+        });
+        assert_eq!(heard, [0x21; 20], "the older mix played");
+    }
+
+    #[test]
+    fn the_estimate_runs_on_the_readings_it_is_handed() {
+        let peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let mut link = LineServerLink::connect(peer.local_addr().unwrap()).unwrap();
+        // Before any reply, the local ticks themselves.
+        assert_eq!(link.estimate_time(ATime::new(700)), ATime::new(700));
+        let answer = |link: &mut LineServerLink, seq, remote| {
+            link.routes.route(LsPacket {
+                seq,
+                time: ATime::new(remote),
+                ..request(LsFunction::Loopback, 0, 0, &[])
+            });
+        };
+        let probe = request(LsFunction::Loopback, 0, 0, &[]);
+        let seq = link.send(probe, ATime::new(100)).unwrap();
+        answer(&mut link, seq, 5000);
+        assert_eq!(link.estimate_time(ATime::new(1100)), ATime::new(6000));
+        // A probe sent 100 ticks before the local clock wraps, answered 500
+        // before the remote one does: 1,000 ticks on, both have wrapped.
+        let seq = link.send(probe, ATime::new(u32::MAX - 99)).unwrap();
+        answer(&mut link, seq, u32::MAX - 499);
+        assert_eq!(link.estimate_time(ATime::new(900)), ATime::new(500));
+    }
+
     #[test]
     fn a_stale_write_never_reverts_a_newer_one() {
         let clock = Arc::new(VirtualClock::new(8000));
@@ -978,7 +1110,8 @@ mod tests {
         let mut buf = [0u8; 64];
         let mut seqs = Vec::new();
         for _ in 0..3 {
-            let seq = link.send(request(LsFunction::ReadReg, 0, 0, &[])).unwrap();
+            let read = request(LsFunction::ReadReg, 0, 0, &[]);
+            let seq = link.send(read, SENT_AT).unwrap();
             let n = peer.recv(&mut buf).unwrap();
             let magic = FEC_MAGIC.to_le_bytes();
             assert!(!buf[..n].starts_with(&magic), "seq {seq:#x}");

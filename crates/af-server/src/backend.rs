@@ -10,7 +10,7 @@ use af_device::fec::FecConfig;
 use af_device::jitter::JitterBuffer;
 use af_device::lineserver::{LineServerLink, LsFunction, LsPacket, LS_REG_FEC};
 use af_device::stats::{Link, LinkCounters};
-use af_device::VirtualAudioHw;
+use af_device::{SharedClock, VirtualAudioHw};
 use af_time::ATime;
 use std::sync::Arc;
 
@@ -91,11 +91,16 @@ impl HwBackend for LocalBackend {
 /// * A link that sends nothing for `DOWN_MISS_LIMIT` consecutive
 ///   updates counts one [`Link::LinkDowns`]; device time runs on from
 ///   the last observation meanwhile.
+///
+/// The local readings the link stamps its probes with and extrapolates
+/// from come from the backend's own clock, as a [`LocalBackend`]'s device
+/// time comes from its hardware's.
 pub struct AlsBackend {
     link: LineServerLink,
     /// The link's counters, which the jitter buffer reports into.
     counters: Arc<LinkCounters>,
-    rate: u32,
+    /// The local clock, at the LineServer's nominal rate.
+    clock: SharedClock,
     lead: u32,
     /// Playout buffer for the record path.
     jb: JitterBuffer,
@@ -139,16 +144,18 @@ fn request(function: LsFunction, time: ATime, param: u8, aux: u16) -> LsPacket<'
 }
 
 impl AlsBackend {
-    /// Wraps a connected LineServer link and starts FEC negotiation for
+    /// Wraps a connected LineServer link, whose estimates run on `clock`
+    /// (at the LineServer's nominal rate), and starts FEC negotiation for
     /// the audio path (the link stays in plain mode until the peer
     /// acknowledges it).
-    pub fn new(mut link: LineServerLink, rate: u32, lead_frames: u32) -> AlsBackend {
+    pub fn new(mut link: LineServerLink, clock: SharedClock, lead_frames: u32) -> AlsBackend {
         let fec = FecConfig::default().to_reg();
-        let _ = link.send(request(LsFunction::WriteReg, ATime::ZERO, LS_REG_FEC, fec));
+        let write = request(LsFunction::WriteReg, ATime::ZERO, LS_REG_FEC, fec);
+        let _ = link.send(write, clock.now());
         AlsBackend {
             counters: Arc::clone(link.counters()),
             link,
-            rate,
+            clock,
             lead: lead_frames,
             jb: JitterBuffer::new(),
             fetched_until: None,
@@ -158,18 +165,18 @@ impl AlsBackend {
     }
 
     /// Drains what the LineServer has sent, without waiting, and returns
-    /// the device time estimate it leaves.
-    fn drain(&mut self) -> ATime {
+    /// the device time estimate it leaves at the local reading `local`.
+    fn drain(&mut self, local: ATime) -> ATime {
         if self.link.drain(|_| {}) > 0 {
             self.heard = true;
         }
-        self.link.estimate_time(self.rate)
+        self.link.estimate_time(local)
     }
 
     /// Requests recorded chunks covering up to `now_est − guard`; their
     /// replies reach the jitter buffer through a later drain.  A lost
     /// reply is parity's or the concealer's problem, never a resend.
-    fn prefetch(&mut self, now_est: ATime) {
+    fn prefetch(&mut self, now_est: ATime, local: ATime) {
         let horizon = now_est.offset(-REC_GUARD_TICKS);
         let depth_slack = (self.jb.depth() as i32).saturating_add(REC_CHUNK_TICKS);
         let mut start = match self.fetched_until {
@@ -188,7 +195,7 @@ impl AlsBackend {
                 break;
             }
             let req = request(LsFunction::Record, start, 0, span as u16);
-            if self.link.send(req).is_err() {
+            if self.link.send(req, local).is_err() {
                 break;
             }
             start = start.offset(span);
@@ -199,12 +206,14 @@ impl AlsBackend {
 }
 
 impl HwBackend for AlsBackend {
+    // Each entry reads the local clock once.
     fn now(&mut self) -> ATime {
-        self.drain()
+        self.drain(self.clock.now())
     }
 
     fn service(&mut self) -> ATime {
-        let now = self.drain();
+        let local = self.clock.now();
+        let now = self.drain(local);
         if std::mem::take(&mut self.heard) {
             self.silent_updates = 0;
         } else {
@@ -217,24 +226,27 @@ impl HwBackend for AlsBackend {
         // observe the remote clock.  Its reply re-anchors the estimate at
         // a later drain.
         let probe = request(LsFunction::Loopback, ATime::ZERO, 0, 0);
-        let _ = self.link.send(probe);
+        let _ = self.link.send(probe, local);
         let _ = self.link.resend_writes();
         now
     }
 
     fn write_play(&mut self, time: ATime, data: &[u8]) {
-        self.drain();
+        let local = self.clock.now();
+        self.drain(local);
         // One datagram, FEC-framed when negotiated.  The paper did not
         // retry play packets ("by then, it is probably too late anyway");
         // parity carries the redundancy instead.
-        let _ = self.link.send(LsPacket {
+        let play = LsPacket {
             data,
             ..request(LsFunction::Play, time, 0, 0)
-        });
+        };
+        let _ = self.link.send(play, local);
     }
 
     fn read_rec(&mut self, time: ATime, out: &mut [u8]) {
-        let now_est = self.drain();
+        let local = self.clock.now();
+        let now_est = self.drain(local);
         let (jb, counters) = (&mut self.jb, &self.counters);
         self.link.take_audio(|start, samples| {
             // Transit to the chunk's last sample: the playout depth must
@@ -243,7 +255,7 @@ impl HwBackend for AlsBackend {
             jb.observe_transit(i64::from(now_est.delta(end)));
             jb.insert(start, samples, counters);
         });
-        self.prefetch(now_est);
+        self.prefetch(now_est, local);
         // Serve from the playout buffer: recorded time `time − depth`,
         // concealing what never arrived.
         self.jb.read(time, out, &self.counters);

@@ -18,7 +18,7 @@ use crate::stats::{LinkCounters, ServerCounters};
 use af_device::hardware::{HwConfig, VirtualAudioHw};
 use af_device::io::{NullSink, SampleSink, SampleSource, SilenceSource};
 use af_device::lineserver::LineServerLink;
-use af_device::{PhoneLine, SharedClock};
+use af_device::{PhoneLine, SharedClock, SystemClock};
 use af_dsp::Encoding;
 use af_proto::{DeviceDesc, DeviceKind, SetupReply};
 use af_time::ATime;
@@ -274,7 +274,8 @@ impl ServerBuilder {
         (stereo, left, right)
     }
 
-    /// Adds a device served by a remote LineServer over UDP (`Als`).
+    /// Adds a device served by a remote LineServer over UDP (`Als`),
+    /// whose time estimate runs on an 8 kHz [`SystemClock`] of this host.
     pub fn add_lineserver(&mut self, addr: SocketAddr) -> std::io::Result<usize> {
         let link = LineServerLink::connect(addr)?;
         Ok(self.add_lineserver_link(link))
@@ -284,7 +285,8 @@ impl ServerBuilder {
     /// for links with a fault-injecting UDP socket underneath.
     pub fn add_lineserver_link(&mut self, link: LineServerLink) -> usize {
         self.link_stats.push(Arc::clone(link.counters()));
-        let backend = AlsBackend::new(link, 8000, af_device::lineserver::LS_BUFFER_SAMPLES);
+        let clock = Arc::new(SystemClock::new(8000));
+        let backend = AlsBackend::new(link, clock, af_device::lineserver::LS_BUFFER_SAMPLES);
         let buffers =
             DeviceBuffers::new(Box::new(backend), Encoding::Mu255, 1, CODEC_BUFFER_FRAMES);
         let cfg = HwConfig {
@@ -307,62 +309,12 @@ impl ServerBuilder {
         self.devices.len() - 1
     }
 
-    /// Wires two devices as a pass-through pair (§7.4.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range or they are equal.
-    pub fn pair_passthrough(&mut self, a: usize, b: usize) {
-        assert!(a != b && a < self.devices.len() && b < self.devices.len());
-        self.devices[a].passthrough_peer = Some(b);
-        self.devices[b].passthrough_peer = Some(a);
-    }
-
-    /// The standard LoFi shape: a phone codec, a local codec (pass-through
-    /// paired), and a HiFi device — all on one clock, as LoFi's devices
-    /// shared synchronized interrupts.
-    ///
-    /// Returns `(builder, phone_line)`.
-    pub fn lofi(clock: SharedClock) -> (ServerBuilder, PhoneLine) {
-        let mut b = ServerBuilder::new().vendor("audiofile-rs Alofi");
-        let line = PhoneLine::new();
-        let d0 = b.add_phone_codec(Arc::clone(&clock), line.clone());
-        let d1 = b.add_codec(
-            Arc::clone(&clock),
-            Box::new(NullSink),
-            Box::new(SilenceSource::new(af_dsp::g711::ULAW_SILENCE)),
-        );
-        b.pair_passthrough(d0, d1);
-        // Like Alofi, "presents five audio devices to clients": two CODECs
-        // and three HiFi views (stereo, left, right).
-        b.add_hifi_with_mono(clock, Box::new(NullSink), Box::new(SilenceSource::new(0)));
-        (b, line)
-    }
-
-    /// Starts the server: the dispatcher, on the reactor thread, and the
-    /// listeners.
-    ///
-    /// The reactor is the only transport, so this fails with
-    /// `ErrorKind::Unsupported` on targets `af_sys` has no syscall backend
-    /// for (supported: Linux on x86_64 and aarch64), and with
-    /// `epoll_create1`'s own error when the reactor cannot get its epoll
-    /// instance, and with `ErrorKind::InvalidInput` when its setup reply
-    /// cannot say what it serves (more than 255 devices, or a vendor
-    /// string past 65,535 bytes).  On any error no thread has been
-    /// started.
-    pub fn spawn(self) -> std::io::Result<RunningServer> {
-        let reply = SetupReply::Success {
-            major: af_proto::PROTOCOL_MAJOR,
-            minor: af_proto::PROTOCOL_MINOR,
-            vendor: self.vendor.clone(),
-            devices: self.devices.iter().map(|d| d.desc).collect(),
-        };
-        if let Err(e) = reply.encode(af_proto::ByteOrder::native()) {
-            let msg = format!("the setup reply does not encode: {e}");
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
-        }
-        let mut devices = Vec::with_capacity(self.devices.len());
-        for (i, mut setup) in self.devices.into_iter().enumerate() {
+    /// Takes the devices added so far as the dispatcher holds them:
+    /// indexed in the order added, every connector enabled.
+    pub(crate) fn take_devices(&mut self) -> Vec<Device> {
+        let setups = std::mem::take(&mut self.devices);
+        let mut devices = Vec::with_capacity(setups.len());
+        for (i, mut setup) in setups.into_iter().enumerate() {
             setup.desc.index = i as u8;
             let inputs_enabled = connector_mask(setup.desc.number_of_inputs);
             let outputs_enabled = connector_mask(setup.desc.number_of_outputs);
@@ -383,6 +335,70 @@ impl ServerBuilder {
                 pt_out: ATime::ZERO,
             });
         }
+        devices
+    }
+
+    /// Wires two devices as a pass-through pair (§7.4.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range or they are equal.
+    pub fn pair_passthrough(&mut self, a: usize, b: usize) {
+        assert!(a != b && a < self.devices.len() && b < self.devices.len());
+        self.devices[a].passthrough_peer = Some(b);
+        self.devices[b].passthrough_peer = Some(a);
+    }
+
+    /// The standard LoFi shape: a phone codec and a local codec
+    /// (pass-through paired) on the 8 kHz `clock`, as LoFi's CODECs shared
+    /// synchronized interrupts, and a HiFi device on the 44.1 kHz `hifi`
+    /// clock, its own oscillator.
+    ///
+    /// Returns `(builder, phone_line)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a clock's nominal rate is not its devices' rate
+    /// ([`VirtualAudioHw::new`]).
+    pub fn lofi(clock: SharedClock, hifi: SharedClock) -> (ServerBuilder, PhoneLine) {
+        let mut b = ServerBuilder::new().vendor("audiofile-rs Alofi");
+        let line = PhoneLine::new();
+        let d0 = b.add_phone_codec(Arc::clone(&clock), line.clone());
+        let d1 = b.add_codec(
+            Arc::clone(&clock),
+            Box::new(NullSink),
+            Box::new(SilenceSource::new(af_dsp::g711::ULAW_SILENCE)),
+        );
+        b.pair_passthrough(d0, d1);
+        // Like Alofi, "presents five audio devices to clients": two CODECs
+        // and three HiFi views (stereo, left, right).
+        b.add_hifi_with_mono(hifi, Box::new(NullSink), Box::new(SilenceSource::new(0)));
+        (b, line)
+    }
+
+    /// Starts the server: the dispatcher, on the reactor thread, and the
+    /// listeners.
+    ///
+    /// The reactor is the only transport, so this fails with
+    /// `ErrorKind::Unsupported` on targets `af_sys` has no syscall backend
+    /// for (supported: Linux on x86_64 and aarch64), and with
+    /// `epoll_create1`'s own error when the reactor cannot get its epoll
+    /// instance, and with `ErrorKind::InvalidInput` when its setup reply
+    /// cannot say what it serves (more than 255 devices, or a vendor
+    /// string past 65,535 bytes).  On any error no thread has been
+    /// started.
+    pub fn spawn(mut self) -> std::io::Result<RunningServer> {
+        let reply = SetupReply::Success {
+            major: af_proto::PROTOCOL_MAJOR,
+            minor: af_proto::PROTOCOL_MINOR,
+            vendor: self.vendor.clone(),
+            devices: self.devices.iter().map(|d| d.desc).collect(),
+        };
+        if let Err(e) = reply.encode(af_proto::ByteOrder::native()) {
+            let msg = format!("the setup reply does not encode: {e}");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        }
+        let mut devices = self.take_devices();
         let mut access = AccessControl::new();
         access.set_enabled(self.access_enabled);
         // Broadcast fan-out: the device's buffers hold the bus and tap their

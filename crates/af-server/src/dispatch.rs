@@ -176,6 +176,9 @@ pub struct Dispatcher {
     core: ServerCore,
     tasks: TaskQueue,
     update_interval: Duration,
+    /// The reactor's clock reading for the pass being served, which every
+    /// wake-up counts from; `None` before the first.
+    now: Option<Instant>,
     /// Scratch for AC sample-type conversion and pass-through copies,
     /// reused so a steady play/record stream and the update run without
     /// allocating.
@@ -241,7 +244,8 @@ impl Handler for Dispatcher {
         self.core.stats.add(Server::InlineEvents, 1);
     }
 
-    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
+    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8], now: Instant) {
+        self.observe(now);
         self.handle_request(id, opcode, payload);
         self.core.stats.add(Server::InlineEvents, 1);
     }
@@ -253,10 +257,11 @@ impl Handler for Dispatcher {
     // The periodic update re-arms from the deadline it was due at, so
     // neither a late poll timeout nor a busy pass stretches the cadence.
     fn run_due(&mut self, now: Instant) {
+        self.observe(now);
         while let Some((deadline, kind)) = self.tasks.pop_due(now) {
             match kind {
                 TaskKind::Update => {
-                    self.update();
+                    self.update(now);
                     let (next, skipped) = next_period(deadline, self.update_interval, now);
                     self.core.stats.add(Server::UpdateSkips, u64::from(skipped));
                     self.tasks.schedule(next, TaskKind::Update);
@@ -268,7 +273,8 @@ impl Handler for Dispatcher {
 
     /// The update task (§7.2): every device's buffers brought up to its
     /// clock, pass-through, phone events, and suspended clients retried.
-    fn update(&mut self) {
+    fn update(&mut self, now: Instant) {
+        self.observe(now);
         for dev in &mut self.core.devices {
             let gain = dev.output_gain_db;
             let enabled = dev.output_enabled();
@@ -293,20 +299,29 @@ impl Handler for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher over `core`, its first periodic update one
-    /// `update_interval` away.
-    #[expect(clippy::disallowed_methods, reason = "tasks run on host time")]
+    /// Creates a dispatcher over `core`, its periodic update every
+    /// `update_interval`, the first one interval after the first clock
+    /// reading the reactor hands it.
     pub fn new(core: ServerCore, update_interval: Duration) -> Self {
-        let mut tasks = TaskQueue::new();
-        tasks.schedule(Instant::now() + update_interval, TaskKind::Update);
         Dispatcher {
             core,
-            tasks,
+            tasks: TaskQueue::new(),
             update_interval,
+            now: None,
             conv_buf: Vec::new(),
             overflowed: Vec::new(),
             retrying: Vec::new(),
         }
+    }
+
+    /// Takes the reactor's reading for the pass being served; the first
+    /// arms the periodic update.
+    fn observe(&mut self, now: Instant) {
+        if self.now.is_none() {
+            self.tasks
+                .schedule(now + self.update_interval, TaskKind::Update);
+        }
+        self.now = Some(now);
     }
 
     /// One framed request, in the buffer it was framed in.  Unknown ids (never admitted, or already evicted)
@@ -604,16 +619,19 @@ impl Dispatcher {
     /// `WakeBlocked` task retries it then.
     fn suspend(&mut self, id: ClientId, seq: u16, op: BlockedOp, frames: u32) {
         let device = op.device();
-        let wake = self.play_wake_instant(device, frames);
+        let wait = self.frames_wait(device, frames);
         if let Some(client) = self.core.clients.get_mut(&id) {
             client.blocked = Some(Blocked { seq, op });
-            self.tasks.schedule(wake, TaskKind::WakeBlocked(device));
+            // Every caller observed the pass's reading first.
+            if let Some(now) = self.now {
+                self.tasks
+                    .schedule(now + wait, TaskKind::WakeBlocked(device));
+            }
         }
     }
 
-    /// Estimates when `frames` more frames will have elapsed on `device`.
-    #[expect(clippy::disallowed_methods, reason = "wake-ups run on host time")]
-    fn play_wake_instant(&self, device: DeviceId, frames: u32) -> Instant {
+    /// How long `frames` frames take on `device`, at least 1 ms.
+    fn frames_wait(&self, device: DeviceId, frames: u32) -> Duration {
         let rate = self
             .core
             .devices
@@ -622,7 +640,7 @@ impl Dispatcher {
             .unwrap_or(8000)
             .max(1);
         let secs = f64::from(frames) / f64::from(rate);
-        Instant::now() + Duration::from_secs_f64(secs.max(0.001))
+        Duration::from_secs_f64(secs.max(0.001))
     }
 
     // ---- Request processing. ----
@@ -1533,9 +1551,13 @@ mod tests {
     use crate::reactor::OUTBOUND_QUEUE_CAPACITY;
 
     fn bare_dispatcher() -> Dispatcher {
+        dispatcher_over(Vec::new())
+    }
+
+    fn dispatcher_over(devices: Vec<Device>) -> Dispatcher {
         let core = ServerCore {
             vendor: "test".into(),
-            devices: Vec::new(),
+            devices,
             clients: HashMap::new(),
             atoms: AtomRegistry::new(),
             access: AccessControl::new(),
@@ -1583,5 +1605,79 @@ mod tests {
         );
         assert_eq!(dispatcher.core.stats.get(Server::EvictedSlow), 1);
         assert_eq!(dispatcher.overflowed, [], "list consumed");
+    }
+
+    /// An 8 kHz codec device with a 32,768-frame buffer, on `clock`.
+    fn codec(clock: Arc<af_device::VirtualClock>) -> Device {
+        use af_device::io::{NullSink, SilenceSource};
+        let source = Box::new(SilenceSource::new(0xFF));
+        let mut builder = crate::ServerBuilder::new();
+        builder.add_codec(clock, Box::new(NullSink), source);
+        builder.take_devices().remove(0)
+    }
+
+    /// Hands `request` to the dispatcher as the reactor frames it, at the
+    /// reading `now`.
+    fn send(dispatcher: &mut Dispatcher, id: ClientId, request: Request, now: Instant) {
+        let frame = request.encode(af_proto::ByteOrder::Little);
+        let header = frame[..4].try_into().unwrap();
+        let (opcode, _) =
+            af_proto::decode_frame_header(af_proto::ByteOrder::Little, header).unwrap();
+        dispatcher.request(id, opcode, &frame[4..], now);
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "one reading to offset from")]
+    fn a_suspended_play_wakes_at_the_reading_it_was_handed_plus_its_frames() {
+        let clock = Arc::new(af_device::VirtualClock::new(8000));
+        let mut dispatcher = dispatcher_over(vec![codec(Arc::clone(&clock))]);
+        let conn = dispatcher.core.outbound.detached(7);
+        dispatcher.connect(conn, &af_proto::ConnSetup::new().encode().unwrap(), None);
+        let t0 = Instant::now();
+        let create = Request::CreateAc {
+            id: 1,
+            device: 0,
+            mask: AcMask::default(),
+            attrs: AcAttributes::default(),
+        };
+        send(&mut dispatcher, 7, create, t0);
+        let queued = dispatcher.core.outbound.queued(conn);
+
+        // 4,000 frames wholly past the 32,768-frame horizon: the client
+        // suspends, and its wake-up is 0.5 s (4,000 frames at 8 kHz) after
+        // the reading the request came with, not after any clock read.
+        let play = Request::PlaySamples {
+            ac: 1,
+            start_time: ATime::new(32_768),
+            flags: 0,
+            data: vec![0x55; 4000],
+        };
+        send(&mut dispatcher, 7, play, t0);
+        let deadline = t0 + Duration::from_millis(500);
+        assert!(
+            dispatcher.core.clients[&7].blocked.is_some(),
+            "not suspended"
+        );
+        assert_eq!(dispatcher.tasks.next_deadline(), Some(deadline));
+
+        // The device time has come; the host time decides.
+        clock.advance(4000);
+        dispatcher.run_due(deadline - Duration::from_nanos(1));
+        assert!(dispatcher.core.clients[&7].blocked.is_some(), "woke early");
+        dispatcher.run_due(deadline);
+        assert!(
+            dispatcher.core.clients[&7].blocked.is_none(),
+            "still suspended"
+        );
+        assert_eq!(
+            dispatcher.core.outbound.queued(conn),
+            queued + 1,
+            "the play's reply"
+        );
+        assert_eq!(
+            dispatcher.tasks.next_deadline(),
+            Some(t0 + Duration::from_secs(3600)),
+            "the update, one interval after the first reading"
+        );
     }
 }

@@ -407,17 +407,20 @@ pub trait Handler {
 
     /// One framed request of connection `id`.  `payload` (the bytes after
     /// the 4-byte header) is lent from where `read` left it and only read;
-    /// nothing keeps it past the call.
-    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]);
+    /// nothing keeps it past the call.  `now` is the pass's clock reading,
+    /// which any task the request schedules counts from.
+    fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8], now: Instant);
 
     /// The earliest task deadline: the poll loop sleeps no longer.
     fn next_deadline(&self) -> Option<Instant>;
 
-    /// Runs every task due at `now`.
+    /// Runs every task due at `now`, the pass's clock reading.  Called at
+    /// the end of every pass, the first of which waits for nothing.
     fn run_due(&mut self, now: Instant);
 
-    /// Runs the update task now ([`Call::Update`]).
-    fn update(&mut self);
+    /// Runs the update task now ([`Call::Update`]), at the pass's reading
+    /// `now`.
+    fn update(&mut self, now: Instant);
 
     /// The connections' write side, which the handler's replies go into
     /// and the reactor drains.
@@ -771,27 +774,30 @@ impl<H: Handler> Shard<H> {
     #[expect(clippy::disallowed_methods, reason = "timeouts run on host time")]
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(MAX_EVENTS);
-        // One clock read a pass: the timeout reckoned from the last one
-        // runs long by the rest of that pass, inside the rounding up.
-        let mut now = Instant::now();
+        // The first pass waits for nothing, so the handler has a reading
+        // to schedule from at once.
+        let mut timeout = 0;
         while !self.stop.load(Ordering::Relaxed) {
             events.clear();
-            let timeout = poll_timeout(self.handler.next_deadline(), now);
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
+            // The pass's one clock reading: every handler call of the pass
+            // and the next timeout count from it, so that timeout runs long
+            // by the length of the pass.
+            let now = Instant::now();
             for ev in &events {
                 self.stats.add(stats::Shard::ReadinessEvents, 1);
                 if ev.token == WAKE_TOKEN {
-                    self.handle_wake();
+                    self.handle_wake(now);
                 } else {
-                    self.handle_token(*ev);
+                    self.handle_token(*ev, now);
                 }
             }
             // The task queue's turn: between readiness batches, so a busy
             // socket delays a due task by at most one pass.
-            now = Instant::now();
             self.handler.run_due(now);
+            timeout = poll_timeout(self.handler.next_deadline(), now);
             self.pump_published();
             self.flush_stalled();
             self.answered.clear();
@@ -811,7 +817,7 @@ impl<H: Handler> Shard<H> {
     }
 
     /// Drains the self-pipe and runs the calls other threads left.
-    fn handle_wake(&mut self) {
+    fn handle_wake(&mut self, now: Instant) {
         self.stats.add(stats::Shard::Wakeups, 1);
         let mut sink = [0u8; 64];
         loop {
@@ -828,7 +834,7 @@ impl<H: Handler> Shard<H> {
         // call behind a byte just read is here.
         while let Ok(asked) = self.calls.try_recv() {
             if asked.call == Call::Update {
-                self.handler.update();
+                self.handler.update(now);
             }
             self.answered.push(asked);
         }
@@ -923,7 +929,7 @@ impl<H: Handler> Shard<H> {
         self.slots[token] = Some(slot);
     }
 
-    fn handle_token(&mut self, ev: PollEvent) {
+    fn handle_token(&mut self, ev: PollEvent, now: Instant) {
         let token = ev.token as usize;
         match self.slots.get(token) {
             Some(Some(Slot::Listen(_))) => self.accept_ready(token),
@@ -932,7 +938,7 @@ impl<H: Handler> Shard<H> {
                     self.flush_conn(token);
                 }
                 if ev.readable {
-                    self.read_conn(token);
+                    self.read_conn(token, now);
                 }
             }
             Some(Some(Slot::Bcast(_))) => {
@@ -1157,14 +1163,14 @@ impl<H: Handler> Shard<H> {
         self.deferred_free.push(token);
     }
 
-    fn read_conn(&mut self, token: usize) {
+    fn read_conn(&mut self, token: usize, now: Instant) {
         let Some(slot) = self.slots.get_mut(token) else {
             return;
         };
         let Some(Slot::Conn(mut conn)) = slot.take() else {
             return;
         };
-        match self.drive_read(&mut conn) {
+        match self.drive_read(&mut conn, now) {
             ReadOutcome::Park => self.slots[token] = Some(Slot::Conn(conn)),
             ReadOutcome::Close => self.close_conn(token, conn, None),
             ReadOutcome::Protocol(e) => self.close_conn(token, conn, Some(e)),
@@ -1176,7 +1182,7 @@ impl<H: Handler> Shard<H> {
     /// is drained — park without probing for `EAGAIN` (level-triggered
     /// polling re-reports anything that arrives later); only a read that
     /// filled its buffer is followed by another, frame budget permitting.
-    fn drive_read(&mut self, conn: &mut ConnState) -> ReadOutcome {
+    fn drive_read(&mut self, conn: &mut ConnState, now: Instant) -> ReadOutcome {
         let mut budget = FRAME_BUDGET;
         let mut scratch = std::mem::take(&mut self.read_scratch);
         let outcome = loop {
@@ -1209,7 +1215,7 @@ impl<H: Handler> Shard<H> {
                 }
                 _ => &scratch[..n],
             };
-            if let Err(outcome) = self.feed(conn, data, &mut budget) {
+            if let Err(outcome) = self.feed(conn, data, &mut budget, now) {
                 break outcome;
             }
             if n < room {
@@ -1226,12 +1232,13 @@ impl<H: Handler> Shard<H> {
     /// lies, one that does not is staged in the connection's phase buffer
     /// and goes from there once complete — the same call either way.
     /// `budget` is decremented per frame and may be exhausted mid-buffer;
-    /// the caller checks it between reads.
+    /// the caller checks it between reads.  `now` is the pass's reading.
     fn feed(
         &mut self,
         conn: &mut ConnState,
         mut data: &[u8],
         budget: &mut u32,
+        now: Instant,
     ) -> Result<(), ReadOutcome> {
         loop {
             // Each arm moves what its phase still needs out of `data`; a
@@ -1282,7 +1289,7 @@ impl<H: Handler> Shard<H> {
                     if data.len() >= payload_len {
                         let (payload, rest) = data.split_at(payload_len);
                         data = rest;
-                        self.dispatch_frame(conn.id, opcode, payload, budget);
+                        self.dispatch_frame(conn.id, opcode, payload, budget, now);
                     } else {
                         conn.phase = ReadPhase::Payload {
                             opcode,
@@ -1298,7 +1305,7 @@ impl<H: Handler> Shard<H> {
                     let staged = std::mem::replace(&mut conn.phase, ReadPhase::BETWEEN_FRAMES);
                     if let ReadPhase::Payload { opcode, buf, .. } = staged {
                         self.stats.add(stats::Shard::StagedFrames, 1);
-                        self.dispatch_frame(conn.id, opcode, &buf, budget);
+                        self.dispatch_frame(conn.id, opcode, &buf, budget, now);
                     }
                 }
             }
@@ -1309,9 +1316,16 @@ impl<H: Handler> Shard<H> {
 
     /// Lends one complete request frame to the handler, which handles it
     /// here and now.
-    fn dispatch_frame(&mut self, id: ClientId, opcode: u8, payload: &[u8], budget: &mut u32) {
+    fn dispatch_frame(
+        &mut self,
+        id: ClientId,
+        opcode: u8,
+        payload: &[u8],
+        budget: &mut u32,
+        now: Instant,
+    ) {
         self.stats.add(stats::Shard::Frames, 1);
-        self.handler.request(id, opcode, payload);
+        self.handler.request(id, opcode, payload, now);
         *budget = budget.saturating_sub(1);
     }
 
@@ -1593,7 +1607,7 @@ mod tests {
             let _ = self.events.send(Captured::Disconnect(protocol));
         }
 
-        fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8]) {
+        fn request(&mut self, id: ClientId, opcode: u8, payload: &[u8], _now: Instant) {
             let _ = self
                 .events
                 .send(Captured::Request(id, opcode, payload.to_vec()));
@@ -1605,7 +1619,7 @@ mod tests {
 
         fn run_due(&mut self, _now: Instant) {}
 
-        fn update(&mut self) {
+        fn update(&mut self, _now: Instant) {
             while let Ok(job) = self.jobs.try_recv() {
                 job(self);
             }

@@ -21,9 +21,11 @@ use std::sync::Arc;
 const PHONE_DEV: u8 = 0;
 
 fn main() {
-    // The LoFi-shaped server: phone codec + local codec + HiFi.
+    // The LoFi-shaped server: phone codec + local codec + HiFi, each
+    // rate on its own oscillator.
     let clock = Arc::new(SystemClock::new(8000));
-    let (builder, line) = ServerBuilder::lofi(clock);
+    let hifi_clock = Arc::new(SystemClock::new(44_100));
+    let (builder, line) = ServerBuilder::lofi(clock, hifi_clock);
     let server = builder
         .listen_tcp("127.0.0.1:0".parse().unwrap())
         .update_interval(std::time::Duration::from_millis(50))

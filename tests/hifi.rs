@@ -362,7 +362,8 @@ fn mono_view_record_reads_one_lane() {
 fn lofi_shape_exports_five_devices() {
     // "The Alofi server presents five audio devices to clients" (§7.4.1).
     let clock = Arc::new(VirtualClock::new(8000));
-    let (builder, _line) = ServerBuilder::lofi(clock);
+    let hifi_clock = Arc::new(VirtualClock::new(44_100));
+    let (builder, _line) = ServerBuilder::lofi(clock, hifi_clock);
     let server = builder
         .listen_tcp("127.0.0.1:0".parse().unwrap())
         .spawn()

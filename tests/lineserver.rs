@@ -104,7 +104,7 @@ fn register_exchange(
         data: &[],
     };
     let deadline = Instant::now() + Duration::from_secs(5);
-    let mut seq = link.send(req).unwrap();
+    let mut seq = link.send(req, ATime::ZERO).unwrap();
     loop {
         let sent = Instant::now();
         while sent.elapsed() < Duration::from_millis(25) {
@@ -124,7 +124,7 @@ fn register_exchange(
         if function == LsFunction::WriteReg {
             link.resend_writes().unwrap();
         } else {
-            seq = link.send(req).unwrap();
+            seq = link.send(req, ATime::ZERO).unwrap();
         }
     }
 }

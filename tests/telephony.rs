@@ -24,7 +24,8 @@ struct Lofi {
 impl Lofi {
     fn new() -> Lofi {
         let clock = Arc::new(VirtualClock::new(8000));
-        let (builder, line) = ServerBuilder::lofi(clock.clone());
+        let hifi_clock = Arc::new(VirtualClock::new(44_100));
+        let (builder, line) = ServerBuilder::lofi(clock.clone(), hifi_clock);
         let server = builder
             .listen_tcp("127.0.0.1:0".parse().unwrap())
             .spawn()
